@@ -267,7 +267,11 @@ func main() {
 		endpoints = "POST /query, POST /append, GET /budget, GET /schema, GET /snapshot, POST /restore"
 	}
 	fmt.Printf("listening on http://%s  (%s)\n", *addr, endpoints)
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// A client that opens a connection and never finishes its request
+	// headers must not hold it forever. Body and response time stay
+	// unbounded: /append and /restore bodies and /snapshot responses
+	// scale with the deployment.
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	shutdownDone := make(chan struct{})

@@ -45,7 +45,7 @@ const batchStream = 6144
 
 // batchSession builds the partitioned session the batch study drives. A
 // generous global budget keeps the cold pass from exhausting mid-stream.
-func batchSession(env *Env, sc Scale) (*core.Session, error) {
+func batchSession(env *Env) (*core.Session, error) {
 	return core.NewSession(core.Config{
 		Mode:  core.Partitioned,
 		Alpha: env.Alpha, Beta: env.Beta, EpsilonGlobal: 1000,
@@ -53,7 +53,6 @@ func batchSession(env *Env, sc Scale) (*core.Session, error) {
 		Structure:      tree.Binary,
 		NodeExactCache: true,
 		Seed:           173,
-		MCSamples:      sc.MCSamples,
 	}, env.DS)
 }
 
@@ -72,8 +71,8 @@ type batchArm struct {
 // (admissions and payments both; metric reads are not counted — see
 // accountant/batch.go). The warmed op closure it leaves behind is what
 // the interleaved steady-state phases drive.
-func newBatchArm(env *Env, sc Scale, stream []*query.Query, size int) (*batchArm, error) {
-	sess, err := batchSession(env, sc)
+func newBatchArm(env *Env, stream []*query.Query, size int) (*batchArm, error) {
+	sess, err := batchSession(env)
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +177,7 @@ func Batch(sc Scale) (Result, error) {
 	// the size-0 arm.
 	var arms []*batchArm
 	for _, size := range append([]int{0}, DefaultBatchSizes...) {
-		arm, err := newBatchArm(env, sc, stream, size)
+		arm, err := newBatchArm(env, stream, size)
 		if err != nil {
 			return Result{}, fmt.Errorf("batch size %d: %w", size, err)
 		}

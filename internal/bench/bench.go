@@ -34,8 +34,6 @@ type Scale struct {
 	Weeks int
 	// CovidRows / CitiBikeRows size the synthetic datasets.
 	CovidRows, CitiBikeRows int
-	// MCSamples bounds the tree's Monte-Carlo calibration cost.
-	MCSamples int
 	// Checkpoints is the number of points recorded per budget curve.
 	Checkpoints int
 	// Workers is the goroutine ladder for the concurrency scaling
@@ -64,7 +62,6 @@ var ScaleSmall = Scale{
 	Queries: 15000, PartitionedQueries: 6000,
 	Weeks:     16,
 	CovidRows: 2_000_000, CitiBikeRows: 2_000_000,
-	MCSamples:   4000,
 	Checkpoints: 40,
 }
 
@@ -74,7 +71,6 @@ var ScalePaper = Scale{
 	Queries: 70000, PartitionedQueries: 300000,
 	Weeks:     50,
 	CovidRows: 50_426_600, CitiBikeRows: 21_096_261,
-	MCSamples:   20000,
 	Checkpoints: 60,
 }
 

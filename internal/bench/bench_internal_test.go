@@ -13,7 +13,6 @@ func tiny() Scale {
 		Queries: 12000, PartitionedQueries: 800,
 		Weeks:     8,
 		CovidRows: 400_000, CitiBikeRows: 400_000,
-		MCSamples:   1500,
 		Checkpoints: 8,
 	}
 }

@@ -158,7 +158,6 @@ func cachePressureRun(env *Env, sc Scale, be func() store.Backend, replay []*que
 		Structure:      tree.Binary,
 		NodeExactCache: true,
 		Seed:           cachePressureSeed,
-		MCSamples:      sc.MCSamples,
 		Shards:         runtime.NumCPU(),
 	}
 	if be != nil {

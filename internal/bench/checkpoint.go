@@ -80,7 +80,7 @@ type checkpointMetrics struct {
 }
 
 // checkpointSession builds the experiment's partitioned session.
-func checkpointSession(env *Env, sc Scale, gaussian bool) (*core.Session, error) {
+func checkpointSession(env *Env, gaussian bool) (*core.Session, error) {
 	cfg := core.Config{
 		Mode:  core.Partitioned,
 		Alpha: env.Alpha, Beta: env.Beta, EpsilonGlobal: 50,
@@ -88,7 +88,6 @@ func checkpointSession(env *Env, sc Scale, gaussian bool) (*core.Session, error)
 		Structure:      tree.Binary,
 		NodeExactCache: true,
 		Seed:           checkpointSeed,
-		MCSamples:      sc.MCSamples,
 		Shards:         runtime.NumCPU(),
 	}
 	if gaussian {
@@ -138,7 +137,7 @@ func checkpointRun(sc Scale, gaussian bool) (checkpointMetrics, error) {
 	if err != nil {
 		return m, err
 	}
-	s1, err := checkpointSession(envWarm, sc, gaussian)
+	s1, err := checkpointSession(envWarm, gaussian)
 	if err != nil {
 		return m, err
 	}
@@ -169,7 +168,7 @@ func checkpointRun(sc Scale, gaussian bool) (checkpointMetrics, error) {
 	if err != nil {
 		return m, err
 	}
-	s2, err := checkpointSession(envRest, sc, gaussian)
+	s2, err := checkpointSession(envRest, gaussian)
 	if err != nil {
 		return m, err
 	}
@@ -198,7 +197,7 @@ func checkpointRun(sc Scale, gaussian bool) (checkpointMetrics, error) {
 	if err != nil {
 		return m, err
 	}
-	s3, err := checkpointSession(envCold, sc, gaussian)
+	s3, err := checkpointSession(envCold, gaussian)
 	if err != nil {
 		return m, err
 	}

@@ -63,11 +63,11 @@ func Scaling(sc Scale) (Result, error) {
 			maxShards = w
 		}
 	}
-	sharded, err := scalingSession(env, sc, maxShards)
+	sharded, err := scalingSession(env, maxShards)
 	if err != nil {
 		return Result{}, err
 	}
-	locked, err := scalingSession(env, sc, 1)
+	locked, err := scalingSession(env, 1)
 	if err != nil {
 		return Result{}, err
 	}
@@ -128,7 +128,7 @@ func Scaling(sc Scale) (Result, error) {
 }
 
 // scalingSession builds the partitioned session the scaling study drives.
-func scalingSession(env *Env, sc Scale, shards int) (*core.Session, error) {
+func scalingSession(env *Env, shards int) (*core.Session, error) {
 	return core.NewSession(core.Config{
 		Mode:  core.Partitioned,
 		Alpha: env.Alpha, Beta: env.Beta, EpsilonGlobal: 50,
@@ -136,7 +136,6 @@ func scalingSession(env *Env, sc Scale, shards int) (*core.Session, error) {
 		Structure:      tree.Binary,
 		NodeExactCache: true,
 		Seed:           71,
-		MCSamples:      sc.MCSamples,
 		Shards:         shards,
 	}, env.DS)
 }

@@ -230,9 +230,8 @@ func MissPath(sc Scale) (Result, error) {
 		sess, err := core.NewSession(core.Config{
 			Mode:  core.Partitioned,
 			Alpha: 0.05, Beta: 0.001, EpsilonGlobal: 1000,
-			Tau:       0.05,
-			Seed:      122,
-			MCSamples: sc.MCSamples,
+			Tau:  0.05,
+			Seed: 122,
 		}, env.ds)
 		if err != nil {
 			return Result{}, err
@@ -276,9 +275,8 @@ func MissPath(sc Scale) (Result, error) {
 			tmSess, err := core.NewSession(core.Config{
 				Mode:  core.Partitioned,
 				Alpha: 0.05, Beta: 0.001, EpsilonGlobal: 1000,
-				Tau:       0.05,
-				Seed:      122,
-				MCSamples: sc.MCSamples,
+				Tau:  0.05,
+				Seed: 122,
 			}, env.ds)
 			if err != nil {
 				return Result{}, err
@@ -322,7 +320,7 @@ func MissPath(sc Scale) (Result, error) {
 		// mirroring the session exact-hit gate above.
 		tr, err := tree.New(tree.Config{
 			Alpha: 0.05, Beta: 0.001, Tau: 0.05,
-			NodeExactCache: true, MCSamples: sc.MCSamples,
+			NodeExactCache: true,
 			// Private measurement store for the tree's node caches; the gate
 			// measures the tree plane itself, not a pluggable backend.
 		}, dataset.NewExecutor(env.ds, rng.Fork()), accountant.NewBlock(1e18, parts), kvstore.New(), rng.Fork()) //turbo:allow(backendonly)

@@ -162,7 +162,7 @@ func fig8(env *Env, sc Scale, name string, zipf float64) (Result, error) {
 		Heuristic: func() heuristic.Heuristic {
 			return heuristic.NewAdaptivePerBin(env.C0, env.S0)
 		},
-		Seed: 21, MCSamples: sc.MCSamples,
+		Seed: 21,
 	}, env.DS)
 	if err != nil {
 		return Result{}, err

@@ -26,7 +26,7 @@ import (
 // partitionedSession builds a Turbo session in the given partitioned mode
 // with the dataset's §6.3 heuristic settings (Covid (50,1), CitiBike
 // (1,1)).
-func partitionedSession(env *Env, sc Scale, mode core.Mode, structure tree.Structure, seed uint64) (*core.Session, error) {
+func partitionedSession(env *Env, mode core.Mode, structure tree.Structure, seed uint64) (*core.Session, error) {
 	c0, s0 := env.PC0, env.PS0
 	return core.NewSession(core.Config{
 		Mode:  mode,
@@ -39,7 +39,6 @@ func partitionedSession(env *Env, sc Scale, mode core.Mode, structure tree.Struc
 		Structure:      structure,
 		NodeExactCache: true,
 		Seed:           seed,
-		MCSamples:      sc.MCSamples,
 	}, env.DS)
 }
 
@@ -67,7 +66,7 @@ func fig10(env *Env, sc Scale, name string, zipf float64) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	sess, err := partitionedSession(env, sc, core.Partitioned, tree.Binary, 61)
+	sess, err := partitionedSession(env, core.Partitioned, tree.Binary, 61)
 	if err != nil {
 		return Result{}, err
 	}
@@ -137,7 +136,7 @@ func Q6TreeVsFlat(sc Scale) (Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			sess, err := partitionedSession(envI, sc, core.Partitioned, structure, 70+uint64(i*2+j))
+			sess, err := partitionedSession(envI, core.Partitioned, structure, 70+uint64(i*2+j))
 			if err != nil {
 				return Result{}, err
 			}
@@ -213,7 +212,7 @@ func fig11(mkEnv func() (*Env, error), sc Scale, name string) (Result, error) {
 		if warm {
 			mode = core.Streaming
 		}
-		sess, err := partitionedSession(streamed.Env, sc, mode, tree.Binary, seed)
+		sess, err := partitionedSession(streamed.Env, mode, tree.Binary, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -445,7 +444,7 @@ func Memory(sc Scale) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		sess, err := partitionedSession(env, sc, core.Partitioned, tree.Binary, 120)
+		sess, err := partitionedSession(env, core.Partitioned, tree.Binary, 120)
 		if err != nil {
 			return Result{}, err
 		}

@@ -62,7 +62,7 @@ func RDPCapacity(sc Scale) (Result, error) {
 				return heuristic.NewAdaptivePerBin(1e9, 1)
 			},
 			Structure: tree.Binary,
-			Seed:      seed, MCSamples: sc.MCSamples,
+			Seed:      seed,
 		}
 		if gaussian {
 			cfg.Gaussian = true

@@ -168,7 +168,6 @@ func replicasRun(sc Scale, pairs []*query.Query, shared bool) (replicasMetrics, 
 			Tau:       envRun.Tau,
 			Structure: tree.Binary,
 			Seed:      replicasSeed,
-			MCSamples: sc.MCSamples,
 			Shards:    2,
 		}
 		if shared {

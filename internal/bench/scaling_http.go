@@ -108,7 +108,7 @@ func scalingHTTP(sc Scale) (Result, error) {
 			maxShards = w
 		}
 	}
-	sess, err := scalingSession(env, sc, maxShards)
+	sess, err := scalingSession(env, maxShards)
 	if err != nil {
 		return Result{}, err
 	}

@@ -99,7 +99,6 @@ func streamingRun(sc Scale, ratio int) (streamingMetrics, error) {
 		Structure:      tree.Binary,
 		NodeExactCache: true,
 		Seed:           131,
-		MCSamples:      sc.MCSamples,
 		Shards:         runtime.NumCPU(),
 	}, streamed.DS)
 	if err != nil {

@@ -21,7 +21,8 @@
 //   - per-group execution through the same single-flight group (and
 //     cross-replica flight lease) as the singleton path, so batch
 //     executions still dedup against concurrent singleton traffic and
-//     fill the exact cache before their flight key is released.
+//     fill the exact cache before their flight key is released; the
+//     groups run on the caller plus at most GOMAXPROCS-1 helpers.
 //
 // Admission verdicts are advisory (see accountant/batch.go): the
 // execution-time payments remain the enforcement point, so a verdict
@@ -32,7 +33,9 @@
 package core
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/accountant"
 	"repro/internal/dataset"
@@ -172,25 +175,29 @@ func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 			s.ds.WarmBatch(warm)
 
 			// Execute each admitted group once, through the same
-			// single-flight path as Answer, concurrently across groups
-			// (they are distinct flight keys by construction, so they
-			// never wait on each other).
-			if len(run) == 1 {
-				g := run[0]
-				ans, shared, err := s.execute(g.pl)
-				s.resolveExecuted(g, ans, shared, err)
-			} else {
-				var wg sync.WaitGroup
-				for _, g := range run {
-					wg.Add(1)
-					go func(g *batchGroup) {
-						defer wg.Done()
-						ans, shared, err := s.execute(g.pl)
-						s.resolveExecuted(g, ans, shared, err)
-					}(g)
+			// single-flight path as Answer. Groups are distinct flight
+			// keys, so they never wait on each other; the caller and at
+			// most GOMAXPROCS-1 helpers pull them off a shared index —
+			// a spawn per group would cost a wake-up each with no core
+			// to run on.
+			var next atomic.Int64
+			work := func() {
+				for i := next.Add(1) - 1; int(i) < len(run); i = next.Add(1) - 1 {
+					g := run[i]
+					ans, shared, err := s.execute(g.pl)
+					s.resolveExecuted(g, ans, shared, err)
 				}
-				wg.Wait()
 			}
+			var wg sync.WaitGroup
+			for h := min(runtime.GOMAXPROCS(0), len(run)) - 1; h > 0; h-- {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					work()
+				}()
+			}
+			work()
+			wg.Wait()
 		}
 	}
 

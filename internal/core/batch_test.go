@@ -4,11 +4,18 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/accountant"
+	"repro/internal/dataset"
+	"repro/internal/kvstore"
 	"repro/internal/query"
+	"repro/internal/store"
 )
 
 // TestAnswerBatchBasics pins the batch plane's per-slot contract on a
@@ -233,5 +240,89 @@ func TestAnswerBatchNoDoubleSpendRace(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("partition %d: twin spent %g, original %g", i, got[i], want[i])
 		}
+	}
+}
+
+// fillGauge is a backend that records how many cache fills overlap. An
+// exact-cache fill happens inside its group's execution, so the peak is
+// a lower bound on the groups executing at once; each fill lingers so
+// that every goroutine the fan-out started gets to pile in.
+type fillGauge struct {
+	store.Backend
+	now, peak atomic.Int64
+}
+
+func (b *fillGauge) SetWeighted(ns, k string, value any, weight float64) error {
+	n := b.now.Add(1)
+	for p := b.peak.Load(); n > p && !b.peak.CompareAndSwap(p, n); p = b.peak.Load() {
+	}
+	time.Sleep(200 * time.Microsecond)
+	b.now.Add(-1)
+	return b.Backend.SetWeighted(ns, k, value, weight)
+}
+
+// TestAnswerBatchBoundedFanOut: a batch of 64 distinct misses executes on
+// at most GOMAXPROCS goroutines, and resolves every slot to what the
+// singleton path gives it — a paid tree answer at the same price.
+func TestAnswerBatchBoundedFanOut(t *testing.T) {
+	cfg := Config{
+		Mode:  Partitioned,
+		Alpha: 0.1, Beta: 0.01, EpsilonGlobal: 1000,
+		Shards: 4, Seed: 31,
+	}
+	mkBatch := func(ds *dataset.Dataset) []*query.Query {
+		var qs []*query.Query
+		for start := 0; start < 8 && len(qs) < 64; start++ {
+			for end := start; end < 8 && len(qs) < 64; end++ {
+				for v := 0; v < 4 && len(qs) < 64; v++ {
+					qs = append(qs, query.MustNew(ds.Domain(), map[int][]int{0: {v}}).WithWindow(start, end))
+				}
+			}
+		}
+		return qs
+	}
+
+	refDS := concurrentDS(t, 8)
+	ref, err := NewSession(cfg, refDS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Answer
+	for _, q := range mkBatch(refDS) {
+		a, err := ref.Answer(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, a)
+	}
+
+	gauge := &fillGauge{Backend: kvstore.New()}
+	cfg.Backend = gauge
+	ds := concurrentDS(t, 8)
+	sess, err := NewSession(cfg, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := sess.AnswerBatch(mkBatch(ds))
+	if len(res) != 64 {
+		t.Fatalf("%d results for 64 queries", len(res))
+	}
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("slot %d: %v", i, r.Err)
+		}
+		if r.Answer.Source != want[i].Source || math.Abs(r.Answer.Paid-want[i].Paid) > 1e-12 {
+			t.Fatalf("slot %d: %s paid %g, the singleton path gives %s paid %g",
+				i, r.Answer.Source, r.Answer.Paid, want[i].Source, want[i].Paid)
+		}
+	}
+	if got, want := sess.AverageSpent(), ref.AverageSpent(); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("batch spent %g on average, singleton path %g", got, want)
+	}
+	if runs := sess.Tree().Stats().Queries; runs != 64 {
+		t.Fatalf("tree executed %d times for 64 distinct misses", runs)
+	}
+	if peak, limit := gauge.peak.Load(), int64(runtime.GOMAXPROCS(0)); peak > limit {
+		t.Fatalf("%d groups executing at once, GOMAXPROCS is %d", peak, limit)
 	}
 }

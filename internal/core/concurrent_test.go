@@ -40,8 +40,8 @@ func TestConcurrentAnswerPartitioned(t *testing.T) {
 	sess, err := NewSession(Config{
 		Mode:  Partitioned,
 		Alpha: 0.1, Beta: 0.01, EpsilonGlobal: 20,
-		NodeExactCache: true, MCSamples: 200,
-		Shards: 4, Seed: 5,
+		NodeExactCache: true,
+		Shards:         4, Seed: 5,
 	}, ds)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestConcurrentAppendAndAnswer(t *testing.T) {
 			cfg := Config{
 				Mode:  Streaming,
 				Alpha: 0.1, Beta: 0.01, EpsilonGlobal: 20,
-				MCSamples: 200, Shards: 4, Seed: 9,
+				Shards: 4, Seed: 9,
 			}
 			if gaussian {
 				cfg.Gaussian = true

@@ -8,9 +8,11 @@
 // peers for a lease on the flight key ("predicate+window@version", the
 // exact-cache identity) in the !turbo/flight namespace:
 //
-//   - The lease winner is the global leader: it executes, pays, fills the
-//     shared exact cache (inside the local flight, exactly as before),
-//     and releases the lease with a guarded delete on its replica id.
+//   - The lease winner is the global leader: it re-probes the shared
+//     exact cache (a peer may have filled and released since this
+//     replica's probe), and on a miss executes, pays, fills the shared
+//     exact cache (inside the local flight, exactly as before), and
+//     releases the lease with a guarded delete on its replica id.
 //   - Losers poll the shared exact cache until the leader's fill appears.
 //     The shared answer is post-processing of an already-released noisy
 //     value — privacy-free, the same argument as the local flight group
@@ -50,6 +52,14 @@ func (s *Session) executeReplicated(pl Plan, key string) (Answer, error) {
 			return Answer{}, fmt.Errorf("core: flight lease %q: %w", key, err)
 		}
 		if won {
+			// Re-probe as the global leader, exactly as the local flight
+			// leader does: a peer may have executed, filled and released
+			// between this replica's probe and its lease win, and
+			// executing now would pay for that answer a second time.
+			if ans, ok := s.probeRemote(pl); ok {
+				s.store.CompareDelete(flightNS, key, s.cfg.ReplicaID)
+				return ans, nil
+			}
 			ans, err := s.executeLeader(pl)
 			// Release even after a failed execution, so waiting peers retry
 			// for leadership now instead of after the ttl. An expired,
@@ -66,14 +76,24 @@ func (s *Session) executeReplicated(pl Plan, key string) (Answer, error) {
 	}
 }
 
+// probeRemote reads a peer replica's fill of pl out of the shared exact
+// cache, counting the share.
+func (s *Session) probeRemote(pl Plan) (Answer, bool) {
+	e, ok := s.exact.Get(pl.Query, pl.Version)
+	if !ok {
+		return Answer{}, false
+	}
+	s.remoteShared.Add(1)
+	return Answer{Value: e.Value, Source: SourceExactHit}, true
+}
+
 // awaitRemoteFlight polls the shared exact cache while a peer replica
 // leads the flight on key. done reports the answer was observed; !done
 // means the lease is gone without a fill and leadership should be retried.
 func (s *Session) awaitRemoteFlight(pl Plan, key string) (ans Answer, done bool) {
 	for {
-		if e, ok := s.exact.Get(pl.Query, pl.Version); ok {
-			s.remoteShared.Add(1)
-			return Answer{Value: e.Value, Source: SourceExactHit}, true
+		if ans, ok := s.probeRemote(pl); ok {
+			return ans, true
 		}
 		var holder string
 		held, err := s.store.Get(flightNS, key, &holder)
@@ -84,11 +104,7 @@ func (s *Session) awaitRemoteFlight(pl Plan, key string) (ans Answer, done bool)
 			// The lease is released or expired. Re-probe once: the leader
 			// fills the cache strictly before releasing, so a successful
 			// flight is visible now; a miss here means the leader died.
-			if e, ok := s.exact.Get(pl.Query, pl.Version); ok {
-				s.remoteShared.Add(1)
-				return Answer{Value: e.Value, Source: SourceExactHit}, true
-			}
-			return Answer{}, false
+			return s.probeRemote(pl)
 		}
 		time.Sleep(flightPollInterval)
 	}

@@ -25,7 +25,7 @@ func mkReplica(t *testing.T, be store.Backend, id string, ttl time.Duration) (*S
 	sess, err := NewSession(Config{
 		Mode:  Partitioned,
 		Alpha: 0.1, Beta: 0.01, EpsilonGlobal: 20,
-		MCSamples: 200, Shards: 4, Seed: 21,
+		Shards: 4, Seed: 21,
 		Backend: be, ReplicaID: id, FlightLeaseTTL: ttl,
 	}, ds)
 	if err != nil {
@@ -49,7 +49,7 @@ func replicatedPaysOnce(t *testing.T, mkBackend func(t *testing.T) store.Backend
 	ref, err := NewSession(Config{
 		Mode:  Partitioned,
 		Alpha: 0.1, Beta: 0.01, EpsilonGlobal: 20,
-		MCSamples: 200, Shards: 4, Seed: 21,
+		Shards: 4, Seed: 21,
 	}, refDS)
 	if err != nil {
 		t.Fatal(err)
@@ -178,6 +178,70 @@ func TestReplicatedOverFileStore(t *testing.T) {
 	}, 1)
 }
 
+// peerBeforeLease is a shared backend as one replica sees it, with one
+// scheduling point scripted: on the replica's first bid for a flight
+// lease, peer runs to completion first.
+type peerBeforeLease struct {
+	store.Backend
+	peer func()
+}
+
+func (b *peerBeforeLease) SetNXLease(ns, k string, value any, ttl time.Duration) (bool, error) {
+	if ns == flightNS && b.peer != nil {
+		peer := b.peer
+		b.peer = nil
+		peer()
+	}
+	return b.Backend.SetNXLease(ns, k, value, ttl)
+}
+
+// TestReplicatedLeaseWinnerReprobes scripts the interleaving that made
+// the fleet pay twice: a peer executes, fills the shared cache and
+// releases its lease between this replica's exact-cache probe and its
+// lease win. The winner must serve the peer's fill, not execute again.
+func TestReplicatedLeaseWinnerReprobes(t *testing.T) {
+	kv := kvstore.New()
+	peer, peerDS := mkReplica(t, kv, "replica-peer", time.Second)
+	var peerAns Answer
+	gate := &peerBeforeLease{Backend: kv, peer: func() {
+		q := query.MustNew(peerDS.Domain(), map[int][]int{0: {1}}).WithWindow(0, 7)
+		var err error
+		if peerAns, err = peer.Answer(q); err != nil {
+			t.Errorf("peer: %v", err)
+		}
+	}}
+	late, lateDS := mkReplica(t, gate, "replica-late", time.Second)
+	ans, err := late.Answer(query.MustNew(lateDS.Domain(), map[int][]int{0: {1}}).WithWindow(0, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gate.peer != nil {
+		t.Fatal("the late replica never bid for the flight lease")
+	}
+	if runs := peer.Tree().Stats().Queries + late.Tree().Stats().Queries; runs != 1 {
+		t.Fatalf("fleet executed %d times, want 1", runs)
+	}
+	if ans.Value != peerAns.Value || ans.Paid != 0 || ans.Source != SourceExactHit {
+		t.Fatalf("late replica answered %+v, want the peer's %g as a free exact hit", ans, peerAns.Value)
+	}
+	if late.RemoteShared() != 1 {
+		t.Fatalf("late replica counted %d remote shares, want 1", late.RemoteShared())
+	}
+	// One payment: the shared books hold the peer's charge and nothing
+	// more, and the lease is released for the next first-time asker.
+	if err := late.Accountant().SyncShared(); err != nil {
+		t.Fatal(err)
+	}
+	for p, want := range peer.Accountant().SpentVector() {
+		if got := late.Accountant().SpentAt(p); got != want {
+			t.Fatalf("partition %d: late replica's merged spend %g, the peer paid %g", p, got, want)
+		}
+	}
+	if keys := kv.Keys(flightNS); len(keys) != 0 {
+		t.Fatalf("flight leases left behind: %v", keys)
+	}
+}
+
 // TestReplicatedLeaderCrashRecovers pins liveness past a crashed global
 // leader: a flight lease left by a dead replica expires, and a surviving
 // replica takes over and executes within the ttl bound.
@@ -218,7 +282,7 @@ func TestReplicationConfigValidation(t *testing.T) {
 	base := Config{
 		Mode:  Partitioned,
 		Alpha: 0.1, Beta: 0.01, EpsilonGlobal: 20,
-		MCSamples: 200, Seed: 3,
+		Seed:    3,
 		Backend: kvstore.New(), ReplicaID: "r1",
 	}
 	if _, err := NewSession(base, ds); err != nil {

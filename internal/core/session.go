@@ -129,8 +129,6 @@ type Config struct {
 	NodeExactCache bool
 	// Seed makes the session's randomness reproducible.
 	Seed uint64
-	// MCSamples tunes the tree's Monte-Carlo calibration.
-	MCSamples int
 	// Gaussian switches the session to Rényi-DP accounting (§A.6, App.
 	// B): every mechanism is admitted through a concurrent RDP filter
 	// and the session enforces (EpsilonGlobal, DeltaGlobal)-DP. In
@@ -401,7 +399,6 @@ func NewSession(cfg Config, ds *dataset.Dataset) (*Session, error) {
 			Structure:      cfg.Structure,
 			WarmStart:      cfg.Mode == Streaming,
 			NodeExactCache: cfg.NodeExactCache,
-			MCSamples:      cfg.MCSamples,
 			Shards:         cfg.Shards,
 			Gaussian:       cfg.Gaussian,
 			DeltaGlobal:    cfg.DeltaGlobal,

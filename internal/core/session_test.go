@@ -36,7 +36,6 @@ func defaultCfg(mode Mode) Config {
 		Tau: 0.25, Seed: 5,
 		LR:        func() pmw.Schedule { return pmw.Constant(0.2) },
 		Heuristic: func() heuristic.Heuristic { return heuristic.NewAdaptivePerBin(2, 1) },
-		MCSamples: 2000,
 	}
 }
 

@@ -1,148 +1,81 @@
-// Memoized Monte-Carlo budget calibration (the tree plane's steady-state
-// replacement for re-simulating CALIBRATEBUDGETLAPLACE per query).
+// Memoized exact Laplace calibration: the tree plane prices each
+// jointly-calibrated group of m per-node releases with a map probe.
 //
-// CalibrateLaplaceAggregate runs an MCSamples-sized simulation plus a
-// 60-step bisection — hundreds of microseconds — and the tree used to run
-// it once per query, under its window locks. The calibrated ε depends on
-// (α, β, m) and on n only through the product ε·n: the tail constraint is
-//
-//	Pr[|Σ_{i≤m} Lap(1)| / ε > n·α] < β,
-//
-// and the event |Σ|/ε > n·α is exactly |Σ| > (ε·n)·α. So the simulation
-// result at one n transfers to every other n by linear rescaling:
-// ε(n) = ε(n_rep)·n_rep/n satisfies the identical constraint, with no
-// slack added and none removed. LaplaceCalibrator exploits that: it
-// memoizes the simulation at a power-of-two representative n_rep (the
-// largest ≤ n) keyed on (α, β, m, n_rep), and rescales on the way out —
-// a map probe instead of a simulation, with an exactly-equivalent result.
+// The calibrated ε depends on the row count n and on α only through the
+// product ε·n·α: the tail constraint Pr[|S_m|/ε > n·α] ≤ β is the event
+// |S_m| > (ε·n)·α, so ε = t*/(n·α) with t* = laplaceSumQuantile(β, m) a
+// constant of (β, m) alone. LaplaceCalibrator memoizes t* under that key;
+// one entry serves every window length and every accuracy target sharing
+// the failure probability.
 
 package noise
 
-import (
-	"math"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// maxCalibEntries bounds the memo; steady-state workloads produce a few
-// dozen keys (m is at most the split size, n_rep collapses every window
-// length to its power-of-two bucket), so the bound only guards against
-// adversarial parameter churn. Eviction is random (map iteration order),
-// mirroring the dataset engine's predicate-mask memo.
-const maxCalibEntries = 512
-
-// calibKey identifies one memoized simulation: the accuracy target, the
-// subquery count, and the power-of-two row-count bucket the simulation
-// ran at.
+// calibKey identifies one memoized quantile.
 type calibKey struct {
-	alpha, beta float64
-	m           int
-	nRep        int
+	beta float64
+	m    int
 }
 
 // CalibratorStats reports memo telemetry.
 type CalibratorStats struct {
-	Hits, Misses, Evictions int64
+	Hits, Misses int64
 }
 
-// LaplaceCalibrator memoizes CalibrateLaplaceAggregate. Safe for
-// concurrent use; each key's simulation runs on a generator derived
-// deterministically from the calibrator seed and the key, so a memoized ε
-// is bit-identical to a fresh simulation with the same derivation — the
-// property the memo tests pin — and concurrent first-misses of one key
-// converge on one value.
+// LaplaceCalibrator memoizes laplaceSumQuantile. Safe for concurrent
+// use. The memo needs no bound: β is fixed by the owner's configuration
+// and m by how many nodes one window can decompose into.
 type LaplaceCalibrator struct {
-	seed    uint64
-	samples int
-
-	mu   sync.Mutex
-	memo map[calibKey]float64
-
-	hits, misses, evictions atomic.Int64
+	mu    sync.Mutex
+	memo  map[calibKey]float64
+	stats CalibratorStats
 }
 
-// NewLaplaceCalibrator returns a calibrator whose per-key simulations
-// draw samples Monte-Carlo samples (0 uses the package default) from
-// generators derived from seed.
-func NewLaplaceCalibrator(seed uint64, samples int) *LaplaceCalibrator {
-	return &LaplaceCalibrator{
-		seed:    seed,
-		samples: samples,
-		memo:    make(map[calibKey]float64),
-	}
-}
-
-// rngFor derives the deterministic generator key k's simulation uses.
-func (c *LaplaceCalibrator) rngFor(k calibKey) *Rng {
-	h := c.seed
-	for _, v := range [4]uint64{
-		math.Float64bits(k.alpha), math.Float64bits(k.beta),
-		uint64(k.m), uint64(k.nRep),
-	} {
-		// splitmix64 round per component.
-		h ^= v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
-		h += 0x9e3779b97f4a7c15
-		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-		h ^= h >> 31
-	}
-	return NewRng(h)
-}
-
-// bucket returns the largest power of two ≤ n (n ≥ 1).
-func bucket(n int) int {
-	b := 1
-	for b<<1 <= n && b<<1 > 0 {
-		b <<= 1
-	}
-	return b
+// NewLaplaceCalibrator returns an empty calibrator.
+func NewLaplaceCalibrator() *LaplaceCalibrator {
+	return &LaplaceCalibrator{memo: make(map[calibKey]float64)}
 }
 
 // Epsilon returns the per-subquery ε for m jointly-calibrated Laplace
-// releases over nLap total rows at accuracy (alpha, beta): the memoized
-// equivalent of CalibrateLaplaceAggregate(alpha, beta, m, nLap, ...).
-// m = 1 short-circuits to the closed form, uncached.
+// releases over nLap total rows at accuracy (alpha, beta): the smallest
+// ε whose n-weighted combination errs by more than alpha with
+// probability at most beta. m = 1 is the plain Laplace tail,
+// ε = ln(1/β)/(n·α), and bypasses the memo.
 func (c *LaplaceCalibrator) Epsilon(alpha, beta float64, m, nLap int) float64 {
 	validateAccuracy(alpha, beta, nLap)
-	if m <= 0 {
-		panic("noise: non-positive subquery count")
+	if m <= 0 || m > maxLaplaceSum {
+		panic("noise: subquery count out of range")
 	}
+	scale := float64(nLap) * alpha
 	if m == 1 {
-		return math.Log(1/beta) / (float64(nLap) * alpha)
+		return laplaceSumQuantile(beta, 1) / scale
 	}
-	k := calibKey{alpha: alpha, beta: beta, m: m, nRep: bucket(nLap)}
+	k := calibKey{beta: beta, m: m}
+	// A miss solves under the lock: the bisection is microseconds, and
+	// concurrent first-askers of one key then wait for a single solve
+	// instead of each running their own.
 	c.mu.Lock()
-	eps, ok := c.memo[k]
-	c.mu.Unlock()
+	t, ok := c.memo[k]
 	if ok {
-		c.hits.Add(1)
+		c.stats.Hits++
 	} else {
-		c.misses.Add(1)
-		eps = CalibrateLaplaceAggregate(alpha, beta, m, k.nRep, c.rngFor(k), c.samples)
-		c.mu.Lock()
-		if _, exists := c.memo[k]; !exists && len(c.memo) >= maxCalibEntries {
-			for victim := range c.memo {
-				delete(c.memo, victim)
-				c.evictions.Add(1)
-				break
-			}
-		}
-		c.memo[k] = eps
-		c.mu.Unlock()
+		t = laplaceSumQuantile(beta, m)
+		c.memo[k] = t
+		c.stats.Misses++
 	}
-	return eps * float64(k.nRep) / float64(nLap)
+	c.mu.Unlock()
+	return t / scale
 }
 
 // Stats returns cumulative memo telemetry.
 func (c *LaplaceCalibrator) Stats() CalibratorStats {
-	return CalibratorStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats
 }
 
-// Len returns the number of memoized simulations resident.
+// Len returns the number of memoized quantiles resident.
 func (c *LaplaceCalibrator) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -2,116 +2,74 @@ package noise
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
-// TestCalibratorMatchesFreshSimulationPerBucket: a memoized ε must equal
-// a fresh CalibrateLaplaceAggregate run at the key's bucket
-// representative with the key-derived generator, rescaled by
-// n_rep/n_Lap — i.e. the memo changes where the simulation runs, never
-// its result.
-func TestCalibratorMatchesFreshSimulationPerBucket(t *testing.T) {
-	const samples = 3000
-	c := NewLaplaceCalibrator(0xcab1, samples)
-	for _, tc := range []struct {
-		m, nLap int
-	}{
-		{2, 1000}, {2, 1024}, {3, 1700}, {5, 99_000}, {8, 1 << 20}, {3, 1025},
-	} {
-		got := c.Epsilon(0.05, 0.0005, tc.m, tc.nLap)
-		nRep := bucket(tc.nLap)
-		k := calibKey{alpha: 0.05, beta: 0.0005, m: tc.m, nRep: nRep}
-		want := CalibrateLaplaceAggregate(0.05, 0.0005, tc.m, nRep, c.rngFor(k), samples) *
-			float64(nRep) / float64(tc.nLap)
-		if got != want {
-			t.Fatalf("m=%d n=%d: memoized ε %v, fresh simulation %v", tc.m, tc.nLap, got, want)
-		}
-		// And a repeat probe returns the identical value from the memo.
-		if again := c.Epsilon(0.05, 0.0005, tc.m, tc.nLap); again != got {
-			t.Fatalf("m=%d n=%d: repeat probe %v != first %v", tc.m, tc.nLap, again, got)
+// TestCalibratorEpsilonTimesRows: ε·n is one constant of (α, β, m) — the
+// tail constraint sees n only through that product — and every n shares
+// one memo entry.
+func TestCalibratorEpsilonTimesRows(t *testing.T) {
+	const alpha, beta = 0.05, 0.0005
+	c := NewLaplaceCalibrator()
+	ms := []int{2, 3, 5, 8}
+	for _, m := range ms {
+		want := laplaceSumQuantile(beta, m) / alpha
+		for _, n := range []int{1, 1000, 1 << 20, 5_000_000} {
+			got := c.Epsilon(alpha, beta, m, n) * float64(n)
+			if diff := got/want - 1; diff > 1e-15 || diff < -1e-15 {
+				t.Errorf("m=%d n=%d: ε·n = %v, want %v", m, n, got, want)
+			}
 		}
 	}
-	st := c.Stats()
-	if st.Misses == 0 || st.Hits == 0 {
-		t.Fatalf("stats did not move: %+v", st)
+	if c.Len() != len(ms) {
+		t.Fatalf("memo holds %d entries for %d distinct m", c.Len(), len(ms))
+	}
+	if st := c.Stats(); st.Misses != int64(len(ms)) || st.Hits != int64(3*len(ms)) {
+		t.Fatalf("stats %+v, want %d misses and %d hits", st, len(ms), 3*len(ms))
+	}
+	// α only rescales: a second accuracy target reuses the entries.
+	if got, want := c.Epsilon(0.1, beta, 5, 1000), c.Epsilon(alpha, beta, 5, 1000)/2; got != want {
+		t.Errorf("α=0.1: ε=%v, want half of α=0.05's %v", got, want)
+	}
+	if c.Len() != len(ms) {
+		t.Fatalf("a second α added memo entries: %d", c.Len())
 	}
 }
 
-// TestCalibratorRescalingIsExact: within one bucket, ε·n_Lap is constant
-// (the tail constraint depends on the product only), so two nLap values
-// sharing a bucket must return exactly proportional ε.
-func TestCalibratorRescalingIsExact(t *testing.T) {
-	c := NewLaplaceCalibrator(7, 2000)
-	e1 := c.Epsilon(0.05, 0.001, 4, 1024)
-	e2 := c.Epsilon(0.05, 0.001, 4, 2047) // same bucket (1024)
-	if e1*1024 != e2*2047 {
-		t.Fatalf("ε·n not constant within bucket: %v vs %v", e1*1024, e2*2047)
-	}
-	if st := c.Stats(); st.Misses != 1 || st.Hits != 1 {
-		t.Fatalf("expected 1 miss + 1 hit, got %+v", st)
-	}
-}
-
-// TestCalibratorSatisfiesTail: the rescaled ε still satisfies the
-// simulated tail constraint at the actual nLap — the privacy-relevant
-// direction of the exactness argument.
-func TestCalibratorSatisfiesTail(t *testing.T) {
-	const samples = 20000
-	alpha, beta := 0.05, 0.001
-	m, nLap := 4, 3000
-	c := NewLaplaceCalibrator(99, samples)
-	eps := c.Epsilon(alpha, beta, m, nLap)
-	// Independent tail estimate at the actual nLap.
-	rng := NewRng(123456)
-	bad := 0
-	for s := 0; s < samples; s++ {
-		acc := 0.0
-		for i := 0; i < m; i++ {
-			acc += rng.Laplace(1)
-		}
-		if math.Abs(acc)/eps > float64(nLap)*alpha {
-			bad++
-		}
-	}
-	tail := float64(bad) / samples
-	if tail >= 2*beta {
-		t.Fatalf("rescaled ε %v has tail %v, want < %v", eps, tail, 2*beta)
-	}
-}
-
-// TestCalibratorSingleQueryClosedForm: m=1 bypasses the memo with the
-// exact Laplace tail.
+// TestCalibratorSingleQueryClosedForm: m = 1 bypasses the memo with the
+// plain Laplace tail.
 func TestCalibratorSingleQueryClosedForm(t *testing.T) {
-	c := NewLaplaceCalibrator(1, 100)
-	got := c.Epsilon(0.05, 0.001, 1, 5000)
-	want := CalibrateLaplaceAggregate(0.05, 0.001, 1, 5000, NewRng(1), 100)
-	if got != want {
+	c := NewLaplaceCalibrator()
+	if got, want := c.Epsilon(0.05, 0.001, 1, 5000), math.Log(1/0.001)/(5000*0.05); got != want {
 		t.Fatalf("m=1: %v != closed form %v", got, want)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("m=1 polluted the memo: %d entries", c.Len())
+	if c.Len() != 0 || c.Stats() != (CalibratorStats{}) {
+		t.Fatalf("m=1 touched the memo: %d entries, %+v", c.Len(), c.Stats())
 	}
 }
 
-// TestCalibratorBounded: the memo never exceeds its entry bound.
-func TestCalibratorBounded(t *testing.T) {
-	c := NewLaplaceCalibrator(5, 50)
-	for i := 0; i < maxCalibEntries+100; i++ {
-		// Distinct β per iteration forces distinct keys.
-		c.Epsilon(0.05, 0.0001+float64(i)*1e-7, 2, 1000)
+// TestCalibratorConcurrentFirstMiss: goroutines racing on one cold key
+// solve it once and all observe the same ε.
+func TestCalibratorConcurrentFirstMiss(t *testing.T) {
+	c := NewLaplaceCalibrator()
+	const callers = 8
+	got := make([]float64, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = c.Epsilon(0.05, 0.0005, 6, 4096)
+		}(i)
 	}
-	if c.Len() > maxCalibEntries {
-		t.Fatalf("memo grew to %d entries (bound %d)", c.Len(), maxCalibEntries)
-	}
-	if c.Stats().Evictions == 0 {
-		t.Fatal("no evictions recorded despite overflow")
-	}
-}
-
-func TestBucket(t *testing.T) {
-	for _, tc := range [][2]int{{1, 1}, {2, 2}, {3, 2}, {1023, 512}, {1024, 1024}, {1025, 1024}} {
-		if got := bucket(tc[0]); got != tc[1] {
-			t.Fatalf("bucket(%d) = %d, want %d", tc[0], got, tc[1])
+	wg.Wait()
+	for i, e := range got {
+		if e != got[0] {
+			t.Fatalf("caller %d observed ε=%v, caller 0 %v", i, e, got[0])
 		}
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != callers-1 {
+		t.Fatalf("stats %+v, want 1 miss and %d hits", st, callers-1)
 	}
 }

@@ -74,14 +74,6 @@ func (g *Rng) Fork() *Rng {
 	return NewRng(g.r.Uint64())
 }
 
-// Uint64 draws a uniform 64-bit value; used to derive deterministic seeds
-// for sub-generators (see LaplaceCalibrator's per-key derivation).
-func (g *Rng) Uint64() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.r.Uint64()
-}
-
 // Perm returns a random permutation of [0, n).
 func (g *Rng) Perm(n int) []int {
 	g.mu.Lock()

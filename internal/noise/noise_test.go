@@ -260,34 +260,11 @@ func TestValidateAccuracyPanics(t *testing.T) {
 	}
 }
 
-func TestCalibrateLaplaceAggregateSingle(t *testing.T) {
-	rng := NewRng(5)
-	// m=1 uses the exact tail: ε = ln(1/β)/(nα).
-	eps := CalibrateLaplaceAggregate(0.05, 0.001, 1, 1000, rng, 0)
-	want := math.Log(1000) / (1000 * 0.05)
-	if math.Abs(eps-want) > 1e-12 {
-		t.Fatalf("m=1 eps = %g, want %g", eps, want)
-	}
-}
-
-func TestCalibrateLaplaceAggregateMonotoneInM(t *testing.T) {
-	rng := NewRng(6)
-	prev := 0.0
-	for _, m := range []int{1, 2, 4, 8} {
-		eps := CalibrateLaplaceAggregate(0.05, 0.001, m, 1000, rng, 40000)
-		if eps < prev {
-			t.Fatalf("calibrated eps decreased with more subqueries: m=%d eps=%g prev=%g", m, eps, prev)
-		}
-		prev = eps
-	}
-}
-
-func TestCalibrateLaplaceAggregateMeetsTail(t *testing.T) {
-	// Verify the calibrated ε empirically with an independent stream.
-	calRng := NewRng(7)
+func TestCalibratedEpsilonMeetsTail(t *testing.T) {
+	// Verify the calibrated ε empirically, at the actual noise scale.
 	alpha, beta := 0.05, 0.01
 	m, n := 4, 10000
-	eps := CalibrateLaplaceAggregate(alpha, beta, m, n, calRng, 40000)
+	eps := NewLaplaceCalibrator().Epsilon(alpha, beta, m, n)
 	check := NewRng(987)
 	const trials = 50000
 	bad := 0

@@ -14,7 +14,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
@@ -53,13 +52,8 @@ type BatchQueryResponse struct {
 // elements had been served individually: one served request and one
 // answer per 200 element, one refusal per 429 element.
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"bad-request", "POST only"})
-		return
-	}
 	var req BatchQueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{"bad-request", err.Error()})
+	if !decodeAnalyst(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {

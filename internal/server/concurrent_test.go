@@ -37,7 +37,7 @@ func newConcurrentServer(t *testing.T, epsG float64) *Server {
 	}
 	sess, err := core.NewSession(core.Config{
 		Mode: core.Partitioned, Alpha: 0.05, Beta: 0.001,
-		EpsilonGlobal: epsG, Seed: 17, MCSamples: 500,
+		EpsilonGlobal: epsG, Seed: 17,
 		NodeExactCache: true, Shards: 4,
 	}, ds)
 	if err != nil {

@@ -201,14 +201,37 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+// maxAnalystBody caps the request body of the analyst-facing endpoints
+// (/query, /query/batch, /groupby), whose payloads are SQL text. /append
+// and /restore stay uncapped: their bodies scale with the domain and the
+// snapshot.
+const maxAnalystBody = 1 << 20
+
+// decodeAnalyst reads an analyst-facing POST body into req. On failure
+// it writes the response itself — 405 for another method, 413 for a
+// body past maxAnalystBody, 400 for malformed JSON — and returns false;
+// no session state has been touched at that point.
+func decodeAnalyst(w http.ResponseWriter, r *http.Request, req any) bool {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"bad-request", "POST only"})
-		return
+		return false
 	}
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAnalystBody)).Decode(req)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, ErrorResponse{"bad-request", err.Error()})
+	return false
+}
+
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{"bad-request", err.Error()})
+	if !decodeAnalyst(w, r, &req) {
 		return
 	}
 	st, err := s.parser.Parse(req.SQL)
@@ -285,13 +308,8 @@ type GroupByResponse struct {
 // counts as served only when the 200 is written — a mid-group refusal is
 // a refusal, never a served request.
 func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"bad-request", "POST only"})
-		return
-	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{"bad-request", err.Error()})
+	if !decodeAnalyst(w, r, &req) {
 		return
 	}
 	gs, err := s.parser.ParseGrouped(req.SQL)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -37,7 +38,7 @@ func newTestServerWith(t *testing.T, epsG float64, mut func(*core.Config)) (*Ser
 	}
 	cfg := core.Config{
 		Mode: core.Partitioned, Alpha: 0.05, Beta: 0.001,
-		EpsilonGlobal: epsG, Seed: 13, MCSamples: 2000,
+		EpsilonGlobal: epsG, Seed: 13,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -155,6 +156,49 @@ func TestBadJSONAndMethod(t *testing.T) {
 	gr.Body.Close()
 	if gr.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /query: status %d", gr.StatusCode)
+	}
+}
+
+// TestOversizedBodyRefused: an analyst-facing body past the cap is a 413
+// on every SQL endpoint — a valid statement padded beyond it, so only
+// the size can be at fault — and the refusal touches no budget.
+func TestOversizedBodyRefused(t *testing.T) {
+	srv, _ := newTestServer(t, 100)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	budget := func() []byte {
+		resp, err := http.Get(ts.URL + "/budget")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		_, _ = buf.ReadFrom(resp.Body)
+		return buf.Bytes()
+	}
+	before := budget()
+
+	sql := "SELECT COUNT(*) FROM covid WHERE positive = 1" + strings.Repeat(" ", maxAnalystBody)
+	single, _ := json.Marshal(QueryRequest{SQL: sql})
+	batch, _ := json.Marshal(BatchQueryRequest{Queries: []string{sql}})
+	for path, body := range map[string][]byte{"/query": single, "/groupby": single, "/query/batch": batch} {
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || er.Kind != "bad-request" {
+			t.Fatalf("%s: status %d, payload %+v (%v), want a 413 bad-request", path, resp.StatusCode, er, err)
+		}
+	}
+	if after := budget(); !bytes.Equal(before, after) {
+		t.Fatalf("/budget moved across refused bodies:\n%s\n%s", before, after)
+	}
+	// The same statement inside the cap is served.
+	if resp, body := postQuery(t, ts, strings.TrimSpace(sql)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("in-cap query: status %d: %s", resp.StatusCode, body)
 	}
 }
 
@@ -370,7 +414,6 @@ func TestSchemaReplicationSection(t *testing.T) {
 	srv, _ := newTestServerWith(t, 100, func(c *core.Config) {
 		c.Backend = be
 		c.ReplicaID = "r1"
-		c.MCSamples = 200
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

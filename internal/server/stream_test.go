@@ -35,7 +35,7 @@ func newStreamingServer(t *testing.T, gaussian bool, opts ...Option) (*Server, *
 	}
 	cfg := core.Config{
 		Mode: core.Streaming, Alpha: 0.05, Beta: 0.001,
-		EpsilonGlobal: 40, Seed: 23, MCSamples: 500,
+		EpsilonGlobal: 40, Seed: 23,
 		NodeExactCache: true, Shards: 4,
 	}
 	if gaussian {

@@ -33,8 +33,8 @@ func buildConcurrentTree(t *testing.T, shards int) (*Tree, *dataset.Dataset) {
 	}
 	tr, err := New(Config{
 		Alpha: 0.1, Beta: 0.01, Tau: 0.05,
-		NodeExactCache: true, MCSamples: 200,
-		Shards: shards,
+		NodeExactCache: true,
+		Shards:         shards,
 	}, dataset.NewExecutor(ds, noise.NewRng(8)), accountant.NewBlock(20, parts), kvstore.New(), noise.NewRng(9))
 	if err != nil {
 		t.Fatal(err)

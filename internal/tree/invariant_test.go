@@ -84,8 +84,8 @@ func TestNoDoubleSpendUnderStorm(t *testing.T) {
 	}
 	tr, err := New(Config{
 		Alpha: 0.1, Beta: 0.01, Tau: 0.05,
-		NodeExactCache: true, MCSamples: 200,
-		Shards: 4,
+		NodeExactCache: true,
+		Shards:         4,
 	}, dataset.NewExecutor(ds, noise.NewRng(8)), accountant.NewBlock(1e9, parts), kvstore.New(), noise.NewRng(9))
 	if err != nil {
 		t.Fatal(err)

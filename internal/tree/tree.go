@@ -7,10 +7,10 @@
 // contiguous subset of nodes whose heuristics declare them ready is served
 // by a single shared sparse-vector check over the aggregated estimate,
 // while the remaining nodes run direct Laplace with budget jointly
-// calibrated by Monte-Carlo search so the n-weighted combination of all
-// components stays (α, β)-accurate. Failed SV checks update the member
-// histograms in the shared direction; Laplace results update their node's
-// histogram through the τα-guarded external rule.
+// calibrated from the exact tail of their summed noise so the n-weighted
+// combination of all components stays (α, β)-accurate. Failed SV checks
+// update the member histograms in the shared direction; Laplace results
+// update their node's histogram through the τα-guarded external rule.
 //
 // For streaming databases, newly arriving partitions warm-start their leaf
 // histogram from the previous leaf, and lazily-created internal nodes
@@ -118,9 +118,6 @@ type Config struct {
 	// pessimistic per-node calibration, preserving (α, β) for any
 	// combination.
 	NodeExactCache bool
-	// MCSamples controls the Monte-Carlo budget calibration; 0 uses the
-	// package default.
-	MCSamples int
 	// MaxWindow bounds the number of contiguous partitions one query may
 	// request (Thm A.8's T), enabling unbounded streams with bounded
 	// per-region state: with windows ≤ T, the lazily-materialized global
@@ -138,7 +135,7 @@ type Config struct {
 	Shards int
 	// Gaussian switches budget accounting to Rényi composition (§A.6,
 	// Thm B.2): the tree's mechanisms stay per-node Laplace (their joint
-	// Monte-Carlo calibration is Laplace-specific), but each one is
+	// calibration is Laplace-specific), but each one is
 	// admitted through a concurrent RDP filter as an interactive
 	// mechanism priced by its Rényi curve over its window, per partition
 	// in parallel. The tree then enforces (ε_G, δ_G)-DP per partition,
@@ -163,9 +160,6 @@ func (c *Config) fill() error {
 	}
 	if c.Heuristic == nil {
 		c.Heuristic = func() heuristic.Heuristic { return heuristic.NewAdaptivePerBin(100, 5) }
-	}
-	if c.MCSamples <= 0 {
-		c.MCSamples = 20000
 	}
 	if c.Gaussian && (c.DeltaGlobal <= 0 || c.DeltaGlobal >= 1) {
 		return fmt.Errorf("tree: Rényi accounting needs δ_G in (0,1), got %g", c.DeltaGlobal)
@@ -220,10 +214,8 @@ type Tree struct {
 	// it, and its block mirrors converted spend into block.
 	admit *accountant.ConcurrentRDPFilter
 	rng   *noise.Rng
-	// calib memoizes the Monte-Carlo Laplace calibration (exact by the
-	// ε·n rescaling law; see noise.LaplaceCalibrator), so steady-state
-	// queries price their Laplace branch with a map probe instead of a
-	// per-query simulation.
+	// calib prices the Laplace branch: the exact joint calibration,
+	// memoized per subquery count (see noise.LaplaceCalibrator).
 	calib *noise.LaplaceCalibrator
 
 	// shardWidth is the number of partitions per state shard; 0 means a
@@ -260,7 +252,7 @@ func New(cfg Config, exec *dataset.Executor, block *accountant.Block, be store.B
 		block: block,
 		rng:   rng,
 	}
-	t.calib = noise.NewLaplaceCalibrator(rng.Fork().Uint64(), cfg.MCSamples)
+	t.calib = noise.NewLaplaceCalibrator()
 	t.vectorized.Store(true)
 	t.scratch.New = func() any { return new(runScratch) }
 	if cfg.Gaussian {
@@ -837,9 +829,7 @@ func (t *Tree) execute(q *query.Query, sc *runScratch) error {
 		sc.rTrue = rTrue
 	}
 
-	// Laplace branch: jointly-calibrated per-node releases. The memoized
-	// calibration runs here — unlocked — so even a memo miss's
-	// Monte-Carlo simulation never extends lock hold time.
+	// Laplace branch: jointly-calibrated per-node releases.
 	if len(sc.lapNodes) > 0 {
 		sc.epsLap = t.calib.Epsilon(t.cfg.Alpha, t.cfg.Beta/2, len(sc.lapNodes), sc.nLap)
 		for i := range sc.lapNodes {

@@ -47,7 +47,6 @@ func newFix(t *testing.T, mut func(*Config), global float64, partitions int) *fi
 		Alpha: 0.05, Beta: 0.001, Tau: 0.25,
 		LR:        func() pmw.Schedule { return pmw.Constant(0.2) },
 		Heuristic: func() heuristic.Heuristic { return heuristic.NewAdaptivePerBin(2, 1) },
-		MCSamples: 4000,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -331,7 +330,7 @@ func TestEmptyPartitionsSkipped(t *testing.T) {
 	rng := noise.NewRng(5)
 	exec := dataset.NewExecutor(ds, rng.Fork())
 	block := accountant.NewBlock(100, 4)
-	tr, err := New(Config{Alpha: 0.1, Beta: 0.01, Tau: 0.25, MCSamples: 2000}, exec, block, nil, rng.Fork())
+	tr, err := New(Config{Alpha: 0.1, Beta: 0.01, Tau: 0.25}, exec, block, nil, rng.Fork())
 	if err != nil {
 		t.Fatal(err)
 	}
