@@ -287,7 +287,9 @@ func TestAppendOrderingRegression(t *testing.T) {
 				return
 			default:
 			}
-			if sess.Accountant().Partitions() < sess.Dataset().Partitions() {
+			// Dataset first: read the other way round, a whole append can
+			// land between the two reads and look like a lag.
+			if parts := sess.Dataset().Partitions(); sess.Accountant().Partitions() < parts {
 				t.Error("scalar accountant lags the dataset mid-epoch")
 				return
 			}

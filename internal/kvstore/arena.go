@@ -1,0 +1,277 @@
+package kvstore
+
+import (
+	"encoding/binary"
+	"math"
+)
+
+// Record layout, little-endian. The header is 20 bytes, 36 when leased:
+//
+//	[0:4]   next    arena offset of the next record with the same hash
+//	[4:6]   ns      interned namespace id
+//	[6:8]   keyLen
+//	[8:12]  valLen in the low 29 bits; dead, pinned, leased in the top three
+//	[12:20] weight  float64 bits
+//	[20:28] deadline, [28:36] ttl   unix nanos; present only when leased
+//	key bytes, value bytes
+const (
+	hdrLen   = 20
+	leaseLen = 16
+
+	flagDead   = 1 << 31
+	flagPinned = 1 << 30
+	flagLeased = 1 << 29
+	maxValLen  = flagLeased - 1
+
+	// noOff ends a collision chain. No record starts there: it is the last
+	// byte of the last chunk, and a record is at least a header long.
+	noOff = math.MaxUint32
+)
+
+var le = binary.LittleEndian
+
+// meta is the per-entry metadata the Backend contract round-trips: the
+// eviction weight (ignored here — the unbounded store never evicts — but
+// preserved for export/migration), the guard pin, and the lease deadline
+// and ttl (unix nanos; ttl 0 = not leased).
+type meta struct {
+	weight   float64
+	pinned   bool
+	deadline int64
+	ttl      int64
+}
+
+func (m meta) leased() bool { return m.ttl > 0 }
+
+func (m meta) hdrLen() int {
+	if m.leased() {
+		return hdrLen + leaseLen
+	}
+	return hdrLen
+}
+
+// rec is a view of one record: arena bytes from its first header byte on
+// (the slice runs to the end of the chunk; size delimits the record).
+type rec []byte
+
+func (r rec) next() uint32     { return le.Uint32(r[0:]) }
+func (r rec) setNext(o uint32) { le.PutUint32(r[0:], o) }
+func (r rec) ns() uint16       { return le.Uint16(r[4:]) }
+func (r rec) keyLen() int      { return int(le.Uint16(r[6:])) }
+func (r rec) word() uint32     { return le.Uint32(r[8:]) }
+func (r rec) valLen() int      { return int(r.word() & maxValLen) }
+func (r rec) dead() bool       { return r.word()&flagDead != 0 }
+func (r rec) leased() bool     { return r.word()&flagLeased != 0 }
+func (r rec) deadline() int64  { return int64(le.Uint64(r[hdrLen:])) }
+
+func (r rec) hdrLen() int {
+	if r.leased() {
+		return hdrLen + leaseLen
+	}
+	return hdrLen
+}
+
+func (r rec) size() int { return r.hdrLen() + r.keyLen() + r.valLen() }
+
+func (r rec) key() []byte {
+	h := r.hdrLen()
+	return r[h : h+r.keyLen()]
+}
+
+// val is the value bytes, valid only while the stripe lock is held.
+func (r rec) val() []byte {
+	lo := r.hdrLen() + r.keyLen()
+	hi := lo + r.valLen()
+	return r[lo:hi:hi]
+}
+
+func (r rec) meta() meta {
+	m := meta{
+		weight: math.Float64frombits(le.Uint64(r[12:])),
+		pinned: r.word()&flagPinned != 0,
+	}
+	if r.leased() {
+		m.deadline = r.deadline()
+		m.ttl = int64(le.Uint64(r[hdrLen+8:]))
+	}
+	return m
+}
+
+// setMeta restamps a live record whose value length and leased-ness m
+// keeps (so the header does not change size).
+func (r rec) setMeta(m meta) {
+	w := uint32(r.valLen())
+	if m.pinned {
+		w |= flagPinned
+	}
+	if m.leased() {
+		w |= flagLeased
+		le.PutUint64(r[hdrLen:], uint64(m.deadline))
+		le.PutUint64(r[hdrLen+8:], uint64(m.ttl))
+	}
+	le.PutUint32(r[8:], w)
+	le.PutUint64(r[12:], math.Float64bits(m.weight))
+}
+
+// init writes a fresh record's header and key; the value bytes are the
+// caller's to fill. len(k) and valLen were checked against the field
+// widths by slot and put.
+func (r rec) init(ns uint16, k string, valLen int, m meta) {
+	le.PutUint16(r[4:], ns)
+	le.PutUint16(r[6:], uint16(len(k)))
+	w := uint32(valLen)
+	if m.leased() {
+		w |= flagLeased
+	}
+	le.PutUint32(r[8:], w)
+	r.setMeta(m)
+	copy(r[m.hdrLen():], k)
+}
+
+// arena is one stripe's storage: the hash index and the chunks its offsets
+// point into. An offset is chunk index << shift | position in chunk.
+// Nothing here is safe without the stripe lock.
+type arena struct {
+	index  map[uint64]uint32
+	chunks [][]byte
+	// tail is the chunk appends go to, -1 before the first; an oversize
+	// record's private chunk never becomes the tail.
+	tail      int
+	shift     uint
+	maxChunks int
+	// live and dead are the record bytes in use and awaiting compaction;
+	// released counts private chunks already dropped, whose slots only
+	// compaction gives back.
+	live, dead, released int
+}
+
+func newArena(shift uint, maxChunks, sizeHint int) arena {
+	return arena{
+		index:     make(map[uint64]uint32, sizeHint),
+		tail:      -1,
+		shift:     shift,
+		maxChunks: maxChunks,
+	}
+}
+
+func (a *arena) at(off uint32) rec {
+	return rec(a.chunks[off>>a.shift][off&(1<<a.shift-1):])
+}
+
+// alloc reserves n bytes for one record. Records never span chunks: one
+// that does not fit the tail opens a new chunk, one larger than a chunk
+// gets a chunk to itself. It fails, changing nothing, when the stripe is
+// out of chunk slots.
+func (a *arena) alloc(n int) (uint32, rec, bool) {
+	if a.tail >= 0 {
+		if c := a.chunks[a.tail]; cap(c)-len(c) >= n {
+			a.chunks[a.tail] = c[:len(c)+n]
+			return uint32(a.tail)<<a.shift | uint32(len(c)), rec(c[len(c) : len(c)+n]), true
+		}
+	}
+	if len(a.chunks) >= a.maxChunks {
+		return 0, nil, false
+	}
+	ci, size := len(a.chunks), n
+	if chunk := 1 << a.shift; n <= chunk {
+		// A small store stays small: chunks start at 1/64 of full size and
+		// double with the bytes already held.
+		size = max(n, min(chunk, max(chunk>>6, a.live+a.dead)))
+		a.tail = ci
+	}
+	c := make([]byte, n, size)
+	a.chunks = append(a.chunks, c)
+	return uint32(ci) << a.shift, rec(c), true
+}
+
+// scratch is the zero-length slice where the value of a record appended
+// next, with skip bytes of header and key, would start — nil when the tail
+// has no room past them. Bytes written there are uncommitted until alloc.
+func (a *arena) scratch(skip int) []byte {
+	if a.tail < 0 {
+		return nil
+	}
+	c := a.chunks[a.tail]
+	lo := len(c) + skip
+	if lo >= cap(c) {
+		return nil
+	}
+	return c[lo:lo:cap(c)]
+}
+
+// find walks the chain under h for the record of (ns, k), returning its
+// offset and its chain predecessor's (noOff for none). The namespace and
+// key bytes are compared on every record visited: a hash collision only
+// lengthens the walk.
+func (a *arena) find(h uint64, ns uint16, k string) (off, prev uint32) {
+	off, ok := a.index[h]
+	if !ok {
+		return noOff, noOff
+	}
+	for prev = noOff; off != noOff; {
+		r := a.at(off)
+		if r.ns() == ns && string(r.key()) == k {
+			return off, prev
+		}
+		prev, off = off, r.next()
+	}
+	return noOff, noOff
+}
+
+// prevOf returns the chain predecessor of the linked record at off.
+func (a *arena) prevOf(h uint64, off uint32) uint32 {
+	prev := uint32(noOff)
+	for at := a.index[h]; at != off; at = a.at(at).next() {
+		prev = at
+	}
+	return prev
+}
+
+// link puts the n-byte record at off at the head of h's chain.
+func (a *arena) link(h uint64, off uint32, n int) {
+	next, ok := a.index[h]
+	if !ok {
+		next = noOff
+	}
+	a.at(off).setNext(next)
+	a.index[h] = off
+	a.live += n
+}
+
+// kill unlinks the record at off from h's chain and flags it dead. A
+// private chunk is dropped at once rather than left for compaction.
+func (a *arena) kill(h uint64, off, prev uint32) {
+	r := a.at(off)
+	switch next := r.next(); {
+	case prev != noOff:
+		a.at(prev).setNext(next)
+	case next != noOff:
+		a.index[h] = next
+	default:
+		delete(a.index, h)
+	}
+	n := r.size()
+	a.live -= n
+	if ci := off >> a.shift; len(a.chunks[ci]) > 1<<a.shift {
+		a.chunks[ci] = nil
+		a.released++
+		return
+	}
+	le.PutUint32(r[8:], r.word()|flagDead)
+	a.dead += n
+}
+
+// each calls fn on every live record, in arena order. fn may kill the
+// record it is handed.
+func (a *arena) each(fn func(off uint32, r rec)) {
+	for ci, c := range a.chunks {
+		for pos := 0; pos < len(c); {
+			r := rec(c[pos:])
+			n := r.size()
+			if !r.dead() {
+				fn(uint32(ci)<<a.shift|uint32(pos), r)
+			}
+			pos += n
+		}
+	}
+}

@@ -42,6 +42,11 @@ import (
 // names: gob itself consults that interface, and adopting it would
 // silently change how these values encode inside every existing gob
 // stream, breaking old snapshot payloads.
+//
+// A backend may call either method while holding one of its locks, on
+// bytes inside its own storage (kvstore encodes into and decodes out of
+// its arena): implementations are straight-line code that never calls
+// back into the backend, and DecodeFast keeps no reference to data.
 type FastEncoder interface {
 	// AppendFast appends the value's encoding to dst and returns the
 	// extended slice.
