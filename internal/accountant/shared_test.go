@@ -10,14 +10,14 @@ import (
 	"time"
 
 	"repro/internal/accountant"
-	"repro/internal/kvstore"
+	"repro/internal/store"
 )
 
 // TestSharedBlockMergesPeerSpends checks the basic replication property:
 // a charge made by one replica is visible to a peer after SyncShared,
 // and counts against the peer's validation.
 func TestSharedBlockMergesPeerSpends(t *testing.T) {
-	kv := kvstore.New()
+	kv := store.NewMem(store.MemConfig{})
 	a := accountant.NewBlock(1.0, 4)
 	b := accountant.NewBlock(1.0, 4)
 	if err := a.Share(kv, "replica-a", time.Second); err != nil {
@@ -58,7 +58,7 @@ func TestSharedBlockMergesPeerSpends(t *testing.T) {
 // boundary: two replicas racing to spend more than half the budget on
 // the same partition — exactly one must win.
 func TestSharedBlockExactlyOneWins(t *testing.T) {
-	kv := kvstore.New()
+	kv := store.NewMem(store.MemConfig{})
 	a := accountant.NewBlock(0.5, 1)
 	b := accountant.NewBlock(0.5, 1)
 	_ = a.Share(kv, "replica-a", time.Second)
@@ -99,7 +99,7 @@ func TestSharedBlockNoDoubleSpend(t *testing.T) {
 		eps        = 0.01
 		global     = 1.0
 	)
-	kv := kvstore.New()
+	kv := store.NewMem(store.MemConfig{})
 	blocks := make([]*accountant.Block, replicas)
 	for r := range blocks {
 		blocks[r] = accountant.NewBlock(global, partitions)
@@ -157,7 +157,7 @@ func TestSharedBlockNoDoubleSpend(t *testing.T) {
 // a lease left by a crashed replica expires, and the survivor's charge
 // goes through within the wait bound.
 func TestSharedBlockCrashedOwnerRecovers(t *testing.T) {
-	kv := kvstore.New()
+	kv := store.NewMem(store.MemConfig{})
 	// A "crashed" replica holds partition 0's lease with a short ttl and
 	// never releases.
 	if ok, err := kv.SetNXLease("!turbo/budget", "owner/0", "dead-replica", 50*time.Millisecond); !ok || err != nil {

@@ -7,7 +7,7 @@
 // Requires closure, and checks the reported diagnostics against
 // expectations written as trailing comments:
 //
-//	kvstore.New() // want `raw kvstore construction`
+//	enc.Encode(&e) // want `raw gob Encode of cache\.Entry`
 //
 // Each backquoted or double-quoted string after "want" is a regexp that
 // must match the message of exactly one diagnostic reported on that

@@ -2,22 +2,16 @@
 // cache bytes flow through the store.Backend interface and its
 // fixed-layout codec.
 //
-// Outside internal/store and internal/kvstore:
+// Outside internal/store:
 //
-//  1. Raw kvstore construction (kvstore.New*) is flagged — consumers take
-//     a store.Backend (core.Config.Backend and friends), so the bounded
-//     backend can be swapped in without touching call sites. The
-//     documented private-store fallbacks carry a
-//     //turbo:allow(backendonly) annotation with justification.
-//
-//  2. Raw gob encode/decode of cache.Entry is flagged (also outside
+//  1. Raw gob encode/decode of cache.Entry is flagged (also outside
 //     internal/cache, which owns the codec's gob fallback for pre-codec
 //     snapshots): entry bytes must go through store.EncodeValue /
-//     store.DecodeValue, or the two backends stop storing identical bytes
+//     store.DecodeValue, or the backends stop storing identical bytes
 //     and CompareDelete's byte-equality guard silently breaks.
 //
-//  3. The cross-replica lease primitives (SetNXLease, CompareSwap) are
-//     confined to the protocol-owning packages — store/kvstore
+//  2. The cross-replica lease primitives (SetNXLease, CompareSwap) are
+//     confined to the protocol-owning packages — store
 //     (implementations), accountant (budget-ownership leases), core
 //     (flight-leader leases). An ad-hoc lease elsewhere can wedge or
 //     overwrite a protocol's records (a stolen "!turbo/budget" owner key
@@ -42,7 +36,7 @@ const name = "backendonly"
 // Analyzer is the backendonly analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:     name,
-	Doc:      "check that storage backends are constructed through the store seam and cache.Entry bytes use the fixed-layout codec",
+	Doc:      "check that cache.Entry bytes use the fixed-layout codec and lease primitives stay in the protocol-owning packages",
 	Run:      run,
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 }
@@ -87,20 +81,18 @@ func leasePrimitive(callee *types.Func) bool {
 		return false
 	}
 	switch callee.Pkg().Name() {
-	case "store", "kvstore", "accountant":
+	case "store", "accountant":
 		return true
 	}
 	return false
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	inStoreLayer := turboallow.PkgHasSegment(pass, "store") || turboallow.PkgHasSegment(pass, "kvstore")
-	inCodecLayer := inStoreLayer || turboallow.PkgHasSegment(pass, "cache")
-	inProtocolLayer := inStoreLayer ||
-		turboallow.PkgHasSegment(pass, "accountant") || turboallow.PkgHasSegment(pass, "core")
-	if inCodecLayer && inStoreLayer {
-		return nil, nil // the storage packages own both seams
+	if turboallow.PkgHasSegment(pass, "store") {
+		return nil, nil // the storage package owns both seams
 	}
+	inCodecLayer := turboallow.PkgHasSegment(pass, "cache")
+	inProtocolLayer := turboallow.PkgHasSegment(pass, "accountant") || turboallow.PkgHasSegment(pass, "core")
 	allow := turboallow.NewIndex(pass)
 
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
@@ -114,13 +106,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			return
 		}
 		switch {
-		case !inStoreLayer && callee.Pkg().Name() == "kvstore" &&
-			len(callee.Name()) >= 3 && callee.Name()[:3] == "New":
-			if !allow.Allowed(call.Pos(), name) {
-				pass.Reportf(call.Pos(),
-					"raw kvstore construction (%s) outside the storage packages: take a store.Backend so bounded backends stay pluggable, or annotate a documented private store with //turbo:allow(backendonly)",
-					callee.Name())
-			}
 		case !inCodecLayer && gobCodec(callee) && len(call.Args) == 1:
 			if t := pass.TypesInfo.TypeOf(skipAddr(call.Args[0])); t != nil && isCacheEntry(t) {
 				if !allow.Allowed(call.Pos(), name) {

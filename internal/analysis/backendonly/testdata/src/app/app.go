@@ -1,25 +1,12 @@
-// Package app sits outside the storage packages: both backendonly rules
+// Package app sits outside the storage package: both backendonly rules
 // apply.
 package app
 
 import (
 	"cache"
 	"gob"
-	"kvstore"
+	"store"
 )
-
-func construct() *kvstore.Store {
-	return kvstore.New() // want `raw kvstore construction \(New\) outside the storage packages`
-}
-
-func constructSharded() *kvstore.Store {
-	return kvstore.NewSharded(4) // want `raw kvstore construction \(NewSharded\) outside the storage packages`
-}
-
-func constructAllowed() *kvstore.Store {
-	//turbo:allow(backendonly) documented private store for a baseline
-	return kvstore.New()
-}
 
 func encodeEntry(enc *gob.Encoder, e cache.Entry) error {
 	return enc.Encode(&e) // want `raw gob Encode of cache\.Entry`
@@ -39,15 +26,15 @@ func encodeOther(enc *gob.Encoder, counts map[string]int) error {
 	return enc.Encode(counts)
 }
 
-func takeLease(kv *kvstore.Store) {
+func takeLease(kv *store.Mem) {
 	_, _ = kv.SetNXLease("!turbo/budget", "owner/0", "me", 0) // want `cross-replica lease primitive SetNXLease outside the protocol-owning packages`
 }
 
-func swapSpend(kv *kvstore.Store) {
+func swapSpend(kv *store.Mem) {
 	_, _ = kv.CompareSwap("!turbo/budget", "spent/0", 0.1, 0.2) // want `cross-replica lease primitive CompareSwap outside the protocol-owning packages`
 }
 
-func leaseAllowed(kv *kvstore.Store) {
+func leaseAllowed(kv *store.Mem) {
 	//turbo:allow(backendonly) harness planting a stale lease to test takeover
 	_, _ = kv.SetNXLease("!turbo/flight", "k", "dead", 0)
 }

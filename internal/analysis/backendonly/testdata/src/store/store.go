@@ -1,14 +1,16 @@
-// Package store is a storage package: it owns the seam, so raw kvstore
-// construction is silent here.
+// Package store is the storage package: it implements the lease primitives
+// themselves, so calling them is silent here.
 package store
 
-import "kvstore"
+type Mem struct{}
 
-type Backend struct{ kv *kvstore.Store }
+func (s *Mem) SetNXLease(ns, k string, v any, ttl int64) (bool, error) { return true, nil }
+func (s *Mem) CompareSwap(ns, k string, expect, next any) (bool, error) {
+	return true, nil
+}
 
-func NewBackend() *Backend { return &Backend{kv: kvstore.New()} }
+type File struct{ index *Mem }
 
-// The storage layer implements the lease primitives themselves: silent.
-func (b *Backend) SetNXLease(ns, k string, v any, ttl int64) (bool, error) {
-	return b.kv.SetNXLease(ns, k, v, ttl)
+func (f *File) SetNXLease(ns, k string, v any, ttl int64) (bool, error) {
+	return f.index.SetNXLease(ns, k, v, ttl)
 }

@@ -54,7 +54,7 @@ var payerPackages = []string{"accountant", "pmw", "tree", "baseline", "core", "e
 
 // storePackages own the cache/backend write path and are exempt from the
 // admission-reachability rule (they are below it).
-var storePackages = []string{"cache", "store", "kvstore"}
+var storePackages = []string{"cache", "store"}
 
 func inAny(pass *analysis.Pass, pkgs []string) bool {
 	for _, p := range pkgs {

@@ -16,13 +16,13 @@
 //	  < { core.Session.singleMu , tree.stateShard.mu (ascending) }
 //	  < tree.Tree.shardMu < cache.exactStripe.mu
 //	  < accountant.Block.mu
-//	  < kvstore.Store.nsMu
-//	  < { kvstore.stripe.mu , store.boundedStripe.mu , store.File.mu }
+//	  < store.Mem.nsMu
+//	  < { store.memStripe.mu , store.File.mu }
 //	  < store.File.statsMu
 //
 // accountant.Block.mu ranks below the backend stripe locks because the
 // shared-budget protocol holds it across lease and spend-record writes
-// into the shared store (accountant/shared.go); kvstore.Store.nsMu, the
+// into the shared store (accountant/shared.go); store.Mem.nsMu, the
 // namespace-intern lock, is taken and released before a stripe lock and
 // never inside one (every operation resolves its namespace id first);
 // store.File.statsMu ranks below store.File.mu because compaction bumps
@@ -74,9 +74,8 @@ var Ranks = map[string]int{
 	"tree.Tree.shardMu":      40,
 	"cache.exactStripe.mu":   45,
 	"accountant.Block.mu":    55,
-	"kvstore.Store.nsMu":     58,
-	"kvstore.stripe.mu":      60,
-	"store.boundedStripe.mu": 60,
+	"store.Mem.nsMu":         58,
+	"store.memStripe.mu":     60,
 	"store.File.mu":          60,
 	"store.File.statsMu":     65,
 }

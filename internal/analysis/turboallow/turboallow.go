@@ -3,8 +3,8 @@
 // the offending line — or on its own line directly above it — suppresses
 // that analyzer's diagnostics there:
 //
-//	//turbo:allow(backendonly) — documented private-store fallback
-//	return kvstore.New()
+//	//turbo:allow(chargepath) — ablation drains a private block on purpose
+//	for pure.Pay(eps) == nil {
 //
 // The directive names one or more analyzers (comma-separated) and should
 // carry a justification after the closing parenthesis; an annotation

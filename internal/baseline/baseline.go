@@ -14,7 +14,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/dataset"
 	"repro/internal/interval"
-	"repro/internal/kvstore"
 	"repro/internal/noise"
 	"repro/internal/query"
 	"repro/internal/store"
@@ -25,9 +24,7 @@ import (
 // across systems.
 func backendOrPrivate(be store.Backend) store.Backend {
 	if be == nil {
-		// Baselines own a private, unshared store by design; no pluggable
-		// backend can be injected here without changing baseline semantics.
-		return kvstore.New() //turbo:allow(backendonly)
+		return store.NewMem(store.MemConfig{})
 	}
 	return be
 }

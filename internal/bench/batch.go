@@ -13,9 +13,11 @@
 // The plain Answer path is reported alongside as the singleton-*
 // reference series. The experiment doubles as the batch-plane regression
 // gate CI runs, mirroring the -exp=misspath gate: it FAILS if batch=64
-// throughput is under 2x the batch-1 singleton baseline, if batch=64
 // takes as many admission lock acquisitions per query as batch-1, or if
-// batch=64 allocates more per query than batch-1. (Plain Answer is not
+// batch=64 allocates more per query than batch-1. Both are counts, and
+// repeat exactly; the speedup-vs-batch1 series is reported, not gated — a
+// throughput ratio on a shared VM is a measurement, not an assertion, and
+// this experiment runs inside go test. (Plain Answer is not
 // the allocation comparator: its hit path allocates zero — enforced by
 // -exp=misspath — while AnswerBatch must at minimum allocate its result
 // slice; the gate pins the amortization, batch-64 vs batch-1.)
@@ -210,11 +212,6 @@ func Batch(sc Scale) (Result, error) {
 	// must amortize, not just keep up.
 	last := DefaultBatchSizes[len(DefaultBatchSizes)-1]
 	big := bySize[last]
-	if big.qps < 2*base.qps {
-		return Result{}, fmt.Errorf(
-			"bench: batch=%d throughput %.0f answers/sec is under 2x the batch-1 baseline %.0f (regression)",
-			last, big.qps, base.qps)
-	}
 	if big.locksPerQuery >= base.locksPerQuery {
 		return Result{}, fmt.Errorf(
 			"bench: batch=%d admission lock acquisitions/query %.4f not below batch-1 %.4f (regression)",
@@ -238,7 +235,7 @@ func Batch(sc Scale) (Result, error) {
 			fmt.Sprintf("Covid, %d distinct windowed queries, zipf(1.5)-shared stream of %d; fresh session per arm",
 				batchDistinct, batchStream),
 			"lock-acq/query counted over the cold pass (admissions + payments); qps and allocs over the warmed steady state",
-			"gates: batch-64 must be >=2x batch-1 answers/sec, below it in lock acquisitions/query, and at or below it in allocs/query",
+			"gates: batch-64 must be below batch-1 in lock acquisitions/query and at or below it in allocs/query; speedup-vs-batch1 is reported, not gated",
 		},
 	}, nil
 }

@@ -1,6 +1,6 @@
-// Cache-pressure experiment: the memory-bounded segmented-LRU backend
-// against the unbounded striped map under a replaying zipf workload whose
-// working set is ~2x the bounded backend's byte cap. The question a
+// Cache-pressure experiment: the in-memory store built with a byte cap
+// (segmented-LRU eviction) against the same store built without one,
+// under a replaying zipf workload whose working set is ~2x the cap. The question a
 // long-lived deployment asks: how much exact-cache hit rate does bounding
 // resident cache state cost, and does the bound actually hold? With
 // privacy-cost-aware eviction the answer should be "little": the zipf
@@ -57,7 +57,7 @@ func CachePressure(sc Scale) (Result, error) {
 		return Result{}, fmt.Errorf("bench: cache-pressure: empty unbounded working set")
 	}
 	bounded, err := cachePressureRun(env, sc, func() store.Backend {
-		return store.NewBounded(store.BoundedConfig{MaxBytes: capBytes})
+		return store.NewMem(store.MemConfig{MaxBytes: capBytes})
 	}, replay)
 	if err != nil {
 		return Result{}, fmt.Errorf("bench: cache-pressure bounded: %w", err)

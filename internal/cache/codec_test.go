@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/kvstore"
 	"repro/internal/persist"
 	"repro/internal/query"
 	"repro/internal/store"
@@ -68,8 +67,8 @@ func TestEntryCodecRefusesGob(t *testing.T) {
 // depends on re-encoded bytes matching stored ones.
 func TestBackendEntryCodecPath(t *testing.T) {
 	backends := map[string]store.Backend{
-		"striped-map":  kvstore.New(),
-		"bounded-slru": store.NewBounded(store.BoundedConfig{MaxEntries: 64}),
+		"striped-map":  store.NewMem(store.MemConfig{}),
+		"bounded-slru": store.NewMem(store.MemConfig{MaxEntries: 64}),
 	}
 	for name, b := range backends {
 		e := Entry{Value: 0.5, Eps: 0.1, Version: 3}
@@ -114,7 +113,7 @@ func TestRestorePayloadGobFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewExact(kvstore.New(), "fallback")
+	c, err := NewExact(store.NewMem(store.MemConfig{}), "fallback")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,8 @@
 // underlying data is unchanged.
 //
 // Caches program against the pluggable store.Backend interface rather
-// than a concrete store, so the same cache runs over the unbounded
-// striped map or the memory-bounded segmented-LRU backend. Entries are
+// than a concrete store, so the same cache runs over the
+// in-memory store, capped or not, or the file log. Entries are
 // written with their privacy cost as eviction weight (Put's eps): under
 // memory pressure a bounded backend evicts the releases that are cheapest
 // to re-pay. A backend eviction is indistinguishable from a miss here —

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/domain"
-	"repro/internal/kvstore"
 	"repro/internal/query"
 	"repro/internal/store"
 )
@@ -23,7 +22,7 @@ func dom() *domain.Domain {
 // test on constructor errors.
 func newCache(t *testing.T, ns string) *Exact {
 	t.Helper()
-	c, err := NewExact(kvstore.New(), ns)
+	c, err := NewExact(store.NewMem(store.MemConfig{}), ns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +90,7 @@ func TestWindowDistinguishesEntries(t *testing.T) {
 }
 
 func TestSharedStoreNamespaces(t *testing.T) {
-	st := kvstore.New()
+	st := store.NewMem(store.MemConfig{})
 	a, err := NewExact(st, "a")
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +121,7 @@ func TestOverwrite(t *testing.T) {
 }
 
 func TestFastMapBounded(t *testing.T) {
-	c, err := NewExactBounded(kvstore.New(), "t", 4)
+	c, err := NewExactBounded(store.NewMem(store.MemConfig{}), "t", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +160,7 @@ func TestStaleEntriesInvalidatedOnMiss(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	c, err := NewExactBounded(kvstore.New(), "t", 64)
+	c, err := NewExactBounded(store.NewMem(store.MemConfig{}), "t", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +197,7 @@ func TestHitRateEmpty(t *testing.T) {
 }
 
 func TestShardedStripesDisjoint(t *testing.T) {
-	st := kvstore.New()
+	st := store.NewMem(store.MemConfig{})
 	c, err := NewExactSharded(st, "se", 0, 4, 4) // windows 0-3 → stripe 0, 4-7 → stripe 1, ...
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +234,7 @@ func TestShardedStripesDisjoint(t *testing.T) {
 }
 
 func TestShardedSnapshotRoundTrip(t *testing.T) {
-	st := kvstore.New()
+	st := store.NewMem(store.MemConfig{})
 	c, err := NewExactSharded(st, "se", 0, 2, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +247,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := NewExactSharded(kvstore.New(), "se", 0, 2, 4)
+	c2, err := NewExactSharded(store.NewMem(store.MemConfig{}), "se", 0, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,14 +264,14 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	// payload restores into caches with fewer (or no) stripes, each entry
 	// re-routed by the window in its key — a checkpoint from a many-core
 	// server restores on a smaller one.
-	narrow, err := NewExact(kvstore.New(), "se")
+	narrow, err := NewExact(store.NewMem(store.MemConfig{}), "se")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := narrow.RestorePayload(payload); err != nil {
 		t.Fatalf("restore into 1-stripe cache: %v", err)
 	}
-	wide, err := NewExactSharded(kvstore.New(), "se", 0, 1, 8)
+	wide, err := NewExactSharded(store.NewMem(store.MemConfig{}), "se", 0, 1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +293,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 // a plain miss (the caller re-executes and re-pays), and high-ε entries
 // outlive cheap cold ones.
 func TestBoundedBackendEviction(t *testing.T) {
-	be := store.NewBounded(store.BoundedConfig{MaxEntries: 8, Stripes: 1, Sample: 8})
+	be := store.NewMem(store.MemConfig{MaxEntries: 8, Stripes: 1, Sample: 8})
 	c, err := NewExactBounded(be, "t", 1) // trivial fast map: expose backend misses
 	if err != nil {
 		t.Fatal(err)

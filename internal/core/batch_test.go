@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/accountant"
 	"repro/internal/dataset"
-	"repro/internal/kvstore"
 	"repro/internal/query"
 	"repro/internal/store"
 )
@@ -296,7 +295,7 @@ func TestAnswerBatchBoundedFanOut(t *testing.T) {
 		want = append(want, a)
 	}
 
-	gauge := &fillGauge{Backend: kvstore.New()}
+	gauge := &fillGauge{Backend: store.NewMem(store.MemConfig{})}
 	cfg.Backend = gauge
 	ds := concurrentDS(t, 8)
 	sess, err := NewSession(cfg, ds)

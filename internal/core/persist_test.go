@@ -9,9 +9,9 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/domain"
-	"repro/internal/kvstore"
 	"repro/internal/persist"
 	"repro/internal/query"
+	"repro/internal/store"
 )
 
 func TestSaveLoadNonPartitioned(t *testing.T) {
@@ -765,7 +765,7 @@ func TestSaveLoadKV(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	kv := kvstore.New()
+	kv := store.NewMem(store.MemConfig{})
 	written, skipped, err := s1.SaveStateKV(kv, "snap")
 	if err != nil {
 		t.Fatal(err)
@@ -824,7 +824,7 @@ func TestLoadStateKVValidation(t *testing.T) {
 	dom, ds := buildDS(t, 4)
 	cfg := defaultCfg(Partitioned)
 	s1, _ := NewSession(cfg, ds)
-	kv := kvstore.New()
+	kv := store.NewMem(store.MemConfig{})
 	if err := s1.LoadStateKV(kv, "nothing"); !errors.Is(err, persist.ErrMissingSection) {
 		t.Fatalf("empty namespace: err = %v, want ErrMissingSection", err)
 	}

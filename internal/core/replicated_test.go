@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/kvstore"
 	"repro/internal/query"
 	"repro/internal/store"
 )
@@ -161,7 +160,7 @@ func replicatedPaysOnce(t *testing.T, mkBackend func(t *testing.T) store.Backend
 }
 
 func TestReplicatedFlightPaysOnceGlobally(t *testing.T) {
-	replicatedPaysOnce(t, func(t *testing.T) store.Backend { return kvstore.New() }, 4)
+	replicatedPaysOnce(t, func(t *testing.T) store.Backend { return store.NewMem(store.MemConfig{}) }, 4)
 }
 
 // TestReplicatedOverFileStore runs the pay-once property with the fleet
@@ -200,7 +199,7 @@ func (b *peerBeforeLease) SetNXLease(ns, k string, value any, ttl time.Duration)
 // releases its lease between this replica's exact-cache probe and its
 // lease win. The winner must serve the peer's fill, not execute again.
 func TestReplicatedLeaseWinnerReprobes(t *testing.T) {
-	kv := kvstore.New()
+	kv := store.NewMem(store.MemConfig{})
 	peer, peerDS := mkReplica(t, kv, "replica-peer", time.Second)
 	var peerAns Answer
 	gate := &peerBeforeLease{Backend: kv, peer: func() {
@@ -246,7 +245,7 @@ func TestReplicatedLeaseWinnerReprobes(t *testing.T) {
 // leader: a flight lease left by a dead replica expires, and a surviving
 // replica takes over and executes within the ttl bound.
 func TestReplicatedLeaderCrashRecovers(t *testing.T) {
-	kv := kvstore.New()
+	kv := store.NewMem(store.MemConfig{})
 	sess, ds := mkReplica(t, kv, "replica-live", 50*time.Millisecond)
 	q := query.MustNew(ds.Domain(), map[int][]int{0: {1}}).WithWindow(0, 7)
 	pl, err := sess.Planner().Plan(q)
@@ -283,7 +282,7 @@ func TestReplicationConfigValidation(t *testing.T) {
 		Mode:  Partitioned,
 		Alpha: 0.1, Beta: 0.01, EpsilonGlobal: 20,
 		Seed:    3,
-		Backend: kvstore.New(), ReplicaID: "r1",
+		Backend: store.NewMem(store.MemConfig{}), ReplicaID: "r1",
 	}
 	if _, err := NewSession(base, ds); err != nil {
 		t.Fatalf("valid replicated config refused: %v", err)

@@ -48,7 +48,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/dataset"
 	"repro/internal/heuristic"
-	"repro/internal/kvstore"
 	"repro/internal/noise"
 	"repro/internal/persist"
 	"repro/internal/pmw"
@@ -148,9 +147,9 @@ type Config struct {
 	Shards int
 	// Backend selects the storage backend every caching layer programs
 	// against (the paper's replaceable Redis tier): nil defaults to the
-	// unbounded striped map (kvstore.New); store.NewBounded gives the
-	// memory-bounded segmented-LRU whose eviction weight is the privacy
-	// cost of each entry. Eviction is always safe — an evicted release
+	// unbounded in-memory store (store.NewMem with no caps); the same store
+	// built with a cap is the memory-bounded segmented LRU whose eviction
+	// weight is the privacy cost of each entry. Eviction is always safe — an evicted release
 	// re-executes and re-pays through the single-flight path.
 	Backend store.Backend
 	// ReplicaID, when non-empty, runs the session as one replica of a
@@ -318,9 +317,7 @@ func NewSession(cfg Config, ds *dataset.Dataset) (*Session, error) {
 	rng := noise.NewRng(cfg.Seed)
 	be := cfg.Backend
 	if be == nil {
-		// Documented default when Config.Backend is unset; every other
-		// consumer must take the injected store.Backend.
-		be = kvstore.New() //turbo:allow(backendonly)
+		be = store.NewMem(store.MemConfig{})
 	}
 	// Stripe the session-exact namespace by executor shard in partitioned
 	// modes, so per-shard executors probe disjoint namespaces (and

@@ -4,9 +4,9 @@
 // section list, and a content hash per section; the next checkpoint
 // skips every section whose hash is unchanged — warm histograms that saw
 // no update between checkpoints cost no write at all. This is the
-// "kvstore-backed incremental snapshot" seam the envelope's format
+// "backend-resident incremental snapshot" seam the envelope's format
 // version reserved: the store.Backend interface is the storage contract,
-// so the same checkpoint streams into the embedded map today and a
+// so the same checkpoint streams into the in-memory store today and a
 // persistent service tomorrow.
 
 package persist

@@ -9,7 +9,7 @@
 // Each stateful layer (accountant blocks, exact caches, the tree, the
 // streaming ingestor) implements Snapshotter and contributes one named
 // section; the envelope carries them behind a magic header and a format
-// version, so a future storage backend (e.g. kvstore-backed snapshots)
+// version, so a future storage backend (e.g. backend-resident snapshots)
 // plugs in by bumping the version rather than breaking old files.
 //
 // # Envelope format
@@ -35,7 +35,7 @@
 // Besides the streamed envelope, a Registry can snapshot INTO a storage
 // backend (SaveKV/LoadKV): each section becomes its own key in a
 // namespace, with a manifest recording section hashes, so an unchanged
-// section is skipped on the next checkpoint — the kvstore-backed
+// section is skipped on the next checkpoint — the backend-resident
 // incremental-snapshot seam.
 package persist
 

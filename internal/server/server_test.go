@@ -245,7 +245,7 @@ func TestSchemaEndpoint(t *testing.T) {
 // counters thread up from the store through the session.
 func TestSchemaCacheSectionBounded(t *testing.T) {
 	srv, _ := newTestServerWith(t, 100, func(c *core.Config) {
-		c.Backend = store.NewBounded(store.BoundedConfig{MaxEntries: 4, Stripes: 1})
+		c.Backend = store.NewMem(store.MemConfig{MaxEntries: 4, Stripes: 1})
 		c.CacheFastEntries = 1 // expose backend traffic, not fast-map hits
 	})
 	ts := httptest.NewServer(srv.Handler())
@@ -410,7 +410,7 @@ func TestNewValidation(t *testing.T) {
 // replicated session reports its replica identity and remote-share
 // counter, and backend decode failures thread up as decode_errors.
 func TestSchemaReplicationSection(t *testing.T) {
-	be := store.NewBounded(store.BoundedConfig{Stripes: 1})
+	be := store.NewMem(store.MemConfig{Stripes: 1})
 	srv, _ := newTestServerWith(t, 100, func(c *core.Config) {
 		c.Backend = be
 		c.ReplicaID = "r1"

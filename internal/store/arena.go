@@ -1,4 +1,4 @@
-package kvstore
+package store
 
 import (
 	"encoding/binary"
@@ -14,26 +14,28 @@ import (
 //	[12:20] weight  float64 bits
 //	[20:28] deadline, [28:36] ttl   unix nanos; present only when leased
 //	key bytes, value bytes
+//	newer u32 | older u32 | hot u8   LRU links; present only in a capped store
 const (
 	hdrLen   = 20
 	leaseLen = 16
+	lruLen   = 9
 
 	flagDead   = 1 << 31
 	flagPinned = 1 << 30
 	flagLeased = 1 << 29
 	maxValLen  = flagLeased - 1
 
-	// noOff ends a collision chain. No record starts there: it is the last
-	// byte of the last chunk, and a record is at least a header long.
+	// noOff ends a collision chain or an LRU list. No record starts there:
+	// it is the last byte of the last chunk, and a record is at least a
+	// header long.
 	noOff = math.MaxUint32
 )
 
 var le = binary.LittleEndian
 
 // meta is the per-entry metadata the Backend contract round-trips: the
-// eviction weight (ignored here — the unbounded store never evicts — but
-// preserved for export/migration), the guard pin, and the lease deadline
-// and ttl (unix nanos; ttl 0 = not leased).
+// eviction weight, the guard pin, and the lease deadline and ttl (unix
+// nanos; ttl 0 = not leased).
 type meta struct {
 	weight   float64
 	pinned   bool
@@ -61,7 +63,9 @@ func (r rec) keyLen() int      { return int(le.Uint16(r[6:])) }
 func (r rec) word() uint32     { return le.Uint32(r[8:]) }
 func (r rec) valLen() int      { return int(r.word() & maxValLen) }
 func (r rec) dead() bool       { return r.word()&flagDead != 0 }
+func (r rec) pinned() bool     { return r.word()&flagPinned != 0 }
 func (r rec) leased() bool     { return r.word()&flagLeased != 0 }
+func (r rec) weight() float64  { return math.Float64frombits(le.Uint64(r[12:])) }
 func (r rec) deadline() int64  { return int64(le.Uint64(r[hdrLen:])) }
 
 func (r rec) hdrLen() int {
@@ -71,6 +75,7 @@ func (r rec) hdrLen() int {
 	return hdrLen
 }
 
+// size is the record's length without the LRU links (arena.span adds them).
 func (r rec) size() int { return r.hdrLen() + r.keyLen() + r.valLen() }
 
 func (r rec) key() []byte {
@@ -86,10 +91,7 @@ func (r rec) val() []byte {
 }
 
 func (r rec) meta() meta {
-	m := meta{
-		weight: math.Float64frombits(le.Uint64(r[12:])),
-		pinned: r.word()&flagPinned != 0,
-	}
+	m := meta{weight: r.weight(), pinned: r.pinned()}
 	if r.leased() {
 		m.deadline = r.deadline()
 		m.ttl = int64(le.Uint64(r[hdrLen+8:]))
@@ -128,8 +130,33 @@ func (r rec) init(ns uint16, k string, valLen int, m meta) {
 	copy(r[m.hdrLen():], k)
 }
 
-// arena is one stripe's storage: the hash index and the chunks its offsets
-// point into. An offset is chunk index << shift | position in chunk.
+// lru is the links a capped store's record carries after its value. They
+// sit behind the value so that an uncapped record is the header, key and
+// value alone, and so that a record's own lengths locate them.
+type lru []byte
+
+func (r rec) lru() lru { return lru(r[r.size():]) }
+
+func (l lru) newer() uint32     { return le.Uint32(l[0:]) }
+func (l lru) older() uint32     { return le.Uint32(l[4:]) }
+func (l lru) setNewer(o uint32) { le.PutUint32(l[0:], o) }
+func (l lru) setOlder(o uint32) { le.PutUint32(l[4:], o) }
+func (l lru) hot() bool         { return l[8] != 0 }
+
+func (l lru) setHot(hot bool) {
+	l[8] = 0
+	if hot {
+		l[8] = 1
+	}
+}
+
+// lruList is one segment of the LRU, threaded through the records: head is
+// the most recently used, tail the coldest.
+type lruList struct{ head, tail uint32 }
+
+// arena is one stripe's storage: the hash index, the chunks its offsets
+// point into and, in a capped store, the two LRU segments threaded through
+// the records. An offset is chunk index << shift | position in chunk.
 // Nothing here is safe without the stripe lock.
 type arena struct {
 	index  map[uint64]uint32
@@ -139,24 +166,38 @@ type arena struct {
 	tail      int
 	shift     uint
 	maxChunks int
+	// ext is lruLen in a capped store and 0 otherwise.
+	ext int
 	// live and dead are the record bytes in use and awaiting compaction;
 	// released counts private chunks already dropped, whose slots only
 	// compaction gives back.
 	live, dead, released int
+	// cold is the probation segment, hot the protected one.
+	cold, hot lruList
 }
 
-func newArena(shift uint, maxChunks, sizeHint int) arena {
+func newArena(shift uint, maxChunks, ext, sizeHint int) arena {
+	empty := lruList{noOff, noOff}
 	return arena{
 		index:     make(map[uint64]uint32, sizeHint),
 		tail:      -1,
 		shift:     shift,
 		maxChunks: maxChunks,
+		ext:       ext,
+		cold:      empty,
+		hot:       empty,
 	}
 }
 
 func (a *arena) at(off uint32) rec {
 	return rec(a.chunks[off>>a.shift][off&(1<<a.shift-1):])
 }
+
+// capped reports whether records carry LRU links.
+func (a *arena) capped() bool { return a.ext != 0 }
+
+// span is the arena bytes r occupies, LRU links included.
+func (a *arena) span(r rec) int { return r.size() + a.ext }
 
 // alloc reserves n bytes for one record. Records never span chunks: one
 // that does not fit the tail opens a new chunk, one larger than a chunk
@@ -250,7 +291,7 @@ func (a *arena) kill(h uint64, off, prev uint32) {
 	default:
 		delete(a.index, h)
 	}
-	n := r.size()
+	n := a.span(r)
 	a.live -= n
 	if ci := off >> a.shift; len(a.chunks[ci]) > 1<<a.shift {
 		a.chunks[ci] = nil
@@ -267,11 +308,63 @@ func (a *arena) each(fn func(off uint32, r rec)) {
 	for ci, c := range a.chunks {
 		for pos := 0; pos < len(c); {
 			r := rec(c[pos:])
-			n := r.size()
+			n := a.span(r)
 			if !r.dead() {
 				fn(uint32(ci)<<a.shift|uint32(pos), r)
 			}
 			pos += n
 		}
+	}
+}
+
+// eachColdestFirst calls fn on every record of a capped arena, each LRU
+// segment from its tail to its head.
+func (a *arena) eachColdestFirst(fn func(off uint32, r rec)) {
+	for _, l := range [...]lruList{a.cold, a.hot} {
+		for off := l.tail; off != noOff; {
+			r := a.at(off)
+			at := off
+			off = r.lru().newer()
+			fn(at, r)
+		}
+	}
+}
+
+// segment is the list a record with the given hot bit belongs to.
+func (a *arena) segment(hot bool) *lruList {
+	if hot {
+		return &a.hot
+	}
+	return &a.cold
+}
+
+// pushFront makes the record at off the most recently used of the segment
+// its hot bit names.
+func (a *arena) pushFront(off uint32) {
+	links := a.at(off).lru()
+	l := a.segment(links.hot())
+	links.setNewer(noOff)
+	links.setOlder(l.head)
+	if l.head != noOff {
+		a.at(l.head).lru().setNewer(off)
+	} else {
+		l.tail = off
+	}
+	l.head = off
+}
+
+// unlink takes the record at off out of its segment.
+func (a *arena) unlink(off uint32) {
+	links := a.at(off).lru()
+	l, newer, older := a.segment(links.hot()), links.newer(), links.older()
+	if newer != noOff {
+		a.at(newer).lru().setOlder(older)
+	} else {
+		l.head = older
+	}
+	if older != noOff {
+		a.at(older).lru().setNewer(newer)
+	} else {
+		l.tail = newer
 	}
 }

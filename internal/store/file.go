@@ -449,6 +449,9 @@ func (f *File) appendRaw(op byte, key string, val []byte, weight float64, pinned
 	return nil
 }
 
+// fullKey joins a namespace and key into the log's record key.
+func fullKey(ns, k string) string { return ns + ":" + k }
+
 // expired reports whether e carries a lease whose deadline passed.
 func (f *File) expired(e *fileEntry) bool {
 	return e.deadline > 0 && f.nowNanos() > e.deadline

@@ -27,27 +27,6 @@ func newTestFile(t *testing.T, cfg FileConfig) *File {
 	return f
 }
 
-func TestFileBasicOps(t *testing.T) {
-	f := newTestFile(t, FileConfig{})
-	if err := f.Set("ns", "k", 42); err != nil {
-		t.Fatal(err)
-	}
-	var out int
-	if ok, err := f.Get("ns", "k", &out); err != nil || !ok || out != 42 {
-		t.Fatalf("Get = %d, %v, %v", out, ok, err)
-	}
-	if ok, _ := f.Get("ns", "absent", &out); ok {
-		t.Fatal("hit on absent key")
-	}
-	if !f.Delete("ns", "k") {
-		t.Fatal("Delete missed")
-	}
-	st := f.Stats()
-	if st.Backend != "file-log" || st.Hits != 1 || st.Misses != 1 || st.Sets != 1 || st.Deletes != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 // TestFileSurvivesReopen is the core durability property: a clean
 // close/reopen round-trips every entry with its metadata.
 func TestFileSurvivesReopen(t *testing.T) {
@@ -256,98 +235,26 @@ func TestFileLockExcludesSecondOpener(t *testing.T) {
 	g.Close()
 }
 
-// TestFileLeaseSemantics checks the lease/CAS contract on the durable
-// backend, including expiry across a restart (deadlines are absolute).
-func TestFileLeaseSemantics(t *testing.T) {
+// TestFileLeaseExpiresAcrossRestart checks what the contract suite cannot:
+// lease deadlines are absolute, so a reopened store under the real clock
+// sees a dead holder's lease expired — it never outlives its ttl.
+func TestFileLeaseExpiresAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	f := newTestFile(t, FileConfig{Dir: dir})
-	var now int64
-	f.nowNanos = func() int64 { return now }
-
-	if ok, err := f.SetNXLease("ns", "lease", "holder-1", 100); !ok || err != nil {
+	f.nowNanos = func() int64 { return 300 }
+	if ok, err := f.SetNXLease("ns", "lease", "holder", 100); !ok || err != nil {
 		t.Fatalf("SetNXLease = %v, %v", ok, err)
-	}
-	if ok, _ := f.SetNXLease("ns", "lease", "holder-2", 100); ok {
-		t.Fatal("rival stole a live lease")
-	}
-	now = 80
-	if ok, err := f.CompareSwap("ns", "lease", "holder-1", "holder-1"); !ok || err != nil {
-		t.Fatalf("renewal = %v, %v", ok, err)
-	}
-	now = 150
-	var holder string
-	if ok, _ := f.Get("ns", "lease", &holder); !ok || holder != "holder-1" {
-		t.Fatalf("renewed lease = %v %q", ok, holder)
-	}
-	now = 300
-	if ok, _ := f.Get("ns", "lease", &holder); ok {
-		t.Fatal("expired lease readable")
-	}
-	if ok, err := f.SetNXLease("ns", "lease", "holder-2", 100); !ok || err != nil {
-		t.Fatalf("takeover = %v, %v", ok, err)
-	}
-	// Leases are skipped on export: live coordination state.
-	if _, ok := f.ExportNamespace("ns")["lease"]; ok {
-		t.Fatal("unexpired lease exported")
 	}
 	f.Close()
 
-	// Restart: the lease deadline is absolute, so a reopened store under
-	// the real clock (deadline = 400ns since epoch, long past) sees it
-	// expired — a crashed leader's lease never outlives its ttl.
 	g, err := NewFile(FileConfig{Dir: dir, SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
+	var holder string
 	if ok, _ := g.Get("ns", "lease", &holder); ok {
 		t.Fatal("dead holder's lease survived restart")
-	}
-}
-
-// TestFilePoisonedEntryDeleted checks the decode-failure contract on the
-// durable backend: miss plus error, entry tombstoned, key re-fillable.
-func TestFilePoisonedEntryDeleted(t *testing.T) {
-	f := newTestFile(t, FileConfig{})
-	_ = f.Set("ns", "k", "a string")
-	var out int
-	if ok, err := f.Get("ns", "k", &out); ok || err == nil {
-		t.Fatalf("poisoned Get = %v, %v", ok, err)
-	}
-	var str string
-	if ok, _ := f.Get("ns", "k", &str); ok {
-		t.Fatal("poisoned entry left resident")
-	}
-	if got := f.Stats().DecodeErrors; got != 1 {
-		t.Fatalf("DecodeErrors = %d", got)
-	}
-	if err := f.Set("ns", "k", 7); err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := f.Get("ns", "k", &out); err != nil || !ok || out != 7 {
-		t.Fatalf("key not re-fillable: %v %v %d", ok, err, out)
-	}
-}
-
-func TestFileExportImport(t *testing.T) {
-	f := newTestFile(t, FileConfig{})
-	for i := 0; i < 10; i++ {
-		_ = f.SetWeighted("a", fmt.Sprintf("k%d", i), i, float64(i))
-	}
-	_ = f.Set("b", "keep", 1)
-	exported := f.ExportNamespace("a")
-	if len(exported) != 10 || exported["k4"].Weight != 4 {
-		t.Fatalf("export = %d entries, k4 weight %g", len(exported), exported["k4"].Weight)
-	}
-	g := newTestFile(t, FileConfig{})
-	_ = g.Set("a", "stale", 9)
-	g.ImportNamespace("a", exported)
-	var out int
-	if ok, _ := g.Get("a", "k4", &out); !ok || out != 4 {
-		t.Fatalf("imported k4 = %d, %v", out, ok)
-	}
-	if ok, _ := g.Get("a", "stale", &out); ok {
-		t.Fatal("import kept stale key")
 	}
 }
 

@@ -1,0 +1,787 @@
+// The in-memory backend: an embedded key-value store standing in for the
+// Redis instance the Turbo prototype keeps all caching state in (§5) —
+// exact-cache entries, PMW histograms, SV state, heuristic thresholds.
+// Built without caps it never evicts; built with MaxBytes or MaxEntries it
+// is the same store under the eviction policy in evict.go.
+//
+// The store is striped by key hash (the way a Redis Cluster spreads its
+// hash slots), so concurrent shards of the query pipeline that read and
+// write different keys do not contend on a single lock.
+//
+// # Layout
+//
+// A cached release is ~60 bytes of key and value, so the store spends no
+// heap object on it. Each stripe is an index map[uint64]uint32 — the hash
+// of (interned namespace id, key) to an arena offset — over an append-only
+// byte arena of chunks (64 KiB; a record larger than that gets a chunk of
+// its own). One entry is one self-delimiting record (arena.go):
+//
+//	next u32 | ns u16 | keyLen u16 | valLen+flags u32 | weight f64
+//	[deadline i64 | ttl i64]           only when leased
+//	key bytes | value bytes
+//	[newer u32 | older u32 | hot u8]   only in a capped store
+//
+// Neither the index nor the chunks hold pointers, so the collector never
+// traces an entry.
+//
+// Collision rule: the index is keyed by a 64-bit hash, never trusted alone.
+// Records that share a hash are chained through next, and a lookup
+// compares the namespace id and the key bytes of every record it visits,
+// so a collision costs one more comparison and can never serve another
+// statement's release. Namespaces are ids, not key prefixes: "a:b"/"c" and
+// "a"/"b:c" are different entries.
+//
+// Overwrites and compaction: a value of the same length (every re-Put of a
+// cache.Entry) is overwritten in place; any other overwrite, and every
+// delete, unlinks the record and flags it dead. A stripe is rewritten into
+// fresh chunks once its dead bytes exceed both its live bytes and one
+// chunk, or when it runs out of chunk slots; a capped stripe is rewritten
+// coldest record first, which rebuilds its LRU segments in order.
+//
+// Decode under lock: because records are overwritten in place, a value's
+// bytes may only be read while the stripe lock is held. Get runs the
+// value's FastDecoder under the lock (no copy, no allocation) and copies
+// the bytes out first for the gob fallback. An uncapped Get holds the
+// stripe's read lock; a capped one re-orders the LRU, so it holds the
+// write lock.
+//
+// Limits fail closed: a key over 65,535 bytes, a value of 512 MiB or more,
+// a 65,536th namespace, or a stripe past its 65,536 chunk slots is an
+// error that stores nothing.
+
+package store
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"hash/maphash"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
+)
+
+const (
+	// memStripes is the default number of independent lock+arena stripes. A
+	// power of two comfortably above typical core counts keeps collision
+	// contention low while costing only a few empty indexes for small
+	// stores.
+	memStripes = 16
+	// chunkShift sizes an arena chunk (64 KiB) and with it the split of a
+	// 32-bit offset into chunk index and position.
+	chunkShift = 16
+	// maxKeyLen and maxNamespaces are what the record header's u16 key
+	// length and namespace id can express.
+	maxKeyLen     = 1<<16 - 1
+	maxNamespaces = 1<<16 - 1
+)
+
+// The store's limits. Each is returned (wrapped with the key) by the write
+// that would have crossed it, and that write stores nothing.
+var (
+	ErrKeyTooLong        = errors.New("store: key longer than 65535 bytes")
+	ErrValueTooLarge     = errors.New("store: value of 512 MiB or more")
+	ErrTooManyNamespaces = errors.New("store: more than 65535 namespaces")
+	ErrArenaFull         = errors.New("store: stripe arena out of chunk slots")
+)
+
+// MemConfig parameterizes the in-memory backend. The zero value is the
+// unbounded store.
+type MemConfig struct {
+	// MaxBytes caps resident payload (namespace + ":" + key + value bytes,
+	// what MemoryBytes reports) across the whole backend; 0 leaves bytes
+	// unbounded.
+	MaxBytes int
+	// MaxEntries caps the total entry count; 0 leaves it unbounded.
+	MaxEntries int
+	// Stripes is the number of independent lock+arena stripes the keyspace
+	// is hashed onto (each owning an equal share of the caps); <= 0
+	// defaults to 16. Use 1 for deterministic single-list eviction order.
+	Stripes int
+	// Sample is how many cold-tail entries victim selection examines per
+	// eviction (the lowest-weight one goes); <= 0 defaults to 5.
+	Sample int
+}
+
+// memStripe is one lock-protected slice of the keyspace.
+type memStripe struct {
+	mu sync.RWMutex
+	// reader is the lock a lookup holds: mu's read side, or — in a capped
+	// store, where a hit re-orders the LRU and readers are writers — mu.
+	reader sync.Locker
+	arena
+	// ents and bytes are the stripe's resident entries and payload bytes,
+	// maxEnts and maxBytes its share of the caps (0 = none), hotBytes the
+	// payload in the protected segment. Only eviction reads them.
+	ents, bytes, hotBytes int
+	maxEnts, maxBytes     int
+}
+
+// Mem is the in-memory Backend, safe for concurrent use: stripes lock
+// independently, counters are atomics.
+type Mem struct {
+	cfg     MemConfig
+	stripes []memStripe
+	seed    maphash.Seed
+	// hashMask is all ones; the model test zeroes it to force every key
+	// into one collision chain.
+	hashMask uint64
+	version  atomic.Uint64
+
+	// nsMu guards the namespace intern table. It is taken before, never
+	// inside, a stripe lock; nsNames is the id -> name direction, published
+	// atomically so that code holding a stripe lock can size a record's
+	// payload.
+	nsMu    sync.RWMutex
+	nsIDs   map[string]uint16
+	nsNames atomic.Pointer[[]string]
+
+	// nowNanos is the lease clock (unix nanos); tests substitute a fake.
+	nowNanos func() int64
+
+	// entries and bytes are the resident entry count and payload bytes
+	// (namespace + ":" + key + value), maintained under the stripe locks
+	// at insert, unlink and overwrite so Stats never walks the store;
+	// pinned is the population the capped store's valve bounds.
+	entries, bytes, pinned atomic.Int64
+
+	hits, misses, sets, deletes, evictions atomic.Int64
+	decodeErrors                           atomic.Int64
+	evictedCost                            atomicFloat
+}
+
+// compile-time check: Mem is a Backend.
+var _ Backend = (*Mem)(nil)
+
+// NewMem returns an empty in-memory backend. Caps are split across
+// stripes so the per-stripe shares sum exactly to the configured bound —
+// the backend as a whole can never hold more than MaxBytes/MaxEntries,
+// which Stats reports as the caps. A cap smaller than the stripe count
+// shrinks the stripe count to match (every stripe must be allowed at
+// least one entry/byte).
+func NewMem(cfg MemConfig) *Mem { return newMem(cfg, chunkShift, 1<<(32-chunkShift)) }
+
+// newMem builds a store whose arenas use 1<<shift-byte chunks and at most
+// maxChunks of them per stripe; tests shrink both.
+func newMem(cfg MemConfig, shift uint, maxChunks int) *Mem {
+	if cfg.Stripes <= 0 {
+		cfg.Stripes = memStripes
+	}
+	if cfg.Sample <= 0 {
+		cfg.Sample = 5
+	}
+	ext := 0
+	for _, limit := range []int{cfg.MaxEntries, cfg.MaxBytes} {
+		if limit > 0 {
+			cfg.Stripes, ext = min(cfg.Stripes, limit), lruLen
+		}
+	}
+	s := &Mem{
+		cfg:      cfg,
+		stripes:  make([]memStripe, cfg.Stripes),
+		seed:     maphash.MakeSeed(),
+		hashMask: ^uint64(0),
+		nsIDs:    make(map[string]uint16),
+		nowNanos: func() int64 { return time.Now().UnixNano() },
+	}
+	s.nsNames.Store(new([]string))
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		st.arena = newArena(shift, maxChunks, ext, 0)
+		// The first total%Stripes stripes get the odd units; no cap, no share.
+		st.maxEnts = (cfg.MaxEntries + cfg.Stripes - 1 - i) / cfg.Stripes
+		st.maxBytes = (cfg.MaxBytes + cfg.Stripes - 1 - i) / cfg.Stripes
+		st.reader = st.mu.RLocker()
+		if ext != 0 {
+			st.reader = &st.mu
+		}
+	}
+	return s
+}
+
+// capped reports whether the config asks for a store that evicts.
+func (c MemConfig) capped() bool { return c.MaxEntries > 0 || c.MaxBytes > 0 }
+
+// nsID returns the interned id of ns, if any write ever named it.
+func (s *Mem) nsID(ns string) (uint16, bool) {
+	s.nsMu.RLock()
+	id, ok := s.nsIDs[ns]
+	s.nsMu.RUnlock()
+	return id, ok
+}
+
+// intern returns the id of ns, assigning the next one on first use.
+func (s *Mem) intern(ns string) (uint16, error) {
+	if id, ok := s.nsID(ns); ok {
+		return id, nil
+	}
+	s.nsMu.Lock()
+	defer s.nsMu.Unlock()
+	if id, ok := s.nsIDs[ns]; ok {
+		return id, nil
+	}
+	if len(s.nsIDs) >= maxNamespaces {
+		return 0, fmt.Errorf("%w (namespace %q)", ErrTooManyNamespaces, ns)
+	}
+	id := uint16(len(s.nsIDs))
+	s.nsIDs[ns] = id
+	// Readers hold the old header, which ends before the element appended
+	// here, so growing into spare capacity does not disturb them.
+	names := append(*s.nsNames.Load(), ns)
+	s.nsNames.Store(&names)
+	return id, nil
+}
+
+// hash mixes the namespace id into the key's hash; hashBytes is the same
+// function for a key read back out of a record.
+func (s *Mem) hash(id uint16, k string) uint64 {
+	return s.mix(id, maphash.String(s.seed, k))
+}
+
+func (s *Mem) hashBytes(id uint16, k []byte) uint64 {
+	return s.mix(id, maphash.Bytes(s.seed, k))
+}
+
+func (s *Mem) mix(id uint16, h uint64) uint64 {
+	return (h ^ (uint64(id)+1)*0x9e3779b97f4a7c15) & s.hashMask
+}
+
+// stripe maps the hash's high half onto the stripes: a multiply, where a
+// modulo by their (not always power-of-two) number would be a divide.
+func (s *Mem) stripe(h uint64) *memStripe {
+	return &s.stripes[(h>>32)*uint64(len(s.stripes))>>32]
+}
+
+// slot resolves ns:k to its namespace id, hash and stripe for a write,
+// interning ns; checking the key length here is what keeps every later
+// uint16(len(k)) honest.
+func (s *Mem) slot(ns, k string) (id uint16, h uint64, st *memStripe, err error) {
+	if len(k) > maxKeyLen {
+		return 0, 0, nil, fmt.Errorf("%w (%s, %d bytes)", ErrKeyTooLong, ns, len(k))
+	}
+	if id, err = s.intern(ns); err != nil {
+		return 0, 0, nil, err
+	}
+	h = s.hash(id, k)
+	return id, h, s.stripe(h), nil
+}
+
+// probe is slot for operations that never create: a namespace nobody wrote
+// to, or a key no record could hold, has nothing to find.
+func (s *Mem) probe(ns, k string) (id uint16, h uint64, st *memStripe, ok bool) {
+	if len(k) > maxKeyLen {
+		return 0, 0, nil, false
+	}
+	if id, ok = s.nsID(ns); !ok {
+		return 0, 0, nil, false
+	}
+	h = s.hash(id, k)
+	return id, h, s.stripe(h), true
+}
+
+// expired reports whether r carries a lease whose deadline passed. Expired
+// entries count as absent everywhere and are reclaimed lazily, by the
+// access that observes them or by eviction.
+func (s *Mem) expired(r rec) bool {
+	return r.leased() && s.nowNanos() > r.deadline()
+}
+
+// payload is what r adds to MemoryBytes and weighs against MaxBytes.
+func (s *Mem) payload(r rec) int {
+	return len((*s.nsNames.Load())[r.ns()]) + 1 + r.keyLen() + r.valLen()
+}
+
+// account adds the record to the counters (sign +1) or takes it out (-1).
+// Caller holds st.mu.
+func (s *Mem) account(st *memStripe, r rec, sign int) {
+	n := sign * s.payload(r)
+	st.ents += sign
+	st.bytes += n
+	s.entries.Add(int64(sign))
+	s.bytes.Add(int64(n))
+	if r.pinned() {
+		s.pinned.Add(int64(sign))
+	}
+}
+
+// remove unlinks the record at off (found under hash h with chain
+// predecessor prev) and takes it out of the counters and, in a capped
+// store, its LRU segment. Caller holds st.mu.
+func (s *Mem) remove(st *memStripe, h uint64, off, prev uint32) {
+	r := st.at(off)
+	s.account(st, r, -1)
+	if st.capped() {
+		if r.lru().hot() {
+			st.hotBytes -= s.payload(r)
+		}
+		st.unlink(off)
+	}
+	st.kill(h, off, prev)
+}
+
+// put stores raw, stamped with m, under ns:k — whose current record, if
+// any, find reported at (old, prev) — and restores the caps. A record of
+// the same shape (value length, lease, pin) is overwritten in place;
+// otherwise the old one dies and a new one is appended. Overwriting counts
+// as a use. raw may be the arena's own scratch (SetWeighted). On error
+// nothing changed. Caller holds st.mu.
+func (s *Mem) put(st *memStripe, ns, k string, id uint16, h uint64, old, prev uint32, raw []byte, m meta) error {
+	valLen := len(raw)
+	if valLen > maxValLen {
+		return fmt.Errorf("%w (%s:%s, %d bytes)", ErrValueTooLarge, ns, k, valLen)
+	}
+	if old != noOff {
+		if r := st.at(old); r.valLen() == valLen && r.leased() == m.leased() && r.pinned() == m.pinned {
+			r.setMeta(m)
+			copy(r.val(), raw)
+			s.touch(st, old)
+			s.evict(st)
+			return nil
+		}
+	}
+	n := m.hdrLen() + len(k) + valLen + st.ext
+	off, r, ok := st.alloc(n)
+	if !ok {
+		// Out of slots: dead records and released oversize chunks may be
+		// holding some. Compaction moves every record, so look again.
+		if !s.compact(st) {
+			return fmt.Errorf("%w (%s:%s)", ErrArenaFull, ns, k)
+		}
+		old, prev = st.find(h, id, k)
+		if off, r, ok = st.alloc(n); !ok {
+			return fmt.Errorf("%w (%s:%s)", ErrArenaFull, ns, k)
+		}
+	}
+	// The new record starts in the segment the old one was in, probation
+	// for a new key, and an overwrite then touches it.
+	hot := false
+	if old != noOff {
+		hot = st.capped() && st.at(old).lru().hot()
+		s.remove(st, h, old, prev)
+	}
+	r.init(id, k, valLen, m)
+	copy(r.val(), raw)
+	st.link(h, off, n)
+	s.account(st, r, +1)
+	if st.capped() {
+		r.lru().setHot(hot)
+		if hot {
+			st.hotBytes += s.payload(r)
+		}
+		st.pushFront(off)
+		if old != noOff {
+			s.touch(st, off)
+		}
+		s.evict(st)
+	}
+	s.settle(st)
+	return nil
+}
+
+// wrote counts a write that put accepted and passes its error on.
+func (s *Mem) wrote(err error) error {
+	if err == nil {
+		s.sets.Add(1)
+		s.version.Add(1)
+	}
+	return err
+}
+
+// settle ends a mutation: once dead bytes exceed both live bytes and one
+// chunk, the stripe is rewritten. Caller holds st.mu.
+func (s *Mem) settle(st *memStripe) {
+	if st.dead > st.live && st.dead > 1<<st.shift {
+		s.compact(st)
+	}
+}
+
+// compact rewrites st's live records into fresh chunks and a fresh index,
+// reporting whether it did. Records are re-packed in arena order — in a
+// capped stripe coldest first, so that pushing each to the front of its
+// segment rebuilds the LRU order — which never needs more chunks than they
+// occupy now; if it somehow did, the stripe is left as it was. Caller
+// holds st.mu.
+func (s *Mem) compact(st *memStripe) bool {
+	if st.dead == 0 && st.released == 0 {
+		return false
+	}
+	next := newArena(st.shift, st.maxChunks, st.ext, len(st.index))
+	walk := st.each
+	if st.capped() {
+		walk = st.eachColdestFirst
+	}
+	fits := true
+	walk(func(_ uint32, r rec) {
+		if !fits {
+			return
+		}
+		n := st.span(r)
+		off, dst, ok := next.alloc(n)
+		if !ok {
+			fits = false
+			return
+		}
+		copy(dst, r[:n])
+		next.link(s.hashBytes(r.ns(), r.key()), off, n)
+		if st.capped() {
+			next.pushFront(off)
+		}
+	})
+	if fits {
+		st.arena = next
+	}
+	return fits
+}
+
+// Set stores value under ns:k, encoded through the value's FastEncoder
+// when implemented (the hot-entry fixed-layout codec) and gob otherwise.
+// A plain write over a guard or lease makes it a plain entry again.
+func (s *Mem) Set(ns, k string, value any) error {
+	return s.SetWeighted(ns, k, value, 0)
+}
+
+// SetWeighted stores value under ns:k with an eviction weight: the privacy
+// cost paid to materialize the entry, which a capped store's victim
+// selection preserves longest and an uncapped one only carries into
+// exports. A FastEncoder value is encoded straight into the arena tail,
+// under the stripe lock: no intermediate slice, no joined key string.
+func (s *Mem) SetWeighted(ns, k string, value any, weight float64) error {
+	fe, fast := value.(FastEncoder)
+	var raw []byte
+	if !fast {
+		var err error
+		if raw, err = EncodeValue(ns, k, value); err != nil {
+			return err
+		}
+	}
+	id, h, st, err := s.slot(ns, k)
+	if err != nil {
+		return err
+	}
+	m := meta{weight: weight}
+	st.mu.Lock()
+	if fast {
+		// Where a new record's value would start. If the key turns out to
+		// have a same-length record already, put overwrites that instead
+		// and the tail stays uncommitted; if the tail is too short,
+		// AppendFast allocates and put copies it in.
+		raw = fe.AppendFast(st.scratch(m.hdrLen() + len(k)))
+	}
+	old, prev := st.find(h, id, k)
+	err = s.put(st, ns, k, id, h, old, prev, raw, m)
+	st.mu.Unlock()
+	return s.wrote(err)
+}
+
+// SetNX stores value under ns:k only if the key is absent, reporting
+// whether it stored. The key is pinned: a not-present guard that memory
+// pressure can remove is not a guard.
+func (s *Mem) SetNX(ns, k string, value any) (bool, error) {
+	return s.SetNXLease(ns, k, value, 0)
+}
+
+// SetNXLease stores value under ns:k only if the key is absent or its
+// previous lease expired, leasing it for ttl (ttl <= 0 = permanent guard).
+// Stored keys are pinned; a capped store refuses one past its valve with
+// ErrPinnedCapacity.
+func (s *Mem) SetNXLease(ns, k string, value any, ttl time.Duration) (bool, error) {
+	raw, err := EncodeValue(ns, k, value)
+	if err != nil {
+		return false, err
+	}
+	id, h, st, err := s.slot(ns, k)
+	if err != nil {
+		return false, err
+	}
+	m := meta{pinned: true}
+	if ttl > 0 {
+		m.ttl = int64(ttl)
+		m.deadline = s.nowNanos() + m.ttl
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	old, prev := st.find(h, id, k)
+	if old != noOff && !s.expired(st.at(old)) {
+		return false, nil
+	}
+	// The valve is enforced per insert under the stripe lock; concurrent
+	// inserts on other stripes can overshoot by at most one entry each.
+	if !(old != noOff && st.at(old).pinned()) && s.valveFull() {
+		return false, ErrPinnedCapacity
+	}
+	err = s.put(st, ns, k, id, h, old, prev, raw, m)
+	return err == nil, s.wrote(err)
+}
+
+// CompareSwap replaces the value under ns:k only if it is present,
+// unexpired, and stores exactly the encoding of expect. Weight and pin
+// survive, and a leased key's deadline is renewed by its original ttl —
+// CompareSwap(ns, k, mine, mine) is lease renewal.
+func (s *Mem) CompareSwap(ns, k string, expect, next any) (bool, error) {
+	want, err := EncodeValue(ns, k, expect)
+	if err != nil {
+		return false, err
+	}
+	raw, err := EncodeValue(ns, k, next)
+	if err != nil {
+		return false, err
+	}
+	id, h, st, ok := s.probe(ns, k)
+	if !ok {
+		return false, nil
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	old, prev := st.find(h, id, k)
+	if old == noOff {
+		return false, nil
+	}
+	r := st.at(old)
+	if s.expired(r) || !bytes.Equal(r.val(), want) {
+		return false, nil
+	}
+	m := r.meta()
+	if m.leased() {
+		m.deadline = s.nowNanos() + m.ttl
+	}
+	err = s.put(st, ns, k, id, h, old, prev, raw, m)
+	return err == nil, s.wrote(err)
+}
+
+// Get loads ns:k into out (a pointer), reporting whether the key existed;
+// in a capped store a hit is a use. An expired lease counts as absent and
+// is reclaimed on the way out. Bytes that fail to decode are a poisoned
+// entry, not a hit: the entry is deleted (byte-guarded against a
+// concurrent fresh Set), the decode-error counter bumps, and the caller
+// sees a miss plus the error — one corrupt byte costs a re-execution
+// instead of wedging the key.
+//
+// A FastDecoder hit decodes from the arena under the stripe lock and
+// allocates nothing. Anything else is copied out under the lock and
+// decoded after it: an in-place overwrite may rewrite the record the
+// moment the lock drops.
+func (s *Mem) Get(ns, k string, out any) (bool, error) {
+	id, h, st, ok := s.probe(ns, k)
+	if !ok {
+		s.misses.Add(1)
+		return false, nil
+	}
+	// What the lookup saw: no record, a FastDecoder hit, an expired lease,
+	// or bytes copied out for the gob fallback.
+	const (
+		absent = iota
+		hit
+		stale
+		copied
+	)
+	saw := absent
+	var raw []byte
+	st.reader.Lock()
+	if off, _ := st.find(h, id, k); off != noOff {
+		r := st.at(off)
+		if s.expired(r) {
+			saw = stale
+		} else {
+			s.touch(st, off)
+			if fd, ok := out.(FastDecoder); ok && fd.DecodeFast(r.val()) {
+				saw = hit
+			} else {
+				saw, raw = copied, append([]byte(nil), r.val()...)
+			}
+		}
+	}
+	st.reader.Unlock()
+	switch saw {
+	case hit:
+		s.hits.Add(1)
+		return true, nil
+	case stale:
+		s.removeIf(st, id, h, k, s.expired)
+		fallthrough
+	case absent:
+		s.misses.Add(1)
+		return false, nil
+	}
+	if err := DecodeValue(ns, k, raw, out); err != nil {
+		s.removeIf(st, id, h, k, func(r rec) bool { return bytes.Equal(r.val(), raw) })
+		s.decodeErrors.Add(1)
+		s.misses.Add(1)
+		s.version.Add(1)
+		return false, err
+	}
+	s.hits.Add(1)
+	return true, nil
+}
+
+// Delete removes ns:k, reporting whether it existed.
+func (s *Mem) Delete(ns, k string) bool {
+	return s.deleteIf(ns, k, func(rec) bool { return true })
+}
+
+// CompareDelete removes ns:k only if its stored bytes equal the encoding
+// of expect, reporting whether a delete happened. It is the guarded
+// invalidation primitive: a concurrent Set of a fresh value changes the
+// bytes, so a stale-entry eviction can never erase it. An expired lease
+// counts as absent — its holder no longer owns the key.
+func (s *Mem) CompareDelete(ns, k string, expect any) bool {
+	want, err := EncodeValue(ns, k, expect)
+	if err != nil {
+		return false
+	}
+	return s.deleteIf(ns, k, func(r rec) bool {
+		return !s.expired(r) && bytes.Equal(r.val(), want)
+	})
+}
+
+// deleteIf removes ns:k when its record satisfies cond, as a caller's
+// delete.
+func (s *Mem) deleteIf(ns, k string, cond func(rec) bool) bool {
+	id, h, st, ok := s.probe(ns, k)
+	if ok = ok && s.removeIf(st, id, h, k, cond); ok {
+		s.deletes.Add(1)
+		s.version.Add(1)
+	}
+	return ok
+}
+
+// removeIf removes the record of (id, k), if st has one and it satisfies
+// cond.
+func (s *Mem) removeIf(st *memStripe, id uint16, h uint64, k string, cond func(rec) bool) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	off, prev := st.find(h, id, k)
+	if off == noOff || !cond(st.at(off)) {
+		return false
+	}
+	s.remove(st, h, off, prev)
+	s.settle(st)
+	return true
+}
+
+// scan calls fn on every record of ns, under each stripe's read lock.
+func (s *Mem) scan(ns string, fn func(rec)) {
+	id, ok := s.nsID(ns)
+	if !ok {
+		return
+	}
+	visit := func(_ uint32, r rec) {
+		if r.ns() == id {
+			fn(r)
+		}
+	}
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		st.mu.RLock()
+		st.each(visit)
+		st.mu.RUnlock()
+	}
+}
+
+// Keys returns the sorted keys of a namespace (without the prefix),
+// skipping expired leases.
+func (s *Mem) Keys(ns string) []string {
+	var out []string
+	s.scan(ns, func(r rec) {
+		if !s.expired(r) {
+			out = append(out, string(r.key()))
+		}
+	})
+	sort.Strings(out)
+	return out
+}
+
+// Len returns the total number of stored keys.
+func (s *Mem) Len() int { return int(s.entries.Load()) }
+
+// Version increments on every mutation.
+func (s *Mem) Version() uint64 { return s.version.Load() }
+
+// MemoryBytes returns the total size of stored values plus keys — the
+// figure the §6.5 memory evaluation reports for caching state, and the one
+// MaxBytes bounds. It counts payload (namespace + ":" + key + value
+// bytes), not the record header, index slot and chunk slack each entry
+// also occupies.
+func (s *Mem) MemoryBytes() int { return int(s.bytes.Load()) }
+
+// ExportNamespace returns the stored bytes and metadata of every key in
+// ns (keys without the prefix), for per-namespace persistence: each exact
+// cache snapshots exactly the slice of the store it owns. Leases are live
+// coordination state and are skipped.
+func (s *Mem) ExportNamespace(ns string) map[string]Exported {
+	out := make(map[string]Exported)
+	s.scan(ns, func(r rec) {
+		if !r.leased() {
+			out[string(r.key())] = Exported{Val: append([]byte(nil), r.val()...), Weight: r.weight(), Pinned: r.pinned()}
+		}
+	})
+	return out
+}
+
+// ImportNamespace replaces the contents of ns with previously-exported
+// entries, leaving every other namespace untouched. Weights and pins
+// round-trip: a restored checkpoint must remember the ε paid per entry, or
+// the most expensive releases become first eviction victims. Entries go
+// in in key order, so what a capped store keeps of an import over its cap
+// does not depend on map iteration. An entry that breaches one of the
+// store's limits is left out — to the caching layers, a miss — and a pin
+// past a capped store's valve lands unpinned: losing a guard's pin on
+// restore degrades to the pre-guard recompute path, while refusing the
+// entry would silently drop data.
+func (s *Mem) ImportNamespace(ns string, data map[string]Exported) {
+	if id, ok := s.nsID(ns); ok {
+		for i := range s.stripes {
+			st := &s.stripes[i]
+			st.mu.Lock()
+			st.each(func(off uint32, r rec) {
+				if r.ns() == id {
+					h := s.hashBytes(id, r.key())
+					s.remove(st, h, off, st.prevOf(h, off))
+				}
+			})
+			s.settle(st)
+			st.mu.Unlock()
+		}
+	}
+	keys := make([]string, 0, len(data))
+	for k := range data {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		id, h, st, err := s.slot(ns, k)
+		if err != nil {
+			continue
+		}
+		v := data[k]
+		st.mu.Lock()
+		old, prev := st.find(h, id, k)
+		// A refused entry is left out, as documented.
+		_ = s.put(st, ns, k, id, h, old, prev, v.Val, meta{weight: v.Weight, pinned: v.Pinned && !s.valveFull()})
+		st.mu.Unlock()
+	}
+	s.version.Add(1)
+}
+
+// Stats returns the store's operation counters and memory accounting. An
+// uncapped store never evicts and has no caps, so those fields are zero.
+func (s *Mem) Stats() Stats {
+	name := "striped-map"
+	if s.cfg.capped() {
+		name = "bounded-slru"
+	}
+	return Stats{
+		Backend:      name,
+		Hits:         s.hits.Load(),
+		Misses:       s.misses.Load(),
+		Sets:         s.sets.Load(),
+		Deletes:      s.deletes.Load(),
+		Evictions:    s.evictions.Load(),
+		EvictedCost:  s.evictedCost.Load(),
+		DecodeErrors: s.decodeErrors.Load(),
+		Entries:      s.Len(),
+		Bytes:        s.MemoryBytes(),
+		CapEntries:   s.cfg.MaxEntries,
+		CapBytes:     s.cfg.MaxBytes,
+	}
+}

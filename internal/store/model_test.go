@@ -1,9 +1,12 @@
-package kvstore
+package store
 
 import (
 	"bytes"
+	"container/list"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -12,54 +15,226 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/cache"
-	"repro/internal/store"
 )
 
-// oracle is the store this package used to be — one map entry per key —
-// kept as the reference the arena is checked against.
+// fastEntry stands in for cache.Entry (which this package cannot import):
+// a fixed 25-byte FastEncoder value, so re-Puts overwrite in place.
+type fastEntry struct {
+	Value, Eps float64
+	Version    int
+}
+
+func (e fastEntry) AppendFast(dst []byte) []byte {
+	var buf [25]byte
+	buf[0] = 0xE7
+	binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(e.Value))
+	binary.LittleEndian.PutUint64(buf[9:], math.Float64bits(e.Eps))
+	binary.LittleEndian.PutUint64(buf[17:], uint64(int64(e.Version)))
+	return append(dst, buf[:]...)
+}
+
+func (e *fastEntry) DecodeFast(data []byte) bool {
+	if len(data) != 25 || data[0] != 0xE7 {
+		return false
+	}
+	e.Value = math.Float64frombits(binary.LittleEndian.Uint64(data[1:]))
+	e.Eps = math.Float64frombits(binary.LittleEndian.Uint64(data[9:]))
+	e.Version = int(int64(binary.LittleEndian.Uint64(data[17:])))
+	return true
+}
+
+// oracle is the two stores Mem used to be, kept as the reference the arena
+// is checked against: one map entry per key, and — what store.Bounded added
+// — a probation and a protected container/list with sampled lowest-weight
+// eviction. It differs from Bounded in two places, where Mem keeps the
+// rule the unbounded store and File already had: CompareDelete and Keys
+// treat an expired lease as absent. Imports go in in key order, as Mem's.
 type oracle struct {
 	data     map[string]*oracleEntry
 	now      *int64
 	version  uint64
 	poisoned int64
+
+	// The caps (0 = none) and the policy's state; front = most recent.
+	maxEnts, maxBytes, sample int
+	cold, hot                 *list.List
+	bytes, hotBytes, pinned   int
+	evictions                 int64
+	evictedCost               float64
+
+	// What the run exercised, so a test can tell it was not vacuous.
+	hotResized, demotions, expiredVictims, pinnedSkips int
 }
 
 type oracleEntry struct {
+	key           string // ns:k
 	val           []byte
 	weight        float64
 	pinned        bool
 	deadline, ttl int64
+	elem          *list.Element
+	hot           bool
 }
+
+func newOracle(now *int64, cfg MemConfig) *oracle {
+	return &oracle{
+		data: make(map[string]*oracleEntry), now: now,
+		maxEnts: cfg.MaxEntries, maxBytes: cfg.MaxBytes, sample: cfg.Sample,
+		cold: list.New(), hot: list.New(),
+	}
+}
+
+func (o *oracle) capped() bool { return o.maxEnts > 0 || o.maxBytes > 0 }
+
+func (e *oracleEntry) size() int { return len(e.key) + len(e.val) }
 
 func (o *oracle) expired(e *oracleEntry) bool { return e.ttl > 0 && *o.now > e.deadline }
 
 func enc(t *testing.T, v any) []byte {
 	t.Helper()
-	raw, err := store.EncodeValue("", "", v)
+	raw, err := EncodeValue("", "", v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return raw
 }
 
+// insert places or replaces an entry and restores the caps.
+func (o *oracle) insert(full string, val []byte, weight float64, pinned bool, deadline, ttl int64) {
+	if e, ok := o.data[full]; ok {
+		if e.hot && len(val) != len(e.val) {
+			o.hotResized++
+		}
+		o.setVal(e, val)
+		if e.pinned != pinned {
+			o.pinned += btoi(pinned) - btoi(e.pinned)
+		}
+		e.weight, e.pinned, e.deadline, e.ttl = weight, pinned, deadline, ttl
+		o.touch(e)
+	} else {
+		e := &oracleEntry{key: full, val: val, weight: weight, pinned: pinned, deadline: deadline, ttl: ttl}
+		e.elem = o.cold.PushFront(e)
+		o.data[full] = e
+		o.bytes += e.size()
+		o.pinned += btoi(pinned)
+	}
+	o.evict()
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func (o *oracle) setVal(e *oracleEntry, val []byte) {
+	o.bytes += len(val) - len(e.val)
+	if e.hot {
+		o.hotBytes += len(val) - len(e.val)
+	}
+	e.val = val
+}
+
+// touch records a use: probation promotes to protected, protected
+// refreshes, and the protected segment demotes its own tail past its share.
+func (o *oracle) touch(e *oracleEntry) {
+	if e.hot {
+		o.hot.MoveToFront(e.elem)
+		return
+	}
+	o.cold.Remove(e.elem)
+	e.elem = o.hot.PushFront(e)
+	e.hot = true
+	o.hotBytes += e.size()
+	if o.maxBytes <= 0 {
+		return
+	}
+	limit := int(float64(o.maxBytes) * 0.8)
+	for o.hotBytes > limit && o.hot.Len() > 1 {
+		d := o.hot.Remove(o.hot.Back()).(*oracleEntry)
+		d.elem = o.cold.PushFront(d)
+		d.hot = false
+		o.hotBytes -= d.size()
+		o.demotions++
+	}
+}
+
+func (o *oracle) remove(e *oracleEntry) {
+	if e.hot {
+		o.hot.Remove(e.elem)
+		o.hotBytes -= e.size()
+	} else {
+		o.cold.Remove(e.elem)
+	}
+	o.bytes -= e.size()
+	delete(o.data, e.key)
+	o.pinned -= btoi(e.pinned)
+}
+
+func (o *oracle) evict() {
+	over := func() bool {
+		return len(o.data) > 0 &&
+			(o.maxBytes > 0 && o.bytes > o.maxBytes || o.maxEnts > 0 && len(o.data) > o.maxEnts)
+	}
+	for over() {
+		victim := o.sampleVictim(o.cold)
+		if victim == nil {
+			victim = o.sampleVictim(o.hot)
+		}
+		if victim == nil {
+			return
+		}
+		o.remove(victim)
+		o.evictions++
+		o.evictedCost += victim.weight
+	}
+}
+
+// sampleVictim examines up to sample unpinned entries from the cold tail:
+// lowest weight goes, ties to the colder; an expired lease goes at once;
+// live pins are skipped without using up the sample.
+func (o *oracle) sampleVictim(seg *list.List) *oracleEntry {
+	var victim *oracleEntry
+	examined := 0
+	for elem := seg.Back(); elem != nil && examined < o.sample; elem = elem.Prev() {
+		e := elem.Value.(*oracleEntry)
+		if o.expired(e) {
+			o.expiredVictims++
+			return e
+		}
+		if e.pinned {
+			o.pinnedSkips++
+			continue
+		}
+		examined++
+		if victim == nil || e.weight < victim.weight {
+			victim = e
+		}
+	}
+	return victim
+}
+
 func (o *oracle) setWeighted(full string, raw []byte, w float64) {
-	o.data[full] = &oracleEntry{val: raw, weight: w}
+	o.insert(full, raw, w, false, 0, 0)
 	o.version++
 }
 
-func (o *oracle) setNXLease(full string, raw []byte, ttl int64) bool {
-	if e, ok := o.data[full]; ok && !o.expired(e) {
-		return false
+func (o *oracle) setNXLease(full string, raw []byte, ttl int64) (bool, error) {
+	e, ok := o.data[full]
+	if ok && !o.expired(e) {
+		return false, nil
 	}
-	e := &oracleEntry{val: raw, pinned: true}
+	if !(ok && e.pinned) && o.capped() && o.pinned >= maxPinned {
+		return false, ErrPinnedCapacity
+	}
+	var deadline int64
 	if ttl > 0 {
-		e.ttl, e.deadline = ttl, *o.now+ttl
+		deadline = *o.now + ttl
 	}
-	o.data[full] = e
+	o.insert(full, raw, 0, true, deadline, ttl)
 	o.version++
-	return true
+	return true, nil
 }
 
 func (o *oracle) compareSwap(full string, want, raw []byte) bool {
@@ -67,39 +242,46 @@ func (o *oracle) compareSwap(full string, want, raw []byte) bool {
 	if !ok || o.expired(e) || !bytes.Equal(e.val, want) {
 		return false
 	}
-	e.val = raw
+	if e.hot && len(raw) != len(e.val) {
+		o.hotResized++
+	}
+	o.setVal(e, raw)
 	if e.ttl > 0 {
 		e.deadline = *o.now + e.ttl
 	}
+	o.touch(e)
+	o.evict()
 	o.version++
 	return true
 }
 
-// get mirrors Get's reclaim of an expired lease; the caller reports a value
-// that would not decode through poison.
+// get mirrors Get's reclaim of an expired lease and its touch; the caller
+// reports a value that would not decode through poison.
 func (o *oracle) get(full string) ([]byte, bool) {
 	e, ok := o.data[full]
 	if !ok {
 		return nil, false
 	}
 	if o.expired(e) {
-		delete(o.data, full)
+		o.remove(e)
 		return nil, false
 	}
+	o.touch(e)
 	return e.val, true
 }
 
 func (o *oracle) poison(full string) {
-	delete(o.data, full)
+	o.remove(o.data[full])
 	o.poisoned++
 	o.version++
 }
 
 func (o *oracle) del(full string) bool {
-	if _, ok := o.data[full]; !ok {
+	e, ok := o.data[full]
+	if !ok {
 		return false
 	}
-	delete(o.data, full)
+	o.remove(e)
 	o.version++
 	return true
 }
@@ -109,29 +291,36 @@ func (o *oracle) compareDelete(full string, want []byte) bool {
 	if !ok || o.expired(e) || !bytes.Equal(e.val, want) {
 		return false
 	}
-	delete(o.data, full)
+	o.remove(e)
 	o.version++
 	return true
 }
 
-func (o *oracle) export(ns string) map[string]store.Exported {
-	out := make(map[string]store.Exported)
+func (o *oracle) export(ns string) map[string]Exported {
+	out := make(map[string]Exported)
 	for full, e := range o.data {
 		if k, ok := strings.CutPrefix(full, ns+":"); ok && e.ttl == 0 {
-			out[k] = store.Exported{Val: e.val, Weight: e.weight, Pinned: e.pinned}
+			out[k] = Exported{Val: e.val, Weight: e.weight, Pinned: e.pinned}
 		}
 	}
 	return out
 }
 
-func (o *oracle) importNS(ns string, data map[string]store.Exported) {
-	for full := range o.data {
+func (o *oracle) importNS(ns string, data map[string]Exported) {
+	for full, e := range o.data {
 		if strings.HasPrefix(full, ns+":") {
-			delete(o.data, full)
+			o.remove(e)
 		}
 	}
-	for k, v := range data {
-		o.data[ns+":"+k] = &oracleEntry{val: v.Val, weight: v.Weight, pinned: v.Pinned}
+	keys := make([]string, 0, len(data))
+	for k := range data {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		v := data[k]
+		pinned := v.Pinned && !(o.capped() && o.pinned >= maxPinned)
+		o.insert(ns+":"+k, v.Val, v.Weight, pinned, 0, 0)
 	}
 	o.version++
 }
@@ -147,45 +336,91 @@ func (o *oracle) keys(ns string) []string {
 	return out
 }
 
-func (o *oracle) memoryBytes() int {
-	n := 0
-	for full, e := range o.data {
-		n += len(full) + len(e.val)
+// order lists a segment's keys, most recent first.
+func (o *oracle) order(seg *list.List) []string {
+	var out []string
+	for elem := seg.Front(); elem != nil; elem = elem.Next() {
+		out = append(out, elem.Value.(*oracleEntry).key)
 	}
-	return n
+	return out
+}
+
+// order lists a segment's records as ns:k, most recent first, checking
+// the links both ways and the hot bit on the way.
+func (s *Mem) order(t *testing.T, st *memStripe, seg lruList, hot bool) []string {
+	t.Helper()
+	var out []string
+	newer := uint32(noOff)
+	for off := seg.head; off != noOff; {
+		r := st.at(off)
+		if l := r.lru(); l.newer() != newer || l.hot() != hot {
+			t.Fatalf("record %d: newer link %d (want %d), hot %v (want %v)", off, l.newer(), newer, l.hot(), hot)
+		}
+		out = append(out, (*s.nsNames.Load())[r.ns()]+":"+string(r.key()))
+		newer, off = off, r.lru().older()
+	}
+	if newer != seg.tail {
+		t.Fatalf("segment tail %d, last record reached %d", seg.tail, newer)
+	}
+	return out
 }
 
 // TestModel drives random operation sequences against the arena store and
-// the map oracle and demands identical answers from every call. The
-// chunks are 128 bytes, so most strings are oversize, records hop chunks
-// constantly and compaction runs every few dozen operations; the second
-// run also forces every key onto one collision chain.
+// the oracle and demands identical answers from every call — and, from a
+// capped store, the identical victim at every eviction: after each step
+// both LRU segments must list the same keys in the same order. The chunks
+// are 128 bytes, so most strings are oversize, records hop chunks
+// constantly and compaction runs every few dozen operations; the
+// one-chain runs also force every key onto one collision chain.
 func TestModel(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mask uint64
-	}{{"hashed", ^uint64(0)}, {"one-chain", 0}} {
+		cfg  MemConfig
+	}{
+		{"hashed", ^uint64(0), MemConfig{}},
+		{"one-chain", 0, MemConfig{}},
+		{"capped/bytes-only", ^uint64(0), MemConfig{MaxBytes: 800, Stripes: 1, Sample: 3}},
+		{"capped/one-chain", 0, MemConfig{MaxEntries: 40, MaxBytes: 1000, Stripes: 1, Sample: 3}},
+		{"capped/entries-only", ^uint64(0), MemConfig{MaxEntries: 25, Stripes: 1, Sample: 3}},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
+			var seen oracle
 			for seed := int64(1); seed <= 4; seed++ {
-				runModel(t, seed, tc.mask)
+				o := runModel(t, seed, tc.mask, tc.cfg)
+				seen.evictions += o.evictions
+				seen.hotResized += o.hotResized
+				seen.demotions += o.demotions
+				seen.expiredVictims += o.expiredVictims
+				seen.pinnedSkips += o.pinnedSkips
+			}
+			if !tc.cfg.capped() {
+				return
+			}
+			t.Logf("%d evictions, %d resized hot entries, %d demotions, %d expired victims, %d pinned skips",
+				seen.evictions, seen.hotResized, seen.demotions, seen.expiredVictims, seen.pinnedSkips)
+			if seen.evictions == 0 || seen.hotResized == 0 || seen.expiredVictims == 0 || seen.pinnedSkips == 0 ||
+				(seen.demotions == 0) != (tc.cfg.MaxBytes == 0) {
+				t.Fatalf("the runs never exercised part of the policy: %d evictions, %d resized hot entries, %d demotions, %d expired victims, %d pinned skips",
+					seen.evictions, seen.hotResized, seen.demotions, seen.expiredVictims, seen.pinnedSkips)
 			}
 		})
 	}
 }
 
-func runModel(t *testing.T, seed int64, mask uint64) {
+func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 	rng := rand.New(rand.NewSource(seed))
 	var now int64 = 1
-	s := newStore(7, 1<<20)
+	s := newMem(cfg, 7, 1<<20)
 	s.hashMask = mask
 	s.nowNanos = func() int64 { return now }
-	o := &oracle{data: make(map[string]*oracleEntry), now: &now}
+	o := newOracle(&now, cfg)
 
 	// No namespace contains ':', where the oracle's joined keys and the
 	// arena's interned ids would disagree about what a prefix means.
 	nss := []string{"a", "ab", "session-exact/0"}
-	// value draws a cache.Entry (fixed 25 bytes, overwritten in place) or
-	// a string, short or longer than a chunk.
+	// value draws a fastEntry (fixed 25 bytes, overwritten in place) or a
+	// string, short or longer than a chunk.
 	value := func() any {
 		switch rng.Intn(4) {
 		case 0:
@@ -193,7 +428,7 @@ func runModel(t *testing.T, seed int64, mask uint64) {
 		case 1:
 			return fmt.Sprintf("s%d", rng.Intn(5))
 		default:
-			return cache.Entry{Value: float64(rng.Intn(3)), Eps: 0.5, Version: rng.Intn(2)}
+			return fastEntry{Value: float64(rng.Intn(3)), Eps: 0.5, Version: rng.Intn(2)}
 		}
 	}
 	steps := 4000
@@ -203,11 +438,21 @@ func runModel(t *testing.T, seed int64, mask uint64) {
 	compactions := 0
 	for step := 0; step < steps; step++ {
 		ns := nss[rng.Intn(len(nss))]
-		k := fmt.Sprintf("key-%d", rng.Intn(40))
+		// Half the traffic goes to a few keys, so that a protected segment
+		// forms and outgrows its share.
+		keys := 40
+		if rng.Intn(2) == 0 {
+			keys = 6
+		}
+		k := fmt.Sprintf("key-%d", rng.Intn(keys))
 		full := ns + ":" + k
 		at := fmt.Sprintf("seed %d step %d %s", seed, step, full)
 		before := s.stripes[0].chunks
-		switch op := rng.Intn(11); op {
+		op := rng.Intn(33)
+		if op%11 == 9 && op != 9 {
+			op = 6 // an import wipes a namespace's LRU history: a third as often
+		}
+		switch op % 11 {
 		case 0, 1:
 			v, w := value(), float64(rng.Intn(3))
 			if err := s.SetWeighted(ns, k, v, w); err != nil {
@@ -221,8 +466,8 @@ func runModel(t *testing.T, seed int64, mask uint64) {
 				ttl = int64(1 + rng.Intn(50))
 			}
 			got, err := s.SetNXLease(ns, k, v, time.Duration(ttl))
-			if want := o.setNXLease(full, enc(t, v), ttl); err != nil || got != want {
-				t.Fatalf("%s: SetNXLease = %v, %v; oracle %v", at, got, err, want)
+			if want, wantErr := o.setNXLease(full, enc(t, v), ttl); err != wantErr || got != want {
+				t.Fatalf("%s: SetNXLease = %v, %v; oracle %v, %v", at, got, err, want, wantErr)
 			}
 		case 3:
 			// Half the time expect what is stored, so swaps succeed.
@@ -247,10 +492,10 @@ func runModel(t *testing.T, seed int64, mask uint64) {
 				t.Fatalf("%s: CompareDelete = %v; oracle %v", at, got, want)
 			}
 		case 6, 7:
-			// Decode as an Entry or as a string; the wrong guess is the
+			// Decode as an entry or as a string; the wrong guess is the
 			// poisoned-entry path, which deletes.
 			raw, want := o.get(full)
-			var e cache.Entry
+			var e fastEntry
 			var str string
 			var out any = &e
 			asEntry := rng.Intn(2) == 0
@@ -258,7 +503,7 @@ func runModel(t *testing.T, seed int64, mask uint64) {
 				out = &str
 			}
 			got, err := s.Get(ns, k, out)
-			var probe cache.Entry
+			var probe fastEntry
 			isEntry := want && probe.DecodeFast(raw)
 			switch {
 			case !want:
@@ -304,15 +549,29 @@ func runModel(t *testing.T, seed int64, mask uint64) {
 		if after := s.stripes[0].chunks; len(before) > 0 && len(after) > 0 && len(after) < len(before) {
 			compactions++
 		}
-		if s.Len() != len(o.data) || s.MemoryBytes() != o.memoryBytes() || s.Version() != o.version {
-			t.Fatalf("%s: Len %d Bytes %d Version %d; oracle %d %d %d", at,
-				s.Len(), s.MemoryBytes(), s.Version(), len(o.data), o.memoryBytes(), o.version)
+		st := s.Stats()
+		if s.Len() != len(o.data) || s.MemoryBytes() != o.bytes || s.Version() != o.version ||
+			st.Evictions != o.evictions || st.EvictedCost != o.evictedCost || int(s.pinned.Load()) != o.pinned {
+			t.Fatalf("%s: Len %d Bytes %d Version %d Evictions %d (cost %g) pinned %d; oracle %d %d %d %d (%g) %d", at,
+				s.Len(), s.MemoryBytes(), s.Version(), st.Evictions, st.EvictedCost, s.pinned.Load(),
+				len(o.data), o.bytes, o.version, o.evictions, o.evictedCost, o.pinned)
+		}
+		if cfg.capped() {
+			// One stripe, so its segments are the oracle's lists.
+			st := &s.stripes[0]
+			if cold, hot := s.order(t, st, st.cold, false), s.order(t, st, st.hot, true); !reflect.DeepEqual(cold, o.order(o.cold)) || !reflect.DeepEqual(hot, o.order(o.hot)) {
+				t.Fatalf("%s: LRU order diverged\nprobation %v\n   oracle %v\nprotected %v\n   oracle %v", at, cold, o.order(o.cold), hot, o.order(o.hot))
+			}
+			if st.ents != len(o.data) || st.bytes != o.bytes || st.hotBytes != o.hotBytes {
+				t.Fatalf("%s: stripe holds %d entries, %d bytes, %d hot; oracle %d %d %d", at,
+					st.ents, st.bytes, st.hotBytes, len(o.data), o.bytes, o.hotBytes)
+			}
 		}
 	}
 	if got := s.Stats().DecodeErrors; got != o.poisoned {
 		t.Fatalf("seed %d: DecodeErrors = %d; oracle %d", seed, got, o.poisoned)
 	}
-	if mask == 0 && compactions == 0 {
+	if (mask == 0 || cfg.capped()) && compactions == 0 {
 		t.Fatalf("seed %d: stripe 0 never compacted; the test is not exercising it", seed)
 	}
 	// Every record walked is live, linked and accounted.
@@ -321,7 +580,7 @@ func runModel(t *testing.T, seed int64, mask uint64) {
 		st := &s.stripes[i]
 		st.each(func(off uint32, r rec) {
 			walked++
-			live += r.size()
+			live += st.span(r)
 			h := s.hashBytes(r.ns(), r.key())
 			if got, _ := st.find(h, r.ns(), string(r.key())); got != off {
 				t.Fatalf("seed %d: record at %d is not the one its key finds (%d)", seed, off, got)
@@ -332,16 +591,17 @@ func runModel(t *testing.T, seed int64, mask uint64) {
 	if walked != s.Len() || live != 0 {
 		t.Fatalf("seed %d: walked %d records for Len %d, live bytes off by %d", seed, walked, s.Len(), live)
 	}
+	return o
 }
 
 // rawValue turns stored bytes back into a value that encodes to them.
 func rawValue(raw []byte) any {
-	var e cache.Entry
+	var e fastEntry
 	if e.DecodeFast(raw) {
 		return e
 	}
 	var str string
-	if err := store.DecodeValue("", "", raw, &str); err != nil {
+	if err := DecodeValue("", "", raw, &str); err != nil {
 		panic(err)
 	}
 	return str
@@ -353,15 +613,21 @@ func rawValue(raw []byte) any {
 // that very key: in-place overwrites must never tear, and a collision must
 // never serve a neighbour's release.
 func TestStorm(t *testing.T) {
-	s := newStore(8, 1<<20)
+	t.Run("uncapped", func(t *testing.T) { storm(t, MemConfig{}) })
+	// Fewer entries allowed than keys written: eviction runs under fire.
+	t.Run("capped", func(t *testing.T) { storm(t, MemConfig{MaxEntries: 12, Stripes: 1}) })
+}
+
+func storm(t *testing.T, cfg MemConfig) {
+	s := newMem(cfg, 8, 1<<20)
 	s.hashMask = 0
 	const keys = 16
 	rounds := 3000
 	if testing.Short() {
 		rounds = 500
 	}
-	entryFor := func(k, i int) cache.Entry {
-		return cache.Entry{Value: float64(k), Eps: float64(i), Version: k*1_000_000 + i}
+	entryFor := func(k, i int) fastEntry {
+		return fastEntry{Value: float64(k), Eps: float64(i), Version: k*1_000_000 + i}
 	}
 	var stop atomic.Bool
 	var writers, others sync.WaitGroup
@@ -390,7 +656,7 @@ func TestStorm(t *testing.T) {
 			defer others.Done()
 			for i := 0; !stop.Load(); i++ {
 				k := i % keys
-				var e cache.Entry
+				var e fastEntry
 				ok, err := s.Get("hot", fmt.Sprint(k), &e)
 				if err != nil {
 					continue // the string variant read as an Entry: poisoned, deleted
@@ -417,7 +683,7 @@ func TestStorm(t *testing.T) {
 		defer others.Done()
 		for !stop.Load() {
 			for k, v := range s.ExportNamespace("hot") {
-				var e cache.Entry
+				var e fastEntry
 				if e.DecodeFast(v.Val) && fmt.Sprint(int(e.Value)) != k {
 					t.Errorf("export of key %s carries entry %+v", k, e)
 					return
@@ -439,7 +705,7 @@ func TestStorm(t *testing.T) {
 // nothing, and never a wrapped length or offset.
 func TestLimitsFailClosed(t *testing.T) {
 	t.Run("key", func(t *testing.T) {
-		s := New()
+		s := NewMem(MemConfig{})
 		long := strings.Repeat("k", maxKeyLen+1)
 		if err := s.Set("ns", long, 1); !errors.Is(err, ErrKeyTooLong) {
 			t.Fatalf("Set = %v, want ErrKeyTooLong", err)
@@ -447,7 +713,7 @@ func TestLimitsFailClosed(t *testing.T) {
 		if ok, err := s.SetNX("ns", long, 1); ok || !errors.Is(err, ErrKeyTooLong) {
 			t.Fatalf("SetNX = %v, %v", ok, err)
 		}
-		s.ImportNamespace("ns", map[string]store.Exported{long: {Val: []byte{1}}, "ok": {Val: []byte{2}}})
+		s.ImportNamespace("ns", map[string]Exported{long: {Val: []byte{1}}, "ok": {Val: []byte{2}}})
 		var v int
 		if ok, _ := s.Get("ns", long, &v); ok || s.Delete("ns", long) || s.Len() != 1 {
 			t.Fatalf("over-long key left something behind: Len %d", s.Len())
@@ -460,7 +726,7 @@ func TestLimitsFailClosed(t *testing.T) {
 		}
 	})
 	t.Run("namespaces", func(t *testing.T) {
-		s := New()
+		s := NewMem(MemConfig{})
 		for i := 0; i < maxNamespaces; i++ {
 			if err := s.Set(fmt.Sprint("ns", i), "k", i); err != nil {
 				t.Fatalf("namespace %d: %v", i, err)
@@ -483,7 +749,7 @@ func TestLimitsFailClosed(t *testing.T) {
 	})
 	t.Run("arena", func(t *testing.T) {
 		// One chain, so one stripe: 4 chunks of 256 bytes.
-		s := newStore(8, 4)
+		s := newMem(MemConfig{}, 8, 4)
 		s.hashMask = 0
 		stored := 0
 		var err error
@@ -524,21 +790,26 @@ func TestLimitsFailClosed(t *testing.T) {
 }
 
 // TestNamespaceWithColon pins that namespaces are ids, not prefixes: "a:b"
-// and "a" never see each other's keys.
+// and "a" never see each other's keys, capped or not. (File still joins
+// namespace and key into its log's record key.)
 func TestNamespaceWithColon(t *testing.T) {
-	s := New()
-	_ = s.Set("a:b", "c", 1)
-	_ = s.Set("a", "b:c", 2)
-	var v int
-	if ok, _ := s.Get("a:b", "c", &v); !ok || v != 1 {
-		t.Fatalf("a:b/c = %v %d", ok, v)
-	}
-	if got := s.Keys("a"); len(got) != 1 || got[0] != "b:c" {
-		t.Fatalf("Keys(a) = %v", got)
-	}
-	s.ImportNamespace("a", nil)
-	if ok, _ := s.Get("a:b", "c", &v); !ok || s.Len() != 1 {
-		t.Fatal("clearing namespace a reached into a:b")
+	for name, cfg := range map[string]MemConfig{"uncapped": {}, "capped": {MaxEntries: 1 << 10}} {
+		t.Run(name, func(t *testing.T) {
+			s := NewMem(cfg)
+			_ = s.Set("a:b", "c", 1)
+			_ = s.Set("a", "b:c", 2)
+			var v int
+			if ok, _ := s.Get("a:b", "c", &v); !ok || v != 1 {
+				t.Fatalf("a:b/c = %v %d", ok, v)
+			}
+			if got := s.Keys("a"); len(got) != 1 || got[0] != "b:c" {
+				t.Fatalf("Keys(a) = %v", got)
+			}
+			s.ImportNamespace("a", nil)
+			if ok, _ := s.Get("a:b", "c", &v); !ok || s.Len() != 1 {
+				t.Fatal("clearing namespace a reached into a:b")
+			}
+		})
 	}
 }
 
@@ -546,7 +817,7 @@ func TestNamespaceWithColon(t *testing.T) {
 // its memory back when it is replaced, without waiting for compaction —
 // the persist layer rewrites multi-megabyte section payloads in place.
 func TestOversizeValueReleased(t *testing.T) {
-	s := New()
+	s := NewMem(MemConfig{})
 	big := make([]byte, 1<<20)
 	for i := 0; i < 8; i++ {
 		if err := s.Set("ckpt", "section", big[:len(big)-i]); err != nil {

@@ -1,12 +1,12 @@
 // Package store defines the pluggable storage contract behind every
-// caching layer: the Backend interface extracted from the concrete
-// internal/kvstore striped map, playing the role of the paper's Redis
-// tier (§5 — "can be replaced with a persistent, consistent and durable
-// storage service"). Exact caches, the tree's node cache, and the
-// durable-state subsystem all program against Backend, so the concrete
-// store — the unbounded striped map (internal/kvstore), the
-// memory-bounded segmented-LRU in this package, or a future persistent
-// service — is a deployment choice, not an architectural one.
+// caching layer — the Backend interface, playing the role of the paper's
+// Redis tier (§5 — "can be replaced with a persistent, consistent and
+// durable storage service") — and its two implementations: Mem, the
+// in-memory arena store (mem.go; unbounded, or a memory-bounded segmented
+// LRU when built with a cap, evict.go), and File, the persistent log
+// (file.go). Exact caches, the tree's node cache, and the durable-state
+// subsystem all program against Backend, so the concrete store is a
+// deployment choice, not an architectural one.
 //
 // Semantics every Backend must provide (the Redis subset Turbo relies
 // on): namespaced string keys with gob-encoded values, set-if-absent,
@@ -44,8 +44,8 @@ import (
 // stream, breaking old snapshot payloads.
 //
 // A backend may call either method while holding one of its locks, on
-// bytes inside its own storage (kvstore encodes into and decodes out of
-// its arena): implementations are straight-line code that never calls
+// bytes inside its own storage (Mem encodes into and decodes out of its
+// arena): implementations are straight-line code that never calls
 // back into the backend, and DecodeFast keeps no reference to data.
 type FastEncoder interface {
 	// AppendFast appends the value's encoding to dst and returns the

@@ -92,7 +92,11 @@ type Stats struct {
 	Batches, Epochs int64
 	// Partitions and Rows count ingested partitions and rows.
 	Partitions, Rows int64
-	// WarmStarted counts tree leaves materialized eagerly at ingestion.
+	// WarmStarted counts the tree leaves the ingestion pass itself created.
+	// A query that names a just-appended partition before the pass reaches
+	// it creates that leaf first — warm-started all the same, by the same
+	// tree code — and the pass then finds it and does not count it, so
+	// WarmStarted ≤ Partitions, with equality when no query raced.
 	WarmStarted int64
 	// Pending is the instantaneous number of batches not yet fully
 	// applied: queued plus those inside the in-flight epoch.

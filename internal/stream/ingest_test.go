@@ -213,6 +213,68 @@ func TestIngestorEagerWarmStart(t *testing.T) {
 	}
 }
 
+// TestEagerPassLosesRaceToQuery scripts the interleaving that made the
+// server's append storm read "warm-started 21 leaves, want 22" one run in
+// twenty: a query names a just-appended partition after the dataset grew
+// and before the eager pass reaches it. The query's own tree walk creates
+// the leaf, warm-started; the pass finds it and reports no creation, which
+// is why Stats.WarmStarted counts leaves the pass created, not leaves that
+// are warm.
+func TestEagerPassLosesRaceToQuery(t *testing.T) {
+	ds := testDS(t, 1)
+	sess := streamingSession(t, ds, core.Streaming, false)
+	q := query.MustNew(ds.Domain(), map[int][]int{0: {1}})
+	for i := 0; i < 10; i++ { // train leaf 0 away from uniform
+		if _, err := sess.Answer(q.WithWindow(0, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// What applyEpoch does before its eager pass.
+	first, err := sess.AppendPartitions(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := first; p < first+2; p++ {
+		if err := ds.BulkLoad(p, arrival(ds.Domain(), 25).Counts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaf := func(p int) interval.Node { return interval.Node{Start: p, End: p} }
+	tr := sess.Tree()
+	if tr.NodeHistogram(leaf(first)) != nil {
+		t.Fatal("leaf exists before anything touched it")
+	}
+
+	// The racing query wins partition first; nobody races for first+1.
+	if _, err := sess.Answer(q.WithWindow(first, first)); err != nil {
+		t.Fatal(err)
+	}
+	if tr.NodeHistogram(leaf(first)) == nil {
+		t.Fatal("the query did not create the leaf it ran over")
+	}
+	if tr.EagerWarmStart(first) {
+		t.Fatal("the eager pass claims a leaf the query created")
+	}
+	if !tr.EagerWarmStart(first + 1) {
+		t.Fatal("the eager pass did not create the leaf nobody raced for")
+	}
+	// The leaf the pass did not count is as warm as the one it did: the
+	// second copied its histogram, and that is leaf 0's training, not the
+	// uniform prior.
+	won, made := tr.NodeHistogram(leaf(first)), tr.NodeHistogram(leaf(first+1))
+	uniform := 1 / float64(made.Size())
+	trained := false
+	for bin := 0; bin < made.Size(); bin++ {
+		if math.Abs(won.Weight(bin)-made.Weight(bin)) > 1e-12 {
+			t.Fatalf("leaf %d not copied from the leaf the query created at bin %d", first+1, bin)
+		}
+		trained = trained || math.Abs(made.Weight(bin)-uniform) > 1e-9
+	}
+	if !trained {
+		t.Fatal("the raced leaf carries the uniform prior: it was not warm-started")
+	}
+}
+
 // TestIngestorValidation checks malformed submissions fail fast, before any
 // partition index is consumed.
 func TestIngestorValidation(t *testing.T) {

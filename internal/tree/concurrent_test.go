@@ -8,9 +8,9 @@ import (
 	"repro/internal/accountant"
 	"repro/internal/dataset"
 	"repro/internal/domain"
-	"repro/internal/kvstore"
 	"repro/internal/noise"
 	"repro/internal/query"
+	"repro/internal/store"
 )
 
 // buildConcurrentTree creates a sharded tree over a 16-partition dataset
@@ -35,7 +35,7 @@ func buildConcurrentTree(t *testing.T, shards int) (*Tree, *dataset.Dataset) {
 		Alpha: 0.1, Beta: 0.01, Tau: 0.05,
 		NodeExactCache: true,
 		Shards:         shards,
-	}, dataset.NewExecutor(ds, noise.NewRng(8)), accountant.NewBlock(20, parts), kvstore.New(), noise.NewRng(9))
+	}, dataset.NewExecutor(ds, noise.NewRng(8)), accountant.NewBlock(20, parts), store.NewMem(store.MemConfig{}), noise.NewRng(9))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,9 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/domain"
 	"repro/internal/interval"
-	"repro/internal/kvstore"
 	"repro/internal/noise"
 	"repro/internal/query"
+	"repro/internal/store"
 )
 
 // storm fires overlapping-window queries from many goroutines and returns
@@ -86,7 +86,7 @@ func TestNoDoubleSpendUnderStorm(t *testing.T) {
 		Alpha: 0.1, Beta: 0.01, Tau: 0.05,
 		NodeExactCache: true,
 		Shards:         4,
-	}, dataset.NewExecutor(ds, noise.NewRng(8)), accountant.NewBlock(1e9, parts), kvstore.New(), noise.NewRng(9))
+	}, dataset.NewExecutor(ds, noise.NewRng(8)), accountant.NewBlock(1e9, parts), store.NewMem(store.MemConfig{}), noise.NewRng(9))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,10 +10,10 @@ import (
 	"repro/internal/domain"
 	"repro/internal/heuristic"
 	"repro/internal/interval"
-	"repro/internal/kvstore"
 	"repro/internal/noise"
 	"repro/internal/pmw"
 	"repro/internal/query"
+	"repro/internal/store"
 )
 
 // fix builds an 8-partition dataset with drifting positivity and a tree.
@@ -51,7 +51,7 @@ func newFix(t *testing.T, mut func(*Config), global float64, partitions int) *fi
 	if mut != nil {
 		mut(&cfg)
 	}
-	tr, err := New(cfg, exec, block, kvstore.New(), rng.Fork())
+	tr, err := New(cfg, exec, block, store.NewMem(store.MemConfig{}), rng.Fork())
 	if err != nil {
 		t.Fatal(err)
 	}
