@@ -52,7 +52,7 @@ func main() {
 		alpha       = flag.Float64("alpha", 0.05, "accuracy target α")
 		beta        = flag.Float64("beta", 0.001, "failure probability β")
 		epsG        = flag.Float64("epsg", 10, "global privacy budget ε_G")
-		gaussian    = flag.Bool("gaussian", false, "Rényi-DP accounting: admit mechanisms through the concurrent RDP filter, enforcing (ε_G, δ_G)-DP")
+		gaussian    = flag.Bool("gaussian", false, "Rényi-DP accounting: compose every mechanism's Rényi curve per partition (Thm B.2 filter), enforcing (ε_G, δ_G)-DP")
 		deltaG      = flag.Float64("delta", 1e-6, "δ_G for -gaussian")
 		seed        = flag.Uint64("seed", 42, "deterministic seed")
 		shards      = flag.Int("shards", runtime.NumCPU(), "concurrent executor shards (partitioned modes)")
@@ -255,7 +255,7 @@ func main() {
 
 	guarantee := fmt.Sprintf("ε_G=%g", *epsG)
 	if *gaussian {
-		guarantee = fmt.Sprintf("(ε_G=%g, δ_G=%g) via Rényi admission", *epsG, *deltaG)
+		guarantee = fmt.Sprintf("(ε_G=%g, δ_G=%g) via Rényi composition", *epsG, *deltaG)
 	}
 	if *replicaID != "" {
 		guarantee += fmt.Sprintf(", replica %q over shared %s store", *replicaID, *storeKind)

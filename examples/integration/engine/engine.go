@@ -37,8 +37,10 @@ type Measurement interface {
 // Core executes measurements and enforces the global guarantee — the
 // Tumult Core role. It is deliberately ignorant of caching.
 type Core struct {
-	ds   *dataset.Dataset
-	acct *accountant.Filter
+	ds *dataset.Dataset
+	// acct is the engine's own books: one partition (the engine does not
+	// partition its data) of a pure-ε block.
+	acct accountant.Window
 	rng  *noise.Rng
 
 	evaluated int
@@ -46,13 +48,15 @@ type Core struct {
 
 // NewCore creates a core over ds enforcing a global ε_G.
 func NewCore(ds *dataset.Dataset, epsG float64, seed uint64) *Core {
-	return &Core{ds: ds, acct: accountant.NewFilter(epsG), rng: noise.NewRng(seed)}
+	return &Core{ds: ds, acct: accountant.Window{Block: accountant.NewBlock(epsG, 1)}, rng: noise.NewRng(seed)}
 }
 
 // Evaluate deducts the measurement's cost, then runs it. A measurement
 // whose cost cannot be paid is not executed.
 func (c *Core) Evaluate(m Measurement) (float64, error) {
-	if err := c.acct.Pay(m.Cost()); err != nil {
+	// An ε-DP measurement costs ε in pure accounting, whatever mechanism
+	// it runs — which is what a Laplace(ε) charge prices to.
+	if err := c.acct.Pay(accountant.Laplace(m.Cost())); err != nil {
 		return 0, fmt.Errorf("engine: %s: %w", m.Describe(), err)
 	}
 	c.evaluated++
@@ -63,7 +67,7 @@ func (c *Core) Evaluate(m Measurement) (float64, error) {
 func (c *Core) Spent() float64 { return c.acct.Spent() }
 
 // Remaining returns the unconsumed global budget.
-func (c *Core) Remaining() float64 { return c.acct.Remaining() }
+func (c *Core) Remaining() float64 { return c.acct.Block.Global() - c.acct.Spent() }
 
 // Dataset exposes the underlying store (the engine owns it; Turbo only
 // reaches it through measurements).

@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/engine"
+	"repro/examples/integration/engine"
 	"repro/internal/heuristic"
 	"repro/internal/pmw"
 	"repro/internal/query"

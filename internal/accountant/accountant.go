@@ -1,12 +1,19 @@
-// Package accountant implements Turbo's privacy budget accounting: a
-// pure-DP privacy filter (App. B), a per-partition block accountant that
-// realizes DP parallel composition for partitioned databases (§4.4), and a
-// Rényi-DP accountant with the Laplace, Gaussian and Sparse-Vector curves
-// used by the Gaussian PMW-Bypass extension (§A.6).
+// Package accountant implements Turbo's privacy budget accounting: one
+// per-partition block ledger (§4.4 block composition) whose stopping
+// rule is the Rényi privacy filter of App. B Thm B.2. Pure-ε accounting
+// is that filter on the one-order grid α = ∞; (ε_G, δ_G) accounting is
+// the same filter on a grid of finite orders (§A.6).
 //
-// The privacy budget is a system resource: every DP mechanism must Pay
-// before running, and the accountant stops the system when the global
-// (ε_G, δ_G) guarantee would be exceeded.
+// The privacy budget is a system resource: every DP mechanism must pay
+// before running, and the block refuses the payment that would exceed
+// the global guarantee. Every charge in the system passes through
+// Block.PayRange or Block.PayRangeBatch; there is no second set of
+// books and no registry of live mechanisms. Alg. 3's rule for
+// concurrently composed interactive mechanisms — admit a new mechanism
+// iff the composition of all declared budgets stays within budget — is
+// exactly the block's atomic range payment: a sparse vector declares its
+// whole budget when it is initialized, so admitting it is paying for it,
+// and nothing about it needs tracking afterwards (spend is irrevocable).
 package accountant
 
 import (
@@ -17,101 +24,57 @@ import (
 	"sync/atomic"
 )
 
-// ErrBudgetExhausted is returned by Pay when executing a mechanism would
-// exceed the global guarantee. The DP engine must stop answering (§3.3).
+// ErrBudgetExhausted is returned by a payment that would exceed the
+// global guarantee. The DP engine must stop answering (§3.3).
 var ErrBudgetExhausted = errors.New("accountant: privacy budget exhausted")
 
-// Accountant is the minimal surface Turbo needs from a privacy accountant,
-// mirroring the PrivacyAccountant interface of the Turbo API (Fig. 7b).
-type Accountant interface {
-	// Pay deducts a pure-DP cost ε, or returns ErrBudgetExhausted without
-	// deducting anything.
-	Pay(eps float64) error
-	// HasBudget reports whether any further positive payment could succeed.
-	HasBudget() bool
-	// Spent returns the cumulative ε consumed so far.
-	Spent() float64
-}
-
-// Filter is a pure-DP privacy filter with a fixed global budget ε_G
-// (Thm B.2 with α → ∞). It is safe for concurrent use.
-type Filter struct {
-	mu     sync.Mutex
-	global float64
-	spent  float64
-	// locks counts admission-relevant mutex acquisitions (payments and
-	// budget checks, not metric reads) — the denominator-free half of the
-	// batch plane's "admission lock acquisitions per query" metric.
-	locks atomic.Uint64
-}
-
-// NewFilter creates a filter enforcing ε_G = global.
-func NewFilter(global float64) *Filter {
-	if global <= 0 || math.IsNaN(global) {
-		panic(fmt.Sprintf("accountant: bad global budget %g", global))
-	}
-	return &Filter{global: global}
-}
-
-// Pay implements the filter stopping rule: accept iff spent + eps ≤ ε_G.
-func (f *Filter) Pay(eps float64) error {
-	if eps < 0 || math.IsNaN(eps) {
-		return fmt.Errorf("accountant: bad payment %g", eps)
-	}
-	f.locks.Add(1)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.spent+eps > f.global+1e-12 {
-		return fmt.Errorf("%w: spent %.6g + %.6g > %.6g", ErrBudgetExhausted, f.spent, eps, f.global)
-	}
-	f.spent += eps
-	return nil
-}
-
-// HasBudget reports whether the filter can still accept some payment.
-func (f *Filter) HasBudget() bool {
-	f.locks.Add(1)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.spent < f.global-1e-12
-}
-
-// Spent returns cumulative consumption.
-func (f *Filter) Spent() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.spent
-}
-
-// Global returns ε_G.
-func (f *Filter) Global() float64 { return f.global }
-
-// Remaining returns ε_G minus consumption.
-func (f *Filter) Remaining() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.global - f.spent
-}
+// tol is the one floating-point tolerance of every budget comparison: a
+// payment is accepted at an order iff spent + cost ≤ budget + tol, and a
+// partition is reported open at an order iff spent < budget − tol.
+const tol = 1e-12
 
 // Block tracks per-partition budgets and realizes parallel composition
-// (block composition, §4.4 and [41]): a mechanism touching partitions
-// I pays ε against each i ∈ I, and the global guarantee holds as long as
-// every partition individually stays within ε_G. New partitions may arrive
-// over time (streaming databases). Block is safe for concurrent use.
+// (block composition, §4.4 and [41]): a mechanism touching partitions I
+// pays its cost against each i ∈ I, and the global guarantee holds as
+// long as every partition individually stays within budget. Parallel
+// composition holds order by order for Rényi DP exactly as it does for
+// pure DP (partitions are disjoint data), so the ledger is one flat
+// vector of partitions × |grid| per-order spends: stride 1 on the pure
+// grid, len(orders) on a Rényi grid. New partitions may arrive over time
+// (streaming databases). Block is safe for concurrent use; its mutex is
+// the package's only one.
 type Block struct {
 	mu     sync.Mutex
-	global float64
-	spent  []float64
-	// shared, when non-nil, runs PayRange through the cross-replica
-	// owner-lease protocol (see shared.go).
+	epsG   float64
+	deltaG float64 // 0 on the pure grid
+	// orders is the Rényi order grid; nil is the pure grid, whose single
+	// order is α = ∞. That case is tagged, never represented as an
+	// infinite float: it differs from a finite order in pricing
+	// (priceLocked) and in conversion to ε (convert, spentLocked), and
+	// nowhere else.
+	orders []float64
+	// budget[j] is every partition's budget at order j: ε_G on the pure
+	// grid, max(0, ε_G − offset[j]) on a Rényi grid, where offset[j] =
+	// ln(1/δ_G)/(α_j − 1) is what converting order j's spend to
+	// (ε, δ_G)-DP adds — so any accepted history converts to at most ε_G.
+	budget, offset []float64
+	// spent[p·stride + j] is partition p's composed spend at order j.
+	spent []float64
+	// cost is the per-order price of the charge being applied, and priced
+	// the Cost it was computed from: scratch owned by mu, so a payment
+	// allocates nothing and a run of identical charges prices once.
+	cost   []float64
+	priced Cost
+	// shared, when non-nil, runs payments through the cross-replica
+	// owner-lease protocol (see shared.go); pure grid only.
 	shared *sharing
 	// locks counts admission-relevant mutex acquisitions (payments and
 	// budget checks, not metric reads); see batch.go.
 	locks atomic.Uint64
 }
 
-// NewBlock creates a block accountant with the given number of initial
-// partitions, each with budget ε_G = global.
+// NewBlock creates a pure-ε block accountant with the given number of
+// initial partitions, each with budget ε_G = global.
 func NewBlock(global float64, partitions int) *Block {
 	if global <= 0 || math.IsNaN(global) {
 		panic(fmt.Sprintf("accountant: bad global budget %g", global))
@@ -119,8 +82,54 @@ func NewBlock(global float64, partitions int) *Block {
 	if partitions < 0 {
 		panic(fmt.Sprintf("accountant: bad partition count %d", partitions))
 	}
-	return &Block{global: global, spent: make([]float64, partitions)}
+	return &Block{
+		epsG:   global,
+		budget: []float64{global},
+		spent:  make([]float64, partitions),
+		cost:   make([]float64, 1),
+	}
 }
+
+// NewBlockForDP creates a block accountant whose per-order budgets
+// jointly enforce (epsG, deltaG)-DP on every partition over the given
+// grid of Rényi orders (each > 1).
+func NewBlockForDP(orders []float64, epsG, deltaG float64, partitions int) *Block {
+	if !(epsG > 0) || !(deltaG > 0 && deltaG < 1) {
+		panic(fmt.Sprintf("accountant: bad DP target (%g,%g)", epsG, deltaG))
+	}
+	if partitions < 0 {
+		panic(fmt.Sprintf("accountant: bad partition count %d", partitions))
+	}
+	if len(orders) == 0 {
+		panic("accountant: empty order grid")
+	}
+	k := len(orders)
+	b := &Block{
+		epsG: epsG, deltaG: deltaG,
+		orders: append([]float64(nil), orders...),
+		budget: make([]float64, k),
+		offset: make([]float64, k),
+		spent:  make([]float64, partitions*k),
+		cost:   make([]float64, k),
+	}
+	for j, a := range orders {
+		if !(a > 1) {
+			panic(fmt.Sprintf("accountant: bad Rényi order %g", a))
+		}
+		b.offset[j] = math.Log(1/deltaG) / (a - 1)
+		b.budget[j] = math.Max(0, epsG-b.offset[j])
+	}
+	return b
+}
+
+// Global returns the per-partition ε_G.
+func (b *Block) Global() float64 { return b.epsG }
+
+// Delta returns δ_G (0 on the pure grid).
+func (b *Block) Delta() float64 { return b.deltaG }
+
+// Orders returns the Rényi order grid (nil on the pure grid).
+func (b *Block) Orders() []float64 { return b.orders }
 
 // AddPartition registers a newly-arrived partition (streaming use case) and
 // returns its index.
@@ -138,8 +147,8 @@ func (b *Block) AddPartitions(k int) int {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	first := len(b.spent)
-	b.spent = append(b.spent, make([]float64, k)...)
+	first := b.partitionsLocked()
+	b.spent = append(b.spent, make([]float64, k*len(b.budget))...)
 	return first
 }
 
@@ -147,78 +156,85 @@ func (b *Block) AddPartitions(k int) int {
 func (b *Block) Partitions() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.spent)
+	return b.partitionsLocked()
 }
 
-// PayRange charges eps against every partition in [start, end] inclusive.
-// The charge is atomic: if any partition would exceed ε_G, nothing is
-// deducted and ErrBudgetExhausted is returned.
-func (b *Block) PayRange(start, end int, eps float64) error {
-	b.locks.Add(1)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.payRangeLocked(start, end, eps)
-}
+func (b *Block) partitionsLocked() int { return len(b.spent) / len(b.budget) }
 
-// payRangeLocked is PayRange's body, shared with PayRangeBatch so a
-// batch of charges applies under one lock acquisition. Called with b.mu
-// held.
-func (b *Block) payRangeLocked(start, end int, eps float64) error {
-	if eps < 0 || math.IsNaN(eps) {
-		return fmt.Errorf("accountant: bad payment %g", eps)
-	}
-	if start < 0 || end >= len(b.spent) || start > end {
-		return fmt.Errorf("accountant: bad partition range [%d,%d] of %d", start, end, len(b.spent))
-	}
-	if b.shared != nil {
-		return b.payRangeSharedLocked(start, end, eps)
-	}
-	for i := start; i <= end; i++ {
-		if b.spent[i]+eps > b.global+1e-12 {
-			return fmt.Errorf("%w: partition %d at %.6g + %.6g > %.6g",
-				ErrBudgetExhausted, i, b.spent[i], eps, b.global)
-		}
-	}
-	for i := start; i <= end; i++ {
-		b.spent[i] += eps
+// checkRangeLocked validates an inclusive partition range.
+func (b *Block) checkRangeLocked(start, end int) error {
+	if n := b.partitionsLocked(); start < 0 || end >= n || start > end {
+		return fmt.Errorf("accountant: bad partition range [%d,%d] of %d", start, end, n)
 	}
 	return nil
 }
 
-// SpentAt returns the budget consumed on partition i.
-func (b *Block) SpentAt(i int) float64 {
+// PayRange charges c against every partition in [start, end] inclusive.
+// Per Thm B.2 a partition accepts when at least one order stays within
+// its budget (on the pure grid: when spent + ε ≤ ε_G). The charge is
+// atomic: if any partition would exceed its budget at every order,
+// nothing is deducted anywhere and ErrBudgetExhausted is returned.
+// Different partitions may survive at different orders.
+func (b *Block) PayRange(start, end int, c Cost) error {
+	b.locks.Add(1)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.spent[i]
+	return b.payRangeLocked(start, end, c)
 }
 
-// AverageSpent returns the average consumed budget across all partitions —
-// the "avg. cumulative budget" metric plotted throughout §6.3 and §6.4.
-func (b *Block) AverageSpent() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.spent) == 0 {
-		return 0
+// payRangeLocked is PayRange's body, shared with PayRangeBatch so a
+// batch of charges applies under one lock acquisition: price, check
+// every partition, then deduct. Called with b.mu held.
+func (b *Block) payRangeLocked(start, end int, c Cost) error {
+	if err := b.priceLocked(c); err != nil {
+		return err
 	}
-	sum := 0.0
-	for _, s := range b.spent {
-		sum += s
+	if err := b.checkRangeLocked(start, end); err != nil {
+		return err
 	}
-	return sum / float64(len(b.spent))
-}
-
-// MaxSpent returns the highest per-partition consumption: the binding
-// constraint on the global guarantee under parallel composition.
-func (b *Block) MaxSpent() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	max := 0.0
-	for _, s := range b.spent {
-		if s > max {
-			max = s
+	if b.shared != nil {
+		release, err := b.ownRangeLocked(start, end)
+		defer release()
+		if err != nil {
+			return err
 		}
 	}
-	return max
+	k := len(b.budget)
+	for p := start; p <= end; p++ {
+		fits := false
+		for j, g := range b.budget {
+			if g > 0 && b.spent[p*k+j]+b.cost[j] <= g+tol {
+				fits = true
+				break
+			}
+		}
+		if !fits {
+			return fmt.Errorf("%w: partition %d at %.6g of %.6g has no order left for the charge",
+				ErrBudgetExhausted, p, b.convertedLocked(p), b.epsG)
+		}
+	}
+	for p := start; p <= end; p++ {
+		for j, e := range b.cost {
+			b.spent[p*k+j] += e
+		}
+	}
+	if b.shared != nil {
+		return b.publishRangeLocked(start, end)
+	}
+	return nil
+}
+
+// openLocked is the one advisory predicate behind HasBudgetRange and
+// AdmitBatch: partition p retains headroom at some order, so a
+// sufficiently small payment would still be accepted.
+func (b *Block) openLocked(p int) bool {
+	k := len(b.budget)
+	for j, g := range b.budget {
+		if b.spent[p*k+j] < g-tol {
+			return true
+		}
+	}
+	return false
 }
 
 // HasBudgetRange reports whether all partitions of [start, end] retain some
@@ -227,57 +243,127 @@ func (b *Block) HasBudgetRange(start, end int) bool {
 	b.locks.Add(1)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if start < 0 || end >= len(b.spent) || start > end {
+	if b.checkRangeLocked(start, end) != nil {
 		return false
 	}
-	for i := start; i <= end; i++ {
-		if b.spent[i] >= b.global-1e-12 {
+	for p := start; p <= end; p++ {
+		if !b.openLocked(p) {
 			return false
 		}
 	}
 	return true
 }
 
-// Global returns the per-partition ε_G.
-func (b *Block) Global() float64 { return b.global }
+// convertedLocked returns partition p's spend as an ε.
+func (b *Block) convertedLocked(p int) float64 {
+	k := len(b.budget)
+	return b.convert(b.spent[p*k : (p+1)*k])
+}
 
-// SpentVector returns a copy of the per-partition consumption, for
-// persisting accountant state.
+// convert turns one partition's per-order spend into an ε: the spend
+// itself on the pure grid, and on a Rényi grid the (ε, δ_G)-DP
+// conversion min_j spent_j + ln(1/δ_G)/(α_j − 1). An empty history is
+// 0-DP, so the conversion's floor only applies once any mechanism
+// actually ran.
+func (b *Block) convert(row []float64) float64 {
+	if b.orders == nil {
+		return row[0]
+	}
+	best, zero := math.Inf(1), true
+	for j, e := range row {
+		if e > 0 {
+			zero = false
+		}
+		if eps := e + b.offset[j]; eps < best {
+			best = eps
+		}
+	}
+	if zero {
+		return 0
+	}
+	return best
+}
+
+// spentLocked returns every partition's spend as an ε, for reading under
+// the lock: on the pure grid the ledger itself, not a copy.
+func (b *Block) spentLocked() []float64 {
+	if b.orders == nil {
+		return b.spent
+	}
+	out := make([]float64, b.partitionsLocked())
+	for p := range out {
+		out[p] = b.convertedLocked(p)
+	}
+	return out
+}
+
+// SpentAt returns the budget consumed on partition i, as an ε (see
+// SpentVector).
+func (b *Block) SpentAt(i int) float64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.convertedLocked(i)
+}
+
+// SpentVector returns the per-partition consumption under one lock
+// acquisition — the only consistent way to read several partitions. On a
+// Rényi grid each entry is the partition's curve converted to
+// (ε, δ_G)-DP.
 func (b *Block) SpentVector() []float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return append([]float64(nil), b.spent...)
+	return append([]float64(nil), b.spentLocked()...)
 }
 
-// RestoreSpent replaces the per-partition consumption with a previously
-// exported vector. Restoring consumption can only be monotone-safe: every
-// value must lie in [0, ε_G] and the vector must cover at least the
-// current partitions (missing trailing partitions are an error).
-func (b *Block) RestoreSpent(v []float64) error {
+// CurveAt returns a copy of partition p's per-order spend, aligned with
+// Orders() (one entry, the ε spend, on the pure grid).
+func (b *Block) CurveAt(p int) []float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(v) != len(b.spent) {
-		return fmt.Errorf("accountant: restore vector has %d partitions, want %d", len(v), len(b.spent))
-	}
-	for i, s := range v {
-		if s < 0 || s > b.global+1e-12 || math.IsNaN(s) {
-			return fmt.Errorf("accountant: bad restored spend %g at partition %d", s, i)
-		}
-	}
-	copy(b.spent, v)
-	return nil
+	k := len(b.budget)
+	return append([]float64(nil), b.spent[p*k:(p+1)*k]...)
 }
 
-// Window adapts a partition range of a Block into the scalar Accountant
-// interface, so PMW-Bypass instances can pay against "their" partitions
-// without knowing about the tree.
+// AverageSpent returns the average consumed budget across all partitions —
+// the "avg. cumulative budget" metric plotted throughout §6.3 and §6.4.
+func (b *Block) AverageSpent() float64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	spent := b.spentLocked()
+	if len(spent) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, s := range spent {
+		sum += s
+	}
+	return sum / float64(len(spent))
+}
+
+// MaxSpent returns the highest per-partition consumption: the binding
+// constraint on the global guarantee under parallel composition.
+func (b *Block) MaxSpent() float64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	max := 0.0
+	for _, s := range b.spentLocked() {
+		if s > max {
+			max = s
+		}
+	}
+	return max
+}
+
+// Window is a partition range of a Block: the budget view of one
+// PMW-Bypass instance, which pays against "its" partitions without
+// knowing about the tree.
 type Window struct {
 	Block      *Block
 	Start, End int
 }
 
-// Pay charges eps to every partition of the window.
-func (w Window) Pay(eps float64) error { return w.Block.PayRange(w.Start, w.End, eps) }
+// Pay charges c to every partition of the window.
+func (w Window) Pay(c Cost) error { return w.Block.PayRange(w.Start, w.End, c) }
 
 // HasBudget reports whether every partition of the window has budget left.
 func (w Window) HasBudget() bool { return w.Block.HasBudgetRange(w.Start, w.End) }
@@ -285,8 +371,8 @@ func (w Window) HasBudget() bool { return w.Block.HasBudgetRange(w.Start, w.End)
 // Spent returns the maximum spend across the window's partitions.
 func (w Window) Spent() float64 {
 	max := 0.0
-	for i := w.Start; i <= w.End; i++ {
-		if s := w.Block.SpentAt(i); s > max {
+	for _, s := range w.Block.SpentVector()[w.Start : w.End+1] {
+		if s > max {
 			max = s
 		}
 	}

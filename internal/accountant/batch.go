@@ -2,46 +2,40 @@
 // the session's batch plane (core.Session.AnswerBatch).
 //
 // A batch of b cache-missed queries used to cost b admission round-trips
-// through the accountant's locks — one HasBudget probe or payment
-// attempt per query, each acquiring the (contended) filter mutex. The
-// batch APIs here do the same work under ONE lock acquisition per
-// touched accountant and return per-query verdicts, so one over-budget
-// query is refused without dooming its batchmates and without paying
-// the per-query locking toll.
+// through the accountant's lock — one HasBudgetRange probe or payment
+// attempt per query, each acquiring the (contended) block mutex. The
+// batch APIs here do the same work under ONE lock acquisition and return
+// per-query verdicts, so one over-budget query is refused without
+// dooming its batchmates and without paying the per-query locking toll.
 //
-// Two kinds of API, with deliberately different strength:
+// Two APIs, with deliberately different strength:
 //
-//   - AdmitBatch (Block, RDPBlock, ConcurrentFilter) is ADVISORY: each
-//     verdict answers "could this query's cheapest paid release still be
-//     admitted right now?" — the batch analogue of HasBudget, evaluated
-//     for every window in one consistent snapshot. Verdicts are not
-//     reservations: nothing is deducted, and the enforcement point
-//     remains the execution-time payment (Pay/PayRange/Register), which
-//     stays individually atomic. A verdict can therefore go stale — a
-//     concurrent spender may exhaust the window between admission and
-//     payment — and the payment still refuses; soundness never rests on
-//     the verdict. The converse staleness (refusing a query whose free
-//     R1 path would have answered) is the batch plane's documented
-//     semantic: an exhausted window is refused at admission.
+//   - AdmitBatch is ADVISORY: each verdict answers "does every partition
+//     of this window still have headroom right now?" — the batch
+//     analogue of HasBudgetRange, evaluated for every window in one
+//     consistent snapshot. Verdicts are not reservations: nothing is
+//     deducted, and the enforcement point remains the execution-time
+//     payment, which stays individually atomic. A verdict can therefore
+//     go stale — a concurrent spender may exhaust the window between
+//     admission and payment — and the payment still refuses; soundness
+//     never rests on the verdict. The converse staleness (refusing a
+//     query whose free R1 path would have answered) is the batch plane's
+//     documented semantic: an exhausted window is refused at admission.
 //
-//   - PayBatch / PayRangeBatch are REAL payments: each charge is applied
-//     with exactly the atomicity of its singleton counterpart (check all
-//     partitions, then deduct), sequentially under one lock acquisition,
-//     with a per-charge verdict. Charges later in the batch observe
-//     earlier accepted charges, exactly as if they had been paid in
-//     order.
+//   - PayRangeBatch is a REAL payment: each charge is applied with
+//     exactly PayRange's atomicity (check all partitions, then deduct),
+//     sequentially under one lock acquisition, with a per-charge
+//     verdict. Charges later in the batch observe earlier accepted
+//     charges, exactly as if they had been paid in order.
 //
 // Every admission-relevant lock acquisition (payments, budget checks,
-// registrations, batch rounds) is counted on the accountant; see
-// LockAcquisitions. Pure metric reads (Spent, Remaining, SpentVector,
-// ...) are not counted — they are observers, not admission traffic.
+// batch rounds) is counted on the block; see LockAcquisitions. Pure
+// metric reads (SpentAt, SpentVector, AverageSpent, ...) are not counted
+// — they are observers, not admission traffic.
 
 package accountant
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // PartitionRange identifies the partition window one batched query
 // touches: [Start, End] inclusive, the same convention as PayRange.
@@ -49,93 +43,22 @@ type PartitionRange struct {
 	Start, End int
 }
 
-// RangeCharge is one query's pure-DP charge against a partition window,
-// for batch payment composition.
+// RangeCharge is one query's charge against a partition window, for
+// batch payment composition.
 type RangeCharge struct {
 	Start, End int
-	Eps        float64
+	Cost       Cost
 }
-
-// LockAcquisitions returns the cumulative number of admission-relevant
-// lock acquisitions (Pay, HasBudget, PayBatch) on the filter.
-func (f *Filter) LockAcquisitions() uint64 { return f.locks.Load() }
 
 // LockAcquisitions returns the cumulative number of admission-relevant
 // lock acquisitions (PayRange, HasBudgetRange, AdmitBatch,
 // PayRangeBatch) on the block.
 func (b *Block) LockAcquisitions() uint64 { return b.locks.Load() }
 
-// LockAcquisitions returns the cumulative number of admission-relevant
-// lock acquisitions (PayRange, HasBudgetRange, AdmitBatch) on the RDP
-// block.
-func (b *RDPBlock) LockAcquisitions() uint64 { return b.locks.Load() }
-
-// LockAcquisitions returns the cumulative number of admission-relevant
-// lock acquisitions across the concurrent filter's registry mutex and
-// its underlying scalar filter (Register acquires both).
-func (c *ConcurrentFilter) LockAcquisitions() uint64 {
-	return c.locks.Load() + c.filter.LockAcquisitions()
-}
-
-// PayBatch applies a batch of payments under one lock acquisition,
-// returning one verdict per charge. Each charge has exactly Pay's
-// semantics — accepted iff the running spend stays within ε_G — and
-// later charges observe earlier accepted ones, as if paid in order. A
-// refused charge deducts nothing and refuses only itself.
-func (f *Filter) PayBatch(eps []float64) []error {
-	verdicts := make([]error, len(eps))
-	if len(eps) == 0 {
-		return verdicts
-	}
-	f.locks.Add(1)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for i, e := range eps {
-		if e < 0 || math.IsNaN(e) {
-			verdicts[i] = fmt.Errorf("accountant: bad payment %g", e)
-			continue
-		}
-		if f.spent+e > f.global+1e-12 {
-			verdicts[i] = fmt.Errorf("%w: spent %.6g + %.6g > %.6g",
-				ErrBudgetExhausted, f.spent, e, f.global)
-			continue
-		}
-		f.spent += e
-	}
-	return verdicts
-}
-
-// AdmitBatch returns one advisory verdict per declared mechanism budget
-// under one lock round: nil iff a mechanism with that budget could be
-// Registered against the current spend. Verdicts are per-mechanism (not
-// cumulative — most batch members never pay, deduplicated away by the
-// cache and flight layers) and reserve nothing; Register remains the
-// enforcement point.
-func (c *ConcurrentFilter) AdmitBatch(budgets []float64) []error {
-	verdicts := make([]error, len(budgets))
-	if len(budgets) == 0 {
-		return verdicts
-	}
-	c.locks.Add(1)
-	c.mu.Lock()
-	spent, global := c.filter.Spent(), c.filter.Global()
-	c.mu.Unlock()
-	for i, b := range budgets {
-		switch {
-		case b < 0 || math.IsNaN(b):
-			verdicts[i] = fmt.Errorf("accountant: negative mechanism budget %g", b)
-		case spent+b > global+1e-12:
-			verdicts[i] = fmt.Errorf("%w: spent %.6g + %.6g > %.6g",
-				ErrBudgetExhausted, spent, b, global)
-		}
-	}
-	return verdicts
-}
-
 // AdmitBatch returns one advisory verdict per partition window under
 // one lock acquisition: nil iff every partition of the window retains
-// positive headroom (HasBudgetRange's predicate), evaluated against one
-// consistent snapshot of the spend vector. Nothing is deducted; PayRange
+// headroom (HasBudgetRange's predicate), evaluated against one
+// consistent snapshot of the ledger. Nothing is deducted; PayRange
 // remains the enforcement point.
 func (b *Block) AdmitBatch(wins []PartitionRange) []error {
 	verdicts := make([]error, len(wins))
@@ -146,15 +69,13 @@ func (b *Block) AdmitBatch(wins []PartitionRange) []error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for i, w := range wins {
-		if w.Start < 0 || w.End >= len(b.spent) || w.Start > w.End {
-			verdicts[i] = fmt.Errorf("accountant: bad partition range [%d,%d] of %d",
-				w.Start, w.End, len(b.spent))
+		if verdicts[i] = b.checkRangeLocked(w.Start, w.End); verdicts[i] != nil {
 			continue
 		}
 		for p := w.Start; p <= w.End; p++ {
-			if b.spent[p] >= b.global-1e-12 {
+			if !b.openLocked(p) {
 				verdicts[i] = fmt.Errorf("%w: partition %d at %.6g of %.6g",
-					ErrBudgetExhausted, p, b.spent[p], b.global)
+					ErrBudgetExhausted, p, b.convertedLocked(p), b.epsG)
 				break
 			}
 		}
@@ -165,9 +86,9 @@ func (b *Block) AdmitBatch(wins []PartitionRange) []error {
 // PayRangeBatch applies a batch of range charges under one lock
 // acquisition, returning one verdict per charge. Each charge keeps
 // PayRange's atomicity — if any partition of its window would exceed
-// ε_G, that charge deducts nothing anywhere — and later charges observe
-// earlier accepted ones. Shared (replicated) blocks route each charge
-// through the owner-lease protocol exactly as PayRange does.
+// its budget, that charge deducts nothing anywhere — and later charges
+// observe earlier accepted ones. Shared (replicated) blocks route each
+// charge through the owner-lease protocol exactly as PayRange does.
 func (b *Block) PayRangeBatch(charges []RangeCharge) []error {
 	verdicts := make([]error, len(charges))
 	if len(charges) == 0 {
@@ -177,44 +98,7 @@ func (b *Block) PayRangeBatch(charges []RangeCharge) []error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for i, ch := range charges {
-		verdicts[i] = b.payRangeLocked(ch.Start, ch.End, ch.Eps)
-	}
-	return verdicts
-}
-
-// AdmitBatch returns one advisory verdict per partition window under
-// one lock acquisition: nil iff every partition of the window retains
-// headroom at some RDP order (HasBudgetRange's Thm B.2 predicate),
-// against one consistent snapshot of the consumed curves. Nothing is
-// composed; PayRange/Register remain the enforcement point.
-func (b *RDPBlock) AdmitBatch(wins []PartitionRange) []error {
-	verdicts := make([]error, len(wins))
-	if len(wins) == 0 {
-		return verdicts
-	}
-	b.locks.Add(1)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i, w := range wins {
-		if w.Start < 0 || w.End >= len(b.spent) || w.Start > w.End {
-			verdicts[i] = fmt.Errorf("accountant: bad partition range [%d,%d] of %d",
-				w.Start, w.End, len(b.spent))
-			continue
-		}
-		for p := w.Start; p <= w.End; p++ {
-			ok := false
-			for j := range b.orders {
-				if b.global.Eps[j] > 0 && b.spent[p].Eps[j] < b.global.Eps[j] {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				verdicts[i] = fmt.Errorf("%w: partition %d exceeded at every RDP order",
-					ErrBudgetExhausted, p)
-				break
-			}
-		}
+		verdicts[i] = b.payRangeLocked(ch.Start, ch.End, ch.Cost)
 	}
 	return verdicts
 }

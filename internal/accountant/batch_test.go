@@ -6,8 +6,10 @@ import (
 )
 
 func TestFilterPayBatch(t *testing.T) {
-	f := NewFilter(1.0)
-	verdicts := f.PayBatch([]float64{0.4, 0.4, 0.4, -1, 0.2})
+	// The scalar filter's batch payment: one-partition range charges.
+	b := NewBlock(1.0, 1)
+	one := func(eps float64) RangeCharge { return RangeCharge{Cost: Laplace(eps)} }
+	verdicts := b.PayRangeBatch([]RangeCharge{one(0.4), one(0.4), one(0.4), one(-1), one(0.2)})
 	want := []bool{true, true, false, false, true}
 	for i, ok := range want {
 		if got := verdicts[i] == nil; got != ok {
@@ -20,32 +22,40 @@ func TestFilterPayBatch(t *testing.T) {
 	if errors.Is(verdicts[3], ErrBudgetExhausted) {
 		t.Fatalf("malformed charge must not read as exhaustion: %v", verdicts[3])
 	}
-	if got := f.Spent(); got != 1.0 {
+	if got := b.SpentAt(0); got != 1.0 {
 		t.Fatalf("spent = %g, want 1.0 (accepted charges only)", got)
 	}
 }
 
 func TestFilterPayBatchOneLockAcquisition(t *testing.T) {
-	f := NewFilter(10)
-	before := f.LockAcquisitions()
-	f.PayBatch(make([]float64, 64))
-	if got := f.LockAcquisitions() - before; got != 1 {
-		t.Fatalf("PayBatch of 64 cost %d lock acquisitions, want 1", got)
+	b := NewBlock(10, 1)
+	before := b.LockAcquisitions()
+	charges := make([]RangeCharge, 64)
+	for i := range charges {
+		charges[i].Cost = Laplace(0)
 	}
-	before = f.LockAcquisitions()
+	for i, err := range b.PayRangeBatch(charges) {
+		if err != nil {
+			t.Fatalf("charge %d: %v", i, err)
+		}
+	}
+	if got := b.LockAcquisitions() - before; got != 1 {
+		t.Fatalf("PayRangeBatch of 64 cost %d lock acquisitions, want 1", got)
+	}
+	before = b.LockAcquisitions()
 	for i := 0; i < 64; i++ {
-		if err := f.Pay(0); err != nil {
+		if err := b.PayRange(0, 0, Laplace(0)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := f.LockAcquisitions() - before; got != 64 {
-		t.Fatalf("64 singleton Pays cost %d lock acquisitions, want 64", got)
+	if got := b.LockAcquisitions() - before; got != 64 {
+		t.Fatalf("64 singleton PayRanges cost %d lock acquisitions, want 64", got)
 	}
 }
 
 func TestBlockAdmitBatch(t *testing.T) {
 	b := NewBlock(1.0, 4)
-	if err := b.PayRange(1, 1, 1.0); err != nil { // exhaust partition 1
+	if err := b.PayRange(1, 1, Laplace(1.0)); err != nil { // exhaust partition 1
 		t.Fatal(err)
 	}
 	verdicts := b.AdmitBatch([]PartitionRange{
@@ -92,10 +102,10 @@ func TestBlockAdmitBatchOneLockAcquisition(t *testing.T) {
 func TestBlockPayRangeBatch(t *testing.T) {
 	b := NewBlock(1.0, 4)
 	verdicts := b.PayRangeBatch([]RangeCharge{
-		{Start: 0, End: 3, Eps: 0.6},
-		{Start: 1, End: 2, Eps: 0.3},
-		{Start: 0, End: 3, Eps: 0.3}, // partitions 1,2 would exceed: atomic refusal
-		{Start: 0, End: 0, Eps: 0.3}, // partition 0 alone still fits
+		{Start: 0, End: 3, Cost: Laplace(0.6)},
+		{Start: 1, End: 2, Cost: SVInit(0.1)},  // 3ε = 0.3 on the pure grid
+		{Start: 0, End: 3, Cost: Laplace(0.3)}, // partitions 1,2 would exceed: atomic refusal
+		{Start: 0, End: 0, Cost: Laplace(0.3)}, // partition 0 alone still fits
 	})
 	if verdicts[0] != nil || verdicts[1] != nil || verdicts[3] != nil {
 		t.Fatalf("accepted charges refused: %v %v %v", verdicts[0], verdicts[1], verdicts[3])
@@ -113,15 +123,14 @@ func TestBlockPayRangeBatch(t *testing.T) {
 }
 
 func TestRDPBlockAdmitBatch(t *testing.T) {
-	mirror := NewBlock(1.0, 3)
-	b := NewRDPBlockForDP(DefaultOrders, 1.0, 1e-9, 3, mirror)
-	// Exhaust partition 1 by paying its exact per-order budget curve:
-	// afterwards spent == global at every positive order, so the strict
-	// headroom predicate AdmitBatch shares with HasBudgetRange flips.
-	exhaust := NewCurve(DefaultOrders)
-	copy(exhaust.Eps, b.global.Eps)
-	if err := b.PayRange(1, 1, exhaust); err != nil {
-		t.Fatal(err)
+	b := NewBlockForDP(DefaultOrders, 1.0, 1e-9, 3)
+	// Exhaust partition 1: Gaussian releases until one is refused, then
+	// ever smaller ones, so every order ends within 1e-12 of its budget
+	// or beyond it and the headroom predicate AdmitBatch shares with
+	// HasBudgetRange flips.
+	for sigma := 1.0; sigma < 1e9; sigma *= 2 {
+		for b.PayRange(1, 1, Gaussian(sigma, 1)) == nil {
+		}
 	}
 	if b.HasBudgetRange(1, 1) {
 		t.Fatal("failed to exhaust partition 1")
@@ -141,31 +150,33 @@ func TestRDPBlockAdmitBatch(t *testing.T) {
 	if verdicts[3] == nil {
 		t.Fatal("malformed window admitted")
 	}
+	if got := b.SpentAt(1); got > 1.0+1e-9 {
+		t.Fatalf("exhausted partition converts to %g > ε_G", got)
+	}
 }
 
 func TestConcurrentFilterAdmitBatch(t *testing.T) {
-	c := NewConcurrentFilter(1.0)
-	if _, err := c.Register(pureMech{0.7}); err != nil {
+	// The non-partitioned session's admission round: every window is the
+	// full range of a block all of whose partitions carry the same spend.
+	b := NewBlock(1.0, 2)
+	if err := b.PayRange(0, 1, Laplace(0.7)); err != nil {
 		t.Fatal(err)
 	}
-	verdicts := c.AdmitBatch([]float64{0.2, 0.5, 0.2, -1})
-	if verdicts[0] != nil || verdicts[2] != nil {
-		t.Fatalf("affordable budgets refused: %v, %v", verdicts[0], verdicts[2])
+	full := PartitionRange{Start: 0, End: 1}
+	for i, v := range b.AdmitBatch([]PartitionRange{full, full, full}) {
+		// Advisory, non-cumulative: all three pass although three more
+		// 0.2 releases would not fit — nothing was reserved.
+		if v != nil {
+			t.Fatalf("verdict %d on a window with headroom: %v", i, v)
+		}
 	}
-	if !errors.Is(verdicts[1], ErrBudgetExhausted) {
-		t.Fatalf("unaffordable budget verdict = %v, want ErrBudgetExhausted", verdicts[1])
+	if got := b.SpentAt(0); got != 0.7 {
+		t.Fatalf("AdmitBatch moved the books: spent %g, want 0.7", got)
 	}
-	if verdicts[3] == nil {
-		t.Fatal("negative budget admitted")
+	if err := b.PayRange(0, 1, SVInit(0.1)); err != nil { // 0.7 + 3·0.1 fills ε_G
+		t.Fatal(err)
 	}
-	// Advisory, non-cumulative: verdicts 0 and 2 both pass even though
-	// 0.7+0.2+0.2 > 1 — nothing was reserved.
-	if got := c.Spent(); got != 0.7 {
-		t.Fatalf("AdmitBatch moved the filter: spent %g, want 0.7", got)
+	if v := b.AdmitBatch([]PartitionRange{full}); !errors.Is(v[0], ErrBudgetExhausted) {
+		t.Fatalf("exhausted full-range verdict = %v, want ErrBudgetExhausted", v[0])
 	}
 }
-
-// pureMech is a minimal Interactive for filter tests.
-type pureMech struct{ b float64 }
-
-func (m pureMech) Budget() float64 { return m.b }

@@ -3,18 +3,14 @@ package accountant
 import (
 	"errors"
 	"math"
-	"sync"
 	"testing"
 )
 
 func TestRDPBlockPayRangeAtomic(t *testing.T) {
-	b := NewRDPBlockForDP(DefaultOrders, 2.0, 1e-6, 4, nil)
-	cost := GaussianCurve(DefaultOrders, 4, 1)
+	b := NewBlockForDP(DefaultOrders, 2.0, 1e-6, 4)
+	cost := Gaussian(4, 1)
 	// Exhaust partition 1 only.
-	for i := 0; i < 1_000_000; i++ {
-		if err := b.PayRange(1, 1, cost); err != nil {
-			break
-		}
+	for i := 0; i < 1_000_000 && b.PayRange(1, 1, cost) == nil; i++ {
 	}
 	if err := b.PayRange(1, 1, cost); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("exhausted partition accepted another payment: %v", err)
@@ -23,151 +19,138 @@ func TestRDPBlockPayRangeAtomic(t *testing.T) {
 		t.Fatal("untouched partitions report no budget")
 	}
 	// A range overlapping the exhausted partition must deduct nothing.
-	before := b.SpentCurveAt(0)
+	before := b.SpentVector()
 	if err := b.PayRange(0, 2, cost); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
-	after := b.SpentCurveAt(0)
-	for i := range before.Eps {
-		if before.Eps[i] != after.Eps[i] {
-			t.Fatal("rejected range payment deducted from partition 0")
+	for p, after := range b.SpentVector() {
+		if after != before[p] {
+			t.Fatalf("rejected range payment deducted from partition %d", p)
+		}
+		// Every accepted per-partition history converts within ε_G.
+		if after > 2.0+1e-6 {
+			t.Fatalf("partition %d converts to %g > ε_G", p, after)
 		}
 	}
-	// Every accepted per-partition history converts within ε_G.
-	for p := 0; p < 4; p++ {
-		if got := b.SpentDPAt(p); got > 2.0+1e-6 {
-			t.Fatalf("partition %d converts to %g > ε_G", p, got)
+	for _, e := range b.CurveAt(0) {
+		if e != 0 {
+			t.Fatal("rejected range payment deducted from partition 0's curve")
 		}
 	}
 }
 
 func TestRDPBlockZeroHistoryConvertsToZero(t *testing.T) {
-	b := NewRDPBlockForDP(DefaultOrders, 2.0, 1e-6, 2, nil)
-	if got := b.SpentDPAt(0); got != 0 {
+	b := NewBlockForDP(DefaultOrders, 2.0, 1e-6, 2)
+	if got := b.SpentAt(0); got != 0 {
 		t.Fatalf("empty history converts to %g, want 0", got)
 	}
-	if got := b.AverageSpentDP(); got != 0 {
+	if got := b.AverageSpent(); got != 0 {
 		t.Fatalf("empty average %g", got)
 	}
-	if err := b.PayRange(0, 0, LaplaceCurve(DefaultOrders, 0.01)); err != nil {
+	if err := b.PayRange(0, 0, Laplace(0.01)); err != nil {
 		t.Fatal(err)
 	}
-	if b.SpentDPAt(0) <= 0 {
+	if b.SpentAt(0) <= 0 {
 		t.Fatal("consumed history converts to 0")
 	}
-	if b.SpentDPAt(1) != 0 {
+	if b.SpentAt(1) != 0 {
 		t.Fatal("untouched partition shows spend")
 	}
-	if b.MaxSpentDP() != b.SpentDPAt(0) {
-		t.Fatal("MaxSpentDP mismatch")
+	if b.MaxSpent() != b.SpentAt(0) || b.AverageSpent() != b.SpentAt(0)/2 {
+		t.Fatal("MaxSpent/AverageSpent disagree with SpentAt")
 	}
 }
 
 func TestRDPBlockMirrorsConvertedSpend(t *testing.T) {
-	mirror := NewBlock(2.0, 3)
-	b := NewRDPBlockForDP(DefaultOrders, 2.0, 1e-6, 3, mirror)
-	cost := LaplaceCurve(DefaultOrders, 0.02)
+	// What the scalar mirror used to fake in a second set of books, the
+	// one block reports: every spend figure is the δ_G conversion of the
+	// partition's curve, min over orders of spent + ln(1/δ_G)/(α−1).
+	const deltaG = 1e-6
+	b := NewBlockForDP(DefaultOrders, 2.0, deltaG, 3)
 	for i := 0; i < 40; i++ {
-		if err := b.PayRange(0, 1, cost); err != nil {
+		if err := b.PayRange(0, 1, Laplace(0.02)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for p := 0; p < 3; p++ {
-		conv, scalar := b.SpentDPAt(p), mirror.SpentAt(p)
-		if math.Abs(conv-scalar) > 1e-9 {
-			t.Fatalf("partition %d: converted %g != mirrored %g", p, conv, scalar)
+	vec := b.SpentVector()
+	for p := 0; p < 2; p++ {
+		want := math.Inf(1)
+		for j, e := range b.CurveAt(p) {
+			want = math.Min(want, e+math.Log(1/deltaG)/(DefaultOrders[j]-1))
+		}
+		if vec[p] != want || b.SpentAt(p) != want {
+			t.Fatalf("partition %d: SpentAt %g, SpentVector %g, converted curve %g", p, b.SpentAt(p), vec[p], want)
+		}
+		if want >= 40*0.02 {
+			t.Fatalf("partition %d converts to %g, no better than basic composition", p, want)
 		}
 	}
-	if mirror.SpentAt(2) != 0 {
-		t.Fatal("untouched partition mirrored nonzero")
+	if vec[2] != 0 {
+		t.Fatal("untouched partition reports spend")
 	}
 }
 
 func TestRDPBlockAddPartition(t *testing.T) {
-	b := NewRDPBlockForDP(DefaultOrders, 1.0, 1e-6, 1, nil)
+	b := NewBlockForDP(DefaultOrders, 1.0, 1e-6, 1)
+	if err := b.PayRange(0, 0, Laplace(0.01)); err != nil {
+		t.Fatal(err)
+	}
 	if got := b.AddPartition(); got != 1 {
 		t.Fatalf("AddPartition = %d", got)
 	}
-	if b.Partitions() != 2 {
-		t.Fatalf("partitions = %d", b.Partitions())
+	if got := b.AddPartitions(2); got != 2 || b.Partitions() != 4 {
+		t.Fatalf("AddPartitions(2) = %d, partitions = %d", got, b.Partitions())
 	}
-	if err := b.PayRange(0, 1, LaplaceCurve(DefaultOrders, 0.01)); err != nil {
+	if err := b.PayRange(0, 3, Laplace(0.01)); err != nil {
 		t.Fatal(err)
+	}
+	if b.SpentAt(3) <= 0 || b.SpentAt(0) <= b.SpentAt(3) {
+		t.Fatalf("spend after growth: %v", b.SpentVector())
 	}
 }
 
 func TestRDPBlockGridValueValidation(t *testing.T) {
-	b := NewRDPBlockForDP(DefaultOrders, 1.0, 1e-6, 1, nil)
-	bad := NewCurve(DefaultOrders)
-	bad.Orders[3] += 0.5 // same length, different values
-	if err := b.PayRange(0, 0, bad); err == nil {
-		t.Fatal("mismatched order values accepted")
+	// A snapshot over a grid of the same length but different values is
+	// refused (payments cannot disagree with the grid: the block prices).
+	src := NewBlockForDP(DefaultOrders, 1.0, 1e-6, 1)
+	payload, err := src.SnapshotPayload()
+	if err != nil {
+		t.Fatal(err)
 	}
-	f := NewRDPFilter(LaplaceCurve(DefaultOrders, 1))
-	if err := f.Pay(bad); err == nil {
-		t.Fatal("RDPFilter accepted mismatched order values")
+	other := append([]float64(nil), DefaultOrders...)
+	other[3] += 0.5
+	if err := NewBlockForDP(other, 1.0, 1e-6, 1).RestorePayload(payload); err == nil {
+		t.Fatal("mismatched order values accepted")
 	}
 }
 
 func TestConcurrentRDPFilterAdmission(t *testing.T) {
-	b := NewRDPBlockForDP(DefaultOrders, 2.0, 1e-6, 2, nil)
-	c := NewConcurrentRDPFilter(b)
-
-	sv := RDPMechanism{Cost: SVInitCurve(DefaultOrders, 0.05), Start: 0, End: 1}
-	h, err := c.Register(sv)
-	if err != nil {
+	b := NewBlockForDP(DefaultOrders, 2.0, 1e-6, 2)
+	if err := b.PayRange(0, 1, SVInit(0.05)); err != nil {
 		t.Fatal(err)
 	}
-	if c.Live() != 1 {
-		t.Fatalf("live = %d", c.Live())
+	// Spend is irrevocable and identical on every partition of the
+	// mechanism's window.
+	if b.SpentAt(0) <= 0 || b.SpentAt(0) != b.SpentAt(1) {
+		t.Fatalf("admitted SV spent %v", b.SpentVector())
 	}
-	seen := false
-	if err := c.Interact(h, func(m InteractiveRDP) error {
-		if s, e := m.Window(); s != 0 || e != 1 {
-			t.Fatal("wrong mechanism window")
-		}
-		seen = true
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	if err := b.PayRange(0, 1, Cost{}); err == nil {
+		t.Fatal("zero mechanism accepted")
 	}
-	if !seen {
-		t.Fatal("interaction not run")
-	}
-	before := b.SpentDPAt(0)
-	c.Retire(h)
-	if c.Live() != 0 {
-		t.Fatal("retired mechanism still live")
-	}
-	if err := c.Interact(h, func(InteractiveRDP) error { return nil }); !errors.Is(err, ErrClosed) {
-		t.Fatalf("retired interact err = %v, want ErrClosed", err)
-	}
-	// Spend is irrevocable.
-	if b.SpentDPAt(0) != before {
-		t.Fatal("retire refunded budget")
-	}
-	if _, err := c.Register(nil); err == nil {
-		t.Fatal("nil mechanism accepted")
-	}
-	if _, err := c.Register(RDPMechanism{Cost: sv.Cost, Start: 1, End: 0}); err == nil {
+	if err := b.PayRange(1, 0, SVInit(0.05)); err == nil {
 		t.Fatal("inverted window accepted")
 	}
 }
 
 func TestConcurrentRDPFilterRefusesWhenEveryOrderBusts(t *testing.T) {
-	b := NewRDPBlockForDP(DefaultOrders, 0.5, 1e-6, 1, nil)
-	c := NewConcurrentRDPFilter(b)
-	cost := GaussianCurve(DefaultOrders, 30, 1)
+	b := NewBlockForDP(DefaultOrders, 0.5, 1e-6, 1)
+	cost := Gaussian(30, 1)
 	admitted := 0
 	var lastErr error
-	for i := 0; i < 1_000_000; i++ {
-		h, err := c.Register(RDPMechanism{Cost: cost, Start: 0, End: 0})
-		if err != nil {
-			lastErr = err
+	for ; admitted < 1_000_000; admitted++ {
+		if lastErr = b.PayRange(0, 0, cost); lastErr != nil {
 			break
 		}
-		c.Retire(h)
-		admitted++
 	}
 	if admitted == 0 {
 		t.Fatal("no mechanism admitted under a 0.5 budget")
@@ -175,41 +158,19 @@ func TestConcurrentRDPFilterRefusesWhenEveryOrderBusts(t *testing.T) {
 	if !errors.Is(lastErr, ErrBudgetExhausted) {
 		t.Fatalf("refusal err = %v", lastErr)
 	}
-	if got := b.SpentDPAt(0); got > 0.5+1e-6 {
+	if got := b.SpentAt(0); got > 0.5+1e-6 {
 		t.Fatalf("accepted history converts to %g > ε_G", got)
 	}
 }
 
 func TestConcurrentRDPFilterConcurrentRegistrations(t *testing.T) {
-	mirror := NewBlock(5.0, 4)
-	b := NewRDPBlockForDP(DefaultOrders, 5.0, 1e-6, 4, mirror)
-	c := NewConcurrentRDPFilter(b)
-	cost := LaplaceCurve(DefaultOrders, 0.01)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				win := [2]int{(w + i) % 4, 3}
-				h, err := c.Register(RDPMechanism{Cost: cost, Start: win[0], End: win[1]})
-				if err != nil {
-					if !errors.Is(err, ErrBudgetExhausted) {
-						t.Errorf("register: %v", err)
-					}
-					return
-				}
-				c.Retire(h)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for p := 0; p < 4; p++ {
-		if math.Abs(b.SpentDPAt(p)-mirror.SpentAt(p)) > 1e-9 {
-			t.Fatalf("partition %d books diverge: %g vs %g", p, b.SpentDPAt(p), mirror.SpentAt(p))
+	storm(t, NewBlockForDP(DefaultOrders, 1.5, 1e-6, 4), func(w, i int) Cost {
+		switch i % 5 {
+		case 0:
+			return SVInit(0.004 * float64(1+w%3))
+		case 1:
+			return Gaussian(40+float64(w), 1)
 		}
-		if b.SpentDPAt(p) > 5.0+1e-6 {
-			t.Fatalf("partition %d overspent", p)
-		}
-	}
+		return Laplace(0.006 * float64(1+i%4))
+	})
 }

@@ -6,183 +6,222 @@ import (
 	"testing"
 )
 
+// curveOf prices c at every order of a grid — the curve a payment of c
+// composes into each partition it touches.
+func curveOf(orders []float64, c Cost) []float64 {
+	out := make([]float64, len(orders))
+	for j, a := range orders {
+		out[j] = c.rdp(a)
+	}
+	return out
+}
+
 func TestCurveAdd(t *testing.T) {
-	a := LaplaceCurve(DefaultOrders, 0.1)
-	b := LaplaceCurve(DefaultOrders, 0.2)
-	sum, err := a.Add(b)
-	if err != nil {
+	// RDP composition is additive per order: two payments compose to the
+	// sum of their curves, on the partitions they touch and nowhere else.
+	b := NewBlockForDP(DefaultOrders, 5, 1e-6, 2)
+	x, y := Laplace(0.1), SVInit(0.2)
+	if err := b.PayRange(0, 0, x); err != nil {
 		t.Fatal(err)
 	}
-	for i := range sum.Eps {
-		if math.Abs(sum.Eps[i]-(a.Eps[i]+b.Eps[i])) > 1e-15 {
-			t.Fatalf("order %g: add mismatch", sum.Orders[i])
-		}
+	if err := b.PayRange(0, 1, y); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := a.Add(NewCurve([]float64{2})); err == nil {
-		t.Error("grid mismatch accepted")
+	cx, cy := curveOf(DefaultOrders, x), curveOf(DefaultOrders, y)
+	for j, a := range DefaultOrders {
+		if got := b.CurveAt(0)[j]; got != cx[j]+cy[j] {
+			t.Fatalf("order %g: partition 0 composed %g, want %g", a, got, cx[j]+cy[j])
+		}
+		if got := b.CurveAt(1)[j]; got != cy[j] {
+			t.Fatalf("order %g: partition 1 composed %g, want %g", a, got, cy[j])
+		}
 	}
 }
 
 func TestLaplaceCurveBounds(t *testing.T) {
 	// The RDP curve of an ε-DP Laplace mechanism is at most ε at every
-	// order (it converges to ε as α→∞) and positive for ε>0.
+	// order (it converges to ε as α→∞, the pure grid's price) and positive
+	// for ε>0.
 	eps := 0.5
-	c := LaplaceCurve(DefaultOrders, eps)
-	for i, a := range c.Orders {
-		if c.Eps[i] <= 0 {
-			t.Fatalf("order %g: non-positive rdp %g", a, c.Eps[i])
+	c := curveOf(DefaultOrders, Laplace(eps))
+	for j, a := range DefaultOrders {
+		if c[j] <= 0 {
+			t.Fatalf("order %g: non-positive rdp %g", a, c[j])
 		}
-		if c.Eps[i] > eps+1e-9 {
-			t.Fatalf("order %g: rdp %g exceeds pure eps %g", a, c.Eps[i], eps)
+		if c[j] > eps+1e-9 {
+			t.Fatalf("order %g: rdp %g exceeds pure eps %g", a, c[j], eps)
+		}
+		// Monotone non-decreasing in order (Rényi divergences are).
+		if j > 0 && c[j] < c[j-1]-1e-12 {
+			t.Fatalf("curve not monotone at order %g", a)
 		}
 	}
-	// Monotone non-decreasing in order (Rényi divergences are).
-	for i := 1; i < len(c.Orders); i++ {
-		if c.Orders[i-1] <= 1 {
-			continue
-		}
-		if c.Eps[i] < c.Eps[i-1]-1e-12 {
-			t.Fatalf("curve not monotone at order %g", c.Orders[i])
-		}
+	if far := Laplace(eps).rdp(1e6); math.Abs(far-eps) > 1e-4 {
+		t.Fatalf("order 1e6 prices at %g, want → ε = %g", far, eps)
+	}
+	pure := NewBlock(1, 1)
+	if err := pure.PayRange(0, 0, Laplace(eps)); err != nil || pure.SpentAt(0) != eps {
+		t.Fatalf("pure grid priced Laplace(ε) at %g (err %v), want ε", pure.SpentAt(0), err)
 	}
 }
 
 func TestGaussianCurve(t *testing.T) {
-	c := GaussianCurve(DefaultOrders, 2.0, 1.0)
-	for i, a := range c.Orders {
-		want := a / (2 * 4)
-		if math.Abs(c.Eps[i]-want) > 1e-15 {
-			t.Fatalf("order %g: %g, want %g", a, c.Eps[i], want)
+	c := curveOf(DefaultOrders, Gaussian(2.0, 1.0))
+	for j, a := range DefaultOrders {
+		if want := a / (2 * 4); math.Abs(c[j]-want) > 1e-15 {
+			t.Fatalf("order %g: %g, want %g", a, c[j], want)
 		}
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("sigma=0 did not panic")
-			}
+	for _, bad := range [][2]float64{{0, 1}, {-1, 1}, {math.NaN(), 1}, {1, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Gaussian(%g, %g) did not panic", bad[0], bad[1])
+				}
+			}()
+			Gaussian(bad[0], bad[1])
 		}()
-		GaussianCurve(DefaultOrders, 0, 1)
-	}()
+	}
+	// α = ∞: a Gaussian mechanism is not ε-DP for any ε, so the pure grid
+	// refuses it and deducts nothing.
+	pure := NewBlock(100, 2)
+	if err := pure.PayRange(0, 1, Gaussian(2, 1)); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("pure grid took a Gaussian release: %v", err)
+	}
+	if pure.MaxSpent() != 0 {
+		t.Fatalf("refused Gaussian release deducted %g", pure.MaxSpent())
+	}
 }
 
 func TestSVInitCurve(t *testing.T) {
 	eps := 0.3
-	c := SVInitCurve(DefaultOrders, eps)
-	lap := LaplaceCurve(DefaultOrders, 2*eps)
-	for i := range c.Eps {
-		want := lap.Eps[i] + 2*eps
-		if math.Abs(c.Eps[i]-want) > 1e-12 {
-			t.Fatalf("order %g: %g, want %g", c.Orders[i], c.Eps[i], want)
+	c := curveOf(DefaultOrders, SVInit(eps))
+	lap := curveOf(DefaultOrders, Laplace(2*eps))
+	for j, a := range DefaultOrders {
+		if want := lap[j] + 2*eps; math.Abs(c[j]-want) > 1e-12 {
+			t.Fatalf("order %g: %g, want %g", a, c[j], want)
 		}
+	}
+	// α = ∞ is the paper's pure SV cost, 3ε — not the 4ε the §A.6 bound
+	// above tends to.
+	if far := SVInit(eps).rdp(1e6); math.Abs(far-4*eps) > 1e-4 {
+		t.Fatalf("order 1e6 prices at %g, want → 4ε = %g", far, 4*eps)
+	}
+	pure := NewBlock(1, 1)
+	if err := pure.PayRange(0, 0, SVInit(eps)); err != nil || pure.SpentAt(0) != 3*eps {
+		t.Fatalf("pure grid priced SVInit(ε) at %g (err %v), want 3ε", pure.SpentAt(0), err)
 	}
 }
 
 func TestToDPBeatsBasicComposition(t *testing.T) {
 	// Composing k ε-DP Laplace mechanisms under RDP then converting at a
 	// reasonable δ must beat basic composition (k·ε) for large enough k.
-	eps := 0.05
-	k := 200
-	curve := NewCurve(DefaultOrders)
-	var err error
+	eps, k := 0.05, 200
+	b := NewBlockForDP(DefaultOrders, 100, 1e-6, 1)
 	for i := 0; i < k; i++ {
-		curve, err = curve.Add(LaplaceCurve(DefaultOrders, eps))
-		if err != nil {
+		if err := b.PayRange(0, 0, Laplace(eps)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rdpEps := curve.ToDP(1e-6)
-	basic := float64(k) * eps
-	if rdpEps >= basic {
+	if rdpEps, basic := b.SpentAt(0), float64(k)*eps; rdpEps >= basic {
 		t.Fatalf("RDP composition %g not better than basic %g at k=%d", rdpEps, basic, k)
 	}
 }
 
 func TestToDPPanicsOnBadDelta(t *testing.T) {
-	c := LaplaceCurve(DefaultOrders, 0.1)
-	for _, d := range []float64{0, 1, -0.5} {
+	for _, d := range []float64{0, 1, -0.5, math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("ToDP(%g) did not panic", d)
+					t.Errorf("NewBlockForDP(δ_G=%g) did not panic", d)
 				}
 			}()
-			c.ToDP(d)
+			NewBlockForDP(DefaultOrders, 1, d, 1)
+		}()
+	}
+	for _, orders := range [][]float64{nil, {2, 1}, {0.5}, {math.NaN()}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewBlockForDP(orders %v) did not panic", orders)
+				}
+			}()
+			NewBlockForDP(orders, 1, 1e-6, 1)
 		}()
 	}
 }
 
 func TestRDPFilterAcceptReject(t *testing.T) {
-	global := GaussianCurve(DefaultOrders, 1.0, 1.0) // budget = α/2 per order
-	f := NewRDPFilter(global)
-	cost := GaussianCurve(DefaultOrders, 2.0, 1.0) // α/8 per order
-	for i := 0; i < 4; i++ {
-		if err := f.Pay(cost); err != nil {
-			t.Fatalf("payment %d rejected: %v", i, err)
-		}
+	// One partition of a Rényi block is the RDP filter: pay identical
+	// Gaussian releases until refused.
+	b := NewBlockForDP(DefaultOrders, 2.0, 1e-6, 1)
+	cost := Gaussian(20, 1)
+	paid := 0
+	for ; paid < 1000 && b.PayRange(0, 0, cost) == nil; paid++ {
 	}
-	// Fifth identical payment exceeds every order simultaneously.
-	if err := f.Pay(cost); !errors.Is(err, ErrBudgetExhausted) {
+	if paid == 0 || paid == 1000 {
+		t.Fatalf("%d payments accepted", paid)
+	}
+	before := b.CurveAt(0)
+	if err := b.PayRange(0, 0, cost); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
-	if f.HasBudget() {
-		t.Fatal("exhausted RDP filter reports budget")
-	}
-	// Rejection must not deduct.
-	spent := f.Spent()
-	for i := range spent.Eps {
-		if spent.Eps[i] > global.Eps[i]+1e-12 {
-			t.Fatalf("order %g: spent %g exceeds budget %g", spent.Orders[i], spent.Eps[i], global.Eps[i])
+	// Rejection must not deduct, and the accepted history stays within
+	// budget at some order.
+	within := false
+	for j, e := range b.CurveAt(0) {
+		if e != before[j] {
+			t.Fatalf("order %g: rejected payment deducted", DefaultOrders[j])
 		}
+		within = within || (b.budget[j] > 0 && e <= b.budget[j]+tol)
+	}
+	if !within {
+		t.Fatal("accepted history exceeds the budget at every order")
 	}
 }
 
 func TestRDPFilterSomeOrderSuffices(t *testing.T) {
 	// Thm B.2: accept as long as at least one order stays within budget.
-	orders := []float64{2, 64}
-	global := NewCurve(orders)
-	global.Eps = []float64{1.0, 0.1}
-	f := NewRDPFilter(global)
-	cost := NewCurve(orders)
-	cost.Eps = []float64{0.2, 0.2} // busts order 64 immediately, fits order 2
+	b := NewBlockForDP([]float64{2, 64}, 1, 1e-6, 1)
+	b.budget = []float64{1.0, 0.1}
+	cost := Gaussian(math.Sqrt(5), 1) // α/10: 0.2 at order 2, 6.4 at order 64
 	for i := 0; i < 5; i++ {
-		if err := f.Pay(cost); err != nil {
+		if err := b.PayRange(0, 0, cost); err != nil {
 			t.Fatalf("payment %d rejected: %v", i, err)
 		}
 	}
-	if err := f.Pay(cost); err == nil {
-		t.Fatal("payment beyond every order accepted")
+	if err := b.PayRange(0, 0, cost); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("payment beyond every order: %v", err)
 	}
 }
 
 func TestNewRDPFilterForDP(t *testing.T) {
 	epsG, deltaG := 2.0, 1e-6
-	f := NewRDPFilterForDP(DefaultOrders, epsG, deltaG)
+	b := NewBlockForDP(DefaultOrders, epsG, deltaG, 1)
 	// Spend in small Gaussian increments until exhausted, then verify the
 	// consumed curve still converts to at most ε_G at δ_G.
-	cost := GaussianCurve(DefaultOrders, 10, 1)
-	for i := 0; i < 1_000_000; i++ {
-		if err := f.Pay(cost); err != nil {
-			break
+	cost := Gaussian(10, 1)
+	for i := 0; i < 1_000_000 && b.PayRange(0, 0, cost) == nil; i++ {
+	}
+	if got := b.SpentAt(0); got > epsG+1e-6 || got < epsG/2 {
+		t.Fatalf("accepted history converts to %g, want just under eps_G %g", got, epsG)
+	}
+	for j, a := range DefaultOrders {
+		if want := math.Max(0, epsG-math.Log(1/deltaG)/(a-1)); b.budget[j] != want {
+			t.Fatalf("order %g budget %g, want %g", a, b.budget[j], want)
 		}
-	}
-	if got := f.SpentDP(deltaG); got > epsG+1e-6 {
-		t.Fatalf("accepted history converts to %g > eps_G %g", got, epsG)
-	}
-	for _, bad := range [][2]float64{{0, 0.1}, {1, 0}, {1, 1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewRDPFilterForDP(%v) did not panic", bad)
-				}
-			}()
-			NewRDPFilterForDP(DefaultOrders, bad[0], bad[1])
-		}()
 	}
 }
 
 func TestRDPFilterGridMismatch(t *testing.T) {
-	f := NewRDPFilter(LaplaceCurve(DefaultOrders, 1))
-	if err := f.Pay(NewCurve([]float64{2})); err == nil {
+	// Payers no longer hand over curves, so a payment cannot disagree with
+	// the block's grid; what can is a snapshot.
+	src := NewBlockForDP(DefaultOrders, 1, 1e-6, 1)
+	payload, err := src.SnapshotPayload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := NewBlockForDP([]float64{2}, 1, 1e-6, 1).RestorePayload(payload); err == nil {
 		t.Fatal("grid mismatch accepted")
 	}
 }

@@ -74,6 +74,9 @@ func (b *Block) Share(kv SharedKV, replica string, ttl time.Duration) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.orders != nil {
+		return fmt.Errorf("accountant: budget sharing supports pure-ε blocks only")
+	}
 	if b.shared != nil {
 		return fmt.Errorf("accountant: block already shared as %q", b.shared.replica)
 	}
@@ -141,8 +144,8 @@ func (b *Block) mergeSharedLocked(i int) error {
 		ok = false
 	}
 	if ok && remote > b.spent[i] {
-		if remote > b.global+1e-9 || math.IsNaN(remote) {
-			return fmt.Errorf("accountant: shared spend %g at partition %d exceeds ε_G %g", remote, i, b.global)
+		if remote > b.epsG+1e-9 || math.IsNaN(remote) {
+			return fmt.Errorf("accountant: shared spend %g at partition %d exceeds ε_G %g", remote, i, b.epsG)
 		}
 		b.spent[i] = remote
 	}
@@ -185,34 +188,34 @@ func (b *Block) publishSpentLocked(i int) error {
 	}
 }
 
-// payRangeSharedLocked is PayRange's cross-replica path: acquire the
-// range's owner leases in ascending order, merge, validate, apply,
-// publish, release. The caller holds b.mu and has validated the range
-// bounds and eps.
-func (b *Block) payRangeSharedLocked(start, end int, eps float64) error {
+// ownRangeLocked is steps 1–2 of a shared payment: acquire the range's
+// owner leases in ascending order, max-merging each partition's shared
+// spend as its lease lands. The returned release (never nil) drops
+// whatever was acquired. The caller holds b.mu and has validated the
+// range.
+func (b *Block) ownRangeLocked(start, end int) (release func(), err error) {
 	acquired := start - 1
-	defer func() {
+	release = func() {
 		for i := start; i <= acquired; i++ {
 			b.releaseOwnerLocked(i)
 		}
-	}()
+	}
 	for i := start; i <= end; i++ {
 		if err := b.acquireOwnerLocked(i); err != nil {
-			return err
+			return release, err
 		}
 		acquired = i
 		if err := b.mergeSharedLocked(i); err != nil {
-			return err
+			return release, err
 		}
 	}
+	return release, nil
+}
+
+// publishRangeLocked is step 3's write-through of a charge just applied
+// to [start, end]. The caller holds b.mu and the range's owner leases.
+func (b *Block) publishRangeLocked(start, end int) error {
 	for i := start; i <= end; i++ {
-		if b.spent[i]+eps > b.global+1e-12 {
-			return fmt.Errorf("%w: partition %d at %.6g + %.6g > %.6g",
-				ErrBudgetExhausted, i, b.spent[i], eps, b.global)
-		}
-	}
-	for i := start; i <= end; i++ {
-		b.spent[i] += eps
 		if err := b.publishSpentLocked(i); err != nil {
 			// The local charge stands (conservative: the mechanism will
 			// run), but the peers cannot see it — surface loudly.

@@ -26,7 +26,7 @@ func TestSharedBlockMergesPeerSpends(t *testing.T) {
 	if err := b.Share(kv, "replica-b", time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.PayRange(0, 2, 0.4); err != nil {
+	if err := a.PayRange(0, 2, accountant.Laplace(0.4)); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.SyncShared(); err != nil {
@@ -41,7 +41,7 @@ func TestSharedBlockMergesPeerSpends(t *testing.T) {
 		t.Fatalf("uncharged partition 3 = %g", got)
 	}
 	// The peer's own validation includes the merged spend: 0.4 + 0.7 > 1.
-	if err := b.PayRange(0, 0, 0.7); !errors.Is(err, accountant.ErrBudgetExhausted) {
+	if err := b.PayRange(0, 0, accountant.Laplace(0.7)); !errors.Is(err, accountant.ErrBudgetExhausted) {
 		t.Fatalf("over-budget charge after merge: err = %v", err)
 	}
 	// A fresh replica attaching later inherits the spends at Share time.
@@ -70,7 +70,7 @@ func TestSharedBlockExactlyOneWins(t *testing.T) {
 		wg.Add(1)
 		go func(i int, blk *accountant.Block) {
 			defer wg.Done()
-			errs[i] = blk.PayRange(0, 0, 0.3)
+			errs[i] = blk.PayRange(0, 0, accountant.Laplace(0.3))
 		}(i, blk)
 	}
 	wg.Wait()
@@ -122,7 +122,7 @@ func TestSharedBlockNoDoubleSpend(t *testing.T) {
 			for a := 0; a < attempts; a++ {
 				start := rng.Intn(partitions)
 				end := start + rng.Intn(partitions-start)
-				if err := blocks[r].PayRange(start, end, eps); err == nil {
+				if err := blocks[r].PayRange(start, end, accountant.Laplace(eps)); err == nil {
 					for i := start; i <= end; i++ {
 						charged[r][i] += eps
 					}
@@ -168,7 +168,7 @@ func TestSharedBlockCrashedOwnerRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if err := b.PayRange(0, 0, 0.1); err != nil {
+	if err := b.PayRange(0, 0, accountant.Laplace(0.1)); err != nil {
 		t.Fatalf("charge past a dead owner: %v", err)
 	}
 	if waited := time.Since(start); waited > time.Second {
@@ -183,7 +183,7 @@ func TestSharedBlockUnsharedUnchanged(t *testing.T) {
 	if b.Shared() {
 		t.Fatal("fresh block reports shared")
 	}
-	if err := b.PayRange(0, 1, 0.25); err != nil {
+	if err := b.PayRange(0, 1, accountant.Laplace(0.25)); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.SyncShared(); err != nil {

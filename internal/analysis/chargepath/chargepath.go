@@ -5,22 +5,22 @@
 // Three rules, all outside _test.go files:
 //
 //  1. Spend-state restores ((*accountant.Block).RestoreSpent, direct
-//     RestorePayload calls on accountant blocks) are internal to
+//     RestorePayload calls on the accountant block) are internal to
 //     internal/accountant — anywhere else, a restore could overwrite
 //     composed history without the snapshot registry's validation.
 //
-//  2. Payment calls (Pay/PayRange and their batched forms
-//     PayBatch/PayRangeBatch on accountant types) appear only in
-//     designated payer packages (accountant, pmw, tree, baseline, core,
-//     engine). A private measurement accountant elsewhere takes a
+//  2. Payment calls (Window.Pay, Block.PayRange and its batched form
+//     PayRangeBatch — whatever accountant.Cost they carry) appear only
+//     in designated payer packages (accountant, pmw, tree, baseline,
+//     core, engine). A private measurement accountant elsewhere takes a
 //     //turbo:allow(chargepath) annotation with justification.
 //
 //  3. A cache fill ((*cache.Exact).Put, Backend.SetWeighted) outside the
 //     storage packages must sit in a function from which an admission
 //     result is reachable: the function — or a same-package function it
 //     transitively calls — either invokes an accountant payment/admission
-//     API (Pay, PayRange, Register, Interact, or the batch plane's
-//     one-round AdmitBatch/PayBatch/PayRangeBatch) or obtains a result
+//     API (Pay, PayRange, or the batch plane's one-round
+//     AdmitBatch/PayRangeBatch) or obtains a result
 //     value carrying a Paid field. This is the PR 5 eviction-safety
 //     property: an entry is only ever written by the flight that paid
 //     for it.
@@ -123,8 +123,7 @@ func admissionEvidence(callee *types.Func) bool {
 	}
 	if accountantFunc(callee) {
 		switch callee.Name() {
-		case "Pay", "PayRange", "Register", "Interact",
-			"AdmitBatch", "PayBatch", "PayRangeBatch":
+		case "Pay", "PayRange", "AdmitBatch", "PayRangeBatch":
 			// The batch plane's one-round admission verdicts (AdmitBatch)
 			// and batched payments are admission results like their
 			// singleton counterparts.
@@ -150,7 +149,7 @@ func cacheFill(callee *types.Func) bool {
 	return false
 }
 
-// spendMutator classifies a callee as a direct spend-state mutation on an
+// spendMutator classifies a callee as a direct spend-state mutation on the
 // accountant block.
 func spendMutator(callee *types.Func) bool {
 	if !accountantFunc(callee) {
@@ -160,8 +159,7 @@ func spendMutator(callee *types.Func) bool {
 	case "RestoreSpent":
 		return true
 	case "RestorePayload":
-		r := recvNamed(callee)
-		return r == "Block" || r == "RDPBlock"
+		return recvNamed(callee) == "Block"
 	}
 	return false
 }
@@ -211,7 +209,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 					callee.Name())
 			}
 		case accountantFunc(callee) && (callee.Name() == "Pay" || callee.Name() == "PayRange" ||
-			callee.Name() == "PayBatch" || callee.Name() == "PayRangeBatch"):
+			callee.Name() == "PayRangeBatch"):
 			if !isPayerPkg && !allow.Allowed(call.Pos(), name) {
 				pass.Reportf(call.Pos(),
 					"ε/RDP charge (%s) outside a designated payer package: charges must flow through admission, or annotate a private measurement accountant with //turbo:allow(chargepath)",

@@ -2,21 +2,24 @@
 // internal/accountant API that chargepath keys on.
 package accountant
 
+// Cost names a mechanism; the block prices it.
+type Cost struct{ eps float64 }
+
+func Laplace(eps float64) Cost            { return Cost{eps} }
+func Gaussian(sigma, delta2 float64) Cost { return Cost{sigma} }
+
 type Block struct{ spent float64 }
 
-func NewFilter(eps float64) *Block { return &Block{} }
+func NewBlock(eps float64) *Block { return &Block{} }
 
-func (b *Block) Pay(eps float64) error                  { b.spent += eps; return nil }
-func (b *Block) PayRange(lo, hi int, eps float64) error { return nil }
-func (b *Block) AdmitBatch(wins [][2]int) []error       { return make([]error, len(wins)) }
-func (b *Block) PayRangeBatch(eps []float64) []error    { return make([]error, len(eps)) }
-func (b *Block) PayBatch(eps []float64) []error         { return make([]error, len(eps)) }
-func (b *Block) RestoreSpent(v float64)                 { b.spent = v }
-func (b *Block) RestorePayload(p []byte) error          { return nil }
+func (b *Block) PayRange(lo, hi int, c Cost) error   { b.spent += c.eps; return nil }
+func (b *Block) AdmitBatch(wins [][2]int) []error    { return make([]error, len(wins)) }
+func (b *Block) PayRangeBatch(costs []Cost) []error  { return make([]error, len(costs)) }
+func (b *Block) RestoreSpent(v float64)              { b.spent = v }
+func (b *Block) RestorePayload(p []byte) error       { return nil }
+func (b *Block) UpgradeSnapshot(p map[string][]byte) {}
 
-type RDPBlock struct{ spent float64 }
+// Window is a partition range of a block.
+type Window struct{ Block *Block }
 
-func (b *RDPBlock) Pay(cost []float64) error      { return nil }
-func (b *RDPBlock) RestorePayload(p []byte) error { return nil }
-
-func Register(id string) error { return nil }
+func (w Window) Pay(c Cost) error { return w.Block.PayRange(0, 0, c) }

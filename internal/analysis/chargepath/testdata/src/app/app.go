@@ -13,23 +13,35 @@ func restoreSpent(b *accountant.Block) {
 	b.RestoreSpent(0) // want `accountant spend state mutates outside internal/accountant`
 }
 
-func restorePayload(b *accountant.RDPBlock) {
+func restorePayload(b *accountant.Block) {
 	_ = b.RestorePayload(nil) // want `accountant spend state mutates outside internal/accountant`
+}
+
+// Vetting a snapshot's sections mutates no spend state and stays silent.
+func upgradeSnapshot(b *accountant.Block) {
+	b.UpgradeSnapshot(nil)
 }
 
 // Rule 2: payment outside a designated payer package.
 
-func charge(b *accountant.Block) {
-	_ = b.Pay(0.1) // want `ε/RDP charge \(Pay\) outside a designated payer package`
+func charge(w accountant.Window) {
+	_ = w.Pay(accountant.Laplace(0.1)) // want `ε/RDP charge \(Pay\) outside a designated payer package`
 }
 
 func chargeRange(b *accountant.Block) {
-	_ = b.PayRange(0, 3, 0.1) // want `ε/RDP charge \(PayRange\) outside a designated payer package`
+	_ = b.PayRange(0, 3, accountant.Laplace(0.1)) // want `ε/RDP charge \(PayRange\) outside a designated payer package`
 }
 
-func chargeAllowed(b *accountant.Block) {
+// The rule keys on the payment call, not on what it costs: a Cost built
+// anywhere — here a Gaussian one, held in a variable — is still a charge.
+func chargeRangeWithCost(b *accountant.Block) {
+	c := accountant.Gaussian(2, 1)
+	_ = b.PayRange(0, 3, c) // want `ε/RDP charge \(PayRange\) outside a designated payer package`
+}
+
+func chargeAllowed(w accountant.Window) {
 	//turbo:allow(chargepath) private measurement accountant for a report
-	_ = b.Pay(0.1)
+	_ = w.Pay(accountant.Laplace(0.1))
 }
 
 // Rule 3: cache fills need admission evidence on their path.
@@ -84,10 +96,6 @@ func fillBatchAdmitted(b *accountant.Block, c *cache.Exact) {
 	}
 }
 
-func chargeBatch(b *accountant.Block) {
-	_ = b.PayBatch([]float64{0.1}) // want `ε/RDP charge \(PayBatch\) outside a designated payer package`
-}
-
 func chargeRangeBatch(b *accountant.Block) {
-	_ = b.PayRangeBatch([]float64{0.1}) // want `ε/RDP charge \(PayRangeBatch\) outside a designated payer package`
+	_ = b.PayRangeBatch([]accountant.Cost{accountant.Laplace(0.1)}) // want `ε/RDP charge \(PayRangeBatch\) outside a designated payer package`
 }

@@ -5,8 +5,8 @@ package engine
 import "accountant"
 
 func runMechanism(b *accountant.Block) error {
-	if err := b.Pay(0.05); err != nil {
+	if err := (accountant.Window{Block: b}).Pay(accountant.Laplace(0.05)); err != nil {
 		return err
 	}
-	return b.PayRange(0, 7, 0.05)
+	return b.PayRange(0, 7, accountant.Laplace(0.05))
 }

@@ -20,9 +20,11 @@
 //	  < { store.memStripe.mu , store.File.mu }
 //	  < store.File.statsMu
 //
-// accountant.Block.mu ranks below the backend stripe locks because the
-// shared-budget protocol holds it across lease and spend-record writes
-// into the shared store (accountant/shared.go); store.Mem.nsMu, the
+// accountant.Block.mu is the accountant package's only mutex: one set of
+// books, one lock, nothing to nest inside the package. It ranks below the
+// backend stripe locks because the shared-budget protocol holds
+// it across lease and spend-record writes into the shared store
+// (accountant/shared.go); store.Mem.nsMu, the
 // namespace-intern lock, is taken and released before a stripe lock and
 // never inside one (every operation resolves its namespace id first);
 // store.File.statsMu ranks below store.File.mu because compaction bumps

@@ -69,7 +69,7 @@ func (d *DirectLaplace) Run(q *query.Query) (float64, error) {
 		return 0, err
 	}
 	eps := noise.EpsilonForAccuracy(d.Alpha, d.Beta, n)
-	if err := d.Block.PayRange(start, end, eps); err != nil {
+	if err := d.Block.PayRange(start, end, accountant.Laplace(eps)); err != nil {
 		return 0, err
 	}
 	return d.Exec.ExecuteDP(q, start, end, eps, math.NaN())
@@ -116,7 +116,7 @@ func (c *ExactCache) Run(q *query.Query) (float64, error) {
 		return 0, err
 	}
 	eps := noise.EpsilonForAccuracy(c.Alpha, c.Beta, n)
-	if err := c.Block.PayRange(start, end, eps); err != nil {
+	if err := c.Block.PayRange(start, end, accountant.Laplace(eps)); err != nil {
 		return 0, err
 	}
 	r, err := c.Exec.ExecuteDP(q, start, end, eps, math.NaN())
@@ -200,7 +200,7 @@ func (c *TreeExactCache) Run(q *query.Query) (float64, error) {
 			value = e.Value
 		} else {
 			eps := noise.EpsilonForAccuracy(c.Alpha, betaNode, ni)
-			if err := c.Block.PayRange(node.Start, node.End, eps); err != nil {
+			if err := c.Block.PayRange(node.Start, node.End, accountant.Laplace(eps)); err != nil {
 				return 0, err
 			}
 			value, err = c.Exec.ExecuteDP(nq, node.Start, node.End, eps, math.NaN())
@@ -257,7 +257,7 @@ func (l *LaplaceHistogram) Run(q *query.Query) (float64, error) {
 			return 0, fmt.Errorf("baseline: empty dataset")
 		}
 		eps := noise.LaplaceHistogramEpsilon(l.Alpha, l.Beta, n, ds.Domain().Size())
-		if err := l.Block.PayRange(0, ds.Partitions()-1, eps); err != nil {
+		if err := l.Block.PayRange(0, ds.Partitions()-1, accountant.Laplace(eps)); err != nil {
 			return 0, err
 		}
 		l.paid = eps

@@ -169,24 +169,17 @@ func RDPvsPure(sc Scale) (Result, error) {
 	n := env.DS.NRowsAll()
 	eps := noise.EpsilonForAccuracy(env.Alpha, env.Beta, n)
 
-	pure := accountant.NewFilter(env.EpsG)
-	purePayments := 0
-	// Private measurement accountant: counts how many payments fit, spends
-	// no shared budget.
-	for pure.Pay(eps) == nil { //turbo:allow(chargepath)
-		purePayments++
-	}
-
-	rdp := accountant.NewRDPFilterForDP(accountant.DefaultOrders, env.EpsG, 1e-6)
-	cost := accountant.LaplaceCurve(accountant.DefaultOrders, eps)
-	rdpPayments := 0
-	// Same: capacity measurement against a private RDP filter.
-	for rdp.Pay(cost) == nil { //turbo:allow(chargepath)
-		rdpPayments++
-		if rdpPayments > 100_000_000 {
-			break
+	// capacity counts the identical Laplace payments one partition of a
+	// private measurement block admits; it spends no shared budget.
+	capacity := func(b *accountant.Block) int {
+		n := 0
+		for n <= 100_000_000 && b.PayRange(0, 0, accountant.Laplace(eps)) == nil { //turbo:allow(chargepath)
+			n++
 		}
+		return n
 	}
+	purePayments := capacity(accountant.NewBlock(env.EpsG, 1))
+	rdpPayments := capacity(accountant.NewBlockForDP(accountant.DefaultOrders, env.EpsG, 1e-6, 1))
 	return Result{
 		Name:   "ablation-rdp-vs-pure",
 		XLabel: "composition (0=pure 1=rdp)",

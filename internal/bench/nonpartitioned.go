@@ -80,10 +80,8 @@ func (e *Env) newStandalonePMW(vanilla bool, lrSched pmw.Schedule, heur heuristi
 		LR:         lrSched,
 		Heuristic:  heur,
 	}
-	payer := pmw.PurePayer{
-		Acct: accountant.Window{Block: block, Start: start, End: end},
-		Eps:  noise.EpsilonForAccuracy(e.Alpha, e.Beta, n),
-	}
+	payer := pmw.LaplacePayer(accountant.Window{Block: block, Start: start, End: end},
+		noise.EpsilonForAccuracy(e.Alpha, e.Beta, n))
 	var p *pmw.PMW
 	var err error
 	if vanilla {

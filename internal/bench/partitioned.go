@@ -502,7 +502,7 @@ func AppendixC(sc Scale) (Result, error) {
 		q := z.Sample()
 		// Private mirror accountant tracking what direct Laplace would
 		// spend; the real charge happens inside lh.Run.
-		_ = lapBlock.PayRange(0, env.DS.Partitions()-1, directEps) //turbo:allow(chargepath)
+		_ = lapBlock.PayRange(0, env.DS.Partitions()-1, accountant.Laplace(directEps)) //turbo:allow(chargepath)
 		if _, err := lh.Run(q); err != nil {
 			return Result{}, err
 		}

@@ -9,11 +9,11 @@
 // share the expensive stages:
 //
 //   - one exact-cache probe per distinct group (not per query);
-//   - ONE admission round per touched accountant for all cache-missed
-//     groups (accountant/batch.go), with per-group verdicts — an
-//     over-budget query 429s on its own without dooming batchmates, and
-//     the batch pays one filter-lock acquisition where singleton
-//     traffic pays one per query;
+//   - ONE admission round for all cache-missed groups
+//     (accountant/batch.go), with per-group verdicts — an over-budget
+//     query 429s on its own without dooming batchmates, and the batch
+//     pays one accountant-lock acquisition where singleton traffic
+//     pays one per query;
 //   - one dataset warm-up pass that materializes each distinct window
 //     aggregate and predicate mask once (dataset.WarmBatch), so the
 //     admitted groups' executions all run on shared, version-stamped
@@ -220,27 +220,15 @@ func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 	return out
 }
 
-// admitBatch runs one admission round over the cache-missed groups,
-// against whichever accountant gates this session's mode, returning one
-// advisory verdict per group.
+// admitBatch runs one admission round over the cache-missed groups
+// against the session's block, returning one advisory verdict per group.
+// (The non-partitioned PMW pays the full range whatever the query's
+// window, so every partition carries the same spend and the plan's
+// window gives the same verdict the full range would.)
 func (s *Session) admitBatch(groups []*batchGroup) []error {
-	if s.admit != nil {
-		// Non-partitioned pure mode: every paid release is admitted
-		// through the concurrent-composition filter, so the batch verdict
-		// asks whether the cheapest paid mechanism — one ε Laplace
-		// release — could still be registered.
-		budgets := make([]float64, len(groups))
-		for i := range budgets {
-			budgets[i] = s.singleEps
-		}
-		return s.admit.AdmitBatch(budgets)
-	}
 	wins := make([]accountant.PartitionRange, len(groups))
 	for i, g := range groups {
 		wins[i] = accountant.PartitionRange{Start: g.pl.Start, End: g.pl.End}
-	}
-	if a := s.RDPAdmission(); a != nil {
-		return a.Block().AdmitBatch(wins)
 	}
 	return s.block.AdmitBatch(wins)
 }
@@ -270,16 +258,7 @@ func (s *Session) resolveExecuted(g *batchGroup, ans Answer, shared bool, err er
 }
 
 // AdmissionLockAcquisitions returns the cumulative admission-relevant
-// lock acquisitions across the session's accountants — the numerator of
-// the batch experiment's "admission lock acquisitions per query"
-// metric (accountant/batch.go documents what counts).
-func (s *Session) AdmissionLockAcquisitions() uint64 {
-	n := s.block.LockAcquisitions()
-	if s.admit != nil {
-		n += s.admit.LockAcquisitions()
-	}
-	if a := s.RDPAdmission(); a != nil {
-		n += a.Block().LockAcquisitions()
-	}
-	return n
-}
+// lock acquisitions on the session's accountant — the numerator of the
+// batch experiment's "admission lock acquisitions per query" metric
+// (accountant/batch.go documents what counts).
+func (s *Session) AdmissionLockAcquisitions() uint64 { return s.block.LockAcquisitions() }

@@ -92,7 +92,7 @@ func TestAnswerBatchPartialRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Exhaust partition 1's budget directly.
-	if err := s.Accountant().PayRange(1, 1, s.Accountant().Global()); err != nil {
+	if err := s.Accountant().PayRange(1, 1, accountant.Laplace(s.Accountant().Global())); err != nil {
 		t.Fatal(err)
 	}
 	exhausted := query.MustNew(dom, map[int][]int{0: {1}}).WithWindow(0, 1)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -94,11 +95,13 @@ func TestConcurrentAnswerPartitioned(t *testing.T) {
 }
 
 // TestConcurrentAnswerNonPartitioned exercises the single-shard PMW path
-// under concurrency: exact hits are lock-free, misses serialize, and the
-// concurrent-composition filter's admitted budget must agree with the
-// block accountant.
+// under concurrency: exact hits are lock-free, misses serialize, and
+// every charge of the one executor shard — its sparse vector and its
+// direct releases, composed concurrently with adaptively chosen budgets
+// (Appendix B) — lands on the one set of books, equally on every
+// partition.
 func TestConcurrentAnswerNonPartitioned(t *testing.T) {
-	ds := concurrentDS(t, 1)
+	ds := concurrentDS(t, 3)
 	sess, err := NewSession(Config{
 		Mode:  NonPartitioned,
 		Alpha: 0.1, Beta: 0.01, EpsilonGlobal: 15,
@@ -131,21 +134,30 @@ func TestConcurrentAnswerNonPartitioned(t *testing.T) {
 	}
 	wg.Wait()
 
-	admitted := sess.Admission().Spent()
-	spent := sess.Accountant().MaxSpent()
-	if diff := admitted - spent; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("admitted budget %g != block spend %g", admitted, spent)
+	// The books hold exactly what the PMW's mechanisms cost: ε per direct
+	// release (R2 and R3), 3ε per sparse-vector (re)initialization.
+	spent := sess.Accountant().SpentVector()
+	st, eps := sess.PMW().Stats(), sess.PMW().Epsilon()
+	if want := eps*float64(st.R2+st.R3) + 3*eps*float64(st.SVResets); math.Abs(spent[0]-want) > 1e-9 {
+		t.Fatalf("books hold %g, the PMW ran %+v at ε = %g: want %g", spent[0], st, eps, want)
 	}
-	if sess.Admission().Live() > 1 {
-		t.Fatalf("more than one live mechanism: %d", sess.Admission().Live())
+	for p, v := range spent {
+		if v != spent[0] || v > sess.Accountant().Global()+1e-9 {
+			t.Fatalf("partition %d spent %g, partition 0 %g: the full-range payer charges all alike", p, v, spent[0])
+		}
+	}
+	if live := sess.LiveSparseVectors(); live > 1 {
+		t.Fatalf("more than one live sparse vector: %d", live)
 	}
 	if sess.Queries() == 0 {
 		t.Fatal("no queries served")
 	}
 }
 
-// TestRestoreSyncsAdmission checks LoadState re-admits the restored
-// consumption into the concurrent filter so both budget books agree.
+// TestRestoreSyncsAdmission checks a restored session needs nothing
+// brought back in step: the books are the one section that restored, no
+// payment is replayed to re-admit them, and the next charge composes onto
+// them.
 func TestRestoreSyncsAdmission(t *testing.T) {
 	ds := concurrentDS(t, 1)
 	cfg := Config{Mode: NonPartitioned, Alpha: 0.1, Beta: 0.01, EpsilonGlobal: 15, Seed: 6}
@@ -158,7 +170,8 @@ func TestRestoreSyncsAdmission(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if sess.Accountant().MaxSpent() == 0 {
+	saved := sess.Accountant().MaxSpent()
+	if saved == 0 {
 		t.Fatal("test needs nonzero spend")
 	}
 	var buf bytes.Buffer
@@ -172,9 +185,18 @@ func TestRestoreSyncsAdmission(t *testing.T) {
 	if err := fresh.LoadState(&buf); err != nil {
 		t.Fatal(err)
 	}
-	admitted, spent := fresh.Admission().Spent(), fresh.Accountant().MaxSpent()
-	if diff := admitted - spent; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("restored admission book %g != block spend %g", admitted, spent)
+	if got := fresh.Accountant().MaxSpent(); got != saved {
+		t.Fatalf("restored books hold %g, saved %g", got, saved)
+	}
+	if n := fresh.AdmissionLockAcquisitions(); n != 0 {
+		t.Fatalf("restore made %d admission-relevant accountant calls, want none", n)
+	}
+	a, err := fresh.Answer(query.MustNew(ds.Domain(), map[int][]int{1: {2}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.Accountant().MaxSpent(); got < saved+a.Paid-1e-12 {
+		t.Fatalf("post-restore charge of %g left the books at %g (restored at %g)", a.Paid, got, saved)
 	}
 }
 
@@ -183,9 +205,9 @@ func TestRestoreSyncsAdmission(t *testing.T) {
 // accountant/dataset partition-count skew between AppendPartition's
 // non-atomic steps must never corrupt state, overspend a partition, or
 // let a query reference a partition whose budget does not exist yet (the
-// accountants grow before the dataset, so the skew is always on the safe
-// side). Run with -race; the Gaussian subtest additionally races the RDP
-// block's growth and its mirror.
+// accountant grows before the dataset, so the skew is always on the safe
+// side). Run with -race; the Gaussian subtest races the Rényi block's
+// growth, whose stride is the order grid.
 func TestConcurrentAppendAndAnswer(t *testing.T) {
 	for _, gaussian := range []bool{false, true} {
 		name := "pure"
@@ -229,18 +251,12 @@ func TestConcurrentAppendAndAnswer(t *testing.T) {
 							return
 						}
 					}
-					// The accountants must never lag the dataset. Dataset
+					// The accountant must never lag the dataset. Dataset
 					// first: read the other way round, a whole append can
 					// land between the two reads and look like a lag.
 					if parts := ds.Partitions(); sess.Accountant().Partitions() < parts {
-						t.Error("scalar block lags the dataset")
+						t.Error("block lags the dataset")
 						return
-					}
-					if a := sess.RDPAdmission(); a != nil {
-						if parts := ds.Partitions(); a.Block().Partitions() < parts {
-							t.Error("RDP block lags the dataset")
-							return
-						}
 					}
 				}
 			}()
@@ -272,19 +288,8 @@ func TestConcurrentAppendAndAnswer(t *testing.T) {
 					t.Fatalf("partition %d overspent: %g", i, s)
 				}
 			}
-			if a := sess.RDPAdmission(); a != nil {
-				if a.Block().Partitions() != ds.Partitions() {
-					t.Fatalf("RDP block has %d partitions, dataset %d", a.Block().Partitions(), ds.Partitions())
-				}
-				for i := 0; i < ds.Partitions(); i++ {
-					conv := a.Block().SpentDPAt(i)
-					if conv > acct.Global()+1e-9 {
-						t.Fatalf("partition %d converted spend %g exceeds ε_G", i, conv)
-					}
-					if diff := conv - acct.SpentAt(i); diff > 1e-9 || diff < -1e-9 {
-						t.Fatalf("partition %d books diverge: %g vs %g", i, conv, acct.SpentAt(i))
-					}
-				}
+			if (acct.Orders() != nil) != gaussian {
+				t.Fatalf("accounting grid %v in a gaussian=%v session", acct.Orders(), gaussian)
 			}
 		})
 	}

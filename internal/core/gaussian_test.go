@@ -18,8 +18,8 @@ func TestGaussianSessionAccuracyAndAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.RDPAdmission() == nil {
-		t.Fatal("Gaussian session has no RDP admission layer")
+	if s.Accountant().Orders() == nil || s.Accountant().Delta() != cfg.DeltaGlobal {
+		t.Fatal("Gaussian session's books are not a Rényi block at δ_G")
 	}
 	q := query.MustNew(dom, map[int][]int{0: {1}})
 	truth, _ := ds.TrueFraction(q, 0, 0)
@@ -37,10 +37,10 @@ func TestGaussianSessionAccuracyAndAccounting(t *testing.T) {
 	if s.AverageSpent() > cfg.EpsilonGlobal+1e-9 {
 		t.Fatalf("converted spend %g exceeds ε_G", s.AverageSpent())
 	}
-	// The scalar block mirrors the converted spend: the books agree.
-	if diff := math.Abs(s.Accountant().AverageSpent() - s.AverageSpent()); diff > 1e-9 {
-		t.Fatalf("scalar book %g != converted RDP book %g",
-			s.Accountant().AverageSpent(), s.AverageSpent())
+	// One set of books: the session's figure is the block's.
+	if s.Accountant().AverageSpent() != s.AverageSpent() || s.Accountant().MaxSpent() != s.MaxSpent() {
+		t.Fatalf("session reports %g/%g, its block %g/%g", s.AverageSpent(), s.MaxSpent(),
+			s.Accountant().AverageSpent(), s.Accountant().MaxSpent())
 	}
 	if s.Accountant().MaxSpent() <= 0 {
 		t.Fatal("per-partition block never charged in Gaussian mode")
@@ -85,8 +85,8 @@ loop:
 
 // TestGaussianPartitionedSession exercises the lifted restriction: a
 // Gaussian session in Partitioned mode runs windowed queries through the
-// tree with Rényi accounting, only the window's partitions are charged,
-// and the scalar block agrees with the converted RDP book everywhere.
+// tree with Rényi accounting, and only the window's partitions are
+// charged.
 func TestGaussianPartitionedSession(t *testing.T) {
 	dom, ds := buildDS(t, 4)
 	cfg := defaultCfg(Partitioned)
@@ -95,10 +95,6 @@ func TestGaussianPartitionedSession(t *testing.T) {
 	s, err := NewSession(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
-	}
-	admit := s.RDPAdmission()
-	if admit == nil {
-		t.Fatal("Gaussian partitioned session has no RDP admission layer")
 	}
 	q := query.MustNew(dom, map[int][]int{0: {1}}).WithWindow(1, 2)
 	truth, _ := ds.TrueFraction(q, 1, 2)
@@ -114,12 +110,8 @@ func TestGaussianPartitionedSession(t *testing.T) {
 		t.Fatalf("outside-window partitions charged: %v", block.SpentVector())
 	}
 	for p := 1; p <= 2; p++ {
-		conv := admit.Block().SpentDPAt(p)
-		if conv <= 0 {
-			t.Fatalf("window partition %d shows no converted spend", p)
-		}
-		if diff := math.Abs(conv - block.SpentAt(p)); diff > 1e-9 {
-			t.Fatalf("partition %d books diverge: rdp %g vs scalar %g", p, conv, block.SpentAt(p))
+		if block.SpentAt(p) <= 0 || block.CurveAt(p)[0] <= 0 {
+			t.Fatalf("window partition %d shows no spend: %g, curve %v", p, block.SpentAt(p), block.CurveAt(p))
 		}
 	}
 	if s.MaxSpent() <= 0 || s.AverageSpent() <= 0 {
@@ -128,7 +120,7 @@ func TestGaussianPartitionedSession(t *testing.T) {
 }
 
 // TestGaussianStreamingAppend checks that stream partitions arriving into
-// a Gaussian session grow the RDP accountant alongside the scalar block.
+// a Gaussian session grow its Rényi block.
 func TestGaussianStreamingAppend(t *testing.T) {
 	dom, ds := buildDS(t, 1)
 	cfg := defaultCfg(Streaming)
@@ -149,14 +141,14 @@ func TestGaussianStreamingAppend(t *testing.T) {
 		_ = ds.AddCount(w, dom.Encode([]int{1, a}), 900)
 		_ = ds.AddCount(w, dom.Encode([]int{0, a}), 2100)
 	}
-	if got := s.RDPAdmission().Block().Partitions(); got != 2 {
-		t.Fatalf("RDP block has %d partitions, want 2", got)
+	if got := s.Accountant().Partitions(); got != 2 {
+		t.Fatalf("block has %d partitions, want 2", got)
 	}
 	q := query.MustNew(dom, map[int][]int{0: {1}}).WithWindow(1, 1)
 	if _, err := s.Answer(q); err != nil {
 		t.Fatal(err)
 	}
-	if s.RDPAdmission().Block().SpentDPAt(1) <= 0 {
+	if s.Accountant().SpentAt(1) <= 0 {
 		t.Fatal("appended partition never charged")
 	}
 }

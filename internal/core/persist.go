@@ -1,16 +1,16 @@
 // Session persistence: the prototype keeps all caching state in Redis
 // (§5); here a session serializes that state — exact caches, PMW/tree
-// histograms, heuristic thresholds, and both accountants — through the
+// histograms, heuristic thresholds, and the accountant — through the
 // internal/persist envelope (versioned, section-tagged), and a fresh
 // session over the same dataset restores it. SaveState/LoadState are
 // thin orchestrators: every stateful layer registers itself as a
 // persist.Snapshotter section (see NewSession and
 // stream.NewIngestor), and the registry does the rest.
 //
-// Gaussian/Rényi sessions round-trip like pure-ε ones: the RDPBlock
-// section carries the per-partition consumed curves and the mirrored
-// δ_G-converted spend, so a restored admission layer sees the exact
-// composed history (the old scalar-only format had to refuse them).
+// Gaussian/Rényi sessions round-trip like pure-ε ones: the accountant
+// section carries the whole per-partition, per-order ledger, so a
+// restored session sees the exact composed history and needs no step to
+// bring anything else back in line with it.
 //
 // Sparse-vector state is intentionally not persisted: a restored session
 // re-initializes SVs on first use (one init payment per SV), which is
@@ -172,27 +172,6 @@ func (s *Session) loadWith(load func() error) error {
 		}
 		return fmt.Errorf("core: load state: %w", err)
 	}
-	// Re-admit the restored consumption into the concurrent filter so the
-	// two budget books stay in step (the non-partitioned path pays full
-	// range, so the scalar book equals the per-partition spend). The
-	// mechanism is retired immediately: its budget stays spent. The
-	// Gaussian path needs no equivalent — its RDPBlock section restores
-	// the admission layer's own books directly.
-	if s.admit != nil {
-		spent := 0.0
-		for _, v := range s.block.SpentVector() {
-			if v > spent {
-				spent = v
-			}
-		}
-		if spent > 0 {
-			h, err := s.admit.Register(pureMechanism{budget: spent})
-			if err != nil {
-				return fmt.Errorf("core: restore admitted budget: %w", err)
-			}
-			s.admit.Retire(h)
-		}
-	}
 	return nil
 }
 
@@ -309,7 +288,6 @@ func (d datasetSection) RestorePayload(payload []byte) error {
 	s.restoreMutated = true
 	if delta > 0 {
 		s.block.AddPartitions(delta)
-		s.tree.AddPartitions(delta)
 	}
 	return s.ds.RestoreState(st)
 }
@@ -317,14 +295,26 @@ func (d datasetSection) RestorePayload(payload []byte) error {
 // buildRegistry assembles the session's snapshot sections in restore
 // order: identity first (validation-only, so a foreign-config snapshot
 // is refused before anything — the optional dataset section included —
-// mutates), then meta (dataset shape and counters), then accountants
-// (scalar before Rényi — the RDP section validates its mirrored spend
-// against the restored scalar book), then caches and histogram
-// machinery. The streaming ingestor appends itself last, which is also
-// correct restore order: pending epochs re-apply only after every
-// applied section is in place.
+// mutates), then meta (dataset shape and counters), then the accountant,
+// then caches and histogram machinery. The streaming ingestor appends
+// itself last, which is also correct restore order: pending epochs
+// re-apply only after every applied section is in place.
 func (s *Session) buildRegistry() {
 	s.registry = persist.NewRegistry()
+	// Before any section restores, the block vets its own (and folds an
+	// older build's two-section Rényi books into it), so a snapshot whose
+	// accounting this session can never accept is a recoverable refusal
+	// rather than a half-restored session. Identity is asked first: its
+	// refusal names the configuration field that differs.
+	s.registry.Prepare = func(payloads map[string][]byte) error {
+		id := identitySection{s}
+		if p, ok := payloads[id.SnapshotSection()]; ok {
+			if err := id.RestorePayload(p); err != nil {
+				return &persist.SectionError{Section: id.SnapshotSection(), Err: err}
+			}
+		}
+		return s.block.UpgradeSnapshot(payloads)
+	}
 	s.registry.Register(identitySection{s})
 	// The dataset section's owner is always registered — every session
 	// can RESTORE a dataset-carrying snapshot — but the section is only
@@ -333,9 +323,6 @@ func (s *Session) buildRegistry() {
 	s.registry.Register(datasetSection{s})
 	s.registry.Register(metaSection{s})
 	s.registry.Register(s.block)
-	if a := s.RDPAdmission(); a != nil {
-		s.registry.Register(a.Block())
-	}
 	s.registry.Register(s.exact)
 	if s.single != nil {
 		s.registry.Register(singleSection{s})

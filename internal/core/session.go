@@ -23,13 +23,13 @@
 //     (non-partitioned), or the tree, which locks only the state shards
 //     overlapping the query's window so disjoint windows run in parallel
 //     (partitioned).
-//  5. account — budget is deducted through the thread-safe accountant:
-//     the block accountant realizes parallel composition across shards,
-//     and the non-partitioned path additionally admits each mechanism
-//     through the Appendix B concurrent-composition filter.
+//  5. account — budget is deducted through the one thread-safe block
+//     accountant, which realizes parallel composition across shards and
+//     whose atomic range payment is the Appendix B filter for the
+//     mechanisms composed concurrently, in every mode.
 //
 // For streaming databases, partitions arrive through AppendPartitions
-// epochs (accountants grow strictly before the dataset); the
+// epochs (the accountant grows strictly before the dataset); the
 // internal/stream Ingestor batches and coalesces those arrivals and
 // eagerly warm-starts the new tree leaves.
 //
@@ -129,8 +129,9 @@ type Config struct {
 	// Seed makes the session's randomness reproducible.
 	Seed uint64
 	// Gaussian switches the session to Rényi-DP accounting (§A.6, App.
-	// B): every mechanism is admitted through a concurrent RDP filter
-	// and the session enforces (EpsilonGlobal, DeltaGlobal)-DP. In
+	// B): the block accountant composes every mechanism's Rényi curve
+	// per partition over a grid of orders (Thm B.2's filter) and the
+	// session enforces (EpsilonGlobal, DeltaGlobal)-DP. In
 	// non-partitioned mode the DP executor also switches to the Gaussian
 	// mechanism; in partitioned/streaming modes the tree's per-node
 	// Laplace mechanisms stay (their joint calibration is
@@ -237,18 +238,6 @@ type Session struct {
 	// Non-partitioned machinery: one executor shard.
 	singleMu sync.Mutex
 	single   *pmw.PMW
-	// singleEps is the single PMW's per-release ε — the cheapest paid
-	// mechanism, which the batch plane's advisory admission prices
-	// (batch.go); 0 in partitioned modes.
-	singleEps float64
-	// admit gates every pure-DP mechanism of the non-partitioned path
-	// through concurrent composition (Appendix B); nil in tree and
-	// Gaussian modes.
-	admit *accountant.ConcurrentFilter
-	// rdpAdmit is the curve-valued admission layer of Gaussian mode
-	// (non-partitioned); tree-mode Gaussian sessions hold theirs inside
-	// the tree. Its block mirrors δ_G-converted spend into block.
-	rdpAdmit *accountant.ConcurrentRDPFilter
 	// Partitioned machinery: the tree shards internally.
 	tree *tree.Tree
 
@@ -331,11 +320,24 @@ func NewSession(cfg Config, ds *dataset.Dataset) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The session's one set of privacy books: a pure-ε block, or under
+	// Gaussian/Rényi accounting the same block over a grid of finite
+	// orders enforcing (ε_G, δ_G)-DP. Every mechanism of every mode pays
+	// it, and every budget report reads it.
+	var block *accountant.Block
+	if cfg.Gaussian {
+		if cfg.DeltaGlobal <= 0 || cfg.DeltaGlobal >= 1 {
+			return nil, fmt.Errorf("core: Gaussian mode needs δ_G in (0,1), got %g", cfg.DeltaGlobal)
+		}
+		block = accountant.NewBlockForDP(accountant.DefaultOrders, cfg.EpsilonGlobal, cfg.DeltaGlobal, ds.Partitions())
+	} else {
+		block = accountant.NewBlock(cfg.EpsilonGlobal, ds.Partitions())
+	}
 	s := &Session{
 		cfg:     cfg,
 		ds:      ds,
 		exec:    dataset.NewExecutor(ds, rng.Fork()),
-		block:   accountant.NewBlock(cfg.EpsilonGlobal, ds.Partitions()),
+		block:   block,
 		store:   be,
 		exact:   exact,
 		rng:     rng,
@@ -357,25 +359,15 @@ func NewSession(cfg Config, ds *dataset.Dataset) (*Session, error) {
 		}
 		full := pmw.RangeExecutor{Exec: s.exec, Start: 0, End: ds.Partitions() - 1}
 		eps := noise.EpsilonForAccuracy(cfg.Alpha, cfg.Beta, n)
-		s.singleEps = eps
-		var payer pmw.Payer
+		// The single PMW-Bypass is one executor shard paying the whole
+		// partition range: its sparse vector and direct releases compose
+		// concurrently with adaptively chosen budgets, which is the
+		// setting Thm B.1/B.2 prove the block's stopping rule sound for.
+		payer := pmw.LaplacePayer(accountant.Window{Block: s.block, Start: 0, End: ds.Partitions() - 1}, eps)
 		if cfg.Gaussian {
-			if cfg.DeltaGlobal <= 0 || cfg.DeltaGlobal >= 1 {
-				return nil, fmt.Errorf("core: Gaussian mode needs δ_G in (0,1), got %g", cfg.DeltaGlobal)
-			}
 			sigma := noise.GaussianSigmaForBypass(cfg.Alpha, n, eps, cfg.Tau)
 			s.exec.WithGaussian(sigma)
-			s.rdpAdmit = accountant.NewConcurrentRDPFilter(accountant.NewRDPBlockForDP(
-				accountant.DefaultOrders, cfg.EpsilonGlobal, cfg.DeltaGlobal, ds.Partitions(), s.block))
-			payer = &admittedRDPPayer{
-				admit: s.rdpAdmit, start: 0, end: ds.Partitions() - 1,
-				release: accountant.GaussianCurve(accountant.DefaultOrders, sigma, 1/float64(n)),
-				svInit:  accountant.SVInitCurve(accountant.DefaultOrders, eps),
-			}
-		} else {
-			s.admit = accountant.NewConcurrentFilter(cfg.EpsilonGlobal)
-			payer = newAdmittedPayer(s.admit,
-				accountant.Window{Block: s.block, Start: 0, End: ds.Partitions() - 1}, eps)
+			payer.Release = accountant.Gaussian(sigma, 1/float64(n))
 		}
 		p, err := pmw.New(pmw.Config{
 			Alpha: cfg.Alpha, Beta: cfg.Beta, N: n,
@@ -387,9 +379,6 @@ func NewSession(cfg Config, ds *dataset.Dataset) (*Session, error) {
 		}
 		s.single = p
 	case Partitioned, Streaming:
-		if cfg.Gaussian && (cfg.DeltaGlobal <= 0 || cfg.DeltaGlobal >= 1) {
-			return nil, fmt.Errorf("core: Gaussian mode needs δ_G in (0,1), got %g", cfg.DeltaGlobal)
-		}
 		t, err := tree.New(tree.Config{
 			Alpha: cfg.Alpha, Beta: cfg.Beta, Tau: cfg.Tau,
 			LR: cfg.LR, Heuristic: cfg.Heuristic,
@@ -397,8 +386,6 @@ func NewSession(cfg Config, ds *dataset.Dataset) (*Session, error) {
 			WarmStart:      cfg.Mode == Streaming,
 			NodeExactCache: cfg.NodeExactCache,
 			Shards:         cfg.Shards,
-			Gaussian:       cfg.Gaussian,
-			DeltaGlobal:    cfg.DeltaGlobal,
 		}, s.exec, s.block, be, rng.Fork())
 		if err != nil {
 			return nil, err
@@ -432,18 +419,16 @@ func (s *Session) AppendPartition() (int, error) {
 }
 
 // AppendPartitions registers one ingestion epoch of k newly-arrived stream
-// partitions with the accountants and then the store, returning the index
-// of the first. The accountants grow strictly first so that by the time a
+// partitions with the accountant and then the store, returning the index
+// of the first. The accountant grows strictly first so that by the time a
 // query can name any partition of the epoch (the dataset's count is the
-// validation bound) its budget already exists — the same ordering in
-// Gaussian mode, where the tree's Rényi accountant grows alongside the
-// scalar block. Epochs are serialized, so the k accountant slots and the k
-// dataset partitions of one epoch always correspond. Callers then load
-// data with Dataset().AddRow / AddCount / BulkLoad before issuing queries
-// over the new partitions.
+// validation bound) its budget already exists. Epochs are serialized, so
+// the k accountant slots and the k dataset partitions of one epoch always
+// correspond. Callers then load data with Dataset().AddRow / AddCount /
+// BulkLoad before issuing queries over the new partitions.
 //
 // Non-partitioned sessions refuse the append: their single PMW-Bypass and
-// its admission window are fixed over the initial partition range, so a
+// its payer's window are fixed over the initial partition range, so a
 // grown dataset would let queries name partitions whose releases no
 // accountant covers.
 func (s *Session) AppendPartitions(k int) (int, error) {
@@ -473,7 +458,6 @@ func (s *Session) AppendPartitions(k int) (int, error) {
 		return 0, ErrRestoring
 	}
 	s.block.AddPartitions(k)
-	s.tree.AddPartitions(k)
 	return s.ds.AppendPartitions(k), nil
 }
 
@@ -661,39 +645,26 @@ func (s *Session) SourceCounts() map[Source]int {
 }
 
 // AverageSpent returns the average per-partition consumed budget — the
-// paper's headline metric. In Gaussian mode it returns the per-partition
-// RDP consumption converted to (ε, δ_G)-DP, which the scalar block mirrors
-// (the two books agree to float tolerance).
-func (s *Session) AverageSpent() float64 {
-	if a := s.RDPAdmission(); a != nil {
-		return a.Block().AverageSpentDP()
-	}
-	return s.block.AverageSpent()
-}
-
-// RDPAdmission exposes the concurrent RDP filter that admits every
-// mechanism in Gaussian mode (nil otherwise), for /budget's rdp section.
-func (s *Session) RDPAdmission() *accountant.ConcurrentRDPFilter {
-	if s.rdpAdmit != nil {
-		return s.rdpAdmit
-	}
-	if s.tree != nil {
-		return s.tree.Admission()
-	}
-	return nil
-}
-
-// Admission exposes the concurrent-composition filter that admits the
-// non-partitioned path's mechanisms (nil in tree and Gaussian modes).
-func (s *Session) Admission() *accountant.ConcurrentFilter { return s.admit }
+// paper's headline metric. In Gaussian mode it is the per-partition
+// Rényi consumption converted to (ε, δ_G)-DP.
+func (s *Session) AverageSpent() float64 { return s.block.AverageSpent() }
 
 // MaxSpent returns the maximum per-partition consumed budget (the
 // δ_G-converted maximum in Gaussian mode).
-func (s *Session) MaxSpent() float64 {
-	if a := s.RDPAdmission(); a != nil {
-		return a.Block().MaxSpentDP()
+func (s *Session) MaxSpent() float64 { return s.block.MaxSpent() }
+
+// LiveSparseVectors returns the number of sparse vectors currently
+// live — the interactive mechanisms being composed concurrently.
+func (s *Session) LiveSparseVectors() int {
+	if s.tree != nil {
+		return s.tree.LiveSVs()
 	}
-	return s.block.MaxSpent()
+	s.singleMu.Lock()
+	defer s.singleMu.Unlock()
+	if s.single.SVLive() {
+		return 1
+	}
+	return 0
 }
 
 // Accountant exposes the block accountant for harness metrics.

@@ -14,7 +14,6 @@ package persist
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 )
 
@@ -138,9 +137,6 @@ func (r *Registry) LoadKV(kv KV, ns string) error {
 	}
 	payloads := make(map[string][]byte, len(m.Sections))
 	for _, name := range m.Sections {
-		if _, owned := r.byName[name]; !owned {
-			return fmt.Errorf("%w: %q", ErrUnknownSection, name)
-		}
 		var payload []byte
 		ok, err := kv.Get(ns, name, &payload)
 		if err != nil {
@@ -152,26 +148,7 @@ func (r *Registry) LoadKV(kv KV, ns string) error {
 		}
 		payloads[name] = payload
 	}
-	for _, s := range r.order {
-		if _, ok := payloads[s.SnapshotSection()]; !ok && !optional(s) {
-			return fmt.Errorf("%w: %q", ErrMissingSection, s.SnapshotSection())
-		}
-	}
-	for _, s := range r.order {
-		name := s.SnapshotSection()
-		payload, ok := payloads[name]
-		if !ok {
-			continue // optional, absent
-		}
-		if err := s.RestorePayload(payload); err != nil {
-			var se *SectionError
-			if errors.As(err, &se) {
-				return err
-			}
-			return &SectionError{Section: name, Err: err}
-		}
-	}
-	return nil
+	return r.restore(payloads)
 }
 
 // payloadSum hashes a section payload for the manifest.

@@ -267,6 +267,12 @@ func ReadSections(r io.Reader) (map[string][]byte, []string, error) {
 type Registry struct {
 	order  []Snapshotter
 	byName map[string]Snapshotter
+	// Prepare, when set, sees a snapshot's section payloads (by tag)
+	// after they are read and before any layer restores. It may refuse
+	// the snapshot — the last point at which a refusal leaves every
+	// layer untouched — and may rewrite the map, which is how sections
+	// written by older builds are translated into today's.
+	Prepare func(payloads map[string][]byte) error
 }
 
 // NewRegistry returns an empty registry.
@@ -390,14 +396,25 @@ func (r *Registry) CaptureVersion(w io.Writer, version uint32) error {
 // transactional: on error the layers' state is undefined and the owning
 // session must be discarded.
 func (r *Registry) Load(rd io.Reader) error {
-	payloads, names, err := ReadSections(rd)
+	payloads, _, err := ReadSections(rd)
 	if err != nil {
 		return err
+	}
+	return r.restore(payloads)
+}
+
+// restore is the shared tail of Load and LoadKV: prepare, refuse unknown
+// and missing sections, then restore every layer in registration order.
+func (r *Registry) restore(payloads map[string][]byte) error {
+	if r.Prepare != nil {
+		if err := r.Prepare(payloads); err != nil {
+			return err
+		}
 	}
 	// Refuse unknown and missing sections BEFORE any layer restores: a
 	// recognizably-foreign snapshot must be a pure validation failure,
 	// not a fully-mutated session followed by an error.
-	for _, name := range names {
+	for name := range payloads {
 		if _, ok := r.byName[name]; !ok {
 			return fmt.Errorf("%w: %q", ErrUnknownSection, name)
 		}

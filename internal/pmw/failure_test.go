@@ -36,7 +36,7 @@ func (f *faultyExecutor) DP(q *query.Query, eps float64, trueResult float64) (fl
 	return f.inner.DP(q, eps, trueResult)
 }
 
-func newFaultyFixture(t *testing.T) (*PMW, *faultyExecutor, *accountant.Filter, *domain.Domain) {
+func newFaultyFixture(t *testing.T) (*PMW, *faultyExecutor, accountant.Window, *domain.Domain) {
 	t.Helper()
 	dom := domain.MustNew(domain.Attribute{Name: "x", Card: 8})
 	ds := dataset.New(dom, 1)
@@ -46,13 +46,13 @@ func newFaultyFixture(t *testing.T) (*PMW, *faultyExecutor, *accountant.Filter, 
 	rng := noise.NewRng(55)
 	inner := RangeExecutor{Exec: dataset.NewExecutor(ds, rng.Fork()), Start: 0, End: 0}
 	fe := &faultyExecutor{inner: inner}
-	filt := accountant.NewFilter(1000)
+	filt := accountant.Window{Block: accountant.NewBlock(1000, 1)}
 	n := ds.NRowsAll()
 	p, err := New(Config{
 		Alpha: 0.05, Beta: 0.001, N: n, DomainSize: 8,
 		Tau: 0.25, LR: Constant(0.2),
 		Heuristic: heuristic.NewAdaptivePerBin(2, 1),
-	}, fe, PurePayer{Acct: filt, Eps: noise.EpsilonForAccuracy(0.05, 0.001, n)}, rng.Fork())
+	}, fe, LaplacePayer(filt, noise.EpsilonForAccuracy(0.05, 0.001, n)), rng.Fork())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,9 @@ import (
 	"repro/internal/query"
 )
 
-// newGaussianFixture wires the §A.6 extension: Gaussian executor + RDP
-// filter enforcing a target (ε_G, δ_G)-DP guarantee.
-func newGaussianFixture(t *testing.T, epsG, deltaG float64) (*PMW, *accountant.RDPFilter, *dataset.Dataset) {
+// newGaussianFixture wires the §A.6 extension: Gaussian executor + a Rényi
+// block enforcing a target (ε_G, δ_G)-DP guarantee.
+func newGaussianFixture(t *testing.T, epsG, deltaG float64) (*PMW, accountant.Window, *dataset.Dataset) {
 	t.Helper()
 	dom := domain.MustNew(
 		domain.Attribute{Name: "p", Card: 2},
@@ -32,11 +32,9 @@ func newGaussianFixture(t *testing.T, epsG, deltaG float64) (*PMW, *accountant.R
 	eps := noise.EpsilonForAccuracy(alpha, beta, n)
 	sigma := noise.GaussianSigmaForBypass(alpha, n, eps, tau)
 	exec := dataset.NewExecutor(ds, rng.Fork()).WithGaussian(sigma)
-	filter := accountant.NewRDPFilterForDP(accountant.DefaultOrders, epsG, deltaG)
-	payer := RDPPayer{
-		Filter: filter, Orders: accountant.DefaultOrders,
-		Eps: eps, GaussianSigma: sigma, N: n,
-	}
+	filter := accountant.Window{Block: accountant.NewBlockForDP(accountant.DefaultOrders, epsG, deltaG, 1)}
+	payer := LaplacePayer(filter, eps)
+	payer.Release = accountant.Gaussian(sigma, 1/float64(n))
 	p, err := New(Config{
 		Alpha: alpha, Beta: beta, N: n, DomainSize: dom.Size(),
 		Tau: tau, LR: Constant(0.2),
@@ -89,7 +87,7 @@ func TestGaussianPMWBypassTrainsAndGoesFree(t *testing.T) {
 		t.Fatalf("Gaussian PMW-Bypass never reached the free path: %+v", p.Stats())
 	}
 	// Accepted history must convert to at most the configured ε_G.
-	if got := filter.SpentDP(1e-6); got > 50+1e-6 {
+	if got := filter.Spent(); got > 50+1e-6 {
 		t.Fatalf("spent %g exceeds eps_G", got)
 	}
 }
@@ -109,18 +107,18 @@ func TestGaussianPMWBypassRespectsRDPBudget(t *testing.T) {
 	if !errors.Is(err, accountant.ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want exhaustion", err)
 	}
-	if got := filter.SpentDP(1e-6); got > 0.5+1e-9 {
+	if got := filter.Spent(); got > 0.5+1e-9 {
 		t.Fatalf("spent DP %g exceeds eps_G", got)
 	}
 }
 
 func TestRDPPayerLaplacePricing(t *testing.T) {
-	// Without a Gaussian sigma, the payer prices direct executions by the
+	// A Laplace payer on a Rényi block prices direct executions by the
 	// Laplace RDP curve; many payments should fit where basic composition
 	// would not.
 	eps := 0.01
-	filter := accountant.NewRDPFilterForDP(accountant.DefaultOrders, 1.0, 1e-6)
-	payer := RDPPayer{Filter: filter, Orders: accountant.DefaultOrders, Eps: eps, N: 1000}
+	filter := accountant.Window{Block: accountant.NewBlockForDP(accountant.DefaultOrders, 1.0, 1e-6, 1)}
+	payer := LaplacePayer(filter, eps)
 	accepted := 0
 	for i := 0; i < 100000; i++ {
 		if payer.PayLaplace() != nil {
@@ -133,8 +131,8 @@ func TestRDPPayerLaplacePricing(t *testing.T) {
 	if accepted <= 100 {
 		t.Fatalf("RDP accounting admitted only %d payments (basic composition: 100)", accepted)
 	}
-	if !payer.HasBudget() == filter.HasBudget() && payer.HasBudget() != filter.HasBudget() {
-		t.Fatal("HasBudget disagreement")
+	if got := filter.Spent(); got > 1+1e-9 || got < 0.9 {
+		t.Fatalf("refused at a converted spend of %g, want just under ε_G = 1", got)
 	}
 }
 
@@ -149,14 +147,14 @@ func TestCutoffBoundsBypassDrain(t *testing.T) {
 	}
 	rng := noise.NewRng(77)
 	exec := dataset.NewExecutor(ds, rng.Fork())
-	filt := accountant.NewFilter(1000)
+	filt := accountant.Window{Block: accountant.NewBlock(1000, 1)}
 	n := ds.NRowsAll()
 	cut := heuristic.NewCutoff(heuristic.NeverReady{}, 5)
 	p, err := New(Config{
 		Alpha: 0.05, Beta: 0.001, N: n, DomainSize: 8,
 		Tau: 0.25, LR: Constant(0.1), Heuristic: cut,
 	}, RangeExecutor{Exec: exec, Start: 0, End: 0},
-		PurePayer{Acct: filt, Eps: noise.EpsilonForAccuracy(0.05, 0.001, n)},
+		LaplacePayer(filt, noise.EpsilonForAccuracy(0.05, 0.001, n)),
 		rng.Fork())
 	if err != nil {
 		t.Fatal(err)

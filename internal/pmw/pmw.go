@@ -68,9 +68,9 @@ type Executor interface {
 	DP(q *query.Query, eps float64, trueResult float64) (float64, error)
 }
 
-// Payer abstracts budget payment so the same Alg. 1 control flow supports
-// pure-DP accounting (Laplace, the evaluated artifact) and RDP accounting
-// (Gaussian extension, §A.6).
+// Payer abstracts budget payment, so Alg. 1's control flow is the same
+// whether it pays a block accountant's window (WindowPayer) or an
+// external DP engine's own accountant.
 type Payer interface {
 	// PayLaplace pays for one direct mechanism execution at the
 	// calibrated ε.
@@ -82,56 +82,34 @@ type Payer interface {
 	HasBudget() bool
 }
 
-// PurePayer implements Payer over a scalar pure-DP accountant with
-// per-query budget Eps.
-type PurePayer struct {
-	Acct accountant.Accountant
-	Eps  float64
+// WindowPayer implements Payer over a partition window of the block
+// accountant — the data view's budget. Which accounting the payments
+// compose under (pure ε, or Rényi orders converted at δ_G) is the
+// block's business; the payer only names the mechanisms.
+type WindowPayer struct {
+	Window accountant.Window
+	// Release is the cost of one direct execution: Laplace(ε), or
+	// Gaussian(σ, 1/n) — noise N(0, σ²) on the fraction result, whose ℓ2
+	// sensitivity is 1/n — under the §A.6 extension.
+	Release accountant.Cost
+	// SVInit is the cost of one sparse-vector (re)initialization.
+	SVInit accountant.Cost
 }
 
-// PayLaplace pays ε.
-func (p PurePayer) PayLaplace() error { return p.Acct.Pay(p.Eps) }
-
-// PaySVInit pays 3ε.
-func (p PurePayer) PaySVInit() error { return p.Acct.Pay(3 * p.Eps) }
-
-// HasBudget defers to the accountant.
-func (p PurePayer) HasBudget() bool { return p.Acct.HasBudget() }
-
-// RDPPayer implements Payer over an RDP filter, pricing the Laplace (or
-// Gaussian) mechanism and SV initialization by their RDP curves (§A.6).
-type RDPPayer struct {
-	Filter *accountant.RDPFilter
-	Orders []float64
-	// Eps is the pure-DP calibration of the internal SV Laplace noise.
-	Eps float64
-	// GaussianSigma, when positive, prices direct executions as a
-	// Gaussian mechanism with noise N(0, σ²) on the fraction result,
-	// whose ℓ2 sensitivity is 1/n; otherwise direct executions are
-	// priced as Laplace at Eps.
-	GaussianSigma float64
-	// N is the public row count of the view (needed for the Gaussian
-	// sensitivity).
-	N int
+// LaplacePayer is the WindowPayer of a Laplace PMW-Bypass calibrated at
+// eps per release.
+func LaplacePayer(w accountant.Window, eps float64) WindowPayer {
+	return WindowPayer{Window: w, Release: accountant.Laplace(eps), SVInit: accountant.SVInit(eps)}
 }
 
-// PayLaplace prices one direct mechanism execution.
-func (p RDPPayer) PayLaplace() error {
-	if p.GaussianSigma > 0 {
-		// Noise N(0, σ²) on an ℓ2-sensitivity-1/n query: RDP cost
-		// α/(2·n²σ²) per order.
-		return p.Filter.Pay(accountant.GaussianCurve(p.Orders, p.GaussianSigma, 1/float64(p.N)))
-	}
-	return p.Filter.Pay(accountant.LaplaceCurve(p.Orders, p.Eps))
-}
+// PayLaplace pays for one direct execution.
+func (p WindowPayer) PayLaplace() error { return p.Window.Pay(p.Release) }
 
-// PaySVInit prices one SV initialization.
-func (p RDPPayer) PaySVInit() error {
-	return p.Filter.Pay(accountant.SVInitCurve(p.Orders, p.Eps))
-}
+// PaySVInit pays for one SV initialization.
+func (p WindowPayer) PaySVInit() error { return p.Window.Pay(p.SVInit) }
 
-// HasBudget defers to the filter.
-func (p RDPPayer) HasBudget() bool { return p.Filter.HasBudget() }
+// HasBudget defers to the window.
+func (p WindowPayer) HasBudget() bool { return p.Window.HasBudget() }
 
 // Config carries the Alg. 1 parameters.
 type Config struct {
@@ -291,12 +269,15 @@ func (p *PMW) EstimateOnly(q *query.Query) float64 { return p.hist.Eval(q) }
 // effects on counters.
 func (p *PMW) Ready(q *query.Query) bool { return p.heur.IsReady(p.hist, q) }
 
+// SVLive reports whether a paid-for sparse vector is currently live.
+func (p *PMW) SVLive() bool { return p.svUp && p.sv.Live() }
+
 // ensureSV pays for and performs an SV reset when no live SV exists.
 // Payment is lazy rather than up-front as in Alg. 1 l.10; total
 // consumption is identical and no budget is wasted when the PMW branch is
 // never taken (e.g. a tree node that only ever bypasses).
 func (p *PMW) ensureSV() error {
-	if p.svUp && p.sv.Live() {
+	if p.SVLive() {
 		return nil
 	}
 	if err := p.payer.PaySVInit(); err != nil {

@@ -20,7 +20,7 @@ type fixture struct {
 	dom   *domain.Domain
 	ds    *dataset.Dataset
 	exec  *dataset.Executor
-	filt  *accountant.Filter
+	filt  accountant.Window
 	pmw   *PMW
 	eps   float64
 	alpha float64
@@ -42,7 +42,7 @@ func newFixture(t *testing.T, cfgMut func(*Config), global float64) *fixture {
 	}
 	rng := noise.NewRng(17)
 	exec := dataset.NewExecutor(ds, rng.Fork())
-	filt := accountant.NewFilter(global)
+	filt := accountant.Window{Block: accountant.NewBlock(global, 1)}
 	cfg := Config{
 		Alpha: 0.05, Beta: 0.001,
 		N: ds.NRowsAll(), DomainSize: dom.Size(),
@@ -58,7 +58,7 @@ func newFixture(t *testing.T, cfgMut func(*Config), global float64) *fixture {
 	}
 	p, err := New(cfg,
 		RangeExecutor{Exec: exec, Start: 0, End: 0},
-		PurePayer{Acct: filt, Eps: eps},
+		LaplacePayer(filt, eps),
 		rng.Fork())
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestConfigValidation(t *testing.T) {
 	ds := dataset.New(dom, 1)
 	_ = ds.AddCount(0, 0, 100)
 	exec := dataset.NewExecutor(ds, noise.NewRng(1))
-	payer := PurePayer{Acct: accountant.NewFilter(1), Eps: 0.1}
+	payer := LaplacePayer(accountant.Window{Block: accountant.NewBlock(1, 1)}, 0.1)
 	for i, mut := range bads {
 		c := good
 		mut(&c)

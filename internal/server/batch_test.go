@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"repro/internal/accountant"
 )
 
 func postBatch(t *testing.T, ts *httptest.Server, queries []string) (*http.Response, []byte) {
@@ -89,7 +91,7 @@ func TestBatchEndpointMixedAdmission(t *testing.T) {
 	// Exhaust partition 0's budget directly; windows touching it are
 	// refused at batch admission while [1,3] stays healthy.
 	acct := srv.sess.Accountant()
-	if err := acct.PayRange(0, 0, acct.Global()); err != nil {
+	if err := acct.PayRange(0, 0, accountant.Laplace(acct.Global())); err != nil {
 		t.Fatal(err)
 	}
 	refusalsBefore := srv.refusals.Load()

@@ -1,7 +1,7 @@
-// Regression tests for the Gaussian-mode budget books (the bug this PR
-// closes: /budget reported per_partition all-zero and max_spent 0 while
-// average_spent showed real RDP consumption, because the RDP payer never
-// charged the per-partition block) and for the served-request counter
+// Regression tests for /budget: the Gaussian-mode figures (once
+// per_partition read all-zero and max_spent 0 while average_spent showed
+// real RDP consumption, because two sets of books disagreed), the
+// response as one snapshot of the books, and the served-request counter
 // semantics under /groupby.
 
 package server
@@ -9,11 +9,16 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/accountant"
 	"repro/internal/core"
 )
 
@@ -32,7 +37,7 @@ func getBudget(t *testing.T, ts *httptest.Server) BudgetResponse {
 }
 
 // TestGaussianBudgetBooksAgree drives Gaussian sessions (both modes)
-// through the HTTP surface and asserts the per-partition scalar book, the
+// through the HTTP surface and asserts the per-partition figures, the
 // aggregate metrics, and the rdp section all tell the same story.
 func TestGaussianBudgetBooksAgree(t *testing.T) {
 	for _, mode := range []core.Mode{core.NonPartitioned, core.Partitioned} {
@@ -75,9 +80,9 @@ func TestGaussianBudgetBooksAgree(t *testing.T) {
 			if nonZero == 0 {
 				t.Fatalf("per_partition all-zero: %v", br.PerPartition)
 			}
-			// The scalar per-partition book mirrors the converted RDP
-			// spend, so its average must match average_spent.
-			if avg := sum / float64(len(br.PerPartition)); math.Abs(avg-br.AverageSpent) > 1e-6 {
+			// per_partition is each partition's converted Rényi spend, so
+			// its average is average_spent.
+			if avg := sum / float64(len(br.PerPartition)); avg != br.AverageSpent {
 				t.Fatalf("per_partition average %g inconsistent with average_spent %g", avg, br.AverageSpent)
 			}
 			if br.RDP == nil {
@@ -86,11 +91,88 @@ func TestGaussianBudgetBooksAgree(t *testing.T) {
 			if br.RDP.Delta != 1e-6 {
 				t.Fatalf("rdp delta = %g", br.RDP.Delta)
 			}
-			if math.Abs(br.RDP.ConvertedSpent-br.AverageSpent) > 1e-9 {
-				t.Fatalf("rdp converted_spent %g != average_spent %g", br.RDP.ConvertedSpent, br.AverageSpent)
+			if br.RDP.ConvertedSpent != br.AverageSpent || br.RDP.MaxConverted != br.MaxSpent {
+				t.Fatalf("rdp section %+v disagrees with average_spent %g / max_spent %g", *br.RDP, br.AverageSpent, br.MaxSpent)
 			}
-			if br.RDP.LiveMechanisms < 0 {
+			// Live sparse vectors: none can exist before a histogram bin
+			// is ready, and never more than the node sets queried.
+			if br.RDP.LiveMechanisms < 0 || br.RDP.LiveMechanisms > len(sqls) {
 				t.Fatalf("live mechanisms %d", br.RDP.LiveMechanisms)
+			}
+		})
+	}
+}
+
+// TestBudgetIsOneSnapshot: /budget derives every figure of a response
+// from one read of the books, so under concurrent payment max_spent is
+// exactly max(per_partition) and average_spent exactly their mean in
+// every response. (Reading the partitions, the average and the maximum
+// under separate lock acquisitions, as the handler once did, lets a
+// payment land in between.)
+func TestBudgetIsOneSnapshot(t *testing.T) {
+	for _, gaussian := range []bool{false, true} {
+		t.Run(fmt.Sprintf("gaussian=%v", gaussian), func(t *testing.T) {
+			srv, _ := newTestServerWith(t, 1e6, func(c *core.Config) {
+				c.Gaussian = gaussian
+				c.DeltaGlobal = 1e-6
+			})
+			acct := srv.sess.Accountant()
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for w := 0; w < 2; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if err := acct.PayRange((i+w)%4, 3, accountant.Laplace(1e-3)); err != nil {
+							t.Errorf("payer: %v", err)
+							return
+						}
+						runtime.Gosched() // on one core, let the reader in between payments
+					}
+				}(w)
+			}
+			defer func() {
+				close(stop)
+				wg.Wait()
+			}()
+			grew := 0
+			last := 0.0
+			// At least 400 responses, and as many more as it takes to have
+			// seen spend move between 20 of them (the payers may be starved
+			// of CPU for a while on a loaded box).
+			deadline := time.Now().Add(30 * time.Second)
+			for i := 0; i < 400 || grew < 20; i++ {
+				if time.Now().After(deadline) {
+					t.Fatalf("spend moved between only %d of %d responses: no concurrent payment to race", grew, i)
+				}
+				rec := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/budget", nil))
+				var br BudgetResponse
+				if err := json.NewDecoder(rec.Body).Decode(&br); err != nil {
+					t.Fatal(err)
+				}
+				sum, max := 0.0, 0.0
+				for _, v := range br.PerPartition {
+					sum += v
+					max = math.Max(max, v)
+				}
+				if br.MaxSpent != max || br.AverageSpent != sum/float64(len(br.PerPartition)) {
+					t.Fatalf("response %d: max_spent %v average_spent %v, per_partition %v (max %v mean %v)",
+						i, br.MaxSpent, br.AverageSpent, br.PerPartition, max, sum/float64(len(br.PerPartition)))
+				}
+				if br.RDP != nil && (br.RDP.MaxConverted != max || br.RDP.ConvertedSpent != br.AverageSpent) {
+					t.Fatalf("response %d: rdp section %+v off the vector", i, *br.RDP)
+				}
+				if br.AverageSpent > last {
+					grew++
+				}
+				last = br.AverageSpent
 			}
 		})
 	}

@@ -132,15 +132,15 @@ func TestSnapshotRestoreEndpoints(t *testing.T) {
 		t.Fatalf("truncated restore = %d, want 400", status)
 	}
 	// A mismatched session (pure-ε vs the Gaussian snapshot) is 422: the
-	// snapshot carries an accountant/rdp section no scalar session owns,
-	// refused before anything mutates — so the server stays usable.
+	// snapshot's accounting is not the session's, refused before anything
+	// mutates — so the server stays usable.
 	srv4, _ := newTestServer(t, 100)
 	ts4 := httptest.NewServer(srv4.Handler())
 	defer ts4.Close()
 	defer srv4.Close()
 	status, rbody = postRestore(t, ts4, snap)
-	if status != http.StatusUnprocessableEntity || !strings.Contains(string(rbody), "accountant/rdp") {
-		t.Fatalf("accounting-mismatch restore = %d %s, want 422 naming the foreign section", status, rbody)
+	if status != http.StatusUnprocessableEntity || !strings.Contains(string(rbody), "gaussian=true") {
+		t.Fatalf("accounting-mismatch restore = %d %s, want 422 naming the foreign accounting", status, rbody)
 	}
 	if resp, body := postQuery(t, ts4, sql); resp.StatusCode != http.StatusOK {
 		t.Fatalf("query after refused restore: %d %s (session must stay usable)", resp.StatusCode, body)

@@ -446,9 +446,10 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 }
 
 // RDPBudget is the /budget rdp section, present for Gaussian/Rényi
-// sessions: the δ_G target, the δ_G-converted consumption (which the
-// scalar per_partition book mirrors), and the number of live interactive
-// mechanisms registered with the concurrent RDP filter.
+// sessions: the δ_G target, the δ_G-converted consumption (the same
+// figures as average_spent and max_spent — there is one set of books),
+// and the number of live sparse vectors, the interactive mechanisms
+// being composed concurrently.
 type RDPBudget struct {
 	Delta          float64 `json:"delta"`
 	ConvertedSpent float64 `json:"converted_spent"`
@@ -473,19 +474,28 @@ type BudgetResponse struct {
 }
 
 // handleBudget serves accountant state without taking any server-level
-// lock: the accountant serializes its own reads, and the counters are
-// atomics. The reported values are a consistent-enough snapshot — budget
-// only grows, so a concurrent payment at worst makes the response
-// momentarily conservative.
+// lock. Every budget figure of one response derives from a single
+// SpentVector() read — one acquisition of the accountant's lock — so
+// max_spent == max(per_partition) and average_spent ==
+// mean(per_partition) hold in every response, whatever is being paid
+// concurrently. The counters are atomics read after it.
 func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"bad-request", "GET only"})
 		return
 	}
 	acct := s.sess.Accountant()
-	per := make([]float64, acct.Partitions())
-	for i := range per {
-		per[i] = acct.SpentAt(i)
+	per := acct.SpentVector()
+	sum, max := 0.0, 0.0
+	for _, v := range per {
+		sum += v
+		if v > max {
+			max = v
+		}
+	}
+	avg := 0.0
+	if len(per) > 0 {
+		avg = sum / float64(len(per))
 	}
 	bySource := make(map[string]int64, len(s.bySource))
 	for src, c := range s.bySource {
@@ -495,20 +505,20 @@ func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := BudgetResponse{
 		Global:       acct.Global(),
-		AverageSpent: s.sess.AverageSpent(),
-		MaxSpent:     s.sess.MaxSpent(),
+		AverageSpent: avg,
+		MaxSpent:     max,
 		PerPartition: per,
 		Queries:      s.queries.Load(),
 		Answers:      s.answers.Load(),
 		Refusals:     s.refusals.Load(),
 		BySource:     bySource,
 	}
-	if a := s.sess.RDPAdmission(); a != nil {
+	if acct.Orders() != nil {
 		resp.RDP = &RDPBudget{
-			Delta:          a.Block().Delta(),
-			ConvertedSpent: a.Block().AverageSpentDP(),
-			MaxConverted:   a.Block().MaxSpentDP(),
-			LiveMechanisms: a.Live(),
+			Delta:          acct.Delta(),
+			ConvertedSpent: avg,
+			MaxConverted:   max,
+			LiveMechanisms: s.sess.LiveSparseVectors(),
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)

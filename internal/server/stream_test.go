@@ -186,13 +186,8 @@ func TestAppendStormAgainstQueries(t *testing.T) {
 					t.Fatalf("partition %d overspent: %g", i, s)
 				}
 			}
-			if a := srv.sess.RDPAdmission(); a != nil {
-				for i := 0; i < wantParts; i++ {
-					conv := a.Block().SpentDPAt(i)
-					if diff := conv - acct.SpentAt(i); diff > 1e-9 || diff < -1e-9 {
-						t.Fatalf("partition %d books diverge: %g vs %g", i, conv, acct.SpentAt(i))
-					}
-				}
+			if (acct.Orders() != nil) != gaussian {
+				t.Fatalf("accounting grid %v in a gaussian=%v session", acct.Orders(), gaussian)
 			}
 
 			// /schema must report the ingestion totals.

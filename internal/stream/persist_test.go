@@ -154,11 +154,8 @@ func TestSaveLoadPendingEpochs(t *testing.T) {
 			t.Fatalf("partition %d has %d rows, want %d (exactly-once)", p, got, want)
 		}
 	}
-	if got := s2.Accountant().Partitions(); got != 7 {
-		t.Fatalf("scalar accountant covers %d partitions, want 7", got)
-	}
-	if got := s2.RDPAdmission().Block().Partitions(); got != 7 {
-		t.Fatalf("Rényi accountant covers %d partitions, want 7", got)
+	if got := s2.Accountant().Partitions(); got != 7 || s2.Accountant().Orders() == nil {
+		t.Fatalf("accountant covers %d partitions over grid %v, want 7 over Rényi orders", got, s2.Accountant().Orders())
 	}
 
 	// Pre-snapshot state survived (free exact hit), and the replayed
@@ -174,8 +171,8 @@ func TestSaveLoadPendingEpochs(t *testing.T) {
 	if _, err := s2.Answer(q.WithWindow(6, 6)); err != nil {
 		t.Fatal(err)
 	}
-	if s2.RDPAdmission().Block().SpentDPAt(6) <= 0 {
-		t.Fatal("replayed partition answered without charging the Rényi book")
+	if s2.Accountant().SpentAt(6) <= 0 {
+		t.Fatal("replayed partition answered without charging the books")
 	}
 
 	// A snapshot with pending epochs refuses to restore where no ingestor

@@ -45,14 +45,17 @@
 //
 // # Accounting modes
 //
-// By default every mechanism pays scalar pure-DP budget against the
-// per-partition Block. With Config.Gaussian the tree instead admits each
-// mechanism — shared sparse vectors as long-lived interactive mechanisms,
-// direct Laplace releases as one-shot ones — through a concurrent RDP
-// filter (Appendix B, Thm B.2): admission succeeds while some Rényi order
-// survives on every partition of the mechanism's window, the guarantee
-// converts to (ε_G, δ_G)-DP, and converted spend is mirrored into the
-// scalar block so budget reporting stays truthful.
+// Every mechanism — a shared sparse vector's initialization, a direct
+// Laplace release — pays the per-partition Block it was constructed
+// over, naming itself (accountant.SVInit, accountant.Laplace) and its
+// window. How the payments compose is the block's business: a pure-ε
+// block charges 3ε and ε, a Rényi block (Appendix B, Thm B.2) prices
+// each by its curve and accepts while some order survives on every
+// partition of the window, enforcing (ε_G, δ_G)-DP. The tree's
+// mechanisms stay per-node Laplace either way (their joint calibration
+// is Laplace-specific). A sparse vector declares its whole budget at
+// initialization, so paying for it is all the admission Alg. 3 asks
+// for; the tree keeps no handle on it beyond the SV itself.
 package tree
 
 import (
@@ -133,18 +136,6 @@ type Config struct {
 	// With S > 1 shards, queries whose windows touch disjoint shard
 	// ranges execute in parallel.
 	Shards int
-	// Gaussian switches budget accounting to Rényi composition (§A.6,
-	// Thm B.2): the tree's mechanisms stay per-node Laplace (their joint
-	// calibration is Laplace-specific), but each one is
-	// admitted through a concurrent RDP filter as an interactive
-	// mechanism priced by its Rényi curve over its window, per partition
-	// in parallel. The tree then enforces (ε_G, δ_G)-DP per partition,
-	// converting at DeltaGlobal, and mirrors converted spend into the
-	// scalar block so /budget stays truthful. When false (the default)
-	// the scalar pure-DP path is bit-for-bit untouched.
-	Gaussian bool
-	// DeltaGlobal is δ_G for Gaussian accounting; ignored otherwise.
-	DeltaGlobal float64
 }
 
 func (c *Config) fill() error {
@@ -160,9 +151,6 @@ func (c *Config) fill() error {
 	}
 	if c.Heuristic == nil {
 		c.Heuristic = func() heuristic.Heuristic { return heuristic.NewAdaptivePerBin(100, 5) }
-	}
-	if c.Gaussian && (c.DeltaGlobal <= 0 || c.DeltaGlobal >= 1) {
-		return fmt.Errorf("tree: Rényi accounting needs δ_G in (0,1), got %g", c.DeltaGlobal)
 	}
 	return nil
 }
@@ -196,10 +184,6 @@ type stateShard struct {
 	// SV (the set S of Alg. 2); a set is owned by the shard containing
 	// its first node's start.
 	svs map[string]*sparse.SV
-	// svHandles holds, under Rényi accounting, the admission handle of
-	// each live shared SV: registered at initialization, retired when
-	// the SV is consumed (spend stays composed — irrevocable).
-	svHandles map[string]accountant.RDPHandle
 }
 
 // Tree is a tree-structured PMW-Bypass over a partitioned dataset. Safe
@@ -209,10 +193,6 @@ type Tree struct {
 	cfg   Config
 	exec  *dataset.Executor
 	block *accountant.Block
-	// admit is the concurrent RDP admission layer of Gaussian/Rényi
-	// accounting (nil in scalar mode): every mechanism registers through
-	// it, and its block mirrors converted spend into block.
-	admit *accountant.ConcurrentRDPFilter
 	rng   *noise.Rng
 	// calib prices the Laplace branch: the exact joint calibration,
 	// memoized per subquery count (see noise.LaplaceCalibrator).
@@ -255,10 +235,6 @@ func New(cfg Config, exec *dataset.Executor, block *accountant.Block, be store.B
 	t.calib = noise.NewLaplaceCalibrator()
 	t.vectorized.Store(true)
 	t.scratch.New = func() any { return new(runScratch) }
-	if cfg.Gaussian {
-		t.admit = accountant.NewConcurrentRDPFilter(accountant.NewRDPBlockForDP(
-			accountant.DefaultOrders, block.Global(), cfg.DeltaGlobal, block.Partitions(), block))
-	}
 	if cfg.Shards > 1 {
 		parts := exec.Dataset().Partitions()
 		if parts < 1 {
@@ -308,9 +284,8 @@ func (t *Tree) shardAt(i int) *stateShard {
 	defer t.shardMu.Unlock()
 	for len(t.shards) <= i {
 		t.shards = append(t.shards, &stateShard{
-			nodes:     make(map[interval.Node]*node),
-			svs:       make(map[string]*sparse.SV),
-			svHandles: make(map[string]accountant.RDPHandle),
+			nodes: make(map[interval.Node]*node),
+			svs:   make(map[string]*sparse.SV),
 		})
 	}
 	return t.shards[i]
@@ -441,42 +416,6 @@ func (t *Tree) warmStart(n *node) {
 	}
 }
 
-// payLaplace charges one eps Laplace release over [start, end]: a direct
-// block charge under pure DP, or — under Rényi accounting — the admission
-// of a one-shot interactive mechanism priced by its Laplace curve,
-// registered and immediately retired (its curve stays composed; retiring
-// only removes it from the live set).
-func (t *Tree) payLaplace(start, end int, eps float64) error {
-	if t.admit == nil {
-		return t.block.PayRange(start, end, eps)
-	}
-	h, err := t.admit.Register(accountant.RDPMechanism{
-		Cost:  accountant.LaplaceCurve(t.admit.Block().Orders(), eps),
-		Start: start, End: end,
-	})
-	if err != nil {
-		return err
-	}
-	t.admit.Retire(h)
-	return nil
-}
-
-// AddPartition grows the Rényi accountant alongside the scalar block for a
-// newly-arrived stream partition; no-op under pure-DP accounting (the
-// session grows the scalar block itself, before the dataset, so the
-// accountants always cover every queryable partition).
-func (t *Tree) AddPartition() {
-	t.AddPartitions(1)
-}
-
-// AddPartitions grows the Rényi accountant by one ingestion epoch of k
-// partitions; no-op under pure-DP accounting (see AddPartition).
-func (t *Tree) AddPartitions(k int) {
-	if t.admit != nil {
-		t.admit.Block().AddPartitions(k)
-	}
-}
-
 // EagerWarmStart materializes partition p's leaf state ahead of its first
 // query, applying the §4.5 warm-start (copy the previous leaf's histogram
 // and heuristic state) at ingestion time instead of on the first query
@@ -499,9 +438,13 @@ func (t *Tree) EagerWarmStart(p int) bool {
 	return true
 }
 
-// Admission exposes the concurrent RDP filter of Gaussian accounting (nil
-// in scalar mode).
-func (t *Tree) Admission() *accountant.ConcurrentRDPFilter { return t.admit }
+// LiveSVs returns the number of live shared sparse vectors — the
+// interactive mechanisms currently composed concurrently (Alg. 3).
+func (t *Tree) LiveSVs() int {
+	total := 0
+	t.forEachShard(func(sh *stateShard) { total += len(sh.svs) })
+	return total
+}
 
 // Cache exposes the per-node exact cache (nil unless NodeExactCache),
 // so the session can register it as its own snapshot section.
@@ -775,31 +718,12 @@ func (t *Tree) claim(q *query.Query, start, end int, sc *runScratch) error {
 	return nil
 }
 
-// svInitLocked creates, registers, and pays for a fresh shared SV for the
-// claim's node set. The caller holds the owning shard's lock.
+// svInitLocked pays for and creates a fresh shared SV for the claim's
+// node set. The caller holds the owning shard's lock.
 func (t *Tree) svInitLocked(owner *stateShard, sc *runScratch) error {
 	epsSV, spanStart, spanEnd := sc.epsSV, sc.spanStart, sc.spanEnd
-	if t.admit == nil {
-		if err := t.block.PayRange(spanStart, spanEnd, 3*epsSV); err != nil {
-			return err
-		}
-	} else {
-		// The SV is a long-lived interactive mechanism: admitted here,
-		// retired when consumed (on SV failure in commit). A stale handle
-		// for this key belongs to a finished run, so it is retired before
-		// — not contingent on — the new registration.
-		if old, live := owner.svHandles[string(sc.svKeyBuf)]; live {
-			t.admit.Retire(old)
-			delete(owner.svHandles, string(sc.svKeyBuf))
-		}
-		h, err := t.admit.Register(accountant.RDPMechanism{
-			Cost:  accountant.SVInitCurve(t.admit.Block().Orders(), epsSV),
-			Start: spanStart, End: spanEnd,
-		})
-		if err != nil {
-			return err
-		}
-		owner.svHandles[string(sc.svKeyBuf)] = h
+	if err := t.block.PayRange(spanStart, spanEnd, accountant.SVInit(epsSV)); err != nil {
+		return err
 	}
 	sv := sparse.New(epsSV, t.cfg.Alpha, sc.nSV, t.rng)
 	sv.Reset()
@@ -834,7 +758,7 @@ func (t *Tree) execute(q *query.Query, sc *runScratch) error {
 		sc.epsLap = t.calib.Epsilon(t.cfg.Alpha, t.cfg.Beta/2, len(sc.lapNodes), sc.nLap)
 		for i := range sc.lapNodes {
 			c := &sc.lapNodes[i]
-			if err := t.payLaplace(c.iv.Start, c.iv.End, sc.epsLap); err != nil {
+			if err := t.block.PayRange(c.iv.Start, c.iv.End, accountant.Laplace(sc.epsLap)); err != nil {
 				return err
 			}
 			sc.res.Paid += sc.epsLap * float64(c.iv.Len())
@@ -884,13 +808,7 @@ func (t *Tree) commit(q *query.Query, sc *runScratch) error {
 			// direction, and penalize their heuristics.
 			t.stats.svFailures.Add(1)
 			delete(owner.svs, string(sc.svKeyBuf))
-			if t.admit != nil {
-				if h, live := owner.svHandles[string(sc.svKeyBuf)]; live {
-					t.admit.Retire(h)
-					delete(owner.svHandles, string(sc.svKeyBuf))
-				}
-			}
-			if err := t.payLaplace(sc.spanStart, sc.spanEnd, sc.epsSV); err != nil {
+			if err := t.block.PayRange(sc.spanStart, sc.spanEnd, accountant.Laplace(sc.epsSV)); err != nil {
 				return err
 			}
 			sc.res.Paid += sc.epsSV * float64(sc.spanEnd-sc.spanStart+1)
