@@ -3,11 +3,9 @@
 // exact-cache miss into the DP executor, and a full tree-session miss —
 // at the covid domain size and a ladder of synthetically larger domains.
 //
-// The executor miss is measured twice, with the vectorized engine on
-// (bitset masks + window aggregates, the default) and off (the pre-engine
-// per-partition support walk, kept as trueFractionWalk), so the speedup
-// series is a self-contained before/after of the execution engine — the
-// checked-in BENCH_misspath.json files are the perf trajectory.
+// The checked-in BENCH_misspath.json records are the perf trajectory. The
+// engine's own before/after against the pre-engine per-partition walk is
+// BenchmarkTrueFraction vs BenchmarkTrueFractionWalk in internal/dataset.
 //
 // The experiment doubles as the allocation regression gate CI runs: it
 // FAILS (returns an error) if the exact-hit path allocates, so a
@@ -143,8 +141,8 @@ func newMissPathEnv(dom *domain.Domain, parts int, rng *noise.Rng) (*missPathEnv
 }
 
 // MissPath is the execution-path microbenchmark. X is the domain size in
-// bins; the series are per-path throughput (q/s), the vectorized-vs-walk
-// speedup, and allocs/op on the hit and executor-miss paths.
+// bins; the series are per-path throughput (q/s) and allocs/op on the hit
+// and executor-miss paths.
 func MissPath(sc Scale) (Result, error) {
 	rng := noise.NewRng(0x715e)
 	covid, err := NewCovidEnv(sc, 121)
@@ -173,7 +171,7 @@ func MissPath(sc Scale) (Result, error) {
 	series := map[string]*Series{}
 	for _, name := range []string{
 		"hit-qps", "hit-allocs",
-		"miss-walk-qps", "miss-vec-qps", "miss-speedup", "miss-vec-allocs",
+		"miss-vec-qps", "miss-vec-allocs",
 		"treemiss-qps", "treehit-qps", "treehit-allocs",
 	} {
 		series[name] = &Series{Name: name}
@@ -188,8 +186,7 @@ func MissPath(sc Scale) (Result, error) {
 		parts := env.ds.Partitions()
 
 		// Executor-level exact miss: ExecuteDP with no prior true result,
-		// over the full window, cycling the predicate pool. Vectorized vs
-		// the support-walk baseline on the same dataset and queries.
+		// over the full window, cycling the predicate pool.
 		exec := dataset.NewExecutor(env.ds, rng.Fork())
 		iters := 2_000_000 / env.ds.Domain().Size()
 		if iters < 50 {
@@ -215,15 +212,7 @@ func MissPath(sc Scale) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		env.ds.SetVectorized(false)
-		walkQPS, err := opsPerSec(iters, missOp)
-		env.ds.SetVectorized(true)
-		if err != nil {
-			return Result{}, err
-		}
 		record("miss-vec-qps", size, vecQPS)
-		record("miss-walk-qps", size, walkQPS)
-		record("miss-speedup", size, vecQPS/walkQPS)
 		record("miss-vec-allocs", size, vecAllocs)
 
 		// Session-level paths. A generous global budget keeps the tree-miss
@@ -377,7 +366,7 @@ func MissPath(sc Scale) (Result, error) {
 
 	ordered := []string{
 		"hit-qps", "hit-allocs",
-		"miss-walk-qps", "miss-vec-qps", "miss-speedup", "miss-vec-allocs",
+		"miss-vec-qps", "miss-vec-allocs",
 		"treemiss-qps", "treehit-qps", "treehit-allocs",
 	}
 	out := make([]Series, 0, len(ordered))
@@ -387,11 +376,10 @@ func MissPath(sc Scale) (Result, error) {
 	return Result{
 		Name:   "misspath-execution-paths",
 		XLabel: "domain size (bins)",
-		YLabel: "q/s (qps series), allocs/op (allocs series), x (speedup)",
+		YLabel: "q/s (qps series), allocs/op (allocs series)",
 		Series: out,
 		Notes: []string{
 			fmt.Sprintf("window: all %d partitions; miss = ExecuteDP with no cached true result", sc.Weeks),
-			"miss-speedup = vectorized engine vs pre-engine support walk on identical queries",
 			"gate: the experiment errors if the exact-hit or tree cache-hit path allocates (not in race builds, whose instrumentation allocates)",
 			"gate: with -baseline, the experiment errors if treemiss-qps is below 10x the committed baseline at any domain size",
 		},

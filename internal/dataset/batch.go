@@ -91,11 +91,10 @@ func (ds *Dataset) MaskStats() MaskStats {
 // cache-missed queries in one deduplicated pass: each distinct
 // multi-partition window's aggregate vector and each distinct
 // mask-worthy predicate's combined bitset, built once however many
-// batch members share it. A no-op when the vectorized engine is off
-// (the walk baseline has no shared state to warm); malformed windows
-// are skipped — the per-query execution will surface their errors.
+// batch members share it. Malformed windows are skipped — the per-query
+// execution will surface their errors.
 func (ds *Dataset) WarmBatch(items []BatchQuery) {
-	if !ds.vectorized.Load() || len(items) == 0 {
+	if len(items) == 0 {
 		return
 	}
 	wins := make(map[int64]BatchQuery, len(items))

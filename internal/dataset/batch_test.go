@@ -111,13 +111,4 @@ func TestWarmBatchDedupesSharedState(t *testing.T) {
 	if diff := got - want; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("warmed evaluation %g != walk %g", got, want)
 	}
-
-	// Off-engine: WarmBatch is a no-op.
-	ds.SetVectorized(false)
-	before := ds.MaskStats()
-	ds.WarmBatch(items)
-	if after := ds.MaskStats(); after != before {
-		t.Fatalf("WarmBatch touched the memo with the engine off: %+v vs %+v", after, before)
-	}
-	ds.SetVectorized(true)
 }

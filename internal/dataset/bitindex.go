@@ -26,10 +26,10 @@
 //     walk here is an iterative odometer (no recursion, no closure), so
 //     neither branch allocates on the steady state.
 //
-// The engine is behind Dataset.SetVectorized so benchmarks can measure the
-// pre-engine support-walk baseline; correctness is pinned by property
-// tests asserting bin-for-bin equality with query.Eval on randomized
-// domains, predicates, and ingestion histories.
+// Correctness is pinned by property tests asserting bin-for-bin equality
+// with the pre-engine per-partition query.Eval walk (the oracle in
+// bitindex_test.go) on randomized domains, predicates, and ingestion
+// histories; the benchmarks there time the engine against that walk.
 
 package dataset
 
@@ -393,11 +393,3 @@ func (ds *Dataset) windowAgg(start, end, version int) *winAgg {
 	ds.aggMu.Unlock()
 	return a
 }
-
-// SetVectorized toggles the bitset execution engine (on by default).
-// Benchmarks and property tests switch it off to measure and cross-check
-// the pre-engine per-partition support walk.
-func (ds *Dataset) SetVectorized(on bool) { ds.vectorized.Store(on) }
-
-// Vectorized reports whether the bitset engine is active.
-func (ds *Dataset) Vectorized() bool { return ds.vectorized.Load() }

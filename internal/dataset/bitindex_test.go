@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -37,6 +38,31 @@ func randomQuery(dom *domain.Domain, rng *rand.Rand) *query.Query {
 		allowed[i] = perm[:k]
 	}
 	return query.MustNew(dom, allowed)
+}
+
+// trueFractionWalk is the pre-engine evaluation: query.Eval's per-bin
+// membership walk over every partition of the window. It is the oracle
+// the engine's property tests compare against and the baseline
+// BenchmarkTrueFractionWalk times.
+func (ds *Dataset) trueFractionWalk(q *query.Query, start, end int) (float64, int, error) {
+	ds.mu.RLock()
+	defer ds.mu.RUnlock()
+	if start < 0 || end >= len(ds.parts) || start > end {
+		return 0, 0, fmt.Errorf("dataset: bad range [%d,%d] of %d partitions", start, end, len(ds.parts))
+	}
+	matched, n := 0.0, 0
+	for i := start; i <= end; i++ {
+		p := ds.parts[i]
+		if p.n == 0 {
+			continue
+		}
+		matched += q.Eval(p.counts)
+		n += p.n
+	}
+	if n == 0 {
+		return 0, 0, nil
+	}
+	return matched / float64(n), n, nil
 }
 
 // loadRandom fills partition p with random per-bin counts.
@@ -196,28 +222,65 @@ func TestWindowAggInvalidation(t *testing.T) {
 	}
 }
 
-// TestVectorizedToggle checks SetVectorized routes to the walk baseline.
-func TestVectorizedToggle(t *testing.T) {
-	dom := domain.MustNew(domain.Attribute{Name: "a", Card: 8})
-	ds := New(dom, 1)
-	if !ds.Vectorized() {
-		t.Fatal("engine should default on")
+// benchWindow builds a loaded 8-partition dataset of the given domain
+// size (cardinality-8 attributes plus a card-2 tail, the misspath
+// ladder's shape) and a 64-predicate pool over it.
+func benchWindow(b *testing.B, bins int) (*Dataset, []*query.Query) {
+	b.Helper()
+	var attrs []domain.Attribute
+	for size := 1; size*16 <= bins; size *= 8 {
+		attrs = append(attrs, domain.Attribute{Name: fmt.Sprintf("a%d", len(attrs)), Card: 8})
 	}
-	if err := ds.AddCount(0, 3, 7); err != nil {
-		t.Fatal(err)
+	dom := domain.MustNew(append(attrs, domain.Attribute{Name: "tail", Card: 2})...)
+	rng := rand.New(rand.NewPCG(5, 9))
+	const parts = 8
+	ds := New(dom, parts)
+	counts := make([]int, dom.Size())
+	for p := 0; p < parts; p++ {
+		for i := range counts {
+			counts[i] = rng.IntN(10)
+		}
+		counts[0]++ // never an empty partition
+		if err := ds.BulkLoad(p, counts); err != nil {
+			b.Fatal(err)
+		}
 	}
-	q := query.MustNew(dom, map[int][]int{0: {3}})
-	on, _, err := ds.TrueFractionN(q, 0, 0)
-	if err != nil {
-		t.Fatal(err)
+	pool := make([]*query.Query, 64)
+	for i := range pool {
+		pool[i] = randomQuery(dom, rng)
 	}
-	ds.SetVectorized(false)
-	off, _, err := ds.TrueFractionN(q, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds.SetVectorized(true)
-	if on != off || on != 1 {
-		t.Fatalf("engine on %g / off %g, want both 1", on, off)
+	return ds, pool
+}
+
+var benchSink float64
+
+// benchTrueFraction times eval over the full window, cycling the pool;
+// one untimed pass first warms the engine's masks and window aggregate.
+func benchTrueFraction(b *testing.B, eval func(*Dataset, *query.Query, int, int) (float64, int, error)) {
+	for _, bins := range []int{128, 1024, 8192, 65536} {
+		ds, pool := benchWindow(b, bins)
+		b.Run(fmt.Sprintf("N=%d", ds.Domain().Size()), func(b *testing.B) {
+			for _, q := range pool {
+				if _, _, err := eval(ds, q, 0, ds.Partitions()-1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f, _, err := eval(ds, pool[i%len(pool)], 0, ds.Partitions()-1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += f
+			}
+		})
 	}
 }
+
+// BenchmarkTrueFraction is the engine (bitset masks + window aggregate);
+// BenchmarkTrueFractionWalk is the pre-engine per-partition walk on the
+// same datasets and predicates — the engine's before/after.
+func BenchmarkTrueFraction(b *testing.B) { benchTrueFraction(b, (*Dataset).TrueFractionN) }
+
+func BenchmarkTrueFractionWalk(b *testing.B) { benchTrueFraction(b, (*Dataset).trueFractionWalk) }

@@ -18,7 +18,6 @@ package dataset
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/domain"
 	"repro/internal/query"
@@ -47,14 +46,12 @@ type Dataset struct {
 	parts   []*Partition
 	version int
 
-	// Vectorized execution engine (bitindex.go): domain bitset masks,
-	// window-aggregate cache, and the on/off switch benchmarks use to
-	// measure the support-walk baseline.
-	idx        *bitIndex
-	aggMu      sync.RWMutex
-	aggs       map[int64]*winAgg
-	aggBins    int
-	vectorized atomic.Bool
+	// Vectorized execution engine (bitindex.go): domain bitset masks and
+	// the window-aggregate cache.
+	idx     *bitIndex
+	aggMu   sync.RWMutex
+	aggs    map[int64]*winAgg
+	aggBins int
 }
 
 // New creates an empty dataset over dom with the given number of (empty)
@@ -64,7 +61,6 @@ func New(dom *domain.Domain, partitions int) *Dataset {
 		panic(fmt.Sprintf("dataset: bad partition count %d", partitions))
 	}
 	ds := &Dataset{dom: dom, idx: newBitIndex(dom), aggs: make(map[int64]*winAgg)}
-	ds.vectorized.Store(true)
 	for i := 0; i < partitions; i++ {
 		ds.appendPartitionLocked()
 	}
@@ -321,14 +317,10 @@ func (ds *Dataset) TrueFraction(q *query.Query, start, end int) (float64, error)
 
 // TrueFractionN is TrueFraction that also returns the window's public row
 // count, so the DP executor scales its noise without a second locked
-// metadata pass. With the vectorized engine on (the default), evaluation
-// runs over the window's aggregated count vector through the bitset
-// predicate masks or the sparse odometer walk (bitindex.go); switched off
-// it reproduces the pre-engine per-partition support walk.
+// metadata pass. Evaluation runs over the window's aggregated count
+// vector through the bitset predicate masks or the sparse odometer walk
+// (bitindex.go).
 func (ds *Dataset) TrueFractionN(q *query.Query, start, end int) (float64, int, error) {
-	if !ds.vectorized.Load() {
-		return ds.trueFractionWalk(q, start, end)
-	}
 	ds.mu.RLock()
 	if start < 0 || end >= len(ds.parts) || start > end {
 		n := len(ds.parts)
@@ -364,30 +356,6 @@ func (ds *Dataset) TrueFractionN(q *query.Query, start, end int) (float64, int, 
 		return 1, a.rows, nil
 	}
 	return ds.idx.evalVec(q, a.counts) / float64(a.rows), a.rows, nil
-}
-
-// trueFractionWalk is the pre-engine evaluation: query.Eval's per-bin
-// membership walk over every partition of the window. Kept as the
-// benchmark baseline (-exp=misspath) and the property-test oracle.
-func (ds *Dataset) trueFractionWalk(q *query.Query, start, end int) (float64, int, error) {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	if start < 0 || end >= len(ds.parts) || start > end {
-		return 0, 0, fmt.Errorf("dataset: bad range [%d,%d] of %d partitions", start, end, len(ds.parts))
-	}
-	matched, n := 0.0, 0
-	for i := start; i <= end; i++ {
-		p := ds.parts[i]
-		if p.n == 0 {
-			continue
-		}
-		matched += q.Eval(p.counts)
-		n += p.n
-	}
-	if n == 0 {
-		return 0, 0, nil
-	}
-	return matched / float64(n), n, nil
 }
 
 // TrueDistribution returns the normalized distribution over bins of

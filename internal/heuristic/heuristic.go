@@ -40,19 +40,6 @@ type Heuristic interface {
 // one instance per node.
 type Factory func() Heuristic
 
-// SupportAware heuristics additionally accept a pre-resolved support set,
-// so a caller evaluating one predicate against many histograms (the tree's
-// split loop) resolves the support once instead of re-walking ForEachBin
-// per node. Implementations must make the exact decision — and the exact
-// state mutations — their dense methods make for the originating query.
-type SupportAware interface {
-	Heuristic
-	// IsReadySupport is IsReady over a resolved support.
-	IsReadySupport(h *histogram.Histogram, s *query.Support) bool
-	// PenalizeSupport is Penalize over a resolved support.
-	PenalizeSupport(h *histogram.Histogram, s *query.Support)
-}
-
 // WarmStartable heuristics can transfer their learned thresholds when a new
 // tree node is warm-started from existing ones (§4.5).
 type WarmStartable interface {
@@ -104,40 +91,10 @@ func (a *AdaptivePerBin) ensure(size int) {
 // IsReady requires every support bin's update counter to meet its own
 // threshold.
 func (a *AdaptivePerBin) IsReady(h *histogram.Histogram, q *query.Query) bool {
-	ready := true
+	bins := q.ResolvedSupport().Bins()
 	if a.thresholds == nil {
 		c0 := a.c0
-		q.ForEachBin(func(bin int) {
-			if h.Count(bin) < c0 {
-				ready = false
-			}
-		})
-		return ready
-	}
-	a.ensure(h.Size())
-	q.ForEachBin(func(bin int) {
-		if h.Count(bin) < a.thresholds[bin] {
-			ready = false
-		}
-	})
-	return ready
-}
-
-// Penalize raises the thresholds of q's least-updated support bins by S0,
-// so one cold bin cannot penalize queries that only touch trained bins.
-func (a *AdaptivePerBin) Penalize(h *histogram.Histogram, q *query.Query) {
-	a.ensure(h.Size())
-	for _, bin := range h.LeastUpdatedBins(q) {
-		a.thresholds[bin] += a.s0
-	}
-}
-
-// IsReadySupport implements SupportAware with the same decision IsReady
-// makes for the originating query.
-func (a *AdaptivePerBin) IsReadySupport(h *histogram.Histogram, s *query.Support) bool {
-	if a.thresholds == nil {
-		c0 := a.c0
-		for _, bin := range s.Bins() {
+		for _, bin := range bins {
 			if h.Count(int(bin)) < c0 {
 				return false
 			}
@@ -145,7 +102,7 @@ func (a *AdaptivePerBin) IsReadySupport(h *histogram.Histogram, s *query.Support
 		return true
 	}
 	a.ensure(h.Size())
-	for _, bin := range s.Bins() {
+	for _, bin := range bins {
 		if h.Count(int(bin)) < a.thresholds[bin] {
 			return false
 		}
@@ -153,11 +110,11 @@ func (a *AdaptivePerBin) IsReadySupport(h *histogram.Histogram, s *query.Support
 	return true
 }
 
-// PenalizeSupport implements SupportAware with the same threshold bumps
-// Penalize applies.
-func (a *AdaptivePerBin) PenalizeSupport(h *histogram.Histogram, s *query.Support) {
+// Penalize raises the thresholds of q's least-updated support bins by S0,
+// so one cold bin cannot penalize queries that only touch trained bins.
+func (a *AdaptivePerBin) Penalize(h *histogram.Histogram, q *query.Query) {
 	a.ensure(h.Size())
-	for _, bin := range h.LeastUpdatedBinsSupport(s) {
+	for _, bin := range h.LeastUpdatedBins(q) {
 		a.thresholds[bin] += a.s0
 	}
 }
@@ -254,14 +211,6 @@ func (s *StaticPerBin) IsReady(h *histogram.Histogram, q *query.Query) bool {
 
 // Penalize is a no-op: the design is not adaptive.
 func (s *StaticPerBin) Penalize(*histogram.Histogram, *query.Query) {}
-
-// IsReadySupport implements SupportAware.
-func (s *StaticPerBin) IsReadySupport(h *histogram.Histogram, sup *query.Support) bool {
-	return h.MinSupportCountS(sup) >= s.c0
-}
-
-// PenalizeSupport is a no-op: the design is not adaptive.
-func (s *StaticPerBin) PenalizeSupport(*histogram.Histogram, *query.Support) {}
 
 // Name implements Heuristic.
 func (s *StaticPerBin) Name() string { return fmt.Sprintf("static-per-bin(C0=%g)", s.c0) }

@@ -8,7 +8,11 @@
 //	h(v) ← g(v) / Σ_w g(w)     (renormalize)
 //
 // Since Turbo's queries are predicates (q(v) ∈ {0,1}), an update multiplies
-// exactly the bins in the query's support by e^s and renormalizes.
+// exactly the bins in the query's support by e^s and renormalizes. Every
+// per-query operation (Eval, Update, UpdateMass, MinSupportCount,
+// LeastUpdatedBins) is one loop over the query's memoized support bins
+// (query.ResolvedSupport); the single PMW-Bypass and every tree node run
+// the same kernels.
 //
 // The histogram also tracks per-bin purposeful-update counters c (Fig. 2 and
 // Fig. 5 in the paper), which Turbo's readiness heuristic consumes. Counters
@@ -32,11 +36,11 @@ import (
 // bins plus one scalar, instead of sweeping the whole domain; the scale is
 // folded back into the weights ("settled") on a deterministic cadence —
 // every settleEvery updates, or when the scale leaves its safe magnitude
-// range — which keeps the stored values inside float64 range. Because the
-// cadence depends only on the update count and the scale value, the dense
-// and sparse-support update paths settle in lockstep and remain bit for
-// bit identical. Read paths never settle (they fold the scale into their
-// result instead), so reads stay non-mutating.
+// range — which keeps the stored values inside float64 range. The cadence
+// depends only on the update count and the scale value, so a histogram's
+// bits are a function of its update sequence alone. Read paths never
+// settle (they fold the scale into their result instead), so reads stay
+// non-mutating.
 type Histogram struct {
 	weights []float64
 	counts  []float64
@@ -141,72 +145,105 @@ func (h *Histogram) Count(bin int) float64 { return h.counts[bin] }
 // including those inherited through warm-start.
 func (h *Histogram) Updates() int { return h.updates }
 
-// Eval returns the histogram's estimate q(h) = q·h for a linear query.
+// supportBins returns q's memoized support — the ascending bin indices
+// with q(v) = 1 — after checking q spans h's domain. The memo is one
+// atomic load, shared by every windowed clone of q.
+func (h *Histogram) supportBins(q *query.Query) []int32 {
+	if q.Domain().Size() != len(h.weights) {
+		panic(fmt.Sprintf("histogram: query over domain size %d for %d bins",
+			q.Domain().Size(), len(h.weights)))
+	}
+	return q.ResolvedSupport().Bins()
+}
+
+// checkStep rejects a non-finite update step.
+func checkStep(step float64) {
+	if math.IsNaN(step) || math.IsInf(step, 0) {
+		panic(fmt.Sprintf("histogram: bad step %g", step))
+	}
+}
+
+// Eval returns the histogram's estimate q(h) = q·h for a linear query: a
+// gather-sum over q's support bins.
 //
 // The reduction runs four interleaved accumulator lanes — the i-th
 // support bin (ascending) feeds lane i mod 4, and the lanes combine as
-// (s0+s1)+(s2+s3). Every histogram reduction (EvalSupport, the update
-// mass loops) follows this exact spec, so the sparse kernels match the
-// dense ones bit for bit while none serializes on FP add latency.
+// (s0+s1)+(s2+s3). Update's mass loop follows this exact spec, so the
+// mass it derives equals Eval on the same state bit for bit while
+// neither serializes on FP add latency. The spec is pinned against a
+// closure-walk reference in oracle_test.go.
 func (h *Histogram) Eval(q *query.Query) float64 {
-	if q.Domain().Size() != len(h.weights) {
-		panic(fmt.Sprintf("histogram: Eval got query over domain size %d for %d bins",
-			q.Domain().Size(), len(h.weights)))
-	}
+	bins := h.supportBins(q)
 	w := h.weights
 	var s0, s1, s2, s3 float64
 	i := 0
-	q.ForEachBin(func(bin int) {
-		switch i & 3 {
-		case 0:
-			s0 += w[bin]
-		case 1:
-			s1 += w[bin]
-		case 2:
-			s2 += w[bin]
-		default:
-			s3 += w[bin]
-		}
-		i++
-	})
+	for ; i+4 <= len(bins); i += 4 {
+		b := bins[i : i+4 : i+4]
+		s0 += w[b[0]]
+		s1 += w[b[1]]
+		s2 += w[b[2]]
+		s3 += w[b[3]]
+	}
+	switch len(bins) - i {
+	case 3:
+		s0 += w[bins[i]]
+		s1 += w[bins[i+1]]
+		s2 += w[bins[i+2]]
+	case 2:
+		s0 += w[bins[i]]
+		s1 += w[bins[i+1]]
+	case 1:
+		s0 += w[bins[i]]
+	}
 	return ((s0 + s1) + (s2 + s3)) * h.scale
 }
 
 // Update applies one multiplicative-weights step of signed size step
 // (s = ±lr in Alg. 1) for query q, renormalizes, and increments the support
-// bins' counters. A step of 0 is a no-op (the external-update rule emits 0
-// when not confident; see Alg. 1 l.33).
+// bins' counters — O(|support|), not O(domain). A step of 0 is a no-op (the
+// external-update rule emits 0 when not confident; see Alg. 1 l.33).
 func (h *Histogram) Update(q *query.Query, step float64) {
 	if step == 0 {
 		return
 	}
-	if math.IsNaN(step) || math.IsInf(step, 0) {
-		panic(fmt.Sprintf("histogram: bad step %g", step))
-	}
+	checkStep(step)
+	bins := h.supportBins(q)
 	factor := math.Exp(step)
 	// Support mass before the update (in stored units); the new total is
 	// 1 + (factor-1)·mass·scale, and the renormalization division folds
 	// into the scale instead of sweeping the domain. The mass reduction
-	// follows Eval's 4-lane spec, so it equals the Eval/EvalSupport
-	// estimate of the same state bit for bit.
+	// follows Eval's 4-lane spec.
 	w, c := h.weights, h.counts
 	var m0, m1, m2, m3 float64
 	i := 0
-	q.ForEachBin(func(bin int) {
-		switch i & 3 {
+	for ; i+4 <= len(bins); i += 4 {
+		b := bins[i : i+4 : i+4]
+		m0 += w[b[0]]
+		m1 += w[b[1]]
+		m2 += w[b[2]]
+		m3 += w[b[3]]
+		w[b[0]] *= factor
+		w[b[1]] *= factor
+		w[b[2]] *= factor
+		w[b[3]] *= factor
+		c[b[0]]++
+		c[b[1]]++
+		c[b[2]]++
+		c[b[3]]++
+	}
+	for j := i; j < len(bins); j++ {
+		bin := bins[j]
+		switch j & 3 {
 		case 0:
 			m0 += w[bin]
 		case 1:
 			m1 += w[bin]
-		case 2:
-			m2 += w[bin]
 		default:
-			m3 += w[bin]
+			m2 += w[bin]
 		}
-		i++
 		w[bin] *= factor
 		c[bin]++
-	})
+	}
 	h.finishUpdate(factor, ((m0+m1)+(m2+m3))*h.scale)
 }
 
@@ -220,15 +257,26 @@ func (h *Histogram) UpdateMass(q *query.Query, step, est float64) {
 	if step == 0 {
 		return
 	}
-	if math.IsNaN(step) || math.IsInf(step, 0) {
-		panic(fmt.Sprintf("histogram: bad step %g", step))
-	}
+	checkStep(step)
+	bins := h.supportBins(q)
 	factor := math.Exp(step)
 	w, c := h.weights, h.counts
-	q.ForEachBin(func(bin int) {
-		w[bin] *= factor
-		c[bin]++
-	})
+	i := 0
+	for ; i+4 <= len(bins); i += 4 {
+		b := bins[i : i+4 : i+4]
+		w[b[0]] *= factor
+		w[b[1]] *= factor
+		w[b[2]] *= factor
+		w[b[3]] *= factor
+		c[b[0]]++
+		c[b[1]]++
+		c[b[2]]++
+		c[b[3]]++
+	}
+	for ; i < len(bins); i++ {
+		w[bins[i]] *= factor
+		c[bins[i]]++
+	}
 	h.finishUpdate(factor, est)
 }
 
@@ -265,11 +313,11 @@ func scaleAll(w []float64, inv float64) {
 // q's support — the quantity Turbo's per-bin readiness heuristic thresholds.
 func (h *Histogram) MinSupportCount(q *query.Query) float64 {
 	min := math.Inf(1)
-	q.ForEachBin(func(bin int) {
+	for _, bin := range h.supportBins(q) {
 		if h.counts[bin] < min {
 			min = h.counts[bin]
 		}
-	})
+	}
 	return min
 }
 
@@ -280,11 +328,11 @@ func (h *Histogram) MinSupportCount(q *query.Query) float64 {
 func (h *Histogram) LeastUpdatedBins(q *query.Query) []int {
 	min := h.MinSupportCount(q)
 	var bins []int
-	q.ForEachBin(func(bin int) {
+	for _, bin := range h.supportBins(q) {
 		if h.counts[bin] == min {
-			bins = append(bins, bin)
+			bins = append(bins, int(bin))
 		}
-	})
+	}
 	return bins
 }
 

@@ -29,8 +29,7 @@
 //
 // Version history: v1 wrote the section stream as raw gob; v2 (current)
 // wraps it in gzip — histograms and Rényi curves are float-heavy and
-// compress several-fold. Readers accept both; writers emit v2 unless a
-// version is forced (NewWriterVersion, for compatibility tests).
+// compress several-fold. Readers accept both; writers emit v2 only.
 //
 // Besides the streamed envelope, a Registry can snapshot INTO a storage
 // backend (SaveKV/LoadKV): each section becomes its own key in a
@@ -140,32 +139,19 @@ type section struct {
 // Writer writes a snapshot envelope section by section.
 type Writer struct {
 	enc *gob.Encoder
-	// gz is the compression layer of a v2 envelope (nil for v1); Close
-	// must flush it after the end marker.
+	// gz is the envelope's compression layer; Close must flush it after
+	// the end marker.
 	gz *gzip.Writer
 }
 
 // NewWriter writes the magic header and current format version to w and
 // returns a section writer over it.
 func NewWriter(w io.Writer) (*Writer, error) {
-	return NewWriterVersion(w, FormatVersion)
-}
-
-// NewWriterVersion writes an envelope at an explicit format version —
-// the current one, or v1 for producing uncompressed envelopes that
-// compatibility tests (and downgrade paths) feed to old readers.
-func NewWriterVersion(w io.Writer, version uint32) (*Writer, error) {
-	if version != FormatVersion && version != formatV1 {
-		return nil, fmt.Errorf("%w: cannot write v%d", ErrBadVersion, version)
-	}
 	if _, err := io.WriteString(w, magic); err != nil {
 		return nil, fmt.Errorf("persist: write magic: %w", err)
 	}
-	if err := binary.Write(w, binary.BigEndian, version); err != nil {
+	if err := binary.Write(w, binary.BigEndian, FormatVersion); err != nil {
 		return nil, fmt.Errorf("persist: write version: %w", err)
-	}
-	if version == formatV1 {
-		return &Writer{enc: gob.NewEncoder(w)}, nil
 	}
 	gz := gzip.NewWriter(w)
 	return &Writer{enc: gob.NewEncoder(gz), gz: gz}, nil
@@ -189,10 +175,8 @@ func (w *Writer) Close() error {
 	if err := w.enc.Encode(section{}); err != nil {
 		return fmt.Errorf("persist: write end marker: %w", err)
 	}
-	if w.gz != nil {
-		if err := w.gz.Close(); err != nil {
-			return fmt.Errorf("persist: flush compressed envelope: %w", err)
-		}
+	if err := w.gz.Close(); err != nil {
+		return fmt.Errorf("persist: flush compressed envelope: %w", err)
 	}
 	return nil
 }
@@ -360,14 +344,7 @@ func (r *Registry) QuiesceAll() (resume func()) {
 // Capture writes every section without quiescing anything; see Save
 // for the capture-order contract.
 func (r *Registry) Capture(w io.Writer) error {
-	return r.CaptureVersion(w, FormatVersion)
-}
-
-// CaptureVersion is Capture at an explicit envelope version (v1 writes
-// the uncompressed legacy format, for compatibility tests and downgrade
-// paths).
-func (r *Registry) CaptureVersion(w io.Writer, version uint32) error {
-	sw, err := NewWriterVersion(w, version)
+	sw, err := NewWriter(w)
 	if err != nil {
 		return err
 	}

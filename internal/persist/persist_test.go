@@ -2,6 +2,8 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"io"
 	"os"
@@ -246,25 +248,33 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 }
 
+// v1Envelope builds the uncompressed envelope earlier builds wrote: the
+// magic, version 1, and a raw gob stream of the named sections plus the
+// end marker. No writer emits this format any more; the reader must
+// still accept it.
+func v1Envelope(t *testing.T, sections ...section) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString(magic)
+	if err := binary.Write(&buf, binary.BigEndian, formatV1); err != nil {
+		t.Fatal(err)
+	}
+	enc := gob.NewEncoder(&buf)
+	for _, s := range append(sections, section{}) {
+		if err := enc.Encode(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
 // TestV1EnvelopeStillReadable pins the compatibility contract of the v2
 // (compressed) format bump: uncompressed v1 envelopes from earlier
 // builds round-trip into the same registry.
 func TestV1EnvelopeStillReadable(t *testing.T) {
-	a := &fakeLayer{name: "a", state: []byte("alpha")}
-	b := &fakeLayer{name: "b", state: []byte("beta")}
-	reg := NewRegistry()
-	reg.Register(a)
-	reg.Register(b)
-
-	var v1 bytes.Buffer
-	if err := reg.CaptureVersion(&v1, 1); err != nil {
-		t.Fatal(err)
-	}
-	// A v1 header carries version 1 and a raw (uncompressed) gob stream.
-	raw := v1.Bytes()
-	if raw[len(magic)+3] != 1 {
-		t.Fatalf("v1 envelope declares version %d", raw[len(magic)+3])
-	}
+	raw := v1Envelope(t,
+		section{Name: "b", Payload: []byte("beta")},
+		section{Name: "a", Payload: []byte("alpha")})
 
 	a2 := &fakeLayer{name: "a"}
 	b2 := &fakeLayer{name: "b"}
@@ -287,15 +297,13 @@ func TestV2EnvelopeCompresses(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register(a)
 
-	var v1, v2 bytes.Buffer
-	if err := reg.CaptureVersion(&v1, 1); err != nil {
-		t.Fatal(err)
-	}
+	v1 := v1Envelope(t, section{Name: "a", Payload: a.state})
+	var v2 bytes.Buffer
 	if err := reg.Capture(&v2); err != nil {
 		t.Fatal(err)
 	}
-	if v2.Len() >= v1.Len() {
-		t.Fatalf("v2 envelope (%d bytes) not smaller than v1 (%d bytes)", v2.Len(), v1.Len())
+	if v2.Len() >= len(v1) {
+		t.Fatalf("v2 envelope (%d bytes) not smaller than v1 (%d bytes)", v2.Len(), len(v1))
 	}
 	a2 := &fakeLayer{name: "a"}
 	reg2 := NewRegistry()
@@ -311,13 +319,6 @@ func TestV2EnvelopeCompresses(t *testing.T) {
 	cut := v2.Bytes()[:v2.Len()-4]
 	if err := reg2.Load(bytes.NewReader(cut)); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("trailer-cut envelope: err = %v, want ErrTruncated", err)
-	}
-}
-
-func TestNewWriterVersionRefusesUnknown(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := NewWriterVersion(&buf, 99); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("err = %v, want ErrBadVersion", err)
 	}
 }
 

@@ -1,54 +1,38 @@
-// Resolved predicate supports: the reusable sparse view of a query the
-// tree's histogram kernels consume (see internal/histogram's sparse
-// kernels and ARCHITECTURE.md "Execution engine").
+// Resolved predicate supports: the reusable sparse view of a query that
+// internal/histogram's kernels iterate.
 //
 // A query's predicate selects a fixed set of domain bins. ForEachBin
 // re-derives that set on every evaluation through a recursive walk; the
-// tree evaluates the same predicate against every node histogram of a
-// split, so it resolves the support once per Run into a Support — the
-// ascending bin indices plus a word-wide bitmask — and every per-node
-// kernel then iterates plain slices. All node histograms span the same
-// domain, which is what makes one resolution shareable across the split.
+// same predicate is evaluated against a PMW histogram on every arrival,
+// and against every node histogram of a tree split, so it resolves once
+// into a Support — the ascending bin indices — memoized on the query, and
+// every kernel then iterates a plain slice.
 
 package query
 
 import "sync/atomic"
 
 // Support is the resolved support set of one predicate over one domain:
-// the bin indices with q(v) = 1 in ascending order, and the same set as a
-// 64-bit-word bitmask (bit i of word w covers bin 64·w+i). A Support is a
+// the bin indices with q(v) = 1 in ascending order. A Support is a
 // reusable buffer: Resolve overwrites it in place, growing the backing
-// slices only until they reach the domain's high-water mark, so a
+// slice only until it reaches the domain's high-water mark, so a
 // steady-state resolution allocates nothing.
 //
 // The index order is identical to ForEachBin's emission order (ascending:
 // attribute strides are row-major and value sets are sorted), so a kernel
-// walking Bins — or the mask words in order, lowest bit first — performs
-// floating-point reductions in exactly the dense oracle's order and
-// reproduces its results bit for bit.
+// walking Bins performs floating-point reductions in exactly the
+// closure-walk order — the property the histogram oracle tests pin.
 type Support struct {
 	bins []int32
-	mask []uint64
-	size int
-	key  string
 }
 
-// Resolve fills s with q's support, reusing s's buffers. The previous
+// Resolve fills s with q's support, reusing s's buffer. The previous
 // contents are discarded.
 func (q *Query) Resolve(s *Support) {
-	size := q.dom.Size()
-	words := (size + 63) >> 6
-	s.size = size
-	s.key = q.key
-	s.bins = s.bins[:0]
-	if cap(s.mask) < words {
-		s.mask = make([]uint64, words)
-	} else {
-		s.mask = s.mask[:words]
-		for i := range s.mask {
-			s.mask[i] = 0
-		}
+	if cap(s.bins) < q.support {
+		s.bins = make([]int32, 0, q.support)
 	}
+	s.bins = s.bins[:0]
 
 	d := q.dom
 	n := d.NumAttrs()
@@ -59,10 +43,7 @@ func (q *Query) Resolve(s *Support) {
 	if n > maxResolveAttrs {
 		// Domains beyond the odometer's depth fall back to the recursive
 		// walk; order is identical either way.
-		q.ForEachBin(func(bin int) {
-			s.bins = append(s.bins, int32(bin))
-			s.mask[bin>>6] |= 1 << uint(bin&63)
-		})
+		q.ForEachBin(func(bin int) { s.bins = append(s.bins, int32(bin)) })
 		return
 	}
 	pos := posBuf[:n]
@@ -84,7 +65,6 @@ func (q *Query) Resolve(s *Support) {
 	}
 	for {
 		s.bins = append(s.bins, int32(base))
-		s.mask[base>>6] |= 1 << uint(base&63)
 		i := n - 1
 		for i >= 0 {
 			pos[i]++
@@ -137,22 +117,6 @@ func (q *Query) ResolvedSupport() *Support {
 	return m.p.Load()
 }
 
-// Len returns the number of support bins (SupportSize of the resolved
-// query).
-func (s *Support) Len() int { return len(s.bins) }
-
 // Bins returns the ascending support bin indices. Callers must not modify
 // the slice; it is invalidated by the next Resolve.
 func (s *Support) Bins() []int32 { return s.bins }
-
-// Mask returns the support as 64-bit words over the domain. Callers must
-// not modify the slice; it is invalidated by the next Resolve.
-func (s *Support) Mask() []uint64 { return s.mask }
-
-// DomainSize returns the domain size the support was resolved over.
-func (s *Support) DomainSize() int { return s.size }
-
-// Key returns the predicate key of the query the support was resolved
-// from — the cheap way for a consumer to assert the support matches the
-// query in hand.
-func (s *Support) Key() string { return s.key }

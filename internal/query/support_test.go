@@ -16,7 +16,7 @@ func supportDom() *domain.Domain {
 }
 
 // TestResolveMatchesForEachBin: Resolve must emit exactly ForEachBin's
-// bins, in the same (ascending) order, and the mask must agree.
+// bins, in the same (ascending) order.
 func TestResolveMatchesForEachBin(t *testing.T) {
 	d := supportDom()
 	rng := rand.New(rand.NewSource(3))
@@ -53,25 +53,8 @@ func TestResolveMatchesForEachBin(t *testing.T) {
 				t.Fatalf("iter %d: bins not strictly ascending at %d: %v", iter, i, bins[:i+1])
 			}
 		}
-		if sup.Len() != q.SupportSize() {
-			t.Fatalf("iter %d: Len %d, SupportSize %d", iter, sup.Len(), q.SupportSize())
-		}
-		if sup.Key() != q.Key() {
-			t.Fatalf("iter %d: support key %q, query key %q", iter, sup.Key(), q.Key())
-		}
-		if sup.DomainSize() != d.Size() {
-			t.Fatalf("iter %d: domain size %d, want %d", iter, sup.DomainSize(), d.Size())
-		}
-		// Mask agrees with the bin list exactly.
-		set := map[int32]bool{}
-		for _, b := range bins {
-			set[b] = true
-		}
-		for b := 0; b < d.Size(); b++ {
-			got := sup.Mask()[b>>6]&(1<<uint(b&63)) != 0
-			if got != set[int32(b)] {
-				t.Fatalf("iter %d: mask bit %d = %v, bins say %v", iter, b, got, set[int32(b)])
-			}
+		if len(bins) != q.SupportSize() {
+			t.Fatalf("iter %d: %d bins, SupportSize %d", iter, len(bins), q.SupportSize())
 		}
 	}
 }

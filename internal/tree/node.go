@@ -65,57 +65,3 @@ func (n *node) externalUpdate(q *query.Query, dpResult, est float64) bool {
 
 // penalize records a heuristic error for q on this node.
 func (n *node) penalize(q *query.Query) { n.heur.Penalize(n.hist, q) }
-
-// The S-variants below are the estimate/ready/update/penalize operations
-// driven by a pre-resolved support set shared across the split (the
-// vectorized Run path). Each produces bit-for-bit the state its dense
-// counterpart would: the sparse histogram kernels reduce in the dense
-// order, and non-SupportAware heuristics simply fall back to the dense
-// call.
-
-// estimateS is estimate over a resolved support.
-func (n *node) estimateS(s *query.Support) float64 { return n.hist.EvalSupport(s) }
-
-// readyS is ready over a resolved support; q is the originating query for
-// heuristics that cannot consume a support directly.
-func (n *node) readyS(q *query.Query, s *query.Support) bool {
-	if sa, ok := n.heur.(heuristic.SupportAware); ok {
-		return sa.IsReadySupport(n.hist, s)
-	}
-	return n.heur.IsReady(n.hist, q)
-}
-
-// directedUpdateS is directedUpdate over a resolved support.
-func (n *node) directedUpdateS(s *query.Support, positive bool, est float64) {
-	step := n.lr.LR(n.hist.Updates())
-	if !positive {
-		step = -step
-	}
-	n.hist.UpdateSupportMass(s, step, est)
-}
-
-// externalUpdateS is externalUpdate over a resolved support, with the
-// same claim-time estimate contract.
-func (n *node) externalUpdateS(s *query.Support, dpResult, est float64) bool {
-	margin := n.tau * n.alpha
-	step := n.lr.LR(n.hist.Updates())
-	switch {
-	case dpResult > est+margin:
-		n.hist.UpdateSupportMass(s, step, est)
-		return true
-	case dpResult < est-margin:
-		n.hist.UpdateSupportMass(s, -step, est)
-		return true
-	default:
-		return false
-	}
-}
-
-// penalizeS is penalize over a resolved support.
-func (n *node) penalizeS(q *query.Query, s *query.Support) {
-	if sa, ok := n.heur.(heuristic.SupportAware); ok {
-		sa.PenalizeSupport(n.hist, s)
-		return
-	}
-	n.heur.Penalize(n.hist, q)
-}

@@ -206,11 +206,6 @@ type Tree struct {
 
 	cache *cache.Exact
 
-	// vectorized selects the sparse-support kernels (default); off keeps
-	// the dense per-query walks as the property-tested oracle, mirroring
-	// the dataset engine's toggle. Both produce bit-identical state.
-	vectorized atomic.Bool
-
 	scratch sync.Pool // of *runScratch
 
 	stats counters
@@ -233,7 +228,6 @@ func New(cfg Config, exec *dataset.Executor, block *accountant.Block, be store.B
 		rng:   rng,
 	}
 	t.calib = noise.NewLaplaceCalibrator()
-	t.vectorized.Store(true)
 	t.scratch.New = func() any { return new(runScratch) }
 	if cfg.Shards > 1 {
 		parts := exec.Dataset().Partitions()
@@ -251,14 +245,6 @@ func New(cfg Config, exec *dataset.Executor, block *accountant.Block, be store.B
 	}
 	return t, nil
 }
-
-// SetVectorized toggles the sparse-support kernels; false falls back to
-// the dense per-query walks (the property-tested oracle). Both paths
-// produce bit-identical histograms and answers.
-func (t *Tree) SetVectorized(on bool) { t.vectorized.Store(on) }
-
-// Vectorized reports whether the sparse-support kernels are active.
-func (t *Tree) Vectorized() bool { return t.vectorized.Load() }
 
 // Calibrator exposes the memoized Laplace calibration for telemetry.
 func (t *Tree) Calibrator() *noise.LaplaceCalibrator { return t.calib }
@@ -508,7 +494,6 @@ type nodeClaim struct {
 // across queries, so the steady-state cache-hit path allocates nothing.
 type runScratch struct {
 	start, end int
-	vec        bool
 	res        Result
 
 	shards    []*stateShard
@@ -524,7 +509,6 @@ type runScratch struct {
 
 	key      []byte
 	svKeyBuf []byte
-	sup      *query.Support
 
 	// Shared-SV claim state.
 	spanStart, spanEnd int
@@ -593,7 +577,6 @@ func (t *Tree) Run(q *query.Query) (Result, error) {
 func (t *Tree) claim(q *query.Query, start, end int, sc *runScratch) error {
 	ds := t.exec.Dataset()
 	sc.start, sc.end = start, end
-	sc.vec = t.vectorized.Load()
 	sc.res = Result{}
 	sc.comps = sc.comps[:0]
 	sc.remaining = sc.remaining[:0]
@@ -605,7 +588,6 @@ func (t *Tree) claim(q *query.Query, start, end int, sc *runScratch) error {
 	sc.lapNodes = sc.lapNodes[:0]
 	sc.nSV, sc.nLap = 0, 0
 	sc.rH, sc.rTrue = 0, 0
-	sc.sup = nil
 
 	sc.shards = t.lockWindowInto(sc.shards[:0], start, end)
 	defer unlockAll(sc.shards)
@@ -641,22 +623,12 @@ func (t *Tree) claim(q *query.Query, start, end int, sc *runScratch) error {
 		return nil
 	}
 
-	if sc.vec {
-		sc.sup = q.ResolvedSupport()
-	}
-
 	// 2. Partition the remaining nodes into the shared-SV set (ready,
 	// contiguous) and the Laplace set.
 	for _, iv := range sc.remaining {
 		nd := t.getNode(iv)
 		sc.nds = append(sc.nds, nd)
-		var rdy bool
-		if sc.vec {
-			rdy = nd.readyS(q, sc.sup)
-		} else {
-			rdy = nd.ready(q)
-		}
-		if rdy {
+		if nd.ready(q) {
 			sc.ready = append(sc.ready, iv)
 		}
 	}
@@ -676,11 +648,7 @@ func (t *Tree) claim(q *query.Query, start, end int, sc *runScratch) error {
 		} else {
 			// Snapshot the estimate alongside the epoch: commit's τα rule
 			// consumes it only on the epoch-intact path.
-			if sc.vec {
-				c.est = c.nd.estimateS(sc.sup)
-			} else {
-				c.est = c.nd.estimate(q)
-			}
+			c.est = c.nd.estimate(q)
 			sc.lapNodes = append(sc.lapNodes, c)
 			sc.nLap += c.ni
 		}
@@ -705,11 +673,7 @@ func (t *Tree) claim(q *query.Query, start, end int, sc *runScratch) error {
 			c := &sc.svNodes[i]
 			// The per-node estimate doubles as the claim-time snapshot for
 			// a commit-phase directed update (consumed only epoch-intact).
-			if sc.vec {
-				c.est = c.nd.estimateS(sc.sup)
-			} else {
-				c.est = c.nd.estimate(q)
-			}
+			c.est = c.nd.estimate(q)
 			w := float64(c.ni) / float64(sc.nSV)
 			rH += w * c.est
 		}
@@ -820,13 +784,8 @@ func (t *Tree) commit(q *query.Query, sc *runScratch) error {
 					t.stats.staleSkips.Add(1)
 					continue
 				}
-				if sc.vec {
-					c.nd.directedUpdateS(sc.sup, positive, c.est)
-					c.nd.penalizeS(q, sc.sup)
-				} else {
-					c.nd.directedUpdate(q, positive, c.est)
-					c.nd.penalize(q)
-				}
+				c.nd.directedUpdate(q, positive, c.est)
+				c.nd.penalize(q)
 				t.stats.nodeUpdates.Add(1)
 			}
 			sc.comps = append(sc.comps, component{rSV, sc.nSV})
@@ -846,13 +805,7 @@ func (t *Tree) commit(q *query.Query, sc *runScratch) error {
 			if c.nd.hist.Updates() != c.epoch {
 				t.stats.staleSkips.Add(1)
 			} else {
-				var applied bool
-				if sc.vec {
-					applied = c.nd.externalUpdateS(sc.sup, c.value, c.est)
-				} else {
-					applied = c.nd.externalUpdate(q, c.value, c.est)
-				}
-				if applied {
+				if c.nd.externalUpdate(q, c.value, c.est) {
 					t.stats.nodeUpdates.Add(1)
 				}
 			}
