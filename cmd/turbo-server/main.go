@@ -60,7 +60,7 @@ func main() {
 		backlog     = flag.Int("append-backlog", 0, "bound on queued /append batches; overflow sheds with 503 (0 = unbounded)")
 		storeKind   = flag.String("store", "map", "storage backend: map (unbounded striped map) | bounded (memory-bounded segmented LRU, privacy-cost-aware eviction) | file (persistent append-only log, crash-recovering)")
 		storePath   = flag.String("store-path", "", "directory of the persistent log for -store=file (required; shared by replicas)")
-		storeMaxMB  = flag.Int("store-max-mb", 64, "cache-store bound in MiB of payload (key + value bytes, what /schema reports) for -store=bounded; resident memory is about 1.9x that (0 = bytes unbounded)")
+		storeMaxMB  = flag.Int("store-max-mb", 64, "cache-store bound in MiB of payload (key + value bytes, what /schema reports) for -store=bounded; resident memory, /schema's resident_bytes, is about 1.6x that (0 = bytes unbounded)")
 		storeMaxEnt = flag.Int("store-max-entries", 0, "resident cache-store entry bound for -store=bounded (0 = entries unbounded)")
 		replicaID   = flag.String("replica-id", "", "run as one replica of a fleet sharing -store (unique per replica; needs -mode=partitioned and an explicit -store)")
 		ckptEvery   = flag.Duration("checkpoint-interval", 0, "background checkpoint period for -state (0 disables; failures log and retry next tick)")

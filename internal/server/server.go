@@ -552,12 +552,15 @@ type IngestionStats struct {
 type CacheStats struct {
 	// Backend names the storage backend ("striped-map", "bounded-slru").
 	Backend string `json:"backend"`
-	// Entries/Bytes are resident backend state; CapEntries/CapBytes the
-	// configured bounds (0 = unbounded).
-	Entries    int `json:"entries"`
-	Bytes      int `json:"bytes"`
-	CapEntries int `json:"cap_entries,omitempty"`
-	CapBytes   int `json:"cap_bytes,omitempty"`
+	// Entries/Bytes are resident backend state (Bytes counts payload: keys
+	// and encoded values); ResidentBytes is the memory the in-memory
+	// backend holds for them, 0 from one that does not count it;
+	// CapEntries/CapBytes the configured bounds (0 = unbounded).
+	Entries       int `json:"entries"`
+	Bytes         int `json:"bytes"`
+	ResidentBytes int `json:"resident_bytes"`
+	CapEntries    int `json:"cap_entries,omitempty"`
+	CapBytes      int `json:"cap_bytes,omitempty"`
 	// Hits/Misses/Evictions are backend-level Get/eviction counters;
 	// EvictedCost sums the privacy weight of evicted entries — the ε that
 	// would be re-paid if every evicted release were requested again.
@@ -634,6 +637,7 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 			Backend:       st.Backend,
 			Entries:       st.Entries,
 			Bytes:         st.Bytes,
+			ResidentBytes: st.ResidentBytes,
 			CapEntries:    st.CapEntries,
 			CapBytes:      st.CapBytes,
 			Hits:          st.Hits,

@@ -288,7 +288,7 @@ func TestSchemaCacheSectionBounded(t *testing.T) {
 	if c.Evictions == 0 {
 		t.Fatal("no evictions surfaced after cache churn over a 4-entry cap")
 	}
-	if c.Hits+c.Misses == 0 || c.Bytes == 0 {
+	if c.Hits+c.Misses == 0 || c.Bytes == 0 || c.ResidentBytes < c.Bytes {
 		t.Fatalf("counters missing: %+v", c)
 	}
 	if c.ExactHits+c.ExactMisses == 0 {

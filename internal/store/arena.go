@@ -3,11 +3,14 @@ package store
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
+	"slices"
+	"sync/atomic"
 )
 
 // Record layout, little-endian. The header is 20 bytes, 36 when leased:
 //
-//	[0:4]   next    arena offset of the next record with the same hash
+//	[0:4]   next    arena offset of the next record in the same bucket
 //	[4:6]   ns      interned namespace id
 //	[6:8]   keyLen
 //	[8:12]  valLen in the low 29 bits; dead, pinned, leased in the top three
@@ -25,9 +28,9 @@ const (
 	flagLeased = 1 << 29
 	maxValLen  = flagLeased - 1
 
-	// noOff ends a collision chain or an LRU list. No record starts there:
-	// it is the last byte of the last chunk, and a record is at least a
-	// header long.
+	// noOff is an empty bucket and the end of a bucket's chain or an LRU
+	// list. No record starts there: it is the last byte of the last chunk,
+	// and a record is at least a header long.
 	noOff = math.MaxUint32
 )
 
@@ -159,8 +162,17 @@ type lruList struct{ head, tail uint32 }
 // the records. An offset is chunk index << shift | position in chunk.
 // Nothing here is safe without the stripe lock.
 type arena struct {
-	index  map[uint64]uint32
-	chunks [][]byte
+	// buckets is the index: a power-of-two table of chain heads, picked by
+	// the low bits of a hash and never shorter than nrec, the records
+	// linked. No hash is stored: rehash recomputes one for a new table.
+	// held is the bytes of chunks and table, resident the store's sum of
+	// them; tests read grows and chained (prevOf found a predecessor).
+	buckets        []uint32
+	nrec, held     int
+	rehash         func(rec) uint64
+	resident       *atomic.Int64
+	grows, chained int
+	chunks         [][]byte
 	// tail is the chunk appends go to, -1 before the first; an oversize
 	// record's private chunk never becomes the tail.
 	tail      int
@@ -176,16 +188,56 @@ type arena struct {
 	cold, hot lruList
 }
 
-func newArena(shift uint, maxChunks, ext, sizeHint int) arena {
+// newArena returns an empty arena whose table has room for nrec records.
+func newArena(shift uint, maxChunks, ext, nrec int, rehash func(rec) uint64, resident *atomic.Int64) arena {
 	empty := lruList{noOff, noOff}
-	return arena{
-		index:     make(map[uint64]uint32, sizeHint),
+	a := arena{
+		rehash:    rehash,
+		resident:  resident,
 		tail:      -1,
 		shift:     shift,
 		maxChunks: maxChunks,
 		ext:       ext,
 		cold:      empty,
 		hot:       empty,
+	}
+	a.resize(tableFor(nrec))
+	return a
+}
+
+// tableFor is the smallest power-of-two table with a bucket per record.
+func tableFor(n int) int { return 1 << bits.Len(uint(max(n, 1)-1)) }
+
+// hold counts n more bytes of chunk capacity or table as held.
+func (a *arena) hold(n int) {
+	a.held += n
+	a.resident.Add(int64(n))
+}
+
+// bucket is the table slot h's chain hangs from.
+func (a *arena) bucket(h uint64) *uint32 { return &a.buckets[h&uint64(len(a.buckets)-1)] }
+
+// resize replaces the table with one of n buckets, relinking every record
+// under its recomputed hash. Offsets stay valid; chain predecessors do not.
+func (a *arena) resize(n int) {
+	old := a.buckets
+	a.buckets = slices.Repeat([]uint32{noOff}, n)
+	a.hold(4 * (n - len(old)))
+	for _, off := range old {
+		for off != noOff {
+			r := a.at(off)
+			next, b := r.next(), a.bucket(a.rehash(r))
+			r.setNext(*b)
+			*b, off = off, next
+		}
+	}
+}
+
+// reserve grows the table, in one step, to hold n records.
+func (a *arena) reserve(n int) {
+	if t := tableFor(n); t > len(a.buckets) {
+		a.grows++
+		a.resize(t)
 	}
 }
 
@@ -221,6 +273,7 @@ func (a *arena) alloc(n int) (uint32, rec, bool) {
 		a.tail = ci
 	}
 	c := make([]byte, n, size)
+	a.hold(size)
 	a.chunks = append(a.chunks, c)
 	return uint32(ci) << a.shift, rec(c), true
 }
@@ -240,16 +293,11 @@ func (a *arena) scratch(skip int) []byte {
 	return c[lo:lo:cap(c)]
 }
 
-// find walks the chain under h for the record of (ns, k), returning its
-// offset and its chain predecessor's (noOff for none). The namespace and
-// key bytes are compared on every record visited: a hash collision only
-// lengthens the walk.
+// find walks h's bucket for the record of (ns, k), returning its offset
+// and its chain predecessor's (noOff for none). Namespace and key bytes are
+// compared on every record visited: sharing a bucket only lengthens the walk.
 func (a *arena) find(h uint64, ns uint16, k string) (off, prev uint32) {
-	off, ok := a.index[h]
-	if !ok {
-		return noOff, noOff
-	}
-	for prev = noOff; off != noOff; {
+	for off, prev = *a.bucket(h), noOff; off != noOff; {
 		r := a.at(off)
 		if r.ns() == ns && string(r.key()) == k {
 			return off, prev
@@ -262,20 +310,24 @@ func (a *arena) find(h uint64, ns uint16, k string) (off, prev uint32) {
 // prevOf returns the chain predecessor of the linked record at off.
 func (a *arena) prevOf(h uint64, off uint32) uint32 {
 	prev := uint32(noOff)
-	for at := a.index[h]; at != off; at = a.at(at).next() {
+	for at := *a.bucket(h); at != off; at = a.at(at).next() {
 		prev = at
+	}
+	if prev != noOff {
+		a.chained++
 	}
 	return prev
 }
 
-// link puts the n-byte record at off at the head of h's chain.
+// link puts the n-byte record at off at the head of h's chain, doubling a
+// full table first. Callers of link and reserve hold no predecessor from
+// find or prevOf: a resize invalidates every one.
 func (a *arena) link(h uint64, off uint32, n int) {
-	next, ok := a.index[h]
-	if !ok {
-		next = noOff
-	}
-	a.at(off).setNext(next)
-	a.index[h] = off
+	a.reserve(a.nrec + 1)
+	b := a.bucket(h)
+	a.at(off).setNext(*b)
+	*b = off
+	a.nrec++
 	a.live += n
 }
 
@@ -283,17 +335,16 @@ func (a *arena) link(h uint64, off uint32, n int) {
 // private chunk is dropped at once rather than left for compaction.
 func (a *arena) kill(h uint64, off, prev uint32) {
 	r := a.at(off)
-	switch next := r.next(); {
-	case prev != noOff:
-		a.at(prev).setNext(next)
-	case next != noOff:
-		a.index[h] = next
-	default:
-		delete(a.index, h)
+	if prev != noOff {
+		a.at(prev).setNext(r.next())
+	} else {
+		*a.bucket(h) = r.next()
 	}
+	a.nrec--
 	n := a.span(r)
 	a.live -= n
 	if ci := off >> a.shift; len(a.chunks[ci]) > 1<<a.shift {
+		a.hold(-cap(a.chunks[ci]))
 		a.chunks[ci] = nil
 		a.released++
 		return

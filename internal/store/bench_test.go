@@ -1,0 +1,84 @@
+package store
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+	"time"
+)
+
+// benchEntries is the store miss_tree holds at its checkpoint.
+const benchEntries = 127_000
+
+// windowedKey is a ~20-byte exact-cache key: predicate bins plus window.
+func windowedKey(i int) string { return fmt.Sprintf("1=0,2|3=%d@[%d,%d]", i%7, i%50, i) }
+
+func windowedKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = windowedKey(i)
+	}
+	return keys
+}
+
+// fillWindowed stores one cached release under each key, alternating
+// between two namespaces, and returns the longest single SetWeighted.
+func fillWindowed(tb testing.TB, s *Mem, keys []string) time.Duration {
+	var longest time.Duration
+	var v any = fastEntry{Value: 1, Eps: 0.1, Version: 1} // boxed once: the fill's allocations are the store's
+	for i, k := range keys {
+		ns := "session-exact/0"
+		if i%2 == 1 {
+			ns = "tree-node"
+		}
+		start := time.Now()
+		if err := s.SetWeighted(ns, k, v, 0.1); err != nil {
+			tb.Fatal(err)
+		}
+		longest = max(longest, time.Since(start))
+	}
+	return longest
+}
+
+// benchGet times Gets of keys[perm[i]] in the namespace fillWindowed put
+// the even keys in; with odd picks every one is a miss in an interned
+// namespace, which walks the bucket (a namespace nobody wrote to returns
+// before the index and would measure nothing).
+func benchGet(b *testing.B, odd int, want bool) {
+	keys := windowedKeys(benchEntries)
+	s := NewMem(MemConfig{})
+	fillWindowed(b, s, keys)
+	perm := rand.New(rand.NewSource(1)).Perm(benchEntries / 2)
+	var out fastEntry
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ok, err := s.Get("session-exact/0", keys[2*perm[i%len(perm)]+odd], &out); ok != want || err != nil {
+			b.Fatalf("Get = %v, %v", ok, err)
+		}
+	}
+}
+
+func BenchmarkMemGetHit(b *testing.B)  { benchGet(b, 0, true) }
+func BenchmarkMemGetMiss(b *testing.B) { benchGet(b, 1, false) }
+
+// BenchmarkMemFill fills an empty store per iteration. B/op is everything
+// the fill allocated, tables outgrown on the way included; resident-B/entry
+// is what it still holds; max-set-ns is the longest single SetWeighted (the
+// doubling that relinks a stripe's ~4k records under its lock, unless a
+// collection lands on a longer one), the least over the iterations.
+func BenchmarkMemFill(b *testing.B) {
+	keys := windowedKeys(benchEntries)
+	longest := time.Duration(math.MaxInt64)
+	var resident int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := NewMem(MemConfig{})
+		longest = min(longest, fillWindowed(b, s, keys))
+		resident = s.Stats().ResidentBytes
+	}
+	b.ReportMetric(float64(resident)/benchEntries, "resident-B/entry")
+	b.ReportMetric(float64(longest.Nanoseconds()), "max-set-ns")
+}

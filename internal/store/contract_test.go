@@ -119,8 +119,13 @@ func TestBackendContract(t *testing.T) {
 			if b.MemoryBytes() < 800 {
 				t.Fatalf("MemoryBytes = %d, want ≥ 800", b.MemoryBytes())
 			}
-			if st := b.Stats(); st.Bytes != b.MemoryBytes() || st.Entries != 1 {
+			st := b.Stats()
+			if st.Bytes != b.MemoryBytes() || st.Entries != 1 {
 				t.Fatalf("Stats = %+v, MemoryBytes %d", st, b.MemoryBytes())
+			}
+			// Mem counts what it holds; File's index is uncounted and reads 0.
+			if isFile := bc.name == "file"; (st.ResidentBytes == 0) != isFile || !isFile && st.ResidentBytes < st.Bytes {
+				t.Fatalf("ResidentBytes = %d beside %d payload bytes", st.ResidentBytes, st.Bytes)
 			}
 		})
 

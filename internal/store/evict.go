@@ -114,7 +114,7 @@ func (s *Mem) evict(st *memStripe) {
 		r := st.at(off)
 		s.evictions.Add(1)
 		s.evictedCost.Add(r.weight())
-		h := s.hashBytes(r.ns(), r.key())
+		h := s.rehash(r)
 		s.remove(st, h, off, st.prevOf(h, off))
 	}
 }

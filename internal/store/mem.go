@@ -11,10 +11,10 @@
 // # Layout
 //
 // A cached release is ~60 bytes of key and value, so the store spends no
-// heap object on it. Each stripe is an index map[uint64]uint32 — the hash
-// of (interned namespace id, key) to an arena offset — over an append-only
-// byte arena of chunks (64 KiB; a record larger than that gets a chunk of
-// its own). One entry is one self-delimiting record (arena.go):
+// heap object on it. Each stripe is an index []uint32 — the low bits of the
+// hash of (interned namespace id, key) to a chain of arena offsets — over an
+// append-only byte arena of chunks (64 KiB; a record larger than that gets
+// a chunk of its own). One entry is one self-delimiting record (arena.go):
 //
 //	next u32 | ns u16 | keyLen u16 | valLen+flags u32 | weight f64
 //	[deadline i64 | ttl i64]           only when leased
@@ -24,19 +24,19 @@
 // Neither the index nor the chunks hold pointers, so the collector never
 // traces an entry.
 //
-// Collision rule: the index is keyed by a 64-bit hash, never trusted alone.
-// Records that share a hash are chained through next, and a lookup
-// compares the namespace id and the key bytes of every record it visits,
-// so a collision costs one more comparison and can never serve another
-// statement's release. Namespaces are ids, not key prefixes: "a:b"/"c" and
-// "a"/"b:c" are different entries.
+// Collision rule: a hash picks a bucket and is never trusted further; no
+// record stores one. Records that share a bucket are chained through next,
+// and a lookup compares the namespace id and the key bytes of every record
+// it visits, so a collision costs one more comparison and can never serve
+// another statement's release. Namespaces are ids, not key prefixes:
+// "a:b"/"c" and "a"/"b:c" are different entries.
 //
 // Overwrites and compaction: a value of the same length (every re-Put of a
 // cache.Entry) is overwritten in place; any other overwrite, and every
 // delete, unlinks the record and flags it dead. A stripe is rewritten into
-// fresh chunks once its dead bytes exceed both its live bytes and one
-// chunk, or when it runs out of chunk slots; a capped stripe is rewritten
-// coldest record first, which rebuilds its LRU segments in order.
+// fresh chunks and a right-sized table once its dead bytes exceed both its
+// live bytes and one chunk, or when it runs out of chunk slots; a capped
+// stripe is rewritten coldest first, which rebuilds its LRU segments in order.
 //
 // Decode under lock: because records are overwritten in place, a value's
 // bytes may only be read while the stripe lock is held. Get runs the
@@ -65,7 +65,7 @@ import (
 const (
 	// memStripes is the default number of independent lock+arena stripes. A
 	// power of two comfortably above typical core counts keeps collision
-	// contention low while costing only a few empty indexes for small
+	// contention low while costing only a few one-bucket tables for small
 	// stores.
 	memStripes = 16
 	// chunkShift sizes an arena chunk (64 KiB) and with it the split of a
@@ -124,8 +124,8 @@ type Mem struct {
 	cfg     MemConfig
 	stripes []memStripe
 	seed    maphash.Seed
-	// hashMask is all ones; the model test zeroes it to force every key
-	// into one collision chain.
+	// hashMask is all ones; the model test clears bits of it to force keys
+	// into one stripe and few buckets.
 	hashMask uint64
 	version  atomic.Uint64
 
@@ -143,8 +143,8 @@ type Mem struct {
 	// entries and bytes are the resident entry count and payload bytes
 	// (namespace + ":" + key + value), maintained under the stripe locks
 	// at insert, unlink and overwrite so Stats never walks the store;
-	// pinned is the population the capped store's valve bounds.
-	entries, bytes, pinned atomic.Int64
+	// pinned is what the capped store's valve bounds, resident the sum of arena.held.
+	entries, bytes, pinned, resident atomic.Int64
 
 	hits, misses, sets, deletes, evictions atomic.Int64
 	decodeErrors                           atomic.Int64
@@ -188,7 +188,7 @@ func newMem(cfg MemConfig, shift uint, maxChunks int) *Mem {
 	s.nsNames.Store(new([]string))
 	for i := range s.stripes {
 		st := &s.stripes[i]
-		st.arena = newArena(shift, maxChunks, ext, 0)
+		st.arena = newArena(shift, maxChunks, ext, 0, s.rehash, &s.resident)
 		// The first total%Stripes stripes get the odd units; no cap, no share.
 		st.maxEnts = (cfg.MaxEntries + cfg.Stripes - 1 - i) / cfg.Stripes
 		st.maxBytes = (cfg.MaxBytes + cfg.Stripes - 1 - i) / cfg.Stripes
@@ -234,7 +234,7 @@ func (s *Mem) intern(ns string) (uint16, error) {
 }
 
 // hash mixes the namespace id into the key's hash; hashBytes is the same
-// function for a key read back out of a record.
+// function for a key read back out of a record, rehash for the record.
 func (s *Mem) hash(id uint16, k string) uint64 {
 	return s.mix(id, maphash.String(s.seed, k))
 }
@@ -242,6 +242,8 @@ func (s *Mem) hash(id uint16, k string) uint64 {
 func (s *Mem) hashBytes(id uint16, k []byte) uint64 {
 	return s.mix(id, maphash.Bytes(s.seed, k))
 }
+
+func (s *Mem) rehash(r rec) uint64 { return s.hashBytes(r.ns(), r.key()) }
 
 func (s *Mem) mix(id uint16, h uint64) uint64 {
 	return (h ^ (uint64(id)+1)*0x9e3779b97f4a7c15) & s.hashMask
@@ -396,17 +398,18 @@ func (s *Mem) settle(st *memStripe) {
 	}
 }
 
-// compact rewrites st's live records into fresh chunks and a fresh index,
-// reporting whether it did. Records are re-packed in arena order — in a
-// capped stripe coldest first, so that pushing each to the front of its
-// segment rebuilds the LRU order — which never needs more chunks than they
-// occupy now; if it somehow did, the stripe is left as it was. Caller
-// holds st.mu.
+// compact rewrites st's live records into fresh chunks and a fresh table
+// (the one place a table shrinks), reporting whether it did. Records are
+// re-packed in arena order — in a capped stripe coldest first, so that
+// pushing each to the front of its segment rebuilds the LRU order — which
+// never needs more chunks than they occupy now; if it somehow did, the
+// stripe is left as it was. Caller holds st.mu.
 func (s *Mem) compact(st *memStripe) bool {
 	if st.dead == 0 && st.released == 0 {
 		return false
 	}
-	next := newArena(st.shift, st.maxChunks, st.ext, len(st.index))
+	next := newArena(st.shift, st.maxChunks, st.ext, st.nrec, st.rehash, st.resident)
+	next.grows, next.chained = st.grows, st.chained
 	walk := st.each
 	if st.capped() {
 		walk = st.eachColdestFirst
@@ -423,14 +426,15 @@ func (s *Mem) compact(st *memStripe) bool {
 			return
 		}
 		copy(dst, r[:n])
-		next.link(s.hashBytes(r.ns(), r.key()), off, n)
+		next.link(s.rehash(r), off, n)
 		if st.capped() {
 			next.pushFront(off)
 		}
 	})
 	if fits {
-		st.arena = next
+		st.arena, next = next, st.arena
 	}
+	next.hold(-next.held) // the arena let go
 	return fits
 }
 
@@ -729,19 +733,22 @@ func (s *Mem) ExportNamespace(ns string) map[string]Exported {
 // restore degrades to the pre-guard recompute path, while refusing the
 // entry would silently drop data.
 func (s *Mem) ImportNamespace(ns string, data map[string]Exported) {
-	if id, ok := s.nsID(ns); ok {
-		for i := range s.stripes {
-			st := &s.stripes[i]
-			st.mu.Lock()
+	id, interned := s.nsID(ns)
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		st.mu.Lock()
+		if interned {
 			st.each(func(off uint32, r rec) {
 				if r.ns() == id {
-					h := s.hashBytes(id, r.key())
+					h := s.rehash(r)
 					s.remove(st, h, off, st.prevOf(h, off))
 				}
 			})
 			s.settle(st)
-			st.mu.Unlock()
 		}
+		// The stripe's even share of the import, so its table grows once.
+		st.reserve(st.nrec + len(data)/len(s.stripes))
+		st.mu.Unlock()
 	}
 	keys := make([]string, 0, len(data))
 	for k := range data {
@@ -771,17 +778,18 @@ func (s *Mem) Stats() Stats {
 		name = "bounded-slru"
 	}
 	return Stats{
-		Backend:      name,
-		Hits:         s.hits.Load(),
-		Misses:       s.misses.Load(),
-		Sets:         s.sets.Load(),
-		Deletes:      s.deletes.Load(),
-		Evictions:    s.evictions.Load(),
-		EvictedCost:  s.evictedCost.Load(),
-		DecodeErrors: s.decodeErrors.Load(),
-		Entries:      s.Len(),
-		Bytes:        s.MemoryBytes(),
-		CapEntries:   s.cfg.MaxEntries,
-		CapBytes:     s.cfg.MaxBytes,
+		Backend:       name,
+		Hits:          s.hits.Load(),
+		Misses:        s.misses.Load(),
+		Sets:          s.sets.Load(),
+		Deletes:       s.deletes.Load(),
+		Evictions:     s.evictions.Load(),
+		EvictedCost:   s.evictedCost.Load(),
+		DecodeErrors:  s.decodeErrors.Load(),
+		Entries:       s.Len(),
+		Bytes:         s.MemoryBytes(),
+		ResidentBytes: int(s.resident.Load()),
+		CapEntries:    s.cfg.MaxEntries,
+		CapBytes:      s.cfg.MaxBytes,
 	}
 }

@@ -64,6 +64,9 @@ type oracle struct {
 
 	// What the run exercised, so a test can tell it was not vacuous.
 	hotResized, demotions, expiredVictims, pinnedSkips int
+	// And of the index: table doublings, compactions that shrank a table,
+	// and eviction or import deletes of a record behind another in its chain.
+	doublings, shrinks, chained int
 }
 
 type oracleEntry struct {
@@ -371,7 +374,9 @@ func (s *Mem) order(t *testing.T, st *memStripe, seg lruList, hot bool) []string
 // both LRU segments must list the same keys in the same order. The chunks
 // are 128 bytes, so most strings are oversize, records hop chunks
 // constantly and compaction runs every few dozen operations; the
-// one-chain runs also force every key onto one collision chain.
+// one-chain runs also force every key into one bucket, and the three-bits
+// run leaves eight hashes, which share buckets while a table is small and
+// part ways as it doubles.
 func TestModel(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -380,6 +385,7 @@ func TestModel(t *testing.T) {
 	}{
 		{"hashed", ^uint64(0), MemConfig{}},
 		{"one-chain", 0, MemConfig{}},
+		{"three-bits", 7, MemConfig{}},
 		{"capped/bytes-only", ^uint64(0), MemConfig{MaxBytes: 800, Stripes: 1, Sample: 3}},
 		{"capped/one-chain", 0, MemConfig{MaxEntries: 40, MaxBytes: 1000, Stripes: 1, Sample: 3}},
 		{"capped/entries-only", ^uint64(0), MemConfig{MaxEntries: 25, Stripes: 1, Sample: 3}},
@@ -393,6 +399,14 @@ func TestModel(t *testing.T) {
 				seen.demotions += o.demotions
 				seen.expiredVictims += o.expiredVictims
 				seen.pinnedSkips += o.pinnedSkips
+				seen.doublings += o.doublings
+				seen.shrinks += o.shrinks
+				seen.chained += o.chained
+			}
+			t.Logf("%d table doublings, %d shrinking compactions, %d chained unlinks", seen.doublings, seen.shrinks, seen.chained)
+			if seen.doublings < 3 || seen.shrinks == 0 || seen.chained == 0 {
+				t.Fatalf("the runs never exercised part of the index: %d table doublings, %d shrinking compactions, %d chained unlinks",
+					seen.doublings, seen.shrinks, seen.chained)
 			}
 			if !tc.cfg.capped() {
 				return
@@ -448,6 +462,7 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 		full := ns + ":" + k
 		at := fmt.Sprintf("seed %d step %d %s", seed, step, full)
 		before := s.stripes[0].chunks
+		tables := tableSizes(s)
 		op := rng.Intn(33)
 		if op%11 == 9 && op != 9 {
 			op = 6 // an import wipes a namespace's LRU history: a third as often
@@ -549,6 +564,11 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 		if after := s.stripes[0].chunks; len(before) > 0 && len(after) > 0 && len(after) < len(before) {
 			compactions++
 		}
+		for i, n := range tableSizes(s) {
+			if n < tables[i] {
+				o.shrinks++
+			}
+		}
 		st := s.Stats()
 		if s.Len() != len(o.data) || s.MemoryBytes() != o.bytes || s.Version() != o.version ||
 			st.Evictions != o.evictions || st.EvictedCost != o.evictedCost || int(s.pinned.Load()) != o.pinned {
@@ -575,9 +595,18 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 		t.Fatalf("seed %d: stripe 0 never compacted; the test is not exercising it", seed)
 	}
 	// Every record walked is live, linked and accounted.
-	walked, live := 0, 0
+	walked, live, held := 0, 0, 0
 	for i := range s.stripes {
 		st := &s.stripes[i]
+		o.doublings += st.grows
+		o.chained += st.chained
+		held += 4 * len(st.buckets)
+		for _, c := range st.chunks {
+			held += cap(c)
+		}
+		if st.nrec > len(st.buckets) {
+			t.Fatalf("seed %d: stripe %d links %d records from %d buckets", seed, i, st.nrec, len(st.buckets))
+		}
 		st.each(func(off uint32, r rec) {
 			walked++
 			live += st.span(r)
@@ -591,7 +620,19 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 	if walked != s.Len() || live != 0 {
 		t.Fatalf("seed %d: walked %d records for Len %d, live bytes off by %d", seed, walked, s.Len(), live)
 	}
+	if got := s.Stats().ResidentBytes; got != held {
+		t.Fatalf("seed %d: ResidentBytes = %d, the stripes hold %d", seed, got, held)
+	}
 	return o
+}
+
+// tableSizes is the bucket count of every stripe.
+func tableSizes(s *Mem) []int {
+	out := make([]int, len(s.stripes))
+	for i := range s.stripes {
+		out[i] = len(s.stripes[i].buckets)
+	}
+	return out
 }
 
 // rawValue turns stored bytes back into a value that encodes to them.
@@ -611,7 +652,9 @@ func rawValue(raw []byte) any {
 // stripe (every key on one chain, 256-byte chunks) for the race detector,
 // and checks that a reader only ever sees a value some writer wrote for
 // that very key: in-place overwrites must never tear, and a collision must
-// never serve a neighbour's release.
+// never serve a neighbour's release. A burst of short-lived keys outgrows
+// the table every 50 rounds and compaction shrinks it again, so it doubles
+// under the uncapped store's read-locked readers throughout.
 func TestStorm(t *testing.T) {
 	t.Run("uncapped", func(t *testing.T) { storm(t, MemConfig{}) })
 	// Fewer entries allowed than keys written: eviction runs under fire.
@@ -645,6 +688,17 @@ func storm(t *testing.T, cfg MemConfig) {
 					if err := s.Set("hot", fmt.Sprint(k), strings.Repeat("y", i%300)); err != nil {
 						t.Error(err)
 						return
+					}
+				}
+				if w == 0 && i%50 == 0 { // more records than buckets: the table doubles under the readers
+					for j := 0; j < 2*keys; j++ {
+						if err := s.Set("burst", fmt.Sprint(j), j); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					for j := 0; j < 2*keys; j++ {
+						s.Delete("burst", fmt.Sprint(j))
 					}
 				}
 			}
@@ -698,6 +752,28 @@ func storm(t *testing.T, cfg MemConfig) {
 	others.Wait()
 	if got, want := s.Len(), len(s.Keys("hot")); got != want {
 		t.Fatalf("Len = %d but %d keys remain", got, want)
+	}
+	if grows := s.stripes[0].grows; !cfg.capped() && grows < rounds/100 {
+		t.Fatalf("the table doubled %d times in %d rounds: the readers never raced a regrown one", grows, rounds)
+	}
+}
+
+// TestImportReservesOnce pins that an import sizes each stripe's table up
+// front instead of doubling its way there.
+func TestImportReservesOnce(t *testing.T) {
+	data := make(map[string]Exported, 50_000)
+	for i := 0; i < 50_000; i++ {
+		data[windowedKey(i)] = Exported{Val: []byte{byte(i)}}
+	}
+	s := NewMem(MemConfig{})
+	s.ImportNamespace("session-exact/0", data)
+	if s.Len() != len(data) {
+		t.Fatalf("Len = %d after importing %d keys", s.Len(), len(data))
+	}
+	for i := range s.stripes {
+		if st := &s.stripes[i]; st.grows > 1 {
+			t.Fatalf("stripe %d grew its table %d times for %d records", i, st.grows, st.nrec)
+		}
 	}
 }
 

@@ -112,10 +112,11 @@ type Stats struct {
 	// wedging the key forever; a nonzero count is a data-integrity signal
 	// the /schema cache section surfaces.
 	DecodeErrors int64
-	// Entries and Bytes are the resident entry count and memory estimate
-	// (keys + encoded values).
-	Entries int
-	Bytes   int
+	// Entries and Bytes are the resident entry count and payload estimate
+	// (keys + encoded values), ResidentBytes all the memory held for them.
+	Entries       int
+	Bytes         int
+	ResidentBytes int
 	// CapEntries and CapBytes are the configured bounds (0 = unbounded).
 	CapEntries, CapBytes int
 	// MaskHits, MaskMisses, and MaskEvictions are the vectorized engine's
