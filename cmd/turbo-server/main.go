@@ -59,15 +59,16 @@ func main() {
 		statePath   = flag.String("state", "", "snapshot file: restored at boot if present, written atomically on SIGINT/SIGTERM")
 		backlog     = flag.Int("append-backlog", 0, "bound on queued /append batches; overflow sheds with 503 (0 = unbounded)")
 		storeKind   = flag.String("store", "map", "storage backend: map (unbounded striped map) | bounded (memory-bounded segmented LRU, privacy-cost-aware eviction) | file (persistent append-only log, crash-recovering)")
-		storePath   = flag.String("store-path", "", "directory of the persistent log for -store=file (required; shared by replicas)")
+		storePath   = flag.String("store-path", "", "directory of the persistent log for -store=file (required)")
 		storeMaxMB  = flag.Int("store-max-mb", 64, "cache-store bound in MiB of payload (key + value bytes, what /schema reports) for -store=bounded; resident memory, /schema's resident_bytes, is about 1.6x that (0 = bytes unbounded)")
 		storeMaxEnt = flag.Int("store-max-entries", 0, "resident cache-store entry bound for -store=bounded (0 = entries unbounded)")
-		replicaID   = flag.String("replica-id", "", "run as one replica of a fleet sharing -store (unique per replica; needs -mode=partitioned and an explicit -store)")
 		ckptEvery   = flag.Duration("checkpoint-interval", 0, "background checkpoint period for -state (0 disables; failures log and retry next tick)")
-		kvCkptEvery = flag.Duration("kv-checkpoint-interval", 0, "background KV checkpoint period into the storage backend (0 disables); with -store=file this doubles as a durable replication heartbeat")
 		pprofAddr   = flag.String("pprof", "", "expose net/http/pprof on this separate address (e.g. 127.0.0.1:6060); empty disables")
 	)
 	flag.Parse()
+	if *ckptEvery > 0 && *statePath == "" {
+		log.Fatal("turbo-server: -checkpoint-interval needs -state, the snapshot file it writes")
+	}
 
 	var (
 		ds    *dataset.Dataset
@@ -130,12 +131,6 @@ func main() {
 	default:
 		log.Fatalf("turbo-server: unknown store %q (map|bounded|file)", *storeKind)
 	}
-	if *replicaID != "" {
-		if cfg.Backend == nil {
-			log.Fatal("turbo-server: -replica-id needs an explicit -store the fleet shares (file or bounded)")
-		}
-		cfg.ReplicaID = *replicaID
-	}
 	sess, err := core.NewSession(cfg, ds)
 	if err != nil {
 		log.Fatal(err)
@@ -174,7 +169,7 @@ func main() {
 	// mid-checkpoint never tears the previous good snapshot.
 	ckptStop := make(chan struct{})
 	ckptDone := make(chan struct{})
-	if *ckptEvery > 0 && *statePath != "" {
+	if *ckptEvery > 0 {
 		go func() {
 			defer close(ckptDone)
 			ticker := time.NewTicker(*ckptEvery)
@@ -198,43 +193,6 @@ func main() {
 		close(ckptDone)
 	}
 
-	// KV checkpoint heartbeat: periodically checkpoint the session into
-	// the storage backend itself, one key per section with unchanged
-	// sections skipped by the manifest's content hashes. On a durable
-	// backend (-store=file) each tick both persists warm state and
-	// advances the manifest's generation — a replication heartbeat peers
-	// sharing the store can observe. Namespaced per replica so fleet
-	// members never clobber each other's sections.
-	kvCkptStop := make(chan struct{})
-	kvCkptDone := make(chan struct{})
-	if *kvCkptEvery > 0 {
-		kvNS := "ckpt"
-		if *replicaID != "" {
-			kvNS = "ckpt/" + *replicaID
-		}
-		go func() {
-			defer close(kvCkptDone)
-			ticker := time.NewTicker(*kvCkptEvery)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ticker.C:
-					written, skipped, err := sess.SaveStateKV(sess.Store(), kvNS)
-					if err != nil {
-						log.Printf("turbo-server: kv checkpoint: %v (will retry)", err)
-						continue
-					}
-					log.Printf("turbo-server: kv checkpoint %s: %d sections written, %d unchanged",
-						kvNS, written, skipped)
-				case <-kvCkptStop:
-					return
-				}
-			}
-		}()
-	} else {
-		close(kvCkptDone)
-	}
-
 	// Profiling rides a separate listener (usually loopback-only) with an
 	// explicit mux, so the analyst-facing address never exposes pprof and
 	// the aggregate-only interface stays exactly the documented endpoints.
@@ -256,9 +214,6 @@ func main() {
 	guarantee := fmt.Sprintf("ε_G=%g", *epsG)
 	if *gaussian {
 		guarantee = fmt.Sprintf("(ε_G=%g, δ_G=%g) via Rényi composition", *epsG, *deltaG)
-	}
-	if *replicaID != "" {
-		guarantee += fmt.Sprintf(", replica %q over shared %s store", *replicaID, *storeKind)
 	}
 	fmt.Printf("turbo-server: %s over %s (%d rows, %d partitions) with (α=%g, β=%g), %s, %d shards\n",
 		m, ds.Domain(), ds.NRowsAll(), ds.Partitions(), *alpha, *beta, guarantee, *shards)
@@ -304,12 +259,10 @@ func main() {
 	// handlers (a /query paying budget, a /snapshot holding the quiesce)
 	// would race them.
 	<-shutdownDone
-	// Stop the periodic checkpointers before the final one so they
-	// never interleave their SaveState captures.
+	// Stop the periodic checkpointer before the final one so their
+	// SaveState captures never interleave.
 	close(ckptStop)
 	<-ckptDone
-	close(kvCkptStop)
-	<-kvCkptDone
 	srv.Close() // drain the ingestion worker: pending epochs apply before the snapshot
 	if *statePath != "" {
 		if err := persist.WriteFileAtomic(*statePath, func(w io.Writer) error {

@@ -42,7 +42,7 @@ const tol = 1e-12
 // vector of partitions × |grid| per-order spends: stride 1 on the pure
 // grid, len(orders) on a Rényi grid. New partitions may arrive over time
 // (streaming databases). Block is safe for concurrent use; its mutex is
-// the package's only one.
+// the package's only one, and a leaf: nothing is acquired under it.
 type Block struct {
 	mu     sync.Mutex
 	epsG   float64
@@ -65,9 +65,6 @@ type Block struct {
 	// allocates nothing and a run of identical charges prices once.
 	cost   []float64
 	priced Cost
-	// shared, when non-nil, runs payments through the cross-replica
-	// owner-lease protocol (see shared.go); pure grid only.
-	shared *sharing
 	// locks counts admission-relevant mutex acquisitions (payments and
 	// budget checks, not metric reads); see batch.go.
 	locks atomic.Uint64
@@ -192,13 +189,6 @@ func (b *Block) payRangeLocked(start, end int, c Cost) error {
 	if err := b.checkRangeLocked(start, end); err != nil {
 		return err
 	}
-	if b.shared != nil {
-		release, err := b.ownRangeLocked(start, end)
-		defer release()
-		if err != nil {
-			return err
-		}
-	}
 	k := len(b.budget)
 	for p := start; p <= end; p++ {
 		fits := false
@@ -217,9 +207,6 @@ func (b *Block) payRangeLocked(start, end int, c Cost) error {
 		for j, e := range b.cost {
 			b.spent[p*k+j] += e
 		}
-	}
-	if b.shared != nil {
-		return b.publishRangeLocked(start, end)
 	}
 	return nil
 }

@@ -87,8 +87,7 @@ func (b *Block) AdmitBatch(wins []PartitionRange) []error {
 // acquisition, returning one verdict per charge. Each charge keeps
 // PayRange's atomicity — if any partition of its window would exceed
 // its budget, that charge deducts nothing anywhere — and later charges
-// observe earlier accepted ones. Shared (replicated) blocks route each
-// charge through the owner-lease protocol exactly as PayRange does.
+// observe earlier accepted ones.
 func (b *Block) PayRangeBatch(charges []RangeCharge) []error {
 	verdicts := make([]error, len(charges))
 	if len(charges) == 0 {

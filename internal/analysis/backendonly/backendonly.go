@@ -2,21 +2,11 @@
 // cache bytes flow through the store.Backend interface and its
 // fixed-layout codec.
 //
-// Outside internal/store:
-//
-//  1. Raw gob encode/decode of cache.Entry is flagged (also outside
-//     internal/cache, which owns the codec's gob fallback for pre-codec
-//     snapshots): entry bytes must go through store.EncodeValue /
-//     store.DecodeValue, or the backends stop storing identical bytes
-//     and CompareDelete's byte-equality guard silently breaks.
-//
-//  2. The cross-replica lease primitives (SetNXLease, CompareSwap) are
-//     confined to the protocol-owning packages — store
-//     (implementations), accountant (budget-ownership leases), core
-//     (flight-leader leases). An ad-hoc lease elsewhere can wedge or
-//     overwrite a protocol's records (a stolen "!turbo/budget" owner key
-//     un-serializes a charge); consumers replicate through
-//     accountant.Block.Share and core.Config.ReplicaID instead.
+// Outside internal/store, raw gob encode/decode of cache.Entry is flagged
+// (also outside internal/cache, which owns the codec's gob fallback for
+// pre-codec snapshots): entry bytes must go through store.EncodeValue /
+// store.DecodeValue, or the backends stop storing identical bytes and
+// CompareDelete's byte-equality guard silently breaks.
 package backendonly
 
 import (
@@ -36,7 +26,7 @@ const name = "backendonly"
 // Analyzer is the backendonly analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:     name,
-	Doc:      "check that cache.Entry bytes use the fixed-layout codec and lease primitives stay in the protocol-owning packages",
+	Doc:      "check that cache.Entry bytes use the fixed-layout codec",
 	Run:      run,
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 }
@@ -71,28 +61,10 @@ func isCacheEntry(t types.Type) bool {
 	return n.Obj().Name() == "Entry" && n.Obj().Pkg() != nil && n.Obj().Pkg().Name() == "cache"
 }
 
-// leasePrimitive reports whether callee is a cross-replica coordination
-// primitive of a storage type — the interface method or a concrete
-// backend's implementation.
-func leasePrimitive(callee *types.Func) bool {
-	switch callee.Name() {
-	case "SetNXLease", "CompareSwap":
-	default:
-		return false
-	}
-	switch callee.Pkg().Name() {
-	case "store", "accountant":
-		return true
-	}
-	return false
-}
-
 func run(pass *analysis.Pass) (interface{}, error) {
-	if turboallow.PkgHasSegment(pass, "store") {
-		return nil, nil // the storage package owns both seams
+	if turboallow.PkgHasSegment(pass, "store") || turboallow.PkgHasSegment(pass, "cache") {
+		return nil, nil // the storage package owns the codec, the cache its gob fallback
 	}
-	inCodecLayer := turboallow.PkgHasSegment(pass, "cache")
-	inProtocolLayer := turboallow.PkgHasSegment(pass, "accountant") || turboallow.PkgHasSegment(pass, "core")
 	allow := turboallow.NewIndex(pass)
 
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
@@ -105,21 +77,13 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		if callee == nil || callee.Pkg() == nil {
 			return
 		}
-		switch {
-		case !inCodecLayer && gobCodec(callee) && len(call.Args) == 1:
-			if t := pass.TypesInfo.TypeOf(skipAddr(call.Args[0])); t != nil && isCacheEntry(t) {
-				if !allow.Allowed(call.Pos(), name) {
-					pass.Reportf(call.Pos(),
-						"raw gob %s of cache.Entry: entry bytes must round-trip through store.EncodeValue/DecodeValue (fixed-layout codec)",
-						callee.Name())
-				}
-			}
-		case !inProtocolLayer && leasePrimitive(callee):
-			if !allow.Allowed(call.Pos(), name) {
-				pass.Reportf(call.Pos(),
-					"cross-replica lease primitive %s outside the protocol-owning packages: leases carry the budget-ownership and flight protocols — replicate through accountant.Block.Share / core.Config.ReplicaID, or annotate //turbo:allow(backendonly)",
-					callee.Name())
-			}
+		if !gobCodec(callee) || len(call.Args) != 1 {
+			return
+		}
+		if t := pass.TypesInfo.TypeOf(skipAddr(call.Args[0])); t != nil && isCacheEntry(t) && !allow.Allowed(call.Pos(), name) {
+			pass.Reportf(call.Pos(),
+				"raw gob %s of cache.Entry: entry bytes must round-trip through store.EncodeValue/DecodeValue (fixed-layout codec)",
+				callee.Name())
 		}
 	})
 	return nil, nil

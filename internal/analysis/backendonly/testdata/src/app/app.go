@@ -1,11 +1,10 @@
-// Package app sits outside the storage package: both backendonly rules
-// apply.
+// Package app sits outside the storage package: the backendonly rule
+// applies.
 package app
 
 import (
 	"cache"
 	"gob"
-	"store"
 )
 
 func encodeEntry(enc *gob.Encoder, e cache.Entry) error {
@@ -24,17 +23,4 @@ func encodeEntryAllowed(enc *gob.Encoder, e cache.Entry) error {
 // Other payloads may gob-encode freely.
 func encodeOther(enc *gob.Encoder, counts map[string]int) error {
 	return enc.Encode(counts)
-}
-
-func takeLease(kv *store.Mem) {
-	_, _ = kv.SetNXLease("!turbo/budget", "owner/0", "me", 0) // want `cross-replica lease primitive SetNXLease outside the protocol-owning packages`
-}
-
-func swapSpend(kv *store.Mem) {
-	_, _ = kv.CompareSwap("!turbo/budget", "spent/0", 0.1, 0.2) // want `cross-replica lease primitive CompareSwap outside the protocol-owning packages`
-}
-
-func leaseAllowed(kv *store.Mem) {
-	//turbo:allow(backendonly) harness planting a stale lease to test takeover
-	_, _ = kv.SetNXLease("!turbo/flight", "k", "dead", 0)
 }

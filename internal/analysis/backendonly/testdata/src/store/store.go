@@ -1,16 +1,12 @@
-// Package store is the storage package: it implements the lease primitives
-// themselves, so calling them is silent here.
+// Package store is the storage package: it owns the value codec and its
+// gob fallback, so raw gob of an entry is silent here.
 package store
 
-type Mem struct{}
+import (
+	"cache"
+	"gob"
+)
 
-func (s *Mem) SetNXLease(ns, k string, v any, ttl int64) (bool, error) { return true, nil }
-func (s *Mem) CompareSwap(ns, k string, expect, next any) (bool, error) {
-	return true, nil
-}
-
-type File struct{ index *Mem }
-
-func (f *File) SetNXLease(ns, k string, v any, ttl int64) (bool, error) {
-	return f.index.SetNXLease(ns, k, v, ttl)
+func decodeFallback(dec *gob.Decoder, e *cache.Entry) error {
+	return dec.Decode(e)
 }

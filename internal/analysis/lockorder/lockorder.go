@@ -21,10 +21,10 @@
 //	  < store.File.statsMu
 //
 // accountant.Block.mu is the accountant package's only mutex: one set of
-// books, one lock, nothing to nest inside the package. It ranks below the
-// backend stripe locks because the shared-budget protocol holds
-// it across lease and spend-record writes into the shared store
-// (accountant/shared.go); store.Mem.nsMu, the
+// books, one lock, nothing to nest inside the package. It is a leaf —
+// nothing is acquired while it is held — so its rank only says which
+// locks a payer may hold when it calls in (the session, shard and cache
+// locks above it). store.Mem.nsMu, the
 // namespace-intern lock, is taken and released before a stripe lock and
 // never inside one (every operation resolves its namespace id first);
 // store.File.statsMu ranks below store.File.mu because compaction bumps

@@ -1,10 +1,12 @@
 // Package snapshotdet enforces byte-determinism of snapshot section
 // payloads: inside a persist.Snapshotter implementation, iterating a Go
 // map in order to build encoded output is flagged unless the collected
-// data is sorted before use. The KV-backed incremental checkpoint (PR 5)
-// skips unchanged sections by payload hash, so a payload that encodes in
-// map-iteration order defeats the skip — and, worse, makes "unchanged"
-// sections look changed on every checkpoint.
+// data is sorted before use. Two captures of one quiesced session must be
+// the same bytes — that is what lets a checkpoint be compared, hashed or
+// diffed against the one before it, and what a crash-point test replays —
+// and a payload that encodes in map-iteration order differs from itself
+// run to run. core.TestSnapshotBytesDeterministic pins the property end
+// to end; this analyzer catches the cause at the line that introduces it.
 //
 // Scope: the SnapshotPayload methods of every type in the package whose
 // method set carries the Snapshotter shape (SnapshotSection /

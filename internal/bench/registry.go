@@ -46,7 +46,6 @@ var Experiments = []Experiment{
 	{"checkpoint", "durability: snapshot/restore latency and post-restore cache hit-rate vs cold start (internal/persist)", Checkpoint},
 	{"cache-pressure", "storage: bounded (privacy-cost-aware SLRU) vs unbounded backend hit-rate and resident bytes at 2x-cap working set", CachePressure},
 	{"misspath", "perf: hit / exact-miss / tree-miss / tree-hit throughput and allocs/op", MissPath},
-	{"replicas", "distributed serving: N-replica fleet over one shared persistent store, cross-replica single-flight pay-once vs unreplicated", Replicas},
 	{"batch", "batch plane: AnswerBatch at sizes 1/4/16/64 on a zipf-shared workload — answers/sec, admission lock acquisitions/query, allocs/query", Batch},
 }
 

@@ -107,6 +107,12 @@ func NewExactBounded(b store.Backend, ns string, maxFast int) (*Exact, error) {
 // own fast map. Aligning shardWidth with the executor shards keeps
 // per-shard cache traffic on disjoint stripes. shardWidth <= 0 or
 // stripeCount <= 1 keeps one stripe over the plain namespace ns.
+//
+// A new cache starts empty: whatever b already holds under its namespaces
+// (a reopened store.File, a backend an earlier session used) is releases
+// charged to books this cache's owner does not have, so each stripe's
+// namespace is cleared here. Entries that do come with their books return
+// through RestorePayload, from the snapshot that carries the accountant too.
 func NewExactSharded(b store.Backend, ns string, maxFast, shardWidth, stripeCount int) (*Exact, error) {
 	if b == nil {
 		return nil, fmt.Errorf("%w (namespace %q)", ErrNilBackend, ns)
@@ -125,10 +131,9 @@ func NewExactSharded(b store.Backend, ns string, maxFast, shardWidth, stripeCoun
 		maxFast:     (maxFast + stripeCount - 1) / stripeCount,
 	}
 	for i := 0; i < stripeCount; i++ {
-		c.stripes = append(c.stripes, &exactStripe{
-			ns:   c.stripeNS(i),
-			fast: make(map[string]Entry),
-		})
+		ns := c.stripeNS(i)
+		b.ImportNamespace(ns, nil)
+		c.stripes = append(c.stripes, &exactStripe{ns: ns, fast: make(map[string]Entry)})
 	}
 	return c, nil
 }
@@ -302,9 +307,9 @@ func (c *Exact) invalidate(st *exactStripe, key string, stale Entry) {
 func (c *Exact) SnapshotSection() string { return "cache/" + c.ns }
 
 // exactStripeState is one namespace stripe's snapshot: keys sorted, so
-// the payload encodes byte-identically for identical contents (the KV
-// checkpoint's hash-skipping depends on it — gob maps encode in random
-// iteration order).
+// the payload encodes byte-identically for identical contents (gob maps
+// encode in random iteration order; TestSnapshotBytesDeterministic pins
+// the whole envelope).
 type exactStripeState struct {
 	Index int
 	Keys  []string

@@ -18,11 +18,11 @@
 //     aggregate and predicate mask once (dataset.WarmBatch), so the
 //     admitted groups' executions all run on shared, version-stamped
 //     state;
-//   - per-group execution through the same single-flight group (and
-//     cross-replica flight lease) as the singleton path, so batch
-//     executions still dedup against concurrent singleton traffic and
-//     fill the exact cache before their flight key is released; the
-//     groups run on the caller plus at most GOMAXPROCS-1 helpers.
+//   - per-group execution through the same single-flight group as the
+//     singleton path, so batch executions still dedup against concurrent
+//     singleton traffic and fill the exact cache before their flight key
+//     is released; the groups run on the caller plus at most
+//     GOMAXPROCS-1 helpers.
 //
 // Admission verdicts are advisory (see accountant/batch.go): the
 // execution-time payments remain the enforcement point, so a verdict

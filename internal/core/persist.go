@@ -56,28 +56,6 @@ var ErrRestoring = errors.New("core: state restore in progress")
 // poisoned by a failed restore refuses to snapshot: its undefined state
 // must never overwrite a good checkpoint.
 func (s *Session) SaveState(w io.Writer) error {
-	return s.saveWith(func() error { return s.registry.Capture(w) })
-}
-
-// SaveStateKV checkpoints the session into namespace ns of a storage
-// backend — one key per section, unchanged sections skipped via the
-// manifest's content hashes (persist.SaveKV) — under exactly the same
-// quiesce/append barriers as SaveState. It returns how many sections
-// were written and how many were skipped as unchanged; a steady-state
-// server whose caches saw no traffic since the last checkpoint writes
-// almost nothing.
-func (s *Session) SaveStateKV(kv persist.KV, ns string) (written, skipped int, err error) {
-	err = s.saveWith(func() error {
-		var kvErr error
-		written, skipped, kvErr = s.registry.CaptureKV(kv, ns)
-		return kvErr
-	})
-	return written, skipped, err
-}
-
-// saveWith runs one capture under the snapshot discipline shared by the
-// envelope and KV paths.
-func (s *Session) saveWith(capture func() error) error {
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
 	if s.corrupt.Load() {
@@ -93,7 +71,7 @@ func (s *Session) saveWith(capture func() error) error {
 	defer resume()
 	s.appendMu.Lock()
 	defer s.appendMu.Unlock()
-	if err := capture(); err != nil {
+	if err := s.registry.Capture(w); err != nil {
 		return fmt.Errorf("core: save state: %w", err)
 	}
 	return nil
@@ -107,18 +85,6 @@ func (s *Session) saveWith(capture func() error) error {
 // naming the offending section, ...); on any error the session state is
 // undefined and the session must be discarded.
 func (s *Session) LoadState(r io.Reader) error {
-	return s.loadWith(func() error { return s.registry.Load(r) })
-}
-
-// LoadStateKV restores the session from a KV-backed checkpoint
-// (SaveStateKV) in namespace ns, under exactly the same freshness and
-// gating discipline as LoadState.
-func (s *Session) LoadStateKV(kv persist.KV, ns string) error {
-	return s.loadWith(func() error { return s.registry.LoadKV(kv, ns) })
-}
-
-// loadWith runs one restore under the shared gating discipline.
-func (s *Session) loadWith(load func() error) error {
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
 	if s.corrupt.Load() {
@@ -158,7 +124,7 @@ func (s *Session) loadWith(load func() error) error {
 		return ErrAlreadyServing
 	}
 	s.restoreMutated = false
-	if err := load(); err != nil {
+	if err := s.registry.Load(r); err != nil {
 		// A failure after some section began mutating leaves the session
 		// partially restored; poison it so further traffic is refused
 		// (ErrStateCorrupt) instead of served from undefined state. The
@@ -410,8 +376,8 @@ func (m identitySection) RestorePayload(payload []byte) error {
 }
 
 // sourceCount is one per-source counter in the meta section, kept as a
-// sorted slice (not a map) so the payload encodes deterministically —
-// the KV checkpoint's hash-skipping depends on byte-stable payloads.
+// sorted slice (not a map) so the payload encodes deterministically
+// (snapshotdet; TestSnapshotBytesDeterministic).
 type sourceCount struct {
 	Source Source
 	Count  int

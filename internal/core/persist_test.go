@@ -745,99 +745,112 @@ func TestSaveLoadGaussianTreeProperty(t *testing.T) {
 	}
 }
 
-// TestSaveLoadKV round-trips a warmed partitioned session through a
-// KV-backed incremental checkpoint (one backend key per section) and
-// pins the incremental property: an idle re-checkpoint writes nothing
-// but the manifest, and a restored session serves the warm window for
-// free with identical books.
-func TestSaveLoadKV(t *testing.T) {
+// TestSnapshotBytesDeterministic pins the property the snapshotdet
+// analyzer guards line by line: a quiesced session captures to the same
+// bytes every time, with the tree, its node cache and a sharded exact
+// cache all populated (each is a Go map somewhere underneath).
+func TestSnapshotBytesDeterministic(t *testing.T) {
 	dom, ds := buildDS(t, 8)
 	cfg := defaultCfg(Partitioned)
-	s1, err := NewSession(cfg, ds)
+	cfg.Shards, cfg.NodeExactCache = 4, true
+	s, err := NewSession(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := query.MustNew(dom, map[int][]int{0: {1}}).WithWindow(0, 5)
-	for i := 0; i < 10; i++ {
-		if _, err := s1.Answer(q); err != nil {
-			t.Fatal(err)
+	for start := 0; start < 8; start++ {
+		for end := start; end < 8; end++ {
+			for a := 0; a < 4; a++ {
+				q := query.MustNew(dom, map[int][]int{0: {1}, 1: {a}}).WithWindow(start, end)
+				if _, err := s.Answer(q); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
-	kv := store.NewMem(store.MemConfig{})
-	written, skipped, err := s1.SaveStateKV(kv, "snap")
-	if err != nil {
+	if s.ExactCache().Stripes() != 4 || s.ExactCache().Len() < 100 || s.Tree().Cache().Len() == 0 || s.Tree().Nodes() < 8 {
+		t.Fatalf("session under-populated: %d exact stripes, %d exact entries, %d node-cache entries, %d nodes",
+			s.ExactCache().Stripes(), s.ExactCache().Len(), s.Tree().Cache().Len(), s.Tree().Nodes())
+	}
+	var first bytes.Buffer
+	if err := s.SaveState(&first); err != nil {
 		t.Fatal(err)
 	}
-	if written == 0 || skipped != 0 {
-		t.Fatalf("first checkpoint wrote %d, skipped %d", written, skipped)
-	}
-	// Idle re-checkpoint: every section's hash is unchanged.
-	written, skipped, err = s1.SaveStateKV(kv, "snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if written != 0 || skipped == 0 {
-		t.Fatalf("idle checkpoint wrote %d, skipped %d", written, skipped)
-	}
-	// More traffic dirties some sections but not all of them.
-	q2 := query.MustNew(dom, map[int][]int{0: {0}}).WithWindow(6, 7)
-	if _, err := s1.Answer(q2); err != nil {
-		t.Fatal(err)
-	}
-	written, skipped, err = s1.SaveStateKV(kv, "snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if written == 0 || skipped == 0 {
-		t.Fatalf("post-traffic checkpoint wrote %d, skipped %d; want both nonzero", written, skipped)
-	}
-
-	s2, err := NewSession(cfg, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.LoadStateKV(kv, "snap"); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Tree().Nodes() != s1.Tree().Nodes() {
-		t.Fatalf("restored %d nodes, want %d", s2.Tree().Nodes(), s1.Tree().Nodes())
-	}
-	if s2.AverageSpent() != s1.AverageSpent() {
-		t.Fatalf("restored spend %g, want %g", s2.AverageSpent(), s1.AverageSpent())
-	}
-	spent := s2.AverageSpent()
-	a, err := s2.Answer(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Source != SourceExactHit || s2.AverageSpent() != spent {
-		t.Fatalf("repeat after KV restore = %+v", a)
+	// Map iteration order is drawn per range statement, so a few more
+	// captures make an unsorted walk over a small map all but sure to differ.
+	for i := 0; i < 4; i++ {
+		var again bytes.Buffer
+		if err := s.SaveState(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), again.Bytes()) {
+			t.Fatalf("capture %d of the same quiesced session differs (%d vs %d bytes)", i+2, again.Len(), first.Len())
+		}
 	}
 }
 
-// TestLoadStateKVValidation pins the KV restore's refusal discipline:
-// an empty namespace and a foreign-config snapshot both refuse cleanly,
-// leaving the session usable.
-func TestLoadStateKVValidation(t *testing.T) {
-	dom, ds := buildDS(t, 4)
-	cfg := defaultCfg(Partitioned)
-	s1, _ := NewSession(cfg, ds)
-	kv := store.NewMem(store.MemConfig{})
-	if err := s1.LoadStateKV(kv, "nothing"); !errors.Is(err, persist.ErrMissingSection) {
-		t.Fatalf("empty namespace: err = %v, want ErrMissingSection", err)
-	}
-	if _, _, err := s1.SaveStateKV(kv, "snap"); err != nil {
-		t.Fatal(err)
-	}
-	other := defaultCfg(Partitioned)
-	other.EpsilonGlobal = cfg.EpsilonGlobal * 2
-	s2, _ := NewSession(other, ds)
-	if err := s2.LoadStateKV(kv, "snap"); err == nil {
-		t.Fatal("foreign-config KV snapshot restored")
-	}
-	// The refusal was validation-only: the session still serves.
-	q := query.MustNew(dom, map[int][]int{0: {1}}).WithWindow(0, 1)
-	if _, err := s2.Answer(q); err != nil {
-		t.Fatal(err)
+// TestFreshBooksStartWithEmptyCaches pins that a release is never servable
+// on books that do not hold its charge: NewSession builds a zeroed
+// accountant, so whatever its backend already caches — another session's
+// fills in a shared store.Mem, a reopened store.File's replayed log — was
+// paid for elsewhere and must not be served as a free exact hit.
+func TestFreshBooksStartWithEmptyCaches(t *testing.T) {
+	mem := store.NewMem(store.MemConfig{})
+	// The file row reopens its directory for each session, as a reboot does.
+	fileDir := t.TempDir()
+	var file *store.File
+	t.Cleanup(func() {
+		if file != nil {
+			file.Close()
+		}
+	})
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) store.Backend
+	}{
+		{"mem", func(*testing.T) store.Backend { return mem }},
+		{"file-reopened", func(t *testing.T) store.Backend {
+			if file != nil {
+				if err := file.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var err error
+			if file, err = store.NewFile(store.FileConfig{Dir: fileDir, SyncEvery: 1}); err != nil {
+				t.Fatal(err)
+			}
+			return file
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dom, ds := buildDS(t, 8)
+			q := query.MustNew(dom, map[int][]int{0: {1}}).WithWindow(0, 5)
+			cfg := defaultCfg(Partitioned)
+			cfg.NodeExactCache = true
+			cfg.Backend = tc.open(t)
+			a, err := NewSession(cfg, ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ans, err := a.Answer(q); err != nil || ans.Paid <= 0 {
+				t.Fatalf("session A: %+v, %v; want a paid answer", ans, err)
+			}
+			if ans, err := a.Answer(q); err != nil || ans.Source != SourceExactHit {
+				t.Fatalf("session A repeat: %+v, %v; want its own exact hit", ans, err)
+			}
+
+			cfg.Backend = tc.open(t)
+			b, err := NewSession(cfg, ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ans, err := b.Answer(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ans.Source == SourceExactHit || ans.Paid <= 0 || b.AverageSpent() <= 0 {
+				t.Fatalf("session B served %+v with average spend %g: a release its books never charged",
+					ans, b.AverageSpent())
+			}
+		})
 	}
 }

@@ -42,7 +42,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/accountant"
 	"repro/internal/cache"
@@ -153,19 +152,6 @@ type Config struct {
 	// weight is the privacy cost of each entry. Eviction is always safe — an evicted release
 	// re-executes and re-pays through the single-flight path.
 	Backend store.Backend
-	// ReplicaID, when non-empty, runs the session as one replica of a
-	// fleet serving the same static partitioned dataset over one shared
-	// Backend: single-flight goes cross-replica through a leader lease on
-	// the flight key (replicated.go), and the block accountant splits
-	// per-partition budget ownership across replicas through owner leases
-	// (accountant.Block.Share). Requires Partitioned mode, pure-ε
-	// accounting, and an explicitly shared Backend; must be unique per
-	// replica.
-	ReplicaID string
-	// FlightLeaseTTL bounds how long a crashed flight leader blocks peer
-	// replicas on its flight key, and how long a crashed replica's budget
-	// ownership outlives it (default 2s). Ignored without ReplicaID.
-	FlightLeaseTTL time.Duration
 	// CacheFastEntries bounds the exact cache's decoded fast map (0 uses
 	// cache.DefaultFastEntries). Tests shrink it to expose backend
 	// evictions that the fast map would otherwise mask.
@@ -187,21 +173,6 @@ func (c *Config) fill() error {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.FlightLeaseTTL <= 0 {
-		c.FlightLeaseTTL = 2 * time.Second
-	}
-	if c.ReplicaID != "" {
-		if c.Backend == nil {
-			return fmt.Errorf("core: replica %q needs an explicitly shared Config.Backend", c.ReplicaID)
-		}
-		if c.Gaussian {
-			return errors.New("core: replication is pure-ε only (Rényi curves have no shared max-merge)")
-		}
-		if c.Mode != Partitioned {
-			return fmt.Errorf("core: replication needs Partitioned mode, not %v "+
-				"(budget ownership splits per partition of a static dataset)", c.Mode)
-		}
 	}
 	return nil
 }
@@ -261,11 +232,7 @@ type Session struct {
 
 	queries atomic.Int64
 	deduped atomic.Int64
-	// remoteShared counts answers observed from a peer replica's flight
-	// through the shared exact cache — the cross-replica analogue of
-	// deduped (replicated.go).
-	remoteShared atomic.Int64
-	exhaust      atomic.Bool
+	exhaust atomic.Bool
 	// corrupt marks the session unusable after a failed LoadState
 	// mutated it (persist.go); Answer and AppendPartitions then refuse
 	// with ErrStateCorrupt.
@@ -393,14 +360,6 @@ func NewSession(cfg Config, ds *dataset.Dataset) (*Session, error) {
 		s.tree = t
 	default:
 		return nil, fmt.Errorf("core: unknown mode %v", cfg.Mode)
-	}
-	if cfg.ReplicaID != "" {
-		// Attach the block to the shared store last, so a failed
-		// construction never leaves budget records published for a session
-		// that does not exist. Share also merges spends peers already made.
-		if err := s.block.Share(be, cfg.ReplicaID, cfg.FlightLeaseTTL); err != nil {
-			return nil, err
-		}
 	}
 	s.buildRegistry()
 	return s, nil
@@ -534,27 +493,18 @@ func (s *Session) execute(pl Plan) (Answer, bool, error) {
 		if e, ok := s.exact.Get(pl.Query, pl.Version); ok {
 			return Answer{Value: e.Value, Source: SourceExactHit}, nil
 		}
-		if s.cfg.ReplicaID != "" {
-			return s.executeReplicated(pl, key)
+		ans, err := s.executeShard(pl)
+		if err != nil {
+			return Answer{}, err
 		}
-		return s.executeLeader(pl)
+		// Cache the paid answer inside the flight, before the key is
+		// released: a duplicate that misses the in-flight map must find
+		// the cache filled, or it would execute — and pay — again.
+		if err := s.exact.Put(pl.Query, pl.Version, ans.Value, ans.Paid); err != nil {
+			return Answer{}, err
+		}
+		return ans, nil
 	})
-}
-
-// executeLeader is the flight leader's body: run the shard and publish the
-// paid answer to the exact cache before the flight key is released.
-func (s *Session) executeLeader(pl Plan) (Answer, error) {
-	ans, err := s.executeShard(pl)
-	if err != nil {
-		return Answer{}, err
-	}
-	// Cache the paid answer inside the flight, before the key is
-	// released: a duplicate that misses the in-flight map must find
-	// the cache filled, or it would execute — and pay — again.
-	if err := s.exact.Put(pl.Query, pl.Version, ans.Value, ans.Paid); err != nil {
-		return Answer{}, err
-	}
-	return ans, nil
 }
 
 // executeShard runs a plan on its executor shard: the single PMW-Bypass
@@ -621,14 +571,6 @@ func (s *Session) Queries() int { return int(s.queries.Load()) }
 // Deduped returns the number of answers served by sharing a concurrent
 // identical flight (single-flight deduplication) rather than executing.
 func (s *Session) Deduped() int { return int(s.deduped.Load()) }
-
-// RemoteShared returns the number of answers observed from a peer
-// replica's flight through the shared exact cache (cross-replica
-// single-flight; always 0 without Config.ReplicaID).
-func (s *Session) RemoteShared() int { return int(s.remoteShared.Load()) }
-
-// ReplicaID returns the session's replica identity ("" unreplicated).
-func (s *Session) ReplicaID() string { return s.cfg.ReplicaID }
 
 // Mode returns the session's use case.
 func (s *Session) Mode() Mode { return s.cfg.Mode }

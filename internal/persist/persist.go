@@ -9,8 +9,7 @@
 // Each stateful layer (accountant blocks, exact caches, the tree, the
 // streaming ingestor) implements Snapshotter and contributes one named
 // section; the envelope carries them behind a magic header and a format
-// version, so a future storage backend (e.g. backend-resident snapshots)
-// plugs in by bumping the version rather than breaking old files.
+// version, so the format can change without breaking old files.
 //
 // # Envelope format
 //
@@ -30,12 +29,6 @@
 // Version history: v1 wrote the section stream as raw gob; v2 (current)
 // wraps it in gzip — histograms and Rényi curves are float-heavy and
 // compress several-fold. Readers accept both; writers emit v2 only.
-//
-// Besides the streamed envelope, a Registry can snapshot INTO a storage
-// backend (SaveKV/LoadKV): each section becomes its own key in a
-// namespace, with a manifest recording section hashes, so an unchanged
-// section is skipped on the next checkpoint — the backend-resident
-// incremental-snapshot seam.
 package persist
 
 import (
@@ -377,12 +370,6 @@ func (r *Registry) Load(rd io.Reader) error {
 	if err != nil {
 		return err
 	}
-	return r.restore(payloads)
-}
-
-// restore is the shared tail of Load and LoadKV: prepare, refuse unknown
-// and missing sections, then restore every layer in registration order.
-func (r *Registry) restore(payloads map[string][]byte) error {
 	if r.Prepare != nil {
 		if err := r.Prepare(payloads); err != nil {
 			return err

@@ -321,257 +321,3 @@ func TestV2EnvelopeCompresses(t *testing.T) {
 		t.Fatalf("trailer-cut envelope: err = %v, want ErrTruncated", err)
 	}
 }
-
-// memKV is a minimal in-memory KV for incremental-snapshot tests (the
-// real backends live in internal/store, which persist must not import).
-type memKV struct {
-	data map[string][]byte
-	sets int
-}
-
-func newMemKV() *memKV { return &memKV{data: make(map[string][]byte)} }
-
-func (m *memKV) Set(ns, k string, value any) error {
-	raw, err := Encode(value)
-	if err != nil {
-		return err
-	}
-	m.data[ns+":"+k] = raw
-	m.sets++
-	return nil
-}
-
-func (m *memKV) Get(ns, k string, out any) (bool, error) {
-	raw, ok := m.data[ns+":"+k]
-	if !ok {
-		return false, nil
-	}
-	return true, Decode(raw, out)
-}
-
-func (m *memKV) Keys(ns string) []string {
-	var out []string
-	for k := range m.data {
-		if len(k) > len(ns) && k[:len(ns)+1] == ns+":" {
-			out = append(out, k[len(ns)+1:])
-		}
-	}
-	return out
-}
-
-func (m *memKV) Delete(ns, k string) bool {
-	_, ok := m.data[ns+":"+k]
-	delete(m.data, ns+":"+k)
-	return ok
-}
-
-func TestKVSnapshotRoundTrip(t *testing.T) {
-	a := &fakeLayer{name: "a", state: []byte("alpha")}
-	b := &fakeLayer{name: "b", state: []byte("beta")}
-	reg := NewRegistry()
-	reg.Register(a)
-	reg.Register(b)
-
-	kv := newMemKV()
-	written, skipped, err := reg.SaveKV(kv, "snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if written != 2 || skipped != 0 {
-		t.Fatalf("first SaveKV wrote %d, skipped %d", written, skipped)
-	}
-	if a.quiesced != 1 || a.resumed != 1 {
-		t.Fatalf("quiesce/resume = %d/%d, want 1/1", a.quiesced, a.resumed)
-	}
-
-	a2 := &fakeLayer{name: "a"}
-	b2 := &fakeLayer{name: "b"}
-	reg2 := NewRegistry()
-	reg2.Register(a2)
-	reg2.Register(b2)
-	if err := reg2.LoadKV(kv, "snap"); err != nil {
-		t.Fatal(err)
-	}
-	if string(a2.state) != "alpha" || string(b2.state) != "beta" {
-		t.Fatalf("KV restored %q/%q", a2.state, b2.state)
-	}
-}
-
-// TestKVSnapshotIncremental pins the seam's point: an unchanged section
-// costs no write on the next checkpoint; a changed one is rewritten.
-func TestKVSnapshotIncremental(t *testing.T) {
-	a := &fakeLayer{name: "a", state: []byte("alpha")}
-	b := &fakeLayer{name: "b", state: []byte("beta")}
-	reg := NewRegistry()
-	reg.Register(a)
-	reg.Register(b)
-
-	kv := newMemKV()
-	if _, _, err := reg.SaveKV(kv, "snap"); err != nil {
-		t.Fatal(err)
-	}
-	written, skipped, err := reg.SaveKV(kv, "snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if written != 0 || skipped != 2 {
-		t.Fatalf("idle SaveKV wrote %d, skipped %d; want 0, 2", written, skipped)
-	}
-	a.state = []byte("alpha2")
-	written, skipped, err = reg.SaveKV(kv, "snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if written != 1 || skipped != 1 {
-		t.Fatalf("SaveKV after one change wrote %d, skipped %d; want 1, 1", written, skipped)
-	}
-}
-
-// TestKVSnapshotTornManifestRecovers pins the self-healing contract: a
-// previous manifest that exists but cannot be decoded (torn write,
-// corrupt byte) is treated as absent, so the next checkpoint is a full
-// rewrite instead of an error — one corrupt manifest must not wedge every
-// future checkpoint.
-func TestKVSnapshotTornManifestRecovers(t *testing.T) {
-	a := &fakeLayer{name: "a", state: []byte("alpha")}
-	b := &fakeLayer{name: "b", state: []byte("beta")}
-	reg := NewRegistry()
-	reg.Register(a)
-	reg.Register(b)
-
-	kv := newMemKV()
-	if _, _, err := reg.SaveKV(kv, "snap"); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the stored manifest in place (a torn in-place overwrite).
-	kv.data["snap:!manifest"] = []byte("not a gob stream")
-
-	written, skipped, err := reg.SaveKV(kv, "snap")
-	if err != nil {
-		t.Fatalf("SaveKV over a torn manifest: %v", err)
-	}
-	if written != 2 || skipped != 0 {
-		t.Fatalf("recovery SaveKV wrote %d, skipped %d; want full rewrite 2, 0", written, skipped)
-	}
-
-	a2 := &fakeLayer{name: "a"}
-	b2 := &fakeLayer{name: "b"}
-	reg2 := NewRegistry()
-	reg2.Register(a2)
-	reg2.Register(b2)
-	if err := reg2.LoadKV(kv, "snap"); err != nil {
-		t.Fatalf("LoadKV after recovery: %v", err)
-	}
-	if string(a2.state) != "alpha" || string(b2.state) != "beta" {
-		t.Fatalf("recovered snapshot restored %q/%q", a2.state, b2.state)
-	}
-	// And incrementality resumes: the fresh manifest makes the next
-	// checkpoint skip everything again.
-	if _, skipped, err := reg.SaveKV(kv, "snap"); err != nil || skipped != 2 {
-		t.Fatalf("post-recovery SaveKV skipped %d (err %v); want 2", skipped, err)
-	}
-}
-
-// TestKVSnapshotValidation pins the Load discipline over KV snapshots:
-// no manifest, unknown sections, missing sections, and torn checkpoints
-// surface as the same typed errors the envelope reader uses.
-func TestKVSnapshotValidation(t *testing.T) {
-	a := &fakeLayer{name: "a", state: []byte("alpha")}
-	reg := NewRegistry()
-	reg.Register(a)
-	kv := newMemKV()
-
-	if err := reg.LoadKV(kv, "empty"); !errors.Is(err, ErrMissingSection) {
-		t.Fatalf("no manifest: err = %v, want ErrMissingSection", err)
-	}
-	if _, _, err := reg.SaveKV(kv, "snap"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Unknown section: a registry that does not own "a".
-	other := NewRegistry()
-	other.Register(&fakeLayer{name: "z"})
-	if err := other.LoadKV(kv, "snap"); !errors.Is(err, ErrUnknownSection) {
-		t.Fatalf("foreign registry: err = %v, want ErrUnknownSection", err)
-	}
-
-	// Missing section: registry owns more than the snapshot carries.
-	wider := NewRegistry()
-	wider.Register(&fakeLayer{name: "a"})
-	wider.Register(&fakeLayer{name: "z"})
-	if err := wider.LoadKV(kv, "snap"); !errors.Is(err, ErrMissingSection) {
-		t.Fatalf("wider registry: err = %v, want ErrMissingSection", err)
-	}
-
-	// Torn checkpoint: manifest names a section whose key is gone.
-	kv.Delete("snap", "a")
-	if err := reg.LoadKV(kv, "snap"); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("torn checkpoint: err = %v, want ErrTruncated", err)
-	}
-}
-
-// TestKVSnapshotDropsStaleSections pins that a section absent from the
-// new checkpoint (an optional layer gone idle) is deleted, not left to
-// resurrect on restore.
-func TestKVSnapshotDropsStaleSections(t *testing.T) {
-	a := &fakeLayer{name: "a", state: []byte("alpha")}
-	opt := &fakeLayer{name: "opt", state: []byte("pending"), opt: true}
-	reg := NewRegistry()
-	reg.Register(a)
-	reg.Register(opt)
-
-	kv := newMemKV()
-	if _, _, err := reg.SaveKV(kv, "snap"); err != nil {
-		t.Fatal(err)
-	}
-	opt.state = nil // idle: optional section omits itself
-	if _, _, err := reg.SaveKV(kv, "snap"); err != nil {
-		t.Fatal(err)
-	}
-	var raw []byte
-	if ok, _ := kv.Get("snap", "opt", &raw); ok {
-		t.Fatal("stale optional section survived the next checkpoint")
-	}
-	a2 := &fakeLayer{name: "a"}
-	opt2 := &fakeLayer{name: "opt", opt: true}
-	reg2 := NewRegistry()
-	reg2.Register(a2)
-	reg2.Register(opt2)
-	if err := reg2.LoadKV(kv, "snap"); err != nil {
-		t.Fatal(err)
-	}
-	if opt2.state != nil {
-		t.Fatalf("idle optional section restored %q", opt2.state)
-	}
-}
-
-// TestKVSnapshotSelfRepairsDeletedSection pins the fix for permanently
-// torn checkpoints: a section key deleted (or evicted) from the store is
-// rewritten on the next checkpoint even though its payload hash is
-// unchanged.
-func TestKVSnapshotSelfRepairsDeletedSection(t *testing.T) {
-	a := &fakeLayer{name: "a", state: []byte("alpha")}
-	reg := NewRegistry()
-	reg.Register(a)
-	kv := newMemKV()
-	if _, _, err := reg.SaveKV(kv, "snap"); err != nil {
-		t.Fatal(err)
-	}
-	kv.Delete("snap", "a") // eviction or operator damage
-	written, skipped, err := reg.SaveKV(kv, "snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if written != 1 || skipped != 0 {
-		t.Fatalf("repair checkpoint wrote %d, skipped %d; want 1, 0", written, skipped)
-	}
-	a2 := &fakeLayer{name: "a"}
-	reg2 := NewRegistry()
-	reg2.Register(a2)
-	if err := reg2.LoadKV(kv, "snap"); err != nil {
-		t.Fatal(err)
-	}
-	if string(a2.state) != "alpha" {
-		t.Fatalf("repaired checkpoint restored %q", a2.state)
-	}
-}

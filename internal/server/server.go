@@ -587,28 +587,16 @@ type CacheStats struct {
 	MaskEvictions int64 `json:"mask_evictions"`
 }
 
-// ReplicationStats is the /schema replication section, present for
-// sessions running as one replica of a fleet over a shared backend.
-type ReplicationStats struct {
-	// ReplicaID is this server's identity in the fleet.
-	ReplicaID string `json:"replica_id"`
-	// RemoteShared counts answers observed from a peer replica's flight
-	// through the shared exact cache (the fleet-level analogue of the
-	// local flight_deduped counter).
-	RemoteShared int64 `json:"remote_shared"`
-}
-
 // SchemaResponse is the /schema result: only public metadata (ingestion
 // counters are data-independent operational state).
 type SchemaResponse struct {
-	Table       string            `json:"table"`
-	Domain      string            `json:"domain"`
-	Attributes  []string          `json:"attributes"`
-	Rows        int               `json:"rows"`
-	Partitions  int               `json:"partitions"`
-	Cache       *CacheStats       `json:"cache"`
-	Ingestion   *IngestionStats   `json:"ingestion,omitempty"`
-	Replication *ReplicationStats `json:"replication,omitempty"`
+	Table      string          `json:"table"`
+	Domain     string          `json:"domain"`
+	Attributes []string        `json:"attributes"`
+	Rows       int             `json:"rows"`
+	Partitions int             `json:"partitions"`
+	Cache      *CacheStats     `json:"cache"`
+	Ingestion  *IngestionStats `json:"ingestion,omitempty"`
 }
 
 // handleSchema serves public metadata; it touches no session state beyond
@@ -653,12 +641,6 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 			MaskMisses:    st.MaskMisses,
 			MaskEvictions: st.MaskEvictions,
 		},
-	}
-	if id := s.sess.ReplicaID(); id != "" {
-		resp.Replication = &ReplicationStats{
-			ReplicaID:    id,
-			RemoteShared: int64(s.sess.RemoteShared()),
-		}
 	}
 	if s.ing != nil {
 		st := s.ing.Stats()

@@ -244,12 +244,22 @@ func TestSchemaEndpoint(t *testing.T) {
 // bounded backend: backend name, caps, and live hit/miss/eviction/bytes
 // counters thread up from the store through the session.
 func TestSchemaCacheSectionBounded(t *testing.T) {
+	be := store.NewMem(store.MemConfig{MaxEntries: 4, Stripes: 1})
 	srv, _ := newTestServerWith(t, 100, func(c *core.Config) {
-		c.Backend = store.NewMem(store.MemConfig{MaxEntries: 4, Stripes: 1})
+		c.Backend = be
 		c.CacheFastEntries = 1 // expose backend traffic, not fast-map hits
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	// Poison one backend entry and read it back with a mismatched type:
+	// the backend deletes it and counts a decode error.
+	if err := be.Set("poison", "k", "not-a-number"); err != nil {
+		t.Fatal(err)
+	}
+	var f float64
+	if ok, err := be.Get("poison", "k", &f); ok || err == nil {
+		t.Fatalf("poisoned read: ok=%v err=%v", ok, err)
+	}
 	sqls := []string{
 		"SELECT COUNT(*) FROM covid WHERE positive = 1 AND time BETWEEN 0 AND 0",
 		"SELECT COUNT(*) FROM covid WHERE positive = 1 AND time BETWEEN 1 AND 1",
@@ -293,6 +303,9 @@ func TestSchemaCacheSectionBounded(t *testing.T) {
 	}
 	if c.ExactHits+c.ExactMisses == 0 {
 		t.Fatalf("exact-cache counters missing: %+v", c)
+	}
+	if c.DecodeErrors != 1 {
+		t.Fatalf("decode_errors = %d, want the backend's 1", c.DecodeErrors)
 	}
 }
 
@@ -406,50 +419,8 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestSchemaReplicationSection pins the new /schema surfaces: a
-// replicated session reports its replica identity and remote-share
-// counter, and backend decode failures thread up as decode_errors.
-func TestSchemaReplicationSection(t *testing.T) {
-	be := store.NewMem(store.MemConfig{Stripes: 1})
-	srv, _ := newTestServerWith(t, 100, func(c *core.Config) {
-		c.Backend = be
-		c.ReplicaID = "r1"
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// Poison one backend entry and read it back with a mismatched type:
-	// the backend deletes it and counts a decode error.
-	if err := be.Set("poison", "k", "not-a-number"); err != nil {
-		t.Fatal(err)
-	}
-	var f float64
-	if ok, err := be.Get("poison", "k", &f); ok || err == nil {
-		t.Fatalf("poisoned read: ok=%v err=%v", ok, err)
-	}
-
-	resp, err := http.Get(ts.URL + "/schema")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var sr SchemaResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	if sr.Replication == nil || sr.Replication.ReplicaID != "r1" {
-		t.Fatalf("replication section = %+v", sr.Replication)
-	}
-	if sr.Replication.RemoteShared != 0 {
-		t.Fatalf("remote_shared = %d before any traffic", sr.Replication.RemoteShared)
-	}
-	if sr.Cache == nil || sr.Cache.DecodeErrors != 1 {
-		t.Fatalf("cache section = %+v, want decode_errors 1", sr.Cache)
-	}
-}
-
-// TestSchemaUnreplicatedOmitsSection pins that an unreplicated server's
-// /schema carries no replication section at all.
+// TestSchemaUnreplicatedOmitsSection pins that /schema carries no
+// replication section: one process serves one session.
 func TestSchemaUnreplicatedOmitsSection(t *testing.T) {
 	srv, _ := newTestServer(t, 100)
 	ts := httptest.NewServer(srv.Handler())
@@ -464,6 +435,6 @@ func TestSchemaUnreplicatedOmitsSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := raw["replication"]; ok {
-		t.Fatal("unreplicated /schema carries a replication section")
+		t.Fatal("/schema carries a replication section")
 	}
 }

@@ -8,25 +8,22 @@ import (
 	"sync/atomic"
 )
 
-// Record layout, little-endian. The header is 20 bytes, 36 when leased:
+// Record layout, little-endian. The header is 20 bytes:
 //
 //	[0:4]   next    arena offset of the next record in the same bucket
 //	[4:6]   ns      interned namespace id
 //	[6:8]   keyLen
-//	[8:12]  valLen in the low 29 bits; dead, pinned, leased in the top three
+//	[8:12]  valLen in the low 29 bits, dead in the top one; the two between
+//	        are unused
 //	[12:20] weight  float64 bits
-//	[20:28] deadline, [28:36] ttl   unix nanos; present only when leased
 //	key bytes, value bytes
 //	newer u32 | older u32 | hot u8   LRU links; present only in a capped store
 const (
-	hdrLen   = 20
-	leaseLen = 16
-	lruLen   = 9
+	hdrLen = 20
+	lruLen = 9
 
-	flagDead   = 1 << 31
-	flagPinned = 1 << 30
-	flagLeased = 1 << 29
-	maxValLen  = flagLeased - 1
+	flagDead  = 1 << 31
+	maxValLen = 1<<29 - 1
 
 	// noOff is an empty bucket and the end of a bucket's chain or an LRU
 	// list. No record starts there: it is the last byte of the last chunk,
@@ -35,25 +32,6 @@ const (
 )
 
 var le = binary.LittleEndian
-
-// meta is the per-entry metadata the Backend contract round-trips: the
-// eviction weight, the guard pin, and the lease deadline and ttl (unix
-// nanos; ttl 0 = not leased).
-type meta struct {
-	weight   float64
-	pinned   bool
-	deadline int64
-	ttl      int64
-}
-
-func (m meta) leased() bool { return m.ttl > 0 }
-
-func (m meta) hdrLen() int {
-	if m.leased() {
-		return hdrLen + leaseLen
-	}
-	return hdrLen
-}
 
 // rec is a view of one record: arena bytes from its first header byte on
 // (the slice runs to the end of the chunk; size delimits the record).
@@ -66,71 +44,31 @@ func (r rec) keyLen() int      { return int(le.Uint16(r[6:])) }
 func (r rec) word() uint32     { return le.Uint32(r[8:]) }
 func (r rec) valLen() int      { return int(r.word() & maxValLen) }
 func (r rec) dead() bool       { return r.word()&flagDead != 0 }
-func (r rec) pinned() bool     { return r.word()&flagPinned != 0 }
-func (r rec) leased() bool     { return r.word()&flagLeased != 0 }
 func (r rec) weight() float64  { return math.Float64frombits(le.Uint64(r[12:])) }
-func (r rec) deadline() int64  { return int64(le.Uint64(r[hdrLen:])) }
-
-func (r rec) hdrLen() int {
-	if r.leased() {
-		return hdrLen + leaseLen
-	}
-	return hdrLen
-}
 
 // size is the record's length without the LRU links (arena.span adds them).
-func (r rec) size() int { return r.hdrLen() + r.keyLen() + r.valLen() }
+func (r rec) size() int { return hdrLen + r.keyLen() + r.valLen() }
 
-func (r rec) key() []byte {
-	h := r.hdrLen()
-	return r[h : h+r.keyLen()]
-}
+func (r rec) key() []byte { return r[hdrLen : hdrLen+r.keyLen()] }
 
 // val is the value bytes, valid only while the stripe lock is held.
 func (r rec) val() []byte {
-	lo := r.hdrLen() + r.keyLen()
+	lo := hdrLen + r.keyLen()
 	hi := lo + r.valLen()
 	return r[lo:hi:hi]
 }
 
-func (r rec) meta() meta {
-	m := meta{weight: r.weight(), pinned: r.pinned()}
-	if r.leased() {
-		m.deadline = r.deadline()
-		m.ttl = int64(le.Uint64(r[hdrLen+8:]))
-	}
-	return m
-}
-
-// setMeta restamps a live record whose value length and leased-ness m
-// keeps (so the header does not change size).
-func (r rec) setMeta(m meta) {
-	w := uint32(r.valLen())
-	if m.pinned {
-		w |= flagPinned
-	}
-	if m.leased() {
-		w |= flagLeased
-		le.PutUint64(r[hdrLen:], uint64(m.deadline))
-		le.PutUint64(r[hdrLen+8:], uint64(m.ttl))
-	}
-	le.PutUint32(r[8:], w)
-	le.PutUint64(r[12:], math.Float64bits(m.weight))
-}
+func (r rec) setWeight(w float64) { le.PutUint64(r[12:], math.Float64bits(w)) }
 
 // init writes a fresh record's header and key; the value bytes are the
 // caller's to fill. len(k) and valLen were checked against the field
 // widths by slot and put.
-func (r rec) init(ns uint16, k string, valLen int, m meta) {
+func (r rec) init(ns uint16, k string, valLen int, weight float64) {
 	le.PutUint16(r[4:], ns)
 	le.PutUint16(r[6:], uint16(len(k)))
-	w := uint32(valLen)
-	if m.leased() {
-		w |= flagLeased
-	}
-	le.PutUint32(r[8:], w)
-	r.setMeta(m)
-	copy(r[m.hdrLen():], k)
+	le.PutUint32(r[8:], uint32(valLen))
+	r.setWeight(weight)
+	copy(r[hdrLen:], k)
 }
 
 // lru is the links a capped store's record carries after its value. They

@@ -25,29 +25,13 @@
 package store
 
 import (
-	"errors"
 	"math"
 	"sync/atomic"
 )
 
-const (
-	// protectedFrac is the fraction of a stripe's byte budget the
-	// protected segment may hold before it demotes its tail.
-	protectedFrac = 0.8
-	// maxPinned bounds the backend-wide population of pinned entries.
-	maxPinned = 1024
-)
-
-// ErrPinnedCapacity reports a SetNX/SetNXLease refused because the
-// pinned-entry safety valve is full. Pinned guards are exempt from
-// eviction, so their population must be bounded or a guard storm could
-// grow a capped store without limit; refusing is the only safe answer —
-// silently inserting an evictable guard would break the mutual exclusion
-// the caller is building on.
-var ErrPinnedCapacity = errors.New("store: pinned-entry capacity exhausted")
-
-// valveFull reports whether a capped store holds all the pins it may.
-func (s *Mem) valveFull() bool { return s.cfg.capped() && s.pinned.Load() >= maxPinned }
+// protectedFrac is the fraction of a stripe's byte budget the protected
+// segment may hold before it demotes its tail.
+const protectedFrac = 0.8
 
 // atomicFloat is an atomic float64 accumulator (bits in a uint64).
 type atomicFloat struct{ bits atomic.Uint64 }
@@ -98,18 +82,13 @@ func (s *Mem) touch(st *memStripe, off uint32) {
 }
 
 // evict restores the stripe's caps by evicting sampled cold-tail victims,
-// lowest eviction weight first. Pinned entries (guards, leases) are never
-// victims while live, so a stripe whose remaining entries are all pinned
-// stays over cap — the maxPinned valve bounds how far. An uncapped stripe
-// is never over. Caller holds st.mu.
+// lowest eviction weight first. An uncapped stripe is never over. Caller
+// holds st.mu.
 func (s *Mem) evict(st *memStripe) {
 	for st.ents > 0 && (st.maxBytes > 0 && st.bytes > st.maxBytes || st.maxEnts > 0 && st.ents > st.maxEnts) {
 		off := s.victim(st, st.cold)
 		if off == noOff {
 			off = s.victim(st, st.hot)
-		}
-		if off == noOff {
-			return
 		}
 		r := st.at(off)
 		s.evictions.Add(1)
@@ -119,25 +98,15 @@ func (s *Mem) evict(st *memStripe) {
 	}
 }
 
-// victim examines up to Sample unpinned entries from the cold tail of a
-// segment and returns the lowest-weight one (ties favor the colder entry),
-// or noOff when the segment holds no eligible victim. An expired lease is
-// the best possible victim — its guard is already void — and is taken
-// immediately; live pinned entries are skipped without consuming the
-// sample budget (the pinned population is valve-bounded, so the skip scan
-// is too). Caller holds st.mu.
+// victim examines up to Sample entries from the cold tail of a segment and
+// returns the lowest-weight one (ties favor the colder entry), or noOff
+// when the segment is empty. Caller holds st.mu.
 func (s *Mem) victim(st *memStripe, seg lruList) uint32 {
 	best, lowest := uint32(noOff), 0.0
-	for off, examined := seg.tail, 0; off != noOff && examined < s.cfg.Sample; {
+	for off, examined := seg.tail, 0; off != noOff && examined < s.cfg.Sample; examined++ {
 		r := st.at(off)
-		if s.expired(r) {
-			return off
-		}
-		if !r.pinned() {
-			examined++
-			if w := r.weight(); best == noOff || w < lowest {
-				best, lowest = off, w
-			}
+		if w := r.weight(); best == noOff || w < lowest {
+			best, lowest = off, w
 		}
 		off = r.lru().newer()
 	}

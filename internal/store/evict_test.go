@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -123,119 +122,6 @@ func TestBoundedImportPreservesWeights(t *testing.T) {
 	}
 }
 
-// TestBoundedImportPreservesPins checks guard pins survive the
-// export/import round-trip.
-func TestBoundedImportPreservesPins(t *testing.T) {
-	src := NewMem(MemConfig{})
-	if ok, err := src.SetNX("ns", "guard", 1); !ok || err != nil {
-		t.Fatalf("SetNX = %v, %v", ok, err)
-	}
-	exported := src.ExportNamespace("ns")
-	if !exported["guard"].Pinned {
-		t.Fatal("export dropped the pin")
-	}
-	dst := NewMem(MemConfig{MaxEntries: 4, Stripes: 1, Sample: 4})
-	dst.ImportNamespace("ns", exported)
-	for i := 0; i < 100; i++ {
-		_ = dst.Set("ns", fmt.Sprintf("churn%d", i), i)
-	}
-	var out int
-	if ok, _ := dst.Get("ns", "guard", &out); !ok {
-		t.Fatal("imported guard was evicted")
-	}
-	if got := dst.pinned.Load(); got != 1 {
-		t.Fatalf("pinnedCount = %d after import, want 1", got)
-	}
-}
-
-// TestBoundedGuardSurvivesEviction is the evictable-guard regression:
-// eviction pressure must never remove a SetNX guard, or mutual exclusion
-// breaks — pre-fix guards landed at weight 0 as first-choice victims.
-func TestBoundedGuardSurvivesEviction(t *testing.T) {
-	b := NewMem(MemConfig{MaxEntries: 8, Stripes: 1, Sample: 8})
-	if ok, err := b.SetNX("ns", "guard", "owner-1"); !ok || err != nil {
-		t.Fatalf("SetNX = %v, %v", ok, err)
-	}
-	for i := 0; i < 500; i++ {
-		_ = b.Set("ns", fmt.Sprintf("churn%d", i), i)
-	}
-	// The guard still holds: a second claimant must be refused.
-	if ok, err := b.SetNX("ns", "guard", "owner-2"); ok || err != nil {
-		t.Fatalf("guard evicted under pressure: SetNX = %v, %v", ok, err)
-	}
-	var owner string
-	if ok, _ := b.Get("ns", "guard", &owner); !ok || owner != "owner-1" {
-		t.Fatalf("guard = %q, %v", owner, ok)
-	}
-}
-
-// TestBoundedPinnedCapacityValve pins the safety valve: the pinned
-// population is bounded, and overflow is a refusal — never a silently
-// evictable guard.
-func TestBoundedPinnedCapacityValve(t *testing.T) {
-	b := NewMem(MemConfig{MaxEntries: 8, Stripes: 1})
-	for i := 0; i < maxPinned; i++ {
-		if ok, err := b.SetNX("ns", fmt.Sprintf("g%d", i), i); !ok || err != nil {
-			t.Fatalf("guard %d: %v, %v", i, ok, err)
-		}
-	}
-	if _, err := b.SetNX("ns", "overflow", 1); !errors.Is(err, ErrPinnedCapacity) {
-		t.Fatalf("valve overflow err = %v, want ErrPinnedCapacity", err)
-	}
-	// Deleting a guard frees a slot.
-	b.Delete("ns", "g0")
-	if ok, err := b.SetNX("ns", "overflow", 1); !ok || err != nil {
-		t.Fatalf("post-delete SetNX = %v, %v", ok, err)
-	}
-	// Plain writes are never refused by the valve, and a plain write over
-	// a guard unpins it.
-	if err := b.Set("ns", "g1", 99); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.pinned.Load(); got != maxPinned-1 {
-		t.Fatalf("pinned = %d, want %d", got, maxPinned-1)
-	}
-	// A pin imported past the valve lands unpinned rather than dropped.
-	_, _ = b.SetNX("ns", "refill", 1)
-	b.ImportNamespace("other", map[string]Exported{"g": {Val: []byte{1}, Pinned: true}})
-	if got := b.ExportNamespace("other")["g"]; got.Pinned || b.pinned.Load() != maxPinned {
-		t.Fatalf("import past the valve: %+v, pinned %d", got, b.pinned.Load())
-	}
-	// The uncapped store has no valve: nothing there evicts, so a pin
-	// costs nothing.
-	u := NewMem(MemConfig{})
-	for i := 0; i <= maxPinned; i++ {
-		if ok, err := u.SetNX("ns", fmt.Sprintf("g%d", i), i); !ok || err != nil {
-			t.Fatalf("uncapped guard %d: %v, %v", i, ok, err)
-		}
-	}
-}
-
-// TestBoundedExpiredLeaseIsFirstVictim checks eviction reclaims expired
-// leases before touching real cache entries.
-func TestBoundedExpiredLeaseIsFirstVictim(t *testing.T) {
-	b := NewMem(MemConfig{MaxEntries: 4, Stripes: 1, Sample: 4})
-	var now int64
-	b.nowNanos = func() int64 { return now }
-	if ok, err := b.SetNXLease("ns", "lease", 1, 10); !ok || err != nil {
-		t.Fatalf("SetNXLease = %v, %v", ok, err)
-	}
-	for i := 0; i < 3; i++ {
-		_ = b.SetWeighted("ns", fmt.Sprintf("gold%d", i), i, 100)
-	}
-	now = 50 // lease expired
-	_ = b.SetWeighted("ns", "gold3", 3, 100)
-	var out int
-	for i := 0; i < 4; i++ {
-		if ok, _ := b.Get("ns", fmt.Sprintf("gold%d", i), &out); !ok {
-			t.Fatalf("gold%d evicted while an expired lease was resident", i)
-		}
-	}
-	if got := b.pinned.Load(); got != 0 {
-		t.Fatalf("pinnedCount = %d after expired-lease reclaim, want 0", got)
-	}
-}
-
 func TestBoundedOversizeEntry(t *testing.T) {
 	b := NewMem(MemConfig{MaxBytes: 128, Stripes: 1})
 	// An entry bigger than the whole cap cannot wedge the store: it is
@@ -262,13 +148,11 @@ func TestBoundedConcurrent(t *testing.T) {
 			var out int
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("k%d", rng.Intn(200))
-				switch rng.Intn(4) {
+				switch rng.Intn(3) {
 				case 0:
 					_ = b.SetWeighted("ns", k, i, float64(rng.Intn(10)))
 				case 1:
 					_, _ = b.Get("ns", k, &out)
-				case 2:
-					_, _ = b.SetNX("ns", k, i)
 				default:
 					b.Delete("ns", k)
 				}
@@ -276,10 +160,8 @@ func TestBoundedConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// SetNX-created guards are pinned non-evictable, so the hard bound is
-	// the cap plus the resident pinned population (valve-bounded).
-	if got, pinned := b.Len(), int(b.pinned.Load()); got > 64+pinned {
-		t.Fatalf("cap breached under concurrency: %d resident, %d pinned", got, pinned)
+	if got := b.Len(); got > 64 {
+		t.Fatalf("cap breached under concurrency: %d resident", got)
 	}
 	// Internal byte accounting still agrees with a from-scratch count,
 	// per stripe (what the caps are checked against) and in total.

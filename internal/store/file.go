@@ -1,7 +1,6 @@
 // The persistent backend: a segmented append-only log with a full
 // in-memory index — the "persistent, consistent and durable storage
-// service" the paper says can replace its Redis tier (§5), and the
-// shared substrate Distributed Turbo replicas coordinate through.
+// service" the paper says can replace its Redis tier (§5).
 //
 // Layout. A directory of numbered segment files (seg-000001.log, ...).
 // Every mutation appends one length-prefixed, CRC-guarded record to the
@@ -30,10 +29,7 @@
 //
 // Sharing. One process owns a store directory at a time, enforced with
 // an exclusive flock on dir/LOCK — the log format has a single appender
-// by construction. N-replica deployments share one *File instance
-// in-process (the replica experiments and the CI smoke do exactly that);
-// sharing across machines is where a real Redis/object store slots into
-// the same Backend seam.
+// by construction.
 package store
 
 import (
@@ -47,7 +43,6 @@ import (
 	"strings"
 	"sync"
 	"syscall"
-	"time"
 )
 
 // FileConfig parameterizes a persistent file-backed store.
@@ -81,20 +76,17 @@ const (
 )
 
 // fileRecHeader is the fixed-size prefix of a record payload:
-// op(1) flags(1) weight(8) deadline(8) ttl(8) klen(4) vlen(4).
-const fileRecHeader = 1 + 1 + 8 + 8 + 8 + 4 + 4
+// op(1) reserved(1) weight(8) reserved(16) klen(4) vlen(4). The reserved
+// bytes held a pin flag and a lease deadline and ttl in older builds; they
+// are written zero and ignored on replay, so an old directory still opens
+// and its guard and lease records read back as plain entries.
+const fileRecHeader = 1 + 1 + 8 + 16 + 4 + 4
 
-// filePinnedFlag marks a pinned (guard/lease) entry.
-const filePinnedFlag = 1
-
-// fileEntry is one live index entry (same metadata the other backends
-// keep).
+// fileEntry is one live index entry (same metadata the other backend
+// keeps).
 type fileEntry struct {
-	val      []byte
-	weight   float64
-	pinned   bool
-	deadline int64
-	ttl      int64
+	val    []byte
+	weight float64
 }
 
 // File is the persistent file-backed Backend. Safe for concurrent use:
@@ -111,9 +103,6 @@ type File struct {
 	unsynced int   // mutations acknowledged since the last fsync
 	logged   int64 // records appended since the last compaction
 	version  uint64
-
-	// nowNanos is the lease clock (unix nanos); tests substitute a fake.
-	nowNanos func() int64
 
 	statsMu                     sync.Mutex
 	hits, misses, sets, deletes int64
@@ -145,10 +134,9 @@ func NewFile(cfg FileConfig) (*File, error) {
 		return nil, fmt.Errorf("store: %s is owned by another process: %w", cfg.Dir, err)
 	}
 	f := &File{
-		cfg:      cfg,
-		lock:     lock,
-		index:    make(map[string]*fileEntry),
-		nowNanos: func() int64 { return time.Now().UnixNano() },
+		cfg:   cfg,
+		lock:  lock,
+		index: make(map[string]*fileEntry),
 	}
 	if err := f.replay(); err != nil {
 		syscall.Flock(int(lock.Fd()), syscall.LOCK_UN)
@@ -239,13 +227,10 @@ func (f *File) replaySegment(n int, last bool) error {
 
 // record is one decoded log record.
 type record struct {
-	op       byte
-	pinned   bool
-	weight   float64
-	deadline int64
-	ttl      int64
-	key      string
-	val      []byte
+	op     byte
+	weight float64
+	key    string
+	val    []byte
 }
 
 // parseRecord decodes the record at the head of raw, returning the
@@ -267,10 +252,7 @@ func parseRecord(raw []byte) (record, int, bool) {
 	}
 	var r record
 	r.op = payload[0]
-	r.pinned = payload[1]&filePinnedFlag != 0
 	r.weight = math.Float64frombits(binary.LittleEndian.Uint64(payload[2:]))
-	r.deadline = int64(binary.LittleEndian.Uint64(payload[10:]))
-	r.ttl = int64(binary.LittleEndian.Uint64(payload[18:]))
 	klen := int(binary.LittleEndian.Uint32(payload[26:]))
 	vlen := int(binary.LittleEndian.Uint32(payload[30:]))
 	if fileRecHeader+klen+vlen != plen {
@@ -288,10 +270,7 @@ func parseRecord(raw []byte) (record, int, bool) {
 func (f *File) applyRecord(r record) {
 	switch r.op {
 	case fileOpSet:
-		f.index[r.key] = &fileEntry{
-			val: r.val, weight: r.weight, pinned: r.pinned,
-			deadline: r.deadline, ttl: r.ttl,
-		}
+		f.index[r.key] = &fileEntry{val: r.val, weight: r.weight}
 	case fileOpDelete:
 		delete(f.index, r.key)
 	}
@@ -324,8 +303,8 @@ func (f *File) syncDir() {
 
 // appendLocked encodes and appends one record, then applies the batched
 // fsync policy, rotating and compacting as needed. The caller holds f.mu.
-func (f *File) appendLocked(op byte, key string, val []byte, weight float64, pinned bool, deadline, ttl int64) error {
-	if err := f.appendRaw(op, key, val, weight, pinned, deadline, ttl); err != nil {
+func (f *File) appendLocked(op byte, key string, val []byte, weight float64) error {
+	if err := f.appendRaw(op, key, val, weight); err != nil {
 		return err
 	}
 	f.unsynced++
@@ -399,7 +378,7 @@ func (f *File) compactLocked() error {
 	f.logged = 0
 	for _, k := range keys {
 		e := f.index[k]
-		if err := f.appendRaw(fileOpSet, k, e.val, e.weight, e.pinned, e.deadline, e.ttl); err != nil {
+		if err := f.appendRaw(fileOpSet, k, e.val, e.weight); err != nil {
 			return err
 		}
 	}
@@ -424,18 +403,13 @@ func (f *File) compactLocked() error {
 
 // appendRaw encodes and writes one record with no fsync/rotation policy
 // (compaction drives those itself). The caller holds f.mu.
-func (f *File) appendRaw(op byte, key string, val []byte, weight float64, pinned bool, deadline, ttl int64) error {
+func (f *File) appendRaw(op byte, key string, val []byte, weight float64) error {
 	plen := fileRecHeader + len(key) + len(val)
 	buf := make([]byte, 4+plen+4)
 	binary.LittleEndian.PutUint32(buf, uint32(plen))
 	p := buf[4:]
 	p[0] = op
-	if pinned {
-		p[1] = filePinnedFlag
-	}
 	binary.LittleEndian.PutUint64(p[2:], math.Float64bits(weight))
-	binary.LittleEndian.PutUint64(p[10:], uint64(deadline))
-	binary.LittleEndian.PutUint64(p[18:], uint64(ttl))
 	binary.LittleEndian.PutUint32(p[26:], uint32(len(key)))
 	binary.LittleEndian.PutUint32(p[30:], uint32(len(val)))
 	copy(p[fileRecHeader:], key)
@@ -452,13 +426,7 @@ func (f *File) appendRaw(op byte, key string, val []byte, weight float64, pinned
 // fullKey joins a namespace and key into the log's record key.
 func fullKey(ns, k string) string { return ns + ":" + k }
 
-// expired reports whether e carries a lease whose deadline passed.
-func (f *File) expired(e *fileEntry) bool {
-	return e.deadline > 0 && f.nowNanos() > e.deadline
-}
-
-// Get loads ns:k into out. Expired leases count as absent (and are
-// tombstoned on observation); undecodable bytes are a poisoned entry —
+// Get loads ns:k into out. Undecodable bytes are a poisoned entry —
 // deleted, counted, reported as a miss plus the error.
 func (f *File) Get(ns, k string, out any) (bool, error) {
 	full := fullKey(ns, k)
@@ -466,13 +434,7 @@ func (f *File) Get(ns, k string, out any) (bool, error) {
 	e, ok := f.index[full]
 	var raw []byte
 	if ok {
-		if f.expired(e) {
-			delete(f.index, full)
-			_ = f.appendLocked(fileOpDelete, full, nil, 0, false, 0, 0)
-			ok = false
-		} else {
-			raw = e.val
-		}
+		raw = e.val
 	}
 	f.mu.Unlock()
 	if !ok {
@@ -483,7 +445,7 @@ func (f *File) Get(ns, k string, out any) (bool, error) {
 		f.mu.Lock()
 		if e2, ok2 := f.index[full]; ok2 && string(e2.val) == string(raw) {
 			delete(f.index, full)
-			_ = f.appendLocked(fileOpDelete, full, nil, 0, false, 0, 0)
+			_ = f.appendLocked(fileOpDelete, full, nil, 0)
 			f.version++
 		}
 		f.mu.Unlock()
@@ -510,7 +472,7 @@ func (f *File) SetWeighted(ns, k string, value any, weight float64) error {
 	full := fullKey(ns, k)
 	f.mu.Lock()
 	f.index[full] = &fileEntry{val: raw, weight: weight}
-	err = f.appendLocked(fileOpSet, full, raw, weight, false, 0, 0)
+	err = f.appendLocked(fileOpSet, full, raw, weight)
 	f.version++
 	f.mu.Unlock()
 	if err != nil {
@@ -520,73 +482,6 @@ func (f *File) SetWeighted(ns, k string, value any, weight float64) error {
 	return nil
 }
 
-// SetNX stores value under ns:k only if absent (a durable guard).
-func (f *File) SetNX(ns, k string, value any) (bool, error) {
-	return f.SetNXLease(ns, k, value, 0)
-}
-
-// SetNXLease stores value under ns:k only if absent or expired, leasing
-// it for ttl (ttl <= 0 = permanent guard).
-func (f *File) SetNXLease(ns, k string, value any, ttl time.Duration) (bool, error) {
-	raw, err := EncodeValue(ns, k, value)
-	if err != nil {
-		return false, err
-	}
-	full := fullKey(ns, k)
-	f.mu.Lock()
-	if e, ok := f.index[full]; ok && !f.expired(e) {
-		f.mu.Unlock()
-		return false, nil
-	}
-	var deadline, ttlN int64
-	if ttl > 0 {
-		ttlN = int64(ttl)
-		deadline = f.nowNanos() + ttlN
-	}
-	f.index[full] = &fileEntry{val: raw, pinned: true, deadline: deadline, ttl: ttlN}
-	err = f.appendLocked(fileOpSet, full, raw, 0, true, deadline, ttlN)
-	f.version++
-	f.mu.Unlock()
-	if err != nil {
-		return false, err
-	}
-	f.count(&f.sets)
-	return true, nil
-}
-
-// CompareSwap replaces the value under ns:k only if present, unexpired,
-// and byte-equal to the encoding of expect; weight and pin survive and a
-// leased key's deadline renews by its original ttl.
-func (f *File) CompareSwap(ns, k string, expect, next any) (bool, error) {
-	want, err := EncodeValue(ns, k, expect)
-	if err != nil {
-		return false, err
-	}
-	raw, err := EncodeValue(ns, k, next)
-	if err != nil {
-		return false, err
-	}
-	full := fullKey(ns, k)
-	f.mu.Lock()
-	e, ok := f.index[full]
-	if !ok || f.expired(e) || string(e.val) != string(want) {
-		f.mu.Unlock()
-		return false, nil
-	}
-	e.val = raw
-	if e.ttl > 0 {
-		e.deadline = f.nowNanos() + e.ttl
-	}
-	err = f.appendLocked(fileOpSet, full, raw, e.weight, e.pinned, e.deadline, e.ttl)
-	f.version++
-	f.mu.Unlock()
-	if err != nil {
-		return false, err
-	}
-	f.count(&f.sets)
-	return true, nil
-}
-
 // Delete removes ns:k, reporting whether it existed.
 func (f *File) Delete(ns, k string) bool {
 	full := fullKey(ns, k)
@@ -594,7 +489,7 @@ func (f *File) Delete(ns, k string) bool {
 	_, ok := f.index[full]
 	if ok {
 		delete(f.index, full)
-		_ = f.appendLocked(fileOpDelete, full, nil, 0, false, 0, 0)
+		_ = f.appendLocked(fileOpDelete, full, nil, 0)
 		f.version++
 	}
 	f.mu.Unlock()
@@ -605,8 +500,7 @@ func (f *File) Delete(ns, k string) bool {
 }
 
 // CompareDelete removes ns:k only if its stored bytes equal the encoding
-// of expect (expired leases count as absent — the holder no longer owns
-// the key).
+// of expect.
 func (f *File) CompareDelete(ns, k string, expect any) bool {
 	want, err := EncodeValue(ns, k, expect)
 	if err != nil {
@@ -615,9 +509,9 @@ func (f *File) CompareDelete(ns, k string, expect any) bool {
 	full := fullKey(ns, k)
 	f.mu.Lock()
 	e, ok := f.index[full]
-	if ok && !f.expired(e) && string(e.val) == string(want) {
+	if ok && string(e.val) == string(want) {
 		delete(f.index, full)
-		_ = f.appendLocked(fileOpDelete, full, nil, 0, false, 0, 0)
+		_ = f.appendLocked(fileOpDelete, full, nil, 0)
 		f.version++
 	} else {
 		ok = false
@@ -629,13 +523,13 @@ func (f *File) CompareDelete(ns, k string, expect any) bool {
 	return ok
 }
 
-// Keys returns the sorted keys of a namespace, skipping expired leases.
+// Keys returns the sorted keys of a namespace.
 func (f *File) Keys(ns string) []string {
 	prefix := ns + ":"
 	var out []string
 	f.mu.Lock()
-	for k, e := range f.index {
-		if strings.HasPrefix(k, prefix) && !f.expired(e) {
+	for k := range f.index {
+		if strings.HasPrefix(k, prefix) {
 			out = append(out, strings.TrimPrefix(k, prefix))
 		}
 	}
@@ -670,20 +564,15 @@ func (f *File) MemoryBytes() int {
 	return total
 }
 
-// ExportNamespace returns the stored bytes and metadata of every key in
-// ns; unexpired leases are live coordination state and are skipped.
+// ExportNamespace returns the stored bytes and eviction weight of every
+// key in ns.
 func (f *File) ExportNamespace(ns string) map[string]Exported {
 	prefix := ns + ":"
 	out := make(map[string]Exported)
 	f.mu.Lock()
 	for k, e := range f.index {
-		if !strings.HasPrefix(k, prefix) || e.deadline > 0 {
-			continue
-		}
-		out[strings.TrimPrefix(k, prefix)] = Exported{
-			Val:    append([]byte(nil), e.val...),
-			Weight: e.weight,
-			Pinned: e.pinned,
+		if strings.HasPrefix(k, prefix) {
+			out[strings.TrimPrefix(k, prefix)] = Exported{Val: append([]byte(nil), e.val...), Weight: e.weight}
 		}
 	}
 	f.mu.Unlock()
@@ -691,15 +580,15 @@ func (f *File) ExportNamespace(ns string) map[string]Exported {
 }
 
 // ImportNamespace replaces the contents of ns with previously-exported
-// entries (weights and pins round-trip), logging the replacement so it
-// is durable like any other mutation.
+// entries (weights round-trip), logging the replacement so it is durable
+// like any other mutation.
 func (f *File) ImportNamespace(ns string, data map[string]Exported) {
 	prefix := ns + ":"
 	f.mu.Lock()
 	for k := range f.index {
 		if strings.HasPrefix(k, prefix) {
 			delete(f.index, k)
-			_ = f.appendLocked(fileOpDelete, k, nil, 0, false, 0, 0)
+			_ = f.appendLocked(fileOpDelete, k, nil, 0)
 		}
 	}
 	keys := make([]string, 0, len(data))
@@ -711,8 +600,8 @@ func (f *File) ImportNamespace(ns string, data map[string]Exported) {
 		v := data[k]
 		full := prefix + k
 		val := append([]byte(nil), v.Val...)
-		f.index[full] = &fileEntry{val: val, weight: v.Weight, pinned: v.Pinned}
-		_ = f.appendLocked(fileOpSet, full, val, v.Weight, v.Pinned, 0, 0)
+		f.index[full] = &fileEntry{val: val, weight: v.Weight}
+		_ = f.appendLocked(fileOpSet, full, val, v.Weight)
 	}
 	f.version++
 	f.mu.Unlock()

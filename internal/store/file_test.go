@@ -1,12 +1,15 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 // newTestFile opens a file store in a fresh temp dir with every mutation
@@ -38,9 +41,6 @@ func TestFileSurvivesReopen(t *testing.T) {
 		}
 	}
 	f.Delete("ns", "k7")
-	if ok, err := f.SetNX("ns", "guard", "owner"); !ok || err != nil {
-		t.Fatalf("SetNX = %v, %v", ok, err)
-	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +63,7 @@ func TestFileSurvivesReopen(t *testing.T) {
 			t.Fatalf("replayed k%d = %d, %v", i, out, ok)
 		}
 	}
-	// Metadata replays too: the guard still excludes, the weight survives.
-	if ok, _ := g.SetNX("ns", "guard", "rival"); ok {
-		t.Fatal("guard lost across restart")
-	}
+	// Metadata replays too: the weight survives.
 	if w := g.ExportNamespace("ns")["k9"].Weight; w != 9 {
 		t.Fatalf("weight lost across restart: %g", w)
 	}
@@ -235,26 +232,75 @@ func TestFileLockExcludesSecondOpener(t *testing.T) {
 	g.Close()
 }
 
-// TestFileLeaseExpiresAcrossRestart checks what the contract suite cannot:
-// lease deadlines are absolute, so a reopened store under the real clock
-// sees a dead holder's lease expired — it never outlives its ttl.
-func TestFileLeaseExpiresAcrossRestart(t *testing.T) {
-	dir := t.TempDir()
-	f := newTestFile(t, FileConfig{Dir: dir})
-	f.nowNanos = func() int64 { return 300 }
-	if ok, err := f.SetNXLease("ns", "lease", "holder", 100); !ok || err != nil {
-		t.Fatalf("SetNXLease = %v, %v", ok, err)
-	}
-	f.Close()
-
-	g, err := NewFile(FileConfig{Dir: dir, SyncEvery: 1})
+// legacyRecord frames one set record the way builds with guards and
+// leases wrote it: a pin flag in payload byte 1, the lease deadline and ttl
+// in bytes 10–26.
+func legacyRecord(t *testing.T, key string, value any, flags byte, weight float64, deadline, ttl int64) []byte {
+	t.Helper()
+	val, err := EncodeValue("", key, value)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
-	var holder string
-	if ok, _ := g.Get("ns", "lease", &holder); ok {
-		t.Fatal("dead holder's lease survived restart")
+	plen := fileRecHeader + len(key) + len(val)
+	buf := make([]byte, 4+plen+4)
+	binary.LittleEndian.PutUint32(buf, uint32(plen))
+	p := buf[4 : 4+plen]
+	p[0], p[1] = fileOpSet, flags
+	binary.LittleEndian.PutUint64(p[2:], math.Float64bits(weight))
+	binary.LittleEndian.PutUint64(p[10:], uint64(deadline))
+	binary.LittleEndian.PutUint64(p[18:], uint64(ttl))
+	binary.LittleEndian.PutUint32(p[26:], uint32(len(key)))
+	binary.LittleEndian.PutUint32(p[30:], uint32(len(val)))
+	copy(p[fileRecHeader:], key)
+	copy(p[fileRecHeader+len(key):], val)
+	binary.LittleEndian.PutUint32(buf[4+plen:], crc32.ChecksumIEEE(p))
+	return buf
+}
+
+// TestFileOpensLegacyLog pins the on-disk compatibility promise: a
+// directory written by a build that had guards and leases still opens, its
+// pinned record and its (long expired) leased record read back as plain
+// entries, and the next rewrite of them zeroes the reserved bytes.
+func TestFileOpensLegacyLog(t *testing.T) {
+	dir := t.TempDir()
+	log := append(legacyRecord(t, "ns:guard", "owner", 1, 0, 0, 0),
+		legacyRecord(t, "ns:lease", "holder", 1, 2.5, 400, 100)...)
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f := newTestFile(t, FileConfig{Dir: dir})
+	for k, want := range map[string]string{"guard": "owner", "lease": "holder"} {
+		var got string
+		if ok, err := f.Get("ns", k, &got); !ok || err != nil || got != want {
+			t.Fatalf("legacy %s = %q, %v, %v", k, got, ok, err)
+		}
+	}
+	if keys := f.Keys("ns"); len(keys) != 2 {
+		t.Fatalf("Keys = %v, want both legacy records", keys)
+	}
+	if exp := f.ExportNamespace("ns"); len(exp) != 2 || exp["lease"].Weight != 2.5 {
+		t.Fatalf("export of the legacy records = %+v", exp)
+	}
+	// Plain entries: an overwrite is not refused, a delete is not guarded.
+	if err := f.Set("ns", "guard", "rival"); err != nil {
+		t.Fatal(err)
+	}
+	if !f.Delete("ns", "guard") {
+		t.Fatal("legacy guard not deletable")
+	}
+	if err := f.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, segName(f.segNum-1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, n, ok := parseRecord(raw)
+	if !ok || n != len(raw) || rec.key != "ns:lease" || rec.weight != 2.5 {
+		t.Fatalf("compacted segment holds %+v (%d of %d bytes, ok=%v)", rec, n, len(raw), ok)
+	}
+	if p := raw[4:]; p[1] != 0 || !bytes.Equal(p[10:26], make([]byte, 16)) {
+		t.Fatalf("reserved bytes rewritten as %x / %x, want zero", p[1], p[10:26])
 	}
 }
 
@@ -274,7 +320,7 @@ func TestFileConcurrent(t *testing.T) {
 				case 1:
 					_, _ = f.Get("ns", k, &out)
 				case 2:
-					_, _ = f.SetNXLease("ns", "lease-"+k, w, time.Minute)
+					f.CompareDelete("ns", k, i-2)
 				default:
 					f.Delete("ns", k)
 				}
@@ -287,18 +333,14 @@ func TestFileConcurrent(t *testing.T) {
 	}
 }
 
-// kvRegistryLayer adapts a byte slice to the persist test pattern
-// without importing internal/persist (store must stay dependency-light);
-// the crash-mid-checkpoint test drives the real persist.Registry from
-// the persist package's own tests. Here we pin the store-level property
-// that makes that safe: section-then-manifest write order, interrupted
-// anywhere, leaves every previously-acknowledged key readable after
-// replay.
+// TestFileCrashMidCheckpointReplay pins a store property: a multi-key
+// write sequence (sections, then the manifest that names them) interrupted
+// anywhere leaves every acknowledged, synced Set readable after an unclean
+// reopen.
 func TestFileCrashMidCheckpointReplay(t *testing.T) {
 	dir := t.TempDir()
 	f := newTestFile(t, FileConfig{Dir: dir})
-	// Checkpoint 1: two sections plus a manifest (write order mirrors
-	// persist.CaptureKV: sections first, manifest last).
+	// Checkpoint 1: two sections, then a manifest.
 	_ = f.Set("snap", "layer/a", []byte("alpha-v1"))
 	_ = f.Set("snap", "layer/b", []byte("beta-v1"))
 	_ = f.Set("snap", "!manifest", []string{"layer/a", "layer/b"})
@@ -327,8 +369,7 @@ func TestFileCrashMidCheckpointReplay(t *testing.T) {
 			t.Fatalf("section %q named by the manifest is unreadable: %v %v", name, ok, err)
 		}
 	}
-	// The torn checkpoint's acknowledged section write also survived
-	// (in-place overwrite caveat, documented on SaveKV).
+	// The torn checkpoint's acknowledged section write also survived.
 	var a []byte
 	if ok, _ := g.Get("snap", "layer/a", &a); !ok || string(a) != "alpha-v2" {
 		t.Fatalf("layer/a = %q, %v", a, ok)

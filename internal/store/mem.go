@@ -17,7 +17,6 @@
 // a chunk of its own). One entry is one self-delimiting record (arena.go):
 //
 //	next u32 | ns u16 | keyLen u16 | valLen+flags u32 | weight f64
-//	[deadline i64 | ttl i64]           only when leased
 //	key bytes | value bytes
 //	[newer u32 | older u32 | hot u8]   only in a capped store
 //
@@ -59,7 +58,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 const (
@@ -137,14 +135,11 @@ type Mem struct {
 	nsIDs   map[string]uint16
 	nsNames atomic.Pointer[[]string]
 
-	// nowNanos is the lease clock (unix nanos); tests substitute a fake.
-	nowNanos func() int64
-
 	// entries and bytes are the resident entry count and payload bytes
 	// (namespace + ":" + key + value), maintained under the stripe locks
 	// at insert, unlink and overwrite so Stats never walks the store;
-	// pinned is what the capped store's valve bounds, resident the sum of arena.held.
-	entries, bytes, pinned, resident atomic.Int64
+	// resident is the sum of arena.held.
+	entries, bytes, resident atomic.Int64
 
 	hits, misses, sets, deletes, evictions atomic.Int64
 	decodeErrors                           atomic.Int64
@@ -183,7 +178,6 @@ func newMem(cfg MemConfig, shift uint, maxChunks int) *Mem {
 		seed:     maphash.MakeSeed(),
 		hashMask: ^uint64(0),
 		nsIDs:    make(map[string]uint16),
-		nowNanos: func() int64 { return time.Now().UnixNano() },
 	}
 	s.nsNames.Store(new([]string))
 	for i := range s.stripes {
@@ -282,13 +276,6 @@ func (s *Mem) probe(ns, k string) (id uint16, h uint64, st *memStripe, ok bool) 
 	return id, h, s.stripe(h), true
 }
 
-// expired reports whether r carries a lease whose deadline passed. Expired
-// entries count as absent everywhere and are reclaimed lazily, by the
-// access that observes them or by eviction.
-func (s *Mem) expired(r rec) bool {
-	return r.leased() && s.nowNanos() > r.deadline()
-}
-
 // payload is what r adds to MemoryBytes and weighs against MaxBytes.
 func (s *Mem) payload(r rec) int {
 	return len((*s.nsNames.Load())[r.ns()]) + 1 + r.keyLen() + r.valLen()
@@ -302,9 +289,6 @@ func (s *Mem) account(st *memStripe, r rec, sign int) {
 	st.bytes += n
 	s.entries.Add(int64(sign))
 	s.bytes.Add(int64(n))
-	if r.pinned() {
-		s.pinned.Add(int64(sign))
-	}
 }
 
 // remove unlinks the record at off (found under hash h with chain
@@ -322,27 +306,27 @@ func (s *Mem) remove(st *memStripe, h uint64, off, prev uint32) {
 	st.kill(h, off, prev)
 }
 
-// put stores raw, stamped with m, under ns:k — whose current record, if
-// any, find reported at (old, prev) — and restores the caps. A record of
-// the same shape (value length, lease, pin) is overwritten in place;
-// otherwise the old one dies and a new one is appended. Overwriting counts
-// as a use. raw may be the arena's own scratch (SetWeighted). On error
-// nothing changed. Caller holds st.mu.
-func (s *Mem) put(st *memStripe, ns, k string, id uint16, h uint64, old, prev uint32, raw []byte, m meta) error {
+// put stores raw, with its eviction weight, under ns:k — whose current
+// record, if any, find reported at (old, prev) — and restores the caps. A
+// record of the same value length is overwritten in place; otherwise the
+// old one dies and a new one is appended. Overwriting counts as a use. raw
+// may be the arena's own scratch (SetWeighted). On error nothing changed.
+// Caller holds st.mu.
+func (s *Mem) put(st *memStripe, ns, k string, id uint16, h uint64, old, prev uint32, raw []byte, weight float64) error {
 	valLen := len(raw)
 	if valLen > maxValLen {
 		return fmt.Errorf("%w (%s:%s, %d bytes)", ErrValueTooLarge, ns, k, valLen)
 	}
 	if old != noOff {
-		if r := st.at(old); r.valLen() == valLen && r.leased() == m.leased() && r.pinned() == m.pinned {
-			r.setMeta(m)
+		if r := st.at(old); r.valLen() == valLen {
+			r.setWeight(weight)
 			copy(r.val(), raw)
 			s.touch(st, old)
 			s.evict(st)
 			return nil
 		}
 	}
-	n := m.hdrLen() + len(k) + valLen + st.ext
+	n := hdrLen + len(k) + valLen + st.ext
 	off, r, ok := st.alloc(n)
 	if !ok {
 		// Out of slots: dead records and released oversize chunks may be
@@ -362,7 +346,7 @@ func (s *Mem) put(st *memStripe, ns, k string, id uint16, h uint64, old, prev ui
 		hot = st.capped() && st.at(old).lru().hot()
 		s.remove(st, h, old, prev)
 	}
-	r.init(id, k, valLen, m)
+	r.init(id, k, valLen, weight)
 	copy(r.val(), raw)
 	st.link(h, off, n)
 	s.account(st, r, +1)
@@ -440,7 +424,6 @@ func (s *Mem) compact(st *memStripe) bool {
 
 // Set stores value under ns:k, encoded through the value's FastEncoder
 // when implemented (the hot-entry fixed-layout codec) and gob otherwise.
-// A plain write over a guard or lease makes it a plain entry again.
 func (s *Mem) Set(ns, k string, value any) error {
 	return s.SetWeighted(ns, k, value, 0)
 }
@@ -463,99 +446,22 @@ func (s *Mem) SetWeighted(ns, k string, value any, weight float64) error {
 	if err != nil {
 		return err
 	}
-	m := meta{weight: weight}
 	st.mu.Lock()
 	if fast {
 		// Where a new record's value would start. If the key turns out to
 		// have a same-length record already, put overwrites that instead
 		// and the tail stays uncommitted; if the tail is too short,
 		// AppendFast allocates and put copies it in.
-		raw = fe.AppendFast(st.scratch(m.hdrLen() + len(k)))
+		raw = fe.AppendFast(st.scratch(hdrLen + len(k)))
 	}
 	old, prev := st.find(h, id, k)
-	err = s.put(st, ns, k, id, h, old, prev, raw, m)
+	err = s.put(st, ns, k, id, h, old, prev, raw, weight)
 	st.mu.Unlock()
 	return s.wrote(err)
 }
 
-// SetNX stores value under ns:k only if the key is absent, reporting
-// whether it stored. The key is pinned: a not-present guard that memory
-// pressure can remove is not a guard.
-func (s *Mem) SetNX(ns, k string, value any) (bool, error) {
-	return s.SetNXLease(ns, k, value, 0)
-}
-
-// SetNXLease stores value under ns:k only if the key is absent or its
-// previous lease expired, leasing it for ttl (ttl <= 0 = permanent guard).
-// Stored keys are pinned; a capped store refuses one past its valve with
-// ErrPinnedCapacity.
-func (s *Mem) SetNXLease(ns, k string, value any, ttl time.Duration) (bool, error) {
-	raw, err := EncodeValue(ns, k, value)
-	if err != nil {
-		return false, err
-	}
-	id, h, st, err := s.slot(ns, k)
-	if err != nil {
-		return false, err
-	}
-	m := meta{pinned: true}
-	if ttl > 0 {
-		m.ttl = int64(ttl)
-		m.deadline = s.nowNanos() + m.ttl
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	old, prev := st.find(h, id, k)
-	if old != noOff && !s.expired(st.at(old)) {
-		return false, nil
-	}
-	// The valve is enforced per insert under the stripe lock; concurrent
-	// inserts on other stripes can overshoot by at most one entry each.
-	if !(old != noOff && st.at(old).pinned()) && s.valveFull() {
-		return false, ErrPinnedCapacity
-	}
-	err = s.put(st, ns, k, id, h, old, prev, raw, m)
-	return err == nil, s.wrote(err)
-}
-
-// CompareSwap replaces the value under ns:k only if it is present,
-// unexpired, and stores exactly the encoding of expect. Weight and pin
-// survive, and a leased key's deadline is renewed by its original ttl —
-// CompareSwap(ns, k, mine, mine) is lease renewal.
-func (s *Mem) CompareSwap(ns, k string, expect, next any) (bool, error) {
-	want, err := EncodeValue(ns, k, expect)
-	if err != nil {
-		return false, err
-	}
-	raw, err := EncodeValue(ns, k, next)
-	if err != nil {
-		return false, err
-	}
-	id, h, st, ok := s.probe(ns, k)
-	if !ok {
-		return false, nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	old, prev := st.find(h, id, k)
-	if old == noOff {
-		return false, nil
-	}
-	r := st.at(old)
-	if s.expired(r) || !bytes.Equal(r.val(), want) {
-		return false, nil
-	}
-	m := r.meta()
-	if m.leased() {
-		m.deadline = s.nowNanos() + m.ttl
-	}
-	err = s.put(st, ns, k, id, h, old, prev, raw, m)
-	return err == nil, s.wrote(err)
-}
-
 // Get loads ns:k into out (a pointer), reporting whether the key existed;
-// in a capped store a hit is a use. An expired lease counts as absent and
-// is reclaimed on the way out. Bytes that fail to decode are a poisoned
+// in a capped store a hit is a use. Bytes that fail to decode are a poisoned
 // entry, not a hit: the entry is deleted (byte-guarded against a
 // concurrent fresh Set), the decode-error counter bumps, and the caller
 // sees a miss plus the error — one corrupt byte costs a re-execution
@@ -571,12 +477,11 @@ func (s *Mem) Get(ns, k string, out any) (bool, error) {
 		s.misses.Add(1)
 		return false, nil
 	}
-	// What the lookup saw: no record, a FastDecoder hit, an expired lease,
-	// or bytes copied out for the gob fallback.
+	// What the lookup saw: no record, a FastDecoder hit, or bytes copied
+	// out for the gob fallback.
 	const (
 		absent = iota
 		hit
-		stale
 		copied
 	)
 	saw := absent
@@ -584,15 +489,11 @@ func (s *Mem) Get(ns, k string, out any) (bool, error) {
 	st.reader.Lock()
 	if off, _ := st.find(h, id, k); off != noOff {
 		r := st.at(off)
-		if s.expired(r) {
-			saw = stale
+		s.touch(st, off)
+		if fd, ok := out.(FastDecoder); ok && fd.DecodeFast(r.val()) {
+			saw = hit
 		} else {
-			s.touch(st, off)
-			if fd, ok := out.(FastDecoder); ok && fd.DecodeFast(r.val()) {
-				saw = hit
-			} else {
-				saw, raw = copied, append([]byte(nil), r.val()...)
-			}
+			saw, raw = copied, append([]byte(nil), r.val()...)
 		}
 	}
 	st.reader.Unlock()
@@ -600,9 +501,6 @@ func (s *Mem) Get(ns, k string, out any) (bool, error) {
 	case hit:
 		s.hits.Add(1)
 		return true, nil
-	case stale:
-		s.removeIf(st, id, h, k, s.expired)
-		fallthrough
 	case absent:
 		s.misses.Add(1)
 		return false, nil
@@ -626,16 +524,13 @@ func (s *Mem) Delete(ns, k string) bool {
 // CompareDelete removes ns:k only if its stored bytes equal the encoding
 // of expect, reporting whether a delete happened. It is the guarded
 // invalidation primitive: a concurrent Set of a fresh value changes the
-// bytes, so a stale-entry eviction can never erase it. An expired lease
-// counts as absent — its holder no longer owns the key.
+// bytes, so a stale-entry eviction can never erase it.
 func (s *Mem) CompareDelete(ns, k string, expect any) bool {
 	want, err := EncodeValue(ns, k, expect)
 	if err != nil {
 		return false
 	}
-	return s.deleteIf(ns, k, func(r rec) bool {
-		return !s.expired(r) && bytes.Equal(r.val(), want)
-	})
+	return s.deleteIf(ns, k, func(r rec) bool { return bytes.Equal(r.val(), want) })
 }
 
 // deleteIf removes ns:k when its record satisfies cond, as a caller's
@@ -682,15 +577,10 @@ func (s *Mem) scan(ns string, fn func(rec)) {
 	}
 }
 
-// Keys returns the sorted keys of a namespace (without the prefix),
-// skipping expired leases.
+// Keys returns the sorted keys of a namespace (without the prefix).
 func (s *Mem) Keys(ns string) []string {
 	var out []string
-	s.scan(ns, func(r rec) {
-		if !s.expired(r) {
-			out = append(out, string(r.key()))
-		}
-	})
+	s.scan(ns, func(r rec) { out = append(out, string(r.key())) })
 	sort.Strings(out)
 	return out
 }
@@ -708,30 +598,24 @@ func (s *Mem) Version() uint64 { return s.version.Load() }
 // also occupies.
 func (s *Mem) MemoryBytes() int { return int(s.bytes.Load()) }
 
-// ExportNamespace returns the stored bytes and metadata of every key in
-// ns (keys without the prefix), for per-namespace persistence: each exact
-// cache snapshots exactly the slice of the store it owns. Leases are live
-// coordination state and are skipped.
+// ExportNamespace returns the stored bytes and eviction weight of every
+// key in ns (keys without the prefix), for per-namespace persistence: each
+// exact cache snapshots exactly the slice of the store it owns.
 func (s *Mem) ExportNamespace(ns string) map[string]Exported {
 	out := make(map[string]Exported)
 	s.scan(ns, func(r rec) {
-		if !r.leased() {
-			out[string(r.key())] = Exported{Val: append([]byte(nil), r.val()...), Weight: r.weight(), Pinned: r.pinned()}
-		}
+		out[string(r.key())] = Exported{Val: append([]byte(nil), r.val()...), Weight: r.weight()}
 	})
 	return out
 }
 
 // ImportNamespace replaces the contents of ns with previously-exported
-// entries, leaving every other namespace untouched. Weights and pins
-// round-trip: a restored checkpoint must remember the ε paid per entry, or
-// the most expensive releases become first eviction victims. Entries go
-// in in key order, so what a capped store keeps of an import over its cap
-// does not depend on map iteration. An entry that breaches one of the
-// store's limits is left out — to the caching layers, a miss — and a pin
-// past a capped store's valve lands unpinned: losing a guard's pin on
-// restore degrades to the pre-guard recompute path, while refusing the
-// entry would silently drop data.
+// entries, leaving every other namespace untouched. Weights round-trip: a
+// restored checkpoint must remember the ε paid per entry, or the most
+// expensive releases become first eviction victims. Entries go in in key
+// order, so what a capped store keeps of an import over its cap does not
+// depend on map iteration. An entry that breaches one of the store's
+// limits is left out — to the caching layers, a miss.
 func (s *Mem) ImportNamespace(ns string, data map[string]Exported) {
 	id, interned := s.nsID(ns)
 	for i := range s.stripes {
@@ -764,7 +648,7 @@ func (s *Mem) ImportNamespace(ns string, data map[string]Exported) {
 		st.mu.Lock()
 		old, prev := st.find(h, id, k)
 		// A refused entry is left out, as documented.
-		_ = s.put(st, ns, k, id, h, old, prev, v.Val, meta{weight: v.Weight, pinned: v.Pinned && !s.valveFull()})
+		_ = s.put(st, ns, k, id, h, old, prev, v.Val, v.Weight)
 		st.mu.Unlock()
 	}
 	s.version.Add(1)

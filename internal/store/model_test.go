@@ -14,7 +14,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // fastEntry stands in for cache.Entry (which this package cannot import):
@@ -46,52 +45,43 @@ func (e *fastEntry) DecodeFast(data []byte) bool {
 // oracle is the two stores Mem used to be, kept as the reference the arena
 // is checked against: one map entry per key, and — what store.Bounded added
 // — a probation and a protected container/list with sampled lowest-weight
-// eviction. It differs from Bounded in two places, where Mem keeps the
-// rule the unbounded store and File already had: CompareDelete and Keys
-// treat an expired lease as absent. Imports go in in key order, as Mem's.
+// eviction. Imports go in in key order, as Mem's.
 type oracle struct {
 	data     map[string]*oracleEntry
-	now      *int64
 	version  uint64
 	poisoned int64
 
 	// The caps (0 = none) and the policy's state; front = most recent.
 	maxEnts, maxBytes, sample int
 	cold, hot                 *list.List
-	bytes, hotBytes, pinned   int
+	bytes, hotBytes           int
 	evictions                 int64
 	evictedCost               float64
 
 	// What the run exercised, so a test can tell it was not vacuous.
-	hotResized, demotions, expiredVictims, pinnedSkips int
+	hotResized, demotions int
 	// And of the index: table doublings, compactions that shrank a table,
 	// and eviction or import deletes of a record behind another in its chain.
 	doublings, shrinks, chained int
 }
 
 type oracleEntry struct {
-	key           string // ns:k
-	val           []byte
-	weight        float64
-	pinned        bool
-	deadline, ttl int64
-	elem          *list.Element
-	hot           bool
+	key    string // ns:k
+	val    []byte
+	weight float64
+	elem   *list.Element
+	hot    bool
 }
 
-func newOracle(now *int64, cfg MemConfig) *oracle {
+func newOracle(cfg MemConfig) *oracle {
 	return &oracle{
-		data: make(map[string]*oracleEntry), now: now,
+		data:    make(map[string]*oracleEntry),
 		maxEnts: cfg.MaxEntries, maxBytes: cfg.MaxBytes, sample: cfg.Sample,
 		cold: list.New(), hot: list.New(),
 	}
 }
 
-func (o *oracle) capped() bool { return o.maxEnts > 0 || o.maxBytes > 0 }
-
 func (e *oracleEntry) size() int { return len(e.key) + len(e.val) }
-
-func (o *oracle) expired(e *oracleEntry) bool { return e.ttl > 0 && *o.now > e.deadline }
 
 func enc(t *testing.T, v any) []byte {
 	t.Helper()
@@ -103,32 +93,21 @@ func enc(t *testing.T, v any) []byte {
 }
 
 // insert places or replaces an entry and restores the caps.
-func (o *oracle) insert(full string, val []byte, weight float64, pinned bool, deadline, ttl int64) {
+func (o *oracle) insert(full string, val []byte, weight float64) {
 	if e, ok := o.data[full]; ok {
 		if e.hot && len(val) != len(e.val) {
 			o.hotResized++
 		}
 		o.setVal(e, val)
-		if e.pinned != pinned {
-			o.pinned += btoi(pinned) - btoi(e.pinned)
-		}
-		e.weight, e.pinned, e.deadline, e.ttl = weight, pinned, deadline, ttl
+		e.weight = weight
 		o.touch(e)
 	} else {
-		e := &oracleEntry{key: full, val: val, weight: weight, pinned: pinned, deadline: deadline, ttl: ttl}
+		e := &oracleEntry{key: full, val: val, weight: weight}
 		e.elem = o.cold.PushFront(e)
 		o.data[full] = e
 		o.bytes += e.size()
-		o.pinned += btoi(pinned)
 	}
 	o.evict()
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func (o *oracle) setVal(e *oracleEntry, val []byte) {
@@ -172,7 +151,6 @@ func (o *oracle) remove(e *oracleEntry) {
 	}
 	o.bytes -= e.size()
 	delete(o.data, e.key)
-	o.pinned -= btoi(e.pinned)
 }
 
 func (o *oracle) evict() {
@@ -185,33 +163,20 @@ func (o *oracle) evict() {
 		if victim == nil {
 			victim = o.sampleVictim(o.hot)
 		}
-		if victim == nil {
-			return
-		}
 		o.remove(victim)
 		o.evictions++
 		o.evictedCost += victim.weight
 	}
 }
 
-// sampleVictim examines up to sample unpinned entries from the cold tail:
-// lowest weight goes, ties to the colder; an expired lease goes at once;
-// live pins are skipped without using up the sample.
+// sampleVictim examines up to sample entries from the cold tail: lowest
+// weight goes, ties to the colder.
 func (o *oracle) sampleVictim(seg *list.List) *oracleEntry {
 	var victim *oracleEntry
 	examined := 0
 	for elem := seg.Back(); elem != nil && examined < o.sample; elem = elem.Prev() {
-		e := elem.Value.(*oracleEntry)
-		if o.expired(e) {
-			o.expiredVictims++
-			return e
-		}
-		if e.pinned {
-			o.pinnedSkips++
-			continue
-		}
 		examined++
-		if victim == nil || e.weight < victim.weight {
+		if e := elem.Value.(*oracleEntry); victim == nil || e.weight < victim.weight {
 			victim = e
 		}
 	}
@@ -219,54 +184,15 @@ func (o *oracle) sampleVictim(seg *list.List) *oracleEntry {
 }
 
 func (o *oracle) setWeighted(full string, raw []byte, w float64) {
-	o.insert(full, raw, w, false, 0, 0)
+	o.insert(full, raw, w)
 	o.version++
 }
 
-func (o *oracle) setNXLease(full string, raw []byte, ttl int64) (bool, error) {
-	e, ok := o.data[full]
-	if ok && !o.expired(e) {
-		return false, nil
-	}
-	if !(ok && e.pinned) && o.capped() && o.pinned >= maxPinned {
-		return false, ErrPinnedCapacity
-	}
-	var deadline int64
-	if ttl > 0 {
-		deadline = *o.now + ttl
-	}
-	o.insert(full, raw, 0, true, deadline, ttl)
-	o.version++
-	return true, nil
-}
-
-func (o *oracle) compareSwap(full string, want, raw []byte) bool {
-	e, ok := o.data[full]
-	if !ok || o.expired(e) || !bytes.Equal(e.val, want) {
-		return false
-	}
-	if e.hot && len(raw) != len(e.val) {
-		o.hotResized++
-	}
-	o.setVal(e, raw)
-	if e.ttl > 0 {
-		e.deadline = *o.now + e.ttl
-	}
-	o.touch(e)
-	o.evict()
-	o.version++
-	return true
-}
-
-// get mirrors Get's reclaim of an expired lease and its touch; the caller
-// reports a value that would not decode through poison.
+// get mirrors Get's touch; the caller reports a value that would not
+// decode through poison.
 func (o *oracle) get(full string) ([]byte, bool) {
 	e, ok := o.data[full]
 	if !ok {
-		return nil, false
-	}
-	if o.expired(e) {
-		o.remove(e)
 		return nil, false
 	}
 	o.touch(e)
@@ -291,7 +217,7 @@ func (o *oracle) del(full string) bool {
 
 func (o *oracle) compareDelete(full string, want []byte) bool {
 	e, ok := o.data[full]
-	if !ok || o.expired(e) || !bytes.Equal(e.val, want) {
+	if !ok || !bytes.Equal(e.val, want) {
 		return false
 	}
 	o.remove(e)
@@ -302,8 +228,8 @@ func (o *oracle) compareDelete(full string, want []byte) bool {
 func (o *oracle) export(ns string) map[string]Exported {
 	out := make(map[string]Exported)
 	for full, e := range o.data {
-		if k, ok := strings.CutPrefix(full, ns+":"); ok && e.ttl == 0 {
-			out[k] = Exported{Val: e.val, Weight: e.weight, Pinned: e.pinned}
+		if k, ok := strings.CutPrefix(full, ns+":"); ok {
+			out[k] = Exported{Val: e.val, Weight: e.weight}
 		}
 	}
 	return out
@@ -321,17 +247,15 @@ func (o *oracle) importNS(ns string, data map[string]Exported) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		v := data[k]
-		pinned := v.Pinned && !(o.capped() && o.pinned >= maxPinned)
-		o.insert(ns+":"+k, v.Val, v.Weight, pinned, 0, 0)
+		o.insert(ns+":"+k, data[k].Val, data[k].Weight)
 	}
 	o.version++
 }
 
 func (o *oracle) keys(ns string) []string {
 	var out []string
-	for full, e := range o.data {
-		if k, ok := strings.CutPrefix(full, ns+":"); ok && !o.expired(e) {
+	for full := range o.data {
+		if k, ok := strings.CutPrefix(full, ns+":"); ok {
 			out = append(out, k)
 		}
 	}
@@ -397,8 +321,6 @@ func TestModel(t *testing.T) {
 				seen.evictions += o.evictions
 				seen.hotResized += o.hotResized
 				seen.demotions += o.demotions
-				seen.expiredVictims += o.expiredVictims
-				seen.pinnedSkips += o.pinnedSkips
 				seen.doublings += o.doublings
 				seen.shrinks += o.shrinks
 				seen.chained += o.chained
@@ -411,12 +333,10 @@ func TestModel(t *testing.T) {
 			if !tc.cfg.capped() {
 				return
 			}
-			t.Logf("%d evictions, %d resized hot entries, %d demotions, %d expired victims, %d pinned skips",
-				seen.evictions, seen.hotResized, seen.demotions, seen.expiredVictims, seen.pinnedSkips)
-			if seen.evictions == 0 || seen.hotResized == 0 || seen.expiredVictims == 0 || seen.pinnedSkips == 0 ||
-				(seen.demotions == 0) != (tc.cfg.MaxBytes == 0) {
-				t.Fatalf("the runs never exercised part of the policy: %d evictions, %d resized hot entries, %d demotions, %d expired victims, %d pinned skips",
-					seen.evictions, seen.hotResized, seen.demotions, seen.expiredVictims, seen.pinnedSkips)
+			t.Logf("%d evictions, %d resized hot entries, %d demotions", seen.evictions, seen.hotResized, seen.demotions)
+			if seen.evictions == 0 || seen.hotResized == 0 || (seen.demotions == 0) != (tc.cfg.MaxBytes == 0) {
+				t.Fatalf("the runs never exercised part of the policy: %d evictions, %d resized hot entries, %d demotions",
+					seen.evictions, seen.hotResized, seen.demotions)
 			}
 		})
 	}
@@ -424,11 +344,9 @@ func TestModel(t *testing.T) {
 
 func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 	rng := rand.New(rand.NewSource(seed))
-	var now int64 = 1
 	s := newMem(cfg, 7, 1<<20)
 	s.hashMask = mask
-	s.nowNanos = func() int64 { return now }
-	o := newOracle(&now, cfg)
+	o := newOracle(cfg)
 
 	// No namespace contains ':', where the oracle's joined keys and the
 	// arena's interned ids would disagree about what a prefix means.
@@ -463,11 +381,11 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 		at := fmt.Sprintf("seed %d step %d %s", seed, step, full)
 		before := s.stripes[0].chunks
 		tables := tableSizes(s)
-		op := rng.Intn(33)
-		if op%11 == 9 && op != 9 {
-			op = 6 // an import wipes a namespace's LRU history: a third as often
+		op := rng.Intn(24)
+		if op%8 == 6 && op != 6 {
+			op = 4 // an import wipes a namespace's LRU history: a third as often
 		}
-		switch op % 11 {
+		switch op % 8 {
 		case 0, 1:
 			v, w := value(), float64(rng.Intn(3))
 			if err := s.SetWeighted(ns, k, v, w); err != nil {
@@ -475,30 +393,10 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 			}
 			o.setWeighted(full, enc(t, v), w)
 		case 2:
-			v := value()
-			var ttl int64
-			if rng.Intn(2) == 0 {
-				ttl = int64(1 + rng.Intn(50))
-			}
-			got, err := s.SetNXLease(ns, k, v, time.Duration(ttl))
-			if want, wantErr := o.setNXLease(full, enc(t, v), ttl); err != wantErr || got != want {
-				t.Fatalf("%s: SetNXLease = %v, %v; oracle %v, %v", at, got, err, want, wantErr)
-			}
-		case 3:
-			// Half the time expect what is stored, so swaps succeed.
-			expect, next := value(), value()
-			if e, ok := o.data[full]; ok && rng.Intn(2) == 0 {
-				expect = rawValue(e.val)
-			}
-			got, err := s.CompareSwap(ns, k, expect, next)
-			if want := o.compareSwap(full, enc(t, expect), enc(t, next)); err != nil || got != want {
-				t.Fatalf("%s: CompareSwap = %v, %v; oracle %v", at, got, err, want)
-			}
-		case 4:
 			if got, want := s.Delete(ns, k), o.del(full); got != want {
 				t.Fatalf("%s: Delete = %v; oracle %v", at, got, want)
 			}
-		case 5:
+		case 3:
 			expect := value()
 			if e, ok := o.data[full]; ok && rng.Intn(2) == 0 {
 				expect = rawValue(e.val)
@@ -506,7 +404,7 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 			if got, want := s.CompareDelete(ns, k, expect), o.compareDelete(full, enc(t, expect)); got != want {
 				t.Fatalf("%s: CompareDelete = %v; oracle %v", at, got, want)
 			}
-		case 6, 7:
+		case 4, 5:
 			// Decode as an entry or as a string; the wrong guess is the
 			// poisoned-entry path, which deletes.
 			raw, want := o.get(full)
@@ -542,9 +440,7 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 					t.Fatalf("%s: Get decoded %x, oracle holds %x", at, reenc, raw)
 				}
 			}
-		case 8:
-			now += int64(rng.Intn(30))
-		case 9:
+		case 6:
 			// Round-trip a namespace through export/import into another.
 			src, dst := ns, nss[rng.Intn(len(nss))]
 			data := s.ExportNamespace(src)
@@ -556,7 +452,7 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 			}
 			s.ImportNamespace(dst, data)
 			o.importNS(dst, data)
-		case 10:
+		case 7:
 			if got, want := s.Keys(ns), o.keys(ns); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: Keys = %v; oracle %v", at, got, want)
 			}
@@ -571,10 +467,10 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 		}
 		st := s.Stats()
 		if s.Len() != len(o.data) || s.MemoryBytes() != o.bytes || s.Version() != o.version ||
-			st.Evictions != o.evictions || st.EvictedCost != o.evictedCost || int(s.pinned.Load()) != o.pinned {
-			t.Fatalf("%s: Len %d Bytes %d Version %d Evictions %d (cost %g) pinned %d; oracle %d %d %d %d (%g) %d", at,
-				s.Len(), s.MemoryBytes(), s.Version(), st.Evictions, st.EvictedCost, s.pinned.Load(),
-				len(o.data), o.bytes, o.version, o.evictions, o.evictedCost, o.pinned)
+			st.Evictions != o.evictions || st.EvictedCost != o.evictedCost {
+			t.Fatalf("%s: Len %d Bytes %d Version %d Evictions %d (cost %g); oracle %d %d %d %d (%g)", at,
+				s.Len(), s.MemoryBytes(), s.Version(), st.Evictions, st.EvictedCost,
+				len(o.data), o.bytes, o.version, o.evictions, o.evictedCost)
 		}
 		if cfg.capped() {
 			// One stripe, so its segments are the oracle's lists.
@@ -786,9 +682,6 @@ func TestLimitsFailClosed(t *testing.T) {
 		if err := s.Set("ns", long, 1); !errors.Is(err, ErrKeyTooLong) {
 			t.Fatalf("Set = %v, want ErrKeyTooLong", err)
 		}
-		if ok, err := s.SetNX("ns", long, 1); ok || !errors.Is(err, ErrKeyTooLong) {
-			t.Fatalf("SetNX = %v, %v", ok, err)
-		}
 		s.ImportNamespace("ns", map[string]Exported{long: {Val: []byte{1}}, "ok": {Val: []byte{2}}})
 		var v int
 		if ok, _ := s.Get("ns", long, &v); ok || s.Delete("ns", long) || s.Len() != 1 {
@@ -839,8 +732,8 @@ func TestLimitsFailClosed(t *testing.T) {
 		if s.Len() != stored {
 			t.Fatalf("Len = %d after %d successful sets", s.Len(), stored)
 		}
-		if ok, err := s.SetNX("ns", "oversize", strings.Repeat("v", 1000)); ok || !errors.Is(err, ErrArenaFull) {
-			t.Fatalf("SetNX into a full arena = %v, %v", ok, err)
+		if err := s.Set("ns", "oversize", strings.Repeat("v", 1000)); !errors.Is(err, ErrArenaFull) {
+			t.Fatalf("oversize Set into a full arena = %v", err)
 		}
 		// A refused overwrite leaves the old value standing.
 		if err := s.Set("ns", "k0", strings.Repeat("w", 41)); !errors.Is(err, ErrArenaFull) {
@@ -890,8 +783,7 @@ func TestNamespaceWithColon(t *testing.T) {
 }
 
 // TestOversizeValueReleased pins that a value larger than a chunk gives
-// its memory back when it is replaced, without waiting for compaction —
-// the persist layer rewrites multi-megabyte section payloads in place.
+// its memory back when it is replaced, without waiting for compaction.
 func TestOversizeValueReleased(t *testing.T) {
 	s := NewMem(MemConfig{})
 	big := make([]byte, 1<<20)

@@ -9,22 +9,21 @@
 // deployment choice, not an architectural one.
 //
 // Semantics every Backend must provide (the Redis subset Turbo relies
-// on): namespaced string keys with gob-encoded values, set-if-absent,
-// guarded delete (CompareDelete — the stale-entry invalidation
-// primitive), namespace scans, and per-namespace export/import for
-// snapshot sections. Backends are free to evict under memory pressure:
-// the caching layers treat every entry as a re-derivable DP release, so
-// a missing key is a cache miss that re-executes — and re-pays — through
-// the session's single-flight path. Eviction may cost budget on
-// recompute; it can never corrupt the accountant, which is charged at
-// execution time and never lives in a Backend entry.
+// on): namespaced string keys with gob-encoded values, guarded delete
+// (CompareDelete — the stale-entry invalidation primitive), namespace
+// scans, and per-namespace export/import for snapshot sections. Backends
+// are free to evict under memory pressure: the caching layers treat every
+// entry as a re-derivable DP release, so a missing key is a cache miss
+// that re-executes — and re-pays — through the session's single-flight
+// path. Eviction may cost budget on recompute; it can never corrupt the
+// accountant, which is charged at execution time and never lives in a
+// Backend entry.
 package store
 
 import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"time"
 )
 
 // FastEncoder is implemented by values that provide their own fixed-layout
@@ -97,8 +96,8 @@ type Stats struct {
 	Backend string
 	// Hits and Misses count Get outcomes (key present / absent).
 	Hits, Misses int64
-	// Sets and Deletes count successful mutations (SetNX that declined
-	// and CompareDelete that mismatched do not count).
+	// Sets and Deletes count successful mutations (a CompareDelete that
+	// mismatched does not count).
 	Sets, Deletes int64
 	// Evictions counts entries removed by memory pressure (never by
 	// Delete/CompareDelete); EvictedCost sums their eviction weights —
@@ -130,15 +129,10 @@ type Stats struct {
 // metadata a faithful re-import needs. Weight is the entry's eviction
 // weight (the ε paid to materialize it) — before exports carried it, a
 // restored checkpoint forgot the per-entry privacy cost and the most
-// expensive releases became first eviction victims. Pinned marks
-// guard/lease entries that memory pressure must never evict. Lease
-// deadlines are deliberately NOT exported: leases are live coordination
-// state (flight leadership, partition ownership), meaningless in a
-// snapshot; backends skip unexpired leases on export.
+// expensive releases became first eviction victims.
 type Exported struct {
 	Val    []byte
 	Weight float64
-	Pinned bool
 }
 
 // Backend is the storage interface the caching layers program against.
@@ -155,26 +149,6 @@ type Backend interface {
 	// entries last, since evicting a DP release means re-paying its
 	// budget on recompute; unbounded backends ignore the weight.
 	SetWeighted(ns, k string, value any, weight float64) error
-	// SetNX stores value under ns:k only if the key is absent, reporting
-	// whether it stored. A key created this way is a guard: memory-bounded
-	// backends pin it non-evictable (a not-present guard that eviction can
-	// remove is not a guard), within a bounded pinned-entry safety valve.
-	SetNX(ns, k string, value any) (bool, error)
-	// SetNXLease stores value under ns:k only if the key is absent or its
-	// previous lease has expired, reporting whether it stored. ttl > 0
-	// leases the key: it expires ttl from now unless renewed through
-	// CompareSwap, and an expired key counts as absent everywhere. ttl <= 0
-	// stores a permanent guard (exactly SetNX). Lease keys are pinned
-	// non-evictable in memory-bounded backends — they are the cross-replica
-	// coordination primitive (single-flight leadership, partition budget
-	// ownership), and evicting one would break mutual exclusion.
-	SetNXLease(ns, k string, value any, ttl time.Duration) (bool, error)
-	// CompareSwap replaces the value under ns:k only if the key is present,
-	// unexpired, and its stored bytes equal the encoding of expect,
-	// reporting whether it swapped. A successful swap preserves the entry's
-	// weight and pin and renews a leased key's deadline by its original
-	// ttl — CompareSwap(ns, k, mine, mine) is lease renewal.
-	CompareSwap(ns, k string, expect, next any) (bool, error)
 	// Delete removes ns:k, reporting whether it existed.
 	Delete(ns, k string) bool
 	// CompareDelete removes ns:k only if its stored bytes equal the
@@ -191,15 +165,14 @@ type Backend interface {
 	// MemoryBytes returns the resident size of stored keys plus values —
 	// the §6.5 memory metric.
 	MemoryBytes() int
-	// ExportNamespace returns the stored bytes and metadata (eviction
-	// weight, pin) of every key in ns, for per-namespace persistence
-	// sections and backend-to-backend migration. Unexpired leases are
-	// live coordination state and are skipped.
+	// ExportNamespace returns the stored bytes and eviction weight of
+	// every key in ns, for per-namespace persistence sections and
+	// backend-to-backend migration.
 	ExportNamespace(ns string) map[string]Exported
 	// ImportNamespace replaces the contents of ns with previously
 	// exported entries, leaving every other namespace untouched. Weights
-	// and pins round-trip, so a memory-bounded backend's eviction
-	// priority survives a restore.
+	// round-trip, so a memory-bounded backend's eviction priority
+	// survives a restore.
 	ImportNamespace(ns string, data map[string]Exported)
 	// Stats returns the backend's counters and memory accounting.
 	Stats() Stats

@@ -52,8 +52,8 @@ type NodeState struct {
 
 // ExportNodes snapshots every materialized node across all state shards,
 // sorted by interval so identical tree states export byte-identically
-// (the KV checkpoint's hash-skipping depends on deterministic payloads;
-// shard maps iterate in random order).
+// (shard maps iterate in random order; TestSnapshotBytesDeterministic
+// pins the whole envelope).
 func (t *Tree) ExportNodes() []NodeState {
 	var out []NodeState
 	t.forEachShard(func(sh *stateShard) {
