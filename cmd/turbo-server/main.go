@@ -58,10 +58,8 @@ func main() {
 		shards      = flag.Int("shards", runtime.NumCPU(), "concurrent executor shards (partitioned modes)")
 		statePath   = flag.String("state", "", "snapshot file: restored at boot if present, written atomically on SIGINT/SIGTERM")
 		backlog     = flag.Int("append-backlog", 0, "bound on queued /append batches; overflow sheds with 503 (0 = unbounded)")
-		storeKind   = flag.String("store", "map", "storage backend: map (unbounded striped map) | bounded (memory-bounded segmented LRU, privacy-cost-aware eviction) | file (persistent append-only log, crash-recovering)")
-		storePath   = flag.String("store-path", "", "directory of the persistent log for -store=file (required)")
-		storeMaxMB  = flag.Int("store-max-mb", 64, "cache-store bound in MiB of payload (key + value bytes, what /schema reports) for -store=bounded; resident memory, /schema's resident_bytes, is about 1.6x that (0 = bytes unbounded)")
-		storeMaxEnt = flag.Int("store-max-entries", 0, "resident cache-store entry bound for -store=bounded (0 = entries unbounded)")
+		storeMaxMB  = flag.Int("store-max-mb", 0, "cache-store bound in MiB of payload (key + value bytes, what /schema reports); resident memory, /schema's resident_bytes, is about 1.6x that (0 = bytes unbounded). Either bound > 0 makes the store a segmented LRU with privacy-cost-aware eviction")
+		storeMaxEnt = flag.Int("store-max-entries", 0, "resident cache-store entry bound (0 = entries unbounded)")
 		ckptEvery   = flag.Duration("checkpoint-interval", 0, "background checkpoint period for -state (0 disables; failures log and retry next tick)")
 		pprofAddr   = flag.String("pprof", "", "expose net/http/pprof on this separate address (e.g. 127.0.0.1:6060); empty disables")
 	)
@@ -69,11 +67,14 @@ func main() {
 	if *ckptEvery > 0 && *statePath == "" {
 		log.Fatal("turbo-server: -checkpoint-interval needs -state, the snapshot file it writes")
 	}
+	memCfg, err := storeConfig(*storeMaxMB, *storeMaxEnt)
+	if err != nil {
+		log.Fatalf("turbo-server: %v", err)
+	}
 
 	var (
 		ds    *dataset.Dataset
 		table string
-		err   error
 	)
 	switch *datasetName {
 	case "covid":
@@ -103,33 +104,11 @@ func main() {
 	cfg := core.Config{
 		Mode: m, Alpha: *alpha, Beta: *beta, EpsilonGlobal: *epsG,
 		Structure: tree.Binary, NodeExactCache: true, Seed: *seed,
-		Shards: *shards,
+		Shards: *shards, Backend: store.NewMem(memCfg),
 	}
 	if *gaussian {
 		cfg.Gaussian = true
 		cfg.DeltaGlobal = *deltaG
-	}
-	var fileStore *store.File
-	switch *storeKind {
-	case "map":
-		// nil Backend: the session defaults to the unbounded striped map.
-	case "bounded":
-		cfg.Backend = store.NewMem(store.MemConfig{
-			MaxBytes:   *storeMaxMB << 20,
-			MaxEntries: *storeMaxEnt,
-		})
-	case "file":
-		if *storePath == "" {
-			log.Fatal("turbo-server: -store=file needs -store-path")
-		}
-		fileStore, err = store.NewFile(store.FileConfig{Dir: *storePath})
-		if err != nil {
-			log.Fatalf("turbo-server: open file store: %v", err)
-		}
-		defer fileStore.Close()
-		cfg.Backend = fileStore
-	default:
-		log.Fatalf("turbo-server: unknown store %q (map|bounded|file)", *storeKind)
 	}
 	sess, err := core.NewSession(cfg, ds)
 	if err != nil {
@@ -272,4 +251,18 @@ func main() {
 		}
 		fmt.Printf("checkpointed state to %s\n", *statePath)
 	}
+}
+
+// storeConfig maps -store-max-mb and -store-max-entries to the store's
+// config: the zero MemConfig (uncapped) when both are 0, a capped store
+// when either is positive. A negative cap is refused — store.Mem would
+// read it as no cap at all.
+func storeConfig(maxMB, maxEntries int) (store.MemConfig, error) {
+	if maxMB < 0 {
+		return store.MemConfig{}, fmt.Errorf("-store-max-mb %d is negative (0 = bytes unbounded)", maxMB)
+	}
+	if maxEntries < 0 {
+		return store.MemConfig{}, fmt.Errorf("-store-max-entries %d is negative (0 = entries unbounded)", maxEntries)
+	}
+	return store.MemConfig{MaxBytes: maxMB << 20, MaxEntries: maxEntries}, nil
 }

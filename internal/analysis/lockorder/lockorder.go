@@ -17,8 +17,7 @@
 //	  < tree.Tree.shardMu < cache.exactStripe.mu
 //	  < accountant.Block.mu
 //	  < store.Mem.nsMu
-//	  < { store.memStripe.mu , store.File.mu }
-//	  < store.File.statsMu
+//	  < store.memStripe.mu
 //
 // accountant.Block.mu is the accountant package's only mutex: one set of
 // books, one lock, nothing to nest inside the package. It is a leaf —
@@ -26,9 +25,7 @@
 // locks a payer may hold when it calls in (the session, shard and cache
 // locks above it). store.Mem.nsMu, the
 // namespace-intern lock, is taken and released before a stripe lock and
-// never inside one (every operation resolves its namespace id first);
-// store.File.statsMu ranks below store.File.mu because compaction bumps
-// its counter while holding the log mutex.
+// never inside one (every operation resolves its namespace id first).
 //
 // The tree's shard locks are acquired twice per query under the
 // split-phase Run discipline (a locked claim, an unlocked execute, a
@@ -78,8 +75,6 @@ var Ranks = map[string]int{
 	"accountant.Block.mu":    55,
 	"store.Mem.nsMu":         58,
 	"store.memStripe.mu":     60,
-	"store.File.mu":          60,
-	"store.File.statsMu":     65,
 }
 
 // WindowClass marks the lock families whose members share a rank and may

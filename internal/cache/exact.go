@@ -109,10 +109,10 @@ func NewExactBounded(b store.Backend, ns string, maxFast int) (*Exact, error) {
 // stripeCount <= 1 keeps one stripe over the plain namespace ns.
 //
 // A new cache starts empty: whatever b already holds under its namespaces
-// (a reopened store.File, a backend an earlier session used) is releases
-// charged to books this cache's owner does not have, so each stripe's
-// namespace is cleared here. Entries that do come with their books return
-// through RestorePayload, from the snapshot that carries the accountant too.
+// (a backend an earlier session used) is releases charged to books this
+// cache's owner does not have, so each stripe's namespace is cleared here.
+// Entries that do come with their books return through RestorePayload,
+// from the snapshot that carries the accountant too.
 func NewExactSharded(b store.Backend, ns string, maxFast, shardWidth, stripeCount int) (*Exact, error) {
 	if b == nil {
 		return nil, fmt.Errorf("%w (namespace %q)", ErrNilBackend, ns)

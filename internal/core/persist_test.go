@@ -791,35 +791,15 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 // TestFreshBooksStartWithEmptyCaches pins that a release is never servable
 // on books that do not hold its charge: NewSession builds a zeroed
 // accountant, so whatever its backend already caches — another session's
-// fills in a shared store.Mem, a reopened store.File's replayed log — was
-// paid for elsewhere and must not be served as a free exact hit.
+// fills in a shared store.Mem — was paid for elsewhere and must not be
+// served as a free exact hit.
 func TestFreshBooksStartWithEmptyCaches(t *testing.T) {
 	mem := store.NewMem(store.MemConfig{})
-	// The file row reopens its directory for each session, as a reboot does.
-	fileDir := t.TempDir()
-	var file *store.File
-	t.Cleanup(func() {
-		if file != nil {
-			file.Close()
-		}
-	})
 	for _, tc := range []struct {
 		name string
 		open func(t *testing.T) store.Backend
 	}{
 		{"mem", func(*testing.T) store.Backend { return mem }},
-		{"file-reopened", func(t *testing.T) store.Backend {
-			if file != nil {
-				if err := file.Close(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var err error
-			if file, err = store.NewFile(store.FileConfig{Dir: fileDir, SyncEvery: 1}); err != nil {
-				t.Fatal(err)
-			}
-			return file
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dom, ds := buildDS(t, 8)

@@ -1,9 +1,7 @@
 // The planner stage of the sharded query pipeline: resolving an incoming
 // linear query against the public dataset metadata — partition window,
 // data version, view size — before any lock is taken or any budget is
-// touched. The planner's output doubles as the TurboQuery the Fig. 7b API
-// hands to a host DP engine, so the same resolution step serves both the
-// native session and foreign-engine integrations.
+// touched.
 
 package core
 
@@ -84,59 +82,4 @@ func (p *Planner) PlanWith(m *dataset.MetaSnapshot, q *query.Query) (Plan, error
 		return Plan{}, err
 	}
 	return Plan{Query: q, Start: start, End: end, Version: version, Rows: rows}, nil
-}
-
-// TurboQuery wraps the plan as the engine-agnostic query view of the Turbo
-// API (Fig. 7b).
-func (pl Plan) TurboQuery() TurboQuery { return plannedQuery{pl: pl} }
-
-// plannedQuery adapts a Plan to the TurboQuery interface.
-type plannedQuery struct {
-	pl Plan
-}
-
-// AggregationType names the linear aggregate; the evaluated artifact
-// supports predicate counts.
-func (pq plannedQuery) AggregationType() string { return "count" }
-
-// DataViewID identifies the partition window and its version — the key
-// Turbo caching state is scoped by.
-func (pq plannedQuery) DataViewID() string {
-	return fmt.Sprintf("partitions[%d,%d]@v%d", pq.pl.Start, pq.pl.End, pq.pl.Version)
-}
-
-// DataViewSize returns the public number of rows in the view.
-func (pq plannedQuery) DataViewSize() int { return pq.pl.Rows }
-
-// Query returns the parsed linear query.
-func (pq plannedQuery) Query() *query.Query { return pq.pl.Query }
-
-// DatasetExecutor implements the QueryExecutor side of the Turbo API over
-// the native dataset substrate: non-private execution for SV checks and DP
-// execution that reuses an already-obtained true result. It is what the
-// dataset-backed session plugs into the Fig. 7b contract; integrating
-// Turbo into another engine supplies a different implementation.
-type DatasetExecutor struct {
-	Exec *dataset.Executor
-}
-
-// windowOf resolves a TurboQuery's window against the executor's dataset.
-func (e DatasetExecutor) windowOf(q TurboQuery) (int, int) {
-	if s, end, ok := q.Query().Window(); ok {
-		return s, end
-	}
-	return 0, e.Exec.Dataset().Partitions() - 1
-}
-
-// ExecuteNP returns the true, non-private result of q.
-func (e DatasetExecutor) ExecuteNP(q TurboQuery) (float64, error) {
-	start, end := e.windowOf(q)
-	return e.Exec.ExecuteNP(q.Query(), start, end)
-}
-
-// ExecuteDP returns a DP result calibrated to eps, reusing trueResult when
-// the caller already obtained it (NaN otherwise).
-func (e DatasetExecutor) ExecuteDP(q TurboQuery, eps float64, trueResult float64) (float64, error) {
-	start, end := e.windowOf(q)
-	return e.Exec.ExecuteDP(q.Query(), start, end, eps, trueResult)
 }

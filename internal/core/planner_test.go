@@ -1,13 +1,10 @@
 package core
 
 import (
-	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/domain"
-	"repro/internal/noise"
 	"repro/internal/query"
 )
 
@@ -82,59 +79,5 @@ func TestPlanVersionTracksData(t *testing.T) {
 	}
 	if after.Version == before.Version {
 		t.Fatal("version unchanged after data mutation")
-	}
-}
-
-// TestTurboQueryExecutorRoundTrip drives the Fig. 7b contract end to end:
-// planner → TurboQuery → DatasetExecutor.
-func TestTurboQueryExecutorRoundTrip(t *testing.T) {
-	ds := plannerDS(t, 4)
-	p := NewPlanner(ds)
-	q := query.MustNew(ds.Domain(), map[int][]int{0: {1}}).WithWindow(1, 2)
-	pl, err := p.Plan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tq := pl.TurboQuery()
-	if tq.AggregationType() != "count" {
-		t.Fatalf("AggregationType = %q", tq.AggregationType())
-	}
-	if tq.DataViewSize() != pl.Rows {
-		t.Fatalf("DataViewSize = %d, want %d", tq.DataViewSize(), pl.Rows)
-	}
-	if !strings.Contains(tq.DataViewID(), "[1,2]") {
-		t.Fatalf("DataViewID %q lacks the window", tq.DataViewID())
-	}
-	if tq.Query() != q {
-		t.Fatal("Query() did not return the planned query")
-	}
-
-	var exec QueryExecutor = DatasetExecutor{Exec: dataset.NewExecutor(ds, noise.NewRng(3))}
-	truth, err := exec.ExecuteNP(tq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ds.TrueFraction(q, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if truth != want {
-		t.Fatalf("ExecuteNP = %g, want %g", truth, want)
-	}
-	dp, err := exec.ExecuteDP(tq, 0.5, math.NaN())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(dp-truth) > 0.5 {
-		t.Fatalf("DP result %g implausibly far from truth %g", dp, truth)
-	}
-	// Reusing a supplied true result perturbs that value instead.
-	dp2, err := exec.ExecuteDP(tq, 100, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(dp2-0.25) > 0.1 {
-		t.Fatalf("ExecuteDP ignored the supplied true result: %g", dp2)
 	}
 }

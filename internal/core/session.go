@@ -622,10 +622,6 @@ func (s *Session) Tree() *tree.Tree { return s.tree }
 // ExactCache exposes the window-level exact cache.
 func (s *Session) ExactCache() *cache.Exact { return s.exact }
 
-// Store exposes the session's storage backend (the replaceable Redis
-// tier every caching layer programs against).
-func (s *Session) Store() store.Backend { return s.store }
-
 // StoreStats returns the storage backend's hit/miss/eviction/bytes
 // counters, for /schema's cache section and the cache-pressure
 // experiment, with the vectorized engine's predicate-mask memo

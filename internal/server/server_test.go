@@ -418,23 +418,3 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("empty table accepted")
 	}
 }
-
-// TestSchemaUnreplicatedOmitsSection pins that /schema carries no
-// replication section: one process serves one session.
-func TestSchemaUnreplicatedOmitsSection(t *testing.T) {
-	srv, _ := newTestServer(t, 100)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/schema")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var raw map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := raw["replication"]; ok {
-		t.Fatal("/schema carries a replication section")
-	}
-}

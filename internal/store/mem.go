@@ -125,7 +125,6 @@ type Mem struct {
 	// hashMask is all ones; the model test clears bits of it to force keys
 	// into one stripe and few buckets.
 	hashMask uint64
-	version  atomic.Uint64
 
 	// nsMu guards the namespace intern table. It is taken before, never
 	// inside, a stripe lock; nsNames is the id -> name direction, published
@@ -369,7 +368,6 @@ func (s *Mem) put(st *memStripe, ns, k string, id uint16, h uint64, old, prev ui
 func (s *Mem) wrote(err error) error {
 	if err == nil {
 		s.sets.Add(1)
-		s.version.Add(1)
 	}
 	return err
 }
@@ -509,7 +507,6 @@ func (s *Mem) Get(ns, k string, out any) (bool, error) {
 		s.removeIf(st, id, h, k, func(r rec) bool { return bytes.Equal(r.val(), raw) })
 		s.decodeErrors.Add(1)
 		s.misses.Add(1)
-		s.version.Add(1)
 		return false, err
 	}
 	s.hits.Add(1)
@@ -539,7 +536,6 @@ func (s *Mem) deleteIf(ns, k string, cond func(rec) bool) bool {
 	id, h, st, ok := s.probe(ns, k)
 	if ok = ok && s.removeIf(st, id, h, k, cond); ok {
 		s.deletes.Add(1)
-		s.version.Add(1)
 	}
 	return ok
 }
@@ -587,9 +583,6 @@ func (s *Mem) Keys(ns string) []string {
 
 // Len returns the total number of stored keys.
 func (s *Mem) Len() int { return int(s.entries.Load()) }
-
-// Version increments on every mutation.
-func (s *Mem) Version() uint64 { return s.version.Load() }
 
 // MemoryBytes returns the total size of stored values plus keys — the
 // figure the §6.5 memory evaluation reports for caching state, and the one
@@ -651,7 +644,6 @@ func (s *Mem) ImportNamespace(ns string, data map[string]Exported) {
 		_ = s.put(st, ns, k, id, h, old, prev, v.Val, v.Weight)
 		st.mu.Unlock()
 	}
-	s.version.Add(1)
 }
 
 // Stats returns the store's operation counters and memory accounting. An

@@ -48,7 +48,6 @@ func (e *fastEntry) DecodeFast(data []byte) bool {
 // eviction. Imports go in in key order, as Mem's.
 type oracle struct {
 	data     map[string]*oracleEntry
-	version  uint64
 	poisoned int64
 
 	// The caps (0 = none) and the policy's state; front = most recent.
@@ -183,11 +182,6 @@ func (o *oracle) sampleVictim(seg *list.List) *oracleEntry {
 	return victim
 }
 
-func (o *oracle) setWeighted(full string, raw []byte, w float64) {
-	o.insert(full, raw, w)
-	o.version++
-}
-
 // get mirrors Get's touch; the caller reports a value that would not
 // decode through poison.
 func (o *oracle) get(full string) ([]byte, bool) {
@@ -202,7 +196,6 @@ func (o *oracle) get(full string) ([]byte, bool) {
 func (o *oracle) poison(full string) {
 	o.remove(o.data[full])
 	o.poisoned++
-	o.version++
 }
 
 func (o *oracle) del(full string) bool {
@@ -211,7 +204,6 @@ func (o *oracle) del(full string) bool {
 		return false
 	}
 	o.remove(e)
-	o.version++
 	return true
 }
 
@@ -221,7 +213,6 @@ func (o *oracle) compareDelete(full string, want []byte) bool {
 		return false
 	}
 	o.remove(e)
-	o.version++
 	return true
 }
 
@@ -249,7 +240,6 @@ func (o *oracle) importNS(ns string, data map[string]Exported) {
 	for _, k := range keys {
 		o.insert(ns+":"+k, data[k].Val, data[k].Weight)
 	}
-	o.version++
 }
 
 func (o *oracle) keys(ns string) []string {
@@ -391,7 +381,7 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 			if err := s.SetWeighted(ns, k, v, w); err != nil {
 				t.Fatalf("%s: SetWeighted: %v", at, err)
 			}
-			o.setWeighted(full, enc(t, v), w)
+			o.insert(full, enc(t, v), w)
 		case 2:
 			if got, want := s.Delete(ns, k), o.del(full); got != want {
 				t.Fatalf("%s: Delete = %v; oracle %v", at, got, want)
@@ -466,11 +456,11 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 			}
 		}
 		st := s.Stats()
-		if s.Len() != len(o.data) || s.MemoryBytes() != o.bytes || s.Version() != o.version ||
+		if s.Len() != len(o.data) || s.MemoryBytes() != o.bytes ||
 			st.Evictions != o.evictions || st.EvictedCost != o.evictedCost {
-			t.Fatalf("%s: Len %d Bytes %d Version %d Evictions %d (cost %g); oracle %d %d %d %d (%g)", at,
-				s.Len(), s.MemoryBytes(), s.Version(), st.Evictions, st.EvictedCost,
-				len(o.data), o.bytes, o.version, o.evictions, o.evictedCost)
+			t.Fatalf("%s: Len %d Bytes %d Evictions %d (cost %g); oracle %d %d %d (%g)", at,
+				s.Len(), s.MemoryBytes(), st.Evictions, st.EvictedCost,
+				len(o.data), o.bytes, o.evictions, o.evictedCost)
 		}
 		if cfg.capped() {
 			// One stripe, so its segments are the oracle's lists.
@@ -759,8 +749,7 @@ func TestLimitsFailClosed(t *testing.T) {
 }
 
 // TestNamespaceWithColon pins that namespaces are ids, not prefixes: "a:b"
-// and "a" never see each other's keys, capped or not. (File still joins
-// namespace and key into its log's record key.)
+// and "a" never see each other's keys, capped or not.
 func TestNamespaceWithColon(t *testing.T) {
 	for name, cfg := range map[string]MemConfig{"uncapped": {}, "capped": {MaxEntries: 1 << 10}} {
 		t.Run(name, func(t *testing.T) {

@@ -1,12 +1,11 @@
 // Package store defines the pluggable storage contract behind every
 // caching layer — the Backend interface, playing the role of the paper's
 // Redis tier (§5 — "can be replaced with a persistent, consistent and
-// durable storage service") — and its two implementations: Mem, the
-// in-memory arena store (mem.go; unbounded, or a memory-bounded segmented
-// LRU when built with a cap, evict.go), and File, the persistent log
-// (file.go). Exact caches, the tree's node cache, and the durable-state
-// subsystem all program against Backend, so the concrete store is a
-// deployment choice, not an architectural one.
+// durable storage service") — and its one implementation: Mem, the
+// in-memory arena store (mem.go), unbounded, or a memory-bounded segmented
+// LRU when built with a cap (evict.go). Exact caches, the tree's node
+// cache, and the durable-state subsystem all program against Backend;
+// tests substitute it by embedding.
 //
 // Semantics every Backend must provide (the Redis subset Turbo relies
 // on): namespaced string keys with gob-encoded values, guarded delete
@@ -91,8 +90,8 @@ func DecodeValue(ns, k string, raw []byte, out any) error {
 // memory accounting — the figures the HTTP server surfaces under
 // /schema's cache section and the cache-pressure experiment plots.
 type Stats struct {
-	// Backend names the implementation ("striped-map", "bounded-slru",
-	// "file-log").
+	// Backend names the implementation: "striped-map" uncapped,
+	// "bounded-slru" capped.
 	Backend string
 	// Hits and Misses count Get outcomes (key present / absent).
 	Hits, Misses int64
@@ -160,8 +159,6 @@ type Backend interface {
 	Keys(ns string) []string
 	// Len returns the total number of stored keys across namespaces.
 	Len() int
-	// Version increments on every mutation.
-	Version() uint64
 	// MemoryBytes returns the resident size of stored keys plus values —
 	// the §6.5 memory metric.
 	MemoryBytes() int
