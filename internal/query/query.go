@@ -54,16 +54,32 @@ type Query struct {
 // values; attributes absent from the map are unconstrained. Values are
 // validated against the domain.
 func New(dom *domain.Domain, allowed map[int][]int) (*Query, error) {
-	q := &Query{dom: dom, allowed: make([][]int, dom.NumAttrs()), supMemo: new(supportMemo)}
+	sets := make([][]int, dom.NumAttrs())
 	for i, vals := range allowed {
 		if i < 0 || i >= dom.NumAttrs() {
 			return nil, fmt.Errorf("query: attribute index %d out of range", i)
 		}
-		if len(vals) == 0 {
+		sets[i] = append(make([]int, 0, len(vals)), vals...)
+	}
+	return build(dom, sets, 0, 0, false)
+}
+
+// build is the one constructor behind New and Builder.Build. sets is
+// indexed by attribute: nil leaves it unconstrained, a non-nil set (an
+// empty one is an error) constrains it. The query takes over sets and
+// every value set in it, sorting those in place; the caller has checked
+// the window, if there is one.
+func build(dom *domain.Domain, sets [][]int, start, end int, window bool) (*Query, error) {
+	for i, set := range sets {
+		if set == nil {
+			continue
+		}
+		if len(set) == 0 {
 			return nil, fmt.Errorf("query: empty value set for attribute %q", dom.Attr(i).Name)
 		}
-		set := append([]int(nil), vals...)
-		sort.Ints(set)
+		if !sort.IntsAreSorted(set) {
+			sort.Ints(set)
+		}
 		prev := -1
 		for _, v := range set {
 			if v < 0 || v >= dom.Card(i) {
@@ -76,10 +92,10 @@ func New(dom *domain.Domain, allowed map[int][]int) (*Query, error) {
 			prev = v
 		}
 		if len(set) == dom.Card(i) {
-			continue // full set ≡ unconstrained
+			sets[i] = nil // full set ≡ unconstrained
 		}
-		q.allowed[i] = set
 	}
+	q := &Query{dom: dom, allowed: sets, start: start, end: end, hasWindow: window, supMemo: new(supportMemo)}
 	q.finish()
 	return q, nil
 }
@@ -93,31 +109,37 @@ func MustNew(dom *domain.Domain, allowed map[int][]int) *Query {
 	return q
 }
 
-// finish computes the canonical key and support size.
+// finish computes the support size and the canonical keys, rendered into
+// one buffer: a windowed query's key is a prefix of its winKey, and the
+// two share one allocation.
 func (q *Query) finish() {
-	var b strings.Builder
+	b := make([]byte, 0, 96) // on the stack; longer keys spill
 	q.support = 1
-	for i := 0; i < q.dom.NumAttrs(); i++ {
-		vals := q.allowed[i]
+	for i, vals := range q.allowed {
 		if vals == nil {
 			q.support *= q.dom.Card(i)
 			continue
 		}
 		q.support *= len(vals)
-		fmt.Fprintf(&b, "%d:", i)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, ':')
 		for j, v := range vals {
 			if j > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			fmt.Fprintf(&b, "%d", v)
+			b = strconv.AppendInt(b, int64(v), 10)
 		}
-		b.WriteByte(';')
+		b = append(b, ';')
 	}
-	if b.Len() == 0 {
-		b.WriteString("*")
+	if len(b) == 0 {
+		b = append(b, '*')
 	}
-	q.key = b.String()
-	q.winKey = q.key
+	n := len(b)
+	if q.hasWindow {
+		b = appendWindow(b, q.start, q.end)
+	}
+	q.winKey = string(b)
+	q.key = q.winKey[:n]
 }
 
 // WithWindow returns a copy of q requesting partitions [start, end]
@@ -129,7 +151,7 @@ func (q *Query) WithWindow(start, end int) *Query {
 	}
 	c := *q
 	c.start, c.end, c.hasWindow = start, end, true
-	c.winKey = fmt.Sprintf("%s@[%d,%d]", c.key, start, end)
+	c.winKey = string(q.AppendWindowKey(make([]byte, 0, 96), start, end))
 	return &c
 }
 
@@ -138,13 +160,16 @@ func (q *Query) WithWindow(start, end int) *Query {
 // windowed copy. Byte-for-byte identical to the WithWindow route; the
 // tree's zero-allocation node-cache probes build their keys with it.
 func (q *Query) AppendWindowKey(dst []byte, start, end int) []byte {
-	dst = append(dst, q.key...)
+	return appendWindow(append(dst, q.key...), start, end)
+}
+
+// appendWindow appends the window suffix of a windowed key, "@[start,end]".
+func appendWindow(dst []byte, start, end int) []byte {
 	dst = append(dst, '@', '[')
 	dst = strconv.AppendInt(dst, int64(start), 10)
 	dst = append(dst, ',')
 	dst = strconv.AppendInt(dst, int64(end), 10)
-	dst = append(dst, ']')
-	return dst
+	return append(dst, ']')
 }
 
 // WithoutWindow returns a copy of q with no partition window.
@@ -286,8 +311,10 @@ func (q *Query) String() string {
 // Builder assembles a query incrementally, useful for parsers and workload
 // generators.
 type Builder struct {
-	dom     *domain.Domain
-	allowed map[int][]int
+	dom *domain.Domain
+	// allowed[i] is attribute i's value set so far: nil until the first
+	// Restrict names the attribute, non-nil (possibly empty) after.
+	allowed [][]int
 	start   int
 	end     int
 	window  bool
@@ -296,7 +323,7 @@ type Builder struct {
 
 // NewBuilder starts a builder over dom.
 func NewBuilder(dom *domain.Domain) *Builder {
-	return &Builder{dom: dom, allowed: make(map[int][]int)}
+	return &Builder{dom: dom, allowed: make([][]int, dom.NumAttrs())}
 }
 
 // Restrict constrains attribute attr to vals. Repeated calls on the same
@@ -309,14 +336,15 @@ func (b *Builder) Restrict(attr int, vals ...int) *Builder {
 		b.err = fmt.Errorf("query: attribute index %d out of range", attr)
 		return b
 	}
-	if prev, ok := b.allowed[attr]; ok {
+	if prev := b.allowed[attr]; prev != nil {
+		// intersect returns a fresh slice: a query built earlier keeps prev.
 		b.allowed[attr] = intersect(prev, vals)
 		if len(b.allowed[attr]) == 0 {
 			b.err = fmt.Errorf("query: contradictory constraints on %q", b.dom.Attr(attr).Name)
 		}
 		return b
 	}
-	b.allowed[attr] = append([]int(nil), vals...)
+	b.allowed[attr] = append(make([]int, 0, len(vals)), vals...)
 	return b
 }
 
@@ -352,19 +380,14 @@ func (b *Builder) Window(start, end int) *Builder {
 	return b
 }
 
-// Build finalizes the query.
+// Build finalizes the query. The query shares the builder's value sets
+// (sorted in place on the first Build, read-only from then on) and owns
+// everything else, so building twice yields equal, independent queries.
 func (b *Builder) Build() (*Query, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	q, err := New(b.dom, b.allowed)
-	if err != nil {
-		return nil, err
-	}
-	if b.window {
-		q = q.WithWindow(b.start, b.end)
-	}
-	return q, nil
+	return build(b.dom, append([][]int(nil), b.allowed...), b.start, b.end, b.window)
 }
 
 func intersect(a, b []int) []int {

@@ -14,6 +14,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"net/http"
 	"strconv"
@@ -80,8 +81,14 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		slots = append(slots, i)
 	}
 
+	served := 0
 	if len(qs) > 0 {
 		results := s.sess.AnswerBatch(qs)
+		// One budget read and one allocation serve every 200 element of
+		// the response: AverageSpent takes the accountant's lock and sums
+		// its partitions, and the batch has stopped paying by now.
+		remaining := s.sess.Accountant().Global() - s.sess.AverageSpent()
+		resps := make([]QueryResponse, len(results))
 		for k, res := range results {
 			i := slots[k]
 			switch {
@@ -102,16 +109,24 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 			default:
 				ans := res.Answer
 				s.countAnswer(ans.Source)
-				s.countServed()
-				items[i] = BatchItem{Status: http.StatusOK, Result: &QueryResponse{
+				served++
+				resps[k] = QueryResponse{
 					Fraction:  ans.Value,
 					Count:     ans.Value * float64(ans.Rows),
 					Source:    string(ans.Source),
 					Paid:      ans.Paid,
-					Remaining: s.sess.Accountant().Global() - s.sess.AverageSpent(),
-				}}
+					Remaining: remaining,
+				}
+				items[i] = BatchItem{Status: http.StatusOK, Result: &resps[k]}
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, BatchQueryResponse{Results: items})
+	buf := bufPool.Get().(*bytes.Buffer)
+	body, err := appendBatchResponse(buf.AvailableBuffer(), items)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, ErrorResponse{"internal", err.Error()})
+		return
+	}
+	s.queries.Add(int64(served))
+	writeAppended(w, buf, body)
 }

@@ -201,34 +201,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// maxAnalystBody caps the request body of the analyst-facing endpoints
-// (/query, /query/batch, /groupby), whose payloads are SQL text. /append
-// and /restore stay uncapped: their bodies scale with the domain and the
-// snapshot.
-const maxAnalystBody = 1 << 20
-
-// decodeAnalyst reads an analyst-facing POST body into req. On failure
-// it writes the response itself — 405 for another method, 413 for a
-// body past maxAnalystBody, 400 for malformed JSON — and returns false;
-// no session state has been touched at that point.
-func decodeAnalyst(w http.ResponseWriter, r *http.Request, req any) bool {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"bad-request", "POST only"})
-		return false
-	}
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAnalystBody)).Decode(req)
-	if err == nil {
-		return true
-	}
-	status := http.StatusBadRequest
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		status = http.StatusRequestEntityTooLarge
-	}
-	writeJSON(w, status, ErrorResponse{"bad-request", err.Error()})
-	return false
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	if !decodeAnalyst(w, r, &req) {
@@ -273,14 +245,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// the released fraction never saw — and its error used to be
 	// discarded, silently reporting a count computed from n=0.
 	s.countAnswer(ans.Source)
-	s.countServed()
-	writeJSON(w, http.StatusOK, QueryResponse{
+	buf := bufPool.Get().(*bytes.Buffer)
+	body, err := appendQueryResponse(buf.AvailableBuffer(), &QueryResponse{
 		Fraction:  ans.Value,
 		Count:     ans.Value * float64(ans.Rows),
 		Source:    string(ans.Source),
 		Paid:      ans.Paid,
 		Remaining: s.sess.Accountant().Global() - s.sess.AverageSpent(),
 	})
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, ErrorResponse{"internal", err.Error()})
+		return
+	}
+	s.countServed()
+	writeAppended(w, buf, body)
 }
 
 // GroupRow is one GROUP BY cell in a /groupby response.

@@ -1,0 +1,185 @@
+// Differential tests: the table-driven lexer and stack-held parse state
+// against the parser they replaced (oracle_test.go), and the builder's
+// strconv key rendering against the fmt rendering it replaced.
+//
+// What each input family is there to catch:
+//
+//   - all 256 single-byte column names: the class table built one entry
+//     off (0xAA 'ª' is a letter and so an unknown column; 0xAB '«' is an
+//     unexpected character), or a Latin-1 space (0x85, 0xA0) lost;
+//   - the seed corpora: '-' dropped from the identifier bytes ("covid-19"
+//     turns from a table name into trailing input), a lex error no longer
+//     winning over an earlier parse error, '.' dropped from number bytes;
+//   - both query pools × windows: a key rendered differently — without the
+//     trailing ';', with the window suffix in another shape — or value
+//     sets sorted, deduplicated or dropped differently by the builder.
+
+package sqlparser
+
+import (
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/domain"
+	"repro/internal/query"
+	"repro/internal/workload"
+)
+
+// oracleKeys renders q's two cache keys the way query.finish and
+// WithWindow did before they moved to strconv appends.
+func oracleKeys(q *query.Query) (key, winKey string) {
+	var b strings.Builder
+	for i := 0; i < q.Domain().NumAttrs(); i++ {
+		vals := q.Allowed(i)
+		if vals == nil {
+			continue
+		}
+		fmt.Fprintf(&b, "%d:", i)
+		for j, v := range vals {
+			if j > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "%d", v)
+		}
+		b.WriteByte(';')
+	}
+	if b.Len() == 0 {
+		b.WriteString("*")
+	}
+	key, winKey = b.String(), b.String()
+	if s, e, ok := q.Window(); ok {
+		winKey = fmt.Sprintf("%s@[%d,%d]", key, s, e)
+	}
+	return key, winKey
+}
+
+// checkMatchesOracle fails t unless (got, gotErr), the parser's result on
+// src, is what the oracle parser returns: the same error text, or the same
+// table, window, value sets and keys.
+func checkMatchesOracle(t *testing.T, p *Parser, src string, got *Statement, gotErr error) {
+	t.Helper()
+	want, wantErr := oracleParse(p, src)
+	if gotErr != nil || wantErr != nil {
+		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Fatalf("Parse(%q)\n  error  %v\n  oracle %v", src, gotErr, wantErr)
+		}
+		return
+	}
+	g, w := got.Query, want.Query
+	gs, ge, gok := g.Window()
+	ws, we, wok := w.Window()
+	if got.Table != want.Table || gs != ws || ge != we || gok != wok ||
+		g.Key() != w.Key() || g.KeyWithWindow() != w.KeyWithWindow() {
+		t.Fatalf("Parse(%q)\n  got    %s %s %s\n  oracle %s %s %s", src,
+			got.Table, g.Key(), g.KeyWithWindow(), want.Table, w.Key(), w.KeyWithWindow())
+	}
+	for i := 0; i < p.dom.NumAttrs(); i++ {
+		if !slices.Equal(g.Allowed(i), w.Allowed(i)) || (g.Allowed(i) == nil) != (w.Allowed(i) == nil) {
+			t.Fatalf("Parse(%q): Allowed(%d) = %v, oracle %v", src, i, g.Allowed(i), w.Allowed(i))
+		}
+	}
+	if key, winKey := oracleKeys(g); g.Key() != key || g.KeyWithWindow() != winKey {
+		t.Fatalf("Parse(%q): keys %q %q, fmt rendering %q %q", src, g.Key(), g.KeyWithWindow(), key, winKey)
+	}
+}
+
+// renderSQL writes q back as a statement: values as numbers, or as quoted
+// level names when named is set and the attribute has them.
+func renderSQL(q *query.Query, table string, named bool) string {
+	var b strings.Builder
+	b.WriteString("SELECT COUNT(*) FROM " + table)
+	sep := " WHERE "
+	dom := q.Domain()
+	for a := 0; a < dom.NumAttrs(); a++ {
+		vals := q.Allowed(a)
+		if vals == nil {
+			continue
+		}
+		value := func(v int) string {
+			if named && dom.Attr(a).Levels != nil {
+				return "'" + dom.LevelName(a, v) + "'"
+			}
+			return strconv.Itoa(v)
+		}
+		b.WriteString(sep + dom.Attr(a).Name)
+		sep = " AND "
+		if len(vals) == 1 {
+			b.WriteString(" = " + value(vals[0]))
+			continue
+		}
+		b.WriteString(" IN (")
+		for j, v := range vals {
+			if j > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(value(v))
+		}
+		b.WriteString(")")
+	}
+	if s, e, ok := q.Window(); ok {
+		b.WriteString(sep + "time BETWEEN " + strconv.Itoa(s) + " AND " + strconv.Itoa(e))
+	}
+	return b.String()
+}
+
+func TestParseMatchesOracle(t *testing.T) {
+	p := New(covid())
+	check := func(p *Parser, src string) *Statement {
+		t.Helper()
+		st, err := p.Parse(src)
+		checkMatchesOracle(t, p, src, st, err)
+		return st
+	}
+
+	for _, src := range parseSeeds {
+		check(p, src)
+	}
+	for _, src := range groupedSeeds {
+		check(p, src)
+		if base, _, err := splitGroupBy(src); err == nil {
+			check(p, base)
+		}
+	}
+	for b := 0; b < 256; b++ {
+		check(p, "SELECT COUNT(*) FROM covid WHERE "+string([]byte{byte(b)})+" = 1")
+	}
+
+	windows := [][2]int{{-1, -1}, {0, 2}, {12, 49}} // {-1, -1}: no window
+	pools := []struct {
+		table string
+		dom   *domain.Domain
+		pool  []*query.Query
+	}{
+		{"covid", workload.CovidDomain(), workload.CovidPool(workload.CovidDomain())},
+		{"citibike", workload.CitiBikeDomain(), workload.CitiBikePool(workload.CitiBikeDomain())},
+		{"citibike", workload.CitiBikeSmallDomain(), workload.CitiBikePool(workload.CitiBikeSmallDomain())},
+	}
+	for _, pl := range pools {
+		p := New(pl.dom)
+		for i, q := range pl.pool {
+			for _, win := range windows {
+				if testing.Short() && (i+win[1])%7 != 0 {
+					continue
+				}
+				want := q
+				if win[0] >= 0 {
+					want = q.WithWindow(win[0], win[1])
+				}
+				src := renderSQL(want, pl.table, i%2 == 1)
+				st := check(p, src)
+				if st == nil {
+					t.Fatalf("pool statement %q does not parse", src)
+				}
+				// The pool built this predicate through query.New(map):
+				// the statement must come back as the same query.
+				if st.Query.Key() != want.Key() || st.Query.KeyWithWindow() != want.KeyWithWindow() {
+					t.Fatalf("Parse(%q) keys %q %q, pool query %q %q", src,
+						st.Query.Key(), st.Query.KeyWithWindow(), want.Key(), want.KeyWithWindow())
+				}
+			}
+		}
+	}
+}

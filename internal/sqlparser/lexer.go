@@ -19,92 +19,90 @@ import (
 )
 
 // tokenKind classifies lexer output.
-type tokenKind int
+type tokenKind uint8
 
 const (
 	tokEOF tokenKind = iota
 	tokIdent
 	tokNumber
 	tokString
-	tokPunct // ( ) , = *
+	tokPunct // ( ) , = * ;
 )
 
+// token is one lexeme; text is a substring of the statement. Keywords are
+// identifiers matched with case folded; text keeps the original spelling.
 type token struct {
 	kind tokenKind
 	text string
 	pos  int
 }
 
-// lexer tokenizes a SQL string. SQL keywords are case-insensitive
-// identifiers; we canonicalize to upper case during matching but preserve
-// original text for error messages.
-type lexer struct {
-	src    string
-	pos    int
-	tokens []token
-}
+// Byte classes. The lexer has always classified byte b as rune(b), so bytes
+// past 0x7F follow Latin-1 — 0xE9 is a letter, 0x85 and 0xA0 are spaces —
+// and classes records exactly those answers.
+const (
+	clsSpace      uint8 = 1 << iota
+	clsNumStart         // digit, '-'
+	clsNum              // digit, '.'
+	clsIdentStart       // letter, '_'
+	clsIdent            // letter, digit, '_', '-'
+)
 
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
-	for l.pos < len(l.src) {
-		c := rune(l.src[l.pos])
-		switch {
-		case unicode.IsSpace(c):
-			l.pos++
+var classes = func() (t [256]uint8) {
+	for b := range t {
+		c := rune(b)
+		if unicode.IsSpace(c) {
+			t[b] |= clsSpace
+		}
+		if unicode.IsDigit(c) {
+			t[b] |= clsNumStart | clsNum | clsIdent
+		}
+		if unicode.IsLetter(c) {
+			t[b] |= clsIdentStart | clsIdent
+		}
+	}
+	t['-'] |= clsNumStart | clsIdent
+	t['.'] |= clsNum
+	t['_'] |= clsIdentStart | clsIdent
+	return t
+}()
+
+// lex appends src's tokens, closed by a tokEOF, to tokens.
+func lex(src string, tokens []token) ([]token, error) {
+	for pos := 0; pos < len(src); {
+		c := src[pos]
+		start := pos
+		switch cls := classes[c]; {
+		case cls&clsSpace != 0:
+			pos++
+			continue
 		case c == '(' || c == ')' || c == ',' || c == '=' || c == '*' || c == ';':
-			l.tokens = append(l.tokens, token{tokPunct, string(c), l.pos})
-			l.pos++
+			pos++
+			tokens = append(tokens, token{tokPunct, src[start:pos], start})
 		case c == '\'' || c == '"':
-			if err := l.lexString(byte(c)); err != nil {
-				return nil, err
+			end := strings.IndexByte(src[start+1:], c)
+			if end < 0 {
+				return nil, fmt.Errorf("sqlparser: unterminated string starting at %d", start)
 			}
-		case unicode.IsDigit(c) || c == '-':
-			l.lexNumber()
-		case unicode.IsLetter(c) || c == '_':
-			l.lexIdent()
+			pos = start + 1 + end + 1
+			tokens = append(tokens, token{tokString, src[start+1 : pos-1], start})
+		case cls&clsNumStart != 0:
+			pos++
+			for pos < len(src) && classes[src[pos]]&clsNum != 0 {
+				pos++
+			}
+			tokens = append(tokens, token{tokNumber, src[start:pos], start})
+		case cls&clsIdentStart != 0:
+			pos++
+			for pos < len(src) && classes[src[pos]]&clsIdent != 0 {
+				pos++
+			}
+			tokens = append(tokens, token{tokIdent, src[start:pos], start})
 		default:
-			return nil, fmt.Errorf("sqlparser: unexpected character %q at %d", c, l.pos)
+			return nil, fmt.Errorf("sqlparser: unexpected character %q at %d", rune(c), start)
 		}
 	}
-	l.tokens = append(l.tokens, token{tokEOF, "", l.pos})
-	return l.tokens, nil
-}
-
-func (l *lexer) lexString(quote byte) error {
-	start := l.pos
-	l.pos++ // opening quote
-	for l.pos < len(l.src) && l.src[l.pos] != quote {
-		l.pos++
-	}
-	if l.pos >= len(l.src) {
-		return fmt.Errorf("sqlparser: unterminated string starting at %d", start)
-	}
-	l.tokens = append(l.tokens, token{tokString, l.src[start+1 : l.pos], start})
-	l.pos++ // closing quote
-	return nil
-}
-
-func (l *lexer) lexNumber() {
-	start := l.pos
-	if l.src[l.pos] == '-' {
-		l.pos++
-	}
-	for l.pos < len(l.src) && (unicode.IsDigit(rune(l.src[l.pos])) || l.src[l.pos] == '.') {
-		l.pos++
-	}
-	l.tokens = append(l.tokens, token{tokNumber, l.src[start:l.pos], start})
-}
-
-func (l *lexer) lexIdent() {
-	start := l.pos
-	for l.pos < len(l.src) {
-		c := rune(l.src[l.pos])
-		if !unicode.IsLetter(c) && !unicode.IsDigit(c) && c != '_' && c != '-' {
-			break
-		}
-		l.pos++
-	}
-	l.tokens = append(l.tokens, token{tokIdent, l.src[start:l.pos], start})
+	return append(tokens, token{tokEOF, "", len(src)}), nil
 }
 
 // isKeyword matches an identifier token case-insensitively.

@@ -1,11 +1,8 @@
-// Recursive-descent parser for the turbo-sql grammar:
-//
-//	query    := SELECT COUNT ( * ) FROM ident [WHERE conj] [;]
-//	conj     := pred {AND pred}
-//	pred     := ident = value
-//	          | ident IN ( value {, value} )
-//	          | TIME BETWEEN number AND number
-//	value    := number | string (level name)
+// The lexer and recursive-descent parser Parser.Parse ran before the
+// table-driven lexer replaced them, kept verbatim (identifiers prefixed
+// "oracle") as the reference the production parser is checked against in
+// differential_test.go and the fuzz targets: per-byte unicode.Is* calls, a
+// fresh []token per statement, punctuation as string(c).
 
 package sqlparser
 
@@ -13,54 +10,115 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"repro/internal/domain"
 	"repro/internal/query"
 )
 
-// Statement is a parsed turbo-sql query.
-type Statement struct {
-	Table string
-	Query *query.Query
+type oracleToken struct {
+	kind tokenKind
+	text string
+	pos  int
 }
 
-// Parser parses statements against a fixed schema.
-type Parser struct {
-	dom *domain.Domain
-	// TimeAttr is the reserved window column name; "time" by default.
-	TimeAttr string
+// oracleLexer tokenizes a SQL string. SQL keywords are case-insensitive
+// identifiers; we canonicalize to upper case during matching but preserve
+// original text for error messages.
+type oracleLexer struct {
+	src    string
+	pos    int
+	tokens []oracleToken
 }
 
-// New creates a parser over the given domain.
-func New(dom *domain.Domain) *Parser {
-	return &Parser{dom: dom, TimeAttr: "time"}
+func oracleLex(src string) ([]oracleToken, error) {
+	l := &oracleLexer{src: src}
+	for l.pos < len(l.src) {
+		c := rune(l.src[l.pos])
+		switch {
+		case unicode.IsSpace(c):
+			l.pos++
+		case c == '(' || c == ')' || c == ',' || c == '=' || c == '*' || c == ';':
+			l.tokens = append(l.tokens, oracleToken{tokPunct, string(c), l.pos})
+			l.pos++
+		case c == '\'' || c == '"':
+			if err := l.lexString(byte(c)); err != nil {
+				return nil, err
+			}
+		case unicode.IsDigit(c) || c == '-':
+			l.lexNumber()
+		case unicode.IsLetter(c) || c == '_':
+			l.lexIdent()
+		default:
+			return nil, fmt.Errorf("sqlparser: unexpected character %q at %d", c, l.pos)
+		}
+	}
+	l.tokens = append(l.tokens, oracleToken{tokEOF, "", l.pos})
+	return l.tokens, nil
 }
 
-// Parse parses one statement.
-func (p *Parser) Parse(src string) (*Statement, error) {
-	// A usual statement's tokens fit buf, on this frame; a longer one
-	// spills to the heap through lex's append.
-	var buf [64]token
-	tokens, err := lex(src, buf[:0])
+func (l *oracleLexer) lexString(quote byte) error {
+	start := l.pos
+	l.pos++ // opening quote
+	for l.pos < len(l.src) && l.src[l.pos] != quote {
+		l.pos++
+	}
+	if l.pos >= len(l.src) {
+		return fmt.Errorf("sqlparser: unterminated string starting at %d", start)
+	}
+	l.tokens = append(l.tokens, oracleToken{tokString, l.src[start+1 : l.pos], start})
+	l.pos++ // closing quote
+	return nil
+}
+
+func (l *oracleLexer) lexNumber() {
+	start := l.pos
+	if l.src[l.pos] == '-' {
+		l.pos++
+	}
+	for l.pos < len(l.src) && (unicode.IsDigit(rune(l.src[l.pos])) || l.src[l.pos] == '.') {
+		l.pos++
+	}
+	l.tokens = append(l.tokens, oracleToken{tokNumber, l.src[start:l.pos], start})
+}
+
+func (l *oracleLexer) lexIdent() {
+	start := l.pos
+	for l.pos < len(l.src) {
+		c := rune(l.src[l.pos])
+		if !unicode.IsLetter(c) && !unicode.IsDigit(c) && c != '_' && c != '-' {
+			break
+		}
+		l.pos++
+	}
+	l.tokens = append(l.tokens, oracleToken{tokIdent, l.src[start:l.pos], start})
+}
+
+// isKeyword matches an identifier token case-insensitively.
+func (t oracleToken) isKeyword(kw string) bool {
+	return t.kind == tokIdent && strings.EqualFold(t.text, kw)
+}
+
+// oracleParse is the former Parser.Parse.
+func oracleParse(p *Parser, src string) (*Statement, error) {
+	tokens, err := oracleLex(src)
 	if err != nil {
 		return nil, err
 	}
-	s := state{tokens: tokens, p: p}
+	s := &oracleState{tokens: tokens, dom: p.dom, timeAttr: p.TimeAttr}
 	return s.parseQuery()
 }
 
-// state is one parse in progress, on Parse's frame like the tokens it
-// walks. It reaches the schema through p and holds no pointer of its own
-// that outlives the parse, which is what lets both stay off the heap.
-type state struct {
-	tokens []token
-	i      int
-	p      *Parser
+type oracleState struct {
+	tokens   []oracleToken
+	i        int
+	dom      *domain.Domain
+	timeAttr string
 }
 
-func (s *state) peek() token { return s.tokens[s.i] }
+func (s *oracleState) peek() oracleToken { return s.tokens[s.i] }
 
-func (s *state) next() token {
+func (s *oracleState) next() oracleToken {
 	t := s.tokens[s.i]
 	if t.kind != tokEOF {
 		s.i++
@@ -68,7 +126,7 @@ func (s *state) next() token {
 	return t
 }
 
-func (s *state) expectKeyword(kw string) error {
+func (s *oracleState) expectKeyword(kw string) error {
 	t := s.next()
 	if !t.isKeyword(kw) {
 		return fmt.Errorf("sqlparser: expected %s at %d, got %q", kw, t.pos, t.text)
@@ -76,7 +134,7 @@ func (s *state) expectKeyword(kw string) error {
 	return nil
 }
 
-func (s *state) expectPunct(p string) error {
+func (s *oracleState) expectPunct(p string) error {
 	t := s.next()
 	if t.kind != tokPunct || t.text != p {
 		return fmt.Errorf("sqlparser: expected %q at %d, got %q", p, t.pos, t.text)
@@ -84,7 +142,7 @@ func (s *state) expectPunct(p string) error {
 	return nil
 }
 
-func (s *state) parseQuery() (*Statement, error) {
+func (s *oracleState) parseQuery() (*Statement, error) {
 	if err := s.expectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
@@ -108,7 +166,7 @@ func (s *state) parseQuery() (*Statement, error) {
 		return nil, fmt.Errorf("sqlparser: expected table name at %d, got %q", tbl.pos, tbl.text)
 	}
 
-	b := query.NewBuilder(s.p.dom)
+	b := query.NewBuilder(s.dom)
 	if s.peek().isKeyword("WHERE") {
 		s.next()
 		if err := s.parseConjunction(b); err != nil {
@@ -134,7 +192,7 @@ func (s *state) parseQuery() (*Statement, error) {
 	return &Statement{Table: tbl.text, Query: q}, nil
 }
 
-func (s *state) parseConjunction(b *query.Builder) error {
+func (s *oracleState) parseConjunction(b *query.Builder) error {
 	for {
 		if err := s.parsePredicate(b); err != nil {
 			return err
@@ -146,15 +204,15 @@ func (s *state) parseConjunction(b *query.Builder) error {
 	}
 }
 
-func (s *state) parsePredicate(b *query.Builder) error {
+func (s *oracleState) parsePredicate(b *query.Builder) error {
 	col := s.next()
 	if col.kind != tokIdent {
 		return fmt.Errorf("sqlparser: expected column at %d, got %q", col.pos, col.text)
 	}
-	if strings.EqualFold(col.text, s.p.TimeAttr) {
+	if strings.EqualFold(col.text, s.timeAttr) {
 		return s.parseTimeWindow(b)
 	}
-	attr := s.p.dom.AttrIndex(col.text)
+	attr := s.dom.AttrIndex(col.text)
 	if attr < 0 {
 		return fmt.Errorf("sqlparser: unknown column %q at %d", col.text, col.pos)
 	}
@@ -171,7 +229,7 @@ func (s *state) parsePredicate(b *query.Builder) error {
 		if err := s.expectPunct("("); err != nil {
 			return err
 		}
-		vals := make([]int, 0, 16) // on the stack until Restrict copies it
+		var vals []int
 		for {
 			v, err := s.parseValue(attr)
 			if err != nil {
@@ -194,7 +252,7 @@ func (s *state) parsePredicate(b *query.Builder) error {
 	}
 }
 
-func (s *state) parseTimeWindow(b *query.Builder) error {
+func (s *oracleState) parseTimeWindow(b *query.Builder) error {
 	if err := s.expectKeyword("BETWEEN"); err != nil {
 		return err
 	}
@@ -213,7 +271,7 @@ func (s *state) parseTimeWindow(b *query.Builder) error {
 	return nil
 }
 
-func (s *state) parseInt() (int, error) {
+func (s *oracleState) parseInt() (int, error) {
 	t := s.next()
 	if t.kind != tokNumber {
 		return 0, fmt.Errorf("sqlparser: expected number at %d, got %q", t.pos, t.text)
@@ -227,7 +285,7 @@ func (s *state) parseInt() (int, error) {
 
 // parseValue accepts a numeric value or a quoted/bare level name for the
 // attribute.
-func (s *state) parseValue(attr int) (int, error) {
+func (s *oracleState) parseValue(attr int) (int, error) {
 	t := s.next()
 	switch t.kind {
 	case tokNumber:
@@ -235,16 +293,16 @@ func (s *state) parseValue(attr int) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("sqlparser: bad value %q at %d", t.text, t.pos)
 		}
-		if v < 0 || v >= s.p.dom.Card(attr) {
+		if v < 0 || v >= s.dom.Card(attr) {
 			return 0, fmt.Errorf("sqlparser: value %d out of range for %q (card %d)",
-				v, s.p.dom.Attr(attr).Name, s.p.dom.Card(attr))
+				v, s.dom.Attr(attr).Name, s.dom.Card(attr))
 		}
 		return v, nil
 	case tokString, tokIdent:
-		v := s.p.dom.LevelValue(attr, t.text)
+		v := s.dom.LevelValue(attr, t.text)
 		if v < 0 {
 			return 0, fmt.Errorf("sqlparser: unknown level %q for column %q at %d",
-				t.text, s.p.dom.Attr(attr).Name, t.pos)
+				t.text, s.dom.Attr(attr).Name, t.pos)
 		}
 		return v, nil
 	default:

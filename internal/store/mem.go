@@ -129,7 +129,7 @@ type Mem struct {
 	// nsMu guards the namespace intern table. It is taken before, never
 	// inside, a stripe lock; nsNames is the id -> name direction, published
 	// atomically so that code holding a stripe lock can size a record's
-	// payload.
+	// payload and nsID can resolve a name without nsMu.
 	nsMu    sync.RWMutex
 	nsIDs   map[string]uint16
 	nsNames atomic.Pointer[[]string]
@@ -196,13 +196,29 @@ func newMem(cfg MemConfig, shift uint, maxChunks int) *Mem {
 // capped reports whether the config asks for a store that evicts.
 func (c MemConfig) capped() bool { return c.MaxEntries > 0 || c.MaxBytes > 0 }
 
-// nsID returns the interned id of ns, if any write ever named it.
+// nsID returns the interned id of ns, if any write ever named it. Every
+// Get, Set and Delete of every stripe comes through here, so a small table
+// (a session names one namespace per cache stripe) is scanned in its
+// published form, touching no lock: nsMu's reader count is one cache line
+// all stripes would share. Past nsScanMax names the locked map answers.
 func (s *Mem) nsID(ns string) (uint16, bool) {
-	s.nsMu.RLock()
-	id, ok := s.nsIDs[ns]
-	s.nsMu.RUnlock()
-	return id, ok
+	names := *s.nsNames.Load()
+	if len(names) > nsScanMax {
+		s.nsMu.RLock()
+		id, ok := s.nsIDs[ns]
+		s.nsMu.RUnlock()
+		return id, ok
+	}
+	for id, name := range names {
+		if name == ns {
+			return uint16(id), true
+		}
+	}
+	return 0, false
 }
+
+// nsScanMax names scan in about the time of one uncontended locked lookup.
+const nsScanMax = 32
 
 // intern returns the id of ns, assigning the next one on first use.
 func (s *Mem) intern(ns string) (uint16, error) {
