@@ -1,5 +1,6 @@
 // Fixed-layout binary codec for hot cache entries. Entry is written on
-// every miss fill and decoded on every fast-map-missed hit; gob spends
+// every miss fill and decoded on every hit the fast map does not serve
+// (the first read of a fill, which promotes it, included); gob spends
 // more time in reflection and type-preamble bookkeeping than the 24 bytes
 // of payload deserve, and its encoder allocates on every call. This codec
 // is a straight-line append into a caller-provided slice and a

@@ -9,9 +9,9 @@
 // underlying data is unchanged.
 //
 // Caches program against the pluggable store.Backend interface rather
-// than a concrete store, so the same cache runs over the
-// in-memory store, capped or not, or the file log. Entries are
-// written with their privacy cost as eviction weight (Put's eps): under
+// than a concrete store, so the same cache runs over the in-memory store
+// capped or not. Entries are written through the fixed 25-byte codec
+// (codec.go) with their privacy cost as eviction weight (Put's eps): under
 // memory pressure a bounded backend evicts the releases that are cheapest
 // to re-pay. A backend eviction is indistinguishable from a miss here —
 // the query re-executes, and re-pays, through the session's single-flight
@@ -40,10 +40,12 @@ type Entry struct {
 }
 
 // DefaultFastEntries bounds the decoded fast map of an Exact cache. The
-// backing KV store remains the source of truth; the fast map only trades a
-// bounded amount of memory for skipped gob decoding, so a small bound
-// keeps the exact-hit path cheap (Fig. 11d) without letting decoded
-// entries grow with the full key population.
+// backing store remains the source of truth and holds every fill; the fast
+// map holds only entries that have been read, and trades a bounded amount
+// of memory for a repeat hit that is one map probe on the stripe — no
+// backend hash, chain walk or decode. A small bound keeps the exact-hit
+// path cheap (Fig. 11d) for the hot set without letting decoded entries
+// grow with the full key population.
 const DefaultFastEntries = 4096
 
 // ErrNilBackend reports an exact cache constructed without a backing
@@ -62,8 +64,11 @@ type exactStripe struct {
 
 // Exact is an exact-match cache backed by a store.Backend (the
 // prototype's Redis role), with a bounded decoded-entry fast map in front
-// of it — the client-side caching pattern Redis deployments use — so
-// repeat hits skip deserialization. Exact is safe for concurrent use:
+// of it — the client-side caching pattern Redis deployments use. The fast
+// map is promote-on-read: Put writes the backend only, and the first Get
+// that finds an entry there promotes it, so a fill nobody reads again
+// costs one backend append and the map holds the hot set rather than the
+// latest fills. Exact is safe for concurrent use:
 // lookups take a read lock on their stripe's fast map and the backend
 // serializes its own access, so pipeline shards can probe the cache
 // without holding their shard lock.
@@ -221,14 +226,7 @@ func (c *Exact) GetKey(key []byte, windowStart, version int) (Entry, bool) {
 
 // PutKey is Put for a windowed key built with query.AppendWindowKey.
 func (c *Exact) PutKey(key []byte, windowStart, version int, value, eps float64) error {
-	st := c.stripeForStart(windowStart)
-	k := string(key)
-	e := Entry{Value: value, Eps: eps, Version: version}
-	if err := c.store.SetWeighted(st.ns, k, e, eps); err != nil {
-		return err
-	}
-	c.cacheFast(st, k, e)
-	return nil
+	return c.putKeyed(c.stripeForStart(windowStart), string(key), version, value, eps)
 }
 
 func (c *Exact) getKeyed(st *exactStripe, key string, version int) (Entry, bool) {
@@ -263,20 +261,30 @@ func (c *Exact) getKeyed(st *exactStripe, key string, version int) (Entry, bool)
 // produce it — doubles as the entry's eviction weight, so a bounded
 // backend under pressure keeps the releases that are expensive to re-pay.
 func (c *Exact) Put(q *query.Query, version int, value, eps float64) error {
-	st := c.stripeFor(q)
-	key := q.KeyWithWindow()
-	e := Entry{Value: value, Eps: eps, Version: version}
-	if err := c.store.SetWeighted(st.ns, key, e, eps); err != nil {
+	return c.putKeyed(c.stripeFor(q), q.KeyWithWindow(), version, value, eps)
+}
+
+// putKeyed writes the backend and drops whatever the fast map holds under
+// key (a promoted older entry), so the next Get reads — and promotes — the
+// bytes just written. A reader that fetched the older bytes before this
+// write may still promote them after the drop; they carry their own
+// version, so a Get at the new version invalidates them on sight, exactly
+// as it does a stale backend entry.
+func (c *Exact) putKeyed(st *exactStripe, key string, version int, value, eps float64) error {
+	if err := c.store.SetWeighted(st.ns, key, Entry{Value: value, Eps: eps, Version: version}, eps); err != nil {
 		return err
 	}
-	c.cacheFast(st, key, e)
+	st.mu.Lock()
+	delete(st.fast, key)
+	st.mu.Unlock()
 	return nil
 }
 
-// cacheFast inserts into the stripe's decoded map, evicting an arbitrary
-// entry when the bound is reached. Random-ish eviction (map iteration
-// order) is enough: the fast map is a decode-skipping layer, not the
-// cache itself.
+// cacheFast promotes an entry read from the backend into the stripe's
+// decoded map, evicting an arbitrary entry when the bound is reached.
+// Random-ish eviction (map iteration order) is enough: the fast map is a
+// probe-shortening layer, not the cache itself. getKeyed is its only
+// caller.
 func (c *Exact) cacheFast(st *exactStripe, key string, e Entry) {
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -2,8 +2,10 @@ package cache
 
 import (
 	"errors"
+	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/domain"
@@ -140,6 +142,152 @@ func TestFastMapBounded(t *testing.T) {
 		e, ok := c.Get(base.WithWindow(i, i), 1)
 		if !ok || e.Value != float64(i) {
 			t.Fatalf("entry %d lost after fast-map eviction: %+v %v", i, e, ok)
+		}
+	}
+}
+
+// TestFastMapPromotesOnRead pins the fast map's one rule, through both
+// key forms: a Put writes the backend only; the first Get of a fill reads
+// the backend and promotes, the second is served without touching it; a
+// re-Put of a promoted key drops the promoted entry, so the next Get
+// returns the new bytes; and promotion respects the bound.
+func TestFastMapPromotesOnRead(t *testing.T) {
+	be := store.NewMem(store.MemConfig{})
+	c, err := NewExactBounded(be, "t", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := query.MustNew(dom(), map[int][]int{0: {1}})
+	q := base.WithWindow(0, 0)
+	ops := []struct {
+		name string
+		put  func(value, eps float64) error
+		get  func() (Entry, bool)
+	}{
+		{
+			name: "query",
+			put:  func(value, eps float64) error { return c.Put(q, 1, value, eps) },
+			get:  func() (Entry, bool) { return c.Get(q, 1) },
+		},
+		{
+			name: "key",
+			put: func(value, eps float64) error {
+				return c.PutKey(base.AppendWindowKey(nil, 1, 1), 1, 1, value, eps)
+			},
+			get: func() (Entry, bool) { return c.GetKey(base.AppendWindowKey(nil, 1, 1), 1, 1) },
+		},
+	}
+	for _, op := range ops {
+		name := op.name
+		fast := c.FastLen()
+		if err := op.put(0.25, 0.01); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.FastLen(); got != fast {
+			t.Fatalf("%s: Put moved FastLen %d -> %d, want it unchanged", name, fast, got)
+		}
+		reads := be.Stats().Hits
+		if e, ok := op.get(); !ok || e.Value != 0.25 {
+			t.Fatalf("%s: first Get = %+v, %v", name, e, ok)
+		}
+		if got := be.Stats().Hits; got != reads+1 {
+			t.Fatalf("%s: first Get made %d backend reads, want 1", name, got-reads)
+		}
+		if got := c.FastLen(); got != fast+1 {
+			t.Fatalf("%s: first Get left FastLen at %d, want %d (promoted)", name, got, fast+1)
+		}
+		if e, ok := op.get(); !ok || e.Value != 0.25 {
+			t.Fatalf("%s: second Get = %+v, %v", name, e, ok)
+		}
+		if got := be.Stats().Hits; got != reads+1 {
+			t.Fatalf("%s: second Get read the backend (%d reads), want it served from the fast map", name, got-reads-1)
+		}
+		// Same version, better release: the tree's node cache re-fills a
+		// key this way when the cached ε no longer qualifies.
+		if err := op.put(0.75, 0.02); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.FastLen(); got != fast {
+			t.Fatalf("%s: re-Put left FastLen at %d, want %d (promoted entry dropped)", name, got, fast)
+		}
+		if e, ok := op.get(); !ok || e.Value != 0.75 || e.Eps != 0.02 {
+			t.Fatalf("%s: Get after re-Put = %+v, %v, want the new bytes", name, e, ok)
+		}
+	}
+	for i := 2; i < 34; i++ {
+		w := base.WithWindow(i, i)
+		_ = c.Put(w, 1, float64(i), 0.01)
+		if e, ok := c.Get(w, 1); !ok || e.Value != float64(i) {
+			t.Fatalf("window %d: %+v %v", i, e, ok)
+		}
+	}
+	if got := c.FastLen(); got != 4 {
+		t.Fatalf("FastLen = %d after promoting 34 entries, want the bound, 4", got)
+	}
+}
+
+// TestPromotionStorm races one writer against readers over a single key.
+// The writer Puts strictly increasing versions (value = version, so a
+// torn or mismatched entry shows); readers ask for the version the writer
+// last announced. No Get may return an entry of another version. A reader
+// that fetched version v from the backend may promote it after the writer
+// already dropped it for v+1, and a reader still asking for v may
+// invalidate v+1 on sight — both are misses, never wrong answers — so the
+// last word goes to a Put made once the storm is over, at the storm's
+// final version: whatever the race left promoted must not shadow it.
+func TestPromotionStorm(t *testing.T) {
+	c, err := NewExactBounded(store.NewMem(store.MemConfig{}), "t", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := query.MustNew(dom(), map[int][]int{0: {1}}).WithWindow(0, 0)
+	const versions = 2000
+	var cur, gets atomic.Int64
+	cur.Store(1)
+	var readers sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				want := int(cur.Load())
+				e, ok := c.Get(q, want)
+				gets.Add(1)
+				if ok && (e.Version != want || e.Value != float64(want)) {
+					t.Errorf("Get at version %d returned %+v", want, e)
+				}
+				runtime.Gosched() // hand the writer its turn on a small box
+			}
+		}()
+	}
+	for v := 1; v <= versions; v++ {
+		seen := gets.Load()
+		cur.Store(int64(v))
+		if err := c.Put(q, v, float64(v), 0.01); err != nil {
+			t.Fatal(err)
+		}
+		// Pace the writer by the readers, or on a small box it finishes
+		// before they are scheduled: every fourth version waits for a Get
+		// that overlapped or followed its Put.
+		for v%4 == 0 && gets.Load() == seen {
+			runtime.Gosched()
+		}
+	}
+	close(stop)
+	readers.Wait()
+
+	if err := c.Put(q, versions, -1, 0.02); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // from the backend, then from the fast map
+		if e, ok := c.Get(q, versions); !ok || e.Value != -1 || e.Eps != 0.02 {
+			t.Fatalf("read %d after quiescence = %+v, %v, want the last Put", i, e, ok)
 		}
 	}
 }

@@ -8,6 +8,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/query"
@@ -69,5 +70,34 @@ func TestFlightKeyAllocBudget(t *testing.T) {
 		_ = flightKey(pl)
 	}); allocs > 1 {
 		t.Fatalf("flightKey allocates %.1f/op, want <= 1", allocs)
+	}
+}
+
+// TestColdBatchAllocBudget pins what one cold statement allocates on its
+// way through AnswerBatch — plan, probe miss, flight key, admission, tree
+// execution, one store append — on freshly built queries, so each
+// predicate's support is resolved inside the measurement as it is for a
+// freshly parsed statement. GOMAXPROCS is pinned to 1 so the batch runs on
+// the caller alone and the count repeats exactly. The fill itself must
+// stay one arena append: a fast-map insert per fill, or a per-predicate
+// memo beside the query's own, shows here first.
+func TestColdBatchAllocBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ds, batches := coldBatches(t)
+	s := coldSession(t, ds)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	stmts := runCold(t, s, batches)
+	runtime.ReadMemStats(&after)
+	// Reads 18.03 (23.43 before the fast map became promote-on-read and
+	// the dataset's predicate-mask memo was deleted).
+	const ceiling = 18.5
+	perStmt := float64(after.Mallocs-before.Mallocs) / float64(stmts)
+	t.Logf("%.3f allocs per cold statement over %d", perStmt, stmts)
+	if perStmt > ceiling {
+		t.Fatalf("cold statement allocates %.2f, budget %.2f", perStmt, ceiling)
+	}
+	if got := s.ExactCache().FastLen(); got != 0 {
+		t.Fatalf("fills promoted %d entries into the fast map, want 0 until one is read", got)
 	}
 }

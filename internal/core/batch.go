@@ -14,10 +14,11 @@
 //     query 429s on its own without dooming batchmates, and the batch
 //     pays one accountant-lock acquisition where singleton traffic
 //     pays one per query;
-//   - one dataset warm-up pass that materializes each distinct window
-//     aggregate and predicate mask once (dataset.WarmBatch), so the
+//   - one dataset warm-up pass that materializes each distinct
+//     multi-partition window aggregate once (dataset.WarmBatch), so the
 //     admitted groups' executions all run on shared, version-stamped
-//     state;
+//     state (predicates need none: their resolved support is memoized on
+//     the query);
 //   - per-group execution through the same single-flight group as the
 //     singleton path, so batch executions still dedup against concurrent
 //     singleton traffic and fill the exact cache before their flight key
@@ -60,6 +61,15 @@ type batchGroup struct {
 	ans        Answer
 	err        error
 	mergedInto *batchGroup
+}
+
+// batchMiss is a group the exact cache could not answer, beside the
+// flight identity it merges, executes and fills under — rendered once,
+// and kept out of batchGroup so an all-hit batch's arena carries no key
+// slots (sixteen 128-byte groups are exactly one 2 KiB allocation class).
+type batchMiss struct {
+	g   *batchGroup
+	key string
 }
 
 // AnswerBatch answers a batch of linear queries, returning one ordered
@@ -124,7 +134,7 @@ func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 
 	// One exact-cache probe per distinct group. Hit groups resolve on
 	// the spot; misses collect for the shared admission round.
-	var misses []*batchGroup
+	var misses []batchMiss
 	for i := range arena {
 		g := &arena[i]
 		if e, ok := s.exact.Get(g.pl.Query, g.pl.Version); ok {
@@ -133,7 +143,7 @@ func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 			s.recordN(SourceExactHit, g.n)
 			continue
 		}
-		misses = append(misses, g)
+		misses = append(misses, batchMiss{g: g, key: flightKey(g.pl)})
 	}
 
 	if len(misses) > 0 {
@@ -144,15 +154,14 @@ func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 		if len(misses) > 1 {
 			byKey := make(map[string]*batchGroup, len(misses))
 			merged := misses[:0]
-			for _, g := range misses {
-				key := flightKey(g.pl)
-				if m := byKey[key]; m != nil {
-					m.n += g.n
-					g.mergedInto = m
+			for _, m := range misses {
+				if into := byKey[m.key]; into != nil {
+					into.n += m.g.n
+					m.g.mergedInto = into
 					continue
 				}
-				byKey[key] = g
-				merged = append(merged, g)
+				byKey[m.key] = m.g
+				merged = append(merged, m)
 			}
 			misses = merged
 		}
@@ -162,14 +171,14 @@ func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 		verdicts := s.admitBatch(misses)
 		warm := make([]dataset.BatchQuery, 0, len(misses))
 		run := misses[:0]
-		for i, g := range misses {
+		for i, m := range misses {
 			if verdicts[i] != nil {
 				s.noteErr(verdicts[i])
-				g.err = verdicts[i]
+				m.g.err = verdicts[i]
 				continue
 			}
-			warm = append(warm, dataset.BatchQuery{Query: g.pl.Query, Start: g.pl.Start, End: g.pl.End})
-			run = append(run, g)
+			warm = append(warm, dataset.BatchQuery{Start: m.g.pl.Start, End: m.g.pl.End})
+			run = append(run, m)
 		}
 		if len(run) > 0 {
 			s.ds.WarmBatch(warm)
@@ -183,9 +192,9 @@ func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 			var next atomic.Int64
 			work := func() {
 				for i := next.Add(1) - 1; int(i) < len(run); i = next.Add(1) - 1 {
-					g := run[i]
-					ans, shared, err := s.execute(g.pl)
-					s.resolveExecuted(g, ans, shared, err)
+					m := run[i]
+					ans, shared, err := s.execute(m.g.pl, m.key)
+					s.resolveExecuted(m.g, ans, shared, err)
 				}
 			}
 			var wg sync.WaitGroup
@@ -225,10 +234,10 @@ func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 // (The non-partitioned PMW pays the full range whatever the query's
 // window, so every partition carries the same spend and the plan's
 // window gives the same verdict the full range would.)
-func (s *Session) admitBatch(groups []*batchGroup) []error {
-	wins := make([]accountant.PartitionRange, len(groups))
-	for i, g := range groups {
-		wins[i] = accountant.PartitionRange{Start: g.pl.Start, End: g.pl.End}
+func (s *Session) admitBatch(misses []batchMiss) []error {
+	wins := make([]accountant.PartitionRange, len(misses))
+	for i, m := range misses {
+		wins[i] = accountant.PartitionRange{Start: m.g.pl.Start, End: m.g.pl.End}
 	}
 	return s.block.AdmitBatch(wins)
 }

@@ -2,10 +2,96 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/query"
+	"repro/internal/store"
+	"repro/internal/tree"
+	"repro/internal/workload"
 )
+
+// coldBatches is the benchmark's hit_zipf set-up below the HTTP handler:
+// turbo-server's default dataset (covid, 16 weeks) and 125 batches of 16
+// never-repeated (predicate, window) pairs over it, so a fresh session
+// plans, misses, admits, executes on the tree and fills the cache once per
+// statement. The same pairs as server.BenchmarkHandleQueryBatchCold.
+func coldBatches(tb testing.TB) (*dataset.Dataset, [][]*query.Query) {
+	tb.Helper()
+	const weeks, batches, batchSize = 16, 125, 16
+	ds, err := workload.BuildCovid(workload.CovidConfig{Rows: 2_000_000, Weeks: weeks, Seed: 42})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pool := workload.CovidPool(ds.Domain())
+	out := make([][]*query.Query, batches)
+	for i := range out {
+		for j := 0; j < batchSize; j++ {
+			n := i*batchSize + j
+			start := n % weeks
+			out[i] = append(out[i], pool[n*len(pool)/(batches*batchSize)].WithWindow(start, start+n%(weeks-start)))
+		}
+	}
+	return ds, out
+}
+
+// coldSession is a fresh session shaped like turbo-server's default
+// (partitioned binary tree, node caches on) with a fixed shard count, so
+// allocation counts do not depend on the box.
+func coldSession(tb testing.TB, ds *dataset.Dataset) *Session {
+	tb.Helper()
+	s, err := NewSession(Config{
+		Mode: Partitioned, Alpha: 0.05, Beta: 0.001, EpsilonGlobal: 10,
+		Structure: tree.Binary, NodeExactCache: true, Seed: 42,
+		Shards: 2, Backend: store.NewMem(store.MemConfig{}),
+	}, ds)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// runCold answers every batch on s and returns the statements answered.
+func runCold(tb testing.TB, s *Session, batches [][]*query.Query) int {
+	stmts := 0
+	for _, qs := range batches {
+		for _, r := range s.AnswerBatch(qs) {
+			if r.Err != nil {
+				tb.Fatal(r.Err)
+			}
+			if r.Answer.Source == SourceExactHit {
+				tb.Fatalf("statement %d was an exact hit: the batches must stay cold", stmts)
+			}
+			stmts++
+		}
+	}
+	return stmts
+}
+
+// BenchmarkColdBatch times the cold fill path end to end below the
+// handler: a fresh session per iteration, 2,000 distinct statements
+// through AnswerBatch, reported per statement.
+func BenchmarkColdBatch(b *testing.B) {
+	ds, batches := coldBatches(b)
+	var ms0, ms1 runtime.MemStats
+	var mallocs uint64
+	stmts := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := coldSession(b, ds)
+		runtime.ReadMemStats(&ms0)
+		b.StartTimer()
+		stmts += runCold(b, s, batches)
+		b.StopTimer()
+		runtime.ReadMemStats(&ms1)
+		mallocs += ms1.Mallocs - ms0.Mallocs
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(stmts), "ns/stmt")
+	b.ReportMetric(float64(mallocs)/float64(stmts), "allocs/stmt")
+}
 
 // BenchmarkAnswerBatch measures the steady-state (exact-hit) cost per
 // answer of the batch plane at several batch sizes against the plain

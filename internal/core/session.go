@@ -444,7 +444,7 @@ func (s *Session) Answer(q *query.Query) (Answer, error) {
 		return Answer{Value: e.Value, Source: SourceExactHit,
 			Start: pl.Start, End: pl.End, Rows: pl.Rows}, nil
 	}
-	ans, shared, err := s.execute(pl)
+	ans, shared, err := s.execute(pl, flightKey(pl))
 	if err != nil {
 		s.noteErr(err)
 		return Answer{}, err
@@ -464,7 +464,10 @@ var flightKeyPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 96); return &b },
 }
 
-// flightKey builds the single-flight identity "key@vN" for a plan.
+// flightKey builds the single-flight identity "key@vN" for a plan: the
+// exact-cache identity, predicate + window + data version. Keying on the
+// version means a query planned against newer data never shares a stale
+// in-flight execution.
 func flightKey(pl Plan) string {
 	bp := flightKeyPool.Get().(*[]byte)
 	b := append((*bp)[:0], pl.Query.KeyWithWindow()...)
@@ -476,14 +479,11 @@ func flightKey(pl Plan) string {
 	return key
 }
 
-// execute runs a cache-missed plan through the single-flight group and, as
-// the flight leader, on its executor shard. shared reports that the answer
-// came from a concurrent identical flight (no execution, no payment).
-func (s *Session) execute(pl Plan) (Answer, bool, error) {
-	// The flight key is the exact-cache identity: predicate + window +
-	// data version. Keying on the version means a query planned against
-	// newer data never shares a stale in-flight execution.
-	key := flightKey(pl)
+// execute runs a cache-missed plan through the single-flight group under
+// key (flightKey(pl)) and, as the flight leader, on its executor shard.
+// shared reports that the answer came from a concurrent identical flight
+// (no execution, no payment).
+func (s *Session) execute(pl Plan, key string) (Answer, bool, error) {
 	return s.flights.do(key, func() (Answer, error) {
 		// Double-check the exact cache as the leader: an identical query
 		// may have completed (and cached) between this goroutine's cache
@@ -624,14 +624,8 @@ func (s *Session) ExactCache() *cache.Exact { return s.exact }
 
 // StoreStats returns the storage backend's hit/miss/eviction/bytes
 // counters, for /schema's cache section and the cache-pressure
-// experiment, with the vectorized engine's predicate-mask memo
-// counters overlaid so every answer-cache layer reports in one place.
-func (s *Session) StoreStats() store.Stats {
-	st := s.store.Stats()
-	ms := s.ds.MaskStats()
-	st.MaskHits, st.MaskMisses, st.MaskEvictions = ms.Hits, ms.Misses, ms.Evictions
-	return st
-}
+// experiment.
+func (s *Session) StoreStats() store.Stats { return s.store.Stats() }
 
 // MemoryBytes reports resident caching-state size: histograms plus the KV
 // store (§6.5).

@@ -1,6 +1,6 @@
-// Allocation budgets for the miss-path executor: once the predicate mask
-// is memoized and the window aggregate is warm, a non-private execution
-// must be a pure scan. Guarded out of race builds (race instrumentation
+// Allocation budgets for the miss-path executor: once the predicate's
+// support is resolved and the window aggregate is warm, a non-private
+// execution must be a pure scan. Guarded out of race builds (race instrumentation
 // allocates).
 
 //go:build !race
@@ -15,9 +15,8 @@ import (
 )
 
 // TestTrueFractionWarmZeroAllocs pins the warm vectorized execution —
-// memoized mask, cached window aggregate — at zero allocations per query,
-// for both the dense masked-sum and the sparse odometer route, single-
-// and multi-partition.
+// resolved support, cached window aggregate — at zero allocations per
+// query, for a wide and a tiny support, single- and multi-partition.
 func TestTrueFractionWarmZeroAllocs(t *testing.T) {
 	dom := domain.MustNew(
 		domain.Attribute{Name: "p", Card: 4},
@@ -33,16 +32,16 @@ func TestTrueFractionWarmZeroAllocs(t *testing.T) {
 		}
 	}
 	queries := map[string]*query.Query{
-		// Wide support: dense bitset route (masked sum).
+		// Wide support: half the domain.
 		"dense": query.MustNew(dom, map[int][]int{1: {0, 1, 2, 3, 4, 5, 6, 7}}),
-		// Tiny support: sparse odometer route.
+		// Tiny support: one bin.
 		"sparse": query.MustNew(dom, map[int][]int{0: {1}, 1: {2}, 2: {3}}),
 	}
 	for name, q := range queries {
 		for _, window := range [][2]int{{2, 2}, {0, 5}} {
 			start, end := window[0], window[1]
 			if _, _, err := ds.TrueFractionN(q, start, end); err != nil {
-				t.Fatal(err) // warm the mask and the window aggregate
+				t.Fatal(err) // resolve the support, build the window aggregate
 			}
 			if allocs := testing.AllocsPerRun(200, func() {
 				if _, _, err := ds.TrueFractionN(q, start, end); err != nil {

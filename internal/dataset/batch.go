@@ -1,17 +1,16 @@
 // Batch warm-up: the dataset leg of the session's batch plane
 // (core.Session.AnswerBatch).
 //
-// A batch of cache-missed queries typically shares structure — zipf
-// workloads repeat predicates, dashboards fan one predicate across
-// several windows. Executing the misses one by one rediscovers that
-// sharing implicitly (the second query finds the first one's window
-// aggregate and predicate mask already memoized — if it is not racing
-// the first one's build). WarmBatch makes the sharing explicit: one
-// pass deduplicates the batch's windows and mask-worthy predicates and
-// materializes each exactly once, so the subsequent per-query
-// executions all run on warm, version-stamped state instead of
-// building the same aggregate or mask concurrently in parallel
-// goroutines.
+// A batch of cache-missed queries typically shares windows — dashboards
+// fan many predicates across a few time ranges. Executing the misses one
+// by one rediscovers that sharing implicitly (the second query finds the
+// first one's window aggregate already cached — if it is not racing the
+// first one's build). WarmBatch makes the sharing explicit: one
+// sequential pass materializes each distinct multi-partition window's
+// aggregate exactly once, so the subsequent per-query executions all run
+// on warm, version-stamped state instead of building the same aggregate
+// concurrently in parallel goroutines. (Predicates need no warm-up: their
+// resolved support is memoized on the query itself.)
 //
 // Warming is best-effort and purely a cache operation: it deducts no
 // privacy budget, returns no data, and skipping it never changes any
@@ -19,11 +18,7 @@
 
 package dataset
 
-import (
-	"fmt"
-
-	"repro/internal/query"
-)
+import "fmt"
 
 // MetaSnapshot is a point-in-time copy of the dataset's public planning
 // metadata: the partition count plus prefix sums of per-partition version
@@ -64,64 +59,27 @@ func (m *MetaSnapshot) WindowMeta(start, end int) (version, rows int, err error)
 }
 
 // BatchQuery names one batched query's evaluation footprint: the
-// predicate and the partition window it will execute over.
+// partition window it will execute over.
 type BatchQuery struct {
-	Query      *query.Query
 	Start, End int
 }
 
-// MaskStats is the predicate-mask memo telemetry of the vectorized
-// engine (bitindex.go), surfaced through Session.StoreStats → /schema.
-type MaskStats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-}
-
-// MaskStats returns cumulative predicate-mask memo counters.
-func (ds *Dataset) MaskStats() MaskStats {
-	return MaskStats{
-		Hits:      int64(ds.idx.hits.Load()),
-		Misses:    int64(ds.idx.misses.Load()),
-		Evictions: int64(ds.idx.evictions.Load()),
-	}
-}
-
 // WarmBatch materializes the shared evaluation state of a batch of
-// cache-missed queries in one deduplicated pass: each distinct
-// multi-partition window's aggregate vector and each distinct
-// mask-worthy predicate's combined bitset, built once however many
-// batch members share it. Malformed windows are skipped — the per-query
-// execution will surface their errors.
+// cache-missed queries in one sequential pass: each distinct
+// multi-partition window's aggregate vector, built once however many
+// batch members share it (a repeat finds the first one's aggregate at the
+// current version). Single-partition windows evaluate in place and need
+// none; malformed windows are skipped — the per-query execution will
+// surface their errors.
 func (ds *Dataset) WarmBatch(items []BatchQuery) {
-	if len(items) == 0 {
-		return
-	}
-	wins := make(map[int64]BatchQuery, len(items))
-	preds := make(map[string]*query.Query, len(items))
 	for _, it := range items {
-		if it.Query == nil {
+		if it.Start == it.End {
 			continue
 		}
-		if it.Start != it.End {
-			wins[aggKey(it.Start, it.End)] = it
-		}
-		// Mirror evalVec's crossover: only predicates that will take the
-		// masked-sum branch benefit from a warm mask, and full-support
-		// predicates shortcut to fraction 1 without evaluating at all.
-		ss := it.Query.SupportSize()
-		if ss >= sparseCrossoverWords*ds.idx.words && ss < ds.dom.Size() {
-			preds[it.Query.Key()] = it.Query
-		}
-	}
-	for _, it := range wins {
 		version, _, err := ds.WindowMeta(it.Start, it.End)
 		if err != nil {
 			continue
 		}
 		ds.windowAgg(it.Start, it.End, version)
-	}
-	for _, q := range preds {
-		ds.idx.predicate(q)
 	}
 }

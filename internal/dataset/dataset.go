@@ -46,9 +46,8 @@ type Dataset struct {
 	parts   []*Partition
 	version int
 
-	// Vectorized execution engine (bitindex.go): domain bitset masks and
-	// the window-aggregate cache.
-	idx     *bitIndex
+	// Window-aggregate cache of the vectorized execution engine
+	// (vector.go).
 	aggMu   sync.RWMutex
 	aggs    map[int64]*winAgg
 	aggBins int
@@ -60,7 +59,7 @@ func New(dom *domain.Domain, partitions int) *Dataset {
 	if partitions < 0 {
 		panic(fmt.Sprintf("dataset: bad partition count %d", partitions))
 	}
-	ds := &Dataset{dom: dom, idx: newBitIndex(dom), aggs: make(map[int64]*winAgg)}
+	ds := &Dataset{dom: dom, aggs: make(map[int64]*winAgg)}
 	for i := 0; i < partitions; i++ {
 		ds.appendPartitionLocked()
 	}
@@ -318,8 +317,7 @@ func (ds *Dataset) TrueFraction(q *query.Query, start, end int) (float64, error)
 // TrueFractionN is TrueFraction that also returns the window's public row
 // count, so the DP executor scales its noise without a second locked
 // metadata pass. Evaluation runs over the window's aggregated count
-// vector through the bitset predicate masks or the sparse odometer walk
-// (bitindex.go).
+// vector as a gather-sum over q's resolved support (vector.go).
 func (ds *Dataset) TrueFractionN(q *query.Query, start, end int) (float64, int, error) {
 	ds.mu.RLock()
 	if start < 0 || end >= len(ds.parts) || start > end {
@@ -337,7 +335,7 @@ func (ds *Dataset) TrueFractionN(q *query.Query, start, end int) (float64, int, 
 		}
 		matched := float64(p.n)
 		if q.SupportSize() < ds.dom.Size() {
-			matched = ds.idx.evalVec(q, p.counts)
+			matched = evalVec(q, p.counts)
 		}
 		n := p.n
 		ds.mu.RUnlock()
@@ -355,7 +353,7 @@ func (ds *Dataset) TrueFractionN(q *query.Query, start, end int) (float64, int, 
 	if q.SupportSize() == ds.dom.Size() {
 		return 1, a.rows, nil
 	}
-	return ds.idx.evalVec(q, a.counts) / float64(a.rows), a.rows, nil
+	return evalVec(q, a.counts) / float64(a.rows), a.rows, nil
 }
 
 // TrueDistribution returns the normalized distribution over bins of

@@ -149,37 +149,3 @@ func TestBatchEndpointMalformed(t *testing.T) {
 		t.Fatalf("GET status %d, want 405", r3.StatusCode)
 	}
 }
-
-// TestSchemaMaskCounters verifies the predicate-mask memo counters
-// surface through /schema after batch traffic.
-func TestSchemaMaskCounters(t *testing.T) {
-	srv, _ := newTestServer(t, 100)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// age IN (1,2,3) has support 6 of 8 bins — wide enough for the
-	// masked-sum branch, narrow enough not to shortcut to fraction 1 —
-	// so answering it builds (then reuses) a memoized predicate mask.
-	qs := []string{
-		"SELECT COUNT(*) FROM covid WHERE age IN (1, 2, 3)",
-		"SELECT COUNT(*) FROM covid WHERE age IN (1, 2, 3) AND time BETWEEN 0 AND 1",
-	}
-	if resp, body := postBatch(t, ts, qs); resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
-	}
-	resp, err := http.Get(ts.URL + "/schema")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var sr SchemaResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	if sr.Cache == nil || sr.Cache.MaskMisses == 0 {
-		t.Fatalf("mask counters missing from /schema: %+v", sr.Cache)
-	}
-	if sr.Cache.MaskHits == 0 {
-		t.Fatalf("batch sharing produced no mask hits: %+v", sr.Cache)
-	}
-}

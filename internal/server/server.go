@@ -556,13 +556,6 @@ type CacheStats struct {
 	ExactMisses  int     `json:"exact_misses"`
 	ExactHitRate float64 `json:"exact_hit_rate"`
 	ExactStripes int     `json:"exact_stripes"`
-	// MaskHits/MaskMisses/MaskEvictions are the vectorized engine's
-	// predicate-mask memo counters: how often executions (batch plane
-	// included) reused a shared mask versus paying a rebuild, and how
-	// much the memo cap churns.
-	MaskHits      int64 `json:"mask_hits"`
-	MaskMisses    int64 `json:"mask_misses"`
-	MaskEvictions int64 `json:"mask_evictions"`
 }
 
 // SchemaResponse is the /schema result: only public metadata (ingestion
@@ -615,9 +608,6 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 			ExactMisses:   exactMisses,
 			ExactHitRate:  exact.HitRate(),
 			ExactStripes:  exact.Stripes(),
-			MaskHits:      st.MaskHits,
-			MaskMisses:    st.MaskMisses,
-			MaskEvictions: st.MaskEvictions,
 		},
 	}
 	if s.ing != nil {

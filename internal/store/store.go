@@ -8,9 +8,11 @@
 // tests substitute it by embedding.
 //
 // Semantics every Backend must provide (the Redis subset Turbo relies
-// on): namespaced string keys with gob-encoded values, guarded delete
-// (CompareDelete — the stale-entry invalidation primitive), namespace
-// scans, and per-namespace export/import for snapshot sections. Backends
+// on): namespaced string keys with values encoded by EncodeValue (the
+// value's own FastEncoder bytes — every cache entry — gob otherwise),
+// guarded delete (CompareDelete — the stale-entry invalidation
+// primitive), namespace scans, and per-namespace export/import for
+// snapshot sections. Backends
 // are free to evict under memory pressure: the caching layers treat every
 // entry as a re-derivable DP release, so a missing key is a cache miss
 // that re-executes — and re-pays — through the session's single-flight
@@ -28,9 +30,10 @@ import (
 // FastEncoder is implemented by values that provide their own fixed-layout
 // binary encoding. Backends recognize it and store AppendFast's bytes
 // verbatim instead of running the value through gob — the hot-entry codec
-// seam: cache entries are written on every miss fill and decoded on every
-// fast-map-missed hit, and gob's reflection plus type preamble dominates
-// both. Implementations must be deterministic (CompareDelete's guarded
+// seam: a cache entry is written once per miss fill and decoded on the
+// read that promotes it into the exact cache's fast map (and on every
+// later read that finds it displaced from there), and gob's reflection
+// plus type preamble would dominate both. Implementations must be deterministic (CompareDelete's guarded
 // invalidation compares stored bytes against a re-encoding) and
 // self-identifying (a tag/length FastDecoder can recognize), so old
 // gob-encoded bytes — imported from pre-codec snapshots — still fall back
@@ -117,11 +120,12 @@ type Stats struct {
 	ResidentBytes int
 	// CapEntries and CapBytes are the configured bounds (0 = unbounded).
 	CapEntries, CapBytes int
-	// MaskHits, MaskMisses, and MaskEvictions are the vectorized engine's
-	// predicate-mask memo counters (dataset.MaskStats). They describe a
-	// session-side memo, not this backend; Session.StoreStats overlays
-	// them so /schema reports every answer-cache layer in one place.
-	MaskHits, MaskMisses, MaskEvictions int64
+	// MaskHits and MaskMisses are always 0: the predicate-mask memo they
+	// counted is gone, and the fields stay only as the compile shim
+	// benchmark/trace.go needs (it reads them into
+	// dataset.mask_memo_hit_rate) until the benchmark-only PR that drops
+	// that metric drops them too (ROADMAP item 5).
+	MaskHits, MaskMisses int64
 }
 
 // Exported is one entry of a namespace export: the stored bytes plus the
@@ -135,8 +139,8 @@ type Exported struct {
 }
 
 // Backend is the storage interface the caching layers program against.
-// Implementations must be safe for concurrent use. Values are gob-encoded
-// by the backend; Get decodes into out (a pointer).
+// Implementations must be safe for concurrent use. Values are encoded by
+// the backend through EncodeValue; Get decodes into out (a pointer).
 type Backend interface {
 	// Get loads ns:k into out, reporting whether the key existed.
 	Get(ns, k string, out any) (bool, error)
