@@ -24,75 +24,19 @@ import (
 	"repro/internal/bench"
 )
 
-// jsonPoint mirrors bench.Point with explicit field names.
-type jsonPoint struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
-}
-
-// jsonSeries is one named curve of a result.
-type jsonSeries struct {
-	Name   string      `json:"name"`
-	Points []jsonPoint `json:"points"`
-}
-
-// jsonResult is the machine-readable record of one experiment run — the
-// schema the checked-in BENCH_*.json perf-trajectory files use. The
-// GOMAXPROCS and CPU fields pin the execution environment so trajectory
-// points from different machines are not compared blind.
-type jsonResult struct {
-	Experiment string       `json:"experiment"`
-	Paper      string       `json:"paper"`
-	Scale      string       `json:"scale"`
-	WallMS     float64      `json:"wall_ms"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	NumCPU     int          `json:"num_cpu"`
-	XLabel     string       `json:"x_label"`
-	YLabel     string       `json:"y_label"`
-	Series     []jsonSeries `json:"series"`
-	Notes      []string     `json:"notes,omitempty"`
-}
-
-// toJSONResult flattens a bench.Result plus its run context.
-func toJSONResult(e bench.Experiment, sc bench.Scale, res bench.Result, wall time.Duration) jsonResult {
-	jr := jsonResult{
-		Experiment: e.Name,
-		Paper:      e.Paper,
-		Scale:      sc.Name,
-		WallMS:     float64(wall.Microseconds()) / 1000,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		XLabel:     res.XLabel,
-		YLabel:     res.YLabel,
-		Notes:      res.Notes,
-	}
-	for _, s := range res.Series {
-		js := jsonSeries{Name: s.Name, Points: make([]jsonPoint, 0, len(s.Points))}
-		for _, p := range s.Points {
-			js.Points = append(js.Points, jsonPoint{X: p.X, Y: p.Y})
-		}
-		jr.Series = append(jr.Series, js)
-	}
-	return jr
-}
-
 // loadTreeMissBaseline extracts the treemiss-qps series of the FIRST
 // misspath record in a BENCH_*.json trajectory file — the first record is
 // the pinned perf baseline; later records are appended runs. A missing
 // file skips the gate (nil map, no error) so fresh checkouts without the
 // trajectory still run.
 func loadTreeMissBaseline(path string) (map[float64]float64, error) {
-	data, err := os.ReadFile(path)
+	records, err := bench.ReadRecords(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			fmt.Fprintf(os.Stderr, "turbo-bench: baseline %s not found; tree-miss gate skipped\n", path)
 			return nil, nil
 		}
 		return nil, err
-	}
-	var records []jsonResult
-	if err := json.Unmarshal(data, &records); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	for _, rec := range records {
 		if rec.Experiment != "misspath" {
@@ -124,7 +68,6 @@ func main() {
 		rows     = flag.Int("rows", 0, "override synthetic dataset rows (both datasets)")
 		parallel = flag.String("parallel", "", "goroutine counts for -exp=scaling, e.g. 1,2,4,8,16")
 		arrivals = flag.String("arrivals", "", "queries-per-arrival ratios for -exp=streaming, e.g. 400,100,25")
-		batch    = flag.Int("batch", 0, "for -exp=scaling: drive an HTTP server via /query/batch with batches of N (0 = in-process singleton drive)")
 		baseline = flag.String("baseline", "", "for -exp=misspath: JSON trajectory file whose FIRST misspath record supplies the treemiss-qps baseline for the 10x hard gate (missing file or empty flag skips the gate)")
 		jsonOut  = flag.String("json", "", "also write machine-readable results (a JSON array) to FILE")
 	)
@@ -167,11 +110,6 @@ func main() {
 			sc.Workers = append(sc.Workers, w)
 		}
 	}
-	if *batch < 0 {
-		fmt.Fprintf(os.Stderr, "turbo-bench: bad -batch value %d\n", *batch)
-		os.Exit(2)
-	}
-	sc.Batch = *batch
 	if *baseline != "" {
 		base, err := loadTreeMissBaseline(*baseline)
 		if err != nil {
@@ -203,7 +141,7 @@ func main() {
 		todo = []bench.Experiment{e}
 	}
 
-	var jsonResults []jsonResult
+	var records []bench.Record
 	for _, e := range todo {
 		start := time.Now()
 		res, err := e.Run(sc)
@@ -213,7 +151,10 @@ func main() {
 		}
 		elapsed := time.Since(start).Round(time.Millisecond)
 		if *jsonOut != "" {
-			jsonResults = append(jsonResults, toJSONResult(e, sc, res, elapsed))
+			rec := res.Record(e, sc)
+			rec.WallMS = float64(elapsed.Microseconds()) / 1000
+			rec.GOMAXPROCS, rec.NumCPU = runtime.GOMAXPROCS(0), runtime.NumCPU()
+			records = append(records, rec)
 		}
 		out := os.Stdout
 		if *outDir != "" {
@@ -243,7 +184,7 @@ func main() {
 		}
 	}
 	if *jsonOut != "" {
-		data, err := json.MarshalIndent(jsonResults, "", "  ")
+		data, err := json.MarshalIndent(records, "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

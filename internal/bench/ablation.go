@@ -1,12 +1,11 @@
 // Ablation experiments beyond the paper's printed figures, covering the
-// design choices DESIGN.md calls out: the external-update margin τ, the
+// design choices the paper argues for: the external-update margin τ, the
 // warm-start prior quality (Thm A.9's λ), Rényi vs pure-DP composition
 // (§A.6), and the §A.5 bypass cutoff under an adversarial drain workload.
 
 package bench
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/accountant"
@@ -22,33 +21,27 @@ import (
 // updates (wasted, possibly oscillating training); too large a margin
 // starves the histogram and keeps the PMW on the paid bypass path.
 func TauSweep(sc Scale) (Result, error) {
-	taus := []float64{0.01, 0.05, 0.1, 0.25, 0.5}
 	budget := Series{Name: "final-budget"}
 	updates := Series{Name: "updates"}
-	for i, tau := range taus {
+	for i, tau := range []float64{0.01, 0.05, 0.1, 0.25, 0.5} {
 		env, err := NewCovidEnv(sc, 130)
 		if err != nil {
 			return Result{}, err
 		}
 		env.Tau = tau
-		p, block, err := env.newStandalonePMW(false, env.lr(),
-			heuristic.NewAdaptivePerBin(env.C0, env.S0), 600+uint64(i))
+		a, p, err := env.pmwArm("", false, env.lr(), heuristic.NewAdaptivePerBin(env.C0, env.S0), 600+uint64(i))
 		if err != nil {
 			return Result{}, err
 		}
-		z, err := workload.NewZipf(env.Pool, 1, env.Rng.Fork())
+		queries, err := env.sample(1, sc.Queries)
 		if err != nil {
 			return Result{}, err
 		}
-		for k := 0; k < sc.Queries; k++ {
-			if _, err := p.Run(z.Sample()); err != nil {
-				if errors.Is(err, accountant.ErrBudgetExhausted) {
-					break
-				}
-				return Result{}, err
-			}
+		spent, err := final(a, len(queries), true, from(queries))
+		if err != nil {
+			return Result{}, err
 		}
-		budget.Points = append(budget.Points, Point{X: tau, Y: block.AverageSpent()})
+		budget.Points = append(budget.Points, Point{X: tau, Y: spent})
 		updates.Points = append(updates.Points, Point{X: tau, Y: float64(p.Stats().Updates)})
 	}
 	return Result{
@@ -70,12 +63,21 @@ func WarmStartPriors(sc Scale) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	start, end := fullRange(env.DS)
+	start, end := 0, env.DS.Partitions()-1
 	truth, err := env.DS.TrueDistribution(start, end)
 	if err != nil {
 		return Result{}, err
 	}
-
+	// mix blends the distribution at(i) over the bins 0.8 : 0.2 with
+	// uniform.
+	mix := func(at func(i int) float64) (*histogram.Histogram, error) {
+		w := make([]float64, len(truth))
+		u := 1.0 / float64(len(truth))
+		for i := range w {
+			w[i] = 0.8*at(i) + 0.2*u
+		}
+		return histogram.FromWeights(w)
+	}
 	priors := []struct {
 		name string
 		mk   func() (*histogram.Histogram, error)
@@ -83,24 +85,13 @@ func WarmStartPriors(sc Scale) (Result, error) {
 		{"uniform", func() (*histogram.Histogram, error) {
 			return histogram.NewUniform(env.DS.Domain().Size()), nil
 		}},
+		// What a trained previous partition provides.
 		{"good-prior", func() (*histogram.Histogram, error) {
-			// Mix of truth and uniform: what a trained previous
-			// partition provides.
-			w := make([]float64, len(truth))
-			u := 1.0 / float64(len(truth))
-			for i := range w {
-				w[i] = 0.8*truth[i] + 0.2*u
-			}
-			return histogram.FromWeights(w)
+			return mix(func(i int) float64 { return truth[i] })
 		}},
+		// Reversed truth: the worst plausible carry-over.
 		{"wrong-prior", func() (*histogram.Histogram, error) {
-			// Reversed truth: the worst plausible carry-over.
-			w := make([]float64, len(truth))
-			u := 1.0 / float64(len(truth))
-			for i := range w {
-				w[i] = 0.8*truth[len(truth)-1-i] + 0.2*u
-			}
-			return histogram.FromWeights(w)
+			return mix(func(i int) float64 { return truth[len(truth)-1-i] })
 		}},
 	}
 
@@ -113,39 +104,28 @@ func WarmStartPriors(sc Scale) (Result, error) {
 			return Result{}, err
 		}
 		lambda0 := h.Lambda() // before training mutates the prior
-		p, _, err := env.newStandalonePMW(false, env.lr(),
-			heuristic.NewAdaptivePerBin(env.C0, env.S0), 700+uint64(xi))
+		a, p, err := env.pmwArm("", false, env.lr(), heuristic.NewAdaptivePerBin(env.C0, env.S0), 700+uint64(xi))
 		if err != nil {
 			return Result{}, err
 		}
 		if err := p.WarmStart(h, nil); err != nil {
 			return Result{}, err
 		}
-		z, err := workload.NewZipf(env.Pool, 1, env.Rng.Fork())
+		queries, err := env.sample(1, sc.Queries*4)
 		if err != nil {
 			return Result{}, err
 		}
-		validator, err := workload.NewValidator(env.Pool, 300, env.Alpha, env.DS, start, end, env.Rng.Fork())
+		v, err := workload.NewValidator(env.Pool, 300, env.Alpha, env.DS, start, end, env.Rng.Fork())
 		if err != nil {
 			return Result{}, err
 		}
-		converged := -1
-		for k := 0; k < sc.Queries*4; k++ {
-			if _, err := p.Run(z.Sample()); err != nil {
-				if errors.Is(err, accountant.ErrBudgetExhausted) {
-					break
-				}
-				return Result{}, err
-			}
-			if k%200 == 199 && validator.Converged(p.Histogram()) {
-				converged = p.Histogram().Updates()
-				break
-			}
+		answered := 0
+		a = converging(a, p, v, func() bool { answered++; return answered%200 == 0 })
+		converged, err := final(a, len(queries), true, from(queries))
+		if err != nil {
+			return Result{}, err
 		}
-		if converged < 0 {
-			converged = p.Histogram().Updates()
-		}
-		s.Points = append(s.Points, Point{X: float64(xi), Y: float64(converged)})
+		s.Points = append(s.Points, Point{X: float64(xi), Y: converged})
 		lambdas.Points = append(lambdas.Points, Point{X: float64(xi), Y: lambda0})
 		notes = append(notes, fmt.Sprintf("%d=%s (λ=%.2f)", xi, pr.name, lambda0))
 	}
@@ -202,45 +182,32 @@ func AdversarialDrain(sc Scale) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	dom := env.DS.Domain()
 	// Adversarial stream: rotate through single-bin queries over the
 	// largest attribute so per-bin counters never reach C0.
-	mkQuery := func(i int) *query.Query {
+	dom := env.DS.Domain()
+	i := -1
+	next := func() *query.Query {
+		i++
 		return query.MustNew(dom, map[int][]int{
 			0: {i % 2}, 1: {(i / 2) % 4}, 2: {(i / 8) % 2}, 3: {(i / 16) % 8},
 		})
 	}
 	configs := []struct {
 		name string
-		mk   func() heuristic.Heuristic
+		h    heuristic.Heuristic
 	}{
-		{"no-cutoff", func() heuristic.Heuristic {
-			return heuristic.NewAdaptivePerBin(1000, 1) // pessimistic: always bypass
-		}},
-		{"cutoff-k500", func() heuristic.Heuristic {
-			return heuristic.NewCutoff(heuristic.NewAdaptivePerBin(1000, 1), 500)
-		}},
+		{"no-cutoff", heuristic.NewAdaptivePerBin(1000, 1)}, // pessimistic: always bypass
+		{"cutoff-k500", heuristic.NewCutoff(heuristic.NewAdaptivePerBin(1000, 1), 500)},
 	}
-	var series []Series
-	for ci, cfg := range configs {
-		p, block, err := env.newStandalonePMW(false, env.lr(), cfg.mk(), 800+uint64(ci))
+	var arms []arm
+	for ci, c := range configs {
+		a, _, err := env.pmwArm(c.name, false, env.lr(), c.h, 800+uint64(ci))
 		if err != nil {
 			return Result{}, err
 		}
-		s := Series{Name: cfg.name}
-		for i := 0; i < sc.Queries; i++ {
-			if _, err := p.Run(mkQuery(i)); err != nil {
-				if errors.Is(err, accountant.ErrBudgetExhausted) {
-					break
-				}
-				return Result{}, err
-			}
-			if (i+1)%(sc.Queries/10) == 0 {
-				s.Points = append(s.Points, Point{X: float64(i + 1), Y: block.AverageSpent()})
-			}
-		}
-		series = append(series, s)
+		arms = append(arms, a)
 	}
+	series, err := drive(arms, sc.Queries, 10, true, next)
 	return Result{
 		Name:   "ablation-adversarial-drain",
 		XLabel: "queries",
@@ -250,5 +217,5 @@ func AdversarialDrain(sc Scale) (Result, error) {
 			"rotating single-bin queries against a pessimistic heuristic",
 			"expected: no-cutoff drains linearly; cutoff flattens once the PMW branch is forced",
 		},
-	}, nil
+	}, err
 }

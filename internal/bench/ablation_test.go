@@ -2,13 +2,11 @@ package bench
 
 import "testing"
 
+// The ablation checks read the golden record (small scale), which
+// TestPaperGolden pins to what the experiments produce.
+
 func TestTauSweepRuns(t *testing.T) {
-	sc := tiny()
-	sc.Queries = 4000
-	r, err := TauSweep(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := golden(t, "tau")
 	budget := r.SeriesByName("final-budget")
 	updates := r.SeriesByName("updates")
 	if len(budget.Points) != 5 || len(updates.Points) != 5 {
@@ -22,12 +20,7 @@ func TestTauSweepRuns(t *testing.T) {
 }
 
 func TestWarmStartPriorsOrdering(t *testing.T) {
-	sc := tiny()
-	sc.Queries = 4000
-	r, err := WarmStartPriors(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := golden(t, "warmstart")
 	s := r.SeriesByName("updates-to-converge")
 	if len(s.Points) != 3 {
 		t.Fatalf("points = %v", s.Points)
@@ -52,11 +45,7 @@ func TestWarmStartPriorsOrdering(t *testing.T) {
 }
 
 func TestRDPvsPure(t *testing.T) {
-	r, err := RDPvsPure(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := r.Series[0].Points
+	pts := golden(t, "rdp").Series[0].Points
 	if len(pts) != 2 {
 		t.Fatalf("points = %v", pts)
 	}
@@ -67,12 +56,7 @@ func TestRDPvsPure(t *testing.T) {
 }
 
 func TestAdversarialDrainCutoff(t *testing.T) {
-	sc := tiny()
-	sc.Queries = 3000
-	r, err := AdversarialDrain(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := golden(t, "drain")
 	no := r.SeriesByName("no-cutoff")
 	cut := r.SeriesByName("cutoff-k500")
 	if len(no.Points) == 0 || len(cut.Points) == 0 {

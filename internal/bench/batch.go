@@ -164,7 +164,7 @@ func Batch(sc Scale) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	pool, err := windowed(env, batchDistinct, 0)
+	pool, err := env.windowed(batchDistinct, 0)
 	if err != nil {
 		return Result{}, err
 	}

@@ -1,23 +1,29 @@
 // Package bench is the experiment harness that regenerates every table and
 // figure of the Turbo paper's evaluation (§6). Each experiment is a
 // function returning a Result — one or more named series of (x, y) points
-// matching the rows/curves the paper plots — shared by the root-level Go
-// benchmarks (bench_test.go) and the cmd/turbo-bench tool.
+// matching the rows/curves the paper plots — run by the cmd/turbo-bench
+// tool and, for every deterministic experiment, pinned bit for bit by the
+// golden record testdata/paper_small.json (TestPaperGolden).
 //
-// Experiments run at a configurable Scale. ScaleSmall keeps `go test
-// -bench` wall-clock in seconds while preserving every qualitative shape;
-// ScalePaper reproduces the paper's workload sizes (§6.1) for the
-// standalone tool.
+// Experiments run at a configurable Scale. ScaleSmall keeps wall-clock in
+// seconds while preserving every qualitative shape; ScalePaper reproduces
+// the paper's workload sizes (§6.1) for the standalone tool.
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/heuristic"
 	"repro/internal/noise"
+	"repro/internal/pmw"
 	"repro/internal/query"
+	"repro/internal/tree"
 	"repro/internal/workload"
 )
 
@@ -42,10 +48,6 @@ type Scale struct {
 	// ArrivalRatios is the queries-per-arrival ladder for the streaming
 	// ingestion experiment; nil uses DefaultArrivalRatios.
 	ArrivalRatios []int
-	// Batch switches the scaling experiment to drive an HTTP server with
-	// /query/batch requests of this size (turbo-bench -batch); 0 keeps
-	// the in-process singleton drive.
-	Batch int
 	// TreeMissBaseline maps domain size (bins) to the committed
 	// treemiss-qps baseline for -exp=misspath (turbo-bench -baseline
 	// loads it from the first record of BENCH_misspath.json). When a
@@ -55,8 +57,8 @@ type Scale struct {
 	TreeMissBaseline map[float64]float64
 }
 
-// ScaleSmall is the default for Go benchmarks: same shapes, seconds of
-// wall-clock.
+// ScaleSmall is the default and the golden record's scale: same shapes,
+// seconds of wall-clock.
 var ScaleSmall = Scale{
 	Name:    "small",
 	Queries: 15000, PartitionedQueries: 6000,
@@ -76,14 +78,14 @@ var ScalePaper = Scale{
 
 // Point is one sample of a plotted curve.
 type Point struct {
-	X float64
-	Y float64
+	X float64 `json:"x"`
+	Y float64 `json:"y"`
 }
 
 // Series is one named curve or table column.
 type Series struct {
-	Name   string
-	Points []Point
+	Name   string  `json:"name"`
+	Points []Point `json:"points"`
 }
 
 // Last returns the final Y value (the end-of-workload figure the paper's
@@ -102,6 +104,44 @@ type Result struct {
 	YLabel string
 	Series []Series
 	Notes  []string
+}
+
+// Record is the machine-readable form of one experiment run: the schema of
+// the BENCH_*.json trajectory files (turbo-bench -json) and of the golden
+// paper record (testdata/paper_small.json). The wall-clock and machine
+// fields are left out when zero, which is how the golden omits them.
+type Record struct {
+	Experiment string   `json:"experiment"`
+	Paper      string   `json:"paper"`
+	Scale      string   `json:"scale"`
+	WallMS     float64  `json:"wall_ms,omitempty"`
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	NumCPU     int      `json:"num_cpu,omitempty"`
+	XLabel     string   `json:"x_label"`
+	YLabel     string   `json:"y_label"`
+	Series     []Series `json:"series"`
+	Notes      []string `json:"notes,omitempty"`
+}
+
+// Record flattens the result of experiment e run at scale sc.
+func (r Result) Record(e Experiment, sc Scale) Record {
+	return Record{
+		Experiment: e.Name, Paper: e.Paper, Scale: sc.Name,
+		XLabel: r.XLabel, YLabel: r.YLabel, Series: r.Series, Notes: r.Notes,
+	}
+}
+
+// ReadRecords parses a JSON array of records.
+func ReadRecords(path string) ([]Record, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var recs []Record
+	if err := json.Unmarshal(data, &recs); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return recs, nil
 }
 
 // Improvement returns how many times smaller the named system's final
@@ -200,6 +240,21 @@ type Env struct {
 	// PC0, PS0 are the heuristic settings §6.3 uses in partitioned runs.
 	PC0, PS0       float64
 	LRStart, LREnd float64
+	// full is the complete data a streaming env replays into DS week by
+	// week; nil otherwise.
+	full *dataset.Dataset
+}
+
+// envFn builds an experiment's environment at a scale.
+type envFn func(Scale) (*Env, error)
+
+// covid and citibike bind an environment constructor to its seed.
+func covid(seed uint64) envFn {
+	return func(sc Scale) (*Env, error) { return NewCovidEnv(sc, seed) }
+}
+
+func citibike(seed uint64) envFn {
+	return func(sc Scale) (*Env, error) { return NewCitiBikeEnv(sc, seed, true) }
 }
 
 // NewCovidEnv builds the Covid microbenchmark environment with the §6.1
@@ -240,4 +295,77 @@ func NewCitiBikeEnv(sc Scale, seed uint64, small bool) (*Env, error) {
 		Tau: 0.01, C0: 5, S0: 1, PC0: 1, PS0: 1,
 		LRStart: 0.5, LREnd: 0.5,
 	}, nil
+}
+
+// lr returns the dataset's default learning-rate schedule (§6.1).
+func (e *Env) lr() pmw.Schedule {
+	if e.LRStart == e.LREnd {
+		return pmw.Constant(e.LRStart)
+	}
+	return pmw.ExpDecay{Start: e.LRStart, End: e.LREnd, HalfLife: 300}
+}
+
+// sample draws n queries from the pool under Zipf(k), on a fork of Rng.
+func (e *Env) sample(k float64, n int) ([]*query.Query, error) {
+	z, err := workload.NewZipf(e.Pool, k, e.Rng.Fork())
+	if err != nil {
+		return nil, err
+	}
+	return z.SampleN(n), nil
+}
+
+// windowed samples n queries under Zipf(k) and attaches uniform
+// contiguous windows (Fig. 10 methodology).
+func (e *Env) windowed(n int, k float64) ([]*query.Query, error) {
+	qs, err := e.sample(k, n)
+	if err != nil {
+		return nil, err
+	}
+	wins := workload.NewWindows(e.Rng.Fork())
+	for i, q := range qs {
+		qs[i] = q.WithWindow(wins.UniformContiguous(e.DS.Partitions()))
+	}
+	return qs, nil
+}
+
+// streaming turns an env built with every week present into one whose
+// live dataset holds only week 0, keeping the rest to replay through feed.
+func (e *Env) streaming() *Env {
+	e.full = e.DS
+	e.DS = dataset.New(e.full.Domain(), 1)
+	e.feed(0)
+	return e
+}
+
+// week returns the per-bin counts of week w of a streaming env's full data.
+func (e *Env) week(w int) []int {
+	counts := make([]int, e.full.Domain().Size())
+	for bin := range counts {
+		counts[bin] = int(e.full.Partition(w).Count(bin))
+	}
+	return counts
+}
+
+// feed copies week w of the full data into partition w of the live one.
+func (e *Env) feed(w int) { _ = e.DS.BulkLoad(w, e.week(w)) }
+
+// session builds a Turbo session over the env with its §6.1 settings; the
+// partitioned modes use the §6.3 heuristic (Covid (50,1), CitiBike (1,1))
+// and per-node exact caches.
+func (e *Env) session(mode core.Mode, structure tree.Structure, seed uint64) (*core.Session, error) {
+	cfg := core.Config{
+		Mode:  mode,
+		Alpha: e.Alpha, Beta: e.Beta, EpsilonGlobal: e.EpsG,
+		Tau:       e.Tau,
+		LR:        func() pmw.Schedule { return e.lr() },
+		Structure: structure,
+		Seed:      seed,
+	}
+	c0, s0 := e.C0, e.S0
+	if mode != core.NonPartitioned {
+		c0, s0 = e.PC0, e.PS0
+		cfg.NodeExactCache = true
+	}
+	cfg.Heuristic = func() heuristic.Heuristic { return heuristic.NewAdaptivePerBin(c0, s0) }
+	return core.NewSession(cfg, e.DS)
 }

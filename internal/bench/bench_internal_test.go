@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
+// tiny sizes the tests that still run experiments rather than read the
+// golden record: the wall-clock experiments and the checkpoint clamp.
 func tiny() Scale {
-	// Long enough for the C0=100 Covid heuristic to reach its free phase
-	// (the paper's workloads are 35K-300K queries).
 	return Scale{
 		Name:    "tiny",
 		Queries: 12000, PartitionedQueries: 800,
@@ -96,13 +96,13 @@ func TestEnvDefaultsMatchPaper(t *testing.T) {
 	}
 }
 
+// The paper-shape checks below read the golden record (small scale),
+// which TestPaperGolden pins to what the experiments produce.
+
 func TestFig3ShapeTiny(t *testing.T) {
 	// The core qualitative claim at any scale: PMW-Bypass ends below both
 	// direct Laplace and vanilla PMW, and vanilla PMW is the worst early.
-	r, err := Fig3(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := golden(t, "fig3")
 	bypass := r.SeriesByName("pmw-bypass").Last()
 	lap := r.SeriesByName("laplace").Last()
 	vanilla := r.SeriesByName("pmw").Last()
@@ -120,30 +120,19 @@ func TestFig3ShapeTiny(t *testing.T) {
 }
 
 func TestFig8aShapeTiny(t *testing.T) {
-	r, err := Fig8a(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if imp := r.Improvement("turbo"); imp <= 1 {
+	if imp := golden(t, "fig8a").Improvement("turbo"); imp <= 1 {
 		t.Fatalf("turbo improvement = %g, want > 1", imp)
 	}
 }
 
 func TestFig10aShapeTiny(t *testing.T) {
-	r, err := Fig10a(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if imp := r.Improvement("turbo"); imp <= 1 {
+	if imp := golden(t, "fig10a").Improvement("turbo"); imp <= 1 {
 		t.Fatalf("turbo improvement = %g, want > 1", imp)
 	}
 }
 
 func TestFig11aShapeTiny(t *testing.T) {
-	r, err := Fig11a(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := golden(t, "fig11a")
 	warm := r.SeriesByName("turbo-warm").Last()
 	cold := r.SeriesByName("turbo-cold").Last()
 	ec := r.SeriesByName("exact-cache").Last()
@@ -173,11 +162,7 @@ func TestFig11dRuns(t *testing.T) {
 }
 
 func TestMemoryRuns(t *testing.T) {
-	r, err := Memory(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := r.Series[0].Points
+	pts := golden(t, "mem").Series[0].Points
 	if len(pts) != 2 || pts[0].Y <= 0 || pts[1].Y <= 0 {
 		t.Fatalf("memory points = %v", pts)
 	}
@@ -188,10 +173,7 @@ func TestMemoryRuns(t *testing.T) {
 }
 
 func TestAppendixCRuns(t *testing.T) {
-	r, err := AppendixC(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := golden(t, "appc")
 	an := r.SeriesByName("analytic-crossover").Points
 	if len(an) != 3 {
 		t.Fatal("analytic series incomplete")

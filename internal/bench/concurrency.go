@@ -38,12 +38,6 @@ const distinctScalingQueries = 192
 // pipeline and for a globally-locked session, reporting both curves plus
 // the sharded-over-global speedup.
 func Scaling(sc Scale) (Result, error) {
-	if sc.Batch > 0 {
-		// turbo-bench -batch=N: drive the HTTP server through
-		// /query/batch instead of the in-process session, comparing
-		// singleton and batched clients (scaling_http.go).
-		return scalingHTTP(sc)
-	}
 	workers := sc.Workers
 	if len(workers) == 0 {
 		workers = DefaultWorkers
@@ -52,7 +46,7 @@ func Scaling(sc Scale) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	queries, err := windowed(env, distinctScalingQueries, 1)
+	queries, err := env.windowed(distinctScalingQueries, 1)
 	if err != nil {
 		return Result{}, err
 	}

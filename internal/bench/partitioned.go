@@ -6,407 +6,196 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
 
-	"repro/internal/accountant"
-	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/heuristic"
 	"repro/internal/noise"
-	"repro/internal/pmw"
 	"repro/internal/query"
 	"repro/internal/tree"
 	"repro/internal/workload"
 )
 
-// partitionedSession builds a Turbo session in the given partitioned mode
-// with the dataset's §6.3 heuristic settings (Covid (50,1), CitiBike
-// (1,1)).
-func partitionedSession(env *Env, mode core.Mode, structure tree.Structure, seed uint64) (*core.Session, error) {
-	c0, s0 := env.PC0, env.PS0
-	return core.NewSession(core.Config{
-		Mode:  mode,
-		Alpha: env.Alpha, Beta: env.Beta, EpsilonGlobal: env.EpsG,
-		Tau: env.Tau,
-		LR:  func() pmw.Schedule { return env.lr() },
-		Heuristic: func() heuristic.Heuristic {
-			return heuristic.NewAdaptivePerBin(c0, s0)
-		},
-		Structure:      structure,
-		NodeExactCache: true,
-		Seed:           seed,
-	}, env.DS)
-}
-
-// windowed samples queries from the pool and attaches uniform contiguous
-// windows (Fig. 10 methodology).
-func windowed(env *Env, n int, zipf float64) ([]*query.Query, error) {
-	z, err := workload.NewZipf(env.Pool, zipf, env.Rng.Fork())
-	if err != nil {
-		return nil, err
+// fig10 is the partitioned-static comparison — Turbo (tree) vs flat
+// Exact-Cache vs Tree Exact-Cache, average per-partition budget — on the
+// env mk builds, sampling Zipf(zipf) over uniform windows.
+func fig10(mk envFn, name string, zipf float64) func(Scale) (Result, error) {
+	return func(sc Scale) (Result, error) {
+		env, err := mk(sc)
+		if err != nil {
+			return Result{}, err
+		}
+		queries, err := env.windowed(sc.PartitionedQueries, zipf)
+		if err != nil {
+			return Result{}, err
+		}
+		sess, err := env.session(core.Partitioned, tree.Binary, 61)
+		if err != nil {
+			return Result{}, err
+		}
+		arms := []arm{env.baselineArm("exact-cache", 62), env.baselineArm("tree-exact-cache", 63), sessionArm("turbo", sess)}
+		series, err := drive(arms, len(queries), sc.Checkpoints, false, from(queries))
+		return Result{
+			Name:   name,
+			XLabel: "queries",
+			YLabel: "avg cumulative budget",
+			Series: series,
+			Notes:  []string{fmt.Sprintf("%d partitions, uniform windows, kzipf=%g", env.DS.Partitions(), zipf)},
+		}, err
 	}
-	wins := workload.NewWindows(env.Rng.Fork())
-	out := make([]*query.Query, n)
-	parts := env.DS.Partitions()
-	for i := range out {
-		s, e := wins.UniformContiguous(parts)
-		out[i] = z.Sample().WithWindow(s, e)
-	}
-	return out, nil
-}
-
-// fig10 runs the partitioned-static comparison: Turbo (tree) vs flat
-// Exact-Cache vs Tree Exact-Cache, reporting average per-partition budget.
-func fig10(env *Env, sc Scale, name string, zipf float64) (Result, error) {
-	queries, err := windowed(env, sc.PartitionedQueries, zipf)
-	if err != nil {
-		return Result{}, err
-	}
-	sess, err := partitionedSession(env, core.Partitioned, tree.Binary, 61)
-	if err != nil {
-		return Result{}, err
-	}
-	ecBlock := accountant.NewBlock(env.EpsG, env.DS.Partitions())
-	ec := baseline.NewExactCache(env.Alpha, env.Beta,
-		dataset.NewExecutor(env.DS, noise.NewRng(62)), ecBlock, nil)
-	tcBlock := accountant.NewBlock(env.EpsG, env.DS.Partitions())
-	tc := baseline.NewTreeExactCache(env.Alpha, env.Beta,
-		dataset.NewExecutor(env.DS, noise.NewRng(63)), tcBlock, nil)
-
-	systems := []sut{
-		{"exact-cache", func(q *query.Query) error { _, err := ec.Run(q); return err }, ecBlock.AverageSpent},
-		{"tree-exact-cache", func(q *query.Query) error { _, err := tc.Run(q); return err }, tcBlock.AverageSpent},
-		{"turbo", func(q *query.Query) error { _, err := sess.Answer(q); return err }, sess.AverageSpent},
-	}
-	return Result{
-		Name:   name,
-		XLabel: "queries",
-		YLabel: "avg cumulative budget",
-		Series: runCumulative(systems, queries, sc.Checkpoints),
-		Notes:  []string{fmt.Sprintf("%d partitions, uniform windows, kzipf=%g", env.DS.Partitions(), zipf)},
-	}, nil
-}
-
-// Fig10a is the partitioned-static comparison on Covid, uniform sampling.
-func Fig10a(sc Scale) (Result, error) {
-	env, err := NewCovidEnv(sc, 108)
-	if err != nil {
-		return Result{}, err
-	}
-	return fig10(env, sc, "fig10a-covid-k0", 0)
-}
-
-// Fig10b is the partitioned-static comparison on Covid, Zipf(1).
-func Fig10b(sc Scale) (Result, error) {
-	env, err := NewCovidEnv(sc, 109)
-	if err != nil {
-		return Result{}, err
-	}
-	return fig10(env, sc, "fig10b-covid-k1", 1)
-}
-
-// Fig10c is the partitioned-static comparison on CitiBike.
-func Fig10c(sc Scale) (Result, error) {
-	env, err := NewCitiBikeEnv(sc, 110, true)
-	if err != nil {
-		return Result{}, err
-	}
-	return fig10(env, sc, "fig10c-citibike-k0", 0)
 }
 
 // Q6TreeVsFlat compares the binary-tree histogram structure against one
 // histogram per partition as the mean requested window grows (§6.3 Q6).
 func Q6TreeVsFlat(sc Scale) (Result, error) {
-	env, err := NewCovidEnv(sc, 111)
-	if err != nil {
-		return Result{}, err
-	}
-	parts := env.DS.Partitions()
-	meanFracs := []float64{0.1, 0.25, 0.5, 0.75, 0.95}
-	treeSeries := Series{Name: "tree"}
-	flatSeries := Series{Name: "flat"}
-	for i, frac := range meanFracs {
-		mean := frac * float64(parts)
+	series := []Series{{Name: "tree"}, {Name: "flat"}}
+	for i, frac := range []float64{0.1, 0.25, 0.5, 0.75, 0.95} {
+		mean := frac * float64(sc.Weeks)
 		for j, structure := range []tree.Structure{tree.Binary, tree.Flat} {
-			envI, err := NewCovidEnv(sc, 111) // fresh state per cell
+			env, err := NewCovidEnv(sc, 111) // fresh state per cell
 			if err != nil {
 				return Result{}, err
 			}
-			sess, err := partitionedSession(envI, core.Partitioned, structure, 70+uint64(i*2+j))
+			sess, err := env.session(core.Partitioned, structure, 70+uint64(i*2+j))
 			if err != nil {
 				return Result{}, err
 			}
-			z, err := workload.NewZipf(envI.Pool, 1, envI.Rng.Fork())
+			z, err := workload.NewZipf(env.Pool, 1, env.Rng.Fork())
 			if err != nil {
 				return Result{}, err
 			}
-			wins := workload.NewWindows(envI.Rng.Fork())
-			for k := 0; k < sc.PartitionedQueries; k++ {
-				s, e := wins.GaussianSize(parts, mean, 5)
-				if _, err := sess.Answer(z.Sample().WithWindow(s, e)); err != nil &&
-					!errors.Is(err, accountant.ErrBudgetExhausted) {
-					return Result{}, err
-				}
+			wins := workload.NewWindows(env.Rng.Fork())
+			next := func() *query.Query {
+				return z.Sample().WithWindow(wins.GaussianSize(sc.Weeks, mean, 5))
 			}
-			p := Point{X: mean, Y: sess.AverageSpent()}
-			if structure == tree.Binary {
-				treeSeries.Points = append(treeSeries.Points, p)
-			} else {
-				flatSeries.Points = append(flatSeries.Points, p)
+			spent, err := final(sessionArm("", sess), sc.PartitionedQueries, false, next)
+			if err != nil {
+				return Result{}, err
 			}
+			series[j].Points = append(series[j].Points, Point{X: mean, Y: spent})
 		}
 	}
 	return Result{
 		Name:   "q6-tree-vs-flat",
 		XLabel: "mean window size (partitions)",
 		YLabel: "final avg budget",
-		Series: []Series{treeSeries, flatSeries},
+		Series: series,
 		Notes:  []string{"expected: flat wins for small windows, tree wins for large ones"},
 	}, nil
 }
 
-// streamEnv rebuilds a dataset that starts with one partition and yields
-// the remaining ones for streaming arrival, replaying the same synthetic
-// data week by week.
-type streamEnv struct {
-	*Env
-	full *dataset.Dataset // the complete data to replay
-}
-
-// feed copies week w of the full dataset into partition w of the live one.
-func (s *streamEnv) feed(w int) {
-	dom := s.DS.Domain()
-	counts := make([]int, dom.Size())
-	for bin := 0; bin < dom.Size(); bin++ {
-		counts[bin] = int(s.full.Partition(w).Count(bin))
-	}
-	_ = s.DS.BulkLoad(w, counts)
-}
-
-// fig11 runs the streaming comparison: Turbo with and without warm-start
-// vs the exact-cache baselines, with partitions arriving over time and
-// queries over the latest-P windows.
-func fig11(mkEnv func() (*Env, error), sc Scale, name string) (Result, error) {
-	type system struct {
-		name  string
-		run   func(q *query.Query) error
-		spent func() float64
-		grow  func()
-	}
-	var systems []system
-
-	mkTurbo := func(warm bool, seed uint64) (*system, error) {
-		env, err := mkEnv()
-		if err != nil {
-			return nil, err
-		}
-		streamed, err := newStreamingPair(env)
-		if err != nil {
-			return nil, err
-		}
-		mode := core.Partitioned
-		if warm {
-			mode = core.Streaming
-		}
-		sess, err := partitionedSession(streamed.Env, mode, tree.Binary, seed)
-		if err != nil {
-			return nil, err
-		}
-		name := "turbo-cold"
-		if warm {
-			name = "turbo-warm"
-		}
-		return &system{
-			name:  name,
-			run:   func(q *query.Query) error { _, err := sess.Answer(q); return err },
-			spent: sess.AverageSpent,
-			grow: func() {
+// fig11 is the streaming comparison — Turbo with and without warm-start
+// vs the exact-cache baselines — with partitions of the env mk builds
+// arriving over time and queries over the latest-P windows.
+func fig11(mk envFn, name string) func(Scale) (Result, error) {
+	return func(sc Scale) (Result, error) {
+		var arms []arm
+		for i, mode := range []core.Mode{core.Partitioned, core.Streaming} {
+			env, err := mk(sc)
+			if err != nil {
+				return Result{}, err
+			}
+			env = env.streaming()
+			sess, err := env.session(mode, tree.Binary, 80+uint64(i))
+			if err != nil {
+				return Result{}, err
+			}
+			a := sessionArm([]string{"turbo-cold", "turbo-warm"}[i], sess)
+			a.grow = func() {
 				w, err := sess.AppendPartition()
 				if err != nil {
 					panic(fmt.Sprintf("bench: stream append: %v", err))
 				}
-				streamed.feed(w)
-			},
-		}, nil
-	}
-	for _, warm := range []bool{false, true} {
-		s, err := mkTurbo(warm, 80+boolTo(warm))
-		if err != nil {
-			return Result{}, err
-		}
-		systems = append(systems, *s)
-	}
-	for _, kind := range []string{"exact-cache", "tree-exact-cache"} {
-		env, err := mkEnv()
-		if err != nil {
-			return Result{}, err
-		}
-		streamed, err := newStreamingPair(env)
-		if err != nil {
-			return Result{}, err
-		}
-		block := accountant.NewBlock(env.EpsG, streamed.DS.Partitions())
-		exec := dataset.NewExecutor(streamed.DS, noise.NewRng(90))
-		var bl baseline.System
-		if kind == "exact-cache" {
-			bl = baseline.NewExactCache(env.Alpha, env.Beta, exec, block, nil)
-		} else {
-			bl = baseline.NewTreeExactCache(env.Alpha, env.Beta, exec, block, nil)
-		}
-		ds := streamed.DS
-		fe := streamed.feed
-		systems = append(systems, system{
-			name:  kind,
-			run:   func(q *query.Query) error { _, err := bl.Run(q); return err },
-			spent: block.AverageSpent,
-			grow: func() {
-				// Accountant before dataset, like Session.AppendPartitions:
-				// a racing query must never name a partition whose budget
-				// does not exist yet.
-				block.AddPartition()
-				w := ds.AppendPartition()
-				fe(w)
-			},
-		})
-	}
-
-	// Shared arrival process and query windows: queries arrive between
-	// partition arrivals; each requests the latest P partitions.
-	arrivalRng := noise.NewRng(777)
-	wins := workload.NewWindows(arrivalRng.Fork())
-	poolEnv, err := mkEnv()
-	if err != nil {
-		return Result{}, err
-	}
-	z, err := workload.NewZipf(poolEnv.Pool, 0, arrivalRng.Fork())
-	if err != nil {
-		return Result{}, err
-	}
-	total := sc.PartitionedQueries
-	queriesPerWeek := float64(total) / float64(sc.Weeks-1)
-	arrivals := wins.PoissonArrivals(total, queriesPerWeek)
-
-	series := make([]Series, len(systems))
-	for i := range systems {
-		series[i].Name = systems[i].name
-	}
-	available := 1
-	every := total / sc.Checkpoints
-	if every == 0 {
-		every = 1
-	}
-	for qi := 0; qi < total; qi++ {
-		for a := 0; a < arrivals[qi] && available < sc.Weeks; a++ {
-			for i := range systems {
-				systems[i].grow()
+				env.feed(w)
 			}
-			available++
+			arms = append(arms, a)
 		}
-		s, e := wins.LatestWindow(available)
-		q := z.Sample().WithWindow(s, e)
-		for i := range systems {
-			if err := systems[i].run(q); err != nil && !errors.Is(err, accountant.ErrBudgetExhausted) {
+		for _, kind := range []string{"exact-cache", "tree-exact-cache"} {
+			env, err := mk(sc)
+			if err != nil {
 				return Result{}, err
 			}
-			if (qi+1)%every == 0 || qi == total-1 {
-				series[i].Points = append(series[i].Points, Point{X: float64(qi + 1), Y: systems[i].spent()})
-			}
+			arms = append(arms, env.streaming().baselineArm(kind, 90))
 		}
+
+		// Shared arrival process and query windows: queries arrive between
+		// partition arrivals; each requests the latest P partitions.
+		arrivalRng := noise.NewRng(777)
+		wins := workload.NewWindows(arrivalRng.Fork())
+		poolEnv, err := mk(sc)
+		if err != nil {
+			return Result{}, err
+		}
+		z, err := workload.NewZipf(poolEnv.Pool, 0, arrivalRng.Fork())
+		if err != nil {
+			return Result{}, err
+		}
+		total := sc.PartitionedQueries
+		arrivals := wins.PoissonArrivals(total, float64(total)/float64(sc.Weeks-1))
+		qi, available := 0, 1
+		next := func() *query.Query {
+			for a := 0; a < arrivals[qi] && available < sc.Weeks; a++ {
+				for _, s := range arms {
+					s.grow()
+				}
+				available++
+			}
+			qi++
+			return z.Sample().WithWindow(wins.LatestWindow(available))
+		}
+		series, err := drive(arms, total, sc.Checkpoints, false, next)
+		return Result{
+			Name:   name,
+			XLabel: "queries",
+			YLabel: "avg cumulative budget",
+			Series: series,
+			Notes:  []string{"streaming arrivals (Poisson), queries over latest-P windows"},
+		}, err
 	}
-	return Result{
-		Name:   name,
-		XLabel: "queries",
-		YLabel: "avg cumulative budget",
-		Series: series,
-		Notes:  []string{"streaming arrivals (Poisson), queries over latest-P windows"},
-	}, nil
 }
 
-func boolTo(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
+// namedEnv is one of the two datasets a per-dataset experiment covers.
+type namedEnv struct {
+	name string
+	mk   envFn
 }
 
-// newStreamingPair converts an env built with all weeks present into a
-// live dataset holding only week 0, plus the full data for replay.
-func newStreamingPair(env *Env) (*streamEnv, error) {
-	full := env.DS
-	live := dataset.New(full.Domain(), 1)
-	se := &streamEnv{Env: env, full: full}
-	env.DS = live
-	se.feed(0)
-	return se, nil
-}
-
-// Fig11a is the streaming comparison on Covid, uniform sampling.
-func Fig11a(sc Scale) (Result, error) {
-	return fig11(func() (*Env, error) { return NewCovidEnv(sc, 112) }, sc, "fig11a-covid-k0")
-}
-
-// Fig11b is the streaming comparison on Covid, Zipf(1) sampling of the
-// pool order (the window process keeps queries mostly recent).
-func Fig11b(sc Scale) (Result, error) {
-	return fig11(func() (*Env, error) { return NewCovidEnv(sc, 113) }, sc, "fig11b-covid-k1")
-}
-
-// Fig11c is the streaming comparison on CitiBike.
-func Fig11c(sc Scale) (Result, error) {
-	return fig11(func() (*Env, error) { return NewCitiBikeEnv(sc, 114, true) }, sc, "fig11c-citibike-k0")
+// bothDatasets is Covid then CitiBike, each bound to its seed.
+func bothDatasets(covidSeed, citibikeSeed uint64) []namedEnv {
+	return []namedEnv{{"covid", covid(covidSeed)}, {"citibike", citibike(citibikeSeed)}}
 }
 
 // Fig11d measures the average runtime of each execution path (exact hit,
 // R1, R2, R3) in the non-partitioned setting, for Covid and CitiBike.
 func Fig11d(sc Scale) (Result, error) {
-	datasets := []struct {
-		name string
-		mk   func() (*Env, error)
-	}{
-		{"covid", func() (*Env, error) { return NewCovidEnv(sc, 115) }},
-		{"citibike", func() (*Env, error) { return NewCitiBikeEnv(sc, 116, true) }},
-	}
 	var series []Series
-	for _, d := range datasets {
-		env, err := d.mk()
+	for _, d := range bothDatasets(115, 116) {
+		env, err := d.mk(sc)
 		if err != nil {
 			return Result{}, err
 		}
-		sess, err := core.NewSession(core.Config{
-			Mode:  core.NonPartitioned,
-			Alpha: env.Alpha, Beta: env.Beta, EpsilonGlobal: env.EpsG,
-			Tau: env.Tau,
-			LR:  func() pmw.Schedule { return env.lr() },
-			Heuristic: func() heuristic.Heuristic {
-				return heuristic.NewAdaptivePerBin(env.C0, env.S0)
-			},
-			Seed: 117,
-		}, env.DS)
+		sess, err := env.session(core.NonPartitioned, tree.Binary, 117)
 		if err != nil {
 			return Result{}, err
 		}
-		z, err := workload.NewZipf(env.Pool, 1, env.Rng.Fork())
+		queries, err := env.sample(1, sc.Queries)
 		if err != nil {
 			return Result{}, err
 		}
 		totals := map[core.Source]time.Duration{}
 		counts := map[core.Source]int{}
-		for i := 0; i < sc.Queries; i++ {
-			q := z.Sample()
+		timed := arm{answer: func(q *query.Query) error {
 			t0 := time.Now()
 			a, err := sess.Answer(q)
-			if err != nil {
-				if errors.Is(err, accountant.ErrBudgetExhausted) {
-					break
-				}
-				return Result{}, err
+			if err == nil {
+				totals[a.Source] += time.Since(t0)
+				counts[a.Source]++
 			}
-			totals[a.Source] += time.Since(t0)
-			counts[a.Source]++
+			return err
+		}}
+		if _, err := drive([]arm{timed}, len(queries), 0, true, from(queries)); err != nil {
+			return Result{}, err
 		}
 		s := Series{Name: d.name}
 		for xi, src := range []core.Source{core.SourceExactHit, core.SourceR1, core.SourceR2, core.SourceR3} {
@@ -427,40 +216,30 @@ func Fig11d(sc Scale) (Result, error) {
 	}, nil
 }
 
-// Memory reports the caching-state footprint of a streaming Turbo session
-// after the full workload, for Covid and CitiBike (§6.5).
+// Memory reports the caching-state footprint of a partitioned Turbo
+// session after the full workload, for Covid and CitiBike (§6.5).
 func Memory(sc Scale) (Result, error) {
-	datasets := []struct {
-		name string
-		mk   func() (*Env, error)
-	}{
-		{"covid", func() (*Env, error) { return NewCovidEnv(sc, 118) }},
-		{"citibike", func() (*Env, error) { return NewCitiBikeEnv(sc, 119, true) }},
-	}
 	s := Series{Name: "memory-bytes"}
 	var notes []string
-	for xi, d := range datasets {
-		env, err := d.mk()
+	for xi, d := range bothDatasets(118, 119) {
+		env, err := d.mk(sc)
 		if err != nil {
 			return Result{}, err
 		}
-		sess, err := partitionedSession(env, core.Partitioned, tree.Binary, 120)
+		sess, err := env.session(core.Partitioned, tree.Binary, 120)
 		if err != nil {
 			return Result{}, err
 		}
-		queries, err := windowed(env, sc.PartitionedQueries/2, 0)
+		queries, err := env.windowed(sc.PartitionedQueries/2, 0)
 		if err != nil {
 			return Result{}, err
 		}
-		for _, q := range queries {
-			if _, err := sess.Answer(q); err != nil && !errors.Is(err, accountant.ErrBudgetExhausted) {
-				return Result{}, err
-			}
+		if _, err := drive([]arm{sessionArm("", sess)}, len(queries), 0, false, from(queries)); err != nil {
+			return Result{}, err
 		}
 		s.Points = append(s.Points, Point{X: float64(xi), Y: float64(sess.MemoryBytes())})
-		nodes := sess.Tree().Nodes()
 		notes = append(notes, fmt.Sprintf("%s: %d tree nodes, domain %d, ≈2TN scalars bound = %d bytes",
-			d.name, nodes, env.DS.Domain().Size(), 2*env.DS.Partitions()*env.DS.Domain().Size()*16))
+			d.name, sess.Tree().Nodes(), env.DS.Domain().Size(), 2*env.DS.Partitions()*env.DS.Domain().Size()*16))
 	}
 	return Result{
 		Name:   "mem-tree-footprint",
@@ -482,36 +261,37 @@ func AppendixC(sc Scale) (Result, error) {
 		analytic.Points = append(analytic.Points, Point{X: float64(xi), Y: hist / direct})
 	}
 
-	// Simulation on the small Covid dataset: cumulative budgets cross
-	// near the analytic count.
+	// Simulation on the small Covid dataset: the histogram's one-shot
+	// spend against what direct Laplace would have spent by query i —
+	// Appendix C's calibration ln(1/β)/αn (cheaper than the system-wide 4×
+	// rule, for a like-for-like comparison of the two appendix baselines)
+	// on every partition, i·directEps on average.
 	env, err := NewCovidEnv(sc, 121)
 	if err != nil {
 		return Result{}, err
 	}
-	lapBlock := accountant.NewBlock(env.EpsG, env.DS.Partitions())
-	lhBlock := accountant.NewBlock(env.EpsG, env.DS.Partitions())
-	lh := baseline.NewLaplaceHistogram(alpha, beta, dataset.NewExecutor(env.DS, noise.NewRng(2)), lhBlock, noise.NewRng(3))
-	// Use Appendix C's Direct-Laplace calibration (ln(1/β)/αn, cheaper
-	// than the system-wide 4× rule) for a like-for-like comparison of the
-	// two appendix baselines.
-	z, _ := workload.NewZipf(env.Pool, 0, env.Rng.Fork())
-	crossover := -1
-	n := env.DS.NRowsAll()
-	directEps := noise.DirectLaplaceEpsilon(alpha, beta, n)
-	for i := 1; i <= 2000; i++ {
-		q := z.Sample()
-		// Private mirror accountant tracking what direct Laplace would
-		// spend; the real charge happens inside lh.Run.
-		_ = lapBlock.PayRange(0, env.DS.Partitions()-1, accountant.Laplace(directEps)) //turbo:allow(chargepath)
-		if _, err := lh.Run(q); err != nil {
-			return Result{}, err
-		}
-		if crossover < 0 && lapBlock.AverageSpent() > lhBlock.AverageSpent() {
-			crossover = i
-		}
+	queries, err := env.sample(0, 2000)
+	if err != nil {
+		return Result{}, err
 	}
-	sim := Series{Name: "simulated-crossover-n128"}
-	sim.Points = append(sim.Points, Point{X: 0, Y: float64(crossover)})
+	directEps := noise.DirectLaplaceEpsilon(alpha, beta, env.DS.NRowsAll())
+	lh := env.baselineArm("laplace-histogram", 2)
+	run, answered, crossover := lh.answer, 0, -1
+	lh.answer = func(q *query.Query) error {
+		if err := run(q); err != nil {
+			return err
+		}
+		answered++
+		if float64(answered)*directEps > lh.y() {
+			crossover = answered
+			return errDone
+		}
+		return nil
+	}
+	if _, err := drive([]arm{lh}, len(queries), 0, true, from(queries)); err != nil {
+		return Result{}, err
+	}
+	sim := Series{Name: "simulated-crossover-n128", Points: []Point{{X: 0, Y: float64(crossover)}}}
 
 	expect := 2 * math.Sqrt(2*128/beta) / math.Log(1/beta)
 	return Result{

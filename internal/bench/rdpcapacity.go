@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/heuristic"
 	"repro/internal/pmw"
+	"repro/internal/query"
 	"repro/internal/tree"
 )
 
@@ -36,19 +37,18 @@ func RDPCapacity(sc Scale) (Result, error) {
 	// or grow -queries to push both systems to refusal faster.
 	const deltaG = 1e-6
 	env.EpsG = 0.5
-	queries, err := windowed(env, sc.PartitionedQueries, 0)
+	queries, err := env.windowed(sc.PartitionedQueries, 0)
 	if err != nil {
 		return Result{}, err
 	}
 
 	type system struct {
-		name         string
-		sess         *core.Session
-		answered     int
-		refused      int
-		firstRefusal int
+		name                            string
+		answered, refused, firstRefusal int
 	}
-	mk := func(name string, gaussian bool, seed uint64) (*system, error) {
+	var systems []*system
+	var arms []arm
+	for _, gaussian := range []bool{false, true} {
 		cfg := core.Config{
 			Mode:  core.Partitioned,
 			Alpha: env.Alpha, Beta: env.Beta, EpsilonGlobal: env.EpsG,
@@ -62,56 +62,42 @@ func RDPCapacity(sc Scale) (Result, error) {
 				return heuristic.NewAdaptivePerBin(1e9, 1)
 			},
 			Structure: tree.Binary,
-			Seed:      seed,
+			Seed:      141,
 		}
+		s := &system{name: "pure", firstRefusal: -1}
 		if gaussian {
 			cfg.Gaussian = true
 			cfg.DeltaGlobal = deltaG
+			s.name = "rdp"
 		}
 		sess, err := core.NewSession(cfg, env.DS)
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
-		return &system{name: name, sess: sess, firstRefusal: -1}, nil
-	}
-	pure, err := mk("pure", false, 141)
-	if err != nil {
-		return Result{}, err
-	}
-	rdp, err := mk("rdp", true, 141)
-	if err != nil {
-		return Result{}, err
-	}
-	systems := []*system{pure, rdp}
-
-	series := make([]Series, len(systems))
-	for i, s := range systems {
-		series[i].Name = s.name
-	}
-	every := len(queries) / sc.Checkpoints
-	if every == 0 {
-		every = 1
-	}
-	for qi, q := range queries {
-		for si, s := range systems {
-			_, err := s.sess.Answer(q)
-			switch {
-			case err == nil:
-				s.answered++
-			case errors.Is(err, accountant.ErrBudgetExhausted):
-				s.refused++
-				if s.firstRefusal < 0 {
-					s.firstRefusal = qi + 1
+		offered := 0
+		systems = append(systems, s)
+		arms = append(arms, arm{
+			name: s.name,
+			answer: func(q *query.Query) error {
+				offered++
+				_, err := sess.Answer(q)
+				switch {
+				case err == nil:
+					s.answered++
+				case errors.Is(err, accountant.ErrBudgetExhausted):
+					s.refused++
+					if s.firstRefusal < 0 {
+						s.firstRefusal = offered
+					}
 				}
-			default:
-				return Result{}, fmt.Errorf("bench: %s: %w", s.name, err)
-			}
-			if (qi+1)%every == 0 || qi == len(queries)-1 {
-				series[si].Points = append(series[si].Points, Point{
-					X: float64(qi + 1), Y: float64(s.answered),
-				})
-			}
-		}
+				return err
+			},
+			y: func() float64 { return float64(s.answered) },
+		})
+	}
+	series, err := drive(arms, len(queries), sc.Checkpoints, false, from(queries))
+	if err != nil {
+		return Result{}, err
 	}
 
 	notes := []string{

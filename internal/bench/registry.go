@@ -18,21 +18,23 @@ type Experiment struct {
 // Experiments lists every reproducible table and figure.
 var Experiments = []Experiment{
 	{"fig3", "Fig. 3 (demo: PMW vs Laplace vs Exact-Cache vs PMW-Bypass)", Fig3},
-	{"fig8a", "Fig. 8(a) non-partitioned Covid kzipf=0", Fig8a},
-	{"fig8b", "Fig. 8(b) non-partitioned Covid kzipf=1", Fig8b},
-	{"fig8c", "Fig. 8(c) non-partitioned CitiBike kzipf=0", Fig8c},
+	{"fig8a", "Fig. 8(a) non-partitioned Covid kzipf=0", fig8(covid(102), "fig8a-covid-k0", 0)},
+	{"fig8b", "Fig. 8(b) non-partitioned Covid kzipf=1", fig8(covid(103), "fig8b-covid-k1", 1)},
+	{"fig8c", "Fig. 8(c) non-partitioned CitiBike kzipf=0", fig8(citibike(104), "fig8c-citibike-k0", 0)},
 	{"fig8d", "Fig. 8(d) empirical convergence vs learning rate", Fig8d},
 	{"fig9a", "Fig. 9(a) heuristic C0 sweep", Fig9a},
 	{"fig9b", "Fig. 9(b) learning-rate sweep", Fig9b},
-	{"q4", "§6.2 Q4 heuristic ablation (kzipf=1)", func(sc Scale) (Result, error) { return Q4Heuristics(sc, 1) }},
-	{"q4skew", "§6.2 Q4 heuristic ablation (kzipf=1.5)", func(sc Scale) (Result, error) { return Q4Heuristics(sc, 1.5) }},
-	{"fig10a", "Fig. 10(a) partitioned static Covid kzipf=0", Fig10a},
-	{"fig10b", "Fig. 10(b) partitioned static Covid kzipf=1", Fig10b},
-	{"fig10c", "Fig. 10(c) partitioned static CitiBike kzipf=0", Fig10c},
+	{"q4", "§6.2 Q4 heuristic ablation (kzipf=1)", q4(1)},
+	{"q4skew", "§6.2 Q4 heuristic ablation (kzipf=1.5)", q4(1.5)},
+	{"fig10a", "Fig. 10(a) partitioned static Covid kzipf=0", fig10(covid(108), "fig10a-covid-k0", 0)},
+	{"fig10b", "Fig. 10(b) partitioned static Covid kzipf=1", fig10(covid(109), "fig10b-covid-k1", 1)},
+	{"fig10c", "Fig. 10(c) partitioned static CitiBike kzipf=0", fig10(citibike(110), "fig10c-citibike-k0", 0)},
 	{"q6", "§6.3 Q6 tree vs flat structure", Q6TreeVsFlat},
-	{"fig11a", "Fig. 11(a) streaming Covid kzipf=0", Fig11a},
-	{"fig11b", "Fig. 11(b) streaming Covid kzipf=1", Fig11b},
-	{"fig11c", "Fig. 11(c) streaming CitiBike kzipf=0", Fig11c},
+	// fig11 samples the pool uniformly whatever the row says, so fig11b
+	// ("kzipf=1") differs from fig11a only in its dataset seed.
+	{"fig11a", "Fig. 11(a) streaming Covid kzipf=0", fig11(covid(112), "fig11a-covid-k0")},
+	{"fig11b", "Fig. 11(b) streaming Covid kzipf=1", fig11(covid(113), "fig11b-covid-k1")},
+	{"fig11c", "Fig. 11(c) streaming CitiBike kzipf=0", fig11(citibike(114), "fig11c-citibike-k0")},
 	{"fig11d", "Fig. 11(d) runtime per execution path", Fig11d},
 	{"mem", "§6.5 memory footprint", Memory},
 	{"appc", "Appendix C Laplace Histogram crossover", AppendixC},

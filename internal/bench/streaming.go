@@ -88,10 +88,7 @@ func streamingRun(sc Scale, ratio int) (streamingMetrics, error) {
 	if err != nil {
 		return streamingMetrics{}, err
 	}
-	streamed, err := newStreamingPair(env)
-	if err != nil {
-		return streamingMetrics{}, err
-	}
+	env.streaming()
 	sess, err := core.NewSession(core.Config{
 		Mode:  core.Streaming,
 		Alpha: env.Alpha, Beta: env.Beta, EpsilonGlobal: 50,
@@ -100,7 +97,7 @@ func streamingRun(sc Scale, ratio int) (streamingMetrics, error) {
 		NodeExactCache: true,
 		Seed:           131,
 		Shards:         runtime.NumCPU(),
-	}, streamed.DS)
+	}, env.DS)
 	if err != nil {
 		return streamingMetrics{}, err
 	}
@@ -109,16 +106,6 @@ func streamingRun(sc Scale, ratio int) (streamingMetrics, error) {
 		return streamingMetrics{}, err
 	}
 	defer ing.Close()
-
-	// weekArrival extracts week w of the full history as a payload.
-	dom := streamed.DS.Domain()
-	weekArrival := func(w int) stream.Arrival {
-		counts := make([]int, dom.Size())
-		for bin := range counts {
-			counts[bin] = int(streamed.full.Partition(w).Count(bin))
-		}
-		return stream.Arrival{Counts: counts}
-	}
 
 	total := sc.PartitionedQueries
 	var (
@@ -151,7 +138,7 @@ func streamingRun(sc Scale, ratio int) (streamingMetrics, error) {
 			}
 			target := int(answered.Load()+refused.Load()) / ratio
 			for next <= target && next < sc.Weeks {
-				if _, _, err := ing.Append(weekArrival(next)); err != nil {
+				if _, _, err := ing.Append(stream.Arrival{Counts: env.week(next)}); err != nil {
 					fail(fmt.Errorf("bench: arrival %d: %w", next, err))
 					return
 				}

@@ -7,7 +7,7 @@
 //
 // The real datasets are replaced by generators that preserve what PMW
 // behaviour depends on — schema, domain size, marginal skew, and
-// week-over-week drift — as documented in DESIGN.md.
+// week-over-week drift.
 package workload
 
 import (
