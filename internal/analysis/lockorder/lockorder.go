@@ -18,6 +18,7 @@
 //	  < accountant.Block.mu
 //	  < store.Mem.nsMu
 //	  < store.memStripe.mu
+//	  < store.pageSet.mu
 //
 // accountant.Block.mu is the accountant package's only mutex: one set of
 // books, one lock, nothing to nest inside the package. It is a leaf —
@@ -75,6 +76,7 @@ var Ranks = map[string]int{
 	"accountant.Block.mu":    55,
 	"store.Mem.nsMu":         58,
 	"store.memStripe.mu":     60,
+	"store.pageSet.mu":       62,
 }
 
 // WindowClass marks the lock families whose members share a rank and may

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
-	"slices"
-	"sync/atomic"
 )
 
 // Record layout, little-endian. The header is 20 bytes:
@@ -103,12 +101,12 @@ type arena struct {
 	// buckets is the index: a power-of-two table of chain heads, picked by
 	// the low bits of a hash and never shorter than nrec, the records
 	// linked. No hash is stored: rehash recomputes one for a new table.
-	// held is the bytes of chunks and table, resident the store's sum of
-	// them; tests read grows and chained (prevOf found a predecessor).
+	// Table and chunks come from pages; tests read grows and chained
+	// (prevOf found a predecessor).
 	buckets        []uint32
-	nrec, held     int
+	nrec           int
 	rehash         func(rec) uint64
-	resident       *atomic.Int64
+	pages          *pageSet
 	grows, chained int
 	chunks         [][]byte
 	// tail is the chunk appends go to, -1 before the first; an oversize
@@ -127,11 +125,11 @@ type arena struct {
 }
 
 // newArena returns an empty arena whose table has room for nrec records.
-func newArena(shift uint, maxChunks, ext, nrec int, rehash func(rec) uint64, resident *atomic.Int64) arena {
+func newArena(shift uint, maxChunks, ext, nrec int, rehash func(rec) uint64, pages *pageSet) arena {
 	empty := lruList{noOff, noOff}
 	a := arena{
 		rehash:    rehash,
-		resident:  resident,
+		pages:     pages,
 		tail:      -1,
 		shift:     shift,
 		maxChunks: maxChunks,
@@ -146,12 +144,6 @@ func newArena(shift uint, maxChunks, ext, nrec int, rehash func(rec) uint64, res
 // tableFor is the smallest power-of-two table with a bucket per record.
 func tableFor(n int) int { return 1 << bits.Len(uint(max(n, 1)-1)) }
 
-// hold counts n more bytes of chunk capacity or table as held.
-func (a *arena) hold(n int) {
-	a.held += n
-	a.resident.Add(int64(n))
-}
-
 // bucket is the table slot h's chain hangs from.
 func (a *arena) bucket(h uint64) *uint32 { return &a.buckets[h&uint64(len(a.buckets)-1)] }
 
@@ -159,14 +151,29 @@ func (a *arena) bucket(h uint64) *uint32 { return &a.buckets[h&uint64(len(a.buck
 // under its recomputed hash. Offsets stay valid; chain predecessors do not.
 func (a *arena) resize(n int) {
 	old := a.buckets
-	a.buckets = slices.Repeat([]uint32{noOff}, n)
-	a.hold(4 * (n - len(old)))
+	a.buckets = a.pages.table(n)
+	for i := range a.buckets {
+		a.buckets[i] = noOff
+	}
 	for _, off := range old {
 		for off != noOff {
 			r := a.at(off)
 			next, b := r.next(), a.bucket(a.rehash(r))
 			r.setNext(*b)
 			*b, off = off, next
+		}
+	}
+	if old != nil {
+		a.pages.freeTable(old)
+	}
+}
+
+// release unmaps the table and every chunk still held.
+func (a *arena) release() {
+	a.pages.freeTable(a.buckets)
+	for _, c := range a.chunks {
+		if c != nil {
+			a.pages.free(c)
 		}
 	}
 }
@@ -205,13 +212,17 @@ func (a *arena) alloc(n int) (uint32, rec, bool) {
 	}
 	ci, size := len(a.chunks), n
 	if chunk := 1 << a.shift; n <= chunk {
-		// A small store stays small: chunks start at 1/64 of full size and
-		// double with the bytes already held.
-		size = max(n, min(chunk, max(chunk>>6, a.live+a.dead)))
+		// A small store stays small: chunks start at 1/64 of full size (at
+		// a page if a chunk is one, so ResidentBytes counts what is mapped)
+		// and double with the bytes already held.
+		floor := chunk >> 6
+		if chunk >= pageSize {
+			floor = pageSize
+		}
+		size = max(n, min(chunk, max(floor, a.live+a.dead)))
 		a.tail = ci
 	}
-	c := make([]byte, n, size)
-	a.hold(size)
+	c := a.pages.bytes(size)[:n]
 	a.chunks = append(a.chunks, c)
 	return uint32(ci) << a.shift, rec(c), true
 }
@@ -219,16 +230,18 @@ func (a *arena) alloc(n int) (uint32, rec, bool) {
 // scratch is the zero-length slice where the value of a record appended
 // next, with skip bytes of header and key, would start — nil when the tail
 // has no room past them. Bytes written there are uncommitted until alloc.
+// It stops short of the LRU links, so a value that fits makes a record
+// that fits the tail, and alloc never compacts away the chunk it is in.
 func (a *arena) scratch(skip int) []byte {
 	if a.tail < 0 {
 		return nil
 	}
 	c := a.chunks[a.tail]
-	lo := len(c) + skip
-	if lo >= cap(c) {
+	lo, hi := len(c)+skip, cap(c)-a.ext
+	if lo >= hi {
 		return nil
 	}
-	return c[lo:lo:cap(c)]
+	return c[lo:lo:hi]
 }
 
 // find walks h's bucket for the record of (ns, k), returning its offset
@@ -282,7 +295,7 @@ func (a *arena) kill(h uint64, off, prev uint32) {
 	n := a.span(r)
 	a.live -= n
 	if ci := off >> a.shift; len(a.chunks[ci]) > 1<<a.shift {
-		a.hold(-cap(a.chunks[ci]))
+		a.pages.free(a.chunks[ci])
 		a.chunks[ci] = nil
 		a.released++
 		return
@@ -292,7 +305,8 @@ func (a *arena) kill(h uint64, off, prev uint32) {
 }
 
 // each calls fn on every live record, in arena order. fn may kill the
-// record it is handed.
+// record it is handed: nothing of a record is read after fn returns, so a
+// private chunk unmapped by the kill is not touched again.
 func (a *arena) each(fn func(off uint32, r rec)) {
 	for ci, c := range a.chunks {
 		for pos := 0; pos < len(c); {

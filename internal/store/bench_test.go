@@ -63,11 +63,12 @@ func benchGet(b *testing.B, odd int, want bool) {
 func BenchmarkMemGetHit(b *testing.B)  { benchGet(b, 0, true) }
 func BenchmarkMemGetMiss(b *testing.B) { benchGet(b, 1, false) }
 
-// BenchmarkMemFill fills an empty store per iteration. B/op is everything
-// the fill allocated, tables outgrown on the way included; resident-B/entry
-// is what it still holds; max-set-ns is the longest single SetWeighted (the
-// doubling that relinks a stripe's ~4k records under its lock, unless a
-// collection lands on a longer one), the least over the iterations.
+// BenchmarkMemFill fills an empty store per iteration. B/op is what the
+// fill allocated on the Go heap: on mapped pages no chunk or table, only
+// the page set's record of them. resident-B/entry is what the store holds;
+// max-set-ns is the longest single SetWeighted (the doubling that relinks
+// a stripe's ~4k records under its lock, unless a collection lands on a
+// longer one), the least over the iterations.
 func BenchmarkMemFill(b *testing.B) {
 	keys := windowedKeys(benchEntries)
 	longest := time.Duration(math.MaxInt64)

@@ -20,8 +20,12 @@
 //	key bytes | value bytes
 //	[newer u32 | older u32 | hot u8]   only in a capped store
 //
-// Neither the index nor the chunks hold pointers, so the collector never
-// traces an entry.
+// Neither the index nor the chunks hold pointers, and outside race builds
+// both are mapped pages off the Go heap (pages.go), so the collector
+// neither traces an entry nor grows its goal by one: a cached release is
+// resident once, not once plus the heap's headroom. A chunk or table is
+// unmapped the moment it leaves (compaction, an oversize record's death,
+// a resize), and a store nothing references is unmapped by a cleanup.
 //
 // Collision rule: a hash picks a bucket and is never trusted further; no
 // record stores one. Records that share a bucket are chained through next,
@@ -44,6 +48,11 @@
 // stripe's read lock; a capped one re-orders the LRU, so it holds the
 // write lock.
 //
+// No chunk slice outlives its stripe lock: the next writer may unmap the
+// chunk, and a stale slice faults. Get decodes under the lock or copies,
+// Keys and ExportNamespace copy, and the scratch a FastEncoder fills is
+// consumed under the same write lock without compacting (arena.scratch).
+//
 // Limits fail closed: a key over 65,535 bytes, a value of 512 MiB or more,
 // a 65,536th namespace, or a stripe past its 65,536 chunk slots is an
 // error that stores nothing.
@@ -55,6 +64,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -136,9 +146,9 @@ type Mem struct {
 
 	// entries and bytes are the resident entry count and payload bytes
 	// (namespace + ":" + key + value), maintained under the stripe locks
-	// at insert, unlink and overwrite so Stats never walks the store;
-	// resident is the sum of arena.held.
-	entries, bytes, resident atomic.Int64
+	// at insert, unlink and overwrite so Stats never walks the store.
+	entries, bytes atomic.Int64
+	pages          *pageSet
 
 	hits, misses, sets, deletes, evictions atomic.Int64
 	decodeErrors                           atomic.Int64
@@ -177,11 +187,16 @@ func newMem(cfg MemConfig, shift uint, maxChunks int) *Mem {
 		seed:     maphash.MakeSeed(),
 		hashMask: ^uint64(0),
 		nsIDs:    make(map[string]uint16),
+		pages:    &pageSet{held: map[*byte][]byte{}},
 	}
 	s.nsNames.Store(new([]string))
+	// The cleanup hangs off the stripes, not the Mem: a chunk is read only
+	// under a stripe lock, so through a live stripe pointer, even by a
+	// method past its last use of the Mem.
+	runtime.AddCleanup(&s.stripes[0], (*pageSet).release, s.pages)
 	for i := range s.stripes {
 		st := &s.stripes[i]
-		st.arena = newArena(shift, maxChunks, ext, 0, s.rehash, &s.resident)
+		st.arena = newArena(shift, maxChunks, ext, 0, s.rehash, s.pages)
 		// The first total%Stripes stripes get the odd units; no cap, no share.
 		st.maxEnts = (cfg.MaxEntries + cfg.Stripes - 1 - i) / cfg.Stripes
 		st.maxBytes = (cfg.MaxBytes + cfg.Stripes - 1 - i) / cfg.Stripes
@@ -406,7 +421,7 @@ func (s *Mem) compact(st *memStripe) bool {
 	if st.dead == 0 && st.released == 0 {
 		return false
 	}
-	next := newArena(st.shift, st.maxChunks, st.ext, st.nrec, st.rehash, st.resident)
+	next := newArena(st.shift, st.maxChunks, st.ext, st.nrec, st.rehash, st.pages)
 	next.grows, next.chained = st.grows, st.chained
 	walk := st.each
 	if st.capped() {
@@ -432,7 +447,7 @@ func (s *Mem) compact(st *memStripe) bool {
 	if fits {
 		st.arena, next = next, st.arena
 	}
-	next.hold(-next.held) // the arena let go
+	next.release()
 	return fits
 }
 
@@ -680,7 +695,7 @@ func (s *Mem) Stats() Stats {
 		DecodeErrors:  s.decodeErrors.Load(),
 		Entries:       s.Len(),
 		Bytes:         s.MemoryBytes(),
-		ResidentBytes: int(s.resident.Load()),
+		ResidentBytes: int(s.pages.resident.Load()),
 		CapEntries:    s.cfg.MaxEntries,
 		CapBytes:      s.cfg.MaxBytes,
 	}

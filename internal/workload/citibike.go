@@ -94,9 +94,21 @@ func BuildCitiBike(cfg CitiBikeConfig) (*dataset.Dataset, error) {
 	}
 	marginals = marginals[:dom.NumAttrs()]
 
+	// Each bin's expected share, the product of its attributes' marginals
+	// in attribute order; the domain numbers bins attribute 0 first.
+	share := []float64{1}
+	for _, m := range marginals {
+		next := make([]float64, 0, len(share)*len(m))
+		for _, q := range share {
+			for _, p := range m {
+				next = append(next, q*p)
+			}
+		}
+		share = next
+	}
+
 	perWeek := splitEvenly(cfg.Rows, cfg.Weeks, rng)
 	counts := make([]int, dom.Size())
-	tuple := make([]int, dom.NumAttrs())
 	for w := 0; w < cfg.Weeks; w++ {
 		// Seasonal cycle: ridership peaks mid-span (summer).
 		season := 0.7 + 0.6*wave(float64(w)/float64(cfg.Weeks))
@@ -104,22 +116,9 @@ func BuildCitiBike(cfg CitiBikeConfig) (*dataset.Dataset, error) {
 		if nW < 1 {
 			nW = 1
 		}
-		for i := range counts {
-			counts[i] = 0
-		}
 		assigned := 0
-		// Deterministic largest-cell-first fill: compute expected count
-		// per bin from the product of marginals.
-		for bin := 0; bin < dom.Size(); bin++ {
-			p := 1.0
-			rest := bin
-			for a := 0; a < dom.NumAttrs(); a++ {
-				stride := dom.Stride(a)
-				v := rest / stride
-				rest %= stride
-				p *= marginals[a][v]
-				tuple[a] = v
-			}
+		// Deterministic largest-cell-first fill: each bin's expected count.
+		for bin, p := range share {
 			c := int(float64(nW)*p + 0.5)
 			counts[bin] = c
 			assigned += c

@@ -2,8 +2,10 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/histogram"
 	"repro/internal/noise"
 	"repro/internal/query"
@@ -180,6 +182,78 @@ func TestBuildCitiBikeFullDomain(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("every sampled query empty: generator collapsed")
+	}
+}
+
+// buildCitiBikeOracle is BuildCitiBike as first written: every week
+// recomputes each bin's product of marginals, decoding the bin into
+// attribute values by division.
+func buildCitiBikeOracle(t *testing.T, cfg CitiBikeConfig) *dataset.Dataset {
+	t.Helper()
+	dom := CitiBikeDomain()
+	if cfg.Small {
+		dom = CitiBikeSmallDomain()
+	}
+	ds := dataset.New(dom, cfg.Weeks)
+	rng := noise.NewRng(cfg.Seed)
+	marginals := [][]float64{
+		jitter(rng, []float64{0.18, 0.16, 0.14, 0.12, 0.10, 0.08, 0.07, 0.06, 0.05, 0.04}), // start
+		jitter(rng, []float64{0.17, 0.15, 0.14, 0.12, 0.10, 0.09, 0.08, 0.06, 0.05, 0.04}), // end
+		jitter(rng, []float64{0.12, 0.62, 0.26}),                                           // gender
+		jitter(rng, []float64{0.28, 0.42, 0.24, 0.06}),                                     // age
+		jitter(rng, []float64{0.30, 0.28, 0.18, 0.12, 0.08, 0.04}),                         // duration
+		jitter(rng, []float64{0.16, 0.16, 0.16, 0.16, 0.15, 0.11, 0.10}),                   // weekday
+		jitter(rng, []float64{0.08, 0.24, 0.14, 0.12, 0.26, 0.16}),                         // hour
+		jitter(rng, []float64{0.86, 0.14}),                                                 // usertype
+	}
+	marginals = marginals[:dom.NumAttrs()]
+	perWeek := splitEvenly(cfg.Rows, cfg.Weeks, rng)
+	for w := 0; w < cfg.Weeks; w++ {
+		nW := max(1, int(float64(perWeek[w])*(0.7+0.6*wave(float64(w)/float64(cfg.Weeks)))))
+		counts := make([]int, dom.Size())
+		assigned := 0
+		for bin := range counts {
+			p, rest := 1.0, bin
+			for a := 0; a < dom.NumAttrs(); a++ {
+				p *= marginals[a][rest/dom.Stride(a)]
+				rest %= dom.Stride(a)
+			}
+			counts[bin] = int(float64(nW)*p + 0.5)
+			assigned += counts[bin]
+		}
+		if assigned < nW {
+			best := 0
+			for i, c := range counts {
+				if c > counts[best] {
+					best = i
+				}
+			}
+			counts[best] += nW - assigned
+		}
+		if err := ds.BulkLoad(w, counts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ds
+}
+
+// TestBuildCitiBikeMatchesOracle pins that computing each bin's share once
+// loads the very counts the per-week recomputation did, on both domains,
+// with and without a rounding remainder.
+func TestBuildCitiBikeMatchesOracle(t *testing.T) {
+	for _, cfg := range []CitiBikeConfig{
+		DefaultCitiBike(),
+		{Rows: 200_000, Weeks: 8, Small: true, Seed: 5},
+		{Rows: 300, Weeks: 3, Small: true, Seed: 1},
+		{Rows: 500_000, Weeks: 2, Small: false, Seed: 6},
+	} {
+		got, err := BuildCitiBike(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.ExportState(), buildCitiBikeOracle(t, cfg).ExportState()) {
+			t.Fatalf("%+v: counts differ from the per-week oracle", cfg)
+		}
 	}
 }
 
