@@ -69,6 +69,23 @@ func runCold(tb testing.TB, s *Session, batches [][]*query.Query) int {
 	return stmts
 }
 
+// TestColdBatchStoreWrites pins the store traffic of a cold statement: one
+// write, its exact-cache fill. The tree's node releases are jointly
+// calibrated below what a node-cache probe accepts, so they are not stored
+// (three writes per statement when they were).
+func TestColdBatchStoreWrites(t *testing.T) {
+	ds, batches := coldBatches(t)
+	s := coldSession(t, ds)
+	before := s.StoreStats().Sets
+	stmts := runCold(t, s, batches)
+	if sets := s.StoreStats().Sets - before; sets != int64(stmts) {
+		t.Fatalf("%d store writes for %d cold statements, want one each", sets, stmts)
+	}
+	if n := s.Tree().Cache().Len(); n != 0 {
+		t.Fatalf("the node cache holds %d organic fills, want none", n)
+	}
+}
+
 // BenchmarkColdBatch times the cold fill path end to end below the
 // handler: a fresh session per iteration, 2,000 distinct statements
 // through AnswerBatch, reported per statement.

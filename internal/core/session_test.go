@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/accountant"
@@ -320,6 +321,81 @@ func TestNodeExactCacheMode(t *testing.T) {
 	truth, _ := ds.TrueFraction(q2, 0, 5)
 	if math.Abs(a.Value-truth) > 0.05 {
 		t.Fatalf("node-cache answer %g vs truth %g", a.Value, truth)
+	}
+}
+
+// TestNodeCacheOnOffIdentical pins that on the default α and β, where no
+// jointly calibrated node release passes the node cache's qualification
+// rule, turning the node cache on changes nothing a client or the books
+// can see, and stores nothing.
+func TestNodeCacheOnOffIdentical(t *testing.T) {
+	for _, mode := range []Mode{Partitioned, Streaming} {
+		t.Run(mode.String(), func(t *testing.T) {
+			type run struct {
+				s   *Session
+				ds  *dataset.Dataset
+				dom *domain.Domain
+			}
+			var runs [2]run
+			for i, on := range []bool{false, true} {
+				dom, ds := buildDS(t, 8)
+				cfg := defaultCfg(mode)
+				cfg.NodeExactCache = on
+				s, err := NewSession(cfg, ds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runs[i] = run{s, ds, dom}
+			}
+			rng := rand.New(rand.NewSource(3))
+			var asked [][3]int
+			for i := 0; i < 200; i++ {
+				if mode == Streaming && i%25 == 24 {
+					for _, r := range runs {
+						w, err := r.s.AppendPartition()
+						if err != nil {
+							t.Fatal(err)
+						}
+						loadWeek(r.ds, r.dom, w)
+					}
+				}
+				var pick [3]int // attribute-1 value, window start, window end
+				if len(asked) > 0 && rng.Intn(3) == 0 {
+					pick = asked[rng.Intn(len(asked))]
+				} else {
+					parts := runs[0].ds.Partitions()
+					s := rng.Intn(parts)
+					pick = [3]int{rng.Intn(4), s, s + rng.Intn(parts-s)}
+					asked = append(asked, pick)
+				}
+				var got [2]Answer
+				for j, r := range runs {
+					q := query.MustNew(r.dom, map[int][]int{0: {1}, 1: {pick[0]}}).WithWindow(pick[1], pick[2])
+					a, err := r.s.Answer(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got[j] = a
+				}
+				off, on := got[0], got[1]
+				if math.Float64bits(off.Value) != math.Float64bits(on.Value) || off.Source != on.Source ||
+					math.Float64bits(off.Paid) != math.Float64bits(on.Paid) {
+					t.Fatalf("query %d %v: node cache on answers %+v, off %+v", i, pick, on, off)
+				}
+			}
+			v0, v1 := runs[0].s.Accountant().SpentVector(), runs[1].s.Accountant().SpentVector()
+			if len(v0) != len(v1) {
+				t.Fatalf("%d partitions on, %d off", len(v1), len(v0))
+			}
+			for p := range v0 {
+				if math.Float64bits(v0[p]) != math.Float64bits(v1[p]) {
+					t.Fatalf("partition %d spent %g with the node cache on, %g off", p, v1[p], v0[p])
+				}
+			}
+			if n := runs[1].s.Tree().Cache().Len(); n != 0 {
+				t.Fatalf("the node cache stored %d releases no probe can accept", n)
+			}
+		})
 	}
 }
 

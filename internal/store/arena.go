@@ -137,12 +137,14 @@ func newArena(shift uint, maxChunks, ext, nrec int, rehash func(rec) uint64, pag
 		cold:      empty,
 		hot:       empty,
 	}
-	a.resize(tableFor(nrec))
+	a.resize(a.tableFor(nrec))
 	return a
 }
 
-// tableFor is the smallest power-of-two table with a bucket per record.
-func tableFor(n int) int { return 1 << bits.Len(uint(max(n, 1)-1)) }
+// tableFor is the smallest power-of-two table with a bucket per record and
+// at least a 64th of a chunk's bytes (a page at 64 KiB, mapped anyway): a
+// filling stripe skips ten doublings, each a map, an unmap and a rehash.
+func (a *arena) tableFor(n int) int { return 1 << bits.Len(uint(max(n, 1<<a.shift>>6, 1)-1)) }
 
 // bucket is the table slot h's chain hangs from.
 func (a *arena) bucket(h uint64) *uint32 { return &a.buckets[h&uint64(len(a.buckets)-1)] }
@@ -180,7 +182,7 @@ func (a *arena) release() {
 
 // reserve grows the table, in one step, to hold n records.
 func (a *arena) reserve(n int) {
-	if t := tableFor(n); t > len(a.buckets) {
+	if t := a.tableFor(n); t > len(a.buckets) {
 		a.grows++
 		a.resize(t)
 	}

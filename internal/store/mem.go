@@ -73,8 +73,8 @@ import (
 const (
 	// memStripes is the default number of independent lock+arena stripes. A
 	// power of two comfortably above typical core counts keeps collision
-	// contention low while costing only a few one-bucket tables for small
-	// stores.
+	// contention low while costing a small store one page of table per
+	// stripe.
 	memStripes = 16
 	// chunkShift sizes an arena chunk (64 KiB) and with it the split of a
 	// 32-bit offset into chunk index and position.

@@ -148,18 +148,28 @@ func TestPageFirstChunkIsAPage(t *testing.T) {
 }
 
 // TestPageResizeUnmapsOldTable pins that a table doubling gives the old
-// table back: after many doublings the store maps one table per stripe.
+// table back: after many doublings the store maps one table per stripe. A
+// table starts at a page of buckets, so a stripe doubles only once it links
+// more than 1,024 records.
 func TestPageResizeUnmapsOldTable(t *testing.T) {
 	base := settleMapped(t)
 	s := NewMem(MemConfig{Stripes: 2})
 	for i := 0; i < 50_000; i++ {
+		if i == 1_500 {
+			for j := range s.stripes {
+				if st := &s.stripes[j]; st.nrec >= 1024 || st.grows != 0 {
+					t.Fatalf("stripe %d doubled its table %d times for %d records", j, st.grows, st.nrec)
+				}
+			}
+		}
 		if err := s.Set("ns", windowedKey(i), i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := range s.stripes {
-		if st := &s.stripes[i]; st.grows < 10 {
-			t.Fatalf("stripe %d doubled its table %d times", i, st.grows)
+		// Over 16,384 records each: 1,024 → 32,768 buckets.
+		if st := &s.stripes[i]; st.grows < 5 {
+			t.Fatalf("stripe %d doubled its table %d times for %d records", i, st.grows, st.nrec)
 		}
 	}
 	if got, held := mappedBytes.Load()-base, checkHeld(t, s); got != held {

@@ -117,9 +117,9 @@ type Config struct {
 	WarmStart bool
 	// NodeExactCache enables per-node exact-match caches in front of the
 	// PMW machinery (the "Exact-Cache Tree" of Fig. 1). Cached node
-	// results are reused only when their stored budget meets the
-	// pessimistic per-node calibration, preserving (α, β) for any
-	// combination.
+	// results are stored and reused only when their budget meets the
+	// pessimistic per-node calibration (servable), preserving (α, β) for
+	// any combination; Run's jointly calibrated releases almost never do.
 	NodeExactCache bool
 	// MaxWindow bounds the number of contiguous partitions one query may
 	// request (Thm A.8's T), enabling unbounded streams with bounded
@@ -494,6 +494,7 @@ type nodeClaim struct {
 // across queries, so the steady-state cache-hit path allocates nothing.
 type runScratch struct {
 	start, end int
+	mMax       int // claim-time worst-case split size: servable's m_max
 	res        Result
 
 	shards    []*stateShard
@@ -593,9 +594,9 @@ func (t *Tree) claim(q *query.Query, start, end int, sc *runScratch) error {
 	defer unlockAll(sc.shards)
 
 	sc.split = t.appendSplit(sc.split[:0], start, end)
-	mMax := t.maxSplit()
+	sc.mMax = t.maxSplit()
 
-	// 1. Node exact caches (Fig. 1 "Exact-Cache Tree"): qualified hits
+	// 1. Node exact caches (Fig. 1 "Exact-Cache Tree"): servable hits
 	// contribute directly and leave the PMW machinery untouched.
 	for _, iv := range sc.split {
 		version, ni, err := ds.WindowMeta(iv.Start, iv.End)
@@ -607,8 +608,7 @@ func (t *Tree) claim(q *query.Query, start, end int, sc *runScratch) error {
 		}
 		if t.cache != nil {
 			sc.key = q.AppendWindowKey(sc.key[:0], iv.Start, iv.End)
-			if e, ok := t.cache.GetKey(sc.key, iv.Start, version); ok &&
-				e.Eps >= noise.EpsilonForAccuracy(t.cfg.Alpha, t.cfg.Beta/float64(mMax), ni) {
+			if e, ok := t.cache.GetKey(sc.key, iv.Start, version); ok && t.servable(e.Eps, sc.mMax, ni) {
 				sc.comps = append(sc.comps, component{e.Value, ni})
 				sc.res.CachedNodes++
 				t.stats.cacheHits.Add(1)
@@ -798,7 +798,11 @@ func (t *Tree) commit(q *query.Query, sc *runScratch) error {
 	// node-cache fills. Fills record the claim-time version: if the data
 	// advanced mid-flight the entry is born stale and the monotone version
 	// check rejects it, rather than a fresh version laundering a result
-	// computed over older rows.
+	// computed over older rows. Only servable releases are stored, and
+	// that gate is exact: a probe accepts an entry only at its stored
+	// version, where n_i is unchanged (versions are monotone), and m_max
+	// only grows, raising the bar. An entry refused here is refused by
+	// every later probe, so the gate drops only writes nothing can read.
 	if len(sc.lapNodes) > 0 {
 		for i := range sc.lapNodes {
 			c := &sc.lapNodes[i]
@@ -810,7 +814,7 @@ func (t *Tree) commit(q *query.Query, sc *runScratch) error {
 				}
 			}
 			sc.comps = append(sc.comps, component{c.value, c.ni})
-			if t.cache != nil {
+			if t.cache != nil && t.servable(sc.epsLap, sc.mMax, c.ni) {
 				sc.key = q.AppendWindowKey(sc.key[:0], c.iv.Start, c.iv.End)
 				// A failed fill is indistinguishable from a miss later.
 				_ = t.cache.PutKey(sc.key, c.iv.Start, c.version, c.value, sc.epsLap)
@@ -819,6 +823,13 @@ func (t *Tree) commit(q *query.Query, sc *runScratch) error {
 		sc.res.LaplaceNodes = len(sc.lapNodes)
 	}
 	return nil
+}
+
+// servable is the node cache's one qualification rule, for probe and fill:
+// a release paid at eps over n rows stands in for its node in any split of
+// up to mMax nodes only if eps meets the per-node calibration at β/mMax.
+func (t *Tree) servable(eps float64, mMax, n int) bool {
+	return eps >= noise.EpsilonForAccuracy(t.cfg.Alpha, t.cfg.Beta/float64(mMax), n)
 }
 
 // maxSplit is the worst-case split size at the current partition count.

@@ -291,19 +291,30 @@ func TestColdWarmStartStaysUniform(t *testing.T) {
 func TestNodeExactCache(t *testing.T) {
 	f := newFix(t, func(c *Config) { c.NodeExactCache = true }, 1000, 8)
 	q := query.MustNew(f.dom, map[int][]int{0: {1}}).WithWindow(2, 3)
-	if _, err := f.tree.Run(q); err != nil {
+	// [2,3] is one dyadic node. No organic fill is servable, so prefill one
+	// that is: the probe must serve it at its version and never after.
+	version, err := f.ds.RangeVersion(2, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Same subquery again: either the node cache hits (if the stored
-	// ε qualifies) or the PMW machinery answers; the cache must never
-	// serve a stale version.
-	_ = f.ds.AddCount(2, 0, 10) // invalidate
+	if err := f.tree.Cache().Put(q, version, 0.25, 1e9); err != nil {
+		t.Fatal(err)
+	}
 	res, err := f.tree.Run(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CachedNodes != 0 {
-		t.Fatal("node cache served stale data after mutation")
+	if res.CachedNodes != 1 || res.Value != 0.25 || res.Paid != 0 {
+		t.Fatalf("servable entry not served: %+v", res)
+	}
+	if err := f.ds.AddCount(2, 0, 10); err != nil { // invalidate
+		t.Fatal(err)
+	}
+	if res, err = f.tree.Run(q); err != nil {
+		t.Fatal(err)
+	}
+	if res.CachedNodes != 0 || res.Paid == 0 {
+		t.Fatalf("node cache served stale data after mutation: %+v", res)
 	}
 }
 
