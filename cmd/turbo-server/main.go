@@ -5,12 +5,16 @@
 // ingest new time partitions through POST /append (batched arrivals,
 // applied as ordered epochs with eager warm-start in streaming mode).
 //
-// Durable state: -state loads a snapshot at boot (when the file exists)
-// and writes one atomically (temp file + rename) on SIGINT/SIGTERM, so a
-// restart forfeits neither spent budget nor cache warmth; GET /snapshot
-// and POST /restore expose the same envelope over HTTP. -append-backlog
-// bounds the ingestion queue: overflowing appends shed with 503 +
-// Retry-After instead of queueing without bound.
+// Durable state: -state loads a snapshot at boot (when the file exists),
+// before the listener opens, and writes one atomically (temp file +
+// rename) on SIGINT/SIGTERM, so a restart forfeits neither spent budget
+// nor cache warmth. GET /snapshot exposes the same envelope over HTTP,
+// and POST /restore loads one into a server that has not yet served:
+// the first analyst request closes that window (a later restore is 409),
+// and a restore that fails midway leaves the server answering 503 until
+// it is restarted. -append-backlog bounds the ingestion queue:
+// overflowing appends shed with 503 + Retry-After instead of queueing
+// without bound.
 //
 //	turbo-server -addr :8080 -dataset covid -mode streaming
 //	curl -s localhost:8080/query -d '{"sql":"SELECT COUNT(*) FROM covid WHERE positive = 1"}'
@@ -145,7 +149,9 @@ func main() {
 	// shutdown checkpoint). A failed periodic checkpoint is logged and
 	// retried next tick — SaveState never mutates, so a failure cannot
 	// poison the session, and the atomic write discipline means a crash
-	// mid-checkpoint never tears the previous good snapshot.
+	// mid-checkpoint never tears the previous good snapshot. Both
+	// checkpoint paths go through the server, which refuses to write the
+	// state a failed POST /restore left behind.
 	ckptStop := make(chan struct{})
 	ckptDone := make(chan struct{})
 	if *ckptEvery > 0 {
@@ -157,7 +163,7 @@ func main() {
 				select {
 				case <-ticker.C:
 					if err := persist.WriteFileAtomic(*statePath, func(w io.Writer) error {
-						return sess.SaveState(w)
+						return srv.SaveState(w)
 					}); err != nil {
 						log.Printf("turbo-server: periodic checkpoint: %v (will retry)", err)
 						continue
@@ -245,7 +251,7 @@ func main() {
 	srv.Close() // drain the ingestion worker: pending epochs apply before the snapshot
 	if *statePath != "" {
 		if err := persist.WriteFileAtomic(*statePath, func(w io.Writer) error {
-			return sess.SaveState(w)
+			return srv.SaveState(w)
 		}); err != nil {
 			log.Fatalf("turbo-server: checkpoint: %v", err)
 		}

@@ -7,9 +7,9 @@
 // The privacy budget is a system resource: every DP mechanism must pay
 // before running, and the block refuses the payment that would exceed
 // the global guarantee. Every charge in the system passes through
-// Block.PayRange or Block.PayRangeBatch; there is no second set of
-// books and no registry of live mechanisms. Alg. 3's rule for
-// concurrently composed interactive mechanisms — admit a new mechanism
+// Block.PayRange; there is no second set of books and no registry of
+// live mechanisms. Alg. 3's rule for concurrently composed interactive
+// mechanisms — admit a new mechanism
 // iff the composition of all declared budgets stays within budget — is
 // exactly the block's atomic range payment: a sparse vector declares its
 // whole budget when it is initialized, so admitting it is paying for it,
@@ -176,13 +176,6 @@ func (b *Block) PayRange(start, end int, c Cost) error {
 	b.locks.Add(1)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.payRangeLocked(start, end, c)
-}
-
-// payRangeLocked is PayRange's body, shared with PayRangeBatch so a
-// batch of charges applies under one lock acquisition: price, check
-// every partition, then deduct. Called with b.mu held.
-func (b *Block) payRangeLocked(start, end int, c Cost) error {
 	if err := b.priceLocked(c); err != nil {
 		return err
 	}

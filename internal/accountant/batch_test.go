@@ -5,54 +5,6 @@ import (
 	"testing"
 )
 
-func TestFilterPayBatch(t *testing.T) {
-	// The scalar filter's batch payment: one-partition range charges.
-	b := NewBlock(1.0, 1)
-	one := func(eps float64) RangeCharge { return RangeCharge{Cost: Laplace(eps)} }
-	verdicts := b.PayRangeBatch([]RangeCharge{one(0.4), one(0.4), one(0.4), one(-1), one(0.2)})
-	want := []bool{true, true, false, false, true}
-	for i, ok := range want {
-		if got := verdicts[i] == nil; got != ok {
-			t.Fatalf("charge %d: verdict ok=%v, want %v (err %v)", i, got, ok, verdicts[i])
-		}
-	}
-	if !errors.Is(verdicts[2], ErrBudgetExhausted) {
-		t.Fatalf("over-budget charge verdict = %v, want ErrBudgetExhausted", verdicts[2])
-	}
-	if errors.Is(verdicts[3], ErrBudgetExhausted) {
-		t.Fatalf("malformed charge must not read as exhaustion: %v", verdicts[3])
-	}
-	if got := b.SpentAt(0); got != 1.0 {
-		t.Fatalf("spent = %g, want 1.0 (accepted charges only)", got)
-	}
-}
-
-func TestFilterPayBatchOneLockAcquisition(t *testing.T) {
-	b := NewBlock(10, 1)
-	before := b.LockAcquisitions()
-	charges := make([]RangeCharge, 64)
-	for i := range charges {
-		charges[i].Cost = Laplace(0)
-	}
-	for i, err := range b.PayRangeBatch(charges) {
-		if err != nil {
-			t.Fatalf("charge %d: %v", i, err)
-		}
-	}
-	if got := b.LockAcquisitions() - before; got != 1 {
-		t.Fatalf("PayRangeBatch of 64 cost %d lock acquisitions, want 1", got)
-	}
-	before = b.LockAcquisitions()
-	for i := 0; i < 64; i++ {
-		if err := b.PayRange(0, 0, Laplace(0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := b.LockAcquisitions() - before; got != 64 {
-		t.Fatalf("64 singleton PayRanges cost %d lock acquisitions, want 64", got)
-	}
-}
-
 func TestBlockAdmitBatch(t *testing.T) {
 	b := NewBlock(1.0, 4)
 	if err := b.PayRange(1, 1, Laplace(1.0)); err != nil { // exhaust partition 1
@@ -97,28 +49,14 @@ func TestBlockAdmitBatchOneLockAcquisition(t *testing.T) {
 	if got := b.LockAcquisitions() - before; got != 64 {
 		t.Fatalf("64 singleton HasBudgetRange cost %d acquisitions, want 64", got)
 	}
-}
-
-func TestBlockPayRangeBatch(t *testing.T) {
-	b := NewBlock(1.0, 4)
-	verdicts := b.PayRangeBatch([]RangeCharge{
-		{Start: 0, End: 3, Cost: Laplace(0.6)},
-		{Start: 1, End: 2, Cost: SVInit(0.1)},  // 3ε = 0.3 on the pure grid
-		{Start: 0, End: 3, Cost: Laplace(0.3)}, // partitions 1,2 would exceed: atomic refusal
-		{Start: 0, End: 0, Cost: Laplace(0.3)}, // partition 0 alone still fits
-	})
-	if verdicts[0] != nil || verdicts[1] != nil || verdicts[3] != nil {
-		t.Fatalf("accepted charges refused: %v %v %v", verdicts[0], verdicts[1], verdicts[3])
-	}
-	if !errors.Is(verdicts[2], ErrBudgetExhausted) {
-		t.Fatalf("busting charge verdict = %v, want ErrBudgetExhausted", verdicts[2])
-	}
-	// Charge 2's atomicity: partition 0 and 3 untouched by it.
-	wantSpent := []float64{0.9, 0.9, 0.9, 0.6}
-	for i, want := range wantSpent {
-		if got := b.SpentAt(i); got < want-1e-9 || got > want+1e-9 {
-			t.Fatalf("partition %d spent %g, want %g", i, got, want)
+	before = b.LockAcquisitions()
+	for _, w := range wins {
+		if err := b.PayRange(w.Start, w.End, Laplace(0)); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if got := b.LockAcquisitions() - before; got != 64 {
+		t.Fatalf("64 singleton PayRanges cost %d acquisitions, want 64", got)
 	}
 }
 

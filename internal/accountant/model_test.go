@@ -478,25 +478,12 @@ func TestModel(t *testing.T) {
 				}
 				for step := 0; step < 1500; step++ {
 					switch op := rng.IntN(20); {
-					case op < 11:
+					case op < 14:
 						start, end := pick()
 						c := charge(start)
 						wantErr := pay(start, end, c)
 						if err := got.PayRange(start, end, c); !sameVerdict(err, wantErr) {
 							t.Fatalf("seed %d step %d: PayRange(%d,%d,%+v) = %v, reference %v", seed, step, start, end, c, err, wantErr)
-						}
-					case op < 14:
-						charges := make([]RangeCharge, 1+rng.IntN(5))
-						want := make([]error, len(charges))
-						for i := range charges {
-							start, end := pick()
-							charges[i] = RangeCharge{Start: start, End: end, Cost: charge(start)}
-							want[i] = pay(start, end, charges[i].Cost)
-						}
-						for i, err := range got.PayRangeBatch(charges) {
-							if !sameVerdict(err, want[i]) {
-								t.Fatalf("seed %d step %d: PayRangeBatch[%d] %+v = %v, reference %v", seed, step, i, charges[i], err, want[i])
-							}
 						}
 					case op < 16:
 						wins := make([]PartitionRange, 1+rng.IntN(5))

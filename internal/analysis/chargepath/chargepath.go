@@ -9,9 +9,9 @@
 //     internal/accountant — anywhere else, a restore could overwrite
 //     composed history without the snapshot registry's validation.
 //
-//  2. Payment calls (Window.Pay, Block.PayRange and its batched form
-//     PayRangeBatch — whatever accountant.Cost they carry) appear only
-//     in designated payer packages (accountant, pmw, tree, baseline,
+//  2. Payment calls (Window.Pay, Block.PayRange — whatever
+//     accountant.Cost they carry) appear only in designated payer
+//     packages (accountant, pmw, tree, baseline,
 //     core, engine). A private measurement accountant elsewhere takes a
 //     //turbo:allow(chargepath) annotation with justification.
 //
@@ -19,8 +19,8 @@
 //     storage packages must sit in a function from which an admission
 //     result is reachable: the function — or a same-package function it
 //     transitively calls — either invokes an accountant payment/admission
-//     API (Pay, PayRange, or the batch plane's one-round
-//     AdmitBatch/PayRangeBatch) or obtains a result
+//     API (Pay, PayRange, or the batch plane's one-round AdmitBatch)
+//     or obtains a result
 //     value carrying a Paid field. This is the PR 5 eviction-safety
 //     property: an entry is only ever written by the flight that paid
 //     for it.
@@ -123,10 +123,9 @@ func admissionEvidence(callee *types.Func) bool {
 	}
 	if accountantFunc(callee) {
 		switch callee.Name() {
-		case "Pay", "PayRange", "AdmitBatch", "PayRangeBatch":
+		case "Pay", "PayRange", "AdmitBatch":
 			// The batch plane's one-round admission verdicts (AdmitBatch)
-			// and batched payments are admission results like their
-			// singleton counterparts.
+			// are admission results like their singleton counterparts.
 			return true
 		}
 	}
@@ -208,8 +207,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 					"accountant spend state mutates outside internal/accountant: %s restores only through the accountant's own snapshot sections",
 					callee.Name())
 			}
-		case accountantFunc(callee) && (callee.Name() == "Pay" || callee.Name() == "PayRange" ||
-			callee.Name() == "PayRangeBatch"):
+		case accountantFunc(callee) && (callee.Name() == "Pay" || callee.Name() == "PayRange"):
 			if !isPayerPkg && !allow.Allowed(call.Pos(), name) {
 				pass.Reportf(call.Pos(),
 					"ε/RDP charge (%s) outside a designated payer package: charges must flow through admission, or annotate a private measurement accountant with //turbo:allow(chargepath)",

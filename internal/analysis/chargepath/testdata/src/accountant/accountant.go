@@ -14,7 +14,6 @@ func NewBlock(eps float64) *Block { return &Block{} }
 
 func (b *Block) PayRange(lo, hi int, c Cost) error   { b.spent += c.eps; return nil }
 func (b *Block) AdmitBatch(wins [][2]int) []error    { return make([]error, len(wins)) }
-func (b *Block) PayRangeBatch(costs []Cost) []error  { return make([]error, len(costs)) }
 func (b *Block) RestoreSpent(v float64)              { b.spent = v }
 func (b *Block) RestorePayload(p []byte) error       { return nil }
 func (b *Block) UpgradeSnapshot(p map[string][]byte) {}

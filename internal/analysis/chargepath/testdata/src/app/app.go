@@ -85,17 +85,12 @@ func fillAllowed(c *cache.Exact) {
 	c.Put("k", 1)
 }
 
-// Batch-plane rules: a one-round AdmitBatch verdict is admission
-// evidence for a cache fill, while batched payments stay confined to
-// payer packages like their singleton forms.
+// Batch-plane rule: a one-round AdmitBatch verdict is admission
+// evidence for a cache fill.
 
 func fillBatchAdmitted(b *accountant.Block, c *cache.Exact) {
 	verdicts := b.AdmitBatch([][2]int{{0, 3}})
 	if verdicts[0] == nil {
 		c.Put("k", 1)
 	}
-}
-
-func chargeRangeBatch(b *accountant.Block) {
-	_ = b.PayRangeBatch([]accountant.Cost{accountant.Laplace(0.1)}) // want `ε/RDP charge \(PayRangeBatch\) outside a designated payer package`
 }

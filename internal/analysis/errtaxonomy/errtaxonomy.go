@@ -8,16 +8,15 @@
 //     taxonomy (and its habitual form is the naked 500).
 //
 //  2. A writeJSON(w, http.StatusInternalServerError, ...) is flagged
-//     unless the same function also tests errors.Is(err,
-//     core.ErrStateCorrupt): a bare 500 that is not the documented
-//     poisoned-session fall-through is an unmapped error.
+//     unless the same function also tests some typed error with
+//     errors.Is: a 500 must be the fall-through of a mapping, never the
+//     only answer to an error.
 //
 //  3. A response-writing function that consumes session errors must map
-//     the documented sentinels: calling Answer requires
-//     ErrBudgetExhausted (429), ErrRestoring (503 + Retry-After) and
-//     ErrStateCorrupt checks; Wait requires ErrRestoring and
-//     ErrStateCorrupt; Submit requires ErrBacklogFull (503 +
-//     Retry-After). A missing errors.Is test is flagged at the call.
+//     the documented sentinels: calling Answer requires an
+//     ErrBudgetExhausted (429) check; Submit requires ErrBacklogFull
+//     (503 + Retry-After). A missing errors.Is test is flagged at the
+//     call.
 //
 // Escape hatch: //turbo:allow(errtaxonomy).
 package errtaxonomy
@@ -47,8 +46,7 @@ var Analyzer = &analysis.Analyzer{
 // required maps an error-producing call (by method name) to the typed
 // sentinels a handler consuming it must test with errors.Is.
 var required = map[string][]string{
-	"Answer": {"ErrBudgetExhausted", "ErrRestoring", "ErrStateCorrupt"},
-	"Wait":   {"ErrRestoring", "ErrStateCorrupt"},
+	"Answer": {"ErrBudgetExhausted"},
 	"Submit": {"ErrBacklogFull"},
 }
 
@@ -60,7 +58,7 @@ type funcFacts struct {
 	writeJSON500s []*ast.CallExpr
 	writesResp    bool
 	sentinels     map[string]bool            // errors.Is targets seen
-	triggers      map[string][]*ast.CallExpr // Answer/Wait/Submit sites
+	triggers      map[string][]*ast.CallExpr // Answer/Submit sites
 }
 
 func calleeOf(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
@@ -69,7 +67,7 @@ func calleeOf(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 }
 
 // sentinelName extracts the error-sentinel identifier from the second
-// argument of errors.Is (core.ErrRestoring -> "ErrRestoring").
+// argument of errors.Is (core.ErrStateCorrupt -> "ErrStateCorrupt").
 func sentinelName(e ast.Expr) string {
 	switch v := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
@@ -155,9 +153,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				}
 			}
 			for _, call := range ff.writeJSON500s {
-				if !ff.sentinels["ErrStateCorrupt"] && !allow.Allowed(call.Pos(), name) {
+				if len(ff.sentinels) == 0 && !allow.Allowed(call.Pos(), name) {
 					pass.Reportf(call.Pos(),
-						"naked 500: a StatusInternalServerError response must be the fall-through of a typed-error mapping (errors.Is on core.ErrStateCorrupt)")
+						"naked 500: a StatusInternalServerError response must be the fall-through of a typed-error mapping (an errors.Is check in the same handler)")
 				}
 			}
 			if !ff.writesResp {

@@ -8,7 +8,6 @@ import (
 
 var (
 	ErrBudgetExhausted = errors.New("budget exhausted")
-	ErrRestoring       = errors.New("restoring")
 	ErrStateCorrupt    = errors.New("state corrupt")
 	ErrBacklogFull     = errors.New("backlog full")
 )
@@ -32,9 +31,20 @@ func rawErrorAllowed(w http.ResponseWriter) {
 	http.Error(w, "unhealthy", 500)
 }
 
-// Rule 2: a 500 must be the ErrStateCorrupt fall-through.
+// Rule 2: a 500 must fall through some errors.Is mapping in the same
+// function, whichever sentinel it tests.
 
 func naked500(w http.ResponseWriter, err error) {
+	writeJSON(w, http.StatusInternalServerError, err) // want `naked 500`
+}
+
+// A plain comparison is not a typed-error mapping: it misses wrapped
+// errors.
+func compared500(w http.ResponseWriter, err error) {
+	if err == ErrBudgetExhausted {
+		writeJSON(w, http.StatusTooManyRequests, err)
+		return
+	}
 	writeJSON(w, http.StatusInternalServerError, err) // want `naked 500`
 }
 
@@ -46,11 +56,19 @@ func mapped500(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusOK, nil)
 }
 
+func fallThrough500(w http.ResponseWriter, err error) {
+	if errors.Is(err, ErrBudgetExhausted) {
+		writeJSON(w, http.StatusTooManyRequests, err)
+		return
+	}
+	writeJSON(w, http.StatusInternalServerError, err)
+}
+
 // Rule 3: response writers consuming session errors map the documented
 // sentinels.
 
 func unmappedAnswer(w http.ResponseWriter, s *Session, q string) {
-	res, err := s.Answer(q) // want `never maps ErrBudgetExhausted` `never maps ErrRestoring` `never maps ErrStateCorrupt`
+	res, err := s.Answer(q) // want `never maps ErrBudgetExhausted`
 	if err != nil {
 		writeJSON(w, http.StatusOK, err)
 		return
@@ -64,10 +82,6 @@ func mappedAnswer(w http.ResponseWriter, s *Session, q string) {
 		switch {
 		case errors.Is(err, ErrBudgetExhausted):
 			writeJSON(w, http.StatusTooManyRequests, err)
-		case errors.Is(err, ErrRestoring):
-			writeJSON(w, http.StatusServiceUnavailable, err)
-		case errors.Is(err, ErrStateCorrupt):
-			writeJSON(w, http.StatusInternalServerError, err)
 		default:
 			writeJSON(w, http.StatusInternalServerError, err)
 		}
@@ -76,8 +90,9 @@ func mappedAnswer(w http.ResponseWriter, s *Session, q string) {
 	writeJSON(w, http.StatusOK, res)
 }
 
+// Wait's errors carry no sentinel of their own to map.
 func unmappedWait(w http.ResponseWriter, s *Session) {
-	err := s.Wait() // want `never maps ErrRestoring` `never maps ErrStateCorrupt`
+	err := s.Wait()
 	writeJSON(w, http.StatusOK, err)
 }
 

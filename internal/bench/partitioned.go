@@ -87,8 +87,8 @@ func Q6TreeVsFlat(sc Scale) (Result, error) {
 
 // fig11 is the streaming comparison — Turbo with and without warm-start
 // vs the exact-cache baselines — with partitions of the env mk builds
-// arriving over time and queries over the latest-P windows.
-func fig11(mk envFn, name string) func(Scale) (Result, error) {
+// arriving over time and Zipf(zipf) queries over the latest-P windows.
+func fig11(mk envFn, name string, zipf float64) func(Scale) (Result, error) {
 	return func(sc Scale) (Result, error) {
 		var arms []arm
 		for i, mode := range []core.Mode{core.Partitioned, core.Streaming} {
@@ -127,7 +127,7 @@ func fig11(mk envFn, name string) func(Scale) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		z, err := workload.NewZipf(poolEnv.Pool, 0, arrivalRng.Fork())
+		z, err := workload.NewZipf(poolEnv.Pool, zipf, arrivalRng.Fork())
 		if err != nil {
 			return Result{}, err
 		}

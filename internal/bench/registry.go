@@ -30,11 +30,9 @@ var Experiments = []Experiment{
 	{"fig10b", "Fig. 10(b) partitioned static Covid kzipf=1", fig10(covid(109), "fig10b-covid-k1", 1)},
 	{"fig10c", "Fig. 10(c) partitioned static CitiBike kzipf=0", fig10(citibike(110), "fig10c-citibike-k0", 0)},
 	{"q6", "§6.3 Q6 tree vs flat structure", Q6TreeVsFlat},
-	// fig11 samples the pool uniformly whatever the row says, so fig11b
-	// ("kzipf=1") differs from fig11a only in its dataset seed.
-	{"fig11a", "Fig. 11(a) streaming Covid kzipf=0", fig11(covid(112), "fig11a-covid-k0")},
-	{"fig11b", "Fig. 11(b) streaming Covid kzipf=1", fig11(covid(113), "fig11b-covid-k1")},
-	{"fig11c", "Fig. 11(c) streaming CitiBike kzipf=0", fig11(citibike(114), "fig11c-citibike-k0")},
+	{"fig11a", "Fig. 11(a) streaming Covid kzipf=0", fig11(covid(112), "fig11a-covid-k0", 0)},
+	{"fig11b", "Fig. 11(b) streaming Covid kzipf=1", fig11(covid(113), "fig11b-covid-k1", 1)},
+	{"fig11c", "Fig. 11(c) streaming CitiBike kzipf=0", fig11(citibike(114), "fig11c-citibike-k0", 0)},
 	{"fig11d", "Fig. 11(d) runtime per execution path", Fig11d},
 	{"mem", "§6.5 memory footprint", Memory},
 	{"appc", "Appendix C Laplace Histogram crossover", AppendixC},

@@ -77,27 +77,10 @@ type batchMiss struct {
 // version) execute and pay at most once; all cache-missed groups are
 // admitted in one accountant round; and shared evaluation state is
 // warmed once for the whole batch. Per-query failures (planning errors,
-// ErrBudgetExhausted) land in that query's slot; session-wide gates
-// (ErrStateCorrupt, ErrRestoring) fail every slot.
+// ErrBudgetExhausted) land in that query's slot.
 func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 	out := make([]BatchResult, len(qs))
 	if len(qs) == 0 {
-		return out
-	}
-	if s.corrupt.Load() {
-		for i := range out {
-			out[i].Err = ErrStateCorrupt
-		}
-		return out
-	}
-	// One in-flight token covers the whole batch: LoadState only needs
-	// to know whether any payment can be in progress.
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	if s.restoring.Load() {
-		for i := range out {
-			out[i].Err = ErrRestoring
-		}
 		return out
 	}
 

@@ -213,7 +213,9 @@ func TestAnswerBatchNoDoubleSpendRace(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
 			var buf bytes.Buffer
-			_ = s.SaveState(&buf) // concurrent saves may hit the restore gate; racing is the point
+			if err := s.SaveState(&buf); err != nil {
+				panic(err)
+			}
 		}
 	}()
 	wg.Wait()

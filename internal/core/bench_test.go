@@ -46,6 +46,35 @@ func BenchmarkAnswerExactHit(b *testing.B) {
 	}
 }
 
+// BenchmarkAnswerExactHitParallel runs cached repeats from every P over a
+// small hot set, so the hit path's shared writes (source counters, the
+// fast map's promotion state) contend across cores. Read it at -cpu 1,2.
+func BenchmarkAnswerExactHitParallel(b *testing.B) {
+	s, dom := benchSession(b, NonPartitioned, 1)
+	var hot []*query.Query
+	for a := 0; a < 4; a++ {
+		for p := 0; p < 2; p++ {
+			q := query.MustNew(dom, map[int][]int{0: {p}, 1: {a}})
+			for i := 0; i < 2; i++ { // the second answer promotes it to the fast map
+				if _, err := s.Answer(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			hot = append(hot, q)
+		}
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			if _, err := s.Answer(hot[i%len(hot)]); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
 // BenchmarkAnswerTrained measures steady-state histogram answers through
 // the full session pipeline with distinct queries (no exact hits).
 func BenchmarkAnswerTrained(b *testing.B) {

@@ -324,8 +324,8 @@ func TestLegacyGaussianSnapshotRefusedUntouched(t *testing.T) {
 			if !errors.As(err, &se) || se.Section != accountant.SectionBlock {
 				t.Fatalf("err = %v, want an accountant/block refusal", err)
 			}
-			if dst.Corrupt() || dst.MaxSpent() != 0 || dst.Queries() != 0 {
-				t.Fatalf("refusal mutated the session: corrupt=%v spent=%v queries=%d", dst.Corrupt(), dst.MaxSpent(), dst.Queries())
+			if errors.Is(err, ErrStateCorrupt) || dst.MaxSpent() != 0 || dst.Queries() != 0 {
+				t.Fatalf("refusal mutated the session: err=%v spent=%v queries=%d", err, dst.MaxSpent(), dst.Queries())
 			}
 			if _, err := dst.Answer(mkQuery(0)); err != nil {
 				t.Fatalf("session unusable after the refusal: %v", err)

@@ -14,9 +14,10 @@
 //
 // Sparse-vector state is intentionally not persisted: a restored session
 // re-initializes SVs on first use (one init payment per SV), which is
-// always safe. Restoring must happen before the new session answers any
-// query, and a LoadState error leaves the session in an undefined state —
-// discard it.
+// always safe. Restoring runs before the new session serves anything:
+// that is LoadState's precondition, not a protocol it enforces against
+// concurrent traffic, and an HTTP server keeps it with its own boot
+// latch (internal/server).
 
 package core
 
@@ -24,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/heuristic"
@@ -37,30 +37,21 @@ import (
 // answered queries; restore only targets fresh sessions.
 var ErrAlreadyServing = errors.New("core: LoadState after queries were served")
 
-// ErrStateCorrupt reports traffic refused because a failed LoadState
-// left the session partially restored. The partial state is always
+// ErrStateCorrupt marks a LoadState that failed after it began mutating:
+// the session is partially restored. The partial state is always
 // privacy-conservative (charges restore before the results they paid
 // for), but it is undefined — the session must be discarded.
 var ErrStateCorrupt = errors.New("core: session state corrupted by a failed restore; discard the session")
-
-// ErrRestoring reports a query refused because a LoadState is in
-// progress; the caller may retry once the restore completes.
-var ErrRestoring = errors.New("core: state restore in progress")
 
 // SaveState serializes the session's caching and accounting state as a
 // persist envelope: one section per registered layer, streaming layers
 // quiesced at an epoch boundary for the duration. The image is fully
 // consistent when no queries are in flight; concurrent answers at worst
 // skew late sections the way any external observer could (and only in
-// the conservative direction — see persist.Registry.Save). A session
-// poisoned by a failed restore refuses to snapshot: its undefined state
-// must never overwrite a good checkpoint.
+// the conservative direction — see persist.Registry.Save).
 func (s *Session) SaveState(w io.Writer) error {
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
-	if s.corrupt.Load() {
-		return ErrStateCorrupt
-	}
 	// Quiesce first (an in-flight ingestion epoch holds appendMu, so the
 	// barrier must come after it lands), then hold the epoch mutex for
 	// the whole capture: a direct AppendPartitions racing the capture
@@ -79,62 +70,28 @@ func (s *Session) SaveState(w io.Writer) error {
 
 // LoadState restores previously saved state into a freshly-created
 // session with the same configuration over the same dataset (same
-// partition count and version). It must run before any query is
-// answered. Envelope and section failures surface as typed errors
-// (persist.ErrBadMagic, persist.ErrTruncated, *persist.SectionError
-// naming the offending section, ...); on any error the session state is
-// undefined and the session must be discarded.
+// partition count and version). It must run before the session serves
+// anything: no Answer, AnswerBatch or AppendPartitions may run
+// concurrently with it, and a session that already answered refuses with
+// ErrAlreadyServing. Envelope and section failures surface as typed
+// errors (persist.ErrBadMagic, persist.ErrTruncated, *persist.SectionError
+// naming the offending section, ...). Those that leave the session
+// untouched — envelope failures and validation mismatches — let it serve
+// as if no restore had been tried; a failure after the restore began
+// mutating also wraps ErrStateCorrupt, and the session must be discarded.
 func (s *Session) LoadState(r io.Reader) error {
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
-	if s.corrupt.Load() {
-		// A retry over a poisoned session could report success while the
-		// poison still refuses traffic; the session must be recreated.
-		return ErrStateCorrupt
-	}
-	// Refuse a doomed restore before raising the gate: the counter is
-	// monotone, so a serving session stays refused — without this check
-	// first, every stray /restore against a busy server would bounce
-	// concurrent queries with ErrRestoring while the drain ran, only to
-	// fail here anyway.
-	if s.Queries() > 0 {
-		return ErrAlreadyServing
-	}
-	// Close the in-flight window: a query that has already paid but not
-	// yet recorded would otherwise slip past the freshness check below
-	// and have its charge wiped by the restored accountant sections —
-	// its released answer would then be free. New queries fail fast
-	// with ErrRestoring; draining makes any racer finish recording, so
-	// the Queries() check sees it.
-	s.restoring.Store(true)
-	defer s.restoring.Store(false)
-	for s.inflight.Load() > 0 {
-		time.Sleep(50 * time.Microsecond)
-	}
-	// Appends are gated the same way (AppendPartitions fails fast while
-	// restoring); taking and releasing the epoch mutex waits out any
-	// epoch that slipped in before the gate rose, so no append can
-	// interleave with the section restores. The gate drops just before
-	// the stream section restores (see gateOpener) — its pending epochs
-	// re-apply through the normal append path over the fully-restored
-	// core state.
-	s.appendMu.Lock()
-	s.appendMu.Unlock()
 	if s.Queries() > 0 {
 		return ErrAlreadyServing
 	}
 	s.restoreMutated = false
 	if err := s.registry.Load(r); err != nil {
-		// A failure after some section began mutating leaves the session
-		// partially restored; poison it so further traffic is refused
-		// (ErrStateCorrupt) instead of served from undefined state. The
-		// core-owned sections flip restoreMutated only once their
-		// validations pass (so envelope failures and pure validation
-		// mismatches — not-a-snapshot, wrong mode, foreign accounting —
-		// leave the session untouched and usable), and every other
-		// section runs after core/meta has already flipped it.
+		// The core-owned sections flip restoreMutated only once their
+		// validations pass, and every other section runs after core/meta
+		// has already flipped it.
 		if s.restoreMutated {
-			s.corrupt.Store(true)
+			return fmt.Errorf("core: load state: %w: %w", ErrStateCorrupt, err)
 		}
 		return fmt.Errorf("core: load state: %w", err)
 	}
@@ -144,52 +101,16 @@ func (s *Session) LoadState(r io.Reader) error {
 // RegisterSnapshotter adds (or, for a re-created layer with the same
 // section tag, replaces) one layer in the session's snapshot registry.
 // The streaming ingestor registers its pending-epoch queue this way.
-// External sections restore after every core section, and through a
-// wrapper that first lowers the restore gate: the ingestor's pending
-// epochs re-apply via the normal append path, which the gate would
-// otherwise refuse — and by then the core state they land on is fully
-// restored and consistent.
+// External sections restore after every core section, so the ingestor's
+// pending epochs re-apply through the normal append path onto fully
+// restored core state.
 func (s *Session) RegisterSnapshotter(sn persist.Snapshotter) {
 	// persistMu keeps the registry mutation exclusive with a concurrent
 	// SaveState/LoadState iterating it (re-creating an ingestor over a
 	// live session is supported).
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
-	s.registry.Register(gateOpener{s: s, sn: sn})
-}
-
-// gateOpener wraps an externally-registered Snapshotter, forwarding the
-// optional persist capabilities and dropping the session's restore gate
-// before the wrapped section restores.
-type gateOpener struct {
-	s  *Session
-	sn persist.Snapshotter
-}
-
-// SnapshotSection implements persist.Snapshotter.
-func (g gateOpener) SnapshotSection() string { return g.sn.SnapshotSection() }
-
-// SnapshotPayload implements persist.Snapshotter.
-func (g gateOpener) SnapshotPayload() ([]byte, error) { return g.sn.SnapshotPayload() }
-
-// RestorePayload lowers the restore gate, then delegates.
-func (g gateOpener) RestorePayload(p []byte) error {
-	g.s.restoring.Store(false)
-	return g.sn.RestorePayload(p)
-}
-
-// SnapshotOptional forwards the wrapped layer's optionality.
-func (g gateOpener) SnapshotOptional() bool {
-	o, ok := g.sn.(persist.OptionalSection)
-	return ok && o.SnapshotOptional()
-}
-
-// Quiesce forwards the wrapped layer's quiesce (no-op without one).
-func (g gateOpener) Quiesce() func() {
-	if q, ok := g.sn.(persist.Quiescer); ok {
-		return q.Quiesce()
-	}
-	return func() {}
+	s.registry.Register(sn)
 }
 
 // PersistDataset opts the session into writing the dataset itself as a
@@ -208,10 +129,6 @@ func (g gateOpener) Quiesce() func() {
 func (s *Session) PersistDataset() {
 	s.persistData = true
 }
-
-// Corrupt reports whether a failed restore poisoned the session (see
-// ErrStateCorrupt); a poisoned session must be discarded.
-func (s *Session) Corrupt() bool { return s.corrupt.Load() }
 
 // datasetSection adapts the dataset (plus the accountant growth a
 // restored stream implies) into a persist.Snapshotter.

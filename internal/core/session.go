@@ -233,16 +233,7 @@ type Session struct {
 	queries atomic.Int64
 	deduped atomic.Int64
 	exhaust atomic.Bool
-	// corrupt marks the session unusable after a failed LoadState
-	// mutated it (persist.go); Answer and AppendPartitions then refuse
-	// with ErrStateCorrupt.
-	corrupt atomic.Bool
-	// inflight counts queries between Answer entry and return;
-	// restoring fails new ones fast so LoadState can drain the window
-	// where a paid-but-unrecorded charge could be wiped by a restore.
-	inflight  atomic.Int64
-	restoring atomic.Bool
-	bySrc     [numSources]atomic.Int64
+	bySrc   [numSources]atomic.Int64
 }
 
 // numSources sizes the per-source counter array; the sourceIndex
@@ -394,28 +385,12 @@ func (s *Session) AppendPartitions(k int) (int, error) {
 	if k <= 0 {
 		return 0, fmt.Errorf("core: bad partition batch %d", k)
 	}
-	if s.corrupt.Load() {
-		return 0, ErrStateCorrupt
-	}
-	if s.restoring.Load() {
-		// A growing accountant or dataset interleaving with a restore's
-		// section-by-section replacement would be erased or fail the
-		// restore's length validations; shed until the gate drops (it
-		// does before any restored pending epoch re-applies).
-		return 0, ErrRestoring
-	}
 	if s.tree == nil {
 		return 0, errors.New("core: streaming arrivals need a partitioned session " +
 			"(the single PMW's accountant window cannot grow)")
 	}
 	s.appendMu.Lock()
 	defer s.appendMu.Unlock()
-	// Re-check under the epoch mutex: a racer past the gate check above
-	// could otherwise acquire the mutex after LoadState's barrier
-	// released it and grow the accountants mid-restore.
-	if s.restoring.Load() {
-		return 0, ErrRestoring
-	}
 	s.block.AddPartitions(k)
 	return s.ds.AppendPartitions(k), nil
 }
@@ -424,17 +399,6 @@ func (s *Session) AppendPartitions(k int) (int, error) {
 // plan, exact cache, then PMW-Bypass (single or tree). It returns
 // accountant.ErrBudgetExhausted (wrapped) once the global guarantee binds.
 func (s *Session) Answer(q *query.Query) (Answer, error) {
-	if s.corrupt.Load() {
-		return Answer{}, ErrStateCorrupt
-	}
-	// Enter the in-flight window before checking the restore gate, so a
-	// LoadState that observes inflight == 0 after raising the gate knows
-	// no query can be mid-payment (see persist.go).
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	if s.restoring.Load() {
-		return Answer{}, ErrRestoring
-	}
 	pl, err := s.planner.Plan(q)
 	if err != nil {
 		return Answer{}, err

@@ -8,8 +8,8 @@
 // Statuses are per element: one over-budget query 429s in its slot
 // without dooming its batchmates, exactly like the singleton endpoint's
 // status mapping. The envelope itself is 200 whenever the batch was
-// processed; only malformed requests (400) and session-wide gates —
-// corrupt or restoring state (503) — fail the whole call.
+// processed; only malformed requests (400) and the boot latch (503 after
+// a restore failed midway) fail the whole call.
 
 package server
 
@@ -21,7 +21,6 @@ import (
 	"strings"
 
 	"repro/internal/accountant"
-	"repro/internal/core"
 	"repro/internal/query"
 )
 
@@ -61,6 +60,9 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{"bad-request", "empty batch"})
 		return
 	}
+	if !s.serving(w) {
+		return
+	}
 
 	items := make([]BatchItem, len(req.Queries))
 	qs := make([]*query.Query, 0, len(req.Queries))
@@ -92,13 +94,6 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		for k, res := range results {
 			i := slots[k]
 			switch {
-			case errors.Is(res.Err, core.ErrStateCorrupt):
-				writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{"corrupt", res.Err.Error()})
-				return
-			case errors.Is(res.Err, core.ErrRestoring):
-				w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter))
-				writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{"overloaded", res.Err.Error()})
-				return
 			case errors.Is(res.Err, accountant.ErrBudgetExhausted):
 				s.refusals.Add(1)
 				items[i] = BatchItem{Status: http.StatusTooManyRequests,

@@ -1,0 +1,277 @@
+// Tests of the boot latch: POST /restore racing the first analyst
+// traffic of a fresh server, and a server whose restore failed midway.
+
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/persist"
+)
+
+// latchSQL lists distinct single-partition statements over
+// newStreamingServer's two initial partitions: every predicate the
+// 2×4 domain names with at most one value per attribute, per partition.
+// A single-partition window charges only its own partition, so each
+// answer's paid is that partition's charge.
+func latchSQL() (sqls []string, parts []int) {
+	var preds []string
+	preds = append(preds, "")
+	for v := 0; v < 2; v++ {
+		preds = append(preds, fmt.Sprintf("positive = %d AND ", v))
+		for a := 0; a < 4; a++ {
+			preds = append(preds, fmt.Sprintf("positive = %d AND age = %d AND ", v, a))
+		}
+	}
+	for a := 0; a < 4; a++ {
+		preds = append(preds, fmt.Sprintf("age = %d AND ", a))
+	}
+	for p := 0; p < 2; p++ {
+		for _, pred := range preds {
+			sqls = append(sqls, fmt.Sprintf("SELECT COUNT(*) FROM covid WHERE %stime BETWEEN %d AND %d", pred, p, p))
+			parts = append(parts, p)
+		}
+	}
+	return sqls, parts
+}
+
+// post sends body to path and returns the status and response body; it
+// reports transport failures through t.Error, so it is safe to call from
+// any goroutine.
+func post(t *testing.T, ts *httptest.Server, path string, body []byte) (int, []byte) {
+	resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Error(err)
+		return 0, nil
+	}
+	defer resp.Body.Close()
+	out, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, out
+}
+
+// TestRestoreRacesTraffic restores a snapshot into fresh servers while
+// /query and /append traffic arrives at the same moment. The latch
+// allows exactly two outcomes. Either the restore ran first: it is 200,
+// every answer was served on the restored books (the snapshot's cached
+// statements come back as free exact hits), and each partition's spend
+// is the snapshot's plus the answers' charges. Or traffic closed the
+// window first: the restore is 409, and the books hold the answers'
+// charges alone. Either way no released answer is missing its charge.
+func TestRestoreRacesTraffic(t *testing.T) {
+	sqls, parts := latchSQL()
+	cached := len(sqls) / 3 // the source answers every third statement
+
+	src, ds := newStreamingServer(t, false)
+	tsSrc := httptest.NewServer(src.Handler())
+	defer tsSrc.Close()
+	defer src.Close()
+	inSnap := make(map[string]bool)
+	for i := 0; i < len(sqls); i += 3 {
+		if resp, body := postQuery(t, tsSrc, sqls[i]); resp.StatusCode != http.StatusOK {
+			t.Fatalf("source query: %d %s", resp.StatusCode, body)
+		}
+		inSnap[sqls[i]] = true
+	}
+	snapSpend := getBudget(t, tsSrc).PerPartition
+	snap := getSnapshot(t, tsSrc)
+	appendReq := appendBody(t, ds.Domain().Size(), 1, 2)
+
+	const rounds, workers = 8, 4
+	outcomes := map[int]int{}
+	for round := 0; round < rounds; round++ {
+		srv, _ := newStreamingServer(t, false)
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(srv.Close)
+		t.Cleanup(ts.Close)
+
+		var (
+			wg            sync.WaitGroup
+			start         = make(chan struct{})
+			restoreStatus int
+			restoreBody   []byte
+			answers       = make([]QueryResponse, len(sqls))
+		)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			restoreStatus, restoreBody = post(t, ts, "/restore", snap)
+		}()
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				// Stagger the rounds so traffic lands before, during and
+				// after the restore's section loads.
+				time.Sleep(time.Duration(round*w) * 100 * time.Microsecond)
+				if w == 0 {
+					if status, body := post(t, ts, "/append", appendReq); status != http.StatusOK {
+						t.Errorf("round %d: /append = %d %s", round, status, body)
+					}
+				}
+				for i := w; i < len(sqls); i += workers {
+					body, _ := json.Marshal(QueryRequest{SQL: sqls[i]})
+					status, out := post(t, ts, "/query", body)
+					if status != http.StatusOK {
+						t.Errorf("round %d: %q = %d %s", round, sqls[i], status, out)
+						continue
+					}
+					if err := json.Unmarshal(out, &answers[i]); err != nil {
+						t.Error(err)
+					}
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+
+		var base []float64
+		switch restoreStatus {
+		case http.StatusOK:
+			base = snapSpend
+		case http.StatusConflict:
+			base = make([]float64, len(snapSpend))
+		default:
+			t.Fatalf("round %d: /restore = %d %s, want 200 or 409", round, restoreStatus, restoreBody)
+		}
+		outcomes[restoreStatus]++
+		want := append([]float64(nil), base...)
+		hits := 0
+		for i, a := range answers {
+			want[parts[i]] += a.Paid
+			if a.Source == string(core.SourceExactHit) {
+				hits++
+				if !inSnap[sqls[i]] || a.Paid != 0 {
+					t.Fatalf("round %d: %q is an exact hit paying %g on books that never held it", round, sqls[i], a.Paid)
+				}
+			}
+		}
+		if restoreStatus == http.StatusOK && hits != cached {
+			t.Fatalf("round %d: restore 200 but %d of the snapshot's %d statements were exact hits: some answers were served on fresh books",
+				round, hits, cached)
+		}
+		if restoreStatus == http.StatusConflict && hits != 0 {
+			t.Fatalf("round %d: restore 409 but %d answers were served from restored caches", round, hits)
+		}
+		got := getBudget(t, ts).PerPartition
+		if len(got) < len(want) {
+			t.Fatalf("round %d: %d partitions in /budget, want at least %d", round, len(got), len(want))
+		}
+		for p, g := range got {
+			w := 0.0
+			if p < len(want) {
+				w = want[p]
+			}
+			if math.Abs(g-w) > 1e-9*math.Max(1, w) {
+				t.Fatalf("round %d (restore %d): partition %d spent %.12g, want %.12g (base %v plus the answers' charges)",
+					round, restoreStatus, p, g, w, base)
+			}
+		}
+	}
+	t.Logf("restore outcomes over %d rounds: %v", rounds, outcomes)
+}
+
+// corruptSnapshot rewrites a snapshot with the named section's payload
+// replaced by garbage.
+func corruptSnapshot(t *testing.T, raw []byte, section string) []byte {
+	t.Helper()
+	payloads, order, err := persist.ReadSections(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w, err := persist.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, name := range order {
+		p := payloads[name]
+		if name == section {
+			p, found = []byte("corrupted payload bytes"), true
+		}
+		if err := w.WriteSection(name, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !found {
+		t.Fatalf("snapshot has no section %q (have %v)", section, order)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestPoisonedServerRefuses restores a snapshot whose tree/nodes section
+// is garbage: the failure comes after the restore began mutating, so it
+// is 500 "corrupt", and from then on every analyst endpoint, every
+// snapshot and every further restore refuses with 503 "corrupt".
+func TestPoisonedServerRefuses(t *testing.T) {
+	src, ds := newStreamingServer(t, false)
+	tsSrc := httptest.NewServer(src.Handler())
+	defer tsSrc.Close()
+	defer src.Close()
+	const sql = "SELECT COUNT(*) FROM covid WHERE positive = 1"
+	if resp, body := postQuery(t, tsSrc, sql); resp.StatusCode != http.StatusOK {
+		t.Fatalf("source query: %d %s", resp.StatusCode, body)
+	}
+	bad := corruptSnapshot(t, getSnapshot(t, tsSrc), "tree/nodes")
+
+	srv, _ := newStreamingServer(t, false)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+	status, body := postRestore(t, ts, bad)
+	if status != http.StatusInternalServerError || !strings.Contains(string(body), `"corrupt"`) {
+		t.Fatalf("corrupt restore = %d %s, want 500 corrupt", status, body)
+	}
+
+	q, _ := json.Marshal(QueryRequest{SQL: sql})
+	batch, _ := json.Marshal(BatchQueryRequest{Queries: []string{sql}})
+	group, _ := json.Marshal(QueryRequest{SQL: "SELECT COUNT(*) FROM covid GROUP BY age"})
+	for _, c := range []struct {
+		method, path string
+		body         []byte
+	}{
+		{"POST", "/query", q},
+		{"POST", "/query/batch", batch},
+		{"POST", "/groupby", group},
+		{"POST", "/append", appendBody(t, ds.Domain().Size(), 1, 2)},
+		{"GET", "/snapshot", nil},
+		{"POST", "/restore", bad},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(out), `"corrupt"`) {
+			t.Errorf("%s %s on a poisoned server = %d %.100q, want 503 corrupt", c.method, c.path, resp.StatusCode, out)
+		}
+	}
+	if err := srv.SaveState(io.Discard); !errors.Is(err, core.ErrStateCorrupt) {
+		t.Fatalf("SaveState on a poisoned server: %v, want ErrStateCorrupt (must not overwrite a good checkpoint)", err)
+	}
+}

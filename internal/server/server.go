@@ -17,19 +17,26 @@
 //	GET  /snapshot → the session's durable state as a persist envelope
 //	               (accountants incl. RDP curves, caches, tree, pending
 //	               ingestion epochs)
-//	POST /restore  → restore a snapshot into this (fresh) session; 200
-//	               means every section — pending epochs included — is
-//	               applied and queryable
+//	POST /restore  → restore a snapshot into this fresh server, before it
+//	               serves; 200 means every section — pending epochs
+//	               included — is applied and queryable
 //
-// The server holds no lock of its own: the session's query pipeline is
+// Restore runs before serving, and the server's boot latch alone decides
+// when it may: the first /query, /query/batch, /groupby or /append closes
+// the restore window for good (a later /restore is 409), a request that
+// arrives while a restore runs waits for it, and a restore that failed
+// after it began mutating leaves the server refusing every analyst
+// request and every snapshot with 503 "corrupt" until it is restarted.
+// Once the window is closed the latch is one atomic load. Otherwise the
+// server holds no lock of its own: the session's query pipeline is
 // concurrency-safe (lock-free planning and exact-cache probes, per-shard
 // execution, thread-safe accounting), so request goroutines flow straight
 // through; /append hands arrivals to the streaming ingestor, whose epochs
 // keep racing queries accountable. With WithAppendBacklog the ingestor's
 // submission queue is bounded and an overflowing /append sheds with 503 +
 // Retry-After instead of blocking the handler. GET /budget and GET
-// /schema are lock-free reads of accountant and public metadata, and the
-// server's own counters are atomics.
+// /schema are lock-free reads of accountant and public metadata that never
+// close the restore window, and the server's own counters are atomics.
 package server
 
 import (
@@ -37,9 +44,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/accountant"
@@ -63,6 +72,15 @@ type Server struct {
 	appendBacklog int
 	// retryAfter is the Retry-After hint (seconds) on shed appends.
 	retryAfter int
+
+	// live is the boot latch: set by the first analyst request or a
+	// successful restore, after which /restore is 409. bootMu serializes
+	// a restore against the requests and snapshots that arrive before
+	// live; dead, under it, records a restore that failed after it began
+	// mutating. live and dead are never both set.
+	live   atomic.Bool
+	bootMu sync.Mutex
+	dead   bool
 
 	// queries counts served requests: exactly one per 200 response, so
 	// client-observed successes always equal this counter — including
@@ -187,10 +205,10 @@ type QueryResponse struct {
 // ErrorResponse carries a machine-readable error kind plus a message.
 type ErrorResponse struct {
 	// Kind is one of "parse", "exhausted", "internal", "bad-request",
-	// "overloaded" (transient: shed by the bounded ingest queue or a
-	// restore in progress, retry later), "conflict" (restore into a
-	// session that already served queries), or "corrupt" (a failed
-	// restore poisoned the session; restart required).
+	// "overloaded" (transient: shed by the bounded ingest queue, retry
+	// later), "conflict" (restore into a server that already began
+	// serving), or "corrupt" (a failed restore left the session undefined;
+	// restart required).
 	Kind    string `json:"kind"`
 	Message string `json:"message"`
 }
@@ -201,9 +219,28 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// serving passes one analyst request through the boot latch, before its
+// first session call: it closes the restore window, waiting out a restore
+// in progress, or answers 503 "corrupt" after a restore failed midway.
+func (s *Server) serving(w http.ResponseWriter) bool {
+	if s.live.Load() {
+		return true
+	}
+	s.bootMu.Lock()
+	dead := s.dead
+	if !dead {
+		s.live.Store(true)
+	}
+	s.bootMu.Unlock()
+	if dead {
+		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{"corrupt", core.ErrStateCorrupt.Error()})
+	}
+	return !dead
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !decodeAnalyst(w, r, &req) {
+	if !decodeAnalyst(w, r, &req) || !s.serving(w) {
 		return
 	}
 	st, err := s.parser.Parse(req.SQL)
@@ -225,15 +262,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// beyond what the public accountant state already reveals.
 		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{"exhausted",
 			"global privacy budget exhausted"})
-		return
-	case errors.Is(err, core.ErrStateCorrupt):
-		// A failed POST /restore left the session undefined: refuse to
-		// serve from it rather than risk inconsistent answers.
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{"corrupt", err.Error()})
-		return
-	case errors.Is(err, core.ErrRestoring):
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter))
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{"overloaded", err.Error()})
 		return
 	case err != nil:
 		writeJSON(w, http.StatusUnprocessableEntity, ErrorResponse{"bad-request", err.Error()})
@@ -287,7 +315,7 @@ type GroupByResponse struct {
 // a refusal, never a served request.
 func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !decodeAnalyst(w, r, &req) {
+	if !decodeAnalyst(w, r, &req) || !s.serving(w) {
 		return
 	}
 	gs, err := s.parser.ParseGrouped(req.SQL)
@@ -312,15 +340,6 @@ func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 			s.refusals.Add(1)
 			writeJSON(w, http.StatusTooManyRequests, ErrorResponse{"exhausted",
 				"global privacy budget exhausted mid-group; partial results withheld"})
-			return
-		}
-		if errors.Is(err, core.ErrStateCorrupt) {
-			writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{"corrupt", err.Error()})
-			return
-		}
-		if errors.Is(err, core.ErrRestoring) {
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter))
-			writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{"overloaded", err.Error()})
 			return
 		}
 		if err != nil {
@@ -383,6 +402,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{"bad-request", "empty batch"})
 		return
 	}
+	if !s.serving(w) {
+		return
+	}
 	arrivals := make([]stream.Arrival, len(req.Partitions))
 	for i, p := range req.Partitions {
 		arrivals[i] = stream.Arrival{Counts: p.Counts}
@@ -401,17 +423,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	first, last, err := tk.Wait()
-	switch {
-	case errors.Is(err, core.ErrRestoring):
-		// The batch's epoch landed inside a restore window: transient,
-		// retryable — the same mapping /query uses for this condition.
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter))
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{"overloaded", err.Error()})
-		return
-	case errors.Is(err, core.ErrStateCorrupt):
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{"corrupt", err.Error()})
-		return
-	case err != nil:
+	if err != nil {
 		writeJSON(w, http.StatusUnprocessableEntity, ErrorResponse{"bad-request", err.Error()})
 		return
 	}
@@ -627,6 +639,23 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// SaveState writes the session's snapshot; GET /snapshot and
+// turbo-server's checkpoints all take this path. Before the restore
+// window closes it holds the latch for the whole capture, so a snapshot
+// never interleaves with a restore, and after a restore failed midway it
+// refuses with core.ErrStateCorrupt: undefined state must never
+// overwrite a good checkpoint.
+func (s *Server) SaveState(w io.Writer) error {
+	if !s.live.Load() {
+		s.bootMu.Lock()
+		defer s.bootMu.Unlock()
+		if s.dead {
+			return core.ErrStateCorrupt
+		}
+	}
+	return s.sess.SaveState(w)
+}
+
 // handleSnapshot streams the session's durable state as a persist
 // envelope: both accountants (RDP curves included), exact caches, tree
 // node state, and any pending ingestion epochs, captured under the
@@ -639,9 +668,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var buf bytes.Buffer
-	err := s.sess.SaveState(&buf)
+	err := s.SaveState(&buf)
 	if errors.Is(err, core.ErrStateCorrupt) {
-		// A poisoned session must never export its undefined state.
 		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{"corrupt", err.Error()})
 		return
 	}
@@ -662,40 +690,52 @@ type RestoreResponse struct {
 	AverageSpent float64 `json:"average_spent"`
 }
 
-// handleRestore loads a snapshot (the POST body) into the session, which
-// must not have answered any query yet. Envelope failures map to typed
-// statuses: input that is not a snapshot or from another format version
-// is 400; a session that already served traffic is 409; a section-level
-// mismatch (wrong mode, stale dataset, foreign accounting) is 422. After
-// a 200 every restored section — pending ingestion epochs included — is
-// applied and queryable. A failure that began mutating sections poisons
-// the session (core.ErrStateCorrupt): further /query traffic sheds with
-// 503 until the operator restarts with a good snapshot, rather than
-// serving from undefined state.
+// handleRestore loads a snapshot (the POST body) into the session,
+// through the boot latch: a server that has begun serving answers 409,
+// and one whose earlier restore failed midway 503. Envelope failures map
+// to typed statuses: input that is not a snapshot or from another format
+// version is 400; a section-level mismatch (wrong mode, stale dataset,
+// foreign accounting) is 422 and leaves the server usable. After a 200
+// every restored section — pending ingestion epochs included — is
+// applied and queryable. A failure after the restore began mutating
+// (core.ErrStateCorrupt) is 500 "corrupt", and the server then refuses
+// every analyst request and snapshot until it is restarted.
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"bad-request", "POST only"})
 		return
 	}
-	err := s.sess.LoadState(r.Body)
+	// Read the whole body first: a slow upload must not hold the latch
+	// that requests arriving meanwhile wait on.
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{"bad-request", err.Error()})
+		return
+	}
+	s.bootMu.Lock()
+	defer s.bootMu.Unlock()
+	switch {
+	case s.dead:
+		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{"corrupt", core.ErrStateCorrupt.Error()})
+		return
+	case s.live.Load():
+		writeJSON(w, http.StatusConflict, ErrorResponse{"conflict", "server already serving: restore runs before the first request"})
+		return
+	}
+	err = s.sess.LoadState(bytes.NewReader(body))
 	switch {
 	case err == nil:
+		s.live.Store(true)
+	case errors.Is(err, core.ErrStateCorrupt):
+		s.dead = true
+		writeJSON(w, http.StatusInternalServerError, ErrorResponse{"corrupt", err.Error()})
+		return
 	case errors.Is(err, core.ErrAlreadyServing):
 		writeJSON(w, http.StatusConflict, ErrorResponse{"conflict", err.Error()})
-		return
-	case errors.Is(err, core.ErrStateCorrupt):
-		// Poisoned by an earlier failed restore: only a restart helps.
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{"corrupt", err.Error()})
 		return
 	case errors.Is(err, persist.ErrBadMagic), errors.Is(err, persist.ErrBadVersion),
 		errors.Is(err, persist.ErrTruncated):
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{"bad-request", err.Error()})
-		return
-	case s.sess.Corrupt():
-		// The failure began mutating sections: the session is poisoned
-		// and only a restart helps — distinct from a recoverable
-		// validation refusal.
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{"corrupt", err.Error()})
 		return
 	default:
 		writeJSON(w, http.StatusUnprocessableEntity, ErrorResponse{"bad-request", err.Error()})
