@@ -39,7 +39,7 @@ scorecard:
 # any reads above its ceiling (CEILINGS, in scorecard's line order: lines,
 # flags, //turbo:allow sites). Lower a ceiling when a PR earns it; raising
 # one is a decision to write down in ROADMAP, not a side effect.
-CEILINGS = 18340 18 1
+CEILINGS = 18566 18 1
 
 scorecard-check:
 	@$(MAKE) -s scorecard | awk -v ceilings='$(CEILINGS)' ' \

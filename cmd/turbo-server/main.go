@@ -62,7 +62,7 @@ func main() {
 		shards      = flag.Int("shards", runtime.NumCPU(), "concurrent executor shards (partitioned modes)")
 		statePath   = flag.String("state", "", "snapshot file: restored at boot if present, written atomically on SIGINT/SIGTERM")
 		backlog     = flag.Int("append-backlog", 0, "bound on queued /append batches; overflow sheds with 503 (0 = unbounded)")
-		storeMaxMB  = flag.Int("store-max-mb", 0, "cache-store bound in MiB of payload (key + value bytes, what /schema reports); resident memory, /schema's resident_bytes, is about 1.6x that (0 = bytes unbounded). Either bound > 0 makes the store a segmented LRU with privacy-cost-aware eviction")
+		storeMaxMB  = flag.Int("store-max-mb", 0, "cache-store bound in MiB of payload (key + value bytes, what /schema reports); resident memory, /schema's resident_bytes, is about 1.7x that (0 = bytes unbounded). Either bound > 0 makes the store a segmented LRU with privacy-cost-aware eviction")
 		storeMaxEnt = flag.Int("store-max-entries", 0, "resident cache-store entry bound (0 = entries unbounded)")
 		ckptEvery   = flag.Duration("checkpoint-interval", 0, "background checkpoint period for -state (0 disables; failures log and retry next tick)")
 		pprofAddr   = flag.String("pprof", "", "expose net/http/pprof on this separate address (e.g. 127.0.0.1:6060); empty disables")

@@ -96,18 +96,17 @@ func TestBackendEntryCodecPath(t *testing.T) {
 }
 
 // TestRestorePayloadGobFallback checks a pre-codec snapshot — stripe
-// values stored as raw gob streams — still restores, and that restored
-// entries serve hits.
+// values stored as raw gob streams, under the textual keys of their day —
+// still restores, and that restored entries serve hits.
 func TestRestorePayloadGobFallback(t *testing.T) {
 	q := query.MustNew(dom(), map[int][]int{0: {1}}).WithWindow(0, 2)
-	key := q.KeyWithWindow()
 	want := Entry{Value: 0.375, Eps: 0.04, Version: 1}
 	gobBytes, err := persist.Encode(want) // the pre-codec value encoding
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload, err := persist.Encode(exactState{Stripes: []exactStripeState{{
-		Keys: []string{key},
+		Keys: []string{"0:1;@[0,2]"},
 		Vals: [][]byte{gobBytes},
 	}}})
 	if err != nil {
@@ -117,6 +116,7 @@ func TestRestorePayloadGobFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetDomain(dom())
 	if err := c.RestorePayload(payload); err != nil {
 		t.Fatal(err)
 	}

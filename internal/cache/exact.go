@@ -23,10 +23,10 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/domain"
 	"repro/internal/persist"
 	"repro/internal/query"
 	"repro/internal/store"
@@ -87,6 +87,13 @@ type Exact struct {
 	stripeCount int
 	stripes     []*exactStripe
 	maxFast     int // per stripe
+
+	// dom is what a snapshot's textual keys are re-keyed over (SetDomain).
+	dom *domain.Domain
+
+	// filled is set by the first Put and by a restore that brings an
+	// entry, and never cleared: until then no probe can hit (Filled).
+	filled atomic.Bool
 
 	hits, misses atomic.Int64
 }
@@ -162,31 +169,34 @@ func (c *Exact) stripeFor(q *query.Query) *exactStripe {
 	return c.stripes[0]
 }
 
-// stripeForKey re-derives a stored key's stripe from the window embedded
-// in the key itself (query.KeyWithWindow appends "@[start,end]";
-// predicate keys never contain '@'). Restores route every entry through
-// it rather than trusting recorded stripe indices, so snapshots stay
-// portable across sessions with different shard counts — including the
-// pre-sharding flat payloads, whose entries had no stripe at all.
-func (c *Exact) stripeForKey(key string) *exactStripe {
-	if c.stripeCount <= 1 {
-		return c.stripes[0]
+// stripeForKey re-derives a stored key's stripe from the window its
+// header carries (query.KeyWindow), or stripe 0 for a key without one.
+// Restores route every entry through it rather than trusting recorded
+// stripe indices, so snapshots stay portable across sessions with
+// different shard counts — including the pre-sharding flat payloads, whose
+// entries had no stripe at all. A key whose header does not decode is an
+// error: filed anywhere, no probe would find it.
+func (c *Exact) stripeForKey(key string) (*exactStripe, error) {
+	start, _, windowed, err := query.KeyWindow(key)
+	if err != nil {
+		return nil, err
 	}
-	at := strings.LastIndex(key, "@[")
-	if at < 0 {
-		return c.stripes[0]
+	if !windowed {
+		return c.stripes[0], nil
 	}
-	rest := key[at+2:]
-	comma := strings.IndexByte(rest, ',')
-	if comma < 0 {
-		return c.stripes[0]
-	}
-	start, err := strconv.Atoi(rest[:comma])
-	if err != nil || start < 0 {
-		return c.stripes[0]
-	}
-	return c.stripes[(start/c.shardWidth)%c.stripeCount]
+	return c.stripeForStart(start), nil
 }
+
+// SetDomain names the domain the cache's keys are over. A restore needs
+// it only for a snapshot written before keys were packed, whose textual
+// keys it re-keys through query.ParseTextKey; without it such a snapshot
+// is refused. Call before the cache restores or serves.
+func (c *Exact) SetDomain(d *domain.Domain) { c.dom = d }
+
+// Filled reports whether the cache has ever held an entry: a Put, or a
+// restore that brought one. Until it has, every probe misses, so a caller
+// that must build a key to probe with can skip both.
+func (c *Exact) Filled() bool { return c.filled.Load() }
 
 // Get returns the cached result for q at the given data version. A fast-map
 // entry whose version no longer matches is stale forever (window versions
@@ -274,6 +284,9 @@ func (c *Exact) putKeyed(st *exactStripe, key string, version int, value, eps fl
 	if err := c.store.SetWeighted(st.ns, key, Entry{Value: value, Eps: eps, Version: version}, eps); err != nil {
 		return err
 	}
+	if !c.filled.Load() { // a load, not a store: fills on every shard share the line
+		c.filled.Store(true)
+	}
 	st.mu.Lock()
 	delete(st.fast, key)
 	st.mu.Unlock()
@@ -325,16 +338,25 @@ type exactStripeState struct {
 }
 
 // exactState is the snapshot payload of a (possibly sharded) cache: raw
-// KV bytes per namespace stripe.
+// KV bytes per namespace stripe, and the format of the keys. A payload
+// written before the field existed decodes it as textKeys.
 type exactState struct {
-	Stripes []exactStripeState
+	Stripes   []exactStripeState
+	KeyFormat int
 }
+
+// Key formats of a snapshot section: the textual rendering keys had before
+// they were packed ("1:1,2,3;2:0;@[0,2]"), and query's packed bytes.
+const (
+	textKeys = iota
+	packedKeys
+)
 
 // SnapshotPayload exports the cache's stored entries per namespace stripe
 // (raw KV bytes; the decoded fast map is a rebuildable acceleration layer
 // and is skipped).
 func (c *Exact) SnapshotPayload() ([]byte, error) {
-	var st exactState
+	st := exactState{KeyFormat: packedKeys}
 	for i, s := range c.stripes {
 		data := c.store.ExportNamespace(s.ns)
 		ss := exactStripeState{Index: i, Keys: make([]string, 0, len(data))}
@@ -351,22 +373,25 @@ func (c *Exact) SnapshotPayload() ([]byte, error) {
 	return persist.Encode(st)
 }
 
-// RestorePayload replaces the cache's namespace contents with a
-// snapshot's and resets the fast maps, so every restored entry is decoded
-// from the store on first touch. Every entry's stripe is re-derived from
-// the window embedded in its key (not the snapshot's recorded stripe
-// indices), so snapshots restore correctly into sessions with any shard
-// count — a checkpoint from a 16-core box restores on an 8-core one —
-// and pre-sharding flat payloads redistribute the same way. Entries
-// restore through SetWeighted with their recorded privacy cost, so a
-// bounded backend's eviction priority survives the round-trip.
-func (c *Exact) RestorePayload(payload []byte) error {
+// restoredEntry is one entry of a decoded snapshot section: its packed
+// key, the stripe that key routes to, and its value.
+type restoredEntry struct {
+	st  *exactStripe
+	key string
+	e   Entry
+}
+
+// decodeSection turns a snapshot payload into the entries it restores,
+// touching nothing: every textual key re-keyed, every key's window decoded
+// to route it, every value decoded. A key or value that does not decode
+// is an error naming the key as the snapshot has it.
+func (c *Exact) decodeSection(payload []byte) ([]restoredEntry, error) {
 	var st exactState
 	if err := persist.Decode(payload, &st); err != nil {
 		// Pre-sharding payloads were one flat namespace map.
 		var flat map[string][]byte
 		if errFlat := persist.Decode(payload, &flat); errFlat != nil {
-			return err
+			return nil, err
 		}
 		ss := exactStripeState{Index: 0}
 		for k, v := range flat {
@@ -375,35 +400,91 @@ func (c *Exact) RestorePayload(payload []byte) error {
 		}
 		st = exactState{Stripes: []exactStripeState{ss}}
 	}
-	// Validate before any stripe mutates: a malformed payload must be a
-	// pure refusal, not a half-cleared cache.
+	n := 0
 	for _, ss := range st.Stripes {
 		if len(ss.Keys) != len(ss.Vals) {
-			return fmt.Errorf("cache: snapshot stripe %d has %d keys but %d values", ss.Index, len(ss.Keys), len(ss.Vals))
+			return nil, fmt.Errorf("cache: snapshot stripe %d has %d keys but %d values", ss.Index, len(ss.Keys), len(ss.Vals))
 		}
+		n += len(ss.Keys)
 	}
-	for _, s := range c.stripes {
-		c.store.ImportNamespace(s.ns, nil) // clear the stripe
-		s.mu.Lock()
-		s.fast = make(map[string]Entry)
-		s.mu.Unlock()
-	}
+	out := make([]restoredEntry, 0, n)
 	for _, ss := range st.Stripes {
 		for j, k := range ss.Keys {
-			// Stored bytes are the fixed-layout codec for entries written
-			// since it existed, raw gob for pre-codec snapshots.
-			var e Entry
-			if !e.DecodeFast(ss.Vals[j]) {
-				if err := persist.Decode(ss.Vals[j], &e); err != nil {
-					return fmt.Errorf("cache: restore %q: %w", k, err)
-				}
+			r, err := c.decodeEntry(st.KeyFormat, k, ss.Vals[j])
+			if err != nil {
+				return nil, fmt.Errorf("cache: key %q: %w", k, err)
 			}
-			if err := c.store.SetWeighted(c.stripeForKey(k).ns, k, e, e.Eps); err != nil {
-				return err
-			}
+			out = append(out, r)
 		}
 	}
-	return nil
+	return out, nil
+}
+
+// decodeEntry re-keys, routes and decodes one snapshot entry.
+func (c *Exact) decodeEntry(format int, key string, val []byte) (r restoredEntry, err error) {
+	r.key = key
+	if format == textKeys {
+		if c.dom == nil {
+			return r, errors.New("a textual key, and no domain to re-key it over")
+		}
+		if r.key, err = query.ParseTextKey(c.dom, key); err != nil {
+			return r, err
+		}
+	}
+	if r.st, err = c.stripeForKey(r.key); err != nil {
+		return r, err
+	}
+	// Stored bytes are the fixed-layout codec for entries written since it
+	// existed, raw gob for pre-codec snapshots.
+	if !r.e.DecodeFast(val) {
+		err = persist.Decode(val, &r.e)
+	}
+	return r, err
+}
+
+// StagePayload implements persist.Stager: it decodes the whole payload,
+// changing nothing, and returns the restore of what it decoded. A session
+// stages every cache section before any section restores, so a bad key or
+// value is a refusal — naming the key — that leaves its books untouched.
+func (c *Exact) StagePayload(payload []byte) (func() error, error) {
+	entries, err := c.decodeSection(payload)
+	if err != nil {
+		return nil, err
+	}
+	return func() error {
+		for _, s := range c.stripes {
+			c.store.ImportNamespace(s.ns, nil) // clear the stripe
+			s.mu.Lock()
+			s.fast = make(map[string]Entry)
+			s.mu.Unlock()
+		}
+		for _, r := range entries {
+			if err := c.store.SetWeighted(r.st.ns, r.key, r.e, r.e.Eps); err != nil {
+				return err
+			}
+			c.filled.Store(true)
+		}
+		return nil
+	}, nil
+}
+
+// RestorePayload replaces the cache's namespace contents with a
+// snapshot's and resets the fast maps, so every restored entry is decoded
+// from the store on first touch. Every entry's stripe is re-derived from
+// the window in its key (not the snapshot's recorded stripe indices), so
+// snapshots restore correctly into sessions with any shard count — a
+// checkpoint from a 16-core box restores on an 8-core one — and
+// pre-sharding flat payloads redistribute the same way. The whole payload
+// is decoded before the first stripe clears (StagePayload), so a bad key
+// or value is a refusal that leaves the cache as it was. Entries restore
+// through SetWeighted with their recorded privacy cost, so a bounded
+// backend's eviction priority survives the round-trip.
+func (c *Exact) RestorePayload(payload []byte) error {
+	apply, err := c.StagePayload(payload)
+	if err != nil {
+		return err
+	}
+	return apply()
 }
 
 // Stats returns hit and miss counts.

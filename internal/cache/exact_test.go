@@ -4,11 +4,13 @@ import (
 	"errors"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/domain"
+	"repro/internal/persist"
 	"repro/internal/query"
 	"repro/internal/store"
 )
@@ -475,5 +477,77 @@ func TestBoundedBackendEviction(t *testing.T) {
 	}
 	if hitsAfter, _ := c.Stats(); hitsAfter-hitsBefore != 31-evicted {
 		t.Fatalf("hit accounting off: %d hits for %d resident", hitsAfter-hitsBefore, 31-evicted)
+	}
+}
+
+// TestRestoreRefusesBadSection: a key whose window header does not decode
+// — which no stripe's probe would ever find — and a value that does not
+// decode are each refused before the first stripe clears, by an error
+// quoting the key. StagePayload refuses the same way, and the cache keeps
+// serving what it held.
+func TestRestoreRefusesBadSection(t *testing.T) {
+	c, err := NewExactSharded(store.NewMem(store.MemConfig{}), "se", 0, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := query.MustNew(dom(), map[int][]int{0: {1}})
+	for w := 0; w < 4; w++ {
+		if err := c.Put(base.WithWindow(w, w), 1, float64(w), 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	good := base.WithWindow(5, 6).KeyWithWindow()
+	value := Entry{Value: 1, Eps: 0.5, Version: 1}.AppendFast(nil)
+	for name, bad := range map[string]exactStripeState{
+		"garbled key":   {Keys: []string{good, "\x07junk"}, Vals: [][]byte{value, value}},
+		"garbled value": {Keys: []string{good, base.WithWindow(6, 6).KeyWithWindow()}, Vals: [][]byte{value, {0xE7, 1, 2}}},
+	} {
+		payload, err := persist.Encode(exactState{Stripes: []exactStripeState{bad}, KeyFormat: packedKeys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, staged := c.StagePayload(payload)
+		for how, err := range map[string]error{"StagePayload": staged, "RestorePayload": c.RestorePayload(payload)} {
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(bad.Keys[1])) {
+				t.Fatalf("%s: %s = %v, want a refusal quoting %q", name, how, err, bad.Keys[1])
+			}
+		}
+		if c.Len() != 4 {
+			t.Fatalf("%s: the refused restore left %d entries, want the 4 held", name, c.Len())
+		}
+		for w := 0; w < 4; w++ {
+			if e, ok := c.Get(base.WithWindow(w, w), 1); !ok || e.Value != float64(w) {
+				t.Fatalf("%s: window %d after the refusal: %+v %v", name, w, e, ok)
+			}
+		}
+	}
+}
+
+// TestFilledOnlyOnceHeld: a cache reads Filled once a Put or a restore
+// brought it an entry, not before, so a caller may skip probing it until
+// then.
+func TestFilledOnlyOnceHeld(t *testing.T) {
+	c := newCache(t, "t")
+	q := query.MustNew(dom(), map[int][]int{0: {1}}).WithWindow(1, 2)
+	empty, err := c.SnapshotPayload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestorePayload(empty); err != nil || c.Filled() {
+		t.Fatalf("fresh cache after an empty restore: Filled %v, err %v", c.Filled(), err)
+	}
+	if _, ok := c.Get(q, 1); ok || c.Filled() {
+		t.Fatal("a miss filled the cache")
+	}
+	if err := c.Put(q, 1, 0.5, 0.1); err != nil || !c.Filled() {
+		t.Fatalf("after a Put: Filled %v, err %v", c.Filled(), err)
+	}
+	payload, err := c.SnapshotPayload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := newCache(t, "t")
+	if err := restored.RestorePayload(payload); err != nil || !restored.Filled() {
+		t.Fatalf("after restoring an entry: Filled %v, err %v", restored.Filled(), err)
 	}
 }

@@ -112,6 +112,15 @@ type OptionalSection interface {
 	SnapshotOptional() bool
 }
 
+// Stager is optionally implemented by a Snapshotter that can decode and
+// check its payload without mutating anything. Load stages every such
+// section before the first section restores, so a payload one refuses
+// leaves every layer untouched, and then calls the returned apply in the
+// section's turn in place of RestorePayload.
+type Stager interface {
+	StagePayload(payload []byte) (apply func() error, err error)
+}
+
 // Quiescer is optionally implemented by layers with background work that
 // must pause around a snapshot (the streaming ingestor's epoch worker).
 // Quiesce blocks until the layer is at a section boundary — no epoch
@@ -362,9 +371,10 @@ func (r *Registry) Capture(w io.Writer) error {
 // section, in registration order regardless of on-stream order. A
 // section with no registered owner is ErrUnknownSection; a registered
 // non-optional layer with no section is ErrMissingSection; a payload
-// failure is a SectionError naming the layer. Restore is not
-// transactional: on error the layers' state is undefined and the owning
-// session must be discarded.
+// failure is a SectionError naming the layer. Only those failures, and a
+// Stager's refusal, come before the first layer mutates: past that point
+// restore is not transactional, and on error the layers' state is
+// undefined and the owning session must be discarded.
 func (r *Registry) Load(rd io.Reader) error {
 	payloads, _, err := ReadSections(rd)
 	if err != nil {
@@ -388,21 +398,43 @@ func (r *Registry) Load(rd io.Reader) error {
 			return fmt.Errorf("%w: %q", ErrMissingSection, s.SnapshotSection())
 		}
 	}
+	staged := make(map[string]func() error)
+	for _, s := range r.order {
+		name := s.SnapshotSection()
+		payload, present := payloads[name]
+		if st, ok := s.(Stager); ok && present {
+			apply, err := st.StagePayload(payload)
+			if err != nil {
+				return sectionError(name, err)
+			}
+			staged[name] = apply
+		}
+	}
 	for _, s := range r.order {
 		name := s.SnapshotSection()
 		payload, ok := payloads[name]
 		if !ok {
 			continue // optional, absent
 		}
-		if err := s.RestorePayload(payload); err != nil {
-			var se *SectionError
-			if errors.As(err, &se) {
-				return err
-			}
-			return &SectionError{Section: name, Err: err}
+		restore := staged[name]
+		if restore == nil {
+			restore = func() error { return s.RestorePayload(payload) }
+		}
+		if err := restore(); err != nil {
+			return sectionError(name, err)
 		}
 	}
 	return nil
+}
+
+// sectionError attributes err to the named section, unless it already
+// names one.
+func sectionError(name string, err error) error {
+	var se *SectionError
+	if errors.As(err, &se) {
+		return err
+	}
+	return &SectionError{Section: name, Err: err}
 }
 
 // Encode gob-encodes one section payload. Layers use it so every payload

@@ -189,6 +189,57 @@ func TestSectionErrorNamesOffender(t *testing.T) {
 	}
 }
 
+// stagingLayer is a fakeLayer that stages: StagePayload refuses with
+// stageErr, or returns an apply that counts itself.
+type stagingLayer struct {
+	fakeLayer
+	stageErr error
+	applied  int
+}
+
+func (s *stagingLayer) StagePayload(p []byte) (func() error, error) {
+	if s.stageErr != nil {
+		return nil, s.stageErr
+	}
+	return func() error { s.applied++; return s.fakeLayer.RestorePayload(p) }, nil
+}
+
+// TestStagerRefusesBeforeAnyRestore: a Stager registered after a plain
+// layer refuses before that layer restores, named by a SectionError; one
+// that accepts is restored through its apply.
+func TestStagerRefusesBeforeAnyRestore(t *testing.T) {
+	reg := NewRegistry()
+	reg.Register(&fakeLayer{name: "first", state: []byte("x")})
+	reg.Register(&fakeLayer{name: "staged", state: []byte("y")})
+	var buf bytes.Buffer
+	if err := reg.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	boom := errors.New("boom")
+	first := &fakeLayer{name: "first", state: []byte("before")}
+	refusing := &stagingLayer{fakeLayer: fakeLayer{name: "staged"}, stageErr: boom}
+	reg2 := NewRegistry()
+	reg2.Register(first)
+	reg2.Register(refusing)
+	err := reg2.Load(bytes.NewReader(buf.Bytes()))
+	var se *SectionError
+	if !errors.As(err, &se) || se.Section != "staged" || !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want SectionError naming \"staged\" wrapping boom", err)
+	}
+	if string(first.state) != "before" {
+		t.Fatalf("the earlier section restored %q before the stager refused", first.state)
+	}
+
+	accepting := &stagingLayer{fakeLayer: fakeLayer{name: "staged"}}
+	reg3 := NewRegistry()
+	reg3.Register(&fakeLayer{name: "first"})
+	reg3.Register(accepting)
+	if err := reg3.Load(bytes.NewReader(buf.Bytes())); err != nil || accepting.applied != 1 || string(accepting.state) != "y" {
+		t.Fatalf("err = %v, applied %d, state %q: want the staged apply run once", err, accepting.applied, accepting.state)
+	}
+}
+
 func TestRegisterReplacesSameSection(t *testing.T) {
 	old := &fakeLayer{name: "s", state: []byte("old")}
 	neu := &fakeLayer{name: "s", state: []byte("new")}

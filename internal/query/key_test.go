@@ -22,6 +22,8 @@ func covid() *domain.Domain {
 // the exact-cache key, the flight key and the key snapshots persist, so a
 // rendering change strands every cached release; and the three ways to
 // state one predicate — New's map, the Builder, SQL text — must agree.
+// Covid's cardinalities 2, 4, 2 and 8 make one bitset byte per attribute,
+// after a window header of 0x00 (none) or 0x01, start, end.
 func TestKeyGolden(t *testing.T) {
 	d := covid()
 	cases := []struct {
@@ -32,19 +34,19 @@ func TestKeyGolden(t *testing.T) {
 	}{
 		{nil, nil,
 			"SELECT COUNT(*) FROM covid",
-			"*", "*"},
+			"\x03\x0f\x03\xff", "\x00\x03\x0f\x03\xff"},
 		{map[int][]int{0: {0, 1}, 2: {1, 0}}, []int{3, 3}, // full sets are no constraint
 			"SELECT COUNT(*) FROM covid WHERE positive IN (0, 1) AND gender IN (1, 0) AND time BETWEEN 3 AND 3",
-			"*", "*@[3,3]"},
+			"\x03\x0f\x03\xff", "\x01\x03\x03\x03\x0f\x03\xff"},
 		{map[int][]int{0: {1}}, nil,
 			"SELECT COUNT(*) FROM covid WHERE positive = 'positive'",
-			"0:1;", "0:1;"},
+			"\x02\x0f\x03\xff", "\x00\x02\x0f\x03\xff"},
 		{map[int][]int{1: {3, 1, 2}, 2: {0}, 3: {7, 0, 4, 1, 3}}, []int{0, 2},
 			"SELECT COUNT(*) FROM covid WHERE ethnicity IN (7, 0, 4, 1, 3) AND time BETWEEN 0 AND 2 AND age IN (3, 1, 2) AND gender = 0",
-			"1:1,2,3;2:0;3:0,1,3,4,7;", "1:1,2,3;2:0;3:0,1,3,4,7;@[0,2]"},
-		{map[int][]int{3: {5}}, []int{10, 123},
-			"SELECT COUNT(*) FROM covid WHERE time BETWEEN 10 AND 123 AND ethnicity = 5",
-			"3:5;", "3:5;@[10,123]"},
+			"\x03\x0e\x01\x9b", "\x01\x00\x02\x03\x0e\x01\x9b"},
+		{map[int][]int{3: {5}}, []int{10, 300},
+			"SELECT COUNT(*) FROM covid WHERE time BETWEEN 10 AND 300 AND ethnicity = 5",
+			"\x03\x0f\x03\x20", "\x01\x0a\xac\x02\x03\x0f\x03\x20"},
 	}
 	parser := sqlparser.New(d)
 	for _, c := range cases {
@@ -69,7 +71,7 @@ func TestKeyGolden(t *testing.T) {
 			if q.Key() != c.key || q.KeyWithWindow() != c.winKey {
 				t.Errorf("%s via %s: keys %q %q, want %q %q", c.sql, how, q.Key(), q.KeyWithWindow(), c.key, c.winKey)
 			}
-			if got := string(q.WithoutWindow().AppendWindowKey(nil, 4, 9)); got != c.key+"@[4,9]" {
+			if got := string(q.WithoutWindow().AppendWindowKey(nil, 4, 9)); got != "\x01\x04\x09"+c.key {
 				t.Errorf("%s via %s: AppendWindowKey = %q", c.sql, how, got)
 			}
 			for i := 0; i < d.NumAttrs(); i++ {
@@ -96,7 +98,7 @@ func TestBuilderBuildTwice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const key = "1:0,2,3;3:5,6;@[1,4]"
+	const key = "\x01\x01\x04\x03\x0d\x03\x60" // age {0,2,3}, ethnicity {5,6}, [1,4]
 	if first.KeyWithWindow() != key || second.KeyWithWindow() != key || first == second {
 		t.Fatalf("two builds: %q, %q", first.KeyWithWindow(), second.KeyWithWindow())
 	}
@@ -105,7 +107,7 @@ func TestBuilderBuildTwice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := third.KeyWithWindow(), "0:1;1:2,3;3:5,6;@[1,4]"; got != want {
+	if got, want := third.KeyWithWindow(), "\x01\x01\x04\x02\x0c\x03\x60"; got != want {
 		t.Fatalf("third build %q, want %q", got, want)
 	}
 	for _, q := range []*query.Query{first, second} {
@@ -118,10 +120,10 @@ func TestBuilderBuildTwice(t *testing.T) {
 	// A full set is dropped from the query, not from the builder: the next
 	// Restrict on it still intersects.
 	b = query.NewBuilder(d).Restrict(2, 1, 0)
-	if q, err := b.Build(); err != nil || q.Key() != "*" {
+	if q, err := b.Build(); err != nil || q.Key() != "\x03\x0f\x03\xff" {
 		t.Fatalf("full set: %v %v", q, err)
 	}
-	if q, err := b.Restrict(2, 1).Build(); err != nil || q.Key() != "2:1;" {
+	if q, err := b.Restrict(2, 1).Build(); err != nil || q.Key() != "\x03\x0f\x02\xff" {
 		t.Fatalf("full set, then restricted: %v %v", q, err)
 	}
 }

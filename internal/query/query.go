@@ -16,7 +16,9 @@
 package query
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -110,36 +112,134 @@ func MustNew(dom *domain.Domain, allowed map[int][]int) *Query {
 }
 
 // finish computes the support size and the canonical keys, rendered into
-// one buffer: a windowed query's key is a prefix of its winKey, and the
-// two share one allocation.
+// one buffer: a query's predicate key is the suffix of its winKey after
+// the window header, and the two share one allocation.
 func (q *Query) finish() {
-	b := make([]byte, 0, 96) // on the stack; longer keys spill
+	b := make([]byte, 0, 64) // on the stack; longer keys spill
+	b = appendWindow(b, q.start, q.end, q.hasWindow)
+	n := len(b)
 	q.support = 1
 	for i, vals := range q.allowed {
+		card := q.dom.Card(i)
 		if vals == nil {
-			q.support *= q.dom.Card(i)
-			continue
+			q.support *= card
+		} else {
+			q.support *= len(vals)
 		}
-		q.support *= len(vals)
-		b = strconv.AppendInt(b, int64(i), 10)
-		b = append(b, ':')
-		for j, v := range vals {
-			if j > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(b, int64(v), 10)
-		}
-		b = append(b, ';')
-	}
-	if len(b) == 0 {
-		b = append(b, '*')
-	}
-	n := len(b)
-	if q.hasWindow {
-		b = appendWindow(b, q.start, q.end)
+		b = appendSet(b, vals, card)
 	}
 	q.winKey = string(b)
-	q.key = q.winKey[:n]
+	q.key = q.winKey[n:]
+}
+
+// Keys are packed bytes, canonical for one domain. The window header comes
+// first: windowMark, then start and end as uvarints, or noWindowMark alone.
+// One value set per attribute follows: a ⌈card/8⌉-byte bitset (bit v%8 of
+// byte v/8 for each allowed v, all of them when unconstrained), or above
+// maxBitsetCard a uvarint count (0 when unconstrained) and each ascending
+// value's uvarint gap from the one before. A full set is unconstrained
+// (build), and each piece's length is fixed by the domain or its own
+// prefix, so two keys are equal exactly when predicates and windows are.
+const (
+	noWindowMark  = 0
+	windowMark    = 1
+	maxBitsetCard = 64
+)
+
+// appendWindow appends the window header of a key.
+func appendWindow(dst []byte, start, end int, window bool) []byte {
+	if !window {
+		return append(dst, noWindowMark)
+	}
+	dst = binary.AppendUvarint(append(dst, windowMark), uint64(start))
+	return binary.AppendUvarint(dst, uint64(end))
+}
+
+// appendSet appends one attribute's value set to a key; nil is
+// unconstrained.
+func appendSet(dst []byte, vals []int, card int) []byte {
+	if card > maxBitsetCard {
+		dst = binary.AppendUvarint(dst, uint64(len(vals)))
+		prev := -1
+		for _, v := range vals {
+			dst = binary.AppendUvarint(dst, uint64(v-prev-1))
+			prev = v
+		}
+		return dst
+	}
+	dst = append(dst, make([]byte, (card+7)/8)...)
+	set := dst[len(dst)-(card+7)/8:]
+	for v := 0; vals == nil && v < card; v++ {
+		set[v>>3] |= 1 << (v & 7)
+	}
+	for _, v := range vals {
+		set[v>>3] |= 1 << (v & 7)
+	}
+	return dst
+}
+
+// KeyWindow decodes the window header of a KeyWithWindow key: the window
+// and true for a windowed key, false for one without a window. It needs no
+// domain — the header comes first — so a store's keys route by window
+// start before anything knows their predicate. A key that does not open
+// with a well-formed header, or has nothing after it, is an error.
+func KeyWindow(key string) (start, end int, windowed bool, err error) {
+	if len(key) > 1 && key[0] == noWindowMark {
+		return 0, 0, false, nil
+	}
+	if len(key) > 1 && key[0] == windowMark {
+		if s, n := binary.Uvarint([]byte(key[1:])); n > 0 {
+			e, m := binary.Uvarint([]byte(key[1+n:]))
+			if m > 0 && s <= e && e <= math.MaxInt32 && len(key) > 1+n+m {
+				return int(s), int(e), true, nil
+			}
+		}
+	}
+	return 0, 0, false, fmt.Errorf("query: key %q has no window header and predicate", key)
+}
+
+// ParseTextKey re-keys a textual cache key — the "1:1,2,3;2:0;@[0,2]"
+// rendering ("*" for no constraint) keys had before they were packed, and
+// that older snapshots still carry — into the KeyWithWindow of the same
+// query over dom.
+func ParseTextKey(dom *domain.Domain, text string) (string, error) {
+	bad := fmt.Errorf("query: %q is not a textual cache key", text)
+	pred, window, windowed := strings.Cut(text, "@")
+	var clauses []string
+	if pred != "*" {
+		body, ok := strings.CutSuffix(pred, ";")
+		if !ok {
+			return "", bad
+		}
+		clauses = strings.Split(body, ";")
+	}
+	allowed := make(map[int][]int)
+	for _, clause := range clauses {
+		attr, list, _ := strings.Cut(clause, ":")
+		i, err := strconv.Atoi(attr)
+		if _, dup := allowed[i]; err != nil || dup {
+			return "", bad
+		}
+		for _, f := range strings.Split(list, ",") {
+			v, err := strconv.Atoi(f)
+			if err != nil {
+				return "", bad
+			}
+			allowed[i] = append(allowed[i], v)
+		}
+	}
+	q, err := New(dom, allowed)
+	if err != nil {
+		return "", fmt.Errorf("%w: %w", bad, err)
+	}
+	if windowed {
+		var s, e int
+		if _, err := fmt.Sscanf(window, "[%d,%d]", &s, &e); err != nil || s < 0 || s > e || window != fmt.Sprintf("[%d,%d]", s, e) {
+			return "", bad
+		}
+		q = q.WithWindow(s, e)
+	}
+	return q.KeyWithWindow(), nil
 }
 
 // WithWindow returns a copy of q requesting partitions [start, end]
@@ -151,7 +251,7 @@ func (q *Query) WithWindow(start, end int) *Query {
 	}
 	c := *q
 	c.start, c.end, c.hasWindow = start, end, true
-	c.winKey = string(q.AppendWindowKey(make([]byte, 0, 96), start, end))
+	c.winKey = string(q.AppendWindowKey(make([]byte, 0, 64), start, end))
 	return &c
 }
 
@@ -160,23 +260,14 @@ func (q *Query) WithWindow(start, end int) *Query {
 // windowed copy. Byte-for-byte identical to the WithWindow route; the
 // tree's zero-allocation node-cache probes build their keys with it.
 func (q *Query) AppendWindowKey(dst []byte, start, end int) []byte {
-	return appendWindow(append(dst, q.key...), start, end)
-}
-
-// appendWindow appends the window suffix of a windowed key, "@[start,end]".
-func appendWindow(dst []byte, start, end int) []byte {
-	dst = append(dst, '@', '[')
-	dst = strconv.AppendInt(dst, int64(start), 10)
-	dst = append(dst, ',')
-	dst = strconv.AppendInt(dst, int64(end), 10)
-	return append(dst, ']')
+	return append(appendWindow(dst, start, end, true), q.key...)
 }
 
 // WithoutWindow returns a copy of q with no partition window.
 func (q *Query) WithoutWindow() *Query {
 	c := *q
 	c.start, c.end, c.hasWindow = 0, 0, false
-	c.winKey = c.key
+	c.winKey = string(append(appendWindow(nil, 0, 0, false), q.key...))
 	return &c
 }
 
@@ -186,13 +277,14 @@ func (q *Query) Domain() *domain.Domain { return q.dom }
 // Window returns the requested partition range and whether one is set.
 func (q *Query) Window() (start, end int, ok bool) { return q.start, q.end, q.hasWindow }
 
-// Key returns a canonical identifier for the predicate (window excluded).
-// Two queries with equal keys select exactly the same bins.
+// Key returns a canonical identifier for the predicate (window excluded):
+// the packed value sets KeyWithWindow ends with. Two queries over one
+// domain with equal keys select exactly the same bins.
 func (q *Query) Key() string { return q.key }
 
-// KeyWithWindow returns a canonical identifier including the window, for
-// exact caches on partitioned stores. The string is precomputed, so calling
-// it on the cache-probe hot path allocates nothing.
+// KeyWithWindow returns a canonical identifier including the window (or
+// its absence), the key every cache stores a release under. The string is
+// precomputed, so calling it on the cache-probe hot path allocates nothing.
 func (q *Query) KeyWithWindow() string { return q.winKey }
 
 // SupportSize returns the number of domain points with q(v) = 1.

@@ -23,7 +23,7 @@ func TestParseAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := st.Query.KeyWithWindow(), "1:1,2,3;2:0;3:0,1,3,4,7;@[0,2]"; got != want {
+	if got, want := st.Query.KeyWithWindow(), "\x01\x00\x02\x03\x0e\x01\x9b"; got != want {
 		t.Fatalf("key %q, want %q", got, want)
 	}
 	allocs := testing.AllocsPerRun(200, func() {

@@ -1,6 +1,6 @@
 // Differential tests: the table-driven lexer and stack-held parse state
 // against the parser they replaced (oracle_test.go), and the builder's
-// strconv key rendering against the fmt rendering it replaced.
+// packed keys against a rendering written from the format's definition.
 //
 // What each input family is there to catch:
 //
@@ -10,14 +10,15 @@
 //   - the seed corpora: '-' dropped from the identifier bytes ("covid-19"
 //     turns from a table name into trailing input), a lex error no longer
 //     winning over an earlier parse error, '.' dropped from number bytes;
-//   - both query pools × windows: a key rendered differently — without the
-//     trailing ';', with the window suffix in another shape — or value
-//     sets sorted, deduplicated or dropped differently by the builder.
+//   - both query pools × windows: a key rendered differently — a bit off
+//     by one, an unconstrained attribute left empty, the window header in
+//     another shape — or value sets sorted, deduplicated or dropped
+//     differently by the builder.
 
 package sqlparser
 
 import (
-	"fmt"
+	"encoding/binary"
 	"slices"
 	"strconv"
 	"strings"
@@ -28,32 +29,38 @@ import (
 	"repro/internal/workload"
 )
 
-// oracleKeys renders q's two cache keys the way query.finish and
-// WithWindow did before they moved to strconv appends.
+// oracleKeys renders q's two cache keys straight from the packed format's
+// definition: a window header (0x00, or 0x01 then start and end as
+// uvarints), then per attribute a bitset of ⌈card/8⌉ bytes (all ones for
+// unconstrained) or, past 64 values, a uvarint count (0 for unconstrained)
+// and each value's uvarint gap from the one before.
 func oracleKeys(q *query.Query) (key, winKey string) {
-	var b strings.Builder
-	for i := 0; i < q.Domain().NumAttrs(); i++ {
+	var pred []byte
+	d := q.Domain()
+	for i := 0; i < d.NumAttrs(); i++ {
 		vals := q.Allowed(i)
-		if vals == nil {
+		if d.Card(i) > 64 {
+			pred = binary.AppendUvarint(pred, uint64(len(vals)))
+			prev := -1
+			for _, v := range vals {
+				pred = binary.AppendUvarint(pred, uint64(v-prev-1))
+				prev = v
+			}
 			continue
 		}
-		fmt.Fprintf(&b, "%d:", i)
-		for j, v := range vals {
-			if j > 0 {
-				b.WriteByte(',')
+		set := make([]byte, (d.Card(i)+7)/8)
+		for v := 0; v < d.Card(i); v++ {
+			if vals == nil || slices.Contains(vals, v) {
+				set[v/8] |= 1 << (v % 8)
 			}
-			fmt.Fprintf(&b, "%d", v)
 		}
-		b.WriteByte(';')
+		pred = append(pred, set...)
 	}
-	if b.Len() == 0 {
-		b.WriteString("*")
-	}
-	key, winKey = b.String(), b.String()
+	head := []byte{0}
 	if s, e, ok := q.Window(); ok {
-		winKey = fmt.Sprintf("%s@[%d,%d]", key, s, e)
+		head = binary.AppendUvarint(binary.AppendUvarint([]byte{1}, uint64(s)), uint64(e))
 	}
-	return key, winKey
+	return string(pred), string(head) + string(pred)
 }
 
 // checkMatchesOracle fails t unless (got, gotErr), the parser's result on
@@ -82,7 +89,7 @@ func checkMatchesOracle(t *testing.T, p *Parser, src string, got *Statement, got
 		}
 	}
 	if key, winKey := oracleKeys(g); g.Key() != key || g.KeyWithWindow() != winKey {
-		t.Fatalf("Parse(%q): keys %q %q, fmt rendering %q %q", src, g.Key(), g.KeyWithWindow(), key, winKey)
+		t.Fatalf("Parse(%q): keys %q %q, oracle rendering %q %q", src, g.Key(), g.KeyWithWindow(), key, winKey)
 	}
 }
 

@@ -18,22 +18,23 @@ var bothModes = []struct {
 	cfg      MemConfig
 	resident float64 // gate on resident bytes per entry
 }{
-	{"uncapped", MemConfig{}, 90},
+	{"uncapped", MemConfig{}, 72},
 	{"capped", MemConfig{MaxBytes: 1 << 30, MaxEntries: 1 << 24}, 95},
 }
 
 // TestResidentBytesPerEntry is the deterministic form of the layout's
-// claim: cached releases under windowed keys in two namespaces cost at
-// most 90 resident bytes each — records, bucket tables and chunk slack
-// together — and at most 95 with the LRU links of a capped store, at the
-// worst of four entry counts. One count alone can flatter the layout: a
-// table is between half and exactly full, and the stripes' tail chunks,
+// claim: cached releases under packed windowed keys in two namespaces cost
+// at most 72 resident bytes each — records, bucket tables and chunk slack
+// together — and at most 95 with the LRU extension of a capped store, at
+// the worst of four entry counts. One count alone can flatter the layout:
+// a table is between half and exactly full, and the stripes' tail chunks,
 // which fill in step, are anywhere from empty to full (at 50,000 entries
-// three quarters empty, about 16 of the 87.5 bytes measured). The index
-// adds one 4-byte bucket per record at most, where the Go map it replaced
-// cost 19 to 34. Stats().ResidentBytes must be within 5% of what the store
-// has mapped, and the Go heap must grow by at most 2 bytes an entry: the
-// arena is not on it.
+// three quarters empty, about 16 of the 68.0 bytes measured uncapped). An
+// uncapped record is a 12-byte header, a 9-byte key and a 25-byte value;
+// the index adds one 4-byte bucket per record at most, where the Go map it
+// replaced cost 19 to 34. Stats().ResidentBytes must be within 5% of what
+// the store has mapped, and the Go heap must grow by at most 2 bytes an
+// entry: the arena is not on it.
 func TestResidentBytesPerEntry(t *testing.T) {
 	keys := windowedKeys(200_000)
 	for _, mode := range bothModes {

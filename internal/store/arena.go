@@ -6,19 +6,21 @@ import (
 	"math/bits"
 )
 
-// Record layout, little-endian. The header is 20 bytes:
+// Record layout, little-endian. The header is 12 bytes:
 //
 //	[0:4]   next    arena offset of the next record in the same bucket
 //	[4:6]   ns      interned namespace id
 //	[6:8]   keyLen
 //	[8:12]  valLen in the low 29 bits, dead in the top one; the two between
 //	        are unused
-//	[12:20] weight  float64 bits
 //	key bytes, value bytes
-//	newer u32 | older u32 | hot u8   LRU links; present only in a capped store
+//	newer u32 | older u32 | weight f64 | hot u8   present only in a capped store
+//
+// The eviction weight lives with the LRU links: only a capped store's
+// victim selection reads it, so an uncapped record does not carry it.
 const (
-	hdrLen = 20
-	lruLen = 9
+	hdrLen = 12
+	lruLen = 17
 
 	flagDead  = 1 << 31
 	maxValLen = 1<<29 - 1
@@ -42,7 +44,6 @@ func (r rec) keyLen() int      { return int(le.Uint16(r[6:])) }
 func (r rec) word() uint32     { return le.Uint32(r[8:]) }
 func (r rec) valLen() int      { return int(r.word() & maxValLen) }
 func (r rec) dead() bool       { return r.word()&flagDead != 0 }
-func (r rec) weight() float64  { return math.Float64frombits(le.Uint64(r[12:])) }
 
 // size is the record's length without the LRU links (arena.span adds them).
 func (r rec) size() int { return hdrLen + r.keyLen() + r.valLen() }
@@ -56,36 +57,36 @@ func (r rec) val() []byte {
 	return r[lo:hi:hi]
 }
 
-func (r rec) setWeight(w float64) { le.PutUint64(r[12:], math.Float64bits(w)) }
-
 // init writes a fresh record's header and key; the value bytes are the
 // caller's to fill. len(k) and valLen were checked against the field
 // widths by slot and put.
-func (r rec) init(ns uint16, k string, valLen int, weight float64) {
+func (r rec) init(ns uint16, k string, valLen int) {
 	le.PutUint16(r[4:], ns)
 	le.PutUint16(r[6:], uint16(len(k)))
 	le.PutUint32(r[8:], uint32(valLen))
-	r.setWeight(weight)
 	copy(r[hdrLen:], k)
 }
 
-// lru is the links a capped store's record carries after its value. They
-// sit behind the value so that an uncapped record is the header, key and
-// value alone, and so that a record's own lengths locate them.
+// lru is the extension a capped store's record carries after its value:
+// LRU links, eviction weight and segment. It sits behind the value so that
+// an uncapped record is the header, key and value alone, and so that a
+// record's own lengths locate it.
 type lru []byte
 
 func (r rec) lru() lru { return lru(r[r.size():]) }
 
-func (l lru) newer() uint32     { return le.Uint32(l[0:]) }
-func (l lru) older() uint32     { return le.Uint32(l[4:]) }
-func (l lru) setNewer(o uint32) { le.PutUint32(l[0:], o) }
-func (l lru) setOlder(o uint32) { le.PutUint32(l[4:], o) }
-func (l lru) hot() bool         { return l[8] != 0 }
+func (l lru) newer() uint32       { return le.Uint32(l[0:]) }
+func (l lru) older() uint32       { return le.Uint32(l[4:]) }
+func (l lru) weight() float64     { return math.Float64frombits(le.Uint64(l[8:])) }
+func (l lru) setNewer(o uint32)   { le.PutUint32(l[0:], o) }
+func (l lru) setOlder(o uint32)   { le.PutUint32(l[4:], o) }
+func (l lru) setWeight(w float64) { le.PutUint64(l[8:], math.Float64bits(w)) }
+func (l lru) hot() bool           { return l[16] != 0 }
 
 func (l lru) setHot(hot bool) {
-	l[8] = 0
+	l[16] = 0
 	if hot {
-		l[8] = 1
+		l[16] = 1
 	}
 }
 

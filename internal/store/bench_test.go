@@ -1,7 +1,7 @@
 package store
 
 import (
-	"fmt"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,8 +11,13 @@ import (
 // benchEntries is the store miss_tree holds at its checkpoint.
 const benchEntries = 127_000
 
-// windowedKey is a ~20-byte exact-cache key: predicate bins plus window.
-func windowedKey(i int) string { return fmt.Sprintf("1=0,2|3=%d@[%d,%d]", i%7, i%50, i) }
+// windowedKey is a 7- to 9-byte exact-cache key shaped like
+// query.KeyWithWindow's: a window header (0x01, start and end as uvarints)
+// and a one-byte bitset for each of four attributes.
+func windowedKey(i int) string {
+	b := binary.AppendUvarint(binary.AppendUvarint([]byte{1}, uint64(i%50)), uint64(i))
+	return string(append(b, 0x03, 0x0f, 1<<(i%7), 0xff))
+}
 
 func windowedKeys(n int) []string {
 	keys := make([]string, n)

@@ -92,7 +92,7 @@ func (s *Mem) evict(st *memStripe) {
 		}
 		r := st.at(off)
 		s.evictions.Add(1)
-		s.evictedCost.Add(r.weight())
+		s.evictedCost.Add(r.lru().weight())
 		h := s.rehash(r)
 		s.remove(st, h, off, st.prevOf(h, off))
 	}
@@ -105,7 +105,7 @@ func (s *Mem) victim(st *memStripe, seg lruList) uint32 {
 	best, lowest := uint32(noOff), 0.0
 	for off, examined := seg.tail, 0; off != noOff && examined < s.cfg.Sample; examined++ {
 		r := st.at(off)
-		if w := r.weight(); best == noOff || w < lowest {
+		if w := r.lru().weight(); best == noOff || w < lowest {
 			best, lowest = off, w
 		}
 		off = r.lru().newer()

@@ -96,9 +96,11 @@ func TestBoundedProtectedSegment(t *testing.T) {
 // TestBoundedImportPreservesWeights is the restore-then-pressure
 // regression for the Import weight-loss bug: a restored checkpoint must
 // remember the ε paid per entry, or the most expensive releases become
-// first eviction victims under the first post-restore pressure.
+// first eviction victims under the first post-restore pressure. The source
+// is capped too: an uncapped store keeps no weights (the exact caches
+// re-derive them from each entry's ε on restore).
 func TestBoundedImportPreservesWeights(t *testing.T) {
-	src := NewMem(MemConfig{})
+	src := NewMem(MemConfig{MaxEntries: 1 << 20})
 	for i := 0; i < 5; i++ {
 		_ = src.SetWeighted("ns", fmt.Sprintf("gold%d", i), i, 100)
 	}

@@ -10,15 +10,19 @@
 //
 // # Layout
 //
-// A cached release is ~60 bytes of key and value, so the store spends no
-// heap object on it. Each stripe is an index []uint32 — the low bits of the
-// hash of (interned namespace id, key) to a chain of arena offsets — over an
-// append-only byte arena of chunks (64 KiB; a record larger than that gets
-// a chunk of its own). One entry is one self-delimiting record (arena.go):
+// A cached release is ~32 bytes of key and value (a packed query key of
+// 7–9 bytes and a 25-byte entry), so the store spends no heap object on it.
+// Each stripe is an index []uint32 — the low bits of the hash of (interned
+// namespace id, key) to a chain of arena offsets — over an append-only byte
+// arena of chunks (64 KiB; a record larger than that gets a chunk of its
+// own). One entry is one self-delimiting record (arena.go):
 //
-//	next u32 | ns u16 | keyLen u16 | valLen+flags u32 | weight f64
+//	next u32 | ns u16 | keyLen u16 | valLen+flags u32
 //	key bytes | value bytes
-//	[newer u32 | older u32 | hot u8]   only in a capped store
+//	[newer u32 | older u32 | weight f64 | hot u8]   only in a capped store
+//
+// An uncapped record is 12 bytes of header beside its key and value: the
+// eviction weight only a capped store reads rides in the capped extension.
 //
 // Neither the index nor the chunks hold pointers, and outside race builds
 // both are mapped pages off the Go heap (pages.go), so the collector
@@ -85,8 +89,10 @@ const (
 	maxNamespaces = 1<<16 - 1
 )
 
-// The store's limits. Each is returned (wrapped with the key) by the write
-// that would have crossed it, and that write stores nothing.
+// The store's limits. Each is returned (wrapped with the namespace and the
+// key, quoted: keys are binary) by the write that would have crossed it,
+// and that write stores nothing; a key too long to print is given by its
+// length.
 var (
 	ErrKeyTooLong        = errors.New("store: key longer than 65535 bytes")
 	ErrValueTooLarge     = errors.New("store: value of 512 MiB or more")
@@ -345,11 +351,13 @@ func (s *Mem) remove(st *memStripe, h uint64, off, prev uint32) {
 func (s *Mem) put(st *memStripe, ns, k string, id uint16, h uint64, old, prev uint32, raw []byte, weight float64) error {
 	valLen := len(raw)
 	if valLen > maxValLen {
-		return fmt.Errorf("%w (%s:%s, %d bytes)", ErrValueTooLarge, ns, k, valLen)
+		return fmt.Errorf("%w (%s:%q, %d bytes)", ErrValueTooLarge, ns, k, valLen)
 	}
 	if old != noOff {
 		if r := st.at(old); r.valLen() == valLen {
-			r.setWeight(weight)
+			if st.capped() {
+				r.lru().setWeight(weight)
+			}
 			copy(r.val(), raw)
 			s.touch(st, old)
 			s.evict(st)
@@ -362,11 +370,11 @@ func (s *Mem) put(st *memStripe, ns, k string, id uint16, h uint64, old, prev ui
 		// Out of slots: dead records and released oversize chunks may be
 		// holding some. Compaction moves every record, so look again.
 		if !s.compact(st) {
-			return fmt.Errorf("%w (%s:%s)", ErrArenaFull, ns, k)
+			return fmt.Errorf("%w (%s:%q)", ErrArenaFull, ns, k)
 		}
 		old, prev = st.find(h, id, k)
 		if off, r, ok = st.alloc(n); !ok {
-			return fmt.Errorf("%w (%s:%s)", ErrArenaFull, ns, k)
+			return fmt.Errorf("%w (%s:%q)", ErrArenaFull, ns, k)
 		}
 	}
 	// The new record starts in the segment the old one was in, probation
@@ -376,11 +384,12 @@ func (s *Mem) put(st *memStripe, ns, k string, id uint16, h uint64, old, prev ui
 		hot = st.capped() && st.at(old).lru().hot()
 		s.remove(st, h, old, prev)
 	}
-	r.init(id, k, valLen, weight)
+	r.init(id, k, valLen)
 	copy(r.val(), raw)
 	st.link(h, off, n)
 	s.account(st, r, +1)
 	if st.capped() {
+		r.lru().setWeight(weight)
 		r.lru().setHot(hot)
 		if hot {
 			st.hotBytes += s.payload(r)
@@ -459,8 +468,8 @@ func (s *Mem) Set(ns, k string, value any) error {
 
 // SetWeighted stores value under ns:k with an eviction weight: the privacy
 // cost paid to materialize the entry, which a capped store's victim
-// selection preserves longest and an uncapped one only carries into
-// exports. A FastEncoder value is encoded straight into the arena tail,
+// selection preserves longest and an uncapped one does not keep. A
+// FastEncoder value is encoded straight into the arena tail,
 // under the stripe lock: no intermediate slice, no joined key string.
 func (s *Mem) SetWeighted(ns, k string, value any, weight float64) error {
 	fe, fast := value.(FastEncoder)
@@ -624,21 +633,26 @@ func (s *Mem) MemoryBytes() int { return int(s.bytes.Load()) }
 
 // ExportNamespace returns the stored bytes and eviction weight of every
 // key in ns (keys without the prefix), for per-namespace persistence: each
-// exact cache snapshots exactly the slice of the store it owns.
+// exact cache snapshots exactly the slice of the store it owns. An
+// uncapped store keeps no weights and exports 0 for each.
 func (s *Mem) ExportNamespace(ns string) map[string]Exported {
 	out := make(map[string]Exported)
 	s.scan(ns, func(r rec) {
-		out[string(r.key())] = Exported{Val: append([]byte(nil), r.val()...), Weight: r.weight()}
+		e := Exported{Val: append([]byte(nil), r.val()...)}
+		if s.cfg.capped() {
+			e.Weight = r.lru().weight()
+		}
+		out[string(r.key())] = e
 	})
 	return out
 }
 
 // ImportNamespace replaces the contents of ns with previously-exported
-// entries, leaving every other namespace untouched. Weights round-trip: a
-// restored checkpoint must remember the ε paid per entry, or the most
-// expensive releases become first eviction victims. Entries go in in key
-// order, so what a capped store keeps of an import over its cap does not
-// depend on map iteration. An entry that breaches one of the store's
+// entries, leaving every other namespace untouched. Weights round-trip
+// through a capped store: a restored checkpoint must remember the ε paid
+// per entry, or the most expensive releases become first eviction victims.
+// Entries go in in key order, so what a capped store keeps of an import
+// over its cap does not depend on map iteration. An entry that breaches one of the store's
 // limits is left out — to the caching layers, a miss.
 func (s *Mem) ImportNamespace(ns string, data map[string]Exported) {
 	id, interned := s.nsID(ns)

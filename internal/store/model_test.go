@@ -216,11 +216,16 @@ func (o *oracle) compareDelete(full string, want []byte) bool {
 	return true
 }
 
+// export reports each entry's weight only when there is a cap: an
+// uncapped store keeps none and exports 0.
 func (o *oracle) export(ns string) map[string]Exported {
 	out := make(map[string]Exported)
 	for full, e := range o.data {
 		if k, ok := strings.CutPrefix(full, ns+":"); ok {
-			out[k] = Exported{Val: e.val, Weight: e.weight}
+			out[k] = Exported{Val: e.val}
+			if o.maxEnts > 0 || o.maxBytes > 0 {
+				out[k] = Exported{Val: e.val, Weight: e.weight}
+			}
 		}
 	}
 	return out

@@ -71,7 +71,7 @@ func EncodeValue(ns, k string, value any) ([]byte, error) {
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(value); err != nil {
-		return nil, fmt.Errorf("store: encode %s:%s: %w", ns, k, err)
+		return nil, fmt.Errorf("store: encode %s:%q: %w", ns, k, err)
 	}
 	return buf.Bytes(), nil
 }
@@ -84,7 +84,7 @@ func DecodeValue(ns, k string, raw []byte, out any) error {
 		return nil
 	}
 	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(out); err != nil {
-		return fmt.Errorf("store: decode %s:%s: %w", ns, k, err)
+		return fmt.Errorf("store: decode %s:%q: %w", ns, k, err)
 	}
 	return nil
 }
@@ -130,9 +130,11 @@ type Stats struct {
 
 // Exported is one entry of a namespace export: the stored bytes plus the
 // metadata a faithful re-import needs. Weight is the entry's eviction
-// weight (the ε paid to materialize it) — before exports carried it, a
-// restored checkpoint forgot the per-entry privacy cost and the most
-// expensive releases became first eviction victims.
+// weight (the ε paid to materialize it) in a capped store — before exports
+// carried it, a restored checkpoint forgot the per-entry privacy cost and
+// the most expensive releases became first eviction victims — and 0 in an
+// uncapped one, which keeps no weights. The exact caches do not depend on
+// it: a restore re-derives each entry's weight from the ε it records.
 type Exported struct {
 	Val    []byte
 	Weight float64
@@ -150,7 +152,7 @@ type Backend interface {
 	// privacy cost (ε, or a δ_G-converted equivalent) that was paid to
 	// materialize the entry. Memory-bounded backends evict high-weight
 	// entries last, since evicting a DP release means re-paying its
-	// budget on recompute; unbounded backends ignore the weight.
+	// budget on recompute; unbounded backends neither use nor keep it.
 	SetWeighted(ns, k string, value any, weight float64) error
 	// Delete removes ns:k, reporting whether it existed.
 	Delete(ns, k string) bool

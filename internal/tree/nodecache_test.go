@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/accountant"
@@ -100,9 +99,9 @@ func TestNodeCacheHoldsOnlyServable(t *testing.T) {
 			if !e.DecodeFast(v.Val) {
 				t.Fatalf("%s: %q does not decode", name, key)
 			}
-			var start, end int
-			if _, err := fmt.Sscanf(key[strings.LastIndex(key, "@["):], "@[%d,%d]", &start, &end); err != nil {
-				t.Fatalf("%s: key %q: %v", name, key, err)
+			start, end, windowed, err := query.KeyWindow(key)
+			if err != nil || !windowed {
+				t.Fatalf("%s: key %q: windowed %v, %v", name, key, windowed, err)
 			}
 			version, rows, err := ds.WindowMeta(start, end)
 			if err != nil {

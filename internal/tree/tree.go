@@ -241,6 +241,7 @@ func New(cfg Config, exec *dataset.Executor, block *accountant.Block, be store.B
 		if err != nil {
 			return nil, fmt.Errorf("tree: node exact cache: %w", err)
 		}
+		c.SetDomain(exec.Dataset().Domain())
 		t.cache = c
 	}
 	return t, nil
@@ -606,7 +607,9 @@ func (t *Tree) claim(q *query.Query, start, end int, sc *runScratch) error {
 		if ni == 0 {
 			continue // empty partitions contribute nothing
 		}
-		if t.cache != nil {
+		// Until the node cache has held an entry no probe can hit: skip
+		// the key and the store lookup (organic fills are rare, see servable).
+		if t.cache != nil && t.cache.Filled() {
 			sc.key = q.AppendWindowKey(sc.key[:0], iv.Start, iv.End)
 			if e, ok := t.cache.GetKey(sc.key, iv.Start, version); ok && t.servable(e.Eps, sc.mMax, ni) {
 				sc.comps = append(sc.comps, component{e.Value, ni})
