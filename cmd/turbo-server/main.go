@@ -8,7 +8,9 @@
 // Durable state: -state loads a snapshot at boot (when the file exists),
 // before the listener opens, and writes one atomically (temp file +
 // rename) on SIGINT/SIGTERM, so a restart forfeits neither spent budget
-// nor cache warmth. GET /snapshot exposes the same envelope over HTTP,
+// nor cache warmth. A file this build cannot restore — one written by an
+// older build's snapshot format included — stops the boot with a non-zero
+// exit and is left as it was. GET /snapshot exposes the same envelope over HTTP,
 // and POST /restore loads one into a server that has not yet served:
 // the first analyst request closes that window (a later restore is 409),
 // and a restore that fails midway leaves the server answering 503 until
@@ -30,7 +32,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
@@ -65,7 +66,6 @@ func main() {
 		storeMaxMB  = flag.Int("store-max-mb", 0, "cache-store bound in MiB of payload (key + value bytes, what /schema reports); resident memory, /schema's resident_bytes, is about 1.7x that (0 = bytes unbounded). Either bound > 0 makes the store a segmented LRU with privacy-cost-aware eviction")
 		storeMaxEnt = flag.Int("store-max-entries", 0, "resident cache-store entry bound (0 = entries unbounded)")
 		ckptEvery   = flag.Duration("checkpoint-interval", 0, "background checkpoint period for -state (0 disables; failures log and retry next tick)")
-		pprofAddr   = flag.String("pprof", "", "expose net/http/pprof on this separate address (e.g. 127.0.0.1:6060); empty disables")
 	)
 	flag.Parse()
 	if *ckptEvery > 0 && *statePath == "" {
@@ -176,24 +176,6 @@ func main() {
 		}()
 	} else {
 		close(ckptDone)
-	}
-
-	// Profiling rides a separate listener (usually loopback-only) with an
-	// explicit mux, so the analyst-facing address never exposes pprof and
-	// the aggregate-only interface stays exactly the documented endpoints.
-	if *pprofAddr != "" {
-		pm := http.NewServeMux()
-		pm.HandleFunc("/debug/pprof/", pprof.Index)
-		pm.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		pm.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		pm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		pm.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		go func() {
-			log.Printf("turbo-server: pprof on http://%s/debug/pprof/", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, pm); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("turbo-server: pprof listener: %v", err)
-			}
-		}()
 	}
 
 	guarantee := fmt.Sprintf("ε_G=%g", *epsG)

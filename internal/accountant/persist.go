@@ -12,11 +12,9 @@
 // re-initializes SVs on first use — one fresh init payment per node
 // set, which is always privacy-safe.
 //
-// Older builds kept two sets of books and wrote two sections for an
-// (ε_G, δ_G) session: SectionBlock held a scalar "mirror" of each
-// partition's converted spend and "accountant/rdp" held the curves.
-// UpgradeSnapshot folds that pair into today's single section before
-// anything restores; an older pure-ε section decodes as is.
+// The section's layout: ε_G and δ_G (floats), the order grid (a float
+// slice, empty on the pure grid) and the flat spend vector (a float
+// slice).
 
 package accountant
 
@@ -30,9 +28,6 @@ import (
 // SectionBlock tags the block accountant in snapshots.
 const SectionBlock = "accountant/block"
 
-// sectionLegacyRDP tagged the separate Rényi accountant of older builds.
-const sectionLegacyRDP = "accountant/rdp"
-
 // blockState is the block section payload. Orders is nil and Spent is
 // the per-partition ε vector on the pure grid; on a Rényi grid Spent is
 // the flat partitions × len(Orders) ledger.
@@ -43,13 +38,19 @@ type blockState struct {
 	Delta  float64
 }
 
-// legacyRDPState is what this build reads of the payload older builds
-// wrote under sectionLegacyRDP.
-type legacyRDPState struct {
-	Orders []float64
-	EpsG   float64
-	DeltaG float64
-	Spent  [][]float64
+func (st blockState) encode() []byte {
+	var e persist.Encoder
+	e.PutFloat(st.Global)
+	e.PutFloat(st.Delta)
+	e.PutFloats(st.Orders)
+	e.PutFloats(st.Spent)
+	return e.Payload()
+}
+
+func decodeBlockState(payload []byte) (blockState, error) {
+	d := persist.NewDecoder(payload)
+	st := blockState{Global: d.Float(), Delta: d.Float(), Orders: d.Floats(), Spent: d.Floats()}
+	return st, d.Finish()
 }
 
 // SnapshotSection implements persist.Snapshotter.
@@ -58,25 +59,40 @@ func (b *Block) SnapshotSection() string { return SectionBlock }
 // SnapshotPayload exports the ledger.
 func (b *Block) SnapshotPayload() ([]byte, error) {
 	b.mu.Lock()
-	st := blockState{
-		Global: b.epsG,
-		Spent:  append([]float64(nil), b.spent...),
-		Orders: b.orders,
-		Delta:  b.deltaG,
+	defer b.mu.Unlock()
+	return blockState{Global: b.epsG, Spent: b.spent, Orders: b.orders, Delta: b.deltaG}.encode(), nil
+}
+
+// StagePayload implements persist.Stager: it decodes the section and
+// validates it against the block (checkState, plus a partition count no
+// smaller than the block's — a restore only ever grows a session), so a
+// snapshot this block can never accept is refused while the session is
+// still untouched. The returned apply replaces the ledger, in the block's
+// turn: after the dataset section has grown the block to the snapshot's
+// partition count.
+func (b *Block) StagePayload(payload []byte) (func() error, error) {
+	st, err := decodeBlockState(payload)
+	if err == nil {
+		err = b.checkState(st)
 	}
-	b.mu.Unlock()
-	return persist.Encode(st)
+	if have, got := b.Partitions(), len(st.Spent)/len(b.budget); err == nil && got < have {
+		err = fmt.Errorf("accountant: snapshot covers %d partitions, session already has %d", got, have)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return func() error { return b.RestoreSpent(st.Spent) }, nil
 }
 
 // RestorePayload replaces the ledger with a snapshot's. The snapshot
 // must target the same ε_G (and δ_G) over the same order grid and
 // partition count; every check runs before anything is replaced.
 func (b *Block) RestorePayload(payload []byte) error {
-	st, err := b.readSnapshot(payload, nil)
+	apply, err := b.StagePayload(payload)
 	if err != nil {
 		return err
 	}
-	return b.RestoreSpent(st.Spent)
+	return apply()
 }
 
 // checkState validates everything about a snapshot that does not depend
@@ -121,78 +137,5 @@ func (b *Block) RestoreSpent(v []float64) error {
 		return fmt.Errorf("accountant: restore ledger has %d partitions, want %d", len(v)/k, len(b.spent)/k)
 	}
 	copy(b.spent, v)
-	return nil
-}
-
-// readSnapshot decodes a block section and validates it against the
-// block (checkState). With an older build's curve section alongside,
-// payload is that build's scalar mirror: the curves become the ledger,
-// and the mirror — redundant now that converted spend is derived, but
-// what the old /budget reported — must not claim more than the curves
-// convert to, so a snapshot is never restored with less spend than it
-// was saved with.
-func (b *Block) readSnapshot(payload, legacy []byte) (blockState, error) {
-	var st blockState
-	if err := persist.Decode(payload, &st); err != nil {
-		return st, err
-	}
-	if legacy == nil {
-		return st, b.checkState(st)
-	}
-	var old legacyRDPState
-	if err := persist.Decode(legacy, &old); err != nil {
-		return st, err
-	}
-	mirror := st.Spent
-	st = blockState{Global: old.EpsG, Orders: old.Orders, Delta: old.DeltaG}
-	k := len(old.Orders)
-	for p, curve := range old.Spent {
-		if len(curve) != k {
-			return st, fmt.Errorf("accountant: partition %d curve has %d orders, want %d", p, len(curve), k)
-		}
-		st.Spent = append(st.Spent, curve...)
-	}
-	if err := b.checkState(st); err != nil {
-		return st, err
-	}
-	if len(mirror) != len(old.Spent) {
-		return st, fmt.Errorf("accountant: legacy mirror covers %d partitions, its curves %d", len(mirror), len(old.Spent))
-	}
-	for p, m := range mirror {
-		// The mirror was a running sum of conversion increments, so it
-		// sits within float noise of the direct conversion.
-		if conv := b.convert(st.Spent[p*k : (p+1)*k]); !(m <= conv+1e-9) {
-			return st, fmt.Errorf("accountant: partition %d legacy mirror %g exceeds its curves' converted spend %g", p, m, conv)
-		}
-	}
-	return st, nil
-}
-
-// UpgradeSnapshot prepares a snapshot's sections for this block before
-// any layer restores: it validates the block's section (readSnapshot,
-// plus a partition count no smaller than the block's — a restore only
-// ever grows a session), so a snapshot this block can never accept is
-// refused while the session is still untouched, and it folds an older
-// build's two-section Rényi state into SectionBlock. Only the map is
-// modified.
-func (b *Block) UpgradeSnapshot(payloads map[string][]byte) error {
-	payload, ok := payloads[SectionBlock]
-	if !ok {
-		return nil // the registry reports the missing section
-	}
-	legacy := payloads[sectionLegacyRDP]
-	st, err := b.readSnapshot(payload, legacy)
-	if have, got := b.Partitions(), len(st.Spent)/len(b.budget); err == nil && got < have {
-		err = fmt.Errorf("accountant: snapshot covers %d partitions, session already has %d", got, have)
-	}
-	if err != nil {
-		return &persist.SectionError{Section: SectionBlock, Err: err}
-	}
-	if legacy != nil {
-		if payloads[SectionBlock], err = persist.Encode(st); err != nil {
-			return err
-		}
-		delete(payloads, sectionLegacyRDP)
-	}
 	return nil
 }

@@ -1,11 +1,8 @@
 package accountant
 
 import (
-	"errors"
 	"strings"
 	"testing"
-
-	"repro/internal/persist"
 )
 
 func TestBlockSnapshotRoundTrip(t *testing.T) {
@@ -55,7 +52,7 @@ func TestBlockSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("garbage payload accepted")
 	}
 	// A pure ledger claiming more than ε_G is refused.
-	over, _ := persist.Encode(blockState{Global: 5, Spent: []float64{0, 0, 0, 5.5}})
+	over := blockState{Global: 5, Spent: []float64{0, 0, 0, 5.5}}.encode()
 	if err := NewBlock(5, 4).RestorePayload(over); err == nil {
 		t.Fatal("over-budget ledger accepted")
 	}
@@ -132,146 +129,49 @@ func TestRDPBlockRestoreValidation(t *testing.T) {
 		"ragged":   make([]float64, 2*len(DefaultOrders)-1),
 		"negative": append(make([]float64, 2*len(DefaultOrders)-1), -1),
 	} {
-		bad, _ := persist.Encode(blockState{Global: epsG, Delta: deltaG, Orders: DefaultOrders, Spent: spent})
+		bad := blockState{Global: epsG, Delta: deltaG, Orders: DefaultOrders, Spent: spent}.encode()
 		if err := NewBlockForDP(DefaultOrders, epsG, deltaG, 2).RestorePayload(bad); err == nil {
 			t.Fatalf("%s ledger accepted", name)
 		}
 	}
 }
 
-// legacyRDPSections builds the two sections a pre-unification build
-// wrote for an (ε_G, δ_G) session from the reference models: the scalar
-// mirror under SectionBlock and the curves under "accountant/rdp", in
-// the old struct shapes.
-func legacyRDPSections(t *testing.T, m *modelRDPBlock) map[string][]byte {
-	t.Helper()
-	type oldBlockState struct {
-		Global float64
-		Spent  []float64
-	}
-	type oldRDPBlockState struct {
-		Orders   []float64
-		EpsG     float64
-		DeltaG   float64
-		Spent    [][]float64
-		Mirrored []float64
-	}
-	rdp := oldRDPBlockState{Orders: m.orders, EpsG: m.epsG, DeltaG: m.deltaG, Mirrored: m.mirrored}
-	for _, c := range m.spent {
-		rdp.Spent = append(rdp.Spent, c.Eps)
-	}
-	mirror, err := persist.Encode(oldBlockState{Global: m.mirror.global, Spent: m.mirror.spent})
-	if err != nil {
-		t.Fatal(err)
-	}
-	curves, err := persist.Encode(rdp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string][]byte{SectionBlock: mirror, "accountant/rdp": curves, "other/section": []byte("untouched")}
-}
-
-func TestUpgradeSnapshotLegacyRDP(t *testing.T) {
+// TestBlockStagePayload: staging vets the section without touching the
+// ledger — refusing a snapshot that covers fewer partitions than the
+// block, accepting one that covers more (the dataset section grows the
+// session before the block's turn) — and the apply restores only onto
+// exactly the snapshot's partition count.
+func TestBlockStagePayload(t *testing.T) {
 	const epsG, deltaG = 2.0, 1e-6
-	old := newModelRDPBlock(DefaultOrders, epsG, deltaG, 3)
-	r := renyiBooks{old}
-	for i := 0; i < 30; i++ {
-		if err := r.pay(i%3, 2, Laplace(0.02)); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.pay(0, i%2, Gaussian(60, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sections := legacyRDPSections(t, old)
-	b := NewBlockForDP(DefaultOrders, epsG, deltaG, 3)
-	if err := b.UpgradeSnapshot(sections); err != nil {
+	src := NewBlockForDP(DefaultOrders, epsG, deltaG, 3)
+	if err := src.PayRange(0, 2, Laplace(0.1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, still := sections["accountant/rdp"]; still || string(sections["other/section"]) != "untouched" {
-		t.Fatalf("upgrade left sections %v", sections)
-	}
-	if b.MaxSpent() != 0 {
-		t.Fatal("UpgradeSnapshot mutated the block")
-	}
-	if err := b.RestorePayload(sections[SectionBlock]); err != nil {
-		t.Fatal(err)
-	}
-	r.compare(t, 0, b) // curves bit-identical, converted spend within 1e-12 of the old mirror
-	// Never less spend than the snapshot was saved with.
-	for p, m := range old.mirror.spent {
-		if b.SpentAt(p) < m-1e-12 {
-			t.Fatalf("partition %d restored to %g, saved with %g", p, b.SpentAt(p), m)
-		}
-	}
-
-	refused := func(name string, dst *Block, mutate func(m *modelRDPBlock)) {
-		t.Helper()
-		m := newModelRDPBlock(DefaultOrders, epsG, deltaG, 3)
-		if err := (renyiBooks{m}).pay(0, 2, Laplace(0.1)); err != nil {
-			t.Fatal(err)
-		}
-		if mutate != nil {
-			mutate(m)
-		}
-		err := dst.UpgradeSnapshot(legacyRDPSections(t, m))
-		var se *persist.SectionError
-		if !errors.As(err, &se) {
-			t.Fatalf("%s: err %v, want a SectionError", name, err)
-		}
-		if dst.MaxSpent() != 0 {
-			t.Fatalf("%s: refused after mutating", name)
-		}
-	}
-	refused("δ_G", NewBlockForDP(DefaultOrders, epsG, 1e-7, 3), nil)
-	refused("ε_G", NewBlockForDP(DefaultOrders, 3, deltaG, 3), nil)
-	refused("grid", NewBlockForDP([]float64{2, 4, 8}, epsG, deltaG, 3), nil)
-	refused("pure session", NewBlock(epsG, 3), nil)
-	refused("fewer partitions than the session", NewBlockForDP(DefaultOrders, epsG, deltaG, 4), nil)
-	refused("mirror above the converted curves", NewBlockForDP(DefaultOrders, epsG, deltaG, 3),
-		func(m *modelRDPBlock) { m.mirror.spent[1] += 0.01 })
-	refused("mirror and curves disagree on partitions", NewBlockForDP(DefaultOrders, epsG, deltaG, 3),
-		func(m *modelRDPBlock) { m.mirror.addPartitions(1) })
-	refused("ragged curve", NewBlockForDP(DefaultOrders, epsG, deltaG, 3),
-		func(m *modelRDPBlock) { m.spent[2].Eps = m.spent[2].Eps[:5] })
-
-	// A snapshot may cover more partitions than the fresh session (its
-	// dataset section grows the session before the block restores).
-	if err := NewBlockForDP(DefaultOrders, epsG, deltaG, 2).UpgradeSnapshot(legacyRDPSections(t, old)); err != nil {
-		t.Fatalf("snapshot with more partitions than the session: %v", err)
-	}
-}
-
-func TestUpgradeSnapshotLegacyPure(t *testing.T) {
-	// The old pure section — {Global, Spent} — is today's pure section.
-	type oldBlockState struct {
-		Global float64
-		Spent  []float64
-	}
-	payload, err := persist.Encode(oldBlockState{Global: 1, Spent: []float64{0.25, 0, 1}})
+	payload, err := src.SnapshotPayload()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sections := map[string][]byte{SectionBlock: payload}
-	b := NewBlock(1, 3)
-	if err := b.UpgradeSnapshot(sections); err != nil {
+	if _, err := NewBlockForDP(DefaultOrders, epsG, deltaG, 4).StagePayload(payload); err == nil {
+		t.Fatal("a snapshot of fewer partitions than the block was staged")
+	}
+	dst := NewBlockForDP(DefaultOrders, epsG, deltaG, 2)
+	apply, err := dst.StagePayload(payload)
+	if err != nil {
+		t.Fatalf("a snapshot of more partitions than the block: %v", err)
+	}
+	if dst.MaxSpent() != 0 {
+		t.Fatal("staging moved the ledger")
+	}
+	if err := apply(); err == nil {
+		t.Fatal("the apply restored 3 partitions onto 2")
+	}
+	dst.AddPartitions(1)
+	if err := apply(); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.RestorePayload(sections[SectionBlock]); err != nil {
-		t.Fatal(err)
-	}
-	for p, want := range []float64{0.25, 0, 1} {
-		if b.SpentAt(p) != want {
-			t.Fatalf("partition %d restored to %g, want %g", p, b.SpentAt(p), want)
+	for p := 0; p < 3; p++ {
+		if dst.SpentAt(p) != src.SpentAt(p) {
+			t.Fatalf("partition %d: restored %g, saved %g", p, dst.SpentAt(p), src.SpentAt(p))
 		}
-	}
-	if err := b.PayRange(2, 2, Laplace(0.01)); !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("restored exhausted partition took a payment: %v", err)
-	}
-	if err := NewBlock(2, 3).UpgradeSnapshot(map[string][]byte{SectionBlock: payload}); err == nil {
-		t.Fatal("ε_G mismatch passed the pre-check")
-	}
-	if err := NewBlock(1, 3).UpgradeSnapshot(map[string][]byte{}); err != nil {
-		t.Fatalf("missing section is the registry's to report: %v", err)
 	}
 }

@@ -3,11 +3,11 @@
 // go/packages and is not part of the toolchain's vendored x/tools
 // subset. It loads fixture packages from testdata/src/<path>, resolving
 // every import against testdata/src as well (fixtures ship their own
-// stub "sync", "sort", "gob", ... packages), runs an analyzer and its
+// stub "sync", "sort", "persist", ... packages), runs an analyzer and its
 // Requires closure, and checks the reported diagnostics against
 // expectations written as trailing comments:
 //
-//	enc.Encode(&e) // want `raw gob Encode of cache\.Entry`
+//	for k := range m { // want `map iteration feeds a snapshot payload`
 //
 // Each backquoted or double-quoted string after "want" is a regexp that
 // must match the message of exactly one diagnostic reported on that

@@ -5,8 +5,8 @@
 // Three rules, all outside _test.go files:
 //
 //  1. Spend-state restores ((*accountant.Block).RestoreSpent, direct
-//     RestorePayload calls on the accountant block) are internal to
-//     internal/accountant — anywhere else, a restore could overwrite
+//     RestorePayload or StagePayload calls on the accountant block) are
+//     internal to internal/accountant — anywhere else, a restore could overwrite
 //     composed history without the snapshot registry's validation.
 //
 //  2. Payment calls (Window.Pay, Block.PayRange — whatever
@@ -157,7 +157,7 @@ func spendMutator(callee *types.Func) bool {
 	switch callee.Name() {
 	case "RestoreSpent":
 		return true
-	case "RestorePayload":
+	case "RestorePayload", "StagePayload":
 		return recvNamed(callee) == "Block"
 	}
 	return false

@@ -12,11 +12,13 @@ type Block struct{ spent float64 }
 
 func NewBlock(eps float64) *Block { return &Block{} }
 
-func (b *Block) PayRange(lo, hi int, c Cost) error   { b.spent += c.eps; return nil }
-func (b *Block) AdmitBatch(wins [][2]int) []error    { return make([]error, len(wins)) }
-func (b *Block) RestoreSpent(v float64)              { b.spent = v }
-func (b *Block) RestorePayload(p []byte) error       { return nil }
-func (b *Block) UpgradeSnapshot(p map[string][]byte) {}
+func (b *Block) PayRange(lo, hi int, c Cost) error { b.spent += c.eps; return nil }
+func (b *Block) AdmitBatch(wins [][2]int) []error  { return make([]error, len(wins)) }
+func (b *Block) RestoreSpent(v float64)            { b.spent = v }
+func (b *Block) RestorePayload(p []byte) error     { return nil }
+func (b *Block) StagePayload(p []byte) (func() error, error) {
+	return func() error { return nil }, nil
+}
 
 // Window is a partition range of a block.
 type Window struct{ Block *Block }

@@ -17,9 +17,9 @@ func restorePayload(b *accountant.Block) {
 	_ = b.RestorePayload(nil) // want `accountant spend state mutates outside internal/accountant`
 }
 
-// Vetting a snapshot's sections mutates no spend state and stays silent.
-func upgradeSnapshot(b *accountant.Block) {
-	b.UpgradeSnapshot(nil)
+// Staging returns the restore that replaces the ledger: a restore too.
+func stagePayload(b *accountant.Block) {
+	_, _ = b.StagePayload(nil) // want `accountant spend state mutates outside internal/accountant`
 }
 
 // Rule 2: payment outside a designated payer package.

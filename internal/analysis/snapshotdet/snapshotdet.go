@@ -75,10 +75,18 @@ func snapshotPayloadRoots(pass *analysis.Pass, g *pkggraph.Graph) []*types.Func 
 	return roots
 }
 
+// encoderCalls are the encoder-shaped method names: a stream encoder's
+// Encode, a section writer's WriteSection, an io.Writer's Write, and
+// persist.Encoder's Put methods.
+var encoderCalls = map[string]bool{
+	"Encode": true, "WriteSection": true, "Write": true,
+	"PutUvarint": true, "PutInt": true, "PutBool": true, "PutFloat": true,
+	"PutFloats": true, "PutBytes": true, "PutString": true,
+}
+
 // feedsEncoding reports whether the loop body builds ordered output:
-// appends to a slice, or calls an encoder-shaped function (Encode,
-// EncodeValue, WriteSection, Write). Pure map-to-map copies are
-// order-independent.
+// appends to a slice, or calls an encoder-shaped method (encoderCalls).
+// Pure map-to-map copies are order-independent.
 func feedsEncoding(body *ast.BlockStmt) bool {
 	feeds := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -92,10 +100,7 @@ func feedsEncoding(body *ast.BlockStmt) bool {
 				feeds = true
 			}
 		case *ast.SelectorExpr:
-			switch fun.Sel.Name {
-			case "Encode", "EncodeValue", "WriteSection", "Write":
-				feeds = true
-			}
+			feeds = encoderCalls[fun.Sel.Name]
 		}
 		return !feeds
 	})

@@ -2,7 +2,10 @@
 // payload construction ranges over maps.
 package snap
 
-import "sort"
+import (
+	"persist"
+	"sort"
+)
 
 // raw encodes in map-iteration order: flagged.
 type raw struct{ m map[string]int }
@@ -38,6 +41,45 @@ func (o *ordered) SnapshotPayload() []byte {
 }
 
 func (o *ordered) RestorePayload(b []byte) error { return nil }
+
+// codecRaw feeds the section codec in map-iteration order: flagged.
+type codecRaw struct{ m map[string]int }
+
+func (c *codecRaw) SnapshotSection() string { return "codec-raw" }
+
+func (c *codecRaw) SnapshotPayload() []byte {
+	var e persist.Encoder
+	e.PutUvarint(uint64(len(c.m)))
+	for k, v := range c.m { // want `map iteration feeds a snapshot payload without an intervening sort`
+		e.PutString(k)
+		e.PutInt(v)
+	}
+	return e.Payload()
+}
+
+func (c *codecRaw) RestorePayload(b []byte) error { return nil }
+
+// codecSorted feeds the codec over sorted keys: silent.
+type codecSorted struct{ m map[string]int }
+
+func (c *codecSorted) SnapshotSection() string { return "codec-sorted" }
+
+func (c *codecSorted) SnapshotPayload() []byte {
+	keys := make([]string, 0, len(c.m))
+	for k := range c.m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var e persist.Encoder
+	e.PutUvarint(uint64(len(keys)))
+	for _, k := range keys {
+		e.PutString(k)
+		e.PutInt(c.m[k])
+	}
+	return e.Payload()
+}
+
+func (c *codecSorted) RestorePayload(b []byte) error { return nil }
 
 // nested reaches the unsorted range through a plain helper function:
 // still in scope, still flagged.

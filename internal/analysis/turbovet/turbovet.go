@@ -7,7 +7,6 @@ package turbovet
 import (
 	"golang.org/x/tools/go/analysis"
 
-	"repro/internal/analysis/backendonly"
 	"repro/internal/analysis/chargepath"
 	"repro/internal/analysis/errtaxonomy"
 	"repro/internal/analysis/lockorder"
@@ -18,7 +17,6 @@ import (
 var All = []*analysis.Analyzer{
 	chargepath.Analyzer,
 	snapshotdet.Analyzer,
-	backendonly.Analyzer,
 	lockorder.Analyzer,
 	errtaxonomy.Analyzer,
 }

@@ -1,10 +1,9 @@
-// Fixed-layout binary codec for hot cache entries. Entry is written on
-// every miss fill and decoded on every hit the fast map does not serve
-// (the first read of a fill, which promotes it, included); gob spends
-// more time in reflection and type-preamble bookkeeping than the 24 bytes
-// of payload deserve, and its encoder allocates on every call. This codec
-// is a straight-line append into a caller-provided slice and a
-// straight-line load out of one — zero allocations either way.
+// Fixed-layout binary codec for cache entries, the values every Backend
+// stores (store.FastEncoder / FastDecoder). Entry is written on every miss
+// fill and decoded on every hit the fast map does not serve (the first
+// read of a fill, which promotes it, included), so the codec is a
+// straight-line append into a caller-provided slice and a straight-line
+// load out of one — zero allocations either way.
 //
 // Wire format (25 bytes, little-endian):
 //
@@ -15,12 +14,8 @@
 //
 // The format is deterministic (CompareDelete compares stored bytes
 // against a re-encoding) and recognizable by tag+length, so DecodeFast
-// can refuse bytes it does not own: entries imported from pre-codec
-// snapshots are raw gob streams, which store.DecodeValue then decodes
-// through the gob fallback. A gob stream of a struct never starts with
-// 0xE7 at exactly 25 bytes (gob begins with a type-definition length
-// prefix well below 0x80 for Entry), so the discrimination is unambiguous
-// in practice and the length check keeps it honest.
+// refuses bytes it does not own: the backend counts them as a poisoned
+// entry, and a snapshot carrying them is refused.
 package cache
 
 import (
@@ -49,8 +44,7 @@ func (e Entry) AppendFast(dst []byte) []byte {
 
 // DecodeFast implements store.FastDecoder: it reports whether data
 // carries the codec wire format, decoding into e when it does.
-// Unrecognized bytes (old gob-encoded snapshot entries) leave e untouched
-// so the caller can fall back to gob.
+// Unrecognized bytes leave e untouched.
 func (e *Entry) DecodeFast(data []byte) bool {
 	if len(data) != entryWireLen || data[0] != entryTag {
 		return false

@@ -2,15 +2,16 @@ package cache
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 
-	"repro/internal/persist"
 	"repro/internal/query"
 	"repro/internal/store"
 )
 
 // TestEntryCodecRoundTrip checks the fixed-layout codec inverts itself on
-// representative values, including the float edge cases gob also handles.
+// representative values, including the float edge cases.
 func TestEntryCodecRoundTrip(t *testing.T) {
 	cases := []Entry{
 		{},
@@ -45,20 +46,23 @@ func TestEntryCodecDeterministic(t *testing.T) {
 	}
 }
 
-// TestEntryCodecRefusesGob checks DecodeFast declines gob bytes (the
-// pre-codec snapshot wire format) so store.DecodeValue falls back to gob.
+// gobEntry is Entry{Value: 0.375, Eps: 0.04, Version: 1} as encoding/gob
+// wrote it: the value bytes of cache sections from before the codec.
+const gobEntry = "0\x7f\x03\x01\x01\x05Entry\x01\xff\x80\x00\x01\x03\x01\x05Value\x01\b\x00\x01\x03Eps\x01\b\x00\x01\aVersion\x01\x04\x00\x00\x00\x13\xff\x80\x01\xfe\xd8?\x01\xf8{\x14\xaeG\xe1z\xa4?\x01\x02\x00"
+
+// TestEntryCodecRefusesGob checks DecodeFast declines gob bytes, the
+// pre-codec snapshot wire format, and bytes that are one short of or one
+// past the codec's, without touching the entry.
 func TestEntryCodecRefusesGob(t *testing.T) {
-	want := Entry{Value: 0.75, Eps: 0.2, Version: 9}
-	raw, err := store.EncodeValue("ns", "k", struct{ V Entry }{want}) // gob: no FastEncoder
-	if err != nil {
-		t.Fatal(err)
-	}
-	var e Entry
-	if e.DecodeFast(raw) {
-		t.Fatalf("DecodeFast accepted gob bytes %x", raw)
-	}
-	if (e != Entry{}) {
-		t.Fatalf("refused decode mutated the entry: %+v", e)
+	good := Entry{Value: 0.75, Eps: 0.2, Version: 9}.AppendFast(nil)
+	for _, raw := range [][]byte{[]byte(gobEntry), good[:entryWireLen-1], append(good, 0)} {
+		var e Entry
+		if e.DecodeFast(raw) {
+			t.Fatalf("DecodeFast accepted %x", raw)
+		}
+		if (e != Entry{}) {
+			t.Fatalf("refused decode mutated the entry: %+v", e)
+		}
 	}
 }
 
@@ -95,33 +99,23 @@ func TestBackendEntryCodecPath(t *testing.T) {
 	}
 }
 
-// TestRestorePayloadGobFallback checks a pre-codec snapshot — stripe
-// values stored as raw gob streams, under the textual keys of their day —
-// still restores, and that restored entries serve hits.
+// TestRestorePayloadGobFallback checks there is no gob fallback: a
+// section whose value is a raw gob stream, as pre-codec snapshots held, is
+// refused naming its key, and the cache keeps what it held.
 func TestRestorePayloadGobFallback(t *testing.T) {
 	q := query.MustNew(dom(), map[int][]int{0: {1}}).WithWindow(0, 2)
-	want := Entry{Value: 0.375, Eps: 0.04, Version: 1}
-	gobBytes, err := persist.Encode(want) // the pre-codec value encoding
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := persist.Encode(exactState{Stripes: []exactStripeState{{
-		Keys: []string{"0:1;@[0,2]"},
-		Vals: [][]byte{gobBytes},
-	}}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	c, err := NewExact(store.NewMem(store.MemConfig{}), "fallback")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetDomain(dom())
-	if err := c.RestorePayload(payload); err != nil {
+	if err := c.Put(q, 1, 0.5, 0.1); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c.Get(q, 1)
-	if !ok || got != want {
-		t.Fatalf("restored entry: got %+v (ok=%v), want %+v", got, ok, want)
+	payload := encodeStripes([]exactStripeState{{Keys: []string{q.KeyWithWindow()}, Vals: [][]byte{[]byte(gobEntry)}}})
+	if err := c.RestorePayload(payload); err == nil || !strings.Contains(err.Error(), strconv.Quote(q.KeyWithWindow())) {
+		t.Fatalf("gob value restored: err = %v", err)
+	}
+	if got, ok := c.Get(q, 1); !ok || got.Value != 0.5 {
+		t.Fatalf("the refused restore lost the held entry: %+v %v", got, ok)
 	}
 }

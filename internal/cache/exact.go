@@ -26,7 +26,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/domain"
 	"repro/internal/persist"
 	"repro/internal/query"
 	"repro/internal/store"
@@ -87,9 +86,6 @@ type Exact struct {
 	stripeCount int
 	stripes     []*exactStripe
 	maxFast     int // per stripe
-
-	// dom is what a snapshot's textual keys are re-keyed over (SetDomain).
-	dom *domain.Domain
 
 	// filled is set by the first Put and by a restore that brings an
 	// entry, and never cleared: until then no probe can hit (Filled).
@@ -173,9 +169,8 @@ func (c *Exact) stripeFor(q *query.Query) *exactStripe {
 // header carries (query.KeyWindow), or stripe 0 for a key without one.
 // Restores route every entry through it rather than trusting recorded
 // stripe indices, so snapshots stay portable across sessions with
-// different shard counts — including the pre-sharding flat payloads, whose
-// entries had no stripe at all. A key whose header does not decode is an
-// error: filed anywhere, no probe would find it.
+// different shard counts. A key whose header does not decode is an error:
+// filed anywhere, no probe would find it.
 func (c *Exact) stripeForKey(key string) (*exactStripe, error) {
 	start, _, windowed, err := query.KeyWindow(key)
 	if err != nil {
@@ -186,12 +181,6 @@ func (c *Exact) stripeForKey(key string) (*exactStripe, error) {
 	}
 	return c.stripeForStart(start), nil
 }
-
-// SetDomain names the domain the cache's keys are over. A restore needs
-// it only for a snapshot written before keys were packed, whose textual
-// keys it re-keys through query.ParseTextKey; without it such a snapshot
-// is refused. Call before the cache restores or serves.
-func (c *Exact) SetDomain(d *domain.Domain) { c.dom = d }
 
 // Filled reports whether the cache has ever held an entry: a Put, or a
 // restore that brought one. Until it has, every probe misses, so a caller
@@ -328,35 +317,37 @@ func (c *Exact) invalidate(st *exactStripe, key string, stale Entry) {
 func (c *Exact) SnapshotSection() string { return "cache/" + c.ns }
 
 // exactStripeState is one namespace stripe's snapshot: keys sorted, so
-// the payload encodes byte-identically for identical contents (gob maps
-// encode in random iteration order; TestSnapshotBytesDeterministic pins
-// the whole envelope).
+// the payload encodes byte-identically for identical contents (store
+// exports are maps; TestSnapshotBytesDeterministic pins the whole
+// envelope).
 type exactStripeState struct {
 	Index int
 	Keys  []string
 	Vals  [][]byte
 }
 
-// exactState is the snapshot payload of a (possibly sharded) cache: raw
-// KV bytes per namespace stripe, and the format of the keys. A payload
-// written before the field existed decodes it as textKeys.
-type exactState struct {
-	Stripes   []exactStripeState
-	KeyFormat int
+// encodeStripes lays out a cache section: the stripe count, then per
+// stripe its index, its entry count and each entry's packed key and
+// 25-byte value, as byte strings.
+func encodeStripes(stripes []exactStripeState) []byte {
+	var e persist.Encoder
+	e.PutUvarint(uint64(len(stripes)))
+	for _, ss := range stripes {
+		e.PutInt(ss.Index)
+		e.PutUvarint(uint64(len(ss.Keys)))
+		for j, k := range ss.Keys {
+			e.PutString(k)
+			e.PutBytes(ss.Vals[j])
+		}
+	}
+	return e.Payload()
 }
-
-// Key formats of a snapshot section: the textual rendering keys had before
-// they were packed ("1:1,2,3;2:0;@[0,2]"), and query's packed bytes.
-const (
-	textKeys = iota
-	packedKeys
-)
 
 // SnapshotPayload exports the cache's stored entries per namespace stripe
 // (raw KV bytes; the decoded fast map is a rebuildable acceleration layer
 // and is skipped).
 func (c *Exact) SnapshotPayload() ([]byte, error) {
-	st := exactState{KeyFormat: packedKeys}
+	stripes := make([]exactStripeState, len(c.stripes))
 	for i, s := range c.stripes {
 		data := c.store.ExportNamespace(s.ns)
 		ss := exactStripeState{Index: i, Keys: make([]string, 0, len(data))}
@@ -368,9 +359,9 @@ func (c *Exact) SnapshotPayload() ([]byte, error) {
 		for j, k := range ss.Keys {
 			ss.Vals[j] = data[k].Val
 		}
-		st.Stripes = append(st.Stripes, ss)
+		stripes[i] = ss
 	}
-	return persist.Encode(st)
+	return encodeStripes(stripes), nil
 }
 
 // restoredEntry is one entry of a decoded snapshot section: its packed
@@ -382,64 +373,31 @@ type restoredEntry struct {
 }
 
 // decodeSection turns a snapshot payload into the entries it restores,
-// touching nothing: every textual key re-keyed, every key's window decoded
-// to route it, every value decoded. A key or value that does not decode
-// is an error naming the key as the snapshot has it.
+// touching nothing: every key's window decoded to route it, every value
+// decoded. A key or value that does not decode is an error naming the
+// key.
 func (c *Exact) decodeSection(payload []byte) ([]restoredEntry, error) {
-	var st exactState
-	if err := persist.Decode(payload, &st); err != nil {
-		// Pre-sharding payloads were one flat namespace map.
-		var flat map[string][]byte
-		if errFlat := persist.Decode(payload, &flat); errFlat != nil {
-			return nil, err
-		}
-		ss := exactStripeState{Index: 0}
-		for k, v := range flat {
-			ss.Keys = append(ss.Keys, k)
-			ss.Vals = append(ss.Vals, v)
-		}
-		st = exactState{Stripes: []exactStripeState{ss}}
-	}
-	n := 0
-	for _, ss := range st.Stripes {
-		if len(ss.Keys) != len(ss.Vals) {
-			return nil, fmt.Errorf("cache: snapshot stripe %d has %d keys but %d values", ss.Index, len(ss.Keys), len(ss.Vals))
-		}
-		n += len(ss.Keys)
-	}
-	out := make([]restoredEntry, 0, n)
-	for _, ss := range st.Stripes {
-		for j, k := range ss.Keys {
-			r, err := c.decodeEntry(st.KeyFormat, k, ss.Vals[j])
+	d := persist.NewDecoder(payload)
+	var out []restoredEntry
+	for range d.Count(2) {
+		d.Int() // the stripe index: entries re-route by their keys
+		for range d.Count(2) {
+			key, val := string(d.Bytes()), d.Bytes()
+			if d.Err() != nil {
+				break
+			}
+			r := restoredEntry{key: key}
+			var err error
+			if r.st, err = c.stripeForKey(key); err == nil && !r.e.DecodeFast(val) {
+				err = fmt.Errorf("%d value bytes are not a cache entry", len(val))
+			}
 			if err != nil {
-				return nil, fmt.Errorf("cache: key %q: %w", k, err)
+				return nil, fmt.Errorf("cache: key %q: %w", key, err)
 			}
 			out = append(out, r)
 		}
 	}
-	return out, nil
-}
-
-// decodeEntry re-keys, routes and decodes one snapshot entry.
-func (c *Exact) decodeEntry(format int, key string, val []byte) (r restoredEntry, err error) {
-	r.key = key
-	if format == textKeys {
-		if c.dom == nil {
-			return r, errors.New("a textual key, and no domain to re-key it over")
-		}
-		if r.key, err = query.ParseTextKey(c.dom, key); err != nil {
-			return r, err
-		}
-	}
-	if r.st, err = c.stripeForKey(r.key); err != nil {
-		return r, err
-	}
-	// Stored bytes are the fixed-layout codec for entries written since it
-	// existed, raw gob for pre-codec snapshots.
-	if !r.e.DecodeFast(val) {
-		err = persist.Decode(val, &r.e)
-	}
-	return r, err
+	return out, d.Finish()
 }
 
 // StagePayload implements persist.Stager: it decodes the whole payload,
@@ -473,8 +431,7 @@ func (c *Exact) StagePayload(payload []byte) (func() error, error) {
 // from the store on first touch. Every entry's stripe is re-derived from
 // the window in its key (not the snapshot's recorded stripe indices), so
 // snapshots restore correctly into sessions with any shard count — a
-// checkpoint from a 16-core box restores on an 8-core one — and
-// pre-sharding flat payloads redistribute the same way. The whole payload
+// checkpoint from a 16-core box restores on an 8-core one. The whole payload
 // is decoded before the first stripe clears (StagePayload), so a bad key
 // or value is a refusal that leaves the cache as it was. Entries restore
 // through SetWeighted with their recorded privacy cost, so a bounded

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/domain"
-	"repro/internal/persist"
 	"repro/internal/query"
 	"repro/internal/store"
 )
@@ -502,10 +501,7 @@ func TestRestoreRefusesBadSection(t *testing.T) {
 		"garbled key":   {Keys: []string{good, "\x07junk"}, Vals: [][]byte{value, value}},
 		"garbled value": {Keys: []string{good, base.WithWindow(6, 6).KeyWithWindow()}, Vals: [][]byte{value, {0xE7, 1, 2}}},
 	} {
-		payload, err := persist.Encode(exactState{Stripes: []exactStripeState{bad}, KeyFormat: packedKeys})
-		if err != nil {
-			t.Fatal(err)
-		}
+		payload := encodeStripes([]exactStripeState{bad})
 		_, staged := c.StagePayload(payload)
 		for how, err := range map[string]error{"StagePayload": staged, "RestorePayload": c.RestorePayload(payload)} {
 			if err == nil || !strings.Contains(err.Error(), strconv.Quote(bad.Keys[1])) {

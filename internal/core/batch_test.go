@@ -253,7 +253,7 @@ type fillGauge struct {
 	now, peak atomic.Int64
 }
 
-func (b *fillGauge) SetWeighted(ns, k string, value any, weight float64) error {
+func (b *fillGauge) SetWeighted(ns, k string, value store.FastEncoder, weight float64) error {
 	n := b.now.Add(1)
 	for p := b.peak.Load(); n > p && !b.peak.CompareAndSwap(p, n); p = b.peak.Load() {
 	}

@@ -2,14 +2,16 @@ package core
 
 // One set of privacy books, at the session: every mode × accounting
 // combination pays the same block, a refused payment leaves it
-// untouched, a restore brings it back whole with nothing to re-admit —
-// from today's snapshots and from the two-book snapshots older builds
-// wrote.
+// untouched, a restore brings it back whole with nothing to re-admit, and
+// the snapshots older builds wrote — or a block section the books can
+// never accept — are refused before anything moves.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/accountant"
@@ -172,90 +174,34 @@ func TestRefusalLeavesBooksAndRestoreNeedsNoReadmission(t *testing.T) {
 	})
 }
 
-// The accountant sections of older builds, in their old struct shapes.
-type (
-	legacyBlockState struct {
-		Global float64
-		Spent  []float64
-	}
-	legacyRDPBlockState struct {
-		Orders   []float64
-		EpsG     float64
-		DeltaG   float64
-		Spent    [][]float64
-		Mirrored []float64
-	}
-)
-
-// legacySnapshot rewrites a snapshot of s the way an older build would
-// have written it: the scalar per-partition book under accountant/block
-// and, for a Gaussian session, the curves under accountant/rdp — the
-// scalar book then being the mirror of their converted spend. mutate, if
-// any, edits the two payloads first.
-func legacySnapshot(t *testing.T, s *Session, mutate func(*legacyBlockState, *legacyRDPBlockState)) []byte {
+// legacyEnvelope is s's snapshot under an older build's header: the magic,
+// the format version given, then gzip bytes.
+func legacyEnvelope(t *testing.T, s *Session, version uint32) []byte {
 	t.Helper()
 	var raw bytes.Buffer
 	if err := s.SaveState(&raw); err != nil {
 		t.Fatal(err)
 	}
-	payloads, order, err := persist.ReadSections(&raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := s.Accountant()
-	scalar := legacyBlockState{Global: b.Global(), Spent: b.SpentVector()}
-	rdp := legacyRDPBlockState{Orders: b.Orders(), EpsG: b.Global(), DeltaG: b.Delta(), Mirrored: b.SpentVector()}
-	for p := 0; p < b.Partitions(); p++ {
-		rdp.Spent = append(rdp.Spent, b.CurveAt(p))
-	}
-	if mutate != nil {
-		mutate(&scalar, &rdp)
-	}
-	var out bytes.Buffer
-	w, err := persist.NewWriter(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range order {
-		p := payloads[name]
-		if name == accountant.SectionBlock {
-			if p, err = persist.Encode(scalar); err != nil {
-				t.Fatal(err)
-			}
-			if b.Orders() != nil {
-				curves, err := persist.Encode(rdp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := w.WriteSection("accountant/rdp", curves); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := w.WriteSection(name, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
+	out := raw.Bytes()
+	binary.BigEndian.PutUint32(out[8:12], version)
+	return out
 }
 
-// TestLegacySnapshotsLoad restores two-book snapshots into today's
-// sessions: the books come back bit for bit — never with less spend —
-// and the restored session refuses at the same query as the session that
-// was never restored.
+// TestLegacySnapshotsLoad loads the v2 snapshots older builds wrote into
+// today's sessions: each is refused with ErrBadVersion naming v2 and v3,
+// before any section restores — the books, counters and caches stay those
+// of a fresh session, which then makes and refuses exactly the payments of
+// one that never saw the file.
 func TestLegacySnapshotsLoad(t *testing.T) {
 	forEachBooks(t, func(t *testing.T, mode Mode, gaussian bool) {
 		cfg, ds, mkQuery := booksFixture(t, mode, gaussian)
-		twin, err := NewSession(cfg, ds)
+		src, err := NewSession(cfg, ds)
 		if err != nil {
 			t.Fatal(err)
 		}
 		const half, total = 12, 600
 		for i := 0; i < half; i++ {
-			if _, err := twin.Answer(mkQuery(i)); err != nil {
+			if _, err := src.Answer(mkQuery(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -263,26 +209,58 @@ func TestLegacySnapshotsLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := restored.LoadState(bytes.NewReader(legacySnapshot(t, twin, nil))); err != nil {
+		err = restored.LoadState(bytes.NewReader(legacyEnvelope(t, src, 2)))
+		if !errors.Is(err, persist.ErrBadVersion) || errors.Is(err, ErrStateCorrupt) ||
+			!strings.Contains(err.Error(), "snapshot is v2, this build reads v3") {
+			t.Fatalf("err = %v, want an ErrBadVersion refusal naming v2 and v3", err)
+		}
+		if restored.MaxSpent() != 0 || restored.Queries() != 0 || restored.ExactCache().Len() != 0 {
+			t.Fatalf("the refusal moved state: spent %v, %d queries, %d cached",
+				restored.MaxSpent(), restored.Queries(), restored.ExactCache().Len())
+		}
+		fresh, err := NewSession(cfg, ds)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for p := 0; p < ds.Partitions(); p++ {
-			c1, c2 := twin.Accountant().CurveAt(p), restored.Accountant().CurveAt(p)
-			for j := range c1 {
-				if c1[j] != c2[j] {
-					t.Fatalf("partition %d order %d: restored %v, saved %v", p, j, c2[j], c1[j])
-				}
-			}
-		}
-		if _, refused := runTwins(t, twin, restored, mkQuery, half, total); refused == 0 {
+		if _, refused := runTwins(t, fresh, restored, mkQuery, 0, total); refused == 0 {
 			t.Fatal("the stream never reached a refusal")
 		}
 	})
 }
 
-// TestLegacyGaussianSnapshotRefusedUntouched: a two-book Gaussian
-// snapshot the session's books can never accept is refused before any
-// section restores — the session is not poisoned and keeps serving.
+// blockEdit rewrites the accountant/block section of a snapshot of s:
+// edit gets the decoded ε_G, δ_G, order grid and flat ledger and returns
+// them changed.
+func blockEdit(t *testing.T, s *Session, edit func(epsG, deltaG *float64, orders, spent *[]float64)) []byte {
+	t.Helper()
+	var raw bytes.Buffer
+	if err := s.SaveState(&raw); err != nil {
+		t.Fatal(err)
+	}
+	return rewriteSections(t, raw.Bytes(), func(name string, p []byte) []byte {
+		if name != accountant.SectionBlock {
+			return p
+		}
+		d := persist.NewDecoder(p)
+		epsG, deltaG, orders, spent := d.Float(), d.Float(), d.Floats(), d.Floats()
+		if err := d.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		edit(&epsG, &deltaG, &orders, &spent)
+		var e persist.Encoder
+		e.PutFloat(epsG)
+		e.PutFloat(deltaG)
+		e.PutFloats(orders)
+		e.PutFloats(spent)
+		return e.Payload()
+	})
+}
+
+// TestLegacyGaussianSnapshotRefusedUntouched: a Gaussian snapshot the
+// session's books can never accept is refused before any section restores
+// — a v2 file at its header; a v3 one whose block section carries one of
+// the defects the two-book era's cross-check caught, by the block's
+// Stager — and the session is not poisoned: it keeps serving.
 func TestLegacyGaussianSnapshotRefusedUntouched(t *testing.T) {
 	cfg, ds, mkQuery := booksFixture(t, Partitioned, true)
 	src, err := NewSession(cfg, ds)
@@ -294,41 +272,44 @@ func TestLegacyGaussianSnapshotRefusedUntouched(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for name, mutate := range map[string]func(*legacyBlockState, *legacyRDPBlockState){
-		"grid values": func(_ *legacyBlockState, r *legacyRDPBlockState) {
-			r.Orders = append([]float64(nil), r.Orders...)
-			r.Orders[3] += 0.5
+	k := len(src.Accountant().Orders())
+	for name, edit := range map[string]func(epsG, deltaG *float64, orders, spent *[]float64){
+		"grid values": func(_, _ *float64, orders, _ *[]float64) {
+			*orders = append([]float64(nil), *orders...)
+			(*orders)[3] += 0.5
 		},
-		"grid length": func(_ *legacyBlockState, r *legacyRDPBlockState) {
-			r.Orders = r.Orders[:len(r.Orders)-1]
-			for p := range r.Spent {
-				r.Spent[p] = r.Spent[p][:len(r.Orders)]
+		"grid length": func(_, _ *float64, orders, spent *[]float64) {
+			var cut []float64
+			for p := 0; p < len(*spent)/k; p++ {
+				cut = append(cut, (*spent)[p*k:(p+1)*k-1]...)
 			}
+			*orders, *spent = (*orders)[:k-1], cut
 		},
-		"ε_G":                      func(_ *legacyBlockState, r *legacyRDPBlockState) { r.EpsG *= 2 },
-		"δ_G":                      func(_ *legacyBlockState, r *legacyRDPBlockState) { r.DeltaG = 1e-7 },
-		"fewer curves than mirror": func(_ *legacyBlockState, r *legacyRDPBlockState) { r.Spent = r.Spent[:len(r.Spent)-1] },
-		"fewer partitions than the session": func(m *legacyBlockState, r *legacyRDPBlockState) {
-			m.Spent, r.Spent = m.Spent[:len(m.Spent)-1], r.Spent[:len(r.Spent)-1]
+		"ε_G": func(epsG, _ *float64, _, _ *[]float64) { *epsG *= 2 },
+		"δ_G": func(_, deltaG *float64, _, _ *[]float64) { *deltaG = 1e-7 },
+		"fewer partitions than the session": func(_, _ *float64, _, spent *[]float64) {
+			*spent = (*spent)[:len(*spent)-k]
 		},
-		"mirror above the converted curves": func(m *legacyBlockState, _ *legacyRDPBlockState) { m.Spent[1] += 0.01 },
-		"negative curve value":              func(_ *legacyBlockState, r *legacyRDPBlockState) { r.Spent[0][2] = -1 },
+		"negative curve value": func(_, _ *float64, _, spent *[]float64) { (*spent)[2] = -1 },
 	} {
 		t.Run(name, func(t *testing.T) {
-			dst, err := NewSession(cfg, ds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = dst.LoadState(bytes.NewReader(legacySnapshot(t, src, mutate)))
-			var se *persist.SectionError
-			if !errors.As(err, &se) || se.Section != accountant.SectionBlock {
-				t.Fatalf("err = %v, want an accountant/block refusal", err)
-			}
-			if errors.Is(err, ErrStateCorrupt) || dst.MaxSpent() != 0 || dst.Queries() != 0 {
-				t.Fatalf("refusal mutated the session: err=%v spent=%v queries=%d", err, dst.MaxSpent(), dst.Queries())
-			}
-			if _, err := dst.Answer(mkQuery(0)); err != nil {
-				t.Fatalf("session unusable after the refusal: %v", err)
+			for version, snap := range map[string][]byte{"v2": legacyEnvelope(t, src, 2), "v3": blockEdit(t, src, edit)} {
+				dst, err := NewSession(cfg, ds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = dst.LoadState(bytes.NewReader(snap))
+				var se *persist.SectionError
+				if version == "v2" && !errors.Is(err, persist.ErrBadVersion) ||
+					version == "v3" && (!errors.As(err, &se) || se.Section != accountant.SectionBlock) {
+					t.Fatalf("%s: err = %v, want the refusal of a %s snapshot", version, err, version)
+				}
+				if errors.Is(err, ErrStateCorrupt) || dst.MaxSpent() != 0 || dst.Queries() != 0 {
+					t.Fatalf("%s: refusal mutated the session: err=%v spent=%v queries=%d", version, err, dst.MaxSpent(), dst.Queries())
+				}
+				if _, err := dst.Answer(mkQuery(0)); err != nil {
+					t.Fatalf("%s: session unusable after the refusal: %v", version, err)
+				}
 			}
 		})
 	}

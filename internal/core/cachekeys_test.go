@@ -14,7 +14,7 @@ import (
 // TestColdReleasePayloadBytes pins what one cached covid release costs the
 // store in payload — what MemoryBytes counts and -store-max-mb bounds: the
 // namespace "session-exact/N" and its ":" (16 bytes), a 7-byte packed key
-// and the 25-byte entry, 48 in all. Under textual keys it was about 69.
+// and the 25-byte entry, 48 in all.
 func TestColdReleasePayloadBytes(t *testing.T) {
 	ds, batches := coldBatches(t)
 	s := coldSession(t, ds)
@@ -28,26 +28,51 @@ func TestColdReleasePayloadBytes(t *testing.T) {
 	}
 }
 
-// cacheSection mirrors cache.Exact's snapshot payload field for field, so a
-// test can rewrite what a damaged file would hold; legacyCacheSection is
-// the same without KeyFormat, which is how a section from before keys were
-// packed decodes (gob matches fields by name).
-type cacheSection struct {
-	Stripes   []cacheStripe
-	KeyFormat int
-}
-
-type legacyCacheSection struct{ Stripes []cacheStripe }
-
+// cacheStripe mirrors one stripe of cache.Exact's snapshot payload, so a
+// test can rewrite what a damaged file would hold.
 type cacheStripe struct {
 	Index int
 	Keys  []string
 	Vals  [][]byte
 }
 
-// rewriteSnapshot re-writes raw with edit applied to the named sections'
-// payloads, decoded as cacheSection.
-func rewriteSnapshot(t *testing.T, raw []byte, edit func(name string, sec *cacheSection) any, sections ...string) []byte {
+// decodeCacheSection and encodeCacheSection mirror cache.Exact's section
+// layout: the stripe count, then per stripe its index, entry count and
+// each entry's key and value as byte strings.
+func decodeCacheSection(t *testing.T, p []byte) []cacheStripe {
+	t.Helper()
+	d := persist.NewDecoder(p)
+	stripes := make([]cacheStripe, d.Count(2))
+	for i := range stripes {
+		stripes[i].Index = d.Int()
+		for range d.Count(2) {
+			stripes[i].Keys = append(stripes[i].Keys, string(d.Bytes()))
+			stripes[i].Vals = append(stripes[i].Vals, d.Bytes())
+		}
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return stripes
+}
+
+func encodeCacheSection(stripes []cacheStripe) []byte {
+	var e persist.Encoder
+	e.PutUvarint(uint64(len(stripes)))
+	for _, st := range stripes {
+		e.PutInt(st.Index)
+		e.PutUvarint(uint64(len(st.Keys)))
+		for j, k := range st.Keys {
+			e.PutString(k)
+			e.PutBytes(st.Vals[j])
+		}
+	}
+	return e.Payload()
+}
+
+// rewriteSections re-writes the snapshot raw with every section's payload
+// passed through edit, which returns the payload to write.
+func rewriteSections(t *testing.T, raw []byte, edit func(name string, p []byte) []byte) []byte {
 	t.Helper()
 	payloads, order, err := persist.ReadSections(bytes.NewReader(raw))
 	if err != nil {
@@ -59,20 +84,7 @@ func rewriteSnapshot(t *testing.T, raw []byte, edit func(name string, sec *cache
 		t.Fatal(err)
 	}
 	for _, name := range order {
-		p := payloads[name]
-		for _, want := range sections {
-			if name != want {
-				continue
-			}
-			var sec cacheSection
-			if err := persist.Decode(p, &sec); err != nil {
-				t.Fatal(err)
-			}
-			if p, err = persist.Encode(edit(name, &sec)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.WriteSection(name, p); err != nil {
+		if err := w.WriteSection(name, edit(name, payloads[name])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,33 +92,6 @@ func rewriteSnapshot(t *testing.T, raw []byte, edit func(name string, sec *cache
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// textKey renders q's KeyWithWindow as builds before packed keys did:
-// "i:v,v;" per constrained attribute ("*" for none), then "@[start,end]".
-func textKey(q *query.Query) string {
-	var b strings.Builder
-	for i := 0; i < q.Domain().NumAttrs(); i++ {
-		vals := q.Allowed(i)
-		if vals == nil {
-			continue
-		}
-		fmt.Fprintf(&b, "%d:", i)
-		for j, v := range vals {
-			if j > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%d", v)
-		}
-		b.WriteByte(';')
-	}
-	if b.Len() == 0 {
-		b.WriteString("*")
-	}
-	if s, e, ok := q.Window(); ok {
-		fmt.Fprintf(&b, "@[%d,%d]", s, e)
-	}
-	return b.String()
 }
 
 // keyedSession answers 16 distinct windowed statements and prefills two
@@ -148,60 +133,6 @@ func keyedSession(t *testing.T) (Config, []*query.Query, []*query.Query, []byte,
 	return cfg, stmts, nodes, snap.Bytes(), src
 }
 
-// TestLoadStateRekeysTextKeys: a snapshot written before keys were packed
-// — its session-exact and tree-node sections keyed by text — restores into
-// sessions of 1 and 2 shards, every saved statement is then an exact hit
-// that pays nothing, and the node cache serves its entries.
-func TestLoadStateRekeysTextKeys(t *testing.T) {
-	cfg, stmts, nodes, raw, src := keyedSession(t)
-	text := map[string]string{}
-	for _, q := range append(append([]*query.Query(nil), stmts...), nodes...) {
-		text[q.KeyWithWindow()] = textKey(q)
-	}
-	rewritten := 0
-	legacy := rewriteSnapshot(t, raw, func(name string, sec *cacheSection) any {
-		for _, st := range sec.Stripes {
-			for j, k := range st.Keys {
-				if st.Keys[j] = text[k]; st.Keys[j] == "" {
-					t.Fatalf("%s holds %q, a key no statement made", name, k)
-				}
-				rewritten++
-			}
-		}
-		return legacyCacheSection{Stripes: sec.Stripes}
-	}, "cache/session-exact", "cache/tree-node")
-	if rewritten != len(stmts)+len(nodes) {
-		t.Fatalf("rewrote %d keys, want %d", rewritten, len(stmts)+len(nodes))
-	}
-
-	for _, shards := range []int{1, 2} {
-		cfg.Shards = shards
-		dst, err := NewSession(cfg, src.Dataset())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dst.LoadState(bytes.NewReader(legacy)); err != nil {
-			t.Fatalf("%d shards: %v", shards, err)
-		}
-		spent := dst.AverageSpent()
-		for _, q := range stmts {
-			if a, err := dst.Answer(q); err != nil || a.Source != SourceExactHit {
-				t.Fatalf("%d shards: %s after a textual-key restore: %+v, %v", shards, q, a, err)
-			}
-		}
-		if dst.AverageSpent() != spent {
-			t.Fatalf("%d shards: the restored hits paid", shards)
-		}
-		for _, q := range nodes {
-			s, _, _ := q.Window()
-			version, _ := src.Dataset().RangeVersion(s, s)
-			if e, ok := dst.Tree().Cache().Get(q, version); !ok || e.Value != 0.5 {
-				t.Fatalf("%d shards: node cache lost %s: %+v %v", shards, q, e, ok)
-			}
-		}
-	}
-}
-
 // TestLoadStateRefusesBadCacheEntry: a session-exact key whose window does
 // not decode, and a value that does not decode, are each refused before
 // any section restores — a SectionError quoting the key, not
@@ -211,16 +142,20 @@ func TestLoadStateRefusesBadCacheEntry(t *testing.T) {
 	cfg, stmts, _, raw, src := keyedSession(t)
 	for _, garble := range []string{"key", "value"} {
 		var quoted string
-		bad := rewriteSnapshot(t, raw, func(_ string, sec *cacheSection) any {
-			st := sec.Stripes[len(sec.Stripes)-1]
+		bad := rewriteSections(t, raw, func(name string, p []byte) []byte {
+			if name != "cache/session-exact" {
+				return p
+			}
+			stripes := decodeCacheSection(t, p)
+			st := stripes[len(stripes)-1]
 			if garble == "key" {
 				st.Keys[0] = "\x07junk"
 			} else {
 				st.Vals[0] = []byte{1, 2, 3}
 			}
 			quoted = fmt.Sprintf("%q", st.Keys[0])
-			return sec
-		}, "cache/session-exact")
+			return encodeCacheSection(stripes)
+		})
 
 		dst, err := NewSession(cfg, src.Dataset())
 		if err != nil {

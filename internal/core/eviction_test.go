@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/query"
 	"repro/internal/store"
 )
@@ -63,7 +64,7 @@ func TestEvictedWindowRepaysOnceThroughSingleFlight(t *testing.T) {
 			}
 		}
 	}
-	var gone Entry2
+	var gone cache.Entry
 	if found, _ := be.Get("session-exact", target.KeyWithWindow(), &gone); found {
 		t.Fatal("target entry survived churn; eviction never happened")
 	}
@@ -108,15 +109,6 @@ func TestEvictedWindowRepaysOnceThroughSingleFlight(t *testing.T) {
 		t.Fatalf("accountant moved %g for N=%d re-queries, want exactly one execution's %g",
 			delta, N, paid)
 	}
-}
-
-// Entry2 mirrors the exact-cache entry shape for direct backend probes
-// (the cache package's Entry is not imported to keep this test focused
-// on observable session behaviour).
-type Entry2 struct {
-	Value   float64
-	Eps     float64
-	Version int
 }
 
 // TestEvictionUnderFire interleaves queries, ingestion epochs, snapshot
@@ -198,7 +190,7 @@ func TestEvictionUnderFire(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 400; i++ {
-			_ = be.Set("filler", string(rune('a'+i%26))+string(rune('0'+i%10)), i)
+			_ = be.Set("filler", string(rune('a'+i%26))+string(rune('0'+i%10)), cache.Entry{Value: float64(i)})
 		}
 	}()
 	wg.Wait()

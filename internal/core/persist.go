@@ -143,11 +143,23 @@ func (d datasetSection) SnapshotOptional() bool { return true }
 
 // SnapshotPayload exports the full dataset content, or omits the
 // section entirely unless the session opted in (PersistDataset).
+//
+// The section's layout: the dataset version, the partition count, then per
+// partition its per-bin counts (a float slice), row count and version.
 func (d datasetSection) SnapshotPayload() ([]byte, error) {
 	if !d.s.persistData {
 		return nil, nil
 	}
-	return persist.Encode(d.s.ds.ExportState())
+	st := d.s.ds.ExportState()
+	var e persist.Encoder
+	e.PutInt(st.Version)
+	e.PutUvarint(uint64(len(st.Parts)))
+	for _, p := range st.Parts {
+		e.PutFloats(p.Counts)
+		e.PutInt(p.N)
+		e.PutInt(p.Version)
+	}
+	return e.Payload(), nil
 }
 
 // RestorePayload replaces the dataset content and grows the session's
@@ -155,8 +167,13 @@ func (d datasetSection) SnapshotPayload() ([]byte, error) {
 // beyond the fresh build — accountants first, the AppendPartitions
 // ordering, so the books always cover every queryable partition.
 func (d datasetSection) RestorePayload(payload []byte) error {
-	var st dataset.State
-	if err := persist.Decode(payload, &st); err != nil {
+	dec := persist.NewDecoder(payload)
+	st := dataset.State{Version: dec.Int()}
+	st.Parts = make([]dataset.PartitionState, dec.Count(3))
+	for i := range st.Parts {
+		st.Parts[i] = dataset.PartitionState{Counts: dec.Floats(), N: dec.Int(), Version: dec.Int()}
+	}
+	if err := dec.Finish(); err != nil {
 		return err
 	}
 	s := d.s
@@ -184,20 +201,12 @@ func (d datasetSection) RestorePayload(payload []byte) error {
 // re-apply only after every applied section is in place.
 func (s *Session) buildRegistry() {
 	s.registry = persist.NewRegistry()
-	// Before any section restores, the block vets its own (and folds an
-	// older build's two-section Rényi books into it), so a snapshot whose
-	// accounting this session can never accept is a recoverable refusal
-	// rather than a half-restored session. Identity is asked first: its
-	// refusal names the configuration field that differs.
-	s.registry.Prepare = func(payloads map[string][]byte) error {
-		id := identitySection{s}
-		if p, ok := payloads[id.SnapshotSection()]; ok {
-			if err := id.RestorePayload(p); err != nil {
-				return &persist.SectionError{Section: id.SnapshotSection(), Err: err}
-			}
-		}
-		return s.block.UpgradeSnapshot(payloads)
-	}
+	// Identity, the block and the caches are persist.Stagers: each vets
+	// its section before any section restores, so a snapshot whose
+	// configuration, accounting or cache entries this session can never
+	// accept is a recoverable refusal rather than a half-restored session.
+	// Identity stages first: its refusal names the configuration field that
+	// differs.
 	s.registry.Register(identitySection{s})
 	// The dataset section's owner is always registered — every session
 	// can RESTORE a dataset-carrying snapshot — but the section is only
@@ -219,9 +228,10 @@ func (s *Session) buildRegistry() {
 }
 
 // sessionIdentity is the "core/identity" section payload: the
-// configuration a snapshot was taken under. Its restore is pure
-// validation — it never mutates, so a foreign-config snapshot is always
-// a recoverable refusal, even when a dataset section follows.
+// configuration a snapshot was taken under, laid out field by field in
+// declaration order. Its restore is pure validation — it never mutates,
+// so a foreign-config snapshot is always a recoverable refusal, even when
+// a dataset section follows.
 type sessionIdentity struct {
 	Mode          Mode
 	Gaussian      bool
@@ -246,24 +256,39 @@ func (m identitySection) SnapshotSection() string { return "core/identity" }
 
 // SnapshotPayload captures the configuration identity.
 func (m identitySection) SnapshotPayload() ([]byte, error) {
-	s := m.s
-	return persist.Encode(sessionIdentity{
-		Mode:          s.cfg.Mode,
-		Gaussian:      s.cfg.Gaussian,
-		EpsilonGlobal: s.cfg.EpsilonGlobal,
-		DeltaGlobal:   s.cfg.DeltaGlobal,
-		Alpha:         s.cfg.Alpha,
-		Beta:          s.cfg.Beta,
-		Tau:           s.cfg.Tau,
-		Structure:     s.cfg.Structure,
-	})
+	cfg := m.s.cfg
+	var e persist.Encoder
+	e.PutInt(int(cfg.Mode))
+	e.PutBool(cfg.Gaussian)
+	e.PutFloat(cfg.EpsilonGlobal)
+	e.PutFloat(cfg.DeltaGlobal)
+	e.PutFloat(cfg.Alpha)
+	e.PutFloat(cfg.Beta)
+	e.PutFloat(cfg.Tau)
+	e.PutInt(int(cfg.Structure))
+	return e.Payload(), nil
+}
+
+// StagePayload implements persist.Stager: the whole restore is the
+// validation, so it runs before any section restores and applies nothing.
+func (m identitySection) StagePayload(payload []byte) (func() error, error) {
+	if err := m.RestorePayload(payload); err != nil {
+		return nil, err
+	}
+	return func() error { return nil }, nil
 }
 
 // RestorePayload validates — and only validates — the configuration.
 func (m identitySection) RestorePayload(payload []byte) error {
 	s := m.s
-	var st sessionIdentity
-	if err := persist.Decode(payload, &st); err != nil {
+	d := persist.NewDecoder(payload)
+	st := sessionIdentity{
+		Mode: Mode(d.Int()), Gaussian: d.Bool(),
+		EpsilonGlobal: d.Float(), DeltaGlobal: d.Float(),
+		Alpha: d.Float(), Beta: d.Float(), Tau: d.Float(),
+		Structure: tree.Structure(d.Int()),
+	}
+	if err := d.Finish(); err != nil {
 		return err
 	}
 	if st.Mode != s.cfg.Mode {
@@ -292,26 +317,12 @@ func (m identitySection) RestorePayload(payload []byte) error {
 	return nil
 }
 
-// sourceCount is one per-source counter in the meta section, kept as a
-// sorted slice (not a map) so the payload encodes deterministically
-// (snapshotdet; TestSnapshotBytesDeterministic).
-type sourceCount struct {
-	Source Source
-	Count  int
-}
-
-// sessionMeta is the "core/meta" section payload: the dataset shape the
-// snapshot was taken at plus the session-level counters.
-type sessionMeta struct {
-	DatasetVersion int
-	Partitions     int
-	Queries        int
-	Deduped        int
-	BySource       []sourceCount
-}
-
 // metaSection adapts the session's dataset-shape validation and
-// counters into a persist.Snapshotter.
+// counters into a persist.Snapshotter. Its "core/meta" payload: the
+// dataset version and partition count the snapshot was taken at, the
+// query and dedup counters, then the count of per-source counters and
+// each one's source name and count, in Sources order so the payload
+// encodes deterministically (snapshotdet; TestSnapshotBytesDeterministic).
 type metaSection struct{ s *Session }
 
 // SnapshotSection implements persist.Snapshotter.
@@ -321,20 +332,20 @@ func (m metaSection) SnapshotSection() string { return "core/meta" }
 func (m metaSection) SnapshotPayload() ([]byte, error) {
 	s := m.s
 	counts := s.SourceCounts()
-	bySource := make([]sourceCount, 0, len(counts))
+	var e persist.Encoder
+	e.PutInt(s.ds.Version())
+	e.PutInt(s.ds.Partitions())
+	e.PutInt(s.Queries())
+	e.PutInt(s.Deduped())
+	e.PutUvarint(uint64(len(counts)))
 	// Sources is in fixed order, so the payload is byte-stable.
 	for _, src := range Sources {
 		if v, ok := counts[src]; ok {
-			bySource = append(bySource, sourceCount{Source: src, Count: v})
+			e.PutString(string(src))
+			e.PutInt(v)
 		}
 	}
-	return persist.Encode(sessionMeta{
-		DatasetVersion: s.ds.Version(),
-		Partitions:     s.ds.Partitions(),
-		Queries:        s.Queries(),
-		Deduped:        s.Deduped(),
-		BySource:       bySource,
-	})
+	return e.Payload(), nil
 }
 
 // RestorePayload validates that the snapshot matches the session's
@@ -342,35 +353,35 @@ func (m metaSection) SnapshotPayload() ([]byte, error) {
 // restores the counters.
 func (m metaSection) RestorePayload(payload []byte) error {
 	s := m.s
-	var st sessionMeta
-	if err := persist.Decode(payload, &st); err != nil {
+	d := persist.NewDecoder(payload)
+	version, partitions, queries, deduped := d.Int(), d.Int(), d.Int(), d.Int()
+	n := d.Count(2)
+	bySource := make(map[Source]int, n)
+	for range n {
+		src := Source(d.Bytes())
+		bySource[src] = d.Int()
+	}
+	if err := d.Finish(); err != nil {
 		return err
 	}
-	if st.Partitions != s.ds.Partitions() {
-		return fmt.Errorf("core: snapshot has %d partitions, dataset has %d", st.Partitions, s.ds.Partitions())
+	if partitions != s.ds.Partitions() {
+		return fmt.Errorf("core: snapshot has %d partitions, dataset has %d", partitions, s.ds.Partitions())
 	}
-	if st.DatasetVersion != s.ds.Version() {
+	if version != s.ds.Version() {
 		return fmt.Errorf("core: snapshot taken at dataset version %d, have %d — cached results would be stale",
-			st.DatasetVersion, s.ds.Version())
+			version, s.ds.Version())
 	}
 	// Every validation passed: counters move here, and every machinery
 	// section runs after this one.
 	s.restoreMutated = true
-	s.queries.Store(int64(st.Queries))
-	s.deduped.Store(int64(st.Deduped))
-	for _, sc := range st.BySource {
-		if i, ok := sourceIndex[sc.Source]; ok {
-			s.bySrc[i].Store(int64(sc.Count))
+	s.queries.Store(int64(queries))
+	s.deduped.Store(int64(deduped))
+	for src, count := range bySource {
+		if i, ok := sourceIndex[src]; ok {
+			s.bySrc[i].Store(int64(count))
 		}
 	}
 	return nil
-}
-
-// singleState is the "pmw/single" section payload: the non-partitioned
-// PMW-Bypass's trained histogram and adaptive thresholds.
-type singleState struct {
-	Hist       histogram.State
-	Thresholds []float64
 }
 
 // singleSection adapts the single PMW-Bypass into a persist.Snapshotter.
@@ -379,26 +390,36 @@ type singleSection struct{ s *Session }
 // SnapshotSection implements persist.Snapshotter.
 func (p singleSection) SnapshotSection() string { return "pmw/single" }
 
-// SnapshotPayload exports the histogram and heuristic thresholds.
+// SnapshotPayload exports the non-partitioned PMW-Bypass's trained
+// histogram — weights and counts (float slices) and update count — and
+// its adaptive thresholds (a float slice, empty if untouched).
 func (p singleSection) SnapshotPayload() ([]byte, error) {
 	s := p.s
 	s.singleMu.Lock()
-	st := singleState{Hist: s.single.Histogram().State()}
+	defer s.singleMu.Unlock()
+	h := s.single.Histogram().State()
+	var e persist.Encoder
+	e.PutFloats(h.Weights)
+	e.PutFloats(h.Counts)
+	e.PutInt(h.Updates)
+	var thresholds []float64
 	if ap, ok := s.single.Heuristic().(*heuristic.AdaptivePerBin); ok {
-		_, _, st.Thresholds = ap.State()
+		_, _, thresholds = ap.State()
 	}
-	s.singleMu.Unlock()
-	return persist.Encode(st)
+	e.PutFloats(thresholds)
+	return e.Payload(), nil
 }
 
 // RestorePayload warm-starts the fresh PMW from the snapshot.
 func (p singleSection) RestorePayload(payload []byte) error {
 	s := p.s
-	var st singleState
-	if err := persist.Decode(payload, &st); err != nil {
+	d := persist.NewDecoder(payload)
+	st := histogram.State{Weights: d.Floats(), Counts: d.Floats(), Updates: d.Int()}
+	thresholds := d.Floats()
+	if err := d.Finish(); err != nil {
 		return err
 	}
-	h, err := histogram.FromState(st.Hist)
+	h, err := histogram.FromState(st)
 	if err != nil {
 		return err
 	}
@@ -407,8 +428,8 @@ func (p singleSection) RestorePayload(payload []byte) error {
 	if err := s.single.WarmStart(h, nil); err != nil {
 		return err
 	}
-	if ap, ok := s.single.Heuristic().(*heuristic.AdaptivePerBin); ok && st.Thresholds != nil {
-		ap.SetThresholds(st.Thresholds)
+	if ap, ok := s.single.Heuristic().(*heuristic.AdaptivePerBin); ok && thresholds != nil {
+		ap.SetThresholds(thresholds)
 	}
 	return nil
 }

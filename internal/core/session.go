@@ -278,7 +278,6 @@ func NewSession(cfg Config, ds *dataset.Dataset) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	exact.SetDomain(ds.Domain())
 	// The session's one set of privacy books: a pure-ε block, or under
 	// Gaussian/Rényi accounting the same block over a grid of finite
 	// orders enforcing (ε_G, δ_G)-DP. Every mechanism of every mode pays

@@ -9,36 +9,37 @@
 // Each stateful layer (accountant blocks, exact caches, the tree, the
 // streaming ingestor) implements Snapshotter and contributes one named
 // section; the envelope carries them behind a magic header and a format
-// version, so the format can change without breaking old files.
+// version.
 //
-// # Envelope format
+// # Envelope format (v3)
 //
 //	offset 0: magic "TURBOSNP" (8 bytes, raw)
 //	offset 8: format version (uint32, big-endian)
-//	then:     a gob stream of {Name string; Payload []byte} sections,
-//	          terminated by an explicit end marker (Name == "");
-//	          gzip-compressed in v2 (raw gob in v1)
+//	then:     a gzip stream of frames — uvarint name length, name,
+//	          uvarint payload length, payload — ended by a frame whose
+//	          name is empty (the end marker, with no payload length)
 //
 // The raw magic lets a reader reject non-snapshot input with a typed
-// error instead of a confusing gob failure; the explicit end marker lets
-// it distinguish a cleanly-terminated snapshot from a truncated one.
-// Section payloads are opaque to the envelope: each layer encodes and
-// decodes its own bytes, so a payload failure can be attributed to the
+// error; the explicit end marker, and the gzip trailer drained after it,
+// let it tell a whole snapshot from a truncated one. Section payloads are
+// opaque to the envelope: each layer encodes and decodes its own bytes
+// with the codec in codec.go, so a payload failure is attributed to the
 // offending section by name (SectionError).
 //
-// Version history: v1 wrote the section stream as raw gob; v2 (current)
-// wraps it in gzip — histograms and Rényi curves are float-heavy and
-// compress several-fold. Readers accept both; writers emit v2 only.
+// One version is read: the one written. v1 (a raw gob stream) and v2
+// (gob, gzip-compressed) are refused with ErrBadVersion naming both
+// versions, so a file from an older build is refused whole rather than
+// half-restored.
 package persist
 
 import (
-	"bytes"
+	"bufio"
 	"compress/gzip"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 )
@@ -46,17 +47,13 @@ import (
 // magic identifies a Turbo snapshot stream. Exactly 8 bytes.
 const magic = "TURBOSNP"
 
-// FormatVersion is the envelope format written by this build: v2, whose
-// section stream is gzip-compressed. Readers also accept v1 (raw gob)
-// envelopes from earlier builds and refuse anything else with
-// ErrBadVersion.
-const FormatVersion uint32 = 2
-
-// formatV1 is the uncompressed envelope of earlier builds, still readable.
-const formatV1 uint32 = 1
+// FormatVersion is the envelope format this build writes and the only one
+// it reads. Sections carry no version of their own, so a change to any
+// section's layout bumps it.
+const FormatVersion uint32 = 3
 
 // Typed envelope errors: LoadState callers (and the HTTP /restore
-// endpoint) branch on these instead of string-matching gob failures.
+// endpoint) branch on these instead of string-matching decode failures.
 var (
 	// ErrBadMagic reports input that is not a Turbo snapshot at all.
 	ErrBadMagic = errors.New("persist: not a Turbo snapshot (bad magic)")
@@ -114,9 +111,11 @@ type OptionalSection interface {
 
 // Stager is optionally implemented by a Snapshotter that can decode and
 // check its payload without mutating anything. Load stages every such
-// section before the first section restores, so a payload one refuses
-// leaves every layer untouched, and then calls the returned apply in the
-// section's turn in place of RestorePayload.
+// section, in registration order, before the first section restores, so a
+// payload one refuses leaves every layer untouched, and then calls the
+// returned apply in the section's turn in place of RestorePayload. It is
+// the registry's one pre-restore hook: a session's identity, books and
+// caches all vet themselves through it.
 type Stager interface {
 	StagePayload(payload []byte) (apply func() error, err error)
 }
@@ -131,16 +130,8 @@ type Quiescer interface {
 	Quiesce() (resume func())
 }
 
-// section is the gob wire format of one envelope entry. A Name of ""
-// is the end marker.
-type section struct {
-	Name    string
-	Payload []byte
-}
-
 // Writer writes a snapshot envelope section by section.
 type Writer struct {
-	enc *gob.Encoder
 	// gz is the envelope's compression layer; Close must flush it after
 	// the end marker.
 	gz *gzip.Writer
@@ -155,8 +146,7 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	if err := binary.Write(w, binary.BigEndian, FormatVersion); err != nil {
 		return nil, fmt.Errorf("persist: write version: %w", err)
 	}
-	gz := gzip.NewWriter(w)
-	return &Writer{enc: gob.NewEncoder(gz), gz: gz}, nil
+	return &Writer{gz: gzip.NewWriter(w)}, nil
 }
 
 // WriteSection appends one named section. Names must be non-empty and
@@ -165,7 +155,12 @@ func (w *Writer) WriteSection(name string, payload []byte) error {
 	if name == "" {
 		return errors.New("persist: empty section name")
 	}
-	if err := w.enc.Encode(section{Name: name, Payload: payload}); err != nil {
+	hdr := append(binary.AppendUvarint(nil, uint64(len(name))), name...)
+	hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
+	if _, err := w.gz.Write(hdr); err != nil {
+		return &SectionError{Section: name, Err: err}
+	}
+	if _, err := w.gz.Write(payload); err != nil {
 		return &SectionError{Section: name, Err: err}
 	}
 	return nil
@@ -174,7 +169,7 @@ func (w *Writer) WriteSection(name string, payload []byte) error {
 // Close writes the end marker and flushes the compression layer. The
 // underlying writer is not closed.
 func (w *Writer) Close() error {
-	if err := w.enc.Encode(section{}); err != nil {
+	if _, err := w.gz.Write([]byte{0}); err != nil {
 		return fmt.Errorf("persist: write end marker: %w", err)
 	}
 	if err := w.gz.Close(); err != nil {
@@ -203,47 +198,61 @@ func ReadSections(r io.Reader) (map[string][]byte, []string, error) {
 	if err := binary.Read(r, binary.BigEndian, &version); err != nil {
 		return nil, nil, fmt.Errorf("%w: header ends before format version", ErrTruncated)
 	}
-	var gz *gzip.Reader
-	switch version {
-	case formatV1:
-		// Raw gob stream from an earlier build: still accepted.
-	case FormatVersion:
-		var err error
-		if gz, err = gzip.NewReader(r); err != nil {
-			return nil, nil, fmt.Errorf("%w: compressed stream ends before its header (%v)", ErrTruncated, err)
-		}
-		r = gz
-	default:
-		return nil, nil, fmt.Errorf("%w: snapshot is v%d, this build reads v%d and v%d",
-			ErrBadVersion, version, formatV1, FormatVersion)
+	if version != FormatVersion {
+		return nil, nil, fmt.Errorf("%w: snapshot is v%d, this build reads v%d", ErrBadVersion, version, FormatVersion)
 	}
-	dec := gob.NewDecoder(r)
+	gz, err := gzip.NewReader(r)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: compressed stream ends before its header (%v)", ErrTruncated, err)
+	}
+	br := bufio.NewReader(gz)
 	payloads := make(map[string][]byte)
 	var order []string
 	for {
-		var s section
-		if err := dec.Decode(&s); err != nil {
-			// Any decode failure before the end marker — io.EOF included —
-			// means the stream stopped mid-snapshot.
+		name, err := readChunk(br)
+		var payload []byte
+		if err == nil && len(name) > 0 {
+			payload, err = readChunk(br)
+		}
+		if err != nil {
+			// Any failure before the end marker — io.EOF included — means
+			// the stream stopped mid-snapshot.
 			return nil, nil, fmt.Errorf("%w: stream ends before the end marker (%v)", ErrTruncated, err)
 		}
-		if s.Name == "" {
-			if gz != nil {
-				// Drain the compression layer: the end marker can decode
-				// from a stream cut before the gzip trailer, and only the
-				// trailer's checksum proves the snapshot arrived whole.
-				if _, err := io.ReadFull(gz, make([]byte, 1)); !errors.Is(err, io.EOF) {
-					return nil, nil, fmt.Errorf("%w: compressed stream ends before its trailer (%v)", ErrTruncated, err)
-				}
+		if len(name) == 0 {
+			// Drain the compression layer: the end marker can arrive from a
+			// stream cut before the gzip trailer, and only the trailer's
+			// checksum proves the snapshot arrived whole.
+			if _, err := br.ReadByte(); !errors.Is(err, io.EOF) {
+				return nil, nil, fmt.Errorf("%w: compressed stream ends before its trailer (%v)", ErrTruncated, err)
 			}
 			return payloads, order, nil
 		}
-		if _, dup := payloads[s.Name]; dup {
-			return nil, nil, fmt.Errorf("%w: %q", ErrDuplicateSection, s.Name)
+		if _, dup := payloads[string(name)]; dup {
+			return nil, nil, fmt.Errorf("%w: %q", ErrDuplicateSection, name)
 		}
-		payloads[s.Name] = s.Payload
-		order = append(order, s.Name)
+		payloads[string(name)] = payload
+		order = append(order, string(name))
 	}
+}
+
+// readChunk reads one length-prefixed frame field. The length is the
+// stream's claim, not an allocation size: the bytes are read through a
+// limited reader, so memory grows only with what is actually there, and a
+// stream shorter than its claim is io.ErrUnexpectedEOF.
+func readChunk(br *bufio.Reader) ([]byte, error) {
+	n, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, err
+	}
+	if n > math.MaxInt64 {
+		return nil, fmt.Errorf("frame length %d", n)
+	}
+	b, err := io.ReadAll(io.LimitReader(br, int64(n)))
+	if err == nil && uint64(len(b)) != n {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
 }
 
 // Registry holds the Snapshotters of one session in registration order,
@@ -253,12 +262,6 @@ func ReadSections(r io.Reader) (map[string][]byte, []string, error) {
 type Registry struct {
 	order  []Snapshotter
 	byName map[string]Snapshotter
-	// Prepare, when set, sees a snapshot's section payloads (by tag)
-	// after they are read and before any layer restores. It may refuse
-	// the snapshot — the last point at which a refusal leaves every
-	// layer untouched — and may rewrite the map, which is how sections
-	// written by older builds are translated into today's.
-	Prepare func(payloads map[string][]byte) error
 }
 
 // NewRegistry returns an empty registry.
@@ -380,11 +383,6 @@ func (r *Registry) Load(rd io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if r.Prepare != nil {
-		if err := r.Prepare(payloads); err != nil {
-			return err
-		}
-	}
 	// Refuse unknown and missing sections BEFORE any layer restores: a
 	// recognizably-foreign snapshot must be a pure validation failure,
 	// not a fully-mutated session followed by an error.
@@ -435,21 +433,6 @@ func sectionError(name string, err error) error {
 		return err
 	}
 	return &SectionError{Section: name, Err: err}
-}
-
-// Encode gob-encodes one section payload. Layers use it so every payload
-// shares one codec (and one failure shape).
-func Encode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode gob-decodes one section payload into out (a pointer).
-func Decode(payload []byte, out any) error {
-	return gob.NewDecoder(bytes.NewReader(payload)).Decode(out)
 }
 
 // WriteFileAtomic writes a snapshot (or any stream) to path via a

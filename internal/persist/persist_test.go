@@ -2,12 +2,15 @@ package persist
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -80,11 +83,57 @@ func TestBadMagic(t *testing.T) {
 	}
 }
 
+// TestBadVersion: every version but the one written is refused before
+// anything past the header is read, by an error naming both versions — the
+// v1 and v2 envelopes of older builds (raw and gzip-compressed gob)
+// included.
 func TestBadVersion(t *testing.T) {
-	// Valid magic, version 99.
-	input := append([]byte(magic), 0, 0, 0, 99)
-	if _, _, err := ReadSections(bytes.NewReader(input)); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("err = %v, want ErrBadVersion", err)
+	for _, version := range []uint32{1, 2, 4, 99} {
+		input := binary.BigEndian.AppendUint32([]byte(magic), version)
+		input = append(input, gzipped(t, []byte("a gob stream"))...)
+		_, _, err := ReadSections(bytes.NewReader(input))
+		want := fmt.Sprintf("snapshot is v%d, this build reads v3", version)
+		if !errors.Is(err, ErrBadVersion) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("v%d: err = %v, want ErrBadVersion saying %q", version, err, want)
+		}
+	}
+}
+
+// gzipped compresses b as one gzip member.
+func gzipped(t *testing.T, b []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	if _, err := gz.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestHugeLengthRefusedWithoutAllocating: a frame whose name or payload
+// claims 2^40 bytes, with a handful present, is a truncated snapshot, and
+// reading it allocates about what is there, not what is claimed.
+func TestHugeLengthRefusedWithoutAllocating(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<40)
+	for name, frames := range map[string][]byte{
+		"name":    append(append([]byte(nil), huge...), "abc"...),
+		"payload": append(append([]byte{1, 'a'}, huge...), "abc"...),
+	} {
+		input := binary.BigEndian.AppendUint32([]byte(magic), FormatVersion)
+		input = append(input, gzipped(t, frames)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := ReadSections(bytes.NewReader(input))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTruncated) {
+			t.Fatalf("%s: err = %v, want ErrTruncated", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%s: reading a 2^40-byte claim allocated %d bytes", name, grew)
+		}
 	}
 }
 
@@ -98,7 +147,7 @@ func TestTruncated(t *testing.T) {
 	}
 	full := buf.Bytes()
 	// Cut anywhere after the header but before the end: typed truncation.
-	for _, cut := range []int{len(magic) + 2, len(magic) + 4, len(full) / 2, len(full) - 1} {
+	for cut := len(magic) + 2; cut < len(full); cut++ {
 		err := reg.Load(bytes.NewReader(full[:cut]))
 		if !errors.Is(err, ErrTruncated) {
 			t.Fatalf("cut at %d: err = %v, want ErrTruncated", cut, err)
@@ -299,75 +348,33 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 }
 
-// v1Envelope builds the uncompressed envelope earlier builds wrote: the
-// magic, version 1, and a raw gob stream of the named sections plus the
-// end marker. No writer emits this format any more; the reader must
-// still accept it.
-func v1Envelope(t *testing.T, sections ...section) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.WriteString(magic)
-	if err := binary.Write(&buf, binary.BigEndian, formatV1); err != nil {
-		t.Fatal(err)
-	}
-	enc := gob.NewEncoder(&buf)
-	for _, s := range append(sections, section{}) {
-		if err := enc.Encode(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes()
-}
-
-// TestV1EnvelopeStillReadable pins the compatibility contract of the v2
-// (compressed) format bump: uncompressed v1 envelopes from earlier
-// builds round-trip into the same registry.
-func TestV1EnvelopeStillReadable(t *testing.T) {
-	raw := v1Envelope(t,
-		section{Name: "b", Payload: []byte("beta")},
-		section{Name: "a", Payload: []byte("alpha")})
-
-	a2 := &fakeLayer{name: "a"}
-	b2 := &fakeLayer{name: "b"}
-	reg2 := NewRegistry()
-	reg2.Register(a2)
-	reg2.Register(b2)
-	if err := reg2.Load(bytes.NewReader(raw)); err != nil {
-		t.Fatal(err)
-	}
-	if string(a2.state) != "alpha" || string(b2.state) != "beta" {
-		t.Fatalf("v1 restored %q/%q", a2.state, b2.state)
-	}
-}
-
-// TestV2EnvelopeCompresses pins that the current format actually gzips:
-// a compressible payload produces a smaller envelope than its v1 form,
-// and truncating it anywhere yields ErrTruncated (the trailer check).
-func TestV2EnvelopeCompresses(t *testing.T) {
+// TestEnvelopeCompresses pins that the envelope actually gzips: a
+// compressible payload produces a smaller envelope than its own length, and
+// truncating it just before the gzip trailer yields ErrTruncated.
+func TestEnvelopeCompresses(t *testing.T) {
 	a := &fakeLayer{name: "a", state: bytes.Repeat([]byte("turbo"), 4096)}
 	reg := NewRegistry()
 	reg.Register(a)
 
-	v1 := v1Envelope(t, section{Name: "a", Payload: a.state})
-	var v2 bytes.Buffer
-	if err := reg.Capture(&v2); err != nil {
+	var env bytes.Buffer
+	if err := reg.Capture(&env); err != nil {
 		t.Fatal(err)
 	}
-	if v2.Len() >= len(v1) {
-		t.Fatalf("v2 envelope (%d bytes) not smaller than v1 (%d bytes)", v2.Len(), len(v1))
+	if env.Len() >= len(a.state)/4 {
+		t.Fatalf("envelope of %d bytes for a %d-byte payload: not compressed", env.Len(), len(a.state))
 	}
 	a2 := &fakeLayer{name: "a"}
 	reg2 := NewRegistry()
 	reg2.Register(a2)
-	if err := reg2.Load(bytes.NewReader(v2.Bytes())); err != nil {
+	if err := reg2.Load(bytes.NewReader(env.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a2.state, a.state) {
-		t.Fatal("v2 round-trip corrupted the payload")
+		t.Fatal("round-trip corrupted the payload")
 	}
 	// Cut just before the gzip trailer: the end marker may still decode,
 	// but the missing checksum must surface as truncation.
-	cut := v2.Bytes()[:v2.Len()-4]
+	cut := env.Bytes()[:env.Len()-4]
 	if err := reg2.Load(bytes.NewReader(cut)); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("trailer-cut envelope: err = %v, want ErrTruncated", err)
 	}

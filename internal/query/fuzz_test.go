@@ -13,35 +13,6 @@ import (
 	"repro/internal/sqlparser"
 )
 
-// textKey renders q's KeyWithWindow the way keys were written before they
-// were packed: "i:v,v;" per constrained attribute ("*" for none) and a
-// "@[start,end]" suffix. Snapshots from those builds still carry such keys,
-// so it is the oracle ParseTextKey's re-key is checked against.
-func textKey(q *query.Query) string {
-	var b strings.Builder
-	for i := 0; i < q.Domain().NumAttrs(); i++ {
-		vals := q.Allowed(i)
-		if vals == nil {
-			continue
-		}
-		fmt.Fprintf(&b, "%d:", i)
-		for j, v := range vals {
-			if j > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%d", v)
-		}
-		b.WriteByte(';')
-	}
-	if b.Len() == 0 {
-		b.WriteString("*")
-	}
-	if s, e, ok := q.Window(); ok {
-		fmt.Fprintf(&b, "@[%d,%d]", s, e)
-	}
-	return b.String()
-}
-
 // keyCase is one drawn (predicate, window): sets by attribute, nil for
 // unconstrained, in the order drawn; the window, if any.
 type keyCase struct {
@@ -181,9 +152,8 @@ func build(t *testing.T, d *domain.Domain, c keyCase) *query.Query {
 // FuzzKey checks the packed key against its definition over random
 // domains, each with an attribute past the bitset's reach: keys are equal
 // exactly when the predicates and windows are, the window decodes without
-// the domain, AppendWindowKey is the WithWindow route byte for byte, New,
-// Builder and SQL agree, and a textual key from an older snapshot re-keys
-// to the same bytes.
+// the domain, AppendWindowKey is the WithWindow route byte for byte, and
+// New, Builder and SQL agree.
 func FuzzKey(f *testing.F) {
 	for seed := range int64(64) {
 		f.Add(seed)
@@ -219,9 +189,6 @@ func FuzzKey(f *testing.F) {
 			if got := q.WithoutWindow().WithWindow(ws, we).KeyWithWindow(); got != want {
 				t.Fatalf("WithoutWindow().WithWindow = %q, want %q", got, want)
 			}
-			if got, err := query.ParseTextKey(d, textKey(q)); err != nil || got != q.KeyWithWindow() {
-				t.Fatalf("ParseTextKey(%q) = %q, %v, want %q", textKey(q), got, err, q.KeyWithWindow())
-			}
 		}
 	})
 }
@@ -232,17 +199,6 @@ func TestKeyWindowRefusals(t *testing.T) {
 	for _, key := range []string{"", "\x00", "\x02\x03", "\x01", "\x01\x05", "\x01\x80", "\x01\x03\x02\x0f", "\x01\x01\x02"} {
 		if s, e, ok, err := query.KeyWindow(key); err == nil {
 			t.Errorf("KeyWindow(%q) = %d %d %v, want an error", key, s, e, ok)
-		}
-	}
-}
-
-// TestParseTextKeyRefusals: what the textual renderer never wrote is not
-// re-keyed to something else.
-func TestParseTextKeyRefusals(t *testing.T) {
-	d := covid()
-	for _, text := range []string{"", "0:1", "9:0;", "0:2;", "0:1;0:1;", "0:x;", ":1;", "0:1;@[2,1]", "0:1;@[1,2", "*@[-1,2]", "*@[1;2]", "1:1,1;"} {
-		if key, err := query.ParseTextKey(d, text); err == nil {
-			t.Errorf("ParseTextKey(%q) = %q, want an error", text, key)
 		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/domain"
@@ -196,50 +195,6 @@ func KeyWindow(key string) (start, end int, windowed bool, err error) {
 		}
 	}
 	return 0, 0, false, fmt.Errorf("query: key %q has no window header and predicate", key)
-}
-
-// ParseTextKey re-keys a textual cache key — the "1:1,2,3;2:0;@[0,2]"
-// rendering ("*" for no constraint) keys had before they were packed, and
-// that older snapshots still carry — into the KeyWithWindow of the same
-// query over dom.
-func ParseTextKey(dom *domain.Domain, text string) (string, error) {
-	bad := fmt.Errorf("query: %q is not a textual cache key", text)
-	pred, window, windowed := strings.Cut(text, "@")
-	var clauses []string
-	if pred != "*" {
-		body, ok := strings.CutSuffix(pred, ";")
-		if !ok {
-			return "", bad
-		}
-		clauses = strings.Split(body, ";")
-	}
-	allowed := make(map[int][]int)
-	for _, clause := range clauses {
-		attr, list, _ := strings.Cut(clause, ":")
-		i, err := strconv.Atoi(attr)
-		if _, dup := allowed[i]; err != nil || dup {
-			return "", bad
-		}
-		for _, f := range strings.Split(list, ",") {
-			v, err := strconv.Atoi(f)
-			if err != nil {
-				return "", bad
-			}
-			allowed[i] = append(allowed[i], v)
-		}
-	}
-	q, err := New(dom, allowed)
-	if err != nil {
-		return "", fmt.Errorf("%w: %w", bad, err)
-	}
-	if windowed {
-		var s, e int
-		if _, err := fmt.Sscanf(window, "[%d,%d]", &s, &e); err != nil || s < 0 || s > e || window != fmt.Sprintf("[%d,%d]", s, e) {
-			return "", bad
-		}
-		q = q.WithWindow(s, e)
-	}
-	return q.KeyWithWindow(), nil
 }
 
 // WithWindow returns a copy of q requesting partitions [start, end]

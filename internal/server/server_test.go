@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/domain"
@@ -240,6 +241,11 @@ func TestSchemaEndpoint(t *testing.T) {
 	}
 }
 
+// foreignValue is a stored value in another codec than cache.Entry's.
+type foreignValue string
+
+func (v foreignValue) AppendFast(dst []byte) []byte { return append(dst, v...) }
+
 // TestSchemaCacheSectionBounded pins the /schema cache section over the
 // bounded backend: backend name, caps, and live hit/miss/eviction/bytes
 // counters thread up from the store through the session.
@@ -251,13 +257,13 @@ func TestSchemaCacheSectionBounded(t *testing.T) {
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	// Poison one backend entry and read it back with a mismatched type:
-	// the backend deletes it and counts a decode error.
-	if err := be.Set("poison", "k", "not-a-number"); err != nil {
+	// Poison one backend entry and read it back as a cache entry: the
+	// backend deletes it and counts a decode error.
+	if err := be.Set("poison", "k", foreignValue("not-an-entry")); err != nil {
 		t.Fatal(err)
 	}
-	var f float64
-	if ok, err := be.Get("poison", "k", &f); ok || err == nil {
+	var e cache.Entry
+	if ok, err := be.Get("poison", "k", &e); ok || err == nil {
 		t.Fatalf("poisoned read: ok=%v err=%v", ok, err)
 	}
 	sqls := []string{

@@ -83,7 +83,7 @@ func TestSetGetAllocBudget(t *testing.T) {
 	for _, mode := range bothModes {
 		t.Run(mode.name, func(t *testing.T) {
 			s := NewMem(mode.cfg)
-			var v any = fastEntry{Value: 1, Eps: 0.1, Version: 1} // boxed once, as cache.Exact's caller pays for it
+			var v FastEncoder = fastEntry{Value: 1, Eps: 0.1, Version: 1} // boxed once, as cache.Exact's caller pays for it
 			i := 0
 			if allocs := testing.AllocsPerRun(len(keys)-1, func() {
 				if err := s.SetWeighted("session-exact/0", keys[i], v, 0.1); err != nil {

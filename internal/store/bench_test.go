@@ -31,7 +31,7 @@ func windowedKeys(n int) []string {
 // between two namespaces, and returns the longest single SetWeighted.
 func fillWindowed(tb testing.TB, s *Mem, keys []string) time.Duration {
 	var longest time.Duration
-	var v any = fastEntry{Value: 1, Eps: 0.1, Version: 1} // boxed once: the fill's allocations are the store's
+	var v FastEncoder = fastEntry{Value: 1, Eps: 0.1, Version: 1} // boxed once: the fill's allocations are the store's
 	for i, k := range keys {
 		ns := "session-exact/0"
 		if i%2 == 1 {

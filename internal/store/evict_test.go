@@ -10,7 +10,7 @@ import (
 func TestBoundedEntryCapHolds(t *testing.T) {
 	b := NewMem(MemConfig{MaxEntries: 16, Stripes: 4})
 	for i := 0; i < 500; i++ {
-		_ = b.Set("ns", fmt.Sprintf("k%03d", i), i)
+		_ = b.Set("ns", fmt.Sprintf("k%03d", i), num(i))
 	}
 	if got := b.Len(); got > 16 {
 		t.Fatalf("Len = %d exceeds cap 16", got)
@@ -26,7 +26,7 @@ func TestBoundedEntryCapHolds(t *testing.T) {
 
 func TestBoundedByteCapHolds(t *testing.T) {
 	b := NewMem(MemConfig{MaxBytes: 4096, Stripes: 2})
-	payload := make([]byte, 100)
+	payload := text(make([]byte, 100))
 	for i := 0; i < 400; i++ {
 		_ = b.Set("ns", fmt.Sprintf("k%03d", i), payload)
 	}
@@ -44,12 +44,12 @@ func TestBoundedCostAwareEviction(t *testing.T) {
 	b := NewMem(MemConfig{MaxEntries: 10, Stripes: 1, Sample: 10})
 	// Ten expensive entries, then a flood of cheap one-touch entries.
 	for i := 0; i < 5; i++ {
-		_ = b.SetWeighted("ns", fmt.Sprintf("gold%d", i), i, 100)
+		_ = b.SetWeighted("ns", fmt.Sprintf("gold%d", i), num(i), 100)
 	}
 	for i := 0; i < 200; i++ {
-		_ = b.SetWeighted("ns", fmt.Sprintf("churn%d", i), i, 0.01)
+		_ = b.SetWeighted("ns", fmt.Sprintf("churn%d", i), num(i), 0.01)
 	}
-	var out int
+	var out num
 	for i := 0; i < 5; i++ {
 		if ok, _ := b.Get("ns", fmt.Sprintf("gold%d", i), &out); !ok {
 			t.Fatalf("expensive entry gold%d evicted before cheap churn", i)
@@ -67,8 +67,8 @@ func TestBoundedCostAwareEviction(t *testing.T) {
 // working set survives a one-touch scan of equal-weight entries.
 func TestBoundedProtectedSegment(t *testing.T) {
 	b := NewMem(MemConfig{MaxBytes: 8192, Stripes: 1, Sample: 1})
-	payload := make([]byte, 64)
-	var out []byte
+	payload := text(make([]byte, 64))
+	var out text
 	// Build and repeatedly touch a small hot set → promoted to protected.
 	for i := 0; i < 10; i++ {
 		_ = b.Set("ns", fmt.Sprintf("hot%d", i), payload)
@@ -102,7 +102,7 @@ func TestBoundedProtectedSegment(t *testing.T) {
 func TestBoundedImportPreservesWeights(t *testing.T) {
 	src := NewMem(MemConfig{MaxEntries: 1 << 20})
 	for i := 0; i < 5; i++ {
-		_ = src.SetWeighted("ns", fmt.Sprintf("gold%d", i), i, 100)
+		_ = src.SetWeighted("ns", fmt.Sprintf("gold%d", i), num(i), 100)
 	}
 	exported := src.ExportNamespace("ns")
 	if w := exported["gold0"].Weight; w != 100 {
@@ -114,9 +114,9 @@ func TestBoundedImportPreservesWeights(t *testing.T) {
 	// Cheap one-touch churn: pre-fix, the imported entries sat at weight 0
 	// and were evicted alongside the churn.
 	for i := 0; i < 200; i++ {
-		_ = dst.SetWeighted("ns", fmt.Sprintf("churn%d", i), i, 0.01)
+		_ = dst.SetWeighted("ns", fmt.Sprintf("churn%d", i), num(i), 0.01)
 	}
-	var out int
+	var out num
 	for i := 0; i < 5; i++ {
 		if ok, _ := dst.Get("ns", fmt.Sprintf("gold%d", i), &out); !ok {
 			t.Fatalf("imported gold%d lost its weight and was evicted", i)
@@ -128,12 +128,12 @@ func TestBoundedOversizeEntry(t *testing.T) {
 	b := NewMem(MemConfig{MaxBytes: 128, Stripes: 1})
 	// An entry bigger than the whole cap cannot wedge the store: it is
 	// admitted then immediately evicted, leaving the store consistent.
-	_ = b.Set("ns", "huge", make([]byte, 4096))
+	_ = b.Set("ns", "huge", text(make([]byte, 4096)))
 	if got := b.MemoryBytes(); got > 128 {
 		t.Fatalf("MemoryBytes = %d after oversize insert", got)
 	}
-	_ = b.Set("ns", "small", 1)
-	var out int
+	_ = b.Set("ns", "small", num(1))
+	var out num
 	if ok, _ := b.Get("ns", "small", &out); !ok {
 		t.Fatal("store wedged after oversize insert")
 	}
@@ -147,12 +147,12 @@ func TestBoundedConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			var out int
+			var out num
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("k%d", rng.Intn(200))
 				switch rng.Intn(3) {
 				case 0:
-					_ = b.SetWeighted("ns", k, i, float64(rng.Intn(10)))
+					_ = b.SetWeighted("ns", k, num(i), float64(rng.Intn(10)))
 				case 1:
 					_, _ = b.Get("ns", k, &out)
 				default:
@@ -189,7 +189,7 @@ func TestBoundedGlobalCapExact(t *testing.T) {
 	for _, cap := range []int{3, 5, 7, 13} {
 		b := NewMem(MemConfig{MaxEntries: cap}) // default stripes, shrunk to the cap
 		for i := 0; i < 300; i++ {
-			_ = b.Set("ns", fmt.Sprintf("k%03d", i), i)
+			_ = b.Set("ns", fmt.Sprintf("k%03d", i), num(i))
 		}
 		if got := b.Len(); got > cap {
 			t.Fatalf("cap %d: %d resident entries", cap, got)
@@ -199,7 +199,7 @@ func TestBoundedGlobalCapExact(t *testing.T) {
 		}
 	}
 	b := NewMem(MemConfig{MaxBytes: 1000, Stripes: 8})
-	payload := make([]byte, 40)
+	payload := text(make([]byte, 40))
 	for i := 0; i < 300; i++ {
 		_ = b.Set("ns", fmt.Sprintf("k%03d", i), payload)
 	}

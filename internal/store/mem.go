@@ -47,10 +47,10 @@
 //
 // Decode under lock: because records are overwritten in place, a value's
 // bytes may only be read while the stripe lock is held. Get runs the
-// value's FastDecoder under the lock (no copy, no allocation) and copies
-// the bytes out first for the gob fallback. An uncapped Get holds the
-// stripe's read lock; a capped one re-orders the LRU, so it holds the
-// write lock.
+// value's FastDecoder under the lock (no copy, no allocation), and copies
+// out only bytes it refuses, for the guarded delete of a poisoned entry.
+// An uncapped Get holds the stripe's read lock; a capped one re-orders
+// the LRU, so it holds the write lock.
 //
 // No chunk slice outlives its stripe lock: the next writer may unmap the
 // chunk, and a stale slice faults. Get decodes under the lock or copies,
@@ -460,97 +460,72 @@ func (s *Mem) compact(st *memStripe) bool {
 	return fits
 }
 
-// Set stores value under ns:k, encoded through the value's FastEncoder
-// when implemented (the hot-entry fixed-layout codec) and gob otherwise.
-func (s *Mem) Set(ns, k string, value any) error {
+// Set stores value under ns:k, encoded by its own codec.
+func (s *Mem) Set(ns, k string, value FastEncoder) error {
 	return s.SetWeighted(ns, k, value, 0)
 }
 
 // SetWeighted stores value under ns:k with an eviction weight: the privacy
 // cost paid to materialize the entry, which a capped store's victim
-// selection preserves longest and an uncapped one does not keep. A
-// FastEncoder value is encoded straight into the arena tail,
-// under the stripe lock: no intermediate slice, no joined key string.
-func (s *Mem) SetWeighted(ns, k string, value any, weight float64) error {
-	fe, fast := value.(FastEncoder)
-	var raw []byte
-	if !fast {
-		var err error
-		if raw, err = EncodeValue(ns, k, value); err != nil {
-			return err
-		}
-	}
+// selection preserves longest and an uncapped one does not keep. The value
+// is encoded straight into the arena tail, under the stripe lock: no
+// intermediate slice, no joined key string.
+func (s *Mem) SetWeighted(ns, k string, value FastEncoder, weight float64) error {
 	id, h, st, err := s.slot(ns, k)
 	if err != nil {
 		return err
 	}
 	st.mu.Lock()
-	if fast {
-		// Where a new record's value would start. If the key turns out to
-		// have a same-length record already, put overwrites that instead
-		// and the tail stays uncommitted; if the tail is too short,
-		// AppendFast allocates and put copies it in.
-		raw = fe.AppendFast(st.scratch(hdrLen + len(k)))
-	}
+	// Where a new record's value would start. If the key turns out to
+	// have a same-length record already, put overwrites that instead and
+	// the tail stays uncommitted; if the tail is too short, AppendFast
+	// allocates and put copies it in.
+	raw := value.AppendFast(st.scratch(hdrLen + len(k)))
 	old, prev := st.find(h, id, k)
 	err = s.put(st, ns, k, id, h, old, prev, raw, weight)
 	st.mu.Unlock()
 	return s.wrote(err)
 }
 
-// Get loads ns:k into out (a pointer), reporting whether the key existed;
-// in a capped store a hit is a use. Bytes that fail to decode are a poisoned
-// entry, not a hit: the entry is deleted (byte-guarded against a
-// concurrent fresh Set), the decode-error counter bumps, and the caller
-// sees a miss plus the error — one corrupt byte costs a re-execution
-// instead of wedging the key.
-//
-// A FastDecoder hit decodes from the arena under the stripe lock and
-// allocates nothing. Anything else is copied out under the lock and
-// decoded after it: an in-place overwrite may rewrite the record the
-// moment the lock drops.
-func (s *Mem) Get(ns, k string, out any) (bool, error) {
+// Get loads ns:k into out, reporting whether the key existed; in a capped
+// store a hit is a use. It decodes from the arena under the stripe lock
+// and allocates nothing. Bytes out refuses are a poisoned entry, not a
+// hit: the entry is deleted (byte-guarded against a concurrent fresh Set),
+// the decode-error counter bumps, and the caller sees a miss plus the
+// error — one corrupt byte costs a re-execution instead of wedging the
+// key.
+func (s *Mem) Get(ns, k string, out FastDecoder) (bool, error) {
 	id, h, st, ok := s.probe(ns, k)
 	if !ok {
 		s.misses.Add(1)
 		return false, nil
 	}
-	// What the lookup saw: no record, a FastDecoder hit, or bytes copied
-	// out for the gob fallback.
-	const (
-		absent = iota
-		hit
-		copied
-	)
-	saw := absent
+	found, decoded := false, false
 	var raw []byte
 	st.reader.Lock()
 	if off, _ := st.find(h, id, k); off != noOff {
 		r := st.at(off)
 		s.touch(st, off)
-		if fd, ok := out.(FastDecoder); ok && fd.DecodeFast(r.val()) {
-			saw = hit
-		} else {
-			saw, raw = copied, append([]byte(nil), r.val()...)
+		found = true
+		if decoded = out.DecodeFast(r.val()); !decoded {
+			// Copied out for the guarded delete: an in-place overwrite may
+			// rewrite the record the moment the lock drops.
+			raw = append([]byte(nil), r.val()...)
 		}
 	}
 	st.reader.Unlock()
-	switch saw {
-	case hit:
-		s.hits.Add(1)
-		return true, nil
-	case absent:
+	switch {
+	case !found:
 		s.misses.Add(1)
 		return false, nil
+	case decoded:
+		s.hits.Add(1)
+		return true, nil
 	}
-	if err := DecodeValue(ns, k, raw, out); err != nil {
-		s.removeIf(st, id, h, k, func(r rec) bool { return bytes.Equal(r.val(), raw) })
-		s.decodeErrors.Add(1)
-		s.misses.Add(1)
-		return false, err
-	}
-	s.hits.Add(1)
-	return true, nil
+	s.removeIf(st, id, h, k, func(r rec) bool { return bytes.Equal(r.val(), raw) })
+	s.decodeErrors.Add(1)
+	s.misses.Add(1)
+	return false, fmt.Errorf("store: decode %s:%q: %d bytes are not this value's codec", ns, k, len(raw))
 }
 
 // Delete removes ns:k, reporting whether it existed.
@@ -562,11 +537,8 @@ func (s *Mem) Delete(ns, k string) bool {
 // of expect, reporting whether a delete happened. It is the guarded
 // invalidation primitive: a concurrent Set of a fresh value changes the
 // bytes, so a stale-entry eviction can never erase it.
-func (s *Mem) CompareDelete(ns, k string, expect any) bool {
-	want, err := EncodeValue(ns, k, expect)
-	if err != nil {
-		return false
-	}
+func (s *Mem) CompareDelete(ns, k string, expect FastEncoder) bool {
+	want := expect.AppendFast(nil)
 	return s.deleteIf(ns, k, func(r rec) bool { return bytes.Equal(r.val(), want) })
 }
 

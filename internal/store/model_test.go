@@ -42,6 +42,40 @@ func (e *fastEntry) DecodeFast(data []byte) bool {
 	return true
 }
 
+// num and text stand in for values other than an entry: each encodes
+// behind its own tag byte and refuses any other bytes, so reading one type
+// as another is the poisoned-entry path.
+type (
+	num  int
+	text string
+)
+
+func (n num) AppendFast(dst []byte) []byte {
+	return binary.AppendVarint(append(dst, 'n'), int64(n))
+}
+
+func (n *num) DecodeFast(data []byte) bool {
+	if len(data) < 2 || data[0] != 'n' {
+		return false
+	}
+	v, k := binary.Varint(data[1:])
+	if k != len(data)-1 {
+		return false
+	}
+	*n = num(v)
+	return true
+}
+
+func (s text) AppendFast(dst []byte) []byte { return append(append(dst, 't'), s...) }
+
+func (s *text) DecodeFast(data []byte) bool {
+	if len(data) == 0 || data[0] != 't' {
+		return false
+	}
+	*s = text(data[1:])
+	return true
+}
+
 // oracle is the two stores Mem used to be, kept as the reference the arena
 // is checked against: one map entry per key, and — what store.Bounded added
 // — a probation and a protected container/list with sampled lowest-weight
@@ -82,14 +116,7 @@ func newOracle(cfg MemConfig) *oracle {
 
 func (e *oracleEntry) size() int { return len(e.key) + len(e.val) }
 
-func enc(t *testing.T, v any) []byte {
-	t.Helper()
-	raw, err := EncodeValue("", "", v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
-}
+func enc(v FastEncoder) []byte { return v.AppendFast(nil) }
 
 // insert places or replaces an entry and restores the caps.
 func (o *oracle) insert(full string, val []byte, weight float64) {
@@ -347,13 +374,13 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 	// arena's interned ids would disagree about what a prefix means.
 	nss := []string{"a", "ab", "session-exact/0"}
 	// value draws a fastEntry (fixed 25 bytes, overwritten in place) or a
-	// string, short or longer than a chunk.
-	value := func() any {
+	// text, short or longer than a chunk.
+	value := func() FastEncoder {
 		switch rng.Intn(4) {
 		case 0:
-			return strings.Repeat("x", rng.Intn(400))
+			return text(strings.Repeat("x", rng.Intn(400)))
 		case 1:
-			return fmt.Sprintf("s%d", rng.Intn(5))
+			return text(fmt.Sprintf("s%d", rng.Intn(5)))
 		default:
 			return fastEntry{Value: float64(rng.Intn(3)), Eps: 0.5, Version: rng.Intn(2)}
 		}
@@ -386,7 +413,7 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 			if err := s.SetWeighted(ns, k, v, w); err != nil {
 				t.Fatalf("%s: SetWeighted: %v", at, err)
 			}
-			o.insert(full, enc(t, v), w)
+			o.insert(full, enc(v), w)
 		case 2:
 			if got, want := s.Delete(ns, k), o.del(full); got != want {
 				t.Fatalf("%s: Delete = %v; oracle %v", at, got, want)
@@ -396,16 +423,16 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 			if e, ok := o.data[full]; ok && rng.Intn(2) == 0 {
 				expect = rawValue(e.val)
 			}
-			if got, want := s.CompareDelete(ns, k, expect), o.compareDelete(full, enc(t, expect)); got != want {
+			if got, want := s.CompareDelete(ns, k, expect), o.compareDelete(full, enc(expect)); got != want {
 				t.Fatalf("%s: CompareDelete = %v; oracle %v", at, got, want)
 			}
 		case 4, 5:
-			// Decode as an entry or as a string; the wrong guess is the
+			// Decode as an entry or as a text; the wrong guess is the
 			// poisoned-entry path, which deletes.
 			raw, want := o.get(full)
 			var e fastEntry
-			var str string
-			var out any = &e
+			var str text
+			var out FastDecoder = &e
 			asEntry := rng.Intn(2) == 0
 			if !asEntry {
 				out = &str
@@ -427,9 +454,9 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 				if !got || err != nil {
 					t.Fatalf("%s: Get = %v, %v; oracle present", at, got, err)
 				}
-				reenc := enc(t, e)
+				reenc := enc(e)
 				if !asEntry {
-					reenc = enc(t, str)
+					reenc = enc(str)
 				}
 				if !bytes.Equal(reenc, raw) {
 					t.Fatalf("%s: Get decoded %x, oracle holds %x", at, reenc, raw)
@@ -527,14 +554,14 @@ func tableSizes(s *Mem) []int {
 }
 
 // rawValue turns stored bytes back into a value that encodes to them.
-func rawValue(raw []byte) any {
+func rawValue(raw []byte) FastEncoder {
 	var e fastEntry
 	if e.DecodeFast(raw) {
 		return e
 	}
-	var str string
-	if err := DecodeValue("", "", raw, &str); err != nil {
-		panic(err)
+	var str text
+	if !str.DecodeFast(raw) {
+		panic(fmt.Sprintf("stored bytes %x are neither an entry nor a text", raw))
 	}
 	return str
 }
@@ -576,14 +603,14 @@ func storm(t *testing.T, cfg MemConfig) {
 					return
 				}
 				if i%7 == 0 { // a value of another length: dies and re-appends
-					if err := s.Set("hot", fmt.Sprint(k), strings.Repeat("y", i%300)); err != nil {
+					if err := s.Set("hot", fmt.Sprint(k), text(strings.Repeat("y", i%300))); err != nil {
 						t.Error(err)
 						return
 					}
 				}
 				if w == 0 && i%50 == 0 { // more records than buckets: the table doubles under the readers
 					for j := 0; j < 2*keys; j++ {
-						if err := s.Set("burst", fmt.Sprint(j), j); err != nil {
+						if err := s.Set("burst", fmt.Sprint(j), num(j)); err != nil {
 							t.Error(err)
 							return
 						}
@@ -604,7 +631,7 @@ func storm(t *testing.T, cfg MemConfig) {
 				var e fastEntry
 				ok, err := s.Get("hot", fmt.Sprint(k), &e)
 				if err != nil {
-					continue // the string variant read as an Entry: poisoned, deleted
+					continue // the text variant read as an Entry: poisoned, deleted
 				}
 				if ok && (e.Value != float64(k) || e.Version != k*1_000_000+int(e.Eps)) {
 					t.Errorf("key %d read a torn or foreign entry %+v", k, e)
@@ -674,15 +701,15 @@ func TestLimitsFailClosed(t *testing.T) {
 	t.Run("key", func(t *testing.T) {
 		s := NewMem(MemConfig{})
 		long := strings.Repeat("k", maxKeyLen+1)
-		if err := s.Set("ns", long, 1); !errors.Is(err, ErrKeyTooLong) {
+		if err := s.Set("ns", long, num(1)); !errors.Is(err, ErrKeyTooLong) {
 			t.Fatalf("Set = %v, want ErrKeyTooLong", err)
 		}
 		s.ImportNamespace("ns", map[string]Exported{long: {Val: []byte{1}}, "ok": {Val: []byte{2}}})
-		var v int
+		var v num
 		if ok, _ := s.Get("ns", long, &v); ok || s.Delete("ns", long) || s.Len() != 1 {
 			t.Fatalf("over-long key left something behind: Len %d", s.Len())
 		}
-		if err := s.Set("ns", long[1:], 1); err != nil {
+		if err := s.Set("ns", long[1:], num(1)); err != nil {
 			t.Fatalf("a %d-byte key must fit: %v", maxKeyLen, err)
 		}
 		if ok, _ := s.Get("ns", long[1:], &v); !ok || v != 1 {
@@ -692,19 +719,19 @@ func TestLimitsFailClosed(t *testing.T) {
 	t.Run("namespaces", func(t *testing.T) {
 		s := NewMem(MemConfig{})
 		for i := 0; i < maxNamespaces; i++ {
-			if err := s.Set(fmt.Sprint("ns", i), "k", i); err != nil {
+			if err := s.Set(fmt.Sprint("ns", i), "k", num(i)); err != nil {
 				t.Fatalf("namespace %d: %v", i, err)
 			}
 		}
-		if err := s.Set("one-too-many", "k", 1); !errors.Is(err, ErrTooManyNamespaces) {
+		if err := s.Set("one-too-many", "k", num(1)); !errors.Is(err, ErrTooManyNamespaces) {
 			t.Fatalf("Set = %v, want ErrTooManyNamespaces", err)
 		}
-		var v int
+		var v num
 		if ok, _ := s.Get("one-too-many", "k", &v); ok || s.Len() != maxNamespaces {
 			t.Fatalf("refused namespace stored something: Len %d", s.Len())
 		}
 		last := maxNamespaces - 1
-		if ok, _ := s.Get(fmt.Sprint("ns", last), "k", &v); !ok || v != last {
+		if ok, _ := s.Get(fmt.Sprint("ns", last), "k", &v); !ok || int(v) != last {
 			t.Fatalf("last namespace read %v %d", ok, v)
 		}
 		if ok, _ := s.Get("ns0", "k", &v); !ok || v != 0 {
@@ -718,7 +745,7 @@ func TestLimitsFailClosed(t *testing.T) {
 		stored := 0
 		var err error
 		for ; err == nil && stored < 1000; stored++ {
-			err = s.Set("ns", fmt.Sprint("k", stored), strings.Repeat("v", 40))
+			err = s.Set("ns", fmt.Sprint("k", stored), text(strings.Repeat("v", 40)))
 		}
 		stored--
 		if !errors.Is(err, ErrArenaFull) {
@@ -727,19 +754,19 @@ func TestLimitsFailClosed(t *testing.T) {
 		if s.Len() != stored {
 			t.Fatalf("Len = %d after %d successful sets", s.Len(), stored)
 		}
-		if err := s.Set("ns", "oversize", strings.Repeat("v", 1000)); !errors.Is(err, ErrArenaFull) {
+		if err := s.Set("ns", "oversize", text(strings.Repeat("v", 1000))); !errors.Is(err, ErrArenaFull) {
 			t.Fatalf("oversize Set into a full arena = %v", err)
 		}
 		// A refused overwrite leaves the old value standing.
-		if err := s.Set("ns", "k0", strings.Repeat("w", 41)); !errors.Is(err, ErrArenaFull) {
+		if err := s.Set("ns", "k0", text(strings.Repeat("w", 41))); !errors.Is(err, ErrArenaFull) {
 			t.Fatalf("overwrite = %v, want ErrArenaFull", err)
 		}
-		var got string
-		if ok, _ := s.Get("ns", "k0", &got); !ok || got != strings.Repeat("v", 40) {
+		var got text
+		if ok, _ := s.Get("ns", "k0", &got); !ok || string(got) != strings.Repeat("v", 40) {
 			t.Fatalf("refused overwrite damaged the entry: %v %q", ok, got)
 		}
 		for i := 0; i < stored; i++ {
-			if ok, _ := s.Get("ns", fmt.Sprint("k", i), &got); !ok || got != strings.Repeat("v", 40) {
+			if ok, _ := s.Get("ns", fmt.Sprint("k", i), &got); !ok || string(got) != strings.Repeat("v", 40) {
 				t.Fatalf("entry %d lost or changed: %v %q", i, ok, got)
 			}
 		}
@@ -747,7 +774,7 @@ func TestLimitsFailClosed(t *testing.T) {
 		for i := 0; i < stored/2; i++ {
 			s.Delete("ns", fmt.Sprint("k", i))
 		}
-		if err := s.Set("ns", "again", strings.Repeat("v", 40)); err != nil {
+		if err := s.Set("ns", "again", text(strings.Repeat("v", 40))); err != nil {
 			t.Fatalf("set after deletes: %v", err)
 		}
 	})
@@ -759,9 +786,9 @@ func TestNamespaceWithColon(t *testing.T) {
 	for name, cfg := range map[string]MemConfig{"uncapped": {}, "capped": {MaxEntries: 1 << 10}} {
 		t.Run(name, func(t *testing.T) {
 			s := NewMem(cfg)
-			_ = s.Set("a:b", "c", 1)
-			_ = s.Set("a", "b:c", 2)
-			var v int
+			_ = s.Set("a:b", "c", num(1))
+			_ = s.Set("a", "b:c", num(2))
+			var v num
 			if ok, _ := s.Get("a:b", "c", &v); !ok || v != 1 {
 				t.Fatalf("a:b/c = %v %d", ok, v)
 			}
@@ -782,7 +809,7 @@ func TestOversizeValueReleased(t *testing.T) {
 	s := NewMem(MemConfig{})
 	big := make([]byte, 1<<20)
 	for i := 0; i < 8; i++ {
-		if err := s.Set("ckpt", "section", big[:len(big)-i]); err != nil {
+		if err := s.Set("ckpt", "section", text(big[:len(big)-i])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -795,7 +822,7 @@ func TestOversizeValueReleased(t *testing.T) {
 	if held > 2<<20 {
 		t.Fatalf("store holds %d bytes of chunks for one 1 MiB value", held)
 	}
-	var got []byte
+	var got text
 	if ok, err := s.Get("ckpt", "section", &got); !ok || err != nil || len(got) != len(big)-7 {
 		t.Fatalf("Get = %v, %v, %d bytes", ok, err, len(got))
 	}

@@ -77,7 +77,7 @@ func TestPageCompactionUnmapsOldArena(t *testing.T) {
 	base := settleMapped(t)
 	s := NewMem(MemConfig{Stripes: 1})
 	for i := 0; i < 20_000; i++ {
-		if err := s.Set("ns", windowedKey(i), i); err != nil {
+		if err := s.Set("ns", windowedKey(i), num(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,7 +118,7 @@ func TestPageOversizeUnmapsAtDeath(t *testing.T) {
 	small := checkHeld(t, s)
 	big := strings.Repeat("v", 1<<20)
 	for i := 0; i < 4; i++ {
-		if err := s.Set("ckpt", "section", big[i:]); err != nil {
+		if err := s.Set("ckpt", "section", text(big[i:])); err != nil {
 			t.Fatal(err)
 		}
 		if got := mappedBytes.Load() - base; got != checkHeld(t, s) || got > small+(1<<20)+int64(pageSize) {
@@ -139,7 +139,7 @@ func TestPageOversizeUnmapsAtDeath(t *testing.T) {
 // would leave mapped bytes ResidentBytes does not count.
 func TestPageFirstChunkIsAPage(t *testing.T) {
 	s := NewMem(MemConfig{Stripes: 1})
-	if err := s.Set("ns", "k", 1); err != nil {
+	if err := s.Set("ns", "k", num(1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := cap(s.stripes[0].chunks[0]); got != pageSize {
@@ -162,7 +162,7 @@ func TestPageResizeUnmapsOldTable(t *testing.T) {
 				}
 			}
 		}
-		if err := s.Set("ns", windowedKey(i), i); err != nil {
+		if err := s.Set("ns", windowedKey(i), num(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,7 +191,7 @@ func TestPageDroppedStoresUnmap(t *testing.T) {
 		}
 		s := NewMem(cfg)
 		for j := 0; j < 500; j++ {
-			if err := s.Set(fmt.Sprint("ns", j%3), windowedKey(j), j); err != nil {
+			if err := s.Set(fmt.Sprint("ns", j%3), windowedKey(j), num(j)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -8,11 +8,10 @@
 // tests substitute it by embedding.
 //
 // Semantics every Backend must provide (the Redis subset Turbo relies
-// on): namespaced string keys with values encoded by EncodeValue (the
-// value's own FastEncoder bytes — every cache entry — gob otherwise),
-// guarded delete (CompareDelete — the stale-entry invalidation
-// primitive), namespace scans, and per-namespace export/import for
-// snapshot sections. Backends
+// on): namespaced string keys with values in their own fixed-layout
+// codec (FastEncoder / FastDecoder — every cache entry), guarded delete
+// (CompareDelete — the stale-entry invalidation primitive), namespace
+// scans, and per-namespace export/import for snapshot sections. Backends
 // are free to evict under memory pressure: the caching layers treat every
 // entry as a re-derivable DP release, so a missing key is a cache miss
 // that re-executes — and re-pays — through the session's single-flight
@@ -21,28 +20,16 @@
 // Backend entry.
 package store
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-)
-
-// FastEncoder is implemented by values that provide their own fixed-layout
-// binary encoding. Backends recognize it and store AppendFast's bytes
-// verbatim instead of running the value through gob — the hot-entry codec
-// seam: a cache entry is written once per miss fill and decoded on the
-// read that promotes it into the exact cache's fast map (and on every
-// later read that finds it displaced from there), and gob's reflection
-// plus type preamble would dominate both. Implementations must be deterministic (CompareDelete's guarded
+// FastEncoder is the encode side of a stored value's codec: every value a
+// Backend stores brings its own fixed-layout binary encoding, and the
+// backend keeps AppendFast's bytes verbatim. A cache entry is written once
+// per miss fill and decoded on the read that promotes it into the exact
+// cache's fast map (and on every later read that finds it displaced from
+// there), so the codec is straight-line code with no reflection.
+// Implementations must be deterministic (CompareDelete's guarded
 // invalidation compares stored bytes against a re-encoding) and
-// self-identifying (a tag/length FastDecoder can recognize), so old
-// gob-encoded bytes — imported from pre-codec snapshots — still fall back
-// to gob cleanly.
-//
-// The methods are deliberately NOT the standard encoding.BinaryMarshaler
-// names: gob itself consults that interface, and adopting it would
-// silently change how these values encode inside every existing gob
-// stream, breaking old snapshot payloads.
+// self-identifying (a tag/length FastDecoder can recognize), so bytes of
+// another type are refused rather than misread.
 //
 // A backend may call either method while holding one of its locks, on
 // bytes inside its own storage (Mem encodes into and decodes out of its
@@ -54,39 +41,11 @@ type FastEncoder interface {
 	AppendFast(dst []byte) []byte
 }
 
-// FastDecoder is the decode side of the hot-entry codec. DecodeFast
+// FastDecoder is the decode side of a stored value's codec. DecodeFast
 // reports whether data was recognized as this codec's wire format (and
-// decoded); unrecognized bytes make the backend fall back to gob.
+// decoded); a Get whose bytes it refuses is a poisoned entry.
 type FastDecoder interface {
 	DecodeFast(data []byte) bool
-}
-
-// EncodeValue encodes a value the way every Backend stores it: through
-// the value's FastEncoder when implemented, gob otherwise. Backends share
-// it so stored bytes stay comparable across implementations (CompareDelete
-// and snapshot round-trips depend on that).
-func EncodeValue(ns, k string, value any) ([]byte, error) {
-	if fe, ok := value.(FastEncoder); ok {
-		return fe.AppendFast(nil), nil
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(value); err != nil {
-		return nil, fmt.Errorf("store: encode %s:%q: %w", ns, k, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeValue decodes stored bytes into out (a pointer): the out value's
-// FastDecoder first when implemented and the bytes carry its wire format,
-// gob otherwise.
-func DecodeValue(ns, k string, raw []byte, out any) error {
-	if fd, ok := out.(FastDecoder); ok && fd.DecodeFast(raw) {
-		return nil
-	}
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(out); err != nil {
-		return fmt.Errorf("store: decode %s:%q: %w", ns, k, err)
-	}
-	return nil
 }
 
 // Stats is a point-in-time view of a backend's operation counters and
@@ -124,7 +83,7 @@ type Stats struct {
 	// counted is gone, and the fields stay only as the compile shim
 	// benchmark/trace.go needs (it reads them into
 	// dataset.mask_memo_hit_rate) until the benchmark-only PR that drops
-	// that metric drops them too (ROADMAP item 5).
+	// that metric drops them too (ROADMAP item 14(c)).
 	MaskHits, MaskMisses int64
 }
 
@@ -141,26 +100,26 @@ type Exported struct {
 }
 
 // Backend is the storage interface the caching layers program against.
-// Implementations must be safe for concurrent use. Values are encoded by
-// the backend through EncodeValue; Get decodes into out (a pointer).
+// Implementations must be safe for concurrent use. Values carry their own
+// codec: a value without one does not compile against Backend.
 type Backend interface {
 	// Get loads ns:k into out, reporting whether the key existed.
-	Get(ns, k string, out any) (bool, error)
+	Get(ns, k string, out FastDecoder) (bool, error)
 	// Set stores value under ns:k with zero eviction weight.
-	Set(ns, k string, value any) error
+	Set(ns, k string, value FastEncoder) error
 	// SetWeighted stores value under ns:k with an eviction weight: the
 	// privacy cost (ε, or a δ_G-converted equivalent) that was paid to
 	// materialize the entry. Memory-bounded backends evict high-weight
 	// entries last, since evicting a DP release means re-paying its
 	// budget on recompute; unbounded backends neither use nor keep it.
-	SetWeighted(ns, k string, value any, weight float64) error
+	SetWeighted(ns, k string, value FastEncoder, weight float64) error
 	// Delete removes ns:k, reporting whether it existed.
 	Delete(ns, k string) bool
 	// CompareDelete removes ns:k only if its stored bytes equal the
 	// encoding of expect, reporting whether a delete happened — the
 	// guarded invalidation primitive: a concurrent Set of a fresh value
 	// changes the bytes, so a stale-entry eviction can never erase it.
-	CompareDelete(ns, k string, expect any) bool
+	CompareDelete(ns, k string, expect FastEncoder) bool
 	// Keys returns the sorted keys of a namespace (without the prefix).
 	Keys(ns string) []string
 	// Len returns the total number of stored keys across namespaces.

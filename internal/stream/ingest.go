@@ -316,13 +316,6 @@ func (in *Ingestor) Stats() Stats {
 	}
 }
 
-// pendingState is the "stream/pending" section payload: the arrivals of
-// every submitted-but-unapplied batch, in submission order, batch
-// boundaries preserved.
-type pendingState struct {
-	Batches [][]Arrival
-}
-
 // SnapshotSection implements persist.Snapshotter.
 func (in *Ingestor) SnapshotSection() string { return SectionPending }
 
@@ -344,11 +337,22 @@ func (in *Ingestor) SnapshotPayload() ([]byte, error) {
 	if len(in.pending) == 0 {
 		return nil, nil // omit the section entirely
 	}
-	st := pendingState{Batches: make([][]Arrival, len(in.pending))}
-	for i, b := range in.pending {
-		st.Batches[i] = b.arrivals
+	// The "stream/pending" section: the arrivals of every submitted-but-
+	// unapplied batch, in submission order, batch boundaries preserved —
+	// the batch count, then per batch its arrival count, then per arrival
+	// its per-bin counts (none for an empty partition).
+	var e persist.Encoder
+	e.PutUvarint(uint64(len(in.pending)))
+	for _, b := range in.pending {
+		e.PutUvarint(uint64(len(b.arrivals)))
+		for _, a := range b.arrivals {
+			e.PutUvarint(uint64(len(a.Counts)))
+			for _, c := range a.Counts {
+				e.PutInt(c)
+			}
+		}
 	}
-	return persist.Encode(st)
+	return e.Payload(), nil
 }
 
 // RestorePayload re-enqueues a snapshot's pending batches on this
@@ -361,16 +365,28 @@ func (in *Ingestor) SnapshotPayload() ([]byte, error) {
 // batches (see SnapshotPayload). The ingestor must not be quiesced
 // during a restore (a paused worker would never apply the batches).
 func (in *Ingestor) RestorePayload(payload []byte) error {
-	var st pendingState
-	if err := persist.Decode(payload, &st); err != nil {
+	d := persist.NewDecoder(payload)
+	batches := make([][]Arrival, d.Count(1))
+	for i := range batches {
+		batches[i] = make([]Arrival, d.Count(1))
+		for j := range batches[i] {
+			if n := d.Count(1); n > 0 {
+				batches[i][j].Counts = make([]int, n)
+				for k := range batches[i][j].Counts {
+					batches[i][j].Counts[k] = d.Int()
+				}
+			}
+		}
+	}
+	if err := d.Finish(); err != nil {
 		return err
 	}
-	for i, arrivals := range st.Batches {
+	for i, arrivals := range batches {
 		if err := in.validate(arrivals); err != nil {
 			return fmt.Errorf("stream: restored batch %d: %w", i, err)
 		}
 	}
-	tickets, err := in.enqueue(st.Batches, false)
+	tickets, err := in.enqueue(batches, false)
 	if err != nil {
 		return err
 	}

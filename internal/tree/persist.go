@@ -3,6 +3,10 @@
 // on export — a restored tree re-initializes SVs on first use, which
 // costs one 3ε_SV payment per node set but is always privacy-safe (a
 // persisted noisy threshold could otherwise be replayed inconsistently).
+//
+// The section's layout: the node count, then per node its interval's
+// start and end, the histogram's weights and counts (float slices) and
+// update count, and the thresholds (a float slice, empty if untouched).
 
 package tree
 
@@ -26,21 +30,35 @@ func (t *Tree) SnapshotSection() string { return SectionNodes }
 // shards (histograms, heuristic thresholds); sparse vectors are dropped
 // by design (see the file comment).
 func (t *Tree) SnapshotPayload() ([]byte, error) {
-	return persist.Encode(treeState{Nodes: t.ExportNodes()})
+	nodes := t.ExportNodes()
+	var e persist.Encoder
+	e.PutUvarint(uint64(len(nodes)))
+	for _, n := range nodes {
+		e.PutInt(n.IV.Start)
+		e.PutInt(n.IV.End)
+		e.PutFloats(n.Hist.Weights)
+		e.PutFloats(n.Hist.Counts)
+		e.PutInt(n.Hist.Updates)
+		e.PutFloats(n.Thresholds)
+	}
+	return e.Payload(), nil
 }
 
 // RestorePayload rebuilds node state from a snapshot into a fresh tree.
 func (t *Tree) RestorePayload(payload []byte) error {
-	var st treeState
-	if err := persist.Decode(payload, &st); err != nil {
+	d := persist.NewDecoder(payload)
+	nodes := make([]NodeState, d.Count(6))
+	for i := range nodes {
+		nodes[i] = NodeState{
+			IV:         interval.Node{Start: d.Int(), End: d.Int()},
+			Hist:       histogram.State{Weights: d.Floats(), Counts: d.Floats(), Updates: d.Int()},
+			Thresholds: d.Floats(),
+		}
+	}
+	if err := d.Finish(); err != nil {
 		return err
 	}
-	return t.RestoreNodes(st.Nodes)
-}
-
-// treeState is the tree section payload.
-type treeState struct {
-	Nodes []NodeState
+	return t.RestoreNodes(nodes)
 }
 
 // NodeState is the serializable state of one tree node.

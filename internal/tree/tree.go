@@ -241,7 +241,6 @@ func New(cfg Config, exec *dataset.Executor, block *accountant.Block, be store.B
 		if err != nil {
 			return nil, fmt.Errorf("tree: node exact cache: %w", err)
 		}
-		c.SetDomain(exec.Dataset().Domain())
 		t.cache = c
 	}
 	return t, nil
