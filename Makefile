@@ -47,7 +47,7 @@ scorecard:
 # toolchain change re-measures it. It also fails when turbo-server links
 # a package it must not: encoding/gob (snapshot sections have their own
 # codec) or net/http/pprof.
-CEILINGS = 18449 17 1 9788918
+CEILINGS = 17824 17 1 9791358
 BANNED_DEPS = encoding/gob net/http/pprof
 
 scorecard-check:

@@ -17,8 +17,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -66,8 +64,6 @@ func main() {
 		queries  = flag.Int("queries", 0, "override workload length")
 		weeks    = flag.Int("weeks", 0, "override partition count")
 		rows     = flag.Int("rows", 0, "override synthetic dataset rows (both datasets)")
-		parallel = flag.String("parallel", "", "goroutine counts for -exp=scaling, e.g. 1,2,4,8,16")
-		arrivals = flag.String("arrivals", "", "queries-per-arrival ratios for -exp=streaming, e.g. 400,100,25")
 		baseline = flag.String("baseline", "", "for -exp=misspath: JSON trajectory file whose FIRST misspath record supplies the treemiss-qps baseline for the 10x hard gate (missing file or empty flag skips the gate)")
 		jsonOut  = flag.String("json", "", "also write machine-readable results (a JSON array) to FILE")
 	)
@@ -100,16 +96,6 @@ func main() {
 		sc.CovidRows = *rows
 		sc.CitiBikeRows = *rows
 	}
-	if *parallel != "" {
-		for _, part := range strings.Split(*parallel, ",") {
-			w, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || w < 1 {
-				fmt.Fprintf(os.Stderr, "turbo-bench: bad -parallel value %q\n", part)
-				os.Exit(2)
-			}
-			sc.Workers = append(sc.Workers, w)
-		}
-	}
 	if *baseline != "" {
 		base, err := loadTreeMissBaseline(*baseline)
 		if err != nil {
@@ -117,16 +103,6 @@ func main() {
 			os.Exit(2)
 		}
 		sc.TreeMissBaseline = base
-	}
-	if *arrivals != "" {
-		for _, part := range strings.Split(*arrivals, ",") {
-			r, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || r < 1 {
-				fmt.Fprintf(os.Stderr, "turbo-bench: bad -arrivals value %q\n", part)
-				os.Exit(2)
-			}
-			sc.ArrivalRatios = append(sc.ArrivalRatios, r)
-		}
 	}
 
 	var todo []bench.Experiment

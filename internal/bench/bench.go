@@ -42,12 +42,6 @@ type Scale struct {
 	CovidRows, CitiBikeRows int
 	// Checkpoints is the number of points recorded per budget curve.
 	Checkpoints int
-	// Workers is the goroutine ladder for the concurrency scaling
-	// experiment; nil uses DefaultWorkers.
-	Workers []int
-	// ArrivalRatios is the queries-per-arrival ladder for the streaming
-	// ingestion experiment; nil uses DefaultArrivalRatios.
-	ArrivalRatios []int
 	// TreeMissBaseline maps domain size (bins) to the committed
 	// treemiss-qps baseline for -exp=misspath (turbo-bench -baseline
 	// loads it from the first record of BENCH_misspath.json). When a

@@ -23,8 +23,7 @@ const goldenPath = "testdata/paper_small.json"
 // timings, throughputs, heap sizes or allocation counts, which no two runs
 // repeat.
 var wallClock = map[string]bool{
-	"fig11d": true, "scaling": true, "streaming": true, "checkpoint": true,
-	"cache-pressure": true, "misspath": true, "batch": true,
+	"fig11d": true, "cache-pressure": true, "misspath": true, "batch": true,
 }
 
 // TestPaperGolden reruns every deterministic experiment at ScaleSmall and

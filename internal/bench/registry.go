@@ -41,9 +41,6 @@ var Experiments = []Experiment{
 	{"rdp", "ablation: RDP vs pure-DP composition (§A.6)", RDPvsPure},
 	{"rdp-capacity", "App. B: pure-ε vs Rényi admission capacity (partitioned CitiBike)", RDPCapacity},
 	{"drain", "ablation: adversarial budget drain and §A.5 cutoff", AdversarialDrain},
-	{"scaling", "concurrency: sharded pipeline throughput vs global-mutex seed", Scaling},
-	{"streaming", "streaming ingestion: arrivals interleaved with queries (batched epochs + eager warm-start)", Streaming},
-	{"checkpoint", "durability: snapshot/restore latency and post-restore cache hit-rate vs cold start (internal/persist)", Checkpoint},
 	{"cache-pressure", "storage: bounded (privacy-cost-aware SLRU) vs unbounded backend hit-rate and resident bytes at 2x-cap working set", CachePressure},
 	{"misspath", "perf: hit / exact-miss / tree-miss / tree-hit throughput and allocs/op", MissPath},
 	{"batch", "batch plane: AnswerBatch at sizes 1/4/16/64 on a zipf-shared workload — answers/sec, admission lock acquisitions/query, allocs/query", Batch},

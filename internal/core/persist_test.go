@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -635,104 +637,148 @@ func TestSaveLoadGaussianMidStream(t *testing.T) {
 	}
 }
 
-// TestSaveLoadGaussianTreeProperty is the snapshot-equivalence property
-// test: a Gaussian tree-mode session's noise-free internals — budget
-// books (scalar and curve), cache contents, dedup and per-source
+// TestSaveLoadTreeProperty is the snapshot-equivalence property test: a
+// tree-mode session's noise-free internals — budget books (scalar and,
+// under Gaussian accounting, curve), cache contents, dedup and per-source
 // counters, warm node state — are identical before SaveState and after
 // LoadState, and both sessions answer the full asked-so-far workload
-// identically (free exact hits) afterwards.
-func TestSaveLoadGaussianTreeProperty(t *testing.T) {
-	dom, ds := buildDS(t, 4)
-	cfg := defaultCfg(Streaming)
-	cfg.Gaussian = true
-	cfg.DeltaGlobal = 1e-6
-	cfg.NodeExactCache = true
-	s1, err := NewSession(cfg, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Seeded pseudo-random workload over random windows, with a
-	// mid-stream append, repeats included (so dedup/exact paths engage).
-	rng := rand.New(rand.NewSource(7))
-	var asked []*query.Query
-	for i := 0; i < 60; i++ {
-		if i == 30 {
-			w, err := s1.AppendPartition()
+// identically (free exact hits) afterwards. It runs under both accounting
+// modes on one and four shards, and once through a snapshot file.
+func TestSaveLoadTreeProperty(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		mode     Mode
+		gaussian bool
+		shards   int
+		file     bool
+	}{
+		{"pure-partitioned-shards1", Partitioned, false, 1, false},
+		{"pure-partitioned-shards4", Partitioned, false, 4, false},
+		{"gaussian-streaming-shards1", Streaming, true, 1, false},
+		{"gaussian-streaming-shards4", Streaming, true, 4, false},
+		{"pure-partitioned-shards4-file", Partitioned, false, 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dom, ds := buildDS(t, 4)
+			cfg := defaultCfg(tc.mode)
+			cfg.Gaussian = tc.gaussian
+			if tc.gaussian {
+				cfg.DeltaGlobal = 1e-6
+			}
+			cfg.NodeExactCache = true
+			cfg.Shards = tc.shards
+			s1, err := NewSession(cfg, ds)
 			if err != nil {
 				t.Fatal(err)
 			}
-			loadWeek(ds, dom, w)
-		}
-		var q *query.Query
-		if len(asked) > 0 && rng.Intn(3) == 0 {
-			q = asked[rng.Intn(len(asked))] // repeat
-		} else {
-			parts := ds.Partitions()
-			s := rng.Intn(parts)
-			e := s + rng.Intn(parts-s)
-			q = query.MustNew(dom, map[int][]int{0: {rng.Intn(2)}, 1: {rng.Intn(4)}}).WithWindow(s, e)
-		}
-		asked = append(asked, q)
-		if _, err := s1.Answer(q); err != nil {
-			t.Fatal(err)
-		}
-	}
 
-	var buf bytes.Buffer
-	if err := s1.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewSession(cfg, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.LoadState(&buf); err != nil {
-		t.Fatal(err)
-	}
+			// Seeded pseudo-random workload over random windows, with a
+			// mid-stream append, repeats included (so dedup/exact paths
+			// engage).
+			rng := rand.New(rand.NewSource(7))
+			var asked []*query.Query
+			for i := 0; i < 60; i++ {
+				if i == 30 {
+					w, err := s1.AppendPartition()
+					if err != nil {
+						t.Fatal(err)
+					}
+					loadWeek(ds, dom, w)
+				}
+				var q *query.Query
+				if len(asked) > 0 && rng.Intn(3) == 0 {
+					q = asked[rng.Intn(len(asked))] // repeat
+				} else {
+					parts := ds.Partitions()
+					s := rng.Intn(parts)
+					e := s + rng.Intn(parts-s)
+					q = query.MustNew(dom, map[int][]int{0: {rng.Intn(2)}, 1: {rng.Intn(4)}}).WithWindow(s, e)
+				}
+				asked = append(asked, q)
+				if _, err := s1.Answer(q); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	// Noise-free internals agree exactly.
-	requireEqualRDP(t, s1, s2)
-	v1, v2 := s1.Accountant().SpentVector(), s2.Accountant().SpentVector()
-	for p := range v1 {
-		if v1[p] != v2[p] {
-			t.Fatalf("partition %d scalar spend %g != %g", p, v2[p], v1[p])
-		}
-	}
-	if s2.Queries() != s1.Queries() || s2.Deduped() != s1.Deduped() {
-		t.Fatalf("counters %d/%d, want %d/%d", s2.Queries(), s2.Deduped(), s1.Queries(), s1.Deduped())
-	}
-	c1, c2 := s1.SourceCounts(), s2.SourceCounts()
-	for src, n := range c1 {
-		if c2[src] != n {
-			t.Fatalf("source %s count %d, want %d", src, c2[src], n)
-		}
-	}
-	if s2.Tree().Nodes() != s1.Tree().Nodes() {
-		t.Fatalf("restored %d nodes, want %d", s2.Tree().Nodes(), s1.Tree().Nodes())
-	}
-	if s2.ExactCache().Len() != s1.ExactCache().Len() {
-		t.Fatalf("restored cache %d entries, want %d", s2.ExactCache().Len(), s1.ExactCache().Len())
-	}
+			s2, err := NewSession(cfg, ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.file {
+				path := filepath.Join(t.TempDir(), "state.snap")
+				if err := persist.WriteFileAtomic(path, s1.SaveState); err != nil {
+					t.Fatal(err)
+				}
+				f, err := os.Open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				if err := s2.LoadState(f); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				var buf bytes.Buffer
+				if err := s1.SaveState(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if err := s2.LoadState(&buf); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	// Every asked query now answers identically on both sessions, for
-	// free: the exact caches carry the released answers.
-	spent1, spent2 := s1.AverageSpent(), s2.AverageSpent()
-	for _, q := range asked {
-		a1, err1 := s1.Answer(q)
-		a2, err2 := s2.Answer(q)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if a1.Value != a2.Value {
-			t.Fatalf("replay %v: %g != %g", q, a2.Value, a1.Value)
-		}
-		if a1.Source != SourceExactHit || a2.Source != SourceExactHit {
-			t.Fatalf("replay %v: sources %s/%s, want exact hits", q, a1.Source, a2.Source)
-		}
-	}
-	if s1.AverageSpent() != spent1 || s2.AverageSpent() != spent2 {
-		t.Fatal("replay consumed budget")
+			// Noise-free internals agree exactly.
+			if tc.gaussian {
+				requireEqualRDP(t, s1, s2)
+			}
+			v1, v2 := s1.Accountant().SpentVector(), s2.Accountant().SpentVector()
+			if len(v1) != len(v2) {
+				t.Fatalf("books cover %d and %d partitions", len(v1), len(v2))
+			}
+			for p := range v1 {
+				if v1[p] != v2[p] {
+					t.Fatalf("partition %d scalar spend %g != %g", p, v2[p], v1[p])
+				}
+			}
+			if s2.Queries() != s1.Queries() || s2.Deduped() != s1.Deduped() {
+				t.Fatalf("counters %d/%d, want %d/%d", s2.Queries(), s2.Deduped(), s1.Queries(), s1.Deduped())
+			}
+			c1, c2 := s1.SourceCounts(), s2.SourceCounts()
+			for src, n := range c1 {
+				if c2[src] != n {
+					t.Fatalf("source %s count %d, want %d", src, c2[src], n)
+				}
+			}
+			if s2.Tree().Nodes() != s1.Tree().Nodes() {
+				t.Fatalf("restored %d nodes, want %d", s2.Tree().Nodes(), s1.Tree().Nodes())
+			}
+			if s2.ExactCache().Len() != s1.ExactCache().Len() {
+				t.Fatalf("restored cache %d entries, want %d", s2.ExactCache().Len(), s1.ExactCache().Len())
+			}
+
+			// Every asked query now answers identically on both sessions,
+			// for free: the exact caches carry the released answers.
+			spent1, spent2 := s1.AverageSpent(), s2.AverageSpent()
+			if spent1 == 0 {
+				t.Fatal("workload spent nothing: the replay check would be vacuous")
+			}
+			for _, q := range asked {
+				a1, err1 := s1.Answer(q)
+				a2, err2 := s2.Answer(q)
+				if err1 != nil || err2 != nil {
+					t.Fatal(err1, err2)
+				}
+				if a1.Value != a2.Value {
+					t.Fatalf("replay %v: %g != %g", q, a2.Value, a1.Value)
+				}
+				if a1.Source != SourceExactHit || a2.Source != SourceExactHit {
+					t.Fatalf("replay %v: sources %s/%s, want exact hits", q, a1.Source, a2.Source)
+				}
+			}
+			if s1.AverageSpent() != spent1 || s2.AverageSpent() != spent2 {
+				t.Fatal("replay consumed budget")
+			}
+		})
 	}
 }
 

@@ -17,8 +17,8 @@
 // One worker goroutine applies epochs; any number of producers may Submit
 // concurrently. Submissions made while an epoch is being applied coalesce
 // into the next epoch, so a burst of B batches costs O(1) epochs rather
-// than B lock round-trips per layer — the batched AppendPartition the
-// streaming evaluation drives (turbo-bench -exp=streaming).
+// than B lock round-trips per layer — the batched AppendPartition that
+// benchmark/'s stream_mix workload drives through POST /append.
 //
 // Two operational concerns ride on the same queue:
 //
@@ -422,14 +422,20 @@ func (in *Ingestor) worker() {
 		in.applying = len(batch)
 		in.mu.Unlock()
 		in.applyEpoch(batch)
+		// applying drops before any ticket resolves, so a producer whose
+		// Wait just returned never counts its own batch in Stats().Pending.
 		in.mu.Lock()
 		in.applying = 0
+		for _, b := range batch {
+			close(b.ticket.done)
+		}
 		in.drained.Broadcast()
 	}
 }
 
 // applyEpoch ingests the coalesced batches in the accountants-first order
-// the package comment documents.
+// the package comment documents. It fills in the tickets; the worker
+// closes them once the epoch no longer counts as applying.
 func (in *Ingestor) applyEpoch(batch []pendingBatch) {
 	k := 0
 	for _, b := range batch {
@@ -439,7 +445,6 @@ func (in *Ingestor) applyEpoch(batch []pendingBatch) {
 	if err != nil {
 		for _, b := range batch {
 			b.ticket.err = err
-			close(b.ticket.done)
 		}
 		return
 	}
@@ -477,8 +482,5 @@ func (in *Ingestor) applyEpoch(batch []pendingBatch) {
 				in.warmed.Add(1)
 			}
 		}
-	}
-	for _, b := range batch {
-		close(b.ticket.done)
 	}
 }
