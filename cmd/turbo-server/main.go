@@ -63,7 +63,7 @@ func main() {
 		shards      = flag.Int("shards", runtime.NumCPU(), "concurrent executor shards (partitioned modes)")
 		statePath   = flag.String("state", "", "snapshot file: restored at boot if present, written atomically on SIGINT/SIGTERM")
 		backlog     = flag.Int("append-backlog", 0, "bound on queued /append batches; overflow sheds with 503 (0 = unbounded)")
-		storeMaxMB  = flag.Int("store-max-mb", 0, "cache-store bound in MiB of payload (key + value bytes, what /schema reports); resident memory, /schema's resident_bytes, is about 1.7x that (0 = bytes unbounded). Either bound > 0 makes the store a segmented LRU with privacy-cost-aware eviction")
+		storeMaxMB  = flag.Int("store-max-mb", 0, "cache-store bound in MiB of payload (key + value bytes, what /schema reports); resident memory, /schema's resident_bytes, is about 1.5x that (0 = bytes unbounded). Either bound > 0 makes the store a segmented LRU")
 		storeMaxEnt = flag.Int("store-max-entries", 0, "resident cache-store entry bound (0 = entries unbounded)")
 		ckptEvery   = flag.Duration("checkpoint-interval", 0, "background checkpoint period for -state (0 disables; failures log and retry next tick)")
 	)
@@ -184,9 +184,9 @@ func main() {
 	}
 	fmt.Printf("turbo-server: %s over %s (%d rows, %d partitions) with (α=%g, β=%g), %s, %d shards\n",
 		m, ds.Domain(), ds.NRowsAll(), ds.Partitions(), *alpha, *beta, guarantee, *shards)
-	endpoints := "POST /query, GET /budget, GET /schema, GET /snapshot, POST /restore"
+	endpoints := "POST /query, POST /query/batch, POST /groupby, GET /budget, GET /schema, GET /snapshot, POST /restore"
 	if m != core.NonPartitioned {
-		endpoints = "POST /query, POST /append, GET /budget, GET /schema, GET /snapshot, POST /restore"
+		endpoints = "POST /query, POST /query/batch, POST /groupby, POST /append, GET /budget, GET /schema, GET /snapshot, POST /restore"
 	}
 	fmt.Printf("listening on http://%s  (%s)\n", *addr, endpoints)
 	// A client that opens a connection and never finishes its request

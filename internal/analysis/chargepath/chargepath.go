@@ -15,7 +15,7 @@
 //     core, engine). A private measurement accountant elsewhere takes a
 //     //turbo:allow(chargepath) annotation with justification.
 //
-//  3. A cache fill ((*cache.Exact).Put, Backend.SetWeighted) outside the
+//  3. A cache fill ((*cache.Exact).Put, store.Backend.Set) outside the
 //     storage packages must sit in a function from which an admission
 //     result is reachable: the function — or a same-package function it
 //     transitively calls — either invokes an accountant payment/admission
@@ -133,17 +133,18 @@ func admissionEvidence(callee *types.Func) bool {
 }
 
 // cacheFill classifies a callee as a cache/backend write: Put or PutKey
-// on cache.Exact, or any SetWeighted method (the Backend interface and
-// every implementation).
+// on cache.Exact, or Set on store.Backend or *store.Mem (a type that
+// embeds Backend reaches the interface's method).
 func cacheFill(callee *types.Func) bool {
-	if callee == nil {
+	if callee == nil || callee.Pkg() == nil {
 		return false
 	}
+	pkg, recv := callee.Pkg().Name(), recvNamed(callee)
 	switch callee.Name() {
-	case "SetWeighted":
-		return true
+	case "Set":
+		return pkg == "store" && (recv == "Backend" || recv == "Mem")
 	case "Put", "PutKey":
-		return callee.Pkg() != nil && callee.Pkg().Name() == "cache" && recvNamed(callee) == "Exact"
+		return pkg == "cache" && recv == "Exact"
 	}
 	return false
 }

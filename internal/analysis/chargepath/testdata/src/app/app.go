@@ -5,6 +5,7 @@ package app
 import (
 	"accountant"
 	"cache"
+	"store"
 )
 
 // Rule 1: spend-state mutation outside internal/accountant.
@@ -50,13 +51,22 @@ func fillUnpaid(c *cache.Exact) {
 	c.Put("k", 1) // want `cache fill \(Put\) with no admission result`
 }
 
-type weightedBackend struct{}
-
-func (weightedBackend) SetWeighted(k string, v float64, w int) {}
-
-func fillBackendUnpaid(b weightedBackend) {
-	b.SetWeighted("k", 1, 8) // want `cache fill \(SetWeighted\) with no admission result`
+// A backend write is a fill too, through the interface or the store
+// itself.
+func fillBackendUnpaid(b store.Backend) {
+	_ = b.Set("ns", "k", 1) // want `cache fill \(Set\) with no admission result`
 }
+
+func fillMemUnpaid(m *store.Mem) {
+	_ = m.Set("ns", "k", 1) // want `cache fill \(Set\) with no admission result`
+}
+
+// A Set on anything but the store is not a cache fill.
+type header map[string]string
+
+func (h header) Set(k, v string) { h[k] = v }
+
+func setHeader(h header) { h.Set("Content-Type", "application/json") }
 
 // result carries the Paid field every mechanism result exposes; a call
 // returning it is admission evidence.
@@ -70,6 +80,11 @@ func admit() result { return result{Paid: true} }
 func fillPaid(c *cache.Exact) {
 	r := admit()
 	c.Put("k", r.Value)
+}
+
+func fillBackendPaid(b store.Backend) {
+	r := admit()
+	_ = b.Set("ns", "k", r.Value)
 }
 
 // Evidence through a same-package helper also counts.

@@ -347,6 +347,11 @@ func (e *Env) feed(w int) { _ = e.DS.BulkLoad(w, e.week(w)) }
 // partitioned modes use the §6.3 heuristic (Covid (50,1), CitiBike (1,1))
 // and per-node exact caches.
 func (e *Env) session(mode core.Mode, structure tree.Structure, seed uint64) (*core.Session, error) {
+	return core.NewSession(e.config(mode, structure, seed), e.DS)
+}
+
+// config is the Config session builds its session from.
+func (e *Env) config(mode core.Mode, structure tree.Structure, seed uint64) core.Config {
 	cfg := core.Config{
 		Mode:  mode,
 		Alpha: e.Alpha, Beta: e.Beta, EpsilonGlobal: e.EpsG,
@@ -361,5 +366,5 @@ func (e *Env) session(mode core.Mode, structure tree.Structure, seed uint64) (*c
 		cfg.NodeExactCache = true
 	}
 	cfg.Heuristic = func() heuristic.Heuristic { return heuristic.NewAdaptivePerBin(c0, s0) }
-	return core.NewSession(cfg, e.DS)
+	return cfg
 }

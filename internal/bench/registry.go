@@ -41,7 +41,7 @@ var Experiments = []Experiment{
 	{"rdp", "ablation: RDP vs pure-DP composition (§A.6)", RDPvsPure},
 	{"rdp-capacity", "App. B: pure-ε vs Rényi admission capacity (partitioned CitiBike)", RDPCapacity},
 	{"drain", "ablation: adversarial budget drain and §A.5 cutoff", AdversarialDrain},
-	{"cache-pressure", "storage: bounded (privacy-cost-aware SLRU) vs unbounded backend hit-rate and resident bytes at 2x-cap working set", CachePressure},
+	{"evict", "storage: capped (segmented LRU) vs uncapped store, final avg budget and re-executions at caps of 1/4, 1/2 and 1x the working set", Evict},
 	{"misspath", "perf: hit / exact-miss / tree-miss / tree-hit throughput and allocs/op", MissPath},
 	{"batch", "batch plane: AnswerBatch at sizes 1/4/16/64 on a zipf-shared workload — answers/sec, admission lock acquisitions/query, allocs/query", Batch},
 }

@@ -76,10 +76,10 @@ func TestBackendEntryCodecPath(t *testing.T) {
 	}
 	for name, b := range backends {
 		e := Entry{Value: 0.5, Eps: 0.1, Version: 3}
-		if err := b.SetWeighted("c", "k", e, e.Eps); err != nil {
+		if err := b.Set("c", "k", e); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		raw := b.ExportNamespace("c")["k"].Val
+		raw := b.ExportNamespace("c")["k"]
 		if len(raw) != entryWireLen || raw[0] != entryTag {
 			t.Fatalf("%s: stored bytes %x are not the codec format", name, raw)
 		}

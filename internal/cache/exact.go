@@ -11,9 +11,7 @@
 // Caches program against the pluggable store.Backend interface rather
 // than a concrete store, so the same cache runs over the in-memory store
 // capped or not. Entries are written through the fixed 25-byte codec
-// (codec.go) with their privacy cost as eviction weight (Put's eps): under
-// memory pressure a bounded backend evicts the releases that are cheapest
-// to re-pay. A backend eviction is indistinguishable from a miss here —
+// (codec.go). A backend eviction is indistinguishable from a miss here —
 // the query re-executes, and re-pays, through the session's single-flight
 // path, so eviction can never corrupt the accountant.
 package cache
@@ -256,9 +254,8 @@ func (c *Exact) getKeyed(st *exactStripe, key string, version int) (Entry, bool)
 	return stored, true
 }
 
-// Put stores a freshly-computed DP result; eps — the budget paid to
-// produce it — doubles as the entry's eviction weight, so a bounded
-// backend under pressure keeps the releases that are expensive to re-pay.
+// Put stores a freshly-computed DP result and eps, the budget paid to
+// produce it.
 func (c *Exact) Put(q *query.Query, version int, value, eps float64) error {
 	return c.putKeyed(c.stripeFor(q), q.KeyWithWindow(), version, value, eps)
 }
@@ -270,7 +267,7 @@ func (c *Exact) Put(q *query.Query, version int, value, eps float64) error {
 // version, so a Get at the new version invalidates them on sight, exactly
 // as it does a stale backend entry.
 func (c *Exact) putKeyed(st *exactStripe, key string, version int, value, eps float64) error {
-	if err := c.store.SetWeighted(st.ns, key, Entry{Value: value, Eps: eps, Version: version}, eps); err != nil {
+	if err := c.store.Set(st.ns, key, Entry{Value: value, Eps: eps, Version: version}); err != nil {
 		return err
 	}
 	if !c.filled.Load() { // a load, not a store: fills on every shard share the line
@@ -357,7 +354,7 @@ func (c *Exact) SnapshotPayload() ([]byte, error) {
 		sort.Strings(ss.Keys)
 		ss.Vals = make([][]byte, len(ss.Keys))
 		for j, k := range ss.Keys {
-			ss.Vals[j] = data[k].Val
+			ss.Vals[j] = data[k]
 		}
 		stripes[i] = ss
 	}
@@ -417,7 +414,7 @@ func (c *Exact) StagePayload(payload []byte) (func() error, error) {
 			s.mu.Unlock()
 		}
 		for _, r := range entries {
-			if err := c.store.SetWeighted(r.st.ns, r.key, r.e, r.e.Eps); err != nil {
+			if err := c.store.Set(r.st.ns, r.key, r.e); err != nil {
 				return err
 			}
 			c.filled.Store(true)
@@ -433,9 +430,7 @@ func (c *Exact) StagePayload(payload []byte) (func() error, error) {
 // snapshots restore correctly into sessions with any shard count — a
 // checkpoint from a 16-core box restores on an 8-core one. The whole payload
 // is decoded before the first stripe clears (StagePayload), so a bad key
-// or value is a refusal that leaves the cache as it was. Entries restore
-// through SetWeighted with their recorded privacy cost, so a bounded
-// backend's eviction priority survives the round-trip.
+// or value is a refusal that leaves the cache as it was.
 func (c *Exact) RestorePayload(payload []byte) error {
 	apply, err := c.StagePayload(payload)
 	if err != nil {

@@ -438,44 +438,40 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestBoundedBackendEviction drives an exact cache over the bounded
-// segmented-LRU backend: entries evict under the cap, an evicted entry is
-// a plain miss (the caller re-executes and re-pays), and high-ε entries
-// outlive cheap cold ones.
+// segmented-LRU backend: entries evict under the cap, coldest first, an
+// evicted entry is a plain miss (the caller re-executes and re-pays), and
+// an entry in use outlives the one-touch fills around it.
 func TestBoundedBackendEviction(t *testing.T) {
-	be := store.NewMem(store.MemConfig{MaxEntries: 8, Stripes: 1, Sample: 8})
+	be := store.NewMem(store.MemConfig{MaxEntries: 8, Stripes: 1})
 	c, err := NewExactBounded(be, "t", 1) // trivial fast map: expose backend misses
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := query.MustNew(dom(), map[int][]int{0: {1}})
-	// One expensive release among cheap ones.
-	_ = c.Put(base.WithWindow(0, 0), 1, 0.9, 10.0)
+	// The first fill is read after every later one; nobody reads the rest.
+	_ = c.Put(base.WithWindow(0, 0), 1, 0.9, 0.5)
 	for w := 1; w < 32; w++ {
-		_ = c.Put(base.WithWindow(w, w), 1, float64(w), 0.001)
-	}
-	if got := be.Stats().Entries; got > 8 {
-		t.Fatalf("bounded backend holds %d entries, cap 8", got)
-	}
-	if be.Stats().Evictions == 0 {
-		t.Fatal("no evictions under a full cap")
-	}
-	// The expensive entry survived the cheap churn.
-	if e, ok := c.Get(base.WithWindow(0, 0), 1); !ok || e.Value != 0.9 {
-		t.Fatalf("high-cost entry evicted before cheap ones: %+v %v", e, ok)
-	}
-	// An evicted window is a miss, not an error.
-	hitsBefore, _ := c.Stats()
-	evicted := 0
-	for w := 1; w < 32; w++ {
-		if _, ok := c.Get(base.WithWindow(w, w), 1); !ok {
-			evicted++
+		_ = c.Put(base.WithWindow(w, w), 1, float64(w), 0.5)
+		if e, ok := c.Get(base.WithWindow(0, 0), 1); !ok || e.Value != 0.9 {
+			t.Fatalf("fill %d evicted the entry in use: %+v %v", w, e, ok)
 		}
 	}
-	if evicted == 0 {
-		t.Fatal("expected some evicted windows to miss")
+	if got := be.Stats().Entries; got != 8 {
+		t.Fatalf("bounded backend holds %d entries, cap 8", got)
 	}
-	if hitsAfter, _ := c.Stats(); hitsAfter-hitsBefore != 31-evicted {
-		t.Fatalf("hit accounting off: %d hits for %d resident", hitsAfter-hitsBefore, 31-evicted)
+	if got := be.Stats().Evictions; got != 24 {
+		t.Fatalf("%d evictions, want the 24 oldest unread fills", got)
+	}
+	// The oldest unread fills went, each now a miss rather than an error;
+	// the newest seven are still there.
+	hitsBefore, _ := c.Stats()
+	for w := 1; w < 32; w++ {
+		if _, ok := c.Get(base.WithWindow(w, w), 1); ok != (w >= 25) {
+			t.Fatalf("window %d: hit %v, want a hit only for the 7 newest fills", w, ok)
+		}
+	}
+	if hitsAfter, _ := c.Stats(); hitsAfter-hitsBefore != 7 {
+		t.Fatalf("hit accounting off: %d hits for 7 resident", hitsAfter-hitsBefore)
 	}
 }
 

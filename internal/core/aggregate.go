@@ -1,7 +1,6 @@
-// Aggregate helpers over the session: GROUP BY decomposition and
-// average-of-attribute queries built from counting primitives. The paper
+// Average-of-attribute queries built from counting primitives. The paper
 // notes turbo-lib "can be extended to support other types of linear
-// aggregations, such as sums, averages" (§5); these helpers realize the
+// aggregations, such as sums, averages" (§5); AnswerAverage realizes the
 // extension by post-processing per-value counting queries, so every
 // released number still flows through the Turbo pipeline and its
 // accounting.
@@ -14,29 +13,6 @@ import (
 
 	"repro/internal/query"
 )
-
-// GroupResult is one GROUP BY cell's released answer.
-type GroupResult struct {
-	Values []int
-	Answer Answer
-}
-
-// AnswerGroups answers a set of per-group primitive queries (e.g. from
-// sqlparser.ParseGrouped), stopping at the first error. Each group is an
-// independent linear query through the full pipeline, so correlated
-// groups benefit from the shared histogram exactly as §6.1's decomposed
-// CitiBike workload does.
-func (s *Session) AnswerGroups(groups []*query.Query) ([]Answer, error) {
-	out := make([]Answer, len(groups))
-	for i, q := range groups {
-		a, err := s.Answer(q)
-		if err != nil {
-			return out[:i], err
-		}
-		out[i] = a
-	}
-	return out, nil
-}
 
 // AverageResult is a released average with its accuracy bound.
 type AverageResult struct {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/domain"
 	"repro/internal/query"
-	"repro/internal/sqlparser"
 )
 
 // rareDataset holds 10,000 rows of which only 10 are positive.
@@ -21,58 +20,6 @@ func rareDataset(t *testing.T, dom *domain.Domain) *dataset.Dataset {
 		t.Fatal(err)
 	}
 	return ds
-}
-
-func TestAnswerGroups(t *testing.T) {
-	dom, ds := buildDS(t, 1)
-	s, err := NewSession(defaultCfg(NonPartitioned), ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := sqlparser.New(dom)
-	gs, err := p.ParseGrouped("SELECT COUNT(*) FROM covid WHERE p = 1 GROUP BY a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := make([]*query.Query, len(gs.Groups))
-	for i, g := range gs.Groups {
-		queries[i] = g.Query
-	}
-	answers, err := s.AnswerGroups(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(answers) != 4 {
-		t.Fatalf("answers = %d", len(answers))
-	}
-	// Group fractions sum to the base predicate's fraction.
-	base := query.MustNew(dom, map[int][]int{0: {1}})
-	truth, _ := ds.TrueFraction(base, 0, 0)
-	sum := 0.0
-	for _, a := range answers {
-		sum += a.Value
-	}
-	if math.Abs(sum-truth) > 4*0.05 {
-		t.Fatalf("group sum %g vs base truth %g", sum, truth)
-	}
-}
-
-func TestAnswerGroupsStopsOnError(t *testing.T) {
-	dom, ds := buildDS(t, 1)
-	cfg := defaultCfg(NonPartitioned)
-	cfg.EpsilonGlobal = 1e-9
-	s, _ := NewSession(cfg, ds)
-	qs := []*query.Query{
-		query.MustNew(dom, map[int][]int{1: {0}}),
-		query.MustNew(dom, map[int][]int{1: {1}}),
-	}
-	answers, err := s.AnswerGroups(qs)
-	if err == nil {
-		t.Fatal("exhausted session answered groups")
-	}
-	if len(answers) != 0 {
-		t.Fatalf("partial answers = %d, want 0", len(answers))
-	}
 }
 
 func TestAnswerAverage(t *testing.T) {

@@ -37,7 +37,7 @@ func sumSpent(s *Session) float64 {
 func TestEvictedWindowRepaysOnceThroughSingleFlight(t *testing.T) {
 	_, ds := buildDS(t, 8)
 	cfg := defaultCfg(Partitioned)
-	be := store.NewMem(store.MemConfig{MaxEntries: 4, Stripes: 1, Sample: 4})
+	be := store.NewMem(store.MemConfig{MaxEntries: 4, Stripes: 1})
 	cfg.Backend = be
 	cfg.CacheFastEntries = 1 // the fast map must not mask backend evictions
 	s, err := NewSession(cfg, ds)
@@ -122,7 +122,7 @@ func TestEvictionUnderFire(t *testing.T) {
 	cfg := defaultCfg(Streaming)
 	cfg.EpsilonGlobal = 1000
 	cfg.Shards = 4
-	be := store.NewMem(store.MemConfig{MaxEntries: 48, Stripes: 2, Sample: 4})
+	be := store.NewMem(store.MemConfig{MaxEntries: 48, Stripes: 2})
 	cfg.Backend = be
 	cfg.CacheFastEntries = 4
 	cfg.NodeExactCache = true
@@ -213,7 +213,7 @@ func TestEvictionUnderFire(t *testing.T) {
 	}
 	_, ds2 := buildDS(t, 8)
 	cfg2 := cfg
-	cfg2.Backend = store.NewMem(store.MemConfig{MaxEntries: 48, Stripes: 2, Sample: 4})
+	cfg2.Backend = store.NewMem(store.MemConfig{MaxEntries: 48, Stripes: 2})
 	s2, err := NewSession(cfg2, ds2)
 	if err != nil {
 		t.Fatal(err)

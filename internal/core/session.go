@@ -148,9 +148,9 @@ type Config struct {
 	// Backend selects the storage backend every caching layer programs
 	// against (the paper's replaceable Redis tier): nil defaults to the
 	// unbounded in-memory store (store.NewMem with no caps); the same store
-	// built with a cap is the memory-bounded segmented LRU whose eviction
-	// weight is the privacy cost of each entry. Eviction is always safe — an evicted release
-	// re-executes and re-pays through the single-flight path.
+	// built with a cap is the memory-bounded segmented LRU. Eviction is
+	// always safe — an evicted release re-executes and re-pays through the
+	// single-flight path.
 	Backend store.Backend
 	// CacheFastEntries bounds the exact cache's decoded fast map (0 uses
 	// cache.DefaultFastEntries). Tests shrink it to expose backend
@@ -587,8 +587,7 @@ func (s *Session) Tree() *tree.Tree { return s.tree }
 func (s *Session) ExactCache() *cache.Exact { return s.exact }
 
 // StoreStats returns the storage backend's hit/miss/eviction/bytes
-// counters, for /schema's cache section and the cache-pressure
-// experiment.
+// counters, for /schema's cache section and the evict experiment.
 func (s *Session) StoreStats() store.Stats { return s.store.Stats() }
 
 // MemoryBytes reports resident caching-state size: histograms plus the KV

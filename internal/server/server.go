@@ -7,6 +7,10 @@
 //
 //	POST /query    {"sql": "SELECT COUNT(*) FROM t WHERE ..."}
 //	               → {"fraction": .., "count": .., "source": .., "paid": ..}
+//	POST /query/batch {"queries": ["SELECT ...", ...]} → one status and
+//	               result (or error) per statement, in order
+//	POST /groupby  {"sql": "SELECT COUNT(*) FROM t WHERE ... GROUP BY a"}
+//	               → one row per group, each through the /query pipeline
 //	POST /append   {"partitions": [{"counts": [..]}, ...]} → the batch's
 //	               assigned partition index range (streaming ingestion;
 //	               partitioned sessions only)
@@ -551,13 +555,10 @@ type CacheStats struct {
 	ResidentBytes int `json:"resident_bytes"`
 	CapEntries    int `json:"cap_entries,omitempty"`
 	CapBytes      int `json:"cap_bytes,omitempty"`
-	// Hits/Misses/Evictions are backend-level Get/eviction counters;
-	// EvictedCost sums the privacy weight of evicted entries — the ε that
-	// would be re-paid if every evicted release were requested again.
-	Hits        int64   `json:"hits"`
-	Misses      int64   `json:"misses"`
-	Evictions   int64   `json:"evictions"`
-	EvictedCost float64 `json:"evicted_cost"`
+	// Hits/Misses/Evictions are backend-level Get/eviction counters.
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
 	// DecodeErrors counts poisoned entries the backend found undecodable
 	// (deleted and re-executed, never served): a data-integrity signal.
 	DecodeErrors int64 `json:"decode_errors"`
@@ -614,7 +615,6 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 			Hits:          st.Hits,
 			Misses:        st.Misses,
 			Evictions:     st.Evictions,
-			EvictedCost:   st.EvictedCost,
 			DecodeErrors:  st.DecodeErrors,
 			ExactHits:     exactHits,
 			ExactMisses:   exactMisses,

@@ -19,13 +19,13 @@ var bothModes = []struct {
 	resident float64 // gate on resident bytes per entry
 }{
 	{"uncapped", MemConfig{}, 72},
-	{"capped", MemConfig{MaxBytes: 1 << 30, MaxEntries: 1 << 24}, 95},
+	{"capped", MemConfig{MaxBytes: 1 << 30, MaxEntries: 1 << 24}, 87},
 }
 
 // TestResidentBytesPerEntry is the deterministic form of the layout's
 // claim: cached releases under packed windowed keys in two namespaces cost
 // at most 72 resident bytes each — records, bucket tables and chunk slack
-// together — and at most 95 with the LRU extension of a capped store, at
+// together — and at most 87 with the LRU extension of a capped store, at
 // the worst of four entry counts. One count alone can flatter the layout:
 // a table is between half and exactly full, and the stripes' tail chunks,
 // which fill in step, are anywhere from empty to full (at 50,000 entries
@@ -86,19 +86,19 @@ func TestSetGetAllocBudget(t *testing.T) {
 			var v FastEncoder = fastEntry{Value: 1, Eps: 0.1, Version: 1} // boxed once, as cache.Exact's caller pays for it
 			i := 0
 			if allocs := testing.AllocsPerRun(len(keys)-1, func() {
-				if err := s.SetWeighted("session-exact/0", keys[i], v, 0.1); err != nil {
+				if err := s.Set("session-exact/0", keys[i], v); err != nil {
 					t.Fatal(err)
 				}
 				i++
 			}); allocs > 1 {
-				t.Fatalf("SetWeighted of a new key allocates %.2f/op, want <= 1 amortised", allocs)
+				t.Fatalf("Set of a new key allocates %.2f/op, want <= 1 amortised", allocs)
 			}
 			if allocs := testing.AllocsPerRun(200, func() {
-				if err := s.SetWeighted("session-exact/0", keys[7], v, 0.2); err != nil {
+				if err := s.Set("session-exact/0", keys[7], v); err != nil {
 					t.Fatal(err)
 				}
 			}); allocs != 0 {
-				t.Fatalf("in-place SetWeighted allocates %.1f/op, want 0", allocs)
+				t.Fatalf("in-place Set allocates %.1f/op, want 0", allocs)
 			}
 			var out fastEntry
 			if allocs := testing.AllocsPerRun(200, func() {

@@ -14,13 +14,10 @@ import (
 //	[8:12]  valLen in the low 29 bits, dead in the top one; the two between
 //	        are unused
 //	key bytes, value bytes
-//	newer u32 | older u32 | weight f64 | hot u8   present only in a capped store
-//
-// The eviction weight lives with the LRU links: only a capped store's
-// victim selection reads it, so an uncapped record does not carry it.
+//	newer u32 | older u32 | hot u8   present only in a capped store
 const (
 	hdrLen = 12
-	lruLen = 17
+	lruLen = 9
 
 	flagDead  = 1 << 31
 	maxValLen = 1<<29 - 1
@@ -68,25 +65,23 @@ func (r rec) init(ns uint16, k string, valLen int) {
 }
 
 // lru is the extension a capped store's record carries after its value:
-// LRU links, eviction weight and segment. It sits behind the value so that
+// LRU links and segment. It sits behind the value so that
 // an uncapped record is the header, key and value alone, and so that a
 // record's own lengths locate it.
 type lru []byte
 
 func (r rec) lru() lru { return lru(r[r.size():]) }
 
-func (l lru) newer() uint32       { return le.Uint32(l[0:]) }
-func (l lru) older() uint32       { return le.Uint32(l[4:]) }
-func (l lru) weight() float64     { return math.Float64frombits(le.Uint64(l[8:])) }
-func (l lru) setNewer(o uint32)   { le.PutUint32(l[0:], o) }
-func (l lru) setOlder(o uint32)   { le.PutUint32(l[4:], o) }
-func (l lru) setWeight(w float64) { le.PutUint64(l[8:], math.Float64bits(w)) }
-func (l lru) hot() bool           { return l[16] != 0 }
+func (l lru) newer() uint32     { return le.Uint32(l[0:]) }
+func (l lru) older() uint32     { return le.Uint32(l[4:]) }
+func (l lru) setNewer(o uint32) { le.PutUint32(l[0:], o) }
+func (l lru) setOlder(o uint32) { le.PutUint32(l[4:], o) }
+func (l lru) hot() bool         { return l[8] != 0 }
 
 func (l lru) setHot(hot bool) {
-	l[16] = 0
+	l[8] = 0
 	if hot {
-		l[16] = 1
+		l[8] = 1
 	}
 }
 

@@ -28,7 +28,7 @@ func windowedKeys(n int) []string {
 }
 
 // fillWindowed stores one cached release under each key, alternating
-// between two namespaces, and returns the longest single SetWeighted.
+// between two namespaces, and returns the longest single Set.
 func fillWindowed(tb testing.TB, s *Mem, keys []string) time.Duration {
 	var longest time.Duration
 	var v FastEncoder = fastEntry{Value: 1, Eps: 0.1, Version: 1} // boxed once: the fill's allocations are the store's
@@ -38,7 +38,7 @@ func fillWindowed(tb testing.TB, s *Mem, keys []string) time.Duration {
 			ns = "tree-node"
 		}
 		start := time.Now()
-		if err := s.SetWeighted(ns, k, v, 0.1); err != nil {
+		if err := s.Set(ns, k, v); err != nil {
 			tb.Fatal(err)
 		}
 		longest = max(longest, time.Since(start))
@@ -71,7 +71,7 @@ func BenchmarkMemGetMiss(b *testing.B) { benchGet(b, 1, false) }
 // BenchmarkMemFill fills an empty store per iteration. B/op is what the
 // fill allocated on the Go heap: on mapped pages no chunk or table, only
 // the page set's record of them. resident-B/entry is what the store holds;
-// max-set-ns is the longest single SetWeighted (the doubling that relinks
+// max-set-ns is the longest single Set (the doubling that relinks
 // a stripe's ~4k records under its lock, unless a collection lands on a
 // longer one), the least over the iterations.
 func BenchmarkMemFill(b *testing.B) {

@@ -123,11 +123,10 @@ func TestBackendContract(t *testing.T) {
 			}
 		})
 
-		// Nothing is evicted while the store is under its caps, whatever
-		// the weights.
+		// Nothing is evicted while the store is under its caps.
 		sub("no-eviction-under-cap", func(t *testing.T, b Backend) {
 			for i := 0; i < 1000; i++ {
-				if err := b.SetWeighted("ns", fmt.Sprintf("k%d", i), num(i), 0); err != nil {
+				if err := b.Set("ns", fmt.Sprintf("k%d", i), num(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -160,16 +159,12 @@ func TestBackendContract(t *testing.T) {
 
 		sub("export-import", func(t *testing.T, b Backend) {
 			for i := 0; i < 20; i++ {
-				_ = b.SetWeighted("a", fmt.Sprintf("k%d", i), num(i), float64(i))
+				_ = b.Set("a", fmt.Sprintf("k%d", i), num(i))
 			}
 			_ = b.Set("other", "x", num(9))
 			data := b.ExportNamespace("a")
-			weight := 4.0 // a capped store keeps it; an uncapped one exports 0
-			if bc.name == "mem" {
-				weight = 0
-			}
-			if len(data) != 20 || data["k4"].Weight != weight {
-				t.Fatalf("exported %d keys, k4 %+v", len(data), data["k4"])
+			if len(data) != 20 || !reflect.DeepEqual(data["k4"], num(4).AppendFast(nil)) {
+				t.Fatalf("exported %d keys, k4 %x", len(data), data["k4"])
 			}
 
 			r := bc.open(t)
@@ -189,9 +184,9 @@ func TestBackendContract(t *testing.T) {
 				t.Fatal("import touched a foreign namespace")
 			}
 			if again := r.ExportNamespace("a"); !reflect.DeepEqual(again, data) {
-				t.Fatalf("weights did not round-trip: %+v", again)
+				t.Fatalf("export did not round-trip: %x", again)
 			}
-			r.ImportNamespace("a", map[string]Exported{"solo": data["k0"]})
+			r.ImportNamespace("a", map[string][]byte{"solo": data["k0"]})
 			if keys := r.Keys("a"); !reflect.DeepEqual(keys, []string{"solo"}) {
 				t.Fatalf("namespace a after a replacing import: %v", keys)
 			}

@@ -1,21 +1,17 @@
-// The eviction policy of a capped Mem: a hash-striped segmented LRU whose
-// victim selection is privacy-cost-aware. A long-lived server under heavy
-// analyst traffic cannot let its caching state grow without limit; a store
-// built with MaxBytes or MaxEntries evicts under pressure.
+// The eviction policy of a capped Mem: a hash-striped segmented LRU. A
+// long-lived server under heavy analyst traffic cannot let its caching
+// state grow without limit; a store built with MaxBytes or MaxEntries
+// evicts under pressure.
 //
 // Each stripe keeps the classic two-segment LRU, threaded through its
 // records (arena.go): new entries land in a probation segment, a use — a
 // Get hit or an overwrite — promotes to a protected segment (bounded to a
 // fraction of the stripe, demoting its own LRU tail back to probation), so
 // one-touch scans wash through probation without displacing the proven-hot
-// set. The victim is chosen by sampling the cold tail of probation
-// (falling back to protected only when probation is empty) and evicting
-// the sampled entry with the LOWEST eviction weight — the weight being the
-// privacy budget paid to materialize the entry (SetWeighted). In a DP
-// cache an eviction is not just a future memory miss: the release must be
-// re-paid in ε on recompute, so among equally-cold entries the cheap ones
-// go first and expensive Gaussian releases or warm aggregates survive
-// longest (a GreedyDual-style cost bias on top of recency).
+// set. The victim is the coldest probation entry, or the coldest protected
+// one when probation is empty. Eviction is recency only: biasing it by the
+// ε each entry cost (a GreedyDual-style rule) never beat cost-blind
+// eviction on the average cumulative budget (turbo-bench -exp=evict).
 //
 // Eviction is safe by construction: only cache entries live here, the
 // accountant never does, and every evicted release re-executes — and
@@ -24,31 +20,9 @@
 
 package store
 
-import (
-	"math"
-	"sync/atomic"
-)
-
 // protectedFrac is the fraction of a stripe's byte budget the protected
 // segment may hold before it demotes its tail.
 const protectedFrac = 0.8
-
-// atomicFloat is an atomic float64 accumulator (bits in a uint64).
-type atomicFloat struct{ bits atomic.Uint64 }
-
-// Add accumulates delta.
-func (a *atomicFloat) Add(delta float64) {
-	for {
-		old := a.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if a.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Load returns the current value.
-func (a *atomicFloat) Load() float64 { return math.Float64frombits(a.bits.Load()) }
 
 // touch records a use of the record at off: a probation entry promotes to
 // protected, a protected one refreshes to most recently used; the
@@ -81,34 +55,17 @@ func (s *Mem) touch(st *memStripe, off uint32) {
 	}
 }
 
-// evict restores the stripe's caps by evicting sampled cold-tail victims,
-// lowest eviction weight first. An uncapped stripe is never over. Caller
-// holds st.mu.
+// evict restores the stripe's caps by evicting the coldest probation
+// entry, or the coldest protected one when probation is empty. An
+// uncapped stripe is never over. Caller holds st.mu.
 func (s *Mem) evict(st *memStripe) {
 	for st.ents > 0 && (st.maxBytes > 0 && st.bytes > st.maxBytes || st.maxEnts > 0 && st.ents > st.maxEnts) {
-		off := s.victim(st, st.cold)
+		off := st.cold.tail
 		if off == noOff {
-			off = s.victim(st, st.hot)
+			off = st.hot.tail
 		}
-		r := st.at(off)
 		s.evictions.Add(1)
-		s.evictedCost.Add(r.lru().weight())
-		h := s.rehash(r)
+		h := s.rehash(st.at(off))
 		s.remove(st, h, off, st.prevOf(h, off))
 	}
-}
-
-// victim examines up to Sample entries from the cold tail of a segment and
-// returns the lowest-weight one (ties favor the colder entry), or noOff
-// when the segment is empty. Caller holds st.mu.
-func (s *Mem) victim(st *memStripe, seg lruList) uint32 {
-	best, lowest := uint32(noOff), 0.0
-	for off, examined := seg.tail, 0; off != noOff && examined < s.cfg.Sample; examined++ {
-		r := st.at(off)
-		if w := r.lru().weight(); best == noOff || w < lowest {
-			best, lowest = off, w
-		}
-		off = r.lru().newer()
-	}
-	return best
 }

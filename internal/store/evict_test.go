@@ -38,35 +38,10 @@ func TestBoundedByteCapHolds(t *testing.T) {
 	}
 }
 
-// TestBoundedCostAwareEviction pins the privacy-cost bias: under pure
-// cold churn, expensive entries outlive cheap ones of equal recency.
-func TestBoundedCostAwareEviction(t *testing.T) {
-	b := NewMem(MemConfig{MaxEntries: 10, Stripes: 1, Sample: 10})
-	// Ten expensive entries, then a flood of cheap one-touch entries.
-	for i := 0; i < 5; i++ {
-		_ = b.SetWeighted("ns", fmt.Sprintf("gold%d", i), num(i), 100)
-	}
-	for i := 0; i < 200; i++ {
-		_ = b.SetWeighted("ns", fmt.Sprintf("churn%d", i), num(i), 0.01)
-	}
-	var out num
-	for i := 0; i < 5; i++ {
-		if ok, _ := b.Get("ns", fmt.Sprintf("gold%d", i), &out); !ok {
-			t.Fatalf("expensive entry gold%d evicted before cheap churn", i)
-		}
-	}
-	st := b.Stats()
-	// Evicted cost should reflect (almost) only cheap churn: 195 evictions
-	// at 0.01 each, none of the 100-weight entries.
-	if st.EvictedCost > 195*0.01+1e-9 {
-		t.Fatalf("EvictedCost = %g includes expensive entries", st.EvictedCost)
-	}
-}
-
 // TestBoundedProtectedSegment pins the scan resistance: a repeatedly-hit
-// working set survives a one-touch scan of equal-weight entries.
+// working set survives a one-touch scan.
 func TestBoundedProtectedSegment(t *testing.T) {
-	b := NewMem(MemConfig{MaxBytes: 8192, Stripes: 1, Sample: 1})
+	b := NewMem(MemConfig{MaxBytes: 8192, Stripes: 1})
 	payload := text(make([]byte, 64))
 	var out text
 	// Build and repeatedly touch a small hot set → promoted to protected.
@@ -93,37 +68,6 @@ func TestBoundedProtectedSegment(t *testing.T) {
 	}
 }
 
-// TestBoundedImportPreservesWeights is the restore-then-pressure
-// regression for the Import weight-loss bug: a restored checkpoint must
-// remember the ε paid per entry, or the most expensive releases become
-// first eviction victims under the first post-restore pressure. The source
-// is capped too: an uncapped store keeps no weights (the exact caches
-// re-derive them from each entry's ε on restore).
-func TestBoundedImportPreservesWeights(t *testing.T) {
-	src := NewMem(MemConfig{MaxEntries: 1 << 20})
-	for i := 0; i < 5; i++ {
-		_ = src.SetWeighted("ns", fmt.Sprintf("gold%d", i), num(i), 100)
-	}
-	exported := src.ExportNamespace("ns")
-	if w := exported["gold0"].Weight; w != 100 {
-		t.Fatalf("export dropped the weight: %g", w)
-	}
-
-	dst := NewMem(MemConfig{MaxEntries: 10, Stripes: 1, Sample: 10})
-	dst.ImportNamespace("ns", exported)
-	// Cheap one-touch churn: pre-fix, the imported entries sat at weight 0
-	// and were evicted alongside the churn.
-	for i := 0; i < 200; i++ {
-		_ = dst.SetWeighted("ns", fmt.Sprintf("churn%d", i), num(i), 0.01)
-	}
-	var out num
-	for i := 0; i < 5; i++ {
-		if ok, _ := dst.Get("ns", fmt.Sprintf("gold%d", i), &out); !ok {
-			t.Fatalf("imported gold%d lost its weight and was evicted", i)
-		}
-	}
-}
-
 func TestBoundedOversizeEntry(t *testing.T) {
 	b := NewMem(MemConfig{MaxBytes: 128, Stripes: 1})
 	// An entry bigger than the whole cap cannot wedge the store: it is
@@ -140,7 +84,7 @@ func TestBoundedOversizeEntry(t *testing.T) {
 }
 
 func TestBoundedConcurrent(t *testing.T) {
-	b := NewMem(MemConfig{MaxEntries: 64, Stripes: 4, Sample: 4})
+	b := NewMem(MemConfig{MaxEntries: 64, Stripes: 4})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -152,7 +96,7 @@ func TestBoundedConcurrent(t *testing.T) {
 				k := fmt.Sprintf("k%d", rng.Intn(200))
 				switch rng.Intn(3) {
 				case 0:
-					_ = b.SetWeighted("ns", k, num(i), float64(rng.Intn(10)))
+					_ = b.Set("ns", k, num(i))
 				case 1:
 					_, _ = b.Get("ns", k, &out)
 				default:

@@ -19,10 +19,10 @@
 //
 //	next u32 | ns u16 | keyLen u16 | valLen+flags u32
 //	key bytes | value bytes
-//	[newer u32 | older u32 | weight f64 | hot u8]   only in a capped store
+//	[newer u32 | older u32 | hot u8]   only in a capped store
 //
-// An uncapped record is 12 bytes of header beside its key and value: the
-// eviction weight only a capped store reads rides in the capped extension.
+// An uncapped record is 12 bytes of header beside its key and value; a
+// capped one adds 9 bytes of LRU links and segment.
 //
 // Neither the index nor the chunks hold pointers, and outside race builds
 // both are mapped pages off the Go heap (pages.go), so the collector
@@ -113,9 +113,6 @@ type MemConfig struct {
 	// is hashed onto (each owning an equal share of the caps); <= 0
 	// defaults to 16. Use 1 for deterministic single-list eviction order.
 	Stripes int
-	// Sample is how many cold-tail entries victim selection examines per
-	// eviction (the lowest-weight one goes); <= 0 defaults to 5.
-	Sample int
 }
 
 // memStripe is one lock-protected slice of the keyspace.
@@ -158,7 +155,6 @@ type Mem struct {
 
 	hits, misses, sets, deletes, evictions atomic.Int64
 	decodeErrors                           atomic.Int64
-	evictedCost                            atomicFloat
 }
 
 // compile-time check: Mem is a Backend.
@@ -177,9 +173,6 @@ func NewMem(cfg MemConfig) *Mem { return newMem(cfg, chunkShift, 1<<(32-chunkShi
 func newMem(cfg MemConfig, shift uint, maxChunks int) *Mem {
 	if cfg.Stripes <= 0 {
 		cfg.Stripes = memStripes
-	}
-	if cfg.Sample <= 0 {
-		cfg.Sample = 5
 	}
 	ext := 0
 	for _, limit := range []int{cfg.MaxEntries, cfg.MaxBytes} {
@@ -342,22 +335,18 @@ func (s *Mem) remove(st *memStripe, h uint64, off, prev uint32) {
 	st.kill(h, off, prev)
 }
 
-// put stores raw, with its eviction weight, under ns:k — whose current
-// record, if any, find reported at (old, prev) — and restores the caps. A
-// record of the same value length is overwritten in place; otherwise the
-// old one dies and a new one is appended. Overwriting counts as a use. raw
-// may be the arena's own scratch (SetWeighted). On error nothing changed.
-// Caller holds st.mu.
-func (s *Mem) put(st *memStripe, ns, k string, id uint16, h uint64, old, prev uint32, raw []byte, weight float64) error {
+// put stores raw under ns:k — whose current record, if any, find reported
+// at (old, prev) — and restores the caps. A record of the same value
+// length is overwritten in place; otherwise the old one dies and a new one
+// is appended. Overwriting counts as a use. raw may be the arena's own
+// scratch (Set). On error nothing changed. Caller holds st.mu.
+func (s *Mem) put(st *memStripe, ns, k string, id uint16, h uint64, old, prev uint32, raw []byte) error {
 	valLen := len(raw)
 	if valLen > maxValLen {
 		return fmt.Errorf("%w (%s:%q, %d bytes)", ErrValueTooLarge, ns, k, valLen)
 	}
 	if old != noOff {
 		if r := st.at(old); r.valLen() == valLen {
-			if st.capped() {
-				r.lru().setWeight(weight)
-			}
 			copy(r.val(), raw)
 			s.touch(st, old)
 			s.evict(st)
@@ -389,7 +378,6 @@ func (s *Mem) put(st *memStripe, ns, k string, id uint16, h uint64, old, prev ui
 	st.link(h, off, n)
 	s.account(st, r, +1)
 	if st.capped() {
-		r.lru().setWeight(weight)
 		r.lru().setHot(hot)
 		if hot {
 			st.hotBytes += s.payload(r)
@@ -460,17 +448,10 @@ func (s *Mem) compact(st *memStripe) bool {
 	return fits
 }
 
-// Set stores value under ns:k, encoded by its own codec.
+// Set stores value under ns:k, encoded by its own codec straight into the
+// arena tail, under the stripe lock: no intermediate slice, no joined key
+// string.
 func (s *Mem) Set(ns, k string, value FastEncoder) error {
-	return s.SetWeighted(ns, k, value, 0)
-}
-
-// SetWeighted stores value under ns:k with an eviction weight: the privacy
-// cost paid to materialize the entry, which a capped store's victim
-// selection preserves longest and an uncapped one does not keep. The value
-// is encoded straight into the arena tail, under the stripe lock: no
-// intermediate slice, no joined key string.
-func (s *Mem) SetWeighted(ns, k string, value FastEncoder, weight float64) error {
 	id, h, st, err := s.slot(ns, k)
 	if err != nil {
 		return err
@@ -482,7 +463,7 @@ func (s *Mem) SetWeighted(ns, k string, value FastEncoder, weight float64) error
 	// allocates and put copies it in.
 	raw := value.AppendFast(st.scratch(hdrLen + len(k)))
 	old, prev := st.find(h, id, k)
-	err = s.put(st, ns, k, id, h, old, prev, raw, weight)
+	err = s.put(st, ns, k, id, h, old, prev, raw)
 	st.mu.Unlock()
 	return s.wrote(err)
 }
@@ -603,30 +584,21 @@ func (s *Mem) Len() int { return int(s.entries.Load()) }
 // also occupies.
 func (s *Mem) MemoryBytes() int { return int(s.bytes.Load()) }
 
-// ExportNamespace returns the stored bytes and eviction weight of every
-// key in ns (keys without the prefix), for per-namespace persistence: each
-// exact cache snapshots exactly the slice of the store it owns. An
-// uncapped store keeps no weights and exports 0 for each.
-func (s *Mem) ExportNamespace(ns string) map[string]Exported {
-	out := make(map[string]Exported)
-	s.scan(ns, func(r rec) {
-		e := Exported{Val: append([]byte(nil), r.val()...)}
-		if s.cfg.capped() {
-			e.Weight = r.lru().weight()
-		}
-		out[string(r.key())] = e
-	})
+// ExportNamespace returns the stored bytes of every key in ns (keys
+// without the prefix), for per-namespace persistence: each exact cache
+// snapshots exactly the slice of the store it owns.
+func (s *Mem) ExportNamespace(ns string) map[string][]byte {
+	out := make(map[string][]byte)
+	s.scan(ns, func(r rec) { out[string(r.key())] = append([]byte(nil), r.val()...) })
 	return out
 }
 
 // ImportNamespace replaces the contents of ns with previously-exported
-// entries, leaving every other namespace untouched. Weights round-trip
-// through a capped store: a restored checkpoint must remember the ε paid
-// per entry, or the most expensive releases become first eviction victims.
-// Entries go in in key order, so what a capped store keeps of an import
-// over its cap does not depend on map iteration. An entry that breaches one of the store's
+// entries, leaving every other namespace untouched. Entries go in in key
+// order, so what a capped store keeps of an import over its cap does not
+// depend on map iteration. An entry that breaches one of the store's
 // limits is left out — to the caching layers, a miss.
-func (s *Mem) ImportNamespace(ns string, data map[string]Exported) {
+func (s *Mem) ImportNamespace(ns string, data map[string][]byte) {
 	id, interned := s.nsID(ns)
 	for i := range s.stripes {
 		st := &s.stripes[i]
@@ -654,11 +626,10 @@ func (s *Mem) ImportNamespace(ns string, data map[string]Exported) {
 		if err != nil {
 			continue
 		}
-		v := data[k]
 		st.mu.Lock()
 		old, prev := st.find(h, id, k)
 		// A refused entry is left out, as documented.
-		_ = s.put(st, ns, k, id, h, old, prev, v.Val, v.Weight)
+		_ = s.put(st, ns, k, id, h, old, prev, data[k])
 		st.mu.Unlock()
 	}
 }
@@ -677,7 +648,6 @@ func (s *Mem) Stats() Stats {
 		Sets:          s.sets.Load(),
 		Deletes:       s.deletes.Load(),
 		Evictions:     s.evictions.Load(),
-		EvictedCost:   s.evictedCost.Load(),
 		DecodeErrors:  s.decodeErrors.Load(),
 		Entries:       s.Len(),
 		Bytes:         s.MemoryBytes(),

@@ -78,18 +78,17 @@ func (s *text) DecodeFast(data []byte) bool {
 
 // oracle is the two stores Mem used to be, kept as the reference the arena
 // is checked against: one map entry per key, and — what store.Bounded added
-// — a probation and a protected container/list with sampled lowest-weight
-// eviction. Imports go in in key order, as Mem's.
+// — a probation and a protected container/list, evicting coldest first.
+// Imports go in in key order, as Mem's.
 type oracle struct {
 	data     map[string]*oracleEntry
 	poisoned int64
 
 	// The caps (0 = none) and the policy's state; front = most recent.
-	maxEnts, maxBytes, sample int
-	cold, hot                 *list.List
-	bytes, hotBytes           int
-	evictions                 int64
-	evictedCost               float64
+	maxEnts, maxBytes int
+	cold, hot         *list.List
+	bytes, hotBytes   int
+	evictions         int64
 
 	// What the run exercised, so a test can tell it was not vacuous.
 	hotResized, demotions int
@@ -99,17 +98,16 @@ type oracle struct {
 }
 
 type oracleEntry struct {
-	key    string // ns:k
-	val    []byte
-	weight float64
-	elem   *list.Element
-	hot    bool
+	key  string // ns:k
+	val  []byte
+	elem *list.Element
+	hot  bool
 }
 
 func newOracle(cfg MemConfig) *oracle {
 	return &oracle{
 		data:    make(map[string]*oracleEntry),
-		maxEnts: cfg.MaxEntries, maxBytes: cfg.MaxBytes, sample: cfg.Sample,
+		maxEnts: cfg.MaxEntries, maxBytes: cfg.MaxBytes,
 		cold: list.New(), hot: list.New(),
 	}
 }
@@ -119,16 +117,15 @@ func (e *oracleEntry) size() int { return len(e.key) + len(e.val) }
 func enc(v FastEncoder) []byte { return v.AppendFast(nil) }
 
 // insert places or replaces an entry and restores the caps.
-func (o *oracle) insert(full string, val []byte, weight float64) {
+func (o *oracle) insert(full string, val []byte) {
 	if e, ok := o.data[full]; ok {
 		if e.hot && len(val) != len(e.val) {
 			o.hotResized++
 		}
 		o.setVal(e, val)
-		e.weight = weight
 		o.touch(e)
 	} else {
-		e := &oracleEntry{key: full, val: val, weight: weight}
+		e := &oracleEntry{key: full, val: val}
 		e.elem = o.cold.PushFront(e)
 		o.data[full] = e
 		o.bytes += e.size()
@@ -185,28 +182,13 @@ func (o *oracle) evict() {
 			(o.maxBytes > 0 && o.bytes > o.maxBytes || o.maxEnts > 0 && len(o.data) > o.maxEnts)
 	}
 	for over() {
-		victim := o.sampleVictim(o.cold)
-		if victim == nil {
-			victim = o.sampleVictim(o.hot)
+		coldest := o.cold.Back()
+		if coldest == nil {
+			coldest = o.hot.Back()
 		}
-		o.remove(victim)
+		o.remove(coldest.Value.(*oracleEntry))
 		o.evictions++
-		o.evictedCost += victim.weight
 	}
-}
-
-// sampleVictim examines up to sample entries from the cold tail: lowest
-// weight goes, ties to the colder.
-func (o *oracle) sampleVictim(seg *list.List) *oracleEntry {
-	var victim *oracleEntry
-	examined := 0
-	for elem := seg.Back(); elem != nil && examined < o.sample; elem = elem.Prev() {
-		examined++
-		if e := elem.Value.(*oracleEntry); victim == nil || e.weight < victim.weight {
-			victim = e
-		}
-	}
-	return victim
 }
 
 // get mirrors Get's touch; the caller reports a value that would not
@@ -243,22 +225,17 @@ func (o *oracle) compareDelete(full string, want []byte) bool {
 	return true
 }
 
-// export reports each entry's weight only when there is a cap: an
-// uncapped store keeps none and exports 0.
-func (o *oracle) export(ns string) map[string]Exported {
-	out := make(map[string]Exported)
+func (o *oracle) export(ns string) map[string][]byte {
+	out := make(map[string][]byte)
 	for full, e := range o.data {
 		if k, ok := strings.CutPrefix(full, ns+":"); ok {
-			out[k] = Exported{Val: e.val}
-			if o.maxEnts > 0 || o.maxBytes > 0 {
-				out[k] = Exported{Val: e.val, Weight: e.weight}
-			}
+			out[k] = e.val
 		}
 	}
 	return out
 }
 
-func (o *oracle) importNS(ns string, data map[string]Exported) {
+func (o *oracle) importNS(ns string, data map[string][]byte) {
 	for full, e := range o.data {
 		if strings.HasPrefix(full, ns+":") {
 			o.remove(e)
@@ -270,7 +247,7 @@ func (o *oracle) importNS(ns string, data map[string]Exported) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		o.insert(ns+":"+k, data[k].Val, data[k].Weight)
+		o.insert(ns+":"+k, data[k])
 	}
 }
 
@@ -332,9 +309,9 @@ func TestModel(t *testing.T) {
 		{"hashed", ^uint64(0), MemConfig{}},
 		{"one-chain", 0, MemConfig{}},
 		{"three-bits", 7, MemConfig{}},
-		{"capped/bytes-only", ^uint64(0), MemConfig{MaxBytes: 800, Stripes: 1, Sample: 3}},
-		{"capped/one-chain", 0, MemConfig{MaxEntries: 40, MaxBytes: 1000, Stripes: 1, Sample: 3}},
-		{"capped/entries-only", ^uint64(0), MemConfig{MaxEntries: 25, Stripes: 1, Sample: 3}},
+		{"capped/bytes-only", ^uint64(0), MemConfig{MaxBytes: 800, Stripes: 1}},
+		{"capped/one-chain", 0, MemConfig{MaxEntries: 40, MaxBytes: 1000, Stripes: 1}},
+		{"capped/entries-only", ^uint64(0), MemConfig{MaxEntries: 25, Stripes: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var seen oracle
@@ -409,11 +386,11 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 		}
 		switch op % 8 {
 		case 0, 1:
-			v, w := value(), float64(rng.Intn(3))
-			if err := s.SetWeighted(ns, k, v, w); err != nil {
-				t.Fatalf("%s: SetWeighted: %v", at, err)
+			v := value()
+			if err := s.Set(ns, k, v); err != nil {
+				t.Fatalf("%s: Set: %v", at, err)
 			}
-			o.insert(full, enc(v), w)
+			o.insert(full, enc(v))
 		case 2:
 			if got, want := s.Delete(ns, k), o.del(full); got != want {
 				t.Fatalf("%s: Delete = %v; oracle %v", at, got, want)
@@ -488,11 +465,9 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 			}
 		}
 		st := s.Stats()
-		if s.Len() != len(o.data) || s.MemoryBytes() != o.bytes ||
-			st.Evictions != o.evictions || st.EvictedCost != o.evictedCost {
-			t.Fatalf("%s: Len %d Bytes %d Evictions %d (cost %g); oracle %d %d %d (%g)", at,
-				s.Len(), s.MemoryBytes(), st.Evictions, st.EvictedCost,
-				len(o.data), o.bytes, o.evictions, o.evictedCost)
+		if s.Len() != len(o.data) || s.MemoryBytes() != o.bytes || st.Evictions != o.evictions {
+			t.Fatalf("%s: Len %d Bytes %d Evictions %d; oracle %d %d %d", at,
+				s.Len(), s.MemoryBytes(), st.Evictions, len(o.data), o.bytes, o.evictions)
 		}
 		if cfg.capped() {
 			// One stripe, so its segments are the oracle's lists.
@@ -598,7 +573,7 @@ func storm(t *testing.T, cfg MemConfig) {
 			defer writers.Done()
 			for i := 0; i < rounds; i++ {
 				k := (i + w) % keys
-				if err := s.SetWeighted("hot", fmt.Sprint(k), entryFor(k, i), 1); err != nil {
+				if err := s.Set("hot", fmt.Sprint(k), entryFor(k, i)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -656,7 +631,7 @@ func storm(t *testing.T, cfg MemConfig) {
 		for !stop.Load() {
 			for k, v := range s.ExportNamespace("hot") {
 				var e fastEntry
-				if e.DecodeFast(v.Val) && fmt.Sprint(int(e.Value)) != k {
+				if e.DecodeFast(v) && fmt.Sprint(int(e.Value)) != k {
 					t.Errorf("export of key %s carries entry %+v", k, e)
 					return
 				}
@@ -679,9 +654,9 @@ func storm(t *testing.T, cfg MemConfig) {
 // TestImportReservesOnce pins that an import sizes each stripe's table up
 // front instead of doubling its way there.
 func TestImportReservesOnce(t *testing.T) {
-	data := make(map[string]Exported, 50_000)
+	data := make(map[string][]byte, 50_000)
 	for i := 0; i < 50_000; i++ {
-		data[windowedKey(i)] = Exported{Val: []byte{byte(i)}}
+		data[windowedKey(i)] = []byte{byte(i)}
 	}
 	s := NewMem(MemConfig{})
 	s.ImportNamespace("session-exact/0", data)
@@ -704,7 +679,7 @@ func TestLimitsFailClosed(t *testing.T) {
 		if err := s.Set("ns", long, num(1)); !errors.Is(err, ErrKeyTooLong) {
 			t.Fatalf("Set = %v, want ErrKeyTooLong", err)
 		}
-		s.ImportNamespace("ns", map[string]Exported{long: {Val: []byte{1}}, "ok": {Val: []byte{2}}})
+		s.ImportNamespace("ns", map[string][]byte{long: {1}, "ok": {2}})
 		var v num
 		if ok, _ := s.Get("ns", long, &v); ok || s.Delete("ns", long) || s.Len() != 1 {
 			t.Fatalf("over-long key left something behind: Len %d", s.Len())

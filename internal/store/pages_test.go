@@ -220,11 +220,11 @@ func TestPageScratchNeverCompactedAway(t *testing.T) {
 	s := newMem(MemConfig{MaxEntries: 1 << 10, Stripes: 1}, 8, 1<<20)
 	st := &s.stripes[0]
 	for i := 0; i < 8; i++ {
-		if err := s.SetWeighted("ns", fmt.Sprint("k", i), fastEntry{Value: float64(i)}, 1); err != nil {
+		if err := s.Set("ns", fmt.Sprint("k", i), fastEntry{Value: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 7; i++ {
 		s.Delete("ns", fmt.Sprint("k", i)) // dead bytes for compaction to drop
 	}
 	// Pad the tail to leave exactly a header, "new" and a 25-byte value: a
@@ -247,14 +247,14 @@ func TestPageScratchNeverCompactedAway(t *testing.T) {
 		key := fmt.Sprint("p", i)
 		st.mu.Lock()
 		h := s.hash(0, key)
-		err := s.put(st, "ns", key, 0, h, noOff, noOff, make([]byte, val), 0)
+		err := s.put(st, "ns", key, 0, h, noOff, noOff, make([]byte, val))
 		st.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	st.maxChunks = len(st.chunks)
-	if err := s.SetWeighted("ns", "new", fastEntry{Value: 42}, 1); err != nil {
+	if err := s.Set("ns", "new", fastEntry{Value: 42}); err != nil {
 		t.Fatal(err)
 	}
 	if st.dead != 0 {

@@ -50,7 +50,7 @@ type FastDecoder interface {
 
 // Stats is a point-in-time view of a backend's operation counters and
 // memory accounting — the figures the HTTP server surfaces under
-// /schema's cache section and the cache-pressure experiment plots.
+// /schema's cache section.
 type Stats struct {
 	// Backend names the implementation: "striped-map" uncapped,
 	// "bounded-slru" capped.
@@ -61,11 +61,8 @@ type Stats struct {
 	// mismatched does not count).
 	Sets, Deletes int64
 	// Evictions counts entries removed by memory pressure (never by
-	// Delete/CompareDelete); EvictedCost sums their eviction weights —
-	// the privacy budget that will be re-paid if every evicted release
-	// is requested again.
-	Evictions   int64
-	EvictedCost float64
+	// Delete/CompareDelete).
+	Evictions int64
 	// DecodeErrors counts Get calls that found the key but could not
 	// decode its bytes. The backend deletes the poisoned entry and
 	// reports a miss, so one corrupt byte costs a re-execution instead of
@@ -87,32 +84,14 @@ type Stats struct {
 	MaskHits, MaskMisses int64
 }
 
-// Exported is one entry of a namespace export: the stored bytes plus the
-// metadata a faithful re-import needs. Weight is the entry's eviction
-// weight (the ε paid to materialize it) in a capped store — before exports
-// carried it, a restored checkpoint forgot the per-entry privacy cost and
-// the most expensive releases became first eviction victims — and 0 in an
-// uncapped one, which keeps no weights. The exact caches do not depend on
-// it: a restore re-derives each entry's weight from the ε it records.
-type Exported struct {
-	Val    []byte
-	Weight float64
-}
-
 // Backend is the storage interface the caching layers program against.
 // Implementations must be safe for concurrent use. Values carry their own
 // codec: a value without one does not compile against Backend.
 type Backend interface {
 	// Get loads ns:k into out, reporting whether the key existed.
 	Get(ns, k string, out FastDecoder) (bool, error)
-	// Set stores value under ns:k with zero eviction weight.
+	// Set stores value under ns:k.
 	Set(ns, k string, value FastEncoder) error
-	// SetWeighted stores value under ns:k with an eviction weight: the
-	// privacy cost (ε, or a δ_G-converted equivalent) that was paid to
-	// materialize the entry. Memory-bounded backends evict high-weight
-	// entries last, since evicting a DP release means re-paying its
-	// budget on recompute; unbounded backends neither use nor keep it.
-	SetWeighted(ns, k string, value FastEncoder, weight float64) error
 	// Delete removes ns:k, reporting whether it existed.
 	Delete(ns, k string) bool
 	// CompareDelete removes ns:k only if its stored bytes equal the
@@ -127,15 +106,12 @@ type Backend interface {
 	// MemoryBytes returns the resident size of stored keys plus values —
 	// the §6.5 memory metric.
 	MemoryBytes() int
-	// ExportNamespace returns the stored bytes and eviction weight of
-	// every key in ns, for per-namespace persistence sections and
-	// backend-to-backend migration.
-	ExportNamespace(ns string) map[string]Exported
+	// ExportNamespace returns the stored bytes of every key in ns, for
+	// per-namespace persistence sections and backend-to-backend migration.
+	ExportNamespace(ns string) map[string][]byte
 	// ImportNamespace replaces the contents of ns with previously
-	// exported entries, leaving every other namespace untouched. Weights
-	// round-trip, so a memory-bounded backend's eviction priority
-	// survives a restore.
-	ImportNamespace(ns string, data map[string]Exported)
+	// exported entries, leaving every other namespace untouched.
+	ImportNamespace(ns string, data map[string][]byte)
 	// Stats returns the backend's counters and memory accounting.
 	Stats() Stats
 }

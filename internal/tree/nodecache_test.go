@@ -96,7 +96,7 @@ func TestNodeCacheHoldsOnlyServable(t *testing.T) {
 		}
 		for key, v := range held {
 			var e cache.Entry
-			if !e.DecodeFast(v.Val) {
+			if !e.DecodeFast(v) {
 				t.Fatalf("%s: %q does not decode", name, key)
 			}
 			start, end, windowed, err := query.KeyWindow(key)
