@@ -47,7 +47,7 @@ scorecard:
 # toolchain change re-measures it. It also fails when turbo-server links
 # a package it must not: encoding/gob (snapshot sections have their own
 # codec) or net/http/pprof.
-CEILINGS = 17608 17 1 9783225
+CEILINGS = 17411 17 1 9771636
 BANNED_DEPS = encoding/gob net/http/pprof
 
 scorecard-check:

@@ -107,7 +107,7 @@ func main() {
 	}
 	cfg := core.Config{
 		Mode: m, Alpha: *alpha, Beta: *beta, EpsilonGlobal: *epsG,
-		Structure: tree.Binary, NodeExactCache: true, Seed: *seed,
+		Structure: tree.Binary, Seed: *seed,
 		Shards: *shards, Backend: store.NewMem(memCfg),
 	}
 	if *gaussian {
@@ -191,8 +191,9 @@ func main() {
 	fmt.Printf("listening on http://%s  (%s)\n", *addr, endpoints)
 	// A client that opens a connection and never finishes its request
 	// headers must not hold it forever. Body and response time stay
-	// unbounded: /append and /restore bodies and /snapshot responses
-	// scale with the deployment.
+	// unbounded: /append bodies (capped in size by the domain, not in
+	// time), /restore bodies and /snapshot responses scale with the
+	// deployment.
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)

@@ -12,7 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/persist"
 	"repro/internal/store"
+	"repro/internal/tree"
+	"repro/internal/workload"
 )
 
 // TestMain runs the server itself when re-executed by a test that needs a
@@ -37,11 +41,44 @@ func runMain(t *testing.T, args ...string) (string, error) {
 	return string(out), err
 }
 
-// TestStateFromOlderBuildRefused: a -state file written by an older
-// build's snapshot format (v2: the magic, version 2, gzip bytes) stops the
-// boot with a non-zero exit naming both versions, before the server
-// listens, and the file is left byte for byte as it was.
+// TestStateFromOlderBuildRefused: a -state file an older build wrote stops
+// the boot with a non-zero exit naming what this build cannot read, before
+// the server listens, and the file is left byte for byte as it was. Two
+// such files: one in the v2 snapshot format (the magic, version 2, gzip
+// bytes), and a v3 one from a build that kept a tree node cache, whose
+// "cache/tree-node" section no layer of this build owns.
 func TestStateFromOlderBuildRefused(t *testing.T) {
+	args := []string{"-addr", "127.0.0.1:0", "-rows", "2000", "-weeks", "4", "-shards", "1"}
+	for _, tc := range []struct {
+		name, want string
+		file       func(t *testing.T) []byte
+	}{
+		{"v2", "snapshot is v2, this build reads v3", v2Snapshot},
+		{"tree-node", `unknown snapshot section: "cache/tree-node"`, treeNodeSnapshot},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			old := tc.file(t)
+			path := filepath.Join(t.TempDir(), "turbo.snap")
+			if err := os.WriteFile(path, old, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			out, err := runMain(t, append(args, "-state", path)...)
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Fatalf("turbo-server on the %s -state file: %v, want exit 1\n%s", tc.name, err, out)
+			}
+			if !strings.Contains(out, tc.want) || strings.Contains(out, "listening") {
+				t.Fatalf("output does not refuse the %s file before listening:\n%s", tc.name, out)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+				t.Fatalf("the refused -state file changed (err %v)", err)
+			}
+		})
+	}
+}
+
+// v2Snapshot is a file in the snapshot format before v3.
+func v2Snapshot(t *testing.T) []byte {
 	var gz bytes.Buffer
 	w := gzip.NewWriter(&gz)
 	if _, err := w.Write([]byte("sections of an older build")); err != nil {
@@ -50,22 +87,55 @@ func TestStateFromOlderBuildRefused(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	old := append([]byte("TURBOSNP\x00\x00\x00\x02"), gz.Bytes()...)
-	path := filepath.Join(t.TempDir(), "turbo.snap")
-	if err := os.WriteFile(path, old, 0o600); err != nil {
+	return append([]byte("TURBOSNP\x00\x00\x00\x02"), gz.Bytes()...)
+}
+
+// treeNodeSnapshot is the v3 snapshot an older build wrote at boot with
+// TestStateFromOlderBuildRefused's flags: this build's sections plus the
+// empty "cache/tree-node" section (one stripe, no entries) its tree's
+// node cache registered.
+func treeNodeSnapshot(t *testing.T) []byte {
+	ds, err := workload.BuildCovid(workload.CovidConfig{Rows: 2000, Weeks: 4, Seed: 42})
+	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := runMain(t, "-addr", "127.0.0.1:0", "-rows", "2000", "-weeks", "4", "-shards", "1", "-state", path)
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
-		t.Fatalf("turbo-server on a v2 -state file: %v, want a non-zero exit\n%s", err, out)
+	sess, err := core.NewSession(core.Config{
+		Mode: core.Partitioned, Alpha: 0.05, Beta: 0.001, EpsilonGlobal: 10,
+		Structure: tree.Binary, Seed: 42, Shards: 1,
+	}, ds)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out, "snapshot is v2, this build reads v3") || strings.Contains(out, "listening") {
-		t.Fatalf("output does not refuse the v2 file before listening:\n%s", out)
+	sess.PersistDataset()
+	var snap bytes.Buffer
+	if err := sess.SaveState(&snap); err != nil {
+		t.Fatal(err)
 	}
-	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
-		t.Fatalf("the refused -state file changed (err %v)", err)
+	payloads, order, err := persist.ReadSections(&snap)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var out bytes.Buffer
+	w, err := persist.NewWriter(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range order {
+		if err := w.WriteSection(name, payloads[name]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stripes persist.Encoder
+	stripes.PutUvarint(1) // one stripe
+	stripes.PutInt(0)     // its index
+	stripes.PutUvarint(0) // no entries
+	if err := w.WriteSection("cache/tree-node", stripes.Payload()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
 }
 
 // TestStoreConfig pins the two-flag → store.MemConfig mapping: no cap is

@@ -59,7 +59,7 @@ func main() {
 	}
 	sess, err := core.NewSession(core.Config{
 		Mode: m, Alpha: *alpha, Beta: *beta, EpsilonGlobal: *epsG,
-		Structure: tree.Binary, NodeExactCache: true, Seed: *seed,
+		Structure: tree.Binary, Seed: *seed,
 	}, ds)
 	if err != nil {
 		fatal(err)

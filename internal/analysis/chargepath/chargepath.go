@@ -132,8 +132,8 @@ func admissionEvidence(callee *types.Func) bool {
 	return hasPaidResult(callee)
 }
 
-// cacheFill classifies a callee as a cache/backend write: Put or PutKey
-// on cache.Exact, or Set on store.Backend or *store.Mem (a type that
+// cacheFill classifies a callee as a cache/backend write: Put on
+// cache.Exact, or Set on store.Backend or *store.Mem (a type that
 // embeds Backend reaches the interface's method).
 func cacheFill(callee *types.Func) bool {
 	if callee == nil || callee.Pkg() == nil {
@@ -143,7 +143,7 @@ func cacheFill(callee *types.Func) bool {
 	switch callee.Name() {
 	case "Set":
 		return pkg == "store" && (recv == "Backend" || recv == "Mem")
-	case "Put", "PutKey":
+	case "Put":
 		return pkg == "cache" && recv == "Exact"
 	}
 	return false

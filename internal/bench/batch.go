@@ -51,10 +51,9 @@ func batchSession(env *Env) (*core.Session, error) {
 	return core.NewSession(core.Config{
 		Mode:  core.Partitioned,
 		Alpha: env.Alpha, Beta: env.Beta, EpsilonGlobal: 1000,
-		Tau:            env.Tau,
-		Structure:      tree.Binary,
-		NodeExactCache: true,
-		Seed:           173,
+		Tau:       env.Tau,
+		Structure: tree.Binary,
+		Seed:      173,
 	}, env.DS)
 }
 

@@ -344,8 +344,7 @@ func (e *Env) week(w int) []int {
 func (e *Env) feed(w int) { _ = e.DS.BulkLoad(w, e.week(w)) }
 
 // session builds a Turbo session over the env with its §6.1 settings; the
-// partitioned modes use the §6.3 heuristic (Covid (50,1), CitiBike (1,1))
-// and per-node exact caches.
+// partitioned modes use the §6.3 heuristic (Covid (50,1), CitiBike (1,1)).
 func (e *Env) session(mode core.Mode, structure tree.Structure, seed uint64) (*core.Session, error) {
 	return core.NewSession(e.config(mode, structure, seed), e.DS)
 }
@@ -363,7 +362,6 @@ func (e *Env) config(mode core.Mode, structure tree.Structure, seed uint64) core
 	c0, s0 := e.C0, e.S0
 	if mode != core.NonPartitioned {
 		c0, s0 = e.PC0, e.PS0
-		cfg.NodeExactCache = true
 	}
 	cfg.Heuristic = func() heuristic.Heuristic { return heuristic.NewAdaptivePerBin(c0, s0) }
 	return cfg

@@ -27,11 +27,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/domain"
-	"repro/internal/interval"
 	"repro/internal/noise"
 	"repro/internal/query"
-	"repro/internal/store"
-	"repro/internal/tree"
 )
 
 // opsPerSec times iters sequential calls of f.
@@ -168,12 +165,13 @@ func MissPath(sc Scale) (Result, error) {
 		ladder = append(ladder, env)
 	}
 
-	series := map[string]*Series{}
-	for _, name := range []string{
+	ordered := []string{
 		"hit-qps", "hit-allocs",
 		"miss-vec-qps", "miss-vec-allocs",
-		"treemiss-qps", "treehit-qps", "treehit-allocs",
-	} {
+		"treemiss-qps",
+	}
+	series := map[string]*Series{}
+	for _, name := range ordered {
 		series[name] = &Series{Name: name}
 	}
 	record := func(name string, x, y float64) {
@@ -302,73 +300,8 @@ func MissPath(sc Scale) (Result, error) {
 				"bench: tree-miss throughput %.1f q/s at %d bins is below the 10x gate vs baseline %.1f q/s (need >= %.1f)",
 				tmQPS, int(size), base, 10*base)
 		}
-
-		// Tree cache-hit: a dedicated tree whose node caches are prefilled
-		// with entries whose recorded ε trivially qualifies, so Run's claim
-		// phase answers entirely from the per-node exact caches and never
-		// re-locks for a commit. This is the tree plane's 0-alloc gate,
-		// mirroring the session exact-hit gate above.
-		tr, err := tree.New(tree.Config{
-			Alpha: 0.05, Beta: 0.001, Tau: 0.05,
-			NodeExactCache: true,
-			// A store of the gate's own for the node caches: it measures
-			// the tree plane itself, not a pluggable backend.
-		}, dataset.NewExecutor(env.ds, rng.Fork()), accountant.NewBlock(1e18, parts), store.NewMem(store.MemConfig{}), rng.Fork())
-		if err != nil {
-			return Result{}, err
-		}
-		treeQ := env.pool[0].WithWindow(0, parts-1)
-		splitNodes := interval.Split(0, parts-1)
-		for _, iv := range splitNodes {
-			version, err := env.ds.RangeVersion(iv.Start, iv.End)
-			if err != nil {
-				return Result{}, err
-			}
-			if err := tr.Cache().Put(treeQ.WithWindow(iv.Start, iv.End), version, 0.5, 1e9); err != nil {
-				return Result{}, err
-			}
-		}
-		treeRes, err := tr.Run(treeQ)
-		if err != nil {
-			return Result{}, err
-		}
-		if treeRes.CachedNodes != len(splitNodes) {
-			return Result{}, fmt.Errorf(
-				"bench: tree-hit prefill did not take at %d bins: %d/%d nodes cached",
-				int(size), treeRes.CachedNodes, len(splitNodes))
-		}
-		treeHitOp := func() error {
-			_, err := tr.Run(treeQ)
-			return err
-		}
-		treeHitQPS, err := opsPerSec(50_000, treeHitOp)
-		if err != nil {
-			return Result{}, err
-		}
-		// Pin the GC for the measurement: the hit path's only allocation
-		// source is a mid-loop GC cycle clearing the Run scratch pool,
-		// which is noise, not a regression (same recipe as the tree's
-		// //go:build !race allocation test).
-		gcPct := debug.SetGCPercent(-1)
-		treeHitAllocs, err := allocsPerOp(10_000, treeHitOp)
-		debug.SetGCPercent(gcPct)
-		if err != nil {
-			return Result{}, err
-		}
-		if treeHitAllocs > 0 && !raceEnabled {
-			return Result{}, fmt.Errorf(
-				"bench: tree cache-hit path allocates %.4f/op at %d bins (regression: must be 0)",
-				treeHitAllocs, int(size))
-		}
-		record("treehit-qps", size, treeHitQPS)
-		record("treehit-allocs", size, treeHitAllocs)
 	}
 
-	ordered := []string{
-		"hit-qps", "hit-allocs",
-		"miss-vec-qps", "miss-vec-allocs",
-		"treemiss-qps", "treehit-qps", "treehit-allocs",
-	}
 	out := make([]Series, 0, len(ordered))
 	for _, n := range ordered {
 		out = append(out, *series[n])
@@ -380,7 +313,7 @@ func MissPath(sc Scale) (Result, error) {
 		Series: out,
 		Notes: []string{
 			fmt.Sprintf("window: all %d partitions; miss = ExecuteDP with no cached true result", sc.Weeks),
-			"gate: the experiment errors if the exact-hit or tree cache-hit path allocates (not in race builds, whose instrumentation allocates)",
+			"gate: the experiment errors if the exact-hit path allocates (not in race builds, whose instrumentation allocates)",
 			"gate: with -baseline, the experiment errors if treemiss-qps is below 10x the committed baseline at any domain size",
 		},
 	}, nil

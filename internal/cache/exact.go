@@ -85,10 +85,6 @@ type Exact struct {
 	stripes     []*exactStripe
 	maxFast     int // per stripe
 
-	// filled is set by the first Put and by a restore that brings an
-	// entry, and never cleared: until then no probe can hit (Filled).
-	filled atomic.Bool
-
 	hits, misses atomic.Int64
 }
 
@@ -152,13 +148,18 @@ func (c *Exact) stripeNS(i int) string {
 	return c.ns + "/" + strconv.Itoa(i)
 }
 
-// stripeFor maps a query to its namespace stripe by window start.
-func (c *Exact) stripeFor(q *query.Query) *exactStripe {
+// stripeForStart maps a window start to its namespace stripe.
+func (c *Exact) stripeForStart(start int) *exactStripe {
 	if c.stripeCount <= 1 {
 		return c.stripes[0]
 	}
+	return c.stripes[(start/c.shardWidth)%c.stripeCount]
+}
+
+// stripeFor maps a query to its namespace stripe by window start.
+func (c *Exact) stripeFor(q *query.Query) *exactStripe {
 	if s, _, ok := q.Window(); ok {
-		return c.stripes[(s/c.shardWidth)%c.stripeCount]
+		return c.stripeForStart(s)
 	}
 	return c.stripes[0]
 }
@@ -180,53 +181,11 @@ func (c *Exact) stripeForKey(key string) (*exactStripe, error) {
 	return c.stripeForStart(start), nil
 }
 
-// Filled reports whether the cache has ever held an entry: a Put, or a
-// restore that brought one. Until it has, every probe misses, so a caller
-// that must build a key to probe with can skip both.
-func (c *Exact) Filled() bool { return c.filled.Load() }
-
 // Get returns the cached result for q at the given data version. A fast-map
 // entry whose version no longer matches is stale forever (window versions
 // are monotone), so it is evicted from both layers on the way out.
 func (c *Exact) Get(q *query.Query, version int) (Entry, bool) {
-	return c.getKeyed(c.stripeFor(q), q.KeyWithWindow(), version)
-}
-
-// stripeForStart maps a windowed key to its namespace stripe by window
-// start — the same formula stripeFor applies to q.Window(), for callers
-// holding a key built with query.AppendWindowKey instead of a query copy.
-func (c *Exact) stripeForStart(start int) *exactStripe {
-	if c.stripeCount <= 1 {
-		return c.stripes[0]
-	}
-	return c.stripes[(start/c.shardWidth)%c.stripeCount]
-}
-
-// GetKey is Get for a windowed key built with query.AppendWindowKey,
-// with the window start passed explicitly for stripe selection. A fresh
-// fast-map hit allocates nothing (the map probe's string conversion is
-// free); any other outcome materializes the key once and takes the
-// regular route.
-func (c *Exact) GetKey(key []byte, windowStart, version int) (Entry, bool) {
-	st := c.stripeForStart(windowStart)
-	st.mu.RLock()
-	e, ok := st.fast[string(key)]
-	st.mu.RUnlock()
-	if ok && e.Version == version {
-		c.hits.Add(1)
-		return e, true
-	}
-	// Stale or absent: leave the zero-allocation path. getKeyed re-probes
-	// the fast map, which is about to miss or invalidate there anyway.
-	return c.getKeyed(st, string(key), version)
-}
-
-// PutKey is Put for a windowed key built with query.AppendWindowKey.
-func (c *Exact) PutKey(key []byte, windowStart, version int, value, eps float64) error {
-	return c.putKeyed(c.stripeForStart(windowStart), string(key), version, value, eps)
-}
-
-func (c *Exact) getKeyed(st *exactStripe, key string, version int) (Entry, bool) {
+	st, key := c.stripeFor(q), q.KeyWithWindow()
 	st.mu.RLock()
 	e, ok := st.fast[key]
 	st.mu.RUnlock()
@@ -255,23 +214,16 @@ func (c *Exact) getKeyed(st *exactStripe, key string, version int) (Entry, bool)
 }
 
 // Put stores a freshly-computed DP result and eps, the budget paid to
-// produce it.
+// produce it. It writes the backend and drops whatever the fast map holds
+// under the key (a promoted older entry), so the next Get reads — and
+// promotes — the bytes just written. A reader that fetched the older bytes
+// before this write may still promote them after the drop; they carry
+// their own version, so a Get at the new version invalidates them on
+// sight, exactly as it does a stale backend entry.
 func (c *Exact) Put(q *query.Query, version int, value, eps float64) error {
-	return c.putKeyed(c.stripeFor(q), q.KeyWithWindow(), version, value, eps)
-}
-
-// putKeyed writes the backend and drops whatever the fast map holds under
-// key (a promoted older entry), so the next Get reads — and promotes — the
-// bytes just written. A reader that fetched the older bytes before this
-// write may still promote them after the drop; they carry their own
-// version, so a Get at the new version invalidates them on sight, exactly
-// as it does a stale backend entry.
-func (c *Exact) putKeyed(st *exactStripe, key string, version int, value, eps float64) error {
+	st, key := c.stripeFor(q), q.KeyWithWindow()
 	if err := c.store.Set(st.ns, key, Entry{Value: value, Eps: eps, Version: version}); err != nil {
 		return err
-	}
-	if !c.filled.Load() { // a load, not a store: fills on every shard share the line
-		c.filled.Store(true)
 	}
 	st.mu.Lock()
 	delete(st.fast, key)
@@ -282,8 +234,7 @@ func (c *Exact) putKeyed(st *exactStripe, key string, version int, value, eps fl
 // cacheFast promotes an entry read from the backend into the stripe's
 // decoded map, evicting an arbitrary entry when the bound is reached.
 // Random-ish eviction (map iteration order) is enough: the fast map is a
-// probe-shortening layer, not the cache itself. getKeyed is its only
-// caller.
+// probe-shortening layer, not the cache itself. Get is its only caller.
 func (c *Exact) cacheFast(st *exactStripe, key string, e Entry) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -417,7 +368,6 @@ func (c *Exact) StagePayload(payload []byte) (func() error, error) {
 			if err := c.store.Set(r.st.ns, r.key, r.e); err != nil {
 				return err
 			}
-			c.filled.Store(true)
 		}
 		return nil
 	}, nil

@@ -147,11 +147,11 @@ func TestFastMapBounded(t *testing.T) {
 	}
 }
 
-// TestFastMapPromotesOnRead pins the fast map's one rule, through both
-// key forms: a Put writes the backend only; the first Get of a fill reads
-// the backend and promotes, the second is served without touching it; a
-// re-Put of a promoted key drops the promoted entry, so the next Get
-// returns the new bytes; and promotion respects the bound.
+// TestFastMapPromotesOnRead pins the fast map's one rule: a Put writes the
+// backend only; the first Get of a fill reads the backend and promotes, the
+// second is served without touching it; a re-Put of a promoted key drops
+// the promoted entry, so the next Get returns the new bytes; and promotion
+// respects the bound.
 func TestFastMapPromotesOnRead(t *testing.T) {
 	be := store.NewMem(store.MemConfig{})
 	c, err := NewExactBounded(be, "t", 4)
@@ -160,60 +160,37 @@ func TestFastMapPromotesOnRead(t *testing.T) {
 	}
 	base := query.MustNew(dom(), map[int][]int{0: {1}})
 	q := base.WithWindow(0, 0)
-	ops := []struct {
-		name string
-		put  func(value, eps float64) error
-		get  func() (Entry, bool)
-	}{
-		{
-			name: "query",
-			put:  func(value, eps float64) error { return c.Put(q, 1, value, eps) },
-			get:  func() (Entry, bool) { return c.Get(q, 1) },
-		},
-		{
-			name: "key",
-			put: func(value, eps float64) error {
-				return c.PutKey(base.AppendWindowKey(nil, 1, 1), 1, 1, value, eps)
-			},
-			get: func() (Entry, bool) { return c.GetKey(base.AppendWindowKey(nil, 1, 1), 1, 1) },
-		},
+	if err := c.Put(q, 1, 0.25, 0.01); err != nil {
+		t.Fatal(err)
 	}
-	for _, op := range ops {
-		name := op.name
-		fast := c.FastLen()
-		if err := op.put(0.25, 0.01); err != nil {
-			t.Fatal(err)
-		}
-		if got := c.FastLen(); got != fast {
-			t.Fatalf("%s: Put moved FastLen %d -> %d, want it unchanged", name, fast, got)
-		}
-		reads := be.Stats().Hits
-		if e, ok := op.get(); !ok || e.Value != 0.25 {
-			t.Fatalf("%s: first Get = %+v, %v", name, e, ok)
-		}
-		if got := be.Stats().Hits; got != reads+1 {
-			t.Fatalf("%s: first Get made %d backend reads, want 1", name, got-reads)
-		}
-		if got := c.FastLen(); got != fast+1 {
-			t.Fatalf("%s: first Get left FastLen at %d, want %d (promoted)", name, got, fast+1)
-		}
-		if e, ok := op.get(); !ok || e.Value != 0.25 {
-			t.Fatalf("%s: second Get = %+v, %v", name, e, ok)
-		}
-		if got := be.Stats().Hits; got != reads+1 {
-			t.Fatalf("%s: second Get read the backend (%d reads), want it served from the fast map", name, got-reads-1)
-		}
-		// Same version, better release: the tree's node cache re-fills a
-		// key this way when the cached ε no longer qualifies.
-		if err := op.put(0.75, 0.02); err != nil {
-			t.Fatal(err)
-		}
-		if got := c.FastLen(); got != fast {
-			t.Fatalf("%s: re-Put left FastLen at %d, want %d (promoted entry dropped)", name, got, fast)
-		}
-		if e, ok := op.get(); !ok || e.Value != 0.75 || e.Eps != 0.02 {
-			t.Fatalf("%s: Get after re-Put = %+v, %v, want the new bytes", name, e, ok)
-		}
+	if got := c.FastLen(); got != 0 {
+		t.Fatalf("Put moved FastLen to %d, want it unchanged", got)
+	}
+	reads := be.Stats().Hits
+	if e, ok := c.Get(q, 1); !ok || e.Value != 0.25 {
+		t.Fatalf("first Get = %+v, %v", e, ok)
+	}
+	if got := be.Stats().Hits; got != reads+1 {
+		t.Fatalf("first Get made %d backend reads, want 1", got-reads)
+	}
+	if got := c.FastLen(); got != 1 {
+		t.Fatalf("first Get left FastLen at %d, want 1 (promoted)", got)
+	}
+	if e, ok := c.Get(q, 1); !ok || e.Value != 0.25 {
+		t.Fatalf("second Get = %+v, %v", e, ok)
+	}
+	if got := be.Stats().Hits; got != reads+1 {
+		t.Fatalf("second Get read the backend (%d reads), want it served from the fast map", got-reads-1)
+	}
+	// Same version, new bytes.
+	if err := c.Put(q, 1, 0.75, 0.02); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.FastLen(); got != 0 {
+		t.Fatalf("re-Put left FastLen at %d, want 0 (promoted entry dropped)", got)
+	}
+	if e, ok := c.Get(q, 1); !ok || e.Value != 0.75 || e.Eps != 0.02 {
+		t.Fatalf("Get after re-Put = %+v, %v, want the new bytes", e, ok)
 	}
 	for i := 2; i < 34; i++ {
 		w := base.WithWindow(i, i)
@@ -223,7 +200,7 @@ func TestFastMapPromotesOnRead(t *testing.T) {
 		}
 	}
 	if got := c.FastLen(); got != 4 {
-		t.Fatalf("FastLen = %d after promoting 34 entries, want the bound, 4", got)
+		t.Fatalf("FastLen = %d after promoting 33 entries, want the bound, 4", got)
 	}
 }
 
@@ -512,34 +489,5 @@ func TestRestoreRefusesBadSection(t *testing.T) {
 				t.Fatalf("%s: window %d after the refusal: %+v %v", name, w, e, ok)
 			}
 		}
-	}
-}
-
-// TestFilledOnlyOnceHeld: a cache reads Filled once a Put or a restore
-// brought it an entry, not before, so a caller may skip probing it until
-// then.
-func TestFilledOnlyOnceHeld(t *testing.T) {
-	c := newCache(t, "t")
-	q := query.MustNew(dom(), map[int][]int{0: {1}}).WithWindow(1, 2)
-	empty, err := c.SnapshotPayload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RestorePayload(empty); err != nil || c.Filled() {
-		t.Fatalf("fresh cache after an empty restore: Filled %v, err %v", c.Filled(), err)
-	}
-	if _, ok := c.Get(q, 1); ok || c.Filled() {
-		t.Fatal("a miss filled the cache")
-	}
-	if err := c.Put(q, 1, 0.5, 0.1); err != nil || !c.Filled() {
-		t.Fatalf("after a Put: Filled %v, err %v", c.Filled(), err)
-	}
-	payload, err := c.SnapshotPayload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := newCache(t, "t")
-	if err := restored.RestorePayload(payload); err != nil || !restored.Filled() {
-		t.Fatalf("after restoring an entry: Filled %v, err %v", restored.Filled(), err)
 	}
 }

@@ -30,7 +30,7 @@
 // that goes stale between admission and execution fails safe. The
 // batch plane's one semantic difference from the singleton path is
 // deliberate: a query over an exhausted window is refused at admission
-// even though its free R1/node-cache path might still have answered.
+// even though its free R1 path might still have answered.
 package core
 
 import (

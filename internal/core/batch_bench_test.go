@@ -37,13 +37,13 @@ func coldBatches(tb testing.TB) (*dataset.Dataset, [][]*query.Query) {
 }
 
 // coldSession is a fresh session shaped like turbo-server's default
-// (partitioned binary tree, node caches on) with a fixed shard count, so
-// allocation counts do not depend on the box.
+// (partitioned binary tree) with a fixed shard count, so allocation counts
+// do not depend on the box.
 func coldSession(tb testing.TB, ds *dataset.Dataset) *Session {
 	tb.Helper()
 	s, err := NewSession(Config{
 		Mode: Partitioned, Alpha: 0.05, Beta: 0.001, EpsilonGlobal: 10,
-		Structure: tree.Binary, NodeExactCache: true, Seed: 42,
+		Structure: tree.Binary, Seed: 42,
 		Shards: 2, Backend: store.NewMem(store.MemConfig{}),
 	}, ds)
 	if err != nil {
@@ -70,9 +70,7 @@ func runCold(tb testing.TB, s *Session, batches [][]*query.Query) int {
 }
 
 // TestColdBatchStoreWrites pins the store traffic of a cold statement: one
-// write, its exact-cache fill. The tree's node releases are jointly
-// calibrated below what a node-cache probe accepts, so they are not stored
-// (three writes per statement when they were).
+// write, its exact-cache fill. The tree's node releases are never stored.
 func TestColdBatchStoreWrites(t *testing.T) {
 	ds, batches := coldBatches(t)
 	s := coldSession(t, ds)
@@ -80,9 +78,6 @@ func TestColdBatchStoreWrites(t *testing.T) {
 	stmts := runCold(t, s, batches)
 	if sets := s.StoreStats().Sets - before; sets != int64(stmts) {
 		t.Fatalf("%d store writes for %d cold statements, want one each", sets, stmts)
-	}
-	if n := s.Tree().Cache().Len(); n != 0 {
-		t.Fatalf("the node cache holds %d organic fills, want none", n)
 	}
 }
 

@@ -71,8 +71,9 @@ func encodeCacheSection(stripes []cacheStripe) []byte {
 }
 
 // rewriteSections re-writes the snapshot raw with every section's payload
-// passed through edit, which returns the payload to write.
-func rewriteSections(t *testing.T, raw []byte, edit func(name string, p []byte) []byte) []byte {
+// passed through edit, which returns the payload to write, then appends
+// the extra sections, in order, as name and payload pairs.
+func rewriteSections(t *testing.T, raw []byte, edit func(name string, p []byte) []byte, extra ...string) []byte {
 	t.Helper()
 	payloads, order, err := persist.ReadSections(bytes.NewReader(raw))
 	if err != nil {
@@ -88,24 +89,29 @@ func rewriteSections(t *testing.T, raw []byte, edit func(name string, p []byte) 
 			t.Fatal(err)
 		}
 	}
+	for i := 0; i+1 < len(extra); i += 2 {
+		if err := w.WriteSection(extra[i], []byte(extra[i+1])); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// keyedSession answers 16 distinct windowed statements and prefills two
-// node-cache entries on a 2-shard partitioned session over 8 partitions,
-// returning the snapshot, the statements and the node-cache queries.
-func keyedSession(t *testing.T) (Config, []*query.Query, []*query.Query, []byte, *Session) {
+// keyedSession answers 16 distinct windowed statements on a 2-shard
+// partitioned session over 8 partitions, returning the snapshot and the
+// statements.
+func keyedSession(t *testing.T) (Config, []*query.Query, []byte, *Session) {
 	dom, ds := buildDS(t, 8)
 	cfg := defaultCfg(Partitioned)
-	cfg.NodeExactCache, cfg.Shards = true, 2
+	cfg.Shards = 2
 	src, err := NewSession(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stmts, nodes []*query.Query
+	var stmts []*query.Query
 	for a := 0; a < 4; a++ {
 		for w := 0; w < 4; w++ {
 			q := query.MustNew(dom, map[int][]int{1: {a}}).WithWindow(2*w, min(7, 2*w+a)) // both stripes
@@ -115,22 +121,11 @@ func keyedSession(t *testing.T) (Config, []*query.Query, []*query.Query, []byte,
 			stmts = append(stmts, q)
 		}
 	}
-	for w := 0; w < 2; w++ {
-		q := query.MustNew(dom, map[int][]int{0: {1}}).WithWindow(w, w)
-		version, err := ds.RangeVersion(w, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := src.Tree().Cache().Put(q, version, 0.5, 1e9); err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, q)
-	}
 	var snap bytes.Buffer
 	if err := src.SaveState(&snap); err != nil {
 		t.Fatal(err)
 	}
-	return cfg, stmts, nodes, snap.Bytes(), src
+	return cfg, stmts, snap.Bytes(), src
 }
 
 // TestLoadStateRefusesBadCacheEntry: a session-exact key whose window does
@@ -139,7 +134,7 @@ func keyedSession(t *testing.T) (Config, []*query.Query, []*query.Query, []byte,
 // ErrStateCorrupt. The books stay empty, and the session keeps serving:
 // the intact snapshot then restores into it and its statements hit.
 func TestLoadStateRefusesBadCacheEntry(t *testing.T) {
-	cfg, stmts, _, raw, src := keyedSession(t)
+	cfg, stmts, raw, src := keyedSession(t)
 	for _, garble := range []string{"key", "value"} {
 		var quoted string
 		bad := rewriteSections(t, raw, func(name string, p []byte) []byte {
@@ -179,5 +174,36 @@ func TestLoadStateRefusesBadCacheEntry(t *testing.T) {
 				t.Fatalf("garbled %s: %s after the intact restore: %+v, %v", garble, q, a, err)
 			}
 		}
+	}
+}
+
+// TestLoadStateRefusesTreeNodeSection: snapshots from builds that kept a
+// tree node cache carry a "cache/tree-node" section. No layer owns it any
+// more, so the restore is refused with ErrUnknownSection naming it before
+// any section restores: the books and the caches stay empty, and the
+// session keeps serving.
+func TestLoadStateRefusesTreeNodeSection(t *testing.T) {
+	cfg, stmts, raw, src := keyedSession(t)
+	entry := cacheStripe{Keys: []string{stmts[0].KeyWithWindow()}, Vals: [][]byte{make([]byte, 25)}}
+	old := rewriteSections(t, raw, func(_ string, p []byte) []byte { return p },
+		"cache/tree-node", string(encodeCacheSection([]cacheStripe{entry})))
+	dst, err := NewSession(cfg, src.Dataset())
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = dst.LoadState(bytes.NewReader(old))
+	if !errors.Is(err, persist.ErrUnknownSection) || errors.Is(err, ErrStateCorrupt) || !strings.Contains(err.Error(), `"cache/tree-node"`) {
+		t.Fatalf("LoadState = %v, want ErrUnknownSection naming cache/tree-node", err)
+	}
+	for p, spent := range dst.Accountant().SpentVector() {
+		if spent != 0 {
+			t.Fatalf("partition %d reads %g spent after the refusal", p, spent)
+		}
+	}
+	if n, nodes := dst.ExactCache().Len(), dst.Tree().Nodes(); n != 0 || nodes != 0 {
+		t.Fatalf("the refusal left %d cached releases and %d tree nodes, want none", n, nodes)
+	}
+	if _, err := dst.Answer(stmts[0]); err != nil {
+		t.Fatalf("the session after the refusal: %v", err)
 	}
 }

@@ -41,8 +41,7 @@ func TestConcurrentAnswerPartitioned(t *testing.T) {
 	sess, err := NewSession(Config{
 		Mode:  Partitioned,
 		Alpha: 0.1, Beta: 0.01, EpsilonGlobal: 20,
-		NodeExactCache: true,
-		Shards:         4, Seed: 5,
+		Shards: 4, Seed: 5,
 	}, ds)
 	if err != nil {
 		t.Fatal(err)

@@ -125,7 +125,6 @@ func TestEvictionUnderFire(t *testing.T) {
 	be := store.NewMem(store.MemConfig{MaxEntries: 48, Stripes: 2})
 	cfg.Backend = be
 	cfg.CacheFastEntries = 4
-	cfg.NodeExactCache = true
 	s, err := NewSession(cfg, ds)
 	if err != nil {
 		t.Fatal(err)

@@ -13,8 +13,8 @@ import (
 )
 
 // fuzzSession builds the session FuzzSnapshot saves: shape picks the mode
-// (non-partitioned, partitioned, streaming), Gaussian accounting, the
-// node cache, and whether an appended partition rides the dataset section;
+// (non-partitioned, partitioned, streaming), Gaussian accounting, and
+// whether an appended partition rides the dataset section;
 // each op byte is one query — its predicate and window.
 func fuzzSession(t *testing.T, shape byte, ops []byte) (Config, *Session) {
 	const parts = 4
@@ -22,14 +22,13 @@ func fuzzSession(t *testing.T, shape byte, ops []byte) (Config, *Session) {
 	if shape&4 != 0 {
 		cfg.Gaussian, cfg.DeltaGlobal = true, 1e-6
 	}
-	cfg.NodeExactCache = shape&8 != 0
 	dom, ds := buildDS(t, parts)
 	s, err := NewSession(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.PersistDataset()
-	if shape&16 != 0 && cfg.Mode != NonPartitioned {
+	if shape&8 != 0 && cfg.Mode != NonPartitioned {
 		p, err := s.AppendPartitions(1)
 		if err != nil {
 			t.Fatal(err)
@@ -54,16 +53,6 @@ func fuzzSession(t *testing.T, shape byte, ops []byte) (Config, *Session) {
 			q = q.WithWindow(start, min(ds.Partitions()-1, start+int(op&3)))
 		}
 		_, _ = s.Answer(q) // a refusal is state too
-	}
-	if cfg.NodeExactCache && cfg.Mode != NonPartitioned {
-		q := query.MustNew(dom, map[int][]int{0: {1}}).WithWindow(1, 1)
-		version, err := ds.RangeVersion(1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Tree().Cache().Put(q, version, 0.25, 1e9); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return cfg, s
 }

@@ -221,9 +221,6 @@ func (s *Session) buildRegistry() {
 	}
 	if s.tree != nil {
 		s.registry.Register(s.tree)
-		if c := s.tree.Cache(); c != nil {
-			s.registry.Register(c)
-		}
 	}
 }
 

@@ -665,7 +665,6 @@ func TestSaveLoadTreeProperty(t *testing.T) {
 			if tc.gaussian {
 				cfg.DeltaGlobal = 1e-6
 			}
-			cfg.NodeExactCache = true
 			cfg.Shards = tc.shards
 			s1, err := NewSession(cfg, ds)
 			if err != nil {
@@ -784,12 +783,12 @@ func TestSaveLoadTreeProperty(t *testing.T) {
 
 // TestSnapshotBytesDeterministic pins the property the snapshotdet
 // analyzer guards line by line: a quiesced session captures to the same
-// bytes every time, with the tree, its node cache and a sharded exact
-// cache all populated (each is a Go map somewhere underneath).
+// bytes every time, with the tree and a sharded exact cache both
+// populated (each is a Go map somewhere underneath).
 func TestSnapshotBytesDeterministic(t *testing.T) {
 	dom, ds := buildDS(t, 8)
 	cfg := defaultCfg(Partitioned)
-	cfg.Shards, cfg.NodeExactCache = 4, true
+	cfg.Shards = 4
 	s, err := NewSession(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
@@ -804,22 +803,9 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 			}
 		}
 	}
-	// Organic fills never qualify for the node cache, so none are stored:
-	// prefill servable entries, as tree/alloc_test.go does, to keep its
-	// section in the determinism check.
-	for start := 0; start < 8; start++ {
-		version, err := ds.RangeVersion(start, start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := query.MustNew(dom, map[int][]int{0: {1}}).WithWindow(start, start)
-		if err := s.Tree().Cache().Put(q, version, 0.5, 1e9); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.ExactCache().Stripes() != 4 || s.ExactCache().Len() < 100 || s.Tree().Cache().Len() == 0 || s.Tree().Nodes() < 8 {
-		t.Fatalf("session under-populated: %d exact stripes, %d exact entries, %d node-cache entries, %d nodes",
-			s.ExactCache().Stripes(), s.ExactCache().Len(), s.Tree().Cache().Len(), s.Tree().Nodes())
+	if s.ExactCache().Stripes() != 4 || s.ExactCache().Len() < 100 || s.Tree().Nodes() < 8 {
+		t.Fatalf("session under-populated: %d exact stripes, %d exact entries, %d nodes",
+			s.ExactCache().Stripes(), s.ExactCache().Len(), s.Tree().Nodes())
 	}
 	var first bytes.Buffer
 	if err := s.SaveState(&first); err != nil {
@@ -855,7 +841,6 @@ func TestFreshBooksStartWithEmptyCaches(t *testing.T) {
 			dom, ds := buildDS(t, 8)
 			q := query.MustNew(dom, map[int][]int{0: {1}}).WithWindow(0, 5)
 			cfg := defaultCfg(Partitioned)
-			cfg.NodeExactCache = true
 			cfg.Backend = tc.open(t)
 			a, err := NewSession(cfg, ds)
 			if err != nil {

@@ -123,7 +123,9 @@ type Config struct {
 	Heuristic heuristic.Factory
 	// Structure selects the histogram arrangement in partitioned modes.
 	Structure tree.Structure
-	// NodeExactCache enables per-node exact caches inside the tree.
+	// NodeExactCache is ignored: the tree keeps no node cache. It is a
+	// compile shim for benchmark/, which sets it; a benchmark/-only change
+	// removes it.
 	NodeExactCache bool
 	// Seed makes the session's randomness reproducible.
 	Seed uint64
@@ -340,11 +342,10 @@ func NewSession(cfg Config, ds *dataset.Dataset) (*Session, error) {
 		t, err := tree.New(tree.Config{
 			Alpha: cfg.Alpha, Beta: cfg.Beta, Tau: cfg.Tau,
 			LR: cfg.LR, Heuristic: cfg.Heuristic,
-			Structure:      cfg.Structure,
-			WarmStart:      cfg.Mode == Streaming,
-			NodeExactCache: cfg.NodeExactCache,
-			Shards:         cfg.Shards,
-		}, s.exec, s.block, be, rng.Fork())
+			Structure: cfg.Structure,
+			WarmStart: cfg.Mode == Streaming,
+			Shards:    cfg.Shards,
+		}, s.exec, s.block, rng.Fork())
 		if err != nil {
 			return nil, err
 		}

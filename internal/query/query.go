@@ -206,16 +206,8 @@ func (q *Query) WithWindow(start, end int) *Query {
 	}
 	c := *q
 	c.start, c.end, c.hasWindow = start, end, true
-	c.winKey = string(q.AppendWindowKey(make([]byte, 0, 64), start, end))
+	c.winKey = string(append(appendWindow(make([]byte, 0, 64), start, end, true), q.key...))
 	return &c
-}
-
-// AppendWindowKey appends q.WithWindow(start, end).KeyWithWindow() — the
-// canonical windowed cache key — to dst, without materializing the
-// windowed copy. Byte-for-byte identical to the WithWindow route; the
-// tree's zero-allocation node-cache probes build their keys with it.
-func (q *Query) AppendWindowKey(dst []byte, start, end int) []byte {
-	return append(appendWindow(dst, start, end, true), q.key...)
 }
 
 // WithoutWindow returns a copy of q with no partition window.

@@ -71,7 +71,7 @@ func BenchmarkHandleQueryBatchCold(b *testing.B) {
 		b.StopTimer()
 		sess, err := core.NewSession(core.Config{
 			Mode: core.Partitioned, Alpha: 0.05, Beta: 0.001, EpsilonGlobal: 10,
-			Structure: tree.Binary, NodeExactCache: true, Seed: 42,
+			Structure: tree.Binary, Seed: 42,
 			Shards: runtime.NumCPU(), Backend: store.NewMem(store.MemConfig{}),
 		}, ds)
 		if err != nil {

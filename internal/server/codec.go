@@ -23,9 +23,37 @@ var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // maxAnalystBody caps the request body of the analyst-facing endpoints
 // (/query, /query/batch, /groupby), whose payloads are SQL text. /append
-// and /restore stay uncapped: their bodies scale with the domain and the
-// snapshot.
+// has its own cap, maxAppendBody; /restore stays uncapped: its body scales
+// with the snapshot.
 const maxAnalystBody = 1 << 20
+
+// maxAppendPartitions is how many partitions a /append body has room for
+// at the widest counts. A batch is one ingestion epoch, and 64 holds the
+// paper's longest evaluated timeline (50 weekly partitions) in one.
+const maxAppendPartitions = 64
+
+// maxAppendBody caps a /append body over a domain of domSize bins, so one
+// client cannot make the server hold an arbitrarily large body: room for
+// maxAppendPartitions partitions whose every count is as wide as an int
+// prints (math.MinInt64) with its comma, each wrapped in {"counts":[]},
+// inside the batch's {"partitions":[]}. Real counts print in a few
+// digits, so the cap admits far more partitions of real data than that.
+func maxAppendBody(domSize int) int64 {
+	const widestCount = len("-9223372036854775808,")
+	const partition = len(`{"counts":[]},`)
+	const batch = len(`{"partitions":[]}`)
+	return int64(maxAppendPartitions*(domSize*widestCount+partition) + batch)
+}
+
+// bodyErrorStatus is the status of a request body that failed to read or
+// decode: 413 past its MaxBytesReader cap, else 400.
+func bodyErrorStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
 
 // decodeAnalyst reads an analyst-facing POST body into req, a
 // *QueryRequest or *BatchQueryRequest. On failure it writes the response
@@ -47,12 +75,7 @@ func decodeAnalyst(w http.ResponseWriter, r *http.Request, req any) bool {
 	if err == nil {
 		return true
 	}
-	status := http.StatusBadRequest
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		status = http.StatusRequestEntityTooLarge
-	}
-	writeJSON(w, status, ErrorResponse{"bad-request", err.Error()})
+	writeJSON(w, bodyErrorStatus(err), ErrorResponse{"bad-request", err.Error()})
 	return false
 }
 

@@ -398,8 +398,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AppendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{"bad-request", err.Error()})
+	body := http.MaxBytesReader(w, r.Body, maxAppendBody(s.sess.Dataset().Domain().Size()))
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		writeJSON(w, bodyErrorStatus(err), ErrorResponse{"bad-request", err.Error()})
 		return
 	}
 	if len(req.Partitions) == 0 {
@@ -657,8 +658,8 @@ func (s *Server) SaveState(w io.Writer) error {
 }
 
 // handleSnapshot streams the session's durable state as a persist
-// envelope: both accountants (RDP curves included), exact caches, tree
-// node state, and any pending ingestion epochs, captured under the
+// envelope: the block accountant (RDP curves included), the exact cache,
+// tree node state, and any pending ingestion epochs, captured under the
 // ingestor's quiesce barrier. The snapshot is buffered before the first
 // byte is written so an encoding failure surfaces as a clean 500 rather
 // than a torn 200 body.

@@ -37,7 +37,7 @@ func newStreamingServer(t *testing.T, gaussian bool, opts ...Option) (*Server, *
 	cfg := core.Config{
 		Mode: core.Streaming, Alpha: 0.05, Beta: 0.001,
 		EpsilonGlobal: 40, Seed: 23,
-		NodeExactCache: true, Shards: 4,
+		Shards: 4,
 	}
 	if gaussian {
 		cfg.Gaussian = true
@@ -261,5 +261,48 @@ func TestAppendRefusedNonPartitioned(t *testing.T) {
 	}
 	if ds.Partitions() != 1 {
 		t.Fatalf("refused append grew the dataset to %d", ds.Partitions())
+	}
+}
+
+// TestAppendBodyCapped: a /append body past maxAppendBody is refused with
+// 413 before anything is enqueued — /schema's batch counter and the
+// partition count stay put — and the next append of ordinary size lands.
+func TestAppendBodyCapped(t *testing.T) {
+	srv, ds := newStreamingServer(t, false)
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	schema := func() SchemaResponse {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/schema")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var sr SchemaResponse
+		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+			t.Fatal(err)
+		}
+		return sr
+	}
+	before := schema()
+
+	domSize := ds.Domain().Size()
+	limit := maxAppendBody(domSize)
+	body := appendBody(t, domSize, int(limit)/(2*domSize)+1, 1) // two bytes a count: over the cap
+	if int64(len(body)) <= limit {
+		t.Fatalf("test body of %d bytes is within the %d-byte cap", len(body), limit)
+	}
+	status, msg := post(t, ts, "/append", body)
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize /append = %d %s, want 413", status, msg)
+	}
+	after := schema()
+	if after.Ingestion.Batches != before.Ingestion.Batches || ds.Partitions() != 2 {
+		t.Fatalf("the refused append enqueued: batches %d -> %d, %d partitions",
+			before.Ingestion.Batches, after.Ingestion.Batches, ds.Partitions())
+	}
+	if status, msg := post(t, ts, "/append", appendBody(t, domSize, 1, 10)); status != http.StatusOK {
+		t.Fatalf("/append after the refusal = %d %s", status, msg)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/domain"
 	"repro/internal/noise"
 	"repro/internal/query"
-	"repro/internal/store"
 )
 
 // buildConcurrentTree creates a sharded tree over a 16-partition dataset
@@ -33,9 +32,8 @@ func buildConcurrentTree(t *testing.T, shards int) (*Tree, *dataset.Dataset) {
 	}
 	tr, err := New(Config{
 		Alpha: 0.1, Beta: 0.01, Tau: 0.05,
-		NodeExactCache: true,
-		Shards:         shards,
-	}, dataset.NewExecutor(ds, noise.NewRng(8)), accountant.NewBlock(20, parts), store.NewMem(store.MemConfig{}), noise.NewRng(9))
+		Shards: shards,
+	}, dataset.NewExecutor(ds, noise.NewRng(8)), accountant.NewBlock(20, parts), noise.NewRng(9))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 	"repro/internal/interval"
 	"repro/internal/noise"
 	"repro/internal/query"
-	"repro/internal/store"
 )
 
 // storm fires overlapping-window queries from many goroutines and returns
@@ -84,9 +83,8 @@ func TestNoDoubleSpendUnderStorm(t *testing.T) {
 	}
 	tr, err := New(Config{
 		Alpha: 0.1, Beta: 0.01, Tau: 0.05,
-		NodeExactCache: true,
-		Shards:         4,
-	}, dataset.NewExecutor(ds, noise.NewRng(8)), accountant.NewBlock(1e9, parts), store.NewMem(store.MemConfig{}), noise.NewRng(9))
+		Shards: 4,
+	}, dataset.NewExecutor(ds, noise.NewRng(8)), accountant.NewBlock(1e9, parts), noise.NewRng(9))
 	if err != nil {
 		t.Fatal(err)
 	}

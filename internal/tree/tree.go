@@ -31,8 +31,8 @@
 // independent until budget accounting).
 //
 // Run holds its shard locks for two short phases rather than its whole
-// duration. The claim phase (locked) probes node caches, resolves routing,
-// initializes and pays the shared SV, and snapshots each touched node's
+// duration. The claim phase (locked) resolves routing, initializes and
+// pays the shared SV, and snapshots each touched node's
 // histogram together with its update epoch. The execute phase (unlocked)
 // runs every data-plane operation — true-value scans, Laplace payments and
 // DP releases — against the independently thread-safe dataset and
@@ -67,7 +67,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/accountant"
-	"repro/internal/cache"
 	"repro/internal/dataset"
 	"repro/internal/heuristic"
 	"repro/internal/histogram"
@@ -76,7 +75,6 @@ import (
 	"repro/internal/pmw"
 	"repro/internal/query"
 	"repro/internal/sparse"
-	"repro/internal/store"
 )
 
 // Structure selects how windows decompose onto histograms (§6.3 Q6).
@@ -115,21 +113,6 @@ type Config struct {
 	Structure Structure
 	// WarmStart enables §4.5 histogram warm-starting for new nodes.
 	WarmStart bool
-	// NodeExactCache enables per-node exact-match caches in front of the
-	// PMW machinery (the "Exact-Cache Tree" of Fig. 1). Cached node
-	// results are stored and reused only when their budget meets the
-	// pessimistic per-node calibration (servable), preserving (α, β) for
-	// any combination; Run's jointly calibrated releases almost never do.
-	NodeExactCache bool
-	// MaxWindow bounds the number of contiguous partitions one query may
-	// request (Thm A.8's T), enabling unbounded streams with bounded
-	// per-region state: with windows ≤ T, the lazily-materialized global
-	// dyadic nodes coincide exactly with the paper's overlapping trees
-	// I_κ (every I_κ node of size ≤ T is a globally-aligned dyadic
-	// interval), so state grows linearly in stream length rather than
-	// with its square. 0 disables the bound (single-tree behaviour, the
-	// paper's evaluated 50-partition setting).
-	MaxWindow int
 	// Shards is the number of concurrent state shards the initial
 	// partitions are divided into. Values ≤ 1 keep one shard: all
 	// queries serialize, matching the pre-sharding behaviour exactly.
@@ -157,11 +140,14 @@ func (c *Config) fill() error {
 
 // Stats aggregates tree activity for the evaluation harness.
 type Stats struct {
-	Queries      int
-	SVPasses     int // queries whose ready set passed the shared SV
-	SVFailures   int
-	LaplaceSubs  int // subqueries answered through the Laplace branch
-	CacheHits    int // node exact-cache hits
+	Queries     int
+	SVPasses    int // queries whose ready set passed the shared SV
+	SVFailures  int
+	LaplaceSubs int // subqueries answered through the Laplace branch
+	// CacheHits is always 0: the tree keeps no node cache. It is a compile
+	// shim for benchmark/, which reads it; a benchmark/-only change
+	// removes it.
+	CacheHits    int
 	NodeUpdates  int // purposeful histogram updates across all nodes
 	NodesCreated int
 	StaleSkips   int // commit-phase MW updates skipped: node advanced mid-flight
@@ -170,8 +156,7 @@ type Stats struct {
 // counters is Stats as lock-free atomics, bumped from the hot path.
 type counters struct {
 	queries, svPasses, svFailures, laplaceSubs atomic.Int64
-	cacheHits, nodeUpdates, nodesCreated       atomic.Int64
-	staleSkips                                 atomic.Int64
+	nodeUpdates, nodesCreated, staleSkips      atomic.Int64
 }
 
 // stateShard owns the node and sparse-vector state of a contiguous run of
@@ -204,17 +189,13 @@ type Tree struct {
 	shardMu    sync.RWMutex
 	shards     []*stateShard
 
-	cache *cache.Exact
-
 	scratch sync.Pool // of *runScratch
 
 	stats counters
 }
 
-// New creates a tree over exec's dataset, paying against block. be is the
-// storage backend the per-node exact cache lives in (any store.Backend;
-// ignored unless cfg.NodeExactCache).
-func New(cfg Config, exec *dataset.Executor, block *accountant.Block, be store.Backend, rng *noise.Rng) (*Tree, error) {
+// New creates a tree over exec's dataset, paying against block.
+func New(cfg Config, exec *dataset.Executor, block *accountant.Block, rng *noise.Rng) (*Tree, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
@@ -235,13 +216,6 @@ func New(cfg Config, exec *dataset.Executor, block *accountant.Block, be store.B
 			parts = 1
 		}
 		t.shardWidth = (parts + cfg.Shards - 1) / cfg.Shards
-	}
-	if cfg.NodeExactCache {
-		c, err := cache.NewExact(be, "tree-node")
-		if err != nil {
-			return nil, fmt.Errorf("tree: node exact cache: %w", err)
-		}
-		t.cache = c
 	}
 	return t, nil
 }
@@ -432,10 +406,6 @@ func (t *Tree) LiveSVs() int {
 	return total
 }
 
-// Cache exposes the per-node exact cache (nil unless NodeExactCache),
-// so the session can register it as its own snapshot section.
-func (t *Tree) Cache() *cache.Exact { return t.cache }
-
 // appendSVKey appends the canonical SV-registry key of a node set — the
 // concatenation of the nodes' [a,b] renderings — into a reused scratch
 // buffer. Byte-identical to the string svKey builds.
@@ -459,8 +429,8 @@ func svKey(nodes []interval.Node) string {
 type Result struct {
 	Value float64
 	// SVNodes and LaplaceNodes count the split components answered by the
-	// shared-SV and Laplace branches (cache hits excluded).
-	SVNodes, LaplaceNodes, CachedNodes int
+	// shared-SV and Laplace branches.
+	SVNodes, LaplaceNodes int
 	// Paid is the total pure-DP budget consumed, summed over partitions.
 	Paid float64
 	// SVFailed reports whether the shared SV check failed.
@@ -474,41 +444,37 @@ type component struct {
 }
 
 // nodeClaim snapshots one split node during the locked claim phase: its
-// state pointer, public row count, data version, and histogram update
-// epoch (for commit-time revalidation). est is the node's claim-time
+// state pointer, public row count, and histogram update epoch (for
+// commit-time revalidation). est is the node's claim-time
 // histogram estimate; commit reuses it for the τα rule and as the
 // renormalization mass of MW updates, which is sound because updates only
 // apply when the epoch is untouched — the histogram is then exactly as
 // claimed. value carries the execute-phase Laplace release for lapNodes.
 type nodeClaim struct {
-	iv      interval.Node
-	nd      *node
-	ni      int
-	version int
-	epoch   int
-	est     float64
-	value   float64
+	iv    interval.Node
+	nd    *node
+	ni    int
+	epoch int
+	est   float64
+	value float64
 }
 
 // runScratch carries one Run's plan between its phases and is pooled
-// across queries, so the steady-state cache-hit path allocates nothing.
+// across queries.
 type runScratch struct {
 	start, end int
-	mMax       int // claim-time worst-case split size: servable's m_max
 	res        Result
 
-	shards    []*stateShard
-	split     []interval.Node
-	remaining []interval.Node
-	nis       []int
-	vers      []int
-	nds       []*node
-	ready     []interval.Node
-	svNodes   []nodeClaim
-	lapNodes  []nodeClaim
-	comps     []component
+	shards   []*stateShard
+	split    []interval.Node
+	nonEmpty []interval.Node
+	nis      []int
+	nds      []*node
+	ready    []interval.Node
+	svNodes  []nodeClaim
+	lapNodes []nodeClaim
+	comps    []component
 
-	key      []byte
 	svKeyBuf []byte
 
 	// Shared-SV claim state.
@@ -526,10 +492,10 @@ type runScratch struct {
 // defaults to the full store. On budget exhaustion it returns
 // accountant.ErrBudgetExhausted (wrapped) and releases nothing new.
 //
-// Run is three-phase: a locked claim (cache probes, routing, SV
-// initialization, node snapshots), an unlocked execute (scans, payments,
-// DP releases), and a locked commit (SV test, epoch-revalidated MW
-// updates, cache fills). See the package comment.
+// Run is three-phase: a locked claim (routing, SV initialization, node
+// snapshots), an unlocked execute (scans, payments, DP releases), and a
+// locked commit (SV test, epoch-revalidated MW updates). See the package
+// comment.
 func (t *Tree) Run(q *query.Query) (Result, error) {
 	ds := t.exec.Dataset()
 	start, end := 0, ds.Partitions()-1
@@ -538,10 +504,6 @@ func (t *Tree) Run(q *query.Query) (Result, error) {
 	}
 	if start < 0 || end >= ds.Partitions() || start > end {
 		return Result{}, fmt.Errorf("tree: window [%d,%d] out of range (%d partitions)", start, end, ds.Partitions())
-	}
-	if t.cfg.MaxWindow > 0 && end-start+1 > t.cfg.MaxWindow {
-		return Result{}, fmt.Errorf("tree: window [%d,%d] exceeds the configured %d-partition bound (Thm A.8)",
-			start, end, t.cfg.MaxWindow)
 	}
 
 	sc := t.scratch.Get().(*runScratch)
@@ -571,18 +533,17 @@ func (t *Tree) Run(q *query.Query) (Result, error) {
 	return sc.res, nil
 }
 
-// claim is Run's first locked phase: split the window, serve qualified
-// node-cache hits, route the remaining nodes between the shared-SV and
-// Laplace branches, initialize (and pay) the shared SV, and snapshot every
-// touched node's update epoch and claim-time estimate.
+// claim is Run's first locked phase: split the window, route its non-empty
+// nodes between the shared-SV and Laplace branches, initialize (and pay)
+// the shared SV, and snapshot every touched node's update epoch and
+// claim-time estimate.
 func (t *Tree) claim(q *query.Query, start, end int, sc *runScratch) error {
 	ds := t.exec.Dataset()
 	sc.start, sc.end = start, end
 	sc.res = Result{}
 	sc.comps = sc.comps[:0]
-	sc.remaining = sc.remaining[:0]
+	sc.nonEmpty = sc.nonEmpty[:0]
 	sc.nis = sc.nis[:0]
-	sc.vers = sc.vers[:0]
 	sc.nds = sc.nds[:0]
 	sc.ready = sc.ready[:0]
 	sc.svNodes = sc.svNodes[:0]
@@ -594,45 +555,27 @@ func (t *Tree) claim(q *query.Query, start, end int, sc *runScratch) error {
 	defer unlockAll(sc.shards)
 
 	sc.split = t.appendSplit(sc.split[:0], start, end)
-	sc.mMax = t.maxSplit()
 
-	// 1. Node exact caches (Fig. 1 "Exact-Cache Tree"): servable hits
-	// contribute directly and leave the PMW machinery untouched.
+	// 1. Partition the nodes that hold rows into the shared-SV set (ready,
+	// contiguous) and the Laplace set.
 	for _, iv := range sc.split {
-		version, ni, err := ds.WindowMeta(iv.Start, iv.End)
+		_, ni, err := ds.WindowMeta(iv.Start, iv.End)
 		if err != nil {
 			return err
 		}
 		if ni == 0 {
 			continue // empty partitions contribute nothing
 		}
-		// Until the node cache has held an entry no probe can hit: skip
-		// the key and the store lookup (organic fills are rare, see servable).
-		if t.cache != nil && t.cache.Filled() {
-			sc.key = q.AppendWindowKey(sc.key[:0], iv.Start, iv.End)
-			if e, ok := t.cache.GetKey(sc.key, iv.Start, version); ok && t.servable(e.Eps, sc.mMax, ni) {
-				sc.comps = append(sc.comps, component{e.Value, ni})
-				sc.res.CachedNodes++
-				t.stats.cacheHits.Add(1)
-				continue
-			}
-		}
-		sc.remaining = append(sc.remaining, iv)
-		sc.nis = append(sc.nis, ni)
-		sc.vers = append(sc.vers, version)
-	}
-	if len(sc.remaining) == 0 {
-		return nil
-	}
-
-	// 2. Partition the remaining nodes into the shared-SV set (ready,
-	// contiguous) and the Laplace set.
-	for _, iv := range sc.remaining {
 		nd := t.getNode(iv)
+		sc.nonEmpty = append(sc.nonEmpty, iv)
+		sc.nis = append(sc.nis, ni)
 		sc.nds = append(sc.nds, nd)
 		if nd.ready(q) {
 			sc.ready = append(sc.ready, iv)
 		}
+	}
+	if len(sc.nonEmpty) == 0 {
+		return nil
 	}
 	svSet, _ := interval.LargestContiguousSubset(sc.ready)
 	spanStart, spanEnd := 0, -1
@@ -641,8 +584,8 @@ func (t *Tree) claim(q *query.Query, start, end int, sc *runScratch) error {
 	}
 	// The SV span is tiled entirely by ready nodes, so span containment
 	// is exact membership in svSet.
-	for i, iv := range sc.remaining {
-		c := nodeClaim{iv: iv, nd: sc.nds[i], ni: sc.nis[i], version: sc.vers[i]}
+	for i, iv := range sc.nonEmpty {
+		c := nodeClaim{iv: iv, nd: sc.nds[i], ni: sc.nis[i]}
 		c.epoch = c.nd.hist.Updates()
 		if iv.Start >= spanStart && iv.End <= spanEnd {
 			sc.svNodes = append(sc.svNodes, c)
@@ -656,7 +599,7 @@ func (t *Tree) claim(q *query.Query, start, end int, sc *runScratch) error {
 		}
 	}
 
-	// 3. Shared-SV claim: initialize (paying 3ε) if no live SV covers the
+	// 2. Shared-SV claim: initialize (paying 3ε) if no live SV covers the
 	// set, and compute the combined histogram estimate r_H from the
 	// claim-time snapshots.
 	if len(sc.svNodes) > 0 {
@@ -741,8 +684,7 @@ func (t *Tree) execute(q *query.Query, sc *runScratch) error {
 
 // commit is Run's second locked phase: consume the shared SV, apply MW
 // updates to nodes whose update epoch is unchanged since claim (skipping
-// — and counting — nodes a concurrent query advanced in between), and
-// fill the node caches with the claim-time data versions.
+// — and counting — nodes a concurrent query advanced in between).
 func (t *Tree) commit(q *query.Query, sc *runScratch) error {
 	if len(sc.svNodes) == 0 && len(sc.lapNodes) == 0 {
 		return nil
@@ -796,15 +738,7 @@ func (t *Tree) commit(q *query.Query, sc *runScratch) error {
 		sc.res.SVNodes = len(sc.svNodes)
 	}
 
-	// Laplace commit (Alg. 2 ll.32-33): τα-guarded external updates and
-	// node-cache fills. Fills record the claim-time version: if the data
-	// advanced mid-flight the entry is born stale and the monotone version
-	// check rejects it, rather than a fresh version laundering a result
-	// computed over older rows. Only servable releases are stored, and
-	// that gate is exact: a probe accepts an entry only at its stored
-	// version, where n_i is unchanged (versions are monotone), and m_max
-	// only grows, raising the bar. An entry refused here is refused by
-	// every later probe, so the gate drops only writes nothing can read.
+	// Laplace commit (Alg. 2 ll.32-33): τα-guarded external updates.
 	if len(sc.lapNodes) > 0 {
 		for i := range sc.lapNodes {
 			c := &sc.lapNodes[i]
@@ -816,35 +750,10 @@ func (t *Tree) commit(q *query.Query, sc *runScratch) error {
 				}
 			}
 			sc.comps = append(sc.comps, component{c.value, c.ni})
-			if t.cache != nil && t.servable(sc.epsLap, sc.mMax, c.ni) {
-				sc.key = q.AppendWindowKey(sc.key[:0], c.iv.Start, c.iv.End)
-				// A failed fill is indistinguishable from a miss later.
-				_ = t.cache.PutKey(sc.key, c.iv.Start, c.version, c.value, sc.epsLap)
-			}
 		}
 		sc.res.LaplaceNodes = len(sc.lapNodes)
 	}
 	return nil
-}
-
-// servable is the node cache's one qualification rule, for probe and fill:
-// a release paid at eps over n rows stands in for its node in any split of
-// up to mMax nodes only if eps meets the per-node calibration at β/mMax.
-func (t *Tree) servable(eps float64, mMax, n int) bool {
-	return eps >= noise.EpsilonForAccuracy(t.cfg.Alpha, t.cfg.Beta/float64(mMax), n)
-}
-
-// maxSplit is the worst-case split size at the current partition count.
-func (t *Tree) maxSplit() int {
-	p := t.exec.Dataset().Partitions()
-	m := 0
-	for 1<<m < p {
-		m++
-	}
-	if t.cfg.Structure == Flat {
-		return p
-	}
-	return interval.MaxSplitNodes(m)
 }
 
 // Stats returns cumulative counters.
@@ -854,7 +763,6 @@ func (t *Tree) Stats() Stats {
 		SVPasses:     int(t.stats.svPasses.Load()),
 		SVFailures:   int(t.stats.svFailures.Load()),
 		LaplaceSubs:  int(t.stats.laplaceSubs.Load()),
-		CacheHits:    int(t.stats.cacheHits.Load()),
 		NodeUpdates:  int(t.stats.nodeUpdates.Load()),
 		NodesCreated: int(t.stats.nodesCreated.Load()),
 		StaleSkips:   int(t.stats.staleSkips.Load()),

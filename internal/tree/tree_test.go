@@ -13,7 +13,6 @@ import (
 	"repro/internal/noise"
 	"repro/internal/pmw"
 	"repro/internal/query"
-	"repro/internal/store"
 )
 
 // fix builds an 8-partition dataset with drifting positivity and a tree.
@@ -51,7 +50,7 @@ func newFix(t *testing.T, mut func(*Config), global float64, partitions int) *fi
 	if mut != nil {
 		mut(&cfg)
 	}
-	tr, err := New(cfg, exec, block, store.NewMem(store.MemConfig{}), rng.Fork())
+	tr, err := New(cfg, exec, block, rng.Fork())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,18 +70,18 @@ func TestConfigValidation(t *testing.T) {
 		{Alpha: 0.1, Beta: 0.1, Tau: 0.7},
 	}
 	for i, c := range bads {
-		if _, err := New(c, exec, block, nil, rng); err == nil {
+		if _, err := New(c, exec, block, rng); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
 	good := Config{Alpha: 0.1, Beta: 0.1, Tau: 0.2}
-	if _, err := New(good, nil, block, nil, rng); err == nil {
+	if _, err := New(good, nil, block, rng); err == nil {
 		t.Error("nil executor accepted")
 	}
-	if _, err := New(good, exec, nil, nil, rng); err == nil {
+	if _, err := New(good, exec, nil, rng); err == nil {
 		t.Error("nil accountant accepted")
 	}
-	if _, err := New(good, exec, block, nil, nil); err == nil {
+	if _, err := New(good, exec, block, nil); err == nil {
 		t.Error("nil rng accepted")
 	}
 }
@@ -288,36 +287,6 @@ func TestColdWarmStartStaysUniform(t *testing.T) {
 	}
 }
 
-func TestNodeExactCache(t *testing.T) {
-	f := newFix(t, func(c *Config) { c.NodeExactCache = true }, 1000, 8)
-	q := query.MustNew(f.dom, map[int][]int{0: {1}}).WithWindow(2, 3)
-	// [2,3] is one dyadic node. No organic fill is servable, so prefill one
-	// that is: the probe must serve it at its version and never after.
-	version, err := f.ds.RangeVersion(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.tree.Cache().Put(q, version, 0.25, 1e9); err != nil {
-		t.Fatal(err)
-	}
-	res, err := f.tree.Run(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CachedNodes != 1 || res.Value != 0.25 || res.Paid != 0 {
-		t.Fatalf("servable entry not served: %+v", res)
-	}
-	if err := f.ds.AddCount(2, 0, 10); err != nil { // invalidate
-		t.Fatal(err)
-	}
-	if res, err = f.tree.Run(q); err != nil {
-		t.Fatal(err)
-	}
-	if res.CachedNodes != 0 || res.Paid == 0 {
-		t.Fatalf("node cache served stale data after mutation: %+v", res)
-	}
-}
-
 func TestMemoryBytesScalesWithNodes(t *testing.T) {
 	f := newFix(t, nil, 1000, 8)
 	if f.tree.MemoryBytes() != 0 {
@@ -341,7 +310,7 @@ func TestEmptyPartitionsSkipped(t *testing.T) {
 	rng := noise.NewRng(5)
 	exec := dataset.NewExecutor(ds, rng.Fork())
 	block := accountant.NewBlock(100, 4)
-	tr, err := New(Config{Alpha: 0.1, Beta: 0.01, Tau: 0.25}, exec, block, nil, rng.Fork())
+	tr, err := New(Config{Alpha: 0.1, Beta: 0.01, Tau: 0.25}, exec, block, rng.Fork())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,24 +421,12 @@ func TestPersistRestoreErrors(t *testing.T) {
 	}
 }
 
-func TestMaxWindowBound(t *testing.T) {
-	f := newFix(t, func(c *Config) { c.MaxWindow = 4 }, 1000, 8)
-	over := query.MustNew(f.dom, map[int][]int{0: {1}}).WithWindow(0, 5)
-	if _, err := f.tree.Run(over); err == nil {
-		t.Fatal("window beyond MaxWindow accepted")
-	}
-	ok := query.MustNew(f.dom, map[int][]int{0: {1}}).WithWindow(2, 5)
-	if _, err := f.tree.Run(ok); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBoundedWindowStateGrowsLinearly(t *testing.T) {
 	// Thm A.8's point: with windows bounded by T, the materialized node
 	// set grows linearly in stream length (≲ (log T + 1)·L nodes for L
 	// partitions), not with the full dyadic closure of the stream.
 	const partitions, maxWin = 64, 4
-	f := newFix(t, func(c *Config) { c.MaxWindow = maxWin }, 1e6, partitions)
+	f := newFix(t, nil, 1e6, partitions)
 	// Query every window of every size ≤ maxWin — the worst case for
 	// node materialization.
 	for size := 1; size <= maxWin; size++ {
