@@ -47,7 +47,7 @@ scorecard:
 # toolchain change re-measures it. It also fails when turbo-server links
 # a package it must not: encoding/gob (snapshot sections have their own
 # codec) or net/http/pprof.
-CEILINGS = 17411 17 1 9771636
+CEILINGS = 17391 17 1 9770278
 BANNED_DEPS = encoding/gob net/http/pprof
 
 scorecard-check:

@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -46,7 +47,8 @@ func runMain(t *testing.T, args ...string) (string, error) {
 // the server listens, and the file is left byte for byte as it was. Two
 // such files: one in the v2 snapshot format (the magic, version 2, gzip
 // bytes), and a v3 one from a build that kept a tree node cache, whose
-// "cache/tree-node" section no layer of this build owns.
+// "cache/tree-node" section no layer of this build owns. A v3 file whose
+// dataset section carries a NaN count is refused the same way.
 func TestStateFromOlderBuildRefused(t *testing.T) {
 	args := []string{"-addr", "127.0.0.1:0", "-rows", "2000", "-weeks", "4", "-shards", "1"}
 	for _, tc := range []struct {
@@ -55,6 +57,7 @@ func TestStateFromOlderBuildRefused(t *testing.T) {
 	}{
 		{"v2", "snapshot is v2, this build reads v3", v2Snapshot},
 		{"tree-node", `unknown snapshot section: "cache/tree-node"`, treeNodeSnapshot},
+		{"nan-count", "has count NaN at bin", nanCountSnapshot},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			old := tc.file(t)
@@ -90,11 +93,10 @@ func v2Snapshot(t *testing.T) []byte {
 	return append([]byte("TURBOSNP\x00\x00\x00\x02"), gz.Bytes()...)
 }
 
-// treeNodeSnapshot is the v3 snapshot an older build wrote at boot with
-// TestStateFromOlderBuildRefused's flags: this build's sections plus the
-// empty "cache/tree-node" section (one stripe, no entries) its tree's
-// node cache registered.
-func treeNodeSnapshot(t *testing.T) []byte {
+// bootSnapshot is the v3 snapshot this build writes at boot with
+// TestStateFromOlderBuildRefused's flags, each section's payload passed
+// through edit, then the extra sections (name, payload pairs).
+func bootSnapshot(t *testing.T, edit func(name string, p []byte) []byte, extra ...string) []byte {
 	ds, err := workload.BuildCovid(workload.CovidConfig{Rows: 2000, Weeks: 4, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
@@ -121,21 +123,60 @@ func treeNodeSnapshot(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	for _, name := range order {
-		if err := w.WriteSection(name, payloads[name]); err != nil {
+		if err := w.WriteSection(name, edit(name, payloads[name])); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var stripes persist.Encoder
-	stripes.PutUvarint(1) // one stripe
-	stripes.PutInt(0)     // its index
-	stripes.PutUvarint(0) // no entries
-	if err := w.WriteSection("cache/tree-node", stripes.Payload()); err != nil {
-		t.Fatal(err)
+	for i := 0; i+1 < len(extra); i += 2 {
+		if err := w.WriteSection(extra[i], []byte(extra[i+1])); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return out.Bytes()
+}
+
+// treeNodeSnapshot is the v3 snapshot an older build wrote at boot with
+// TestStateFromOlderBuildRefused's flags: this build's sections plus the
+// empty "cache/tree-node" section (one stripe, no entries) its tree's
+// node cache registered.
+func treeNodeSnapshot(t *testing.T) []byte {
+	var stripes persist.Encoder
+	stripes.PutUvarint(1) // one stripe
+	stripes.PutInt(0)     // its index
+	stripes.PutUvarint(0) // no entries
+	keep := func(_ string, p []byte) []byte { return p }
+	return bootSnapshot(t, keep, "cache/tree-node", string(stripes.Payload()))
+}
+
+// nanCountSnapshot is the boot snapshot with one count of its dataset
+// section's first partition replaced by NaN.
+func nanCountSnapshot(t *testing.T) []byte {
+	return bootSnapshot(t, func(name string, p []byte) []byte {
+		if name != "dataset/partitions" {
+			return p
+		}
+		dec := persist.NewDecoder(p)
+		var e persist.Encoder
+		e.PutInt(dec.Int())
+		parts := dec.Count(3)
+		e.PutUvarint(uint64(parts))
+		for i := 0; i < parts; i++ {
+			counts := dec.Floats()
+			if i == 0 {
+				counts[len(counts)-1] = math.NaN()
+			}
+			e.PutFloats(counts)
+			e.PutInt(dec.Int())
+			e.PutInt(dec.Int())
+		}
+		if err := dec.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return e.Payload()
+	})
 }
 
 // TestStoreConfig pins the two-flag → store.MemConfig mapping: no cap is

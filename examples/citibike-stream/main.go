@@ -44,18 +44,9 @@ func main() {
 	fmt.Printf("CitiBike stream: %s, %d weeks, pool of %d primitive queries\n\n",
 		full.Domain(), *weeks, len(pool))
 
-	// weekCounts extracts week w of the full history as an arrival payload.
-	weekCounts := func(w int) []int {
-		counts := make([]int, full.Domain().Size())
-		for bin := range counts {
-			counts[bin] = int(full.Partition(w).Count(bin))
-		}
-		return counts
-	}
-
 	// The live database starts with week 0 only.
 	live := dataset.New(full.Domain(), 1)
-	if err := live.BulkLoad(0, weekCounts(0)); err != nil {
+	if err := live.BulkLoad(0, full.PartitionCounts(0)); err != nil {
 		log.Fatal(err)
 	}
 
@@ -87,7 +78,7 @@ func main() {
 	answered, exhausted := 0, 0
 	for w := 0; w < *weeks; w++ {
 		if w > 0 {
-			if _, _, err := ing.Append(stream.Arrival{Counts: weekCounts(w)}); err != nil {
+			if _, _, err := ing.Append(stream.Arrival{Counts: full.PartitionCounts(w)}); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -332,13 +332,7 @@ func (e *Env) streaming() *Env {
 }
 
 // week returns the per-bin counts of week w of a streaming env's full data.
-func (e *Env) week(w int) []int {
-	counts := make([]int, e.full.Domain().Size())
-	for bin := range counts {
-		counts[bin] = int(e.full.Partition(w).Count(bin))
-	}
-	return counts
-}
+func (e *Env) week(w int) []int { return e.full.PartitionCounts(w) }
 
 // feed copies week w of the full data into partition w of the live one.
 func (e *Env) feed(w int) { _ = e.DS.BulkLoad(w, e.week(w)) }

@@ -146,10 +146,9 @@ func MissPath(sc Scale) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	// Each ladder point cycles a fixed 64-predicate pool, small enough to
-	// stay inside the engine's mask memo: the steady state being measured
-	// is a worked-in miss path (warm masks, warm window aggregate), not
-	// first-touch mask construction.
+	// Each ladder point cycles a fixed 64-predicate pool: the steady
+	// state being measured is a worked-in miss path (supports resolved
+	// and memoized on the queries), not first-touch support resolution.
 	covidPool := covid.Pool
 	if len(covidPool) > 64 {
 		covidPool = covidPool[:64]
@@ -197,7 +196,7 @@ func MissPath(sc Scale) (Result, error) {
 			_, err := exec.ExecuteDP(q, 0, parts-1, 0.1, math.NaN())
 			return err
 		}
-		for w := 0; w < len(env.pool); w++ { // warm masks + window aggregate
+		for w := 0; w < len(env.pool); w++ { // resolve the pool's supports
 			if err := missOp(); err != nil {
 				return Result{}, err
 			}

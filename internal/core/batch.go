@@ -14,11 +14,6 @@
 //     query 429s on its own without dooming batchmates, and the batch
 //     pays one accountant-lock acquisition where singleton traffic
 //     pays one per query;
-//   - one dataset warm-up pass that materializes each distinct
-//     multi-partition window aggregate once (dataset.WarmBatch), so the
-//     admitted groups' executions all run on shared, version-stamped
-//     state (predicates need none: their resolved support is memoized on
-//     the query);
 //   - per-group execution through the same single-flight group as the
 //     singleton path, so batch executions still dedup against concurrent
 //     singleton traffic and fill the exact cache before their flight key
@@ -39,7 +34,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/accountant"
-	"repro/internal/dataset"
 	"repro/internal/query"
 )
 
@@ -74,9 +68,8 @@ type batchMiss struct {
 
 // AnswerBatch answers a batch of linear queries, returning one ordered
 // result per query. Identical queries (same predicate, window, and data
-// version) execute and pay at most once; all cache-missed groups are
-// admitted in one accountant round; and shared evaluation state is
-// warmed once for the whole batch. Per-query failures (planning errors,
+// version) execute and pay at most once, and all cache-missed groups are
+// admitted in one accountant round. Per-query failures (planning errors,
 // ErrBudgetExhausted) land in that query's slot.
 func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 	out := make([]BatchResult, len(qs))
@@ -131,8 +124,8 @@ func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 
 	if len(misses) > 0 {
 		// Merge equal-but-distinct-pointer miss groups by flight identity
-		// (predicate + window + data version) so they admit, warm, and
-		// execute once; a folded group redirects its members to the
+		// (predicate + window + data version) so they admit and execute
+		// once; a folded group redirects its members to the
 		// surviving one.
 		if len(misses) > 1 {
 			byKey := make(map[string]*batchGroup, len(misses))
@@ -152,7 +145,6 @@ func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 		// One admission round for every missed group; a refused group
 		// resolves to its verdict without executing.
 		verdicts := s.admitBatch(misses)
-		warm := make([]dataset.BatchQuery, 0, len(misses))
 		run := misses[:0]
 		for i, m := range misses {
 			if verdicts[i] != nil {
@@ -160,12 +152,9 @@ func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 				m.g.err = verdicts[i]
 				continue
 			}
-			warm = append(warm, dataset.BatchQuery{Start: m.g.pl.Start, End: m.g.pl.End})
 			run = append(run, m)
 		}
 		if len(run) > 0 {
-			s.ds.WarmBatch(warm)
-
 			// Execute each admitted group once, through the same
 			// single-flight path as Answer. Groups are distinct flight
 			// keys, so they never wait on each other; the caller and at

@@ -162,11 +162,16 @@ func (d datasetSection) SnapshotPayload() ([]byte, error) {
 	return e.Payload(), nil
 }
 
-// RestorePayload replaces the dataset content and grows the session's
-// accountants over any partitions the snapshot's stream had appended
-// beyond the fresh build — accountants first, the AppendPartitions
-// ordering, so the books always cover every queryable partition.
-func (d datasetSection) RestorePayload(payload []byte) error {
+// StagePayload implements persist.Stager: it decodes the section and
+// checks it against the domain (dataset.CheckState) and the session's
+// shape before any section restores, so a poisoned dataset — a NaN, an
+// infinite, negative or fractional count, a row count that is not the sum
+// of its counts — is refused with the books and caches untouched. The
+// apply grows the session's accountants over any partitions the
+// snapshot's stream had appended beyond the fresh build, then replaces
+// the dataset content — accountants first, the AppendPartitions ordering,
+// so the books always cover every queryable partition.
+func (d datasetSection) StagePayload(payload []byte) (func() error, error) {
 	dec := persist.NewDecoder(payload)
 	st := dataset.State{Version: dec.Int()}
 	st.Parts = make([]dataset.PartitionState, dec.Count(3))
@@ -174,22 +179,36 @@ func (d datasetSection) RestorePayload(payload []byte) error {
 		st.Parts[i] = dataset.PartitionState{Counts: dec.Floats(), N: dec.Int(), Version: dec.Int()}
 	}
 	if err := dec.Finish(); err != nil {
-		return err
+		return nil, err
 	}
 	s := d.s
+	if err := s.ds.CheckState(st); err != nil {
+		return nil, err
+	}
 	delta := len(st.Parts) - s.ds.Partitions()
 	if delta < 0 {
-		return fmt.Errorf("core: snapshot dataset has %d partitions, session already has %d",
+		return nil, fmt.Errorf("core: snapshot dataset has %d partitions, session already has %d",
 			len(st.Parts), s.ds.Partitions())
 	}
 	if delta > 0 && s.tree == nil {
-		return errors.New("core: snapshot dataset grew beyond the non-partitioned session's fixed range")
+		return nil, errors.New("core: snapshot dataset grew beyond the non-partitioned session's fixed range")
 	}
-	s.restoreMutated = true
-	if delta > 0 {
-		s.block.AddPartitions(delta)
+	return func() error {
+		s.restoreMutated = true
+		if delta > 0 {
+			s.block.AddPartitions(delta)
+		}
+		return s.ds.RestoreState(st)
+	}, nil
+}
+
+// RestorePayload stages the section and applies it.
+func (d datasetSection) RestorePayload(payload []byte) error {
+	apply, err := d.StagePayload(payload)
+	if err != nil {
+		return err
 	}
-	return s.ds.RestoreState(st)
+	return apply()
 }
 
 // buildRegistry assembles the session's snapshot sections in restore
@@ -201,10 +220,11 @@ func (d datasetSection) RestorePayload(payload []byte) error {
 // re-apply only after every applied section is in place.
 func (s *Session) buildRegistry() {
 	s.registry = persist.NewRegistry()
-	// Identity, the block and the caches are persist.Stagers: each vets
-	// its section before any section restores, so a snapshot whose
-	// configuration, accounting or cache entries this session can never
-	// accept is a recoverable refusal rather than a half-restored session.
+	// Identity, the dataset, the block and the caches are persist.Stagers:
+	// each vets its section before any section restores, so a snapshot
+	// whose configuration, data, accounting or cache entries this session
+	// can never accept is a recoverable refusal rather than a half-restored
+	// session.
 	// Identity stages first: its refusal names the configuration field that
 	// differs.
 	s.registry.Register(identitySection{s})

@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -266,6 +268,112 @@ func TestSaveLoadPersistDataset(t *testing.T) {
 	s4.PersistDataset()
 	if err := s4.LoadState(&plainSnap); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// datasetSectionState decodes a "dataset/partitions" payload, and
+// encodeDatasetSection writes one back, in datasetSection's layout.
+func datasetSectionState(t *testing.T, p []byte) dataset.State {
+	t.Helper()
+	dec := persist.NewDecoder(p)
+	st := dataset.State{Version: dec.Int()}
+	st.Parts = make([]dataset.PartitionState, dec.Count(3))
+	for i := range st.Parts {
+		st.Parts[i] = dataset.PartitionState{Counts: dec.Floats(), N: dec.Int(), Version: dec.Int()}
+	}
+	if err := dec.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+func encodeDatasetSection(st dataset.State) []byte {
+	var e persist.Encoder
+	e.PutInt(st.Version)
+	e.PutUvarint(uint64(len(st.Parts)))
+	for _, p := range st.Parts {
+		e.PutFloats(p.Counts)
+		e.PutInt(p.N)
+		e.PutInt(p.Version)
+	}
+	return e.Payload()
+}
+
+// TestLoadStateRefusesPoisonedDataset: a dataset section holding a NaN
+// count, or a partition whose row count is one off the sum of its counts,
+// is refused while the section stages — before the books grow over the
+// snapshot's appended partitions and before any section restores. The
+// refusal is a SectionError naming the section, not ErrStateCorrupt: the
+// books, the partition count and the exact cache are as they were, and
+// the intact snapshot then restores into the same session.
+func TestLoadStateRefusesPoisonedDataset(t *testing.T) {
+	dom, ds := buildDS(t, 2)
+	cfg := defaultCfg(Streaming)
+	src, err := NewSession(cfg, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.PersistDataset()
+	q := query.MustNew(dom, map[int][]int{0: {1}})
+	for e := 0; e < 2; e++ {
+		w, err := src.AppendPartition()
+		if err != nil {
+			t.Fatal(err)
+		}
+		loadWeek(ds, dom, w)
+		if _, err := src.Answer(q.WithWindow(0, w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var snap bytes.Buffer
+	if err := src.SaveState(&snap); err != nil {
+		t.Fatal(err)
+	}
+	raw := snap.Bytes()
+
+	for _, tc := range []struct {
+		name   string
+		poison func(*dataset.State)
+	}{
+		{"nan", func(st *dataset.State) { st.Parts[3].Counts[1] = math.NaN() }},
+		{"n-off-by-one", func(st *dataset.State) { st.Parts[1].N++ }},
+	} {
+		bad := rewriteSections(t, raw, func(name string, p []byte) []byte {
+			if name != "dataset/partitions" {
+				return p
+			}
+			st := datasetSectionState(t, p)
+			tc.poison(&st)
+			return encodeDatasetSection(st)
+		})
+		_, fresh := buildDS(t, 2)
+		dst, err := NewSession(cfg, fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst.PersistDataset()
+		spent := dst.Accountant().SpentVector()
+		err = dst.LoadState(bytes.NewReader(bad))
+		var se *persist.SectionError
+		if !errors.As(err, &se) || se.Section != "dataset/partitions" || errors.Is(err, ErrStateCorrupt) {
+			t.Fatalf("%s: LoadState = %v, want a pure refusal of dataset/partitions", tc.name, err)
+		}
+		if got := dst.Accountant().SpentVector(); !slices.Equal(got, spent) {
+			t.Fatalf("%s: the refusal moved the books %v to %v", tc.name, spent, got)
+		}
+		if n, parts := dst.Accountant().Partitions(), fresh.Partitions(); n != 2 || parts != 2 {
+			t.Fatalf("%s: the refusal left the books over %d partitions and the dataset with %d, want 2 and 2",
+				tc.name, n, parts)
+		}
+		if n := dst.ExactCache().Len(); n != 0 {
+			t.Fatalf("%s: the refusal left %d cached releases, want none", tc.name, n)
+		}
+		if err := dst.LoadState(bytes.NewReader(raw)); err != nil {
+			t.Fatalf("%s: the intact snapshot after the refusal: %v", tc.name, err)
+		}
+		if fresh.Partitions() != 4 {
+			t.Fatalf("%s: the intact restore left %d partitions, want 4", tc.name, fresh.Partitions())
+		}
 	}
 }
 

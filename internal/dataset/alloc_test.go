@@ -1,22 +1,24 @@
 // Allocation budgets for the miss-path executor: once the predicate's
-// support is resolved and the window aggregate is warm, a non-private
-// execution must be a pure scan. Guarded out of race builds (race instrumentation
-// allocates).
+// support is resolved, a non-private execution is a pure scan of prefix
+// rows — from the first call, since no window state is built. Guarded out
+// of race builds (race instrumentation allocates).
 
 //go:build !race
 
 package dataset
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/domain"
 	"repro/internal/query"
 )
 
-// TestTrueFractionWarmZeroAllocs pins the warm vectorized execution —
-// resolved support, cached window aggregate — at zero allocations per
-// query, for a wide and a tiny support, single- and multi-partition.
+// TestTrueFractionWarmZeroAllocs pins the vectorized execution over a
+// resolved support at zero allocations per query from its first call —
+// the one that sums the freshly loaded rows included — for a wide and a
+// tiny support, single- and multi-partition, from partition 0 and past it.
 func TestTrueFractionWarmZeroAllocs(t *testing.T) {
 	dom := domain.MustNew(
 		domain.Attribute{Name: "p", Card: 4},
@@ -37,17 +39,26 @@ func TestTrueFractionWarmZeroAllocs(t *testing.T) {
 		// Tiny support: one bin.
 		"sparse": query.MustNew(dom, map[int][]int{0: {1}, 1: {2}, 2: {3}}),
 	}
+	for _, q := range queries {
+		q.ResolvedSupport()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for name, q := range queries {
-		for _, window := range [][2]int{{2, 2}, {0, 5}} {
+		for _, window := range [][2]int{{2, 2}, {0, 5}, {1, 4}} {
 			start, end := window[0], window[1]
-			if _, _, err := ds.TrueFractionN(q, start, end); err != nil {
-				t.Fatal(err) // resolve the support, build the window aggregate
-			}
-			if allocs := testing.AllocsPerRun(200, func() {
+			eval := func() {
 				if _, _, err := ds.TrueFractionN(q, start, end); err != nil {
 					t.Fatal(err)
 				}
-			}); allocs != 0 {
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			eval()
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Fatalf("%s over [%d,%d] allocates %d on its first call, want 0", name, start, end, n)
+			}
+			if allocs := testing.AllocsPerRun(200, eval); allocs != 0 {
 				t.Fatalf("%s over [%d,%d] allocates %.1f/op, want 0", name, start, end, allocs)
 			}
 		}

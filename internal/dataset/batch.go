@@ -1,20 +1,8 @@
-// Batch warm-up: the dataset leg of the session's batch plane
-// (core.Session.AnswerBatch).
-//
-// A batch of cache-missed queries typically shares windows — dashboards
-// fan many predicates across a few time ranges. Executing the misses one
-// by one rediscovers that sharing implicitly (the second query finds the
-// first one's window aggregate already cached — if it is not racing the
-// first one's build). WarmBatch makes the sharing explicit: one
-// sequential pass materializes each distinct multi-partition window's
-// aggregate exactly once, so the subsequent per-query executions all run
-// on warm, version-stamped state instead of building the same aggregate
-// concurrently in parallel goroutines. (Predicates need no warm-up: their
-// resolved support is memoized on the query itself.)
-//
-// Warming is best-effort and purely a cache operation: it deducts no
-// privacy budget, returns no data, and skipping it never changes any
-// answer.
+// The dataset leg of the session's batch plane (core.Session.AnswerBatch):
+// one metadata snapshot plans the whole batch. Execution needs nothing
+// batched — every window is two gathers over prefix rows that always
+// exist (vector.go), and a predicate's resolved support is memoized on the
+// query itself.
 
 package dataset
 
@@ -56,30 +44,4 @@ func (m *MetaSnapshot) WindowMeta(start, end int) (version, rows int, err error)
 		return 0, 0, fmt.Errorf("dataset: bad range [%d,%d] of %d partitions", start, end, m.parts)
 	}
 	return m.verSum[end+1] - m.verSum[start], m.rowSum[end+1] - m.rowSum[start], nil
-}
-
-// BatchQuery names one batched query's evaluation footprint: the
-// partition window it will execute over.
-type BatchQuery struct {
-	Start, End int
-}
-
-// WarmBatch materializes the shared evaluation state of a batch of
-// cache-missed queries in one sequential pass: each distinct
-// multi-partition window's aggregate vector, built once however many
-// batch members share it (a repeat finds the first one's aggregate at the
-// current version). Single-partition windows evaluate in place and need
-// none; malformed windows are skipped — the per-query execution will
-// surface their errors.
-func (ds *Dataset) WarmBatch(items []BatchQuery) {
-	for _, it := range items {
-		if it.Start == it.End {
-			continue
-		}
-		version, _, err := ds.WindowMeta(it.Start, it.End)
-		if err != nil {
-			continue
-		}
-		ds.windowAgg(it.Start, it.End, version)
-	}
 }

@@ -6,9 +6,10 @@
 // result of a linear query over a partition range (for SV checks and as the
 // value the DP executor perturbs); (2) the public row count n per partition;
 // and (3) partitions arriving over time for streaming workloads. A store
-// keeping one dense count vector over the domain per time partition
-// provides all three with the same semantics as a row store, since every
-// linear counting query is a function of those counts alone.
+// keeping dense per-bin counts over the domain, summed as prefix rows
+// across the time partitions, provides all three with the same semantics
+// as a row store, since every linear counting query is a function of
+// those counts alone.
 //
 // Rows can be ingested individually (AddRow) or in bulk via per-bin counts
 // (AddCount), which is how the synthetic workload generators materialize
@@ -17,40 +18,54 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/domain"
 	"repro/internal/query"
 )
 
-// Partition is one time slice of the database: a dense histogram of true
-// counts over the domain plus its public size.
-type Partition struct {
-	counts  []float64
+// partMeta is one partition's public metadata: its row count and the
+// mutation stamp exact caches key on.
+type partMeta struct {
 	n       int
 	version int
 }
 
-// N returns the partition's public row count.
-func (p *Partition) N() int { return p.n }
-
-// Count returns the true number of rows in bin.
-func (p *Partition) Count(bin int) float64 { return p.counts[bin] }
-
 // Dataset is a partitioned timeseries store. For the non-partitioned use
 // case it simply holds one partition. Safe for concurrent reads with
 // serialized writes.
+//
+// Counts live as prefix rows (vector.go): cum[i] is the per-bin count
+// summed over partitions [0, i), so there are len(parts)+1 rows. Rows
+// 0..summed are true prefix sums; a row past the watermark still holds
+// only its own partition's counts, and the first read that needs it sums
+// every such row under the write lock. In-order loads therefore cost
+// O(bins) each, and a load into a partition at or below the watermark
+// adds to rows p+1..summed.
+//
+// The rows are exact only while every sum is an integer below 2^53, so
+// the dataset never holds more than MaxRows rows: a load that would pass
+// it is refused whole, and so is a restored state that does.
 type Dataset struct {
 	mu      sync.RWMutex
 	dom     *domain.Domain
-	parts   []*Partition
+	parts   []partMeta
+	cum     [][]float64
+	summed  int
+	total   int
 	version int
+}
 
-	// Window-aggregate cache of the vectorized execution engine
-	// (vector.go).
-	aggMu   sync.RWMutex
-	aggs    map[int64]*winAgg
-	aggBins int
+// MaxRows is the most rows a dataset holds: below 2^53 every count,
+// prefix sum and difference of prefix sums is an exactly-represented
+// integer.
+const MaxRows = 1<<53 - 1
+
+// tooManyRows is the refusal of a load that would take a dataset past
+// MaxRows.
+func tooManyRows(p int) error {
+	return fmt.Errorf("dataset: load into partition %d would take the dataset past %d rows", p, MaxRows)
 }
 
 // New creates an empty dataset over dom with the given number of (empty)
@@ -59,7 +74,7 @@ func New(dom *domain.Domain, partitions int) *Dataset {
 	if partitions < 0 {
 		panic(fmt.Sprintf("dataset: bad partition count %d", partitions))
 	}
-	ds := &Dataset{dom: dom, aggs: make(map[int64]*winAgg)}
+	ds := &Dataset{dom: dom, cum: [][]float64{make([]float64, dom.Size())}}
 	for i := 0; i < partitions; i++ {
 		ds.appendPartitionLocked()
 	}
@@ -67,7 +82,8 @@ func New(dom *domain.Domain, partitions int) *Dataset {
 }
 
 func (ds *Dataset) appendPartitionLocked() int {
-	ds.parts = append(ds.parts, &Partition{counts: make([]float64, ds.dom.Size())})
+	ds.parts = append(ds.parts, partMeta{})
+	ds.cum = append(ds.cum, make([]float64, ds.dom.Size()))
 	return len(ds.parts) - 1
 }
 
@@ -97,12 +113,27 @@ func (ds *Dataset) AppendPartitions(k int) int {
 // Domain returns the dataset's domain.
 func (ds *Dataset) Domain() *domain.Domain { return ds.dom }
 
-// Partition returns a read-only view of partition i (its fields are
-// unexported, so callers can inspect counts but not mutate them).
-func (ds *Dataset) Partition(i int) *Partition {
+// PartitionCounts returns a copy of partition p's per-bin row counts.
+func (ds *Dataset) PartitionCounts(p int) []int {
 	ds.mu.RLock()
 	defer ds.mu.RUnlock()
-	return ds.parts[i]
+	out := make([]int, ds.dom.Size())
+	for bin, c := range ds.countsLocked(p) {
+		out[bin] = int(c)
+	}
+	return out
+}
+
+// countsLocked returns a copy of partition p's own counts: its raw row
+// past the watermark, or its prefix row less the one before it.
+func (ds *Dataset) countsLocked(p int) []float64 {
+	out := append([]float64(nil), ds.cum[p+1]...)
+	if p+1 <= ds.summed {
+		for b, c := range ds.cum[p] {
+			out[b] -= c
+		}
+	}
+	return out
 }
 
 // Partitions returns the current number of partitions.
@@ -127,7 +158,7 @@ func (ds *Dataset) AddRow(p int, tuple []int) error {
 }
 
 // AddCount ingests count identical rows whose encoded value is bin into
-// partition p. Used by bulk loaders.
+// partition p. Used by bulk loaders. A refused load changes nothing.
 func (ds *Dataset) AddCount(p, bin int, count int) error {
 	if count < 0 {
 		return fmt.Errorf("dataset: negative count %d", count)
@@ -140,8 +171,14 @@ func (ds *Dataset) AddCount(p, bin int, count int) error {
 	if bin < 0 || bin >= ds.dom.Size() {
 		return fmt.Errorf("dataset: bin %d out of range [0,%d)", bin, ds.dom.Size())
 	}
-	ds.parts[p].counts[bin] += float64(count)
+	if count > MaxRows-ds.total {
+		return tooManyRows(p)
+	}
+	for r := p + 1; r <= max(p+1, ds.summed); r++ {
+		ds.cum[r][bin] += float64(count)
+	}
 	ds.parts[p].n += count
+	ds.total += count
 	ds.parts[p].version++
 	ds.version++
 	return nil
@@ -181,7 +218,7 @@ func (ds *Dataset) WindowMeta(start, end int) (version, rows int, err error) {
 
 // BulkLoad adds per-bin row counts to partition p in one call. Workload
 // generators use it to materialize paper-scale datasets (tens of millions
-// of rows) without per-row ingestion.
+// of rows) without per-row ingestion. A refused load changes nothing.
 func (ds *Dataset) BulkLoad(p int, counts []int) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -191,15 +228,25 @@ func (ds *Dataset) BulkLoad(p int, counts []int) error {
 	if len(counts) != ds.dom.Size() {
 		return fmt.Errorf("dataset: BulkLoad got %d bins for domain size %d", len(counts), ds.dom.Size())
 	}
-	part := ds.parts[p]
+	n := 0
 	for bin, c := range counts {
 		if c < 0 {
 			return fmt.Errorf("dataset: negative count %d at bin %d", c, bin)
 		}
-		part.counts[bin] += float64(c)
-		part.n += c
+		if c > MaxRows-ds.total-n {
+			return tooManyRows(p)
+		}
+		n += c
 	}
-	part.version++
+	for r := p + 1; r <= max(p+1, ds.summed); r++ {
+		row := ds.cum[r]
+		for bin, c := range counts {
+			row[bin] += float64(c)
+		}
+	}
+	ds.parts[p].n += n
+	ds.total += n
+	ds.parts[p].version++
 	ds.version++
 	return nil
 }
@@ -221,55 +268,73 @@ type State struct {
 	Parts   []PartitionState
 }
 
-// ExportState copies the dataset's full content.
+// ExportState copies the dataset's full content, one count vector per
+// partition (prefix rows differenced back).
 func (ds *Dataset) ExportState() State {
 	ds.mu.RLock()
 	defer ds.mu.RUnlock()
 	st := State{Version: ds.version, Parts: make([]PartitionState, len(ds.parts))}
 	for i, p := range ds.parts {
-		st.Parts[i] = PartitionState{
-			Counts:  append([]float64(nil), p.counts...),
-			N:       p.n,
-			Version: p.version,
-		}
+		st.Parts[i] = PartitionState{Counts: ds.countsLocked(i), N: p.n, Version: p.version}
 	}
 	return st
 }
 
-// RestoreState replaces the dataset's content (partitions and version
-// counter) with a previously-exported state over the same domain.
-func (ds *Dataset) RestoreState(st State) error {
-	parts := make([]*Partition, len(st.Parts))
+// CheckState validates a state against the dataset's domain without
+// mutating anything: every partition has one count per bin, every count
+// is a non-negative integer, each N is the sum of its partition's counts,
+// and the grand total stays within MaxRows — the prefix rows' exactness
+// precondition.
+func (ds *Dataset) CheckState(st State) error {
+	total := 0.0
 	for i, p := range st.Parts {
 		if len(p.Counts) != ds.dom.Size() {
 			return fmt.Errorf("dataset: restored partition %d has %d bins, domain has %d",
 				i, len(p.Counts), ds.dom.Size())
 		}
-		if p.N < 0 {
-			return fmt.Errorf("dataset: restored partition %d has negative row count %d", i, p.N)
-		}
+		sum := 0.0
 		for bin, c := range p.Counts {
-			if c < 0 {
-				return fmt.Errorf("dataset: restored partition %d has negative count %g at bin %d", i, c, bin)
+			if !(c >= 0) || c != math.Trunc(c) {
+				return fmt.Errorf("dataset: restored partition %d has count %g at bin %d, want a non-negative integer", i, c, bin)
 			}
+			sum += c
 		}
-		parts[i] = &Partition{
-			counts:  append([]float64(nil), p.Counts...),
-			n:       p.N,
-			version: p.Version,
+		// An infinite count leaves an infinite sum, which no row count
+		// equals; a sum past MaxRows, rounded or not, fails the total.
+		if float64(p.N) != sum {
+			return fmt.Errorf("dataset: restored partition %d has row count %d, its counts sum to %g", i, p.N, sum)
+		}
+		if total += sum; total > MaxRows {
+			return fmt.Errorf("dataset: restored partitions pass %d rows by partition %d", MaxRows, i)
 		}
 	}
+	return nil
+}
+
+// RestoreState replaces the dataset's content (partitions and version
+// counter) with a previously-exported state over the same domain,
+// refusing one CheckState refuses before anything changes.
+func (ds *Dataset) RestoreState(st State) error {
+	if err := ds.CheckState(st); err != nil {
+		return err
+	}
+	parts := make([]partMeta, len(st.Parts))
+	cum := make([][]float64, len(st.Parts)+1)
+	cum[0] = make([]float64, ds.dom.Size())
+	total := 0
+	for i, p := range st.Parts {
+		parts[i] = partMeta{n: p.N, version: p.Version}
+		total += p.N
+		row := make([]float64, len(p.Counts))
+		for b, c := range p.Counts {
+			row[b] = cum[i][b] + c
+		}
+		cum[i+1] = row
+	}
 	ds.mu.Lock()
-	ds.parts = parts
+	ds.parts, ds.cum, ds.summed, ds.total = parts, cum, len(parts), total
 	ds.version = st.Version
 	ds.mu.Unlock()
-	// Restored partition versions are whatever the snapshot recorded, so a
-	// pre-restore aggregate's version stamp could collide with different
-	// data; drop the cache rather than trust the stamps.
-	ds.aggMu.Lock()
-	ds.aggs = make(map[int64]*winAgg)
-	ds.aggBins = 0
-	ds.aggMu.Unlock()
 	return nil
 }
 
@@ -291,11 +356,7 @@ func (ds *Dataset) NRows(start, end int) (int, error) {
 func (ds *Dataset) NRowsAll() int {
 	ds.mu.RLock()
 	defer ds.mu.RUnlock()
-	n := 0
-	for _, p := range ds.parts {
-		n += p.n
-	}
-	return n
+	return ds.total
 }
 
 // PartitionN returns the public row count of partition i.
@@ -316,44 +377,30 @@ func (ds *Dataset) TrueFraction(q *query.Query, start, end int) (float64, error)
 
 // TrueFractionN is TrueFraction that also returns the window's public row
 // count, so the DP executor scales its noise without a second locked
-// metadata pass. Evaluation runs over the window's aggregated count
-// vector as a gather-sum over q's resolved support (vector.go).
+// metadata pass. Evaluation is a gather-sum over q's resolved support on
+// the window's bounding prefix rows, the lower one skipped for windows
+// that start at partition 0 (vector.go).
 func (ds *Dataset) TrueFractionN(q *query.Query, start, end int) (float64, int, error) {
-	ds.mu.RLock()
-	if start < 0 || end >= len(ds.parts) || start > end {
-		n := len(ds.parts)
-		ds.mu.RUnlock()
-		return 0, 0, fmt.Errorf("dataset: bad range [%d,%d] of %d partitions", start, end, n)
+	if err := ds.rlockWindow(start, end); err != nil {
+		return 0, 0, err
 	}
-	if start == end {
-		// Single-partition windows evaluate in place: no aggregate to
-		// maintain, one vector scan under the read lock.
-		p := ds.parts[start]
-		if p.n == 0 {
-			ds.mu.RUnlock()
-			return 0, 0, nil
-		}
-		matched := float64(p.n)
-		if q.SupportSize() < ds.dom.Size() {
-			matched = evalVec(q, p.counts)
-		}
-		n := p.n
-		ds.mu.RUnlock()
-		return matched / float64(n), n, nil
-	}
-	version := 0
+	n := 0
 	for i := start; i <= end; i++ {
-		version += ds.parts[i].version
+		n += ds.parts[i].n
+	}
+	matched := float64(n)
+	if n > 0 && q.SupportSize() < ds.dom.Size() {
+		bins := q.ResolvedSupport().Bins()
+		matched = supportSum(bins, ds.cum[end+1])
+		if start > 0 {
+			matched -= supportSum(bins, ds.cum[start])
+		}
 	}
 	ds.mu.RUnlock()
-	a := ds.windowAgg(start, end, version)
-	if a.rows == 0 {
+	if n == 0 {
 		return 0, 0, nil
 	}
-	if q.SupportSize() == ds.dom.Size() {
-		return 1, a.rows, nil
-	}
-	return evalVec(q, a.counts) / float64(a.rows), a.rows, nil
+	return matched / float64(n), n, nil
 }
 
 // TrueDistribution returns the normalized distribution over bins of
@@ -361,22 +408,22 @@ func (ds *Dataset) TrueFractionN(q *query.Query, start, end int) (float64, int, 
 // metrics compare histograms against. The returned slice is freshly
 // allocated.
 func (ds *Dataset) TrueDistribution(start, end int) ([]float64, error) {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	if start < 0 || end >= len(ds.parts) || start > end {
-		return nil, fmt.Errorf("dataset: bad range [%d,%d] of %d partitions", start, end, len(ds.parts))
+	if err := ds.rlockWindow(start, end); err != nil {
+		return nil, err
 	}
-	out := make([]float64, ds.dom.Size())
-	n := 0.0
+	defer ds.mu.RUnlock()
+	n := 0
 	for i := start; i <= end; i++ {
-		for b, c := range ds.parts[i].counts {
-			out[b] += c
-		}
-		n += float64(ds.parts[i].n)
+		n += ds.parts[i].n
+	}
+	lo, hi := ds.cum[start], ds.cum[end+1]
+	out := make([]float64, len(hi))
+	for b := range out {
+		out[b] = hi[b] - lo[b]
 	}
 	if n > 0 {
 		for b := range out {
-			out[b] /= n
+			out[b] /= float64(n)
 		}
 	}
 	return out, nil

@@ -111,6 +111,63 @@ func TestIngestValidation(t *testing.T) {
 	}
 }
 
+// TestLoadsRefusedPastMaxRows: a load that would take the dataset past
+// MaxRows — one count, or counts that pass it together — is refused whole,
+// so the prefix rows stay exact and an exported state still restores.
+func TestLoadsRefusedPastMaxRows(t *testing.T) {
+	ds := New(dom(), 2)
+	over := make([]int, 8)
+	over[3] = MaxRows + 1
+	if err := ds.BulkLoad(0, over); err == nil {
+		t.Fatal("bulk count past MaxRows accepted")
+	}
+	if err := ds.BulkLoad(0, []int{MaxRows, MaxRows, 0, 0, 0, 0, 0, 0}); err == nil {
+		t.Fatal("bulk counts passing MaxRows together accepted")
+	}
+	if err := ds.BulkLoad(0, []int{MaxRows - 10, 0, 0, 0, 0, 0, 0, 4}); err != nil {
+		t.Fatal(err)
+	}
+	before, version := ds.ExportState(), ds.Version()
+	bin := ds.Domain().Encode([]int{0, 2})
+	if err := ds.AddCount(1, bin, 7); err == nil {
+		t.Fatal("count passing MaxRows accepted")
+	}
+	wide := make([]int, 8)
+	wide[bin] = 7
+	if err := ds.BulkLoad(1, wide); err == nil {
+		t.Fatal("bulk load passing MaxRows accepted")
+	}
+	if ds.NRowsAll() != MaxRows-6 || ds.Version() != version {
+		t.Fatalf("refused loads changed the dataset: %d rows, version %d", ds.NRowsAll(), ds.Version())
+	}
+	for i, p := range ds.ExportState().Parts {
+		for bin, c := range p.Counts {
+			if c != before.Parts[i].Counts[bin] || p.N != before.Parts[i].N {
+				t.Fatalf("refused loads changed partition %d", i)
+			}
+		}
+	}
+	// Filling to exactly MaxRows is allowed, and the result restores.
+	if err := ds.AddCount(1, bin, 6); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.AddCount(1, bin, 1); err == nil {
+		t.Fatal("count past a full dataset accepted")
+	}
+	// The window's prefix rows are near 2^53; their difference is exact.
+	got, err := ds.TrueFraction(query.MustNew(ds.Domain(), map[int][]int{0: {0}, 1: {2}}), 1, 1)
+	if err != nil || got != 1 {
+		t.Fatalf("window over the last partition: %g, %v", got, err)
+	}
+	twin := New(dom(), 0)
+	if err := twin.RestoreState(ds.ExportState()); err != nil {
+		t.Fatalf("a full dataset's state does not restore: %v", err)
+	}
+	if twin.NRowsAll() != MaxRows {
+		t.Fatalf("restored %d rows, want %d", twin.NRowsAll(), MaxRows)
+	}
+}
+
 func TestVersioning(t *testing.T) {
 	ds := New(dom(), 2)
 	v0, _ := ds.RangeVersion(0, 0)

@@ -1,9 +1,9 @@
 // The vectorized predicate-evaluation engine: a gather-sum over the
-// query's resolved support plus a version-invalidated window-aggregate
-// cache, so the miss path — the paper's runtime frontier once the exact
-// cache cannot answer (Fig. 11d) — evaluates a conjunctive predicate as
-// one pass over a flat bin list instead of query.Eval's per-bin
-// membership walk.
+// query's resolved support on per-partition prefix rows, so the miss
+// path — the paper's runtime frontier once the exact cache cannot answer
+// (Fig. 11d) — evaluates a conjunctive predicate over any window as at
+// most two passes over a flat bin list instead of query.Eval's per-bin
+// membership walk over every partition.
 //
 // Two observations make this fast:
 //
@@ -14,26 +14,26 @@
 //     clones), so evaluation is a gather-sum over that ascending list at
 //     every support size and this package keeps no predicate memo of its
 //     own.
-//  2. A query over partitions [s,e] needs only the window's summed count
-//     vector (linearity: q·Σh = Σq·h). The window-aggregate cache keeps
-//     that vector per window, stamped with the window's data version, so a
-//     k-partition window costs one gather-sum instead of k predicate
-//     walks. Ingestion bumps the version and the next query rebuilds —
-//     this is the piece of the engine that data changes invalidate.
+//  2. A query is linear in the counts (q·Σh = Σq·h), so its count over
+//     partitions [s,e] is the difference of two prefix sums:
+//     q·cum[e+1] − q·cum[s], where cum[i] sums partitions [0,i) per bin
+//     (Ho et al., "Range Queries in OLAP Data Cubes", SIGMOD '97). The
+//     dataset keeps exactly those parts+1 rows and nothing per window, so
+//     every window costs two gathers — one when s = 0 — whatever its
+//     length, and ingestion has no window state to invalidate.
 //
-// Correctness is pinned by property tests asserting bit-for-bit equality
-// with the pre-engine per-partition query.Eval walk (the oracle in
-// vector_test.go) on randomized domains, predicates, and ingestion
-// histories; the benchmarks there time the engine against that walk.
+// Exactness: counts are integer-valued float64s and the dataset's total
+// stays below 2^53 (MaxRows: loads and restores that would pass it are
+// refused), so every prefix entry,
+// every gather-sum and their difference are exact integers under any
+// association. Answers are therefore bit-identical to the per-partition
+// walk, which the property tests in vector_test.go assert on randomized
+// domains, predicates, and ingestion histories; the benchmarks there time
+// the engine against that walk.
 
 package dataset
 
-import "repro/internal/query"
-
-// maxAggBins caps the total bins resident across cached window
-// aggregates (~16 MiB of float64 at the cap); insertion evicts
-// arbitrary windows until under budget.
-const maxAggBins = 1 << 21
+import "fmt"
 
 // supportSum computes Σ vec[bin] over a gather list: four independent
 // accumulator chains, so wide supports are not serialized on
@@ -56,63 +56,32 @@ func supportSum(bins []int32, vec []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// evalVec evaluates q's matched count over one count vector.
-func evalVec(q *query.Query, vec []float64) float64 {
-	return supportSum(q.ResolvedSupport().Bins(), vec)
-}
-
-// winAgg is one cached window aggregate: the summed count vector of
-// partitions [start, end] stamped with the window's data version.
-type winAgg struct {
-	version int
-	rows    int
-	counts  []float64
-}
-
-// aggKey packs a window into the aggregate cache's map key.
-func aggKey(start, end int) int64 { return int64(start)<<32 | int64(end) }
-
-// windowAgg returns the aggregate for [start, end] at the current data
-// version, rebuilding (and caching) it when the version moved. The caller
-// has validated the range.
-func (ds *Dataset) windowAgg(start, end, version int) *winAgg {
-	key := aggKey(start, end)
-	ds.aggMu.RLock()
-	a := ds.aggs[key]
-	ds.aggMu.RUnlock()
-	if a != nil && a.version == version {
-		return a
-	}
-	// Rebuild under the dataset read lock so the vector, row count, and
-	// version stamp are one consistent snapshot.
+// rlockWindow read-locks the dataset with [start, end] a valid window
+// whose bounding prefix rows are summed; on error it returns unlocked. A
+// window reaching past the watermark first sums every pending row under
+// the write lock, then retries: a concurrent load keeps summed rows
+// summed and an append only adds rows past them, so the retry normally
+// succeeds at once.
+func (ds *Dataset) rlockWindow(start, end int) error {
 	ds.mu.RLock()
-	counts := make([]float64, ds.dom.Size())
-	rows, ver := 0, 0
-	for i := start; i <= end; i++ {
-		p := ds.parts[i]
-		for b, c := range p.counts {
-			counts[b] += c
+	for {
+		if start < 0 || end >= len(ds.parts) || start > end {
+			n := len(ds.parts)
+			ds.mu.RUnlock()
+			return fmt.Errorf("dataset: bad range [%d,%d] of %d partitions", start, end, n)
 		}
-		rows += p.n
-		ver += p.version
-	}
-	ds.mu.RUnlock()
-	a = &winAgg{version: ver, rows: rows, counts: counts}
-	ds.aggMu.Lock()
-	if ds.aggBins+len(counts) > maxAggBins {
-		for k, old := range ds.aggs {
-			delete(ds.aggs, k)
-			ds.aggBins -= len(old.counts)
-			if ds.aggBins+len(counts) <= maxAggBins {
-				break
+		if end+1 <= ds.summed {
+			return nil
+		}
+		ds.mu.RUnlock()
+		ds.mu.Lock()
+		for ; ds.summed+1 < len(ds.cum); ds.summed++ {
+			prev, row := ds.cum[ds.summed], ds.cum[ds.summed+1]
+			for b, c := range prev {
+				row[b] += c
 			}
 		}
+		ds.mu.Unlock()
+		ds.mu.RLock()
 	}
-	if old := ds.aggs[key]; old != nil {
-		ds.aggBins -= len(old.counts)
-	}
-	ds.aggs[key] = a
-	ds.aggBins += len(counts)
-	ds.aggMu.Unlock()
-	return a
 }

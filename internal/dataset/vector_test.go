@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"repro/internal/domain"
@@ -66,24 +67,22 @@ func randomQuery(dom *domain.Domain, rng *rand.Rand) *query.Query {
 	return query.MustNew(dom, allowed)
 }
 
-// trueFractionWalk is the pre-engine evaluation: query.Eval's per-bin
-// membership walk over every partition of the window. It is the oracle
-// the engine's property tests compare against and the baseline
-// BenchmarkTrueFractionWalk times.
-func (ds *Dataset) trueFractionWalk(q *query.Query, start, end int) (float64, int, error) {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	if start < 0 || end >= len(ds.parts) || start > end {
-		return 0, 0, fmt.Errorf("dataset: bad range [%d,%d] of %d partitions", start, end, len(ds.parts))
+// walk is the pre-engine evaluation: query.Eval's per-bin membership
+// walk over every partition of the window, read from per-partition count
+// vectors. It is the oracle the engine's property tests compare against
+// and the baseline BenchmarkTrueFractionWalk times.
+func walk(q *query.Query, parts []PartitionState, start, end int) (float64, int, error) {
+	if start < 0 || end >= len(parts) || start > end {
+		return 0, 0, fmt.Errorf("dataset: bad range [%d,%d] of %d partitions", start, end, len(parts))
 	}
 	matched, n := 0.0, 0
 	for i := start; i <= end; i++ {
-		p := ds.parts[i]
-		if p.n == 0 {
+		p := parts[i]
+		if p.N == 0 {
 			continue
 		}
-		matched += q.Eval(p.counts)
-		n += p.n
+		matched += q.Eval(p.Counts)
+		n += p.N
 	}
 	if n == 0 {
 		return 0, 0, nil
@@ -91,26 +90,80 @@ func (ds *Dataset) trueFractionWalk(q *query.Query, start, end int) (float64, in
 	return matched / float64(n), n, nil
 }
 
-// loadRandom fills partition p with random per-bin counts.
-func loadRandom(t *testing.T, ds *Dataset, p int, rng *rand.Rand) {
-	t.Helper()
-	for bin := 0; bin < ds.Domain().Size(); bin++ {
-		if c := rng.IntN(5); c > 0 {
-			if err := ds.AddCount(p, bin, c); err != nil {
-				t.Fatal(err)
-			}
+// mirror is a dataset beside a model of it the test keeps by hand: every
+// load goes to both, so the model's per-partition vectors never pass
+// through the prefix rows under test.
+type mirror struct {
+	t     *testing.T
+	ds    *Dataset
+	parts []PartitionState
+}
+
+func newMirror(t *testing.T, dom *domain.Domain, parts int) *mirror {
+	m := &mirror{t: t, ds: New(dom, parts)}
+	m.grow(parts)
+	return m
+}
+
+func (m *mirror) grow(k int) {
+	for ; k > 0; k-- {
+		m.parts = append(m.parts, PartitionState{Counts: make([]float64, m.ds.Domain().Size())})
+	}
+}
+
+func (m *mirror) appendParts(k int) int {
+	m.grow(k)
+	return m.ds.AppendPartitions(k)
+}
+
+func (m *mirror) addCount(p, bin, c int) {
+	m.t.Helper()
+	if err := m.ds.AddCount(p, bin, c); err != nil {
+		m.t.Fatal(err)
+	}
+	m.parts[p].Counts[bin] += float64(c)
+	m.parts[p].N += c
+}
+
+func (m *mirror) bulkLoad(p int, counts []int) {
+	m.t.Helper()
+	if err := m.ds.BulkLoad(p, counts); err != nil {
+		m.t.Fatal(err)
+	}
+	for bin, c := range counts {
+		m.parts[p].Counts[bin] += float64(c)
+		m.parts[p].N += c
+	}
+}
+
+// randomCounts draws per-bin counts in [0,5).
+func randomCounts(size int, rng *rand.Rand) []int {
+	counts := make([]int, size)
+	for bin := range counts {
+		counts[bin] = rng.IntN(5)
+	}
+	return counts
+}
+
+// loadRandom fills partition p with random per-bin counts, bin by bin.
+func (m *mirror) loadRandom(p int, rng *rand.Rand) {
+	m.t.Helper()
+	for bin, c := range randomCounts(m.ds.Domain().Size(), rng) {
+		if c > 0 {
+			m.addCount(p, bin, c)
 		}
 	}
 }
 
 // TestVectorizedMatchesWalkRandomized is the engine's property test:
-// gather-sum/aggregate evaluation must equal the pre-engine per-partition
-// support walk bit for bit (count vectors are integer-valued, so no
+// prefix-row evaluation must equal the per-partition support walk over a
+// hand-kept model bit for bit (count vectors are integer-valued, so no
 // association of the sum may differ) on randomized domains — every fourth
 // one 13-16 attributes wide — datasets, predicates, and windows, with
 // supports of one bin, half the bins and every bin beside the random
-// ones, windows that hold no rows, and after streaming appends and
-// further ingestion (window-aggregate version invalidation).
+// ones, windows that hold no rows, and after streaming appends, a load
+// into a partition below ones already loaded and read, further ingestion
+// into partition 0, and an ExportState → RestoreState round trip.
 func TestVectorizedMatchesWalkRandomized(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 11))
 	for trial := 0; trial < 60; trial++ {
@@ -119,14 +172,14 @@ func TestVectorizedMatchesWalkRandomized(t *testing.T) {
 			dom = randomDomainOf(rng, 13+rng.IntN(4), 2)
 		}
 		parts := 1 + rng.IntN(4)
-		ds := New(dom, parts)
+		m := newMirror(t, dom, parts)
 		for p := 0; p < parts; p++ {
 			if parts > 1 && rng.IntN(4) == 0 {
 				continue // an empty partition: zero rows, zero matches
 			}
-			loadRandom(t, ds, p, rng)
+			m.loadRandom(p, rng)
 		}
-		check := func(stage string) {
+		check := func(stage string, ds *Dataset) {
 			qs := edgeQueries(dom, rng)
 			for i := 0; i < 12; i++ {
 				qs = append(qs, randomQuery(dom, rng))
@@ -138,7 +191,7 @@ func TestVectorizedMatchesWalkRandomized(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, wantN, err := ds.trueFractionWalk(q, start, end)
+				want, wantN, err := walk(q, m.parts, start, end)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -152,52 +205,67 @@ func TestVectorizedMatchesWalkRandomized(t *testing.T) {
 				}
 			}
 		}
-		check("initial")
-		// Streaming append: new partitions with fresh data, then more
-		// ingestion into an old partition. Both must invalidate any cached
-		// window aggregate that covers them.
-		first := ds.AppendPartitions(1 + rng.IntN(2))
-		loadRandom(t, ds, first, rng)
-		check("post-append")
-		if err := ds.AddCount(0, rng.IntN(dom.Size()), 3); err != nil {
+		check("initial", m.ds)
+		// Streaming append: new partitions with fresh data, read, then a
+		// load into an older partition below them (its prefix rows are
+		// summed now, so the load must reach every later row).
+		first := m.appendParts(1 + rng.IntN(2))
+		m.loadRandom(first, rng)
+		check("post-append", m.ds)
+		m.bulkLoad(rng.IntN(m.ds.Partitions()), randomCounts(dom.Size(), rng))
+		check("post-reload", m.ds)
+		m.addCount(0, rng.IntN(dom.Size()), 3)
+		check("post-ingest", m.ds)
+
+		st := m.ds.ExportState()
+		for i, p := range st.Parts {
+			if p.N != m.parts[i].N || !reflect.DeepEqual(p.Counts, m.parts[i].Counts) {
+				t.Fatalf("trial %d: ExportState partition %d differs from the model", trial, i)
+			}
+		}
+		restored := New(dom, 0)
+		if err := restored.RestoreState(st); err != nil {
 			t.Fatal(err)
 		}
-		check("post-ingest")
+		check("restored", restored)
 	}
 }
 
-// TestWindowAggInvalidation pins the version stamping: a cached window
-// aggregate must not serve stale counts after further ingestion.
-func TestWindowAggInvalidation(t *testing.T) {
+// TestPrefixRowsHoldNoWindowState: querying every window of a
+// 50-partition dataset leaves it holding its 51 prefix rows and nothing
+// else, and every window answers as the walk does.
+func TestPrefixRowsHoldNoWindowState(t *testing.T) {
 	dom := domain.MustNew(
-		domain.Attribute{Name: "p", Card: 2},
-		domain.Attribute{Name: "a", Card: 4},
+		domain.Attribute{Name: "a", Card: 10},
+		domain.Attribute{Name: "b", Card: 12},
+		domain.Attribute{Name: "c", Card: 10},
 	)
-	ds := New(dom, 3)
-	for p := 0; p < 3; p++ {
-		if err := ds.AddCount(p, 0, 10); err != nil {
-			t.Fatal(err)
+	rng := rand.New(rand.NewPCG(1, 2))
+	m := newMirror(t, dom, 50)
+	for p := 0; p < 50; p++ {
+		m.bulkLoad(p, randomCounts(dom.Size(), rng))
+	}
+	q := query.MustNew(dom, map[int][]int{0: {1, 4}, 2: {0, 3, 9}})
+	windows := 0
+	for s := 0; s < 50; s++ {
+		for e := s; e < 50; e++ {
+			got, _, err := m.ds.TrueFractionN(q, s, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _, _ := walk(q, m.parts, s, e); got != want {
+				t.Fatalf("[%d,%d]: %g != walk %g", s, e, got, want)
+			}
+			windows++
 		}
 	}
-	q := query.MustNew(dom, map[int][]int{0: {0}}) // p=0 ⇒ bins 0..3
-	frac, n, err := ds.TrueFractionN(q, 0, 2)
-	if err != nil {
-		t.Fatal(err)
+	if windows != 1275 || len(m.ds.cum) != 51 {
+		t.Fatalf("%d windows left %d rows, want 1275 and 51", windows, len(m.ds.cum))
 	}
-	if frac != 1 || n != 30 {
-		t.Fatalf("got (%g, %d), want (1, 30)", frac, n)
-	}
-	// Ingest rows the predicate does not match; the cached aggregate must
-	// rebuild, not serve the old 100% fraction.
-	if err := ds.AddCount(1, dom.Encode([]int{1, 0}), 30); err != nil {
-		t.Fatal(err)
-	}
-	frac, n, err = ds.TrueFractionN(q, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(frac-0.5) > 1e-12 || n != 60 {
-		t.Fatalf("after ingest got (%g, %d), want (0.5, 60)", frac, n)
+	for i, row := range m.ds.cum {
+		if len(row) != 1200 {
+			t.Fatalf("row %d holds %d floats, want 1200", i, len(row))
+		}
 	}
 }
 
@@ -233,34 +301,50 @@ func benchWindow(b *testing.B, bins int) (*Dataset, []*query.Query) {
 
 var benchSink float64
 
-// benchTrueFraction times eval over the full window, cycling the pool;
-// one untimed pass first resolves the pool's supports and builds the
-// window aggregate.
-func benchTrueFraction(b *testing.B, eval func(*Dataset, *query.Query, int, int) (float64, int, error)) {
+// benchTrueFraction times eval over a window from partition 0 (one
+// gather on prefix rows), one from partition 1 (two) and the last
+// partition alone (two: the latest-window streaming query), cycling the
+// pool; one untimed pass first resolves the pool's supports.
+func benchTrueFraction(b *testing.B, prep func(*Dataset) func(*query.Query, int, int) (float64, int, error)) {
 	for _, bins := range []int{128, 1024, 8192, 65536} {
 		ds, pool := benchWindow(b, bins)
-		b.Run(fmt.Sprintf("N=%d", ds.Domain().Size()), func(b *testing.B) {
-			for _, q := range pool {
-				if _, _, err := eval(ds, q, 0, ds.Partitions()-1); err != nil {
-					b.Fatal(err)
+		eval := prep(ds)
+		end := ds.Partitions() - 1
+		for _, start := range []int{0, 1, end} {
+			b.Run(fmt.Sprintf("N=%d/from=%d", ds.Domain().Size(), start), func(b *testing.B) {
+				for _, q := range pool {
+					if _, _, err := eval(q, start, end); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f, _, err := eval(ds, pool[i%len(pool)], 0, ds.Partitions()-1)
-				if err != nil {
-					b.Fatal(err)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					f, _, err := eval(pool[i%len(pool)], start, end)
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchSink += f
 				}
-				benchSink += f
-			}
-		})
+			})
+		}
 	}
 }
 
-// BenchmarkTrueFraction is the engine (gather-sum + window aggregate);
+// BenchmarkTrueFraction is the engine (gather-sum on prefix rows);
 // BenchmarkTrueFractionWalk is the pre-engine per-partition walk on the
 // same datasets and predicates — the engine's before/after.
-func BenchmarkTrueFraction(b *testing.B) { benchTrueFraction(b, (*Dataset).TrueFractionN) }
+func BenchmarkTrueFraction(b *testing.B) {
+	benchTrueFraction(b, func(ds *Dataset) func(*query.Query, int, int) (float64, int, error) {
+		return ds.TrueFractionN
+	})
+}
 
-func BenchmarkTrueFractionWalk(b *testing.B) { benchTrueFraction(b, (*Dataset).trueFractionWalk) }
+func BenchmarkTrueFractionWalk(b *testing.B) {
+	benchTrueFraction(b, func(ds *Dataset) func(*query.Query, int, int) (float64, int, error) {
+		parts := ds.ExportState().Parts
+		return func(q *query.Query, start, end int) (float64, int, error) {
+			return walk(q, parts, start, end)
+		}
+	})
+}

@@ -114,8 +114,8 @@ type OptionalSection interface {
 // section, in registration order, before the first section restores, so a
 // payload one refuses leaves every layer untouched, and then calls the
 // returned apply in the section's turn in place of RestorePayload. It is
-// the registry's one pre-restore hook: a session's identity, books and
-// caches all vet themselves through it.
+// the registry's one pre-restore hook: a session's identity, dataset,
+// books and caches all vet themselves through it.
 type Stager interface {
 	StagePayload(payload []byte) (apply func() error, err error)
 }

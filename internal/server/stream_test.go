@@ -306,3 +306,53 @@ func TestAppendBodyCapped(t *testing.T) {
 		t.Fatalf("/append after the refusal = %d %s", status, msg)
 	}
 }
+
+// TestAppendPastMaxRowsRefused: an /append whose rows would take the
+// dataset past dataset.MaxRows — one count of 2^53, or a batch that fills
+// it and one more row — is a 422 that changes nothing, so the snapshot
+// (the periodic checkpoint's bytes) taken afterwards still restores.
+func TestAppendPastMaxRowsRefused(t *testing.T) {
+	srv, ds := newStreamingServer(t, false)
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	domSize := ds.Domain().Size()
+	one := func(count int) []byte {
+		b := appendBody(t, domSize, 1, 0)
+		var req AppendRequest
+		if err := json.Unmarshal(b, &req); err != nil {
+			t.Fatal(err)
+		}
+		req.Partitions[0].Counts[0] = count
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	if status, msg := post(t, ts, "/append", one(dataset.MaxRows+1)); status != http.StatusUnprocessableEntity {
+		t.Fatalf("/append of 2^53 rows = %d %s, want 422", status, msg)
+	}
+	if status, msg := post(t, ts, "/append", one(dataset.MaxRows-ds.NRowsAll())); status != http.StatusOK {
+		t.Fatalf("/append filling the dataset = %d %s", status, msg)
+	}
+	if status, msg := post(t, ts, "/append", one(1)); status != http.StatusUnprocessableEntity {
+		t.Fatalf("/append past a full dataset = %d %s, want 422", status, msg)
+	}
+	if ds.NRowsAll() != dataset.MaxRows || ds.Partitions() != 3 {
+		t.Fatalf("dataset after the refusals: %d rows in %d partitions", ds.NRowsAll(), ds.Partitions())
+	}
+
+	snap := getSnapshot(t, ts)
+	twin, twinDS := newStreamingServer(t, false)
+	defer twin.Close()
+	ts2 := httptest.NewServer(twin.Handler())
+	defer ts2.Close()
+	if status, msg := postRestore(t, ts2, snap); status != http.StatusOK {
+		t.Fatalf("restore of the full dataset's snapshot = %d %s", status, msg)
+	}
+	if twinDS.NRowsAll() != dataset.MaxRows || twinDS.Partitions() != 3 {
+		t.Fatalf("restored %d rows in %d partitions", twinDS.NRowsAll(), twinDS.Partitions())
+	}
+}

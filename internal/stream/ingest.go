@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/persist"
 )
 
@@ -171,14 +172,18 @@ func NewIngestor(sess *core.Session, opts ...Option) (*Ingestor, error) {
 	return in, nil
 }
 
-// validate checks a batch's payloads against the session's domain before
-// any index is assigned, so a malformed batch fails fast without
-// consuming partitions.
+// validate checks a batch's payloads against the session's domain, and
+// its rows against the room the dataset has left below dataset.MaxRows,
+// before any index is assigned, so a malformed batch fails fast without
+// consuming partitions. Batches validated side by side can still jointly
+// overflow; the dataset then refuses the later load and its ticket fails.
 func (in *Ingestor) validate(arrivals []Arrival) error {
 	if len(arrivals) == 0 {
 		return errors.New("stream: empty batch")
 	}
-	domSize := in.sess.Dataset().Domain().Size()
+	ds := in.sess.Dataset()
+	domSize := ds.Domain().Size()
+	room := dataset.MaxRows - ds.NRowsAll()
 	for i, a := range arrivals {
 		if a.Counts == nil {
 			continue
@@ -190,6 +195,10 @@ func (in *Ingestor) validate(arrivals []Arrival) error {
 			if c < 0 {
 				return fmt.Errorf("stream: arrival %d has negative count %d at bin %d", i, c, bin)
 			}
+			if c > room {
+				return fmt.Errorf("stream: arrival %d would take the dataset past %d rows", i, dataset.MaxRows)
+			}
+			room -= c
 		}
 	}
 	return nil
@@ -460,8 +469,8 @@ func (in *Ingestor) applyEpoch(batch []pendingBatch) {
 			if a.Counts != nil {
 				if err := ds.BulkLoad(next, a.Counts); err != nil {
 					// Counts were validated at Submit; a failure here means
-					// the partition index is wrong, which the epoch
-					// serialization makes impossible. Surface it anyway.
+					// batches validated side by side passed MaxRows
+					// together, and the dataset refused this load whole.
 					b.ticket.err = err
 				} else {
 					for _, c := range a.Counts {

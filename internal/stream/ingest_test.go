@@ -296,6 +296,18 @@ func TestIngestorValidation(t *testing.T) {
 	if _, err := ing.Submit(Arrival{Counts: bad}); err == nil {
 		t.Fatal("negative count accepted")
 	}
+	// Rows past dataset.MaxRows, in one count or across a batch, are
+	// refused at Submit: the dataset could not hold them exactly.
+	huge := make([]int, ds.Domain().Size())
+	huge[0] = dataset.MaxRows
+	if _, err := ing.Submit(Arrival{Counts: huge}); err == nil {
+		t.Fatal("count past dataset.MaxRows accepted")
+	}
+	half := make([]int, ds.Domain().Size())
+	half[1] = dataset.MaxRows / 2
+	if _, err := ing.Submit(Arrival{Counts: half}, Arrival{Counts: half}); err == nil {
+		t.Fatal("batch passing dataset.MaxRows accepted")
+	}
 	if ds.Partitions() != 1 {
 		t.Fatalf("failed submissions consumed partitions: %d", ds.Partitions())
 	}
