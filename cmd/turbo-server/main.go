@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -245,10 +246,11 @@ func main() {
 // storeConfig maps -store-max-mb and -store-max-entries to the store's
 // config: the zero MemConfig (uncapped) when both are 0, a capped store
 // when either is positive. A negative cap is refused — store.Mem would
-// read it as no cap at all.
+// read it as no cap at all — and so is a byte cap whose shift to bytes
+// would wrap to zero or below.
 func storeConfig(maxMB, maxEntries int) (store.MemConfig, error) {
-	if maxMB < 0 {
-		return store.MemConfig{}, fmt.Errorf("-store-max-mb %d is negative (0 = bytes unbounded)", maxMB)
+	if maxMB < 0 || maxMB > math.MaxInt>>20 {
+		return store.MemConfig{}, fmt.Errorf("-store-max-mb %d is outside [0, %d] (0 = bytes unbounded)", maxMB, math.MaxInt>>20)
 	}
 	if maxEntries < 0 {
 		return store.MemConfig{}, fmt.Errorf("-store-max-entries %d is negative (0 = entries unbounded)", maxEntries)

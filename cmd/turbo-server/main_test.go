@@ -181,8 +181,9 @@ func nanCountSnapshot(t *testing.T) []byte {
 
 // TestStoreConfig pins the two-flag → store.MemConfig mapping: no cap is
 // the zero config (the uncapped store), a cap is carried through in the
-// unit the store counts, and a negative one is refused naming its flag
-// instead of reaching a store that would read it as unbounded.
+// unit the store counts, and a negative one, or one whose byte count
+// wraps, is refused naming its flag instead of reaching a store that
+// would read it as unbounded.
 func TestStoreConfig(t *testing.T) {
 	for _, tc := range []struct {
 		maxMB, maxEntries int
@@ -193,6 +194,9 @@ func TestStoreConfig(t *testing.T) {
 		{1, 0, store.MemConfig{MaxBytes: 1 << 20}, ""},
 		{0, 7, store.MemConfig{MaxEntries: 7}, ""},
 		{-5, 0, store.MemConfig{}, "-store-max-mb"},
+		{math.MaxInt >> 20, 0, store.MemConfig{MaxBytes: math.MaxInt >> 20 << 20}, ""},
+		{1 << 43, 0, store.MemConfig{}, "-store-max-mb"}, // shifts to -2^63
+		{1 << 44, 0, store.MemConfig{}, "-store-max-mb"}, // shifts to 0
 		{0, -1, store.MemConfig{}, "-store-max-entries"},
 	} {
 		got, err := storeConfig(tc.maxMB, tc.maxEntries)

@@ -1,10 +1,4 @@
-// DP-engine integration example: the §5 turbo-tumult pattern. A host DP
-// engine (here the built-in miniature Tumult-style engine) gains Turbo
-// caching through a wrapper session that implements the Turbo API over
-// the engine's own measurement primitives — no engine code changes.
-//
-//	go run ./examples/integration
-package main
+package engine_test
 
 import (
 	"fmt"
@@ -17,7 +11,12 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
+// The §5 turbo-tumult pattern: a host DP engine gains Turbo caching
+// through a wrapper session that implements the Turbo API over the
+// engine's own measurement primitives, with no engine code changed. Two
+// identical engines run one correlated workload, one plain and one
+// wrapped.
+func ExampleNewTurboSession() {
 	ds, err := workload.BuildCovid(workload.CovidConfig{
 		Rows: 1_000_000, Weeks: 1, Seed: 4,
 	})
@@ -25,7 +24,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Two identical engines: one plain, one with Turbo attached.
 	plainCore := engine.NewCore(ds, 10, 1)
 	plain, err := engine.NewSession(plainCore, 0.05, 0.001)
 	if err != nil {
@@ -44,8 +42,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A correlated analyst workload: every pairwise predicate over the
-	// outcome and age attributes.
+	// Every pairwise predicate over the outcome and age attributes.
 	dom := ds.Domain()
 	var qs []*query.Query
 	for p := 0; p < 2; p++ {
@@ -73,4 +70,10 @@ func main() {
 		turboCore.Spent(), plainCore.Spent()/turboCore.Spent())
 	fmt.Printf("turbo paths: free-histogram=%d  pmw-miss=%d  bypass=%d  (answered=%d, failed-over=%d)\n",
 		st.R1, st.R2, st.R3, turboN, failed)
+
+	// Output:
+	// workload: 320 evaluations of 16 distinct correlated queries
+	// plain engine consumed:        ε = 0.1768
+	// turbo-wrapped engine consumed: ε = 0.0796  (2.2x less)
+	// turbo paths: free-histogram=179  pmw-miss=0  bypass=141  (answered=320, failed-over=0)
 }

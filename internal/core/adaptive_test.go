@@ -115,7 +115,7 @@ func TestAdaptiveStreamFollowsData(t *testing.T) {
 		}
 		prev = latest.Value
 	}
-	if s.MaxSpent() > cfg.EpsilonGlobal {
+	if s.Accountant().MaxSpent() > cfg.EpsilonGlobal {
 		t.Fatal("guarantee exceeded")
 	}
 }

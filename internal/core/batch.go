@@ -148,7 +148,6 @@ func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 		run := misses[:0]
 		for i, m := range misses {
 			if verdicts[i] != nil {
-				s.noteErr(verdicts[i])
 				m.g.err = verdicts[i]
 				continue
 			}
@@ -222,7 +221,6 @@ func (s *Session) admitBatch(misses []batchMiss) []error {
 // atomics and each goroutine owns its group.
 func (s *Session) resolveExecuted(g *batchGroup, ans Answer, shared bool, err error) {
 	if err != nil {
-		s.noteErr(err)
 		g.err = err
 		return
 	}

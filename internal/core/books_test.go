@@ -168,7 +168,7 @@ func TestRefusalLeavesBooksAndRestoreNeedsNoReadmission(t *testing.T) {
 		if accepted == 0 || refused == 0 {
 			t.Fatalf("after the restore %d accepted, %d refused: the stream must cross exhaustion", accepted, refused)
 		}
-		if max := restored.MaxSpent(); max > cfg.EpsilonGlobal+1e-9 || max < cfg.EpsilonGlobal/2 {
+		if max := restored.Accountant().MaxSpent(); max > cfg.EpsilonGlobal+1e-9 || max < cfg.EpsilonGlobal/2 {
 			t.Fatalf("exhausted at a max spend of %g under ε_G = %g", max, cfg.EpsilonGlobal)
 		}
 	})
@@ -214,9 +214,9 @@ func TestLegacySnapshotsLoad(t *testing.T) {
 			!strings.Contains(err.Error(), "snapshot is v2, this build reads v3") {
 			t.Fatalf("err = %v, want an ErrBadVersion refusal naming v2 and v3", err)
 		}
-		if restored.MaxSpent() != 0 || restored.Queries() != 0 || restored.ExactCache().Len() != 0 {
+		if restored.Accountant().MaxSpent() != 0 || restored.Queries() != 0 || restored.ExactCache().Len() != 0 {
 			t.Fatalf("the refusal moved state: spent %v, %d queries, %d cached",
-				restored.MaxSpent(), restored.Queries(), restored.ExactCache().Len())
+				restored.Accountant().MaxSpent(), restored.Queries(), restored.ExactCache().Len())
 		}
 		fresh, err := NewSession(cfg, ds)
 		if err != nil {
@@ -304,8 +304,8 @@ func TestLegacyGaussianSnapshotRefusedUntouched(t *testing.T) {
 					version == "v3" && (!errors.As(err, &se) || se.Section != accountant.SectionBlock) {
 					t.Fatalf("%s: err = %v, want the refusal of a %s snapshot", version, err, version)
 				}
-				if errors.Is(err, ErrStateCorrupt) || dst.MaxSpent() != 0 || dst.Queries() != 0 {
-					t.Fatalf("%s: refusal mutated the session: err=%v spent=%v queries=%d", version, err, dst.MaxSpent(), dst.Queries())
+				if errors.Is(err, ErrStateCorrupt) || dst.Accountant().MaxSpent() != 0 || dst.Queries() != 0 {
+					t.Fatalf("%s: refusal mutated the session: err=%v spent=%v queries=%d", version, err, dst.Accountant().MaxSpent(), dst.Queries())
 				}
 				if _, err := dst.Answer(mkQuery(0)); err != nil {
 					t.Fatalf("%s: session unusable after the refusal: %v", version, err)

@@ -1,9 +1,4 @@
-// Quickstart: stand up a Turbo-cached DP database over a small synthetic
-// Covid dataset and run a handful of linear queries, watching the privacy
-// budget and the execution path of each answer.
-//
-//	go run ./examples/quickstart
-package main
+package core_test
 
 import (
 	"fmt"
@@ -14,9 +9,12 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
-	// 1. Build (or ingest) a dataset. The synthetic generator mirrors the
-	// paper's Covid schema: positivity × age × gender × ethnicity, N=128.
+// A Turbo-cached DP database over a small synthetic Covid dataset answers
+// a handful of linear queries; each answer reports its execution path and
+// what it paid, and a repeat is served by the exact cache for free.
+func ExampleSession_Answer() {
+	// The synthetic generator mirrors the paper's Covid schema:
+	// positivity × age × gender × ethnicity, N=128.
 	ds, err := workload.BuildCovid(workload.CovidConfig{
 		Rows: 1_000_000, Weeks: 4, Seed: 1,
 	})
@@ -24,8 +22,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. Open a Turbo session: every answer is (α, β)-accurate and the
-	// whole workload stays under a global (ε_G, 0)-DP guarantee.
+	// Every answer is (α, β)-accurate and the whole workload stays under
+	// a global (ε_G, 0)-DP guarantee.
 	sess, err := core.NewSession(core.Config{
 		Mode:          core.NonPartitioned,
 		Alpha:         0.05,  // ≤5% absolute error ...
@@ -51,13 +49,13 @@ func main() {
 		}),
 	}
 
-	fmt.Printf("dataset: %s, n=%d rows\n\n", dom, ds.NRowsAll())
+	fmt.Printf("dataset: %s, n=%d rows\n", dom, ds.NRowsAll())
 	for _, q := range queries {
 		ans, err := sess.Answer(q)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-60s\n  -> %.4f (path %s, paid ε=%.2g)\n", q, ans.Value, ans.Source, ans.Paid)
+		fmt.Printf("%s -> %.4f (path %s, paid ε=%.2g)\n", q, ans.Value, ans.Source, ans.Paid)
 	}
 
 	// Repeats are free: the exact cache serves them.
@@ -65,8 +63,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nrepeat of the first query -> %.4f (path %s, paid ε=%g)\n",
+	fmt.Printf("repeat of the first query -> %.4f (path %s, paid ε=%g)\n",
 		ans.Value, ans.Source, ans.Paid)
+	fmt.Printf("consumed budget: %.4f of ε_G=%g\n", sess.AverageSpent(), 10.0)
 
-	fmt.Printf("\nconsumed budget: %.4f of ε_G=%g\n", sess.AverageSpent(), 10.0)
+	// Output:
+	// dataset: positive(2)xage(4)xgender(2)xethnicity(8) N=128, n=1000001 rows
+	// COUNT WHERE positive=positive -> 0.1276 (path pmw-r3, paid ε=0.00055)
+	// COUNT WHERE age=1-17 -> 0.1984 (path pmw-r3, paid ε=0.00055)
+	// COUNT WHERE positive=positive AND age=1-17 -> 0.0226 (path pmw-r3, paid ε=0.00055)
+	// repeat of the first query -> 0.1276 (path exact-hit, paid ε=0)
+	// consumed budget: 0.0017 of ε_G=10
 }

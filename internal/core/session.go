@@ -234,7 +234,6 @@ type Session struct {
 
 	queries atomic.Int64
 	deduped atomic.Int64
-	exhaust atomic.Bool
 	bySrc   [numSources]atomic.Int64
 }
 
@@ -411,7 +410,6 @@ func (s *Session) Answer(q *query.Query) (Answer, error) {
 	}
 	ans, shared, err := s.execute(pl, flightKey(pl))
 	if err != nil {
-		s.noteErr(err)
 		return Answer{}, err
 	}
 	ans.Start, ans.End, ans.Rows = pl.Start, pl.End, pl.Rows
@@ -521,15 +519,6 @@ func (s *Session) recordN(src Source, n int) {
 	s.bySrc[sourceIndex[src]].Add(int64(n))
 }
 
-func (s *Session) noteErr(err error) {
-	if errors.Is(err, accountant.ErrBudgetExhausted) {
-		s.exhaust.Store(true)
-	}
-}
-
-// Exhausted reports whether the session has hit the global guarantee.
-func (s *Session) Exhausted() bool { return s.exhaust.Load() }
-
 // Queries returns the number of answered queries.
 func (s *Session) Queries() int { return int(s.queries.Load()) }
 
@@ -556,10 +545,6 @@ func (s *Session) SourceCounts() map[Source]int {
 // Rényi consumption converted to (ε, δ_G)-DP.
 func (s *Session) AverageSpent() float64 { return s.block.AverageSpent() }
 
-// MaxSpent returns the maximum per-partition consumed budget (the
-// δ_G-converted maximum in Gaussian mode).
-func (s *Session) MaxSpent() float64 { return s.block.MaxSpent() }
-
 // LiveSparseVectors returns the number of sparse vectors currently
 // live — the interactive mechanisms being composed concurrently.
 func (s *Session) LiveSparseVectors() int {
@@ -576,10 +561,6 @@ func (s *Session) LiveSparseVectors() int {
 
 // Accountant exposes the block accountant for harness metrics.
 func (s *Session) Accountant() *accountant.Block { return s.block }
-
-// PMW exposes the single PMW-Bypass in non-partitioned mode (nil
-// otherwise), for convergence metrics.
-func (s *Session) PMW() *pmw.PMW { return s.single }
 
 // Tree exposes the tree in partitioned modes (nil otherwise).
 func (s *Session) Tree() *tree.Tree { return s.tree }

@@ -261,12 +261,13 @@ func TestExhaustionSurfacesAndSticks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Answer(query.MustNew(dom, map[int][]int{0: {1}}))
-	if !errors.Is(err, accountant.ErrBudgetExhausted) {
-		t.Fatalf("err = %v", err)
-	}
-	if !s.Exhausted() {
-		t.Fatal("session did not record exhaustion")
+	for _, q := range []*query.Query{
+		query.MustNew(dom, map[int][]int{0: {1}}),
+		query.MustNew(dom, map[int][]int{1: {0}}),
+	} {
+		if _, err := s.Answer(q); !errors.Is(err, accountant.ErrBudgetExhausted) {
+			t.Fatalf("%v: err = %v", q, err)
+		}
 	}
 }
 

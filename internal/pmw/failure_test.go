@@ -101,7 +101,7 @@ func TestPMWBranchTrueFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !p.Ready(q) {
+	if !p.heur.IsReady(p.hist, q) {
 		t.Skip("fixture did not reach readiness; nothing to inject into")
 	}
 	fe.failTrue = true

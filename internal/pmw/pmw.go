@@ -260,15 +260,6 @@ func (p *PMW) WarmStart(h *histogram.Histogram, heur heuristic.Heuristic) error 
 	return nil
 }
 
-// EstimateOnly returns the histogram's estimate for q without any privacy
-// interaction. The tree uses it to build a combined estimate across nodes
-// before a single SV check.
-func (p *PMW) EstimateOnly(q *query.Query) float64 { return p.hist.Eval(q) }
-
-// Ready reports the heuristic's routing decision for q without side
-// effects on counters.
-func (p *PMW) Ready(q *query.Query) bool { return p.heur.IsReady(p.hist, q) }
-
 // SVLive reports whether a paid-for sparse vector is currently live.
 func (p *PMW) SVLive() bool { return p.svUp && p.sv.Live() }
 
@@ -370,41 +361,6 @@ func (p *PMW) runBypassBranch(q *query.Query) (Result, error) {
 	p.stats.R3++
 	return res, nil
 }
-
-// ExternalUpdate applies the guarded external-update rule with an answer
-// obtained elsewhere (the tree's Laplace branch updates member node
-// histograms this way, Alg. 2 ll.32-33). It consumes no budget.
-func (p *PMW) ExternalUpdate(q *query.Query, dpResult float64) bool {
-	est := p.hist.Eval(q)
-	margin := p.cfg.Tau * p.cfg.Alpha
-	lr := p.cfg.LR.LR(p.hist.Updates())
-	switch {
-	case dpResult > est+margin:
-		p.hist.Update(q, lr)
-	case dpResult < est-margin:
-		p.hist.Update(q, -lr)
-	default:
-		return false
-	}
-	p.stats.Updates++
-	return true
-}
-
-// DirectedUpdate applies a PMW-style update with an explicit sign, used by
-// the tree when a shared SV decides one direction for all member nodes
-// (Alg. 2 ll.24-26).
-func (p *PMW) DirectedUpdate(q *query.Query, positive bool) {
-	lr := p.cfg.LR.LR(p.hist.Updates())
-	if !positive {
-		lr = -lr
-	}
-	p.hist.Update(q, lr)
-	p.stats.Updates++
-}
-
-// Penalize forwards an SV failure observed by the tree to this node's
-// heuristic.
-func (p *PMW) Penalize(q *query.Query) { p.heur.Penalize(p.hist, q) }
 
 // WorstCaseUpdateBound returns the Thm A.4 bound on purposeful updates,
 // ln|X| / (η(τα−η)/2), for the configured τ and a constant learning rate

@@ -246,44 +246,85 @@ func TestVanillaPMWBurnsBudgetDuringTraining(t *testing.T) {
 	}
 }
 
+// scriptedExecutor answers every query with fixed true and DP results,
+// so a test can place a release exactly relative to the estimate.
+type scriptedExecutor struct{ truth, dp float64 }
+
+func (e *scriptedExecutor) True(*query.Query) (float64, error)                 { return e.truth, nil }
+func (e *scriptedExecutor) DP(*query.Query, float64, float64) (float64, error) { return e.dp, nil }
+
+// newScripted builds a PMW over a scripted executor, routed by heur.
+func newScripted(t *testing.T, heur heuristic.Heuristic) (*PMW, *scriptedExecutor, *query.Query) {
+	t.Helper()
+	dom := domain.MustNew(domain.Attribute{Name: "p", Card: 2}, domain.Attribute{Name: "a", Card: 4})
+	exec := &scriptedExecutor{}
+	cfg := Config{
+		Alpha: 0.05, Beta: 0.001, N: 100_000, DomainSize: dom.Size(),
+		Tau: 0.25, LR: Constant(0.2), Heuristic: heur,
+	}
+	filt := accountant.Window{Block: accountant.NewBlock(1000, 1)}
+	p, err := New(cfg, exec, LaplacePayer(filt, noise.EpsilonForAccuracy(cfg.Alpha, cfg.Beta, cfg.N)), noise.NewRng(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, exec, query.MustNew(dom, map[int][]int{0: {1}})
+}
+
+// TestExternalUpdateMargin pins the bypass branch's external update
+// (Alg. 1 ll.29-34): a release within τα of the estimate leaves the
+// histogram alone, one beyond it moves the estimate toward itself.
 func TestExternalUpdateMargin(t *testing.T) {
-	f := newFixture(t, nil, 1000)
-	q := query.MustNew(f.dom, map[int][]int{0: {1}})
-	est := f.pmw.EstimateOnly(q)
+	p, exec, q := newScripted(t, heuristic.NeverReady{})
+	est := p.Histogram().Eval(q)
 	margin := 0.25 * 0.05 // τα
-	if f.pmw.ExternalUpdate(q, est+margin/2) {
-		t.Fatal("update applied inside the confidence margin")
+	exec.dp = est + margin/2
+	if res, err := p.Run(q); err != nil || res.Path != PathR3 || res.Updated || p.Histogram().Eval(q) != est {
+		t.Fatalf("release inside the margin: %+v, %v", res, err)
 	}
-	if !f.pmw.ExternalUpdate(q, est+2*margin) {
-		t.Fatal("update not applied above the margin")
+	exec.dp = est + 2*margin
+	if res, err := p.Run(q); err != nil || !res.Updated {
+		t.Fatalf("release above the margin: %+v, %v", res, err)
 	}
-	after := f.pmw.EstimateOnly(q)
+	after := p.Histogram().Eval(q)
 	if after <= est {
-		t.Fatal("positive external update did not raise estimate")
+		t.Fatal("upward external update did not raise the estimate")
 	}
-	if !f.pmw.ExternalUpdate(q, after-2*margin) {
-		t.Fatal("downward update not applied")
+	exec.dp = after - 2*margin
+	if res, err := p.Run(q); err != nil || !res.Updated {
+		t.Fatalf("release below the margin: %+v, %v", res, err)
 	}
-	if f.pmw.EstimateOnly(q) >= after {
-		t.Fatal("negative external update did not lower estimate")
+	if p.Histogram().Eval(q) >= after {
+		t.Fatal("downward external update did not lower the estimate")
+	}
+	if p.Stats().Updates != 2 {
+		t.Fatalf("updates = %d, want 2", p.Stats().Updates)
 	}
 }
 
+// TestDirectedUpdate pins the update of Alg. 1's PMW branch: when
+// the SV test fails, the histogram steps in the direction of the paid
+// release relative to the estimate, whatever the true result was.
 func TestDirectedUpdate(t *testing.T) {
-	f := newFixture(t, nil, 1000)
-	q := query.MustNew(f.dom, map[int][]int{1: {2}})
-	before := f.pmw.EstimateOnly(q)
-	f.pmw.DirectedUpdate(q, true)
-	if f.pmw.EstimateOnly(q) <= before {
-		t.Fatal("positive directed update did not raise estimate")
+	p, exec, q := newScripted(t, heuristic.AlwaysReady{})
+	before := p.Histogram().Eval(q)
+	exec.truth, exec.dp = before+0.5, before+0.1 // far from the estimate: the SV fails
+	if res, err := p.Run(q); err != nil || res.Path != PathR2 || !res.Updated {
+		t.Fatalf("first run: %+v, %v", res, err)
 	}
-	f.pmw.DirectedUpdate(q, false)
-	f.pmw.DirectedUpdate(q, false)
-	if f.pmw.EstimateOnly(q) >= before {
-		t.Fatal("negative directed updates did not lower estimate")
+	if p.Histogram().Eval(q) <= before {
+		t.Fatal("release above the estimate did not raise it")
 	}
-	if f.pmw.Stats().Updates != 3 {
-		t.Fatalf("updates = %d", f.pmw.Stats().Updates)
+	exec.truth, exec.dp = before+0.5, 0 // the truth is still above; the release is below
+	for i := 0; i < 2; i++ {
+		if res, err := p.Run(q); err != nil || res.Path != PathR2 {
+			t.Fatalf("run %d: %+v, %v", i, res, err)
+		}
+	}
+	if p.Histogram().Eval(q) >= before {
+		t.Fatal("releases below the estimate did not lower it")
+	}
+	if p.Stats().Updates != 3 {
+		t.Fatalf("updates = %d", p.Stats().Updates)
 	}
 }
 
@@ -319,7 +360,7 @@ func TestWarmStart(t *testing.T) {
 	if err := f2.pmw.WarmStart(trained, heuristic.NewAdaptivePerBin(2, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if f2.pmw.EstimateOnly(q) != trained.Eval(q) {
+	if f2.pmw.Histogram().Eval(q) != trained.Eval(q) {
 		t.Fatal("warm-started histogram not installed")
 	}
 	// WarmStart after queries is rejected.

@@ -237,11 +237,6 @@ func (q *Query) KeyWithWindow() string { return q.winKey }
 // SupportSize returns the number of domain points with q(v) = 1.
 func (q *Query) SupportSize() int { return q.support }
 
-// Selectivity returns SupportSize/N, the fraction of the domain selected.
-func (q *Query) Selectivity() float64 {
-	return float64(q.support) / float64(q.dom.Size())
-}
-
 // Matches reports whether bin index idx satisfies the predicate.
 func (q *Query) Matches(idx int) bool {
 	for i, vals := range q.allowed {
@@ -299,16 +294,6 @@ func (q *Query) Eval(h []float64) float64 {
 	sum := 0.0
 	q.ForEachBin(func(bin int) { sum += h[bin] })
 	return sum
-}
-
-// EvalCounts computes the true fraction of rows matching q given a raw
-// per-bin count vector and the (public) total row count n. A database with
-// n = 0 rows answers 0 for every query.
-func (q *Query) EvalCounts(counts []float64, n float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return q.Eval(counts) / n
 }
 
 // String renders the predicate with attribute and level names.
@@ -385,28 +370,6 @@ func (b *Builder) Restrict(attr int, vals ...int) *Builder {
 	}
 	b.allowed[attr] = append(make([]int, 0, len(vals)), vals...)
 	return b
-}
-
-// RestrictNamed constrains a named attribute to named levels.
-func (b *Builder) RestrictNamed(name string, levels ...string) *Builder {
-	if b.err != nil {
-		return b
-	}
-	i := b.dom.AttrIndex(name)
-	if i < 0 {
-		b.err = fmt.Errorf("query: unknown attribute %q", name)
-		return b
-	}
-	vals := make([]int, 0, len(levels))
-	for _, lv := range levels {
-		v := b.dom.LevelValue(i, lv)
-		if v < 0 {
-			b.err = fmt.Errorf("query: unknown level %q for attribute %q", lv, name)
-			return b
-		}
-		vals = append(vals, v)
-	}
-	return b.Restrict(i, vals...)
 }
 
 // Window sets the partition window [start, end] inclusive.

@@ -72,9 +72,6 @@ func TestSupportSize(t *testing.T) {
 	if q.SupportSize() != want {
 		t.Fatalf("SupportSize = %d, want %d", q.SupportSize(), want)
 	}
-	if got := q.Selectivity(); got != float64(want)/128 {
-		t.Fatalf("Selectivity = %g, want %g", got, float64(want)/128)
-	}
 }
 
 func TestForEachBinMatchesAndCount(t *testing.T) {
@@ -180,19 +177,6 @@ func TestEvalPanicsOnSizeMismatch(t *testing.T) {
 	q.Eval(make([]float64, 5))
 }
 
-func TestEvalCounts(t *testing.T) {
-	d := covid()
-	q := MustNew(d, map[int][]int{0: {1}})
-	counts := make([]float64, d.Size())
-	q.ForEachBin(func(bin int) { counts[bin] = 2 })
-	if got := q.EvalCounts(counts, 256); got != float64(2*64)/256 {
-		t.Fatalf("EvalCounts = %g", got)
-	}
-	if got := q.EvalCounts(counts, 0); got != 0 {
-		t.Fatalf("EvalCounts on empty db = %g, want 0", got)
-	}
-}
-
 func TestWindow(t *testing.T) {
 	d := covid()
 	q := MustNew(d, map[int][]int{0: {1}})
@@ -245,7 +229,7 @@ func TestStringRendering(t *testing.T) {
 func TestBuilder(t *testing.T) {
 	d := covid()
 	q, err := NewBuilder(d).
-		RestrictNamed("positive", "positive").
+		Restrict(0, 1).
 		Restrict(1, 0, 1, 2).
 		Restrict(1, 1, 2, 3). // intersect → {1,2}
 		Window(0, 4).
@@ -262,12 +246,6 @@ func TestBuilder(t *testing.T) {
 
 	if _, err := NewBuilder(d).Restrict(0, 0).Restrict(0, 1).Build(); err == nil {
 		t.Error("contradictory constraints did not error")
-	}
-	if _, err := NewBuilder(d).RestrictNamed("nope", "x").Build(); err == nil {
-		t.Error("unknown attribute did not error")
-	}
-	if _, err := NewBuilder(d).RestrictNamed("positive", "bogus").Build(); err == nil {
-		t.Error("unknown level did not error")
 	}
 	if _, err := NewBuilder(d).Window(-1, 2).Build(); err == nil {
 		t.Error("negative window did not error")

@@ -27,9 +27,11 @@ var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // with the snapshot.
 const maxAnalystBody = 1 << 20
 
-// maxAppendPartitions is how many partitions a /append body has room for
-// at the widest counts. A batch is one ingestion epoch, and 64 holds the
-// paper's longest evaluated timeline (50 weekly partitions) in one.
+// maxAppendPartitions is how many partitions one /append batch may hold,
+// and so how many a /append body has room for at the widest counts. A
+// batch is one ingestion epoch, and 64 holds the paper's longest
+// evaluated timeline (50 weekly partitions) in one. The byte cap alone
+// would not bound the count: an empty partition is two bytes.
 const maxAppendPartitions = 64
 
 // maxAppendBody caps a /append body over a domain of domSize bins, so one

@@ -387,6 +387,8 @@ type AppendResponse struct {
 // handleAppend feeds one batch of arrivals through the streaming ingestion
 // pipeline and blocks until its epoch is applied, so a 200 means the
 // partitions are queryable, loaded, and (in streaming mode) warm-started.
+// A body past maxAppendBody, or a batch of more than maxAppendPartitions,
+// is a 413 that enqueues nothing.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"bad-request", "POST only"})
@@ -405,6 +407,10 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Partitions) == 0 {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{"bad-request", "empty batch"})
+		return
+	}
+	if len(req.Partitions) > maxAppendPartitions {
+		writeJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{"bad-request", "batch of more than 64 partitions"})
 		return
 	}
 	if !s.serving(w) {

@@ -11,6 +11,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -304,6 +306,43 @@ func TestAppendBodyCapped(t *testing.T) {
 	}
 	if status, msg := post(t, ts, "/append", appendBody(t, domSize, 1, 10)); status != http.StatusOK {
 		t.Fatalf("/append after the refusal = %d %s", status, msg)
+	}
+}
+
+// TestAppendPartitionsCapped: a /append batch of more than
+// maxAppendPartitions partitions is refused with 413 even when its body
+// fits under the byte cap, and enqueues nothing — the partition count and
+// every partition's spend stay put — while a batch of exactly
+// maxAppendPartitions lands.
+func TestAppendPartitionsCapped(t *testing.T) {
+	srv, ds := newStreamingServer(t, false)
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if status, msg := post(t, ts, "/query", []byte(`{"sql":"SELECT COUNT(*) FROM covid WHERE positive = 1"}`)); status != http.StatusOK {
+		t.Fatalf("/query = %d %s", status, msg)
+	}
+	empties := func(n int) []byte {
+		return []byte(`{"partitions":[{}` + strings.Repeat(`,{}`, n-1) + `]}`)
+	}
+	parts, spent := ds.Partitions(), srv.sess.Accountant().SpentVector()
+
+	body := empties(maxAppendPartitions + 1)
+	if int64(len(body)) > maxAppendBody(ds.Domain().Size()) {
+		t.Fatalf("test body of %d bytes is over the byte cap", len(body))
+	}
+	if status, msg := post(t, ts, "/append", body); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("/append of %d partitions = %d %s, want 413", maxAppendPartitions+1, status, msg)
+	}
+	if ds.Partitions() != parts || !reflect.DeepEqual(srv.sess.Accountant().SpentVector(), spent) {
+		t.Fatalf("the refused batch changed the books: %d -> %d partitions, spend %v -> %v",
+			parts, ds.Partitions(), spent, srv.sess.Accountant().SpentVector())
+	}
+	if status, msg := post(t, ts, "/append", empties(maxAppendPartitions)); status != http.StatusOK {
+		t.Fatalf("/append of %d partitions = %d %s", maxAppendPartitions, status, msg)
+	}
+	if ds.Partitions() != parts+maxAppendPartitions {
+		t.Fatalf("%d partitions after the accepted batch, want %d", ds.Partitions(), parts+maxAppendPartitions)
 	}
 }
 

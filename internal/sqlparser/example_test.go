@@ -1,9 +1,4 @@
-// SQL integration example: parse analyst SQL through the turbo-sql parser
-// and execute it against a partitioned Turbo session — the end-to-end path
-// of Fig. 1, from SQL text to a DP answer with budget accounting.
-//
-//	go run ./examples/sqlshell
-package main
+package sqlparser_test
 
 import (
 	"fmt"
@@ -14,7 +9,11 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
+// Analyst SQL parsed by the turbo-sql grammar and answered by a
+// partitioned Turbo session: the end-to-end path of Fig. 1, from SQL text
+// to a DP answer with budget accounting. turbo-server's POST /query takes
+// the same path.
+func ExampleParser_Parse() {
 	ds, err := workload.BuildCovid(workload.CovidConfig{
 		Rows: 1_000_000, Weeks: 8, Seed: 2,
 	})
@@ -44,20 +43,18 @@ func main() {
 		// "fail-to-host-engine" behaviour of §5).
 		`SELECT COUNT(*) FROM covid WHERE positive = 1 OR age = 0`,
 	}
-
 	for _, sql := range statements {
 		fmt.Printf("sql> %s\n", sql)
 		st, err := parser.Parse(sql)
 		if err != nil {
-			fmt.Printf("  rejected: %v\n\n", err)
+			fmt.Printf("  rejected: %v\n", err)
 			continue
 		}
 		ans, err := sess.Answer(st.Query)
 		if err != nil {
-			fmt.Printf("  error: %v\n\n", err)
-			continue
+			log.Fatal(err)
 		}
-		fmt.Printf("  -> %.4f of rows (path %s, paid ε=%.3g, avg budget %.4f)\n\n",
+		fmt.Printf("  -> %.4f of rows (path %s, paid ε=%.3g, avg budget %.4f)\n",
 			ans.Value, ans.Source, ans.Paid, sess.AverageSpent())
 	}
 
@@ -77,19 +74,25 @@ func main() {
 		fmt.Printf("  age=%-6s -> %.4f (path %s)\n",
 			ds.Domain().LevelName(1, g.Values[0]), ans.Value, ans.Source)
 	}
-
-	// Averages are post-processing over per-value counts: here the mean
-	// age-bracket midpoint among positives, with a propagated error bound.
-	midpoints := []float64{10, 30, 55, 75}
-	base, err := parser.Parse("SELECT COUNT(*) FROM covid WHERE positive = 1")
-	if err != nil {
-		log.Fatal(err)
-	}
-	avg, err := sess.AnswerAverage(base.Query, 1, func(v int) float64 { return midpoints[v] })
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nAVG(age midpoint | positive) = %.2f ± %.2f years (paid ε=%.3g)\n",
-		avg.Value, avg.ErrorBound, avg.Paid)
 	fmt.Printf("total consumed budget: %.4f of ε_G=10\n", sess.AverageSpent())
+
+	// Output:
+	// sql> SELECT COUNT(*) FROM covid WHERE positive = 'positive'
+	//   -> 0.1192 of rows (path tree, paid ε=0.00122, avg budget 0.0002)
+	// sql> SELECT COUNT(*) FROM covid WHERE positive = 1 AND age = '1-17'
+	//   -> 0.0234 of rows (path tree, paid ε=0.00122, avg budget 0.0003)
+	// sql> SELECT COUNT(*) FROM covid WHERE positive = 1 AND time BETWEEN 2 AND 5
+	//   -> 0.1050 of rows (path tree, paid ε=0.00154, avg budget 0.0005)
+	// sql> SELECT COUNT(*) FROM covid WHERE age IN (2, 3) AND gender = 0 AND time BETWEEN 0 AND 3
+	//   -> 0.1601 of rows (path tree, paid ε=0.00128, avg budget 0.0007)
+	// sql> SELECT COUNT(*) FROM covid WHERE positive = 1 AND time BETWEEN 2 AND 5
+	//   -> 0.1050 of rows (path exact-hit, paid ε=0, avg budget 0.0007)
+	// sql> SELECT COUNT(*) FROM covid WHERE positive = 1 OR age = 0
+	//   rejected: sqlparser: OR at 46: turbo-sql supports conjunctive predicates only
+	// sql> SELECT COUNT(*) FROM covid WHERE positive = 1 GROUP BY age
+	//   age=1-17   -> 0.0234 (path exact-hit)
+	//   age=18-49  -> 0.0443 (path tree)
+	//   age=50-64  -> 0.0333 (path tree)
+	//   age=65+    -> 0.0205 (path tree)
+	// total consumed budget: 0.0011 of ε_G=10
 }

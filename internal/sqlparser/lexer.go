@@ -1,5 +1,6 @@
-// Package sqlparser parses the linear-SQL subset that turbo-sql accepts
-// (§5): counting queries with conjunctive predicates over categorical
+// Package sqlparser is turbo-sql (§5): the linear-SQL grammar that
+// turbo-server's POST /query, /query/batch and /groupby accept. It takes
+// counting queries with conjunctive predicates over categorical
 // attributes and an optional time window, e.g.
 //
 //	SELECT COUNT(*) FROM covid WHERE positive = 1 AND age IN (0, 1)

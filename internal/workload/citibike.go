@@ -61,11 +61,6 @@ type CitiBikeConfig struct {
 	Seed uint64
 }
 
-// DefaultCitiBike matches the paper's dimensions on the reduced domain.
-func DefaultCitiBike() CitiBikeConfig {
-	return CitiBikeConfig{Rows: 21_096_261, Weeks: 50, Small: true, Seed: 11}
-}
-
 // BuildCitiBike materializes the synthetic ride data: product marginals
 // with commuter structure (rush-hour and weekday skew) and a seasonal
 // volume cycle across weeks.

@@ -41,11 +41,6 @@ type CovidConfig struct {
 	Seed uint64
 }
 
-// DefaultCovid matches the paper's dataset dimensions.
-func DefaultCovid() CovidConfig {
-	return CovidConfig{Rows: 50_426_600, Weeks: 50, Seed: 7}
-}
-
 // BuildCovid materializes the synthetic Covid dataset: a demographic
 // product distribution whose positivity rate drifts across weeks (waves),
 // mimicking the California 2020 testing data the paper uses.

@@ -242,7 +242,7 @@ func buildCitiBikeOracle(t *testing.T, cfg CitiBikeConfig) *dataset.Dataset {
 // with and without a rounding remainder.
 func TestBuildCitiBikeMatchesOracle(t *testing.T) {
 	for _, cfg := range []CitiBikeConfig{
-		DefaultCitiBike(),
+		{Rows: 21_096_261, Weeks: 50, Small: true, Seed: 11}, // the paper's dimensions
 		{Rows: 200_000, Weeks: 8, Small: true, Seed: 5},
 		{Rows: 300, Weeks: 3, Small: true, Seed: 1},
 		{Rows: 500_000, Weeks: 2, Small: false, Seed: 6},
