@@ -46,9 +46,10 @@ scorecard:
 # effect. The byte ceiling was measured with go1.24.0 linux/amd64; a
 # toolchain change re-measures it. It also fails when turbo-server links
 # a package it must not: encoding/gob (snapshot sections have their own
-# codec) or net/http/pprof.
-CEILINGS = 16590 17 1 9770446
-BANNED_DEPS = encoding/gob net/http/pprof
+# codec), net/http/pprof, or net/http and crypto/tls (turbo-server speaks
+# HTTP/1.1 itself, internal/server/httpd, and serves no TLS).
+CEILINGS = 17184 17 1 5188304
+BANNED_DEPS = encoding/gob net/http/pprof net/http crypto/tls
 
 scorecard-check:
 	@$(MAKE) -s scorecard | awk -v ceilings='$(CEILINGS)' ' \

@@ -1,4 +1,4 @@
-// turbo-server serves a Turbo-cached DP database over HTTP: the trusted
+// turbo-server serves a Turbo-cached DP database over HTTP/1.1: the trusted
 // aggregate-only interface of the paper's motivating scenario. Analysts
 // POST linear SQL to /query; /budget and /schema expose the public
 // accounting and schema state; partitioned and streaming deployments
@@ -25,14 +25,13 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"math"
-	"net/http"
+	"net"
 	"os"
 	"os/signal"
 	"runtime"
@@ -42,7 +41,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/persist"
-	"repro/internal/server"
+	"repro/internal/server/httpd"
 	"repro/internal/store"
 	"repro/internal/tree"
 	"repro/internal/workload"
@@ -119,7 +118,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := server.New(sess, table, server.WithAppendBacklog(*backlog))
+	srv, err := httpd.New(sess, table, httpd.WithAppendBacklog(*backlog))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -189,44 +188,33 @@ func main() {
 	if m != core.NonPartitioned {
 		endpoints = "POST /query, POST /query/batch, POST /groupby, POST /append, GET /budget, GET /schema, GET /snapshot, POST /restore"
 	}
-	fmt.Printf("listening on http://%s  (%s)\n", *addr, endpoints)
-	// A client that opens a connection and never finishes its request
-	// headers must not hold it forever. Body and response time stay
-	// unbounded: /append bodies (capped in size by the domain, not in
-	// time), /restore bodies and /snapshot responses scale with the
-	// deployment.
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("listening on http://%s  (%s)\n", ln.Addr(), endpoints)
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	shutdownDone := make(chan struct{})
 	go func() {
 		<-sigs
-		// Stop accepting and wait for in-flight requests before the
-		// checkpoint below: budget paid by a request racing the snapshot
-		// would otherwise be forfeited on restore — released results
-		// whose charge the restored accountant never saw. A hung
-		// connection must not postpone the checkpoint forever, so the
-		// drain is bounded and a second signal forces it immediately.
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		go func() {
-			<-sigs
-			hs.Close()
-		}()
-		if err := hs.Shutdown(ctx); err != nil {
-			hs.Close()
-		}
+		// Stop accepting and wait for the handlers already running before
+		// the checkpoint below: budget paid by a request racing the
+		// snapshot would otherwise be forfeited on restore — released
+		// results whose charge the restored accountant never saw. No
+		// handler waits on a client (bodies are read before it runs and
+		// responses written after), so neither does the drain.
+		srv.Shutdown()
 		close(shutdownDone)
 	}()
-	serveErr := hs.ListenAndServe()
-	if !errors.Is(serveErr, http.ErrServerClosed) {
-		log.Fatal(serveErr)
+	if err := srv.Serve(ln); !errors.Is(err, httpd.ErrServerClosed) {
+		log.Fatal(err)
 	}
-	// ListenAndServe returns as soon as the listener closes; the drain
-	// is done only when Shutdown itself has returned. Only then may the
-	// ingestor drain and the checkpoint run — otherwise still-active
-	// handlers (a /query paying budget, a /snapshot holding the quiesce)
-	// would race them.
+	// Serve returns as soon as the listener closes; the drain is done
+	// only when Shutdown itself has returned. Only then may the ingestor
+	// drain and the checkpoint run — otherwise still-active handlers (a
+	// /query paying budget, a /snapshot holding the quiesce) would race
+	// them.
 	<-shutdownDone
 	// Stop the periodic checkpointer before the final one so their
 	// SaveState captures never interleave.

@@ -4,17 +4,27 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"math"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/persist"
+	"repro/internal/server/httpd"
 	"repro/internal/store"
 	"repro/internal/tree"
 	"repro/internal/workload"
@@ -209,5 +219,180 @@ func TestStoreConfig(t *testing.T) {
 		if err != nil || got != tc.want {
 			t.Errorf("storeConfig(%d, %d) = %+v, %v; want %+v", tc.maxMB, tc.maxEntries, got, err, tc.want)
 		}
+	}
+}
+
+// child is a turbo-server running in a child process.
+type child struct {
+	cmd  *exec.Cmd
+	addr string
+	out  *lockedBuffer
+}
+
+// lockedBuffer collects a child's output while the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// startMain starts turbo-server with args in a child process and waits
+// until it listens.
+func startMain(t *testing.T, args ...string) *child {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "TURBO_SERVER_TEST_MAIN=1")
+	c := &child{cmd: cmd, out: &lockedBuffer{}}
+	cmd.Stdout, cmd.Stderr = c.out, c.out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cmd.Process.Kill() })
+	listening := regexp.MustCompile(`listening on http://(\S+)`)
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if m := listening.FindStringSubmatch(c.out.String()); m != nil {
+			c.addr = m[1]
+			return c
+		}
+	}
+	t.Fatalf("turbo-server never listened:\n%s", c.out)
+	return nil
+}
+
+// query posts one statement and returns the status and the answer.
+func (c *child) query(client *http.Client, sql string) (int, httpd.QueryResponse, error) {
+	var qr httpd.QueryResponse
+	body, _ := json.Marshal(httpd.QueryRequest{SQL: sql})
+	resp, err := client.Post("http://"+c.addr+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return 0, qr, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		err = json.NewDecoder(resp.Body).Decode(&qr)
+	}
+	return resp.StatusCode, qr, err
+}
+
+// TestShutdownDrainsHandlersNotClients: SIGTERM, with two clients sending
+// distinct misses and a third connection stalled mid-head, makes
+// turbo-server stop accepting, finish the handlers already running and
+// checkpoint, and exit 0 well before the stalled head's deadline. A server
+// restored from the checkpoint holds the charge of every statement a
+// client saw answered: it answers each as an exact hit that pays nothing,
+// and its books count at least as many answered queries.
+func TestShutdownDrainsHandlersNotClients(t *testing.T) {
+	state := filepath.Join(t.TempDir(), "turbo.snap")
+	args := []string{"-addr", "127.0.0.1:0", "-rows", "20000", "-weeks", "8", "-shards", "2", "-state", state}
+	first := startMain(t, args...)
+	stalled, err := net.Dial("tcp", first.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if _, err := io.WriteString(stalled, "POST /query HTTP/1.1\r\nHost: t\r\n"); err != nil {
+		t.Fatal(err)
+	}
+
+	var (
+		mu       sync.Mutex
+		answered []string
+		wg       sync.WaitGroup
+	)
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			client := &http.Client{Transport: &http.Transport{}, Timeout: 10 * time.Second}
+			for s := 0; s < 8; s++ {
+				for e := s; e < 8; e++ {
+					for age := 0; age < 4; age++ {
+						sql := fmt.Sprintf("SELECT COUNT(*) FROM covid WHERE positive = %d AND age = %d AND time BETWEEN %d AND %d", c, age, s, e)
+						status, _, err := first.query(client, sql)
+						if err != nil {
+							return // the server has shut down
+						}
+						if status == http.StatusOK {
+							mu.Lock()
+							answered = append(answered, sql)
+							mu.Unlock()
+						}
+					}
+				}
+			}
+		}(c)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		n := len(answered)
+		mu.Unlock()
+		if n >= 20 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d statements answered before the signal", n)
+		}
+	}
+	sent := time.Now()
+	if err := first.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- first.cmd.Wait() }()
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("turbo-server after SIGTERM: %v\n%s", err, first.out)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("turbo-server still runs 5 s after SIGTERM: the drain waits on a client\n%s", first.out)
+	}
+	wg.Wait()
+	if !strings.Contains(first.out.String(), "checkpointed state to") {
+		t.Fatalf("no checkpoint written:\n%s", first.out)
+	}
+
+	t.Logf("%d statements answered, exit %v after SIGTERM", len(answered), time.Since(sent))
+	second := startMain(t, args...)
+	m := regexp.MustCompile(`restored state from \S+ \((\d+) queries served`).FindStringSubmatch(second.out.String())
+	if m == nil {
+		t.Fatalf("the second server did not restore:\n%s", second.out)
+	}
+	if restored, _ := strconv.Atoi(m[1]); restored < len(answered) {
+		t.Fatalf("the restored books count %d answered queries, clients saw %d", restored, len(answered))
+	}
+	client := &http.Client{Transport: &http.Transport{}}
+	for _, sql := range answered {
+		status, qr, err := second.query(client, sql)
+		if err != nil || status != http.StatusOK || qr.Source != "exact-hit" || qr.Paid != 0 {
+			t.Fatalf("%s after the restore: %d %+v %v, want an exact hit that pays nothing", sql, status, qr, err)
+		}
+	}
+	resp, err := client.Get("http://" + second.addr + "/budget")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var budget httpd.BudgetResponse
+	err = json.NewDecoder(resp.Body).Decode(&budget)
+	resp.Body.Close()
+	if err != nil || budget.Queries < int64(len(answered)) {
+		t.Fatalf("/budget after the replay: %+v %v, want queries_answered >= %d", budget, err, len(answered))
+	}
+	if err := second.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := second.cmd.Wait(); err != nil {
+		t.Fatalf("second turbo-server after SIGTERM: %v\n%s", err, second.out)
 	}
 }

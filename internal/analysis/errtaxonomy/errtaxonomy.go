@@ -1,16 +1,20 @@
-// Package errtaxonomy enforces the HTTP error taxonomy of
-// internal/server: handler errors map typed sentinels to their documented
-// status codes through writeJSON + ErrorResponse, never ad hoc.
+// Package errtaxonomy enforces the HTTP error taxonomy of turbo-server's
+// handlers (internal/server/httpd): handler errors map typed sentinels to
+// their documented status codes through writeJSON + ErrorResponse, never
+// ad hoc.
 //
-// In packages named "server" (non-test files):
+// In packages with a "server" path segment or name (non-test files):
 //
 //  1. http.Error is flagged outright — it bypasses the JSON error
-//     taxonomy (and its habitual form is the naked 500).
+//     taxonomy (and its habitual form is the naked 500). The handlers no
+//     longer link net/http, so this rule has nothing to catch there; it
+//     stays for the net/http adapter in internal/server, and for any
+//     handler that would bring net/http back.
 //
-//  2. A writeJSON(w, http.StatusInternalServerError, ...) is flagged
-//     unless the same function also tests some typed error with
-//     errors.Is: a 500 must be the fall-through of a mapping, never the
-//     only answer to an error.
+//  2. A writeJSON(w, 500, ...) — net/http's StatusInternalServerError or
+//     httpd's own — is flagged unless the same function also tests some
+//     typed error with errors.Is: a 500 must be the fall-through of a
+//     mapping, never the only answer to an error.
 //
 //  3. A response-writing function that consumes session errors must map
 //     the documented sentinels: calling Answer requires an

@@ -8,5 +8,5 @@ import (
 )
 
 func TestErrtaxonomy(t *testing.T) {
-	analysistestlite.Run(t, errtaxonomy.Analyzer, "server")
+	analysistestlite.Run(t, errtaxonomy.Analyzer, "server", "server/httpd")
 }

@@ -4,13 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"repro/internal/accountant"
 )
 
-func postBatch(t *testing.T, ts *httptest.Server, queries []string) (*http.Response, []byte) {
+func postBatch(t *testing.T, ts *liveServer, queries []string) (*http.Response, []byte) {
 	t.Helper()
 	body, _ := json.Marshal(BatchQueryRequest{Queries: queries})
 	resp, err := http.Post(ts.URL+"/query/batch", "application/json", bytes.NewReader(body))
@@ -28,7 +27,7 @@ func postBatch(t *testing.T, ts *httptest.Server, queries []string) (*http.Respo
 // in its own slot, and counters advancing per element.
 func TestBatchEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t, 100)
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 
 	qs := []string{
@@ -63,11 +62,8 @@ func TestBatchEndpoint(t *testing.T) {
 	if br.Results[0].Result.Fraction != br.Results[3].Result.Fraction {
 		t.Fatal("duplicate slots disagree")
 	}
-	if got := srv.queries.Load(); got != 3 {
-		t.Fatalf("served counter = %d, want 3 (one per 200 element)", got)
-	}
-	if got := srv.answers.Load(); got != 3 {
-		t.Fatalf("answers counter = %d, want 3", got)
+	if got := getBudget(t, ts); got.Queries != 3 || got.Answers != 3 {
+		t.Fatalf("served counter = %d, answers counter = %d, want 3 each (one per 200 element)", got.Queries, got.Answers)
 	}
 
 	// Replaying the same batch is exact-hit fan-out.
@@ -85,7 +81,7 @@ func TestBatchEndpoint(t *testing.T) {
 // windows gets per-element 429s and 200s in order.
 func TestBatchEndpointMixedAdmission(t *testing.T) {
 	srv, _ := newTestServer(t, 100)
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 
 	// Exhaust partition 0's budget directly; windows touching it are
@@ -94,7 +90,7 @@ func TestBatchEndpointMixedAdmission(t *testing.T) {
 	if err := acct.PayRange(0, 0, accountant.Laplace(acct.Global())); err != nil {
 		t.Fatal(err)
 	}
-	refusalsBefore := srv.refusals.Load()
+	refusalsBefore := getBudget(t, ts).Refusals
 	qs := []string{
 		"SELECT COUNT(*) FROM covid WHERE positive = 1 AND time BETWEEN 0 AND 1",
 		"SELECT COUNT(*) FROM covid WHERE positive = 1 AND time BETWEEN 1 AND 3",
@@ -117,7 +113,7 @@ func TestBatchEndpointMixedAdmission(t *testing.T) {
 	if br.Results[0].Error.Kind != "exhausted" {
 		t.Fatalf("slot 0 kind = %s, want exhausted", br.Results[0].Error.Kind)
 	}
-	if got := srv.refusals.Load() - refusalsBefore; got != 2 {
+	if got := getBudget(t, ts).Refusals - refusalsBefore; got != 2 {
 		t.Fatalf("refusals advanced by %d, want 2", got)
 	}
 }
@@ -125,7 +121,7 @@ func TestBatchEndpointMixedAdmission(t *testing.T) {
 // TestBatchEndpointMalformed pins the envelope-level failures.
 func TestBatchEndpointMalformed(t *testing.T) {
 	srv, _ := newTestServer(t, 100)
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 
 	resp, _ := postBatch(t, ts, nil)

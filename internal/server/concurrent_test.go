@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -22,7 +21,7 @@ import (
 
 // newConcurrentServer builds a sharded partitioned session large enough
 // for windowed traffic across shards.
-func newConcurrentServer(t *testing.T, epsG float64) *Server {
+func newConcurrentServer(t *testing.T, epsG float64) *testServer {
 	t.Helper()
 	dom := domain.MustNew(
 		domain.Attribute{Name: "positive", Card: 2, Levels: []string{"negative", "positive"}},
@@ -43,16 +42,12 @@ func newConcurrentServer(t *testing.T, epsG float64) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(sess, "covid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv
+	return newServer(t, sess)
 }
 
 func TestConcurrentMixedTraffic(t *testing.T) {
 	srv := newConcurrentServer(t, 50)
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 	client := ts.Client()
 
@@ -184,7 +179,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 // never overshoot, no matter which goroutine loses the race.
 func TestConcurrentExhaustion(t *testing.T) {
 	srv := newConcurrentServer(t, 0.08)
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 	client := ts.Client()
 

@@ -22,7 +22,7 @@ import (
 	"repro/internal/core"
 )
 
-func getBudget(t *testing.T, ts *httptest.Server) BudgetResponse {
+func getBudget(t *testing.T, ts *liveServer) BudgetResponse {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/budget")
 	if err != nil {
@@ -47,7 +47,7 @@ func TestGaussianBudgetBooksAgree(t *testing.T) {
 				c.Gaussian = true
 				c.DeltaGlobal = 1e-6
 			})
-			ts := httptest.NewServer(srv.Handler())
+			ts := serve(t, srv)
 			defer ts.Close()
 
 			sqls := []string{
@@ -181,7 +181,7 @@ func TestBudgetIsOneSnapshot(t *testing.T) {
 // TestPureModeBudgetHasNoRDPSection pins the scalar path: no rdp section.
 func TestPureModeBudgetHasNoRDPSection(t *testing.T) {
 	srv, _ := newTestServer(t, 10)
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 	if _, body := postQuery(t, ts, "SELECT COUNT(*) FROM covid WHERE positive = 1"); len(body) == 0 {
 		t.Fatal("empty query response")
@@ -196,7 +196,7 @@ func TestPureModeBudgetHasNoRDPSection(t *testing.T) {
 // refused mid-group, while answers/by_source stay answer-level.
 func TestGroupByCounterSemantics(t *testing.T) {
 	srv, _ := newTestServer(t, 0.02)
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 
 	sqls := []string{

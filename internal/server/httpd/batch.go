@@ -11,12 +11,10 @@
 // processed; only malformed requests (400) and the boot latch (503 after
 // a restore failed midway) fail the whole call.
 
-package server
+package httpd
 
 import (
-	"bytes"
 	"errors"
-	"net/http"
 	"strconv"
 	"strings"
 
@@ -51,13 +49,13 @@ type BatchQueryResponse struct {
 // ordered per-element status array. Counters advance exactly as if the
 // elements had been served individually: one served request and one
 // answer per 200 element, one refusal per 429 element.
-func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleQueryBatch(w *Response, r *Request) {
 	var req BatchQueryRequest
 	if !decodeAnalyst(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{"bad-request", "empty batch"})
+		writeJSON(w, StatusBadRequest, ErrorResponse{"bad-request", "empty batch"})
 		return
 	}
 	if !s.serving(w) {
@@ -70,12 +68,12 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	for i, sql := range req.Queries {
 		st, err := s.parser.Parse(sql)
 		if err != nil {
-			items[i] = BatchItem{Status: http.StatusUnprocessableEntity,
+			items[i] = BatchItem{Status: StatusUnprocessableEntity,
 				Error: &ErrorResponse{"parse", err.Error()}}
 			continue
 		}
 		if !strings.EqualFold(st.Table, s.table) {
-			items[i] = BatchItem{Status: http.StatusUnprocessableEntity,
+			items[i] = BatchItem{Status: StatusUnprocessableEntity,
 				Error: &ErrorResponse{"parse", "unknown table " + strconv.Quote(st.Table)}}
 			continue
 		}
@@ -96,10 +94,10 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 			switch {
 			case errors.Is(res.Err, accountant.ErrBudgetExhausted):
 				s.refusals.Add(1)
-				items[i] = BatchItem{Status: http.StatusTooManyRequests,
+				items[i] = BatchItem{Status: StatusTooManyRequests,
 					Error: &ErrorResponse{"exhausted", "global privacy budget exhausted"}}
 			case res.Err != nil:
-				items[i] = BatchItem{Status: http.StatusUnprocessableEntity,
+				items[i] = BatchItem{Status: StatusUnprocessableEntity,
 					Error: &ErrorResponse{"bad-request", res.Err.Error()}}
 			default:
 				ans := res.Answer
@@ -112,16 +110,15 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 					Paid:      ans.Paid,
 					Remaining: remaining,
 				}
-				items[i] = BatchItem{Status: http.StatusOK, Result: &resps[k]}
+				items[i] = BatchItem{Status: StatusOK, Result: &resps[k]}
 			}
 		}
 	}
-	buf := bufPool.Get().(*bytes.Buffer)
-	body, err := appendBatchResponse(buf.AvailableBuffer(), items)
+	body, err := appendBatchResponse(w.Body[:0], items)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{"internal", err.Error()})
+		writeJSON(w, StatusInternalServerError, ErrorResponse{"internal", err.Error()})
 		return
 	}
 	s.queries.Add(int64(served))
-	writeAppended(w, buf, body)
+	writeAppended(w, body)
 }

@@ -1,10 +1,8 @@
-package server
+package httpd
 
 import (
 	"bytes"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
@@ -43,7 +41,7 @@ func coldStatement(q *query.Query) string {
 
 // BenchmarkHandleQueryBatchCold is the benchmark's hit_zipf set-up in
 // process: 125 POST /query/batch of 16 never-repeated statements — 2,000
-// distinct (predicate, window) pairs — through the handler of a fresh
+// distinct (predicate, window) pairs — through Handle on a fresh
 // session over turbo-server's default dataset (covid, 2M rows, 16 weeks).
 // Every statement is decoded, parsed, planned, missed, executed by the tree
 // and encoded once: the request front end with no cache in front of it.
@@ -81,13 +79,12 @@ func BenchmarkHandleQueryBatchCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		h := srv.Handler()
+		var resp Response
 		b.StartTimer()
 		for _, body := range bodies {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query/batch", bytes.NewReader(body)))
-			if rec.Code != http.StatusOK {
-				b.Fatalf("status %d: %s", rec.Code, rec.Body)
+			req := Request{Method: MethodPost, Path: "/query/batch", Length: int64(len(body))}
+			if err := srv.Handle(&resp, &req, bytes.NewReader(body)); err != nil || resp.Status != StatusOK {
+				b.Fatalf("status %d (%v): %s", resp.Status, err, resp.Body)
 			}
 		}
 		b.StopTimer()

@@ -1,30 +1,24 @@
 // The wire codec of the hot analyst endpoints (ARCHITECTURE "Server", the
-// codec rule): 200 bodies of /query and /query/batch are appended into a
-// pooled buffer, byte for byte what encoding/json's Encoder wrote, and
-// request bodies of the two fixed shapes are scanned in place. Every other
-// body, in either direction, stays with encoding/json.
+// codec rule): 200 bodies of /query and /query/batch are appended into the
+// connection's response buffer, byte for byte what encoding/json's Encoder
+// wrote, and request bodies of the two fixed shapes are scanned in place.
+// Every other body, in either direction, stays with encoding/json.
 
-package server
+package httpd
 
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
-	"net/http"
 	"strconv"
-	"sync"
 )
-
-// bufPool holds the buffers request bodies are read into and 200 bodies
-// are appended into (AvailableBuffer); a buffer goes back empty.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // maxAnalystBody caps the request body of the analyst-facing endpoints
 // (/query, /query/batch, /groupby), whose payloads are SQL text. /append
 // has its own cap, maxAppendBody; /restore stays uncapped: its body scales
-// with the snapshot.
+// with the snapshot. The front end refuses a body past its route's cap
+// from the head, with 413, before it reads any of it.
 const maxAnalystBody = 1 << 20
 
 // maxAppendPartitions is how many partitions one /append batch may hold,
@@ -47,45 +41,29 @@ func maxAppendBody(domSize int) int64 {
 	return int64(maxAppendPartitions*(domSize*widestCount+partition) + batch)
 }
 
-// bodyErrorStatus is the status of a request body that failed to read or
-// decode: 413 past its MaxBytesReader cap, else 400.
-func bodyErrorStatus(err error) int {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
-// decodeAnalyst reads an analyst-facing POST body into req, a
+// decodeAnalyst decodes an analyst-facing POST body into req, a
 // *QueryRequest or *BatchQueryRequest. On failure it writes the response
-// itself — 405 for another method, 413 for a body past maxAnalystBody, 400
-// for malformed JSON — and returns false; no session state has been
-// touched at that point.
-func decodeAnalyst(w http.ResponseWriter, r *http.Request, req any) bool {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"bad-request", "POST only"})
+// itself — 405 for another method, 400 for malformed JSON — and returns
+// false; no session state has been touched at that point.
+func decodeAnalyst(w *Response, r *Request, req any) bool {
+	if r.Method != MethodPost {
+		writeJSON(w, StatusMethodNotAllowed, ErrorResponse{"bad-request", "POST only"})
 		return false
 	}
-	buf := bufPool.Get().(*bytes.Buffer)
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxAnalystBody))
-	if err == nil {
-		err = decodeBody(buf.Bytes(), req)
+	if err := Decode(r.Body, req); err != nil {
+		writeJSON(w, StatusBadRequest, ErrorResponse{"bad-request", err.Error()})
+		return false
 	}
-	buf.Reset()
-	bufPool.Put(buf)
-	if err == nil {
-		return true
-	}
-	writeJSON(w, bodyErrorStatus(err), ErrorResponse{"bad-request", err.Error()})
-	return false
+	return true
 }
 
-// decodeBody decodes one request body: by the scanner when the body has
-// the shape it accepts, else by encoding/json, which thereby keeps defining
-// unknown-field, key-case, escape, duplicate-key and trailing-data
-// behaviour. FuzzDecodeAnalyst pins that the two agree where both accept.
-func decodeBody(body []byte, req any) error {
+// Decode decodes one analyst request body into req, a *QueryRequest or
+// *BatchQueryRequest, with the result encoding/json's Decoder gives: by
+// the scanner when the body has the shape it accepts, else by
+// encoding/json, which thereby keeps defining unknown-field, key-case,
+// escape, duplicate-key and trailing-data behaviour. FuzzDecodeAnalyst
+// pins that the two cannot be told apart.
+func Decode(body []byte, req any) error {
 	if scanRequest(string(body), req) {
 		return nil
 	}
@@ -192,17 +170,11 @@ func (sc *scanner) end() bool {
 	return sc.i == len(sc.s)
 }
 
-// writeAppended writes, in one Write, a 200 body appended into buf's
-// AvailableBuffer and the newline encoding/json's Encoder ends a value
-// with. The handler has already turned an encoding error into a 500:
-// writeJSON, encoding after WriteHeader(200), left a 200 with an empty body.
-func writeAppended(w http.ResponseWriter, buf *bytes.Buffer, body []byte) {
-	body = append(body, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
-	buf.Grow(len(body)) // a body that outgrew buf: the next one will fit
-	bufPool.Put(buf)
+// writeAppended answers 200 with a body appended into w.Body and the
+// newline encoding/json's Encoder ends a value with. The handler has
+// already turned an encoding error into a 500.
+func writeAppended(w *Response, body []byte) {
+	w.Status, w.ContentType, w.Body = StatusOK, "application/json", append(body, '\n')
 }
 
 // appendQueryResponse appends r as encoding/json marshals it. NaN and ±Inf

@@ -1,0 +1,122 @@
+package httpd
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// encodingJSON is the body writeJSON produced for v before the append
+// encoders took the 200 bodies of /query and /query/batch over.
+func encodingJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestEncodersMatchEncodingJSON: the append encoders write the bytes
+// encoding/json writes. It catches a float format off at either end of the
+// exponent rule (1e-6 and 1e21 are the first values on the far side of
+// each), an untrimmed two-digit exponent, -0 losing its sign, a field out
+// of order, a missing newline, and a core.Source that would need the
+// escaping the encoder does not do.
+func TestEncodersMatchEncodingJSON(t *testing.T) {
+	floats := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, 1e-7, -1e-7, 9.99e-7, 1e-6, 123456789.125,
+		1e20, 9.999e20, 1e21, -1e21, 1.7976931348623157e308, math.SmallestNonzeroFloat64, 0.1 + 0.2, 2000000, 10 - 0.19935}
+	var resps []QueryResponse
+	for i, f := range floats {
+		resps = append(resps, QueryResponse{Fraction: f, Count: f / 2, Source: string(core.Sources[i%len(core.Sources)]),
+			Paid: floats[(i+1)%len(floats)], Remaining: floats[(i+2)%len(floats)]})
+	}
+	for _, src := range core.Sources {
+		for _, c := range []byte(src) {
+			if c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+				t.Errorf("core.Source %q holds %q, which encoding/json escapes and appendQueryResponse does not", src, c)
+			}
+		}
+		resps = append(resps, QueryResponse{Source: string(src)})
+	}
+	for i := range resps {
+		got, err := appendQueryResponse(nil, &resps[i])
+		if want := encodingJSON(t, resps[i]); err != nil || !bytes.Equal(append(got, '\n'), want) {
+			t.Errorf("appendQueryResponse: %v\n got %s\nwant %s", err, got, want)
+		}
+	}
+
+	batches := [][]BatchItem{
+		{},
+		{{Status: StatusOK, Result: &resps[0]}},
+		{{Status: StatusTooManyRequests, Error: &ErrorResponse{"exhausted", "global privacy budget exhausted"}}},
+		{
+			{Status: StatusOK, Result: &resps[4]},
+			{Status: StatusUnprocessableEntity, Error: &ErrorResponse{"parse",
+				"sqlparser: unexpected character '<' at 3: \"café & \\ \x7f \" \t\n"}},
+			{Status: StatusTooManyRequests, Error: &ErrorResponse{"exhausted", "global privacy budget exhausted"}},
+			{Status: StatusOK, Result: &resps[9]},
+			{Status: StatusUnprocessableEntity, Error: &ErrorResponse{"bad-request", "invalid utf-8 \xff here"}},
+			{},
+		},
+	}
+	for _, items := range batches {
+		got, err := appendBatchResponse(nil, items)
+		if want := encodingJSON(t, BatchQueryResponse{Results: items}); err != nil || !bytes.Equal(append(got, '\n'), want) {
+			t.Errorf("appendBatchResponse: %v\n got %s\nwant %s", err, got, want)
+		}
+	}
+}
+
+// TestEncodersRefuseNonFinite: NaN and ±Inf have no JSON form, so an
+// append encoder handed one errors instead of writing a body.
+func TestEncodersRefuseNonFinite(t *testing.T) {
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := appendQueryResponse(nil, &QueryResponse{Count: f}); err == nil {
+			t.Errorf("appendQueryResponse encoded %v", f)
+		}
+		if _, err := appendBatchResponse(nil, []BatchItem{{Result: &QueryResponse{}}, {Result: &QueryResponse{Remaining: f}}}); err == nil {
+			t.Errorf("appendBatchResponse encoded %v", f)
+		}
+	}
+}
+
+// TestDecodeBodyFallsBack: bodies the scanner refuses reach encoding/json
+// with their bytes intact, and the ones it accepts never do.
+func TestDecodeBodyFallsBack(t *testing.T) {
+	cases := []struct {
+		body    string
+		scanned bool
+		sql     string // decoded QueryRequest.SQL; "" with an error
+		errSub  string
+	}{
+		{`{"sql":"x"}`, true, "x", ""},
+		{` { "sql" : "a b" } `, true, "a b", ""},
+		{`{"SQL":"x"}`, false, "x", ""},
+		{`{"sql":"x"} trailing`, false, "x", ""},
+		{`{"sql":"x","extra":1}`, false, "x", ""},
+		{`{"sql":"aA"}`, true, "aA", ""},
+		{`{"sql":"x","sql":"y"}`, false, "y", ""},
+		{`{"sql":"x"`, false, "", "unexpected EOF"},
+		{``, false, "", "EOF"},
+		{`{"sql":7}`, false, "", "cannot unmarshal number"},
+	}
+	for _, c := range cases {
+		var scanned QueryRequest
+		if got := scanRequest(c.body, &scanned); got != c.scanned {
+			t.Errorf("scanRequest(%q) = %v, want %v", c.body, got, c.scanned)
+		}
+		var req QueryRequest
+		err := Decode([]byte(c.body), &req)
+		if c.errSub == "" && (err != nil || req.SQL != c.sql) {
+			t.Errorf("Decode(%q) = %+v, %v; want sql %q", c.body, req, err, c.sql)
+		}
+		if c.errSub != "" && (err == nil || !strings.Contains(err.Error(), c.errSub)) {
+			t.Errorf("Decode(%q) error %v, want %q", c.body, err, c.errSub)
+		}
+	}
+}

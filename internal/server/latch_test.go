@@ -11,7 +11,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -50,7 +49,7 @@ func latchSQL() (sqls []string, parts []int) {
 // post sends body to path and returns the status and response body; it
 // reports transport failures through t.Error, so it is safe to call from
 // any goroutine.
-func post(t *testing.T, ts *httptest.Server, path string, body []byte) (int, []byte) {
+func post(t *testing.T, ts *liveServer, path string, body []byte) (int, []byte) {
 	resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Error(err)
@@ -74,7 +73,7 @@ func TestRestoreRacesTraffic(t *testing.T) {
 	cached := len(sqls) / 3 // the source answers every third statement
 
 	src, ds := newStreamingServer(t, false)
-	tsSrc := httptest.NewServer(src.Handler())
+	tsSrc := serve(t, src)
 	defer tsSrc.Close()
 	defer src.Close()
 	inSnap := make(map[string]bool)
@@ -92,7 +91,7 @@ func TestRestoreRacesTraffic(t *testing.T) {
 	outcomes := map[int]int{}
 	for round := 0; round < rounds; round++ {
 		srv, _ := newStreamingServer(t, false)
-		ts := httptest.NewServer(srv.Handler())
+		ts := serve(t, srv)
 		t.Cleanup(srv.Close)
 		t.Cleanup(ts.Close)
 
@@ -225,7 +224,7 @@ func corruptSnapshot(t *testing.T, raw []byte, section string) []byte {
 // snapshot and every further restore refuses with 503 "corrupt".
 func TestPoisonedServerRefuses(t *testing.T) {
 	src, ds := newStreamingServer(t, false)
-	tsSrc := httptest.NewServer(src.Handler())
+	tsSrc := serve(t, src)
 	defer tsSrc.Close()
 	defer src.Close()
 	const sql = "SELECT COUNT(*) FROM covid WHERE positive = 1"
@@ -235,7 +234,7 @@ func TestPoisonedServerRefuses(t *testing.T) {
 	bad := corruptSnapshot(t, getSnapshot(t, tsSrc), "tree/nodes")
 
 	srv, _ := newStreamingServer(t, false)
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 	defer srv.Close()
 	status, body := postRestore(t, ts, bad)

@@ -9,13 +9,13 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/server/httpd"
 	"repro/internal/stream"
 )
 
@@ -26,7 +26,7 @@ func gaussianCfg(c *core.Config) {
 }
 
 // getSnapshot fetches /snapshot and returns the envelope bytes.
-func getSnapshot(t *testing.T, ts *httptest.Server) []byte {
+func getSnapshot(t *testing.T, ts *liveServer) []byte {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/snapshot")
 	if err != nil {
@@ -47,7 +47,7 @@ func getSnapshot(t *testing.T, ts *httptest.Server) []byte {
 }
 
 // postRestore posts a snapshot to /restore and returns status + body.
-func postRestore(t *testing.T, ts *httptest.Server, snap []byte) (int, []byte) {
+func postRestore(t *testing.T, ts *liveServer, snap []byte) (int, []byte) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/restore", "application/octet-stream", bytes.NewReader(snap))
 	if err != nil {
@@ -64,7 +64,7 @@ func postRestore(t *testing.T, ts *httptest.Server, snap []byte) (int, []byte) {
 // taxonomy for conflicting, junk, truncated, and mismatched restores.
 func TestSnapshotRestoreEndpoints(t *testing.T) {
 	srv1, _ := newTestServerWith(t, 100, gaussianCfg)
-	ts1 := httptest.NewServer(srv1.Handler())
+	ts1 := serve(t, srv1)
 	defer ts1.Close()
 	defer srv1.Close()
 
@@ -80,7 +80,7 @@ func TestSnapshotRestoreEndpoints(t *testing.T) {
 	snap := getSnapshot(t, ts1)
 
 	srv2, _ := newTestServerWith(t, 100, gaussianCfg)
-	ts2 := httptest.NewServer(srv2.Handler())
+	ts2 := serve(t, srv2)
 	defer ts2.Close()
 	defer srv2.Close()
 	status, rbody := postRestore(t, ts2, snap)
@@ -122,7 +122,7 @@ func TestSnapshotRestoreEndpoints(t *testing.T) {
 	}
 	// Junk and truncated envelopes are rejected up front: 400.
 	srv3, _ := newTestServerWith(t, 100, gaussianCfg)
-	ts3 := httptest.NewServer(srv3.Handler())
+	ts3 := serve(t, srv3)
 	defer ts3.Close()
 	defer srv3.Close()
 	if status, _ := postRestore(t, ts3, []byte("not a snapshot")); status != http.StatusBadRequest {
@@ -135,7 +135,7 @@ func TestSnapshotRestoreEndpoints(t *testing.T) {
 	// snapshot's accounting is not the session's, refused before anything
 	// mutates — so the server stays usable.
 	srv4, _ := newTestServer(t, 100)
-	ts4 := httptest.NewServer(srv4.Handler())
+	ts4 := serve(t, srv4)
 	defer ts4.Close()
 	defer srv4.Close()
 	status, rbody = postRestore(t, ts4, snap)
@@ -151,8 +151,8 @@ func TestSnapshotRestoreEndpoints(t *testing.T) {
 // with the worker quiesced and the backlog full, POST /append sheds with
 // 503 + Retry-After; once the queue drains, the held appends land.
 func TestAppendBackpressure(t *testing.T) {
-	srv, ds := newStreamingServer(t, false, WithAppendBacklog(2))
-	ts := httptest.NewServer(srv.Handler())
+	srv, ds := newStreamingServer(t, false, httpd.WithAppendBacklog(2))
+	ts := serve(t, srv)
 	defer ts.Close()
 	defer srv.Close()
 	domSize := ds.Domain().Size()
@@ -224,7 +224,7 @@ func TestAppendBackpressure(t *testing.T) {
 // epochs are applied — exactly once.
 func TestSnapshotRestoreWithPendingEpochs(t *testing.T) {
 	srv1, ds1 := newStreamingServer(t, true)
-	ts1 := httptest.NewServer(srv1.Handler())
+	ts1 := serve(t, srv1)
 	defer ts1.Close()
 	defer srv1.Close()
 
@@ -243,7 +243,7 @@ func TestSnapshotRestoreWithPendingEpochs(t *testing.T) {
 	snap := getSnapshot(t, ts1)
 
 	srv2, ds2 := newStreamingServer(t, true)
-	ts2 := httptest.NewServer(srv2.Handler())
+	ts2 := serve(t, srv2)
 	defer ts2.Close()
 	defer srv2.Close()
 	status, rbody := postRestore(t, ts2, snap)

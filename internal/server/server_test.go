@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -15,16 +15,71 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/domain"
 	"repro/internal/query"
+	"repro/internal/server/httpd"
 	"repro/internal/store"
 )
 
-func newTestServer(t *testing.T, epsG float64) (*Server, *dataset.Dataset) {
+// testServer is a Server with the session it serves.
+type testServer struct {
+	*Server
+	sess *core.Session
+}
+
+// newServer builds the server of sess, for table covid.
+func newServer(t *testing.T, sess *core.Session, opts ...httpd.Option) *testServer {
+	t.Helper()
+	srv, err := New(sess, "covid", opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &testServer{srv, sess}
+}
+
+// liveServer is a server behind turbo-server's own listener on a loopback
+// port: the production front end, as httptest.Server would give net/http's.
+type liveServer struct {
+	URL    string
+	srv    interface{ Shutdown() }
+	served chan error
+	once   sync.Once
+	client *http.Client
+}
+
+// serve serves srv on 127.0.0.1:0 until Close.
+func serve(t testing.TB, srv interface {
+	Serve(net.Listener) error
+	Shutdown()
+}) *liveServer {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls := &liveServer{URL: "http://" + l.Addr().String(), srv: srv, served: make(chan error, 1),
+		client: &http.Client{Transport: &http.Transport{}}}
+	go func() { ls.served <- srv.Serve(l) }()
+	return ls
+}
+
+// Client is an HTTP client of its own for the server.
+func (ls *liveServer) Client() *http.Client { return ls.client }
+
+// Close shuts the server down and waits for Serve to return.
+func (ls *liveServer) Close() {
+	ls.once.Do(func() {
+		ls.srv.Shutdown()
+		<-ls.served
+		ls.client.CloseIdleConnections()
+	})
+}
+
+func newTestServer(t *testing.T, epsG float64) (*testServer, *dataset.Dataset) {
 	return newTestServerWith(t, epsG, nil)
 }
 
 // newTestServerWith builds the standard 4-partition covid test server,
 // letting mut adjust the session config (mode, Gaussian accounting, ...).
-func newTestServerWith(t *testing.T, epsG float64, mut func(*core.Config)) (*Server, *dataset.Dataset) {
+func newTestServerWith(t *testing.T, epsG float64, mut func(*core.Config), opts ...httpd.Option) (*testServer, *dataset.Dataset) {
 	t.Helper()
 	dom := domain.MustNew(
 		domain.Attribute{Name: "positive", Card: 2, Levels: []string{"negative", "positive"}},
@@ -48,14 +103,10 @@ func newTestServerWith(t *testing.T, epsG float64, mut func(*core.Config)) (*Ser
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(sess, "covid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv, ds
+	return newServer(t, sess, opts...), ds
 }
 
-func postQuery(t *testing.T, ts *httptest.Server, sql string) (*http.Response, []byte) {
+func postQuery(t *testing.T, ts *liveServer, sql string) (*http.Response, []byte) {
 	t.Helper()
 	body, _ := json.Marshal(QueryRequest{SQL: sql})
 	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
@@ -70,7 +121,7 @@ func postQuery(t *testing.T, ts *httptest.Server, sql string) (*http.Response, [
 
 func TestQueryEndpoint(t *testing.T) {
 	srv, ds := newTestServer(t, 100)
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 
 	resp, body := postQuery(t, ts, "SELECT COUNT(*) FROM covid WHERE positive = 1")
@@ -96,7 +147,7 @@ func TestQueryEndpoint(t *testing.T) {
 
 func TestWindowedQueryEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t, 100)
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 	resp, body := postQuery(t, ts,
 		"SELECT COUNT(*) FROM covid WHERE positive = 1 AND time BETWEEN 1 AND 2")
@@ -118,7 +169,7 @@ func TestWindowedQueryEndpoint(t *testing.T) {
 
 func TestParseErrorsReturn400(t *testing.T) {
 	srv, _ := newTestServer(t, 100)
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 	cases := []string{
 		"SELECT AVG(*) FROM covid",
@@ -140,7 +191,7 @@ func TestParseErrorsReturn400(t *testing.T) {
 
 func TestBadJSONAndMethod(t *testing.T) {
 	srv, _ := newTestServer(t, 100)
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader([]byte("{")))
 	if err != nil {
@@ -160,12 +211,16 @@ func TestBadJSONAndMethod(t *testing.T) {
 	}
 }
 
+// maxAnalystBody is the documented cap on /query, /query/batch and
+// /groupby bodies.
+const maxAnalystBody = 1 << 20
+
 // TestOversizedBodyRefused: an analyst-facing body past the cap is a 413
 // on every SQL endpoint — a valid statement padded beyond it, so only
 // the size can be at fault — and the refusal touches no budget.
 func TestOversizedBodyRefused(t *testing.T) {
 	srv, _ := newTestServer(t, 100)
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 	budget := func() []byte {
 		resp, err := http.Get(ts.URL + "/budget")
@@ -205,7 +260,7 @@ func TestOversizedBodyRefused(t *testing.T) {
 
 func TestExhaustionReturns429(t *testing.T) {
 	srv, _ := newTestServer(t, 1e-9)
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 	resp, body := postQuery(t, ts, "SELECT COUNT(*) FROM covid WHERE positive = 1")
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -219,7 +274,7 @@ func TestExhaustionReturns429(t *testing.T) {
 
 func TestSchemaEndpoint(t *testing.T) {
 	srv, ds := newTestServer(t, 100)
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/schema")
 	if err != nil {
@@ -255,7 +310,7 @@ func TestSchemaCacheSectionBounded(t *testing.T) {
 		c.Backend = be
 		c.CacheFastEntries = 1 // expose backend traffic, not fast-map hits
 	})
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 	// Poison one backend entry and read it back as a cache entry: the
 	// backend deletes it and counts a decode error.
@@ -319,7 +374,7 @@ func TestConcurrentAnalysts(t *testing.T) {
 	// Many analysts hammering the endpoint concurrently must never
 	// corrupt state or exceed the guarantee.
 	srv, _ := newTestServer(t, 100)
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 
 	sqls := []string{
@@ -360,7 +415,7 @@ func TestConcurrentAnalysts(t *testing.T) {
 
 func TestGroupByEndpoint(t *testing.T) {
 	srv, ds := newTestServer(t, 100)
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 
 	body, _ := json.Marshal(QueryRequest{SQL: "SELECT COUNT(*) FROM covid WHERE positive = 1 GROUP BY age"})
@@ -402,7 +457,7 @@ func TestGroupByEndpoint(t *testing.T) {
 
 func TestGroupByParseError(t *testing.T) {
 	srv, _ := newTestServer(t, 100)
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 	body, _ := json.Marshal(QueryRequest{SQL: "SELECT COUNT(*) FROM covid GROUP BY bogus"})
 	resp, err := http.Post(ts.URL+"/groupby", "application/json", bytes.NewReader(body))

@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -20,10 +19,11 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/domain"
 	"repro/internal/interval"
+	"repro/internal/server/httpd"
 )
 
 // newStreamingServer builds a streaming session over a small live store.
-func newStreamingServer(t *testing.T, gaussian bool, opts ...Option) (*Server, *dataset.Dataset) {
+func newStreamingServer(t *testing.T, gaussian bool, opts ...httpd.Option) (*testServer, *dataset.Dataset) {
 	t.Helper()
 	dom := domain.MustNew(
 		domain.Attribute{Name: "positive", Card: 2, Levels: []string{"negative", "positive"}},
@@ -49,11 +49,7 @@ func newStreamingServer(t *testing.T, gaussian bool, opts ...Option) (*Server, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(sess, "covid", opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv, ds
+	return newServer(t, sess, opts...), ds
 }
 
 // appendBody builds one /append batch of size partitions with count rows
@@ -86,7 +82,7 @@ func TestAppendStormAgainstQueries(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			srv, ds := newStreamingServer(t, gaussian)
 			defer srv.Close()
-			ts := httptest.NewServer(srv.Handler())
+			ts := serve(t, srv)
 			defer ts.Close()
 			client := ts.Client()
 
@@ -248,7 +244,7 @@ func TestAppendRefusedNonPartitioned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 
 	body := appendBody(t, dom.Size(), 1, 10)
@@ -272,7 +268,7 @@ func TestAppendRefusedNonPartitioned(t *testing.T) {
 func TestAppendBodyCapped(t *testing.T) {
 	srv, ds := newStreamingServer(t, false)
 	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 	schema := func() SchemaResponse {
 		t.Helper()
@@ -309,6 +305,15 @@ func TestAppendBodyCapped(t *testing.T) {
 	}
 }
 
+// maxAppendPartitions and maxAppendBody are the documented /append caps: a
+// batch of at most 64 partitions, in a body with room for 64 partitions
+// whose every count prints as wide as an int can.
+const maxAppendPartitions = 64
+
+func maxAppendBody(domSize int) int64 {
+	return int64(maxAppendPartitions*(domSize*len("-9223372036854775808,")+len(`{"counts":[]},`)) + len(`{"partitions":[]}`))
+}
+
 // TestAppendPartitionsCapped: a /append batch of more than
 // maxAppendPartitions partitions is refused with 413 even when its body
 // fits under the byte cap, and enqueues nothing — the partition count and
@@ -317,7 +322,7 @@ func TestAppendBodyCapped(t *testing.T) {
 func TestAppendPartitionsCapped(t *testing.T) {
 	srv, ds := newStreamingServer(t, false)
 	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 	if status, msg := post(t, ts, "/query", []byte(`{"sql":"SELECT COUNT(*) FROM covid WHERE positive = 1"}`)); status != http.StatusOK {
 		t.Fatalf("/query = %d %s", status, msg)
@@ -353,7 +358,7 @@ func TestAppendPartitionsCapped(t *testing.T) {
 func TestAppendPastMaxRowsRefused(t *testing.T) {
 	srv, ds := newStreamingServer(t, false)
 	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(t, srv)
 	defer ts.Close()
 	domSize := ds.Domain().Size()
 	one := func(count int) []byte {
@@ -386,7 +391,7 @@ func TestAppendPastMaxRowsRefused(t *testing.T) {
 	snap := getSnapshot(t, ts)
 	twin, twinDS := newStreamingServer(t, false)
 	defer twin.Close()
-	ts2 := httptest.NewServer(twin.Handler())
+	ts2 := serve(t, twin)
 	defer ts2.Close()
 	if status, msg := postRestore(t, ts2, snap); status != http.StatusOK {
 		t.Fatalf("restore of the full dataset's snapshot = %d %s", status, msg)
