@@ -46,10 +46,12 @@ scorecard:
 # effect. The byte ceiling was measured with go1.24.0 linux/amd64; a
 # toolchain change re-measures it. It also fails when turbo-server links
 # a package it must not: encoding/gob (snapshot sections have their own
-# codec), net/http/pprof, or net/http and crypto/tls (turbo-server speaks
-# HTTP/1.1 itself, internal/server/httpd, and serves no TLS).
-CEILINGS = 17184 17 1 5188304
-BANNED_DEPS = encoding/gob net/http/pprof net/http crypto/tls
+# codec), net/http/pprof, net/http and crypto/tls (turbo-server speaks
+# HTTP/1.1 itself, internal/server/httpd, and serves no TLS), and net and
+# runtime/cgo: the binary is static, its sockets are syscall on the
+# runtime poller (httpd/sock.go), and no package may link libc back in.
+CEILINGS = 17324 17 1 4586915
+BANNED_DEPS = encoding/gob net/http/pprof net/http crypto/tls net runtime/cgo
 
 scorecard-check:
 	@$(MAKE) -s scorecard | awk -v ceilings='$(CEILINGS)' ' \

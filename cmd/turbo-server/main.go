@@ -18,6 +18,9 @@
 // overflowing appends shed with 503 + Retry-After instead of queueing
 // without bound.
 //
+// -addr is HOST:PORT, HOST an IP address, localhost or empty: the binary
+// is static and resolves no names, so another one stops the boot.
+//
 //	turbo-server -addr :8080 -dataset covid -mode streaming
 //	curl -s localhost:8080/query -d '{"sql":"SELECT COUNT(*) FROM covid WHERE positive = 1"}'
 //	curl -s localhost:8080/append -d '{"partitions":[{}]}'
@@ -31,7 +34,6 @@ import (
 	"io"
 	"log"
 	"math"
-	"net"
 	"os"
 	"os/signal"
 	"runtime"
@@ -49,7 +51,7 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", "127.0.0.1:8080", "listen address")
+		addr        = flag.String("addr", "127.0.0.1:8080", "listen address HOST:PORT; HOST is an IP address ([IPv6]), localhost, or empty for every interface")
 		datasetName = flag.String("dataset", "covid", "covid | citibike")
 		mode        = flag.String("mode", "partitioned", "non-partitioned | partitioned | streaming")
 		rows        = flag.Int("rows", 2_000_000, "synthetic dataset rows")
@@ -188,9 +190,9 @@ func main() {
 	if m != core.NonPartitioned {
 		endpoints = "POST /query, POST /query/batch, POST /groupby, POST /append, GET /budget, GET /schema, GET /snapshot, POST /restore"
 	}
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := httpd.Listen(*addr)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("turbo-server: %v", err)
 	}
 	fmt.Printf("listening on http://%s  (%s)\n", ln.Addr(), endpoints)
 	sigs := make(chan os.Signal, 1)

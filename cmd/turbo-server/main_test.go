@@ -90,6 +90,20 @@ func TestStateFromOlderBuildRefused(t *testing.T) {
 	}
 }
 
+// TestUnresolvableAddrRefused: an -addr whose host is a name other than
+// localhost stops the boot with a non-zero exit naming it, before the
+// server listens: turbo-server resolves no names.
+func TestUnresolvableAddrRefused(t *testing.T) {
+	out, err := runMain(t, "-addr", "nosuchhost:0", "-rows", "2000", "-weeks", "4", "-shards", "1")
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("turbo-server -addr nosuchhost:0: %v, want a non-zero exit\n%s", err, out)
+	}
+	if !strings.Contains(out, `host "nosuchhost"`) || strings.Contains(out, "listening on") {
+		t.Fatalf("output does not refuse the address before listening:\n%s", out)
+	}
+}
+
 // v2Snapshot is a file in the snapshot format before v3.
 func v2Snapshot(t *testing.T) []byte {
 	var gz bytes.Buffer

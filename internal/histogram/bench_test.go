@@ -57,14 +57,3 @@ func BenchmarkClone(b *testing.B) {
 		_ = h.Clone()
 	}
 }
-
-func BenchmarkRelativeEntropy(b *testing.B) {
-	h := NewUniform(1200)
-	p := make([]float64, 1200)
-	for i := range p {
-		p[i] = 1.0 / 1200
-	}
-	for i := 0; i < b.N; i++ {
-		_ = h.RelativeEntropy(p)
-	}
-}

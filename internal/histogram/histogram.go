@@ -403,23 +403,6 @@ func (h *Histogram) Lambda() float64 {
 	return 1 / (mw * float64(len(h.weights)))
 }
 
-// RelativeEntropy computes D(p‖h) = Σ p(x)·ln(p(x)/h(x)), the potential
-// tracked by the convergence proofs (Thm A.4). p must be a distribution of
-// the same size; bins where p(x)=0 contribute zero.
-func (h *Histogram) RelativeEntropy(p []float64) float64 {
-	if len(p) != len(h.weights) {
-		panic(fmt.Sprintf("histogram: RelativeEntropy got %d-vector for %d bins", len(p), len(h.weights)))
-	}
-	d := 0.0
-	for i, px := range p {
-		if px <= 0 {
-			continue
-		}
-		d += px * math.Log(px/(h.weights[i]*h.scale))
-	}
-	return d
-}
-
 // Normalized reports whether the weights form a distribution within tol.
 // It exists for tests and debug assertions.
 func (h *Histogram) Normalized(tol float64) bool {

@@ -81,27 +81,6 @@ func (g *Rng) Perm(n int) []int {
 	return g.r.Perm(n)
 }
 
-// LaplaceTail returns Pr[|Lap(b)| > t] = exp(-t/b).
-func LaplaceTail(t, b float64) float64 {
-	if t <= 0 {
-		return 1
-	}
-	return math.Exp(-t / b)
-}
-
-// GaussianTail returns the standard sub-Gaussian bound
-// Pr[|N(0,σ²)| > t] ≤ 2·exp(-t²/2σ²) used by Lemma A.10.
-func GaussianTail(t, sigma float64) float64 {
-	if t <= 0 {
-		return 1
-	}
-	p := 2 * math.Exp(-t*t/(2*sigma*sigma))
-	if p > 1 {
-		return 1
-	}
-	return p
-}
-
 // EpsilonForAccuracy returns the pure-DP budget ε per Laplace query so that
 // a counting query over n rows is answered with error ≤ α with probability
 // 1-β: ε = 4·ln(1/β)/(n·α) (Alg. 1 CALIBRATEBUDGET, Thm A.3).

@@ -38,7 +38,7 @@ func TestLaplaceTailEmpirical(t *testing.T) {
 			exceed++
 		}
 	}
-	want := LaplaceTail(thresh, b) // exp(-2) ≈ 0.135
+	want := laplaceTail(thresh, b) // exp(-2) ≈ 0.135
 	got := float64(exceed) / n
 	if math.Abs(got-want) > 0.01 {
 		t.Fatalf("empirical tail %g, analytic %g", got, want)
@@ -121,16 +121,16 @@ func TestSamplerPanics(t *testing.T) {
 }
 
 func TestTailBounds(t *testing.T) {
-	if LaplaceTail(0, 1) != 1 || LaplaceTail(-1, 1) != 1 {
+	if laplaceTail(0, 1) != 1 || laplaceTail(-1, 1) != 1 {
 		t.Error("non-positive threshold should give trivial bound 1")
 	}
-	if g := GaussianTail(0.1, 10); g != 1 {
+	if g := gaussianTail(0.1, 10); g != 1 {
 		t.Error("Gaussian tail should clamp at 1")
 	}
 	// Monotone decreasing in t.
 	prevL, prevG := 1.0, 1.0
 	for _, tt := range []float64{0.5, 1, 2, 4} {
-		l, g := LaplaceTail(tt, 1), GaussianTail(tt, 1)
+		l, g := laplaceTail(tt, 1), gaussianTail(tt, 1)
 		if l > prevL || g > prevG {
 			t.Fatal("tail bounds not monotone")
 		}
@@ -194,7 +194,7 @@ func TestGaussianSigmaForBypass(t *testing.T) {
 	// t ∈ {γ2/nε = τα/2, α}.
 	neps := float64(n) * eps
 	for _, tt := range []float64{tau * alpha / 2, alpha} {
-		if got := GaussianTail(tt, sigma); got > math.Exp(-tt*neps)*1.0001 {
+		if got := gaussianTail(tt, sigma); got > math.Exp(-tt*neps)*1.0001 {
 			t.Errorf("Gaussian tail at %g = %g exceeds Laplace bound %g", tt, got, math.Exp(-tt*neps))
 		}
 	}
@@ -211,7 +211,7 @@ func TestGaussianSigmaStrictSatisfiesAllThreeBounds(t *testing.T) {
 	gamma2 := tau * float64(n) * alpha * eps / 2 // ln(1/ρ)
 	gamma1 := gamma2 / 3
 	for _, tt := range []float64{gamma1 / neps, gamma2 / neps, alpha} {
-		if got := GaussianTail(tt, sigma); got > math.Exp(-tt*neps)*1.0001 {
+		if got := gaussianTail(tt, sigma); got > math.Exp(-tt*neps)*1.0001 {
 			t.Errorf("strict sigma: Gaussian tail at %g = %g exceeds Laplace bound %g",
 				tt, got, math.Exp(-tt*neps))
 		}
@@ -312,4 +312,25 @@ func TestIntNAndPerm(t *testing.T) {
 		}
 		mark[v] = true
 	}
+}
+
+// laplaceTail returns Pr[|Lap(b)| > t] = exp(-t/b).
+func laplaceTail(t, b float64) float64 {
+	if t <= 0 {
+		return 1
+	}
+	return math.Exp(-t / b)
+}
+
+// gaussianTail returns the standard sub-Gaussian bound
+// Pr[|N(0,σ²)| > t] ≤ 2·exp(-t²/2σ²) used by Lemma A.10.
+func gaussianTail(t, sigma float64) float64 {
+	if t <= 0 {
+		return 1
+	}
+	p := 2 * math.Exp(-t*t/(2*sigma*sigma))
+	if p > 1 {
+		return 1
+	}
+	return p
 }

@@ -361,14 +361,3 @@ func (p *PMW) runBypassBranch(q *query.Query) (Result, error) {
 	p.stats.R3++
 	return res, nil
 }
-
-// WorstCaseUpdateBound returns the Thm A.4 bound on purposeful updates,
-// ln|X| / (η(τα−η)/2), for the configured τ and a constant learning rate
-// η; it returns +Inf when η/α ≥ τ (the precondition fails).
-func (p *PMW) WorstCaseUpdateBound(eta float64) float64 {
-	alpha, tau := p.cfg.Alpha, p.cfg.Tau
-	if eta <= 0 || eta/alpha >= tau {
-		return math.Inf(1)
-	}
-	return math.Log(float64(p.cfg.DomainSize)) / (eta * (tau*alpha - eta) / 2)
-}

@@ -381,16 +381,16 @@ func TestWorstCaseUpdateBound(t *testing.T) {
 	f := newFixture(t, nil, 1000)
 	// Thm A.4: ln|X| / (η(τα−η)/2) with η = lr, τ = 0.25, α = 0.05.
 	eta := 0.005
-	got := f.pmw.WorstCaseUpdateBound(eta)
+	got := worstCaseUpdateBound(f.pmw, eta)
 	want := math.Log(8) / (eta * (0.25*0.05 - eta) / 2)
 	if math.Abs(got-want)/want > 1e-12 {
 		t.Fatalf("bound = %g, want %g", got, want)
 	}
 	// Precondition violation → +Inf.
-	if !math.IsInf(f.pmw.WorstCaseUpdateBound(0.05), 1) {
+	if !math.IsInf(worstCaseUpdateBound(f.pmw, 0.05), 1) {
 		t.Fatal("bound finite despite η/α ≥ τ")
 	}
-	if !math.IsInf(f.pmw.WorstCaseUpdateBound(0), 1) {
+	if !math.IsInf(worstCaseUpdateBound(f.pmw, 0), 1) {
 		t.Fatal("bound finite for η = 0")
 	}
 }
@@ -413,8 +413,19 @@ func TestEmpiricalUpdatesWithinWorstCase(t *testing.T) {
 			}
 		}
 	}
-	bound := f.pmw.WorstCaseUpdateBound(eta)
+	bound := worstCaseUpdateBound(f.pmw, eta)
 	if got := float64(f.pmw.Stats().Updates); got > bound {
 		t.Fatalf("updates %g exceed worst-case bound %g", got, bound)
 	}
+}
+
+// worstCaseUpdateBound returns the Thm A.4 bound on purposeful updates,
+// ln|X| / (η(τα−η)/2), for the configured τ and a constant learning rate
+// η; it returns +Inf when η/α ≥ τ (the precondition fails).
+func worstCaseUpdateBound(p *PMW, eta float64) float64 {
+	alpha, tau := p.cfg.Alpha, p.cfg.Tau
+	if eta <= 0 || eta/alpha >= tau {
+		return math.Inf(1)
+	}
+	return math.Log(float64(p.cfg.DomainSize)) / (eta * (tau*alpha - eta) / 2)
 }

@@ -1,9 +1,9 @@
 // The HTTP/1.1 front end (ARCHITECTURE "Server"): turbo-server's own
-// listener on package net. It reads a request head into a fixed buffer,
-// the body whole under its route's cap, runs the route's handler and
-// writes the response in one Write. Keep-alive and pipelined requests are
-// answered in order, one at a time per connection. What it refuses, it
-// refuses from the head and closes the connection: a head past maxHead
+// listener, on sock.go's sockets. It reads a request head into a fixed
+// buffer, the body whole under its route's cap, runs the route's handler
+// and writes the response in one Write. Keep-alive and pipelined requests
+// are answered in order, one at a time per connection. What it refuses,
+// it refuses from the head and closes the connection: a head past maxHead
 // (431), a malformed one (400), a Transfer-Encoding or a POST without a
 // Content-Length (411, in Handle), and a body past its route's cap (413,
 // in Handle).
@@ -16,7 +16,7 @@ import (
 	"errors"
 	"io"
 	"log"
-	"net"
+	"os"
 	"runtime/debug"
 	"strconv"
 	"time"
@@ -174,7 +174,7 @@ func (s *Server) Handle(w *Response, r *Request, body io.Reader) error {
 // Serve accepts connections on l until Shutdown, serving each on a
 // goroutine of its own, and then returns ErrServerClosed. A server is
 // served on one listener.
-func (s *Server) Serve(l net.Listener) error {
+func (s *Server) Serve(l *Listener) error {
 	s.mu.Lock()
 	s.ln = l
 	s.mu.Unlock()
@@ -183,7 +183,7 @@ func (s *Server) Serve(l net.Listener) error {
 		return ErrServerClosed
 	}
 	for {
-		c, err := l.Accept()
+		c, err := l.accept()
 		if err == nil && s.track(c) {
 			go s.serveConn(c)
 			continue
@@ -194,18 +194,18 @@ func (s *Server) Serve(l net.Listener) error {
 		if s.down.Load() {
 			return ErrServerClosed
 		}
-		if errors.Is(err, net.ErrClosed) {
+		if errors.Is(err, os.ErrClosed) {
 			return err
 		}
-		// Out of file descriptors, or a connection reset before it was
-		// accepted: the listener itself is fine.
+		// Out of file descriptors: the listener itself is fine, and the
+		// connection waits in its queue.
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
 // track records an accepted connection for Shutdown to close; after
 // Shutdown it refuses.
-func (s *Server) track(c net.Conn) bool {
+func (s *Server) track(c *conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.down.Load() {
@@ -241,10 +241,10 @@ func (s *Server) Shutdown() {
 // serveConn answers one connection's requests in order until the client
 // closes it, a refusal or Connection: close ends it, or Shutdown. A
 // handler's panic ends its own connection only.
-func (s *Server) serveConn(c net.Conn) {
+func (s *Server) serveConn(c *conn) {
 	defer func() {
 		if p := recover(); p != nil {
-			log.Printf("httpd: panic serving %s: %v\n%s", c.RemoteAddr(), p, debug.Stack())
+			log.Printf("httpd: panic serving %s: %v\n%s", c.peer, p, debug.Stack())
 		}
 		c.Close()
 		s.mu.Lock()
@@ -309,10 +309,8 @@ func (s *Server) serveConn(c net.Conn) {
 // closes it: closing a socket with unread input resets it, and a reset
 // fails the client's write, or discards the response before the client
 // has read it.
-func linger(c net.Conn) {
-	if tc, ok := c.(*net.TCPConn); ok {
-		_ = tc.CloseWrite()
-	}
+func linger(c *conn) {
+	_ = c.closeWrite()
 	_ = c.SetReadDeadline(time.Now().Add(lingerFor))
 	buf := make([]byte, 4<<10)
 	for n := 0; n < lingerBytes; {
@@ -328,7 +326,7 @@ func linger(c net.Conn) {
 // deadline it first waits for one byte with none, then gives the rest of
 // the head s.headTimeout; a head already buffered costs no deadline at
 // all. The head's bytes are consumed; the body's are left in br.
-func (s *Server) readHead(c net.Conn, br *bufio.Reader, deadline time.Time) (head, error) {
+func (s *Server) readHead(c *conn, br *bufio.Reader, deadline time.Time) (head, error) {
 	if deadline.IsZero() {
 		if _, err := br.Peek(1); err != nil {
 			return head{}, err
@@ -367,7 +365,7 @@ func (s *Server) readHead(c net.Conn, br *bufio.Reader, deadline time.Time) (hea
 // client waits for one (Expect: 100-continue). A request refused from its
 // head never reads its body, so its client never gets the go-ahead.
 type continuer struct {
-	c    net.Conn
+	c    io.Writer
 	r    io.Reader
 	sent bool
 }

@@ -54,7 +54,7 @@ func newTestServer(t *testing.T, epsG float64) *Server {
 // the address.
 func listen(t *testing.T, srv *Server) string {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	l, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestShutdownWaitsForHandlersNotClients(t *testing.T) {
 		<-release
 		writeJSON(w, StatusOK, "released")
 	}, limit: analystLimit})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	l, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package httpd is turbo-server: a Turbo-cached DP database served over
 // HTTP/1.1 — the deployment shape the paper's introduction motivates: many
 // untrusted analysts querying a trusted aggregate-only endpoint that
-// enforces a global DP guarantee. It speaks HTTP itself, on package net
-// (listener.go), and links no net/http.
+// enforces a global DP guarantee. It speaks HTTP itself (listener.go) on
+// its own TCP sockets (sock.go), and links neither net/http nor net.
 //
 // Endpoints:
 //
@@ -55,7 +55,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -117,8 +116,8 @@ type Server struct {
 	gate sync.RWMutex
 	// mu guards the listener and the open connections.
 	mu    sync.Mutex
-	ln    net.Listener
-	conns map[net.Conn]struct{}
+	ln    *Listener
+	conns map[*conn]struct{}
 }
 
 // Option configures a Server at construction.
@@ -154,7 +153,7 @@ func New(sess *core.Session, table string, opts ...Option) (*Server, error) {
 		retryAfter:  1,
 		routes:      routes,
 		headTimeout: 10 * time.Second,
-		conns:       make(map[net.Conn]struct{}),
+		conns:       make(map[*conn]struct{}),
 	}
 	for _, opt := range opts {
 		opt(srv)

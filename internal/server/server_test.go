@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -47,11 +46,11 @@ type liveServer struct {
 
 // serve serves srv on 127.0.0.1:0 until Close.
 func serve(t testing.TB, srv interface {
-	Serve(net.Listener) error
+	Serve(*httpd.Listener) error
 	Shutdown()
 }) *liveServer {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	l, err := httpd.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

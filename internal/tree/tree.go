@@ -808,28 +808,6 @@ func (t *Tree) MemoryBytes() int {
 	return total
 }
 
-// WorstCaseUpdateBound returns the Thm A.7 bound on the total number of
-// purposeful updates across the tree for T = 2^m equal-size partitions
-// and constant learning rate η:
-//
-//	(m+1)·T·ln|X| / (η(τα−η)/2)
-//
-// It returns +Inf when the precondition η/α < τ fails.
-func (t *Tree) WorstCaseUpdateBound(eta float64) float64 {
-	alpha, tau := t.cfg.Alpha, t.cfg.Tau
-	if eta <= 0 || eta/alpha >= tau {
-		return math.Inf(1)
-	}
-	partitions := t.exec.Dataset().Partitions()
-	m := 0
-	for 1<<m < partitions {
-		m++
-	}
-	T := float64(int(1) << m)
-	lnX := math.Log(float64(t.exec.Dataset().Domain().Size()))
-	return float64(m+1) * T * lnX / (eta * (tau*alpha - eta) / 2)
-}
-
 // NodeHistogram exposes a node's histogram for convergence metrics and
 // warm-start tests; it returns nil when the node was never materialized.
 func (t *Tree) NodeHistogram(iv interval.Node) *histogram.Histogram {

@@ -345,13 +345,13 @@ func TestEmptyPartitionsSkipped(t *testing.T) {
 func TestWorstCaseUpdateBound(t *testing.T) {
 	f := newFix(t, nil, 1000, 8)
 	eta := 0.005
-	got := f.tree.WorstCaseUpdateBound(eta)
+	got := worstCaseUpdateBound(f.tree, eta)
 	// T=8, m=3: (m+1)·T·ln|X| / (η(τα−η)/2).
 	want := 4 * 8 * math.Log(8) / (eta * (0.25*0.05 - eta) / 2)
 	if math.Abs(got-want)/want > 1e-12 {
 		t.Fatalf("bound = %g, want %g", got, want)
 	}
-	if !math.IsInf(f.tree.WorstCaseUpdateBound(0.05), 1) {
+	if !math.IsInf(worstCaseUpdateBound(f.tree, 0.05), 1) {
 		t.Fatal("violated precondition not rejected")
 	}
 }
@@ -370,7 +370,7 @@ func TestEmpiricalTreeUpdatesWithinBound(t *testing.T) {
 			}
 		}
 	}
-	bound := f.tree.WorstCaseUpdateBound(eta)
+	bound := worstCaseUpdateBound(f.tree, eta)
 	if got := float64(f.tree.Stats().NodeUpdates); got > bound {
 		t.Fatalf("node updates %g exceed Thm A.7 bound %g", got, bound)
 	}
@@ -475,4 +475,26 @@ func TestMixedBranches(t *testing.T) {
 	if math.Abs(res.Value-truth) > 0.05 {
 		t.Fatalf("mixed answer off: %g vs %g", res.Value, truth)
 	}
+}
+
+// worstCaseUpdateBound returns the Thm A.7 bound on the total number of
+// purposeful updates across the tree for T = 2^m equal-size partitions
+// and constant learning rate η:
+//
+//	(m+1)·T·ln|X| / (η(τα−η)/2)
+//
+// It returns +Inf when the precondition η/α < τ fails.
+func worstCaseUpdateBound(tr *Tree, eta float64) float64 {
+	alpha, tau := tr.cfg.Alpha, tr.cfg.Tau
+	if eta <= 0 || eta/alpha >= tau {
+		return math.Inf(1)
+	}
+	partitions := tr.exec.Dataset().Partitions()
+	m := 0
+	for 1<<m < partitions {
+		m++
+	}
+	T := float64(int(1) << m)
+	lnX := math.Log(float64(tr.exec.Dataset().Domain().Size()))
+	return float64(m+1) * T * lnX / (eta * (tau*alpha - eta) / 2)
 }
