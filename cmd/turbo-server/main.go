@@ -36,7 +36,6 @@ import (
 	"math"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -62,7 +61,6 @@ func main() {
 		gaussian    = flag.Bool("gaussian", false, "Rényi-DP accounting: compose every mechanism's Rényi curve per partition (Thm B.2 filter), enforcing (ε_G, δ_G)-DP")
 		deltaG      = flag.Float64("delta", 1e-6, "δ_G for -gaussian")
 		seed        = flag.Uint64("seed", 42, "deterministic seed")
-		shards      = flag.Int("shards", runtime.NumCPU(), "concurrent executor shards (partitioned modes)")
 		statePath   = flag.String("state", "", "snapshot file: restored at boot if present, written atomically on SIGINT/SIGTERM")
 		backlog     = flag.Int("append-backlog", 0, "bound on queued /append batches; overflow sheds with 503 (0 = unbounded)")
 		storeMaxMB  = flag.Int("store-max-mb", 0, "cache-store bound in MiB of payload (key + value bytes, what /schema reports); resident memory, /schema's resident_bytes, is about 1.5x that (0 = bytes unbounded). Either bound > 0 makes the store a segmented LRU")
@@ -70,6 +68,15 @@ func main() {
 		ckptEvery   = flag.Duration("checkpoint-interval", 0, "background checkpoint period for -state (0 disables; failures log and retry next tick)")
 	)
 	flag.Parse()
+	// A negative bound would read as none at all: the ingestion queue
+	// unbounded, periodic checkpoints off. Refuse it, as storeConfig
+	// refuses a negative store cap.
+	if *backlog < 0 {
+		log.Fatalf("turbo-server: -append-backlog %d is negative (0 = unbounded)", *backlog)
+	}
+	if *ckptEvery < 0 {
+		log.Fatalf("turbo-server: -checkpoint-interval %v is negative (0 disables)", *ckptEvery)
+	}
 	if *ckptEvery > 0 && *statePath == "" {
 		log.Fatal("turbo-server: -checkpoint-interval needs -state, the snapshot file it writes")
 	}
@@ -110,7 +117,7 @@ func main() {
 	cfg := core.Config{
 		Mode: m, Alpha: *alpha, Beta: *beta, EpsilonGlobal: *epsG,
 		Structure: tree.Binary, Seed: *seed,
-		Shards: *shards, Backend: store.NewMem(memCfg),
+		Backend: store.NewMem(memCfg),
 	}
 	if *gaussian {
 		cfg.Gaussian = true
@@ -184,8 +191,8 @@ func main() {
 	if *gaussian {
 		guarantee = fmt.Sprintf("(ε_G=%g, δ_G=%g) via Rényi composition", *epsG, *deltaG)
 	}
-	fmt.Printf("turbo-server: %s over %s (%d rows, %d partitions) with (α=%g, β=%g), %s, %d shards\n",
-		m, ds.Domain(), ds.NRowsAll(), ds.Partitions(), *alpha, *beta, guarantee, *shards)
+	fmt.Printf("turbo-server: %s over %s (%d rows, %d partitions) with (α=%g, β=%g), %s\n",
+		m, ds.Domain(), ds.NRowsAll(), ds.Partitions(), *alpha, *beta, guarantee)
 	endpoints := "POST /query, POST /query/batch, POST /groupby, GET /budget, GET /schema, GET /snapshot, POST /restore"
 	if m != core.NonPartitioned {
 		endpoints = "POST /query, POST /query/batch, POST /groupby, POST /append, GET /budget, GET /schema, GET /snapshot, POST /restore"

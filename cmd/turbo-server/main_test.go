@@ -60,7 +60,7 @@ func runMain(t *testing.T, args ...string) (string, error) {
 // "cache/tree-node" section no layer of this build owns. A v3 file whose
 // dataset section carries a NaN count is refused the same way.
 func TestStateFromOlderBuildRefused(t *testing.T) {
-	args := []string{"-addr", "127.0.0.1:0", "-rows", "2000", "-weeks", "4", "-shards", "1"}
+	args := []string{"-addr", "127.0.0.1:0", "-rows", "2000", "-weeks", "4"}
 	for _, tc := range []struct {
 		name, want string
 		file       func(t *testing.T) []byte
@@ -94,13 +94,39 @@ func TestStateFromOlderBuildRefused(t *testing.T) {
 // localhost stops the boot with a non-zero exit naming it, before the
 // server listens: turbo-server resolves no names.
 func TestUnresolvableAddrRefused(t *testing.T) {
-	out, err := runMain(t, "-addr", "nosuchhost:0", "-rows", "2000", "-weeks", "4", "-shards", "1")
+	out, err := runMain(t, "-addr", "nosuchhost:0", "-rows", "2000", "-weeks", "4")
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
 		t.Fatalf("turbo-server -addr nosuchhost:0: %v, want a non-zero exit\n%s", err, out)
 	}
 	if !strings.Contains(out, `host "nosuchhost"`) || strings.Contains(out, "listening on") {
 		t.Fatalf("output does not refuse the address before listening:\n%s", out)
+	}
+}
+
+// TestNegativeBoundRefused: a negative -append-backlog, which the ingestor
+// would read as an unbounded queue, and a negative -checkpoint-interval,
+// which would silently turn periodic checkpoints off, each stop the boot
+// with exit 1 naming the flag, before the server listens.
+func TestNegativeBoundRefused(t *testing.T) {
+	state := filepath.Join(t.TempDir(), "turbo.snap")
+	for flagName, value := range map[string]string{
+		"-append-backlog":      "-1",
+		"-checkpoint-interval": "-1s",
+	} {
+		t.Run(flagName[1:], func(t *testing.T) {
+			out, err := runMain(t, "-addr", "127.0.0.1:0", "-rows", "2000", "-weeks", "4", "-state", state, flagName, value)
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Fatalf("turbo-server %s %s: %v, want exit 1\n%s", flagName, value, err, out)
+			}
+			if !strings.Contains(out, flagName+" "+value) || strings.Contains(out, "listening") {
+				t.Fatalf("output does not refuse %s before listening:\n%s", flagName, out)
+			}
+		})
+	}
+	if _, err := os.Stat(state); !os.IsNotExist(err) {
+		t.Fatalf("a refused boot touched the -state file: %v", err)
 	}
 }
 
@@ -127,7 +153,7 @@ func bootSnapshot(t *testing.T, edit func(name string, p []byte) []byte, extra .
 	}
 	sess, err := core.NewSession(core.Config{
 		Mode: core.Partitioned, Alpha: 0.05, Beta: 0.001, EpsilonGlobal: 10,
-		Structure: tree.Binary, Seed: 42, Shards: 1,
+		Structure: tree.Binary, Seed: 42,
 	}, ds)
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +334,7 @@ func (c *child) query(client *http.Client, sql string) (int, httpd.QueryResponse
 // and its books count at least as many answered queries.
 func TestShutdownDrainsHandlersNotClients(t *testing.T) {
 	state := filepath.Join(t.TempDir(), "turbo.snap")
-	args := []string{"-addr", "127.0.0.1:0", "-rows", "20000", "-weeks", "8", "-shards", "2", "-state", state}
+	args := []string{"-addr", "127.0.0.1:0", "-rows", "20000", "-weeks", "8", "-state", state}
 	first := startMain(t, args...)
 	stalled, err := net.Dial("tcp", first.addr)
 	if err != nil {

@@ -3,18 +3,16 @@
 // Every named mutex in the table below has a rank; within one function
 // (linear walk, loop bodies walked twice so a lock held across
 // iterations is seen by the second pass), acquiring a lock while holding
-// one of equal or higher rank is flagged. Window/shard locks — the one
-// same-rank family — may be acquired repeatedly only inside an ascending
-// loop (the PR 1 deadlock-freedom rule); a descending loop or a range
-// over a map (nondeterministic order) is flagged. Calls to same-package
-// functions are summarized: calling a function that acquires a
-// lower-ranked lock while a higher-ranked one is held is flagged too.
+// it (self-deadlock) or while holding one of equal or higher rank is
+// flagged. Calls to same-package functions are summarized: calling a
+// function that acquires a lower-ranked lock while a higher-ranked one is
+// held is flagged too.
 //
 // The documented order (outermost first):
 //
 //	core.Session.persistMu < stream.Ingestor.mu < core.Session.appendMu
-//	  < { core.Session.singleMu , tree.stateShard.mu (ascending) }
-//	  < tree.Tree.shardMu < cache.exactStripe.mu
+//	  < { core.Session.singleMu , tree.Tree.mu }
+//	  < cache.Exact.mu
 //	  < accountant.Block.mu
 //	  < store.Mem.nsMu
 //	  < store.memStripe.mu
@@ -23,18 +21,16 @@
 // accountant.Block.mu is the accountant package's only mutex: one set of
 // books, one lock, nothing to nest inside the package. It is a leaf —
 // nothing is acquired while it is held — so its rank only says which
-// locks a payer may hold when it calls in (the session, shard and cache
+// locks a payer may hold when it calls in (the session, tree and cache
 // locks above it). store.Mem.nsMu, the
 // namespace-intern lock, is taken and released before a stripe lock and
 // never inside one (every operation resolves its namespace id first).
 //
-// The tree's shard locks are acquired twice per query under the
-// split-phase Run discipline (a locked claim, an unlocked execute, a
-// locked commit); each locked phase independently follows the ascending
-// rule, and the unlocked execute phase may only touch layers ranked below
-// the shard locks (the accountant and the store), so the partial order is
-// unchanged. The tree's stats counters are atomics and no longer appear
-// in the table.
+// tree.Tree.mu is acquired twice per query under the split-phase Run
+// discipline (a locked claim, an unlocked execute, a locked commit); the
+// unlocked execute phase may only touch layers ranked below it (the
+// accountant and the store), so the partial order is unchanged. The
+// tree's stats counters are atomics and do not appear in the table.
 //
 // Locks not in the table are ignored. Escape hatch:
 // //turbo:allow(lockorder).
@@ -70,19 +66,12 @@ var Ranks = map[string]int{
 	"stream.Ingestor.mu":     15,
 	"core.Session.appendMu":  20,
 	"core.Session.singleMu":  30,
-	"tree.stateShard.mu":     30,
-	"tree.Tree.shardMu":      40,
-	"cache.exactStripe.mu":   45,
+	"tree.Tree.mu":           30,
+	"cache.Exact.mu":         45,
 	"accountant.Block.mu":    55,
 	"store.Mem.nsMu":         58,
 	"store.memStripe.mu":     60,
 	"store.pageSet.mu":       62,
-}
-
-// WindowClass marks the lock families whose members share a rank and may
-// be multiply acquired — but only in ascending order.
-var WindowClass = map[string]bool{
-	"tree.stateShard.mu": true,
 }
 
 // lockKey resolves recv.field (the X of X.Lock()) to its table key, or "".
@@ -144,17 +133,6 @@ func classify(pass *analysis.Pass, call *ast.CallExpr) (lockOp, bool) {
 	return lockOp{key: key, acquire: acquire}, true
 }
 
-// loopKind describes the enclosing loop at an acquisition site.
-type loopKind int
-
-const (
-	noLoop loopKind = iota
-	ascendingLoop
-	descendingLoop
-	mapRangeLoop
-	unknownLoop
-)
-
 type checker struct {
 	pass      *analysis.Pass
 	allow     *turboallow.Index
@@ -169,98 +147,82 @@ type held struct {
 
 // walk processes stmts linearly with the current held set, returning the
 // held set at fall-through.
-func (c *checker) walk(stmts []ast.Stmt, h []held, loop loopKind) []held {
+func (c *checker) walk(stmts []ast.Stmt, h []held) []held {
 	for _, st := range stmts {
-		h = c.walkStmt(st, h, loop)
+		h = c.walkStmt(st, h)
 	}
 	return h
 }
 
-func (c *checker) walkStmt(st ast.Stmt, h []held, loop loopKind) []held {
+func (c *checker) walkStmt(st ast.Stmt, h []held) []held {
 	switch s := st.(type) {
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
-			return c.walkCall(call, h, loop, false)
+			return c.walkCall(call, h, false)
 		}
 	case *ast.DeferStmt:
 		// A deferred unlock keeps the lock held to function end: no
 		// removal. A deferred acquire is nonsense; ignore.
-		return c.walkCall(s.Call, h, loop, true)
+		return c.walkCall(s.Call, h, true)
 	case *ast.BlockStmt:
-		return c.walk(s.List, h, loop)
+		return c.walk(s.List, h)
 	case *ast.IfStmt:
 		if s.Init != nil {
-			h = c.walkStmt(s.Init, h, loop)
+			h = c.walkStmt(s.Init, h)
 		}
-		c.walk(s.Body.List, append([]held(nil), h...), loop)
+		c.walk(s.Body.List, append([]held(nil), h...))
 		if s.Else != nil {
-			c.walkStmt(s.Else, append([]held(nil), h...), loop)
+			c.walkStmt(s.Else, append([]held(nil), h...))
 		}
 		// Branch-local acquisitions that return/leak are approximated
 		// away: fall-through keeps the entry set. Early-exit branches
 		// that release (RUnlock-then-return) are the common shape.
 		return h
 	case *ast.ForStmt:
-		kind := unknownLoop
-		if s.Post != nil {
-			if inc, ok := s.Post.(*ast.IncDecStmt); ok {
-				if inc.Tok == token.INC {
-					kind = ascendingLoop
-				} else {
-					kind = descendingLoop
-				}
-			}
-		}
 		if s.Init != nil {
-			h = c.walkStmt(s.Init, h, loop)
+			h = c.walkStmt(s.Init, h)
 		}
 		// Two passes: the second sees locks still held from the first
-		// iteration (the ascending-window idiom).
-		after := c.walk(s.Body.List, append([]held(nil), h...), kind)
-		c.walk(s.Body.List, after, kind)
+		// iteration.
+		after := c.walk(s.Body.List, append([]held(nil), h...))
+		c.walk(s.Body.List, after)
 		return h
 	case *ast.RangeStmt:
-		kind := ascendingLoop // slices/arrays/ints iterate in index order
-		if t := c.pass.TypesInfo.TypeOf(s.X); t != nil {
-			if _, isMap := t.Underlying().(*types.Map); isMap {
-				kind = mapRangeLoop
-			}
-		}
-		after := c.walk(s.Body.List, append([]held(nil), h...), kind)
-		c.walk(s.Body.List, after, kind)
+		after := c.walk(s.Body.List, append([]held(nil), h...))
+		c.walk(s.Body.List, after)
 		return h
 	case *ast.SwitchStmt:
 		for _, cc := range s.Body.List {
 			if cl, ok := cc.(*ast.CaseClause); ok {
-				c.walk(cl.Body, append([]held(nil), h...), loop)
+				c.walk(cl.Body, append([]held(nil), h...))
 			}
 		}
 		return h
 	case *ast.TypeSwitchStmt:
 		for _, cc := range s.Body.List {
 			if cl, ok := cc.(*ast.CaseClause); ok {
-				c.walk(cl.Body, append([]held(nil), h...), loop)
+				c.walk(cl.Body, append([]held(nil), h...))
 			}
 		}
 		return h
 	case *ast.SelectStmt:
 		for _, cc := range s.Body.List {
 			if cl, ok := cc.(*ast.CommClause); ok {
-				c.walk(cl.Body, append([]held(nil), h...), loop)
+				c.walk(cl.Body, append([]held(nil), h...))
 			}
 		}
 		return h
 	case *ast.AssignStmt:
 		for _, rhs := range s.Rhs {
 			if call, ok := rhs.(*ast.CallExpr); ok {
-				h = c.walkCall(call, h, loop, false)
+				h = c.walkCall(call, h, false)
 			}
 		}
 		return h
 	case *ast.ReturnStmt:
 		for _, r := range s.Results {
 			if call, ok := r.(*ast.CallExpr); ok {
-				h = c.walkCall(call, h, loop, false)
+				h = c.walkCall(call, h, false)
 			}
 		}
 		return h
@@ -270,7 +232,7 @@ func (c *checker) walkStmt(st ast.Stmt, h []held, loop loopKind) []held {
 
 // walkCall handles one call statement: a lock operation, or a
 // same-package call whose lock summary is checked against the held set.
-func (c *checker) walkCall(call *ast.CallExpr, h []held, loop loopKind, deferred bool) []held {
+func (c *checker) walkCall(call *ast.CallExpr, h []held, deferred bool) []held {
 	if op, ok := classify(c.pass, call); ok {
 		if !op.acquire {
 			if deferred {
@@ -283,7 +245,7 @@ func (c *checker) walkCall(call *ast.CallExpr, h []held, loop loopKind, deferred
 			}
 			return h
 		}
-		c.checkAcquire(call.Pos(), op.key, h, loop)
+		c.checkAcquire(call.Pos(), op.key, h)
 		return append(h, held{key: op.key, rank: Ranks[op.key]})
 	}
 	// Same-package callee: check its lock summary against what we hold.
@@ -304,27 +266,12 @@ func (c *checker) walkCall(call *ast.CallExpr, h []held, loop loopKind, deferred
 	return h
 }
 
-func (c *checker) checkAcquire(pos token.Pos, key string, h []held, loop loopKind) {
+func (c *checker) checkAcquire(pos token.Pos, key string, h []held) {
 	rank := Ranks[key]
 	for _, hl := range h {
 		switch {
 		case hl.key == key:
-			if WindowClass[key] && loop == ascendingLoop {
-				continue
-			}
-			if c.allow.Allowed(pos, name) {
-				continue
-			}
-			if WindowClass[key] {
-				pass := c.pass
-				if loop == mapRangeLoop {
-					pass.Reportf(pos,
-						"window/shard lock %s acquired while iterating a map: acquisition order is nondeterministic — iterate an ascending index", key)
-				} else {
-					pass.Reportf(pos,
-						"window/shard lock %s acquired out of ascending order while another %s is held (PR 1 deadlock-freedom rule)", key, key)
-				}
-			} else {
+			if !c.allow.Allowed(pos, name) {
 				c.pass.Reportf(pos, "%s acquired while already held (self-deadlock)", key)
 			}
 		case hl.rank >= rank:
@@ -388,12 +335,12 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		if turboallow.InTestFile(pass, fd.Pos()) {
 			continue
 		}
-		c.walk(fd.Body.List, nil, noLoop)
+		c.walk(fd.Body.List, nil)
 		// Function literals run with an unknown caller context; check
 		// their bodies standalone.
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if fl, ok := n.(*ast.FuncLit); ok {
-				c.walk(fl.Body.List, nil, noLoop)
+				c.walk(fl.Body.List, nil)
 				return false
 			}
 			return true

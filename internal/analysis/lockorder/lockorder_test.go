@@ -8,15 +8,15 @@ import (
 )
 
 func TestLockorder(t *testing.T) {
-	oldRanks, oldWindow := lockorder.Ranks, lockorder.WindowClass
-	defer func() { lockorder.Ranks, lockorder.WindowClass = oldRanks, oldWindow }()
+	oldRanks := lockorder.Ranks
+	defer func() { lockorder.Ranks = oldRanks }()
 	lockorder.Ranks = map[string]int{
 		"locks.Session.persistMu": 10,
 		"locks.Session.appendMu":  20,
-		"locks.window.mu":         30,
-		"locks.Store.mu":          40,
-		"locks.Store2.mu":         40,
+		"locks.Tree.mu":           30,
+		"locks.Exact.mu":          45,
+		"locks.Store.mu":          55,
+		"locks.Store2.mu":         55,
 	}
-	lockorder.WindowClass = map[string]bool{"locks.window.mu": true}
 	analysistestlite.Run(t, lockorder.Analyzer, "locks")
 }

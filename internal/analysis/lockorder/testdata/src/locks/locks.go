@@ -1,9 +1,9 @@
 // Package locks exercises lockorder against a fixture rank table (the
-// test substitutes it):
+// test substitutes it), shaped like the repo's own:
 //
 //	locks.Session.persistMu (10) < locks.Session.appendMu (20)
-//	  < locks.window.mu (30, window class) < locks.Store.mu (40)
-//	  = locks.Store2.mu (40)
+//	  < locks.Tree.mu (30) < locks.Exact.mu (45)
+//	  < locks.Store.mu (55) = locks.Store2.mu (55)
 package locks
 
 import "sync"
@@ -13,7 +13,9 @@ type Session struct {
 	appendMu  sync.Mutex
 }
 
-type window struct{ mu sync.Mutex }
+type Tree struct{ mu sync.Mutex }
+
+type Exact struct{ mu sync.RWMutex }
 
 type Store struct{ mu sync.RWMutex }
 
@@ -34,14 +36,14 @@ func inOrder(s *Session, st *Store) {
 
 func inverted(s *Session, st *Store) {
 	st.mu.Lock()
-	s.appendMu.Lock() // want `locks\.Session\.appendMu \(rank 20\) acquired while locks\.Store\.mu \(rank 40\) is held`
+	s.appendMu.Lock() // want `locks\.Session\.appendMu \(rank 20\) acquired while locks\.Store\.mu \(rank 55\) is held`
 	s.appendMu.Unlock()
 	st.mu.Unlock()
 }
 
 func rlockInverted(s *Session, st *Store) {
 	st.mu.RLock()
-	s.appendMu.Lock() // want `locks\.Session\.appendMu \(rank 20\) acquired while locks\.Store\.mu \(rank 40\) is held`
+	s.appendMu.Lock() // want `locks\.Session\.appendMu \(rank 20\) acquired while locks\.Store\.mu \(rank 55\) is held`
 	s.appendMu.Unlock()
 	st.mu.RUnlock()
 }
@@ -56,7 +58,7 @@ func invertedAllowed(s *Session, st *Store) {
 
 func equalRank(a *Store, b *Store2) {
 	a.mu.Lock()
-	b.mu.Lock() // want `locks\.Store2\.mu \(rank 40\) acquired while locks\.Store\.mu \(rank 40\) is held`
+	b.mu.Lock() // want `locks\.Store2\.mu \(rank 55\) acquired while locks\.Store\.mu \(rank 55\) is held`
 	b.mu.Unlock()
 	a.mu.Unlock()
 }
@@ -68,33 +70,38 @@ func selfDeadlock(s *Session) {
 	s.appendMu.Unlock()
 }
 
-// The window-class idiom: holding several shard locks is fine when they
-// are taken in ascending index order.
-func lockWindowAscending(ws []*window) {
-	for i := 0; i < len(ws); i++ {
-		ws[i].mu.Lock()
-	}
-	for i := 0; i < len(ws); i++ {
-		ws[i].mu.Unlock()
+// Loop bodies are walked twice: a lock taken in one iteration and still
+// held in the next is the self-deadlock the second pass sees.
+func lockInLoop(t *Tree, n int) {
+	for i := 0; i < n; i++ {
+		t.mu.Lock() // want `locks\.Tree\.mu acquired while already held \(self-deadlock\)`
 	}
 }
 
-func lockWindowDescending(ws []*window) {
-	for i := len(ws) - 1; i >= 0; i-- {
-		ws[i].mu.Lock() // want `window/shard lock locks\.window\.mu acquired out of ascending order`
-	}
-	for i := 0; i < len(ws); i++ {
-		ws[i].mu.Unlock()
+func lockPerItem(ts []*Tree) {
+	for _, t := range ts {
+		t.mu.Lock()
+		t.mu.Unlock()
 	}
 }
 
-func lockWindowFromMap(ws map[int]*window) {
-	for _, w := range ws {
-		w.mu.Lock() // want `window/shard lock locks\.window\.mu acquired while iterating a map`
-	}
-	for _, w := range ws {
-		w.mu.Unlock()
-	}
+// The tree's split phases: claim and commit each take Tree.mu alone, and
+// the exact-cache probe between them holds only the cache's lock.
+func claim(t *Tree) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+}
+
+func commit(t *Tree) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+}
+
+func answer(t *Tree, c *Exact) {
+	c.mu.RLock()
+	c.mu.RUnlock()
+	claim(t)
+	commit(t)
 }
 
 // Summaries: calling a function that acquires a lower-ranked lock while
@@ -106,7 +113,7 @@ func lockAppend(s *Session) {
 
 func callWhileHoldingStore(s *Session, st *Store) {
 	st.mu.Lock()
-	lockAppend(s) // want `call to lockAppend acquires locks\.Session\.appendMu \(rank 20\) while locks\.Store\.mu \(rank 40\) is held`
+	lockAppend(s) // want `call to lockAppend acquires locks\.Session\.appendMu \(rank 20\) while locks\.Store\.mu \(rank 55\) is held`
 	st.mu.Unlock()
 }
 

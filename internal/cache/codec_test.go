@@ -111,7 +111,7 @@ func TestRestorePayloadGobFallback(t *testing.T) {
 	if err := c.Put(q, 1, 0.5, 0.1); err != nil {
 		t.Fatal(err)
 	}
-	payload := encodeStripes([]exactStripeState{{Keys: []string{q.KeyWithWindow()}, Vals: [][]byte{[]byte(gobEntry)}}})
+	payload := encodeBlocks([]exactBlock{{Keys: []string{q.KeyWithWindow()}, Vals: [][]byte{[]byte(gobEntry)}}})
 	if err := c.RestorePayload(payload); err == nil || !strings.Contains(err.Error(), strconv.Quote(q.KeyWithWindow())) {
 		t.Fatalf("gob value restored: err = %v", err)
 	}

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -39,10 +38,10 @@ type Entry struct {
 // DefaultFastEntries bounds the decoded fast map of an Exact cache. The
 // backing store remains the source of truth and holds every fill; the fast
 // map holds only entries that have been read, and trades a bounded amount
-// of memory for a repeat hit that is one map probe on the stripe — no
-// backend hash, chain walk or decode. A small bound keeps the exact-hit
-// path cheap (Fig. 11d) for the hot set without letting decoded entries
-// grow with the full key population.
+// of memory for a repeat hit that is one map probe — no backend hash,
+// chain walk or decode. A small bound keeps the exact-hit path cheap
+// (Fig. 11d) for the hot set without letting decoded entries grow with
+// the full key population.
 const DefaultFastEntries = 4096
 
 // ErrNilBackend reports an exact cache constructed without a backing
@@ -51,47 +50,29 @@ const DefaultFastEntries = 4096
 // semantics without any symptom.
 var ErrNilBackend = errors.New("cache: nil store backend")
 
-// exactStripe is one namespace stripe: its own decoded fast map (and
-// lock), probing its own sub-namespace of the backend.
-type exactStripe struct {
-	ns   string
-	mu   sync.RWMutex
-	fast map[string]Entry
-}
-
 // Exact is an exact-match cache backed by a store.Backend (the
 // prototype's Redis role), with a bounded decoded-entry fast map in front
 // of it — the client-side caching pattern Redis deployments use. The fast
 // map is promote-on-read: Put writes the backend only, and the first Get
 // that finds an entry there promotes it, so a fill nobody reads again
 // costs one backend append and the map holds the hot set rather than the
-// latest fills. Exact is safe for concurrent use:
-// lookups take a read lock on their stripe's fast map and the backend
-// serializes its own access, so pipeline shards can probe the cache
-// without holding their shard lock.
-//
-// A sharded cache (NewExactSharded) stripes both the fast map and the
-// backend namespace by the query window's executor shard, so per-shard
-// executors touch disjoint namespaces — and disjoint fast-map locks —
-// instead of contending on one.
+// latest fills. Exact is safe for concurrent use: lookups take a read
+// lock on the fast map and the backend serializes its own access, so the
+// pipeline probes the cache without holding any execution lock.
 type Exact struct {
-	store store.Backend
-	ns    string
+	store   store.Backend
+	ns      string
+	maxFast int
 
-	// shardWidth/stripeCount stripe keys by window start; shardWidth <= 0
-	// keeps a single stripe (the unsharded behaviour).
-	shardWidth  int
-	stripeCount int
-	stripes     []*exactStripe
-	maxFast     int // per stripe
+	mu   sync.RWMutex
+	fast map[string]Entry
 
 	hits, misses atomic.Int64
 }
 
 // NewExact creates an exact cache using namespace ns of backend b, with
-// the default fast-map bound. Multiple caches (e.g. one per tree node)
-// share one backend under different namespaces. A nil backend is
-// ErrNilBackend.
+// the default fast-map bound. Multiple caches share one backend under
+// different namespaces. A nil backend is ErrNilBackend.
 func NewExact(b store.Backend, ns string) (*Exact, error) {
 	return NewExactBounded(b, ns, DefaultFastEntries)
 }
@@ -99,116 +80,51 @@ func NewExact(b store.Backend, ns string) (*Exact, error) {
 // NewExactBounded creates an exact cache whose decoded fast map holds at
 // most maxFast entries (0 or negative falls back to the default). A nil
 // backend is ErrNilBackend.
-func NewExactBounded(b store.Backend, ns string, maxFast int) (*Exact, error) {
-	return NewExactSharded(b, ns, maxFast, 0, 1)
-}
-
-// NewExactSharded creates an exact cache whose namespace is striped by
-// window shard: a query whose window starts in partition p maps to stripe
-// (p/shardWidth) mod stripeCount, probing sub-namespace "ns/i" with its
-// own fast map. Aligning shardWidth with the executor shards keeps
-// per-shard cache traffic on disjoint stripes. shardWidth <= 0 or
-// stripeCount <= 1 keeps one stripe over the plain namespace ns.
 //
-// A new cache starts empty: whatever b already holds under its namespaces
-// (a backend an earlier session used) is releases charged to books this
-// cache's owner does not have, so each stripe's namespace is cleared here.
-// Entries that do come with their books return through RestorePayload,
-// from the snapshot that carries the accountant too.
-func NewExactSharded(b store.Backend, ns string, maxFast, shardWidth, stripeCount int) (*Exact, error) {
+// A new cache starts empty: whatever b already holds under ns (a backend
+// an earlier session used) is releases charged to books this cache's
+// owner does not have, so the namespace is cleared here. Entries that do
+// come with their books return through RestorePayload, from the snapshot
+// that carries the accountant too.
+func NewExactBounded(b store.Backend, ns string, maxFast int) (*Exact, error) {
 	if b == nil {
 		return nil, fmt.Errorf("%w (namespace %q)", ErrNilBackend, ns)
 	}
 	if maxFast <= 0 {
 		maxFast = DefaultFastEntries
 	}
-	if shardWidth <= 0 || stripeCount <= 1 {
-		shardWidth, stripeCount = 0, 1
-	}
-	c := &Exact{
-		store:       b,
-		ns:          ns,
-		shardWidth:  shardWidth,
-		stripeCount: stripeCount,
-		maxFast:     (maxFast + stripeCount - 1) / stripeCount,
-	}
-	for i := 0; i < stripeCount; i++ {
-		ns := c.stripeNS(i)
-		b.ImportNamespace(ns, nil)
-		c.stripes = append(c.stripes, &exactStripe{ns: ns, fast: make(map[string]Entry)})
-	}
-	return c, nil
-}
-
-// stripeNS names stripe i's backend namespace.
-func (c *Exact) stripeNS(i int) string {
-	if c.stripeCount <= 1 {
-		return c.ns
-	}
-	return c.ns + "/" + strconv.Itoa(i)
-}
-
-// stripeForStart maps a window start to its namespace stripe.
-func (c *Exact) stripeForStart(start int) *exactStripe {
-	if c.stripeCount <= 1 {
-		return c.stripes[0]
-	}
-	return c.stripes[(start/c.shardWidth)%c.stripeCount]
-}
-
-// stripeFor maps a query to its namespace stripe by window start.
-func (c *Exact) stripeFor(q *query.Query) *exactStripe {
-	if s, _, ok := q.Window(); ok {
-		return c.stripeForStart(s)
-	}
-	return c.stripes[0]
-}
-
-// stripeForKey re-derives a stored key's stripe from the window its
-// header carries (query.KeyWindow), or stripe 0 for a key without one.
-// Restores route every entry through it rather than trusting recorded
-// stripe indices, so snapshots stay portable across sessions with
-// different shard counts. A key whose header does not decode is an error:
-// filed anywhere, no probe would find it.
-func (c *Exact) stripeForKey(key string) (*exactStripe, error) {
-	start, _, windowed, err := query.KeyWindow(key)
-	if err != nil {
-		return nil, err
-	}
-	if !windowed {
-		return c.stripes[0], nil
-	}
-	return c.stripeForStart(start), nil
+	b.ImportNamespace(ns, nil)
+	return &Exact{store: b, ns: ns, maxFast: maxFast, fast: make(map[string]Entry)}, nil
 }
 
 // Get returns the cached result for q at the given data version. A fast-map
 // entry whose version no longer matches is stale forever (window versions
 // are monotone), so it is evicted from both layers on the way out.
 func (c *Exact) Get(q *query.Query, version int) (Entry, bool) {
-	st, key := c.stripeFor(q), q.KeyWithWindow()
-	st.mu.RLock()
-	e, ok := st.fast[key]
-	st.mu.RUnlock()
+	key := q.KeyWithWindow()
+	c.mu.RLock()
+	e, ok := c.fast[key]
+	c.mu.RUnlock()
 	if ok {
 		if e.Version == version {
 			c.hits.Add(1)
 			return e, true
 		}
-		c.invalidate(st, key, e)
+		c.invalidate(key, e)
 	}
 	var stored Entry
-	found, err := c.store.Get(st.ns, key, &stored)
+	found, err := c.store.Get(c.ns, key, &stored)
 	if err != nil || !found {
 		c.misses.Add(1)
 		return Entry{}, false
 	}
 	if stored.Version != version {
 		// Stale under a monotone version: it can never hit again.
-		c.invalidate(st, key, stored)
+		c.invalidate(key, stored)
 		c.misses.Add(1)
 		return Entry{}, false
 	}
-	c.cacheFast(st, key, stored)
+	c.cacheFast(key, stored)
 	c.hits.Add(1)
 	return stored, true
 }
@@ -221,122 +137,118 @@ func (c *Exact) Get(q *query.Query, version int) (Entry, bool) {
 // their own version, so a Get at the new version invalidates them on
 // sight, exactly as it does a stale backend entry.
 func (c *Exact) Put(q *query.Query, version int, value, eps float64) error {
-	st, key := c.stripeFor(q), q.KeyWithWindow()
-	if err := c.store.Set(st.ns, key, Entry{Value: value, Eps: eps, Version: version}); err != nil {
+	key := q.KeyWithWindow()
+	if err := c.store.Set(c.ns, key, Entry{Value: value, Eps: eps, Version: version}); err != nil {
 		return err
 	}
-	st.mu.Lock()
-	delete(st.fast, key)
-	st.mu.Unlock()
+	c.mu.Lock()
+	delete(c.fast, key)
+	c.mu.Unlock()
 	return nil
 }
 
-// cacheFast promotes an entry read from the backend into the stripe's
-// decoded map, evicting an arbitrary entry when the bound is reached.
-// Random-ish eviction (map iteration order) is enough: the fast map is a
+// cacheFast promotes an entry read from the backend into the decoded map,
+// evicting an arbitrary entry when the bound is reached. Random-ish
+// eviction (map iteration order) is enough: the fast map is a
 // probe-shortening layer, not the cache itself. Get is its only caller.
-func (c *Exact) cacheFast(st *exactStripe, key string, e Entry) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, exists := st.fast[key]; !exists && len(st.fast) >= c.maxFast {
-		for victim := range st.fast {
-			delete(st.fast, victim)
+func (c *Exact) cacheFast(key string, e Entry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, exists := c.fast[key]; !exists && len(c.fast) >= c.maxFast {
+		for victim := range c.fast {
+			delete(c.fast, victim)
 			break
 		}
 	}
-	st.fast[key] = e
+	c.fast[key] = e
 }
 
 // invalidate drops a stale entry from the fast map and the backing store.
 // Both deletes are guarded against a concurrent Put of a fresh entry: the
 // fast map by the version check, the store by a compare-and-delete on the
 // observed stale bytes, so a freshly-paid result is never erased.
-func (c *Exact) invalidate(st *exactStripe, key string, stale Entry) {
-	st.mu.Lock()
-	if e, ok := st.fast[key]; ok && e.Version == stale.Version {
-		delete(st.fast, key)
+func (c *Exact) invalidate(key string, stale Entry) {
+	c.mu.Lock()
+	if e, ok := c.fast[key]; ok && e.Version == stale.Version {
+		delete(c.fast, key)
 	}
-	st.mu.Unlock()
-	c.store.CompareDelete(st.ns, key, stale)
+	c.mu.Unlock()
+	c.store.CompareDelete(c.ns, key, stale)
 }
 
 // SnapshotSection implements persist.Snapshotter: each cache persists the
 // namespace slice of the KV store it owns, tagged by that namespace.
 func (c *Exact) SnapshotSection() string { return "cache/" + c.ns }
 
-// exactStripeState is one namespace stripe's snapshot: keys sorted, so
-// the payload encodes byte-identically for identical contents (store
-// exports are maps; TestSnapshotBytesDeterministic pins the whole
-// envelope).
-type exactStripeState struct {
+// exactBlock is one block of a cache section: keys sorted, so the payload
+// encodes byte-identically for identical contents (store exports are
+// maps; TestSnapshotBytesDeterministic pins the whole envelope). A cache
+// writes one block; a section may carry several (an older build striped
+// its namespace and wrote one block per stripe), and all of them restore
+// into the one namespace.
+type exactBlock struct {
 	Index int
 	Keys  []string
 	Vals  [][]byte
 }
 
-// encodeStripes lays out a cache section: the stripe count, then per
-// stripe its index, its entry count and each entry's packed key and
-// 25-byte value, as byte strings.
-func encodeStripes(stripes []exactStripeState) []byte {
+// encodeBlocks lays out a cache section: the block count, then per block
+// its index, its entry count and each entry's packed key and 25-byte
+// value, as byte strings.
+func encodeBlocks(blocks []exactBlock) []byte {
 	var e persist.Encoder
-	e.PutUvarint(uint64(len(stripes)))
-	for _, ss := range stripes {
-		e.PutInt(ss.Index)
-		e.PutUvarint(uint64(len(ss.Keys)))
-		for j, k := range ss.Keys {
+	e.PutUvarint(uint64(len(blocks)))
+	for _, b := range blocks {
+		e.PutInt(b.Index)
+		e.PutUvarint(uint64(len(b.Keys)))
+		for j, k := range b.Keys {
 			e.PutString(k)
-			e.PutBytes(ss.Vals[j])
+			e.PutBytes(b.Vals[j])
 		}
 	}
 	return e.Payload()
 }
 
-// SnapshotPayload exports the cache's stored entries per namespace stripe
-// (raw KV bytes; the decoded fast map is a rebuildable acceleration layer
-// and is skipped).
+// SnapshotPayload exports the cache's stored entries as one block (raw KV
+// bytes; the decoded fast map is a rebuildable acceleration layer and is
+// skipped).
 func (c *Exact) SnapshotPayload() ([]byte, error) {
-	stripes := make([]exactStripeState, len(c.stripes))
-	for i, s := range c.stripes {
-		data := c.store.ExportNamespace(s.ns)
-		ss := exactStripeState{Index: i, Keys: make([]string, 0, len(data))}
-		for k := range data {
-			ss.Keys = append(ss.Keys, k)
-		}
-		sort.Strings(ss.Keys)
-		ss.Vals = make([][]byte, len(ss.Keys))
-		for j, k := range ss.Keys {
-			ss.Vals[j] = data[k]
-		}
-		stripes[i] = ss
+	data := c.store.ExportNamespace(c.ns)
+	b := exactBlock{Keys: make([]string, 0, len(data))}
+	for k := range data {
+		b.Keys = append(b.Keys, k)
 	}
-	return encodeStripes(stripes), nil
+	sort.Strings(b.Keys)
+	b.Vals = make([][]byte, len(b.Keys))
+	for j, k := range b.Keys {
+		b.Vals[j] = data[k]
+	}
+	return encodeBlocks([]exactBlock{b}), nil
 }
 
-// restoredEntry is one entry of a decoded snapshot section: its packed
-// key, the stripe that key routes to, and its value.
+// restoredEntry is one entry of a decoded snapshot section.
 type restoredEntry struct {
-	st  *exactStripe
 	key string
 	e   Entry
 }
 
 // decodeSection turns a snapshot payload into the entries it restores,
-// touching nothing: every key's window decoded to route it, every value
-// decoded. A key or value that does not decode is an error naming the
-// key.
-func (c *Exact) decodeSection(payload []byte) ([]restoredEntry, error) {
+// touching nothing. Every key's window header and every value is decoded:
+// a key no probe could build, or a value that is not an entry, is an
+// error naming the key.
+func decodeSection(payload []byte) ([]restoredEntry, error) {
 	d := persist.NewDecoder(payload)
 	var out []restoredEntry
 	for range d.Count(2) {
-		d.Int() // the stripe index: entries re-route by their keys
+		d.Int() // the block index: every block restores into the one namespace
 		for range d.Count(2) {
 			key, val := string(d.Bytes()), d.Bytes()
 			if d.Err() != nil {
 				break
 			}
 			r := restoredEntry{key: key}
-			var err error
-			if r.st, err = c.stripeForKey(key); err == nil && !r.e.DecodeFast(val) {
+			_, _, _, err := query.KeyWindow(key)
+			if err == nil && !r.e.DecodeFast(val) {
 				err = fmt.Errorf("%d value bytes are not a cache entry", len(val))
 			}
 			if err != nil {
@@ -353,19 +265,17 @@ func (c *Exact) decodeSection(payload []byte) ([]restoredEntry, error) {
 // stages every cache section before any section restores, so a bad key or
 // value is a refusal — naming the key — that leaves its books untouched.
 func (c *Exact) StagePayload(payload []byte) (func() error, error) {
-	entries, err := c.decodeSection(payload)
+	entries, err := decodeSection(payload)
 	if err != nil {
 		return nil, err
 	}
 	return func() error {
-		for _, s := range c.stripes {
-			c.store.ImportNamespace(s.ns, nil) // clear the stripe
-			s.mu.Lock()
-			s.fast = make(map[string]Entry)
-			s.mu.Unlock()
-		}
+		c.store.ImportNamespace(c.ns, nil) // clear the namespace
+		c.mu.Lock()
+		c.fast = make(map[string]Entry)
+		c.mu.Unlock()
 		for _, r := range entries {
-			if err := c.store.Set(r.st.ns, r.key, r.e); err != nil {
+			if err := c.store.Set(c.ns, r.key, r.e); err != nil {
 				return err
 			}
 		}
@@ -374,13 +284,10 @@ func (c *Exact) StagePayload(payload []byte) (func() error, error) {
 }
 
 // RestorePayload replaces the cache's namespace contents with a
-// snapshot's and resets the fast maps, so every restored entry is decoded
-// from the store on first touch. Every entry's stripe is re-derived from
-// the window in its key (not the snapshot's recorded stripe indices), so
-// snapshots restore correctly into sessions with any shard count — a
-// checkpoint from a 16-core box restores on an 8-core one. The whole payload
-// is decoded before the first stripe clears (StagePayload), so a bad key
-// or value is a refusal that leaves the cache as it was.
+// snapshot's and resets the fast map, so every restored entry is decoded
+// from the store on first touch. The whole payload is decoded before the
+// namespace clears (StagePayload), so a bad key or value is a refusal
+// that leaves the cache as it was.
 func (c *Exact) RestorePayload(payload []byte) error {
 	apply, err := c.StagePayload(payload)
 	if err != nil {
@@ -404,29 +311,15 @@ func (c *Exact) HitRate() float64 {
 	return float64(hits) / float64(total)
 }
 
-// FastLen returns the number of decoded entries resident across all
-// fast-map stripes.
+// FastLen returns the number of decoded entries resident in the fast map.
 func (c *Exact) FastLen() int {
-	total := 0
-	for _, st := range c.stripes {
-		st.mu.RLock()
-		total += len(st.fast)
-		st.mu.RUnlock()
-	}
-	return total
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.fast)
 }
 
-// Stripes returns the number of namespace stripes (1 unless sharded).
-func (c *Exact) Stripes() int { return c.stripeCount }
-
-// Len returns the number of cached entries across the cache's namespaces.
-func (c *Exact) Len() int {
-	total := 0
-	for _, st := range c.stripes {
-		total += len(c.store.Keys(st.ns))
-	}
-	return total
-}
+// Len returns the number of cached entries in the cache's namespace.
+func (c *Exact) Len() int { return len(c.store.Keys(c.ns)) }
 
 // String identifies the cache.
 func (c *Exact) String() string { return fmt.Sprintf("exact-cache(%s)", c.ns) }

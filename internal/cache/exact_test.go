@@ -3,6 +3,7 @@ package cache
 import (
 	"errors"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/domain"
+	"repro/internal/persist"
 	"repro/internal/query"
 	"repro/internal/store"
 )
@@ -21,7 +23,7 @@ func dom() *domain.Domain {
 	)
 }
 
-// newCache builds an exact cache over a private striped map, failing the
+// newCache builds an exact cache over a private in-memory store, failing the
 // test on constructor errors.
 func newCache(t *testing.T, ns string) *Exact {
 	t.Helper()
@@ -38,9 +40,6 @@ func TestNilBackendRefused(t *testing.T) {
 	}
 	if _, err := NewExactBounded(nil, "t", 4); !errors.Is(err, ErrNilBackend) {
 		t.Fatalf("NewExactBounded(nil) err = %v, want ErrNilBackend", err)
-	}
-	if _, err := NewExactSharded(nil, "t", 4, 2, 4); !errors.Is(err, ErrNilBackend) {
-		t.Fatalf("NewExactSharded(nil) err = %v, want ErrNilBackend", err)
 	}
 }
 
@@ -322,95 +321,63 @@ func TestHitRateEmpty(t *testing.T) {
 	}
 }
 
-func TestShardedStripesDisjoint(t *testing.T) {
-	st := store.NewMem(store.MemConfig{})
-	c, err := NewExactSharded(st, "se", 0, 4, 4) // windows 0-3 → stripe 0, 4-7 → stripe 1, ...
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Stripes() != 4 {
-		t.Fatalf("Stripes = %d", c.Stripes())
-	}
-	base := query.MustNew(dom(), map[int][]int{0: {1}})
-	for w := 0; w < 16; w++ {
-		if err := c.Put(base.WithWindow(w, w), 1, float64(w), 0.01); err != nil {
-			t.Fatal(err)
+// twoStripeSection is a cache/session-exact payload laid out as a build
+// that striped its namespace wrote it at two shards over 8 partitions
+// (stripe width 4): windows starting in 0–3 in block 0, 4–7 in block 1,
+// each block's keys sorted. It is encoded by hand, so it does not follow
+// whatever SnapshotPayload writes today.
+func twoStripeSection(keys []string, val []byte) []byte {
+	var e persist.Encoder
+	e.PutUvarint(2)
+	for stripe, half := range [][]string{keys[:len(keys)/2], keys[len(keys)/2:]} {
+		sorted := append([]string(nil), half...)
+		sort.Strings(sorted)
+		e.PutInt(stripe)
+		e.PutUvarint(uint64(len(sorted)))
+		for _, k := range sorted {
+			e.PutString(k)
+			e.PutBytes(val)
 		}
 	}
-	// Every entry is served back through its stripe.
-	for w := 0; w < 16; w++ {
-		e, ok := c.Get(base.WithWindow(w, w), 1)
-		if !ok || e.Value != float64(w) {
-			t.Fatalf("window %d: %+v %v", w, e, ok)
-		}
-	}
-	if c.Len() != 16 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	// The backend namespaces are genuinely striped: each sub-namespace
-	// holds its window-shard's share, and the plain namespace is empty.
-	for i := 0; i < 4; i++ {
-		if got := len(st.Keys("se/" + strconv.Itoa(i))); got != 4 {
-			t.Fatalf("stripe %d holds %d keys, want 4", i, got)
-		}
-	}
-	if got := len(st.Keys("se")); got != 0 {
-		t.Fatalf("plain namespace holds %d keys, want 0", got)
-	}
+	return e.Payload()
 }
 
+// TestShardedSnapshotRoundTrip: a section with two stripe blocks, the
+// layout a two-shard build wrote, restores into the one namespace, and
+// every entry of both blocks is an exact hit. Re-captured, it is one
+// block, which restores the same.
 func TestShardedSnapshotRoundTrip(t *testing.T) {
-	st := store.NewMem(store.MemConfig{})
-	c, err := NewExactSharded(st, "se", 0, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := query.MustNew(dom(), map[int][]int{0: {1}})
+	var keys []string
 	for w := 0; w < 8; w++ {
-		_ = c.Put(base.WithWindow(w, w), 1, float64(w), 0.5)
+		keys = append(keys, base.WithWindow(w, w).KeyWithWindow())
 	}
-	payload, err := c.SnapshotPayload()
+	val := Entry{Value: 0.25, Eps: 0.5, Version: 1}.AppendFast(nil)
+	c := newCache(t, "se")
+	if err := c.RestorePayload(twoStripeSection(keys, val)); err != nil {
+		t.Fatal(err)
+	}
+	again, err := c.SnapshotPayload()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := NewExactSharded(store.NewMem(store.MemConfig{}), "se", 0, 2, 4)
-	if err != nil {
+	c2 := newCache(t, "se")
+	if err := c2.RestorePayload(again); err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.RestorePayload(payload); err != nil {
-		t.Fatal(err)
-	}
-	for w := 0; w < 8; w++ {
-		e, ok := c2.Get(base.WithWindow(w, w), 1)
-		if !ok || e.Value != float64(w) || e.Eps != 0.5 {
-			t.Fatalf("restored window %d: %+v %v", w, e, ok)
+	for _, cc := range []*Exact{c, c2} {
+		if cc.Len() != 8 {
+			t.Fatalf("restored %d entries, want 8", cc.Len())
 		}
-	}
-	// Stripe counts are not part of the snapshot contract: the same
-	// payload restores into caches with fewer (or no) stripes, each entry
-	// re-routed by the window in its key — a checkpoint from a many-core
-	// server restores on a smaller one.
-	narrow, err := NewExact(store.NewMem(store.MemConfig{}), "se")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := narrow.RestorePayload(payload); err != nil {
-		t.Fatalf("restore into 1-stripe cache: %v", err)
-	}
-	wide, err := NewExactSharded(store.NewMem(store.MemConfig{}), "se", 0, 1, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wide.RestorePayload(payload); err != nil {
-		t.Fatalf("restore into 8-stripe cache: %v", err)
-	}
-	for _, c3 := range []*Exact{narrow, wide} {
 		for w := 0; w < 8; w++ {
-			e, ok := c3.Get(base.WithWindow(w, w), 1)
-			if !ok || e.Value != float64(w) {
-				t.Fatalf("%d-stripe restore lost window %d: %+v %v", c3.Stripes(), w, e, ok)
+			e, ok := cc.Get(base.WithWindow(w, w), 1)
+			if !ok || e.Value != 0.25 || e.Eps != 0.5 {
+				t.Fatalf("restored window %d: %+v %v, want an exact hit", w, e, ok)
 			}
 		}
+	}
+	if d := persist.NewDecoder(again); d.Count(2) != 1 {
+		t.Fatal("the re-capture is not one block")
 	}
 }
 
@@ -453,15 +420,13 @@ func TestBoundedBackendEviction(t *testing.T) {
 }
 
 // TestRestoreRefusesBadSection: a key whose window header does not decode
-// — which no stripe's probe would ever find — and a value that does not
-// decode are each refused before the first stripe clears, by an error
-// quoting the key. StagePayload refuses the same way, and the cache keeps
-// serving what it held.
+// — which no probe would ever build — and a value that does not decode are
+// each refused before the namespace clears, by an error quoting the key,
+// in a one-block section and in the second block of a two-stripe one.
+// StagePayload refuses the same way, and the cache keeps serving what it
+// held.
 func TestRestoreRefusesBadSection(t *testing.T) {
-	c, err := NewExactSharded(store.NewMem(store.MemConfig{}), "se", 0, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCache(t, "se")
 	base := query.MustNew(dom(), map[int][]int{0: {1}})
 	for w := 0; w < 4; w++ {
 		if err := c.Put(base.WithWindow(w, w), 1, float64(w), 0.5); err != nil {
@@ -470,15 +435,18 @@ func TestRestoreRefusesBadSection(t *testing.T) {
 	}
 	good := base.WithWindow(5, 6).KeyWithWindow()
 	value := Entry{Value: 1, Eps: 0.5, Version: 1}.AppendFast(nil)
-	for name, bad := range map[string]exactStripeState{
-		"garbled key":   {Keys: []string{good, "\x07junk"}, Vals: [][]byte{value, value}},
-		"garbled value": {Keys: []string{good, base.WithWindow(6, 6).KeyWithWindow()}, Vals: [][]byte{value, {0xE7, 1, 2}}},
+	intact := exactBlock{Keys: []string{base.WithWindow(0, 1).KeyWithWindow()}, Vals: [][]byte{value}}
+	for name, bad := range map[string][]exactBlock{
+		"garbled key":               {{Keys: []string{good, "\x07junk"}, Vals: [][]byte{value, value}}},
+		"garbled value":             {{Keys: []string{good, base.WithWindow(6, 6).KeyWithWindow()}, Vals: [][]byte{value, {0xE7, 1, 2}}}},
+		"garbled key, second block": {intact, {Index: 1, Keys: []string{good, "\x01\x09"}, Vals: [][]byte{value, value}}},
 	} {
-		payload := encodeStripes([]exactStripeState{bad})
+		payload := encodeBlocks(bad)
+		key := bad[len(bad)-1].Keys[1]
 		_, staged := c.StagePayload(payload)
 		for how, err := range map[string]error{"StagePayload": staged, "RestorePayload": c.RestorePayload(payload)} {
-			if err == nil || !strings.Contains(err.Error(), strconv.Quote(bad.Keys[1])) {
-				t.Fatalf("%s: %s = %v, want a refusal quoting %q", name, how, err, bad.Keys[1])
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(key)) {
+				t.Fatalf("%s: %s = %v, want a refusal quoting %q", name, how, err, key)
 			}
 		}
 		if c.Len() != 4 {

@@ -37,14 +37,13 @@ func coldBatches(tb testing.TB) (*dataset.Dataset, [][]*query.Query) {
 }
 
 // coldSession is a fresh session shaped like turbo-server's default
-// (partitioned binary tree) with a fixed shard count, so allocation counts
-// do not depend on the box.
+// (partitioned binary tree).
 func coldSession(tb testing.TB, ds *dataset.Dataset) *Session {
 	tb.Helper()
 	s, err := NewSession(Config{
 		Mode: Partitioned, Alpha: 0.05, Beta: 0.001, EpsilonGlobal: 10,
 		Structure: tree.Binary, Seed: 42,
-		Shards: 2, Backend: store.NewMem(store.MemConfig{}),
+		Backend: store.NewMem(store.MemConfig{}),
 	}, ds)
 	if err != nil {
 		tb.Fatal(err)

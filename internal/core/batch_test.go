@@ -266,7 +266,7 @@ func TestAnswerBatchBoundedFanOut(t *testing.T) {
 	cfg := Config{
 		Mode:  Partitioned,
 		Alpha: 0.1, Beta: 0.01, EpsilonGlobal: 1000,
-		Shards: 4, Seed: 31,
+		Seed: 31,
 	}
 	mkBatch := func(ds *dataset.Dataset) []*query.Query {
 		var qs []*query.Query

@@ -13,8 +13,8 @@ import (
 
 // TestColdReleasePayloadBytes pins what one cached covid release costs the
 // store in payload — what MemoryBytes counts and -store-max-mb bounds: the
-// namespace "session-exact/N" and its ":" (16 bytes), a 7-byte packed key
-// and the 25-byte entry, 48 in all.
+// namespace "session-exact" and its ":" (14 bytes), a 7-byte packed key
+// and the 25-byte entry, 46 in all.
 func TestColdReleasePayloadBytes(t *testing.T) {
 	ds, batches := coldBatches(t)
 	s := coldSession(t, ds)
@@ -23,13 +23,13 @@ func TestColdReleasePayloadBytes(t *testing.T) {
 	if st.Entries != stmts {
 		t.Fatalf("the store holds %d entries for %d cold statements", st.Entries, stmts)
 	}
-	if per := float64(st.Bytes) / float64(st.Entries); per > 48 {
-		t.Fatalf("%.1f payload bytes per cached release, want <= 48", per)
+	if per := float64(st.Bytes) / float64(st.Entries); per > 46 {
+		t.Fatalf("%.1f payload bytes per cached release, want <= 46", per)
 	}
 }
 
-// cacheStripe mirrors one stripe of cache.Exact's snapshot payload, so a
-// test can rewrite what a damaged file would hold.
+// cacheStripe mirrors one block of cache.Exact's snapshot payload, so a
+// test can rewrite what a damaged file, or an older build's, would hold.
 type cacheStripe struct {
 	Index int
 	Keys  []string
@@ -37,8 +37,10 @@ type cacheStripe struct {
 }
 
 // decodeCacheSection and encodeCacheSection mirror cache.Exact's section
-// layout: the stripe count, then per stripe its index, entry count and
-// each entry's key and value as byte strings.
+// layout: the block count, then per block its index, entry count and
+// each entry's key and value as byte strings. This build writes one
+// block; a build that striped the namespace by shard wrote one per
+// stripe.
 func decodeCacheSection(t *testing.T, p []byte) []cacheStripe {
 	t.Helper()
 	d := persist.NewDecoder(p)
@@ -100,13 +102,35 @@ func rewriteSections(t *testing.T, raw []byte, edit func(name string, p []byte) 
 	return buf.Bytes()
 }
 
-// keyedSession answers 16 distinct windowed statements on a 2-shard
-// partitioned session over 8 partitions, returning the snapshot and the
-// statements.
+// stripeExactSection re-lays the snapshot raw's cache/session-exact
+// section as n blocks, dealing its entries round robin, the shape of a
+// section an n-shard build wrote.
+func stripeExactSection(t *testing.T, raw []byte, n int) []byte {
+	t.Helper()
+	return rewriteSections(t, raw, func(name string, p []byte) []byte {
+		if name != "cache/session-exact" {
+			return p
+		}
+		blocks := make([]cacheStripe, n)
+		for i := range blocks {
+			blocks[i].Index = i
+		}
+		for _, b := range decodeCacheSection(t, p) {
+			for j, k := range b.Keys {
+				st := &blocks[j%n]
+				st.Keys = append(st.Keys, k)
+				st.Vals = append(st.Vals, b.Vals[j])
+			}
+		}
+		return encodeCacheSection(blocks)
+	})
+}
+
+// keyedSession answers 16 distinct windowed statements on a partitioned
+// session over 8 partitions, returning the snapshot and the statements.
 func keyedSession(t *testing.T) (Config, []*query.Query, []byte, *Session) {
 	dom, ds := buildDS(t, 8)
 	cfg := defaultCfg(Partitioned)
-	cfg.Shards = 2
 	src, err := NewSession(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +138,7 @@ func keyedSession(t *testing.T) (Config, []*query.Query, []byte, *Session) {
 	var stmts []*query.Query
 	for a := 0; a < 4; a++ {
 		for w := 0; w < 4; w++ {
-			q := query.MustNew(dom, map[int][]int{1: {a}}).WithWindow(2*w, min(7, 2*w+a)) // both stripes
+			q := query.MustNew(dom, map[int][]int{1: {a}}).WithWindow(2*w, min(7, 2*w+a))
 			if _, err := src.Answer(q); err != nil {
 				t.Fatal(err)
 			}

@@ -32,7 +32,7 @@ func concurrentDS(t *testing.T, parts int) *dataset.Dataset {
 	return ds
 }
 
-// TestConcurrentAnswerPartitioned hammers a sharded partitioned session
+// TestConcurrentAnswerPartitioned hammers a partitioned session
 // from many goroutines (run with -race) and checks the invariants that
 // must survive any interleaving: per-partition budget within ε_G, and
 // counters consistent with the number of served answers.
@@ -41,7 +41,7 @@ func TestConcurrentAnswerPartitioned(t *testing.T) {
 	sess, err := NewSession(Config{
 		Mode:  Partitioned,
 		Alpha: 0.1, Beta: 0.01, EpsilonGlobal: 20,
-		Shards: 4, Seed: 5,
+		Seed: 5,
 	}, ds)
 	if err != nil {
 		t.Fatal(err)
@@ -93,9 +93,9 @@ func TestConcurrentAnswerPartitioned(t *testing.T) {
 	}
 }
 
-// TestConcurrentAnswerNonPartitioned exercises the single-shard PMW path
-// under concurrency: exact hits are lock-free, misses serialize, and
-// every charge of the one executor shard — its sparse vector and its
+// TestConcurrentAnswerNonPartitioned exercises the single PMW path under
+// concurrency: exact hits are lock-free, misses serialize, and every
+// charge of the one PMW-Bypass — its sparse vector and its
 // direct releases, composed concurrently with adaptively chosen budgets
 // (Appendix B) — lands on the one set of books, equally on every
 // partition.
@@ -200,7 +200,7 @@ func TestRestoreSyncsAdmission(t *testing.T) {
 }
 
 // TestConcurrentAppendAndAnswer races Session.AppendPartition (streaming
-// arrivals) against Answer: the lazy tree.shardAt growth and the
+// arrivals) against Answer: the tree's lazy node growth and the
 // accountant/dataset partition-count skew between AppendPartition's
 // non-atomic steps must never corrupt state, overspend a partition, or
 // let a query reference a partition whose budget does not exist yet (the
@@ -218,7 +218,7 @@ func TestConcurrentAppendAndAnswer(t *testing.T) {
 			cfg := Config{
 				Mode:  Streaming,
 				Alpha: 0.1, Beta: 0.01, EpsilonGlobal: 20,
-				Shards: 4, Seed: 9,
+				Seed: 9,
 			}
 			if gaussian {
 				cfg.Gaussian = true

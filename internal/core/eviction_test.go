@@ -121,7 +121,6 @@ func TestEvictionUnderFire(t *testing.T) {
 	_, ds := buildDS(t, 8)
 	cfg := defaultCfg(Streaming)
 	cfg.EpsilonGlobal = 1000
-	cfg.Shards = 4
 	be := store.NewMem(store.MemConfig{MaxEntries: 48, Stripes: 2})
 	cfg.Backend = be
 	cfg.CacheFastEntries = 4

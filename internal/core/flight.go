@@ -1,14 +1,14 @@
-// The single-flight stage of the sharded query pipeline: cross-shard
-// deduplication of concurrent identical cache misses.
+// The single-flight stage of the query pipeline: deduplication of
+// concurrent identical cache misses.
 //
 // Two analysts issuing the same query over the same window and data
 // version race each other between the exact-cache probe and execution;
 // without coordination both would run the PMW machinery and both would pay
 // budget, even though the exact cache makes the second execution free a
-// moment later. The non-partitioned shard used to close that window with a
-// double-check under its one executor lock; the tree's per-shard executors
-// have no single lock to double-check under. The flight group generalizes
-// the idea: every cache-missed plan is keyed by its resolved window and
+// moment later. A double-check under an executor lock cannot close that
+// window for the tree: it releases its lock while it executes (claim →
+// execute → commit), so two misses pay before either commits. The flight
+// group closes it in front of both modes: every cache-missed plan is keyed by its resolved window and
 // data version, the first goroutine in becomes the leader and executes,
 // and concurrent duplicates wait and observe the leader's released answer
 // — one execution, one budget payment, identical noisy values (exactly

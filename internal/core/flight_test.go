@@ -154,7 +154,7 @@ func TestSingleFlightPaysOnce(t *testing.T) {
 		sess, err := NewSession(Config{
 			Mode:  Partitioned,
 			Alpha: 0.1, Beta: 0.01, EpsilonGlobal: 20,
-			Shards: 4, Seed: 21,
+			Seed: 21,
 		}, ds)
 		if err != nil {
 			t.Fatal(err)
@@ -264,7 +264,7 @@ func TestAppendOrderingRegression(t *testing.T) {
 	sess, err := NewSession(Config{
 		Mode:  Streaming,
 		Alpha: 0.1, Beta: 0.01, EpsilonGlobal: 20,
-		Shards: 4, Seed: 4,
+		Seed: 4,
 	}, ds)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -751,13 +752,15 @@ func TestSaveLoadGaussianMidStream(t *testing.T) {
 // counters, warm node state — are identical before SaveState and after
 // LoadState, and both sessions answer the full asked-so-far workload
 // identically (free exact hits) afterwards. It runs under both accounting
-// modes on one and four shards, and once through a snapshot file.
+// modes, on the one-block exact-cache section this build writes and on
+// the same entries laid out in four blocks, as a four-shard build wrote
+// them, and once through a snapshot file.
 func TestSaveLoadTreeProperty(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		mode     Mode
 		gaussian bool
-		shards   int
+		blocks   int // exact-cache blocks in the snapshot s2 loads
 		file     bool
 	}{
 		{"pure-partitioned-shards1", Partitioned, false, 1, false},
@@ -773,7 +776,6 @@ func TestSaveLoadTreeProperty(t *testing.T) {
 			if tc.gaussian {
 				cfg.DeltaGlobal = 1e-6
 			}
-			cfg.Shards = tc.shards
 			s1, err := NewSession(cfg, ds)
 			if err != nil {
 				t.Fatal(err)
@@ -811,9 +813,20 @@ func TestSaveLoadTreeProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var buf bytes.Buffer
+			if err := s1.SaveState(&buf); err != nil {
+				t.Fatal(err)
+			}
+			snap := buf.Bytes()
+			if tc.blocks > 1 {
+				snap = stripeExactSection(t, snap, tc.blocks)
+			}
 			if tc.file {
 				path := filepath.Join(t.TempDir(), "state.snap")
-				if err := persist.WriteFileAtomic(path, s1.SaveState); err != nil {
+				if err := persist.WriteFileAtomic(path, func(w io.Writer) error {
+					_, err := w.Write(snap)
+					return err
+				}); err != nil {
 					t.Fatal(err)
 				}
 				f, err := os.Open(path)
@@ -824,14 +837,8 @@ func TestSaveLoadTreeProperty(t *testing.T) {
 				if err := s2.LoadState(f); err != nil {
 					t.Fatal(err)
 				}
-			} else {
-				var buf bytes.Buffer
-				if err := s1.SaveState(&buf); err != nil {
-					t.Fatal(err)
-				}
-				if err := s2.LoadState(&buf); err != nil {
-					t.Fatal(err)
-				}
+			} else if err := s2.LoadState(bytes.NewReader(snap)); err != nil {
+				t.Fatal(err)
 			}
 
 			// Noise-free internals agree exactly.
@@ -891,12 +898,11 @@ func TestSaveLoadTreeProperty(t *testing.T) {
 
 // TestSnapshotBytesDeterministic pins the property the snapshotdet
 // analyzer guards line by line: a quiesced session captures to the same
-// bytes every time, with the tree and a sharded exact cache both
-// populated (each is a Go map somewhere underneath).
+// bytes every time, with the tree and the exact cache both populated
+// (each is a Go map somewhere underneath).
 func TestSnapshotBytesDeterministic(t *testing.T) {
 	dom, ds := buildDS(t, 8)
 	cfg := defaultCfg(Partitioned)
-	cfg.Shards = 4
 	s, err := NewSession(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
@@ -911,9 +917,9 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 			}
 		}
 	}
-	if s.ExactCache().Stripes() != 4 || s.ExactCache().Len() < 100 || s.Tree().Nodes() < 8 {
-		t.Fatalf("session under-populated: %d exact stripes, %d exact entries, %d nodes",
-			s.ExactCache().Stripes(), s.ExactCache().Len(), s.Tree().Nodes())
+	if s.ExactCache().Len() < 100 || s.Tree().Nodes() < 8 {
+		t.Fatalf("session under-populated: %d exact entries, %d nodes",
+			s.ExactCache().Len(), s.Tree().Nodes())
 	}
 	var first bytes.Buffer
 	if err := s.SaveState(&first); err != nil {

@@ -1,4 +1,4 @@
-// The planner stage of the sharded query pipeline: resolving an incoming
+// The planner stage of the query pipeline: resolving an incoming
 // linear query against the public dataset metadata — partition window,
 // data version, view size — before any lock is taken or any budget is
 // touched.

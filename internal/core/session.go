@@ -18,15 +18,16 @@
 //     resolved window and data version (flight.go): concurrent identical
 //     first-timers execute and pay once, with duplicates observing the
 //     leader's released answer.
-//  4. execute — the flight leader runs the PMW machinery on its shard:
-//     the single PMW-Bypass behind the session's one executor lock
-//     (non-partitioned), or the tree, which locks only the state shards
-//     overlapping the query's window so disjoint windows run in parallel
-//     (partitioned).
+//  4. execute — the flight leader runs the PMW machinery: the single
+//     PMW-Bypass behind the session's one executor lock (non-partitioned),
+//     or the tree (partitioned), which holds its one lock only to claim
+//     and to commit node state, so scans, payments and DP releases of
+//     concurrent queries run outside it.
 //  5. account — budget is deducted through the one thread-safe block
-//     accountant, which realizes parallel composition across shards and
-//     whose atomic range payment is the Appendix B filter for the
-//     mechanisms composed concurrently, in every mode.
+//     accountant, which realizes parallel composition by charging each
+//     partition separately and whose atomic range payment is the
+//     Appendix B filter for the mechanisms composed concurrently, in
+//     every mode.
 //
 // For streaming databases, partitions arrive through AppendPartitions
 // epochs (the accountant grows strictly before the dataset); the
@@ -140,12 +141,9 @@ type Config struct {
 	Gaussian bool
 	// DeltaGlobal is δ_G for Gaussian mode; ignored otherwise.
 	DeltaGlobal float64
-	// Shards is the number of concurrent executor shards the partitioned
-	// tree state is striped into. Values ≤ 1 keep one shard, which
-	// serializes execution exactly like the pre-pipeline session (the
-	// exact-cache front and metadata reads are concurrent regardless).
-	// Ignored in non-partitioned mode, whose single PMW is one shard by
-	// construction.
+	// Shards is ignored: the tree holds one lock and the exact cache one
+	// namespace. It is a compile shim for benchmark/, which sets it; a
+	// benchmark/-only change removes it.
 	Shards int
 	// Backend selects the storage backend every caching layer programs
 	// against (the paper's replaceable Redis tier): nil defaults to the
@@ -196,8 +194,9 @@ type Answer struct {
 }
 
 // Session is a Turbo-fronted DP database session, safe for concurrent use:
-// the planner and exact-cache stages are lock-free, execution serializes
-// per shard, and accounting goes through thread-safe accountants.
+// the planner and exact-cache stages are lock-free, execution holds the
+// PMW's or the tree's lock only around state updates, and accounting goes
+// through the thread-safe accountant.
 type Session struct {
 	cfg     Config
 	ds      *dataset.Dataset
@@ -208,10 +207,10 @@ type Session struct {
 	rng     *noise.Rng
 	planner *Planner
 
-	// Non-partitioned machinery: one executor shard.
+	// Non-partitioned machinery: one PMW-Bypass behind one lock.
 	singleMu sync.Mutex
 	single   *pmw.PMW
-	// Partitioned machinery: the tree shards internally.
+	// Partitioned machinery: the tree locks internally.
 	tree *tree.Tree
 
 	// flights deduplicates concurrent identical cache misses so N
@@ -267,15 +266,7 @@ func NewSession(cfg Config, ds *dataset.Dataset) (*Session, error) {
 	if be == nil {
 		be = store.NewMem(store.MemConfig{})
 	}
-	// Stripe the session-exact namespace by executor shard in partitioned
-	// modes, so per-shard executors probe disjoint namespaces (and
-	// disjoint fast-map locks) instead of contending on one.
-	exactStripes, exactWidth := 1, 0
-	if cfg.Mode != NonPartitioned && cfg.Shards > 1 {
-		exactStripes = cfg.Shards
-		exactWidth = (ds.Partitions() + cfg.Shards - 1) / cfg.Shards
-	}
-	exact, err := cache.NewExactSharded(be, "session-exact", cfg.CacheFastEntries, exactWidth, exactStripes)
+	exact, err := cache.NewExactBounded(be, "session-exact", cfg.CacheFastEntries)
 	if err != nil {
 		return nil, err
 	}
@@ -318,10 +309,10 @@ func NewSession(cfg Config, ds *dataset.Dataset) (*Session, error) {
 		}
 		full := pmw.RangeExecutor{Exec: s.exec, Start: 0, End: ds.Partitions() - 1}
 		eps := noise.EpsilonForAccuracy(cfg.Alpha, cfg.Beta, n)
-		// The single PMW-Bypass is one executor shard paying the whole
-		// partition range: its sparse vector and direct releases compose
-		// concurrently with adaptively chosen budgets, which is the
-		// setting Thm B.1/B.2 prove the block's stopping rule sound for.
+		// The single PMW-Bypass pays the whole partition range: its
+		// sparse vector and direct releases compose concurrently with
+		// adaptively chosen budgets, which is the setting Thm B.1/B.2
+		// prove the block's stopping rule sound for.
 		payer := pmw.LaplacePayer(accountant.Window{Block: s.block, Start: 0, End: ds.Partitions() - 1}, eps)
 		if cfg.Gaussian {
 			sigma := noise.GaussianSigmaForBypass(cfg.Alpha, n, eps, cfg.Tau)
@@ -343,7 +334,6 @@ func NewSession(cfg Config, ds *dataset.Dataset) (*Session, error) {
 			LR: cfg.LR, Heuristic: cfg.Heuristic,
 			Structure: cfg.Structure,
 			WarmStart: cfg.Mode == Streaming,
-			Shards:    cfg.Shards,
 		}, s.exec, s.block, rng.Fork())
 		if err != nil {
 			return nil, err
@@ -443,20 +433,19 @@ func flightKey(pl Plan) string {
 }
 
 // execute runs a cache-missed plan through the single-flight group under
-// key (flightKey(pl)) and, as the flight leader, on its executor shard.
+// key (flightKey(pl)) and, as the flight leader, through executePlan.
 // shared reports that the answer came from a concurrent identical flight
 // (no execution, no payment).
 func (s *Session) execute(pl Plan, key string) (Answer, bool, error) {
 	return s.flights.do(key, func() (Answer, error) {
 		// Double-check the exact cache as the leader: an identical query
 		// may have completed (and cached) between this goroutine's cache
-		// probe and its flight. Sequential re-check, where the old
-		// non-partitioned path double-checked under its shard lock;
-		// concurrent duplicates are handled by the flight group itself.
+		// probe and its flight. Concurrent duplicates are handled by the
+		// flight group itself.
 		if e, ok := s.exact.Get(pl.Query, pl.Version); ok {
 			return Answer{Value: e.Value, Source: SourceExactHit}, nil
 		}
-		ans, err := s.executeShard(pl)
+		ans, err := s.executePlan(pl)
 		if err != nil {
 			return Answer{}, err
 		}
@@ -470,9 +459,9 @@ func (s *Session) execute(pl Plan, key string) (Answer, bool, error) {
 	})
 }
 
-// executeShard runs a plan on its executor shard: the single PMW-Bypass
-// behind its lock, or the tree's window-locked shards.
-func (s *Session) executeShard(pl Plan) (Answer, error) {
+// executePlan runs a plan on the session's PMW machinery: the single
+// PMW-Bypass behind its lock, or the tree.
+func (s *Session) executePlan(pl Plan) (Answer, error) {
 	if s.single != nil {
 		s.singleMu.Lock()
 		defer s.singleMu.Unlock()

@@ -29,15 +29,6 @@ func (n Node) Len() int { return n.End - n.Start + 1 }
 // IsLeaf reports whether the node covers a single partition.
 func (n Node) IsLeaf() bool { return n.Start == n.End }
 
-// Level returns k with Len = 2^k.
-func (n Node) Level() int {
-	k := 0
-	for l := n.Len(); l > 1; l >>= 1 {
-		k++
-	}
-	return k
-}
-
 // Children returns the two half-nodes of a non-leaf node.
 func (n Node) Children() (left, right Node) {
 	if n.IsLeaf() {
@@ -45,13 +36,6 @@ func (n Node) Children() (left, right Node) {
 	}
 	mid := n.Start + n.Len()/2
 	return Node{n.Start, mid - 1}, Node{mid, n.End}
-}
-
-// Parent returns the dyadic node one level up containing n.
-func (n Node) Parent() Node {
-	l := n.Len()
-	start := n.Start - n.Start%(2*l)
-	return Node{start, start + 2*l - 1}
 }
 
 // String implements fmt.Stringer with the paper's [a,b] notation.
@@ -133,51 +117,4 @@ func LargestContiguousSubset(nodes []Node) ([]Node, int) {
 		}
 	}
 	return sorted[bestLo : bestHi+1], bestSpan
-}
-
-// Ancestors enumerates every dyadic node over [0, T) that contains
-// partition p, leaf first. Used to size tree state.
-func Ancestors(p, numPartitions int) []Node {
-	if p < 0 || p >= numPartitions {
-		panic(fmt.Sprintf("interval: partition %d out of [0,%d)", p, numPartitions))
-	}
-	var out []Node
-	n := Node{p, p}
-	for {
-		out = append(out, n)
-		parent := n.Parent()
-		if parent.End >= numPartitions || parent == n {
-			break
-		}
-		n = parent
-	}
-	return out
-}
-
-// AllNodes enumerates every dyadic node fully contained in [0, T), ordered
-// by level then start. This is the node set the tree cache may
-// materialize; histograms are created lazily so most are never allocated.
-func AllNodes(numPartitions int) []Node {
-	var out []Node
-	for size := 1; size <= numPartitions; size <<= 1 {
-		for start := 0; start+size <= numPartitions; start += size {
-			out = append(out, Node{start, start + size - 1})
-		}
-	}
-	return out
-}
-
-// Covers reports whether the given nodes exactly tile [start, end] with no
-// gaps or overlaps. Used by property tests.
-func Covers(nodes []Node, start, end int) bool {
-	sorted := append([]Node(nil), nodes...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-	next := start
-	for _, n := range sorted {
-		if n.Start != next {
-			return false
-		}
-		next = n.End + 1
-	}
-	return next == end+1
 }

@@ -2,31 +2,26 @@ package interval
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
 
 func TestNodeBasics(t *testing.T) {
 	n := Node{4, 7}
-	if n.Len() != 4 || n.IsLeaf() || n.Level() != 2 {
-		t.Fatalf("node %v: len=%d leaf=%v level=%d", n, n.Len(), n.IsLeaf(), n.Level())
+	if n.Len() != 4 || n.IsLeaf() {
+		t.Fatalf("node %v: len=%d leaf=%v", n, n.Len(), n.IsLeaf())
 	}
 	l, r := n.Children()
 	if l != (Node{4, 5}) || r != (Node{6, 7}) {
 		t.Fatalf("children = %v, %v", l, r)
 	}
-	if n.Parent() != (Node{0, 7}) {
-		t.Fatalf("parent = %v", n.Parent())
-	}
 	if n.String() != "[4,7]" {
 		t.Fatalf("String = %q", n.String())
 	}
 	leaf := Node{3, 3}
-	if !leaf.IsLeaf() || leaf.Level() != 0 {
+	if !leaf.IsLeaf() || leaf.Len() != 1 {
 		t.Fatal("leaf misclassified")
-	}
-	if leaf.Parent() != (Node{2, 3}) {
-		t.Fatalf("leaf parent = %v", leaf.Parent())
 	}
 	func() {
 		defer func() {
@@ -88,7 +83,7 @@ func TestSplitProperties(t *testing.T) {
 		end := start + r.Intn(T-start)
 		nodes := Split(start, end)
 		// Exact cover, all dyadic, ordered.
-		if !Covers(nodes, start, end) {
+		if !covers(nodes, start, end) {
 			return false
 		}
 		for i, n := range nodes {
@@ -235,62 +230,122 @@ func TestLargestContiguousSubsetQuick(t *testing.T) {
 	}
 }
 
+// TestAncestors checks the dyadic parent arithmetic of the ancestors
+// oracle against Children: every ancestor is a valid node holding the
+// partition, and each is a child of the next.
 func TestAncestors(t *testing.T) {
-	anc := Ancestors(5, 8)
+	anc := ancestors(5, 8)
 	want := []Node{{5, 5}, {4, 5}, {4, 7}, {0, 7}}
 	if len(anc) != len(want) {
-		t.Fatalf("Ancestors = %v", anc)
+		t.Fatalf("ancestors = %v", anc)
 	}
 	for i := range want {
 		if anc[i] != want[i] {
-			t.Fatalf("Ancestors = %v, want %v", anc, want)
+			t.Fatalf("ancestors = %v, want %v", anc, want)
+		}
+	}
+	for i, n := range anc {
+		if !n.Valid() || n.Start > 5 || n.End < 5 {
+			t.Fatalf("ancestor %v is not a dyadic node holding 5", n)
+		}
+		if i+1 < len(anc) {
+			if l, r := anc[i+1].Children(); n != l && n != r {
+				t.Fatalf("%v is not a child of %v", n, anc[i+1])
+			}
 		}
 	}
 	// Non-power-of-two universe: stop before overflowing.
-	anc = Ancestors(5, 6)
+	anc = ancestors(5, 6)
 	for _, n := range anc {
 		if n.End >= 6 {
 			t.Fatalf("ancestor %v exceeds universe", n)
 		}
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("out-of-range partition did not panic")
-			}
-		}()
-		Ancestors(8, 8)
-	}()
 }
 
+// TestAllNodes checks Valid against the allNodes enumeration: over a
+// universe of T partitions, exactly the enumerated intervals are dyadic.
 func TestAllNodes(t *testing.T) {
-	nodes := AllNodes(4)
+	nodes := allNodes(4)
 	want := []Node{{0, 0}, {1, 1}, {2, 2}, {3, 3}, {0, 1}, {2, 3}, {0, 3}}
 	if len(nodes) != len(want) {
-		t.Fatalf("AllNodes(4) = %v", nodes)
+		t.Fatalf("allNodes(4) = %v", nodes)
 	}
 	for i := range want {
 		if nodes[i] != want[i] {
-			t.Fatalf("AllNodes(4) = %v, want %v", nodes, want)
+			t.Fatalf("allNodes(4) = %v, want %v", nodes, want)
 		}
 	}
 	// For T = 2^m the count is 2T−1.
-	if got := len(AllNodes(16)); got != 31 {
-		t.Fatalf("AllNodes(16) size = %d, want 31", got)
+	if got := len(allNodes(16)); got != 31 {
+		t.Fatalf("allNodes(16) size = %d, want 31", got)
+	}
+	for _, T := range []int{1, 6, 16} {
+		dyadic := map[Node]bool{}
+		for _, n := range allNodes(T) {
+			dyadic[n] = true
+		}
+		for a := 0; a < T; a++ {
+			for b := a; b < T; b++ {
+				if n := (Node{a, b}); n.Valid() != dyadic[n] {
+					t.Fatalf("T=%d: %v Valid = %v", T, n, n.Valid())
+				}
+			}
+		}
 	}
 }
 
 func TestCovers(t *testing.T) {
-	if !Covers([]Node{{0, 1}, {2, 2}}, 0, 2) {
+	if !covers([]Node{{0, 1}, {2, 2}}, 0, 2) {
 		t.Fatal("valid cover rejected")
 	}
-	if Covers([]Node{{0, 1}}, 0, 2) {
+	if covers([]Node{{0, 1}}, 0, 2) {
 		t.Fatal("gap accepted")
 	}
-	if Covers([]Node{{0, 1}, {1, 2}}, 0, 2) {
+	if covers([]Node{{0, 1}, {1, 2}}, 0, 2) {
 		t.Fatal("overlap accepted")
 	}
-	if Covers([]Node{{0, 3}}, 1, 2) {
+	if covers([]Node{{0, 3}}, 1, 2) {
 		t.Fatal("overshoot accepted")
 	}
+}
+
+// ancestors enumerates every dyadic node over [0, T) that contains
+// partition p, leaf first.
+func ancestors(p, numPartitions int) []Node {
+	var out []Node
+	for n := (Node{p, p}); n.End < numPartitions; {
+		out = append(out, n)
+		l := n.Len()
+		start := n.Start - n.Start%(2*l)
+		n = Node{start, start + 2*l - 1}
+	}
+	return out
+}
+
+// allNodes enumerates every dyadic node fully contained in [0, T), ordered
+// by level then start.
+func allNodes(numPartitions int) []Node {
+	var out []Node
+	for size := 1; size <= numPartitions; size <<= 1 {
+		for start := 0; start+size <= numPartitions; start += size {
+			out = append(out, Node{start, start + size - 1})
+		}
+	}
+	return out
+}
+
+// covers reports whether the given nodes exactly tile [start, end] with no
+// gaps or overlaps: the oracle the split properties are checked against.
+func covers(nodes []Node, start, end int) bool {
+	sorted := append([]Node(nil), nodes...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
+	next := start
+	for _, n := range sorted {
+		if n.Start != next {
+			return false
+		}
+		next = n.End + 1
+	}
+	return next == end+1
 }

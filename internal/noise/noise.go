@@ -15,8 +15,8 @@ import (
 
 // Rng is a seedable random source shared by the DP mechanisms. It wraps
 // math/rand/v2 with the distributions Turbo needs. Rng is safe for
-// concurrent use: draws are serialized by an internal mutex, so sharded
-// query pipelines can share one generator (serial call order — and hence
+// concurrent use: draws are serialized by an internal mutex, so concurrent
+// queries can share one generator (serial call order — and hence
 // seed-determinism of single-threaded runs — is unchanged).
 type Rng struct {
 	mu sync.Mutex
@@ -89,39 +89,6 @@ func EpsilonForAccuracy(alpha, beta float64, n int) float64 {
 	return 4 * math.Log(1/beta) / (float64(n) * alpha)
 }
 
-// TightEpsilonForAccuracy returns the slightly smaller ε from Thm A.3,
-// found by binary search on
-//
-//	exp(-αnε) + (1/2 + αnε/8)·exp(-αnε/2) ≤ β.
-//
-// It is always ≤ EpsilonForAccuracy for the same parameters.
-func TightEpsilonForAccuracy(alpha, beta float64, n int) float64 {
-	validateAccuracy(alpha, beta, n)
-	failure := func(eps float64) float64 {
-		a := alpha * float64(n) * eps
-		return math.Exp(-a) + (0.5+a/8)*math.Exp(-a/2)
-	}
-	lo, hi := 0.0, EpsilonForAccuracy(alpha, beta, n)
-	for i := 0; i < 80; i++ {
-		mid := (lo + hi) / 2
-		if failure(mid) <= beta {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi
-}
-
-// AlphaForEpsilon inverts EpsilonForAccuracy: the accuracy achievable with
-// per-query budget ε at failure probability β over n rows.
-func AlphaForEpsilon(eps, beta float64, n int) float64 {
-	if eps <= 0 || n <= 0 {
-		panic("noise: bad epsilon or n")
-	}
-	return 4 * math.Log(1/beta) / (float64(n) * eps)
-}
-
 // GaussianSigmaForBypass returns the σ of the Gaussian PMW-Bypass variant
 // exactly as printed in Lemma A.10 (§A.6):
 //
@@ -131,27 +98,13 @@ func AlphaForEpsilon(eps, beta float64, n int) float64 {
 // sampler's standard deviation. Note the printed formula guarantees the
 // sub-Gaussian-vs-Laplace tail dominance only for thresholds t ≥ γ2/nε =
 // τα/2 (and t = α); the tightest threshold in the lemma, γ1/nε = τα/6,
-// needs the smaller GaussianSigmaForBypassStrict (the appendix's algebra
-// drops a factor; see EXPERIMENTS.md).
+// needs a smaller σ (the appendix's algebra drops a factor; see
+// EXPERIMENTS.md, and gaussianSigmaForBypassStrict in noise_test.go).
 func GaussianSigmaForBypass(alpha float64, n int, eps, tau float64) float64 {
 	if alpha <= 0 || n <= 0 || eps <= 0 || tau <= 0 || tau > 0.5 {
 		panic("noise: bad Gaussian calibration parameters")
 	}
 	return tau * alpha / math.Sqrt(18*math.Ln2+3*tau*float64(n)*alpha*eps)
-}
-
-// GaussianSigmaForBypassStrict returns the σ that actually satisfies all
-// three tail bounds of Lemma A.10, derived by requiring
-// σ² ≤ f(γ1/nε) with f(t) = t²/(2·ln2 + 2·t·n·ε) and γ1 = τnαε/6:
-//
-//	σ = (τα/6) / sqrt(2·ln2 + τ·n·α·ε/3)
-//
-// Since f is monotone increasing, the bounds at γ2/nε and α follow.
-func GaussianSigmaForBypassStrict(alpha float64, n int, eps, tau float64) float64 {
-	if alpha <= 0 || n <= 0 || eps <= 0 || tau <= 0 || tau > 0.5 {
-		panic("noise: bad Gaussian calibration parameters")
-	}
-	return tau * alpha / 6 / math.Sqrt(2*math.Ln2+tau*float64(n)*alpha*eps/3)
 }
 
 // DirectLaplaceEpsilon returns the budget of the no-cache Direct Laplace

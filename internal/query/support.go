@@ -88,7 +88,7 @@ const maxResolveAttrs = 24
 
 // supportMemo is the once-per-predicate cache behind ResolvedSupport. It
 // is allocated by the query constructor and shared, by pointer, with
-// every WithWindow/WithoutWindow clone, so a workload's reusable
+// every WithWindow clone, so a workload's reusable
 // predicate resolves exactly once no matter how many windowed copies run.
 type supportMemo struct {
 	p atomic.Pointer[Support]

@@ -1,6 +1,6 @@
 // Race-enabled concurrency test for the lock-free server: mixed analyst
 // traffic (POST /query, GET /budget, GET /schema) from many goroutines
-// against one sharded session, asserting budget accounting stays
+// against one partitioned session, asserting budget accounting stays
 // consistent under any interleaving.
 
 package server
@@ -19,8 +19,8 @@ import (
 	"repro/internal/domain"
 )
 
-// newConcurrentServer builds a sharded partitioned session large enough
-// for windowed traffic across shards.
+// newConcurrentServer builds a partitioned session large enough for
+// windowed traffic over overlapping windows.
 func newConcurrentServer(t *testing.T, epsG float64) *testServer {
 	t.Helper()
 	dom := domain.MustNew(
@@ -37,7 +37,6 @@ func newConcurrentServer(t *testing.T, epsG float64) *testServer {
 	sess, err := core.NewSession(core.Config{
 		Mode: core.Partitioned, Alpha: 0.05, Beta: 0.001,
 		EpsilonGlobal: epsG, Seed: 17,
-		Shards: 4,
 	}, ds)
 	if err != nil {
 		t.Fatal(err)

@@ -120,7 +120,7 @@ func TestListenerMatchesHandler(t *testing.T) {
 			return srv
 		}
 	}
-	tw := newTwins(t, seen, build(func(c *core.Config) { c.Shards = 1 }))
+	tw := newTwins(t, seen, build(nil))
 	domSize := tw.srvs[0].sess.Dataset().Domain().Size()
 
 	// Before serving: the restore window.
@@ -183,7 +183,7 @@ func TestListenerMatchesHandler(t *testing.T) {
 	tw.do("GET", "/budget", nil, 200)
 
 	// A restore that fails midway poisons the server.
-	poisoned := newTwins(t, seen, build(func(c *core.Config) { c.Shards = 1 }))
+	poisoned := newTwins(t, seen, build(nil))
 	bad := corruptSnapshot(t, live, "tree/nodes")
 	poisoned.do("POST", "/restore", bad, 500)
 	poisoned.do("POST", "/query", query(sql), 503)
@@ -199,7 +199,7 @@ func TestListenerMatchesHandler(t *testing.T) {
 	inf.do("POST", "/query/batch", batch(sql), 500)
 
 	// A full ingest queue sheds with Retry-After.
-	shed := newTwins(t, seen, build(func(c *core.Config) { c.Shards = 1 }, httpd.WithAppendBacklog(1)))
+	shed := newTwins(t, seen, build(nil, httpd.WithAppendBacklog(1)))
 	var resumes []func()
 	shed.each(func(s *testServer) { resumes = append(resumes, s.Ingestor().Quiesce()) })
 	queued := make(chan []byte, 1)

@@ -3,7 +3,6 @@ package httpd
 import (
 	"bytes"
 	"encoding/json"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -70,7 +69,7 @@ func BenchmarkHandleQueryBatchCold(b *testing.B) {
 		sess, err := core.NewSession(core.Config{
 			Mode: core.Partitioned, Alpha: 0.05, Beta: 0.001, EpsilonGlobal: 10,
 			Structure: tree.Binary, Seed: 42,
-			Shards: runtime.NumCPU(), Backend: store.NewMem(store.MemConfig{}),
+			Backend: store.NewMem(store.MemConfig{}),
 		}, ds)
 		if err != nil {
 			b.Fatal(err)

@@ -39,8 +39,8 @@
 // snapshot with 503 "corrupt" until it is restarted.
 // Once the window is closed the latch is one atomic load. Otherwise the
 // server holds no lock of its own: the session's query pipeline is
-// concurrency-safe (lock-free planning and exact-cache probes, per-shard
-// execution, thread-safe accounting), so request goroutines flow straight
+// concurrency-safe (lock-free planning and exact-cache probes, execution
+// that locks only around state updates, thread-safe accounting), so request goroutines flow straight
 // through; /append hands arrivals to the streaming ingestor, whose epochs
 // keep racing queries accountable. With WithAppendBacklog the ingestor's
 // submission queue is bounded and an overflowing /append sheds with 503 +
@@ -578,12 +578,10 @@ type CacheStats struct {
 	// (deleted and re-executed, never served): a data-integrity signal.
 	DecodeErrors int64 `json:"decode_errors"`
 	// ExactHits/ExactMisses/ExactHitRate are the session's window-level
-	// exact cache counters (fast map included); ExactStripes is its
-	// namespace stripe count (>1 when striped by executor shard).
+	// exact cache counters (fast map included).
 	ExactHits    int     `json:"exact_hits"`
 	ExactMisses  int     `json:"exact_misses"`
 	ExactHitRate float64 `json:"exact_hit_rate"`
-	ExactStripes int     `json:"exact_stripes"`
 }
 
 // SchemaResponse is the /schema result: only public metadata (ingestion
@@ -634,7 +632,6 @@ func (s *Server) handleSchema(w *Response, r *Request) {
 			ExactHits:     exactHits,
 			ExactMisses:   exactMisses,
 			ExactHitRate:  exact.HitRate(),
-			ExactStripes:  exact.Stripes(),
 		},
 	}
 	if s.ing != nil {

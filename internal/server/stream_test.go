@@ -39,7 +39,6 @@ func newStreamingServer(t *testing.T, gaussian bool, opts ...httpd.Option) (*tes
 	cfg := core.Config{
 		Mode: core.Streaming, Alpha: 0.05, Beta: 0.001,
 		EpsilonGlobal: 40, Seed: 23,
-		Shards: 4,
 	}
 	if gaussian {
 		cfg.Gaussian = true

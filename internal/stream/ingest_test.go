@@ -44,7 +44,7 @@ func streamingSession(t *testing.T, ds *dataset.Dataset, mode core.Mode, gaussia
 	cfg := core.Config{
 		Mode:  mode,
 		Alpha: 0.1, Beta: 0.01, EpsilonGlobal: 20,
-		Shards: 4, Seed: 7,
+		Seed: 7,
 	}
 	if gaussian {
 		cfg.Gaussian = true

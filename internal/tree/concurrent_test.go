@@ -12,9 +12,9 @@ import (
 	"repro/internal/query"
 )
 
-// buildConcurrentTree creates a sharded tree over a 16-partition dataset
-// with enough rows per partition for meaningful queries.
-func buildConcurrentTree(t *testing.T, shards int) (*Tree, *dataset.Dataset) {
+// buildConcurrentTree creates a tree over a 16-partition dataset with
+// enough rows per partition for meaningful queries.
+func buildConcurrentTree(t *testing.T) (*Tree, *dataset.Dataset) {
 	t.Helper()
 	dom := domain.MustNew(
 		domain.Attribute{Name: "a", Card: 4},
@@ -32,7 +32,6 @@ func buildConcurrentTree(t *testing.T, shards int) (*Tree, *dataset.Dataset) {
 	}
 	tr, err := New(Config{
 		Alpha: 0.1, Beta: 0.01, Tau: 0.05,
-		Shards: shards,
 	}, dataset.NewExecutor(ds, noise.NewRng(8)), accountant.NewBlock(20, parts), noise.NewRng(9))
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +43,7 @@ func buildConcurrentTree(t *testing.T, shards int) (*Tree, *dataset.Dataset) {
 // overlapping windows from many goroutines; run with -race. Budget
 // accounting must stay within the per-partition global guarantee.
 func TestConcurrentDisjointWindows(t *testing.T) {
-	tr, ds := buildConcurrentTree(t, 4)
+	tr, ds := buildConcurrentTree(t)
 	dom := ds.Domain()
 	pool := []*query.Query{
 		query.MustNew(dom, map[int][]int{0: {1}}),
@@ -81,10 +80,10 @@ func TestConcurrentDisjointWindows(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesSerialShape checks a sharded tree still answers
-// accurately when driven serially.
+// TestShardedMatchesSerialShape checks the tree used by the concurrent
+// tests answers accurately when driven serially.
 func TestShardedMatchesSerialShape(t *testing.T) {
-	tr, ds := buildConcurrentTree(t, 4)
+	tr, ds := buildConcurrentTree(t)
 	dom := ds.Domain()
 	q := query.MustNew(dom, map[int][]int{0: {1}}).WithWindow(0, 15)
 	res, err := tr.Run(q)
@@ -98,7 +97,7 @@ func TestShardedMatchesSerialShape(t *testing.T) {
 	if diff := res.Value - truth; diff > 0.2 || diff < -0.2 {
 		t.Fatalf("answer %g too far from truth %g", res.Value, truth)
 	}
-	if tr.StateShards() == 0 {
-		t.Fatal("no shards materialized")
+	if tr.Nodes() == 0 {
+		t.Fatal("no nodes materialized")
 	}
 }

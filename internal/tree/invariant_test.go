@@ -83,7 +83,6 @@ func TestNoDoubleSpendUnderStorm(t *testing.T) {
 	}
 	tr, err := New(Config{
 		Alpha: 0.1, Beta: 0.01, Tau: 0.05,
-		Shards: 4,
 	}, dataset.NewExecutor(ds, noise.NewRng(8)), accountant.NewBlock(1e9, parts), noise.NewRng(9))
 	if err != nil {
 		t.Fatal(err)
@@ -106,12 +105,12 @@ func TestNoDoubleSpendUnderStorm(t *testing.T) {
 // a torn or doubly-applied multiplicative-weights update would leave mass
 // off 1 — and the stale-skip accounting is consistent with the stats.
 func TestEstimateConsistencyUnderStorm(t *testing.T) {
-	tr, ds := buildConcurrentTree(t, 4)
+	tr, ds := buildConcurrentTree(t)
 	if _, done := storm(t, tr, 8, 30); done == 0 {
 		t.Fatal("storm completed no queries")
 	}
 	checked := 0
-	for _, iv := range interval.AllNodes(ds.Partitions()) {
+	for _, iv := range allNodes(ds.Partitions()) {
 		h := tr.NodeHistogram(iv)
 		if h == nil {
 			continue
@@ -127,4 +126,16 @@ func TestEstimateConsistencyUnderStorm(t *testing.T) {
 	if st := tr.Stats(); st.StaleSkips < 0 || st.Queries == 0 {
 		t.Fatalf("implausible stats after storm: %+v", st)
 	}
+}
+
+// allNodes enumerates every dyadic node fully contained in [0, T), ordered
+// by level then start: every node the tree may materialize.
+func allNodes(numPartitions int) []interval.Node {
+	var out []interval.Node
+	for size := 1; size <= numPartitions; size <<= 1 {
+		for start := 0; start+size <= numPartitions; start += size {
+			out = append(out, interval.Node{Start: start, End: start + size - 1})
+		}
+	}
+	return out
 }

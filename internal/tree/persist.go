@@ -26,9 +26,9 @@ const SectionNodes = "tree/nodes"
 // SnapshotSection implements persist.Snapshotter.
 func (t *Tree) SnapshotSection() string { return SectionNodes }
 
-// SnapshotPayload exports every materialized node across all state
-// shards (histograms, heuristic thresholds); sparse vectors are dropped
-// by design (see the file comment).
+// SnapshotPayload exports every materialized node (histograms, heuristic
+// thresholds); sparse vectors are dropped by design (see the file
+// comment).
 func (t *Tree) SnapshotPayload() ([]byte, error) {
 	nodes := t.ExportNodes()
 	var e persist.Encoder
@@ -68,21 +68,20 @@ type NodeState struct {
 	Thresholds []float64 // adaptive per-bin thresholds, nil if untouched
 }
 
-// ExportNodes snapshots every materialized node across all state shards,
-// sorted by interval so identical tree states export byte-identically
-// (shard maps iterate in random order; TestSnapshotBytesDeterministic
-// pins the whole envelope).
+// ExportNodes snapshots every materialized node, sorted by interval so
+// identical tree states export byte-identically (the node map iterates in
+// random order; TestSnapshotBytesDeterministic pins the whole envelope).
 func (t *Tree) ExportNodes() []NodeState {
-	var out []NodeState
-	t.forEachShard(func(sh *stateShard) {
-		for iv, n := range sh.nodes {
-			st := NodeState{IV: iv, Hist: n.hist.State()}
-			if ap, ok := n.heur.(*heuristic.AdaptivePerBin); ok {
-				_, _, st.Thresholds = ap.State()
-			}
-			out = append(out, st)
+	t.mu.Lock()
+	out := make([]NodeState, 0, len(t.nodes))
+	for iv, n := range t.nodes {
+		st := NodeState{IV: iv, Hist: n.hist.State()}
+		if ap, ok := n.heur.(*heuristic.AdaptivePerBin); ok {
+			_, _, st.Thresholds = ap.State()
 		}
-	})
+		out = append(out, st)
+	}
+	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].IV.Start != out[j].IV.Start {
 			return out[i].IV.Start < out[j].IV.Start
@@ -125,10 +124,9 @@ func (t *Tree) RestoreNodes(states []NodeState) error {
 			}
 			ap.SetThresholds(st.Thresholds)
 		}
-		sh := t.ownerShard(st.IV.Start)
-		sh.mu.Lock()
-		sh.nodes[st.IV] = n
-		sh.mu.Unlock()
+		t.mu.Lock()
+		t.nodes[st.IV] = n
+		t.mu.Unlock()
 	}
 	return nil
 }

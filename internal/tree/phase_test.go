@@ -153,7 +153,7 @@ func TestVectorizedMatchesDenseOracle(t *testing.T) {
 	}
 
 	// FNV-1a over every materialized node's interval, update count, and
-	// per-bin weight and counter bits, in AllNodes order.
+	// per-bin weight and counter bits, in allNodes order.
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(v uint64) {
@@ -161,7 +161,7 @@ func TestVectorizedMatchesDenseOracle(t *testing.T) {
 		h.Write(buf[:])
 	}
 	nodes := 0
-	for _, iv := range interval.AllNodes(8) {
+	for _, iv := range allNodes(8) {
 		nh := f.tree.NodeHistogram(iv)
 		if nh == nil {
 			continue

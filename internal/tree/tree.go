@@ -18,19 +18,11 @@
 //
 // # Concurrency
 //
-// Node and sparse-vector state is owned by shards: contiguous runs of
-// shardWidth partitions, each with its own lock (Config.Shards; one shard
-// serializes everything, the seed behaviour). A query locks every shard
-// overlapping its window, in ascending order, before touching any state.
-// That discipline makes per-node access exclusive without a global lock:
-// any dyadic node a query touches lies inside its window, so two queries
-// touching the same node both hold the shard containing that node's start.
-// Queries over disjoint shard ranges proceed in parallel; they coordinate
-// only through the block accountant, which is independently thread-safe
-// (parallel composition is exactly what makes this sound — partitions are
-// independent until budget accounting).
+// Node and sparse-vector state is guarded by one mutex, Tree.mu. Parallel
+// composition needs no lock layout of its own: the block accountant
+// charges every partition separately and is independently thread-safe.
 //
-// Run holds its shard locks for two short phases rather than its whole
+// Run holds the lock for two short phases rather than its whole
 // duration. The claim phase (locked) resolves routing, initializes and
 // pays the shared SV, and snapshots each touched node's
 // histogram together with its update epoch. The execute phase (unlocked)
@@ -42,6 +34,8 @@
 // between the phases is skipped (counted in Stats.StaleSkips) rather than
 // updated from a stale estimate. Payments always precede the releases they
 // cover, so interleavings can skip updates but can never double-spend.
+// Because the execute phase does the expensive work, concurrent queries
+// overlap there whatever their windows; only the bookkeeping serializes.
 //
 // # Accounting modes
 //
@@ -113,12 +107,6 @@ type Config struct {
 	Structure Structure
 	// WarmStart enables §4.5 histogram warm-starting for new nodes.
 	WarmStart bool
-	// Shards is the number of concurrent state shards the initial
-	// partitions are divided into. Values ≤ 1 keep one shard: all
-	// queries serialize, matching the pre-sharding behaviour exactly.
-	// With S > 1 shards, queries whose windows touch disjoint shard
-	// ranges execute in parallel.
-	Shards int
 }
 
 func (c *Config) fill() error {
@@ -159,21 +147,8 @@ type counters struct {
 	nodeUpdates, nodesCreated, staleSkips      atomic.Int64
 }
 
-// stateShard owns the node and sparse-vector state of a contiguous run of
-// partitions. All access happens under mu, which the Run locking
-// discipline acquires per overlapped shard in ascending order.
-type stateShard struct {
-	mu    sync.Mutex
-	nodes map[interval.Node]*node
-	// svs maps the canonical key of a ready node set to its live shared
-	// SV (the set S of Alg. 2); a set is owned by the shard containing
-	// its first node's start.
-	svs map[string]*sparse.SV
-}
-
 // Tree is a tree-structured PMW-Bypass over a partitioned dataset. Safe
-// for concurrent use: see the package comment for the shard-locking
-// discipline.
+// for concurrent use: see the package comment for the locking discipline.
 type Tree struct {
 	cfg   Config
 	exec  *dataset.Executor
@@ -183,11 +158,13 @@ type Tree struct {
 	// memoized per subquery count (see noise.LaplaceCalibrator).
 	calib *noise.LaplaceCalibrator
 
-	// shardWidth is the number of partitions per state shard; 0 means a
-	// single shard owning every partition.
-	shardWidth int
-	shardMu    sync.RWMutex
-	shards     []*stateShard
+	// mu guards nodes and svs. Run holds it for its claim and commit
+	// phases, never across execute.
+	mu    sync.Mutex
+	nodes map[interval.Node]*node
+	// svs maps the canonical key of a ready node set to its live shared
+	// SV (the set S of Alg. 2).
+	svs map[string]*sparse.SV
 
 	scratch sync.Pool // of *runScratch
 
@@ -207,85 +184,16 @@ func New(cfg Config, exec *dataset.Executor, block *accountant.Block, rng *noise
 		exec:  exec,
 		block: block,
 		rng:   rng,
+		nodes: make(map[interval.Node]*node),
+		svs:   make(map[string]*sparse.SV),
 	}
 	t.calib = noise.NewLaplaceCalibrator()
 	t.scratch.New = func() any { return new(runScratch) }
-	if cfg.Shards > 1 {
-		parts := exec.Dataset().Partitions()
-		if parts < 1 {
-			parts = 1
-		}
-		t.shardWidth = (parts + cfg.Shards - 1) / cfg.Shards
-	}
 	return t, nil
 }
 
 // Calibrator exposes the memoized Laplace calibration for telemetry.
 func (t *Tree) Calibrator() *noise.LaplaceCalibrator { return t.calib }
-
-// shardIndex maps a partition to its state shard.
-func (t *Tree) shardIndex(p int) int {
-	if t.shardWidth <= 0 {
-		return 0
-	}
-	return p / t.shardWidth
-}
-
-// shardAt returns (lazily creating, for streaming growth) shard i.
-func (t *Tree) shardAt(i int) *stateShard {
-	t.shardMu.RLock()
-	if i < len(t.shards) {
-		s := t.shards[i]
-		t.shardMu.RUnlock()
-		return s
-	}
-	t.shardMu.RUnlock()
-	t.shardMu.Lock()
-	defer t.shardMu.Unlock()
-	for len(t.shards) <= i {
-		t.shards = append(t.shards, &stateShard{
-			nodes: make(map[interval.Node]*node),
-			svs:   make(map[string]*sparse.SV),
-		})
-	}
-	return t.shards[i]
-}
-
-// ownerShard returns the shard owning partition p's state. During the
-// locked phases of Run the caller holds its lock by the window-locking
-// discipline.
-func (t *Tree) ownerShard(p int) *stateShard { return t.shardAt(t.shardIndex(p)) }
-
-// lockWindow acquires, in ascending order, every shard a query over
-// [start, end] may touch. Warm-start additionally reads the leaf one
-// partition to the left of the window, so that shard is included upfront —
-// acquiring it later, out of order, could deadlock against a query locking
-// ascending from a lower shard.
-func (t *Tree) lockWindow(start, end int) []*stateShard {
-	return t.lockWindowInto(nil, start, end)
-}
-
-// lockWindowInto is lockWindow appending into a reused scratch slice.
-func (t *Tree) lockWindowInto(dst []*stateShard, start, end int) []*stateShard {
-	lo := start
-	if t.cfg.WarmStart && lo > 0 {
-		lo--
-	}
-	loIdx, hiIdx := t.shardIndex(lo), t.shardIndex(end)
-	for i := loIdx; i <= hiIdx; i++ {
-		s := t.shardAt(i)
-		s.mu.Lock()
-		dst = append(dst, s)
-	}
-	return dst
-}
-
-// unlockAll releases shards locked by lockWindow.
-func unlockAll(shards []*stateShard) {
-	for i := len(shards) - 1; i >= 0; i-- {
-		shards[i].mu.Unlock()
-	}
-}
 
 // appendSplit decomposes a window according to the configured structure,
 // appending into a reused scratch slice.
@@ -300,10 +208,9 @@ func (t *Tree) appendSplit(dst []interval.Node, start, end int) []interval.Node 
 }
 
 // getNode returns (creating lazily, with warm-start when enabled) the state
-// for a dyadic interval. The caller holds the owning shard's lock.
+// for a dyadic interval. The caller holds t.mu.
 func (t *Tree) getNode(iv interval.Node) *node {
-	sh := t.ownerShard(iv.Start)
-	if n, ok := sh.nodes[iv]; ok {
+	if n, ok := t.nodes[iv]; ok {
 		return n
 	}
 	domSize := t.exec.Dataset().Domain().Size()
@@ -318,23 +225,22 @@ func (t *Tree) getNode(iv interval.Node) *node {
 	if t.cfg.WarmStart {
 		t.warmStart(n)
 	}
-	sh.nodes[iv] = n
+	t.nodes[iv] = n
 	t.stats.nodesCreated.Add(1)
 	return n
 }
 
 // lookupNode returns an existing node without creating one. The caller
-// holds the owning shard's lock.
+// holds t.mu.
 func (t *Tree) lookupNode(iv interval.Node) (*node, bool) {
-	n, ok := t.ownerShard(iv.Start).nodes[iv]
+	n, ok := t.nodes[iv]
 	return n, ok
 }
 
 // warmStart initializes a fresh node from existing neighbours per §4.5:
 // leaves copy the previous partition's leaf; internal nodes average their
-// existing children. Nodes with no trained neighbour stay uniform. Every
-// neighbour read lies within the locked window extended one partition left
-// (see lockWindow).
+// existing children. Nodes with no trained neighbour stay uniform. The
+// caller holds t.mu.
 func (t *Tree) warmStart(n *node) {
 	if n.iv.IsLeaf() {
 		if n.iv.Start == 0 {
@@ -381,15 +287,13 @@ func (t *Tree) warmStart(n *node) {
 // and heuristic state) at ingestion time instead of on the first query
 // that touches the partition. It reports whether a new leaf was created;
 // it is a no-op when warm-starting is disabled, the partition is out of
-// range, or the leaf already exists. Safe for concurrent use: it follows
-// the window-locking discipline of Run over [p, p] (extended one left by
-// lockWindow for the warm-start read).
+// range, or the leaf already exists. Safe for concurrent use.
 func (t *Tree) EagerWarmStart(p int) bool {
 	if !t.cfg.WarmStart || p < 0 || p >= t.exec.Dataset().Partitions() {
 		return false
 	}
-	locked := t.lockWindow(p, p)
-	defer unlockAll(locked)
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	iv := interval.Node{Start: p, End: p}
 	if _, ok := t.lookupNode(iv); ok {
 		return false
@@ -401,9 +305,9 @@ func (t *Tree) EagerWarmStart(p int) bool {
 // LiveSVs returns the number of live shared sparse vectors — the
 // interactive mechanisms currently composed concurrently (Alg. 3).
 func (t *Tree) LiveSVs() int {
-	total := 0
-	t.forEachShard(func(sh *stateShard) { total += len(sh.svs) })
-	return total
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.svs)
 }
 
 // appendSVKey appends the canonical SV-registry key of a node set — the
@@ -462,10 +366,8 @@ type nodeClaim struct {
 // runScratch carries one Run's plan between its phases and is pooled
 // across queries.
 type runScratch struct {
-	start, end int
-	res        Result
+	res Result
 
-	shards   []*stateShard
 	split    []interval.Node
 	nonEmpty []interval.Node
 	nis      []int
@@ -539,7 +441,6 @@ func (t *Tree) Run(q *query.Query) (Result, error) {
 // claim-time estimate.
 func (t *Tree) claim(q *query.Query, start, end int, sc *runScratch) error {
 	ds := t.exec.Dataset()
-	sc.start, sc.end = start, end
 	sc.res = Result{}
 	sc.comps = sc.comps[:0]
 	sc.nonEmpty = sc.nonEmpty[:0]
@@ -551,8 +452,8 @@ func (t *Tree) claim(q *query.Query, start, end int, sc *runScratch) error {
 	sc.nSV, sc.nLap = 0, 0
 	sc.rH, sc.rTrue = 0, 0
 
-	sc.shards = t.lockWindowInto(sc.shards[:0], start, end)
-	defer unlockAll(sc.shards)
+	t.mu.Lock()
+	defer t.mu.Unlock()
 
 	sc.split = t.appendSplit(sc.split[:0], start, end)
 
@@ -606,10 +507,9 @@ func (t *Tree) claim(q *query.Query, start, end int, sc *runScratch) error {
 		sc.spanStart, sc.spanEnd = spanStart, spanEnd
 		sc.epsSV = noise.SVEpsilonForAggregate(t.cfg.Alpha, t.cfg.Beta, sc.nSV)
 		sc.svKeyBuf = appendSVKey(sc.svKeyBuf[:0], svSet)
-		owner := t.ownerShard(spanStart)
-		sv, ok := owner.svs[string(sc.svKeyBuf)]
+		sv, ok := t.svs[string(sc.svKeyBuf)]
 		if !ok || !sv.Live() {
-			if err := t.svInitLocked(owner, sc); err != nil {
+			if err := t.svInitLocked(sc); err != nil {
 				return err
 			}
 		}
@@ -628,22 +528,22 @@ func (t *Tree) claim(q *query.Query, start, end int, sc *runScratch) error {
 }
 
 // svInitLocked pays for and creates a fresh shared SV for the claim's
-// node set. The caller holds the owning shard's lock.
-func (t *Tree) svInitLocked(owner *stateShard, sc *runScratch) error {
+// node set. The caller holds t.mu.
+func (t *Tree) svInitLocked(sc *runScratch) error {
 	epsSV, spanStart, spanEnd := sc.epsSV, sc.spanStart, sc.spanEnd
 	if err := t.block.PayRange(spanStart, spanEnd, accountant.SVInit(epsSV)); err != nil {
 		return err
 	}
 	sv := sparse.New(epsSV, t.cfg.Alpha, sc.nSV, t.rng)
 	sv.Reset()
-	owner.svs[string(sc.svKeyBuf)] = sv
+	t.svs[string(sc.svKeyBuf)] = sv
 	sc.res.Paid += 3 * epsSV * float64(spanEnd-spanStart+1)
 	return nil
 }
 
 // execute is Run's unlocked phase: every data-plane operation. The
 // dataset, executor, accountant, and RNG are independently thread-safe,
-// so no shard lock is held while scanning rows, calibrating budget, or
+// so t.mu is not held while scanning rows, calibrating budget, or
 // releasing DP results. Payments precede the releases they cover.
 func (t *Tree) execute(q *query.Query, sc *runScratch) error {
 	// Shared-SV branch: true value r*_SV over the claim set, n-weighted
@@ -689,22 +589,21 @@ func (t *Tree) commit(q *query.Query, sc *runScratch) error {
 	if len(sc.svNodes) == 0 && len(sc.lapNodes) == 0 {
 		return nil
 	}
-	sc.shards = t.lockWindowInto(sc.shards[:0], sc.start, sc.end)
-	defer unlockAll(sc.shards)
+	t.mu.Lock()
+	defer t.mu.Unlock()
 
 	// Shared-SV consume (Alg. 2 ll.18-26).
 	if len(sc.svNodes) > 0 {
-		owner := t.ownerShard(sc.spanStart)
-		sv, ok := owner.svs[string(sc.svKeyBuf)]
+		sv, ok := t.svs[string(sc.svKeyBuf)]
 		if !ok || !sv.Live() {
 			// A concurrent query consumed the SV between our phases: pay a
 			// fresh initialization so the test below is backed by live
 			// budget, exactly as if this query had arrived after the
 			// consumer.
-			if err := t.svInitLocked(owner, sc); err != nil {
+			if err := t.svInitLocked(sc); err != nil {
 				return err
 			}
-			sv = owner.svs[string(sc.svKeyBuf)]
+			sv = t.svs[string(sc.svKeyBuf)]
 		}
 		if sv.Test(sc.rH, sc.rTrue) {
 			t.stats.svPasses.Add(1)
@@ -715,7 +614,7 @@ func (t *Tree) commit(q *query.Query, sc *runScratch) error {
 			// update all non-advanced member histograms in the shared
 			// direction, and penalize their heuristics.
 			t.stats.svFailures.Add(1)
-			delete(owner.svs, string(sc.svKeyBuf))
+			delete(t.svs, string(sc.svKeyBuf))
 			if err := t.block.PayRange(sc.spanStart, sc.spanEnd, accountant.Laplace(sc.epsSV)); err != nil {
 				return err
 			}
@@ -769,52 +668,31 @@ func (t *Tree) Stats() Stats {
 	}
 }
 
-// forEachShard visits every materialized shard, holding its lock for the
-// duration of fn. Used by cold-path inspection and persistence.
-func (t *Tree) forEachShard(fn func(*stateShard)) {
-	t.shardMu.RLock()
-	shards := append([]*stateShard(nil), t.shards...)
-	t.shardMu.RUnlock()
-	for _, sh := range shards {
-		sh.mu.Lock()
-		fn(sh)
-		sh.mu.Unlock()
-	}
-}
-
 // Nodes returns the number of materialized node states.
 func (t *Tree) Nodes() int {
-	total := 0
-	t.forEachShard(func(sh *stateShard) { total += len(sh.nodes) })
-	return total
-}
-
-// StateShards returns the number of materialized state shards.
-func (t *Tree) StateShards() int {
-	t.shardMu.RLock()
-	defer t.shardMu.RUnlock()
-	return len(t.shards)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.nodes)
 }
 
 // MemoryBytes estimates resident histogram state: the §6.5 metric
 // (≈ 2·T·N scalars for a full binary tree).
 func (t *Tree) MemoryBytes() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	total := 0
-	t.forEachShard(func(sh *stateShard) {
-		for _, n := range sh.nodes {
-			total += n.hist.MemoryBytes()
-		}
-	})
+	for _, n := range t.nodes {
+		total += n.hist.MemoryBytes()
+	}
 	return total
 }
 
 // NodeHistogram exposes a node's histogram for convergence metrics and
 // warm-start tests; it returns nil when the node was never materialized.
 func (t *Tree) NodeHistogram(iv interval.Node) *histogram.Histogram {
-	sh := t.ownerShard(iv.Start)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if n, ok := sh.nodes[iv]; ok {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if n, ok := t.nodes[iv]; ok {
 		return n.hist
 	}
 	return nil
