@@ -33,12 +33,12 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/persist"
@@ -63,8 +63,7 @@ func main() {
 		seed        = flag.Uint64("seed", 42, "deterministic seed")
 		statePath   = flag.String("state", "", "snapshot file: restored at boot if present, written atomically on SIGINT/SIGTERM")
 		backlog     = flag.Int("append-backlog", 0, "bound on queued /append batches; overflow sheds with 503 (0 = unbounded)")
-		storeMaxMB  = flag.Int("store-max-mb", 0, "cache-store bound in MiB of payload (key + value bytes, what /schema reports); resident memory, /schema's resident_bytes, is about 1.5x that (0 = bytes unbounded). Either bound > 0 makes the store a segmented LRU")
-		storeMaxEnt = flag.Int("store-max-entries", 0, "resident cache-store entry bound (0 = entries unbounded)")
+		storeMaxMB  = flag.Int("store-max-mb", 0, fmt.Sprintf("cache-store bound in MiB of payload (key + value bytes, what /schema reports), at most %d: the most one 4 GiB arena always holds; resident memory, /schema's resident_bytes, is about 1.75x that. 0 leaves the store unbounded; > 0 makes it a segmented LRU", maxStoreMB))
 		ckptEvery   = flag.Duration("checkpoint-interval", 0, "background checkpoint period for -state (0 disables; failures log and retry next tick)")
 	)
 	flag.Parse()
@@ -80,7 +79,7 @@ func main() {
 	if *ckptEvery > 0 && *statePath == "" {
 		log.Fatal("turbo-server: -checkpoint-interval needs -state, the snapshot file it writes")
 	}
-	memCfg, err := storeConfig(*storeMaxMB, *storeMaxEnt)
+	memCfg, err := storeConfig(*storeMaxMB)
 	if err != nil {
 		log.Fatalf("turbo-server: %v", err)
 	}
@@ -240,17 +239,18 @@ func main() {
 	}
 }
 
-// storeConfig maps -store-max-mb and -store-max-entries to the store's
-// config: the zero MemConfig (uncapped) when both are 0, a capped store
-// when either is positive. A negative cap is refused — store.Mem would
-// read it as no cap at all — and so is a byte cap whose shift to bytes
-// would wrap to zero or below.
-func storeConfig(maxMB, maxEntries int) (store.MemConfig, error) {
-	if maxMB < 0 || maxMB > math.MaxInt>>20 {
-		return store.MemConfig{}, fmt.Errorf("-store-max-mb %d is outside [0, %d] (0 = bytes unbounded)", maxMB, math.MaxInt>>20)
+// maxStoreMB is the largest -store-max-mb: the largest cap, in whole MiB,
+// whose live capped entries one arena always holds (cache.MaxStoreBytes).
+var maxStoreMB = cache.MaxStoreBytes >> 20
+
+// storeConfig maps -store-max-mb to the store's config: the zero
+// MemConfig (uncapped) at 0, a capped store when positive. A negative cap
+// is refused — store.Mem would read it as no cap at all — and so is one
+// above maxStoreMB, under which the store would refuse fills rather than
+// evict.
+func storeConfig(maxMB int) (store.MemConfig, error) {
+	if maxMB < 0 || maxMB > maxStoreMB {
+		return store.MemConfig{}, fmt.Errorf("-store-max-mb %d is outside [0, %d] (0 = unbounded)", maxMB, maxStoreMB)
 	}
-	if maxEntries < 0 {
-		return store.MemConfig{}, fmt.Errorf("-store-max-entries %d is negative (0 = entries unbounded)", maxEntries)
-	}
-	return store.MemConfig{MaxBytes: maxMB << 20, MaxEntries: maxEntries}, nil
+	return store.MemConfig{MaxBytes: maxMB << 20}, nil
 }

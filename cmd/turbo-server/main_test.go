@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/persist"
 	"repro/internal/server/httpd"
@@ -229,35 +230,42 @@ func nanCountSnapshot(t *testing.T) []byte {
 	})
 }
 
-// TestStoreConfig pins the two-flag → store.MemConfig mapping: no cap is
-// the zero config (the uncapped store), a cap is carried through in the
-// unit the store counts, and a negative one, or one whose byte count
-// wraps, is refused naming its flag instead of reaching a store that
-// would read it as unbounded.
+// TestStoreConfig pins the flag → store.MemConfig mapping: no cap is the
+// zero config (the uncapped store), a cap is carried through in the unit
+// the store counts, and a negative one, or one above the 2,329 MiB one
+// arena always honours, is refused naming its flag instead of reaching a
+// store that would read it as unbounded or refuse fills. 2,329 MiB is
+// the record layout's figure: a capped record of the smallest entry (a
+// 1-byte key, a 25-byte value) is 10 + 9 + 26 = 45 bytes, a 64 KiB chunk
+// filled to within one 1 KiB record holds (65,536 − 1,023) × 26 / 45 =
+// 37,274 bytes of payload, and 65,528 of the 65,536 chunk slots hold
+// 2,442,490,672 bytes.
 func TestStoreConfig(t *testing.T) {
+	if maxStoreMB != 2329 || cache.MaxStoreBytes != 2_442_490_672 {
+		t.Fatalf("largest cap %d MiB (%d bytes), want 2329 MiB (2442490672 bytes)", maxStoreMB, cache.MaxStoreBytes)
+	}
 	for _, tc := range []struct {
-		maxMB, maxEntries int
-		want              store.MemConfig
-		errNames          string
+		maxMB int
+		want  store.MemConfig
+		err   bool
 	}{
-		{0, 0, store.MemConfig{}, ""},
-		{1, 0, store.MemConfig{MaxBytes: 1 << 20}, ""},
-		{0, 7, store.MemConfig{MaxEntries: 7}, ""},
-		{-5, 0, store.MemConfig{}, "-store-max-mb"},
-		{math.MaxInt >> 20, 0, store.MemConfig{MaxBytes: math.MaxInt >> 20 << 20}, ""},
-		{1 << 43, 0, store.MemConfig{}, "-store-max-mb"}, // shifts to -2^63
-		{1 << 44, 0, store.MemConfig{}, "-store-max-mb"}, // shifts to 0
-		{0, -1, store.MemConfig{}, "-store-max-entries"},
+		{0, store.MemConfig{}, false},
+		{1, store.MemConfig{MaxBytes: 1 << 20}, false},
+		{2329, store.MemConfig{MaxBytes: 2329 << 20}, false},
+		{-5, store.MemConfig{}, true},
+		{2330, store.MemConfig{}, true},
+		{1 << 43, store.MemConfig{}, true}, // shifts to -2^63
+		{1 << 44, store.MemConfig{}, true}, // shifts to 0
 	} {
-		got, err := storeConfig(tc.maxMB, tc.maxEntries)
-		if tc.errNames != "" {
-			if err == nil || !strings.Contains(err.Error(), tc.errNames) {
-				t.Errorf("storeConfig(%d, %d) = %+v, %v; want an error naming %s", tc.maxMB, tc.maxEntries, got, err, tc.errNames)
+		got, err := storeConfig(tc.maxMB)
+		if tc.err {
+			if err == nil || !strings.Contains(err.Error(), "-store-max-mb") {
+				t.Errorf("storeConfig(%d) = %+v, %v; want an error naming -store-max-mb", tc.maxMB, got, err)
 			}
 			continue
 		}
 		if err != nil || got != tc.want {
-			t.Errorf("storeConfig(%d, %d) = %+v, %v; want %+v", tc.maxMB, tc.maxEntries, got, err, tc.want)
+			t.Errorf("storeConfig(%d) = %+v, %v; want %+v", tc.maxMB, got, err, tc.want)
 		}
 	}
 }

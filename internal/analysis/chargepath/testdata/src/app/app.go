@@ -54,11 +54,11 @@ func fillUnpaid(c *cache.Exact) {
 // A backend write is a fill too, through the interface or the store
 // itself.
 func fillBackendUnpaid(b store.Backend) {
-	_ = b.Set("ns", "k", 1) // want `cache fill \(Set\) with no admission result`
+	_ = b.Set("k", 1) // want `cache fill \(Set\) with no admission result`
 }
 
 func fillMemUnpaid(m *store.Mem) {
-	_ = m.Set("ns", "k", 1) // want `cache fill \(Set\) with no admission result`
+	_ = m.Set("k", 1) // want `cache fill \(Set\) with no admission result`
 }
 
 // A Set on anything but the store is not a cache fill.
@@ -84,7 +84,7 @@ func fillPaid(c *cache.Exact) {
 
 func fillBackendPaid(b store.Backend) {
 	r := admit()
-	_ = b.Set("ns", "k", r.Value)
+	_ = b.Set("k", r.Value)
 }
 
 // Evidence through a same-package helper also counts.

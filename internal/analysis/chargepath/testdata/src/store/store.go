@@ -3,12 +3,12 @@
 package store
 
 type Backend interface {
-	Set(ns, k string, v float64) error
+	Set(k string, v float64) error
 }
 
 type Mem struct{ m map[string]float64 }
 
-func (s *Mem) Set(ns, k string, v float64) error {
-	s.m[ns+":"+k] = v
+func (s *Mem) Set(k string, v float64) error {
+	s.m[k] = v
 	return nil
 }

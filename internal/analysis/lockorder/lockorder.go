@@ -14,17 +14,16 @@
 //	  < { core.Session.singleMu , tree.Tree.mu }
 //	  < cache.Exact.mu
 //	  < accountant.Block.mu
-//	  < store.Mem.nsMu
-//	  < store.memStripe.mu
+//	  < store.Mem.mu
 //	  < store.pageSet.mu
 //
 // accountant.Block.mu is the accountant package's only mutex: one set of
 // books, one lock, nothing to nest inside the package. It is a leaf —
 // nothing is acquired while it is held — so its rank only says which
 // locks a payer may hold when it calls in (the session, tree and cache
-// locks above it). store.Mem.nsMu, the
-// namespace-intern lock, is taken and released before a stripe lock and
-// never inside one (every operation resolves its namespace id first).
+// locks above it). store.Mem.mu is the store's one lock: a store serves
+// one cache and holds one arena. Nothing above it is taken under it; the
+// page set's lock is, when the arena maps or unmaps a chunk.
 //
 // tree.Tree.mu is acquired twice per query under the split-phase Run
 // discipline (a locked claim, an unlocked execute, a locked commit); the
@@ -69,8 +68,7 @@ var Ranks = map[string]int{
 	"tree.Tree.mu":           30,
 	"cache.Exact.mu":         45,
 	"accountant.Block.mu":    55,
-	"store.Mem.nsMu":         58,
-	"store.memStripe.mu":     60,
+	"store.Mem.mu":           60,
 	"store.pageSet.mu":       62,
 }
 

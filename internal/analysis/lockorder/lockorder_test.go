@@ -15,8 +15,8 @@ func TestLockorder(t *testing.T) {
 		"locks.Session.appendMu":  20,
 		"locks.Tree.mu":           30,
 		"locks.Exact.mu":          45,
-		"locks.Store.mu":          55,
-		"locks.Store2.mu":         55,
+		"locks.Store.mu":          60,
+		"locks.Store2.mu":         60,
 	}
 	analysistestlite.Run(t, lockorder.Analyzer, "locks")
 }

@@ -3,7 +3,7 @@
 //
 //	locks.Session.persistMu (10) < locks.Session.appendMu (20)
 //	  < locks.Tree.mu (30) < locks.Exact.mu (45)
-//	  < locks.Store.mu (55) = locks.Store2.mu (55)
+//	  < locks.Store.mu (60) = locks.Store2.mu (60)
 package locks
 
 import "sync"
@@ -36,14 +36,14 @@ func inOrder(s *Session, st *Store) {
 
 func inverted(s *Session, st *Store) {
 	st.mu.Lock()
-	s.appendMu.Lock() // want `locks\.Session\.appendMu \(rank 20\) acquired while locks\.Store\.mu \(rank 55\) is held`
+	s.appendMu.Lock() // want `locks\.Session\.appendMu \(rank 20\) acquired while locks\.Store\.mu \(rank 60\) is held`
 	s.appendMu.Unlock()
 	st.mu.Unlock()
 }
 
 func rlockInverted(s *Session, st *Store) {
 	st.mu.RLock()
-	s.appendMu.Lock() // want `locks\.Session\.appendMu \(rank 20\) acquired while locks\.Store\.mu \(rank 55\) is held`
+	s.appendMu.Lock() // want `locks\.Session\.appendMu \(rank 20\) acquired while locks\.Store\.mu \(rank 60\) is held`
 	s.appendMu.Unlock()
 	st.mu.RUnlock()
 }
@@ -58,7 +58,7 @@ func invertedAllowed(s *Session, st *Store) {
 
 func equalRank(a *Store, b *Store2) {
 	a.mu.Lock()
-	b.mu.Lock() // want `locks\.Store2\.mu \(rank 55\) acquired while locks\.Store\.mu \(rank 55\) is held`
+	b.mu.Lock() // want `locks\.Store2\.mu \(rank 60\) acquired while locks\.Store\.mu \(rank 60\) is held`
 	b.mu.Unlock()
 	a.mu.Unlock()
 }
@@ -113,7 +113,7 @@ func lockAppend(s *Session) {
 
 func callWhileHoldingStore(s *Session, st *Store) {
 	st.mu.Lock()
-	lockAppend(s) // want `call to lockAppend acquires locks\.Session\.appendMu \(rank 20\) while locks\.Store\.mu \(rank 55\) is held`
+	lockAppend(s) // want `call to lockAppend acquires locks\.Session\.appendMu \(rank 20\) while locks\.Store\.mu \(rank 60\) is held`
 	st.mu.Unlock()
 }
 
@@ -135,4 +135,20 @@ func unknownLocks(o *other, st *Store) {
 	o.mu.Lock()
 	o.mu.Unlock()
 	st.mu.Unlock()
+}
+
+// The store's one lock: taking it again under itself is a self-deadlock,
+// and the cache's lock is never taken under it.
+func storeReentry(st *Store) {
+	st.mu.Lock()
+	st.mu.RLock() // want `locks\.Store\.mu acquired while already held \(self-deadlock\)`
+	st.mu.RUnlock()
+	st.mu.Unlock()
+}
+
+func exactUnderStore(c *Exact, st *Store) {
+	st.mu.RLock()
+	c.mu.Lock() // want `locks\.Exact\.mu \(rank 45\) acquired while locks\.Store\.mu \(rank 60\) is held`
+	c.mu.Unlock()
+	st.mu.RUnlock()
 }

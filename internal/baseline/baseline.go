@@ -19,14 +19,14 @@ import (
 	"repro/internal/store"
 )
 
-// backendOrPrivate returns be, or a private unbounded store when nil —
-// the documented fallback for baselines, which never share caching state
-// across systems.
-func backendOrPrivate(be store.Backend) store.Backend {
-	if be == nil {
-		return store.NewMem(store.MemConfig{})
+// newPrivateCache is a baseline's exact cache, over an unbounded store of
+// its own: baselines never share caching state across systems.
+func newPrivateCache() *cache.Exact {
+	c, err := cache.NewExact(store.NewMem(store.MemConfig{}), 0)
+	if err != nil {
+		panic(err) // unreachable: the backend is never nil
 	}
-	return be
+	return c
 }
 
 // System answers linear queries end-to-end under a global DP guarantee.
@@ -88,16 +88,11 @@ type ExactCache struct {
 	cache       *cache.Exact
 }
 
-// NewExactCache builds the exact-match cache baseline over be (nil for a
-// private store).
-func NewExactCache(alpha, beta float64, exec *dataset.Executor, block *accountant.Block, be store.Backend) *ExactCache {
-	c, err := cache.NewExact(backendOrPrivate(be), "exact")
-	if err != nil {
-		panic(err) // unreachable: the backend is never nil here
-	}
+// NewExactCache builds the exact-match cache baseline.
+func NewExactCache(alpha, beta float64, exec *dataset.Executor, block *accountant.Block) *ExactCache {
 	return &ExactCache{
 		Alpha: alpha, Beta: beta, Exec: exec, Block: block,
-		cache: c,
+		cache: newPrivateCache(),
 	}
 }
 
@@ -149,16 +144,11 @@ type TreeExactCache struct {
 	cache       *cache.Exact
 }
 
-// NewTreeExactCache builds the per-node exact-match cache baseline over
-// be (nil for a private store).
-func NewTreeExactCache(alpha, beta float64, exec *dataset.Executor, block *accountant.Block, be store.Backend) *TreeExactCache {
-	c, err := cache.NewExact(backendOrPrivate(be), "tree-exact")
-	if err != nil {
-		panic(err) // unreachable: the backend is never nil here
-	}
+// NewTreeExactCache builds the per-node exact-match cache baseline.
+func NewTreeExactCache(alpha, beta float64, exec *dataset.Executor, block *accountant.Block) *TreeExactCache {
 	return &TreeExactCache{
 		Alpha: alpha, Beta: beta, Exec: exec, Block: block,
-		cache: c,
+		cache: newPrivateCache(),
 	}
 }
 

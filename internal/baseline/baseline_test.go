@@ -88,7 +88,7 @@ func TestDirectLaplaceExhaustion(t *testing.T) {
 func TestExactCacheRepeatsAreFree(t *testing.T) {
 	dom, ds := build(t, 1)
 	exec, block := sys(ds, 1000, 7)
-	ec := NewExactCache(0.05, 0.001, exec, block, nil)
+	ec := NewExactCache(0.05, 0.001, exec, block)
 	q := query.MustNew(dom, map[int][]int{0: {1}})
 	r1, err := ec.Run(q)
 	if err != nil {
@@ -116,7 +116,7 @@ func TestExactCacheRepeatsAreFree(t *testing.T) {
 func TestExactCacheInvalidatedByDataChange(t *testing.T) {
 	dom, ds := build(t, 1)
 	exec, block := sys(ds, 1000, 8)
-	ec := NewExactCache(0.05, 0.001, exec, block, nil)
+	ec := NewExactCache(0.05, 0.001, exec, block)
 	q := query.MustNew(dom, map[int][]int{0: {1}})
 	if _, err := ec.Run(q); err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestExactCacheInvalidatedByDataChange(t *testing.T) {
 func TestTreeExactCacheSharesSubresults(t *testing.T) {
 	dom, ds := build(t, 8)
 	exec, block := sys(ds, 1000, 9)
-	tc := NewTreeExactCache(0.05, 0.001, exec, block, nil)
+	tc := NewTreeExactCache(0.05, 0.001, exec, block)
 	if tc.Name() != "tree-exact-cache" {
 		t.Fatal("name")
 	}
@@ -168,7 +168,7 @@ func TestTreeExactCacheSharesSubresults(t *testing.T) {
 func TestTreeExactCacheAccuracy(t *testing.T) {
 	dom, ds := build(t, 8)
 	exec, block := sys(ds, 10000, 10)
-	tc := NewTreeExactCache(0.05, 0.001, exec, block, nil)
+	tc := NewTreeExactCache(0.05, 0.001, exec, block)
 	q := query.MustNew(dom, map[int][]int{0: {1}}).WithWindow(1, 6)
 	truth, _ := ds.TrueFraction(q, 1, 6)
 	r, err := tc.Run(q)
@@ -186,9 +186,9 @@ func TestTreeExactCacheCostsMoreThanFlatPerMiss(t *testing.T) {
 	// §6.4 observation that lets the flat cache win on small pools.
 	dom, ds := build(t, 8)
 	execA, blockA := sys(ds, 10000, 11)
-	flat := NewExactCache(0.05, 0.001, execA, blockA, nil)
+	flat := NewExactCache(0.05, 0.001, execA, blockA)
 	execB, blockB := sys(ds, 10000, 12)
-	treeC := NewTreeExactCache(0.05, 0.001, execB, blockB, nil)
+	treeC := NewTreeExactCache(0.05, 0.001, execB, blockB)
 	q := query.MustNew(dom, map[int][]int{0: {1}}).WithWindow(1, 6) // splits into 3 nodes
 	if _, err := flat.Run(q); err != nil {
 		t.Fatal(err)
@@ -252,8 +252,8 @@ func TestSystemsShareInterface(t *testing.T) {
 	exec, block := sys(ds, 1000, 15)
 	systems := []System{
 		NewDirectLaplace(0.05, 0.001, exec, block),
-		NewExactCache(0.05, 0.001, exec, block, nil),
-		NewTreeExactCache(0.05, 0.001, exec, block, nil),
+		NewExactCache(0.05, 0.001, exec, block),
+		NewTreeExactCache(0.05, 0.001, exec, block),
 		NewLaplaceHistogram(0.05, 0.001, exec, block, noise.NewRng(2)),
 	}
 	q := query.MustNew(dom, map[int][]int{0: {1}})

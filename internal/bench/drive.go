@@ -141,9 +141,9 @@ func (e *Env) baselineArm(kind string, seed uint64) arm {
 	case "laplace":
 		sys = baseline.NewDirectLaplace(e.Alpha, e.Beta, exec, block)
 	case "exact-cache":
-		sys = baseline.NewExactCache(e.Alpha, e.Beta, exec, block, nil)
+		sys = baseline.NewExactCache(e.Alpha, e.Beta, exec, block)
 	case "tree-exact-cache":
-		sys = baseline.NewTreeExactCache(e.Alpha, e.Beta, exec, block, nil)
+		sys = baseline.NewTreeExactCache(e.Alpha, e.Beta, exec, block)
 	case "laplace-histogram":
 		sys = baseline.NewLaplaceHistogram(e.Alpha, e.Beta, exec, block, noise.NewRng(seed+1))
 	default:

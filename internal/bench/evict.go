@@ -8,10 +8,10 @@
 // again. At 1x nothing is evicted, and the capped run repeats the uncapped
 // one bit for bit.
 //
-// The store has one stripe, so its eviction order is one list rather than
-// a function of the per-process hash seed, and the exact cache's fast map
-// holds one entry, so it cannot go on serving what the store evicted: the
-// runs are deterministic, and the capped store is the cache.
+// The store's eviction order is one list, not a function of the
+// per-process hash seed, and the exact cache's fast map holds one entry,
+// so it cannot go on serving what the store evicted: the runs are
+// deterministic, and the capped store is the cache.
 
 package bench
 
@@ -51,7 +51,7 @@ func Evict(sc Scale) (Result, error) {
 		whole := Series{Name: d.name + "/uncapped"}
 		reexec := Series{Name: d.name + "/slru re-executions"}
 		for _, frac := range evictCaps {
-			capped, err := evictRun(env, queries, store.MemConfig{MaxBytes: int(frac * float64(uncapped.bytes)), Stripes: 1})
+			capped, err := evictRun(env, queries, store.MemConfig{MaxBytes: int(frac * float64(uncapped.bytes))})
 			if err != nil {
 				return Result{}, err
 			}

@@ -51,7 +51,7 @@ func ExampleNewCovidEnv() {
 	// Exact-match cache only (what a conventional result cache gives you).
 	ecBlock := accountant.NewBlock(env.EpsG, env.DS.Partitions())
 	ec := baseline.NewExactCache(env.Alpha, env.Beta,
-		dataset.NewExecutor(env.DS, noise.NewRng(4)), ecBlock, nil)
+		dataset.NewExecutor(env.DS, noise.NewRng(4)), ecBlock)
 
 	for i, q := range stream {
 		if _, err := sess.Answer(q); err != nil && !errors.Is(err, accountant.ErrBudgetExhausted) {

@@ -71,29 +71,29 @@ func TestEntryCodecRefusesGob(t *testing.T) {
 // depends on re-encoded bytes matching stored ones.
 func TestBackendEntryCodecPath(t *testing.T) {
 	backends := map[string]store.Backend{
-		"striped-map":  store.NewMem(store.MemConfig{}),
-		"bounded-slru": store.NewMem(store.MemConfig{MaxEntries: 64}),
+		"arena":        store.NewMem(store.MemConfig{}),
+		"bounded-slru": store.NewMem(store.MemConfig{MaxBytes: 64 * (1 + entryWireLen)}),
 	}
 	for name, b := range backends {
 		e := Entry{Value: 0.5, Eps: 0.1, Version: 3}
-		if err := b.Set("c", "k", e); err != nil {
+		if err := b.Set("k", e); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		raw := b.ExportNamespace("c")["k"]
+		raw := b.Export()["k"]
 		if len(raw) != entryWireLen || raw[0] != entryTag {
 			t.Fatalf("%s: stored bytes %x are not the codec format", name, raw)
 		}
 		var got Entry
-		if found, err := b.Get("c", "k", &got); err != nil || !found {
+		if found, err := b.Get("k", &got); err != nil || !found {
 			t.Fatalf("%s: get: %v %v", name, found, err)
 		}
 		if got != e {
 			t.Fatalf("%s: got %+v want %+v", name, got, e)
 		}
-		if b.CompareDelete("c", "k", Entry{Value: 0.5, Eps: 0.1, Version: 4}) {
+		if b.CompareDelete("k", Entry{Value: 0.5, Eps: 0.1, Version: 4}) {
 			t.Fatalf("%s: CompareDelete erased a mismatched entry", name)
 		}
-		if !b.CompareDelete("c", "k", e) {
+		if !b.CompareDelete("k", e) {
 			t.Fatalf("%s: CompareDelete refused the matching entry", name)
 		}
 	}
@@ -104,7 +104,7 @@ func TestBackendEntryCodecPath(t *testing.T) {
 // refused naming its key, and the cache keeps what it held.
 func TestRestorePayloadGobFallback(t *testing.T) {
 	q := query.MustNew(dom(), map[int][]int{0: {1}}).WithWindow(0, 2)
-	c, err := NewExact(store.NewMem(store.MemConfig{}), "fallback")
+	c, err := NewExact(store.NewMem(store.MemConfig{}), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

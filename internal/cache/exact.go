@@ -8,9 +8,9 @@
 // re-serving a stored DP result is free (post-processing) as long as the
 // underlying data is unchanged.
 //
-// Caches program against the pluggable store.Backend interface rather
-// than a concrete store, so the same cache runs over the in-memory store
-// capped or not. Entries are written through the fixed 25-byte codec
+// An exact cache owns the store it is built over, and programs against
+// the pluggable store.Backend interface rather than a concrete store, so
+// the same cache runs over the in-memory store capped or not. Entries are written through the fixed 25-byte codec
 // (codec.go). A backend eviction is indistinguishable from a miss here —
 // the query re-executes, and re-pays, through the session's single-flight
 // path, so eviction can never corrupt the accountant.
@@ -45,10 +45,19 @@ type Entry struct {
 const DefaultFastEntries = 4096
 
 // ErrNilBackend reports an exact cache constructed without a backing
-// store. Callers must pass the store explicitly: silently allocating a
-// private one here used to let a mis-wired session lose shared-cache
-// semantics without any symptom.
+// store. Callers pass the store explicitly, so that a capped store the
+// server configured cannot be silently replaced by an unbounded one.
 var ErrNilBackend = errors.New("cache: nil store backend")
+
+// MaxStoreBytes is the largest store cap (store.MemConfig.MaxBytes) under
+// which one arena holds every live entry: a cache entry is at least a
+// one-byte key (the window header) and a 25-byte value.
+var MaxStoreBytes = store.MaxCapBytes(1 + entryWireLen)
+
+// sectionName is the snapshot section of the cache. It names the
+// namespace the session's cache once had in a shared store, so that every
+// state file written since restores.
+const sectionName = "cache/session-exact"
 
 // Exact is an exact-match cache backed by a store.Backend (the
 // prototype's Redis role), with a bounded decoded-entry fast map in front
@@ -61,7 +70,6 @@ var ErrNilBackend = errors.New("cache: nil store backend")
 // pipeline probes the cache without holding any execution lock.
 type Exact struct {
 	store   store.Backend
-	ns      string
 	maxFast int
 
 	mu   sync.RWMutex
@@ -70,31 +78,24 @@ type Exact struct {
 	hits, misses atomic.Int64
 }
 
-// NewExact creates an exact cache using namespace ns of backend b, with
-// the default fast-map bound. Multiple caches share one backend under
-// different namespaces. A nil backend is ErrNilBackend.
-func NewExact(b store.Backend, ns string) (*Exact, error) {
-	return NewExactBounded(b, ns, DefaultFastEntries)
-}
-
-// NewExactBounded creates an exact cache whose decoded fast map holds at
-// most maxFast entries (0 or negative falls back to the default). A nil
-// backend is ErrNilBackend.
+// NewExact creates an exact cache that owns backend b, with a decoded
+// fast map of at most maxFast entries (0 or negative falls back to
+// DefaultFastEntries). A nil backend is ErrNilBackend.
 //
-// A new cache starts empty: whatever b already holds under ns (a backend
-// an earlier session used) is releases charged to books this cache's
-// owner does not have, so the namespace is cleared here. Entries that do
-// come with their books return through RestorePayload, from the snapshot
-// that carries the accountant too.
-func NewExactBounded(b store.Backend, ns string, maxFast int) (*Exact, error) {
+// A new cache starts empty: whatever b already holds (a backend an earlier
+// session used) is releases charged to books this cache's owner does not
+// have, so the store is cleared here. Entries that do come with their
+// books return through RestorePayload, from the snapshot that carries the
+// accountant too.
+func NewExact(b store.Backend, maxFast int) (*Exact, error) {
 	if b == nil {
-		return nil, fmt.Errorf("%w (namespace %q)", ErrNilBackend, ns)
+		return nil, ErrNilBackend
 	}
 	if maxFast <= 0 {
 		maxFast = DefaultFastEntries
 	}
-	b.ImportNamespace(ns, nil)
-	return &Exact{store: b, ns: ns, maxFast: maxFast, fast: make(map[string]Entry)}, nil
+	b.Import(nil)
+	return &Exact{store: b, maxFast: maxFast, fast: make(map[string]Entry)}, nil
 }
 
 // Get returns the cached result for q at the given data version. A fast-map
@@ -113,7 +114,7 @@ func (c *Exact) Get(q *query.Query, version int) (Entry, bool) {
 		c.invalidate(key, e)
 	}
 	var stored Entry
-	found, err := c.store.Get(c.ns, key, &stored)
+	found, err := c.store.Get(key, &stored)
 	if err != nil || !found {
 		c.misses.Add(1)
 		return Entry{}, false
@@ -138,7 +139,7 @@ func (c *Exact) Get(q *query.Query, version int) (Entry, bool) {
 // sight, exactly as it does a stale backend entry.
 func (c *Exact) Put(q *query.Query, version int, value, eps float64) error {
 	key := q.KeyWithWindow()
-	if err := c.store.Set(c.ns, key, Entry{Value: value, Eps: eps, Version: version}); err != nil {
+	if err := c.store.Set(key, Entry{Value: value, Eps: eps, Version: version}); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -173,19 +174,19 @@ func (c *Exact) invalidate(key string, stale Entry) {
 		delete(c.fast, key)
 	}
 	c.mu.Unlock()
-	c.store.CompareDelete(c.ns, key, stale)
+	c.store.CompareDelete(key, stale)
 }
 
-// SnapshotSection implements persist.Snapshotter: each cache persists the
-// namespace slice of the KV store it owns, tagged by that namespace.
-func (c *Exact) SnapshotSection() string { return "cache/" + c.ns }
+// SnapshotSection implements persist.Snapshotter: the cache persists the
+// store it owns.
+func (c *Exact) SnapshotSection() string { return sectionName }
 
 // exactBlock is one block of a cache section: keys sorted, so the payload
 // encodes byte-identically for identical contents (store exports are
 // maps; TestSnapshotBytesDeterministic pins the whole envelope). A cache
 // writes one block; a section may carry several (an older build striped
 // its namespace and wrote one block per stripe), and all of them restore
-// into the one namespace.
+// into the one store.
 type exactBlock struct {
 	Index int
 	Keys  []string
@@ -213,7 +214,7 @@ func encodeBlocks(blocks []exactBlock) []byte {
 // bytes; the decoded fast map is a rebuildable acceleration layer and is
 // skipped).
 func (c *Exact) SnapshotPayload() ([]byte, error) {
-	data := c.store.ExportNamespace(c.ns)
+	data := c.store.Export()
 	b := exactBlock{Keys: make([]string, 0, len(data))}
 	for k := range data {
 		b.Keys = append(b.Keys, k)
@@ -240,7 +241,7 @@ func decodeSection(payload []byte) ([]restoredEntry, error) {
 	d := persist.NewDecoder(payload)
 	var out []restoredEntry
 	for range d.Count(2) {
-		d.Int() // the block index: every block restores into the one namespace
+		d.Int() // the block index: every block restores into the one store
 		for range d.Count(2) {
 			key, val := string(d.Bytes()), d.Bytes()
 			if d.Err() != nil {
@@ -270,12 +271,12 @@ func (c *Exact) StagePayload(payload []byte) (func() error, error) {
 		return nil, err
 	}
 	return func() error {
-		c.store.ImportNamespace(c.ns, nil) // clear the namespace
+		c.store.Import(nil)
 		c.mu.Lock()
 		c.fast = make(map[string]Entry)
 		c.mu.Unlock()
 		for _, r := range entries {
-			if err := c.store.Set(c.ns, r.key, r.e); err != nil {
+			if err := c.store.Set(r.key, r.e); err != nil {
 				return err
 			}
 		}
@@ -283,11 +284,11 @@ func (c *Exact) StagePayload(payload []byte) (func() error, error) {
 	}, nil
 }
 
-// RestorePayload replaces the cache's namespace contents with a
-// snapshot's and resets the fast map, so every restored entry is decoded
-// from the store on first touch. The whole payload is decoded before the
-// namespace clears (StagePayload), so a bad key or value is a refusal
-// that leaves the cache as it was.
+// RestorePayload replaces the cache's contents with a snapshot's and
+// resets the fast map, so every restored entry is decoded from the store
+// on first touch. The whole payload is decoded before the store clears
+// (StagePayload), so a bad key or value is a refusal that leaves the cache
+// as it was.
 func (c *Exact) RestorePayload(payload []byte) error {
 	apply, err := c.StagePayload(payload)
 	if err != nil {
@@ -310,16 +311,3 @@ func (c *Exact) HitRate() float64 {
 	}
 	return float64(hits) / float64(total)
 }
-
-// FastLen returns the number of decoded entries resident in the fast map.
-func (c *Exact) FastLen() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.fast)
-}
-
-// Len returns the number of cached entries in the cache's namespace.
-func (c *Exact) Len() int { return len(c.store.Keys(c.ns)) }
-
-// String identifies the cache.
-func (c *Exact) String() string { return fmt.Sprintf("exact-cache(%s)", c.ns) }

@@ -25,26 +25,26 @@ func dom() *domain.Domain {
 
 // newCache builds an exact cache over a private in-memory store, failing the
 // test on constructor errors.
-func newCache(t *testing.T, ns string) *Exact {
+func newCache(t *testing.T, maxFast int) *Exact {
 	t.Helper()
-	c, err := NewExact(store.NewMem(store.MemConfig{}), ns)
+	c, err := NewExact(store.NewMem(store.MemConfig{}), maxFast)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
+// entries is the number of entries in the cache's store.
+func (c *Exact) entries() int { return c.store.Stats().Entries }
+
 func TestNilBackendRefused(t *testing.T) {
-	if _, err := NewExact(nil, "t"); !errors.Is(err, ErrNilBackend) {
+	if _, err := NewExact(nil, 4); !errors.Is(err, ErrNilBackend) {
 		t.Fatalf("NewExact(nil) err = %v, want ErrNilBackend", err)
-	}
-	if _, err := NewExactBounded(nil, "t", 4); !errors.Is(err, ErrNilBackend) {
-		t.Fatalf("NewExactBounded(nil) err = %v, want ErrNilBackend", err)
 	}
 }
 
 func TestPutGet(t *testing.T) {
-	c := newCache(t, "t")
+	c := newCache(t, 0)
 	q := query.MustNew(dom(), map[int][]int{0: {1}})
 	if _, ok := c.Get(q, 1); ok {
 		t.Fatal("hit on empty cache")
@@ -63,13 +63,13 @@ func TestPutGet(t *testing.T) {
 	if c.HitRate() != 0.5 {
 		t.Fatalf("HitRate = %g", c.HitRate())
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d", c.Len())
+	if c.entries() != 1 {
+		t.Fatalf("Len = %d", c.entries())
 	}
 }
 
 func TestVersionInvalidation(t *testing.T) {
-	c := newCache(t, "t")
+	c := newCache(t, 0)
 	q := query.MustNew(dom(), map[int][]int{0: {1}})
 	_ = c.Put(q, 1, 0.42, 0.01)
 	if _, ok := c.Get(q, 2); ok {
@@ -78,7 +78,7 @@ func TestVersionInvalidation(t *testing.T) {
 }
 
 func TestWindowDistinguishesEntries(t *testing.T) {
-	c := newCache(t, "t")
+	c := newCache(t, 0)
 	q := query.MustNew(dom(), map[int][]int{0: {1}})
 	w1 := q.WithWindow(0, 1)
 	w2 := q.WithWindow(0, 2)
@@ -91,25 +91,8 @@ func TestWindowDistinguishesEntries(t *testing.T) {
 	}
 }
 
-func TestSharedStoreNamespaces(t *testing.T) {
-	st := store.NewMem(store.MemConfig{})
-	a, err := NewExact(st, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewExact(st, "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := query.MustNew(dom(), nil)
-	_ = a.Put(q, 1, 1.0, 0.1)
-	if _, ok := b.Get(q, 1); ok {
-		t.Fatal("namespace leak between caches")
-	}
-}
-
 func TestOverwrite(t *testing.T) {
-	c := newCache(t, "t")
+	c := newCache(t, 0)
 	q := query.MustNew(dom(), nil)
 	_ = c.Put(q, 1, 0.1, 0.01)
 	_ = c.Put(q, 2, 0.2, 0.02)
@@ -117,25 +100,22 @@ func TestOverwrite(t *testing.T) {
 	if !ok || e.Value != 0.2 {
 		t.Fatalf("overwrite failed: %+v %v", e, ok)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len after overwrite = %d", c.Len())
+	if c.entries() != 1 {
+		t.Fatalf("Len after overwrite = %d", c.entries())
 	}
 }
 
 func TestFastMapBounded(t *testing.T) {
-	c, err := NewExactBounded(store.NewMem(store.MemConfig{}), "t", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCache(t, 4)
 	base := query.MustNew(dom(), map[int][]int{0: {1}})
 	for i := 0; i < 32; i++ {
 		_ = c.Put(base.WithWindow(i, i), 1, float64(i), 0.01)
 	}
-	if got := c.FastLen(); got > 4 {
+	if got := len(c.fast); got > 4 {
 		t.Fatalf("fast map grew to %d entries, bound is 4", got)
 	}
-	if c.Len() != 32 {
-		t.Fatalf("store should keep all entries, Len = %d", c.Len())
+	if c.entries() != 32 {
+		t.Fatalf("store should keep all entries, Len = %d", c.entries())
 	}
 	// Entries evicted from the fast map are still served from the store.
 	for i := 0; i < 32; i++ {
@@ -153,7 +133,7 @@ func TestFastMapBounded(t *testing.T) {
 // respects the bound.
 func TestFastMapPromotesOnRead(t *testing.T) {
 	be := store.NewMem(store.MemConfig{})
-	c, err := NewExactBounded(be, "t", 4)
+	c, err := NewExact(be, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +142,7 @@ func TestFastMapPromotesOnRead(t *testing.T) {
 	if err := c.Put(q, 1, 0.25, 0.01); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.FastLen(); got != 0 {
+	if got := len(c.fast); got != 0 {
 		t.Fatalf("Put moved FastLen to %d, want it unchanged", got)
 	}
 	reads := be.Stats().Hits
@@ -172,7 +152,7 @@ func TestFastMapPromotesOnRead(t *testing.T) {
 	if got := be.Stats().Hits; got != reads+1 {
 		t.Fatalf("first Get made %d backend reads, want 1", got-reads)
 	}
-	if got := c.FastLen(); got != 1 {
+	if got := len(c.fast); got != 1 {
 		t.Fatalf("first Get left FastLen at %d, want 1 (promoted)", got)
 	}
 	if e, ok := c.Get(q, 1); !ok || e.Value != 0.25 {
@@ -185,7 +165,7 @@ func TestFastMapPromotesOnRead(t *testing.T) {
 	if err := c.Put(q, 1, 0.75, 0.02); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.FastLen(); got != 0 {
+	if got := len(c.fast); got != 0 {
 		t.Fatalf("re-Put left FastLen at %d, want 0 (promoted entry dropped)", got)
 	}
 	if e, ok := c.Get(q, 1); !ok || e.Value != 0.75 || e.Eps != 0.02 {
@@ -198,7 +178,7 @@ func TestFastMapPromotesOnRead(t *testing.T) {
 			t.Fatalf("window %d: %+v %v", i, e, ok)
 		}
 	}
-	if got := c.FastLen(); got != 4 {
+	if got := len(c.fast); got != 4 {
 		t.Fatalf("FastLen = %d after promoting 33 entries, want the bound, 4", got)
 	}
 }
@@ -213,10 +193,7 @@ func TestFastMapPromotesOnRead(t *testing.T) {
 // last word goes to a Put made once the storm is over, at the storm's
 // final version: whatever the race left promoted must not shadow it.
 func TestPromotionStorm(t *testing.T) {
-	c, err := NewExactBounded(store.NewMem(store.MemConfig{}), "t", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCache(t, 4)
 	q := query.MustNew(dom(), map[int][]int{0: {1}}).WithWindow(0, 0)
 	const versions = 2000
 	var cur, gets atomic.Int64
@@ -270,25 +247,22 @@ func TestPromotionStorm(t *testing.T) {
 }
 
 func TestStaleEntriesInvalidatedOnMiss(t *testing.T) {
-	c := newCache(t, "t")
+	c := newCache(t, 0)
 	q := query.MustNew(dom(), map[int][]int{0: {1}})
 	_ = c.Put(q, 1, 0.42, 0.01)
 	if _, ok := c.Get(q, 2); ok {
 		t.Fatal("stale entry served")
 	}
-	if got := c.FastLen(); got != 0 {
+	if got := len(c.fast); got != 0 {
 		t.Fatalf("stale fast entry retained: FastLen = %d", got)
 	}
-	if got := c.Len(); got != 0 {
+	if got := c.entries(); got != 0 {
 		t.Fatalf("stale store entry retained: Len = %d", got)
 	}
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	c, err := NewExactBounded(store.NewMem(store.MemConfig{}), "t", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCache(t, 64)
 	base := query.MustNew(dom(), map[int][]int{0: {1}})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -312,12 +286,9 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 func TestHitRateEmpty(t *testing.T) {
-	c := newCache(t, "t")
+	c := newCache(t, 0)
 	if c.HitRate() != 0 {
 		t.Fatal("empty cache hit rate nonzero")
-	}
-	if c.String() == "" {
-		t.Fatal("empty String()")
 	}
 }
 
@@ -343,7 +314,7 @@ func twoStripeSection(keys []string, val []byte) []byte {
 }
 
 // TestShardedSnapshotRoundTrip: a section with two stripe blocks, the
-// layout a two-shard build wrote, restores into the one namespace, and
+// layout a two-shard build wrote, restores into the one store, and
 // every entry of both blocks is an exact hit. Re-captured, it is one
 // block, which restores the same.
 func TestShardedSnapshotRoundTrip(t *testing.T) {
@@ -353,7 +324,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		keys = append(keys, base.WithWindow(w, w).KeyWithWindow())
 	}
 	val := Entry{Value: 0.25, Eps: 0.5, Version: 1}.AppendFast(nil)
-	c := newCache(t, "se")
+	c := newCache(t, 0)
 	if err := c.RestorePayload(twoStripeSection(keys, val)); err != nil {
 		t.Fatal(err)
 	}
@@ -361,13 +332,13 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := newCache(t, "se")
+	c2 := newCache(t, 0)
 	if err := c2.RestorePayload(again); err != nil {
 		t.Fatal(err)
 	}
 	for _, cc := range []*Exact{c, c2} {
-		if cc.Len() != 8 {
-			t.Fatalf("restored %d entries, want 8", cc.Len())
+		if cc.entries() != 8 {
+			t.Fatalf("restored %d entries, want 8", cc.entries())
 		}
 		for w := 0; w < 8; w++ {
 			e, ok := cc.Get(base.WithWindow(w, w), 1)
@@ -386,12 +357,13 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 // evicted entry is a plain miss (the caller re-executes and re-pays), and
 // an entry in use outlives the one-touch fills around it.
 func TestBoundedBackendEviction(t *testing.T) {
-	be := store.NewMem(store.MemConfig{MaxEntries: 8, Stripes: 1})
-	c, err := NewExactBounded(be, "t", 1) // trivial fast map: expose backend misses
+	base := query.MustNew(dom(), map[int][]int{0: {1}})
+	// Room for 8 entries: every key here is the same length.
+	be := store.NewMem(store.MemConfig{MaxBytes: 8 * (len(base.WithWindow(0, 0).KeyWithWindow()) + entryWireLen)})
+	c, err := NewExact(be, 1) // trivial fast map: expose backend misses
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := query.MustNew(dom(), map[int][]int{0: {1}})
 	// The first fill is read after every later one; nobody reads the rest.
 	_ = c.Put(base.WithWindow(0, 0), 1, 0.9, 0.5)
 	for w := 1; w < 32; w++ {
@@ -421,12 +393,12 @@ func TestBoundedBackendEviction(t *testing.T) {
 
 // TestRestoreRefusesBadSection: a key whose window header does not decode
 // — which no probe would ever build — and a value that does not decode are
-// each refused before the namespace clears, by an error quoting the key,
+// each refused before the store clears, by an error quoting the key,
 // in a one-block section and in the second block of a two-stripe one.
 // StagePayload refuses the same way, and the cache keeps serving what it
 // held.
 func TestRestoreRefusesBadSection(t *testing.T) {
-	c := newCache(t, "se")
+	c := newCache(t, 0)
 	base := query.MustNew(dom(), map[int][]int{0: {1}})
 	for w := 0; w < 4; w++ {
 		if err := c.Put(base.WithWindow(w, w), 1, float64(w), 0.5); err != nil {
@@ -449,8 +421,8 @@ func TestRestoreRefusesBadSection(t *testing.T) {
 				t.Fatalf("%s: %s = %v, want a refusal quoting %q", name, how, err, key)
 			}
 		}
-		if c.Len() != 4 {
-			t.Fatalf("%s: the refused restore left %d entries, want the 4 held", name, c.Len())
+		if c.entries() != 4 {
+			t.Fatalf("%s: the refused restore left %d entries, want the 4 held", name, c.entries())
 		}
 		for w := 0; w < 4; w++ {
 			if e, ok := c.Get(base.WithWindow(w, w), 1); !ok || e.Value != float64(w) {

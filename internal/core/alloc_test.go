@@ -100,7 +100,17 @@ func TestColdBatchAllocBudget(t *testing.T) {
 	if perStmt > ceiling {
 		t.Fatalf("cold statement allocates %.2f, budget %.2f", perStmt, ceiling)
 	}
-	if got := s.ExactCache().FastLen(); got != 0 {
-		t.Fatalf("fills promoted %d entries into the fast map, want 0 until one is read", got)
+	// No fill was promoted into the fast map: the first repeat of every
+	// statement reads the store.
+	hits := s.StoreStats().Hits
+	for _, qs := range batches {
+		for _, r := range s.AnswerBatch(qs) {
+			if r.Err != nil || r.Answer.Source != SourceExactHit {
+				t.Fatalf("repeat = %s, %v; want an exact hit", r.Answer.Source, r.Err)
+			}
+		}
+	}
+	if got := s.StoreStats().Hits - hits; got != int64(stmts) {
+		t.Fatalf("%d of %d first repeats read the store: fills were promoted into the fast map", got, stmts)
 	}
 }

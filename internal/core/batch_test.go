@@ -250,13 +250,13 @@ type fillGauge struct {
 	now, peak atomic.Int64
 }
 
-func (b *fillGauge) Set(ns, k string, value store.FastEncoder) error {
+func (b *fillGauge) Set(k string, value store.FastEncoder) error {
 	n := b.now.Add(1)
 	for p := b.peak.Load(); n > p && !b.peak.CompareAndSwap(p, n); p = b.peak.Load() {
 	}
 	time.Sleep(200 * time.Microsecond)
 	b.now.Add(-1)
-	return b.Backend.Set(ns, k, value)
+	return b.Backend.Set(k, value)
 }
 
 // TestAnswerBatchBoundedFanOut: a batch of 64 distinct misses executes on

@@ -214,9 +214,9 @@ func TestLegacySnapshotsLoad(t *testing.T) {
 			!strings.Contains(err.Error(), "snapshot is v2, this build reads v3") {
 			t.Fatalf("err = %v, want an ErrBadVersion refusal naming v2 and v3", err)
 		}
-		if restored.Accountant().MaxSpent() != 0 || restored.Queries() != 0 || restored.ExactCache().Len() != 0 {
+		if restored.Accountant().MaxSpent() != 0 || restored.Queries() != 0 || restored.StoreStats().Entries != 0 {
 			t.Fatalf("the refusal moved state: spent %v, %d queries, %d cached",
-				restored.Accountant().MaxSpent(), restored.Queries(), restored.ExactCache().Len())
+				restored.Accountant().MaxSpent(), restored.Queries(), restored.StoreStats().Entries)
 		}
 		fresh, err := NewSession(cfg, ds)
 		if err != nil {

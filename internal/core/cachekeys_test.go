@@ -12,9 +12,8 @@ import (
 )
 
 // TestColdReleasePayloadBytes pins what one cached covid release costs the
-// store in payload — what MemoryBytes counts and -store-max-mb bounds: the
-// namespace "session-exact" and its ":" (14 bytes), a 7-byte packed key
-// and the 25-byte entry, 46 in all.
+// store in payload — what MemoryBytes counts and -store-max-mb bounds: a
+// 7-byte packed key and the 25-byte entry, 32 in all.
 func TestColdReleasePayloadBytes(t *testing.T) {
 	ds, batches := coldBatches(t)
 	s := coldSession(t, ds)
@@ -23,8 +22,8 @@ func TestColdReleasePayloadBytes(t *testing.T) {
 	if st.Entries != stmts {
 		t.Fatalf("the store holds %d entries for %d cold statements", st.Entries, stmts)
 	}
-	if per := float64(st.Bytes) / float64(st.Entries); per > 46 {
-		t.Fatalf("%.1f payload bytes per cached release, want <= 46", per)
+	if per := float64(st.Bytes) / float64(st.Entries); per > 32 {
+		t.Fatalf("%.1f payload bytes per cached release, want <= 32", per)
 	}
 }
 
@@ -224,7 +223,7 @@ func TestLoadStateRefusesTreeNodeSection(t *testing.T) {
 			t.Fatalf("partition %d reads %g spent after the refusal", p, spent)
 		}
 	}
-	if n, nodes := dst.ExactCache().Len(), dst.Tree().Nodes(); n != 0 || nodes != 0 {
+	if n, nodes := dst.StoreStats().Entries, dst.Tree().Nodes(); n != 0 || nodes != 0 {
 		t.Fatalf("the refusal left %d cached releases and %d tree nodes, want none", n, nodes)
 	}
 	if _, err := dst.Answer(stmts[0]); err != nil {

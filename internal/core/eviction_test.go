@@ -20,6 +20,12 @@ import (
 	"repro/internal/store"
 )
 
+// payloadOf is the store payload of q's cached release: its key and the
+// encoded entry.
+func payloadOf(q *query.Query) int {
+	return len(q.KeyWithWindow()) + len(cache.Entry{}.AppendFast(nil))
+}
+
 // sumSpent totals the scalar block's per-partition spend.
 func sumSpent(s *Session) float64 {
 	total := 0.0
@@ -37,7 +43,9 @@ func sumSpent(s *Session) float64 {
 func TestEvictedWindowRepaysOnceThroughSingleFlight(t *testing.T) {
 	_, ds := buildDS(t, 8)
 	cfg := defaultCfg(Partitioned)
-	be := store.NewMem(store.MemConfig{MaxEntries: 4, Stripes: 1})
+	target := query.MustNew(ds.Domain(), map[int][]int{0: {1}}).WithWindow(0, 1)
+	// Room for four releases: every key here is the same length.
+	be := store.NewMem(store.MemConfig{MaxBytes: 4 * payloadOf(target)})
 	cfg.Backend = be
 	cfg.CacheFastEntries = 1 // the fast map must not mask backend evictions
 	s, err := NewSession(cfg, ds)
@@ -45,7 +53,6 @@ func TestEvictedWindowRepaysOnceThroughSingleFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	target := query.MustNew(ds.Domain(), map[int][]int{0: {1}}).WithWindow(0, 1)
 	first, err := s.Answer(target)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +72,7 @@ func TestEvictedWindowRepaysOnceThroughSingleFlight(t *testing.T) {
 		}
 	}
 	var gone cache.Entry
-	if found, _ := be.Get("session-exact", target.KeyWithWindow(), &gone); found {
+	if found, _ := be.Get(target.KeyWithWindow(), &gone); found {
 		t.Fatal("target entry survived churn; eviction never happened")
 	}
 
@@ -121,7 +128,9 @@ func TestEvictionUnderFire(t *testing.T) {
 	_, ds := buildDS(t, 8)
 	cfg := defaultCfg(Streaming)
 	cfg.EpsilonGlobal = 1000
-	be := store.NewMem(store.MemConfig{MaxEntries: 48, Stripes: 2})
+	filler := query.MustNew(ds.Domain(), map[int][]int{1: {0}}) // no worker asks it
+	capped := store.MemConfig{MaxBytes: 48 * payloadOf(filler.WithWindow(0, 0))}
+	be := store.NewMem(capped)
 	cfg.Backend = be
 	cfg.CacheFastEntries = 4
 	s, err := NewSession(cfg, ds)
@@ -182,13 +191,13 @@ func TestEvictionUnderFire(t *testing.T) {
 			}
 		}
 	}()
-	// Forced evictions: foreign-namespace churn squeezes cache entries
-	// out of the shared bounded backend.
+	// Forced evictions: fills of a predicate no worker asks squeeze the
+	// workers' entries out of the bounded backend.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 400; i++ {
-			_ = be.Set("filler", string(rune('a'+i%26))+string(rune('0'+i%10)), cache.Entry{Value: float64(i)})
+			_ = be.Set(filler.WithWindow(i%26, i%26+i%10).KeyWithWindow(), cache.Entry{Value: float64(i)})
 		}
 	}()
 	wg.Wait()
@@ -211,7 +220,7 @@ func TestEvictionUnderFire(t *testing.T) {
 	}
 	_, ds2 := buildDS(t, 8)
 	cfg2 := cfg
-	cfg2.Backend = store.NewMem(store.MemConfig{MaxEntries: 48, Stripes: 2})
+	cfg2.Backend = store.NewMem(capped)
 	s2, err := NewSession(cfg2, ds2)
 	if err != nil {
 		t.Fatal(err)
@@ -250,5 +259,58 @@ func TestEvictionUnderFire(t *testing.T) {
 	if after.Source == SourceExactHit {
 		t.Fatalf("stale-version cache hit after data change (value %g, pre-bump %g)",
 			after.Value, before.Value)
+	}
+}
+
+// refusingStore refuses every fill, as a store out of arena slots does.
+type refusingStore struct{ store.Backend }
+
+func (refusingStore) Set(string, store.FastEncoder) error { return store.ErrArenaFull }
+
+// TestRefusedFillServesPaidAnswer: a fill the store refuses is an
+// eviction of the new entry, through Answer and AnswerBatch alike. The
+// books are charged once and the paid answer goes out; the release is
+// not cached, so a repeat re-executes and pays again.
+func TestRefusedFillServesPaidAnswer(t *testing.T) {
+	for _, path := range []string{"Answer", "AnswerBatch"} {
+		t.Run(path, func(t *testing.T) {
+			_, ds := buildDS(t, 8)
+			cfg := defaultCfg(Partitioned)
+			cfg.Backend = refusingStore{store.NewMem(store.MemConfig{})}
+			s, err := NewSession(cfg, ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := query.MustNew(ds.Domain(), map[int][]int{0: {1}}).WithWindow(0, 3)
+			ask := func() Answer {
+				t.Helper()
+				if path == "Answer" {
+					a, err := s.Answer(q)
+					if err != nil {
+						t.Fatalf("a refused fill failed the paid answer: %v", err)
+					}
+					return a
+				}
+				r := s.AnswerBatch([]*query.Query{q})[0]
+				if r.Err != nil {
+					t.Fatalf("a refused fill failed the paid answer: %v", r.Err)
+				}
+				return r.Answer
+			}
+			first := ask()
+			if first.Paid <= 0 || first.Source == SourceExactHit {
+				t.Fatalf("first answer %s paid %g, want a paid execution", first.Source, first.Paid)
+			}
+			if spent := sumSpent(s); math.Abs(spent-first.Paid) > 1e-9 {
+				t.Fatalf("the books hold %g for one answer that paid %g", spent, first.Paid)
+			}
+			again := ask()
+			if again.Source == SourceExactHit || again.Paid <= 0 {
+				t.Fatalf("repeat %s paid %g, want a paid re-execution", again.Source, again.Paid)
+			}
+			if spent := sumSpent(s); math.Abs(spent-first.Paid-again.Paid) > 1e-9 {
+				t.Fatalf("the books hold %g for two answers that paid %g and %g", spent, first.Paid, again.Paid)
+			}
+		})
 	}
 }

@@ -366,7 +366,7 @@ func TestLoadStateRefusesPoisonedDataset(t *testing.T) {
 			t.Fatalf("%s: the refusal left the books over %d partitions and the dataset with %d, want 2 and 2",
 				tc.name, n, parts)
 		}
-		if n := dst.ExactCache().Len(); n != 0 {
+		if n := dst.StoreStats().Entries; n != 0 {
 			t.Fatalf("%s: the refusal left %d cached releases, want none", tc.name, n)
 		}
 		if err := dst.LoadState(bytes.NewReader(raw)); err != nil {
@@ -866,8 +866,8 @@ func TestSaveLoadTreeProperty(t *testing.T) {
 			if s2.Tree().Nodes() != s1.Tree().Nodes() {
 				t.Fatalf("restored %d nodes, want %d", s2.Tree().Nodes(), s1.Tree().Nodes())
 			}
-			if s2.ExactCache().Len() != s1.ExactCache().Len() {
-				t.Fatalf("restored cache %d entries, want %d", s2.ExactCache().Len(), s1.ExactCache().Len())
+			if s2.StoreStats().Entries != s1.StoreStats().Entries {
+				t.Fatalf("restored cache %d entries, want %d", s2.StoreStats().Entries, s1.StoreStats().Entries)
 			}
 
 			// Every asked query now answers identically on both sessions,
@@ -917,9 +917,9 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 			}
 		}
 	}
-	if s.ExactCache().Len() < 100 || s.Tree().Nodes() < 8 {
+	if s.StoreStats().Entries < 100 || s.Tree().Nodes() < 8 {
 		t.Fatalf("session under-populated: %d exact entries, %d nodes",
-			s.ExactCache().Len(), s.Tree().Nodes())
+			s.StoreStats().Entries, s.Tree().Nodes())
 	}
 	var first bytes.Buffer
 	if err := s.SaveState(&first); err != nil {

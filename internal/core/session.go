@@ -142,15 +142,16 @@ type Config struct {
 	// DeltaGlobal is δ_G for Gaussian mode; ignored otherwise.
 	DeltaGlobal float64
 	// Shards is ignored: the tree holds one lock and the exact cache one
-	// namespace. It is a compile shim for benchmark/, which sets it; a
+	// store. It is a compile shim for benchmark/, which sets it; a
 	// benchmark/-only change removes it.
 	Shards int
-	// Backend selects the storage backend every caching layer programs
-	// against (the paper's replaceable Redis tier): nil defaults to the
-	// unbounded in-memory store (store.NewMem with no caps); the same store
-	// built with a cap is the memory-bounded segmented LRU. Eviction is
-	// always safe — an evicted release re-executes and re-pays through the
-	// single-flight path.
+	// Backend is the store the session's exact cache owns (the paper's
+	// replaceable Redis tier). A backend serves one cache: the session
+	// clears it, and it must not be handed to another session. nil
+	// defaults to the unbounded in-memory store (store.NewMem with no
+	// cap); the same store built with a cap is the memory-bounded
+	// segmented LRU. Eviction is always safe — an evicted release
+	// re-executes and re-pays through the single-flight path.
 	Backend store.Backend
 	// CacheFastEntries bounds the exact cache's decoded fast map (0 uses
 	// cache.DefaultFastEntries). Tests shrink it to expose backend
@@ -266,7 +267,7 @@ func NewSession(cfg Config, ds *dataset.Dataset) (*Session, error) {
 	if be == nil {
 		be = store.NewMem(store.MemConfig{})
 	}
-	exact, err := cache.NewExactBounded(be, "session-exact", cfg.CacheFastEntries)
+	exact, err := cache.NewExact(be, cfg.CacheFastEntries)
 	if err != nil {
 		return nil, err
 	}
@@ -451,10 +452,11 @@ func (s *Session) execute(pl Plan, key string) (Answer, bool, error) {
 		}
 		// Cache the paid answer inside the flight, before the key is
 		// released: a duplicate that misses the in-flight map must find
-		// the cache filled, or it would execute — and pay — again.
-		if err := s.exact.Put(pl.Query, pl.Version, ans.Value, ans.Paid); err != nil {
-			return Answer{}, err
-		}
+		// the cache filled, or it would execute — and pay — again. A fill
+		// the store refuses (counted in its SetErrors) is an eviction of
+		// the new entry: the books are charged, so the answer goes out to
+		// the leader and every joiner, and a later ask re-executes.
+		_ = s.exact.Put(pl.Query, pl.Version, ans.Value, ans.Paid)
 		return ans, nil
 	})
 }

@@ -556,19 +556,18 @@ type IngestionStats struct {
 
 // CacheStats is the /schema cache section: the storage backend's
 // operation counters and memory accounting (hit/miss/eviction/bytes,
-// caps for bounded backends) plus the exact caches' hit rates. All
+// the cap of a bounded backend) plus the exact cache's hit rate. All
 // data-independent operational state.
 type CacheStats struct {
-	// Backend names the storage backend ("striped-map", "bounded-slru").
+	// Backend names the storage backend ("arena", "bounded-slru").
 	Backend string `json:"backend"`
 	// Entries/Bytes are resident backend state (Bytes counts payload: keys
 	// and encoded values); ResidentBytes is the memory the in-memory
 	// backend holds for them, 0 from one that does not count it;
-	// CapEntries/CapBytes the configured bounds (0 = unbounded).
+	// CapBytes the configured bound on Bytes (0 = unbounded).
 	Entries       int `json:"entries"`
 	Bytes         int `json:"bytes"`
 	ResidentBytes int `json:"resident_bytes"`
-	CapEntries    int `json:"cap_entries,omitempty"`
 	CapBytes      int `json:"cap_bytes,omitempty"`
 	// Hits/Misses/Evictions are backend-level Get/eviction counters.
 	Hits      int64 `json:"hits"`
@@ -576,7 +575,10 @@ type CacheStats struct {
 	Evictions int64 `json:"evictions"`
 	// DecodeErrors counts poisoned entries the backend found undecodable
 	// (deleted and re-executed, never served): a data-integrity signal.
+	// SetErrors counts fills the backend refused (the paid answer was
+	// served; a repeat re-executes).
 	DecodeErrors int64 `json:"decode_errors"`
+	SetErrors    int64 `json:"set_errors"`
 	// ExactHits/ExactMisses/ExactHitRate are the session's window-level
 	// exact cache counters (fast map included).
 	ExactHits    int     `json:"exact_hits"`
@@ -623,12 +625,12 @@ func (s *Server) handleSchema(w *Response, r *Request) {
 			Entries:       st.Entries,
 			Bytes:         st.Bytes,
 			ResidentBytes: st.ResidentBytes,
-			CapEntries:    st.CapEntries,
 			CapBytes:      st.CapBytes,
 			Hits:          st.Hits,
 			Misses:        st.Misses,
 			Evictions:     st.Evictions,
 			DecodeErrors:  st.DecodeErrors,
+			SetErrors:     st.SetErrors,
 			ExactHits:     exactHits,
 			ExactMisses:   exactMisses,
 			ExactHitRate:  exact.HitRate(),

@@ -290,7 +290,7 @@ func TestSchemaEndpoint(t *testing.T) {
 	if len(sr.Attributes) != 2 {
 		t.Fatalf("attributes = %v", sr.Attributes)
 	}
-	if sr.Cache == nil || sr.Cache.Backend != "striped-map" {
+	if sr.Cache == nil || sr.Cache.Backend != "arena" {
 		t.Fatalf("cache section = %+v", sr.Cache)
 	}
 }
@@ -301,10 +301,12 @@ type foreignValue string
 func (v foreignValue) AppendFast(dst []byte) []byte { return append(dst, v...) }
 
 // TestSchemaCacheSectionBounded pins the /schema cache section over the
-// bounded backend: backend name, caps, and live hit/miss/eviction/bytes
-// counters thread up from the store through the session.
+// bounded backend: backend name, cap, and live hit/miss/eviction/bytes
+// and error counters thread up from the store through the session.
 func TestSchemaCacheSectionBounded(t *testing.T) {
-	be := store.NewMem(store.MemConfig{MaxEntries: 4, Stripes: 1})
+	// Room for four releases: a covid key here is 7 bytes, an entry 25.
+	const capBytes = 4 * (7 + 25)
+	be := store.NewMem(store.MemConfig{MaxBytes: capBytes})
 	srv, _ := newTestServerWith(t, 100, func(c *core.Config) {
 		c.Backend = be
 		c.CacheFastEntries = 1 // expose backend traffic, not fast-map hits
@@ -313,12 +315,16 @@ func TestSchemaCacheSectionBounded(t *testing.T) {
 	defer ts.Close()
 	// Poison one backend entry and read it back as a cache entry: the
 	// backend deletes it and counts a decode error.
-	if err := be.Set("poison", "k", foreignValue("not-an-entry")); err != nil {
+	if err := be.Set("poison", foreignValue("not-an-entry")); err != nil {
 		t.Fatal(err)
 	}
 	var e cache.Entry
-	if ok, err := be.Get("poison", "k", &e); ok || err == nil {
+	if ok, err := be.Get("poison", &e); ok || err == nil {
 		t.Fatalf("poisoned read: ok=%v err=%v", ok, err)
+	}
+	// And refuse one fill: a key past the store's limit.
+	if err := be.Set(strings.Repeat("k", 1<<16), e); err == nil {
+		t.Fatal("the store took a 64 KiB key")
 	}
 	sqls := []string{
 		"SELECT COUNT(*) FROM covid WHERE positive = 1 AND time BETWEEN 0 AND 0",
@@ -349,14 +355,17 @@ func TestSchemaCacheSectionBounded(t *testing.T) {
 	if c == nil || c.Backend != "bounded-slru" {
 		t.Fatalf("cache section = %+v", c)
 	}
-	if c.CapEntries != 4 {
-		t.Fatalf("cap_entries = %d", c.CapEntries)
+	if c.CapBytes != capBytes {
+		t.Fatalf("cap_bytes = %d", c.CapBytes)
 	}
-	if c.Entries > c.CapEntries {
-		t.Fatalf("entries %d over cap %d", c.Entries, c.CapEntries)
+	if c.Bytes > c.CapBytes || c.Entries > 4 {
+		t.Fatalf("%d entries, %d bytes over cap %d", c.Entries, c.Bytes, c.CapBytes)
 	}
 	if c.Evictions == 0 {
 		t.Fatal("no evictions surfaced after cache churn over a 4-entry cap")
+	}
+	if c.SetErrors != 1 {
+		t.Fatalf("set_errors = %d, want the one refused fill", c.SetErrors)
 	}
 	if c.Hits+c.Misses == 0 || c.Bytes == 0 || c.ResidentBytes < c.Bytes {
 		t.Fatalf("counters missing: %+v", c)

@@ -6,17 +6,16 @@ import (
 	"math/bits"
 )
 
-// Record layout, little-endian. The header is 12 bytes:
+// Record layout, little-endian. The header is 10 bytes:
 //
 //	[0:4]   next    arena offset of the next record in the same bucket
-//	[4:6]   ns      interned namespace id
-//	[6:8]   keyLen
-//	[8:12]  valLen in the low 29 bits, dead in the top one; the two between
+//	[4:6]   keyLen
+//	[6:10]  valLen in the low 29 bits, dead in the top one; the two between
 //	        are unused
 //	key bytes, value bytes
 //	newer u32 | older u32 | hot u8   present only in a capped store
 const (
-	hdrLen = 12
+	hdrLen = 10
 	lruLen = 9
 
 	flagDead  = 1 << 31
@@ -36,18 +35,20 @@ type rec []byte
 
 func (r rec) next() uint32     { return le.Uint32(r[0:]) }
 func (r rec) setNext(o uint32) { le.PutUint32(r[0:], o) }
-func (r rec) ns() uint16       { return le.Uint16(r[4:]) }
-func (r rec) keyLen() int      { return int(le.Uint16(r[6:])) }
-func (r rec) word() uint32     { return le.Uint32(r[8:]) }
+func (r rec) keyLen() int      { return int(le.Uint16(r[4:])) }
+func (r rec) word() uint32     { return le.Uint32(r[6:]) }
 func (r rec) valLen() int      { return int(r.word() & maxValLen) }
 func (r rec) dead() bool       { return r.word()&flagDead != 0 }
 
 // size is the record's length without the LRU links (arena.span adds them).
 func (r rec) size() int { return hdrLen + r.keyLen() + r.valLen() }
 
+// payload is what r adds to MemoryBytes and weighs against MaxBytes.
+func (r rec) payload() int { return r.keyLen() + r.valLen() }
+
 func (r rec) key() []byte { return r[hdrLen : hdrLen+r.keyLen()] }
 
-// val is the value bytes, valid only while the stripe lock is held.
+// val is the value bytes, valid only while the store's lock is held.
 func (r rec) val() []byte {
 	lo := hdrLen + r.keyLen()
 	hi := lo + r.valLen()
@@ -55,12 +56,11 @@ func (r rec) val() []byte {
 }
 
 // init writes a fresh record's header and key; the value bytes are the
-// caller's to fill. len(k) and valLen were checked against the field
-// widths by slot and put.
-func (r rec) init(ns uint16, k string, valLen int) {
-	le.PutUint16(r[4:], ns)
-	le.PutUint16(r[6:], uint16(len(k)))
-	le.PutUint32(r[8:], uint32(valLen))
+// caller's to fill. put checked len(k) and valLen against the field
+// widths.
+func (r rec) init(k string, valLen int) {
+	le.PutUint16(r[4:], uint16(len(k)))
+	le.PutUint32(r[6:], uint32(valLen))
 	copy(r[hdrLen:], k)
 }
 
@@ -89,10 +89,10 @@ func (l lru) setHot(hot bool) {
 // the most recently used, tail the coldest.
 type lruList struct{ head, tail uint32 }
 
-// arena is one stripe's storage: the hash index, the chunks its offsets
+// arena is the store's storage: the hash index, the chunks its offsets
 // point into and, in a capped store, the two LRU segments threaded through
 // the records. An offset is chunk index << shift | position in chunk.
-// Nothing here is safe without the stripe lock.
+// Nothing here is safe without the store's lock.
 type arena struct {
 	// buckets is the index: a power-of-two table of chain heads, picked by
 	// the low bits of a hash and never shorter than nrec, the records
@@ -139,7 +139,7 @@ func newArena(shift uint, maxChunks, ext, nrec int, rehash func(rec) uint64, pag
 
 // tableFor is the smallest power-of-two table with a bucket per record and
 // at least a 64th of a chunk's bytes (a page at 64 KiB, mapped anyway): a
-// filling stripe skips ten doublings, each a map, an unmap and a rehash.
+// filling store skips ten doublings, each a map, an unmap and a rehash.
 func (a *arena) tableFor(n int) int { return 1 << bits.Len(uint(max(n, 1<<a.shift>>6, 1)-1)) }
 
 // bucket is the table slot h's chain hangs from.
@@ -196,7 +196,7 @@ func (a *arena) span(r rec) int { return r.size() + a.ext }
 
 // alloc reserves n bytes for one record. Records never span chunks: one
 // that does not fit the tail opens a new chunk, one larger than a chunk
-// gets a chunk to itself. It fails, changing nothing, when the stripe is
+// gets a chunk to itself. It fails, changing nothing, when the arena is
 // out of chunk slots.
 func (a *arena) alloc(n int) (uint32, rec, bool) {
 	if a.tail >= 0 {
@@ -242,13 +242,13 @@ func (a *arena) scratch(skip int) []byte {
 	return c[lo:lo:hi]
 }
 
-// find walks h's bucket for the record of (ns, k), returning its offset
-// and its chain predecessor's (noOff for none). Namespace and key bytes are
-// compared on every record visited: sharing a bucket only lengthens the walk.
-func (a *arena) find(h uint64, ns uint16, k string) (off, prev uint32) {
+// find walks h's bucket for the record of k, returning its offset and its
+// chain predecessor's (noOff for none). Key bytes are compared on every
+// record visited: sharing a bucket only lengthens the walk.
+func (a *arena) find(h uint64, k string) (off, prev uint32) {
 	for off, prev = *a.bucket(h), noOff; off != noOff; {
 		r := a.at(off)
-		if r.ns() == ns && string(r.key()) == k {
+		if string(r.key()) == k {
 			return off, prev
 		}
 		prev, off = off, r.next()
@@ -298,7 +298,7 @@ func (a *arena) kill(h uint64, off, prev uint32) {
 		a.released++
 		return
 	}
-	le.PutUint32(r[8:], r.word()|flagDead)
+	le.PutUint32(r[6:], r.word()|flagDead)
 	a.dead += n
 }
 

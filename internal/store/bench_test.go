@@ -27,18 +27,14 @@ func windowedKeys(n int) []string {
 	return keys
 }
 
-// fillWindowed stores one cached release under each key, alternating
-// between two namespaces, and returns the longest single Set.
+// fillWindowed stores one cached release under each key and returns the
+// longest single Set.
 func fillWindowed(tb testing.TB, s *Mem, keys []string) time.Duration {
 	var longest time.Duration
 	var v FastEncoder = fastEntry{Value: 1, Eps: 0.1, Version: 1} // boxed once: the fill's allocations are the store's
-	for i, k := range keys {
-		ns := "session-exact/0"
-		if i%2 == 1 {
-			ns = "tree-node"
-		}
+	for _, k := range keys {
 		start := time.Now()
-		if err := s.Set(ns, k, v); err != nil {
+		if err := s.Set(k, v); err != nil {
 			tb.Fatal(err)
 		}
 		longest = max(longest, time.Since(start))
@@ -46,34 +42,37 @@ func fillWindowed(tb testing.TB, s *Mem, keys []string) time.Duration {
 	return longest
 }
 
-// benchGet times Gets of keys[perm[i]] in the namespace fillWindowed put
-// the even keys in; with odd picks every one is a miss in an interned
-// namespace, which walks the bucket (a namespace nobody wrote to returns
-// before the index and would measure nothing).
-func benchGet(b *testing.B, odd int, want bool) {
-	keys := windowedKeys(benchEntries)
+// benchGet times Gets of a store of benchEntries releases, in random
+// order: of the keys it holds, or (miss) of as many it does not, each of
+// which walks its bucket.
+func benchGet(b *testing.B, miss bool) {
+	keys := windowedKeys(2 * benchEntries)
 	s := NewMem(MemConfig{})
-	fillWindowed(b, s, keys)
-	perm := rand.New(rand.NewSource(1)).Perm(benchEntries / 2)
+	fillWindowed(b, s, keys[:benchEntries])
+	probe := keys[:benchEntries]
+	if miss {
+		probe = keys[benchEntries:]
+	}
+	perm := rand.New(rand.NewSource(1)).Perm(benchEntries)
 	var out fastEntry
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ok, err := s.Get("session-exact/0", keys[2*perm[i%len(perm)]+odd], &out); ok != want || err != nil {
+		if ok, err := s.Get(probe[perm[i%len(perm)]], &out); ok == miss || err != nil {
 			b.Fatalf("Get = %v, %v", ok, err)
 		}
 	}
 }
 
-func BenchmarkMemGetHit(b *testing.B)  { benchGet(b, 0, true) }
-func BenchmarkMemGetMiss(b *testing.B) { benchGet(b, 1, false) }
+func BenchmarkMemGetHit(b *testing.B)  { benchGet(b, false) }
+func BenchmarkMemGetMiss(b *testing.B) { benchGet(b, true) }
 
 // BenchmarkMemFill fills an empty store per iteration. B/op is what the
 // fill allocated on the Go heap: on mapped pages no chunk or table, only
 // the page set's record of them. resident-B/entry is what the store holds;
-// max-set-ns is the longest single Set (the doubling that relinks
-// a stripe's ~4k records under its lock, unless a collection lands on a
-// longer one), the least over the iterations.
+// max-set-ns is the longest single Set (the doubling that relinks the
+// store's records under its lock, unless a collection lands on a longer
+// one), the least over the iterations.
 func BenchmarkMemFill(b *testing.B) {
 	keys := windowedKeys(benchEntries)
 	longest := time.Duration(math.MaxInt64)

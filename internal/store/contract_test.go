@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -13,11 +14,11 @@ var contractBackends = []struct {
 	name, stats string
 	open        func(t *testing.T) Backend
 }{
-	{"mem", "striped-map", func(t *testing.T) Backend { return NewMem(MemConfig{}) }},
-	// Caps far above anything the contract stores: the policy runs, nothing
-	// is ever evicted.
+	{"mem", "arena", func(t *testing.T) Backend { return NewMem(MemConfig{}) }},
+	// A cap far above anything the contract stores: the policy runs,
+	// nothing is ever evicted.
 	{"mem-capped", "bounded-slru", func(t *testing.T) Backend {
-		return NewMem(MemConfig{MaxBytes: 1 << 30, MaxEntries: 1 << 20})
+		return NewMem(MemConfig{MaxBytes: 1 << 30})
 	}},
 }
 
@@ -31,69 +32,63 @@ func TestBackendContract(t *testing.T) {
 
 		sub("round-trip", func(t *testing.T, b Backend) {
 			in := fastEntry{Value: 7, Eps: 2.5, Version: 3}
-			if err := b.Set("ns", "k", in); err != nil {
+			if err := b.Set("k", in); err != nil {
 				t.Fatal(err)
 			}
 			var out fastEntry
-			if ok, err := b.Get("ns", "k", &out); err != nil || !ok || in != out {
+			if ok, err := b.Get("k", &out); err != nil || !ok || in != out {
 				t.Fatalf("Get = %+v, %v, %v", out, ok, err)
 			}
-			if ok, err := b.Get("ns", "absent", &out); ok || err != nil {
+			if ok, err := b.Get("absent", &out); ok || err != nil {
 				t.Fatalf("Get of a missing key = %v, %v", ok, err)
 			}
 		})
 
-		sub("namespaces", func(t *testing.T, b Backend) {
-			_ = b.Set("a", "k", num(1))
-			_ = b.Set("b", "k", num(2))
-			var v num
-			if ok, _ := b.Get("a", "k", &v); !ok || v != 1 {
-				t.Fatalf("ns a: %v %d", ok, v)
-			}
-			if ok, _ := b.Get("b", "k", &v); !ok || v != 2 {
-				t.Fatalf("ns b: %v %d", ok, v)
-			}
-			if keys := b.Keys("a"); !reflect.DeepEqual(keys, []string{"k"}) {
-				t.Fatalf("Keys(a) = %v", keys)
-			}
-		})
-
+		// Keys are bytes: one that is a prefix of another, or that differs
+		// only past a NUL, is its own entry, and Export lists each once.
 		sub("keys-sorted-prefix-safe", func(t *testing.T, b Backend) {
-			for _, k := range []string{"c", "a", "b"} {
-				_ = b.Set("ns", k, num(1))
+			keys := []string{"c", "a", "ab", "a\x00", "b"}
+			for i, k := range keys {
+				_ = b.Set(k, num(i))
 			}
-			_ = b.Set("nsx", "d", num(1)) // different namespace sharing a prefix
-			if keys := b.Keys("ns"); !reflect.DeepEqual(keys, []string{"a", "b", "c"}) {
-				t.Fatalf("Keys = %v", keys)
+			got := exportedKeys(b)
+			if want := []string{"a", "a\x00", "ab", "b", "c"}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("exported keys %q, want %q", got, want)
+			}
+			var v num
+			for i, k := range keys {
+				if ok, _ := b.Get(k, &v); !ok || int(v) != i {
+					t.Fatalf("key %q = %v %d, want %d", k, ok, v, i)
+				}
 			}
 		})
 
 		sub("delete-version-len", func(t *testing.T, b Backend) {
-			if b.Len() != 0 || b.MemoryBytes() != 0 {
+			if b.Stats().Entries != 0 || b.MemoryBytes() != 0 {
 				t.Fatal("fresh store not empty")
 			}
-			_ = b.Set("ns", "k", num(1))
-			if b.Len() != 1 {
-				t.Fatalf("after set: len=%d", b.Len())
+			_ = b.Set("k", num(1))
+			if n := b.Stats().Entries; n != 1 {
+				t.Fatalf("after set: %d entries", n)
 			}
-			if !b.Delete("ns", "k") {
-				t.Fatal("Delete existing returned false")
+			if !b.CompareDelete("k", num(1)) {
+				t.Fatal("CompareDelete of the stored value returned false")
 			}
-			if b.Delete("ns", "k") {
-				t.Fatal("Delete missing returned true")
+			if b.CompareDelete("k", num(1)) {
+				t.Fatal("CompareDelete of a missing key returned true")
 			}
-			if b.Len() != 0 {
-				t.Fatalf("after delete: len=%d", b.Len())
+			if n := b.Stats().Entries; n != 0 || b.MemoryBytes() != 0 {
+				t.Fatalf("after delete: %d entries, %d bytes", n, b.MemoryBytes())
 			}
 			var v num
-			if ok, _ := b.Get("ns", "k", &v); ok {
+			if ok, _ := b.Get("k", &v); ok {
 				t.Fatal("deleted key still present")
 			}
 		})
 
 		sub("memory-bytes", func(t *testing.T, b Backend) {
-			_ = b.Set("ns", "k", text(strings.Repeat("v", 800)))
-			if b.MemoryBytes() < 800 {
+			_ = b.Set("k", text(strings.Repeat("v", 800)))
+			if b.MemoryBytes() != len("k")+len("t")+800 {
 				t.Fatalf("MemoryBytes = %d, want ≥ 800", b.MemoryBytes())
 			}
 			st := b.Stats()
@@ -106,89 +101,89 @@ func TestBackendContract(t *testing.T) {
 		})
 
 		sub("stats", func(t *testing.T, b Backend) {
-			_ = b.Set("ns", "k", num(1))
+			_ = b.Set("k", num(1))
+			_ = b.Set(strings.Repeat("k", maxKeyLen+1), num(1)) // refused
 			var out num
-			_, _ = b.Get("ns", "k", &out)      // hit
-			_, _ = b.Get("ns", "absent", &out) // miss
-			b.Delete("ns", "k")
+			_, _ = b.Get("k", &out)      // hit
+			_, _ = b.Get("absent", &out) // miss
+			b.CompareDelete("k", num(1))
 			st := b.Stats()
 			if st.Backend != bc.stats {
 				t.Fatalf("backend name %q, want %q", st.Backend, bc.stats)
 			}
-			if st.Hits != 1 || st.Misses != 1 || st.Sets != 1 || st.Deletes != 1 || st.Evictions != 0 {
+			if st.Hits != 1 || st.Misses != 1 || st.Sets != 1 || st.SetErrors != 1 || st.Deletes != 1 || st.Evictions != 0 {
 				t.Fatalf("stats = %+v", st)
 			}
-			if capped := bc.name == "mem-capped"; (st.CapBytes != 0) != capped || (st.CapEntries != 0) != capped {
-				t.Fatalf("caps reported = %d B, %d entries", st.CapBytes, st.CapEntries)
+			if capped := bc.name == "mem-capped"; (st.CapBytes != 0) != capped {
+				t.Fatalf("cap reported = %d B", st.CapBytes)
 			}
 		})
 
 		// Nothing is evicted while the store is under its caps.
 		sub("no-eviction-under-cap", func(t *testing.T, b Backend) {
 			for i := 0; i < 1000; i++ {
-				if err := b.Set("ns", fmt.Sprintf("k%d", i), num(i)); err != nil {
+				if err := b.Set(fmt.Sprintf("k%d", i), num(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if b.Len() != 1000 {
-				t.Fatalf("Len = %d", b.Len())
+			if n := b.Stats().Entries; n != 1000 {
+				t.Fatalf("%d entries", n)
 			}
 		})
 
 		sub("compare-delete", func(t *testing.T, b Backend) {
-			if err := b.Set("ns", "k", num(42)); err != nil {
+			if err := b.Set("k", num(42)); err != nil {
 				t.Fatal(err)
 			}
-			if b.CompareDelete("ns", "k", num(41)) {
+			if b.CompareDelete("k", num(41)) {
 				t.Fatal("deleted on mismatched value")
 			}
 			var got num
-			if ok, _ := b.Get("ns", "k", &got); !ok || got != 42 {
+			if ok, _ := b.Get("k", &got); !ok || got != 42 {
 				t.Fatalf("entry lost after mismatched CompareDelete: %v %d", ok, got)
 			}
-			if !b.CompareDelete("ns", "k", num(42)) {
+			if !b.CompareDelete("k", num(42)) {
 				t.Fatal("matched CompareDelete refused")
 			}
-			if ok, _ := b.Get("ns", "k", &got); ok {
+			if ok, _ := b.Get("k", &got); ok {
 				t.Fatal("entry survived matched CompareDelete")
 			}
-			if b.CompareDelete("ns", "missing", num(1)) {
+			if b.CompareDelete("missing", num(1)) {
 				t.Fatal("deleted a missing key")
 			}
 		})
 
 		sub("export-import", func(t *testing.T, b Backend) {
 			for i := 0; i < 20; i++ {
-				_ = b.Set("a", fmt.Sprintf("k%d", i), num(i))
+				_ = b.Set(fmt.Sprintf("k%d", i), num(i))
 			}
-			_ = b.Set("other", "x", num(9))
-			data := b.ExportNamespace("a")
+			data := b.Export()
 			if len(data) != 20 || !reflect.DeepEqual(data["k4"], num(4).AppendFast(nil)) {
 				t.Fatalf("exported %d keys, k4 %x", len(data), data["k4"])
 			}
 
 			r := bc.open(t)
-			_ = r.Set("a", "stale", num(7))
-			_ = r.Set("other", "keep", num(8))
-			r.ImportNamespace("a", data)
+			_ = r.Set("stale", num(7))
+			r.Import(data)
 			var out num
 			for i := 0; i < 20; i++ {
-				if ok, _ := r.Get("a", fmt.Sprintf("k%d", i), &out); !ok || int(out) != i {
+				if ok, _ := r.Get(fmt.Sprintf("k%d", i), &out); !ok || int(out) != i {
 					t.Fatalf("imported k%d = %+v ok=%v", i, out, ok)
 				}
 			}
-			if ok, _ := r.Get("a", "stale", &out); ok {
-				t.Fatal("import kept pre-existing namespace keys")
+			if ok, _ := r.Get("stale", &out); ok {
+				t.Fatal("import kept a pre-existing key")
 			}
-			if ok, _ := r.Get("other", "keep", &out); !ok || out != 8 {
-				t.Fatal("import touched a foreign namespace")
-			}
-			if again := r.ExportNamespace("a"); !reflect.DeepEqual(again, data) {
+			if again := r.Export(); !reflect.DeepEqual(again, data) {
 				t.Fatalf("export did not round-trip: %x", again)
 			}
-			r.ImportNamespace("a", map[string][]byte{"solo": data["k0"]})
-			if keys := r.Keys("a"); !reflect.DeepEqual(keys, []string{"solo"}) {
-				t.Fatalf("namespace a after a replacing import: %v", keys)
+			r.Import(map[string][]byte{"solo": data["k0"]})
+			if keys := exportedKeys(r); !reflect.DeepEqual(keys, []string{"solo"}) {
+				t.Fatalf("keys after a replacing import: %v", keys)
+			}
+			r.Import(nil)
+			if st := r.Stats(); st.Entries != 0 || st.Bytes != 0 || len(r.Export()) != 0 {
+				t.Fatalf("Import(nil) left %d entries, %d bytes", st.Entries, st.Bytes)
 			}
 		})
 
@@ -196,24 +191,34 @@ func TestBackendContract(t *testing.T) {
 		// entry is deleted (so the key is re-fillable instead of wedged),
 		// and the decode-error counter records the event.
 		sub("poisoned-entry-deleted", func(t *testing.T, b Backend) {
-			_ = b.Set("ns", "k", text("a string"))
+			_ = b.Set("k", text("a string"))
 			var out num
-			if ok, err := b.Get("ns", "k", &out); ok || err == nil {
+			if ok, err := b.Get("k", &out); ok || err == nil {
 				t.Fatalf("poisoned Get = %v, %v; want miss plus error", ok, err)
 			}
 			var str text
-			if found, _ := b.Get("ns", "k", &str); found {
+			if found, _ := b.Get("k", &str); found {
 				t.Fatal("poisoned entry left resident")
 			}
 			if st := b.Stats(); st.DecodeErrors != 1 || st.Hits != 0 {
 				t.Fatalf("stats after a poisoned read: %+v", st)
 			}
-			if err := b.Set("ns", "k", num(7)); err != nil {
+			if err := b.Set("k", num(7)); err != nil {
 				t.Fatal(err)
 			}
-			if found, err := b.Get("ns", "k", &out); err != nil || !found || out != 7 {
+			if found, err := b.Get("k", &out); err != nil || !found || out != 7 {
 				t.Fatalf("key not re-fillable after poison delete: %v %v %d", found, err, out)
 			}
 		})
 	}
+}
+
+// exportedKeys is the sorted keys of b's export.
+func exportedKeys(b Backend) []string {
+	var out []string
+	for k := range b.Export() {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -7,28 +7,31 @@ import (
 	"testing"
 )
 
+// TestBoundedEntryCapHolds: a byte cap over entries of one size bounds
+// their count exactly, and every write past it evicts one.
 func TestBoundedEntryCapHolds(t *testing.T) {
-	b := NewMem(MemConfig{MaxEntries: 16, Stripes: 4})
+	per := len("k000") + len(num(0).AppendFast(nil))
+	b := NewMem(MemConfig{MaxBytes: 16 * per})
 	for i := 0; i < 500; i++ {
-		_ = b.Set("ns", fmt.Sprintf("k%03d", i), num(i))
-	}
-	if got := b.Len(); got > 16 {
-		t.Fatalf("Len = %d exceeds cap 16", got)
+		_ = b.Set(fmt.Sprintf("k%03d", i%100), num(i%10))
 	}
 	st := b.Stats()
-	if st.Evictions < 500-16 {
-		t.Fatalf("evictions = %d, want >= %d", st.Evictions, 500-16)
+	if st.Entries != 16 || st.Bytes != 16*per {
+		t.Fatalf("%d entries, %d bytes under a cap of 16 entries' %d", st.Entries, st.Bytes, 16*per)
 	}
-	if st.CapEntries != 16 {
-		t.Fatalf("CapEntries = %d", st.CapEntries)
+	if st.Evictions != 500-16 {
+		t.Fatalf("evictions = %d, want %d", st.Evictions, 500-16)
+	}
+	if st.CapBytes != 16*per {
+		t.Fatalf("CapBytes = %d", st.CapBytes)
 	}
 }
 
 func TestBoundedByteCapHolds(t *testing.T) {
-	b := NewMem(MemConfig{MaxBytes: 4096, Stripes: 2})
+	b := NewMem(MemConfig{MaxBytes: 4096})
 	payload := text(make([]byte, 100))
 	for i := 0; i < 400; i++ {
-		_ = b.Set("ns", fmt.Sprintf("k%03d", i), payload)
+		_ = b.Set(fmt.Sprintf("k%03d", i), payload)
 	}
 	if got := b.MemoryBytes(); got > 4096 {
 		t.Fatalf("MemoryBytes = %d exceeds cap 4096", got)
@@ -41,25 +44,25 @@ func TestBoundedByteCapHolds(t *testing.T) {
 // TestBoundedProtectedSegment pins the scan resistance: a repeatedly-hit
 // working set survives a one-touch scan.
 func TestBoundedProtectedSegment(t *testing.T) {
-	b := NewMem(MemConfig{MaxBytes: 8192, Stripes: 1})
+	b := NewMem(MemConfig{MaxBytes: 8192})
 	payload := text(make([]byte, 64))
 	var out text
 	// Build and repeatedly touch a small hot set → promoted to protected.
 	for i := 0; i < 10; i++ {
-		_ = b.Set("ns", fmt.Sprintf("hot%d", i), payload)
+		_ = b.Set(fmt.Sprintf("hot%d", i), payload)
 	}
 	for touch := 0; touch < 3; touch++ {
 		for i := 0; i < 10; i++ {
-			_, _ = b.Get("ns", fmt.Sprintf("hot%d", i), &out)
+			_, _ = b.Get(fmt.Sprintf("hot%d", i), &out)
 		}
 	}
 	// One-touch scan pressure.
 	for i := 0; i < 500; i++ {
-		_ = b.Set("ns", fmt.Sprintf("scan%d", i), payload)
+		_ = b.Set(fmt.Sprintf("scan%d", i), payload)
 	}
 	survived := 0
 	for i := 0; i < 10; i++ {
-		if ok, _ := b.Get("ns", fmt.Sprintf("hot%d", i), &out); ok {
+		if ok, _ := b.Get(fmt.Sprintf("hot%d", i), &out); ok {
 			survived++
 		}
 	}
@@ -69,22 +72,22 @@ func TestBoundedProtectedSegment(t *testing.T) {
 }
 
 func TestBoundedOversizeEntry(t *testing.T) {
-	b := NewMem(MemConfig{MaxBytes: 128, Stripes: 1})
+	b := NewMem(MemConfig{MaxBytes: 128})
 	// An entry bigger than the whole cap cannot wedge the store: it is
 	// admitted then immediately evicted, leaving the store consistent.
-	_ = b.Set("ns", "huge", text(make([]byte, 4096)))
+	_ = b.Set("huge", text(make([]byte, 4096)))
 	if got := b.MemoryBytes(); got > 128 {
 		t.Fatalf("MemoryBytes = %d after oversize insert", got)
 	}
-	_ = b.Set("ns", "small", num(1))
+	_ = b.Set("small", num(1))
 	var out num
-	if ok, _ := b.Get("ns", "small", &out); !ok {
+	if ok, _ := b.Get("small", &out); !ok {
 		t.Fatal("store wedged after oversize insert")
 	}
 }
 
 func TestBoundedConcurrent(t *testing.T) {
-	b := NewMem(MemConfig{MaxEntries: 64, Stripes: 4})
+	b := NewMem(MemConfig{MaxBytes: 512})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -96,58 +99,41 @@ func TestBoundedConcurrent(t *testing.T) {
 				k := fmt.Sprintf("k%d", rng.Intn(200))
 				switch rng.Intn(3) {
 				case 0:
-					_ = b.Set("ns", k, num(i))
+					_ = b.Set(k, num(i))
 				case 1:
-					_, _ = b.Get("ns", k, &out)
+					_, _ = b.Get(k, &out)
 				default:
-					b.Delete("ns", k)
+					b.CompareDelete(k, num(i-rng.Intn(4)))
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := b.Len(); got > 64 {
-		t.Fatalf("cap breached under concurrency: %d resident", got)
+	if got := b.MemoryBytes(); got > 512 {
+		t.Fatalf("cap breached under concurrency: %d bytes resident", got)
 	}
-	// Internal byte accounting still agrees with a from-scratch count,
-	// per stripe (what the caps are checked against) and in total.
-	total := 0
-	for i := range b.stripes {
-		st := &b.stripes[i]
-		scanned := 0
-		st.each(func(_ uint32, r rec) { scanned += b.payload(r) })
-		if scanned != st.bytes {
-			t.Fatalf("stripe %d byte accounting drifted: incremental %d vs scan %d", i, st.bytes, scanned)
-		}
-		total += scanned
-	}
-	if total != b.MemoryBytes() {
-		t.Fatalf("byte accounting drifted: incremental %d vs scan %d", b.MemoryBytes(), total)
+	// Internal byte accounting still agrees with a from-scratch count.
+	scanned, entries := 0, 0
+	b.each(func(_ uint32, r rec) { scanned += r.payload(); entries++ })
+	if st := b.Stats(); scanned != st.Bytes || entries != st.Entries {
+		t.Fatalf("accounting drifted: incremental %d bytes, %d entries; scan %d, %d", st.Bytes, st.Entries, scanned, entries)
 	}
 }
 
-// TestBoundedGlobalCapExact pins that stripe shares sum exactly to the
-// configured cap: a cap that does not divide the stripe count must never
-// be exceeded globally, even when it is smaller than the stripe count.
+// TestBoundedGlobalCapExact pins that the byte cap is never exceeded,
+// however little of one entry it leaves room for.
 func TestBoundedGlobalCapExact(t *testing.T) {
-	for _, cap := range []int{3, 5, 7, 13} {
-		b := NewMem(MemConfig{MaxEntries: cap}) // default stripes, shrunk to the cap
+	for _, cap := range []int{1000, 1001, 1003, 1013} {
+		b := NewMem(MemConfig{MaxBytes: cap})
+		payload := text(make([]byte, 40))
 		for i := 0; i < 300; i++ {
-			_ = b.Set("ns", fmt.Sprintf("k%03d", i), num(i))
+			_ = b.Set(fmt.Sprintf("k%03d", i), payload)
 		}
-		if got := b.Len(); got > cap {
-			t.Fatalf("cap %d: %d resident entries", cap, got)
+		if got := b.MemoryBytes(); got > cap {
+			t.Fatalf("byte cap %d: %d resident bytes", cap, got)
 		}
-		if st := b.Stats(); st.CapEntries != cap {
-			t.Fatalf("cap %d: Stats reports %d", cap, st.CapEntries)
+		if got := b.MemoryBytes(); got <= cap-45 {
+			t.Fatalf("byte cap %d: only %d resident bytes, room for one more entry", cap, got)
 		}
-	}
-	b := NewMem(MemConfig{MaxBytes: 1000, Stripes: 8})
-	payload := text(make([]byte, 40))
-	for i := 0; i < 300; i++ {
-		_ = b.Set("ns", fmt.Sprintf("k%03d", i), payload)
-	}
-	if got := b.MemoryBytes(); got > 1000 {
-		t.Fatalf("byte cap 1000: %d resident bytes", got)
 	}
 }

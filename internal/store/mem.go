@@ -1,27 +1,43 @@
 // The in-memory backend: an embedded key-value store standing in for the
-// Redis instance the Turbo prototype keeps all caching state in (§5) —
-// exact-cache entries, PMW histograms, SV state, heuristic thresholds.
-// Built without caps it never evicts; built with MaxBytes or MaxEntries it
-// is the same store under the eviction policy in evict.go.
+// Redis instance the Turbo prototype keeps its caching state in (§5).
+// Every store serves one exact cache, so it holds one kind of value, a
+// paid DP release, under one keyspace. Built without a cap it never
+// evicts; built with MaxBytes it is the same store under the eviction
+// policy in evict.go.
 //
-// The store is striped by key hash (the way a Redis Cluster spreads its
-// hash slots), so concurrent shards of the query pipeline that read and
-// write different keys do not contend on a single lock.
+// # One lock, one arena
+//
+// The store is one RWMutex over one arena. It used to split its keyspace
+// 16 ways by lock and intern namespaces, so that several caches could
+// share it; no caller ever shared one. A paired run of the benchmark's
+// four workloads (8 alternating pairs of 10 s, seeds 601–608) compared 16
+// stripes with one on a 2-vCPU box:
+//
+//	workload     rss_peak_mb 16 → 1   pairs lower   setup_s          within_alpha_frac
+//	hit_zipf     9.42 → 9.28          6/8           10.4 → 10.1 ms   0.9990 → 0.9995
+//	miss_tree    12.74 → 12.70        6/8           2.90 → 2.89 ms   0.99965 → 0.99964
+//	dash_batch   10.10 → 10.06        6/8           1.94 → 1.96 ms   0.99961 → 0.99944
+//	stream_mix   10.60 → 10.48        6/8           1.97 → 1.85 ms   0.99997 → 0.99996
+//
+// An arena offset is a u32 (a 16-bit chunk index over 64 KiB chunks), so
+// one store holds at most 4 GiB of records. A Set that would need more is
+// ErrArenaFull; MaxCapBytes is the largest cap whose live records always
+// fit.
 //
 // # Layout
 //
 // A cached release is ~32 bytes of key and value (a packed query key of
 // 7–9 bytes and a 25-byte entry), so the store spends no heap object on it.
-// Each stripe is an index []uint32 — the low bits of the hash of (interned
-// namespace id, key) to a chain of arena offsets — over an append-only byte
-// arena of chunks (64 KiB; a record larger than that gets a chunk of its
-// own). One entry is one self-delimiting record (arena.go):
+// The index is a []uint32 — the low bits of the key's hash to a chain of
+// arena offsets — over an append-only byte arena of chunks (64 KiB; a
+// record larger than that gets a chunk of its own). One entry is one
+// self-delimiting record (arena.go):
 //
-//	next u32 | ns u16 | keyLen u16 | valLen+flags u32
+//	next u32 | keyLen u16 | valLen+flags u32
 //	key bytes | value bytes
 //	[newer u32 | older u32 | hot u8]   only in a capped store
 //
-// An uncapped record is 12 bytes of header beside its key and value; a
+// An uncapped record is 10 bytes of header beside its key and value; a
 // capped one adds 9 bytes of LRU links and segment.
 //
 // Neither the index nor the chunks hold pointers, and outside race builds
@@ -29,37 +45,38 @@
 // neither traces an entry nor grows its goal by one: a cached release is
 // resident once, not once plus the heap's headroom. A chunk or table is
 // unmapped the moment it leaves (compaction, an oversize record's death,
-// a resize), and a store nothing references is unmapped by a cleanup.
+// a resize, an Import), and a store nothing references is unmapped by a
+// cleanup.
 //
 // Collision rule: a hash picks a bucket and is never trusted further; no
 // record stores one. Records that share a bucket are chained through next,
-// and a lookup compares the namespace id and the key bytes of every record
-// it visits, so a collision costs one more comparison and can never serve
-// another statement's release. Namespaces are ids, not key prefixes:
-// "a:b"/"c" and "a"/"b:c" are different entries.
+// and a lookup compares the key bytes of every record it visits, so a
+// collision costs one more comparison and can never serve another
+// statement's release.
 //
 // Overwrites and compaction: a value of the same length (every re-Put of a
 // cache.Entry) is overwritten in place; any other overwrite, and every
-// delete, unlinks the record and flags it dead. A stripe is rewritten into
-// fresh chunks and a right-sized table once its dead bytes exceed both its
-// live bytes and one chunk, or when it runs out of chunk slots; a capped
-// stripe is rewritten coldest first, which rebuilds its LRU segments in order.
+// delete, unlinks the record and flags it dead. The arena is rewritten
+// into fresh chunks and a right-sized table once its dead bytes exceed
+// both its live bytes and one chunk, or when it runs out of chunk slots; a
+// capped arena is rewritten coldest first, which rebuilds its LRU segments
+// in order.
 //
 // Decode under lock: because records are overwritten in place, a value's
-// bytes may only be read while the stripe lock is held. Get runs the
-// value's FastDecoder under the lock (no copy, no allocation), and copies
-// out only bytes it refuses, for the guarded delete of a poisoned entry.
-// An uncapped Get holds the stripe's read lock; a capped one re-orders
-// the LRU, so it holds the write lock.
+// bytes may only be read while the lock is held. Get runs the value's
+// FastDecoder under the lock (no copy, no allocation), and copies out only
+// bytes it refuses, for the guarded delete of a poisoned entry. An
+// uncapped Get holds the read lock; a capped one re-orders the LRU, so it
+// holds the write lock.
 //
-// No chunk slice outlives its stripe lock: the next writer may unmap the
-// chunk, and a stale slice faults. Get decodes under the lock or copies,
-// Keys and ExportNamespace copy, and the scratch a FastEncoder fills is
-// consumed under the same write lock without compacting (arena.scratch).
+// No chunk slice outlives the lock: the next writer may unmap the chunk,
+// and a stale slice faults. Get decodes under the lock or copies, Export
+// copies, and the scratch a FastEncoder fills is consumed under the same
+// write lock without compacting (arena.scratch).
 //
 // Limits fail closed: a key over 65,535 bytes, a value of 512 MiB or more,
-// a 65,536th namespace, or a stripe past its 65,536 chunk slots is an
-// error that stores nothing.
+// or a record past the arena's 65,536 chunk slots is an error that stores
+// nothing.
 
 package store
 
@@ -75,418 +92,271 @@ import (
 )
 
 const (
-	// memStripes is the default number of independent lock+arena stripes. A
-	// power of two comfortably above typical core counts keeps collision
-	// contention low while costing a small store one page of table per
-	// stripe.
-	memStripes = 16
 	// chunkShift sizes an arena chunk (64 KiB) and with it the split of a
 	// 32-bit offset into chunk index and position.
 	chunkShift = 16
-	// maxKeyLen and maxNamespaces are what the record header's u16 key
-	// length and namespace id can express.
-	maxKeyLen     = 1<<16 - 1
-	maxNamespaces = 1<<16 - 1
+	// maxKeyLen is what the record header's u16 key length can express.
+	maxKeyLen = 1<<16 - 1
+	// capSlack is the chunk slots MaxCapBytes leaves unfilled: the small
+	// chunks an arena opens first (4, 4, 8, 16 and 32 KiB), the tail
+	// chunk, and the record a store at its cap writes before it evicts.
+	capSlack = 8
+	// capRecordMax is the longest record MaxCapBytes allows for: a chunk
+	// is filled until the next record does not fit, so it loses less than
+	// one record at its end.
+	capRecordMax = 1 << 10
 )
 
-// The store's limits. Each is returned (wrapped with the namespace and the
-// key, quoted: keys are binary) by the write that would have crossed it,
-// and that write stores nothing; a key too long to print is given by its
-// length.
+// The store's limits. Each is returned (wrapped with the key, quoted: keys
+// are binary) by the write that would have crossed it, and that write
+// stores nothing; a key too long to print is given by its length.
 var (
-	ErrKeyTooLong        = errors.New("store: key longer than 65535 bytes")
-	ErrValueTooLarge     = errors.New("store: value of 512 MiB or more")
-	ErrTooManyNamespaces = errors.New("store: more than 65535 namespaces")
-	ErrArenaFull         = errors.New("store: stripe arena out of chunk slots")
+	ErrKeyTooLong    = errors.New("store: key longer than 65535 bytes")
+	ErrValueTooLarge = errors.New("store: value of 512 MiB or more")
+	ErrArenaFull     = errors.New("store: arena out of chunk slots")
 )
 
 // MemConfig parameterizes the in-memory backend. The zero value is the
 // unbounded store.
 type MemConfig struct {
-	// MaxBytes caps resident payload (namespace + ":" + key + value bytes,
-	// what MemoryBytes reports) across the whole backend; 0 leaves bytes
-	// unbounded.
+	// MaxBytes caps resident payload (key + value bytes, what MemoryBytes
+	// reports); 0 leaves the store unbounded.
 	MaxBytes int
-	// MaxEntries caps the total entry count; 0 leaves it unbounded.
-	MaxEntries int
-	// Stripes is the number of independent lock+arena stripes the keyspace
-	// is hashed onto (each owning an equal share of the caps); <= 0
-	// defaults to 16. Use 1 for deterministic single-list eviction order.
-	Stripes int
 }
 
-// memStripe is one lock-protected slice of the keyspace.
-type memStripe struct {
-	mu sync.RWMutex
+// capped reports whether the config asks for a store that evicts.
+func (c MemConfig) capped() bool { return c.MaxBytes > 0 }
+
+// MaxCapBytes is the largest MaxBytes one arena always honours when every
+// entry carries at least minPayload bytes of key and value and no record
+// is longer than capRecordMax (1 KiB). A capped record is its payload
+// plus 19 bytes of header and LRU links, so its payload is at least
+// minPayload/(minPayload+19) of it; a chunk is filled to within one record
+// of its end; and all but capSlack of the 65,536 chunk slots are filled.
+// Under a larger cap a store of the smallest records can run out of slots
+// before it evicts, and a Set is ErrArenaFull.
+func MaxCapBytes(minPayload int) int {
+	return maxCap(chunkShift, 1<<(32-chunkShift), minPayload, capRecordMax)
+}
+
+// maxCap is MaxCapBytes for an arena of maxChunks chunks of 1<<shift
+// bytes and records of at most maxRecord bytes; tests shrink all three.
+func maxCap(shift uint, maxChunks, minPayload, maxRecord int) int {
+	perChunk := (1<<shift - (maxRecord - 1)) * minPayload / (hdrLen + lruLen + minPayload)
+	return (maxChunks - capSlack) * perChunk
+}
+
+// Mem is the in-memory Backend, safe for concurrent use: one lock guards
+// the arena, counters are atomics.
+type Mem struct {
+	cfg MemConfig
+	mu  sync.RWMutex
 	// reader is the lock a lookup holds: mu's read side, or — in a capped
 	// store, where a hit re-orders the LRU and readers are writers — mu.
 	reader sync.Locker
 	arena
-	// ents and bytes are the stripe's resident entries and payload bytes,
-	// maxEnts and maxBytes its share of the caps (0 = none), hotBytes the
-	// payload in the protected segment. Only eviction reads them.
-	ents, bytes, hotBytes int
-	maxEnts, maxBytes     int
-}
+	// bytes is the resident payload (key + value bytes), hotBytes the
+	// part of it in the protected segment. Both are guarded by mu.
+	bytes, hotBytes int
 
-// Mem is the in-memory Backend, safe for concurrent use: stripes lock
-// independently, counters are atomics.
-type Mem struct {
-	cfg     MemConfig
-	stripes []memStripe
-	seed    maphash.Seed
+	seed maphash.Seed
 	// hashMask is all ones; the model test clears bits of it to force keys
-	// into one stripe and few buckets.
+	// into few buckets.
 	hashMask uint64
 
-	// nsMu guards the namespace intern table. It is taken before, never
-	// inside, a stripe lock; nsNames is the id -> name direction, published
-	// atomically so that code holding a stripe lock can size a record's
-	// payload and nsID can resolve a name without nsMu.
-	nsMu    sync.RWMutex
-	nsIDs   map[string]uint16
-	nsNames atomic.Pointer[[]string]
-
-	// entries and bytes are the resident entry count and payload bytes
-	// (namespace + ":" + key + value), maintained under the stripe locks
-	// at insert, unlink and overwrite so Stats never walks the store.
-	entries, bytes atomic.Int64
-	pages          *pageSet
-
-	hits, misses, sets, deletes, evictions atomic.Int64
-	decodeErrors                           atomic.Int64
+	hits, misses, sets, setErrors, deletes, evictions atomic.Int64
+	decodeErrors                                      atomic.Int64
 }
 
 // compile-time check: Mem is a Backend.
 var _ Backend = (*Mem)(nil)
 
-// NewMem returns an empty in-memory backend. Caps are split across
-// stripes so the per-stripe shares sum exactly to the configured bound —
-// the backend as a whole can never hold more than MaxBytes/MaxEntries,
-// which Stats reports as the caps. A cap smaller than the stripe count
-// shrinks the stripe count to match (every stripe must be allowed at
-// least one entry/byte).
+// NewMem returns an empty in-memory backend.
 func NewMem(cfg MemConfig) *Mem { return newMem(cfg, chunkShift, 1<<(32-chunkShift)) }
 
-// newMem builds a store whose arenas use 1<<shift-byte chunks and at most
-// maxChunks of them per stripe; tests shrink both.
+// newMem builds a store whose arena uses 1<<shift-byte chunks and at most
+// maxChunks of them; tests shrink both.
 func newMem(cfg MemConfig, shift uint, maxChunks int) *Mem {
-	if cfg.Stripes <= 0 {
-		cfg.Stripes = memStripes
-	}
 	ext := 0
-	for _, limit := range []int{cfg.MaxEntries, cfg.MaxBytes} {
-		if limit > 0 {
-			cfg.Stripes, ext = min(cfg.Stripes, limit), lruLen
-		}
+	if cfg.capped() {
+		ext = lruLen
 	}
-	s := &Mem{
-		cfg:      cfg,
-		stripes:  make([]memStripe, cfg.Stripes),
-		seed:     maphash.MakeSeed(),
-		hashMask: ^uint64(0),
-		nsIDs:    make(map[string]uint16),
-		pages:    &pageSet{held: map[*byte][]byte{}},
+	s := &Mem{cfg: cfg, seed: maphash.MakeSeed(), hashMask: ^uint64(0)}
+	s.arena = newArena(shift, maxChunks, ext, 0, s.hashRec, &pageSet{held: map[*byte][]byte{}})
+	s.reader = s.mu.RLocker()
+	if ext != 0 {
+		s.reader = &s.mu
 	}
-	s.nsNames.Store(new([]string))
-	// The cleanup hangs off the stripes, not the Mem: a chunk is read only
-	// under a stripe lock, so through a live stripe pointer, even by a
-	// method past its last use of the Mem.
-	runtime.AddCleanup(&s.stripes[0], (*pageSet).release, s.pages)
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.arena = newArena(shift, maxChunks, ext, 0, s.rehash, s.pages)
-		// The first total%Stripes stripes get the odd units; no cap, no share.
-		st.maxEnts = (cfg.MaxEntries + cfg.Stripes - 1 - i) / cfg.Stripes
-		st.maxBytes = (cfg.MaxBytes + cfg.Stripes - 1 - i) / cfg.Stripes
-		st.reader = st.mu.RLocker()
-		if ext != 0 {
-			st.reader = &st.mu
-		}
-	}
+	// The cleanup hangs off the arena: a chunk is read only through it,
+	// so a live arena pointer keeps the pages mapped even in a method
+	// past its last use of the rest of the Mem.
+	runtime.AddCleanup(&s.arena, (*pageSet).release, s.pages)
 	return s
 }
 
-// capped reports whether the config asks for a store that evicts.
-func (c MemConfig) capped() bool { return c.MaxEntries > 0 || c.MaxBytes > 0 }
+// hash is the index's hash of k; hashRec is the same function for the key
+// of a record.
+func (s *Mem) hash(k string) uint64 { return maphash.String(s.seed, k) & s.hashMask }
 
-// nsID returns the interned id of ns, if any write ever named it. Every
-// Get, Set and Delete of every stripe comes through here, so a small table
-// (a session names one namespace per cache stripe) is scanned in its
-// published form, touching no lock: nsMu's reader count is one cache line
-// all stripes would share. Past nsScanMax names the locked map answers.
-func (s *Mem) nsID(ns string) (uint16, bool) {
-	names := *s.nsNames.Load()
-	if len(names) > nsScanMax {
-		s.nsMu.RLock()
-		id, ok := s.nsIDs[ns]
-		s.nsMu.RUnlock()
-		return id, ok
-	}
-	for id, name := range names {
-		if name == ns {
-			return uint16(id), true
-		}
-	}
-	return 0, false
-}
-
-// nsScanMax names scan in about the time of one uncontended locked lookup.
-const nsScanMax = 32
-
-// intern returns the id of ns, assigning the next one on first use.
-func (s *Mem) intern(ns string) (uint16, error) {
-	if id, ok := s.nsID(ns); ok {
-		return id, nil
-	}
-	s.nsMu.Lock()
-	defer s.nsMu.Unlock()
-	if id, ok := s.nsIDs[ns]; ok {
-		return id, nil
-	}
-	if len(s.nsIDs) >= maxNamespaces {
-		return 0, fmt.Errorf("%w (namespace %q)", ErrTooManyNamespaces, ns)
-	}
-	id := uint16(len(s.nsIDs))
-	s.nsIDs[ns] = id
-	// Readers hold the old header, which ends before the element appended
-	// here, so growing into spare capacity does not disturb them.
-	names := append(*s.nsNames.Load(), ns)
-	s.nsNames.Store(&names)
-	return id, nil
-}
-
-// hash mixes the namespace id into the key's hash; hashBytes is the same
-// function for a key read back out of a record, rehash for the record.
-func (s *Mem) hash(id uint16, k string) uint64 {
-	return s.mix(id, maphash.String(s.seed, k))
-}
-
-func (s *Mem) hashBytes(id uint16, k []byte) uint64 {
-	return s.mix(id, maphash.Bytes(s.seed, k))
-}
-
-func (s *Mem) rehash(r rec) uint64 { return s.hashBytes(r.ns(), r.key()) }
-
-func (s *Mem) mix(id uint16, h uint64) uint64 {
-	return (h ^ (uint64(id)+1)*0x9e3779b97f4a7c15) & s.hashMask
-}
-
-// stripe maps the hash's high half onto the stripes: a multiply, where a
-// modulo by their (not always power-of-two) number would be a divide.
-func (s *Mem) stripe(h uint64) *memStripe {
-	return &s.stripes[(h>>32)*uint64(len(s.stripes))>>32]
-}
-
-// slot resolves ns:k to its namespace id, hash and stripe for a write,
-// interning ns; checking the key length here is what keeps every later
-// uint16(len(k)) honest.
-func (s *Mem) slot(ns, k string) (id uint16, h uint64, st *memStripe, err error) {
-	if len(k) > maxKeyLen {
-		return 0, 0, nil, fmt.Errorf("%w (%s, %d bytes)", ErrKeyTooLong, ns, len(k))
-	}
-	if id, err = s.intern(ns); err != nil {
-		return 0, 0, nil, err
-	}
-	h = s.hash(id, k)
-	return id, h, s.stripe(h), nil
-}
-
-// probe is slot for operations that never create: a namespace nobody wrote
-// to, or a key no record could hold, has nothing to find.
-func (s *Mem) probe(ns, k string) (id uint16, h uint64, st *memStripe, ok bool) {
-	if len(k) > maxKeyLen {
-		return 0, 0, nil, false
-	}
-	if id, ok = s.nsID(ns); !ok {
-		return 0, 0, nil, false
-	}
-	h = s.hash(id, k)
-	return id, h, s.stripe(h), true
-}
-
-// payload is what r adds to MemoryBytes and weighs against MaxBytes.
-func (s *Mem) payload(r rec) int {
-	return len((*s.nsNames.Load())[r.ns()]) + 1 + r.keyLen() + r.valLen()
-}
-
-// account adds the record to the counters (sign +1) or takes it out (-1).
-// Caller holds st.mu.
-func (s *Mem) account(st *memStripe, r rec, sign int) {
-	n := sign * s.payload(r)
-	st.ents += sign
-	st.bytes += n
-	s.entries.Add(int64(sign))
-	s.bytes.Add(int64(n))
-}
+func (s *Mem) hashRec(r rec) uint64 { return maphash.Bytes(s.seed, r.key()) & s.hashMask }
 
 // remove unlinks the record at off (found under hash h with chain
-// predecessor prev) and takes it out of the counters and, in a capped
-// store, its LRU segment. Caller holds st.mu.
-func (s *Mem) remove(st *memStripe, h uint64, off, prev uint32) {
-	r := st.at(off)
-	s.account(st, r, -1)
-	if st.capped() {
+// predecessor prev) and takes it out of the payload count and, in a
+// capped store, its LRU segment. Caller holds mu.
+func (s *Mem) remove(h uint64, off, prev uint32) {
+	r := s.at(off)
+	s.bytes -= r.payload()
+	if s.capped() {
 		if r.lru().hot() {
-			st.hotBytes -= s.payload(r)
+			s.hotBytes -= r.payload()
 		}
-		st.unlink(off)
+		s.unlink(off)
 	}
-	st.kill(h, off, prev)
+	s.kill(h, off, prev)
 }
 
-// put stores raw under ns:k — whose current record, if any, find reported
-// at (old, prev) — and restores the caps. A record of the same value
-// length is overwritten in place; otherwise the old one dies and a new one
-// is appended. Overwriting counts as a use. raw may be the arena's own
-// scratch (Set). On error nothing changed. Caller holds st.mu.
-func (s *Mem) put(st *memStripe, ns, k string, id uint16, h uint64, old, prev uint32, raw []byte) error {
-	valLen := len(raw)
-	if valLen > maxValLen {
-		return fmt.Errorf("%w (%s:%q, %d bytes)", ErrValueTooLarge, ns, k, valLen)
+// put stores raw under k, whose hash is h, and restores the cap. A record
+// of the same value length is overwritten in place; otherwise the old one
+// dies and a new one is appended. Overwriting counts as a use. raw may be
+// the arena's own scratch (Set). On error nothing changed. Caller holds
+// mu.
+func (s *Mem) put(k string, h uint64, raw []byte) error {
+	switch {
+	case len(k) > maxKeyLen:
+		return fmt.Errorf("%w (%d bytes)", ErrKeyTooLong, len(k))
+	case len(raw) > maxValLen:
+		return fmt.Errorf("%w (%q, %d bytes)", ErrValueTooLarge, k, len(raw))
 	}
+	old, prev := s.find(h, k)
 	if old != noOff {
-		if r := st.at(old); r.valLen() == valLen {
+		if r := s.at(old); r.valLen() == len(raw) {
 			copy(r.val(), raw)
-			s.touch(st, old)
-			s.evict(st)
+			s.touch(old)
+			s.evict()
 			return nil
 		}
 	}
-	n := hdrLen + len(k) + valLen + st.ext
-	off, r, ok := st.alloc(n)
+	n := hdrLen + len(k) + len(raw) + s.ext
+	off, r, ok := s.alloc(n)
 	if !ok {
 		// Out of slots: dead records and released oversize chunks may be
 		// holding some. Compaction moves every record, so look again.
-		if !s.compact(st) {
-			return fmt.Errorf("%w (%s:%q)", ErrArenaFull, ns, k)
+		if !s.compact() {
+			return fmt.Errorf("%w (%q)", ErrArenaFull, k)
 		}
-		old, prev = st.find(h, id, k)
-		if off, r, ok = st.alloc(n); !ok {
-			return fmt.Errorf("%w (%s:%q)", ErrArenaFull, ns, k)
+		old, prev = s.find(h, k)
+		if off, r, ok = s.alloc(n); !ok {
+			return fmt.Errorf("%w (%q)", ErrArenaFull, k)
 		}
 	}
 	// The new record starts in the segment the old one was in, probation
 	// for a new key, and an overwrite then touches it.
 	hot := false
 	if old != noOff {
-		hot = st.capped() && st.at(old).lru().hot()
-		s.remove(st, h, old, prev)
+		hot = s.capped() && s.at(old).lru().hot()
+		s.remove(h, old, prev)
 	}
-	r.init(id, k, valLen)
+	r.init(k, len(raw))
 	copy(r.val(), raw)
-	st.link(h, off, n)
-	s.account(st, r, +1)
-	if st.capped() {
+	s.link(h, off, n)
+	s.bytes += r.payload()
+	if s.capped() {
 		r.lru().setHot(hot)
 		if hot {
-			st.hotBytes += s.payload(r)
+			s.hotBytes += r.payload()
 		}
-		st.pushFront(off)
+		s.pushFront(off)
 		if old != noOff {
-			s.touch(st, off)
+			s.touch(off)
 		}
-		s.evict(st)
+		s.evict()
 	}
-	s.settle(st)
+	s.settle()
 	return nil
 }
 
-// wrote counts a write that put accepted and passes its error on.
-func (s *Mem) wrote(err error) error {
-	if err == nil {
-		s.sets.Add(1)
-	}
-	return err
-}
-
 // settle ends a mutation: once dead bytes exceed both live bytes and one
-// chunk, the stripe is rewritten. Caller holds st.mu.
-func (s *Mem) settle(st *memStripe) {
-	if st.dead > st.live && st.dead > 1<<st.shift {
-		s.compact(st)
+// chunk, the arena is rewritten. Caller holds mu.
+func (s *Mem) settle() {
+	if s.dead > s.live && s.dead > 1<<s.shift {
+		s.compact()
 	}
 }
 
-// compact rewrites st's live records into fresh chunks and a fresh table
+// compact rewrites the live records into fresh chunks and a fresh table
 // (the one place a table shrinks), reporting whether it did. Records are
-// re-packed in arena order — in a capped stripe coldest first, so that
+// re-packed in arena order — in a capped store coldest first, so that
 // pushing each to the front of its segment rebuilds the LRU order — which
 // never needs more chunks than they occupy now; if it somehow did, the
-// stripe is left as it was. Caller holds st.mu.
-func (s *Mem) compact(st *memStripe) bool {
-	if st.dead == 0 && st.released == 0 {
+// arena is left as it was. Caller holds mu.
+func (s *Mem) compact() bool {
+	if s.dead == 0 && s.released == 0 {
 		return false
 	}
-	next := newArena(st.shift, st.maxChunks, st.ext, st.nrec, st.rehash, st.pages)
-	next.grows, next.chained = st.grows, st.chained
-	walk := st.each
-	if st.capped() {
-		walk = st.eachColdestFirst
+	next := newArena(s.shift, s.maxChunks, s.ext, s.nrec, s.hashRec, s.pages)
+	next.grows, next.chained = s.grows, s.chained
+	walk := s.each
+	if s.capped() {
+		walk = s.eachColdestFirst
 	}
 	fits := true
 	walk(func(_ uint32, r rec) {
 		if !fits {
 			return
 		}
-		n := st.span(r)
+		n := s.span(r)
 		off, dst, ok := next.alloc(n)
 		if !ok {
 			fits = false
 			return
 		}
 		copy(dst, r[:n])
-		next.link(s.rehash(r), off, n)
-		if st.capped() {
+		next.link(s.hashRec(r), off, n)
+		if s.capped() {
 			next.pushFront(off)
 		}
 	})
 	if fits {
-		st.arena, next = next, st.arena
+		s.arena, next = next, s.arena
 	}
 	next.release()
 	return fits
 }
 
-// Set stores value under ns:k, encoded by its own codec straight into the
-// arena tail, under the stripe lock: no intermediate slice, no joined key
-// string.
-func (s *Mem) Set(ns, k string, value FastEncoder) error {
-	id, h, st, err := s.slot(ns, k)
-	if err != nil {
-		return err
-	}
-	st.mu.Lock()
+// Set stores value under k, encoded by its own codec straight into the
+// arena tail, under the lock: no intermediate slice. A refused Set counts
+// in SetErrors.
+func (s *Mem) Set(k string, value FastEncoder) error {
+	h := s.hash(k)
+	s.mu.Lock()
 	// Where a new record's value would start. If the key turns out to
 	// have a same-length record already, put overwrites that instead and
 	// the tail stays uncommitted; if the tail is too short, AppendFast
 	// allocates and put copies it in.
-	raw := value.AppendFast(st.scratch(hdrLen + len(k)))
-	old, prev := st.find(h, id, k)
-	err = s.put(st, ns, k, id, h, old, prev, raw)
-	st.mu.Unlock()
-	return s.wrote(err)
+	err := s.put(k, h, value.AppendFast(s.scratch(hdrLen+len(k))))
+	s.mu.Unlock()
+	if err != nil {
+		s.setErrors.Add(1)
+		return err
+	}
+	s.sets.Add(1)
+	return nil
 }
 
-// Get loads ns:k into out, reporting whether the key existed; in a capped
-// store a hit is a use. It decodes from the arena under the stripe lock
-// and allocates nothing. Bytes out refuses are a poisoned entry, not a
-// hit: the entry is deleted (byte-guarded against a concurrent fresh Set),
-// the decode-error counter bumps, and the caller sees a miss plus the
-// error — one corrupt byte costs a re-execution instead of wedging the
-// key.
-func (s *Mem) Get(ns, k string, out FastDecoder) (bool, error) {
-	id, h, st, ok := s.probe(ns, k)
-	if !ok {
-		s.misses.Add(1)
-		return false, nil
-	}
+// Get loads k into out, reporting whether the key existed; in a capped
+// store a hit is a use. It decodes from the arena under the lock and
+// allocates nothing. Bytes out refuses are a poisoned entry, not a hit:
+// the entry is deleted (byte-guarded against a concurrent fresh Set), the
+// decode-error counter bumps, and the caller sees a miss plus the error —
+// one corrupt byte costs a re-execution instead of wedging the key.
+func (s *Mem) Get(k string, out FastDecoder) (bool, error) {
+	h := s.hash(k)
 	found, decoded := false, false
 	var raw []byte
-	st.reader.Lock()
-	if off, _ := st.find(h, id, k); off != noOff {
-		r := st.at(off)
-		s.touch(st, off)
+	s.reader.Lock()
+	if off, _ := s.find(h, k); off != noOff {
+		r := s.at(off)
+		s.touch(off)
 		found = true
 		if decoded = out.DecodeFast(r.val()); !decoded {
 			// Copied out for the guarded delete: an in-place overwrite may
@@ -494,7 +364,7 @@ func (s *Mem) Get(ns, k string, out FastDecoder) (bool, error) {
 			raw = append([]byte(nil), r.val()...)
 		}
 	}
-	st.reader.Unlock()
+	s.reader.Unlock()
 	switch {
 	case !found:
 		s.misses.Add(1)
@@ -503,156 +373,106 @@ func (s *Mem) Get(ns, k string, out FastDecoder) (bool, error) {
 		s.hits.Add(1)
 		return true, nil
 	}
-	s.removeIf(st, id, h, k, func(r rec) bool { return bytes.Equal(r.val(), raw) })
+	s.removeIf(h, k, func(r rec) bool { return bytes.Equal(r.val(), raw) })
 	s.decodeErrors.Add(1)
 	s.misses.Add(1)
-	return false, fmt.Errorf("store: decode %s:%q: %d bytes are not this value's codec", ns, k, len(raw))
+	return false, fmt.Errorf("store: decode %q: %d bytes are not this value's codec", k, len(raw))
 }
 
-// Delete removes ns:k, reporting whether it existed.
-func (s *Mem) Delete(ns, k string) bool {
-	return s.deleteIf(ns, k, func(rec) bool { return true })
-}
-
-// CompareDelete removes ns:k only if its stored bytes equal the encoding
-// of expect, reporting whether a delete happened. It is the guarded
+// CompareDelete removes k only if its stored bytes equal the encoding of
+// expect, reporting whether a delete happened. It is the guarded
 // invalidation primitive: a concurrent Set of a fresh value changes the
 // bytes, so a stale-entry eviction can never erase it.
-func (s *Mem) CompareDelete(ns, k string, expect FastEncoder) bool {
+func (s *Mem) CompareDelete(k string, expect FastEncoder) bool {
 	want := expect.AppendFast(nil)
-	return s.deleteIf(ns, k, func(r rec) bool { return bytes.Equal(r.val(), want) })
-}
-
-// deleteIf removes ns:k when its record satisfies cond, as a caller's
-// delete.
-func (s *Mem) deleteIf(ns, k string, cond func(rec) bool) bool {
-	id, h, st, ok := s.probe(ns, k)
-	if ok = ok && s.removeIf(st, id, h, k, cond); ok {
+	ok := s.removeIf(s.hash(k), k, func(r rec) bool { return bytes.Equal(r.val(), want) })
+	if ok {
 		s.deletes.Add(1)
 	}
 	return ok
 }
 
-// removeIf removes the record of (id, k), if st has one and it satisfies
-// cond.
-func (s *Mem) removeIf(st *memStripe, id uint16, h uint64, k string, cond func(rec) bool) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	off, prev := st.find(h, id, k)
-	if off == noOff || !cond(st.at(off)) {
+// removeIf removes the record of k, whose hash is h, if there is one and
+// it satisfies cond.
+func (s *Mem) removeIf(h uint64, k string, cond func(rec) bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	off, prev := s.find(h, k)
+	if off == noOff || !cond(s.at(off)) {
 		return false
 	}
-	s.remove(st, h, off, prev)
-	s.settle(st)
+	s.remove(h, off, prev)
+	s.settle()
 	return true
 }
 
-// scan calls fn on every record of ns, under each stripe's read lock.
-func (s *Mem) scan(ns string, fn func(rec)) {
-	id, ok := s.nsID(ns)
-	if !ok {
-		return
-	}
-	visit := func(_ uint32, r rec) {
-		if r.ns() == id {
-			fn(r)
-		}
-	}
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.RLock()
-		st.each(visit)
-		st.mu.RUnlock()
-	}
-}
-
-// Keys returns the sorted keys of a namespace (without the prefix).
-func (s *Mem) Keys(ns string) []string {
-	var out []string
-	s.scan(ns, func(r rec) { out = append(out, string(r.key())) })
-	sort.Strings(out)
-	return out
-}
-
-// Len returns the total number of stored keys.
-func (s *Mem) Len() int { return int(s.entries.Load()) }
-
-// MemoryBytes returns the total size of stored values plus keys — the
+// MemoryBytes returns the total size of stored keys plus values — the
 // figure the §6.5 memory evaluation reports for caching state, and the one
-// MaxBytes bounds. It counts payload (namespace + ":" + key + value
-// bytes), not the record header, index slot and chunk slack each entry
-// also occupies.
-func (s *Mem) MemoryBytes() int { return int(s.bytes.Load()) }
+// MaxBytes bounds. It counts payload, not the record header, index slot
+// and chunk slack each entry also occupies.
+func (s *Mem) MemoryBytes() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.bytes
+}
 
-// ExportNamespace returns the stored bytes of every key in ns (keys
-// without the prefix), for per-namespace persistence: each exact cache
-// snapshots exactly the slice of the store it owns.
-func (s *Mem) ExportNamespace(ns string) map[string][]byte {
-	out := make(map[string][]byte)
-	s.scan(ns, func(r rec) { out[string(r.key())] = append([]byte(nil), r.val()...) })
+// Export returns the stored bytes of every key, for the owning cache's
+// snapshot section.
+func (s *Mem) Export() map[string][]byte {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make(map[string][]byte, s.nrec)
+	s.each(func(_ uint32, r rec) { out[string(r.key())] = append([]byte(nil), r.val()...) })
 	return out
 }
 
-// ImportNamespace replaces the contents of ns with previously-exported
-// entries, leaving every other namespace untouched. Entries go in in key
-// order, so what a capped store keeps of an import over its cap does not
-// depend on map iteration. An entry that breaches one of the store's
-// limits is left out — to the caching layers, a miss.
-func (s *Mem) ImportNamespace(ns string, data map[string][]byte) {
-	id, interned := s.nsID(ns)
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		if interned {
-			st.each(func(off uint32, r rec) {
-				if r.ns() == id {
-					h := s.rehash(r)
-					s.remove(st, h, off, st.prevOf(h, off))
-				}
-			})
-			s.settle(st)
-		}
-		// The stripe's even share of the import, so its table grows once.
-		st.reserve(st.nrec + len(data)/len(s.stripes))
-		st.mu.Unlock()
-	}
+// Import replaces the store's contents with previously exported entries;
+// Import(nil) clears it. The old arena is dropped whole, and the new one's
+// table is sized for data up front. Entries go in in key order, so what a
+// capped store keeps of an import over its cap does not depend on map
+// iteration. An entry that breaches one of the store's limits is left
+// out — to the caching layers, a miss.
+func (s *Mem) Import(data map[string][]byte) {
 	keys := make([]string, 0, len(data))
 	for k := range data {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	next := newArena(s.shift, s.maxChunks, s.ext, len(data), s.hashRec, s.pages)
+	next.grows, next.chained = s.grows, s.chained
+	s.arena, next = next, s.arena
+	next.release()
+	s.bytes, s.hotBytes = 0, 0
 	for _, k := range keys {
-		id, h, st, err := s.slot(ns, k)
-		if err != nil {
-			continue
-		}
-		st.mu.Lock()
-		old, prev := st.find(h, id, k)
 		// A refused entry is left out, as documented.
-		_ = s.put(st, ns, k, id, h, old, prev, data[k])
-		st.mu.Unlock()
+		_ = s.put(k, s.hash(k), data[k])
 	}
 }
 
 // Stats returns the store's operation counters and memory accounting. An
-// uncapped store never evicts and has no caps, so those fields are zero.
+// uncapped store never evicts and has no cap, so those fields are zero.
 func (s *Mem) Stats() Stats {
-	name := "striped-map"
+	name := "arena"
 	if s.cfg.capped() {
 		name = "bounded-slru"
 	}
+	s.mu.RLock()
+	entries, payload, resident := s.nrec, s.bytes, int(s.pages.resident.Load())
+	s.mu.RUnlock()
 	return Stats{
 		Backend:       name,
 		Hits:          s.hits.Load(),
 		Misses:        s.misses.Load(),
 		Sets:          s.sets.Load(),
+		SetErrors:     s.setErrors.Load(),
 		Deletes:       s.deletes.Load(),
 		Evictions:     s.evictions.Load(),
 		DecodeErrors:  s.decodeErrors.Load(),
-		Entries:       s.Len(),
-		Bytes:         s.MemoryBytes(),
-		ResidentBytes: int(s.pages.resident.Load()),
-		CapEntries:    s.cfg.MaxEntries,
+		Entries:       entries,
+		Bytes:         payload,
+		ResidentBytes: resident,
 		CapBytes:      s.cfg.MaxBytes,
 	}
 }

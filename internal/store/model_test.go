@@ -84,11 +84,11 @@ type oracle struct {
 	data     map[string]*oracleEntry
 	poisoned int64
 
-	// The caps (0 = none) and the policy's state; front = most recent.
-	maxEnts, maxBytes int
-	cold, hot         *list.List
-	bytes, hotBytes   int
-	evictions         int64
+	// The cap (0 = none) and the policy's state; front = most recent.
+	maxBytes        int
+	cold, hot       *list.List
+	bytes, hotBytes int
+	evictions       int64
 
 	// What the run exercised, so a test can tell it was not vacuous.
 	hotResized, demotions int
@@ -98,7 +98,7 @@ type oracle struct {
 }
 
 type oracleEntry struct {
-	key  string // ns:k
+	key  string
 	val  []byte
 	elem *list.Element
 	hot  bool
@@ -106,9 +106,9 @@ type oracleEntry struct {
 
 func newOracle(cfg MemConfig) *oracle {
 	return &oracle{
-		data:    make(map[string]*oracleEntry),
-		maxEnts: cfg.MaxEntries, maxBytes: cfg.MaxBytes,
-		cold: list.New(), hot: list.New(),
+		data:     make(map[string]*oracleEntry),
+		maxBytes: cfg.MaxBytes,
+		cold:     list.New(), hot: list.New(),
 	}
 }
 
@@ -117,17 +117,17 @@ func (e *oracleEntry) size() int { return len(e.key) + len(e.val) }
 func enc(v FastEncoder) []byte { return v.AppendFast(nil) }
 
 // insert places or replaces an entry and restores the caps.
-func (o *oracle) insert(full string, val []byte) {
-	if e, ok := o.data[full]; ok {
+func (o *oracle) insert(k string, val []byte) {
+	if e, ok := o.data[k]; ok {
 		if e.hot && len(val) != len(e.val) {
 			o.hotResized++
 		}
 		o.setVal(e, val)
 		o.touch(e)
 	} else {
-		e := &oracleEntry{key: full, val: val}
+		e := &oracleEntry{key: k, val: val}
 		e.elem = o.cold.PushFront(e)
-		o.data[full] = e
+		o.data[k] = e
 		o.bytes += e.size()
 	}
 	o.evict()
@@ -152,7 +152,7 @@ func (o *oracle) touch(e *oracleEntry) {
 	e.elem = o.hot.PushFront(e)
 	e.hot = true
 	o.hotBytes += e.size()
-	if o.maxBytes <= 0 {
+	if o.maxBytes == 0 {
 		return
 	}
 	limit := int(float64(o.maxBytes) * 0.8)
@@ -178,8 +178,7 @@ func (o *oracle) remove(e *oracleEntry) {
 
 func (o *oracle) evict() {
 	over := func() bool {
-		return len(o.data) > 0 &&
-			(o.maxBytes > 0 && o.bytes > o.maxBytes || o.maxEnts > 0 && len(o.data) > o.maxEnts)
+		return len(o.data) > 0 && o.maxBytes > 0 && o.bytes > o.maxBytes
 	}
 	for over() {
 		coldest := o.cold.Back()
@@ -193,8 +192,8 @@ func (o *oracle) evict() {
 
 // get mirrors Get's touch; the caller reports a value that would not
 // decode through poison.
-func (o *oracle) get(full string) ([]byte, bool) {
-	e, ok := o.data[full]
+func (o *oracle) get(k string) ([]byte, bool) {
+	e, ok := o.data[k]
 	if !ok {
 		return nil, false
 	}
@@ -202,22 +201,13 @@ func (o *oracle) get(full string) ([]byte, bool) {
 	return e.val, true
 }
 
-func (o *oracle) poison(full string) {
-	o.remove(o.data[full])
+func (o *oracle) poison(k string) {
+	o.remove(o.data[k])
 	o.poisoned++
 }
 
-func (o *oracle) del(full string) bool {
-	e, ok := o.data[full]
-	if !ok {
-		return false
-	}
-	o.remove(e)
-	return true
-}
-
-func (o *oracle) compareDelete(full string, want []byte) bool {
-	e, ok := o.data[full]
+func (o *oracle) compareDelete(k string, want []byte) bool {
+	e, ok := o.data[k]
 	if !ok || !bytes.Equal(e.val, want) {
 		return false
 	}
@@ -225,21 +215,18 @@ func (o *oracle) compareDelete(full string, want []byte) bool {
 	return true
 }
 
-func (o *oracle) export(ns string) map[string][]byte {
+func (o *oracle) export() map[string][]byte {
 	out := make(map[string][]byte)
-	for full, e := range o.data {
-		if k, ok := strings.CutPrefix(full, ns+":"); ok {
-			out[k] = e.val
-		}
+	for k, e := range o.data {
+		out[k] = e.val
 	}
 	return out
 }
 
-func (o *oracle) importNS(ns string, data map[string][]byte) {
-	for full, e := range o.data {
-		if strings.HasPrefix(full, ns+":") {
-			o.remove(e)
-		}
+// imp is Import: the store emptied, then data inserted in key order.
+func (o *oracle) imp(data map[string][]byte) {
+	for _, e := range o.data {
+		o.remove(e)
 	}
 	keys := make([]string, 0, len(data))
 	for k := range data {
@@ -247,19 +234,8 @@ func (o *oracle) importNS(ns string, data map[string][]byte) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		o.insert(ns+":"+k, data[k])
+		o.insert(k, data[k])
 	}
-}
-
-func (o *oracle) keys(ns string) []string {
-	var out []string
-	for full := range o.data {
-		if k, ok := strings.CutPrefix(full, ns+":"); ok {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // order lists a segment's keys, most recent first.
@@ -271,18 +247,18 @@ func (o *oracle) order(seg *list.List) []string {
 	return out
 }
 
-// order lists a segment's records as ns:k, most recent first, checking
-// the links both ways and the hot bit on the way.
-func (s *Mem) order(t *testing.T, st *memStripe, seg lruList, hot bool) []string {
+// order lists a segment's keys, most recent first, checking the links
+// both ways and the hot bit on the way.
+func (s *Mem) order(t *testing.T, seg lruList, hot bool) []string {
 	t.Helper()
 	var out []string
 	newer := uint32(noOff)
 	for off := seg.head; off != noOff; {
-		r := st.at(off)
+		r := s.at(off)
 		if l := r.lru(); l.newer() != newer || l.hot() != hot {
 			t.Fatalf("record %d: newer link %d (want %d), hot %v (want %v)", off, l.newer(), newer, l.hot(), hot)
 		}
-		out = append(out, (*s.nsNames.Load())[r.ns()]+":"+string(r.key()))
+		out = append(out, string(r.key()))
 		newer, off = off, r.lru().older()
 	}
 	if newer != seg.tail {
@@ -309,9 +285,8 @@ func TestModel(t *testing.T) {
 		{"hashed", ^uint64(0), MemConfig{}},
 		{"one-chain", 0, MemConfig{}},
 		{"three-bits", 7, MemConfig{}},
-		{"capped/bytes-only", ^uint64(0), MemConfig{MaxBytes: 800, Stripes: 1}},
-		{"capped/one-chain", 0, MemConfig{MaxEntries: 40, MaxBytes: 1000, Stripes: 1}},
-		{"capped/entries-only", ^uint64(0), MemConfig{MaxEntries: 25, Stripes: 1}},
+		{"capped/bytes-only", ^uint64(0), MemConfig{MaxBytes: 800}},
+		{"capped/one-chain", 0, MemConfig{MaxBytes: 1000}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var seen oracle
@@ -325,7 +300,8 @@ func TestModel(t *testing.T) {
 				seen.chained += o.chained
 			}
 			t.Logf("%d table doublings, %d shrinking compactions, %d chained unlinks", seen.doublings, seen.shrinks, seen.chained)
-			if seen.doublings < 3 || seen.shrinks == 0 || seen.chained == 0 {
+			// Only eviction looks a record's chain predecessor up.
+			if seen.doublings < 3 || seen.shrinks == 0 || (seen.chained == 0) == tc.cfg.capped() {
 				t.Fatalf("the runs never exercised part of the index: %d table doublings, %d shrinking compactions, %d chained unlinks",
 					seen.doublings, seen.shrinks, seen.chained)
 			}
@@ -333,12 +309,18 @@ func TestModel(t *testing.T) {
 				return
 			}
 			t.Logf("%d evictions, %d resized hot entries, %d demotions", seen.evictions, seen.hotResized, seen.demotions)
-			if seen.evictions == 0 || seen.hotResized == 0 || (seen.demotions == 0) != (tc.cfg.MaxBytes == 0) {
+			if seen.evictions == 0 || seen.hotResized == 0 || seen.demotions == 0 {
 				t.Fatalf("the runs never exercised part of the policy: %d evictions, %d resized hot entries, %d demotions",
 					seen.evictions, seen.hotResized, seen.demotions)
 			}
 		})
 	}
+}
+
+// drop removes k whatever it holds: the unguarded delete the caching layer
+// never needs, for tests that churn records.
+func (s *Mem) drop(k string) bool {
+	return s.removeIf(s.hash(k), k, func(rec) bool { return true })
 }
 
 func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
@@ -347,9 +329,6 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 	s.hashMask = mask
 	o := newOracle(cfg)
 
-	// No namespace contains ':', where the oracle's joined keys and the
-	// arena's interned ids would disagree about what a prefix means.
-	nss := []string{"a", "ab", "session-exact/0"}
 	// value draws a fastEntry (fixed 25 bytes, overwritten in place) or a
 	// text, short or longer than a chunk.
 	value := func() FastEncoder {
@@ -368,45 +347,48 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 	}
 	compactions := 0
 	for step := 0; step < steps; step++ {
-		ns := nss[rng.Intn(len(nss))]
 		// Half the traffic goes to a few keys, so that a protected segment
 		// forms and outgrows its share.
-		keys := 40
+		keys := 120
 		if rng.Intn(2) == 0 {
-			keys = 6
+			keys = 18
 		}
 		k := fmt.Sprintf("key-%d", rng.Intn(keys))
-		full := ns + ":" + k
-		at := fmt.Sprintf("seed %d step %d %s", seed, step, full)
-		before := s.stripes[0].chunks
-		tables := tableSizes(s)
+		at := fmt.Sprintf("seed %d step %d %s", seed, step, k)
+		before := s.chunks
+		tables := len(s.buckets)
 		op := rng.Intn(24)
 		if op%8 == 6 && op != 6 {
-			op = 4 // an import wipes a namespace's LRU history: a third as often
+			op = 4 // an import wipes the LRU history: a third as often
 		}
 		switch op % 8 {
 		case 0, 1:
 			v := value()
-			if err := s.Set(ns, k, v); err != nil {
+			if err := s.Set(k, v); err != nil {
 				t.Fatalf("%s: Set: %v", at, err)
 			}
-			o.insert(full, enc(v))
+			o.insert(k, enc(v))
 		case 2:
-			if got, want := s.Delete(ns, k), o.del(full); got != want {
-				t.Fatalf("%s: Delete = %v; oracle %v", at, got, want)
+			// CompareDelete of what the key holds: a plain delete.
+			if e, ok := o.data[k]; ok {
+				if !s.CompareDelete(k, rawValue(e.val)) || !o.compareDelete(k, e.val) {
+					t.Fatalf("%s: CompareDelete of the stored value refused", at)
+				}
+			} else if s.CompareDelete(k, value()) {
+				t.Fatalf("%s: CompareDelete of an absent key = true", at)
 			}
 		case 3:
 			expect := value()
-			if e, ok := o.data[full]; ok && rng.Intn(2) == 0 {
+			if e, ok := o.data[k]; ok && rng.Intn(2) == 0 {
 				expect = rawValue(e.val)
 			}
-			if got, want := s.CompareDelete(ns, k, expect), o.compareDelete(full, enc(expect)); got != want {
+			if got, want := s.CompareDelete(k, expect), o.compareDelete(k, enc(expect)); got != want {
 				t.Fatalf("%s: CompareDelete = %v; oracle %v", at, got, want)
 			}
 		case 4, 5:
 			// Decode as an entry or as a text; the wrong guess is the
 			// poisoned-entry path, which deletes.
-			raw, want := o.get(full)
+			raw, want := o.get(k)
 			var e fastEntry
 			var str text
 			var out FastDecoder = &e
@@ -414,7 +396,7 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 			if !asEntry {
 				out = &str
 			}
-			got, err := s.Get(ns, k, out)
+			got, err := s.Get(k, out)
 			var probe fastEntry
 			isEntry := want && probe.DecodeFast(raw)
 			switch {
@@ -426,7 +408,7 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 				if got || err == nil {
 					t.Fatalf("%s: Get of mistyped value = %v, %v; want a decode error", at, got, err)
 				}
-				o.poison(full)
+				o.poison(k)
 			default:
 				if !got || err != nil {
 					t.Fatalf("%s: Get = %v, %v; oracle present", at, got, err)
@@ -440,44 +422,44 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 				}
 			}
 		case 6:
-			// Round-trip a namespace through export/import into another.
-			src, dst := ns, nss[rng.Intn(len(nss))]
-			data := s.ExportNamespace(src)
-			if want := o.export(src); !reflect.DeepEqual(data, want) {
-				t.Fatalf("%s: ExportNamespace(%s) = %v; oracle %v", at, src, data, want)
+			// Round-trip the store through export and import, keeping a
+			// random part of it (none, a quarter of the time).
+			data := s.Export()
+			if want := o.export(); !reflect.DeepEqual(data, want) {
+				t.Fatalf("%s: Export = %v; oracle %v", at, data, want)
+			}
+			for _, dk := range exportedKeys(s) {
+				if rng.Intn(3) == 0 {
+					delete(data, dk)
+				}
 			}
 			if rng.Intn(4) == 0 {
 				data = nil
 			}
-			s.ImportNamespace(dst, data)
-			o.importNS(dst, data)
+			s.Import(data)
+			o.imp(data)
 		case 7:
-			if got, want := s.Keys(ns), o.keys(ns); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: Keys = %v; oracle %v", at, got, want)
+			if got, want := s.Export(), o.export(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Export = %v; oracle %v", at, got, want)
 			}
 		}
-		if after := s.stripes[0].chunks; len(before) > 0 && len(after) > 0 && len(after) < len(before) {
+		if after := s.chunks; len(before) > 0 && len(after) > 0 && len(after) < len(before) {
 			compactions++
 		}
-		for i, n := range tableSizes(s) {
-			if n < tables[i] {
-				o.shrinks++
-			}
+		if len(s.buckets) < tables {
+			o.shrinks++
 		}
 		st := s.Stats()
-		if s.Len() != len(o.data) || s.MemoryBytes() != o.bytes || st.Evictions != o.evictions {
-			t.Fatalf("%s: Len %d Bytes %d Evictions %d; oracle %d %d %d", at,
-				s.Len(), s.MemoryBytes(), st.Evictions, len(o.data), o.bytes, o.evictions)
+		if st.Entries != len(o.data) || st.Bytes != o.bytes || st.Evictions != o.evictions {
+			t.Fatalf("%s: Entries %d Bytes %d Evictions %d; oracle %d %d %d", at,
+				st.Entries, st.Bytes, st.Evictions, len(o.data), o.bytes, o.evictions)
 		}
 		if cfg.capped() {
-			// One stripe, so its segments are the oracle's lists.
-			st := &s.stripes[0]
-			if cold, hot := s.order(t, st, st.cold, false), s.order(t, st, st.hot, true); !reflect.DeepEqual(cold, o.order(o.cold)) || !reflect.DeepEqual(hot, o.order(o.hot)) {
+			if cold, hot := s.order(t, s.cold, false), s.order(t, s.hot, true); !reflect.DeepEqual(cold, o.order(o.cold)) || !reflect.DeepEqual(hot, o.order(o.hot)) {
 				t.Fatalf("%s: LRU order diverged\nprobation %v\n   oracle %v\nprotected %v\n   oracle %v", at, cold, o.order(o.cold), hot, o.order(o.hot))
 			}
-			if st.ents != len(o.data) || st.bytes != o.bytes || st.hotBytes != o.hotBytes {
-				t.Fatalf("%s: stripe holds %d entries, %d bytes, %d hot; oracle %d %d %d", at,
-					st.ents, st.bytes, st.hotBytes, len(o.data), o.bytes, o.hotBytes)
+			if s.hotBytes != o.hotBytes {
+				t.Fatalf("%s: %d hot bytes; oracle %d", at, s.hotBytes, o.hotBytes)
 			}
 		}
 	}
@@ -485,47 +467,32 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 		t.Fatalf("seed %d: DecodeErrors = %d; oracle %d", seed, got, o.poisoned)
 	}
 	if (mask == 0 || cfg.capped()) && compactions == 0 {
-		t.Fatalf("seed %d: stripe 0 never compacted; the test is not exercising it", seed)
+		t.Fatalf("seed %d: the arena never compacted; the test is not exercising it", seed)
 	}
 	// Every record walked is live, linked and accounted.
-	walked, live, held := 0, 0, 0
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		o.doublings += st.grows
-		o.chained += st.chained
-		held += 4 * len(st.buckets)
-		for _, c := range st.chunks {
-			held += cap(c)
-		}
-		if st.nrec > len(st.buckets) {
-			t.Fatalf("seed %d: stripe %d links %d records from %d buckets", seed, i, st.nrec, len(st.buckets))
-		}
-		st.each(func(off uint32, r rec) {
-			walked++
-			live += st.span(r)
-			h := s.hashBytes(r.ns(), r.key())
-			if got, _ := st.find(h, r.ns(), string(r.key())); got != off {
-				t.Fatalf("seed %d: record at %d is not the one its key finds (%d)", seed, off, got)
-			}
-		})
-		live -= st.live
+	o.doublings, o.chained = s.grows, s.chained
+	held := 4 * len(s.buckets)
+	for _, c := range s.chunks {
+		held += cap(c)
 	}
-	if walked != s.Len() || live != 0 {
-		t.Fatalf("seed %d: walked %d records for Len %d, live bytes off by %d", seed, walked, s.Len(), live)
+	if s.nrec > len(s.buckets) {
+		t.Fatalf("seed %d: %d records linked from %d buckets", seed, s.nrec, len(s.buckets))
+	}
+	walked, live := 0, 0
+	s.each(func(off uint32, r rec) {
+		walked++
+		live += s.span(r)
+		if got, _ := s.find(s.hashRec(r), string(r.key())); got != off {
+			t.Fatalf("seed %d: record at %d is not the one its key finds (%d)", seed, off, got)
+		}
+	})
+	if walked != s.nrec || live != s.live {
+		t.Fatalf("seed %d: walked %d records for %d linked, %d live bytes for %d", seed, walked, s.nrec, live, s.live)
 	}
 	if got := s.Stats().ResidentBytes; got != held {
-		t.Fatalf("seed %d: ResidentBytes = %d, the stripes hold %d", seed, got, held)
+		t.Fatalf("seed %d: ResidentBytes = %d, the arena holds %d", seed, got, held)
 	}
 	return o
-}
-
-// tableSizes is the bucket count of every stripe.
-func tableSizes(s *Mem) []int {
-	out := make([]int, len(s.stripes))
-	for i := range s.stripes {
-		out[i] = len(s.stripes[i].buckets)
-	}
-	return out
 }
 
 // rawValue turns stored bytes back into a value that encodes to them.
@@ -542,7 +509,7 @@ func rawValue(raw []byte) FastEncoder {
 }
 
 // TestStorm runs writers, readers, invalidators and an exporter over one
-// stripe (every key on one chain, 256-byte chunks) for the race detector,
+// arena (every key on one chain, 256-byte chunks) for the race detector,
 // and checks that a reader only ever sees a value some writer wrote for
 // that very key: in-place overwrites must never tear, and a collision must
 // never serve a neighbour's release. A burst of short-lived keys outgrows
@@ -550,8 +517,8 @@ func rawValue(raw []byte) FastEncoder {
 // under the uncapped store's read-locked readers throughout.
 func TestStorm(t *testing.T) {
 	t.Run("uncapped", func(t *testing.T) { storm(t, MemConfig{}) })
-	// Fewer entries allowed than keys written: eviction runs under fire.
-	t.Run("capped", func(t *testing.T) { storm(t, MemConfig{MaxEntries: 12, Stripes: 1}) })
+	// Room for fewer entries than keys written: eviction runs under fire.
+	t.Run("capped", func(t *testing.T) { storm(t, MemConfig{MaxBytes: 12 * (2 + 25)}) })
 }
 
 func storm(t *testing.T, cfg MemConfig) {
@@ -573,25 +540,25 @@ func storm(t *testing.T, cfg MemConfig) {
 			defer writers.Done()
 			for i := 0; i < rounds; i++ {
 				k := (i + w) % keys
-				if err := s.Set("hot", fmt.Sprint(k), entryFor(k, i)); err != nil {
+				if err := s.Set(fmt.Sprint(k), entryFor(k, i)); err != nil {
 					t.Error(err)
 					return
 				}
 				if i%7 == 0 { // a value of another length: dies and re-appends
-					if err := s.Set("hot", fmt.Sprint(k), text(strings.Repeat("y", i%300))); err != nil {
+					if err := s.Set(fmt.Sprint(k), text(strings.Repeat("y", i%300))); err != nil {
 						t.Error(err)
 						return
 					}
 				}
 				if w == 0 && i%50 == 0 { // more records than buckets: the table doubles under the readers
 					for j := 0; j < 2*keys; j++ {
-						if err := s.Set("burst", fmt.Sprint(j), num(j)); err != nil {
+						if err := s.Set(fmt.Sprint("burst", j), num(j)); err != nil {
 							t.Error(err)
 							return
 						}
 					}
 					for j := 0; j < 2*keys; j++ {
-						s.Delete("burst", fmt.Sprint(j))
+						s.drop(fmt.Sprint("burst", j))
 					}
 				}
 			}
@@ -604,7 +571,7 @@ func storm(t *testing.T, cfg MemConfig) {
 			for i := 0; !stop.Load(); i++ {
 				k := i % keys
 				var e fastEntry
-				ok, err := s.Get("hot", fmt.Sprint(k), &e)
+				ok, err := s.Get(fmt.Sprint(k), &e)
 				if err != nil {
 					continue // the text variant read as an Entry: poisoned, deleted
 				}
@@ -620,53 +587,50 @@ func storm(t *testing.T, cfg MemConfig) {
 		defer others.Done()
 		for i := 0; !stop.Load(); i++ {
 			k := i % keys
-			s.CompareDelete("hot", fmt.Sprint(k), entryFor(k, i%rounds))
+			s.CompareDelete(fmt.Sprint(k), entryFor(k, i%rounds))
 			if i%5 == 0 {
-				s.Delete("hot", fmt.Sprint(k))
+				s.drop(fmt.Sprint(k))
 			}
 		}
 	}()
 	go func() { // exporter
 		defer others.Done()
 		for !stop.Load() {
-			for k, v := range s.ExportNamespace("hot") {
+			for k, v := range s.Export() {
 				var e fastEntry
 				if e.DecodeFast(v) && fmt.Sprint(int(e.Value)) != k {
 					t.Errorf("export of key %s carries entry %+v", k, e)
 					return
 				}
 			}
-			s.Keys("hot")
 			s.Stats()
 		}
 	}()
 	writers.Wait()
 	stop.Store(true)
 	others.Wait()
-	if got, want := s.Len(), len(s.Keys("hot")); got != want {
-		t.Fatalf("Len = %d but %d keys remain", got, want)
+	if got, want := s.Stats().Entries, len(s.Export()); got != want {
+		t.Fatalf("Stats counts %d entries but %d keys remain", got, want)
 	}
-	if grows := s.stripes[0].grows; !cfg.capped() && grows < rounds/100 {
-		t.Fatalf("the table doubled %d times in %d rounds: the readers never raced a regrown one", grows, rounds)
+	if !cfg.capped() && s.grows < rounds/100 {
+		t.Fatalf("the table doubled %d times in %d rounds: the readers never raced a regrown one", s.grows, rounds)
 	}
 }
 
-// TestImportReservesOnce pins that an import sizes each stripe's table up
-// front instead of doubling its way there.
+// TestImportReservesOnce pins that an import sizes the table up front
+// instead of doubling its way there.
 func TestImportReservesOnce(t *testing.T) {
 	data := make(map[string][]byte, 50_000)
 	for i := 0; i < 50_000; i++ {
 		data[windowedKey(i)] = []byte{byte(i)}
 	}
 	s := NewMem(MemConfig{})
-	s.ImportNamespace("session-exact/0", data)
-	if s.Len() != len(data) {
-		t.Fatalf("Len = %d after importing %d keys", s.Len(), len(data))
+	s.Import(data)
+	if n := s.Stats().Entries; n != len(data) {
+		t.Fatalf("%d entries after importing %d keys", n, len(data))
 	}
-	for i := range s.stripes {
-		if st := &s.stripes[i]; st.grows > 1 {
-			t.Fatalf("stripe %d grew its table %d times for %d records", i, st.grows, st.nrec)
-		}
+	if s.grows > 0 {
+		t.Fatalf("the table grew %d times for %d records", s.grows, s.nrec)
 	}
 }
 
@@ -676,105 +640,91 @@ func TestLimitsFailClosed(t *testing.T) {
 	t.Run("key", func(t *testing.T) {
 		s := NewMem(MemConfig{})
 		long := strings.Repeat("k", maxKeyLen+1)
-		if err := s.Set("ns", long, num(1)); !errors.Is(err, ErrKeyTooLong) {
+		if err := s.Set(long, num(1)); !errors.Is(err, ErrKeyTooLong) {
 			t.Fatalf("Set = %v, want ErrKeyTooLong", err)
 		}
-		s.ImportNamespace("ns", map[string][]byte{long: {1}, "ok": {2}})
+		s.Import(map[string][]byte{long: {1}, "ok": {2}})
 		var v num
-		if ok, _ := s.Get("ns", long, &v); ok || s.Delete("ns", long) || s.Len() != 1 {
-			t.Fatalf("over-long key left something behind: Len %d", s.Len())
+		if ok, _ := s.Get(long, &v); ok || s.drop(long) || s.Stats().Entries != 1 {
+			t.Fatalf("over-long key left something behind: %d entries", s.Stats().Entries)
 		}
-		if err := s.Set("ns", long[1:], num(1)); err != nil {
+		if err := s.Set(long[1:], num(1)); err != nil {
 			t.Fatalf("a %d-byte key must fit: %v", maxKeyLen, err)
 		}
-		if ok, _ := s.Get("ns", long[1:], &v); !ok || v != 1 {
+		if ok, _ := s.Get(long[1:], &v); !ok || v != 1 {
 			t.Fatal("longest legal key did not round-trip")
 		}
-	})
-	t.Run("namespaces", func(t *testing.T) {
-		s := NewMem(MemConfig{})
-		for i := 0; i < maxNamespaces; i++ {
-			if err := s.Set(fmt.Sprint("ns", i), "k", num(i)); err != nil {
-				t.Fatalf("namespace %d: %v", i, err)
-			}
-		}
-		if err := s.Set("one-too-many", "k", num(1)); !errors.Is(err, ErrTooManyNamespaces) {
-			t.Fatalf("Set = %v, want ErrTooManyNamespaces", err)
-		}
-		var v num
-		if ok, _ := s.Get("one-too-many", "k", &v); ok || s.Len() != maxNamespaces {
-			t.Fatalf("refused namespace stored something: Len %d", s.Len())
-		}
-		last := maxNamespaces - 1
-		if ok, _ := s.Get(fmt.Sprint("ns", last), "k", &v); !ok || int(v) != last {
-			t.Fatalf("last namespace read %v %d", ok, v)
-		}
-		if ok, _ := s.Get("ns0", "k", &v); !ok || v != 0 {
-			t.Fatalf("first namespace read %v %d: an id wrapped", ok, v)
+		if st := s.Stats(); st.Sets != 1 || st.SetErrors != 1 {
+			t.Fatalf("%d sets, %d refused; want 1 and 1", st.Sets, st.SetErrors)
 		}
 	})
 	t.Run("arena", func(t *testing.T) {
-		// One chain, so one stripe: 4 chunks of 256 bytes.
+		// One chain over 4 chunks of 256 bytes.
 		s := newMem(MemConfig{}, 8, 4)
 		s.hashMask = 0
 		stored := 0
 		var err error
 		for ; err == nil && stored < 1000; stored++ {
-			err = s.Set("ns", fmt.Sprint("k", stored), text(strings.Repeat("v", 40)))
+			err = s.Set(fmt.Sprint("k", stored), text(strings.Repeat("v", 40)))
 		}
 		stored--
 		if !errors.Is(err, ErrArenaFull) {
 			t.Fatalf("after %d sets: %v, want ErrArenaFull", stored, err)
 		}
-		if s.Len() != stored {
-			t.Fatalf("Len = %d after %d successful sets", s.Len(), stored)
+		if n := s.Stats().Entries; n != stored {
+			t.Fatalf("%d entries after %d successful sets", n, stored)
 		}
-		if err := s.Set("ns", "oversize", text(strings.Repeat("v", 1000))); !errors.Is(err, ErrArenaFull) {
+		if err := s.Set("oversize", text(strings.Repeat("v", 1000))); !errors.Is(err, ErrArenaFull) {
 			t.Fatalf("oversize Set into a full arena = %v", err)
 		}
 		// A refused overwrite leaves the old value standing.
-		if err := s.Set("ns", "k0", text(strings.Repeat("w", 41))); !errors.Is(err, ErrArenaFull) {
+		if err := s.Set("k0", text(strings.Repeat("w", 41))); !errors.Is(err, ErrArenaFull) {
 			t.Fatalf("overwrite = %v, want ErrArenaFull", err)
 		}
 		var got text
-		if ok, _ := s.Get("ns", "k0", &got); !ok || string(got) != strings.Repeat("v", 40) {
+		if ok, _ := s.Get("k0", &got); !ok || string(got) != strings.Repeat("v", 40) {
 			t.Fatalf("refused overwrite damaged the entry: %v %q", ok, got)
 		}
 		for i := 0; i < stored; i++ {
-			if ok, _ := s.Get("ns", fmt.Sprint("k", i), &got); !ok || string(got) != strings.Repeat("v", 40) {
+			if ok, _ := s.Get(fmt.Sprint("k", i), &got); !ok || string(got) != strings.Repeat("v", 40) {
 				t.Fatalf("entry %d lost or changed: %v %q", i, ok, got)
 			}
 		}
-		// Deleting makes room again: the full stripe compacts on demand.
+		// Deleting makes room again: the full arena compacts on demand.
 		for i := 0; i < stored/2; i++ {
-			s.Delete("ns", fmt.Sprint("k", i))
+			s.drop(fmt.Sprint("k", i))
 		}
-		if err := s.Set("ns", "again", text(strings.Repeat("v", 40))); err != nil {
+		if err := s.Set("again", text(strings.Repeat("v", 40))); err != nil {
 			t.Fatalf("set after deletes: %v", err)
 		}
 	})
 }
 
-// TestNamespaceWithColon pins that namespaces are ids, not prefixes: "a:b"
-// and "a" never see each other's keys, capped or not.
-func TestNamespaceWithColon(t *testing.T) {
-	for name, cfg := range map[string]MemConfig{"uncapped": {}, "capped": {MaxEntries: 1 << 10}} {
-		t.Run(name, func(t *testing.T) {
-			s := NewMem(cfg)
-			_ = s.Set("a:b", "c", num(1))
-			_ = s.Set("a", "b:c", num(2))
-			var v num
-			if ok, _ := s.Get("a:b", "c", &v); !ok || v != 1 {
-				t.Fatalf("a:b/c = %v %d", ok, v)
+// TestMaxCapHonoured pins maxCap against the arena it describes, on 256-
+// byte chunks and 48 slots: a capped store churned at that cap, with
+// records of every size from the smallest to the largest maxCap was told
+// of, never runs out of slots, and one capped at the arena's own size
+// does.
+func TestMaxCapHonoured(t *testing.T) {
+	const shift, slots, minPayload, maxRecord = 8, 48, 27, hdrLen + lruLen + 27 + 16
+	churn := func(capBytes int) error {
+		s := newMem(MemConfig{MaxBytes: capBytes}, shift, slots)
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 20_000; i++ {
+			// A 2-byte key and a value of 25 to 41 bytes.
+			k := string([]byte{byte(rng.Intn(40)), byte(rng.Intn(50))})
+			if err := s.Set(k, text(strings.Repeat("v", 24+rng.Intn(17)))); err != nil {
+				return fmt.Errorf("set %d: %w", i, err)
 			}
-			if got := s.Keys("a"); len(got) != 1 || got[0] != "b:c" {
-				t.Fatalf("Keys(a) = %v", got)
-			}
-			s.ImportNamespace("a", nil)
-			if ok, _ := s.Get("a:b", "c", &v); !ok || s.Len() != 1 {
-				t.Fatal("clearing namespace a reached into a:b")
-			}
-		})
+		}
+		return nil
+	}
+	limit := maxCap(shift, slots, minPayload, maxRecord)
+	if err := churn(limit); err != nil {
+		t.Fatalf("at the %d-byte cap: %v", limit, err)
+	}
+	if err := churn(slots << shift); !errors.Is(err, ErrArenaFull) {
+		t.Fatalf("over the cap: %v, want ErrArenaFull", err)
 	}
 }
 
@@ -784,21 +734,19 @@ func TestOversizeValueReleased(t *testing.T) {
 	s := NewMem(MemConfig{})
 	big := make([]byte, 1<<20)
 	for i := 0; i < 8; i++ {
-		if err := s.Set("ckpt", "section", text(big[:len(big)-i])); err != nil {
+		if err := s.Set("section", text(big[:len(big)-i])); err != nil {
 			t.Fatal(err)
 		}
 	}
 	held := 0
-	for i := range s.stripes {
-		for _, c := range s.stripes[i].chunks {
-			held += cap(c)
-		}
+	for _, c := range s.chunks {
+		held += cap(c)
 	}
 	if held > 2<<20 {
 		t.Fatalf("store holds %d bytes of chunks for one 1 MiB value", held)
 	}
 	var got text
-	if ok, err := s.Get("ckpt", "section", &got); !ok || err != nil || len(got) != len(big)-7 {
+	if ok, err := s.Get("section", &got); !ok || err != nil || len(got) != len(big)-7 {
 		t.Fatalf("Get = %v, %v, %d bytes", ok, err, len(got))
 	}
 }

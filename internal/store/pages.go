@@ -16,7 +16,7 @@ var mappedBytes atomic.Int64
 
 // pageSet is one store's chunks and tables, by first byte, each with the
 // mapping behind it; resident sums the bytes asked for (ResidentBytes). It
-// references no stripe and no Mem, so a cleanup can hand back what a store
+// references no part of the Mem, so a cleanup can hand back what a store
 // still holds once nothing references the store.
 type pageSet struct {
 	mu       sync.Mutex

@@ -20,7 +20,7 @@ func mapPages(n int) []byte {
 }
 
 // unmapPages returns what mapPages mapped. A slice into it faults from now
-// on, which is why no chunk slice outlives its stripe lock.
+// on, which is why no chunk slice outlives the store's lock.
 func unmapPages(m []byte) {
 	if err := syscall.Munmap(m); err != nil {
 		panic(fmt.Sprintf("store: unmapping %d bytes: %v", len(m), err))

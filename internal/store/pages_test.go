@@ -35,32 +35,28 @@ func settleMapped(t *testing.T) int64 {
 	return last
 }
 
-// checkHeld asserts that s's page set holds exactly its stripes' tables and
-// live chunks, each at the capacity the arena uses, and returns the bytes
+// checkHeld asserts that s's page set holds exactly its table and live
+// chunks, each at the capacity the arena uses, and returns the bytes
 // mapped behind them.
 func checkHeld(t *testing.T, s *Mem) int64 {
 	t.Helper()
-	want := map[*byte]int{}
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		want[(*byte)(unsafe.Pointer(unsafe.SliceData(st.buckets)))] = 4 * len(st.buckets)
-		for _, c := range st.chunks {
-			if c != nil {
-				want[unsafe.SliceData(c)] = cap(c)
-			}
+	want := map[*byte]int{(*byte)(unsafe.Pointer(unsafe.SliceData(s.buckets))): 4 * len(s.buckets)}
+	for _, c := range s.chunks {
+		if c != nil {
+			want[unsafe.SliceData(c)] = cap(c)
 		}
 	}
 	s.pages.mu.Lock()
 	defer s.pages.mu.Unlock()
 	if len(s.pages.held) != len(want) {
-		t.Fatalf("the page set holds %d mappings, the stripes use %d", len(s.pages.held), len(want))
+		t.Fatalf("the page set holds %d mappings, the arena uses %d", len(s.pages.held), len(want))
 	}
 	var mapped int64
 	resident := 0
 	for first, m := range s.pages.held {
 		n, ok := want[first]
 		if !ok || len(m) < n || len(m) >= n+pageSize {
-			t.Fatalf("the page set holds a %d-byte mapping the stripes do not use as %d bytes (in use: %v)", len(m), n, ok)
+			t.Fatalf("the page set holds a %d-byte mapping the arena does not use as %d bytes (in use: %v)", len(m), n, ok)
 		}
 		mapped += int64(len(m))
 		resident += n
@@ -72,12 +68,12 @@ func checkHeld(t *testing.T, s *Mem) int64 {
 }
 
 // TestPageCompactionUnmapsOldArena pins that a compaction, successful or
-// abandoned, leaves mapped only what the stripe then uses.
+// abandoned, leaves mapped only what the arena then uses.
 func TestPageCompactionUnmapsOldArena(t *testing.T) {
 	base := settleMapped(t)
-	s := NewMem(MemConfig{Stripes: 1})
+	s := NewMem(MemConfig{})
 	for i := 0; i < 20_000; i++ {
-		if err := s.Set("ns", windowedKey(i), num(i)); err != nil {
+		if err := s.Set(windowedKey(i), num(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,24 +82,23 @@ func TestPageCompactionUnmapsOldArena(t *testing.T) {
 		t.Fatalf("%d bytes mapped, the store holds %d", got, full)
 	}
 
-	// Dead bytes past the live ones: deletes compact.
-	for i := 0; i < 18_000; i++ {
-		s.Delete("ns", windowedKey(i))
+	// Dead bytes past the live ones, and past a chunk: deletes compact.
+	for i := 0; i < 18_500; i++ {
+		s.drop(windowedKey(i))
 	}
 	after := checkHeld(t, s)
 	if got := mappedBytes.Load() - base; got != after || after > full/4 {
 		t.Fatalf("after compaction %d bytes mapped, the store holds %d, %d before", got, after, full)
 	}
 
-	// A compaction that does not fit the stripe's chunk slots is abandoned;
+	// A compaction that does not fit the arena's chunk slots is abandoned;
 	// the arena it was building goes back too.
-	s.Delete("ns", windowedKey(19_999))
-	st := &s.stripes[0]
-	st.maxChunks = 1
-	if s.compact(st) {
+	s.drop(windowedKey(19_999))
+	s.maxChunks = 1
+	if s.compact() {
 		t.Fatal("compaction into one chunk slot fit")
 	}
-	st.maxChunks = 1 << (32 - chunkShift)
+	s.maxChunks = 1 << (32 - chunkShift)
 	if got := mappedBytes.Load() - base; got != checkHeld(t, s) || got != after {
 		t.Fatalf("after an abandoned compaction %d bytes mapped, %d before", got, after)
 	}
@@ -118,15 +113,15 @@ func TestPageOversizeUnmapsAtDeath(t *testing.T) {
 	small := checkHeld(t, s)
 	big := strings.Repeat("v", 1<<20)
 	for i := 0; i < 4; i++ {
-		if err := s.Set("ckpt", "section", text(big[i:])); err != nil {
+		if err := s.Set("section", text(big[i:])); err != nil {
 			t.Fatal(err)
 		}
 		if got := mappedBytes.Load() - base; got != checkHeld(t, s) || got > small+(1<<20)+int64(pageSize) {
 			t.Fatalf("overwrite %d: %d bytes mapped for one 1 MiB value", i, got)
 		}
 	}
-	if !s.Delete("ckpt", "section") {
-		t.Fatal("Delete found nothing")
+	if !s.drop("section") {
+		t.Fatal("the delete found nothing")
 	}
 	if got := mappedBytes.Load() - base; got != checkHeld(t, s) || got != small {
 		t.Fatalf("after Delete %d bytes mapped, %d for the empty store", got, small)
@@ -135,42 +130,36 @@ func TestPageOversizeUnmapsAtDeath(t *testing.T) {
 }
 
 // TestPageFirstChunkIsAPage pins the starter-chunk floor: where a chunk
-// spans pages, a stripe's first is one page, not 1/64 of a chunk, which
+// spans pages, the arena's first is one page, not 1/64 of a chunk, which
 // would leave mapped bytes ResidentBytes does not count.
 func TestPageFirstChunkIsAPage(t *testing.T) {
-	s := NewMem(MemConfig{Stripes: 1})
-	if err := s.Set("ns", "k", num(1)); err != nil {
+	s := NewMem(MemConfig{})
+	if err := s.Set("k", num(1)); err != nil {
 		t.Fatal(err)
 	}
-	if got := cap(s.stripes[0].chunks[0]); got != pageSize {
+	if got := cap(s.chunks[0]); got != pageSize {
 		t.Fatalf("first chunk holds %d bytes, want a %d-byte page", got, pageSize)
 	}
 }
 
 // TestPageResizeUnmapsOldTable pins that a table doubling gives the old
-// table back: after many doublings the store maps one table per stripe. A
-// table starts at a page of buckets, so a stripe doubles only once it links
+// table back: after many doublings the store maps one table. A table
+// starts at a page of buckets, so it doubles only once the store links
 // more than 1,024 records.
 func TestPageResizeUnmapsOldTable(t *testing.T) {
 	base := settleMapped(t)
-	s := NewMem(MemConfig{Stripes: 2})
+	s := NewMem(MemConfig{})
 	for i := 0; i < 50_000; i++ {
-		if i == 1_500 {
-			for j := range s.stripes {
-				if st := &s.stripes[j]; st.nrec >= 1024 || st.grows != 0 {
-					t.Fatalf("stripe %d doubled its table %d times for %d records", j, st.grows, st.nrec)
-				}
-			}
+		if i == 1_024 && s.grows != 0 {
+			t.Fatalf("the table doubled %d times for %d records", s.grows, s.nrec)
 		}
-		if err := s.Set("ns", windowedKey(i), num(i)); err != nil {
+		if err := s.Set(windowedKey(i), num(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := range s.stripes {
-		// Over 16,384 records each: 1,024 → 32,768 buckets.
-		if st := &s.stripes[i]; st.grows < 5 {
-			t.Fatalf("stripe %d doubled its table %d times for %d records", i, st.grows, st.nrec)
-		}
+	// 50,000 records: 1,024 → 65,536 buckets.
+	if s.grows != 6 {
+		t.Fatalf("the table doubled %d times for %d records, want 6", s.grows, s.nrec)
 	}
 	if got, held := mappedBytes.Load()-base, checkHeld(t, s); got != held {
 		t.Fatalf("%d bytes mapped, the store holds %d", got, held)
@@ -187,11 +176,11 @@ func TestPageDroppedStoresUnmap(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		cfg := MemConfig{}
 		if i%2 == 1 {
-			cfg.MaxEntries = 300
+			cfg.MaxBytes = 300 * 12
 		}
 		s := NewMem(cfg)
 		for j := 0; j < 500; j++ {
-			if err := s.Set(fmt.Sprint("ns", j%3), windowedKey(j), num(j)); err != nil {
+			if err := s.Set(windowedKey(j), num(j)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -212,27 +201,26 @@ func TestPageDroppedStoresUnmap(t *testing.T) {
 
 // TestPageScratchNeverCompactedAway pins the one chunk slice consumed after
 // a compaction could run: a FastEncoder value encoded into the tail of a
-// capped stripe out of chunk slots, where the record's header, key and
+// capped arena out of chunk slots, where the record's header, key and
 // value fit but its LRU links do not. Were scratch to reach into the
-// links' bytes, the record would need a new chunk, the stripe would
+// links' bytes, the record would need a new chunk, the arena would
 // compact instead, and the value would be copied out of an unmapped chunk.
 func TestPageScratchNeverCompactedAway(t *testing.T) {
-	s := newMem(MemConfig{MaxEntries: 1 << 10, Stripes: 1}, 8, 1<<20)
-	st := &s.stripes[0]
+	s := newMem(MemConfig{MaxBytes: 1 << 20}, 8, 1<<20)
 	for i := 0; i < 8; i++ {
-		if err := s.Set("ns", fmt.Sprint("k", i), fastEntry{Value: float64(i)}); err != nil {
+		if err := s.Set(fmt.Sprint("k", i), fastEntry{Value: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 7; i++ {
-		s.Delete("ns", fmt.Sprint("k", i)) // dead bytes for compaction to drop
+		s.drop(fmt.Sprint("k", i)) // dead bytes for compaction to drop
 	}
 	// Pad the tail to leave exactly a header, "new" and a 25-byte value: a
 	// record of the right length, after opening a chunk if the tail is
 	// already too short.
 	want := hdrLen + len("new") + 25
 	for i := 0; ; i++ {
-		c := st.chunks[st.tail]
+		c := s.chunks[s.tail]
 		free := cap(c) - len(c)
 		if free == want {
 			break
@@ -245,23 +233,22 @@ func TestPageScratchNeverCompactedAway(t *testing.T) {
 			val = 1 << 7 // does not fit: opens the next chunk
 		}
 		key := fmt.Sprint("p", i)
-		st.mu.Lock()
-		h := s.hash(0, key)
-		err := s.put(st, "ns", key, 0, h, noOff, noOff, make([]byte, val))
-		st.mu.Unlock()
+		s.mu.Lock()
+		err := s.put(key, s.hash(key), make([]byte, val))
+		s.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	st.maxChunks = len(st.chunks)
-	if err := s.Set("ns", "new", fastEntry{Value: 42}); err != nil {
+	s.maxChunks = len(s.chunks)
+	if err := s.Set("new", fastEntry{Value: 42}); err != nil {
 		t.Fatal(err)
 	}
-	if st.dead != 0 {
+	if s.dead != 0 {
 		t.Fatal("the write did not compact: the test no longer reaches the case")
 	}
 	var got fastEntry
-	if ok, err := s.Get("ns", "new", &got); !ok || err != nil || got.Value != 42 {
+	if ok, err := s.Get("new", &got); !ok || err != nil || got.Value != 42 {
 		t.Fatalf("Get = %v, %v, %+v", ok, err, got)
 	}
 }

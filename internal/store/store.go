@@ -1,23 +1,23 @@
-// Package store defines the pluggable storage contract behind every
-// caching layer — the Backend interface, playing the role of the paper's
-// Redis tier (§5 — "can be replaced with a persistent, consistent and
-// durable storage service") — and its one implementation: Mem, the
-// in-memory arena store (mem.go), unbounded, or a memory-bounded segmented
-// LRU when built with a cap (evict.go). Exact caches, the tree's node
-// cache, and the durable-state subsystem all program against Backend;
-// tests substitute it by embedding.
+// Package store defines the pluggable storage contract behind the exact
+// cache — the Backend interface, playing the role of the paper's Redis
+// tier (§5 — "can be replaced with a persistent, consistent and durable
+// storage service") — and its one implementation: Mem, the in-memory
+// arena store (mem.go), unbounded, or a memory-bounded segmented LRU when
+// built with a cap (evict.go). A Backend serves one cache.Exact, which
+// clears it on construction and owns everything in it; tests substitute
+// it by embedding.
 //
 // Semantics every Backend must provide (the Redis subset Turbo relies
-// on): namespaced string keys with values in their own fixed-layout
-// codec (FastEncoder / FastDecoder — every cache entry), guarded delete
-// (CompareDelete — the stale-entry invalidation primitive), namespace
-// scans, and per-namespace export/import for snapshot sections. Backends
-// are free to evict under memory pressure: the caching layers treat every
-// entry as a re-derivable DP release, so a missing key is a cache miss
-// that re-executes — and re-pays — through the session's single-flight
-// path. Eviction may cost budget on recompute; it can never corrupt the
-// accountant, which is charged at execution time and never lives in a
-// Backend entry.
+// on): binary string keys with values in their own fixed-layout codec
+// (FastEncoder / FastDecoder — every cache entry), guarded delete
+// (CompareDelete — the stale-entry invalidation primitive), and a whole-
+// store export/import for the cache's snapshot section. Backends are free
+// to evict under memory pressure, and to refuse a write: the caching layer
+// treats every entry as a re-derivable DP release, so a missing key is a
+// cache miss that re-executes — and re-pays — through the session's
+// single-flight path. Eviction may cost budget on recompute; it can never
+// corrupt the accountant, which is charged at execution time and never
+// lives in a Backend entry.
 package store
 
 // FastEncoder is the encode side of a stored value's codec: every value a
@@ -52,16 +52,20 @@ type FastDecoder interface {
 // memory accounting — the figures the HTTP server surfaces under
 // /schema's cache section.
 type Stats struct {
-	// Backend names the implementation: "striped-map" uncapped,
-	// "bounded-slru" capped.
+	// Backend names the implementation: "arena" uncapped, "bounded-slru"
+	// capped.
 	Backend string
 	// Hits and Misses count Get outcomes (key present / absent).
 	Hits, Misses int64
 	// Sets and Deletes count successful mutations (a CompareDelete that
 	// mismatched does not count).
 	Sets, Deletes int64
+	// SetErrors counts Sets the store refused (a key, value or arena
+	// limit). To the session a refused fill is an eviction of the new
+	// entry: the paid answer is served, and the next ask re-executes.
+	SetErrors int64
 	// Evictions counts entries removed by memory pressure (never by
-	// Delete/CompareDelete).
+	// CompareDelete).
 	Evictions int64
 	// DecodeErrors counts Get calls that found the key but could not
 	// decode its bytes. The backend deletes the poisoned entry and
@@ -74,8 +78,8 @@ type Stats struct {
 	Entries       int
 	Bytes         int
 	ResidentBytes int
-	// CapEntries and CapBytes are the configured bounds (0 = unbounded).
-	CapEntries, CapBytes int
+	// CapBytes is the configured bound on Bytes (0 = unbounded).
+	CapBytes int
 	// MaskHits and MaskMisses are always 0: the predicate-mask memo they
 	// counted is gone, and the fields stay only as the compile shim
 	// benchmark/trace.go needs (it reads them into
@@ -84,34 +88,28 @@ type Stats struct {
 	MaskHits, MaskMisses int64
 }
 
-// Backend is the storage interface the caching layers program against.
+// Backend is the storage interface the exact cache programs against.
 // Implementations must be safe for concurrent use. Values carry their own
 // codec: a value without one does not compile against Backend.
 type Backend interface {
-	// Get loads ns:k into out, reporting whether the key existed.
-	Get(ns, k string, out FastDecoder) (bool, error)
-	// Set stores value under ns:k.
-	Set(ns, k string, value FastEncoder) error
-	// Delete removes ns:k, reporting whether it existed.
-	Delete(ns, k string) bool
-	// CompareDelete removes ns:k only if its stored bytes equal the
-	// encoding of expect, reporting whether a delete happened — the
-	// guarded invalidation primitive: a concurrent Set of a fresh value
-	// changes the bytes, so a stale-entry eviction can never erase it.
-	CompareDelete(ns, k string, expect FastEncoder) bool
-	// Keys returns the sorted keys of a namespace (without the prefix).
-	Keys(ns string) []string
-	// Len returns the total number of stored keys across namespaces.
-	Len() int
+	// Get loads k into out, reporting whether the key existed.
+	Get(k string, out FastDecoder) (bool, error)
+	// Set stores value under k.
+	Set(k string, value FastEncoder) error
+	// CompareDelete removes k only if its stored bytes equal the encoding
+	// of expect, reporting whether a delete happened — the guarded
+	// invalidation primitive: a concurrent Set of a fresh value changes
+	// the bytes, so a stale-entry eviction can never erase it.
+	CompareDelete(k string, expect FastEncoder) bool
 	// MemoryBytes returns the resident size of stored keys plus values —
 	// the §6.5 memory metric.
 	MemoryBytes() int
-	// ExportNamespace returns the stored bytes of every key in ns, for
-	// per-namespace persistence sections and backend-to-backend migration.
-	ExportNamespace(ns string) map[string][]byte
-	// ImportNamespace replaces the contents of ns with previously
-	// exported entries, leaving every other namespace untouched.
-	ImportNamespace(ns string, data map[string][]byte)
+	// Export returns the stored bytes of every key, for the cache's
+	// snapshot section.
+	Export() map[string][]byte
+	// Import replaces the store's contents with previously exported
+	// entries; Import(nil) clears it.
+	Import(data map[string][]byte)
 	// Stats returns the backend's counters and memory accounting.
 	Stats() Stats
 }

@@ -113,5 +113,5 @@ func ExampleIngestor() {
 	// answered 4800 queries (0 refused after exhaustion)
 	// tree activity: sv-passes=4336 sv-failures=39 laplace-subqueries=237 node-updates=294
 	// ingestion: batches=11 epochs=11 partitions=11 rows=1622423 warm-started-leaves=11
-	// caching state: 0.64 MB
+	// caching state: 0.58 MB
 }
