@@ -17,7 +17,8 @@
 //     mapping, never the only answer to an error.
 //
 //  3. A response-writing function that consumes session errors must map
-//     the documented sentinels: calling Answer requires an
+//     the documented sentinels: calling Answer, or AnswerPlan (the miss
+//     half of a key-first probe), requires an
 //     ErrBudgetExhausted (429) check; Submit requires ErrBacklogFull
 //     (503 + Retry-After). A missing errors.Is test is flagged at the
 //     call.
@@ -50,8 +51,9 @@ var Analyzer = &analysis.Analyzer{
 // required maps an error-producing call (by method name) to the typed
 // sentinels a handler consuming it must test with errors.Is.
 var required = map[string][]string{
-	"Answer": {"ErrBudgetExhausted"},
-	"Submit": {"ErrBacklogFull"},
+	"Answer":     {"ErrBudgetExhausted"},
+	"AnswerPlan": {"ErrBudgetExhausted"},
+	"Submit":     {"ErrBacklogFull"},
 }
 
 // funcFacts collects, per function declaration, everything the rules

@@ -27,6 +27,8 @@ type Session struct{}
 
 func (s *Session) Answer(q string) (string, error) { return "", nil }
 
+func (s *Session) AnswerPlan(q string) (string, error) { return "", nil }
+
 func writeJSON(w *Response, status int, v any) {}
 
 func naked500(w *Response, r *Request, err error) {
@@ -54,6 +56,15 @@ func mappedAnswer(w *Response, s *Session, r *Request) {
 	res, err := s.Answer(string(r.Body))
 	if errors.Is(err, ErrBudgetExhausted) {
 		writeJSON(w, StatusTooManyRequests, err)
+		return
+	}
+	writeJSON(w, StatusOK, res)
+}
+
+func unmappedAnswerPlan(w *Response, s *Session, r *Request) {
+	res, err := s.AnswerPlan(string(r.Body)) // want `never maps ErrBudgetExhausted`
+	if err != nil {
+		writeJSON(w, StatusOK, err)
 		return
 	}
 	writeJSON(w, StatusOK, res)

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -98,11 +99,25 @@ func NewExact(b store.Backend, maxFast int) (*Exact, error) {
 	return &Exact{store: b, maxFast: maxFast, fast: make(map[string]Entry)}, nil
 }
 
-// Get returns the cached result for q at the given data version. A fast-map
-// entry whose version no longer matches is stale forever (window versions
-// are monotone), so it is evicted from both layers on the way out.
+// Get returns the cached result for q at the given data version: Lookup
+// by q's KeyWithWindow.
 func (c *Exact) Get(q *query.Query, version int) (Entry, bool) {
-	key := q.KeyWithWindow()
+	return c.Lookup(q.KeyWithWindow(), version)
+}
+
+// entries recycles the entries a store probe decodes into: an Entry
+// passed to the store.Backend interface would escape, one allocation per
+// probe.
+var entries = sync.Pool{New: func() any { return new(Entry) }}
+
+// Lookup returns the result cached under key, a KeyWithWindow key, at the
+// given data version: a fast-map probe, then the store. A fast-map entry
+// whose version no longer matches is stale forever (window versions are
+// monotone), so it is evicted from both layers on the way out. key is
+// only read during the call — what the cache keeps, it copies — so a
+// caller may pass a view of a buffer it reuses. Only a store hit
+// allocates: the key it promotes into the fast map.
+func (c *Exact) Lookup(key string, version int) (Entry, bool) {
 	c.mu.RLock()
 	e, ok := c.fast[key]
 	c.mu.RUnlock()
@@ -113,8 +128,10 @@ func (c *Exact) Get(q *query.Query, version int) (Entry, bool) {
 		}
 		c.invalidate(key, e)
 	}
-	var stored Entry
-	found, err := c.store.Get(key, &stored)
+	out := entries.Get().(*Entry)
+	found, err := c.store.Get(key, out)
+	stored := *out
+	entries.Put(out)
 	if err != nil || !found {
 		c.misses.Add(1)
 		return Entry{}, false
@@ -125,7 +142,7 @@ func (c *Exact) Get(q *query.Query, version int) (Entry, bool) {
 		c.misses.Add(1)
 		return Entry{}, false
 	}
-	c.cacheFast(key, stored)
+	c.cacheFast(strings.Clone(key), stored)
 	c.hits.Add(1)
 	return stored, true
 }

@@ -20,6 +20,9 @@
 //     is released; the groups run on the caller plus at most
 //     GOMAXPROCS-1 helpers.
 //
+// AnswerPlans enters the same stages after the probe, for the misses of
+// a batch whose statements were probed by key (Lookup).
+//
 // Admission verdicts are advisory (see accountant/batch.go): the
 // execution-time payments remain the enforcement point, so a verdict
 // that goes stale between admission and execution fails safe. The
@@ -122,68 +125,102 @@ func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 		misses = append(misses, batchMiss{g: g, key: flightKey(g.pl)})
 	}
 
-	if len(misses) > 0 {
-		// Merge equal-but-distinct-pointer miss groups by flight identity
-		// (predicate + window + data version) so they admit and execute
-		// once; a folded group redirects its members to the
-		// surviving one.
-		if len(misses) > 1 {
-			byKey := make(map[string]*batchGroup, len(misses))
-			merged := misses[:0]
-			for _, m := range misses {
-				if into := byKey[m.key]; into != nil {
-					into.n += m.g.n
-					m.g.mergedInto = into
-					continue
-				}
-				byKey[m.key] = m.g
-				merged = append(merged, m)
-			}
-			misses = merged
-		}
+	s.answerMisses(misses)
+	fanOut(out, assign)
+	return out
+}
 
-		// One admission round for every missed group; a refused group
-		// resolves to its verdict without executing.
-		verdicts := s.admitBatch(misses)
-		run := misses[:0]
-		for i, m := range misses {
-			if verdicts[i] != nil {
-				m.g.err = verdicts[i]
+// AnswerPlans answers the statements of one batch that Lookup missed: pls
+// are Lookup's plans, each with its built query in Query. They go through
+// AnswerBatch's stages after the probe — equal statements merged, one
+// admission round, one execution per flight — so a batch whose hits were
+// served by key answers its misses exactly as AnswerBatch would.
+func (s *Session) AnswerPlans(pls []Plan) []BatchResult {
+	out := make([]BatchResult, len(pls))
+	groups := make([]batchGroup, len(pls))
+	assign := make([]*batchGroup, len(pls))
+	misses := make([]batchMiss, 0, len(pls))
+	for i, pl := range pls {
+		if err := s.planned(pl); err != nil {
+			out[i].Err = err
+			continue
+		}
+		groups[i] = batchGroup{pl: pl, n: 1}
+		assign[i] = &groups[i]
+		misses = append(misses, batchMiss{g: &groups[i], key: flightKey(pl)})
+	}
+	s.answerMisses(misses)
+	fanOut(out, assign)
+	return out
+}
+
+// answerMisses resolves the groups the exact cache missed: equal ones
+// merged by flight identity, one admission round, and one execution each.
+func (s *Session) answerMisses(misses []batchMiss) {
+	if len(misses) == 0 {
+		return
+	}
+	// Merge equal-but-distinct-pointer miss groups by flight identity
+	// (predicate + window + data version) so they admit and execute
+	// once; a folded group redirects its members to the surviving one.
+	if len(misses) > 1 {
+		byKey := make(map[string]*batchGroup, len(misses))
+		merged := misses[:0]
+		for _, m := range misses {
+			if into := byKey[m.key]; into != nil {
+				into.n += m.g.n
+				m.g.mergedInto = into
 				continue
 			}
-			run = append(run, m)
+			byKey[m.key] = m.g
+			merged = append(merged, m)
 		}
-		if len(run) > 0 {
-			// Execute each admitted group once, through the same
-			// single-flight path as Answer. Groups are distinct flight
-			// keys, so they never wait on each other; the caller and at
-			// most GOMAXPROCS-1 helpers pull them off a shared index —
-			// a spawn per group would cost a wake-up each with no core
-			// to run on.
-			var next atomic.Int64
-			work := func() {
-				for i := next.Add(1) - 1; int(i) < len(run); i = next.Add(1) - 1 {
-					m := run[i]
-					ans, shared, err := s.execute(m.g.pl, m.key)
-					s.resolveExecuted(m.g, ans, shared, err)
-				}
-			}
-			var wg sync.WaitGroup
-			for h := min(runtime.GOMAXPROCS(0), len(run)) - 1; h > 0; h-- {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					work()
-				}()
-			}
-			work()
-			wg.Wait()
-		}
+		misses = merged
 	}
 
-	// Fan every group's outcome out to its members in one sequential
-	// pass (slots with planning errors already carry them and have no
-	// group).
+	// One admission round for every missed group; a refused group
+	// resolves to its verdict without executing.
+	verdicts := s.admitBatch(misses)
+	run := misses[:0]
+	for i, m := range misses {
+		if verdicts[i] != nil {
+			m.g.err = verdicts[i]
+			continue
+		}
+		run = append(run, m)
+	}
+	if len(run) == 0 {
+		return
+	}
+	// Execute each admitted group once, through the same single-flight
+	// path as Answer. Groups are distinct flight keys, so they never wait
+	// on each other; the caller and at most GOMAXPROCS-1 helpers pull
+	// them off a shared index — a spawn per group would cost a wake-up
+	// each with no core to run on.
+	var next atomic.Int64
+	work := func() {
+		for i := next.Add(1) - 1; int(i) < len(run); i = next.Add(1) - 1 {
+			m := run[i]
+			ans, shared, err := s.execute(m.g.pl, m.key)
+			s.resolveExecuted(m.g, ans, shared, err)
+		}
+	}
+	var wg sync.WaitGroup
+	for h := min(runtime.GOMAXPROCS(0), len(run)) - 1; h > 0; h-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// fanOut copies every group's outcome to its members in one sequential
+// pass (slots with planning errors already carry them and have no
+// group).
+func fanOut(out []BatchResult, assign []*batchGroup) {
 	for i, g := range assign {
 		if g == nil {
 			continue
@@ -197,7 +234,6 @@ func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 			out[i].Answer = g.ans
 		}
 	}
-	return out
 }
 
 // admitBatch runs one admission round over the cache-missed groups

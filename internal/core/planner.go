@@ -40,46 +40,57 @@ type Plan struct {
 // Plan validates q against the dataset and resolves its window, version,
 // and view size.
 func (p *Planner) Plan(q *query.Query) (Plan, error) {
-	if q == nil {
-		return Plan{}, errors.New("core: nil query")
-	}
-	if q.Domain() != nil && !q.Domain().Equal(p.ds.Domain()) {
-		return Plan{}, errors.New("core: query domain does not match session dataset")
-	}
-	start, end := 0, p.ds.Partitions()-1
-	if a, b, ok := q.Window(); ok {
-		start, end = a, b
-		if a < 0 || b >= p.ds.Partitions() {
-			return Plan{}, fmt.Errorf("core: window [%d,%d] out of range", a, b)
-		}
-	}
-	version, rows, err := p.ds.WindowMeta(start, end)
-	if err != nil {
+	if err := p.check(q); err != nil {
 		return Plan{}, err
 	}
-	return Plan{Query: q, Start: start, End: end, Version: version, Rows: rows}, nil
+	pl, err := p.PlanWindow(q.Window())
+	pl.Query = q
+	return pl, err
+}
+
+// PlanWindow resolves a window — [start, end], or the whole store when
+// windowed is false — to its plan, with no query: a statement is planned,
+// and probed by its key, before its query is built.
+func (p *Planner) PlanWindow(start, end int, windowed bool) (Plan, error) {
+	return planWindow(p.ds.Partitions(), p.ds.WindowMeta, start, end, windowed)
 }
 
 // PlanWith resolves q like Plan, but against a metadata snapshot the
 // caller captured with Dataset.MetaSnapshot — the batch plane plans any
 // number of queries under one dataset lock acquisition this way.
 func (p *Planner) PlanWith(m *dataset.MetaSnapshot, q *query.Query) (Plan, error) {
+	if err := p.check(q); err != nil {
+		return Plan{}, err
+	}
+	start, end, windowed := q.Window()
+	pl, err := planWindow(m.Partitions(), m.WindowMeta, start, end, windowed)
+	pl.Query = q
+	return pl, err
+}
+
+// check refuses a query the planner cannot plan: nil, or over another
+// domain.
+func (p *Planner) check(q *query.Query) error {
 	if q == nil {
-		return Plan{}, errors.New("core: nil query")
+		return errors.New("core: nil query")
 	}
 	if q.Domain() != nil && !q.Domain().Equal(p.ds.Domain()) {
-		return Plan{}, errors.New("core: query domain does not match session dataset")
+		return errors.New("core: query domain does not match session dataset")
 	}
-	start, end := 0, m.Partitions()-1
-	if a, b, ok := q.Window(); ok {
-		start, end = a, b
-		if a < 0 || b >= m.Partitions() {
-			return Plan{}, fmt.Errorf("core: window [%d,%d] out of range", a, b)
-		}
+	return nil
+}
+
+// planWindow resolves a window over parts partitions through meta, the
+// dataset's or a snapshot's WindowMeta.
+func planWindow(parts int, meta func(start, end int) (int, int, error), start, end int, windowed bool) (Plan, error) {
+	if !windowed {
+		start, end = 0, parts-1
+	} else if start < 0 || end >= parts {
+		return Plan{}, fmt.Errorf("core: window [%d,%d] out of range", start, end)
 	}
-	version, rows, err := m.WindowMeta(start, end)
+	version, rows, err := meta(start, end)
 	if err != nil {
 		return Plan{}, err
 	}
-	return Plan{Query: q, Start: start, End: end, Version: version, Rows: rows}, nil
+	return Plan{Start: start, End: end, Version: version, Rows: rows}, nil
 }

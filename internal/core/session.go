@@ -13,7 +13,10 @@
 //     version, and view size. Lock-free.
 //  2. cache — the window-level exact cache is probed. The cache is
 //     concurrency-safe, so exact hits (the cheapest and, under skewed
-//     workloads, most common path, Fig. 11d) never serialize.
+//     workloads, most common path, Fig. 11d) never serialize. Lookup and
+//     AnswerPlan split Answer here, for a caller that holds a statement's
+//     cache key before its query: the HTTP handlers build a query only
+//     on a miss.
 //  3. dedup — cache misses enter the single-flight group keyed by the
 //     resolved window and data version (flight.go): concurrent identical
 //     first-timers execute and pay once, with duplicates observing the
@@ -394,11 +397,69 @@ func (s *Session) Answer(q *query.Query) (Answer, error) {
 	if err != nil {
 		return Answer{}, err
 	}
-	if e, ok := s.exact.Get(q, pl.Version); ok {
-		s.record(SourceExactHit)
-		return Answer{Value: e.Value, Source: SourceExactHit,
-			Start: pl.Start, End: pl.End, Rows: pl.Rows}, nil
+	if ans, ok := s.probe(pl, q.KeyWithWindow()); ok {
+		return ans, nil
 	}
+	return s.answerMissed(pl)
+}
+
+// Lookup is Answer's plan and exact-cache stages for a statement whose
+// query is not built yet: key is the key its query would have
+// (query.Builder.AppendKey), and its window header is what is planned.
+// key is only read during the call, so it may view a buffer the caller
+// reuses. A hit is the whole answer; on a miss, the plan, given the
+// built query, goes to AnswerPlan. An exact hit allocates nothing.
+func (s *Session) Lookup(key string) (ans Answer, pl Plan, hit bool, err error) {
+	start, end, windowed, err := query.KeyWindow(key)
+	if err == nil {
+		pl, err = s.planner.PlanWindow(start, end, windowed)
+	}
+	if err != nil {
+		return Answer{}, Plan{}, false, err
+	}
+	ans, hit = s.probe(pl, key)
+	return ans, pl, hit, nil
+}
+
+// AnswerPlan answers a statement whose key Lookup missed: pl is Lookup's
+// plan, with the statement's built query in Query. It runs Answer's
+// flight, execution and fill stages, with no second probe in front of the
+// flight (its leader re-checks the cache, as Answer's does).
+func (s *Session) AnswerPlan(pl Plan) (Answer, error) {
+	if err := s.planned(pl); err != nil {
+		return Answer{}, err
+	}
+	return s.answerMissed(pl)
+}
+
+// planned refuses a plan whose query is not the one it was planned for:
+// none, one over another domain, or one of another window.
+func (s *Session) planned(pl Plan) error {
+	q := pl.Query
+	if err := s.planner.check(q); err != nil {
+		return err
+	}
+	if start, end, ok := q.Window(); ok && (start != pl.Start || end != pl.End) {
+		return fmt.Errorf("core: query window [%d,%d] is not its plan's [%d,%d]", start, end, pl.Start, pl.End)
+	}
+	return nil
+}
+
+// probe is the exact-cache stage of Answer and Lookup: the entry under
+// key at the plan's data version, if there is one.
+func (s *Session) probe(pl Plan, key string) (Answer, bool) {
+	e, ok := s.exact.Lookup(key, pl.Version)
+	if !ok {
+		return Answer{}, false
+	}
+	s.record(SourceExactHit)
+	return Answer{Value: e.Value, Source: SourceExactHit,
+		Start: pl.Start, End: pl.End, Rows: pl.Rows}, true
+}
+
+// answerMissed runs a plan the exact cache missed through the flight,
+// execution and fill stages.
+func (s *Session) answerMissed(pl Plan) (Answer, error) {
 	ans, shared, err := s.execute(pl, flightKey(pl))
 	if err != nil {
 		return Answer{}, err

@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -42,7 +43,7 @@ type Query struct {
 	// winKey is the precomputed KeyWithWindow value. Queries are immutable,
 	// so both keys are materialized at construction time: Key and
 	// KeyWithWindow sit on the exact-hit path of every cache probe, and a
-	// per-probe fmt.Sprintf would be the hit path's only allocation.
+	// per-probe rendering would be the hit path's only allocation.
 	winKey  string
 	support int
 	// supMemo caches the resolved Support (see ResolvedSupport). The
@@ -53,52 +54,13 @@ type Query struct {
 
 // New builds a query over dom. allowed maps attribute index → permitted
 // values; attributes absent from the map are unconstrained. Values are
-// validated against the domain.
+// validated against the domain, as Build validates them.
 func New(dom *domain.Domain, allowed map[int][]int) (*Query, error) {
-	sets := make([][]int, dom.NumAttrs())
+	b := NewBuilder(dom)
 	for i, vals := range allowed {
-		if i < 0 || i >= dom.NumAttrs() {
-			return nil, fmt.Errorf("query: attribute index %d out of range", i)
-		}
-		sets[i] = append(make([]int, 0, len(vals)), vals...)
+		b.Restrict(i, vals...)
 	}
-	return build(dom, sets, 0, 0, false)
-}
-
-// build is the one constructor behind New and Builder.Build. sets is
-// indexed by attribute: nil leaves it unconstrained, a non-nil set (an
-// empty one is an error) constrains it. The query takes over sets and
-// every value set in it, sorting those in place; the caller has checked
-// the window, if there is one.
-func build(dom *domain.Domain, sets [][]int, start, end int, window bool) (*Query, error) {
-	for i, set := range sets {
-		if set == nil {
-			continue
-		}
-		if len(set) == 0 {
-			return nil, fmt.Errorf("query: empty value set for attribute %q", dom.Attr(i).Name)
-		}
-		if !sort.IntsAreSorted(set) {
-			sort.Ints(set)
-		}
-		prev := -1
-		for _, v := range set {
-			if v < 0 || v >= dom.Card(i) {
-				return nil, fmt.Errorf("query: value %d out of range for attribute %q (card %d)",
-					v, dom.Attr(i).Name, dom.Card(i))
-			}
-			if v == prev {
-				return nil, fmt.Errorf("query: duplicate value %d for attribute %q", v, dom.Attr(i).Name)
-			}
-			prev = v
-		}
-		if len(set) == dom.Card(i) {
-			sets[i] = nil // full set ≡ unconstrained
-		}
-	}
-	q := &Query{dom: dom, allowed: sets, start: start, end: end, hasWindow: window, supMemo: new(supportMemo)}
-	q.finish()
-	return q, nil
+	return b.Build()
 }
 
 // MustNew is New for statically-known queries; it panics on error.
@@ -110,35 +72,15 @@ func MustNew(dom *domain.Domain, allowed map[int][]int) *Query {
 	return q
 }
 
-// finish computes the support size and the canonical keys, rendered into
-// one buffer: a query's predicate key is the suffix of its winKey after
-// the window header, and the two share one allocation.
-func (q *Query) finish() {
-	b := make([]byte, 0, 64) // on the stack; longer keys spill
-	b = appendWindow(b, q.start, q.end, q.hasWindow)
-	n := len(b)
-	q.support = 1
-	for i, vals := range q.allowed {
-		card := q.dom.Card(i)
-		if vals == nil {
-			q.support *= card
-		} else {
-			q.support *= len(vals)
-		}
-		b = appendSet(b, vals, card)
-	}
-	q.winKey = string(b)
-	q.key = q.winKey[n:]
-}
-
 // Keys are packed bytes, canonical for one domain. The window header comes
 // first: windowMark, then start and end as uvarints, or noWindowMark alone.
 // One value set per attribute follows: a ⌈card/8⌉-byte bitset (bit v%8 of
 // byte v/8 for each allowed v, all of them when unconstrained), or above
 // maxBitsetCard a uvarint count (0 when unconstrained) and each ascending
 // value's uvarint gap from the one before. A full set is unconstrained
-// (build), and each piece's length is fixed by the domain or its own
+// (Build), and each piece's length is fixed by the domain or its own
 // prefix, so two keys are equal exactly when predicates and windows are.
+// Builder.AppendKey is the one renderer: Build keeps what it renders.
 const (
 	noWindowMark  = 0
 	windowMark    = 1
@@ -154,42 +96,23 @@ func appendWindow(dst []byte, start, end int, window bool) []byte {
 	return binary.AppendUvarint(dst, uint64(end))
 }
 
-// appendSet appends one attribute's value set to a key; nil is
-// unconstrained.
-func appendSet(dst []byte, vals []int, card int) []byte {
-	if card > maxBitsetCard {
-		dst = binary.AppendUvarint(dst, uint64(len(vals)))
-		prev := -1
-		for _, v := range vals {
-			dst = binary.AppendUvarint(dst, uint64(v-prev-1))
-			prev = v
-		}
-		return dst
-	}
-	dst = append(dst, make([]byte, (card+7)/8)...)
-	set := dst[len(dst)-(card+7)/8:]
-	for v := 0; vals == nil && v < card; v++ {
-		set[v>>3] |= 1 << (v & 7)
-	}
-	for _, v := range vals {
-		set[v>>3] |= 1 << (v & 7)
-	}
-	return dst
-}
-
 // KeyWindow decodes the window header of a KeyWithWindow key: the window
 // and true for a windowed key, false for one without a window. It needs no
-// domain — the header comes first — so a store's keys route by window
-// start before anything knows their predicate. A key that does not open
-// with a well-formed header, or has nothing after it, is an error.
+// domain — the header comes first — so a key is planned, or a snapshot's
+// key checked, before anything knows its predicate. A key that does not
+// open with a well-formed header, or has nothing after it, is an error.
 func KeyWindow(key string) (start, end int, windowed bool, err error) {
 	if len(key) > 1 && key[0] == noWindowMark {
 		return 0, 0, false, nil
 	}
+	// The header, copied out: a conversion of the key would allocate. A
+	// header read past the key's end reads more bytes than the key has.
+	var head [1 + 2*binary.MaxVarintLen64]byte
+	copy(head[:], key)
 	if len(key) > 1 && key[0] == windowMark {
-		if s, n := binary.Uvarint([]byte(key[1:])); n > 0 {
-			e, m := binary.Uvarint([]byte(key[1+n:]))
-			if m > 0 && s <= e && e <= math.MaxInt32 && len(key) > 1+n+m {
+		if s, n := binary.Uvarint(head[1:]); n > 0 {
+			e, m := binary.Uvarint(head[1+n:])
+			if m > 0 && s <= e && e <= math.MaxInt && len(key) > 1+n+m {
 				return int(s), int(e), true, nil
 			}
 		}
@@ -309,26 +232,44 @@ func (q *Query) String() string {
 	return b.String()
 }
 
-// Builder assembles a query incrementally, useful for parsers and workload
-// generators.
+// Builder assembles a query incrementally, for parsers and workload
+// generators. It is a value: the first maxBitsetAttrs attributes of at
+// most maxBitsetCard values keep their value sets as bitsets inside it, so
+// a Builder on its caller's stack parses a statement and renders its key
+// (AppendKey) without the heap. Only a wider attribute, or one first
+// restricted to a repeated or out-of-range value, keeps a heap list.
 type Builder struct {
 	dom *domain.Domain
-	// allowed[i] is attribute i's value set so far: nil until the first
-	// Restrict names the attribute, non-nil (possibly empty) after.
-	allowed [][]int
-	start   int
-	end     int
-	window  bool
-	err     error
+	// bits[i] is attribute i's value set, bit v for value v, once named
+	// has bit i.
+	bits  [maxBitsetAttrs]uint64
+	named uint64
+	// lists[i] is the value set of a named attribute the bitsets do not
+	// hold, as Restrict was given it (duplicates and out-of-range values
+	// included, for Build to report). nil until such an attribute is
+	// named.
+	lists  [][]int
+	start  int
+	end    int
+	window bool
+	err    error
 }
+
+// maxBitsetAttrs is how many of a domain's attributes a Builder holds as
+// bitsets. Served domains have at most eight.
+const maxBitsetAttrs = 16
 
 // NewBuilder starts a builder over dom.
-func NewBuilder(dom *domain.Domain) *Builder {
-	return &Builder{dom: dom, allowed: make([][]int, dom.NumAttrs())}
-}
+func NewBuilder(dom *domain.Domain) *Builder { return &Builder{dom: dom} }
+
+// Reset starts b over dom again, empty, as NewBuilder would: a caller that
+// owns a Builder value reuses it this way.
+func (b *Builder) Reset(dom *domain.Domain) { *b = Builder{dom: dom} }
 
 // Restrict constrains attribute attr to vals. Repeated calls on the same
-// attribute intersect the sets.
+// attribute intersect the sets; an empty intersection is contradictory.
+// Values are checked at Build: an empty set, or an out-of-range or
+// repeated value that the intersections kept, is an error there.
 func (b *Builder) Restrict(attr int, vals ...int) *Builder {
 	if b.err != nil {
 		return b
@@ -337,36 +278,220 @@ func (b *Builder) Restrict(attr int, vals ...int) *Builder {
 		b.err = fmt.Errorf("query: attribute index %d out of range", attr)
 		return b
 	}
-	if prev := b.allowed[attr]; prev != nil {
-		// intersect returns a fresh slice: a query built earlier keeps prev.
-		b.allowed[attr] = intersect(prev, vals)
-		if len(b.allowed[attr]) == 0 {
+	if prev := b.list(attr); prev != nil {
+		b.lists[attr] = intersect(prev, vals)
+		if len(b.lists[attr]) == 0 {
 			b.err = fmt.Errorf("query: contradictory constraints on %q", b.dom.Attr(attr).Name)
 		}
 		return b
 	}
-	b.allowed[attr] = append(make([]int, 0, len(vals)), vals...)
+	card := b.dom.Card(attr)
+	set, distinct := bitsOf(vals, card)
+	switch {
+	case b.isNamed(attr):
+		// Values the bitset cannot hold are in no earlier set either.
+		if b.bits[attr] &= set; b.bits[attr] == 0 {
+			b.err = fmt.Errorf("query: contradictory constraints on %q", b.dom.Attr(attr).Name)
+		}
+	case attr < maxBitsetAttrs && card <= maxBitsetCard && distinct:
+		b.bits[attr], b.named = set, b.named|1<<attr
+	default:
+		if b.lists == nil {
+			b.lists = make([][]int, b.dom.NumAttrs())
+		}
+		b.lists[attr] = append(make([]int, 0, len(vals)), vals...)
+	}
 	return b
 }
 
-// Window sets the partition window [start, end] inclusive.
+// bitsOf returns the values of vals below card ≤ maxBitsetCard as a
+// bitset, and whether vals held each of them once and nothing else.
+func bitsOf(vals []int, card int) (set uint64, distinct bool) {
+	if card > maxBitsetCard {
+		return 0, false
+	}
+	distinct = true
+	for _, v := range vals {
+		if v < 0 || v >= card || set&(1<<v) != 0 {
+			distinct = false
+			continue
+		}
+		set |= 1 << v
+	}
+	return set, distinct
+}
+
+// isNamed reports whether attribute attr's set is in bits.
+func (b *Builder) isNamed(attr int) bool {
+	return attr < maxBitsetAttrs && b.named&(1<<attr) != 0
+}
+
+// list returns attribute attr's list, nil unless it has one.
+func (b *Builder) list(attr int) []int {
+	if b.lists == nil {
+		return nil
+	}
+	return b.lists[attr]
+}
+
+// Window sets the partition window [start, end] inclusive. A second
+// window intersects the first, as a repeated attribute does; windows that
+// do not overlap are contradictory.
 func (b *Builder) Window(start, end int) *Builder {
-	if b.err == nil && (start < 0 || start > end) {
+	switch {
+	case b.err != nil:
+	case start < 0 || start > end:
 		b.err = fmt.Errorf("query: bad window [%d,%d]", start, end)
-		return b
+	case b.window && (start > b.end || end < b.start):
+		b.err = fmt.Errorf("query: contradictory windows [%d,%d] and [%d,%d]", b.start, b.end, start, end)
+	case b.window:
+		b.start, b.end = max(b.start, start), min(b.end, end)
+	default:
+		b.start, b.end, b.window = start, end, true
 	}
-	b.start, b.end, b.window = start, end, true
 	return b
 }
 
-// Build finalizes the query. The query shares the builder's value sets
-// (sorted in place on the first Build, read-only from then on) and owns
-// everything else, so building twice yields equal, independent queries.
-func (b *Builder) Build() (*Query, error) {
+// check returns the error Build would: the first Restrict or Window error,
+// else the first attribute, in order, whose set is empty or holds an
+// out-of-range or repeated value. It sorts the lists in place.
+func (b *Builder) check() error {
 	if b.err != nil {
-		return nil, b.err
+		return b.err
 	}
-	return build(b.dom, append([][]int(nil), b.allowed...), b.start, b.end, b.window)
+	for i := 0; i < b.dom.NumAttrs(); i++ {
+		vals := b.list(i)
+		if (vals != nil && len(vals) == 0) || (b.isNamed(i) && b.bits[i] == 0) {
+			return fmt.Errorf("query: empty value set for attribute %q", b.dom.Attr(i).Name)
+		}
+		if !sort.IntsAreSorted(vals) {
+			sort.Ints(vals)
+		}
+		prev := -1
+		for _, v := range vals {
+			if v < 0 || v >= b.dom.Card(i) {
+				return fmt.Errorf("query: value %d out of range for attribute %q (card %d)",
+					v, b.dom.Attr(i).Name, b.dom.Card(i))
+			}
+			if v == prev {
+				return fmt.Errorf("query: duplicate value %d for attribute %q", v, b.dom.Attr(i).Name)
+			}
+			prev = v
+		}
+	}
+	return nil
+}
+
+// bitset returns attribute i's set, of card ≤ maxBitsetCard values, as a
+// bitset: every value when it is unconstrained. b has passed check.
+func (b *Builder) bitset(i int) uint64 {
+	if vals := b.list(i); vals != nil {
+		var set uint64
+		for _, v := range vals {
+			set |= 1 << v
+		}
+		return set
+	}
+	if b.isNamed(i) {
+		return b.bits[i]
+	}
+	return 1<<b.dom.Card(i) - 1
+}
+
+// size returns how many values attribute i allows. b has passed check.
+func (b *Builder) size(i int) int {
+	if card := b.dom.Card(i); card > maxBitsetCard {
+		if vals := b.list(i); vals != nil {
+			return len(vals)
+		}
+		return card
+	}
+	return bits.OnesCount64(b.bitset(i))
+}
+
+// appendValues appends attribute i's allowed values to dst, ascending, or
+// nothing when it is unconstrained or its set is full. b has passed check.
+func (b *Builder) appendValues(dst []int, i int) []int {
+	card := b.dom.Card(i)
+	switch {
+	case b.size(i) == card:
+	case card > maxBitsetCard:
+		dst = append(dst, b.list(i)...)
+	default:
+		for set := b.bitset(i); set != 0; set &= set - 1 {
+			dst = append(dst, bits.TrailingZeros64(set))
+		}
+	}
+	return dst
+}
+
+// AppendKey appends to dst the key of the query Build would return —
+// its KeyWithWindow, byte for byte — or returns dst and Build's error.
+// It allocates nothing unless dst must grow, so a statement is probed by
+// its key before any query exists.
+func (b *Builder) AppendKey(dst []byte) ([]byte, error) {
+	if err := b.check(); err != nil {
+		return dst, err
+	}
+	dst, _ = b.appendKey(dst)
+	return dst, nil
+}
+
+// appendKey renders the key of a checked builder, returning where its
+// predicate starts.
+func (b *Builder) appendKey(dst []byte) ([]byte, int) {
+	dst = appendWindow(dst, b.start, b.end, b.window)
+	pred := len(dst)
+	for i := 0; i < b.dom.NumAttrs(); i++ {
+		card := b.dom.Card(i)
+		if card <= maxBitsetCard {
+			for v, set := 0, b.bitset(i); v < card; v += 8 {
+				dst = append(dst, byte(set>>v))
+			}
+			continue
+		}
+		vals := b.list(i)
+		if len(vals) == card {
+			vals = nil // a full set is unconstrained
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(vals)))
+		prev := -1
+		for _, v := range vals {
+			dst = binary.AppendUvarint(dst, uint64(v-prev-1))
+			prev = v
+		}
+	}
+	return dst, pred
+}
+
+// Build finalizes the query. The query owns everything it holds, so the
+// builder can be restricted further and built again.
+func (b *Builder) Build() (*Query, error) {
+	if err := b.check(); err != nil {
+		return nil, err
+	}
+	key, pred := b.appendKey(make([]byte, 0, 64)) // on the stack; longer keys spill
+	n := b.dom.NumAttrs()
+	q := &Query{dom: b.dom, allowed: make([][]int, n), start: b.start, end: b.end,
+		hasWindow: b.window, support: 1, supMemo: new(supportMemo)}
+	// One array holds every constrained set.
+	total := 0
+	for i := range n {
+		if size := b.size(i); size < b.dom.Card(i) {
+			total += size
+		}
+	}
+	all := make([]int, 0, total)
+	for i := range n {
+		q.support *= b.size(i)
+		lo := len(all)
+		if all = b.appendValues(all, i); len(all) > lo {
+			q.allowed[i] = all[lo:len(all):len(all)]
+		}
+	}
+	q.winKey = string(key)
+	q.key = q.winKey[pred:]
+	return q, nil
 }
 
 func intersect(a, b []int) []int {

@@ -2,7 +2,11 @@
 
 package httpd
 
-import "testing"
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+)
 
 // TestEncodeAllocBudget: once a connection's response buffer has grown,
 // appending a /query body or a 16-element /query/batch envelope of
@@ -25,5 +29,79 @@ func TestEncodeAllocBudget(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("encoding 200 bodies allocates %v objects per run, want 0", allocs)
+	}
+}
+
+// TestHandleExactHitZeroAllocs: from the body read to the response body,
+// an exact hit allocates nothing — a fast-map hit on /query, each
+// statement of an all-hit /query/batch of 16 — and a first touch, served
+// from the store, allocates only the key it promotes into the fast map.
+// Before statements were probed by key, these read 11, 12 and 141.
+func TestHandleExactHitZeroAllocs(t *testing.T) {
+	h := &handler{srv: newTestServer(t, 1e6)}
+	hit := hitStatement(7, 3)
+	for range 2 { // a fill, then the promotion
+		h.do(t, "/query", hit)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if resp := h.do(t, "/query", hit); !bytes.Contains(resp.Body, []byte(`"source":"exact-hit"`)) {
+			t.Fatalf("not a hit: %s", resp.Body)
+		}
+	}); allocs != 0 {
+		t.Errorf("a /query fast-map hit allocates %v objects, want 0", allocs)
+	}
+
+	const touches = 100
+	var first [touches + 1][]byte
+	for i := range first {
+		first[i] = hitStatement(8+i/10, i)
+		h.do(t, "/query", first[i]) // filled, never read
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(touches, func() {
+		if resp := h.do(t, "/query", first[i]); !bytes.Contains(resp.Body, []byte(`"source":"exact-hit"`)) {
+			t.Fatalf("not a hit: %s", resp.Body)
+		}
+		i++
+	}); allocs != 1 {
+		t.Errorf("a /query store hit allocates %v objects, want 1 (the promoted key)", allocs)
+	}
+
+	var batch BatchQueryRequest
+	for j := range 16 {
+		var q QueryRequest
+		_ = json.Unmarshal(hitStatement(20+j, j), &q)
+		batch.Queries = append(batch.Queries, q.SQL)
+	}
+	body, _ := json.Marshal(batch)
+	for range 2 {
+		h.do(t, "/query/batch", body)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if resp := h.do(t, "/query/batch", body); bytes.Count(resp.Body, []byte(`"source":"exact-hit"`)) != 16 {
+			t.Fatalf("not 16 hits: %s", resp.Body)
+		}
+	}); allocs != 0 {
+		t.Errorf("an all-hit /query/batch of 16 allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestParseHeadZeroAllocs: a head naming a route's method and path is
+// parsed without a copy of either, and a Connection header without a
+// slice of its tokens. It took 2, and 3 with Connection.
+func TestParseHeadZeroAllocs(t *testing.T) {
+	for _, head := range []string{
+		"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: 42\r\n\r\n",
+		"POST /query/batch HTTP/1.1\r\nHost: x\r\nConnection: keep-alive\r\nContent-Length: 42\r\n\r\n",
+		"GET /budget HTTP/1.0\r\nConnection: close, keep-alive\r\n\r\n",
+	} {
+		b := []byte(head)
+		if allocs := testing.AllocsPerRun(200, func() {
+			if h := parseHead(b); h.status != 0 || h.path == "" {
+				t.Fatalf("parseHead(%q) = %+v", head, h)
+			}
+		}); allocs != 0 {
+			t.Errorf("parseHead(%q) allocates %v objects, want 0", head, allocs)
+		}
 	}
 }

@@ -15,10 +15,12 @@ package httpd
 
 import (
 	"errors"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/accountant"
+	"repro/internal/core"
 	"repro/internal/query"
 )
 
@@ -44,17 +46,23 @@ type BatchQueryResponse struct {
 	Results []BatchItem `json:"results"`
 }
 
-// handleQueryBatch parses every statement, runs the parseable ones
-// through the session's batch plane in one call, and assembles the
-// ordered per-element status array. Counters advance exactly as if the
-// elements had been served individually: one served request and one
-// answer per 200 element, one refusal per 429 element.
+// handleQueryBatch answers every statement key first, as handleQuery
+// does: a hit resolves in its slot, and the statements that miss go to the
+// session's batch plane in one call (AnswerPlans), which merges equal
+// ones, admits them in one round and executes each once. It assembles the
+// ordered per-element status array in the connection's scratch. Counters
+// advance exactly as if the elements had been served individually: one
+// served request and one answer per 200 element, one refusal per 429
+// element.
 func (s *Server) handleQueryBatch(w *Response, r *Request) {
-	var req BatchQueryRequest
-	if !decodeAnalyst(w, r, &req) {
+	sc := r.scratchFor()
+	sqls, ok := decodeQueries(w, r, sc.sqls)
+	if !ok {
 		return
 	}
-	if len(req.Queries) == 0 {
+	sc.sqls = sqls
+	defer clear(sqls) // they view the body
+	if len(sqls) == 0 {
 		writeJSON(w, StatusBadRequest, ErrorResponse{"bad-request", "empty batch"})
 		return
 	}
@@ -62,56 +70,74 @@ func (s *Server) handleQueryBatch(w *Response, r *Request) {
 		return
 	}
 
-	items := make([]BatchItem, len(req.Queries))
-	qs := make([]*query.Query, 0, len(req.Queries))
-	slots := make([]int, 0, len(req.Queries))
-	for i, sql := range req.Queries {
-		st, err := s.parser.Parse(sql)
+	sc.items, sc.res = reuse(sc.items, len(sqls)), reuse(sc.res, len(sqls))
+	items, res := sc.items, sc.res
+	var (
+		b      query.Builder
+		misses []core.Plan
+		slots  []int
+	)
+	for i, sql := range sqls {
+		table, err := s.parser.ParseInto(sql, &b)
+		if err == nil {
+			sc.key, err = b.AppendKey(sc.key[:0])
+		}
 		if err != nil {
 			items[i] = BatchItem{Status: StatusUnprocessableEntity,
 				Error: &ErrorResponse{"parse", err.Error()}}
 			continue
 		}
-		if !strings.EqualFold(st.Table, s.table) {
+		if !strings.EqualFold(table, s.table) {
 			items[i] = BatchItem{Status: StatusUnprocessableEntity,
-				Error: &ErrorResponse{"parse", "unknown table " + strconv.Quote(st.Table)}}
+				Error: &ErrorResponse{"parse", "unknown table " + strconv.Quote(table)}}
 			continue
 		}
-		qs = append(qs, st.Query)
-		slots = append(slots, i)
+		ans, pl, hit, err := s.sess.Lookup(view(sc.key))
+		if err == nil && !hit {
+			if pl.Query, err = b.Build(); err == nil {
+				misses = append(misses, pl)
+				slots = append(slots, i)
+				continue
+			}
+		}
+		res[i] = core.BatchResult{Answer: ans, Err: err}
+	}
+	if len(misses) > 0 {
+		for k, r := range s.sess.AnswerPlans(misses) {
+			res[slots[k]] = r
+		}
 	}
 
+	// One budget read serves every 200 element of the response:
+	// AverageSpent takes the accountant's lock and sums its partitions,
+	// and the batch has stopped paying by now.
+	remaining := s.sess.Accountant().Global() - s.sess.AverageSpent()
+	sc.resps = reuse(sc.resps, len(sqls))
 	served := 0
-	if len(qs) > 0 {
-		results := s.sess.AnswerBatch(qs)
-		// One budget read and one allocation serve every 200 element of
-		// the response: AverageSpent takes the accountant's lock and sums
-		// its partitions, and the batch has stopped paying by now.
-		remaining := s.sess.Accountant().Global() - s.sess.AverageSpent()
-		resps := make([]QueryResponse, len(results))
-		for k, res := range results {
-			i := slots[k]
-			switch {
-			case errors.Is(res.Err, accountant.ErrBudgetExhausted):
-				s.refusals.Add(1)
-				items[i] = BatchItem{Status: StatusTooManyRequests,
-					Error: &ErrorResponse{"exhausted", "global privacy budget exhausted"}}
-			case res.Err != nil:
-				items[i] = BatchItem{Status: StatusUnprocessableEntity,
-					Error: &ErrorResponse{"bad-request", res.Err.Error()}}
-			default:
-				ans := res.Answer
-				s.countAnswer(ans.Source)
-				served++
-				resps[k] = QueryResponse{
-					Fraction:  ans.Value,
-					Count:     ans.Value * float64(ans.Rows),
-					Source:    string(ans.Source),
-					Paid:      ans.Paid,
-					Remaining: remaining,
-				}
-				items[i] = BatchItem{Status: StatusOK, Result: &resps[k]}
+	for i := range items {
+		if items[i].Status != 0 {
+			continue // refused before the session saw it
+		}
+		switch err := res[i].Err; {
+		case errors.Is(err, accountant.ErrBudgetExhausted):
+			s.refusals.Add(1)
+			items[i] = BatchItem{Status: StatusTooManyRequests,
+				Error: &ErrorResponse{"exhausted", "global privacy budget exhausted"}}
+		case err != nil:
+			items[i] = BatchItem{Status: StatusUnprocessableEntity,
+				Error: &ErrorResponse{"bad-request", err.Error()}}
+		default:
+			ans := res[i].Answer
+			s.countAnswer(ans.Source)
+			served++
+			sc.resps[i] = QueryResponse{
+				Fraction:  ans.Value,
+				Count:     ans.Value * float64(ans.Rows),
+				Source:    string(ans.Source),
+				Paid:      ans.Paid,
+				Remaining: remaining,
 			}
+			items[i] = BatchItem{Status: StatusOK, Result: &sc.resps[i]}
 		}
 	}
 	body, err := appendBatchResponse(w.Body[:0], items)
@@ -121,4 +147,11 @@ func (s *Server) handleQueryBatch(w *Response, r *Request) {
 	}
 	s.queries.Add(int64(served))
 	writeAppended(w, body)
+}
+
+// reuse returns buf's array holding n zero elements, grown if it must.
+func reuse[T any](buf []T, n int) []T {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
 }

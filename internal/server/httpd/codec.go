@@ -1,8 +1,9 @@
 // The wire codec of the hot analyst endpoints (ARCHITECTURE "Server", the
 // codec rule): 200 bodies of /query and /query/batch are appended into the
 // connection's response buffer, byte for byte what encoding/json's Encoder
-// wrote, and request bodies of the two fixed shapes are scanned in place.
-// Every other body, in either direction, stays with encoding/json.
+// wrote, and request bodies of the two fixed shapes are scanned in place,
+// their statements viewing the body. Every other body, in either
+// direction, stays with encoding/json.
 
 package httpd
 
@@ -12,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"unsafe"
 )
 
 // maxAnalystBody caps the request body of the analyst-facing endpoints
@@ -41,6 +43,30 @@ func maxAppendBody(domSize int) int64 {
 	return int64(maxAppendPartitions*(domSize*widestCount+partition) + batch)
 }
 
+// decodeSQL decodes the statement of a /query or /groupby body. A body
+// of the shape scanSQL takes is read in place: the statement views
+// r.Body, and must not outlive the request. Any other goes to
+// decodeAnalyst.
+func decodeSQL(w *Response, r *Request) (string, bool) {
+	if sql, ok := scanSQL(view(r.Body)); ok && r.Method == MethodPost {
+		return sql, true
+	}
+	var req QueryRequest
+	ok := decodeAnalyst(w, r, &req)
+	return req.SQL, ok
+}
+
+// decodeQueries is decodeSQL for a /query/batch body: its statements,
+// appended to dst[:0].
+func decodeQueries(w *Response, r *Request, dst []string) ([]string, bool) {
+	if sqls, ok := scanQueries(view(r.Body), dst); ok && r.Method == MethodPost {
+		return sqls, true
+	}
+	req := BatchQueryRequest{Queries: dst[:0]}
+	ok := decodeAnalyst(w, r, &req)
+	return req.Queries, ok
+}
+
 // decodeAnalyst decodes an analyst-facing POST body into req, a
 // *QueryRequest or *BatchQueryRequest. On failure it writes the response
 // itself — 405 for another method, 400 for malformed JSON — and returns
@@ -57,57 +83,68 @@ func decodeAnalyst(w *Response, r *Request, req any) bool {
 	return true
 }
 
+// view returns b's bytes as a string without copying them. The string
+// is valid only while b's array is not written: a view of a request body
+// must not outlive the request.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
 // Decode decodes one analyst request body into req, a *QueryRequest or
 // *BatchQueryRequest, with the result encoding/json's Decoder gives: by
 // the scanner when the body has the shape it accepts, else by
 // encoding/json, which thereby keeps defining unknown-field, key-case,
 // escape, duplicate-key and trailing-data behaviour. FuzzDecodeAnalyst
-// pins that the two cannot be told apart.
+// pins that the two cannot be told apart. req's strings do not view body.
 func Decode(body []byte, req any) error {
-	if scanRequest(string(body), req) {
-		return nil
+	s := string(body)
+	switch req := req.(type) {
+	case *QueryRequest:
+		if sql, ok := scanSQL(s); ok {
+			req.SQL = sql
+			return nil
+		}
+	case *BatchQueryRequest:
+		if sqls, ok := scanQueries(s, req.Queries); ok {
+			req.Queries = sqls
+			return nil
+		}
 	}
 	return json.NewDecoder(bytes.NewReader(body)).Decode(req)
 }
 
-// scanRequest fills req with substrings of s when s is exactly
-// {"sql":"…"} or {"queries":["…",…]} — whichever req is — with JSON
-// whitespace between tokens; otherwise it reports false, req untouched.
-func scanRequest(s string, req any) bool {
+// scanSQL returns the statement of s when s is exactly {"sql":"…"}, with
+// JSON whitespace between tokens, as a substring of s.
+func scanSQL(s string) (string, bool) {
 	sc := scanner{s: s}
-	switch req := req.(type) {
-	case *QueryRequest:
-		if !sc.key("sql") {
-			return false
-		}
-		sql, ok := sc.str()
-		if !ok || !sc.end() {
-			return false
-		}
-		req.SQL = sql
-		return true
-	case *BatchQueryRequest:
-		if !sc.key("queries") || !sc.lit('[') {
-			return false
-		}
-		queries := []string{}
-		for !sc.lit(']') {
-			if len(queries) > 0 && !sc.lit(',') {
-				return false
-			}
-			q, ok := sc.str()
-			if !ok {
-				return false
-			}
-			queries = append(queries, q)
-		}
-		if !sc.end() {
-			return false
-		}
-		req.Queries = queries
-		return true
+	if !sc.key("sql") {
+		return "", false
 	}
-	return false
+	sql, ok := sc.str()
+	return sql, ok && sc.end()
+}
+
+// scanQueries appends to dst[:0] the statements of s when s is exactly
+// {"queries":["…",…]}, with JSON whitespace between tokens, as substrings
+// of s.
+func scanQueries(s string, dst []string) ([]string, bool) {
+	sc := scanner{s: s}
+	if !sc.key("queries") || !sc.lit('[') {
+		return dst, false
+	}
+	sqls := dst[:0]
+	if sqls == nil {
+		sqls = []string{} // as encoding/json decodes [] into a nil slice
+	}
+	for !sc.lit(']') {
+		if len(sqls) > 0 && !sc.lit(',') {
+			return dst, false
+		}
+		q, ok := sc.str()
+		if !ok {
+			return dst, false
+		}
+		sqls = append(sqls, q)
+	}
+	return sqls, sc.end()
 }
 
 // scanner reads JSON tokens off s from position i.

@@ -106,9 +106,8 @@ func TestDecodeBodyFallsBack(t *testing.T) {
 		{`{"sql":7}`, false, "", "cannot unmarshal number"},
 	}
 	for _, c := range cases {
-		var scanned QueryRequest
-		if got := scanRequest(c.body, &scanned); got != c.scanned {
-			t.Errorf("scanRequest(%q) = %v, want %v", c.body, got, c.scanned)
+		if _, got := scanSQL(c.body); got != c.scanned {
+			t.Errorf("scanSQL(%q) = %v, want %v", c.body, got, c.scanned)
 		}
 		var req QueryRequest
 		err := Decode([]byte(c.body), &req)

@@ -1,0 +1,109 @@
+package httpd
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// hitStatement is a /query body of the test server's domain; window picks
+// one of ten windows over its four partitions and pred one of 45
+// predicates, so 450 bodies are distinct statements.
+func hitStatement(pred, window int) []byte {
+	var wins [][2]int
+	for s := 0; s < 4; s++ {
+		for e := s; e < 4; e++ {
+			wins = append(wins, [2]int{s, e})
+		}
+	}
+	w := wins[window%len(wins)]
+	ages := ""
+	for a := 0; a < 4; a++ {
+		if (pred%15+1)&(1<<a) != 0 {
+			ages += fmt.Sprintf(", %d", a)
+		}
+	}
+	sql := fmt.Sprintf("SELECT COUNT(*) FROM covid WHERE age IN (%s) AND time BETWEEN %d AND %d", ages[2:], w[0], w[1])
+	if p := pred / 15; p < 2 {
+		sql += fmt.Sprintf(" AND positive = %d", p)
+	}
+	return []byte(`{"sql":"` + sql + `"}`)
+}
+
+// handler drives srv.Handle as a connection does: one Request and one
+// Response reused from request to request, their arrays and the
+// connection's scratch with them.
+type handler struct {
+	srv  *Server
+	req  Request
+	resp Response
+	body bytes.Reader
+}
+
+func (h *handler) do(t *testing.T, path string, body []byte) *Response {
+	h.req.next(MethodPost, path, int64(len(body)))
+	h.body.Reset(body)
+	if err := h.srv.Handle(&h.resp, &h.req, &h.body); err != nil || h.resp.Status != StatusOK {
+		t.Fatalf("%s %s: %d %v %s", path, body, h.resp.Status, err, h.resp.Body)
+	}
+	return &h.resp
+}
+
+// counts is what a statement's trip through Handle moves: the store's
+// operation counters, the exact cache's, the exact-hit answers and the
+// budget spent.
+type counts struct {
+	storeHits, storeMisses, storeSets int64
+	exactHits, exactMisses            int
+	exactAnswers                      int64
+	spent                             float64
+}
+
+func (s *Server) counts() counts {
+	st := s.sess.StoreStats()
+	c := counts{storeHits: st.Hits, storeMisses: st.Misses, storeSets: st.Sets,
+		exactAnswers: s.bySource[core.SourceExactHit].Load(), spent: s.sess.AverageSpent()}
+	c.exactHits, c.exactMisses = s.sess.ExactCache().Stats()
+	return c
+}
+
+// TestHandleProbesOnce pins what one statement sent four times through
+// Handle counts. The cold request probes once and its flight leader once
+// more (two store and two exact misses), pays, and fills the store; the
+// first repeat is served from the store and promoted (one store hit); the
+// later ones are fast-map hits that leave the store alone. A miss that
+// probed again after its query was built would read three misses.
+func TestHandleProbesOnce(t *testing.T) {
+	h := &handler{srv: newTestServer(t, 10)}
+	body := hitStatement(3, 5)
+	wants := []struct {
+		source string
+		diff   counts
+	}{
+		{"tree", counts{storeMisses: 2, storeSets: 1, exactMisses: 2}},
+		{"exact-hit", counts{storeHits: 1, exactHits: 1, exactAnswers: 1}},
+		{"exact-hit", counts{exactHits: 1, exactAnswers: 1}},
+		{"exact-hit", counts{exactHits: 1, exactAnswers: 1}},
+	}
+	for i, want := range wants {
+		before := h.srv.counts()
+		resp := h.do(t, "/query", body)
+		after := h.srv.counts()
+		if !bytes.Contains(resp.Body, []byte(`"source":"`+want.source+`"`)) {
+			t.Fatalf("request %d: %s, want source %s", i, resp.Body, want.source)
+		}
+		paid := after.spent > before.spent
+		after.spent, before.spent = 0, 0
+		diff := counts{
+			storeHits: after.storeHits - before.storeHits, storeMisses: after.storeMisses - before.storeMisses,
+			storeSets: after.storeSets - before.storeSets,
+			exactHits: after.exactHits - before.exactHits, exactMisses: after.exactMisses - before.exactMisses,
+			exactAnswers: after.exactAnswers - before.exactAnswers,
+		}
+		if diff != want.diff || paid != (i == 0) {
+			t.Errorf("request %d moved %+v (paid %v), want %+v (paid %v)", i, diff, paid, want.diff, i == 0)
+		}
+	}
+}

@@ -18,8 +18,11 @@ import (
 	"log"
 	"os"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"time"
+
+	"repro/internal/core"
 )
 
 // Status codes the server sends.
@@ -68,6 +71,10 @@ const maxHead = 8 << 10
 // request; a /snapshot or /restore body past it is dropped after use.
 const keepBuf = 64 << 10
 
+// maxKeptStatements is the largest batch whose scratch a connection keeps
+// for its next request.
+const maxKeptStatements = 1024
+
 // A connection the server closes after a response first lingers (linger)
 // for this long or this many bytes of unread input: enough for a client
 // that writes a whole body past the analyst cap before it reads the 413 to
@@ -90,8 +97,39 @@ type Request struct {
 	// without a Content-Length, or a request with a Transfer-Encoding.
 	Length int64
 	// Body is the whole body once Handle has read it. Its array is reused
-	// for the connection's next request: a handler keeps no part of it.
+	// for the connection's next request: a handler keeps no part of it,
+	// and no string that views it (codec.go) outlives the handler.
 	Body []byte
+	// scratch is the connection's reusable handler state, made on first
+	// use: a Request built per call (internal/server's adapter) gets its
+	// own.
+	scratch *scratch
+}
+
+// next readies r for the connection's next request, keeping its body's
+// array and its scratch.
+func (r *Request) next(method, path string, length int64) {
+	*r = Request{Method: method, Path: path, Length: length, Body: r.Body[:0], scratch: r.scratch}
+}
+
+// scratch is what the analyst handlers reuse from one request to the next
+// on a connection, so an exact hit allocates nothing: the cache key of
+// the statement being probed, and a batch's statements, items and
+// responses.
+type scratch struct {
+	key   []byte
+	sqls  []string
+	res   []core.BatchResult
+	items []BatchItem
+	resps []QueryResponse
+}
+
+// scratchFor returns r's scratch, making it on first use.
+func (r *Request) scratchFor() *scratch {
+	if r.scratch == nil {
+		r.scratch = new(scratch)
+	}
+	return r.scratch
 }
 
 // Response is what a handler answers: a status, the two headers the
@@ -152,16 +190,10 @@ func (s *Server) Handle(w *Response, r *Request, body io.Reader) error {
 	case rt.refuse != nil && rt.refuse(s, w, r):
 		return nil
 	}
-	buf := bytes.NewBuffer(r.Body[:0])
-	if r.Length > 0 {
-		if _, err := buf.ReadFrom(io.LimitReader(body, r.Length)); err != nil {
-			return err
-		}
-		if int64(buf.Len()) != r.Length {
-			return errShortBody
-		}
+	var err error
+	if r.Body, err = readBody(r.Body[:0], body, r.Length); err != nil {
+		return err
 	}
-	r.Body = buf.Bytes()
 	s.gate.RLock()
 	defer s.gate.RUnlock()
 	if s.down.Load() {
@@ -169,6 +201,28 @@ func (s *Server) Handle(w *Response, r *Request, body io.Reader) error {
 	}
 	rt.serve(s, w, r)
 	return nil
+}
+
+// readBody appends n bytes of body to b and returns them, or
+// errShortBody if body ends first. b grows no faster than bytes arrive, so
+// a Content-Length is never taken on trust: a body of at most keepBuf
+// bytes is read into b's array at once, a longer one in steps that at
+// most double it.
+func readBody(b []byte, body io.Reader, n int64) ([]byte, error) {
+	for int64(len(b)) < n {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, int(min(n-int64(len(b)), int64(max(len(b), keepBuf)))))
+		}
+		m, err := io.ReadFull(body, b[len(b):int(min(n, int64(cap(b))))])
+		b = b[:len(b)+m]
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return b, errShortBody
+		}
+		if err != nil {
+			return b, err
+		}
+	}
+	return b, nil
 }
 
 // Serve accepts connections on l until Shutdown, serving each on a
@@ -275,7 +329,7 @@ func (s *Server) serveConn(c *conn) {
 			}
 			return
 		}
-		req = Request{Method: h.method, Path: h.path, Length: h.length, Body: req.Body[:0]}
+		req.next(h.method, h.path, h.length)
 		body = io.LimitedReader{R: br, N: max(h.length, 0)}
 		var src io.Reader = &body
 		if h.expect {
@@ -297,6 +351,9 @@ func (s *Server) serveConn(c *conn) {
 		}
 		if cap(req.Body) > keepBuf {
 			req.Body = nil
+		}
+		if req.scratch != nil && cap(req.scratch.sqls) > maxKeptStatements {
+			req.scratch = nil
 		}
 		if cap(resp.Body) > keepBuf {
 			resp.Body, out = nil, nil
@@ -454,7 +511,7 @@ func parseHead(b []byte) head {
 	if i := bytes.IndexByte(target, '?'); i >= 0 {
 		target = target[:i]
 	}
-	h.method, h.path = string(verb), string(target)
+	h.method, h.path = intern(verb), intern(target)
 	length, te, keepAlive, expect := int64(-1), false, false, false
 	for {
 		line, b = cutLine(b)
@@ -476,7 +533,9 @@ func parseHead(b []byte) head {
 		case bytes.EqualFold(name, []byte("Transfer-Encoding")):
 			te = true
 		case bytes.EqualFold(name, []byte("Connection")):
-			for _, tok := range bytes.Split(value, []byte{','}) {
+			for rest := value; len(rest) > 0; {
+				var tok []byte
+				tok, rest, _ = bytes.Cut(rest, []byte{','})
 				tok = bytes.Trim(tok, " \t")
 				h.close = h.close || bytes.EqualFold(tok, []byte("close"))
 				keepAlive = keepAlive || bytes.EqualFold(tok, []byte("keep-alive"))
@@ -499,6 +558,24 @@ func parseHead(b []byte) head {
 		h.length = -1
 	}
 	return h
+}
+
+// interned holds the methods and paths a head names as strings, so that
+// parsing a head of a known route allocates nothing.
+var interned = func() map[string]string {
+	m := map[string]string{MethodGet: MethodGet, MethodPost: MethodPost, "HEAD": "HEAD"}
+	for path := range routes {
+		m[path] = path
+	}
+	return m
+}()
+
+// intern returns b as a string: the interned one, or a copy.
+func intern(b []byte) string {
+	if s, ok := interned[string(b)]; ok {
+		return s
+	}
+	return string(b)
 }
 
 // cutLine splits off b's first line, without its CRLF or LF.

@@ -63,6 +63,7 @@ import (
 	"repro/internal/accountant"
 	"repro/internal/core"
 	"repro/internal/persist"
+	"repro/internal/query"
 	"repro/internal/sqlparser"
 	"repro/internal/stream"
 )
@@ -252,23 +253,38 @@ func (s *Server) serving(w *Response) bool {
 	return !dead
 }
 
+// handleQuery answers one statement key first: the statement is walked
+// into a Builder on this frame and its cache key rendered into the
+// connection's scratch, and the session plans and probes by that key.
+// Only a miss builds the query, which then pays, executes and fills. An
+// exact hit allocates nothing from the body read to the response written.
 func (s *Server) handleQuery(w *Response, r *Request) {
-	var req QueryRequest
-	if !decodeAnalyst(w, r, &req) || !s.serving(w) {
+	sql, ok := decodeSQL(w, r)
+	if !ok || !s.serving(w) {
 		return
 	}
-	st, err := s.parser.Parse(req.SQL)
+	sc := r.scratchFor()
+	var b query.Builder
+	table, err := s.parser.ParseInto(sql, &b)
+	if err == nil {
+		sc.key, err = b.AppendKey(sc.key[:0])
+	}
 	if err != nil {
 		writeJSON(w, StatusBadRequest, ErrorResponse{"parse", err.Error()})
 		return
 	}
-	if !strings.EqualFold(st.Table, s.table) {
+	if !strings.EqualFold(table, s.table) {
 		writeJSON(w, StatusBadRequest, ErrorResponse{"parse",
-			fmt.Sprintf("unknown table %q (have %q)", st.Table, s.table)})
+			fmt.Sprintf("unknown table %q (have %q)", table, s.table)})
 		return
 	}
 
-	ans, err := s.sess.Answer(st.Query)
+	ans, pl, hit, err := s.sess.Lookup(view(sc.key))
+	if err == nil && !hit {
+		if pl.Query, err = b.Build(); err == nil {
+			ans, err = s.sess.AnswerPlan(pl)
+		}
+	}
 	switch {
 	case errors.Is(err, accountant.ErrBudgetExhausted):
 		s.refusals.Add(1)
@@ -327,11 +343,11 @@ type GroupByResponse struct {
 // counts as served only when the 200 is written — a mid-group refusal is
 // a refusal, never a served request.
 func (s *Server) handleGroupBy(w *Response, r *Request) {
-	var req QueryRequest
-	if !decodeAnalyst(w, r, &req) || !s.serving(w) {
+	sql, ok := decodeSQL(w, r)
+	if !ok || !s.serving(w) {
 		return
 	}
-	gs, err := s.parser.ParseGrouped(req.SQL)
+	gs, err := s.parser.ParseGrouped(sql)
 	if err != nil {
 		writeJSON(w, StatusBadRequest, ErrorResponse{"parse", err.Error()})
 		return

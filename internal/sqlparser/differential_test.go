@@ -14,6 +14,10 @@
 //     by one, an unconstrained attribute left empty, the window header in
 //     another shape — or value sets sorted, deduplicated or dropped
 //     differently by the builder.
+//
+// Every input also goes the handlers' way, key first (checkKeyPath): the
+// key a Builder renders is the key of the query Parse builds, and the two
+// refuse the same statements with the same error.
 
 package sqlparser
 
@@ -68,6 +72,7 @@ func oracleKeys(q *query.Query) (key, winKey string) {
 // table, window, value sets and keys.
 func checkMatchesOracle(t *testing.T, p *Parser, src string, got *Statement, gotErr error) {
 	t.Helper()
+	checkKeyPath(t, p, src, got, gotErr)
 	want, wantErr := oracleParse(p, src)
 	if gotErr != nil || wantErr != nil {
 		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
@@ -90,6 +95,33 @@ func checkMatchesOracle(t *testing.T, p *Parser, src string, got *Statement, got
 	}
 	if key, winKey := oracleKeys(g); g.Key() != key || g.KeyWithWindow() != winKey {
 		t.Fatalf("Parse(%q): keys %q %q, oracle rendering %q %q", src, g.Key(), g.KeyWithWindow(), key, winKey)
+	}
+}
+
+// checkKeyPath fails t unless the handlers' key-first path on src —
+// ParseInto a Builder that held another statement, then AppendKey — is
+// what Parse returned, (got, gotErr): the same error text, or the same
+// table and Parse's KeyWithWindow byte for byte.
+func checkKeyPath(t *testing.T, p *Parser, src string, got *Statement, gotErr error) {
+	t.Helper()
+	var b query.Builder
+	if _, err := p.ParseInto("SELECT COUNT(*) FROM t WHERE time BETWEEN 3 AND 4", &b); err != nil {
+		t.Fatal(err)
+	}
+	table, err := p.ParseInto(src, &b)
+	var key []byte
+	if err == nil {
+		key, err = b.AppendKey([]byte("stale"))
+		key = key[len("stale"):]
+	}
+	if gotErr != nil || err != nil {
+		if gotErr == nil || err == nil || gotErr.Error() != err.Error() {
+			t.Fatalf("%q: Parse error %v, key path error %v", src, gotErr, err)
+		}
+		return
+	}
+	if table != got.Table || string(key) != got.Query.KeyWithWindow() {
+		t.Fatalf("%q: key path %s %q, Parse %s %q", src, table, key, got.Table, got.Query.KeyWithWindow())
 	}
 }
 

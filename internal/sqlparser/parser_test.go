@@ -171,3 +171,28 @@ func TestNegativeWindowRejected(t *testing.T) {
 		t.Fatal("negative window accepted")
 	}
 }
+
+// TestRepeatedWindowIntersects: a second time BETWEEN narrows the window
+// as a repeated attribute narrows its set, whichever comes first, and
+// windows that do not overlap are contradictory. (The second window used
+// to replace the first.)
+func TestRepeatedWindowIntersects(t *testing.T) {
+	for _, c := range []struct {
+		where      string
+		start, end int
+	}{
+		{"time BETWEEN 0 AND 3 AND time BETWEEN 2 AND 5", 2, 3}, // overlapping
+		{"time BETWEEN 2 AND 3 AND time BETWEEN 0 AND 5", 2, 3}, // nested, the outer last
+		{"time BETWEEN 1 AND 4 AND positive = 1 AND time BETWEEN 4 AND 4", 4, 4},
+	} {
+		st := mustParse(t, "SELECT COUNT(*) FROM covid WHERE "+c.where)
+		if s, e, ok := st.Query.Window(); !ok || s != c.start || e != c.end {
+			t.Errorf("%s: window [%d,%d] %v, want [%d,%d]", c.where, s, e, ok, c.start, c.end)
+		}
+	}
+	const disjoint = "SELECT COUNT(*) FROM covid WHERE time BETWEEN 2 AND 5 AND time BETWEEN 0 AND 1"
+	st, err := New(covid()).Parse(disjoint)
+	if want := "query: contradictory windows [2,5] and [0,1]"; err == nil || err.Error() != want {
+		t.Errorf("Parse(%q) = %v, %v; want error %q", disjoint, st, err, want)
+	}
+}

@@ -92,7 +92,10 @@ type Stats struct {
 // Implementations must be safe for concurrent use. Values carry their own
 // codec: a value without one does not compile against Backend.
 type Backend interface {
-	// Get loads k into out, reporting whether the key existed.
+	// Get loads k into out, reporting whether the key existed. k is only
+	// read during the call: a caller may pass a view of a buffer it
+	// reuses (the exact cache probes with a request's key this way), so
+	// a Get keeps no part of it.
 	Get(k string, out FastDecoder) (bool, error)
 	// Set stores value under k.
 	Set(k string, value FastEncoder) error
