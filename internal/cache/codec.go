@@ -56,7 +56,8 @@ func (e *Entry) DecodeFast(data []byte) bool {
 }
 
 // compile-time checks: Entry values round-trip through the backend codec
-// seam (Put passes Entry by value, Get decodes into *Entry).
+// seam (Put encodes from a pooled *Entry and Lookup decodes into one; a
+// restore and CompareDelete pass Entry by value).
 var (
 	_ store.FastEncoder = Entry{}
 	_ store.FastDecoder = (*Entry)(nil)

@@ -105,9 +105,9 @@ func (c *Exact) Get(q *query.Query, version int) (Entry, bool) {
 	return c.Lookup(q.KeyWithWindow(), version)
 }
 
-// entries recycles the entries a store probe decodes into: an Entry
-// passed to the store.Backend interface would escape, one allocation per
-// probe.
+// entries recycles the entries a store probe decodes into and a fill
+// encodes from: an Entry passed to the store.Backend interface would
+// escape, one allocation per probe or fill.
 var entries = sync.Pool{New: func() any { return new(Entry) }}
 
 // Lookup returns the result cached under key, a KeyWithWindow key, at the
@@ -156,7 +156,11 @@ func (c *Exact) Lookup(key string, version int) (Entry, bool) {
 // sight, exactly as it does a stale backend entry.
 func (c *Exact) Put(q *query.Query, version int, value, eps float64) error {
 	key := q.KeyWithWindow()
-	if err := c.store.Set(key, Entry{Value: value, Eps: eps, Version: version}); err != nil {
+	e := entries.Get().(*Entry)
+	*e = Entry{Value: value, Eps: eps, Version: version}
+	err := c.store.Set(key, e)
+	entries.Put(e)
+	if err != nil {
 		return err
 	}
 	c.mu.Lock()

@@ -52,10 +52,11 @@ func TestAnswerExactHitZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestFlightKeyAllocBudget pins the single-flight key build at its one
-// unavoidable allocation (the key string the flight map stores) — the
-// Sprintf it replaced took four.
-func TestFlightKeyAllocBudget(t *testing.T) {
+// TestFlightZeroAllocs pins a flight at zero allocations once its group
+// has a record to recycle: the identity is the query's own key beside the
+// version, not a "key@vN" string (which cost one allocation per miss),
+// and the record with its latch goes back to the group, not to the GC.
+func TestFlightZeroAllocs(t *testing.T) {
 	dom, ds := buildDS(t, 4)
 	s, err := NewSession(defaultCfg(Partitioned), ds)
 	if err != nil {
@@ -67,14 +68,19 @@ func TestFlightKeyAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
-		_ = flightKey(pl)
-	}); allocs > 1 {
-		t.Fatalf("flightKey allocates %.1f/op, want <= 1", allocs)
+		ans, shared, err := s.flights.do(flightOf(pl), func() (Answer, error) {
+			return Answer{Value: 0.5}, nil
+		})
+		if err != nil || shared || ans.Value != 0.5 {
+			t.Fatalf("flight = %+v, %v, %v", ans, shared, err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a flight allocates %.1f/op, want 0", allocs)
 	}
 }
 
 // TestColdBatchAllocBudget pins what one cold statement allocates on its
-// way through AnswerBatch — plan, probe miss, flight key, admission, tree
+// way through AnswerBatch — plan, probe miss, flight, admission, tree
 // execution, one store append — on freshly built queries, so each
 // predicate's support is resolved inside the measurement as it is for a
 // freshly parsed statement. GOMAXPROCS is pinned to 1 so the batch runs on
@@ -89,12 +95,15 @@ func TestColdBatchAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	stmts := runCold(t, s, batches)
 	runtime.ReadMemStats(&after)
-	// Reads 9.54 (13.72 while the tree probed its node cache before any
-	// entry was there, a key string per split node; 17.89 while it stored
-	// node releases no probe could accept; 23.43 before the fast map
-	// became promote-on-read and the dataset's predicate-mask memo was
-	// deleted).
-	const ceiling = 10.0
+	// Reads 2.36 (7.36 while a flight rendered a "key@vN" string and
+	// allocated its record and channel, a fill boxed its entry, the tree's
+	// contiguous-subset step copied and reflect-sorted, and a support
+	// resolved into a fresh Support; 9.54 before that; 13.72 while the tree probed its node
+	// cache before any entry was there, a key string per split node; 17.89
+	// while it stored node releases no probe could accept; 23.43 before
+	// the fast map became promote-on-read and the dataset's predicate-mask
+	// memo was deleted).
+	const ceiling = 2.5
 	perStmt := float64(after.Mallocs-before.Mallocs) / float64(stmts)
 	t.Logf("%.3f allocs per cold statement over %d", perStmt, stmts)
 	if perStmt > ceiling {

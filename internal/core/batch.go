@@ -61,12 +61,12 @@ type batchGroup struct {
 }
 
 // batchMiss is a group the exact cache could not answer, beside the
-// flight identity it merges, executes and fills under — rendered once,
-// and kept out of batchGroup so an all-hit batch's arena carries no key
-// slots (sixteen 128-byte groups are exactly one 2 KiB allocation class).
+// flight identity it merges, executes and fills under — kept out of
+// batchGroup so an all-hit batch's arena carries no identity slots
+// (sixteen 128-byte groups are exactly one 2 KiB allocation class).
 type batchMiss struct {
-	g   *batchGroup
-	key string
+	g  *batchGroup
+	id flightID
 }
 
 // AnswerBatch answers a batch of linear queries, returning one ordered
@@ -87,7 +87,7 @@ func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 	// *query.Query for repeats, and a pointer hit skips replanning
 	// entirely. Equal queries behind distinct pointers still merge, but
 	// only if they miss the exact cache (below), so the hit path never
-	// builds a flight key. Groups live in one flat arena (the group
+	// merges by flight identity. Groups live in one flat arena (the group
 	// count is bounded by len(qs), so appends never reallocate and group
 	// pointers stay stable); members hold only a pointer to their group,
 	// and the final pass below fans each group's outcome back out.
@@ -122,7 +122,7 @@ func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 			s.recordN(SourceExactHit, g.n)
 			continue
 		}
-		misses = append(misses, batchMiss{g: g, key: flightKey(g.pl)})
+		misses = append(misses, batchMiss{g: g, id: flightOf(g.pl)})
 	}
 
 	s.answerMisses(misses)
@@ -147,7 +147,7 @@ func (s *Session) AnswerPlans(pls []Plan) []BatchResult {
 		}
 		groups[i] = batchGroup{pl: pl, n: 1}
 		assign[i] = &groups[i]
-		misses = append(misses, batchMiss{g: &groups[i], key: flightKey(pl)})
+		misses = append(misses, batchMiss{g: &groups[i], id: flightOf(pl)})
 	}
 	s.answerMisses(misses)
 	fanOut(out, assign)
@@ -164,15 +164,15 @@ func (s *Session) answerMisses(misses []batchMiss) {
 	// (predicate + window + data version) so they admit and execute
 	// once; a folded group redirects its members to the surviving one.
 	if len(misses) > 1 {
-		byKey := make(map[string]*batchGroup, len(misses))
+		byID := make(map[flightID]*batchGroup, len(misses))
 		merged := misses[:0]
 		for _, m := range misses {
-			if into := byKey[m.key]; into != nil {
+			if into := byID[m.id]; into != nil {
 				into.n += m.g.n
 				m.g.mergedInto = into
 				continue
 			}
-			byKey[m.key] = m.g
+			byID[m.id] = m.g
 			merged = append(merged, m)
 		}
 		misses = merged
@@ -193,7 +193,7 @@ func (s *Session) answerMisses(misses []batchMiss) {
 		return
 	}
 	// Execute each admitted group once, through the same single-flight
-	// path as Answer. Groups are distinct flight keys, so they never wait
+	// path as Answer. Groups are distinct flights, so they never wait
 	// on each other; the caller and at most GOMAXPROCS-1 helpers pull
 	// them off a shared index — a spawn per group would cost a wake-up
 	// each with no core to run on.
@@ -201,7 +201,7 @@ func (s *Session) answerMisses(misses []batchMiss) {
 	work := func() {
 		for i := next.Add(1) - 1; int(i) < len(run); i = next.Add(1) - 1 {
 			m := run[i]
-			ans, shared, err := s.execute(m.g.pl, m.key)
+			ans, shared, err := s.execute(m.g.pl, m.id)
 			s.resolveExecuted(m.g, ans, shared, err)
 		}
 	}

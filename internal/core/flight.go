@@ -19,6 +19,9 @@
 // after its fn completes — which, in the session, includes caching the
 // released answer — so a duplicate that misses the map always finds the
 // exact cache filled, and long-term reuse stays with the cache.
+// A flight allocates nothing in steady state: the map holds the query's
+// own key string only while the leader runs, and call records, latch
+// included, are recycled.
 
 package core
 
@@ -27,41 +30,68 @@ import (
 	"sync"
 )
 
-// flightCall is one in-flight execution: a latch the duplicates wait on
-// plus the leader's result.
-type flightCall struct {
-	done chan struct{}
-	ans  Answer
-	err  error
+// flightID is a flight's identity: the exact-cache key (KeyWithWindow) and
+// the data version, so a query planned against newer data never shares a
+// stale in-flight execution.
+type flightID struct {
+	key     string
+	version int
 }
 
-// flightGroup deduplicates concurrent executions by key. The zero value is
-// ready to use.
+// flightOf returns the flight identity of a plan.
+func flightOf(pl Plan) flightID {
+	return flightID{pl.Query.KeyWithWindow(), pl.Version}
+}
+
+// flightCall is one in-flight execution: a latch the duplicates wait on
+// plus the leader's result. refs, guarded by the group's mutex, counts the
+// leader and the joiners yet to read the result.
+type flightCall struct {
+	done sync.WaitGroup
+	ans  Answer
+	err  error
+	refs int
+}
+
+// flightGroup deduplicates concurrent executions by identity. The zero
+// value is ready to use.
 type flightGroup struct {
 	mu    sync.Mutex
-	calls map[string]*flightCall
+	calls map[flightID]*flightCall
+	// free holds call records no one reads any more, for the next leader.
+	free []*flightCall
 	// joins counts callers that attached to an already-in-flight call,
 	// cumulatively — the group-level view of the session's Deduped.
 	joins int64
 }
 
-// do executes fn once per key among concurrent callers: the first caller
-// runs it, later callers block until the leader finishes and share its
-// result. shared reports whether the caller observed another flight's
+// do executes fn once per identity among concurrent callers: the first
+// caller runs it, later callers block until the leader finishes and share
+// its result. shared reports whether the caller observed another flight's
 // result rather than executing itself.
-func (g *flightGroup) do(key string, fn func() (Answer, error)) (ans Answer, shared bool, err error) {
+func (g *flightGroup) do(id flightID, fn func() (Answer, error)) (ans Answer, shared bool, err error) {
 	g.mu.Lock()
 	if g.calls == nil {
-		g.calls = make(map[string]*flightCall)
+		g.calls = make(map[flightID]*flightCall)
 	}
-	if c, ok := g.calls[key]; ok {
+	if c, ok := g.calls[id]; ok {
 		g.joins++
+		c.refs++
 		g.mu.Unlock()
-		<-c.done
-		return c.ans, true, c.err
+		c.done.Wait()
+		ans, err = c.ans, c.err
+		g.release(c)
+		return ans, true, err
 	}
-	c := &flightCall{done: make(chan struct{})}
-	g.calls[key] = c
+	var c *flightCall
+	if n := len(g.free); n > 0 {
+		c, g.free = g.free[n-1], g.free[:n-1]
+	} else {
+		c = new(flightCall)
+	}
+	c.refs = 1
+	c.done.Add(1)
+	g.calls[id] = c
 	g.mu.Unlock()
 
 	// The key is released and the joiners woken even if fn panics (the
@@ -74,17 +104,29 @@ func (g *flightGroup) do(key string, fn func() (Answer, error)) (ans Answer, sha
 			c.err = errors.New("core: flight leader panicked")
 		}
 		g.mu.Lock()
-		delete(g.calls, key)
+		delete(g.calls, id)
 		g.mu.Unlock()
-		close(c.done)
+		c.done.Done()
+		g.release(c)
 	}()
 	c.ans, c.err = fn()
 	completed = true
 	return c.ans, false, c.err
 }
 
-// inFlight returns the number of keys currently executing, for tests and
-// diagnostics.
+// release drops one reader of c; the last one recycles it. No joiner
+// attaches once the leader has deleted c's identity.
+func (g *flightGroup) release(c *flightCall) {
+	g.mu.Lock()
+	if c.refs--; c.refs == 0 {
+		c.ans, c.err = Answer{}, nil
+		g.free = append(g.free, c)
+	}
+	g.mu.Unlock()
+}
+
+// inFlight returns the number of identities currently executing, for
+// tests and diagnostics.
 func (g *flightGroup) inFlight() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()

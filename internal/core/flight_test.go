@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/accountant"
 	"repro/internal/query"
@@ -29,7 +30,7 @@ func TestFlightGroupExecutesOnce(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ans, shared, err := g.do("k", func() (Answer, error) {
+		ans, shared, err := g.do(flightID{key: "k"}, func() (Answer, error) {
 			runs++
 			close(entered)
 			<-release
@@ -45,7 +46,7 @@ func TestFlightGroupExecutesOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ans, shared, err := g.do("k", func() (Answer, error) {
+			ans, shared, err := g.do(flightID{key: "k"}, func() (Answer, error) {
 				runs++ // would be a data race AND a logic bug
 				return Answer{Value: -1}, nil
 			})
@@ -67,7 +68,7 @@ func TestFlightGroupExecutesOnce(t *testing.T) {
 	if n := g.inFlight(); n != 1 {
 		t.Fatalf("inFlight = %d, want 1", n)
 	}
-	if _, shared, _ := g.do("other", func() (Answer, error) { return Answer{Value: 9}, nil }); shared {
+	if _, shared, _ := g.do(flightID{key: "other"}, func() (Answer, error) { return Answer{Value: 9}, nil }); shared {
 		t.Fatal("unrelated key shared a flight")
 	}
 	close(release)
@@ -105,7 +106,7 @@ func TestFlightGroupLeaderPanic(t *testing.T) {
 				t.Error("leader panic did not propagate")
 			}
 		}()
-		_, _, _ = g.do("k", func() (Answer, error) {
+		_, _, _ = g.do(flightID{key: "k"}, func() (Answer, error) {
 			close(entered)
 			<-release
 			panic("executor invariant")
@@ -116,7 +117,7 @@ func TestFlightGroupLeaderPanic(t *testing.T) {
 	var joinErr error
 	go func() {
 		defer wg.Done()
-		_, _, joinErr = g.do("k", func() (Answer, error) { return Answer{Value: -1}, nil })
+		_, _, joinErr = g.do(flightID{key: "k"}, func() (Answer, error) { return Answer{Value: -1}, nil })
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for g.joinCount() < 1 {
@@ -134,7 +135,7 @@ func TestFlightGroupLeaderPanic(t *testing.T) {
 		t.Fatalf("panicked flight wedged the key: %d in flight", g.inFlight())
 	}
 	// The key works again.
-	ans, shared, err := g.do("k", func() (Answer, error) { return Answer{Value: 2}, nil })
+	ans, shared, err := g.do(flightID{key: "k"}, func() (Answer, error) { return Answer{Value: 2}, nil })
 	if err != nil || shared || ans.Value != 2 {
 		t.Fatalf("post-panic flight broken: %+v shared=%v err=%v", ans, shared, err)
 	}
@@ -343,4 +344,109 @@ func TestAppendOrderingRegression(t *testing.T) {
 	if sess.Accountant().Partitions() != sess.Dataset().Partitions() {
 		t.Fatalf("books end unequal: %d vs %d", sess.Accountant().Partitions(), sess.Dataset().Partitions())
 	}
+}
+
+// TestFlightRecordsRecycleSafely races joiners against the recycling of
+// flight records: each round G goroutines ask one new cold statement at
+// once, each building it, as a connection does, into a query it rebuilds
+// every round over a key buffer it reuses, so a record freed while a
+// joiner still reads it, or a map key left behind, shows as another
+// round's answer or charge. Every round must spend exactly one
+// execution's charge, every caller must read the value that execution
+// released, and no flight may outlive its round.
+func TestFlightRecordsRecycleSafely(t *testing.T) {
+	const rounds, callers = 200, 8
+	ds := concurrentDS(t, 8)
+	sess, err := NewSession(Config{
+		Mode:  Partitioned,
+		Alpha: 0.1, Beta: 0.01, EpsilonGlobal: 1e6,
+		Seed: 5,
+	}, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dom := ds.Domain()
+	type conn struct {
+		key []byte
+		q   query.Query
+	}
+	conns := make([]conn, callers)
+	var wins [][2]int
+	for s := range 8 {
+		for e := s; e < 8; e++ {
+			wins = append(wins, [2]int{s, e})
+		}
+	}
+	sum := func(v []float64) (s float64) {
+		for _, x := range v {
+			s += x
+		}
+		return s
+	}
+	for r := range rounds {
+		// A new statement per round: a predicate over a and b, and a
+		// window, that no earlier round asked.
+		var b query.Builder
+		b.Reset(dom)
+		b.Restrict(0, r%4).Restrict(1, (r/4)%4).Window(wins[r/16][0], wins[r/16][1])
+		before := sum(sess.Accountant().SpentVector())
+		queries := sess.Tree().Stats().Queries
+		var (
+			wg    sync.WaitGroup
+			start = make(chan struct{})
+			ans   = make([]Answer, callers)
+			errs  = make([]error, callers)
+		)
+		for g := range callers {
+			wg.Add(1)
+			go func(c *conn) {
+				defer wg.Done()
+				bb := b
+				if c.key, errs[g] = bb.AppendKey(c.key[:0]); errs[g] != nil {
+					return
+				}
+				key := unsafe.String(unsafe.SliceData(c.key), len(c.key))
+				<-start
+				a, pl, hit, err := sess.Lookup(key)
+				if err == nil && !hit {
+					if err = bb.BuildInto(&c.q, key); err == nil {
+						pl.Query = &c.q
+						a, err = sess.AnswerPlan(pl)
+					}
+				}
+				ans[g], errs[g] = a, err
+			}(&conns[g])
+		}
+		close(start)
+		wg.Wait()
+
+		var leader *Answer
+		for g := range ans {
+			if errs[g] != nil {
+				t.Fatalf("round %d caller %d: %v", r, g, errs[g])
+			}
+			if ans[g].Source == SourceTree {
+				leader = &ans[g]
+			}
+		}
+		if leader == nil {
+			t.Fatalf("round %d: no caller carries the execution: %+v", r, ans)
+		}
+		if n := sess.Tree().Stats().Queries - queries; n != 1 {
+			t.Fatalf("round %d: %d executions, want 1", r, n)
+		}
+		if spent := sum(sess.Accountant().SpentVector()) - before; math.Abs(spent-leader.Paid) > 1e-9*(1+leader.Paid) {
+			t.Fatalf("round %d: the books moved by %g, one execution charges %g", r, spent, leader.Paid)
+		}
+		for g, a := range ans {
+			if a.Value != leader.Value {
+				t.Fatalf("round %d: caller %d read %g (%s), the round's execution released %g",
+					r, g, a.Value, a.Source, leader.Value)
+			}
+		}
+		if n := sess.flights.inFlight(); n != 0 {
+			t.Fatalf("round %d: %d flights survive the round", r, n)
+		}
+	}
+	t.Logf("%d of %d callers joined a flight", sess.flights.joinCount(), rounds*(callers-1))
 }

@@ -43,7 +43,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -424,7 +423,9 @@ func (s *Session) Lookup(key string) (ans Answer, pl Plan, hit bool, err error) 
 // AnswerPlan answers a statement whose key Lookup missed: pl is Lookup's
 // plan, with the statement's built query in Query. It runs Answer's
 // flight, execution and fill stages, with no second probe in front of the
-// flight (its leader re-checks the cache, as Answer's does).
+// flight (its leader re-checks the cache, as Answer's does). Nothing keeps
+// the query or its key past the call, so it may be one the caller
+// rebuilds for its next statement (query.Builder.BuildInto).
 func (s *Session) AnswerPlan(pl Plan) (Answer, error) {
 	if err := s.planned(pl); err != nil {
 		return Answer{}, err
@@ -460,7 +461,7 @@ func (s *Session) probe(pl Plan, key string) (Answer, bool) {
 // answerMissed runs a plan the exact cache missed through the flight,
 // execution and fill stages.
 func (s *Session) answerMissed(pl Plan) (Answer, error) {
-	ans, shared, err := s.execute(pl, flightKey(pl))
+	ans, shared, err := s.execute(pl, flightOf(pl))
 	if err != nil {
 		return Answer{}, err
 	}
@@ -472,34 +473,12 @@ func (s *Session) answerMissed(pl Plan) (Answer, error) {
 	return ans, nil
 }
 
-// flightKeyPool recycles the scratch buffers flight keys are assembled
-// in, so a miss costs one allocation (the key string the flight map needs)
-// instead of Sprintf's boxing and formatting state.
-var flightKeyPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 96); return &b },
-}
-
-// flightKey builds the single-flight identity "key@vN" for a plan: the
-// exact-cache identity, predicate + window + data version. Keying on the
-// version means a query planned against newer data never shares a stale
-// in-flight execution.
-func flightKey(pl Plan) string {
-	bp := flightKeyPool.Get().(*[]byte)
-	b := append((*bp)[:0], pl.Query.KeyWithWindow()...)
-	b = append(b, "@v"...)
-	b = strconv.AppendInt(b, int64(pl.Version), 10)
-	key := string(b)
-	*bp = b
-	flightKeyPool.Put(bp)
-	return key
-}
-
 // execute runs a cache-missed plan through the single-flight group under
-// key (flightKey(pl)) and, as the flight leader, through executePlan.
+// id (flightOf(pl)) and, as the flight leader, through executePlan.
 // shared reports that the answer came from a concurrent identical flight
 // (no execution, no payment).
-func (s *Session) execute(pl Plan, key string) (Answer, bool, error) {
-	return s.flights.do(key, func() (Answer, error) {
+func (s *Session) execute(pl Plan, id flightID) (Answer, bool, error) {
+	return s.flights.do(id, func() (Answer, error) {
 		// Double-check the exact cache as the leader: an identical query
 		// may have completed (and cached) between this goroutine's cache
 		// probe and its flight. Concurrent duplicates are handled by the

@@ -12,10 +12,7 @@
 // m, the bound Thm A.7 uses).
 package interval
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Node is one dyadic interval [Start, End], inclusive, with
 // End−Start+1 = 2^k and Start ≡ 0 mod 2^k.
@@ -94,27 +91,32 @@ func MaxSplitNodes(m int) int {
 // LargestContiguousSubset returns the largest subset J of the given nodes
 // that forms one contiguous partition range (Alg. 2 l.9;
 // LARGESTCONTIGUOUSSUBSET in §A.3's notation). Nodes must be disjoint; the
-// input order does not matter. Ties prefer the leftmost run. The returned
-// slice is ordered left to right; its second return value is the number of
+// input order does not matter: nodes is sorted by Start in place (one
+// insertion-sort pass for the tree's, which arrive in split order), so it
+// allocates nothing. Ties prefer the leftmost run. The returned slice
+// views nodes, left to right; its second return value is the number of
 // partitions covered.
 func LargestContiguousSubset(nodes []Node) ([]Node, int) {
 	if len(nodes) == 0 {
 		return nil, 0
 	}
-	sorted := append([]Node(nil), nodes...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-	bestLo, bestHi, bestSpan := 0, 0, sorted[0].Len()
+	for i := 1; i < len(nodes); i++ {
+		for j := i; j > 0 && nodes[j].Start < nodes[j-1].Start; j-- {
+			nodes[j], nodes[j-1] = nodes[j-1], nodes[j]
+		}
+	}
+	bestLo, bestHi, bestSpan := 0, 0, nodes[0].Len()
 	lo := 0
 	span := 0
-	for hi := 0; hi < len(sorted); hi++ {
-		if hi > 0 && sorted[hi].Start != sorted[hi-1].End+1 {
+	for hi := 0; hi < len(nodes); hi++ {
+		if hi > 0 && nodes[hi].Start != nodes[hi-1].End+1 {
 			lo = hi
 			span = 0
 		}
-		span += sorted[hi].Len()
+		span += nodes[hi].Len()
 		if span > bestSpan {
 			bestLo, bestHi, bestSpan = lo, hi, span
 		}
 	}
-	return sorted[bestLo : bestHi+1], bestSpan
+	return nodes[bestLo : bestHi+1], bestSpan
 }

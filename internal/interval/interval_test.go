@@ -2,6 +2,7 @@ package interval
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -214,6 +215,12 @@ func TestLargestContiguousSubsetQuick(t *testing.T) {
 		got, span := LargestContiguousSubset(sub)
 		if len(sub) == 0 {
 			return got == nil && span == 0
+		}
+		// Any input order: a shuffled copy finds the same run.
+		shuffled := append([]Node(nil), sub...)
+		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		if run, s := LargestContiguousSubset(shuffled); s != span || !slices.Equal(run, got) {
+			return false
 		}
 		// Contiguity.
 		total := 0

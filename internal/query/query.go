@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -29,21 +30,24 @@ import (
 // Query is an immutable linear counting query over a domain. Construct with
 // New or the Builder; the zero value matches everything on a nil domain and
 // is not useful.
+// A query a caller rebuilds in place (Builder.BuildInto) is immutable
+// only until its next build: it is never cloned, and nothing keeps it, its
+// keys or its support past the request that built it.
 type Query struct {
 	dom *domain.Domain
 	// allowed[i] is the sorted set of permitted values for attribute i;
-	// a nil slice means the attribute is unconstrained.
+	// a nil slice means the attribute is unconstrained. Every set views
+	// vals, the one array that holds them.
 	allowed [][]int
+	vals    []int
 	// window of partitions this query requests, inclusive. A query on a
 	// non-partitioned database uses the zero window {0, 0} with HasWindow
 	// false.
 	start, end int
 	hasWindow  bool
 	key        string
-	// winKey is the precomputed KeyWithWindow value. Queries are immutable,
-	// so both keys are materialized at construction time: Key and
-	// KeyWithWindow sit on the exact-hit path of every cache probe, and a
-	// per-probe rendering would be the hit path's only allocation.
+	// winKey is the KeyWithWindow value, held from construction for every
+	// cache fill and flight to name the query by; key is its suffix.
 	winKey  string
 	support int
 	// supMemo caches the resolved Support (see ResolvedSupport). The
@@ -80,7 +84,8 @@ func MustNew(dom *domain.Domain, allowed map[int][]int) *Query {
 // value's uvarint gap from the one before. A full set is unconstrained
 // (Build), and each piece's length is fixed by the domain or its own
 // prefix, so two keys are equal exactly when predicates and windows are.
-// Builder.AppendKey is the one renderer: Build keeps what it renders.
+// Builder.AppendKey is the one renderer: Build keeps what it renders,
+// BuildInto what its caller rendered.
 const (
 	noWindowMark  = 0
 	windowMark    = 1
@@ -467,13 +472,24 @@ func (b *Builder) appendKey(dst []byte) ([]byte, int) {
 // Build finalizes the query. The query owns everything it holds, so the
 // builder can be restricted further and built again.
 func (b *Builder) Build() (*Query, error) {
-	if err := b.check(); err != nil {
+	key, err := b.AppendKey(make([]byte, 0, 64)) // on the stack; longer keys spill
+	if err != nil {
 		return nil, err
 	}
-	key, pred := b.appendKey(make([]byte, 0, 64)) // on the stack; longer keys spill
+	q := new(Query)
+	return q, b.BuildInto(q, string(key))
+}
+
+// BuildInto builds the query Build would return into q, which its caller
+// owns and rebuilds, reusing q's arrays and support memo, so a rebuild
+// allocates nothing once they have grown; or it returns Build's error.
+// key is b's AppendKey rendering, which q keeps as its keys: it may view a
+// buffer the caller leaves be while q is in use. q must not be a clone.
+func (b *Builder) BuildInto(q *Query, key string) error {
+	if err := b.check(); err != nil {
+		return err
+	}
 	n := b.dom.NumAttrs()
-	q := &Query{dom: b.dom, allowed: make([][]int, n), start: b.start, end: b.end,
-		hasWindow: b.window, support: 1, supMemo: new(supportMemo)}
 	// One array holds every constrained set.
 	total := 0
 	for i := range n {
@@ -481,17 +497,26 @@ func (b *Builder) Build() (*Query, error) {
 			total += size
 		}
 	}
-	all := make([]int, 0, total)
+	q.dom, q.start, q.end, q.hasWindow, q.support = b.dom, b.start, b.end, b.window, 1
+	q.allowed = slices.Grow(q.allowed[:0], n)[:n]
+	clear(q.allowed)
+	q.vals = slices.Grow(q.vals[:0], total)
 	for i := range n {
 		q.support *= b.size(i)
-		lo := len(all)
-		if all = b.appendValues(all, i); len(all) > lo {
-			q.allowed[i] = all[lo:len(all):len(all)]
+		lo := len(q.vals)
+		if q.vals = b.appendValues(q.vals, i); len(q.vals) > lo {
+			q.allowed[i] = q.vals[lo:len(q.vals):len(q.vals)]
 		}
 	}
-	q.winKey = string(key)
-	q.key = q.winKey[pred:]
-	return q, nil
+	var head [1 + 2*binary.MaxVarintLen64]byte
+	q.winKey = key
+	q.key = key[len(appendWindow(head[:0], b.start, b.end, b.window)):]
+	if q.supMemo == nil {
+		q.supMemo = new(supportMemo)
+	} else {
+		q.supMemo.reset()
+	}
+	return nil
 }
 
 func intersect(a, b []int) []int {

@@ -10,7 +10,7 @@
 
 package query
 
-import "sync/atomic"
+import "sync"
 
 // Support is the resolved support set of one predicate over one domain:
 // the bin indices with q(v) = 1 in ascending order. A Support is a
@@ -86,20 +86,27 @@ func (q *Query) Resolve(s *Support) {
 // (none exist in the repo's workloads) resolve through ForEachBin.
 const maxResolveAttrs = 24
 
-// supportMemo is the once-per-predicate cache behind ResolvedSupport. It
-// is allocated by the query constructor and shared, by pointer, with
-// every WithWindow clone, so a workload's reusable
-// predicate resolves exactly once no matter how many windowed copies run.
+// supportMemo is the once-per-predicate cache behind ResolvedSupport and
+// the Support it resolves into. Every WithWindow clone shares it, so a
+// predicate resolves once however many windowed copies run. BuildInto
+// resets it, so a rebuilt query never serves its last predicate's support
+// and resolves into the buffer that one grew.
 type supportMemo struct {
-	p atomic.Pointer[Support]
+	once sync.Once
+	sup  Support
+}
+
+// reset empties m, keeping the buffer. No one may hold its support.
+func (m *supportMemo) reset() {
+	m.once = sync.Once{}
+	m.sup.bins = m.sup.bins[:0]
 }
 
 // ResolvedSupport returns q's support, resolving and memoizing it on
 // first use. The support depends only on the predicate and the domain,
 // both immutable, so the memoized value is shared across every windowed
 // clone of the query and must not be modified. Concurrent first calls
-// may each resolve, but one publication wins and every caller returns
-// the published value.
+// wait for one resolution and return its value.
 func (q *Query) ResolvedSupport() *Support {
 	m := q.supMemo
 	if m == nil {
@@ -108,13 +115,8 @@ func (q *Query) ResolvedSupport() *Support {
 		q.Resolve(s)
 		return s
 	}
-	if s := m.p.Load(); s != nil {
-		return s
-	}
-	s := new(Support)
-	q.Resolve(s)
-	m.p.CompareAndSwap(nil, s)
-	return m.p.Load()
+	m.once.Do(func() { q.Resolve(&m.sup) })
+	return &m.sup
 }
 
 // Bins returns the ascending support bin indices. Callers must not modify

@@ -86,6 +86,32 @@ func TestHandleExactHitZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestHandleMissZeroAllocs: once the tree nodes a statement touches
+// exist, a cold /query allocates nothing from the body read to the
+// response body — its query is built into the connection's scratch, its
+// flight record is recycled, its fill is encoded from a pooled entry.
+// Before misses were built into the scratch this read 11 objects (459 B).
+func TestHandleMissZeroAllocs(t *testing.T) {
+	h := &handler{srv: newTestServer(t, 1e6)}
+	const warm, runs = 150, 200
+	var stmts [warm + runs + 1][]byte
+	for i := range stmts {
+		stmts[i] = hitStatement(i/10, i%10) // 450 distinct statements
+	}
+	for _, body := range stmts[:warm] {
+		h.do(t, "/query", body)
+	}
+	i := warm
+	if allocs := testing.AllocsPerRun(runs, func() {
+		if resp := h.do(t, "/query", stmts[i]); !bytes.Contains(resp.Body, []byte(`"source":"tree"`)) {
+			t.Fatalf("not a miss: %s", resp.Body)
+		}
+		i++
+	}); allocs != 0 {
+		t.Errorf("a cold /query allocates %v objects, want 0", allocs)
+	}
+}
+
 // TestParseHeadZeroAllocs: a head naming a route's method and path is
 // parsed without a copy of either, and a Connection header without a
 // slice of its tokens. It took 2, and 3 with Connection.

@@ -2,6 +2,7 @@ package httpd
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -105,5 +106,47 @@ func TestHandleProbesOnce(t *testing.T) {
 		if diff != want.diff || paid != (i == 0) {
 			t.Errorf("request %d moved %+v (paid %v), want %+v (paid %v)", i, diff, paid, want.diff, i == 0)
 		}
+	}
+}
+
+// TestReusedQueryLeaksNothing sends three statements over one connection,
+// whose scratch query each miss is built into: A, with no predicate (the
+// widest support), then B, one bin in another window, then A again. Each
+// miss must answer exactly what a twin session answers for the same
+// statement built fresh, so B's query carried nothing over from A's, in
+// its support or its keys; and the third answer must be an exact hit of
+// A's first value, so A's fill was filed under A's key.
+func TestReusedQueryLeaksNothing(t *testing.T) {
+	h := &handler{srv: newTestServer(t, 10)}
+	twin := newTestServer(t, 10)
+	ask := func(sql string) QueryResponse {
+		var got QueryResponse
+		if err := json.Unmarshal(h.do(t, "/query", []byte(`{"sql":"`+sql+`"}`)).Body, &got); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	a := "SELECT COUNT(*) FROM covid WHERE time BETWEEN 0 AND 3"
+	b := "SELECT COUNT(*) FROM covid WHERE positive = 1 AND age = 2 AND time BETWEEN 1 AND 1"
+	var first QueryResponse
+	for i, sql := range []string{a, b} {
+		got := ask(sql)
+		st, err := twin.parser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.sess.Answer(st.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Source != string(core.SourceTree) || got.Fraction != want.Value || got.Paid != want.Paid {
+			t.Fatalf("%s: %+v, a fresh query answers %+v", sql, got, want)
+		}
+		if i == 0 {
+			first = got
+		}
+	}
+	if again := ask(a); again.Source != string(core.SourceExactHit) || again.Fraction != first.Fraction {
+		t.Fatalf("A again: %+v, want an exact hit of %v", again, first.Fraction)
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/query"
 )
 
 // Status codes the server sends.
@@ -113,11 +114,13 @@ func (r *Request) next(method, path string, length int64) {
 }
 
 // scratch is what the analyst handlers reuse from one request to the next
-// on a connection, so an exact hit allocates nothing: the cache key of
-// the statement being probed, and a batch's statements, items and
-// responses.
+// on a connection, so an exact hit allocates nothing and a /query miss
+// nothing it keeps: the cache key of the statement being probed, the query
+// a /query miss builds over it, and a batch's statements, items and
+// responses. Nothing outside the handler keeps any of it.
 type scratch struct {
 	key   []byte
+	q     query.Query
 	sqls  []string
 	res   []core.BatchResult
 	items []BatchItem

@@ -256,8 +256,10 @@ func (s *Server) serving(w *Response) bool {
 // handleQuery answers one statement key first: the statement is walked
 // into a Builder on this frame and its cache key rendered into the
 // connection's scratch, and the session plans and probes by that key.
-// Only a miss builds the query, which then pays, executes and fills. An
-// exact hit allocates nothing from the body read to the response written.
+// Only a miss builds the query, into the scratch over that key, and it
+// then pays, executes and fills. From the body read to the response
+// written, an exact hit allocates nothing and a miss whose tree nodes
+// exist allocates nothing it does not keep.
 func (s *Server) handleQuery(w *Response, r *Request) {
 	sql, ok := decodeSQL(w, r)
 	if !ok || !s.serving(w) {
@@ -279,9 +281,11 @@ func (s *Server) handleQuery(w *Response, r *Request) {
 		return
 	}
 
-	ans, pl, hit, err := s.sess.Lookup(view(sc.key))
+	key := view(sc.key)
+	ans, pl, hit, err := s.sess.Lookup(key)
 	if err == nil && !hit {
-		if pl.Query, err = b.Build(); err == nil {
+		if err = b.BuildInto(&sc.q, key); err == nil {
+			pl.Query = &sc.q
 			ans, err = s.sess.AnswerPlan(pl)
 		}
 	}

@@ -26,6 +26,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/domain"
@@ -98,15 +99,42 @@ func checkMatchesOracle(t *testing.T, p *Parser, src string, got *Statement, got
 	}
 }
 
+// reused holds, per parser, the query checkKeyPath rebuilds, as a
+// connection holds one: each statement is built into the query the last
+// one left, its support resolved. The first statement it held, with a
+// window and no predicate, has the widest support there is.
+var reused struct {
+	sync.Mutex
+	q map[*Parser]*query.Query
+}
+
 // checkKeyPath fails t unless the handlers' key-first path on src —
-// ParseInto a Builder that held another statement, then AppendKey — is
+// ParseInto a Builder that held another statement, then AppendKey, then
+// on a miss BuildInto the query the last statement was built into — is
 // what Parse returned, (got, gotErr): the same error text, or the same
-// table and Parse's KeyWithWindow byte for byte.
+// table and Parse's KeyWithWindow byte for byte; and unless the reused
+// query carries over nothing from the statement it held: its keys,
+// window, value sets and resolved support are those of a fresh Build.
 func checkKeyPath(t *testing.T, p *Parser, src string, got *Statement, gotErr error) {
 	t.Helper()
 	var b query.Builder
 	if _, err := p.ParseInto("SELECT COUNT(*) FROM t WHERE time BETWEEN 3 AND 4", &b); err != nil {
 		t.Fatal(err)
+	}
+	reused.Lock()
+	defer reused.Unlock()
+	q := reused.q[p]
+	if q == nil {
+		q = new(query.Query)
+		stale, _ := b.AppendKey(nil)
+		if err := b.BuildInto(q, string(stale)); err != nil {
+			t.Fatal(err)
+		}
+		q.ResolvedSupport()
+		if reused.q == nil {
+			reused.q = make(map[*Parser]*query.Query)
+		}
+		reused.q[p] = q
 	}
 	table, err := p.ParseInto(src, &b)
 	var key []byte
@@ -122,6 +150,29 @@ func checkKeyPath(t *testing.T, p *Parser, src string, got *Statement, gotErr er
 	}
 	if table != got.Table || string(key) != got.Query.KeyWithWindow() {
 		t.Fatalf("%q: key path %s %q, Parse %s %q", src, table, key, got.Table, got.Query.KeyWithWindow())
+	}
+	if err := b.BuildInto(q, string(key)); err != nil {
+		t.Fatalf("%q: BuildInto after AppendKey: %v", src, err)
+	}
+	fresh, err := b.Build()
+	if err != nil {
+		t.Fatalf("%q: Build after AppendKey: %v", src, err)
+	}
+	rs, re, rok := q.Window()
+	fs, fe, fok := fresh.Window()
+	if q.KeyWithWindow() != fresh.KeyWithWindow() || q.Key() != fresh.Key() ||
+		rs != fs || re != fe || rok != fok || q.SupportSize() != fresh.SupportSize() {
+		t.Fatalf("%q: reused query %q %q [%d,%d] %v size %d, fresh %q %q [%d,%d] %v size %d", src,
+			q.KeyWithWindow(), q.Key(), rs, re, rok, q.SupportSize(),
+			fresh.KeyWithWindow(), fresh.Key(), fs, fe, fok, fresh.SupportSize())
+	}
+	for i := 0; i < p.dom.NumAttrs(); i++ {
+		if !slices.Equal(q.Allowed(i), fresh.Allowed(i)) || (q.Allowed(i) == nil) != (fresh.Allowed(i) == nil) {
+			t.Fatalf("%q: reused Allowed(%d) = %v, fresh %v", src, i, q.Allowed(i), fresh.Allowed(i))
+		}
+	}
+	if r, f := q.ResolvedSupport().Bins(), fresh.ResolvedSupport().Bins(); !slices.Equal(r, f) {
+		t.Fatalf("%q: reused support %v, fresh %v", src, r, f)
 	}
 }
 

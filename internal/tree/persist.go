@@ -82,13 +82,22 @@ func (t *Tree) ExportNodes() []NodeState {
 		out = append(out, st)
 	}
 	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].IV.Start != out[j].IV.Start {
-			return out[i].IV.Start < out[j].IV.Start
-		}
-		return out[i].IV.End < out[j].IV.End
-	})
+	sort.Sort(byInterval(out))
 	return out
+}
+
+// byInterval orders node states by start, then end. It is a sort.Interface
+// rather than a sort.Slice closure so that the binary links no reflection
+// swapper.
+type byInterval []NodeState
+
+func (s byInterval) Len() int      { return len(s) }
+func (s byInterval) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
+func (s byInterval) Less(i, j int) bool {
+	if s[i].IV.Start != s[j].IV.Start {
+		return s[i].IV.Start < s[j].IV.Start
+	}
+	return s[i].IV.End < s[j].IV.End
 }
 
 // RestoreNodes rebuilds node state from a snapshot. It must be called on a
