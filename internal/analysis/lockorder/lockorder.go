@@ -12,7 +12,6 @@
 //
 //	core.Session.persistMu < stream.Ingestor.mu < core.Session.appendMu
 //	  < { core.Session.singleMu , tree.Tree.mu }
-//	  < cache.Exact.mu
 //	  < accountant.Block.mu
 //	  < store.Mem.mu
 //	  < store.pageSet.mu
@@ -20,8 +19,8 @@
 // accountant.Block.mu is the accountant package's only mutex: one set of
 // books, one lock, nothing to nest inside the package. It is a leaf —
 // nothing is acquired while it is held — so its rank only says which
-// locks a payer may hold when it calls in (the session, tree and cache
-// locks above it). store.Mem.mu is the store's one lock: a store serves
+// locks a payer may hold when it calls in (the session and tree locks
+// above it). store.Mem.mu is the store's one lock: a store serves
 // one cache and holds one arena. Nothing above it is taken under it; the
 // page set's lock is, when the arena maps or unmaps a chunk.
 //
@@ -66,7 +65,6 @@ var Ranks = map[string]int{
 	"core.Session.appendMu":  20,
 	"core.Session.singleMu":  30,
 	"tree.Tree.mu":           30,
-	"cache.Exact.mu":         45,
 	"accountant.Block.mu":    55,
 	"store.Mem.mu":           60,
 	"store.pageSet.mu":       62,

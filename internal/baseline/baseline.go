@@ -22,7 +22,7 @@ import (
 // newPrivateCache is a baseline's exact cache, over an unbounded store of
 // its own: baselines never share caching state across systems.
 func newPrivateCache() *cache.Exact {
-	c, err := cache.NewExact(store.NewMem(store.MemConfig{}), 0)
+	c, err := cache.NewExact(store.NewMem(store.MemConfig{}))
 	if err != nil {
 		panic(err) // unreachable: the backend is never nil
 	}

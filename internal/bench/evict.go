@@ -9,9 +9,9 @@
 // one bit for bit.
 //
 // The store's eviction order is one list, not a function of the
-// per-process hash seed, and the exact cache's fast map holds one entry,
-// so it cannot go on serving what the store evicted: the runs are
-// deterministic, and the capped store is the cache.
+// per-process hash seed, and every exact hit is a store read, so the runs
+// are deterministic and the capped store is the cache: nothing in front
+// of it goes on serving what it evicted.
 
 package bench
 
@@ -78,7 +78,6 @@ type evictOutcome struct {
 func evictRun(env *Env, queries []*query.Query, mem store.MemConfig) (evictOutcome, error) {
 	cfg := env.config(core.Partitioned, tree.Binary, 124)
 	cfg.Backend = store.NewMem(mem)
-	cfg.CacheFastEntries = 1
 	sess, err := core.NewSession(cfg, env.DS)
 	if err != nil {
 		return evictOutcome{}, err

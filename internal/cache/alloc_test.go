@@ -13,7 +13,7 @@ import (
 // the store (the same-length bytes are overwritten in place), it
 // allocates nothing at all. It boxed one Entry per fill.
 func TestPutZeroAllocs(t *testing.T) {
-	c := newCache(t, 0)
+	c := newCache(t)
 	q := query.MustNew(dom(), map[int][]int{1: {0, 2}}).WithWindow(1, 3)
 	if err := c.Put(q, 1, 0.25, 0.1); err != nil {
 		t.Fatal(err)

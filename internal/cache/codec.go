@@ -1,9 +1,8 @@
 // Fixed-layout binary codec for cache entries, the values every Backend
 // stores (store.FastEncoder / FastDecoder). Entry is written on every miss
-// fill and decoded on every hit the fast map does not serve (the first
-// read of a fill, which promotes it, included), so the codec is a
-// straight-line append into a caller-provided slice and a straight-line
-// load out of one — zero allocations either way.
+// fill and decoded on every hit, so the codec is a straight-line append
+// into a caller-provided slice and a straight-line load out of one — zero
+// allocations either way.
 //
 // Wire format (25 bytes, little-endian):
 //
@@ -56,8 +55,9 @@ func (e *Entry) DecodeFast(data []byte) bool {
 }
 
 // compile-time checks: Entry values round-trip through the backend codec
-// seam (Put encodes from a pooled *Entry and Lookup decodes into one; a
-// restore and CompareDelete pass Entry by value).
+// seam (Put encodes from a pooled *Entry, Lookup decodes into one and a
+// stale entry's CompareDelete re-encodes it; a restore passes Entry by
+// value).
 var (
 	_ store.FastEncoder = Entry{}
 	_ store.FastDecoder = (*Entry)(nil)

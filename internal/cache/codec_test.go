@@ -104,7 +104,7 @@ func TestBackendEntryCodecPath(t *testing.T) {
 // refused naming its key, and the cache keeps what it held.
 func TestRestorePayloadGobFallback(t *testing.T) {
 	q := query.MustNew(dom(), map[int][]int{0: {1}}).WithWindow(0, 2)
-	c, err := NewExact(store.NewMem(store.MemConfig{}), 0)
+	c, err := NewExact(store.NewMem(store.MemConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,9 @@ func dom() *domain.Domain {
 
 // newCache builds an exact cache over a private in-memory store, failing the
 // test on constructor errors.
-func newCache(t *testing.T, maxFast int) *Exact {
+func newCache(t *testing.T) *Exact {
 	t.Helper()
-	c, err := NewExact(store.NewMem(store.MemConfig{}), maxFast)
+	c, err := NewExact(store.NewMem(store.MemConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,13 +38,13 @@ func newCache(t *testing.T, maxFast int) *Exact {
 func (c *Exact) entries() int { return c.store.Stats().Entries }
 
 func TestNilBackendRefused(t *testing.T) {
-	if _, err := NewExact(nil, 4); !errors.Is(err, ErrNilBackend) {
+	if _, err := NewExact(nil); !errors.Is(err, ErrNilBackend) {
 		t.Fatalf("NewExact(nil) err = %v, want ErrNilBackend", err)
 	}
 }
 
 func TestPutGet(t *testing.T) {
-	c := newCache(t, 0)
+	c := newCache(t)
 	q := query.MustNew(dom(), map[int][]int{0: {1}})
 	if _, ok := c.Get(q, 1); ok {
 		t.Fatal("hit on empty cache")
@@ -69,7 +69,7 @@ func TestPutGet(t *testing.T) {
 }
 
 func TestVersionInvalidation(t *testing.T) {
-	c := newCache(t, 0)
+	c := newCache(t)
 	q := query.MustNew(dom(), map[int][]int{0: {1}})
 	_ = c.Put(q, 1, 0.42, 0.01)
 	if _, ok := c.Get(q, 2); ok {
@@ -78,7 +78,7 @@ func TestVersionInvalidation(t *testing.T) {
 }
 
 func TestWindowDistinguishesEntries(t *testing.T) {
-	c := newCache(t, 0)
+	c := newCache(t)
 	q := query.MustNew(dom(), map[int][]int{0: {1}})
 	w1 := q.WithWindow(0, 1)
 	w2 := q.WithWindow(0, 2)
@@ -89,10 +89,22 @@ func TestWindowDistinguishesEntries(t *testing.T) {
 	if _, ok := c.Get(w1, 1); !ok {
 		t.Fatal("same window missed")
 	}
+	// Every one of 32 fills is served: the store is the cache, with no
+	// smaller tier in front of it to evict from.
+	for i := 0; i < 32; i++ {
+		_ = c.Put(q.WithWindow(i, i), 1, float64(i), 0.01)
+	}
+	for i := 0; i < 32; i++ {
+		if e, ok := c.Get(q.WithWindow(i, i), 1); !ok || e.Value != float64(i) {
+			t.Fatalf("window %d after 32 fills: %+v %v", i, e, ok)
+		}
+	}
 }
 
+// TestOverwrite: a Put replaces what the key held, at a new version or at
+// the same one, even after the old bytes were read.
 func TestOverwrite(t *testing.T) {
-	c := newCache(t, 0)
+	c := newCache(t)
 	q := query.MustNew(dom(), nil)
 	_ = c.Put(q, 1, 0.1, 0.01)
 	_ = c.Put(q, 2, 0.2, 0.02)
@@ -100,100 +112,27 @@ func TestOverwrite(t *testing.T) {
 	if !ok || e.Value != 0.2 {
 		t.Fatalf("overwrite failed: %+v %v", e, ok)
 	}
+	_ = c.Put(q, 2, 0.75, 0.03)
+	if e, ok := c.Get(q, 2); !ok || e.Value != 0.75 || e.Eps != 0.03 {
+		t.Fatalf("Get after a same-version re-Put = %+v, %v, want the new bytes", e, ok)
+	}
 	if c.entries() != 1 {
 		t.Fatalf("Len after overwrite = %d", c.entries())
 	}
 }
 
-func TestFastMapBounded(t *testing.T) {
-	c := newCache(t, 4)
-	base := query.MustNew(dom(), map[int][]int{0: {1}})
-	for i := 0; i < 32; i++ {
-		_ = c.Put(base.WithWindow(i, i), 1, float64(i), 0.01)
-	}
-	if got := len(c.fast); got > 4 {
-		t.Fatalf("fast map grew to %d entries, bound is 4", got)
-	}
-	if c.entries() != 32 {
-		t.Fatalf("store should keep all entries, Len = %d", c.entries())
-	}
-	// Entries evicted from the fast map are still served from the store.
-	for i := 0; i < 32; i++ {
-		e, ok := c.Get(base.WithWindow(i, i), 1)
-		if !ok || e.Value != float64(i) {
-			t.Fatalf("entry %d lost after fast-map eviction: %+v %v", i, e, ok)
-		}
-	}
-}
-
-// TestFastMapPromotesOnRead pins the fast map's one rule: a Put writes the
-// backend only; the first Get of a fill reads the backend and promotes, the
-// second is served without touching it; a re-Put of a promoted key drops
-// the promoted entry, so the next Get returns the new bytes; and promotion
-// respects the bound.
-func TestFastMapPromotesOnRead(t *testing.T) {
-	be := store.NewMem(store.MemConfig{})
-	c, err := NewExact(be, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := query.MustNew(dom(), map[int][]int{0: {1}})
-	q := base.WithWindow(0, 0)
-	if err := c.Put(q, 1, 0.25, 0.01); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(c.fast); got != 0 {
-		t.Fatalf("Put moved FastLen to %d, want it unchanged", got)
-	}
-	reads := be.Stats().Hits
-	if e, ok := c.Get(q, 1); !ok || e.Value != 0.25 {
-		t.Fatalf("first Get = %+v, %v", e, ok)
-	}
-	if got := be.Stats().Hits; got != reads+1 {
-		t.Fatalf("first Get made %d backend reads, want 1", got-reads)
-	}
-	if got := len(c.fast); got != 1 {
-		t.Fatalf("first Get left FastLen at %d, want 1 (promoted)", got)
-	}
-	if e, ok := c.Get(q, 1); !ok || e.Value != 0.25 {
-		t.Fatalf("second Get = %+v, %v", e, ok)
-	}
-	if got := be.Stats().Hits; got != reads+1 {
-		t.Fatalf("second Get read the backend (%d reads), want it served from the fast map", got-reads-1)
-	}
-	// Same version, new bytes.
-	if err := c.Put(q, 1, 0.75, 0.02); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(c.fast); got != 0 {
-		t.Fatalf("re-Put left FastLen at %d, want 0 (promoted entry dropped)", got)
-	}
-	if e, ok := c.Get(q, 1); !ok || e.Value != 0.75 || e.Eps != 0.02 {
-		t.Fatalf("Get after re-Put = %+v, %v, want the new bytes", e, ok)
-	}
-	for i := 2; i < 34; i++ {
-		w := base.WithWindow(i, i)
-		_ = c.Put(w, 1, float64(i), 0.01)
-		if e, ok := c.Get(w, 1); !ok || e.Value != float64(i) {
-			t.Fatalf("window %d: %+v %v", i, e, ok)
-		}
-	}
-	if got := len(c.fast); got != 4 {
-		t.Fatalf("FastLen = %d after promoting 33 entries, want the bound, 4", got)
-	}
-}
-
-// TestPromotionStorm races one writer against readers over a single key.
-// The writer Puts strictly increasing versions (value = version, so a
-// torn or mismatched entry shows); readers ask for the version the writer
-// last announced. No Get may return an entry of another version. A reader
-// that fetched version v from the backend may promote it after the writer
-// already dropped it for v+1, and a reader still asking for v may
-// invalidate v+1 on sight — both are misses, never wrong answers — so the
-// last word goes to a Put made once the storm is over, at the storm's
-// final version: whatever the race left promoted must not shadow it.
-func TestPromotionStorm(t *testing.T) {
-	c := newCache(t, 4)
+// TestVersionStorm races one writer's Puts against readers' Lookups over
+// a single key. The writer Puts strictly increasing versions (value =
+// version, so a torn or mismatched entry shows); readers ask for the
+// version the writer last announced. No Get may return an entry of
+// another version. A reader still asking for v that reads v+1 deletes it
+// as stale, and one asking for v+1 that reads v deletes v — both are
+// misses, never wrong answers, and each delete is guarded by the bytes
+// the reader saw, so it never erases a newer Put. The last word goes to a
+// Put made once the storm is over, at the storm's final version: nothing
+// the race left behind may shadow it.
+func TestVersionStorm(t *testing.T) {
+	c := newCache(t)
 	q := query.MustNew(dom(), map[int][]int{0: {1}}).WithWindow(0, 0)
 	const versions = 2000
 	var cur, gets atomic.Int64
@@ -239,7 +178,7 @@ func TestPromotionStorm(t *testing.T) {
 	if err := c.Put(q, versions, -1, 0.02); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ { // from the backend, then from the fast map
+	for i := 0; i < 2; i++ { // a first read and a repeat, both from the store
 		if e, ok := c.Get(q, versions); !ok || e.Value != -1 || e.Eps != 0.02 {
 			t.Fatalf("read %d after quiescence = %+v, %v, want the last Put", i, e, ok)
 		}
@@ -247,14 +186,11 @@ func TestPromotionStorm(t *testing.T) {
 }
 
 func TestStaleEntriesInvalidatedOnMiss(t *testing.T) {
-	c := newCache(t, 0)
+	c := newCache(t)
 	q := query.MustNew(dom(), map[int][]int{0: {1}})
 	_ = c.Put(q, 1, 0.42, 0.01)
 	if _, ok := c.Get(q, 2); ok {
 		t.Fatal("stale entry served")
-	}
-	if got := len(c.fast); got != 0 {
-		t.Fatalf("stale fast entry retained: FastLen = %d", got)
 	}
 	if got := c.entries(); got != 0 {
 		t.Fatalf("stale store entry retained: Len = %d", got)
@@ -262,7 +198,7 @@ func TestStaleEntriesInvalidatedOnMiss(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	c := newCache(t, 64)
+	c := newCache(t)
 	base := query.MustNew(dom(), map[int][]int{0: {1}})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -286,7 +222,7 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 func TestHitRateEmpty(t *testing.T) {
-	c := newCache(t, 0)
+	c := newCache(t)
 	if c.HitRate() != 0 {
 		t.Fatal("empty cache hit rate nonzero")
 	}
@@ -324,7 +260,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		keys = append(keys, base.WithWindow(w, w).KeyWithWindow())
 	}
 	val := Entry{Value: 0.25, Eps: 0.5, Version: 1}.AppendFast(nil)
-	c := newCache(t, 0)
+	c := newCache(t)
 	if err := c.RestorePayload(twoStripeSection(keys, val)); err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +268,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := newCache(t, 0)
+	c2 := newCache(t)
 	if err := c2.RestorePayload(again); err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +296,7 @@ func TestBoundedBackendEviction(t *testing.T) {
 	base := query.MustNew(dom(), map[int][]int{0: {1}})
 	// Room for 8 entries: every key here is the same length.
 	be := store.NewMem(store.MemConfig{MaxBytes: 8 * (len(base.WithWindow(0, 0).KeyWithWindow()) + entryWireLen)})
-	c, err := NewExact(be, 1) // trivial fast map: expose backend misses
+	c, err := NewExact(be)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +334,7 @@ func TestBoundedBackendEviction(t *testing.T) {
 // StagePayload refuses the same way, and the cache keeps serving what it
 // held.
 func TestRestoreRefusesBadSection(t *testing.T) {
-	c := newCache(t, 0)
+	c := newCache(t)
 	base := query.MustNew(dom(), map[int][]int{0: {1}})
 	for w := 0; w < 4; w++ {
 		if err := c.Put(base.WithWindow(w, w), 1, float64(w), 0.5); err != nil {

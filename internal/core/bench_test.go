@@ -47,18 +47,16 @@ func BenchmarkAnswerExactHit(b *testing.B) {
 }
 
 // BenchmarkAnswerExactHitParallel runs cached repeats from every P over a
-// small hot set, so the hit path's shared writes (source counters, the
-// fast map's promotion state) contend across cores. Read it at -cpu 1,2.
+// small hot set, so the hit path's shared state (source counters, the
+// store's lock) contends across cores. Read it at -cpu 1,2.
 func BenchmarkAnswerExactHitParallel(b *testing.B) {
 	s, dom := benchSession(b, NonPartitioned, 1)
 	var hot []*query.Query
 	for a := 0; a < 4; a++ {
 		for p := 0; p < 2; p++ {
 			q := query.MustNew(dom, map[int][]int{0: {p}, 1: {a}})
-			for i := 0; i < 2; i++ { // the second answer promotes it to the fast map
-				if _, err := s.Answer(q); err != nil {
-					b.Fatal(err)
-				}
+			if _, err := s.Answer(q); err != nil { // the fill
+				b.Fatal(err)
 			}
 			hot = append(hot, q)
 		}

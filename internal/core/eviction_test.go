@@ -47,7 +47,6 @@ func TestEvictedWindowRepaysOnceThroughSingleFlight(t *testing.T) {
 	// Room for four releases: every key here is the same length.
 	be := store.NewMem(store.MemConfig{MaxBytes: 4 * payloadOf(target)})
 	cfg.Backend = be
-	cfg.CacheFastEntries = 1 // the fast map must not mask backend evictions
 	s, err := NewSession(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +61,7 @@ func TestEvictedWindowRepaysOnceThroughSingleFlight(t *testing.T) {
 	}
 
 	// Churn distinct windows until the target's entry is evicted from the
-	// 4-entry backend (and its trivial fast map).
+	// 4-entry backend.
 	churn := query.MustNew(ds.Domain(), map[int][]int{0: {0}})
 	for w := 0; w < 8; w++ {
 		for e := w; e < 8; e++ {
@@ -132,7 +131,6 @@ func TestEvictionUnderFire(t *testing.T) {
 	capped := store.MemConfig{MaxBytes: 48 * payloadOf(filler.WithWindow(0, 0))}
 	be := store.NewMem(capped)
 	cfg.Backend = be
-	cfg.CacheFastEntries = 4
 	s, err := NewSession(cfg, ds)
 	if err != nil {
 		t.Fatal(err)

@@ -155,10 +155,6 @@ type Config struct {
 	// segmented LRU. Eviction is always safe — an evicted release
 	// re-executes and re-pays through the single-flight path.
 	Backend store.Backend
-	// CacheFastEntries bounds the exact cache's decoded fast map (0 uses
-	// cache.DefaultFastEntries). Tests shrink it to expose backend
-	// evictions that the fast map would otherwise mask.
-	CacheFastEntries int
 }
 
 func (c *Config) fill() error {
@@ -269,7 +265,7 @@ func NewSession(cfg Config, ds *dataset.Dataset) (*Session, error) {
 	if be == nil {
 		be = store.NewMem(store.MemConfig{})
 	}
-	exact, err := cache.NewExact(be, cfg.CacheFastEntries)
+	exact, err := cache.NewExact(be)
 	if err != nil {
 		return nil, err
 	}

@@ -72,10 +72,9 @@ func (s *Server) counts() counts {
 
 // TestHandleProbesOnce pins what one statement sent four times through
 // Handle counts. The cold request probes once and its flight leader once
-// more (two store and two exact misses), pays, and fills the store; the
-// first repeat is served from the store and promoted (one store hit); the
-// later ones are fast-map hits that leave the store alone. A miss that
-// probed again after its query was built would read three misses.
+// more (two store and two exact misses), pays, and fills the store; each
+// repeat is one store hit. A miss that probed again after its query was
+// built would read three misses.
 func TestHandleProbesOnce(t *testing.T) {
 	h := &handler{srv: newTestServer(t, 10)}
 	body := hitStatement(3, 5)
@@ -85,8 +84,8 @@ func TestHandleProbesOnce(t *testing.T) {
 	}{
 		{"tree", counts{storeMisses: 2, storeSets: 1, exactMisses: 2}},
 		{"exact-hit", counts{storeHits: 1, exactHits: 1, exactAnswers: 1}},
-		{"exact-hit", counts{exactHits: 1, exactAnswers: 1}},
-		{"exact-hit", counts{exactHits: 1, exactAnswers: 1}},
+		{"exact-hit", counts{storeHits: 1, exactHits: 1, exactAnswers: 1}},
+		{"exact-hit", counts{storeHits: 1, exactHits: 1, exactAnswers: 1}},
 	}
 	for i, want := range wants {
 		before := h.srv.counts()

@@ -600,7 +600,8 @@ type CacheStats struct {
 	DecodeErrors int64 `json:"decode_errors"`
 	SetErrors    int64 `json:"set_errors"`
 	// ExactHits/ExactMisses/ExactHitRate are the session's window-level
-	// exact cache counters (fast map included).
+	// exact cache counters: every hit is a store hit, but a store hit
+	// at a stale version is an exact miss.
 	ExactHits    int     `json:"exact_hits"`
 	ExactMisses  int     `json:"exact_misses"`
 	ExactHitRate float64 `json:"exact_hit_rate"`

@@ -307,10 +307,7 @@ func TestSchemaCacheSectionBounded(t *testing.T) {
 	// Room for four releases: a covid key here is 7 bytes, an entry 25.
 	const capBytes = 4 * (7 + 25)
 	be := store.NewMem(store.MemConfig{MaxBytes: capBytes})
-	srv, _ := newTestServerWith(t, 100, func(c *core.Config) {
-		c.Backend = be
-		c.CacheFastEntries = 1 // expose backend traffic, not fast-map hits
-	})
+	srv, _ := newTestServerWith(t, 100, func(c *core.Config) { c.Backend = be })
 	ts := serve(t, srv)
 	defer ts.Close()
 	// Poison one backend entry and read it back as a cache entry: the

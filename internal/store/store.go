@@ -23,9 +23,9 @@ package store
 // FastEncoder is the encode side of a stored value's codec: every value a
 // Backend stores brings its own fixed-layout binary encoding, and the
 // backend keeps AppendFast's bytes verbatim. A cache entry is written once
-// per miss fill and decoded on the read that promotes it into the exact
-// cache's fast map (and on every later read that finds it displaced from
-// there), so the codec is straight-line code with no reflection.
+// per miss fill and decoded on every exact-cache hit (the store is the
+// cache's only tier), so the codec is straight-line code with no
+// reflection.
 // Implementations must be deterministic (CompareDelete's guarded
 // invalidation compares stored bytes against a re-encoding) and
 // self-identifying (a tag/length FastDecoder can recognize), so bytes of
