@@ -27,7 +27,10 @@
 
 package accountant
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // PartitionRange identifies the partition window one batched query
 // touches: [Start, End] inclusive, the same convention as PayRange.
@@ -40,12 +43,13 @@ type PartitionRange struct {
 func (b *Block) LockAcquisitions() uint64 { return b.locks.Load() }
 
 // AdmitBatch returns one advisory verdict per partition window under
-// one lock acquisition: nil iff every partition of the window retains
-// headroom (HasBudgetRange's predicate), evaluated against one
-// consistent snapshot of the ledger. Nothing is deducted; PayRange
-// remains the enforcement point.
-func (b *Block) AdmitBatch(wins []PartitionRange) []error {
-	verdicts := make([]error, len(wins))
+// one lock acquisition, appended to dst[:0]: nil iff every partition of
+// the window retains headroom (HasBudgetRange's predicate), evaluated
+// against one consistent snapshot of the ledger. Nothing is deducted;
+// PayRange remains the enforcement point. A caller that hands back the
+// verdicts of its last call reuses their array.
+func (b *Block) AdmitBatch(dst []error, wins []PartitionRange) []error {
+	verdicts := slices.Grow(dst[:0], len(wins))[:len(wins)]
 	if len(wins) == 0 {
 		return verdicts
 	}

@@ -10,7 +10,7 @@ func TestBlockAdmitBatch(t *testing.T) {
 	if err := b.PayRange(1, 1, Laplace(1.0)); err != nil { // exhaust partition 1
 		t.Fatal(err)
 	}
-	verdicts := b.AdmitBatch([]PartitionRange{
+	verdicts := b.AdmitBatch(nil, []PartitionRange{
 		{Start: 0, End: 0},  // fine
 		{Start: 0, End: 1},  // spans the exhausted partition
 		{Start: 2, End: 3},  // fine
@@ -38,7 +38,7 @@ func TestBlockAdmitBatchOneLockAcquisition(t *testing.T) {
 		wins[i] = PartitionRange{Start: i % 8, End: i % 8}
 	}
 	before := b.LockAcquisitions()
-	b.AdmitBatch(wins)
+	b.AdmitBatch(nil, wins)
 	if got := b.LockAcquisitions() - before; got != 1 {
 		t.Fatalf("AdmitBatch of 64 cost %d lock acquisitions, want 1", got)
 	}
@@ -73,7 +73,7 @@ func TestRDPBlockAdmitBatch(t *testing.T) {
 	if b.HasBudgetRange(1, 1) {
 		t.Fatal("failed to exhaust partition 1")
 	}
-	verdicts := b.AdmitBatch([]PartitionRange{
+	verdicts := b.AdmitBatch(nil, []PartitionRange{
 		{Start: 0, End: 0},
 		{Start: 0, End: 2}, // spans exhausted partition 1
 		{Start: 2, End: 2},
@@ -101,7 +101,7 @@ func TestConcurrentFilterAdmitBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := PartitionRange{Start: 0, End: 1}
-	for i, v := range b.AdmitBatch([]PartitionRange{full, full, full}) {
+	for i, v := range b.AdmitBatch(nil, []PartitionRange{full, full, full}) {
 		// Advisory, non-cumulative: all three pass although three more
 		// 0.2 releases would not fit — nothing was reserved.
 		if v != nil {
@@ -114,7 +114,7 @@ func TestConcurrentFilterAdmitBatch(t *testing.T) {
 	if err := b.PayRange(0, 1, SVInit(0.1)); err != nil { // 0.7 + 3·0.1 fills ε_G
 		t.Fatal(err)
 	}
-	if v := b.AdmitBatch([]PartitionRange{full}); !errors.Is(v[0], ErrBudgetExhausted) {
+	if v := b.AdmitBatch(nil, []PartitionRange{full}); !errors.Is(v[0], ErrBudgetExhausted) {
 		t.Fatalf("exhausted full-range verdict = %v, want ErrBudgetExhausted", v[0])
 	}
 }

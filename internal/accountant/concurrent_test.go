@@ -49,7 +49,7 @@ func TestConcurrentFilterInteraction(t *testing.T) {
 	locks := b.LockAcquisitions()
 	for i := 0; i < 10; i++ {
 		b.HasBudgetRange(0, 1)
-		b.AdmitBatch([]PartitionRange{{Start: 0, End: 1}})
+		b.AdmitBatch(nil, []PartitionRange{{Start: 0, End: 1}})
 	}
 	if got := b.LockAcquisitions() - locks; got != 20 {
 		t.Fatalf("20 budget probes counted %d lock acquisitions", got)

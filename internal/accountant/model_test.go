@@ -490,7 +490,7 @@ func TestModel(t *testing.T) {
 						for i := range wins {
 							wins[i].Start, wins[i].End = pick()
 						}
-						for i, err := range got.AdmitBatch(wins) {
+						for i, err := range got.AdmitBatch(nil, wins) {
 							if want := ref.hasBudget(wins[i].Start, wins[i].End); (err == nil) != want {
 								t.Fatalf("seed %d step %d: AdmitBatch%+v = %v, reference open=%v", seed, step, wins[i], err, want)
 							}

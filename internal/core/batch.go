@@ -33,6 +33,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -67,6 +68,27 @@ type batchGroup struct {
 type batchMiss struct {
 	g  *batchGroup
 	id flightID
+}
+
+// BatchBuffers is what AnswerPlans answers in: the results it returns,
+// the groups, member assignments and misses it resolves, the map it
+// merges misses by, and the admission round's windows and verdicts. A
+// caller that keeps one and hands it to every call reuses their arrays,
+// so a batch allocates nothing once they have grown. The zero value is
+// ready; one BatchBuffers serves one call at a time.
+type BatchBuffers struct {
+	out      []BatchResult
+	groups   []batchGroup
+	assign   []*batchGroup
+	misses   []batchMiss
+	byID     map[flightID]*batchGroup
+	wins     []accountant.PartitionRange
+	verdicts []error
+	// next hands the admitted misses, run, to the caller and its helpers,
+	// which wg waits out.
+	run  []batchMiss
+	next atomic.Int64
+	wg   sync.WaitGroup
 }
 
 // AnswerBatch answers a batch of linear queries, returning one ordered
@@ -125,7 +147,9 @@ func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 		misses = append(misses, batchMiss{g: g, id: flightOf(g.pl)})
 	}
 
-	s.answerMisses(misses)
+	if len(misses) > 0 {
+		s.answerMisses(&BatchBuffers{misses: misses})
+	}
 	fanOut(out, assign)
 	return out
 }
@@ -134,29 +158,43 @@ func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 // are Lookup's plans, each with its built query in Query. They go through
 // AnswerBatch's stages after the probe — equal statements merged, one
 // admission round, one execution per flight — so a batch whose hits were
-// served by key answers its misses exactly as AnswerBatch would.
-func (s *Session) AnswerPlans(pls []Plan) []BatchResult {
-	out := make([]BatchResult, len(pls))
-	groups := make([]batchGroup, len(pls))
-	assign := make([]*batchGroup, len(pls))
-	misses := make([]batchMiss, 0, len(pls))
+// served by key answers its misses exactly as AnswerBatch would. It
+// answers in buf, and the results it returns are buf's: they, like the
+// plans' queries, are the caller's again once it returns, and the next
+// call on buf overwrites them.
+func (s *Session) AnswerPlans(pls []Plan, buf *BatchBuffers) []BatchResult {
+	n := len(pls)
+	buf.out = reuse(buf.out, n)
+	buf.groups = reuse(buf.groups, n)
+	buf.assign = reuse(buf.assign, n)
+	buf.misses = buf.misses[:0]
 	for i, pl := range pls {
 		if err := s.planned(pl); err != nil {
-			out[i].Err = err
+			buf.out[i].Err = err
 			continue
 		}
-		groups[i] = batchGroup{pl: pl, n: 1}
-		assign[i] = &groups[i]
-		misses = append(misses, batchMiss{g: &groups[i], id: flightOf(pl)})
+		g := &buf.groups[i]
+		*g = batchGroup{pl: pl, n: 1}
+		buf.assign[i] = g
+		buf.misses = append(buf.misses, batchMiss{g: g, id: flightOf(pl)})
 	}
-	s.answerMisses(misses)
-	fanOut(out, assign)
-	return out
+	s.answerMisses(buf)
+	fanOut(buf.out, buf.assign)
+	return buf.out
 }
 
-// answerMisses resolves the groups the exact cache missed: equal ones
-// merged by flight identity, one admission round, and one execution each.
-func (s *Session) answerMisses(misses []batchMiss) {
+// reuse returns buf's array holding n zero elements, grown if it must.
+func reuse[T any](buf []T, n int) []T {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
+}
+
+// answerMisses resolves buf.misses, the groups the exact cache missed:
+// equal ones merged by flight identity, one admission round, and one
+// execution each.
+func (s *Session) answerMisses(buf *BatchBuffers) {
+	misses := buf.misses
 	if len(misses) == 0 {
 		return
 	}
@@ -164,31 +202,42 @@ func (s *Session) answerMisses(misses []batchMiss) {
 	// (predicate + window + data version) so they admit and execute
 	// once; a folded group redirects its members to the surviving one.
 	if len(misses) > 1 {
-		byID := make(map[flightID]*batchGroup, len(misses))
+		if buf.byID == nil {
+			buf.byID = make(map[flightID]*batchGroup, len(misses))
+		}
 		merged := misses[:0]
 		for _, m := range misses {
-			if into := byID[m.id]; into != nil {
+			if into := buf.byID[m.id]; into != nil {
 				into.n += m.g.n
 				m.g.mergedInto = into
 				continue
 			}
-			byID[m.id] = m.g
+			buf.byID[m.id] = m.g
 			merged = append(merged, m)
 		}
+		clear(buf.byID) // its keys view the callers' queries
 		misses = merged
 	}
 
 	// One admission round for every missed group; a refused group
 	// resolves to its verdict without executing.
-	verdicts := s.admitBatch(misses)
+	buf.wins = slices.Grow(buf.wins[:0], len(misses))
+	for _, m := range misses {
+		buf.wins = append(buf.wins, accountant.PartitionRange{Start: m.g.pl.Start, End: m.g.pl.End})
+	}
+	// (The non-partitioned PMW pays the full range whatever the query's
+	// window, so every partition carries the same spend and the plan's
+	// window gives the same verdict the full range would.)
+	buf.verdicts = s.block.AdmitBatch(buf.verdicts, buf.wins)
 	run := misses[:0]
 	for i, m := range misses {
-		if verdicts[i] != nil {
-			m.g.err = verdicts[i]
+		if v := buf.verdicts[i]; v != nil {
+			m.g.err = v
 			continue
 		}
 		run = append(run, m)
 	}
+	clear(buf.verdicts)
 	if len(run) == 0 {
 		return
 	}
@@ -197,24 +246,27 @@ func (s *Session) answerMisses(misses []batchMiss) {
 	// on each other; the caller and at most GOMAXPROCS-1 helpers pull
 	// them off a shared index — a spawn per group would cost a wake-up
 	// each with no core to run on.
-	var next atomic.Int64
-	work := func() {
-		for i := next.Add(1) - 1; int(i) < len(run); i = next.Add(1) - 1 {
-			m := run[i]
-			ans, shared, err := s.execute(m.g.pl, m.id)
-			s.resolveExecuted(m.g, ans, shared, err)
-		}
-	}
-	var wg sync.WaitGroup
+	buf.run = run
+	buf.next.Store(0)
 	for h := min(runtime.GOMAXPROCS(0), len(run)) - 1; h > 0; h-- {
-		wg.Add(1)
+		buf.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			work()
+			defer buf.wg.Done()
+			s.runMisses(buf)
 		}()
 	}
-	work()
-	wg.Wait()
+	s.runMisses(buf)
+	buf.wg.Wait()
+	buf.run = nil
+}
+
+// runMisses executes buf.run's groups until none is left to take.
+func (s *Session) runMisses(buf *BatchBuffers) {
+	for i := buf.next.Add(1) - 1; int(i) < len(buf.run); i = buf.next.Add(1) - 1 {
+		m := buf.run[i]
+		ans, shared, err := s.execute(m.g.pl, m.id)
+		s.resolveExecuted(m.g, ans, shared, err)
+	}
 }
 
 // fanOut copies every group's outcome to its members in one sequential
@@ -234,19 +286,6 @@ func fanOut(out []BatchResult, assign []*batchGroup) {
 			out[i].Answer = g.ans
 		}
 	}
-}
-
-// admitBatch runs one admission round over the cache-missed groups
-// against the session's block, returning one advisory verdict per group.
-// (The non-partitioned PMW pays the full range whatever the query's
-// window, so every partition carries the same spend and the plan's
-// window gives the same verdict the full range would.)
-func (s *Session) admitBatch(misses []batchMiss) []error {
-	wins := make([]accountant.PartitionRange, len(misses))
-	for i, m := range misses {
-		wins[i] = accountant.PartitionRange{Start: m.g.pl.Start, End: m.g.pl.End}
-	}
-	return s.block.AdmitBatch(wins)
 }
 
 // resolveExecuted stores one group execution's outcome on the group and

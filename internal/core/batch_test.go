@@ -324,3 +324,128 @@ func TestAnswerBatchBoundedFanOut(t *testing.T) {
 		t.Fatalf("%d groups executing at once, GOMAXPROCS is %d", peak, limit)
 	}
 }
+
+// setCounter is a backend that counts the fills of every key.
+type setCounter struct {
+	store.Backend
+	mu   sync.Mutex
+	sets map[string]int
+}
+
+func (b *setCounter) Set(k string, value store.FastEncoder) error {
+	b.mu.Lock()
+	b.sets[k]++
+	b.mu.Unlock()
+	return b.Backend.Set(k, value)
+}
+
+// TestBatchBuffersStorm races cold, overlapping batches through
+// AnswerPlans, each goroutine on its own BatchBuffers, reused round after
+// round. Every round asks 8 statements no earlier round asked; each of 4
+// goroutines asks all 8, four of them twice, in its own order, and
+// probes them by key first, so a statement another goroutine has filled
+// is a hit and one it is executing is a flight to join. Each (key,
+// version) must be executed, paid and filled exactly once, and every
+// answer, hit or joined or executed, must be the value its one execution
+// filled. The data never changes, so each key has one version. CI runs it
+// under -race at GOMAXPROCS 1, 2 and 4.
+func TestBatchBuffersStorm(t *testing.T) {
+	const rounds, perRound, workers = 200, 8, 4
+	counter := &setCounter{Backend: store.NewMem(store.MemConfig{}), sets: map[string]int{}}
+	ds := concurrentDS(t, 8)
+	s, err := NewSession(Config{Mode: Partitioned, Alpha: 0.1, Beta: 0.01, EpsilonGlobal: 1e6, Seed: 7, Backend: counter}, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dom := ds.Domain()
+	// Statement n: a predicate over both attributes (15 × 15 sets) in one
+	// of the 36 windows over 8 partitions; 200 × 8 of them are distinct.
+	statement := func(n int) *query.Query {
+		set := func(bits int) []int {
+			var vals []int
+			for v := range 4 {
+				if bits&(1<<v) != 0 {
+					vals = append(vals, v)
+				}
+			}
+			return vals
+		}
+		w := n % 36
+		start := 0
+		for span := 8; w >= span; span-- {
+			w -= span
+			start++
+		}
+		pred := n / 36
+		return query.MustNew(dom, map[int][]int{0: set(pred%15 + 1), 1: set(pred/15%15 + 1)}).WithWindow(start, start+w)
+	}
+
+	type answer struct {
+		key     string
+		version int
+		value   float64
+	}
+	answers := make([][]answer, workers)
+	bufs := make([]BatchBuffers, workers)
+	for r := range rounds {
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var (
+					pls []Plan
+					qs  []*query.Query
+				)
+				for i := range perRound + 4 {
+					q := statement(r*perRound + (g+3*i)%perRound) // four of them twice, in a worker's order
+					ans, pl, hit, err := s.Lookup(q.KeyWithWindow())
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if hit {
+						answers[g] = append(answers[g], answer{q.KeyWithWindow(), pl.Version, ans.Value})
+						continue
+					}
+					pl.Query = q
+					pls, qs = append(pls, pl), append(qs, q)
+				}
+				<-start
+				for k, res := range s.AnswerPlans(pls, &bufs[g]) {
+					if res.Err != nil {
+						t.Error(res.Err)
+						return
+					}
+					answers[g] = append(answers[g], answer{qs[k].KeyWithWindow(), pls[k].Version, res.Answer.Value})
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+
+	if len(counter.sets) != rounds*perRound {
+		t.Fatalf("%d keys filled, want %d", len(counter.sets), rounds*perRound)
+	}
+	for k, n := range counter.sets {
+		if n != 1 {
+			t.Fatalf("key %q filled %d times, want once", k, n)
+		}
+	}
+	if runs := s.Tree().Stats().Queries; runs != rounds*perRound {
+		t.Fatalf("the tree executed %d times for %d distinct statements", runs, rounds*perRound)
+	}
+	for _, as := range answers {
+		for _, a := range as {
+			e, ok := s.ExactCache().Lookup(a.key, a.version)
+			if !ok || e.Value != a.value {
+				t.Fatalf("key %q answered %v, its fill holds %+v (%v)", a.key, a.value, e, ok)
+			}
+		}
+	}
+}

@@ -69,7 +69,7 @@ func TestAnswerPlanRefusesAnotherQuery(t *testing.T) {
 	if _, err := s.AnswerPlan(pl); err == nil || !strings.Contains(err.Error(), "is not its plan's") {
 		t.Fatalf("AnswerPlan of another window: %v", err)
 	}
-	if res := s.AnswerPlans([]Plan{{Start: 0, End: 1}}); res[0].Err == nil {
+	if res := s.AnswerPlans([]Plan{{Start: 0, End: 1}}, new(BatchBuffers)); res[0].Err == nil {
 		t.Fatal("AnswerPlans of a plan with no query answered")
 	}
 	if s.AverageSpent() != 0 {
@@ -109,7 +109,7 @@ func TestAnswerPlansIsAnswerBatch(t *testing.T) {
 		pl.Query = q
 		pls = append(pls, pl)
 	}
-	got := plans.AnswerPlans(pls)
+	got := plans.AnswerPlans(pls, new(BatchBuffers))
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("statement %d: %+v, AnswerBatch %+v", i, got[i], want[i])

@@ -128,6 +128,33 @@ func TestBuilderBuildTwice(t *testing.T) {
 	}
 }
 
+// TestBuilderCopy: a copy restricted further leaves its original as it
+// was, a heap-held value list included (an attribute of more than 64
+// values), so one base builder serves every GROUP BY cell. Constrains
+// reads what Allowed will: a full set constrains nothing.
+func TestBuilderCopy(t *testing.T) {
+	d := domain.MustNew(
+		domain.Attribute{Name: "small", Card: 4},
+		domain.Attribute{Name: "wide", Card: 100},
+	)
+	base := query.NewBuilder(d).Restrict(0, 0, 1, 2, 3).Restrict(1, 7, 70, 99).Window(0, 2)
+	if err := base.Err(); err != nil || base.Constrains(0) || !base.Constrains(1) {
+		t.Fatalf("base: Err %v, Constrains %v %v", err, base.Constrains(0), base.Constrains(1))
+	}
+	want, _ := base.Build()
+	for v, vals := range [][]int{{0}, {70}} {
+		cell := base.Copy()
+		cell.Restrict(v, vals...)
+		q, err := cell.Build()
+		if err != nil || fmt.Sprint(q.Allowed(v)) != fmt.Sprint(vals) {
+			t.Fatalf("copy restricted to %v: %v %v", vals, q, err)
+		}
+	}
+	if got, err := base.Build(); err != nil || got.KeyWithWindow() != want.KeyWithWindow() {
+		t.Fatalf("the copies changed their base: %v, want %v (%v)", got, want, err)
+	}
+}
+
 // TestBuilderEmptyAndContradictory keeps the two errors apart: an attribute
 // restricted to nothing is an empty value set at Build, restricted twice
 // to disjoint sets a contradiction at the second Restrict.

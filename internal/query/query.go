@@ -339,6 +339,16 @@ func (b *Builder) list(attr int) []int {
 	return b.lists[attr]
 }
 
+// Copy returns a copy of b that Restrict and Window change without
+// changing b. It allocates only when b holds a heap list.
+func (b *Builder) Copy() Builder {
+	c := *b
+	if b.lists != nil {
+		c.lists = slices.Clone(b.lists)
+	}
+	return c
+}
+
 // Window sets the partition window [start, end] inclusive. A second
 // window intersects the first, as a repeated attribute does; windows that
 // do not overlap are contradictory.
@@ -386,6 +396,15 @@ func (b *Builder) check() error {
 	}
 	return nil
 }
+
+// Err returns the error Build would return, allocating nothing when
+// there is none.
+func (b *Builder) Err() error { return b.check() }
+
+// Constrains reports whether a builder whose Err is nil restricts
+// attribute attr to fewer than all its values, that is whether the query
+// it builds has a non-nil Allowed(attr).
+func (b *Builder) Constrains(attr int) bool { return b.size(attr) < b.dom.Card(attr) }
 
 // bitset returns attribute i's set, of card ≤ maxBitsetCard values, as a
 // bitset: every value when it is unconstrained. b has passed check.

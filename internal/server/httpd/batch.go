@@ -49,11 +49,13 @@ type BatchQueryResponse struct {
 // handleQueryBatch answers every statement key first, as handleQuery
 // does: a hit resolves in its slot, and the statements that miss go to the
 // session's batch plane in one call (AnswerPlans), which merges equal
-// ones, admits them in one round and executes each once. It assembles the
-// ordered per-element status array in the connection's scratch. Counters
-// advance exactly as if the elements had been served individually: one
-// served request and one answer per 200 element, one refusal per 429
-// element.
+// ones, admits them in one round and executes each once. Each miss keeps
+// its builder and its key, in a key arena, until the walk is done, and is
+// then built into a query of the connection's scratch; the batch plane
+// answers in the scratch too, where the ordered per-element status array
+// is assembled. Counters advance exactly as if the elements had been
+// served individually: one served request and one answer per 200
+// element, one refusal per 429 element.
 func (s *Server) handleQueryBatch(w *Response, r *Request) {
 	sc := r.scratchFor()
 	sqls, ok := decodeQueries(w, r, sc.sqls)
@@ -72,15 +74,13 @@ func (s *Server) handleQueryBatch(w *Response, r *Request) {
 
 	sc.items, sc.res = reuse(sc.items, len(sqls)), reuse(sc.res, len(sqls))
 	items, res := sc.items, sc.res
-	var (
-		b      query.Builder
-		misses []core.Plan
-		slots  []int
-	)
+	keys, builds, misses, slots := sc.keys[:0], sc.builds[:0], sc.misses[:0], sc.slots[:0]
+	var b query.Builder
 	for i, sql := range sqls {
+		lo := len(keys)
 		table, err := s.parser.ParseInto(sql, &b)
 		if err == nil {
-			sc.key, err = b.AppendKey(sc.key[:0])
+			keys, err = b.AppendKey(keys)
 		}
 		if err != nil {
 			items[i] = BatchItem{Status: StatusUnprocessableEntity,
@@ -88,25 +88,43 @@ func (s *Server) handleQueryBatch(w *Response, r *Request) {
 			continue
 		}
 		if !strings.EqualFold(table, s.table) {
+			keys = keys[:lo]
 			items[i] = BatchItem{Status: StatusUnprocessableEntity,
 				Error: &ErrorResponse{"parse", "unknown table " + strconv.Quote(table)}}
 			continue
 		}
-		ans, pl, hit, err := s.sess.Lookup(view(sc.key))
+		ans, pl, hit, err := s.sess.Lookup(view(keys[lo:]))
 		if err == nil && !hit {
-			if pl.Query, err = b.Build(); err == nil {
-				misses = append(misses, pl)
-				slots = append(slots, i)
-				continue
-			}
+			builds = append(builds, missBuild{b: b, lo: lo, hi: len(keys)})
+			misses = append(misses, pl)
+			slots = append(slots, i)
+			continue
 		}
+		keys = keys[:lo]
 		res[i] = core.BatchResult{Answer: ans, Err: err}
 	}
-	if len(misses) > 0 {
-		for k, r := range s.sess.AnswerPlans(misses) {
+	// The key arena has stopped growing, so the misses' keys may be
+	// viewed now: each miss is built over its key into a scratch query.
+	// Their arrays are what a rebuild reuses, so they are not cleared.
+	sc.qs = slices.Grow(sc.qs[:0], len(misses))[:len(misses)]
+	n := 0
+	for k := range builds {
+		mb := &builds[k]
+		if err := mb.b.BuildInto(&sc.qs[n], view(keys[mb.lo:mb.hi])); err != nil {
+			res[slots[k]].Err = err
+			continue
+		}
+		misses[n], slots[n] = misses[k], slots[k]
+		misses[n].Query = &sc.qs[n]
+		n++
+	}
+	if n > 0 {
+		for k, r := range s.sess.AnswerPlans(misses[:n], &sc.batch) {
 			res[slots[k]] = r
 		}
 	}
+	clear(builds) // a builder may hold lists
+	sc.keys, sc.builds, sc.misses, sc.slots = keys, builds, misses, slots
 
 	// One budget read serves every 200 element of the response:
 	// AverageSpent takes the accountant's lock and sums its partitions,
@@ -147,6 +165,14 @@ func (s *Server) handleQueryBatch(w *Response, r *Request) {
 	}
 	s.queries.Add(int64(served))
 	writeAppended(w, body)
+}
+
+// missBuild is what a /query/batch statement the cache missed keeps
+// until its query is built: its builder, and its key's bounds in the
+// batch's key arena.
+type missBuild struct {
+	b      query.Builder
+	lo, hi int
 }
 
 // reuse returns buf's array holding n zero elements, grown if it must.

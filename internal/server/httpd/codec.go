@@ -1,9 +1,9 @@
 // The wire codec of the hot analyst endpoints (ARCHITECTURE "Server", the
-// codec rule): 200 bodies of /query and /query/batch are appended into the
-// connection's response buffer, byte for byte what encoding/json's Encoder
-// wrote, and request bodies of the two fixed shapes are scanned in place,
-// their statements viewing the body. Every other body, in either
-// direction, stays with encoding/json.
+// codec rule): 200 bodies of /query, /query/batch and /groupby are
+// appended into the connection's response buffer, byte for byte what
+// encoding/json's Encoder wrote, and request bodies of the two fixed
+// shapes are scanned in place, their statements viewing the body. Every
+// other body, in either direction, stays with encoding/json.
 
 package httpd
 
@@ -14,6 +14,9 @@ import (
 	"math"
 	"strconv"
 	"unsafe"
+
+	"repro/internal/core"
+	"repro/internal/domain"
 )
 
 // maxAnalystBody caps the request body of the analyst-facing endpoints
@@ -217,10 +220,8 @@ func writeAppended(w *Response, body []byte) {
 // appendQueryResponse appends r as encoding/json marshals it. NaN and ±Inf
 // have no JSON form: a response holding one is an error.
 func appendQueryResponse(dst []byte, r *QueryResponse) ([]byte, error) {
-	for _, f := range [...]float64{r.Fraction, r.Count, r.Paid, r.Remaining} {
-		if math.IsInf(f, 0) || math.IsNaN(f) {
-			return dst, fmt.Errorf("unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
-		}
+	if err := finite(r.Fraction, r.Count, r.Paid, r.Remaining); err != nil {
+		return dst, err
 	}
 	dst = appendFloat(append(dst, `{"fraction":`...), r.Fraction)
 	dst = appendFloat(append(dst, `,"count":`...), r.Count)
@@ -259,6 +260,111 @@ func appendBatchResponse(dst []byte, items []BatchItem) ([]byte, error) {
 		dst = append(dst, '}')
 	}
 	return append(dst, ']', '}'), nil
+}
+
+// groupCell is one answered /groupby cell, before it is encoded.
+type groupCell struct {
+	fraction, count float64
+	source          core.Source
+}
+
+// groupNames is the JSON text of the names a /groupby body writes, each
+// quoted once, as encoding/json quotes a string (HTML characters escaped
+// included): attrs[i] is attribute i's name, and levels[i][v] the name of
+// its value v, nil for a value without one, which the body writes as its
+// number.
+type groupNames struct {
+	attrs  [][]byte
+	levels [][][]byte
+}
+
+// quoteNames quotes dom's attribute and level names.
+func quoteNames(dom *domain.Domain) groupNames {
+	quote := func(s string) []byte {
+		b, _ := json.Marshal(s) // a string always marshals
+		return b
+	}
+	var n groupNames
+	for i := range dom.NumAttrs() {
+		a := dom.Attr(i)
+		n.attrs = append(n.attrs, quote(a.Name))
+		levels := make([][]byte, a.Card)
+		for v, name := range a.Levels {
+			levels[v] = quote(name)
+		}
+		n.levels = append(n.levels, levels)
+	}
+	return n
+}
+
+// appendGroupByResponse appends a /groupby body as encoding/json marshals
+// the GroupByResponse of the grouping by attrs whose cells are cells, at
+// least one, cell k's values being vals[k*len(attrs):][:len(attrs)], and
+// whose payments sum to paid. Without attributes, group_by and every
+// row's values are null. NaN and ±Inf have no JSON form: a body holding
+// one is an error.
+func appendGroupByResponse(dst []byte, names *groupNames, attrs []int, cells []groupCell, vals []int, paid float64) ([]byte, error) {
+	if err := finite(paid); err != nil {
+		return dst, err
+	}
+	dst = append(dst, `{"group_by":`...)
+	if len(attrs) == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		for j, a := range attrs {
+			dst = append(opener(dst, j), names.attrs[a]...)
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"rows":`...)
+	for k := range cells {
+		c := &cells[k]
+		if err := finite(c.fraction, c.count); err != nil {
+			return dst, err
+		}
+		dst = append(opener(dst, k), `{"values":`...)
+		if len(attrs) == 0 {
+			dst = append(dst, "null"...)
+		}
+		for j, a := range attrs {
+			dst = opener(dst, j)
+			v := vals[k*len(attrs)+j]
+			if name := names.levels[a][v]; name != nil {
+				dst = append(dst, name...)
+			} else {
+				dst = append(strconv.AppendInt(append(dst, '"'), int64(v), 10), '"')
+			}
+		}
+		if len(attrs) > 0 {
+			dst = append(dst, ']')
+		}
+		dst = appendFloat(append(dst, `,"fraction":`...), c.fraction)
+		dst = appendFloat(append(dst, `,"count":`...), c.count)
+		// A core.Source needs no escaping (appendQueryResponse).
+		dst = append(append(append(dst, `,"source":"`...), c.source...), `"}`...)
+	}
+	dst = appendFloat(append(dst, `],"paid":`...), paid)
+	return append(dst, '}'), nil
+}
+
+// opener appends what comes before element i of an array: '[' for the
+// first, ',' for the others.
+func opener(dst []byte, i int) []byte {
+	if i == 0 {
+		return append(dst, '[')
+	}
+	return append(dst, ',')
+}
+
+// finite returns the error encoding/json gives the first of fs that is
+// NaN or ±Inf, which have no JSON form.
+func finite(fs ...float64) error {
+	for _, f := range fs {
+		if math.IsInf(f, 0) || math.IsNaN(f) {
+			return fmt.Errorf("unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
+		}
+	}
+	return nil
 }
 
 // appendFloat appends a finite f as encoding/json formats a float64: the

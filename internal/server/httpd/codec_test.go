@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/domain"
 )
 
 // encodingJSON is the body writeJSON produced for v before the append
@@ -70,6 +71,52 @@ func TestEncodersMatchEncodingJSON(t *testing.T) {
 			t.Errorf("appendBatchResponse: %v\n got %s\nwant %s", err, got, want)
 		}
 	}
+
+	// /groupby bodies, over names encoding/json escapes (HTML characters,
+	// quotes, U+2028, a byte that is not UTF-8) beside plain ones and an
+	// attribute whose levels have no names.
+	dom := domain.MustNew(
+		domain.Attribute{Name: "positive", Card: 2, Levels: []string{"negative", "positive"}},
+		domain.Attribute{Name: "a<b>&\"c\"", Card: 5, Levels: []string{"<", "&amp;", `"q"`, "café\u2028", "x\xffy"}},
+		domain.Attribute{Name: "age", Card: 12},
+	)
+	names := quoteNames(dom)
+	groupings := []struct {
+		attrs []int
+		cells int
+	}{
+		{nil, 1},            // no GROUP BY: group_by and values are null
+		{[]int{1}, 5},       // escaped names
+		{[]int{2}, 12},      // unnamed levels
+		{[]int{2, 0, 1}, 7}, // three attributes, the first 7 cells
+	}
+	for _, g := range groupings {
+		var (
+			cells []groupCell
+			vals  []int
+		)
+		want := GroupByResponse{}
+		for _, a := range g.attrs {
+			want.GroupBy = append(want.GroupBy, dom.Attr(a).Name)
+		}
+		for c := range g.cells {
+			f := floats[c%len(floats)]
+			src := core.Sources[c%len(core.Sources)]
+			row := GroupRow{Fraction: f, Count: f * 3, Source: string(src)}
+			cells = append(cells, groupCell{fraction: f, count: f * 3, source: src})
+			for j, a := range g.attrs {
+				v := (c + j) % dom.Card(a)
+				vals = append(vals, v)
+				row.Values = append(row.Values, dom.LevelName(a, v))
+			}
+			want.Rows = append(want.Rows, row)
+			want.Paid += floats[(c+1)%len(floats)] / 1e3 // summed, as the handler sums
+		}
+		got, err := appendGroupByResponse(nil, &names, g.attrs, cells, vals, want.Paid)
+		if want := encodingJSON(t, want); err != nil || !bytes.Equal(append(got, '\n'), want) {
+			t.Errorf("appendGroupByResponse(%v, %d cells): %v\n got %s\nwant %s", g.attrs, g.cells, err, got, want)
+		}
+	}
 }
 
 // TestEncodersRefuseNonFinite: NaN and ±Inf have no JSON form, so an
@@ -81,6 +128,13 @@ func TestEncodersRefuseNonFinite(t *testing.T) {
 		}
 		if _, err := appendBatchResponse(nil, []BatchItem{{Result: &QueryResponse{}}, {Result: &QueryResponse{Remaining: f}}}); err == nil {
 			t.Errorf("appendBatchResponse encoded %v", f)
+		}
+		names := quoteNames(domain.MustNew(domain.Attribute{Name: "age", Card: 2}))
+		if _, err := appendGroupByResponse(nil, &names, []int{0}, []groupCell{{}, {count: f}}, []int{0, 1}, 0); err == nil {
+			t.Errorf("appendGroupByResponse encoded a cell of %v", f)
+		}
+		if _, err := appendGroupByResponse(nil, &names, []int{0}, []groupCell{{}}, []int{0}, f); err == nil {
+			t.Errorf("appendGroupByResponse encoded paid %v", f)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -44,10 +45,18 @@ type handler struct {
 }
 
 func (h *handler) do(t *testing.T, path string, body []byte) *Response {
+	if resp := h.send(t, path, body); resp.Status != StatusOK {
+		t.Fatalf("%s %s: %d %s", path, body, resp.Status, resp.Body)
+	}
+	return &h.resp
+}
+
+// send is do without the check that the response is a 200.
+func (h *handler) send(t *testing.T, path string, body []byte) *Response {
 	h.req.next(MethodPost, path, int64(len(body)))
 	h.body.Reset(body)
-	if err := h.srv.Handle(&h.resp, &h.req, &h.body); err != nil || h.resp.Status != StatusOK {
-		t.Fatalf("%s %s: %d %v %s", path, body, h.resp.Status, err, h.resp.Body)
+	if err := h.srv.Handle(&h.resp, &h.req, &h.body); err != nil {
+		t.Fatalf("%s %s: %v", path, body, err)
 	}
 	return &h.resp
 }
@@ -148,4 +157,22 @@ func TestReusedQueryLeaksNothing(t *testing.T) {
 	if again := ask(a); again.Source != string(core.SourceExactHit) || again.Fraction != first.Fraction {
 		t.Fatalf("A again: %+v, want an exact hit of %v", again, first.Fraction)
 	}
+}
+
+// TestGroupByRepeatedColumn: a GROUP BY that names one column twice is a
+// 400 parse error naming it, answered before any session call, and the
+// connection serves its next request. It used to panic in the cell
+// enumeration, which dropped the connection without a response.
+func TestGroupByRepeatedColumn(t *testing.T) {
+	h := &handler{srv: newTestServer(t, 10)}
+	resp := h.send(t, "/groupby", []byte(`{"sql":"SELECT COUNT(*) FROM covid GROUP BY age, age"}`))
+	var e ErrorResponse
+	if err := json.Unmarshal(resp.Body, &e); err != nil || resp.Status != StatusBadRequest ||
+		e.Kind != "parse" || !strings.Contains(e.Message, `"age"`) {
+		t.Fatalf("repeated GROUP BY column: %d %s", resp.Status, resp.Body)
+	}
+	if answers := h.srv.answers.Load(); answers != 0 || h.srv.sess.AverageSpent() != 0 {
+		t.Fatalf("the refusal answered %d cells and spent %v", answers, h.srv.sess.AverageSpent())
+	}
+	h.do(t, "/groupby", []byte(`{"sql":"SELECT COUNT(*) FROM covid GROUP BY age"}`))
 }

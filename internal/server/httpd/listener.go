@@ -114,10 +114,12 @@ func (r *Request) next(method, path string, length int64) {
 }
 
 // scratch is what the analyst handlers reuse from one request to the next
-// on a connection, so an exact hit allocates nothing and a /query miss
-// nothing it keeps: the cache key of the statement being probed, the query
-// a /query miss builds over it, and a batch's statements, items and
-// responses. Nothing outside the handler keeps any of it.
+// on a connection, so an exact hit allocates nothing and a miss nothing it
+// keeps: the cache key of the statement being probed, the query a /query
+// or /groupby miss builds over it, a batch's statements, key arena,
+// misses, queries, items and responses and the batch plane's buffers, and
+// a /groupby's attributes and cells. Nothing outside the handler keeps
+// any of it.
 type scratch struct {
 	key   []byte
 	q     query.Query
@@ -125,6 +127,20 @@ type scratch struct {
 	res   []core.BatchResult
 	items []BatchItem
 	resps []QueryResponse
+	// keys holds the keys of a batch's misses, builds their builders,
+	// misses their plans and slots their places in the batch, until qs
+	// holds their queries.
+	keys   []byte
+	builds []missBuild
+	misses []core.Plan
+	slots  []int
+	qs     []query.Query
+	batch  core.BatchBuffers
+	// groupBy holds a /groupby's grouped attributes, cells its answered
+	// cells and vals their values.
+	groupBy []int
+	cells   []groupCell
+	vals    []int
 }
 
 // scratchFor returns r's scratch, making it on first use.

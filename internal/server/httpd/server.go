@@ -73,6 +73,8 @@ type Server struct {
 	sess   *core.Session
 	parser *sqlparser.Parser
 	table  string
+	// names is the domain's names as /groupby bodies write them.
+	names groupNames
 	// ing is the streaming ingestion pipeline behind POST /append; nil
 	// for non-partitioned sessions, which cannot grow.
 	ing *stream.Ingestor
@@ -149,6 +151,7 @@ func New(sess *core.Session, table string, opts ...Option) (*Server, error) {
 	srv := &Server{
 		sess:        sess,
 		parser:      sqlparser.New(sess.Dataset().Domain()),
+		names:       quoteNames(sess.Dataset().Domain()),
 		table:       table,
 		bySource:    bySource,
 		retryAfter:  1,
@@ -338,37 +341,54 @@ type GroupByResponse struct {
 }
 
 // handleGroupBy decomposes a GROUP BY statement into primitive queries
-// (§6.1's methodology) and answers each through the session. The
-// decomposed queries flow through the same concurrent pipeline as /query
-// traffic; each primitive query is individually atomic against the
-// accountant, and a group interrupted by budget exhaustion withholds its
-// partial results. Counters: each group's answer is counted at the
-// answer level (answers/by_source) as it is released, but the request
-// counts as served only when the 200 is written — a mid-group refusal is
-// a refusal, never a served request.
+// (§6.1's methodology) and answers each through the session, as /query
+// answers a statement: the statement is walked once into a base builder,
+// and each cell, a copy of it restricted to the cell, is probed by its key
+// and built into the connection's scratch only on a miss. Each primitive
+// query is individually atomic against the accountant, and a group
+// interrupted by budget exhaustion withholds its partial results.
+// Counters: each group's answer is counted at the answer level
+// (answers/by_source) as it is released, but the request counts as
+// served only when the 200 is written — a mid-group refusal is a refusal,
+// never a served request.
 func (s *Server) handleGroupBy(w *Response, r *Request) {
 	sql, ok := decodeSQL(w, r)
 	if !ok || !s.serving(w) {
 		return
 	}
-	gs, err := s.parser.ParseGrouped(sql)
+	sc := r.scratchFor()
+	var base query.Builder
+	table, groupBy, err := s.parser.ParseGroupedInto(sql, &base, sc.groupBy)
+	sc.groupBy = groupBy
 	if err != nil {
 		writeJSON(w, StatusBadRequest, ErrorResponse{"parse", err.Error()})
 		return
 	}
-	if !strings.EqualFold(gs.Table, s.table) {
+	if !strings.EqualFold(table, s.table) {
 		writeJSON(w, StatusBadRequest, ErrorResponse{"parse",
-			fmt.Sprintf("unknown table %q (have %q)", gs.Table, s.table)})
+			fmt.Sprintf("unknown table %q (have %q)", table, s.table)})
 		return
 	}
 
-	dom := s.sess.Dataset().Domain()
-	resp := GroupByResponse{}
-	for _, attr := range gs.GroupBy {
-		resp.GroupBy = append(resp.GroupBy, dom.Attr(attr).Name)
-	}
-	for _, g := range gs.Groups {
-		ans, err := s.sess.Answer(g.Query)
+	sc.cells, sc.vals = sc.cells[:0], sc.vals[:0]
+	paid := 0.0
+	for c := range s.parser.Cells(groupBy) {
+		var cell query.Builder
+		cell, sc.vals = s.parser.Cell(&base, groupBy, c, sc.vals)
+		sc.key, err = cell.AppendKey(sc.key[:0])
+		var ans core.Answer
+		if err == nil {
+			key := view(sc.key)
+			var pl core.Plan
+			var hit bool
+			ans, pl, hit, err = s.sess.Lookup(key)
+			if err == nil && !hit {
+				if err = cell.BuildInto(&sc.q, key); err == nil {
+					pl.Query = &sc.q
+					ans, err = s.sess.AnswerPlan(pl)
+				}
+			}
+		}
 		if errors.Is(err, accountant.ErrBudgetExhausted) {
 			s.refusals.Add(1)
 			writeJSON(w, StatusTooManyRequests, ErrorResponse{"exhausted",
@@ -380,19 +400,20 @@ func (s *Server) handleGroupBy(w *Response, r *Request) {
 			return
 		}
 		s.countAnswer(ans.Source)
-		row := GroupRow{
-			Fraction: ans.Value,
-			Count:    ans.Value * float64(ans.Rows),
-			Source:   string(ans.Source),
-		}
-		for j, v := range g.Values {
-			row.Values = append(row.Values, dom.LevelName(gs.GroupBy[j], v))
-		}
-		resp.Rows = append(resp.Rows, row)
-		resp.Paid += ans.Paid
+		sc.cells = append(sc.cells, groupCell{
+			fraction: ans.Value,
+			count:    ans.Value * float64(ans.Rows),
+			source:   ans.Source,
+		})
+		paid += ans.Paid
+	}
+	body, err := appendGroupByResponse(w.Body[:0], &s.names, groupBy, sc.cells, sc.vals, paid)
+	if err != nil {
+		writeJSON(w, StatusInternalServerError, ErrorResponse{"internal", err.Error()})
+		return
 	}
 	s.countServed()
-	writeJSON(w, StatusOK, resp)
+	writeAppended(w, body)
 }
 
 // AppendRequest is the /append payload: one batch of partition arrivals.

@@ -62,3 +62,35 @@ func TestParseIntoKeyZeroAllocs(t *testing.T) {
 		t.Fatalf("ParseInto and AppendKey allocate %v objects per statement, want 0", allocs)
 	}
 }
+
+// TestParseGroupedIntoZeroAllocs: the /groupby handler's half of a GROUP
+// BY parse — the walk into a caller's Builder and attribute slice, and
+// every cell's builder with its key — allocates nothing. ParseGrouped,
+// which builds each cell, made a builder, a query and a value slice per
+// cell.
+func TestParseGroupedIntoZeroAllocs(t *testing.T) {
+	p := New(workload.CovidDomain())
+	const src = "SELECT COUNT(*) FROM covid WHERE gender = 0 AND time BETWEEN 0 AND 2 GROUP BY age, positive"
+	var (
+		b     query.Builder
+		attrs []int
+		key   []byte
+	)
+	cellVals := make([]int, 0, 2)
+	allocs := testing.AllocsPerRun(200, func() {
+		table, groupBy, err := p.ParseGroupedInto(src, &b, attrs)
+		if err != nil || table != "covid" || len(groupBy) != 2 {
+			t.Fatalf("ParseGroupedInto: %q %v %v", table, groupBy, err)
+		}
+		attrs = groupBy
+		for c := range p.Cells(groupBy) {
+			cell, cv := p.Cell(&b, groupBy, c, cellVals[:0])
+			if key, err = cell.AppendKey(key[:0]); err != nil || len(cv) != 2 {
+				t.Fatalf("cell %d: %v %v", c, cv, err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a grouped walk and its cells' keys allocate %v objects, want 0", allocs)
+	}
+}

@@ -30,6 +30,7 @@ var groupedSeeds = []string{
 	"SELECT COUNT(*) FROM covid WHERE age = 1 GROUP BY age",
 	"SELECT COUNT(*) FROM covid group by ethnicity;",
 	"SELECT COUNT(*)FROM \xeb GROUP BYage", // not UTF-8: ToUpper moves the clause
+	"SELECT COUNT(*) FROM covid GROUP BY age, age",
 }
 
 // FuzzParse checks that no input can panic the parser or produce a query

@@ -8,9 +8,9 @@ package sqlparser
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
-	"repro/internal/domain"
 	"repro/internal/query"
 )
 
@@ -31,59 +31,113 @@ type Group struct {
 }
 
 // ParseGrouped parses a statement that may carry a trailing
-// `GROUP BY col {, col}` clause. Statements without GROUP BY return a
-// single group with the base query.
+// `GROUP BY col {, col}` clause: ParseGroupedInto, then a Build per cell.
+// Statements without GROUP BY return a single group with the base query.
 func (p *Parser) ParseGrouped(src string) (*GroupedStatement, error) {
-	base, groupCols, err := splitGroupBy(src)
+	var b query.Builder
+	table, groupBy, err := p.ParseGroupedInto(src, &b, nil)
 	if err != nil {
 		return nil, err
 	}
-	st, err := p.Parse(base)
-	if err != nil {
-		return nil, err
-	}
-	gs := &GroupedStatement{Table: st.Table}
-	if len(groupCols) == 0 {
-		gs.Groups = []Group{{Query: st.Query}}
-		return gs, nil
-	}
-	for _, col := range groupCols {
-		attr := p.dom.AttrIndex(col)
-		if attr < 0 {
-			return nil, fmt.Errorf("sqlparser: unknown GROUP BY column %q", col)
+	gs := &GroupedStatement{Table: table, GroupBy: groupBy}
+	for c := range p.Cells(groupBy) {
+		cell, vals := p.Cell(&b, groupBy, c, nil)
+		q, err := cell.Build()
+		if err != nil {
+			return nil, err
 		}
-		if st.Query.Allowed(attr) != nil {
-			return nil, fmt.Errorf("sqlparser: GROUP BY column %q also constrained in WHERE", col)
-		}
-		gs.GroupBy = append(gs.GroupBy, attr)
+		gs.Groups = append(gs.Groups, Group{Values: vals, Query: q})
 	}
-	gs.Groups = enumerate(p.dom, st.Query, gs.GroupBy)
 	return gs, nil
 }
 
-// splitGroupBy slices a trailing GROUP BY clause off the statement. The
-// case-insensitive search must index the original string directly:
-// strings.ToUpper can change byte length for non-ASCII input, so an index
-// computed on the upper-cased copy may not be valid in src (found by
-// FuzzParseGrouped).
-func splitGroupBy(src string) (base string, cols []string, err error) {
+// ParseGroupedInto walks a statement that may carry a trailing GROUP BY
+// clause: the statement under the clause into b, as ParseInto does, and
+// the grouped attributes, in declaration order, appended to groupBy[:0].
+// It returns the table and the attributes, or ParseGrouped's error, and
+// allocates nothing for a statement it accepts; Cell then gives each
+// cell's builder.
+func (p *Parser) ParseGroupedInto(src string, b *query.Builder, groupBy []int) (table string, attrs []int, err error) {
+	base, clause, err := splitGroupBy(src)
+	if err != nil {
+		return "", groupBy, err
+	}
+	if table, err = p.ParseInto(base, b); err == nil {
+		err = b.Err()
+	}
+	if err != nil {
+		return "", groupBy, err
+	}
+	attrs = groupBy[:0]
+	for rest, more := clause, clause != ""; more; {
+		var col string
+		col, rest, more = strings.Cut(rest, ",")
+		col = strings.TrimSpace(col)
+		attr := p.dom.AttrIndex(col)
+		switch {
+		case attr < 0:
+			return "", attrs, fmt.Errorf("sqlparser: unknown GROUP BY column %q", col)
+		case b.Constrains(attr):
+			return "", attrs, fmt.Errorf("sqlparser: GROUP BY column %q also constrained in WHERE", col)
+		case slices.Contains(attrs, attr):
+			return "", attrs, fmt.Errorf("sqlparser: GROUP BY column %q named twice", col)
+		}
+		attrs = append(attrs, attr)
+	}
+	return table, attrs, nil
+}
+
+// Cells returns how many cells grouping by attrs makes: the product of
+// their cardinalities, 1 for none.
+func (p *Parser) Cells(attrs []int) int {
+	n := 1
+	for _, a := range attrs {
+		n *= p.dom.Card(a)
+	}
+	return n
+}
+
+// Cell returns base restricted to cell c of the grouping by attrs, the
+// cells enumerated in row-major order over the attributes, and appends
+// the cell's values, one per attribute, to vals. base and attrs are
+// ParseGroupedInto's; base is left as it was.
+func (p *Parser) Cell(base *query.Builder, attrs []int, c int, vals []int) (query.Builder, []int) {
+	cell := base.Copy()
+	n := len(vals)
+	vals = slices.Grow(vals, len(attrs))[:n+len(attrs)]
+	for j := len(attrs) - 1; j >= 0; j-- {
+		card := p.dom.Card(attrs[j])
+		vals[n+j] = c % card
+		c /= card
+		cell.Restrict(attrs[j], vals[n+j])
+	}
+	return cell, vals
+}
+
+// splitGroupBy slices a trailing GROUP BY clause off the statement,
+// returning the statement under it and the clause's column list, "" when
+// there is no clause. The case-insensitive search must index the
+// original string directly: strings.ToUpper can change byte length for
+// non-ASCII input, so an index computed on the upper-cased copy may not
+// be valid in src (found by FuzzParseGrouped).
+func splitGroupBy(src string) (base, clause string, err error) {
 	idx := lastIndexFold(src, "GROUP BY")
 	if idx < 0 {
-		return src, nil, nil
+		return src, "", nil
 	}
-	clause := strings.TrimSpace(src[idx+len("GROUP BY"):])
+	clause = strings.TrimSpace(src[idx+len("GROUP BY"):])
 	clause = strings.TrimSuffix(clause, ";")
 	if clause == "" {
-		return "", nil, fmt.Errorf("sqlparser: empty GROUP BY clause")
+		return "", "", fmt.Errorf("sqlparser: empty GROUP BY clause")
 	}
-	for _, c := range strings.Split(clause, ",") {
-		c = strings.TrimSpace(c)
-		if c == "" {
-			return "", nil, fmt.Errorf("sqlparser: empty GROUP BY column")
+	for rest, more := clause, true; more; {
+		var col string
+		col, rest, more = strings.Cut(rest, ",")
+		if strings.TrimSpace(col) == "" {
+			return "", "", fmt.Errorf("sqlparser: empty GROUP BY column")
 		}
-		cols = append(cols, c)
 	}
-	return src[:idx], cols, nil
+	return src[:idx], clause, nil
 }
 
 // lastIndexFold finds the last case-insensitive occurrence of an ASCII
@@ -95,42 +149,4 @@ func lastIndexFold(s, pat string) int {
 		}
 	}
 	return -1
-}
-
-// enumerate produces the primitive query for every group cell by
-// restricting the base query to each value combination.
-func enumerate(dom *domain.Domain, base *query.Query, groupBy []int) []Group {
-	var out []Group
-	assign := make([]int, len(groupBy))
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(groupBy) {
-			b := query.NewBuilder(dom)
-			for a := 0; a < dom.NumAttrs(); a++ {
-				if vals := base.Allowed(a); vals != nil {
-					b.Restrict(a, vals...)
-				}
-			}
-			for j, attr := range groupBy {
-				b.Restrict(attr, assign[j])
-			}
-			if s, e, ok := base.Window(); ok {
-				b.Window(s, e)
-			}
-			q, err := b.Build()
-			if err != nil {
-				// Unreachable: group restrictions never contradict an
-				// unconstrained attribute (checked in ParseGrouped).
-				panic(fmt.Sprintf("sqlparser: group enumeration: %v", err))
-			}
-			out = append(out, Group{Values: append([]int(nil), assign...), Query: q})
-			return
-		}
-		for v := 0; v < dom.Card(groupBy[i]); v++ {
-			assign[i] = v
-			rec(i + 1)
-		}
-	}
-	rec(0)
-	return out
 }

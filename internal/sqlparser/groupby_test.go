@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -102,5 +103,21 @@ func TestParseGroupedTrailingSemicolon(t *testing.T) {
 	}
 	if len(gs.Groups) != 2 {
 		t.Fatalf("groups = %d", len(gs.Groups))
+	}
+}
+
+// TestParseGroupedRepeatedColumn: a column named twice in GROUP BY is an
+// error that names it. Its second restriction contradicted the first, and
+// the cell enumeration panicked on the Build it could not do.
+func TestParseGroupedRepeatedColumn(t *testing.T) {
+	p := New(covid())
+	for _, src := range []string{
+		"SELECT COUNT(*) FROM covid GROUP BY age, age",
+		"SELECT COUNT(*) FROM covid WHERE positive = 1 GROUP BY age, gender,age",
+	} {
+		_, err := p.ParseGrouped(src)
+		if err == nil || !strings.Contains(err.Error(), `GROUP BY column "age"`) {
+			t.Errorf("ParseGrouped(%q) = %v, want an error naming GROUP BY column \"age\"", src, err)
+		}
 	}
 }
