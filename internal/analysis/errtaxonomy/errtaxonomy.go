@@ -1,7 +1,8 @@
 // Package errtaxonomy enforces the HTTP error taxonomy of turbo-server's
 // handlers (internal/server/httpd): handler errors map typed sentinels to
-// their documented status codes through writeJSON + ErrorResponse, never
-// ad hoc.
+// their documented status codes through the package's response writers
+// (writeError and writeBody in httpd, writeJSON in a net/http handler),
+// never ad hoc.
 //
 // In packages with a "server" path segment or name (non-test files):
 //
@@ -11,8 +12,9 @@
 //     stays for the net/http adapter in internal/server, and for any
 //     handler that would bring net/http back.
 //
-//  2. A writeJSON(w, 500, ...) — net/http's StatusInternalServerError or
-//     httpd's own — is flagged unless the same function also tests some
+//  2. A response writer called with 500 — net/http's
+//     StatusInternalServerError or httpd's own — is flagged unless the
+//     same function also tests some
 //     typed error with errors.Is: a 500 must be the fall-through of a
 //     mapping, never the only answer to an error.
 //
@@ -56,15 +58,19 @@ var required = map[string][]string{
 	"Submit":     {"ErrBacklogFull"},
 }
 
+// writers are the response-writing functions, by name, whose second
+// argument is the status.
+var writers = map[string]bool{"writeJSON": true, "writeError": true, "writeBody": true}
+
 // funcFacts collects, per function declaration, everything the rules
 // need.
 type funcFacts struct {
-	decl          *ast.FuncDecl
-	httpErrors    []*ast.CallExpr
-	writeJSON500s []*ast.CallExpr
-	writesResp    bool
-	sentinels     map[string]bool            // errors.Is targets seen
-	triggers      map[string][]*ast.CallExpr // Answer/Submit sites
+	decl       *ast.FuncDecl
+	httpErrors []*ast.CallExpr
+	write500s  []*ast.CallExpr
+	writesResp bool
+	sentinels  map[string]bool            // errors.Is targets seen
+	triggers   map[string][]*ast.CallExpr // Answer/Submit sites
 }
 
 func calleeOf(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
@@ -116,10 +122,10 @@ func gather(pass *analysis.Pass, fd *ast.FuncDecl) *funcFacts {
 		switch {
 		case pkg == "http" && callee.Name() == "Error":
 			ff.httpErrors = append(ff.httpErrors, call)
-		case callee.Name() == "writeJSON":
+		case writers[callee.Name()]:
 			ff.writesResp = true
 			if len(call.Args) >= 2 && is500(pass, call.Args[1]) {
-				ff.writeJSON500s = append(ff.writeJSON500s, call)
+				ff.write500s = append(ff.write500s, call)
 			}
 		case pkg == "errors" && callee.Name() == "Is" && len(call.Args) == 2:
 			if name := sentinelName(call.Args[1]); name != "" {
@@ -155,10 +161,10 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			for _, call := range ff.httpErrors {
 				if !allow.Allowed(call.Pos(), name) {
 					pass.Reportf(call.Pos(),
-						"http.Error bypasses the server's error taxonomy: respond through writeJSON with a documented error kind")
+						"http.Error bypasses the server's error taxonomy: respond through the JSON error writer with a documented error kind")
 				}
 			}
-			for _, call := range ff.writeJSON500s {
+			for _, call := range ff.write500s {
 				if len(ff.sentinels) == 0 && !allow.Allowed(call.Pos(), name) {
 					pass.Reportf(call.Pos(),
 						"naked 500: a StatusInternalServerError response must be the fall-through of a typed-error mapping (an errors.Is check in the same handler)")

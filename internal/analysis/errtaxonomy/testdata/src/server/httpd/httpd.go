@@ -29,43 +29,45 @@ func (s *Session) Answer(q string) (string, error) { return "", nil }
 
 func (s *Session) AnswerPlan(q string) (string, error) { return "", nil }
 
-func writeJSON(w *Response, status int, v any) {}
+func writeError(w *Response, status int, kind, msg string) {}
+
+func writeBody(w *Response, status int, body []byte) {}
 
 func naked500(w *Response, r *Request, err error) {
-	writeJSON(w, StatusInternalServerError, err) // want `naked 500`
+	writeError(w, StatusInternalServerError, "internal", err.Error()) // want `naked 500`
 }
 
 func mapped500(w *Response, r *Request, err error) {
 	if errors.Is(err, ErrStateCorrupt) {
-		writeJSON(w, StatusInternalServerError, err)
+		writeError(w, StatusInternalServerError, "internal", err.Error())
 		return
 	}
-	writeJSON(w, StatusOK, nil)
+	writeBody(w, StatusOK, nil)
 }
 
 func unmappedAnswer(w *Response, s *Session, r *Request) {
 	res, err := s.Answer(string(r.Body)) // want `never maps ErrBudgetExhausted`
 	if err != nil {
-		writeJSON(w, StatusOK, err)
+		writeBody(w, StatusOK, []byte(err.Error()))
 		return
 	}
-	writeJSON(w, StatusOK, res)
+	writeBody(w, StatusOK, []byte(res))
 }
 
 func mappedAnswer(w *Response, s *Session, r *Request) {
 	res, err := s.Answer(string(r.Body))
 	if errors.Is(err, ErrBudgetExhausted) {
-		writeJSON(w, StatusTooManyRequests, err)
+		writeError(w, StatusTooManyRequests, "exhausted", err.Error())
 		return
 	}
-	writeJSON(w, StatusOK, res)
+	writeBody(w, StatusOK, []byte(res))
 }
 
 func unmappedAnswerPlan(w *Response, s *Session, r *Request) {
 	res, err := s.AnswerPlan(string(r.Body)) // want `never maps ErrBudgetExhausted`
 	if err != nil {
-		writeJSON(w, StatusOK, err)
+		writeBody(w, StatusOK, []byte(err.Error()))
 		return
 	}
-	writeJSON(w, StatusOK, res)
+	writeBody(w, StatusOK, []byte(res))
 }

@@ -77,13 +77,16 @@ func NewUniform(size int) *Histogram {
 	if size <= 0 {
 		panic(fmt.Sprintf("histogram: bad size %d", size))
 	}
-	h := &Histogram{
-		weights: make([]float64, size),
-		counts:  make([]float64, size),
-		scale:   1,
-	}
+	h := alloc(size)
 	fillFloat64(h.weights, 1.0/float64(size))
 	return h
+}
+
+// alloc returns a histogram of size zero weights and counters, scale 1,
+// its two vectors one array.
+func alloc(size int) *Histogram {
+	buf := make([]float64, 2*size)
+	return &Histogram{weights: buf[:size:size], counts: buf[size:], scale: 1}
 }
 
 // fillFloat64 sets every element of s to v by doubling copies, so large
@@ -111,7 +114,7 @@ func FromWeights(w []float64) (*Histogram, error) {
 	if sum <= 0 {
 		return nil, fmt.Errorf("histogram: all weights zero")
 	}
-	h := &Histogram{weights: make([]float64, len(w)), counts: make([]float64, len(w)), scale: 1}
+	h := alloc(len(w))
 	for i, x := range w {
 		h.weights[i] = x / sum
 	}
@@ -339,12 +342,10 @@ func (h *Histogram) LeastUpdatedBins(q *query.Query) []int {
 // Clone returns a deep copy of h, counters included. Used by the warm-start
 // leaf procedure (§4.5): a new leaf copies the previous partition's leaf.
 func (h *Histogram) Clone() *Histogram {
-	c := &Histogram{
-		weights: append([]float64(nil), h.weights...),
-		counts:  append([]float64(nil), h.counts...),
-		scale:   h.scale,
-		updates: h.updates,
-	}
+	c := alloc(len(h.weights))
+	copy(c.weights, h.weights)
+	copy(c.counts, h.counts)
+	c.scale, c.updates = h.scale, h.updates
 	return c
 }
 
@@ -356,16 +357,14 @@ func Average(hs ...*Histogram) (*Histogram, error) {
 		return nil, fmt.Errorf("histogram: Average of nothing")
 	}
 	size := hs[0].Size()
-	out := &Histogram{
-		weights: make([]float64, size),
-		counts:  make([]float64, size),
-		scale:   1,
-	}
-	totalUpdates := 0
 	for _, h := range hs {
 		if h.Size() != size {
 			return nil, fmt.Errorf("histogram: Average size mismatch %d vs %d", h.Size(), size)
 		}
+	}
+	out := alloc(size)
+	totalUpdates := 0
+	for _, h := range hs {
 		for i := range out.weights {
 			out.weights[i] += h.weights[i] * h.scale
 			out.counts[i] += h.counts[i]
@@ -453,12 +452,10 @@ func FromState(s State) (*Histogram, error) {
 	if len(s.Weights) == 0 || len(s.Weights) != len(s.Counts) {
 		return nil, fmt.Errorf("histogram: bad state (%d weights, %d counts)", len(s.Weights), len(s.Counts))
 	}
-	h := &Histogram{
-		weights: append([]float64(nil), s.Weights...),
-		counts:  append([]float64(nil), s.Counts...),
-		scale:   1,
-		updates: s.Updates,
-	}
+	h := alloc(len(s.Weights))
+	copy(h.weights, s.Weights)
+	copy(h.counts, s.Counts)
+	h.updates = s.Updates
 	if !h.Normalized(1e-6) {
 		return nil, fmt.Errorf("histogram: state not normalized")
 	}

@@ -140,11 +140,8 @@ type Writer struct {
 // NewWriter writes the magic header and current format version to w and
 // returns a section writer over it.
 func NewWriter(w io.Writer) (*Writer, error) {
-	if _, err := io.WriteString(w, magic); err != nil {
-		return nil, fmt.Errorf("persist: write magic: %w", err)
-	}
-	if err := binary.Write(w, binary.BigEndian, FormatVersion); err != nil {
-		return nil, fmt.Errorf("persist: write version: %w", err)
+	if _, err := w.Write(binary.BigEndian.AppendUint32([]byte(magic), FormatVersion)); err != nil {
+		return nil, fmt.Errorf("persist: write header: %w", err)
 	}
 	return &Writer{gz: gzip.NewWriter(w)}, nil
 }
@@ -194,11 +191,10 @@ func ReadSections(r io.Reader) (map[string][]byte, []string, error) {
 	if string(head) != magic {
 		return nil, nil, ErrBadMagic
 	}
-	var version uint32
-	if err := binary.Read(r, binary.BigEndian, &version); err != nil {
+	if _, err := io.ReadFull(r, head[:4]); err != nil {
 		return nil, nil, fmt.Errorf("%w: header ends before format version", ErrTruncated)
 	}
-	if version != FormatVersion {
+	if version := binary.BigEndian.Uint32(head); version != FormatVersion {
 		return nil, nil, fmt.Errorf("%w: snapshot is v%d, this build reads v%d", ErrBadVersion, version, FormatVersion)
 	}
 	gz, err := gzip.NewReader(r)

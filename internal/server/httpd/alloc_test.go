@@ -223,3 +223,35 @@ func TestHandleGroupByZeroAllocs(t *testing.T) {
 		t.Errorf("a first-time /groupby of 4 cells allocates %v objects, want 0", allocs)
 	}
 }
+
+// TestHandleAppendAllocs: a steady-state /append of one partition, its
+// batch decoded into the connection's scratch, allocates what the
+// partition keeps — its dataset row, its accountant and dataset slots
+// (amortized), its warm-started tree leaf (node, learning rate,
+// histogram, heuristic) — and the ingestion ticket it waits on, and
+// nothing for the body or the response. Through encoding/json, with a
+// per-request arrival slice and pending queue, and with the leaf built
+// uniform before the warm start replaced it, this read 36 objects.
+func TestHandleAppendAllocs(t *testing.T) {
+	h := &handler{srv: newStreamServer(t)}
+	var bodies [250][]byte
+	for i := range bodies {
+		bodies[i] = appendBody(i)
+	}
+	for _, body := range bodies[:50] {
+		h.do(t, "/append", body) // the scratch's arrays, and the maps' and slices' growth
+	}
+	i := 50
+	allocs := testing.AllocsPerRun(len(bodies)-i-1, func() {
+		if resp := h.do(t, "/append", bodies[i]); !bytes.Contains(resp.Body, []byte(`"start":`)) {
+			t.Fatalf("not appended: %s", resp.Body)
+		}
+		i++
+	})
+	// Kept: the row (1), the node (1), its schedule (1), its histogram
+	// (2), its heuristic (1). Waited on: the ticket and its channel (2).
+	// The slots' and the node map's growth amortize to under one.
+	if allocs > 8 {
+		t.Errorf("a steady-state /append allocates %v objects, want at most 8", allocs)
+	}
+}

@@ -59,13 +59,15 @@ type BatchQueryResponse struct {
 func (s *Server) handleQueryBatch(w *Response, r *Request) {
 	sc := r.scratchFor()
 	sqls, ok := decodeQueries(w, r, sc.sqls)
+	sc.sqls = sqls
+	// They view the body, and "" over the array's capacity is what the
+	// next decode into it needs.
+	defer clear(sqls[:cap(sqls)])
 	if !ok {
 		return
 	}
-	sc.sqls = sqls
-	defer clear(sqls) // they view the body
 	if len(sqls) == 0 {
-		writeJSON(w, StatusBadRequest, ErrorResponse{"bad-request", "empty batch"})
+		writeError(w, StatusBadRequest, "bad-request", "empty batch")
 		return
 	}
 	if !s.serving(w) {
@@ -160,11 +162,11 @@ func (s *Server) handleQueryBatch(w *Response, r *Request) {
 	}
 	body, err := appendBatchResponse(w.Body[:0], items)
 	if err != nil {
-		writeJSON(w, StatusInternalServerError, ErrorResponse{"internal", err.Error()})
+		writeError(w, StatusInternalServerError, "internal", err.Error())
 		return
 	}
 	s.queries.Add(int64(served))
-	writeAppended(w, body)
+	writeBody(w, StatusOK, body)
 }
 
 // missBuild is what a /query/batch statement the cache missed keeps

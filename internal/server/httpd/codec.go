@@ -1,18 +1,19 @@
-// The wire codec of the hot analyst endpoints (ARCHITECTURE "Server", the
-// codec rule): 200 bodies of /query, /query/batch and /groupby are
-// appended into the connection's response buffer, byte for byte what
-// encoding/json's Encoder wrote, and request bodies of the two fixed
-// shapes are scanned in place, their statements viewing the body. Every
-// other body, in either direction, stays with encoding/json.
+// The wire codec (ARCHITECTURE "Server", the codec rule): every body
+// turbo-server writes but a snapshot is appended into the connection's
+// response buffer, byte for byte what encoding/json's Encoder wrote, and
+// every JSON body it reads is decoded by scan.go's scanner, its strings
+// viewing the body. encoding/json is the oracle of both, in tests only.
 
 package httpd
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strconv"
+	"unicode/utf8"
 	"unsafe"
 
 	"repro/internal/core"
@@ -46,41 +47,40 @@ func maxAppendBody(domSize int) int64 {
 	return int64(maxAppendPartitions*(domSize*widestCount+partition) + batch)
 }
 
-// decodeSQL decodes the statement of a /query or /groupby body. A body
-// of the shape scanSQL takes is read in place: the statement views
-// r.Body, and must not outlive the request. Any other goes to
-// decodeAnalyst.
+// decodeSQL decodes the statement of a /query or /groupby body, which
+// views r.Body unless it needed unescaping, and must not outlive the
+// request. On failure it writes the response itself — 405 for another
+// method, 400 for a body that is not a QueryRequest — and returns false;
+// no session state has been touched at that point.
 func decodeSQL(w *Response, r *Request) (string, bool) {
-	if sql, ok := scanSQL(view(r.Body)); ok && r.Method == MethodPost {
-		return sql, true
-	}
-	var req QueryRequest
-	ok := decodeAnalyst(w, r, &req)
-	return req.SQL, ok
+	var sql string
+	ok := posted(w, r) && decoded(w, scanQuery(view(r.Body), &sql))
+	return sql, ok
 }
 
-// decodeQueries is decodeSQL for a /query/batch body: its statements,
-// appended to dst[:0].
+// decodeQueries is decodeSQL for a /query/batch body: its statements, in
+// dst's array, which must hold "" over all its capacity.
 func decodeQueries(w *Response, r *Request, dst []string) ([]string, bool) {
-	if sqls, ok := scanQueries(view(r.Body), dst); ok && r.Method == MethodPost {
-		return sqls, true
+	if !posted(w, r) {
+		return dst, false
 	}
-	req := BatchQueryRequest{Queries: dst[:0]}
-	ok := decodeAnalyst(w, r, &req)
-	return req.Queries, ok
+	sqls, err := scanQueries(view(r.Body), dst)
+	return sqls, decoded(w, err)
 }
 
-// decodeAnalyst decodes an analyst-facing POST body into req, a
-// *QueryRequest or *BatchQueryRequest. On failure it writes the response
-// itself — 405 for another method, 400 for malformed JSON — and returns
-// false; no session state has been touched at that point.
-func decodeAnalyst(w *Response, r *Request, req any) bool {
+// posted answers 405 to any request but a POST.
+func posted(w *Response, r *Request) bool {
 	if r.Method != MethodPost {
-		writeJSON(w, StatusMethodNotAllowed, ErrorResponse{"bad-request", "POST only"})
+		writeError(w, StatusMethodNotAllowed, "bad-request", "POST only")
 		return false
 	}
-	if err := Decode(r.Body, req); err != nil {
-		writeJSON(w, StatusBadRequest, ErrorResponse{"bad-request", err.Error()})
+	return true
+}
+
+// decoded answers 400 with a decode error.
+func decoded(w *Response, err error) bool {
+	if err != nil {
+		writeError(w, StatusBadRequest, "bad-request", err.Error())
 		return false
 	}
 	return true
@@ -91,130 +91,42 @@ func decodeAnalyst(w *Response, r *Request, req any) bool {
 // must not outlive the request.
 func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
-// Decode decodes one analyst request body into req, a *QueryRequest or
-// *BatchQueryRequest, with the result encoding/json's Decoder gives: by
-// the scanner when the body has the shape it accepts, else by
-// encoding/json, which thereby keeps defining unknown-field, key-case,
-// escape, duplicate-key and trailing-data behaviour. FuzzDecodeAnalyst
-// pins that the two cannot be told apart. req's strings do not view body.
+// Decode decodes a request body into req, a *QueryRequest,
+// *BatchQueryRequest or *AppendRequest, as encoding/json's Decoder
+// decodes it into req: the same value where it succeeds, an error where
+// it errs (scan.go). req's strings do not view body.
 func Decode(body []byte, req any) error {
 	s := string(body)
 	switch req := req.(type) {
 	case *QueryRequest:
-		if sql, ok := scanSQL(s); ok {
-			req.SQL = sql
-			return nil
-		}
+		return scanQuery(s, &req.SQL)
 	case *BatchQueryRequest:
-		if sqls, ok := scanQueries(s, req.Queries); ok {
-			req.Queries = sqls
-			return nil
-		}
+		var err error
+		req.Queries, err = scanQueries(s, req.Queries)
+		return err
+	case *AppendRequest:
+		return scanAppend(s, req, nil)
 	}
-	return json.NewDecoder(bytes.NewReader(body)).Decode(req)
+	return fmt.Errorf("httpd: cannot decode into %T", req)
 }
 
-// scanSQL returns the statement of s when s is exactly {"sql":"…"}, with
-// JSON whitespace between tokens, as a substring of s.
-func scanSQL(s string) (string, bool) {
-	sc := scanner{s: s}
-	if !sc.key("sql") {
-		return "", false
-	}
-	sql, ok := sc.str()
-	return sql, ok && sc.end()
-}
-
-// scanQueries appends to dst[:0] the statements of s when s is exactly
-// {"queries":["…",…]}, with JSON whitespace between tokens, as substrings
-// of s.
-func scanQueries(s string, dst []string) ([]string, bool) {
-	sc := scanner{s: s}
-	if !sc.key("queries") || !sc.lit('[') {
-		return dst, false
-	}
-	sqls := dst[:0]
-	if sqls == nil {
-		sqls = []string{} // as encoding/json decodes [] into a nil slice
-	}
-	for !sc.lit(']') {
-		if len(sqls) > 0 && !sc.lit(',') {
-			return dst, false
-		}
-		q, ok := sc.str()
-		if !ok {
-			return dst, false
-		}
-		sqls = append(sqls, q)
-	}
-	return sqls, sc.end()
-}
-
-// scanner reads JSON tokens off s from position i.
-type scanner struct {
-	s string
-	i int
-}
-
-// space skips JSON whitespace.
-func (sc *scanner) space() {
-	for sc.i < len(sc.s) && (sc.s[sc.i] == ' ' || sc.s[sc.i] == '\t' || sc.s[sc.i] == '\r' || sc.s[sc.i] == '\n') {
-		sc.i++
-	}
-}
-
-// lit consumes the byte c, after any whitespace, if it is next.
-func (sc *scanner) lit(c byte) bool {
-	sc.space()
-	if sc.i < len(sc.s) && sc.s[sc.i] == c {
-		sc.i++
-		return true
-	}
-	return false
-}
-
-// str consumes a string that needs no unescaping and no UTF-8 check:
-// printable ASCII without '\'.
-func (sc *scanner) str() (string, bool) {
-	if !sc.lit('"') {
-		return "", false
-	}
-	for start := sc.i; sc.i < len(sc.s); sc.i++ {
-		switch c := sc.s[sc.i]; {
-		case c == '"':
-			sc.i++
-			return sc.s[start : sc.i-1], true
-		case c < ' ' || c == '\\' || c >= 0x80:
-			return "", false
-		}
-	}
-	return "", false
-}
-
-// key consumes `{"name":`; the name must match exactly, as encoding/json
-// prefers an exact match before it folds case.
-func (sc *scanner) key(name string) bool {
-	if !sc.lit('{') {
-		return false
-	}
-	k, ok := sc.str()
-	return ok && k == name && sc.lit(':')
-}
-
-// end consumes the closing `}` and requires only whitespace after it.
-func (sc *scanner) end() bool {
-	if !sc.lit('}') {
-		return false
-	}
-	sc.space()
-	return sc.i == len(sc.s)
-}
-
-// writeAppended answers 200 with a body appended into w.Body and the
+// writeBody answers status with a body appended into w.Body and the
 // newline encoding/json's Encoder ends a value with. The handler has
 // already turned an encoding error into a 500.
-func writeAppended(w *Response, body []byte) {
-	w.Status, w.ContentType, w.Body = StatusOK, "application/json", append(body, '\n')
+func writeBody(w *Response, status int, body []byte) {
+	w.Status, w.ContentType, w.Body = status, "application/json", append(body, '\n')
+}
+
+// writeError answers status with an ErrorResponse body.
+func writeError(w *Response, status int, kind, msg string) {
+	writeBody(w, status, appendError(w.Body[:0], &ErrorResponse{kind, msg}))
+}
+
+// appendError appends e as encoding/json marshals it.
+func appendError(dst []byte, e *ErrorResponse) []byte {
+	dst = appendString(append(dst, `{"kind":`...), e.Kind)
+	dst = appendString(append(dst, `,"message":`...), e.Message)
+	return append(dst, '}')
 }
 
 // appendQueryResponse appends r as encoding/json marshals it. NaN and ±Inf
@@ -234,8 +146,7 @@ func appendQueryResponse(dst []byte, r *QueryResponse) ([]byte, error) {
 }
 
 // appendBatchResponse appends a /query/batch envelope as encoding/json
-// marshals BatchQueryResponse{items}. An element's error carries client
-// text, so that one object is encoding/json's own output.
+// marshals BatchQueryResponse{items}.
 func appendBatchResponse(dst []byte, items []BatchItem) ([]byte, error) {
 	dst = append(dst, `{"results":[`...)
 	for i := range items {
@@ -251,11 +162,7 @@ func appendBatchResponse(dst []byte, items []BatchItem) ([]byte, error) {
 			}
 		}
 		if it.Error != nil {
-			e, err := json.Marshal(it.Error)
-			if err != nil {
-				return dst, err
-			}
-			dst = append(append(dst, `,"error":`...), e...)
+			dst = appendError(append(dst, `,"error":`...), it.Error)
 		}
 		dst = append(dst, '}')
 	}
@@ -280,10 +187,7 @@ type groupNames struct {
 
 // quoteNames quotes dom's attribute and level names.
 func quoteNames(dom *domain.Domain) groupNames {
-	quote := func(s string) []byte {
-		b, _ := json.Marshal(s) // a string always marshals
-		return b
-	}
+	quote := func(s string) []byte { return appendString(nil, s) }
 	var n groupNames
 	for i := range dom.NumAttrs() {
 		a := dom.Attr(i)
@@ -356,12 +260,16 @@ func opener(dst []byte, i int) []byte {
 	return append(dst, ',')
 }
 
+// errNotFinite is what an appender refuses NaN or ±Inf with: they have
+// no JSON form, and a response holding one is a 500 "internal".
+var errNotFinite = errors.New("unsupported value")
+
 // finite returns the error encoding/json gives the first of fs that is
-// NaN or ±Inf, which have no JSON form.
+// NaN or ±Inf, as an errNotFinite.
 func finite(fs ...float64) error {
 	for _, f := range fs {
 		if math.IsInf(f, 0) || math.IsNaN(f) {
-			return fmt.Errorf("unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
+			return fmt.Errorf("%w: %s", errNotFinite, strconv.FormatFloat(f, 'g', -1, 64))
 		}
 	}
 	return nil
@@ -381,4 +289,189 @@ func appendFloat(dst []byte, f float64) []byte {
 		dst = dst[:n-1]
 	}
 	return dst
+}
+
+// appendString appends s quoted as encoding/json quotes a string: '"',
+// '\' and the control characters escaped, and with them the HTML
+// characters '<', '>' and '&', U+2028 and U+2029; each byte that is not
+// UTF-8 becomes \ufffd.
+func appendString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, `\b`...)
+			case '\f':
+				dst = append(dst, `\f`...)
+			case '\n':
+				dst = append(dst, `\n`...)
+			case '\r':
+				dst = append(dst, `\r`...)
+			case '\t':
+				dst = append(dst, `\t`...)
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, n := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && n == 1:
+			dst = append(append(dst, s[start:i]...), `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += n
+			continue
+		}
+		i += n
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
+}
+
+// appendInt appends member, an object member's name with what comes
+// before it (`{"name":` or `,"name":`), and the member's value v.
+func appendInt(dst []byte, member string, v int64) []byte {
+	return strconv.AppendInt(append(dst, member...), v, 10)
+}
+
+// appendAppendResponse appends r as encoding/json marshals it.
+func appendAppendResponse(dst []byte, r *AppendResponse) []byte {
+	dst = appendInt(dst, `{"start":`, int64(r.Start))
+	dst = appendInt(dst, `,"end":`, int64(r.End))
+	dst = appendInt(dst, `,"partitions":`, int64(r.Partitions))
+	return append(dst, '}')
+}
+
+// appendRestoreResponse appends r as encoding/json marshals it.
+func appendRestoreResponse(dst []byte, r *RestoreResponse) ([]byte, error) {
+	if err := finite(r.AverageSpent); err != nil {
+		return dst, err
+	}
+	dst = appendInt(dst, `{"partitions":`, int64(r.Partitions))
+	dst = appendInt(dst, `,"queries_answered":`, r.Queries)
+	dst = appendFloat(append(dst, `,"average_spent":`...), r.AverageSpent)
+	return append(dst, '}'), nil
+}
+
+// appendBudgetResponse appends r as encoding/json marshals it, by_source
+// in key order.
+func appendBudgetResponse(dst []byte, r *BudgetResponse) ([]byte, error) {
+	if err := finite(r.Global, r.AverageSpent, r.MaxSpent); err != nil {
+		return dst, err
+	}
+	if err := finite(r.PerPartition...); err != nil {
+		return dst, err
+	}
+	dst = appendFloat(append(dst, `{"global":`...), r.Global)
+	dst = appendFloat(append(dst, `,"average_spent":`...), r.AverageSpent)
+	dst = appendFloat(append(dst, `,"max_spent":`...), r.MaxSpent)
+	dst = append(dst, `,"per_partition":`...)
+	if r.PerPartition == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, v := range r.PerPartition {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendFloat(dst, v)
+		}
+		dst = append(dst, ']')
+	}
+	dst = appendInt(dst, `,"queries_answered":`, r.Queries)
+	dst = appendInt(dst, `,"answers":`, r.Answers)
+	dst = appendInt(dst, `,"refusals":`, r.Refusals)
+	dst = append(dst, `,"by_source":`...)
+	if r.BySource == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '{')
+		for i, src := range slices.Sorted(maps.Keys(r.BySource)) {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendInt(appendString(dst, src), ":", r.BySource[src])
+		}
+		dst = append(dst, '}')
+	}
+	if rdp := r.RDP; rdp != nil {
+		if err := finite(rdp.Delta, rdp.ConvertedSpent, rdp.MaxConverted); err != nil {
+			return dst, err
+		}
+		dst = appendFloat(append(dst, `,"rdp":{"delta":`...), rdp.Delta)
+		dst = appendFloat(append(dst, `,"converted_spent":`...), rdp.ConvertedSpent)
+		dst = appendFloat(append(dst, `,"max_converted":`...), rdp.MaxConverted)
+		dst = append(appendInt(dst, `,"live_mechanisms":`, int64(rdp.LiveMechanisms)), '}')
+	}
+	return append(dst, '}'), nil
+}
+
+// appendSchemaResponse appends r as encoding/json marshals it.
+func appendSchemaResponse(dst []byte, r *SchemaResponse) ([]byte, error) {
+	dst = appendString(append(dst, `{"table":`...), r.Table)
+	dst = appendString(append(dst, `,"domain":`...), r.Domain)
+	dst = append(dst, `,"attributes":`...)
+	if r.Attributes == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, a := range r.Attributes {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendString(dst, a)
+		}
+		dst = append(dst, ']')
+	}
+	dst = appendInt(dst, `,"rows":`, int64(r.Rows))
+	dst = appendInt(dst, `,"partitions":`, int64(r.Partitions))
+	dst = append(dst, `,"cache":`...)
+	if c := r.Cache; c == nil {
+		dst = append(dst, "null"...)
+	} else {
+		if err := finite(c.ExactHitRate); err != nil {
+			return dst, err
+		}
+		dst = appendString(append(dst, `{"backend":`...), c.Backend)
+		dst = appendInt(dst, `,"entries":`, int64(c.Entries))
+		dst = appendInt(dst, `,"bytes":`, int64(c.Bytes))
+		dst = appendInt(dst, `,"resident_bytes":`, int64(c.ResidentBytes))
+		if c.CapBytes != 0 {
+			dst = appendInt(dst, `,"cap_bytes":`, int64(c.CapBytes))
+		}
+		dst = appendInt(dst, `,"hits":`, c.Hits)
+		dst = appendInt(dst, `,"misses":`, c.Misses)
+		dst = appendInt(dst, `,"evictions":`, c.Evictions)
+		dst = appendInt(dst, `,"decode_errors":`, c.DecodeErrors)
+		dst = appendInt(dst, `,"set_errors":`, c.SetErrors)
+		dst = appendInt(dst, `,"exact_hits":`, int64(c.ExactHits))
+		dst = appendInt(dst, `,"exact_misses":`, int64(c.ExactMisses))
+		dst = append(appendFloat(append(dst, `,"exact_hit_rate":`...), c.ExactHitRate), '}')
+	}
+	if in := r.Ingestion; in != nil {
+		dst = appendInt(dst, `,"ingestion":{"appends":`, in.Appends)
+		dst = appendInt(dst, `,"batches":`, in.Batches)
+		dst = appendInt(dst, `,"epochs":`, in.Epochs)
+		dst = appendInt(dst, `,"partitions_ingested":`, in.Partitions)
+		dst = appendInt(dst, `,"rows_ingested":`, in.Rows)
+		dst = appendInt(dst, `,"warm_started_leaves":`, in.WarmStarted)
+		dst = appendInt(dst, `,"pending":`, in.Pending)
+		dst = appendInt(dst, `,"shed":`, in.Shed)
+		dst = append(appendInt(dst, `,"flight_deduped":`, in.FlightDeduped), '}')
+	}
+	return append(dst, '}'), nil
 }

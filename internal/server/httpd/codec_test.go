@@ -4,15 +4,25 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/domain"
 )
 
-// encodingJSON is the body writeJSON produced for v before the append
-// encoders took the 200 bodies of /query and /query/batch over.
+// writeJSON answers v as encoding/json's Encoder writes it: what the
+// handlers wrote before every body was appended, and the oracle's
+// writer.
+func writeJSON(w *Response, status int, v any) {
+	b := bytes.NewBuffer(w.Body[:0])
+	_ = json.NewEncoder(b).Encode(v)
+	w.Status, w.ContentType, w.Body = status, "application/json", b.Bytes()
+}
+
+// encodingJSON is the body writeJSON writes for v.
 func encodingJSON(t *testing.T, v any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -117,6 +127,58 @@ func TestEncodersMatchEncodingJSON(t *testing.T) {
 			t.Errorf("appendGroupByResponse(%v, %d cells): %v\n got %s\nwant %s", g.attrs, g.cells, err, got, want)
 		}
 	}
+
+	// The bodies outside the analyst hot path — errors, /append,
+	// /budget, /schema, /restore — over strings holding every ASCII byte,
+	// U+2028, U+2029, multi-byte runes and bytes that are not UTF-8, nil
+	// and empty slices and maps, and omitted and present optional members.
+	var ascii []byte
+	for c := range 128 {
+		ascii = append(ascii, byte(c))
+	}
+	texts := []string{"", "plain", string(ascii), "a\u2028b\u2029c", "café ☃ 😀", "x\xffy\xc3", "\xed\xa0\x80 surrogate", "<&>"}
+	check := func(name string, got []byte, err error, v any) {
+		t.Helper()
+		if want := encodingJSON(t, v); err != nil || !bytes.Equal(append(got, '\n'), want) {
+			t.Errorf("%s: %v\n got %s\nwant %s", name, err, got, want)
+		}
+	}
+	for _, kind := range texts {
+		for _, msg := range texts {
+			e := ErrorResponse{kind, msg}
+			check("appendError", appendError(nil, &e), nil, e)
+		}
+	}
+	for _, r := range []AppendResponse{{}, {Start: 3, End: 9, Partitions: 10}, {Start: -1, End: math.MaxInt, Partitions: math.MinInt}} {
+		check("appendAppendResponse", appendAppendResponse(nil, &r), nil, r)
+	}
+	for _, r := range []RestoreResponse{{}, {Partitions: 50, Queries: 1 << 40, AverageSpent: 1e-7}} {
+		got, err := appendRestoreResponse(nil, &r)
+		check("appendRestoreResponse", got, err, r)
+	}
+	budgets := []BudgetResponse{
+		{},
+		{PerPartition: []float64{}, BySource: map[string]int64{}},
+		{Global: 10, AverageSpent: 0.1 + 0.2, MaxSpent: 1e-7, PerPartition: []float64{0, 1e21, 0.5},
+			Queries: 7, Answers: 9, Refusals: 2, BySource: map[string]int64{"tree": 3, "exact-hit": 5, "pmw-r1": 1, "<q>": -1},
+			RDP: &RDPBudget{Delta: 1e-6, ConvertedSpent: 0.3, MaxConverted: 2, LiveMechanisms: 4}},
+	}
+	for _, r := range budgets {
+		got, err := appendBudgetResponse(nil, &r)
+		check("appendBudgetResponse", got, err, r)
+	}
+	schemas := []SchemaResponse{
+		{},
+		{Attributes: []string{}, Cache: &CacheStats{}},
+		{Table: "covid", Domain: texts[2], Attributes: texts, Rows: 199992, Partitions: 50,
+			Cache: &CacheStats{Backend: "bounded-slru", Entries: 3, Bytes: 4, ResidentBytes: 5, CapBytes: 6, Hits: 7,
+				Misses: 8, Evictions: 9, DecodeErrors: 10, SetErrors: 11, ExactHits: 12, ExactMisses: 13, ExactHitRate: 12.0 / 25},
+			Ingestion: &IngestionStats{1, 2, 3, 4, 5, 6, 7, 8, 9}},
+	}
+	for _, r := range schemas {
+		got, err := appendSchemaResponse(nil, &r)
+		check("appendSchemaResponse", got, err, r)
+	}
 }
 
 // TestEncodersRefuseNonFinite: NaN and ±Inf have no JSON form, so an
@@ -136,40 +198,132 @@ func TestEncodersRefuseNonFinite(t *testing.T) {
 		if _, err := appendGroupByResponse(nil, &names, []int{0}, []groupCell{{}}, []int{0}, f); err == nil {
 			t.Errorf("appendGroupByResponse encoded paid %v", f)
 		}
+		if _, err := appendBudgetResponse(nil, &BudgetResponse{PerPartition: []float64{0, f}}); err == nil {
+			t.Errorf("appendBudgetResponse encoded %v", f)
+		}
+		if _, err := appendSchemaResponse(nil, &SchemaResponse{Cache: &CacheStats{ExactHitRate: f}}); err == nil {
+			t.Errorf("appendSchemaResponse encoded %v", f)
+		}
+		if _, err := appendRestoreResponse(nil, &RestoreResponse{AverageSpent: f}); err == nil {
+			t.Errorf("appendRestoreResponse encoded %v", f)
+		}
 	}
 }
 
-// TestDecodeBodyFallsBack: bodies the scanner refuses reach encoding/json
-// with their bytes intact, and the ones it accepts never do.
-func TestDecodeBodyFallsBack(t *testing.T) {
+// TestDecodeBody: the scanner decodes what encoding/json's Decoder
+// decodes — keys it folds, unknown and repeated members, data after the
+// value, escapes — and refuses what it refuses, with its errors for a
+// body cut short, an empty one and a mistyped member. A statement that
+// needs no unescaping views the body.
+func TestDecodeBody(t *testing.T) {
 	cases := []struct {
 		body    string
-		scanned bool
+		inPlace bool
 		sql     string // decoded QueryRequest.SQL; "" with an error
 		errSub  string
 	}{
 		{`{"sql":"x"}`, true, "x", ""},
 		{` { "sql" : "a b" } `, true, "a b", ""},
-		{`{"SQL":"x"}`, false, "x", ""},
-		{`{"sql":"x"} trailing`, false, "x", ""},
-		{`{"sql":"x","extra":1}`, false, "x", ""},
-		{`{"sql":"aA"}`, true, "aA", ""},
-		{`{"sql":"x","sql":"y"}`, false, "y", ""},
+		{`{"SQL":"x"}`, true, "x", ""},
+		{`{"\u017fql":"x"}`, true, "x", ""}, // ſ folds to S
+		{`{"sql":"x"} trailing`, true, "x", ""},
+		{`{"sql":"x","extra":[1,{"a":null}]}`, true, "x", ""},
+		{`{"sql":"café"}`, true, "café", ""},
+		{`{"sql":"x","sql":"y"}`, true, "y", ""},
+		{`{"sql":"x","sql":null}`, true, "x", ""},
+		{`null`, false, "", ""},
+		{`{"sql":"a\"b\u00e9\ud83d\ude00\ud800"}`, false, "a\"bé😀\ufffd", ""},
+		{"{\"sql\":\"x\xffy\"}", false, "x\ufffdy", ""},
 		{`{"sql":"x"`, false, "", "unexpected EOF"},
 		{``, false, "", "EOF"},
 		{`{"sql":7}`, false, "", "cannot unmarshal number"},
+		{`{"sql":"x",}`, false, "", "invalid character"},
+		{`{"sql":"\x"}`, false, "", "invalid character"},
+		{`{"sql":"\u12G4"}`, false, "", "invalid character"},
+		{"{\"sql\":\"a\tb\"}", false, "", "invalid character"},
+		{`{"n":01}`, false, "", "invalid character"},
+		{`[]`, false, "", "cannot unmarshal array"},
+		{`{"x":` + strings.Repeat("[", maxDepth) + strings.Repeat("]", maxDepth) + `}`, false, "", "max depth"},
 	}
 	for _, c := range cases {
-		if _, got := scanSQL(c.body); got != c.scanned {
-			t.Errorf("scanSQL(%q) = %v, want %v", c.body, got, c.scanned)
-		}
 		var req QueryRequest
-		err := Decode([]byte(c.body), &req)
+		err := scanQuery(c.body, &req.SQL)
 		if c.errSub == "" && (err != nil || req.SQL != c.sql) {
-			t.Errorf("Decode(%q) = %+v, %v; want sql %q", c.body, req, err, c.sql)
+			t.Errorf("scanQuery(%q) = %q, %v; want %q", c.body, req.SQL, err, c.sql)
 		}
 		if c.errSub != "" && (err == nil || !strings.Contains(err.Error(), c.errSub)) {
-			t.Errorf("Decode(%q) error %v, want %q", c.body, err, c.errSub)
+			t.Errorf("scanQuery(%q) error %v, want %q", c.body, err, c.errSub)
+		}
+		if viewed := err == nil && len(req.SQL) > 0 && strings.Contains(c.body, req.SQL) &&
+			unsafe.StringData(req.SQL) == unsafe.StringData(c.body[strings.Index(c.body, req.SQL):]); viewed != c.inPlace {
+			t.Errorf("scanQuery(%q): statement views the body %v, want %v", c.body, viewed, c.inPlace)
+		}
+		var want QueryRequest
+		wantErr := json.NewDecoder(strings.NewReader(c.body)).Decode(&want)
+		if (err == nil) != (wantErr == nil) || err == nil && req != want {
+			t.Errorf("scanQuery(%q) = %q, %v; encoding/json %q, %v", c.body, req.SQL, err, want.SQL, wantErr)
 		}
 	}
+}
+
+// appendSeeds are bodies FuzzDecodeAppend starts from: the canonical
+// shape, empty and null partitions and counts, null counts, folded and
+// escaped keys, repeated members that decode into what the first left,
+// whitespace, trailing data, negative numbers, overflow, numbers that are
+// not integers, and bodies cut short or of the wrong shape.
+var appendSeeds = []string{
+	`{"partitions":[{"counts":[1,2,3]}]}`,
+	`{"partitions":[{}]}`,
+	`{"partitions":[{"counts":null},null,{"counts":[]}]}`,
+	`{"partitions":[{"counts":[1,null,3]}]}`,
+	`{"PARTITIONS":[{"Counts":[1]}],"\u017fhadow":1}`,
+	`{"partitions":[{"co\u0075nts":[1]}],"x":"\ud83d\ude00"}`,
+	`{"partitions":[{"counts":[1]}],"partitions":[{},{"counts":[null,2]}]}`,
+	`{"partitions":[{"counts":[1,2,3]}],"partitions":[{"counts":[4]}],"partitions":[{"counts":[5,null,null,null,null]}]}`,
+	`{"partitions":[{"counts":[1,2]},{"counts":[3]}],"partitions":[],"partitions":[{"counts":[null]},null]}`,
+	`{"partitions":[{"counts":[1,2]},{"counts":[3]}],"partitions":[null],"partitions":[{},{}]}`,
+	`{"partitions":[{"counts":[1,2],"counts":null,"counts":[null,5]}]}`,
+	` {"partitions" : [ {"counts" : [ 1 , 2 ] } ] } trailing`,
+	`{"partitions":[{"counts":[-1,-0,0]}]}`,
+	`{"partitions":[{"counts":[9223372036854775807,-9223372036854775808]}]}`,
+	`{"partitions":[{"counts":[9223372036854775808]}]}`,
+	`{"partitions":[{"counts":[1.0]}]}`,
+	`{"partitions":[{"counts":[1e2]}]}`,
+	`{"partitions":[{"counts":["1"]}]}`,
+	`{"partitions":[{"counts":[1]}`,
+	`{"partitions":[{"counts":[01]}]}`,
+	`{"partitions":{}}`,
+	`{"partitions":[[]]}`,
+	`null`,
+	``,
+	`[]`,
+}
+
+// FuzzDecodeAppend: the scanner decodes every /append body as
+// encoding/json's Decoder decodes it into a fresh AppendRequest — the
+// same request, or an error where it errs — both through Decode and as
+// handleAppend decodes, into a connection's scratch that an earlier body
+// has left holding partitions and counts.
+func FuzzDecodeAppend(f *testing.F) {
+	for _, s := range appendSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var got, want AppendRequest
+		gotErr := Decode(body, &got)
+		wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
+		if (gotErr == nil) != (wantErr == nil) || gotErr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("body %q: Decode %#v (%v), encoding/json %#v (%v)", body, got, gotErr, want, wantErr)
+		}
+		var sc scratch
+		for _, b := range []string{`{"partitions":[{"counts":[7,7,7,7]},{"counts":[7,7]},{"counts":[7]},{}]}`, string(body)} {
+			gotErr = sc.decodeAppend(b)
+		}
+		// A scratch's batch is never nil, and the handler refuses a batch
+		// of no partitions whatever its slice.
+		empty := len(sc.append.Partitions) == 0 && len(want.Partitions) == 0
+		if (gotErr == nil) != (wantErr == nil) || gotErr == nil && !empty && !reflect.DeepEqual(sc.append, want) {
+			t.Fatalf("body %q: into a scratch %#v (%v), encoding/json %#v (%v)", body, sc.append, gotErr, want, wantErr)
+		}
+	})
 }

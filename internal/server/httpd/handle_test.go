@@ -4,10 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/domain"
+	"repro/internal/persist"
 )
 
 // hitStatement is a /query body of the test server's domain; window picks
@@ -175,4 +181,109 @@ func TestGroupByRepeatedColumn(t *testing.T) {
 		t.Fatalf("the refusal answered %d cells and spent %v", answers, h.srv.sess.AverageSpent())
 	}
 	h.do(t, "/groupby", []byte(`{"sql":"SELECT COUNT(*) FROM covid GROUP BY age"}`))
+}
+
+// newStreamServer is newTestServer in streaming mode, whose /append
+// warm-starts each new partition's tree leaf from the one before it.
+func newStreamServer(t *testing.T) *Server {
+	t.Helper()
+	dom := domain.MustNew(
+		domain.Attribute{Name: "positive", Card: 2, Levels: []string{"negative", "positive"}},
+		domain.Attribute{Name: "age", Card: 4},
+	)
+	sess, err := core.NewSession(core.Config{
+		Mode: core.Streaming, Alpha: 0.05, Beta: 0.001, EpsilonGlobal: 1e6, Seed: 13,
+	}, dataset.New(dom, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(sess, "covid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// appendBody is a /append body of one partition over newStreamServer's
+// eight bins, as a client marshals it.
+func appendBody(i int) []byte {
+	return []byte(fmt.Sprintf(`{"partitions":[{"counts":[%d,2,3,4,5,6,7,8]}]}`, i%100))
+}
+
+// TestAppendScratchNotRetained: an /append's batch is decoded into its
+// connection's scratch and submitted from there, and the connection
+// reuses neither while the batch waits for its epoch. A snapshot taken
+// while two /appends from two connections wait on a quiesced ingestor,
+// after their bodies' bytes have been overwritten as a connection
+// overwrites them with its next request, holds each request's own counts.
+func TestAppendScratchNotRetained(t *testing.T) {
+	srv := newStreamServer(t)
+	resume := srv.Ingestor().Quiesce()
+	hs := []*handler{{srv: srv}, {srv: srv}}
+	var wg sync.WaitGroup
+	for i, h := range hs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp := h.send(t, "/append", appendBody(11*(i+1))); resp.Status != StatusOK {
+				t.Errorf("append %d: %d %s", i, resp.Status, resp.Body)
+			}
+		}()
+	}
+	for srv.Ingestor().Stats().Pending < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	for _, h := range hs {
+		copy(h.req.Body, appendBody(99))
+	}
+	payload, err := srv.Ingestor().SnapshotPayload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := persist.NewDecoder(payload)
+	var firsts []int
+	for range d.Count(1) {
+		for range d.Count(1) {
+			counts := make([]int, d.Count(1))
+			for k := range counts {
+				counts[k] = d.Int()
+			}
+			if len(counts) != 8 || counts[7] != 8 {
+				t.Errorf("pending counts %v", counts)
+			}
+			firsts = append(firsts, counts[0])
+		}
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	resume()
+	wg.Wait()
+	if slices.Sort(firsts); !slices.Equal(firsts, []int{11, 22}) {
+		t.Errorf("pending batches begin %v, want the requests' own 11 and 22", firsts)
+	}
+}
+
+// TestAppendScratchBounded: a connection keeps no more of an /append
+// body than the widest batch the route takes. A batch of more than 64
+// partitions (413) and a partition of more counts than the domain has
+// bins (422) are decoded into the scratch, which drops what they grew.
+func TestAppendScratchBounded(t *testing.T) {
+	h := &handler{srv: newStreamServer(t)}
+	wide := `{"partitions":[{"counts":[` + strings.Repeat("1,", 999) + `1]}]}`
+	many := `{"partitions":[` + strings.Repeat("{},", 999) + `{}]}`
+	for _, c := range []struct {
+		body   string
+		status int
+	}{{wide, StatusUnprocessableEntity}, {many, StatusRequestEntityTooLarge}} {
+		if resp := h.send(t, "/append", []byte(c.body)); resp.Status != c.status {
+			t.Fatalf("%d-byte body: %d %s, want %d", len(c.body), resp.Status, resp.Body, c.status)
+		}
+	}
+	sc := h.req.scratch
+	if cap(sc.append.Partitions) > 2*maxAppendPartitions || cap(sc.counts[0]) > 2*8 {
+		t.Errorf("scratch keeps %d partitions and %d counts", cap(sc.append.Partitions), cap(sc.counts[0]))
+	}
+	h.do(t, "/append", appendBody(5)) // and still serves
 }

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/query"
+	"repro/internal/stream"
 )
 
 // Status codes the server sends.
@@ -113,13 +114,13 @@ func (r *Request) next(method, path string, length int64) {
 	*r = Request{Method: method, Path: path, Length: length, Body: r.Body[:0], scratch: r.scratch}
 }
 
-// scratch is what the analyst handlers reuse from one request to the next
-// on a connection, so an exact hit allocates nothing and a miss nothing it
-// keeps: the cache key of the statement being probed, the query a /query
-// or /groupby miss builds over it, a batch's statements, key arena,
-// misses, queries, items and responses and the batch plane's buffers, and
-// a /groupby's attributes and cells. Nothing outside the handler keeps
-// any of it.
+// scratch is what the handlers reuse from one request to the next on a
+// connection, so an exact hit allocates nothing and a miss or an /append
+// nothing it keeps: the cache key of the statement being probed, the
+// query a /query or /groupby miss builds over it, a batch's statements,
+// key arena, misses, queries, items and responses and the batch plane's
+// buffers, a /groupby's attributes and cells, and an /append's batch.
+// Nothing outside the handler keeps any of it past the request.
 type scratch struct {
 	key   []byte
 	q     query.Query
@@ -141,6 +142,35 @@ type scratch struct {
 	groupBy []int
 	cells   []groupCell
 	vals    []int
+	// append is an /append's decoded batch, counts the arrays its
+	// partitions' counts are decoded into (one per partition slot), and
+	// arrivals the batch as it is submitted.
+	append   AppendRequest
+	counts   [][]int
+	arrivals []stream.Arrival
+}
+
+// decodeAppend decodes an /append body into the scratch's batch, emptied
+// over its whole capacity first, so that the decode is the one into a
+// fresh request.
+func (sc *scratch) decodeAppend(body string) error {
+	clear(sc.append.Partitions[:cap(sc.append.Partitions)])
+	sc.append.Partitions = sc.append.Partitions[:0]
+	return scanAppend(body, &sc.append, &sc.counts)
+}
+
+// keepAppend drops what an /append grew the scratch's batch past the
+// widest one the route takes, maxAppendPartitions partitions of dom
+// counts each, with room for the growth that reached it.
+func (sc *scratch) keepAppend(dom int) {
+	if cap(sc.append.Partitions) > 2*maxAppendPartitions {
+		sc.append.Partitions = nil
+	}
+	for i, c := range sc.counts {
+		if cap(c) > 2*dom {
+			sc.counts[i] = nil
+		}
+	}
 }
 
 // scratchFor returns r's scratch, making it on first use.
@@ -198,13 +228,14 @@ func (s *Server) Handle(w *Response, r *Request, body io.Reader) error {
 	rt, ok := s.routes[r.Path]
 	switch {
 	case !ok:
-		writeJSON(w, StatusNotFound, ErrorResponse{"bad-request", "no such endpoint"})
+		writeError(w, StatusNotFound, "bad-request", "no such endpoint")
 		return nil
 	case r.Length < 0:
-		writeJSON(w, StatusLengthRequired, ErrorResponse{"bad-request", "a request body needs a Content-Length and no Transfer-Encoding"})
+		writeError(w, StatusLengthRequired, "bad-request",
+			"a request body needs a Content-Length and no Transfer-Encoding")
 		return nil
 	case r.Length > rt.limit(s):
-		writeJSON(w, StatusRequestEntityTooLarge, ErrorResponse{"bad-request", "request body too large"})
+		writeError(w, StatusRequestEntityTooLarge, "bad-request", "request body too large")
 		return nil
 	case rt.refuse != nil && rt.refuse(s, w, r):
 		return nil
@@ -342,7 +373,7 @@ func (s *Server) serveConn(c *conn) {
 		deadline = time.Time{}
 		if h.status != 0 {
 			resp = Response{Body: resp.Body[:0]}
-			writeJSON(&resp, h.status, ErrorResponse{"bad-request", h.why})
+			writeError(&resp, h.status, "bad-request", h.why)
 			if _, err := c.Write(appendResponse(out[:0], &resp, true, false)); err == nil {
 				linger(c)
 			}

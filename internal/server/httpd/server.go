@@ -51,7 +51,6 @@ package httpd
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -230,11 +229,15 @@ type ErrorResponse struct {
 	Message string `json:"message"`
 }
 
-// writeJSON answers v as encoding/json's Encoder writes it.
-func writeJSON(w *Response, status int, v any) {
-	b := bytes.NewBuffer(w.Body[:0])
-	_ = json.NewEncoder(b).Encode(v)
-	w.Status, w.ContentType, w.Body = status, "application/json", b.Bytes()
+// writeResult answers 200 with v appended by enc, which fails only on a
+// number JSON has no form for: that is a 500.
+func writeResult[T any](w *Response, enc func([]byte, *T) ([]byte, error), v *T) {
+	body, err := enc(w.Body[:0], v)
+	if errors.Is(err, errNotFinite) {
+		writeError(w, StatusInternalServerError, "internal", err.Error())
+		return
+	}
+	writeBody(w, StatusOK, body)
 }
 
 // serving passes one analyst request through the boot latch, before its
@@ -251,7 +254,7 @@ func (s *Server) serving(w *Response) bool {
 	}
 	s.bootMu.Unlock()
 	if dead {
-		writeJSON(w, StatusServiceUnavailable, ErrorResponse{"corrupt", core.ErrStateCorrupt.Error()})
+		writeError(w, StatusServiceUnavailable, "corrupt", core.ErrStateCorrupt.Error())
 	}
 	return !dead
 }
@@ -275,12 +278,12 @@ func (s *Server) handleQuery(w *Response, r *Request) {
 		sc.key, err = b.AppendKey(sc.key[:0])
 	}
 	if err != nil {
-		writeJSON(w, StatusBadRequest, ErrorResponse{"parse", err.Error()})
+		writeError(w, StatusBadRequest, "parse", err.Error())
 		return
 	}
 	if !strings.EqualFold(table, s.table) {
-		writeJSON(w, StatusBadRequest, ErrorResponse{"parse",
-			fmt.Sprintf("unknown table %q (have %q)", table, s.table)})
+		writeError(w, StatusBadRequest, "parse",
+			fmt.Sprintf("unknown table %q (have %q)", table, s.table))
 		return
 	}
 
@@ -297,11 +300,10 @@ func (s *Server) handleQuery(w *Response, r *Request) {
 		s.refusals.Add(1)
 		// 429 communicates "resource exhausted" without leaking anything
 		// beyond what the public accountant state already reveals.
-		writeJSON(w, StatusTooManyRequests, ErrorResponse{"exhausted",
-			"global privacy budget exhausted"})
+		writeError(w, StatusTooManyRequests, "exhausted", "global privacy budget exhausted")
 		return
 	case err != nil:
-		writeJSON(w, StatusUnprocessableEntity, ErrorResponse{"bad-request", err.Error()})
+		writeError(w, StatusUnprocessableEntity, "bad-request", err.Error())
 		return
 	}
 	// Scale the fraction by the row count of the window the answer
@@ -318,11 +320,11 @@ func (s *Server) handleQuery(w *Response, r *Request) {
 		Remaining: s.sess.Accountant().Global() - s.sess.AverageSpent(),
 	})
 	if err != nil {
-		writeJSON(w, StatusInternalServerError, ErrorResponse{"internal", err.Error()})
+		writeError(w, StatusInternalServerError, "internal", err.Error())
 		return
 	}
 	s.countServed()
-	writeAppended(w, body)
+	writeBody(w, StatusOK, body)
 }
 
 // GroupRow is one GROUP BY cell in a /groupby response.
@@ -361,12 +363,12 @@ func (s *Server) handleGroupBy(w *Response, r *Request) {
 	table, groupBy, err := s.parser.ParseGroupedInto(sql, &base, sc.groupBy)
 	sc.groupBy = groupBy
 	if err != nil {
-		writeJSON(w, StatusBadRequest, ErrorResponse{"parse", err.Error()})
+		writeError(w, StatusBadRequest, "parse", err.Error())
 		return
 	}
 	if !strings.EqualFold(table, s.table) {
-		writeJSON(w, StatusBadRequest, ErrorResponse{"parse",
-			fmt.Sprintf("unknown table %q (have %q)", table, s.table)})
+		writeError(w, StatusBadRequest, "parse",
+			fmt.Sprintf("unknown table %q (have %q)", table, s.table))
 		return
 	}
 
@@ -391,12 +393,12 @@ func (s *Server) handleGroupBy(w *Response, r *Request) {
 		}
 		if errors.Is(err, accountant.ErrBudgetExhausted) {
 			s.refusals.Add(1)
-			writeJSON(w, StatusTooManyRequests, ErrorResponse{"exhausted",
-				"global privacy budget exhausted mid-group; partial results withheld"})
+			writeError(w, StatusTooManyRequests, "exhausted",
+				"global privacy budget exhausted mid-group; partial results withheld")
 			return
 		}
 		if err != nil {
-			writeJSON(w, StatusUnprocessableEntity, ErrorResponse{"bad-request", err.Error()})
+			writeError(w, StatusUnprocessableEntity, "bad-request", err.Error())
 			return
 		}
 		s.countAnswer(ans.Source)
@@ -409,20 +411,23 @@ func (s *Server) handleGroupBy(w *Response, r *Request) {
 	}
 	body, err := appendGroupByResponse(w.Body[:0], &s.names, groupBy, sc.cells, sc.vals, paid)
 	if err != nil {
-		writeJSON(w, StatusInternalServerError, ErrorResponse{"internal", err.Error()})
+		writeError(w, StatusInternalServerError, "internal", err.Error())
 		return
 	}
 	s.countServed()
-	writeAppended(w, body)
+	writeBody(w, StatusOK, body)
 }
 
 // AppendRequest is the /append payload: one batch of partition arrivals.
 // Each arrival's counts are dense per-bin row counts over the public
 // domain; omitted counts register an empty partition.
 type AppendRequest struct {
-	Partitions []struct {
-		Counts []int `json:"counts"`
-	} `json:"partitions"`
+	Partitions []appendPartition `json:"partitions"`
+}
+
+// appendPartition is one AppendRequest arrival, named for the scanner.
+type appendPartition = struct {
+	Counts []int `json:"counts"`
 }
 
 // AppendResponse reports the partition index range one batch was assigned.
@@ -438,61 +443,66 @@ type AppendResponse struct {
 // pipeline and blocks until its epoch is applied, so a 200 means the
 // partitions are queryable, loaded, and (in streaming mode) warm-started.
 // A body past maxAppendBody, or a batch of more than maxAppendPartitions,
-// is a 413 that enqueues nothing.
+// is a 413 that enqueues nothing. The batch is decoded into the
+// connection's scratch and submitted from there: the ingestor reads it
+// until the epoch is applied, and the handler waits for that before the
+// connection can reuse it, so an /append allocates only the partitions
+// the dataset and the tree keep.
 func (s *Server) handleAppend(w *Response, r *Request) {
-	if r.Method != MethodPost {
-		writeJSON(w, StatusMethodNotAllowed, ErrorResponse{"bad-request", "POST only"})
+	if !posted(w, r) {
 		return
 	}
 	if s.ing == nil {
-		writeJSON(w, StatusBadRequest, ErrorResponse{"bad-request",
-			"streaming ingestion needs a partitioned or streaming session"})
+		writeError(w, StatusBadRequest, "bad-request",
+			"streaming ingestion needs a partitioned or streaming session")
 		return
 	}
-	var req AppendRequest
-	if err := json.NewDecoder(bytes.NewReader(r.Body)).Decode(&req); err != nil {
-		writeJSON(w, StatusBadRequest, ErrorResponse{"bad-request", err.Error()})
+	sc := r.scratchFor()
+	defer sc.keepAppend(s.sess.Dataset().Domain().Size())
+	if !decoded(w, sc.decodeAppend(view(r.Body))) {
 		return
 	}
+	req := &sc.append
 	if len(req.Partitions) == 0 {
-		writeJSON(w, StatusBadRequest, ErrorResponse{"bad-request", "empty batch"})
+		writeError(w, StatusBadRequest, "bad-request", "empty batch")
 		return
 	}
 	if len(req.Partitions) > maxAppendPartitions {
-		writeJSON(w, StatusRequestEntityTooLarge, ErrorResponse{"bad-request", "batch of more than 64 partitions"})
+		writeError(w, StatusRequestEntityTooLarge, "bad-request",
+			"batch of more than 64 partitions")
 		return
 	}
 	if !s.serving(w) {
 		return
 	}
-	arrivals := make([]stream.Arrival, len(req.Partitions))
-	for i, p := range req.Partitions {
-		arrivals[i] = stream.Arrival{Counts: p.Counts}
+	sc.arrivals = sc.arrivals[:0]
+	for _, p := range req.Partitions {
+		sc.arrivals = append(sc.arrivals, stream.Arrival{Counts: p.Counts})
 	}
-	tk, err := s.ing.Submit(arrivals...)
+	tk, err := s.ing.Submit(sc.arrivals...)
 	if errors.Is(err, stream.ErrBacklogFull) {
 		// Backpressure: the bounded submission queue is at capacity. Shed
 		// with a retry hint instead of parking the handler goroutine (and
 		// the client connection) behind an unbounded backlog.
-		writeJSON(w, StatusServiceUnavailable, ErrorResponse{"overloaded", err.Error()})
+		writeError(w, StatusServiceUnavailable, "overloaded", err.Error())
 		w.RetryAfter = s.retryAfter
 		return
 	}
 	if err != nil {
-		writeJSON(w, StatusUnprocessableEntity, ErrorResponse{"bad-request", err.Error()})
+		writeError(w, StatusUnprocessableEntity, "bad-request", err.Error())
 		return
 	}
 	first, last, err := tk.Wait()
 	if err != nil {
-		writeJSON(w, StatusUnprocessableEntity, ErrorResponse{"bad-request", err.Error()})
+		writeError(w, StatusUnprocessableEntity, "bad-request", err.Error())
 		return
 	}
 	s.appends.Add(1)
-	writeJSON(w, StatusOK, AppendResponse{
+	writeBody(w, StatusOK, appendAppendResponse(w.Body[:0], &AppendResponse{
 		Start:      first,
 		End:        last,
 		Partitions: tk.Partitions(),
-	})
+	}))
 }
 
 // RDPBudget is the /budget rdp section, present for Gaussian/Rényi
@@ -531,7 +541,7 @@ type BudgetResponse struct {
 // concurrently. The counters are atomics read after it.
 func (s *Server) handleBudget(w *Response, r *Request) {
 	if r.Method != MethodGet {
-		writeJSON(w, StatusMethodNotAllowed, ErrorResponse{"bad-request", "GET only"})
+		writeError(w, StatusMethodNotAllowed, "bad-request", "GET only")
 		return
 	}
 	acct := s.sess.Accountant()
@@ -571,7 +581,7 @@ func (s *Server) handleBudget(w *Response, r *Request) {
 			LiveMechanisms: s.sess.LiveSparseVectors(),
 		}
 	}
-	writeJSON(w, StatusOK, resp)
+	writeResult(w, appendBudgetResponse, &resp)
 }
 
 // IngestionStats is the /schema ingestion section for sessions with a
@@ -644,7 +654,7 @@ type SchemaResponse struct {
 // the dataset's own read-locked counters and the atomic ingestion stats.
 func (s *Server) handleSchema(w *Response, r *Request) {
 	if r.Method != MethodGet {
-		writeJSON(w, StatusMethodNotAllowed, ErrorResponse{"bad-request", "GET only"})
+		writeError(w, StatusMethodNotAllowed, "bad-request", "GET only")
 		return
 	}
 	dom := s.sess.Dataset().Domain()
@@ -692,7 +702,7 @@ func (s *Server) handleSchema(w *Response, r *Request) {
 			FlightDeduped: int64(s.sess.Deduped()),
 		}
 	}
-	writeJSON(w, StatusOK, resp)
+	writeResult(w, appendSchemaResponse, &resp)
 }
 
 // SaveState writes the session's snapshot; GET /snapshot and
@@ -720,17 +730,17 @@ func (s *Server) SaveState(w io.Writer) error {
 // than a torn 200 body.
 func (s *Server) handleSnapshot(w *Response, r *Request) {
 	if r.Method != MethodGet {
-		writeJSON(w, StatusMethodNotAllowed, ErrorResponse{"bad-request", "GET only"})
+		writeError(w, StatusMethodNotAllowed, "bad-request", "GET only")
 		return
 	}
 	buf := bytes.NewBuffer(w.Body[:0])
 	err := s.SaveState(buf)
 	if errors.Is(err, core.ErrStateCorrupt) {
-		writeJSON(w, StatusServiceUnavailable, ErrorResponse{"corrupt", err.Error()})
+		writeError(w, StatusServiceUnavailable, "corrupt", err.Error())
 		return
 	}
 	if err != nil {
-		writeJSON(w, StatusInternalServerError, ErrorResponse{"internal", err.Error()})
+		writeError(w, StatusInternalServerError, "internal", err.Error())
 		return
 	}
 	w.Status, w.ContentType, w.Body = StatusOK, "application/octet-stream", buf.Bytes()
@@ -758,8 +768,7 @@ type RestoreResponse struct {
 // has read the whole body before the handler runs, so a slow upload never
 // holds the latch that requests arriving meanwhile wait on.
 func (s *Server) handleRestore(w *Response, r *Request) {
-	if r.Method != MethodPost {
-		writeJSON(w, StatusMethodNotAllowed, ErrorResponse{"bad-request", "POST only"})
+	if !posted(w, r) {
 		return
 	}
 	s.bootMu.Lock()
@@ -773,23 +782,23 @@ func (s *Server) handleRestore(w *Response, r *Request) {
 		s.live.Store(true)
 	case errors.Is(err, core.ErrStateCorrupt):
 		s.dead = true
-		writeJSON(w, StatusInternalServerError, ErrorResponse{"corrupt", err.Error()})
+		writeError(w, StatusInternalServerError, "corrupt", err.Error())
 		return
 	case errors.Is(err, core.ErrAlreadyServing):
-		writeJSON(w, StatusConflict, ErrorResponse{"conflict", err.Error()})
+		writeError(w, StatusConflict, "conflict", err.Error())
 		return
 	case errors.Is(err, persist.ErrBadMagic), errors.Is(err, persist.ErrBadVersion),
 		errors.Is(err, persist.ErrTruncated):
-		writeJSON(w, StatusBadRequest, ErrorResponse{"bad-request", err.Error()})
+		writeError(w, StatusBadRequest, "bad-request", err.Error())
 		return
 	default:
-		writeJSON(w, StatusUnprocessableEntity, ErrorResponse{"bad-request", err.Error()})
+		writeError(w, StatusUnprocessableEntity, "bad-request", err.Error())
 		return
 	}
 	// LoadState is fully synchronous — restored pending epochs are
 	// applied (or have failed the restore) by the time it returns — so a
 	// 200 here means every section is queryable.
-	writeJSON(w, StatusOK, RestoreResponse{
+	writeResult(w, appendRestoreResponse, &RestoreResponse{
 		Partitions:   s.sess.Dataset().Partitions(),
 		Queries:      int64(s.sess.Queries()),
 		AverageSpent: s.sess.AverageSpent(),
@@ -814,10 +823,11 @@ func (s *Server) refuseRestore(w *Response, r *Request) bool {
 func (s *Server) restoreClosed(w *Response) bool {
 	switch {
 	case s.dead:
-		writeJSON(w, StatusServiceUnavailable, ErrorResponse{"corrupt", core.ErrStateCorrupt.Error()})
+		writeError(w, StatusServiceUnavailable, "corrupt", core.ErrStateCorrupt.Error())
 		return true
 	case s.live.Load():
-		writeJSON(w, StatusConflict, ErrorResponse{"conflict", "server already serving: restore runs before the first request"})
+		writeError(w, StatusConflict, "conflict",
+			"server already serving: restore runs before the first request")
 		return true
 	}
 	return false

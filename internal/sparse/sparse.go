@@ -40,10 +40,18 @@ type SV struct {
 // New creates an SV calibrated for budget eps, accuracy alpha, and database
 // size n, drawing noise from rng.
 func New(eps, alpha float64, n int, rng *noise.Rng) *SV {
+	s := new(SV)
+	s.Recalibrate(eps, alpha, n, rng)
+	return s
+}
+
+// Recalibrate makes s the SV New(eps, alpha, n, rng) makes, counters
+// zeroed and not live, so a consumed SV's memory can serve the next one.
+func (s *SV) Recalibrate(eps, alpha float64, n int, rng *noise.Rng) {
 	if eps <= 0 || alpha <= 0 || n <= 0 || rng == nil {
 		panic(fmt.Sprintf("sparse: bad parameters eps=%g alpha=%g n=%d", eps, alpha, n))
 	}
-	return &SV{eps: eps, alpha: alpha, n: float64(n), rng: rng}
+	*s = SV{eps: eps, alpha: alpha, n: float64(n), rng: rng}
 }
 
 // InitCost returns the pure-DP price of one Reset: 3ε (ε1 = ε for the

@@ -163,3 +163,31 @@ func TestFalsePassRateNearThreshold(t *testing.T) {
 		t.Fatalf("pass rate at threshold = %g, want ≈0.5", rate)
 	}
 }
+
+// TestRecalibrateIsNew: a consumed SV, recalibrated, is the SV New makes
+// with the same parameters, and draws the same threshold and tests from
+// the same noise.
+func TestRecalibrateIsNew(t *testing.T) {
+	used := newSV(3)
+	used.Reset()
+	for used.Live() {
+		used.Test(0, 1)
+	}
+	used.Recalibrate(0.25, 0.1, 500, noise.NewRng(9))
+	fresh := New(0.25, 0.1, 500, noise.NewRng(9))
+	u, f := *used, *fresh
+	u.rng, f.rng = nil, nil // each its own generator, seeded alike
+	if u != f {
+		t.Fatalf("recalibrated %+v, new %+v", u, f)
+	}
+	used.Reset()
+	fresh.Reset()
+	for range 20 {
+		if used.threshold != fresh.threshold || used.Test(0.5, 0.52) != fresh.Test(0.5, 0.52) || used.Live() != fresh.Live() {
+			t.Fatalf("recalibrated %+v, new %+v", *used, *fresh)
+		}
+		if !used.Live() {
+			break
+		}
+	}
+}

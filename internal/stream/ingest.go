@@ -125,6 +125,9 @@ type Ingestor struct {
 
 	mu      sync.Mutex
 	pending []pendingBatch
+	// spare is the array of the queue the worker last applied, which the
+	// next swap makes the pending queue's.
+	spare []pendingBatch
 	// applying is the number of batches swapped out of pending whose
 	// epoch is still being applied; Flush waits on both.
 	applying int
@@ -213,29 +216,30 @@ func (in *Ingestor) Submit(arrivals ...Arrival) (*Ticket, error) {
 	if err := in.validate(arrivals); err != nil {
 		return nil, err
 	}
-	tickets, err := in.enqueue([][]Arrival{arrivals}, true)
-	if err != nil {
+	var ticket [1]*Ticket
+	if err := in.enqueue([][]Arrival{arrivals}, ticket[:], true); err != nil {
 		return nil, err
 	}
-	return tickets[0], nil
+	return ticket[0], nil
 }
 
 // enqueue appends validated batches to the pending queue and wakes the
-// worker, returning one ticket per batch. It is the single enqueue
-// protocol shared by Submit and the snapshot restore path; bounded is
-// false only for restored batches, which were admitted once already.
-func (in *Ingestor) enqueue(batches [][]Arrival, bounded bool) ([]*Ticket, error) {
+// worker, filling tickets with one ticket per batch. It is the single
+// enqueue protocol shared by Submit and the snapshot restore path;
+// bounded is false only for restored batches, which were admitted once
+// already. The queue keeps the batches' arrivals, not the slices that
+// list them.
+func (in *Ingestor) enqueue(batches [][]Arrival, tickets []*Ticket, bounded bool) error {
 	in.mu.Lock()
 	if in.closed {
 		in.mu.Unlock()
-		return nil, errors.New("stream: ingestor closed")
+		return errors.New("stream: ingestor closed")
 	}
 	if depth := len(in.pending) + in.applying; bounded && in.maxPending > 0 && depth >= in.maxPending {
 		in.mu.Unlock()
 		in.shed.Add(1)
-		return nil, fmt.Errorf("%w: %d batches queued (bound %d)", ErrBacklogFull, depth, in.maxPending)
+		return fmt.Errorf("%w: %d batches queued (bound %d)", ErrBacklogFull, depth, in.maxPending)
 	}
-	tickets := make([]*Ticket, len(batches))
 	for i, arrivals := range batches {
 		tickets[i] = &Ticket{done: make(chan struct{}), count: len(arrivals)}
 		in.pending = append(in.pending, pendingBatch{arrivals: arrivals, ticket: tickets[i]})
@@ -243,7 +247,7 @@ func (in *Ingestor) enqueue(batches [][]Arrival, bounded bool) ([]*Ticket, error
 	in.mu.Unlock()
 	in.batches.Add(int64(len(batches)))
 	in.work.Broadcast()
-	return tickets, nil
+	return nil
 }
 
 // Append is the synchronous convenience: Submit plus Wait.
@@ -395,8 +399,8 @@ func (in *Ingestor) RestorePayload(payload []byte) error {
 			return fmt.Errorf("stream: restored batch %d: %w", i, err)
 		}
 	}
-	tickets, err := in.enqueue(batches, false)
-	if err != nil {
+	tickets := make([]*Ticket, len(batches))
+	if err := in.enqueue(batches, tickets, false); err != nil {
 		return err
 	}
 	for i, t := range tickets {
@@ -427,7 +431,7 @@ func (in *Ingestor) worker() {
 			return
 		}
 		batch := in.pending
-		in.pending = nil
+		in.pending = in.spare[:0]
 		in.applying = len(batch)
 		in.mu.Unlock()
 		in.applyEpoch(batch)
@@ -438,6 +442,10 @@ func (in *Ingestor) worker() {
 		for _, b := range batch {
 			close(b.ticket.done)
 		}
+		// The applied queue's array is the next swap's pending queue,
+		// holding nothing a producer may reuse.
+		clear(batch)
+		in.spare = batch
 		in.drained.Broadcast()
 	}
 }

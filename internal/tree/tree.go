@@ -165,6 +165,13 @@ type Tree struct {
 	// svs maps the canonical key of a ready node set to its live shared
 	// SV (the set S of Alg. 2).
 	svs map[string]*sparse.SV
+	// spareSV is the shared SV a failing test last consumed, which the
+	// next initialization recalibrates instead of making one.
+	spareSV *sparse.SV
+	// kidHeurs holds a warm-starting internal node's children's
+	// heuristics while they are averaged, so the slice the heuristic is
+	// handed is not made per node.
+	kidHeurs [2]heuristic.Heuristic
 
 	scratch sync.Pool // of *runScratch
 
@@ -208,22 +215,27 @@ func (t *Tree) appendSplit(dst []interval.Node, start, end int) []interval.Node 
 }
 
 // getNode returns (creating lazily, with warm-start when enabled) the state
-// for a dyadic interval. The caller holds t.mu.
+// for a dyadic interval. A new node's histogram and heuristic are built
+// once: warm-started from its neighbours, or uniform and default when it
+// has none to copy. The caller holds t.mu.
 func (t *Tree) getNode(iv interval.Node) *node {
 	if n, ok := t.nodes[iv]; ok {
 		return n
 	}
-	domSize := t.exec.Dataset().Domain().Size()
 	n := &node{
 		iv:    iv,
-		hist:  histogram.NewUniform(domSize),
-		heur:  t.cfg.Heuristic(),
 		lr:    t.cfg.LR(),
 		tau:   t.cfg.Tau,
 		alpha: t.cfg.Alpha,
 	}
 	if t.cfg.WarmStart {
 		t.warmStart(n)
+	}
+	if n.hist == nil {
+		n.hist = histogram.NewUniform(t.exec.Dataset().Domain().Size())
+	}
+	if n.heur == nil {
+		n.heur = t.cfg.Heuristic()
 	}
 	t.nodes[iv] = n
 	t.stats.nodesCreated.Add(1)
@@ -237,10 +249,12 @@ func (t *Tree) lookupNode(iv interval.Node) (*node, bool) {
 	return n, ok
 }
 
-// warmStart initializes a fresh node from existing neighbours per §4.5:
-// leaves copy the previous partition's leaf; internal nodes average their
-// existing children. Nodes with no trained neighbour stay uniform. The
-// caller holds t.mu.
+// warmStart builds a fresh node's state from existing neighbours per
+// §4.5: a leaf copies the previous partition's leaf, histogram and (if
+// its design can) heuristic; an internal node averages its existing
+// children's, into a default heuristic. What no trained neighbour gives
+// stays nil, for getNode to make uniform and default. The caller holds
+// t.mu.
 func (t *Tree) warmStart(n *node) {
 	if n.iv.IsLeaf() {
 		if n.iv.Start == 0 {
@@ -256,29 +270,25 @@ func (t *Tree) warmStart(n *node) {
 		}
 		return
 	}
+	var hists [2]*histogram.Histogram
+	heurs := t.kidHeurs[:0]
+	defer clear(t.kidHeurs[:])
 	left, right := n.iv.Children()
-	var parents []*node
-	for _, c := range []interval.Node{left, right} {
+	for _, c := range [2]interval.Node{left, right} {
 		if cn, ok := t.lookupNode(c); ok {
-			parents = append(parents, cn)
+			hists[len(heurs)] = cn.hist
+			heurs = append(heurs, cn.heur)
 		}
 	}
-	if len(parents) == 0 {
+	if len(heurs) == 0 {
 		return
 	}
-	hists := make([]*histogram.Histogram, len(parents))
-	heurs := make([]heuristic.Heuristic, len(parents))
-	for i, p := range parents {
-		hists[i] = p.hist
-		heurs[i] = p.heur
-	}
-	if avg, err := histogram.Average(hists...); err == nil {
+	if avg, err := histogram.Average(hists[:len(heurs)]...); err == nil {
 		n.hist = avg
 	}
+	n.heur = t.cfg.Heuristic()
 	if ws, ok := n.heur.(heuristic.WarmStartable); ok {
-		if err := ws.AverageState(heurs); err == nil {
-			n.heur = ws
-		}
+		_ = ws.AverageState(heurs) // a design it cannot average keeps its defaults
 	}
 }
 
@@ -534,7 +544,12 @@ func (t *Tree) svInitLocked(sc *runScratch) error {
 	if err := t.block.PayRange(spanStart, spanEnd, accountant.SVInit(epsSV)); err != nil {
 		return err
 	}
-	sv := sparse.New(epsSV, t.cfg.Alpha, sc.nSV, t.rng)
+	sv := t.spareSV
+	if sv == nil {
+		sv = new(sparse.SV)
+	}
+	t.spareSV = nil
+	sv.Recalibrate(epsSV, t.cfg.Alpha, sc.nSV, t.rng)
 	sv.Reset()
 	t.svs[string(sc.svKeyBuf)] = sv
 	sc.res.Paid += 3 * epsSV * float64(spanEnd-spanStart+1)
@@ -615,6 +630,7 @@ func (t *Tree) commit(q *query.Query, sc *runScratch) error {
 			// direction, and penalize their heuristics.
 			t.stats.svFailures.Add(1)
 			delete(t.svs, string(sc.svKeyBuf))
+			t.spareSV = sv
 			if err := t.block.PayRange(sc.spanStart, sc.spanEnd, accountant.Laplace(sc.epsSV)); err != nil {
 				return err
 			}

@@ -2,7 +2,9 @@ package tree
 
 import (
 	"errors"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/accountant"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/noise"
 	"repro/internal/pmw"
 	"repro/internal/query"
+	"repro/internal/sparse"
 )
 
 // fix builds an 8-partition dataset with drifting positivity and a tree.
@@ -497,4 +500,35 @@ func worstCaseUpdateBound(tr *Tree, eta float64) float64 {
 	T := float64(int(1) << m)
 	lnX := math.Log(float64(tr.exec.Dataset().Domain().Size()))
 	return float64(m+1) * T * lnX / (eta * (tau*alpha - eta) / 2)
+}
+
+// TestConsumedSVRecycled: a shared SV a failing test consumed leaves the
+// registry, and the next initialization recalibrates it rather than
+// making one, so a node set whose SV fails over and over is served by
+// one SV.
+func TestConsumedSVRecycled(t *testing.T) {
+	f := newFix(t, func(c *Config) {
+		c.Heuristic = func() heuristic.Heuristic { return heuristic.AlwaysReady{} }
+	}, 1e6, 4)
+	q := query.MustNew(f.dom, map[int][]int{0: {1}, 1: {0}}).WithWindow(0, 3)
+	var first *sparse.SV
+	for i := range 200 {
+		if _, err := f.tree.Run(q); err != nil {
+			t.Fatal(err)
+		}
+		if live := f.tree.LiveSVs(); live > 1 || (live == 0) != (f.tree.spareSV != nil) {
+			t.Fatalf("run %d: %d live SVs, spare %v", i, live, f.tree.spareSV != nil)
+		}
+		for _, sv := range append(slices.Collect(maps.Values(f.tree.svs)), f.tree.spareSV) {
+			if first == nil {
+				first = sv
+			}
+			if sv != nil && sv != first {
+				t.Fatalf("run %d: a second SV was made", i)
+			}
+		}
+	}
+	if st := f.tree.Stats(); st.SVFailures < 2 || st.SVPasses == 0 {
+		t.Fatalf("want repeated failures and some passes, got %+v", st)
+	}
 }
