@@ -17,8 +17,8 @@
 //   - per-group execution through the same single-flight group as the
 //     singleton path, so batch executions still dedup against concurrent
 //     singleton traffic and fill the exact cache before their flight key
-//     is released; the groups run on the caller plus at most
-//     GOMAXPROCS-1 helpers.
+//     is released; the groups run one after another on the caller,
+//     whose connection is the server's unit of parallelism.
 //
 // AnswerPlans enters the same stages after the probe, for the misses of
 // a batch whose statements were probed by key (Lookup).
@@ -32,10 +32,7 @@
 package core
 
 import (
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/accountant"
 	"repro/internal/query"
@@ -84,11 +81,6 @@ type BatchBuffers struct {
 	byID     map[flightID]*batchGroup
 	wins     []accountant.PartitionRange
 	verdicts []error
-	// next hands the admitted misses, run, to the caller and its helpers,
-	// which wg waits out.
-	run  []batchMiss
-	next atomic.Int64
-	wg   sync.WaitGroup
 }
 
 // AnswerBatch answers a batch of linear queries, returning one ordered
@@ -141,7 +133,7 @@ func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 		if e, ok := s.exact.Get(g.pl.Query, g.pl.Version); ok {
 			g.ans = Answer{Value: e.Value, Source: SourceExactHit,
 				Start: g.pl.Start, End: g.pl.End, Rows: g.pl.Rows}
-			s.recordN(SourceExactHit, g.n)
+			s.record(SourceExactHit, g.n)
 			continue
 		}
 		misses = append(misses, batchMiss{g: g, id: flightOf(g.pl)})
@@ -192,7 +184,7 @@ func reuse[T any](buf []T, n int) []T {
 
 // answerMisses resolves buf.misses, the groups the exact cache missed:
 // equal ones merged by flight identity, one admission round, and one
-// execution each.
+// execution each, in order on the caller.
 func (s *Session) answerMisses(buf *BatchBuffers) {
 	misses := buf.misses
 	if len(misses) == 0 {
@@ -229,44 +221,18 @@ func (s *Session) answerMisses(buf *BatchBuffers) {
 	// window, so every partition carries the same spend and the plan's
 	// window gives the same verdict the full range would.)
 	buf.verdicts = s.block.AdmitBatch(buf.verdicts, buf.wins)
-	run := misses[:0]
 	for i, m := range misses {
-		if v := buf.verdicts[i]; v != nil {
-			m.g.err = v
+		if m.g.err = buf.verdicts[i]; m.g.err != nil {
 			continue
 		}
-		run = append(run, m)
+		// Execute each admitted group once, in order on the caller,
+		// through the same single-flight path as Answer. Groups are
+		// distinct flights, so none waits on another; the server's
+		// parallelism is its connections, one goroutine each, and a
+		// helper here would only add a wake-up and lock hand-offs.
+		m.g.ans, m.g.err = s.execute(m.g.pl, m.id, m.g.n)
 	}
 	clear(buf.verdicts)
-	if len(run) == 0 {
-		return
-	}
-	// Execute each admitted group once, through the same single-flight
-	// path as Answer. Groups are distinct flights, so they never wait
-	// on each other; the caller and at most GOMAXPROCS-1 helpers pull
-	// them off a shared index — a spawn per group would cost a wake-up
-	// each with no core to run on.
-	buf.run = run
-	buf.next.Store(0)
-	for h := min(runtime.GOMAXPROCS(0), len(run)) - 1; h > 0; h-- {
-		buf.wg.Add(1)
-		go func() {
-			defer buf.wg.Done()
-			s.runMisses(buf)
-		}()
-	}
-	s.runMisses(buf)
-	buf.wg.Wait()
-	buf.run = nil
-}
-
-// runMisses executes buf.run's groups until none is left to take.
-func (s *Session) runMisses(buf *BatchBuffers) {
-	for i := buf.next.Add(1) - 1; int(i) < len(buf.run); i = buf.next.Add(1) - 1 {
-		m := buf.run[i]
-		ans, shared, err := s.execute(m.g.pl, m.id)
-		s.resolveExecuted(m.g, ans, shared, err)
-	}
 }
 
 // fanOut copies every group's outcome to its members in one sequential
@@ -286,29 +252,6 @@ func fanOut(out []BatchResult, assign []*batchGroup) {
 			out[i].Answer = g.ans
 		}
 	}
-}
-
-// resolveExecuted stores one group execution's outcome on the group and
-// accounts for it. The first member carries the execution itself
-// (deduplicated only if the flight was shared with a concurrent
-// caller); every further member is an intra-batch deduplication. Safe
-// to call concurrently across distinct groups — the counters are
-// atomics and each goroutine owns its group.
-func (s *Session) resolveExecuted(g *batchGroup, ans Answer, shared bool, err error) {
-	if err != nil {
-		g.err = err
-		return
-	}
-	ans.Start, ans.End, ans.Rows = g.pl.Start, g.pl.End, g.pl.Rows
-	g.ans = ans
-	dedup := g.n - 1
-	if shared {
-		dedup++
-	}
-	if dedup > 0 {
-		s.deduped.Add(int64(dedup))
-	}
-	s.recordN(ans.Source, g.n)
 }
 
 // AdmissionLockAcquisitions returns the cumulative admission-relevant

@@ -395,7 +395,7 @@ func (s *Session) Answer(q *query.Query) (Answer, error) {
 	if ans, ok := s.probe(pl, q.KeyWithWindow()); ok {
 		return ans, nil
 	}
-	return s.answerMissed(pl)
+	return s.execute(pl, flightOf(pl), 1)
 }
 
 // Lookup is Answer's plan and exact-cache stages for a statement whose
@@ -426,7 +426,7 @@ func (s *Session) AnswerPlan(pl Plan) (Answer, error) {
 	if err := s.planned(pl); err != nil {
 		return Answer{}, err
 	}
-	return s.answerMissed(pl)
+	return s.execute(pl, flightOf(pl), 1)
 }
 
 // planned refuses a plan whose query is not the one it was planned for:
@@ -449,32 +449,20 @@ func (s *Session) probe(pl Plan, key string) (Answer, bool) {
 	if !ok {
 		return Answer{}, false
 	}
-	s.record(SourceExactHit)
+	s.record(SourceExactHit, 1)
 	return Answer{Value: e.Value, Source: SourceExactHit,
 		Start: pl.Start, End: pl.End, Rows: pl.Rows}, true
 }
 
-// answerMissed runs a plan the exact cache missed through the flight,
-// execution and fill stages.
-func (s *Session) answerMissed(pl Plan) (Answer, error) {
-	ans, shared, err := s.execute(pl, flightOf(pl))
-	if err != nil {
-		return Answer{}, err
-	}
-	ans.Start, ans.End, ans.Rows = pl.Start, pl.End, pl.Rows
-	if shared {
-		s.deduped.Add(1)
-	}
-	s.record(ans.Source)
-	return ans, nil
-}
-
-// execute runs a cache-missed plan through the single-flight group under
-// id (flightOf(pl)) and, as the flight leader, through executePlan.
-// shared reports that the answer came from a concurrent identical flight
-// (no execution, no payment).
-func (s *Session) execute(pl Plan, id flightID) (Answer, bool, error) {
-	return s.flights.do(id, func() (Answer, error) {
+// execute runs a plan the exact cache missed through the single-flight
+// group under id (flightOf(pl)) and, as the flight leader, through
+// executePlan and the fill, then counts its answer for n askers: the
+// singleton path's one, or a batch group's members. The first asker
+// carries the execution itself, deduplicated only if the flight was
+// shared with a concurrent caller (no execution, no payment); every
+// further one is a deduplication within the batch.
+func (s *Session) execute(pl Plan, id flightID, n int) (Answer, error) {
+	ans, shared, err := s.flights.do(id, func() (Answer, error) {
 		// Double-check the exact cache as the leader: an identical query
 		// may have completed (and cached) between this goroutine's cache
 		// probe and its flight. Concurrent duplicates are handled by the
@@ -495,6 +483,19 @@ func (s *Session) execute(pl Plan, id flightID) (Answer, bool, error) {
 		_ = s.exact.Put(pl.Query, pl.Version, ans.Value, ans.Paid)
 		return ans, nil
 	})
+	if err != nil {
+		return Answer{}, err
+	}
+	ans.Start, ans.End, ans.Rows = pl.Start, pl.End, pl.Rows
+	dedup := n - 1
+	if shared {
+		dedup++
+	}
+	if dedup > 0 {
+		s.deduped.Add(int64(dedup))
+	}
+	s.record(ans.Source, n)
+	return ans, nil
 }
 
 // executePlan runs a plan on the session's PMW machinery: the single
@@ -534,14 +535,9 @@ func (s *Session) Run(q *query.Query) (float64, error) {
 // Name identifies the system in experiment output.
 func (s *Session) Name() string { return "turbo(" + s.cfg.Mode.String() + ")" }
 
-func (s *Session) record(src Source) {
-	s.queries.Add(1)
-	s.bySrc[sourceIndex[src]].Add(1)
-}
-
-// recordN counts n answers from one source in two atomic adds — the
-// batch plane's fan-out uses it instead of n record calls.
-func (s *Session) recordN(src Source, n int) {
+// record counts n answers from one source in two atomic adds: a batch
+// group's members are counted at once.
+func (s *Session) record(src Source, n int) {
 	s.queries.Add(int64(n))
 	s.bySrc[sourceIndex[src]].Add(int64(n))
 }

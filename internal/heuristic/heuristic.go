@@ -110,12 +110,18 @@ func (a *AdaptivePerBin) IsReady(h *histogram.Histogram, q *query.Query) bool {
 	return true
 }
 
-// Penalize raises the thresholds of q's least-updated support bins by S0,
-// so one cold bin cannot penalize queries that only touch trained bins.
+// Penalize raises the thresholds of q's least-updated support bins (those
+// whose counter is the support's minimum) by S0, so one cold bin cannot
+// penalize queries that only touch trained bins (§4.3 "Heuristic
+// ISHISTOGRAMREADY"). It walks the support in place and allocates nothing
+// once the thresholds exist.
 func (a *AdaptivePerBin) Penalize(h *histogram.Histogram, q *query.Query) {
+	least := h.MinSupportCount(q)
 	a.ensure(h.Size())
-	for _, bin := range h.LeastUpdatedBins(q) {
-		a.thresholds[bin] += a.s0
+	for _, bin := range q.ResolvedSupport().Bins() {
+		if h.Count(int(bin)) == least {
+			a.thresholds[bin] += a.s0
+		}
 	}
 }
 

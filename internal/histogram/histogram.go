@@ -9,10 +9,9 @@
 //
 // Since Turbo's queries are predicates (q(v) ∈ {0,1}), an update multiplies
 // exactly the bins in the query's support by e^s and renormalizes. Every
-// per-query operation (Eval, Update, UpdateMass, MinSupportCount,
-// LeastUpdatedBins) is one loop over the query's memoized support bins
-// (query.ResolvedSupport); the single PMW-Bypass and every tree node run
-// the same kernels.
+// per-query operation (Eval, Update, UpdateMass, MinSupportCount) is one
+// loop over the query's memoized support bins (query.ResolvedSupport); the
+// single PMW-Bypass and every tree node run the same kernels.
 //
 // The histogram also tracks per-bin purposeful-update counters c (Fig. 2 and
 // Fig. 5 in the paper), which Turbo's readiness heuristic consumes. Counters
@@ -322,21 +321,6 @@ func (h *Histogram) MinSupportCount(q *query.Query) float64 {
 		}
 	}
 	return min
-}
-
-// LeastUpdatedBins returns the support bins whose counter equals the support
-// minimum. The heuristic penalizes only these bins after an SV failure, so a
-// single untrained bin cannot set back queries that use trained bins only
-// (§4.3 "Heuristic ISHISTOGRAMREADY").
-func (h *Histogram) LeastUpdatedBins(q *query.Query) []int {
-	min := h.MinSupportCount(q)
-	var bins []int
-	for _, bin := range h.supportBins(q) {
-		if h.counts[bin] == min {
-			bins = append(bins, int(bin))
-		}
-	}
-	return bins
 }
 
 // Clone returns a deep copy of h, counters included. Used by the warm-start

@@ -231,19 +231,6 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-func TestLeastUpdatedBins(t *testing.T) {
-	d := dom()
-	h := NewUniform(d.Size())
-	q1 := query.MustNew(d, map[int][]int{0: {0}, 1: {0}})
-	h.Update(q1, 0.1)
-	wide := query.MustNew(d, map[int][]int{0: {0}, 1: {0, 1}})
-	least := h.LeastUpdatedBins(wide)
-	// Only the (0,1) bin has count 0 within wide's support.
-	if len(least) != 1 || least[0] != d.Encode([]int{0, 1}) {
-		t.Fatalf("LeastUpdatedBins = %v", least)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	d := dom()
 	h := NewUniform(d.Size())

@@ -101,18 +101,6 @@ func minSupportCountWalk(h *Histogram, q *query.Query) float64 {
 	return min
 }
 
-// leastUpdatedBinsWalk is the reference for LeastUpdatedBins.
-func leastUpdatedBinsWalk(h *Histogram, q *query.Query) []int {
-	min := minSupportCountWalk(h, q)
-	var bins []int
-	q.ForEachBin(func(bin int) {
-		if h.counts[bin] == min {
-			bins = append(bins, bin)
-		}
-	})
-	return bins
-}
-
 // TestEvalSupportMatchesDenseBitForBit: the gather-sum must reproduce
 // the recursive ForEachBin sum exactly — same bins, same order, same
 // floating-point result.
@@ -199,8 +187,8 @@ func TestMixedUpdatesStayNormalized(t *testing.T) {
 	}
 }
 
-// TestSupportCountKernelsMatchDense: MinSupportCount and LeastUpdatedBins
-// agree with their closure-walk references.
+// TestSupportCountKernelsMatchDense: MinSupportCount agrees with its
+// closure-walk reference.
 func TestSupportCountKernelsMatchDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	d := sparseDoms()[1]
@@ -209,15 +197,6 @@ func TestSupportCountKernelsMatchDense(t *testing.T) {
 		q := randomQuery(t, d, rng)
 		if got, want := h.MinSupportCount(q), minSupportCountWalk(h, q); got != want {
 			t.Fatalf("iter %d: MinSupportCount = %v, closure walk %v", i, got, want)
-		}
-		gotBins, wantBins := h.LeastUpdatedBins(q), leastUpdatedBinsWalk(h, q)
-		if len(gotBins) != len(wantBins) {
-			t.Fatalf("iter %d: least-updated sets differ in size: %v vs %v", i, gotBins, wantBins)
-		}
-		for j := range gotBins {
-			if gotBins[j] != wantBins[j] {
-				t.Fatalf("iter %d: least-updated sets differ: %v vs %v", i, gotBins, wantBins)
-			}
 		}
 		h.Update(q, 0.1)
 	}
@@ -230,11 +209,10 @@ func TestUpdateSupportSizeMismatchPanics(t *testing.T) {
 	q := query.MustNew(ds[0], map[int][]int{0: {1, 2}})
 	h := NewUniform(ds[1].Size())
 	for name, call := range map[string]func(){
-		"Eval":             func() { h.Eval(q) },
-		"Update":           func() { h.Update(q, 0.1) },
-		"UpdateMass":       func() { h.UpdateMass(q, 0.1, 0.5) },
-		"MinSupportCount":  func() { h.MinSupportCount(q) },
-		"LeastUpdatedBins": func() { h.LeastUpdatedBins(q) },
+		"Eval":            func() { h.Eval(q) },
+		"Update":          func() { h.Update(q, 0.1) },
+		"UpdateMass":      func() { h.UpdateMass(q, 0.1, 0.5) },
+		"MinSupportCount": func() { h.MinSupportCount(q) },
 	} {
 		func() {
 			defer func() {

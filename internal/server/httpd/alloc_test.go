@@ -5,6 +5,8 @@ package httpd
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -132,18 +134,55 @@ func TestParseHeadZeroAllocs(t *testing.T) {
 }
 
 // TestHandleColdBatchAllocs: once the tree nodes its statements touch
-// exist, a cold 16-statement /query/batch allocates nothing it does not
-// keep from the body read to the response body: its misses are built
-// into the connection's scratch over a key arena, and the batch plane
-// answers in buffers the scratch keeps. The gate allows one object, the
-// closure of a helper goroutine that executes misses beside the handler;
-// AllocsPerRun runs at GOMAXPROCS 1, where there is none, and it reads 0.
-// The batches are measured on a second server, over the connection whose
-// scratch they grew on the first, so that no slot's query outgrows its
-// arrays inside the measurement. Before, this read 118 objects: a built
-// query per miss, and the batch plane's own slices, maps and closures
-// per call.
+// exist, a cold 16-statement /query/batch allocates nothing from the body
+// read to the response body: its misses are built into the connection's
+// scratch over a key arena, and the batch plane answers in buffers the
+// scratch keeps, executing every miss on the handler's goroutine. Before,
+// this read 118 objects: a built query per miss, and the batch plane's
+// own slices, maps and closures per call.
 func TestHandleColdBatchAllocs(t *testing.T) {
+	h, batches := coldBatchHandler(t)
+	i := 0
+	if allocs := testing.AllocsPerRun(len(batches)-1, func() {
+		h.coldBatch(t, batches[i])
+		i++
+	}); allocs != 0 {
+		t.Errorf("a cold /query/batch of 16 allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestHandleColdBatchAllocsParallel is TestHandleColdBatchAllocs with two
+// Ps, where AllocsPerRun pins one: a cold /query/batch still allocates
+// nothing. It reads each batch's objects and gates their median, so what
+// a few batches make that the rest reuse is not counted: the store's new
+// chunks, and the per-P arrays and objects of the sync.Pools a miss uses
+// (flight records, cache entries, the tree's scratch) when the handler
+// lands on a P whose pools are empty. It read 1 on most batches (about 2
+// on average) while the batch plane started a helper goroutine to execute
+// misses beside the handler.
+func TestHandleColdBatchAllocsParallel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	h, batches := coldBatchHandler(t)
+	var before, after runtime.MemStats
+	objects := make([]uint64, len(batches))
+	for i, body := range batches {
+		runtime.ReadMemStats(&before)
+		h.coldBatch(t, body)
+		runtime.ReadMemStats(&after)
+		objects[i] = after.Mallocs - before.Mallocs
+	}
+	t.Logf("objects per batch: %v", objects)
+	slices.Sort(objects)
+	if median := objects[len(objects)/2]; median != 0 {
+		t.Errorf("at GOMAXPROCS 2, a cold /query/batch of 16 allocates %d objects (median), want 0", median)
+	}
+}
+
+// coldBatchHandler returns a connection's handler and the 16-statement
+// batches that miss on its server, every tree node they touch made. The
+// batches ran once on another server, over the same connection, so that
+// no slot's query outgrows its arrays when they run again.
+func coldBatchHandler(t *testing.T) (*handler, [][]byte) {
 	const warm = 150
 	var stmts [][]byte
 	for i := range 450 {
@@ -168,14 +207,13 @@ func TestHandleColdBatchAllocs(t *testing.T) {
 	for _, body := range stmts[:warm] {
 		h.do(t, "/query", body) // every window's nodes
 	}
-	i := 0
-	if allocs := testing.AllocsPerRun(len(batches)-1, func() {
-		if resp := h.do(t, "/query/batch", batches[i]); bytes.Count(resp.Body, []byte(`"source":"tree"`)) != 16 {
-			t.Fatalf("not 16 misses: %s", resp.Body)
-		}
-		i++
-	}); allocs > 1 {
-		t.Errorf("a cold /query/batch of 16 allocates %v objects, want at most 1", allocs)
+	return h, batches
+}
+
+// coldBatch sends a /query/batch whose 16 statements must all miss.
+func (h *handler) coldBatch(t *testing.T, body []byte) {
+	if resp := h.do(t, "/query/batch", body); bytes.Count(resp.Body, []byte(`"source":"tree"`)) != 16 {
+		t.Fatalf("not 16 misses: %s", resp.Body)
 	}
 }
 

@@ -132,6 +132,16 @@ func appendError(dst []byte, e *ErrorResponse) []byte {
 // appendQueryResponse appends r as encoding/json marshals it. NaN and ±Inf
 // have no JSON form: a response holding one is an error.
 func appendQueryResponse(dst []byte, r *QueryResponse) ([]byte, error) {
+	dst, err := appendAnswer(dst, r)
+	if err != nil {
+		return dst, err
+	}
+	return append(appendFloat(dst, r.Remaining), '}'), nil
+}
+
+// appendAnswer appends r as encoding/json marshals it up to its last
+// value, remaining_budget's, which the caller appends and closes.
+func appendAnswer(dst []byte, r *QueryResponse) ([]byte, error) {
 	if err := finite(r.Fraction, r.Count, r.Paid, r.Remaining); err != nil {
 		return dst, err
 	}
@@ -141,25 +151,37 @@ func appendQueryResponse(dst []byte, r *QueryResponse) ([]byte, error) {
 	// TestEncodersMatchEncodingJSON checks for every value there is.
 	dst = append(append(dst, `,"source":"`...), r.Source...)
 	dst = appendFloat(append(dst, `","paid":`...), r.Paid)
-	dst = appendFloat(append(dst, `,"remaining_budget":`...), r.Remaining)
-	return append(dst, '}'), nil
+	return append(dst, `,"remaining_budget":`...), nil
 }
 
 // appendBatchResponse appends a /query/batch envelope as encoding/json
-// marshals BatchQueryResponse{items}.
+// marshals BatchQueryResponse{items}. Every answered element of a batch
+// carries the same budget read, so a remaining_budget is formatted only
+// when it differs from the one before, whose bytes are copied otherwise.
 func appendBatchResponse(dst []byte, items []BatchItem) ([]byte, error) {
 	dst = append(dst, `{"results":[`...)
+	var last *QueryResponse // the remaining_budget at dst[lo:hi]
+	lo, hi := 0, 0
 	for i := range items {
 		it := &items[i]
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		dst = strconv.AppendInt(append(dst, `{"status":`...), int64(it.Status), 10)
-		if it.Result != nil {
+		if r := it.Result; r != nil {
 			var err error
-			if dst, err = appendQueryResponse(append(dst, `,"result":`...), it.Result); err != nil {
+			if dst, err = appendAnswer(append(dst, `,"result":`...), r); err != nil {
 				return dst, err
 			}
+			// Bits, not ==: 0 and -0 are equal but read "0" and "-0".
+			if last != nil && math.Float64bits(r.Remaining) == math.Float64bits(last.Remaining) {
+				dst = append(dst, dst[lo:hi]...)
+			} else {
+				lo, last = len(dst), r
+				dst = appendFloat(dst, r.Remaining)
+				hi = len(dst)
+			}
+			dst = append(dst, '}')
 		}
 		if it.Error != nil {
 			dst = appendError(append(dst, `,"error":`...), it.Error)

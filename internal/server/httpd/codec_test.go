@@ -75,6 +75,29 @@ func TestEncodersMatchEncodingJSON(t *testing.T) {
 			{},
 		},
 	}
+	// Every response in one batch, each budget beside another one (0
+	// beside -0 among them), and a batch's usual run of one budget read,
+	// broken by a refusal, another budget and a way back.
+	var every []BatchItem
+	for i := range resps {
+		every = append(every, BatchItem{Status: StatusOK, Result: &resps[i]})
+	}
+	shared := []QueryResponse{
+		{Fraction: 0.25, Count: 500, Source: "tree", Paid: 0.1, Remaining: 9.5},
+		{Fraction: 0.5, Count: 1000, Source: "exact-hit", Remaining: 9.5},
+		{Source: "tree", Remaining: 0},
+		{Source: "tree", Remaining: math.Copysign(0, -1)},
+		{Source: "tree", Remaining: 1e-7},
+	}
+	var runs []BatchItem
+	for _, k := range []int{0, 1, 0, -1, 1, 2, 3, 2, 4, 4, 0} {
+		if k < 0 {
+			runs = append(runs, BatchItem{Status: StatusTooManyRequests, Error: &ErrorResponse{"exhausted", "global privacy budget exhausted"}})
+			continue
+		}
+		runs = append(runs, BatchItem{Status: StatusOK, Result: &shared[k]})
+	}
+	batches = append(batches, every, runs)
 	for _, items := range batches {
 		got, err := appendBatchResponse(nil, items)
 		if want := encodingJSON(t, BatchQueryResponse{Results: items}); err != nil || !bytes.Equal(append(got, '\n'), want) {
