@@ -2,8 +2,8 @@
 // aggregate-only interface of the paper's motivating scenario. Analysts
 // POST linear SQL to /query; /budget and /schema expose the public
 // accounting and schema state; partitioned and streaming deployments
-// ingest new time partitions through POST /append (batched arrivals,
-// applied as ordered epochs with eager warm-start in streaming mode).
+// ingest new time partitions through POST /append (batched arrivals, each
+// applied on its own connection, with eager warm-start in streaming mode).
 //
 // Durable state: -state loads a snapshot at boot (when the file exists),
 // before the listener opens, and writes one atomically (temp file +
@@ -14,9 +14,7 @@
 // and POST /restore loads one into a server that has not yet served:
 // the first analyst request closes that window (a later restore is 409),
 // and a restore that fails midway leaves the server answering 503 until
-// it is restarted. -append-backlog bounds the ingestion queue:
-// overflowing appends shed with 503 + Retry-After instead of queueing
-// without bound.
+// it is restarted.
 //
 // -addr is HOST:PORT, HOST an IP address, localhost or empty: the binary
 // is static and resolves no names, so another one stops the boot.
@@ -62,17 +60,12 @@ func main() {
 		deltaG      = flag.Float64("delta", 1e-6, "δ_G for -gaussian")
 		seed        = flag.Uint64("seed", 42, "deterministic seed")
 		statePath   = flag.String("state", "", "snapshot file: restored at boot if present, written atomically on SIGINT/SIGTERM")
-		backlog     = flag.Int("append-backlog", 0, "bound on queued /append batches; overflow sheds with 503 (0 = unbounded)")
 		storeMaxMB  = flag.Int("store-max-mb", 0, fmt.Sprintf("cache-store bound in MiB of payload (key + value bytes, what /schema reports), at most %d: the most one 4 GiB arena always holds; resident memory, /schema's resident_bytes, is about 1.75x that. 0 leaves the store unbounded; > 0 makes it a segmented LRU", maxStoreMB))
 		ckptEvery   = flag.Duration("checkpoint-interval", 0, "background checkpoint period for -state (0 disables; failures log and retry next tick)")
 	)
 	flag.Parse()
-	// A negative bound would read as none at all: the ingestion queue
-	// unbounded, periodic checkpoints off. Refuse it, as storeConfig
-	// refuses a negative store cap.
-	if *backlog < 0 {
-		log.Fatalf("turbo-server: -append-backlog %d is negative (0 = unbounded)", *backlog)
-	}
+	// A negative period would read as none at all: periodic checkpoints
+	// off. Refuse it, as storeConfig refuses a negative store cap.
 	if *ckptEvery < 0 {
 		log.Fatalf("turbo-server: -checkpoint-interval %v is negative (0 disables)", *ckptEvery)
 	}
@@ -126,7 +119,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := httpd.New(sess, table, httpd.WithAppendBacklog(*backlog))
+	srv, err := httpd.New(sess, table)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -153,7 +146,7 @@ func main() {
 	}
 
 	// Background checkpointing: every -checkpoint-interval, write the
-	// snapshot atomically (same quiesce barrier + temp-file+rename as the
+	// snapshot atomically (same capture + temp-file+rename as the
 	// shutdown checkpoint). A failed periodic checkpoint is logged and
 	// retried next tick — SaveState never mutates, so a failure cannot
 	// poison the session, and the atomic write discipline means a crash
@@ -219,16 +212,14 @@ func main() {
 		log.Fatal(err)
 	}
 	// Serve returns as soon as the listener closes; the drain is done
-	// only when Shutdown itself has returned. Only then may the ingestor
-	// drain and the checkpoint run — otherwise still-active handlers (a
-	// /query paying budget, a /snapshot holding the quiesce) would race
-	// them.
+	// only when Shutdown itself has returned. Only then may the checkpoint
+	// run — otherwise still-active handlers (a /query paying budget, an
+	// /append growing the dataset) would race it.
 	<-shutdownDone
 	// Stop the periodic checkpointer before the final one so their
 	// SaveState captures never interleave.
 	close(ckptStop)
 	<-ckptDone
-	srv.Close() // drain the ingestion worker: pending epochs apply before the snapshot
 	if *statePath != "" {
 		if err := persist.WriteFileAtomic(*statePath, func(w io.Writer) error {
 			return srv.SaveState(w)

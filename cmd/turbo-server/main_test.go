@@ -105,14 +105,12 @@ func TestUnresolvableAddrRefused(t *testing.T) {
 	}
 }
 
-// TestNegativeBoundRefused: a negative -append-backlog, which the ingestor
-// would read as an unbounded queue, and a negative -checkpoint-interval,
-// which would silently turn periodic checkpoints off, each stop the boot
-// with exit 1 naming the flag, before the server listens.
+// TestNegativeBoundRefused: a negative -checkpoint-interval, which would
+// silently turn periodic checkpoints off, stops the boot with exit 1
+// naming the flag, before the server listens.
 func TestNegativeBoundRefused(t *testing.T) {
 	state := filepath.Join(t.TempDir(), "turbo.snap")
 	for flagName, value := range map[string]string{
-		"-append-backlog":      "-1",
 		"-checkpoint-interval": "-1s",
 	} {
 		t.Run(flagName[1:], func(t *testing.T) {

@@ -21,9 +21,8 @@
 //  3. A response-writing function that consumes session errors must map
 //     the documented sentinels: calling Answer, or AnswerPlan (the miss
 //     half of a key-first probe), requires an
-//     ErrBudgetExhausted (429) check; Submit requires ErrBacklogFull
-//     (503 + Retry-After). A missing errors.Is test is flagged at the
-//     call.
+//     ErrBudgetExhausted (429) check. A missing errors.Is test is
+//     flagged at the call.
 //
 // Escape hatch: //turbo:allow(errtaxonomy).
 package errtaxonomy
@@ -55,7 +54,6 @@ var Analyzer = &analysis.Analyzer{
 var required = map[string][]string{
 	"Answer":     {"ErrBudgetExhausted"},
 	"AnswerPlan": {"ErrBudgetExhausted"},
-	"Submit":     {"ErrBacklogFull"},
 }
 
 // writers are the response-writing functions, by name, whose second
@@ -70,7 +68,7 @@ type funcFacts struct {
 	write500s  []*ast.CallExpr
 	writesResp bool
 	sentinels  map[string]bool            // errors.Is targets seen
-	triggers   map[string][]*ast.CallExpr // Answer/Submit sites
+	triggers   map[string][]*ast.CallExpr // Answer/AnswerPlan sites
 }
 
 func calleeOf(pass *analysis.Pass, call *ast.CallExpr) *types.Func {

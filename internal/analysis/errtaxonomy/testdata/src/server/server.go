@@ -9,14 +9,12 @@ import (
 var (
 	ErrBudgetExhausted = errors.New("budget exhausted")
 	ErrStateCorrupt    = errors.New("state corrupt")
-	ErrBacklogFull     = errors.New("backlog full")
 )
 
 type Session struct{}
 
 func (s *Session) Answer(q string) (string, error) { return "", nil }
 func (s *Session) Wait() error                     { return nil }
-func (s *Session) Submit(q string) error           { return nil }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {}
 
@@ -96,25 +94,13 @@ func unmappedWait(w http.ResponseWriter, s *Session) {
 	writeJSON(w, http.StatusOK, err)
 }
 
-func unmappedSubmit(w http.ResponseWriter, s *Session, q string) {
-	err := s.Submit(q) // want `never maps ErrBacklogFull`
-	writeJSON(w, http.StatusAccepted, err)
-}
-
-func mappedSubmit(w http.ResponseWriter, s *Session, q string) {
-	if err := s.Submit(q); errors.Is(err, ErrBacklogFull) {
-		writeJSON(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, nil)
-}
-
 // A non-response function may consume session errors freely: the
 // mapping happens in its caller.
 func pump(s *Session) error { return s.Wait() }
 
-func submitAllowed(w http.ResponseWriter, s *Session, q string) {
-	//turbo:allow(errtaxonomy) fire-and-forget path drops backlog signals
-	err := s.Submit(q)
-	writeJSON(w, http.StatusAccepted, err)
+func answerAllowed(w http.ResponseWriter, s *Session, q string) {
+	//turbo:allow(errtaxonomy) a probe whose refusals its caller maps
+	res, err := s.Answer(q)
+	writeJSON(w, http.StatusOK, err)
+	writeJSON(w, http.StatusOK, res)
 }

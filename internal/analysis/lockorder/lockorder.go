@@ -10,7 +10,7 @@
 //
 // The documented order (outermost first):
 //
-//	core.Session.persistMu < stream.Ingestor.mu < core.Session.appendMu
+//	core.Session.persistMu < core.Session.appendMu
 //	  < { core.Session.singleMu , tree.Tree.mu }
 //	  < accountant.Block.mu
 //	  < store.Mem.mu
@@ -61,7 +61,6 @@ var Analyzer = &analysis.Analyzer{
 // substitute a fixture table.
 var Ranks = map[string]int{
 	"core.Session.persistMu": 10,
-	"stream.Ingestor.mu":     15,
 	"core.Session.appendMu":  20,
 	"core.Session.singleMu":  30,
 	"tree.Tree.mu":           30,

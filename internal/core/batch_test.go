@@ -202,7 +202,7 @@ func TestAnswerBatchNoDoubleSpendRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 6; i++ {
-			if _, err := s.AppendPartitions(1); err != nil {
+			if _, err := s.AppendPartition(); err != nil {
 				panic(err)
 			}
 		}

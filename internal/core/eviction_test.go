@@ -117,7 +117,7 @@ func TestEvictedWindowRepaysOnceThroughSingleFlight(t *testing.T) {
 	}
 }
 
-// TestEvictionUnderFire interleaves queries, ingestion epochs, snapshot
+// TestEvictionUnderFire interleaves queries, appends, snapshot
 // captures, forced backend evictions, and data-version bumps under
 // -race, then asserts the books: per-partition spend within ε_G, a
 // captured snapshot restores with charge-for-charge equality (no lost
@@ -168,7 +168,7 @@ func TestEvictionUnderFire(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 6; i++ {
-			idx, err := s.AppendPartitions(1)
+			idx, err := s.AppendPartition()
 			if err != nil {
 				t.Errorf("append: %v", err)
 				return
@@ -178,7 +178,7 @@ func TestEvictionUnderFire(t *testing.T) {
 			}
 		}
 	}()
-	// Snapshot captures racing everything (quiesce + appendMu barriers).
+	// Snapshot captures racing everything (the appendMu barrier).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

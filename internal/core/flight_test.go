@@ -270,7 +270,7 @@ func TestAppendOrderingRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.AppendPartitions(0); err == nil {
+	if _, err := sess.AppendPartitions(); err == nil {
 		t.Fatal("empty epoch accepted")
 	}
 
@@ -303,7 +303,7 @@ func TestAppendOrderingRegression(t *testing.T) {
 			defer wg.Done()
 			for b := 0; b < 10; b++ {
 				k := 1 + (g+b)%3
-				first, err := sess.AppendPartitions(k)
+				first, err := sess.AppendPartitions(make([]Arrival, k)...)
 				if err != nil {
 					t.Errorf("appender %d: %v", g, err)
 					return

@@ -29,7 +29,7 @@ func fuzzSession(t *testing.T, shape byte, ops []byte) (Config, *Session) {
 	}
 	s.PersistDataset()
 	if shape&8 != 0 && cfg.Mode != NonPartitioned {
-		p, err := s.AppendPartitions(1)
+		p, err := s.AppendPartition()
 		if err != nil {
 			t.Fatal(err)
 		}

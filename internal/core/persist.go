@@ -4,8 +4,8 @@
 // internal/persist envelope (versioned, section-tagged), and a fresh
 // session over the same dataset restores it. SaveState/LoadState are
 // thin orchestrators: every stateful layer registers itself as a
-// persist.Snapshotter section (see NewSession and
-// stream.NewIngestor), and the registry does the rest.
+// persist.Snapshotter section (see buildRegistry), and the registry does
+// the rest.
 //
 // Gaussian/Rényi sessions round-trip like pure-ε ones: the accountant
 // section carries the whole per-partition, per-order ledger, so a
@@ -44,22 +44,19 @@ var ErrAlreadyServing = errors.New("core: LoadState after queries were served")
 var ErrStateCorrupt = errors.New("core: session state corrupted by a failed restore; discard the session")
 
 // SaveState serializes the session's caching and accounting state as a
-// persist envelope: one section per registered layer, streaming layers
-// quiesced at an epoch boundary for the duration. The image is fully
+// persist envelope: one section per registered layer, with no arrival
+// mid-application for the duration. The image is fully
 // consistent when no queries are in flight; concurrent answers at worst
 // skew late sections the way any external observer could (and only in
-// the conservative direction — see persist.Registry.Save).
+// the conservative direction — see persist.Registry.Capture).
 func (s *Session) SaveState(w io.Writer) error {
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
-	// Quiesce first (an in-flight ingestion epoch holds appendMu, so the
-	// barrier must come after it lands), then hold the epoch mutex for
-	// the whole capture: a direct AppendPartitions racing the capture
-	// would otherwise leave the snapshot's accountant and dataset
-	// sections disagreeing on the partition count — a checkpoint that
-	// reports success but can never restore.
-	resume := s.registry.QuiesceAll()
-	defer resume()
+	// Hold the arrival mutex for the whole capture: an AppendPartitions
+	// racing it would otherwise leave the snapshot's accountant and
+	// dataset sections disagreeing on the partition count — a checkpoint
+	// that reports success but can never restore — or capture a
+	// partition grown but not yet loaded or warm-started.
 	s.appendMu.Lock()
 	defer s.appendMu.Unlock()
 	if err := s.registry.Capture(w); err != nil {
@@ -96,21 +93,6 @@ func (s *Session) LoadState(r io.Reader) error {
 		return fmt.Errorf("core: load state: %w", err)
 	}
 	return nil
-}
-
-// RegisterSnapshotter adds (or, for a re-created layer with the same
-// section tag, replaces) one layer in the session's snapshot registry.
-// The streaming ingestor registers its pending-epoch queue this way.
-// External sections restore after every core section, so the ingestor's
-// pending epochs re-apply through the normal append path onto fully
-// restored core state.
-func (s *Session) RegisterSnapshotter(sn persist.Snapshotter) {
-	// persistMu keeps the registry mutation exclusive with a concurrent
-	// SaveState/LoadState iterating it (re-creating an ingestor over a
-	// live session is supported).
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	s.registry.Register(sn)
 }
 
 // PersistDataset opts the session into writing the dataset itself as a
@@ -215,9 +197,7 @@ func (d datasetSection) RestorePayload(payload []byte) error {
 // order: identity first (validation-only, so a foreign-config snapshot
 // is refused before anything — the optional dataset section included —
 // mutates), then meta (dataset shape and counters), then the accountant,
-// then caches and histogram machinery. The streaming ingestor appends
-// itself last, which is also correct restore order: pending epochs
-// re-apply only after every applied section is in place.
+// then caches and histogram machinery.
 func (s *Session) buildRegistry() {
 	s.registry = persist.NewRegistry()
 	// Identity, the dataset, the block and the caches are persist.Stagers:

@@ -32,10 +32,11 @@
 //     Appendix B filter for the mechanisms composed concurrently, in
 //     every mode.
 //
-// For streaming databases, partitions arrive through AppendPartitions
-// epochs (the accountant grows strictly before the dataset); the
-// internal/stream Ingestor batches and coalesces those arrivals and
-// eagerly warm-starts the new tree leaves.
+// For streaming databases, partitions arrive through AppendPartitions,
+// one batch at a time on its caller's goroutine: the accountant grows
+// strictly before the dataset, the counts load, and in streaming mode the
+// new tree leaves are warm-started, all before the call returns. The
+// internal/stream Ingestor is its front for POST /append.
 //
 // Sessions are safe for concurrent use by many request goroutines.
 package core
@@ -215,9 +216,8 @@ type Session struct {
 	// flights deduplicates concurrent identical cache misses so N
 	// first-timers on the same window/version execute and pay once.
 	flights flightGroup
-	// registry holds the session's durable-state sections (persist.go);
-	// stateful layers register at construction, the streaming ingestor
-	// later through RegisterSnapshotter. persistMu serializes
+	// registry holds the session's durable-state sections (persist.go),
+	// every one registered at construction. persistMu serializes
 	// SaveState/LoadState against each other; restoreMutated records,
 	// under persistMu, whether the in-flight restore started mutating.
 	registry       *persist.Registry
@@ -226,9 +226,11 @@ type Session struct {
 	// persistData opts snapshots into carrying the dataset itself
 	// (PersistDataset); set before serving traffic.
 	persistData bool
-	// appendMu serializes stream-append epochs so each epoch's accountant
-	// growth and dataset growth assign corresponding indices.
+	// appendMu serializes batches of arrivals (AppendPartitions) so each
+	// batch's accountant growth and dataset growth assign corresponding
+	// indices; warmed counts the leaves their warm-start pass created.
 	appendMu sync.Mutex
+	warmed   atomic.Int64
 
 	queries atomic.Int64
 	deduped atomic.Int64
@@ -351,28 +353,46 @@ func (s *Session) Dataset() *dataset.Dataset { return s.ds }
 // Planner returns the session's planning stage.
 func (s *Session) Planner() *Planner { return s.planner }
 
-// AppendPartition registers one newly-arrived stream partition, returning
-// its index. See AppendPartitions for the ordering guarantees.
+// AppendPartition registers one newly-arrived, empty stream partition,
+// returning its index. See AppendPartitions for the ordering guarantees.
 func (s *Session) AppendPartition() (int, error) {
-	return s.AppendPartitions(1)
+	return s.AppendPartitions(Arrival{})
 }
 
-// AppendPartitions registers one ingestion epoch of k newly-arrived stream
-// partitions with the accountant and then the store, returning the index
-// of the first. The accountant grows strictly first so that by the time a
-// query can name any partition of the epoch (the dataset's count is the
-// validation bound) its budget already exists. Epochs are serialized, so
-// the k accountant slots and the k dataset partitions of one epoch always
-// correspond. Callers then load data with Dataset().AddRow / AddCount /
-// BulkLoad before issuing queries over the new partitions.
+// Arrival is one newly-arrived stream partition: dense per-bin row counts
+// over the session's domain. A nil Counts registers an empty partition.
+type Arrival struct {
+	Counts []int
+}
+
+// AppendPartitions applies one batch of len(arrivals) newly-arrived stream
+// partitions and returns the index of the first. Under appendMu, which SaveState
+// holds for its whole capture, it
+//
+//  1. checks the arrivals against the domain and their rows against the
+//     room the dataset has left below dataset.MaxRows;
+//  2. grows the accountants, then the dataset, so by the time a query can
+//     name a new partition (the dataset's count is the validation bound)
+//     its budget already exists;
+//  3. bulk-loads the counts;
+//  4. in Streaming mode, warm-starts the new tree leaves left to right,
+//     each copying its predecessor's trained histogram and heuristic
+//     state (§4.5) at ingestion time rather than on the first query.
+//
+// A refused arrival consumes no partition index, and a snapshot never
+// captures a partition that was grown but not loaded. The room check
+// covers rows that arrive through this path; rows loaded into the
+// dataset directly, beside it, can still fill the room between the check
+// and the load, which the dataset then refuses.
 //
 // Non-partitioned sessions refuse the append: their single PMW-Bypass and
 // its payer's window are fixed over the initial partition range, so a
 // grown dataset would let queries name partitions whose releases no
 // accountant covers.
-func (s *Session) AppendPartitions(k int) (int, error) {
-	if k <= 0 {
-		return 0, fmt.Errorf("core: bad partition batch %d", k)
+func (s *Session) AppendPartitions(arrivals ...Arrival) (int, error) {
+	k := len(arrivals)
+	if k == 0 {
+		return 0, errors.New("core: empty arrival")
 	}
 	if s.tree == nil {
 		return 0, errors.New("core: streaming arrivals need a partitioned session " +
@@ -380,9 +400,60 @@ func (s *Session) AppendPartitions(k int) (int, error) {
 	}
 	s.appendMu.Lock()
 	defer s.appendMu.Unlock()
+	if err := s.checkArrivals(arrivals); err != nil {
+		return 0, err
+	}
 	s.block.AddPartitions(k)
-	return s.ds.AppendPartitions(k), nil
+	first := s.ds.AppendPartitions(k)
+	for i, a := range arrivals {
+		if a.Counts == nil {
+			continue
+		}
+		if err := s.ds.BulkLoad(first+i, a.Counts); err != nil {
+			return 0, err
+		}
+	}
+	if s.cfg.Mode == Streaming {
+		for p := first; p < first+k; p++ {
+			if s.tree.EagerWarmStart(p) {
+				s.warmed.Add(1)
+			}
+		}
+	}
+	return first, nil
 }
+
+// checkArrivals refuses an arrival whose counts do not fit the domain, are
+// negative, or would take the dataset past dataset.MaxRows. The caller
+// holds appendMu, so no other arrival can take the room it measured.
+func (s *Session) checkArrivals(arrivals []Arrival) error {
+	domSize := s.ds.Domain().Size()
+	room := dataset.MaxRows - s.ds.NRowsAll()
+	for i, a := range arrivals {
+		if a.Counts == nil {
+			continue
+		}
+		if len(a.Counts) != domSize {
+			return fmt.Errorf("core: arrival %d has %d bins, domain has %d", i, len(a.Counts), domSize)
+		}
+		for bin, c := range a.Counts {
+			if c < 0 {
+				return fmt.Errorf("core: arrival %d has negative count %d at bin %d", i, c, bin)
+			}
+			if c > room {
+				return fmt.Errorf("core: arrival %d would take the dataset past %d rows", i, dataset.MaxRows)
+			}
+			room -= c
+		}
+	}
+	return nil
+}
+
+// WarmStarted returns the number of tree leaves AppendPartitions' eager
+// pass created. A query that names a just-appended partition before the
+// pass reaches it creates that leaf first, warm-started all the same by
+// the same tree code; the pass then finds it and does not count it.
+func (s *Session) WarmStarted() int { return int(s.warmed.Load()) }
 
 // Answer runs one linear query through the Turbo pipeline of Fig. 1:
 // plan, exact cache, then PMW-Bypass (single or tree). It returns

@@ -102,9 +102,9 @@ type Snapshotter interface {
 }
 
 // OptionalSection marks a Snapshotter whose section may legitimately be
-// absent from a snapshot (e.g. the streaming ingestor's pending queue:
-// sessions without an ingestor never write it, and an idle ingestor omits
-// it so its snapshots restore into ingestor-less sessions).
+// absent from a snapshot (e.g. a session's dataset, written only by
+// sessions that opted into carrying it, so snapshots without it restore
+// anywhere).
 type OptionalSection interface {
 	SnapshotOptional() bool
 }
@@ -118,16 +118,6 @@ type OptionalSection interface {
 // books and caches all vet themselves through it.
 type Stager interface {
 	StagePayload(payload []byte) (apply func() error, err error)
-}
-
-// Quiescer is optionally implemented by layers with background work that
-// must pause around a snapshot (the streaming ingestor's epoch worker).
-// Quiesce blocks until the layer is at a section boundary — no epoch
-// mid-application — and returns the function that resumes it. Resume
-// functions must be safe to call exactly once; Registry.Save handles the
-// pairing.
-type Quiescer interface {
-	Quiesce() (resume func())
 }
 
 // Writer writes a snapshot envelope section by section.
@@ -253,8 +243,8 @@ func readChunk(br *bufio.Reader) ([]byte, error) {
 
 // Registry holds the Snapshotters of one session in registration order,
 // which is restore order (validation sections first, so a mismatched
-// snapshot fails before any machinery state moves); Save captures in the
-// reverse order (see Save for why).
+// snapshot fails before any machinery state moves); Capture writes in the
+// reverse order (see Capture for why).
 type Registry struct {
 	order  []Snapshotter
 	byName map[string]Snapshotter
@@ -267,8 +257,7 @@ func NewRegistry() *Registry {
 
 // Register adds a layer at the end of the restore order. Registering a
 // section tag again replaces the previous owner in place (keeping its
-// position): the newest layer owns the section, which is the semantic a
-// re-created streaming ingestor over one session needs.
+// position): the newest layer owns the section.
 func (r *Registry) Register(s Snapshotter) {
 	name := s.SnapshotSection()
 	if name == "" {
@@ -302,9 +291,8 @@ func optional(s Snapshotter) bool {
 	return ok && o.SnapshotOptional()
 }
 
-// Save quiesces every Quiescer (in registration order; resumed in
-// reverse), then writes one section per registered layer. An optional
-// layer returning a nil payload is omitted.
+// Capture writes one section per registered layer. An optional layer
+// returning a nil payload is omitted.
 //
 // Sections are CAPTURED in reverse registration order — machinery state
 // (caches, histograms: the released results) before the accountants —
@@ -317,33 +305,6 @@ func optional(s Snapshotter) bool {
 // and a restore would then under-count privacy spend. (A fully
 // consistent image still wants no in-flight queries; the race can at
 // worst record spend whose result was not yet cached.)
-func (r *Registry) Save(w io.Writer) error {
-	resume := r.QuiesceAll()
-	defer resume()
-	return r.Capture(w)
-}
-
-// QuiesceAll pauses every registered Quiescer in registration order and
-// returns the single function that resumes them all (reverse order,
-// safe to call once). Callers that must interleave their own barriers
-// between the quiesce and the capture (the session holds its append
-// mutex) use QuiesceAll + Capture instead of Save.
-func (r *Registry) QuiesceAll() (resume func()) {
-	var resumes []func()
-	for _, s := range r.order {
-		if q, ok := s.(Quiescer); ok {
-			resumes = append(resumes, q.Quiesce())
-		}
-	}
-	return func() {
-		for i := len(resumes) - 1; i >= 0; i-- {
-			resumes[i]()
-		}
-	}
-}
-
-// Capture writes every section without quiescing anything; see Save
-// for the capture-order contract.
 func (r *Registry) Capture(w io.Writer) error {
 	sw, err := NewWriter(w)
 	if err != nil {

@@ -16,13 +16,11 @@ import (
 
 // fakeLayer is a minimal Snapshotter for envelope tests.
 type fakeLayer struct {
-	name     string
-	state    []byte
-	opt      bool
-	saveErr  error
-	loadErr  error
-	quiesced int
-	resumed  int
+	name    string
+	state   []byte
+	opt     bool
+	saveErr error
+	loadErr error
 }
 
 func (f *fakeLayer) SnapshotSection() string { return f.name }
@@ -40,10 +38,6 @@ func (f *fakeLayer) RestorePayload(p []byte) error {
 	return nil
 }
 func (f *fakeLayer) SnapshotOptional() bool { return f.opt }
-func (f *fakeLayer) Quiesce() func() {
-	f.quiesced++
-	return func() { f.resumed++ }
-}
 
 func TestRoundTrip(t *testing.T) {
 	a := &fakeLayer{name: "a", state: []byte("alpha")}
@@ -53,11 +47,8 @@ func TestRoundTrip(t *testing.T) {
 	reg.Register(b)
 
 	var buf bytes.Buffer
-	if err := reg.Save(&buf); err != nil {
+	if err := reg.Capture(&buf); err != nil {
 		t.Fatal(err)
-	}
-	if a.quiesced != 1 || a.resumed != 1 {
-		t.Fatalf("quiesce/resume = %d/%d, want 1/1", a.quiesced, a.resumed)
 	}
 
 	a2 := &fakeLayer{name: "a"}
@@ -142,7 +133,7 @@ func TestTruncated(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register(a)
 	var buf bytes.Buffer
-	if err := reg.Save(&buf); err != nil {
+	if err := reg.Capture(&buf); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -162,7 +153,7 @@ func TestUnknownAndMissingSections(t *testing.T) {
 	reg.Register(a)
 	reg.Register(b)
 	var buf bytes.Buffer
-	if err := reg.Save(&buf); err != nil {
+	if err := reg.Capture(&buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -197,7 +188,7 @@ func TestOptionalNilPayloadOmitted(t *testing.T) {
 	reg.Register(&fakeLayer{name: "a", state: []byte("alpha")})
 	reg.Register(&fakeLayer{name: "idle", opt: true}) // nil payload
 	var buf bytes.Buffer
-	if err := reg.Save(&buf); err != nil {
+	if err := reg.Capture(&buf); err != nil {
 		t.Fatal(err)
 	}
 	_, order, err := ReadSections(bytes.NewReader(buf.Bytes()))
@@ -215,7 +206,7 @@ func TestSectionErrorNamesOffender(t *testing.T) {
 	reg.Register(&fakeLayer{name: "good", state: []byte("x")})
 	reg.Register(&fakeLayer{name: "bad", state: []byte("y")})
 	var buf bytes.Buffer
-	if err := reg.Save(&buf); err != nil {
+	if err := reg.Capture(&buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -228,10 +219,10 @@ func TestSectionErrorNamesOffender(t *testing.T) {
 		t.Fatalf("err = %v, want SectionError naming \"bad\" wrapping boom", err)
 	}
 
-	// Save-side failures are attributed the same way.
+	// Capture-side failures are attributed the same way.
 	regSave := NewRegistry()
 	regSave.Register(&fakeLayer{name: "bad", saveErr: boom})
-	err = regSave.Save(&bytes.Buffer{})
+	err = regSave.Capture(&bytes.Buffer{})
 	se = nil
 	if !errors.As(err, &se) || se.Section != "bad" {
 		t.Fatalf("save err = %v, want SectionError naming \"bad\"", err)
@@ -261,7 +252,7 @@ func TestStagerRefusesBeforeAnyRestore(t *testing.T) {
 	reg.Register(&fakeLayer{name: "first", state: []byte("x")})
 	reg.Register(&fakeLayer{name: "staged", state: []byte("y")})
 	var buf bytes.Buffer
-	if err := reg.Save(&buf); err != nil {
+	if err := reg.Capture(&buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -300,7 +291,7 @@ func TestRegisterReplacesSameSection(t *testing.T) {
 		t.Fatalf("sections = %v", got)
 	}
 	var buf bytes.Buffer
-	if err := reg.Save(&buf); err != nil {
+	if err := reg.Capture(&buf); err != nil {
 		t.Fatal(err)
 	}
 	payloads, _, err := ReadSections(bytes.NewReader(buf.Bytes()))

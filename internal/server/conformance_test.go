@@ -11,12 +11,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/accountant"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/server/httpd"
 )
 
 // documented is every status each route documents (ARCHITECTURE
@@ -67,8 +65,8 @@ func (tw *twins) each(fn func(*testServer)) {
 }
 
 // do sends one request to both servers, requires status want and the same
-// status, Content-Type, Retry-After and body from each (resident_bytes
-// aside), and returns the body.
+// status, Content-Type and body from each (resident_bytes aside), and
+// returns the body.
 func (tw *twins) do(method, path string, body []byte, want int) []byte {
 	tw.t.Helper()
 	req, err := http.NewRequest(method, tw.live.URL+path, bytes.NewReader(body))
@@ -86,10 +84,8 @@ func (tw *twins) do(method, path string, body []byte, want int) []byte {
 	}
 	rec := httptest.NewRecorder()
 	tw.inproc.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
-	for _, h := range []string{"Content-Type", "Retry-After"} {
-		if l, p := resp.Header.Get(h), rec.Header().Get(h); l != p {
-			tw.t.Errorf("%s %s: %s %q from the listener, %q from Handler()", method, path, h, l, p)
-		}
+	if l, p := resp.Header.Get("Content-Type"), rec.Header().Get("Content-Type"); l != p {
+		tw.t.Errorf("%s %s: Content-Type %q from the listener, %q from Handler()", method, path, l, p)
 	}
 	if resp.StatusCode != rec.Code || !bytes.Equal(residentBytes.ReplaceAll(got, nil), residentBytes.ReplaceAll(rec.Body.Bytes(), nil)) {
 		tw.t.Fatalf("%s %s: the listener answers %d %.200q, Handler() %d %.200q", method, path, resp.StatusCode, got, rec.Code, rec.Body.Bytes())
@@ -114,9 +110,9 @@ func TestListenerMatchesHandler(t *testing.T) {
 	query := func(sql string) []byte { b, _ := json.Marshal(QueryRequest{SQL: sql}); return b }
 	batch := func(qs ...string) []byte { b, _ := json.Marshal(BatchQueryRequest{Queries: qs}); return b }
 	huge := query(sql + strings.Repeat(" ", maxAnalystBody))
-	build := func(mut func(*core.Config), opts ...httpd.Option) func() *testServer {
+	build := func(mut func(*core.Config)) func() *testServer {
 		return func() *testServer {
-			srv, _ := newTestServerWith(t, 100, mut, opts...)
+			srv, _ := newTestServerWith(t, 100, mut)
 			return srv
 		}
 	}
@@ -197,43 +193,6 @@ func TestListenerMatchesHandler(t *testing.T) {
 	inf := newTwins(t, seen, func() *testServer { s, _ := newTestServer(t, math.Inf(1)); return s })
 	inf.do("POST", "/query", query(sql), 500)
 	inf.do("POST", "/query/batch", batch(sql), 500)
-
-	// A full ingest queue sheds with Retry-After.
-	shed := newTwins(t, seen, build(nil, httpd.WithAppendBacklog(1)))
-	var resumes []func()
-	shed.each(func(s *testServer) { resumes = append(resumes, s.Ingestor().Quiesce()) })
-	queued := make(chan []byte, 1)
-	go func() {
-		req, _ := http.NewRequest("POST", shed.live.URL+"/append", bytes.NewReader(appendBody(t, domSize, 1, 5)))
-		resp, err := shed.live.Client().Do(req)
-		if err != nil {
-			queued <- nil
-			return
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		queued <- b
-	}()
-	queuedIn := make(chan []byte, 1)
-	go func() {
-		rec := httptest.NewRecorder()
-		shed.inproc.ServeHTTP(rec, httptest.NewRequest("POST", "/append", bytes.NewReader(appendBody(t, domSize, 1, 5))))
-		queuedIn <- rec.Body.Bytes()
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for shed.srvs[0].Ingestor().Stats().Pending != 1 || shed.srvs[1].Ingestor().Stats().Pending != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("the first appends never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	shed.do("POST", "/append", appendBody(t, domSize, 1, 5), 503)
-	for _, resume := range resumes {
-		resume()
-	}
-	if a, b := <-queued, <-queuedIn; a == nil || !bytes.Equal(a, b) {
-		t.Fatalf("the queued appends answer %q and %q", a, b)
-	}
 
 	for path, statuses := range documented {
 		for _, st := range statuses {

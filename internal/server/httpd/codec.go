@@ -29,7 +29,7 @@ const maxAnalystBody = 1 << 20
 
 // maxAppendPartitions is how many partitions one /append batch may hold,
 // and so how many a /append body has room for at the widest counts. A
-// batch is one ingestion epoch, and 64 holds the paper's longest
+// batch is applied whole, and 64 holds the paper's longest
 // evaluated timeline (50 weekly partitions) in one. The byte cap alone
 // would not bound the count: an empty partition is two bytes.
 const maxAppendPartitions = 64
@@ -487,12 +487,9 @@ func appendSchemaResponse(dst []byte, r *SchemaResponse) ([]byte, error) {
 	if in := r.Ingestion; in != nil {
 		dst = appendInt(dst, `,"ingestion":{"appends":`, in.Appends)
 		dst = appendInt(dst, `,"batches":`, in.Batches)
-		dst = appendInt(dst, `,"epochs":`, in.Epochs)
 		dst = appendInt(dst, `,"partitions_ingested":`, in.Partitions)
 		dst = appendInt(dst, `,"rows_ingested":`, in.Rows)
 		dst = appendInt(dst, `,"warm_started_leaves":`, in.WarmStarted)
-		dst = appendInt(dst, `,"pending":`, in.Pending)
-		dst = appendInt(dst, `,"shed":`, in.Shed)
 		dst = append(appendInt(dst, `,"flight_deduped":`, in.FlightDeduped), '}')
 	}
 	return append(dst, '}'), nil

@@ -8,12 +8,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/domain"
-	"repro/internal/persist"
 )
 
 // hitStatement is a /query body of the test server's domain; window picks
@@ -212,56 +210,44 @@ func appendBody(i int) []byte {
 }
 
 // TestAppendScratchNotRetained: an /append's batch is decoded into its
-// connection's scratch and submitted from there, and the connection
-// reuses neither while the batch waits for its epoch. A snapshot taken
-// while two /appends from two connections wait on a quiesced ingestor,
-// after their bodies' bytes have been overwritten as a connection
-// overwrites them with its next request, holds each request's own counts.
+// connection's scratch and applied from there, before the handler
+// returns. Once two /appends from two connections have returned,
+// overwriting each connection's body and scratch, as its next request
+// would, leaves the partitions they appended holding each request's own
+// counts.
 func TestAppendScratchNotRetained(t *testing.T) {
 	srv := newStreamServer(t)
-	resume := srv.Ingestor().Quiesce()
 	hs := []*handler{{srv: srv}, {srv: srv}}
+	parts := make([]int, len(hs))
 	var wg sync.WaitGroup
 	for i, h := range hs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if resp := h.send(t, "/append", appendBody(11*(i+1))); resp.Status != StatusOK {
+			resp := h.send(t, "/append", appendBody(11*(i+1)))
+			var ar AppendResponse
+			if err := json.Unmarshal(resp.Body, &ar); resp.Status != StatusOK || err != nil {
 				t.Errorf("append %d: %d %s", i, resp.Status, resp.Body)
+				return
 			}
+			parts[i] = ar.Start
 		}()
 	}
-	for srv.Ingestor().Stats().Pending < 2 {
-		time.Sleep(time.Millisecond)
-	}
+	wg.Wait()
 	for _, h := range hs {
 		copy(h.req.Body, appendBody(99))
-	}
-	payload, err := srv.Ingestor().SnapshotPayload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := persist.NewDecoder(payload)
-	var firsts []int
-	for range d.Count(1) {
-		for range d.Count(1) {
-			counts := make([]int, d.Count(1))
-			for k := range counts {
-				counts[k] = d.Int()
+		for _, c := range h.req.scratch.counts {
+			for k := range c {
+				c[k] = 77
 			}
-			if len(counts) != 8 || counts[7] != 8 {
-				t.Errorf("pending counts %v", counts)
-			}
-			firsts = append(firsts, counts[0])
 		}
 	}
-	if err := d.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	resume()
-	wg.Wait()
-	if slices.Sort(firsts); !slices.Equal(firsts, []int{11, 22}) {
-		t.Errorf("pending batches begin %v, want the requests' own 11 and 22", firsts)
+	ds := srv.sess.Dataset()
+	for i, p := range parts {
+		want := []int{11 * (i + 1), 2, 3, 4, 5, 6, 7, 8}
+		if got := ds.PartitionCounts(p); !slices.Equal(got, want) {
+			t.Errorf("partition %d appended by connection %d holds %v, want %v", p, i, got, want)
+		}
 	}
 }
 

@@ -181,14 +181,12 @@ func (r *Request) scratchFor() *scratch {
 	return r.scratch
 }
 
-// Response is what a handler answers: a status, the two headers the
-// routes set, and the body. Its Body array is reused like Request.Body.
+// Response is what a handler answers: a status, the one header the routes
+// set, and the body. Its Body array is reused like Request.Body.
 type Response struct {
 	Status      int
 	ContentType string
-	// RetryAfter is the Retry-After header in seconds; 0 sends none.
-	RetryAfter int
-	Body       []byte
+	Body        []byte
 }
 
 // route is one endpoint: its handler, the most body bytes it reads, and
@@ -494,9 +492,6 @@ func appendResponse(dst []byte, w *Response, closing, headOnly bool) []byte {
 	dst = append(append(append(dst, ' '), statusText[w.Status]...), "\r\n"...)
 	if w.ContentType != "" {
 		dst = append(append(append(dst, "Content-Type: "...), w.ContentType...), "\r\n"...)
-	}
-	if w.RetryAfter > 0 {
-		dst = append(strconv.AppendInt(append(dst, "Retry-After: "...), int64(w.RetryAfter), 10), "\r\n"...)
 	}
 	dst = time.Now().UTC().AppendFormat(append(dst, "Date: "...), "Mon, 02 Jan 2006 15:04:05 GMT")
 	dst = strconv.AppendInt(append(dst, "\r\nContent-Length: "...), int64(len(w.Body)), 10)

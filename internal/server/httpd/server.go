@@ -20,15 +20,15 @@
 //	GET  /schema   → the public domain description, row counts, and the
 //	               ingestion counters of the streaming pipeline
 //	GET  /snapshot → the session's durable state as a persist envelope
-//	               (accountants incl. RDP curves, caches, tree, pending
-//	               ingestion epochs)
+//	               (accountants incl. RDP curves, caches, tree, and the
+//	               dataset its appends grew)
 //	POST /restore  → restore a snapshot into this fresh server, before it
-//	               serves; 200 means every section — pending epochs
-//	               included — is applied and queryable
+//	               serves; 200 means every section is applied and
+//	               queryable
 //
 // A handler takes a Request (method, path and whole body) and fills a Response
-// (status, Content-Type, Retry-After and body); the front end reads the
-// one and writes the other.
+// (status, Content-Type and body); the front end reads the one and writes
+// the other.
 //
 // Restore runs before serving, and the server's boot latch alone decides
 // when it may: the first /query, /query/batch, /groupby or /append closes
@@ -41,10 +41,9 @@
 // server holds no lock of its own: the session's query pipeline is
 // concurrency-safe (lock-free planning and exact-cache probes, execution
 // that locks only around state updates, thread-safe accounting), so request goroutines flow straight
-// through; /append hands arrivals to the streaming ingestor, whose epochs
-// keep racing queries accountable. With WithAppendBacklog the ingestor's
-// submission queue is bounded and an overflowing /append sheds with 503 +
-// Retry-After instead of blocking the handler. GET /budget and GET
+// through; /append applies its arrivals on its own connection through the
+// streaming ingestor, in the order that keeps racing queries accountable,
+// so the appends in flight are bounded by the connections. GET /budget and GET
 // /schema are lock-free reads of accountant and public metadata that never
 // close the restore window, and the server's own counters are atomics.
 package httpd
@@ -77,12 +76,6 @@ type Server struct {
 	// ing is the streaming ingestion pipeline behind POST /append; nil
 	// for non-partitioned sessions, which cannot grow.
 	ing *stream.Ingestor
-
-	// appendBacklog bounds the ingestor's submission queue (0 keeps it
-	// unbounded); overflow sheds with 503 + Retry-After.
-	appendBacklog int
-	// retryAfter is the Retry-After hint (seconds) on shed appends.
-	retryAfter int
 
 	// live is the boot latch: set by the first analyst request or a
 	// successful restore, after which /restore is 409. bootMu serializes
@@ -122,21 +115,10 @@ type Server struct {
 	conns map[*conn]struct{}
 }
 
-// Option configures a Server at construction.
-type Option func(*Server)
-
-// WithAppendBacklog bounds the streaming ingestor's submission queue to n
-// batches; an overflowing POST /append returns 503 with a Retry-After
-// header instead of queueing without bound. n <= 0 keeps the queue
-// unbounded (the default).
-func WithAppendBacklog(n int) Option {
-	return func(s *Server) { s.appendBacklog = n }
-}
-
 // New creates a server over sess; table is the (single) table name the
 // SQL surface accepts. Partitioned and streaming sessions get a streaming
-// ingestor behind POST /append; call Close to release its worker.
-func New(sess *core.Session, table string, opts ...Option) (*Server, error) {
+// ingestor behind POST /append.
+func New(sess *core.Session, table string) (*Server, error) {
 	if sess == nil {
 		return nil, errors.New("httpd: nil session")
 	}
@@ -153,16 +135,12 @@ func New(sess *core.Session, table string, opts ...Option) (*Server, error) {
 		names:       quoteNames(sess.Dataset().Domain()),
 		table:       table,
 		bySource:    bySource,
-		retryAfter:  1,
 		routes:      routes,
 		headTimeout: 10 * time.Second,
 		conns:       make(map[*conn]struct{}),
 	}
-	for _, opt := range opts {
-		opt(srv)
-	}
 	if sess.Tree() != nil {
-		ing, err := stream.NewIngestor(sess, stream.WithMaxPending(srv.appendBacklog))
+		ing, err := stream.NewIngestor(sess)
 		if err != nil {
 			return nil, err
 		}
@@ -180,12 +158,9 @@ func New(sess *core.Session, table string, opts ...Option) (*Server, error) {
 // non-partitioned sessions), for operational tooling and tests.
 func (s *Server) Ingestor() *stream.Ingestor { return s.ing }
 
-// Close drains and stops the streaming ingestor (no-op without one).
-func (s *Server) Close() {
-	if s.ing != nil {
-		s.ing.Close()
-	}
-}
+// Close does nothing: the server runs no background work of its own to
+// release. It is kept for callers that pair it with New.
+func (s *Server) Close() {}
 
 // countAnswer updates the answer-level counters for one released answer.
 // It deliberately does not touch the served-request counter: a request is
@@ -221,10 +196,9 @@ type QueryResponse struct {
 // ErrorResponse carries a machine-readable error kind plus a message.
 type ErrorResponse struct {
 	// Kind is one of "parse", "exhausted", "internal", "bad-request",
-	// "overloaded" (transient: shed by the bounded ingest queue, retry
-	// later), "conflict" (restore into a server that already began
-	// serving), or "corrupt" (a failed restore left the session undefined;
-	// restart required).
+	// "conflict" (restore into a server that already began serving), or
+	// "corrupt" (a failed restore left the session undefined; restart
+	// required).
 	Kind    string `json:"kind"`
 	Message string `json:"message"`
 }
@@ -434,20 +408,19 @@ type appendPartition = struct {
 type AppendResponse struct {
 	Start int `json:"start"`
 	End   int `json:"end"`
-	// Partitions is the store's partition count as of the batch's epoch
-	// (consistent with Start/End even when later epochs land first).
+	// Partitions is the store's partition count as the batch left it
+	// (consistent with Start/End even when later batches land first).
 	Partitions int `json:"partitions"`
 }
 
-// handleAppend feeds one batch of arrivals through the streaming ingestion
-// pipeline and blocks until its epoch is applied, so a 200 means the
-// partitions are queryable, loaded, and (in streaming mode) warm-started.
-// A body past maxAppendBody, or a batch of more than maxAppendPartitions,
-// is a 413 that enqueues nothing. The batch is decoded into the
-// connection's scratch and submitted from there: the ingestor reads it
-// until the epoch is applied, and the handler waits for that before the
-// connection can reuse it, so an /append allocates only the partitions
-// the dataset and the tree keep.
+// handleAppend applies one batch of arrivals through the streaming
+// ingestor on the request's own goroutine, so a 200 means the partitions
+// are queryable, loaded, and (in streaming mode) warm-started. A body past
+// maxAppendBody, or a batch of more than maxAppendPartitions, is a 413
+// that appends nothing. The batch is decoded into the connection's
+// scratch and applied from there, before the connection can reuse it,
+// so an /append allocates only the partitions the dataset and the tree
+// keep.
 func (s *Server) handleAppend(w *Response, r *Request) {
 	if !posted(w, r) {
 		return
@@ -480,23 +453,11 @@ func (s *Server) handleAppend(w *Response, r *Request) {
 		sc.arrivals = append(sc.arrivals, stream.Arrival{Counts: p.Counts})
 	}
 	tk, err := s.ing.Submit(sc.arrivals...)
-	if errors.Is(err, stream.ErrBacklogFull) {
-		// Backpressure: the bounded submission queue is at capacity. Shed
-		// with a retry hint instead of parking the handler goroutine (and
-		// the client connection) behind an unbounded backlog.
-		writeError(w, StatusServiceUnavailable, "overloaded", err.Error())
-		w.RetryAfter = s.retryAfter
-		return
-	}
 	if err != nil {
 		writeError(w, StatusUnprocessableEntity, "bad-request", err.Error())
 		return
 	}
-	first, last, err := tk.Wait()
-	if err != nil {
-		writeError(w, StatusUnprocessableEntity, "bad-request", err.Error())
-		return
-	}
+	first, last, _ := tk.Wait()
 	s.appends.Add(1)
 	writeBody(w, StatusOK, appendAppendResponse(w.Body[:0], &AppendResponse{
 		Start:      first,
@@ -590,16 +551,11 @@ func (s *Server) handleBudget(w *Response, r *Request) {
 type IngestionStats struct {
 	// Appends counts served /append requests (200 responses).
 	Appends int64 `json:"appends"`
-	// Batches/Epochs/Partitions/Rows/WarmStarted are the ingestor's
-	// counters; Pending is the instantaneous queue depth.
+	// Batches/Partitions/Rows/WarmStarted are the ingestor's counters.
 	Batches     int64 `json:"batches"`
-	Epochs      int64 `json:"epochs"`
 	Partitions  int64 `json:"partitions_ingested"`
 	Rows        int64 `json:"rows_ingested"`
 	WarmStarted int64 `json:"warm_started_leaves"`
-	Pending     int64 `json:"pending"`
-	// Shed counts /append submissions refused by the bounded queue.
-	Shed int64 `json:"shed"`
 	// FlightDeduped counts answers shared from a concurrent identical
 	// flight instead of executing (single-flight window dedup).
 	FlightDeduped int64 `json:"flight_deduped"`
@@ -693,12 +649,9 @@ func (s *Server) handleSchema(w *Response, r *Request) {
 		resp.Ingestion = &IngestionStats{
 			Appends:       s.appends.Load(),
 			Batches:       st.Batches,
-			Epochs:        st.Epochs,
 			Partitions:    st.Partitions,
 			Rows:          st.Rows,
 			WarmStarted:   st.WarmStarted,
-			Pending:       st.Pending,
-			Shed:          st.Shed,
 			FlightDeduped: int64(s.sess.Deduped()),
 		}
 	}
@@ -724,8 +677,8 @@ func (s *Server) SaveState(w io.Writer) error {
 
 // handleSnapshot streams the session's durable state as a persist
 // envelope: the block accountant (RDP curves included), the exact cache,
-// tree node state, and any pending ingestion epochs, captured under the
-// ingestor's quiesce barrier. The snapshot is buffered before the first
+// tree node state and the dataset its appends grew, captured with no
+// append mid-application. The snapshot is buffered before the first
 // byte is written so an encoding failure surfaces as a clean 500 rather
 // than a torn 200 body.
 func (s *Server) handleSnapshot(w *Response, r *Request) {
@@ -761,8 +714,7 @@ type RestoreResponse struct {
 // to typed statuses: input that is not a snapshot or from another format
 // version is 400; a section-level mismatch (wrong mode, stale dataset,
 // foreign accounting) is 422 and leaves the server usable. After a 200
-// every restored section — pending ingestion epochs included — is
-// applied and queryable. A failure after the restore began mutating
+// every restored section is applied and queryable. A failure after the restore began mutating
 // (core.ErrStateCorrupt) is 500 "corrupt", and the server then refuses
 // every analyst request and snapshot until it is restarted. The front end
 // has read the whole body before the handler runs, so a slow upload never
@@ -795,9 +747,8 @@ func (s *Server) handleRestore(w *Response, r *Request) {
 		writeError(w, StatusUnprocessableEntity, "bad-request", err.Error())
 		return
 	}
-	// LoadState is fully synchronous — restored pending epochs are
-	// applied (or have failed the restore) by the time it returns — so a
-	// 200 here means every section is queryable.
+	// LoadState is fully synchronous, so a 200 here means every section
+	// is queryable.
 	writeResult(w, appendRestoreResponse, &RestoreResponse{
 		Partitions:   s.sess.Dataset().Partitions(),
 		Queries:      int64(s.sess.Queries()),

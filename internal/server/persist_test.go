@@ -1,6 +1,4 @@
-// Tests of the durable-state endpoints (GET /snapshot, POST /restore)
-// and the /append backpressure path (bounded ingest queue → 503 +
-// Retry-After).
+// Tests of the durable-state endpoints (GET /snapshot, POST /restore).
 
 package server
 
@@ -12,11 +10,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/server/httpd"
-	"repro/internal/stream"
+	"repro/internal/interval"
 )
 
 // gaussianCfg switches a test session to Rényi accounting.
@@ -147,119 +143,63 @@ func TestSnapshotRestoreEndpoints(t *testing.T) {
 	}
 }
 
-// TestAppendBackpressure checks the bounded ingest queue end to end:
-// with the worker quiesced and the backlog full, POST /append sheds with
-// 503 + Retry-After; once the queue drains, the held appends land.
-func TestAppendBackpressure(t *testing.T) {
-	srv, ds := newStreamingServer(t, false, httpd.WithAppendBacklog(2))
-	ts := serve(t, srv)
-	defer ts.Close()
-	defer srv.Close()
-	domSize := ds.Domain().Size()
-
-	resume := srv.Ingestor().Quiesce()
-	var wg sync.WaitGroup
-	codes := make(chan int, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/append", "application/json",
-				bytes.NewReader(appendBody(t, domSize, 1, 3)))
-			if err != nil {
-				codes <- -1
-				return
-			}
-			defer resp.Body.Close()
-			codes <- resp.StatusCode
-		}()
-	}
-	// Wait until both batches are queued behind the quiesced worker.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Ingestor().Stats().Pending != 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("pending = %d, want 2", srv.Ingestor().Stats().Pending)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// The third append overflows: 503 with a retry hint, nothing queued.
-	resp, err := http.Post(ts.URL+"/append", "application/json",
-		bytes.NewReader(appendBody(t, domSize, 1, 3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("overflow append = %d %s, want 503", resp.StatusCode, body)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Fatal("503 without Retry-After")
-	}
-	if !strings.Contains(string(body), "overloaded") {
-		t.Fatalf("503 body %s, want kind overloaded", body)
-	}
-
-	// Resume: the two queued appends land with 200.
-	resume()
-	wg.Wait()
-	close(codes)
-	for code := range codes {
-		if code != http.StatusOK {
-			t.Fatalf("queued append = %d, want 200", code)
-		}
-	}
-	if shed := srv.Ingestor().Stats().Shed; shed != 1 {
-		t.Fatalf("shed = %d, want 1", shed)
-	}
-	if got := ds.Partitions(); got != 4 {
-		t.Fatalf("partitions = %d, want 4 (shed batch must not land)", got)
-	}
-}
-
-// TestSnapshotRestoreWithPendingEpochs drives the full mid-stream story
-// over HTTP: a snapshot taken while appends wait behind the quiesce
-// barrier restores into a fresh server, whose 200 means the pending
-// epochs are applied — exactly once.
-func TestSnapshotRestoreWithPendingEpochs(t *testing.T) {
+// TestSnapshotRacesAppendStorm drives the mid-stream story over HTTP:
+// GET /snapshot while /appends arrive on other connections. Each snapshot
+// restores into a fresh server with 200, every partition it holds loaded
+// with its batch's rows and carrying its warm-started leaf.
+func TestSnapshotRacesAppendStorm(t *testing.T) {
 	srv1, ds1 := newStreamingServer(t, true)
 	ts1 := serve(t, srv1)
 	defer ts1.Close()
-	defer srv1.Close()
+	domSize := ds1.Domain().Size()
 
-	const sql = "SELECT COUNT(*) FROM covid WHERE positive = 1"
-	if resp, body := postQuery(t, ts1, sql); resp.StatusCode != http.StatusOK {
-		t.Fatalf("warmup query: %d %s", resp.StatusCode, body)
+	const appenders, appendsEach = 3, 4
+	var wg sync.WaitGroup
+	for a := 0; a < appenders; a++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < appendsEach; i++ {
+				if status, body := post(t, ts1, "/append", appendBody(t, domSize, 1+i%2, 5)); status != http.StatusOK {
+					t.Errorf("/append = %d %s", status, body)
+					return
+				}
+			}
+		}()
 	}
-	resume := srv1.Ingestor().Quiesce()
-	counts := make([]int, ds1.Domain().Size())
-	for bin := range counts {
-		counts[bin] = 5
+	var snaps [][]byte
+	for i := 0; i < 4; i++ {
+		snaps = append(snaps, getSnapshot(t, ts1))
 	}
-	if _, err := srv1.Ingestor().Submit(stream.Arrival{Counts: counts}); err != nil {
-		t.Fatal(err)
-	}
-	snap := getSnapshot(t, ts1)
+	wg.Wait()
+	snaps = append(snaps, getSnapshot(t, ts1))
 
-	srv2, ds2 := newStreamingServer(t, true)
-	ts2 := serve(t, srv2)
-	defer ts2.Close()
-	defer srv2.Close()
-	status, rbody := postRestore(t, ts2, snap)
-	if status != http.StatusOK {
-		t.Fatalf("POST /restore = %d %s", status, rbody)
+	for i, snap := range snaps {
+		srv2, ds2 := newStreamingServer(t, true)
+		ts2 := serve(t, srv2)
+		status, rbody := postRestore(t, ts2, snap)
+		ts2.Close()
+		if status != http.StatusOK {
+			t.Fatalf("snapshot %d: POST /restore = %d %s", i, status, rbody)
+		}
+		var rr RestoreResponse
+		if err := json.Unmarshal(rbody, &rr); err != nil {
+			t.Fatal(err)
+		}
+		if rr.Partitions != ds2.Partitions() || srv2.sess.Accountant().Partitions() != rr.Partitions {
+			t.Fatalf("snapshot %d: restored %d partitions, dataset %d, books %d",
+				i, rr.Partitions, ds2.Partitions(), srv2.sess.Accountant().Partitions())
+		}
+		for p := 2; p < rr.Partitions; p++ {
+			if got, want := ds2.PartitionN(p), 5*domSize; got != want {
+				t.Fatalf("snapshot %d: partition %d holds %d rows, want %d", i, p, got, want)
+			}
+			if srv2.sess.Tree().NodeHistogram(interval.Node{Start: p, End: p}) == nil {
+				t.Fatalf("snapshot %d: partition %d restored without its warm-started leaf", i, p)
+			}
+		}
+		if i == len(snaps)-1 && rr.Partitions != ds1.Partitions() {
+			t.Fatalf("the last snapshot holds %d partitions, the stream %d", rr.Partitions, ds1.Partitions())
+		}
 	}
-	var rr RestoreResponse
-	if err := json.Unmarshal(rbody, &rr); err != nil {
-		t.Fatal(err)
-	}
-	// 2 initial + 1 pending epoch, applied exactly once by restore time.
-	if rr.Partitions != 3 || ds2.Partitions() != 3 {
-		t.Fatalf("restored partitions = %d/%d, want 3", rr.Partitions, ds2.Partitions())
-	}
-	if got, want := ds2.PartitionN(2), 5*ds2.Domain().Size(); got != want {
-		t.Fatalf("replayed partition has %d rows, want %d (exactly-once)", got, want)
-	}
-	resume()
 }

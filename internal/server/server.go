@@ -19,8 +19,8 @@ type Server struct {
 }
 
 // New creates a server over sess; see httpd.New.
-func New(sess *core.Session, table string, opts ...httpd.Option) (*Server, error) {
-	s, err := httpd.New(sess, table, opts...)
+func New(sess *core.Session, table string) (*Server, error) {
+	s, err := httpd.New(sess, table)
 	if err != nil {
 		return nil, err
 	}
@@ -39,9 +39,6 @@ func (s *Server) Handler() http.Handler {
 		}
 		if resp.ContentType != "" {
 			w.Header().Set("Content-Type", resp.ContentType)
-		}
-		if resp.RetryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(resp.RetryAfter))
 		}
 		w.Header().Set("Content-Length", strconv.Itoa(len(resp.Body)))
 		w.WriteHeader(resp.Status)

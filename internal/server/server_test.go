@@ -25,9 +25,9 @@ type testServer struct {
 }
 
 // newServer builds the server of sess, for table covid.
-func newServer(t *testing.T, sess *core.Session, opts ...httpd.Option) *testServer {
+func newServer(t *testing.T, sess *core.Session) *testServer {
 	t.Helper()
-	srv, err := New(sess, "covid", opts...)
+	srv, err := New(sess, "covid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func newTestServer(t *testing.T, epsG float64) (*testServer, *dataset.Dataset) {
 
 // newTestServerWith builds the standard 4-partition covid test server,
 // letting mut adjust the session config (mode, Gaussian accounting, ...).
-func newTestServerWith(t *testing.T, epsG float64, mut func(*core.Config), opts ...httpd.Option) (*testServer, *dataset.Dataset) {
+func newTestServerWith(t *testing.T, epsG float64, mut func(*core.Config)) (*testServer, *dataset.Dataset) {
 	t.Helper()
 	dom := domain.MustNew(
 		domain.Attribute{Name: "positive", Card: 2, Levels: []string{"negative", "positive"}},
@@ -102,7 +102,7 @@ func newTestServerWith(t *testing.T, epsG float64, mut func(*core.Config), opts 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newServer(t, sess, opts...), ds
+	return newServer(t, sess), ds
 }
 
 func postQuery(t *testing.T, ts *liveServer, sql string) (*http.Response, []byte) {

@@ -110,3 +110,32 @@ func TestSetGetAllocBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestSetOpeningChunkAllocs: a fill whose record does not fit the tail
+// chunk encodes its value into the store's spill, not into a throw-away
+// slice, and opens a new chunk allocating nothing but its share of the
+// page set's and the chunk list's growth. Chunks of 64 bytes hold one
+// record each, so every Set below opens one. Encoding into a new slice
+// read 1 object a Set.
+func TestSetOpeningChunkAllocs(t *testing.T) {
+	keys := windowedKeys(1000)
+	for _, mode := range bothModes {
+		t.Run(mode.name, func(t *testing.T) {
+			s := newMem(mode.cfg, 6, 1<<20)
+			var v FastEncoder = fastEntry{Value: 1, Eps: 0.1, Version: 1}
+			i := 0
+			if allocs := testing.AllocsPerRun(len(keys)-1, func() {
+				chunks := len(s.chunks)
+				if err := s.Set(keys[i], v); err != nil {
+					t.Fatal(err)
+				}
+				if len(s.chunks) != chunks+1 {
+					t.Fatalf("Set %d did not open a chunk", i)
+				}
+				i++
+			}); allocs != 0 {
+				t.Fatalf("a Set opening a chunk allocates %v objects, want 0", allocs)
+			}
+		})
+	}
+}

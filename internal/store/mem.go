@@ -72,7 +72,9 @@
 // No chunk slice outlives the lock: the next writer may unmap the chunk,
 // and a stale slice faults. Get decodes under the lock or copies, Export
 // copies, and the scratch a FastEncoder fills is consumed under the same
-// write lock without compacting (arena.scratch).
+// write lock without compacting (arena.scratch). A value the tail has no
+// room for is encoded into the store's spill buffer, on the heap, under
+// that lock too.
 //
 // Limits fail closed: a key over 65,535 bytes, a value of 512 MiB or more,
 // or a record past the arena's 65,536 chunk slots is an error that stores
@@ -97,6 +99,8 @@ const (
 	chunkShift = 16
 	// maxKeyLen is what the record header's u16 key length can express.
 	maxKeyLen = 1<<16 - 1
+	// maxSpill is the largest spill buffer a store keeps between Sets.
+	maxSpill = 1 << 12
 	// capSlack is the chunk slots MaxCapBytes leaves unfilled: the small
 	// chunks an arena opens first (4, 4, 8, 16 and 32 KiB), the tail
 	// chunk, and the record a store at its cap writes before it evicts.
@@ -163,6 +167,11 @@ type Mem struct {
 	// hashMask is all ones; the model test clears bits of it to force keys
 	// into few buckets.
 	hashMask uint64
+
+	// spill is where Set encodes a value too long for the arena tail's
+	// scratch, so a fill that opens a new chunk allocates nothing once
+	// the spill has grown to the values' size. Guarded by mu.
+	spill []byte
 
 	hits, misses, sets, setErrors, deletes, evictions atomic.Int64
 	decodeErrors                                      atomic.Int64
@@ -331,9 +340,18 @@ func (s *Mem) Set(k string, value FastEncoder) error {
 	s.mu.Lock()
 	// Where a new record's value would start. If the key turns out to
 	// have a same-length record already, put overwrites that instead and
-	// the tail stays uncommitted; if the tail is too short, AppendFast
-	// allocates and put copies it in.
-	err := s.put(k, h, value.AppendFast(s.scratch(hdrLen+len(k))))
+	// the tail stays uncommitted. A tail shorter than the spill encodes
+	// into the spill, and put copies it into a new chunk; a value longer
+	// than both is appended into a new slice, kept as the next spill.
+	dst := s.scratch(hdrLen + len(k))
+	if cap(dst) < cap(s.spill) {
+		dst = s.spill[:0]
+	}
+	raw := value.AppendFast(dst)
+	if len(raw) > cap(dst) && cap(raw) <= maxSpill {
+		s.spill = raw[:0]
+	}
+	err := s.put(k, h, raw)
 	s.mu.Unlock()
 	if err != nil {
 		s.setErrors.Add(1)

@@ -17,10 +17,10 @@ import (
 
 // A CitiBike-style rental stream partitioned by week, with new weeks
 // arriving over time while analysts query recent windows (§4.5, use case
-// 3). Each week is submitted as a batched arrival, applied as an ordered
-// epoch (accountants → dataset → data), and its tree leaf is warm-started
-// from the previous week's learning at ingestion time rather than on the
-// first query.
+// 3). Each week is submitted as a batched arrival, applied in order
+// (accountants → dataset → data) before Submit returns, and its tree leaf
+// is warm-started from the previous week's learning at ingestion time
+// rather than on the first query.
 func ExampleIngestor() {
 	const weeks, perWeek = 12, 400
 
@@ -57,7 +57,6 @@ func ExampleIngestor() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer ing.Close()
 
 	z, err := workload.NewZipf(pool, 0, noise.NewRng(11))
 	if err != nil {
@@ -68,7 +67,7 @@ func ExampleIngestor() {
 	answered, exhausted := 0, 0
 	for w := 0; w < weeks; w++ {
 		if w > 0 {
-			if _, _, err := ing.Append(stream.Arrival{Counts: full.PartitionCounts(w)}); err != nil {
+			if _, err := ing.Submit(stream.Arrival{Counts: full.PartitionCounts(w)}); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -66,9 +66,18 @@ func arrival(dom *domain.Domain, count int) Arrival {
 	return Arrival{Counts: counts}
 }
 
+// appendBatch submits one batch and returns the range its ticket reports.
+func appendBatch(ing *Ingestor, arrivals ...Arrival) (first, last int, err error) {
+	tk, err := ing.Submit(arrivals...)
+	if err != nil {
+		return 0, 0, err
+	}
+	return tk.Wait()
+}
+
 // TestIngestorAssignsDenseIndices submits batches from many goroutines and
-// checks the epochs assign every arrival a unique, dense partition index,
-// with data loaded and accountants grown before the ticket resolves.
+// checks every arrival gets a unique, dense partition index, with data
+// loaded and accountants grown before Submit returns.
 func TestIngestorAssignsDenseIndices(t *testing.T) {
 	ds := testDS(t, 2)
 	sess := streamingSession(t, ds, core.Streaming, false)
@@ -76,7 +85,6 @@ func TestIngestorAssignsDenseIndices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ing.Close()
 
 	const producers, batchesPer = 6, 5
 	var mu sync.Mutex
@@ -92,7 +100,7 @@ func TestIngestorAssignsDenseIndices(t *testing.T) {
 				for i := range batch {
 					batch[i] = arrival(ds.Domain(), 10)
 				}
-				first, last, err := ing.Append(batch...)
+				first, last, err := appendBatch(ing, batch...)
 				if err != nil {
 					t.Errorf("producer %d: %v", p, err)
 					return
@@ -101,8 +109,8 @@ func TestIngestorAssignsDenseIndices(t *testing.T) {
 					t.Errorf("producer %d: got range [%d,%d] for %d arrivals", p, first, last, size)
 					return
 				}
-				// The epoch guarantees: accountants cover the new
-				// partitions and the data is loaded when Wait returns.
+				// The arrival guarantees: accountants cover the new
+				// partitions and the data is loaded when Submit returns.
 				if sess.Accountant().Partitions() < last+1 {
 					t.Error("accountant lags a resolved ticket")
 					return
@@ -133,8 +141,8 @@ func TestIngestorAssignsDenseIndices(t *testing.T) {
 	if st.Batches != producers*batchesPer {
 		t.Fatalf("Batches = %d, want %d", st.Batches, producers*batchesPer)
 	}
-	if st.Epochs < 1 || st.Epochs > st.Batches {
-		t.Fatalf("Epochs = %d out of [1,%d]", st.Epochs, st.Batches)
+	if st.Epochs != st.Batches || st.Shed != 0 {
+		t.Fatalf("Epochs = %d, Shed = %d, want %d and 0", st.Epochs, st.Shed, st.Batches)
 	}
 	if int(st.Partitions) != len(indices) {
 		t.Fatalf("Partitions = %d, want %d", st.Partitions, len(indices))
@@ -145,9 +153,6 @@ func TestIngestorAssignsDenseIndices(t *testing.T) {
 	}
 	if st.Rows != wantRows {
 		t.Fatalf("Rows = %d, want %d", st.Rows, wantRows)
-	}
-	if st.Pending != 0 {
-		t.Fatalf("Pending = %d after all waits", st.Pending)
 	}
 }
 
@@ -161,7 +166,6 @@ func TestIngestorEagerWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ing.Close()
 
 	// Train leaf 0 so its histogram departs from uniform.
 	q := query.MustNew(ds.Domain(), map[int][]int{0: {1}}).WithWindow(0, 0)
@@ -175,7 +179,7 @@ func TestIngestorEagerWarmStart(t *testing.T) {
 		t.Fatal("leaf 0 never materialized")
 	}
 
-	first, _, err := ing.Append(arrival(ds.Domain(), 25))
+	first, _, err := appendBatch(ing, arrival(ds.Domain(), 25))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +204,7 @@ func TestIngestorEagerWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ing2.Close()
-	first2, _, err := ing2.Append(arrival(ds2.Domain(), 25))
+	first2, _, err := appendBatch(ing2, arrival(ds2.Domain(), 25))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +232,9 @@ func TestEagerPassLosesRaceToQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// What applyEpoch does before its eager pass.
-	first, err := sess.AppendPartitions(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// What AppendPartitions does before its eager pass.
+	sess.Accountant().AddPartitions(2)
+	first := ds.AppendPartitions(2)
 	for p := first; p < first+2; p++ {
 		if err := ds.BulkLoad(p, arrival(ds.Domain(), 25).Counts); err != nil {
 			t.Fatal(err)
@@ -275,8 +276,8 @@ func TestEagerPassLosesRaceToQuery(t *testing.T) {
 	}
 }
 
-// TestIngestorValidation checks malformed submissions fail fast, before any
-// partition index is consumed.
+// TestIngestorValidation checks malformed submissions are refused whole,
+// before any partition index is consumed.
 func TestIngestorValidation(t *testing.T) {
 	ds := testDS(t, 1)
 	sess := streamingSession(t, ds, core.Streaming, false)
@@ -297,7 +298,7 @@ func TestIngestorValidation(t *testing.T) {
 		t.Fatal("negative count accepted")
 	}
 	// Rows past dataset.MaxRows, in one count or across a batch, are
-	// refused at Submit: the dataset could not hold them exactly.
+	// refused: the dataset could not hold them exactly.
 	huge := make([]int, ds.Domain().Size())
 	huge[0] = dataset.MaxRows
 	if _, err := ing.Submit(Arrival{Counts: huge}); err == nil {
@@ -313,19 +314,13 @@ func TestIngestorValidation(t *testing.T) {
 	}
 
 	// Empty (nil-counts) arrivals register an empty partition.
-	first, last, err := ing.Append(Arrival{})
+	first, last, err := appendBatch(ing, Arrival{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first != 1 || last != 1 || ds.PartitionN(1) != 0 {
 		t.Fatalf("nil-counts arrival: [%d,%d], n=%d", first, last, ds.PartitionN(1))
 	}
-
-	ing.Close()
-	if _, err := ing.Submit(arrival(ds.Domain(), 1)); err == nil {
-		t.Fatal("submit after Close accepted")
-	}
-	ing.Close() // idempotent
 
 	// Non-partitioned sessions cannot ingest.
 	np, err := core.NewSession(core.Config{
@@ -336,35 +331,5 @@ func TestIngestorValidation(t *testing.T) {
 	}
 	if _, err := NewIngestor(np); err == nil {
 		t.Fatal("ingestor over a non-partitioned session accepted")
-	}
-}
-
-// TestIngestorFlush checks Flush observes every prior Submit.
-func TestIngestorFlush(t *testing.T) {
-	ds := testDS(t, 1)
-	sess := streamingSession(t, ds, core.Streaming, false)
-	ing, err := NewIngestor(sess)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ing.Close()
-	var tickets []*Ticket
-	for i := 0; i < 20; i++ {
-		tk, err := ing.Submit(arrival(ds.Domain(), 5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, tk)
-	}
-	ing.Flush()
-	for _, tk := range tickets {
-		select {
-		case <-tk.done:
-		default:
-			t.Fatal("Flush returned with an unresolved ticket")
-		}
-	}
-	if ds.Partitions() != 21 {
-		t.Fatalf("partitions = %d, want 21", ds.Partitions())
 	}
 }

@@ -3,205 +3,194 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"math"
+	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/interval"
 	"repro/internal/persist"
 	"repro/internal/query"
 )
 
-// TestQuiesceBarrier checks that a quiesced worker applies nothing, that
-// submissions keep queueing, and that resume drains them.
-func TestQuiesceBarrier(t *testing.T) {
-	ds := testDS(t, 2)
-	sess := streamingSession(t, ds, core.Streaming, false)
-	ing, err := NewIngestor(sess)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ing.Close()
-	dom := ds.Domain()
+// TestSaveStateRacesAppendStorm: snapshots taken while producers submit
+// batches each capture every batch either whole or not at all. Restored
+// into a fresh session, every captured partition holds its batch's rows
+// and its warm-started leaf, and the books cover exactly the partitions
+// the snapshot holds, for pure-ε and Gaussian accounting.
+func TestSaveStateRacesAppendStorm(t *testing.T) {
+	for _, gaussian := range []bool{false, true} {
+		name := "pure"
+		if gaussian {
+			name = "gaussian"
+		}
+		t.Run(name, func(t *testing.T) {
+			const initial = 2
+			ds := testDS(t, initial)
+			dom := ds.Domain()
+			sess := streamingSession(t, ds, core.Streaming, gaussian)
+			sess.PersistDataset()
+			leaf := func(p int) interval.Node { return interval.Node{Start: p, End: p} }
+			q := query.MustNew(dom, map[int][]int{0: {1}})
+			for i := 0; i < 10; i++ { // train the last leaf away from uniform
+				if _, err := sess.Answer(q.WithWindow(initial-1, initial-1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			trained := sess.Tree().NodeHistogram(leaf(initial - 1))
+			ing, err := NewIngestor(sess)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	resume := ing.Quiesce()
-	tk, err := ing.Submit(arrival(dom, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if got := ds.Partitions(); got != 2 {
-		t.Fatalf("quiesced ingestor applied an epoch: %d partitions", got)
-	}
-	if p := ing.Stats().Pending; p != 1 {
-		t.Fatalf("pending = %d, want 1", p)
-	}
-	// Quiesce holds nest: a second hold plus one resume stays paused.
-	resume2 := ing.Quiesce()
-	resume2()
-	resume2() // resume functions are once-only; double call is safe
-	time.Sleep(10 * time.Millisecond)
-	if got := ds.Partitions(); got != 2 {
-		t.Fatalf("nested quiesce released early: %d partitions", got)
-	}
-	resume()
-	if _, _, err := tk.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got := ds.Partitions(); got != 3 {
-		t.Fatalf("after resume: %d partitions, want 3", got)
+			// perBin[p] is the rows per bin partition p was submitted with.
+			var mu sync.Mutex
+			perBin := map[int]int{}
+			var producers sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				producers.Add(1)
+				go func(g int) {
+					defer producers.Done()
+					for b := 0; b < 6; b++ {
+						batch := make([]Arrival, 1+(g+b)%2)
+						for i := range batch {
+							batch[i] = arrival(dom, 1+10*g+b)
+						}
+						first, last, err := appendBatch(ing, batch...)
+						if err != nil {
+							t.Errorf("producer %d: %v", g, err)
+							return
+						}
+						mu.Lock()
+						for p := first; p <= last; p++ {
+							perBin[p] = 1 + 10*g + b
+						}
+						mu.Unlock()
+					}
+				}(g)
+			}
+			done := make(chan struct{})
+			go func() { producers.Wait(); close(done) }()
+			var snaps [][]byte
+			for stop := false; !stop; {
+				select {
+				case <-done:
+					stop = true // one last snapshot, of the whole stream
+				default:
+				}
+				var buf bytes.Buffer
+				if err := sess.SaveState(&buf); err != nil {
+					t.Fatal(err)
+				}
+				snaps = append(snaps, buf.Bytes())
+			}
+
+			for i, snap := range snaps {
+				ds2 := testDS(t, initial)
+				s2 := streamingSession(t, ds2, core.Streaming, gaussian)
+				if err := s2.LoadState(bytes.NewReader(snap)); err != nil {
+					t.Fatalf("snapshot %d: %v", i, err)
+				}
+				parts := ds2.Partitions()
+				if got := s2.Accountant().Partitions(); got != parts {
+					t.Fatalf("snapshot %d: books cover %d partitions, dataset holds %d", i, got, parts)
+				}
+				for p := initial; p < parts; p++ {
+					if got, want := ds2.PartitionN(p), perBin[p]*dom.Size(); got != want {
+						t.Fatalf("snapshot %d: partition %d holds %d rows, want %d", i, p, got, want)
+					}
+					h := s2.Tree().NodeHistogram(leaf(p))
+					if h == nil {
+						t.Fatalf("snapshot %d: partition %d restored without its leaf", i, p)
+					}
+					for bin := 0; bin < h.Size(); bin++ {
+						if math.Abs(h.Weight(bin)-trained.Weight(bin)) > 1e-12 {
+							t.Fatalf("snapshot %d: leaf %d not warm-started at bin %d", i, p, bin)
+						}
+					}
+				}
+				if i == len(snaps)-1 && parts != ds.Partitions() {
+					t.Fatalf("the last snapshot holds %d partitions, the stream %d", parts, ds.Partitions())
+				}
+			}
+		})
 	}
 }
 
-// TestBacklogBound checks the backpressure satellite: a bounded queue
-// sheds overflowing Submits with ErrBacklogFull without consuming
-// anything, and accepts again once the worker drains.
-func TestBacklogBound(t *testing.T) {
+// TestPendingSectionRefused: the pending-batch section older builds wrote
+// has no owner, so an envelope carrying one is refused with
+// ErrUnknownSection before any layer restores, and the session is left
+// as it was: its own snapshot reads byte for byte the same, and the clean
+// envelope still restores into it.
+func TestPendingSectionRefused(t *testing.T) {
 	ds := testDS(t, 2)
-	sess := streamingSession(t, ds, core.Streaming, false)
-	ing, err := NewIngestor(sess, WithMaxPending(2))
+	src := streamingSession(t, ds, core.Streaming, false)
+	q := query.MustNew(ds.Domain(), map[int][]int{0: {1}}).WithWindow(0, 1)
+	if _, err := src.Answer(q); err != nil {
+		t.Fatal(err)
+	}
+	var clean bytes.Buffer
+	if err := src.SaveState(&clean); err != nil {
+		t.Fatal(err)
+	}
+	payloads, order, err := persist.ReadSections(bytes.NewReader(clean.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ing.Close()
-	dom := ds.Domain()
-
-	resume := ing.Quiesce()
-	for i := 0; i < 2; i++ {
-		if _, err := ing.Submit(arrival(dom, 1)); err != nil {
+	var pending bytes.Buffer
+	w, err := persist.NewWriter(&pending)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range order {
+		if err := w.WriteSection(name, payloads[name]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ing.Submit(arrival(dom, 1)); !errors.Is(err, ErrBacklogFull) {
-		t.Fatalf("overflow err = %v, want ErrBacklogFull", err)
+	// One batch of one empty arrival, as the section was laid out.
+	var e persist.Encoder
+	e.PutUvarint(1)
+	e.PutUvarint(1)
+	e.PutUvarint(0)
+	if err := w.WriteSection("stream/pending", e.Payload()); err != nil {
+		t.Fatal(err)
 	}
-	if shed := ing.Stats().Shed; shed != 1 {
-		t.Fatalf("shed = %d, want 1", shed)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
-	resume()
-	ing.Flush()
-	if got := ds.Partitions(); got != 4 {
-		t.Fatalf("after drain: %d partitions, want 4 (the shed batch must not land)", got)
+
+	dst := streamingSession(t, testDS(t, 2), core.Streaming, false)
+	var before bytes.Buffer
+	if err := dst.SaveState(&before); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ing.Submit(arrival(dom, 1)); err != nil {
-		t.Fatalf("post-drain submit refused: %v", err)
+	err = dst.LoadState(bytes.NewReader(pending.Bytes()))
+	if !errors.Is(err, persist.ErrUnknownSection) || errors.Is(err, core.ErrStateCorrupt) {
+		t.Fatalf("restore of a pending section: %v, want ErrUnknownSection and no corruption", err)
 	}
-	ing.Flush()
+	var after bytes.Buffer
+	if err := dst.SaveState(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("the refused restore changed the session")
+	}
+	if err := dst.LoadState(bytes.NewReader(clean.Bytes())); err != nil {
+		t.Fatalf("the clean envelope after the refusal: %v", err)
+	}
+	if a, err := dst.Answer(q); err != nil || a.Source != core.SourceExactHit {
+		t.Fatalf("restored answer %+v, %v, want an exact hit", a, err)
+	}
 }
 
-// TestSaveLoadPendingEpochs is the mid-stream durability property on the
-// Gaussian path: a snapshot taken under the quiesce barrier captures the
-// submitted-but-unapplied epochs, and restoring replays them on the
-// fresh session exactly once — no partition double-applies, and the
-// Rényi books cover everything queryable.
-func TestSaveLoadPendingEpochs(t *testing.T) {
-	ds1 := testDS(t, 3)
-	dom := ds1.Domain()
-	s1 := streamingSession(t, ds1, core.Streaming, true)
-	ing1, err := NewIngestor(s1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// One applied arrival, then warm the caches with a query.
-	applied := arrival(dom, 7)
-	if _, _, err := ing1.Append(applied); err != nil {
-		t.Fatal(err)
-	}
-	q := query.MustNew(dom, map[int][]int{0: {1}}).WithWindow(0, 3)
-	if _, err := s1.Answer(q); err != nil {
-		t.Fatal(err)
-	}
-
-	// Two batches submitted under the quiesce barrier stay pending.
-	resume := ing1.Quiesce()
-	if _, err := ing1.Submit(arrival(dom, 2), arrival(dom, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ing1.Submit(arrival(dom, 4)); err != nil {
-		t.Fatal(err)
-	}
-	var snap bytes.Buffer
-	if err := s1.SaveState(&snap); err != nil {
-		t.Fatal(err)
-	}
-
-	// Rebuild the applied-state dataset (same construction, same applied
-	// arrival — hence the same partition count and version the snapshot
-	// was taken at) and restore.
-	ds2 := testDS(t, 3)
-	ds2.AppendPartitions(1)
-	if err := ds2.BulkLoad(3, applied.Counts); err != nil {
-		t.Fatal(err)
-	}
-	s2 := streamingSession(t, ds2, core.Streaming, true)
-	ing2, err := NewIngestor(s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ing2.Close()
-	if err := s2.LoadState(bytes.NewReader(snap.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	ing2.Flush()
-
-	// The three pending arrivals landed exactly once: 4 applied + 3.
-	if got := ds2.Partitions(); got != 7 {
-		t.Fatalf("restored stream has %d partitions, want 7", got)
-	}
-	for p, wantPerBin := range map[int]int{4: 2, 5: 3, 6: 4} {
-		want := wantPerBin * dom.Size()
-		if got := ds2.PartitionN(p); got != want {
-			t.Fatalf("partition %d has %d rows, want %d (exactly-once)", p, got, want)
-		}
-	}
-	if got := s2.Accountant().Partitions(); got != 7 || s2.Accountant().Orders() == nil {
-		t.Fatalf("accountant covers %d partitions over grid %v, want 7 over Rényi orders", got, s2.Accountant().Orders())
-	}
-
-	// Pre-snapshot state survived (free exact hit), and the replayed
-	// partitions answer fresh queries with real payments.
-	spent := s2.AverageSpent()
-	a, err := s2.Answer(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Source != core.SourceExactHit || s2.AverageSpent() != spent {
-		t.Fatalf("pre-snapshot query after restore: %+v", a)
-	}
-	if _, err := s2.Answer(q.WithWindow(6, 6)); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Accountant().SpentAt(6) <= 0 {
-		t.Fatal("replayed partition answered without charging the books")
-	}
-
-	// A snapshot with pending epochs refuses to restore where no ingestor
-	// owns the stream section.
-	ds3 := testDS(t, 3)
-	ds3.AppendPartitions(1)
-	if err := ds3.BulkLoad(3, applied.Counts); err != nil {
-		t.Fatal(err)
-	}
-	s3 := streamingSession(t, ds3, core.Streaming, true)
-	if err := s3.LoadState(bytes.NewReader(snap.Bytes())); !errors.Is(err, persist.ErrUnknownSection) {
-		t.Fatalf("ingestor-less restore of pending epochs: %v, want ErrUnknownSection", err)
-	}
-
-	resume()
-	ing1.Close()
-}
-
-// TestIdleIngestorSnapshotRestoresAnywhere checks the optional-section
-// semantics: an idle ingestor contributes nothing, so its snapshots
-// restore into sessions without one.
+// TestIdleIngestorSnapshotRestoresAnywhere: an ingestor adds no section of
+// its own, so a session's snapshots restore into sessions without one.
 func TestIdleIngestorSnapshotRestoresAnywhere(t *testing.T) {
 	ds := testDS(t, 2)
 	sess := streamingSession(t, ds, core.Streaming, false)
-	ing, err := NewIngestor(sess)
-	if err != nil {
+	if _, err := NewIngestor(sess); err != nil {
 		t.Fatal(err)
 	}
-	defer ing.Close()
 	var snap bytes.Buffer
 	if err := sess.SaveState(&snap); err != nil {
 		t.Fatal(err)

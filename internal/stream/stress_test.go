@@ -1,18 +1,21 @@
 // Race/stress suite for the streaming ingestion pipeline: ingestion storms
 // interleaved with tree-mode queries (run with -race), covering pure-ε and
 // Gaussian sessions, asserting the budget books stay consistent across
-// epochs.
+// arrivals.
 
 package stream
 
 import (
 	"errors"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/accountant"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/query"
 )
 
@@ -38,7 +41,6 @@ func TestIngestionStorm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer ing.Close()
 
 			pool := []*query.Query{
 				query.MustNew(ds.Domain(), map[int][]int{0: {1}}),
@@ -61,7 +63,7 @@ func TestIngestionStorm(t *testing.T) {
 						for i := range batch {
 							batch[i] = arrival(ds.Domain(), rowsPerBin)
 						}
-						first, last, err := ing.Append(batch...)
+						first, last, err := appendBatch(ing, batch...)
 						if err != nil {
 							t.Errorf("producer %d: %v", p, err)
 							return
@@ -101,7 +103,6 @@ func TestIngestionStorm(t *testing.T) {
 				}(w)
 			}
 			wg.Wait()
-			ing.Flush()
 
 			// Index assignment: a dense, unique range after the initial
 			// partitions.
@@ -120,7 +121,7 @@ func TestIngestionStorm(t *testing.T) {
 				}
 			}
 
-			// Budget books: consistent across every epoch the storm drove.
+			// Budget books: consistent across every arrival the storm drove.
 			acct := sess.Accountant()
 			if acct.Partitions() != ds.Partitions() {
 				t.Fatalf("block has %d partitions, dataset %d", acct.Partitions(), ds.Partitions())
@@ -135,8 +136,8 @@ func TestIngestionStorm(t *testing.T) {
 			}
 
 			st := ing.Stats()
-			if st.Partitions != int64(len(indices)) || st.Pending != 0 {
-				t.Fatalf("stats: %+v, want %d partitions, 0 pending", st, len(indices))
+			if st.Partitions != int64(len(indices)) {
+				t.Fatalf("stats: %+v, want %d partitions", st, len(indices))
 			}
 		})
 	}
@@ -153,7 +154,6 @@ func TestStormWithDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ing.Close()
 
 	q := query.MustNew(ds.Domain(), map[int][]int{0: {1}})
 	var wg sync.WaitGroup
@@ -161,7 +161,7 @@ func TestStormWithDedup(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for b := 0; b < 8; b++ {
-			if _, _, err := ing.Append(arrival(ds.Domain(), 15)); err != nil {
+			if _, _, err := appendBatch(ing, arrival(ds.Domain(), 15)); err != nil {
 				t.Errorf("append: %v", err)
 				return
 			}
@@ -191,5 +191,120 @@ func TestStormWithDedup(t *testing.T) {
 	}
 	if sess.Queries() == 0 {
 		t.Fatal("no queries served")
+	}
+}
+
+// TestOverflowStormConsumesNoIndex: batches submitted side by side that
+// each fit below dataset.MaxRows but together overflow it. The room check
+// runs inside the arrival's lock, so the batches that fit land whole on
+// dense indices and every other one is refused with its error, consuming
+// no partition index and leaving no empty partition behind.
+func TestOverflowStormConsumesNoIndex(t *testing.T) {
+	const initial = 2
+	ds := testDS(t, initial)
+	sess := streamingSession(t, ds, core.Streaming, false)
+	ing, err := NewIngestor(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := ds.NRowsAll()
+	big := (dataset.MaxRows-rows)/3 + 1 // two batches fit, a third does not
+
+	const producers = 8
+	type result struct {
+		first, last, size int
+		err               error
+	}
+	results := make([]result, producers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < producers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			batch := make([]Arrival, 1+g%2) // a second arrival is empty
+			batch[0] = Arrival{Counts: make([]int, ds.Domain().Size())}
+			batch[0].Counts[g%ds.Domain().Size()] = big
+			<-start
+			first, last, err := appendBatch(ing, batch...)
+			results[g] = result{first, last, len(batch), err}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+
+	var indices []int
+	accepted, refused := 0, 0
+	for g, r := range results {
+		if r.err != nil {
+			refused++
+			continue
+		}
+		accepted++
+		if r.last-r.first+1 != r.size {
+			t.Fatalf("producer %d: range [%d,%d] for %d arrivals", g, r.first, r.last, r.size)
+		}
+		for p := r.first; p <= r.last; p++ {
+			indices = append(indices, p)
+		}
+	}
+	if accepted != 2 || refused != producers-2 {
+		t.Fatalf("%d batches accepted and %d refused, want 2 and %d", accepted, refused, producers-2)
+	}
+	sort.Ints(indices)
+	for i, p := range indices {
+		if p != initial+i {
+			t.Fatalf("accepted indices %v are not dense from %d", indices, initial)
+		}
+	}
+	if got, want := ds.Partitions(), initial+len(indices); got != want {
+		t.Fatalf("dataset has %d partitions, the accepted batches hold %d", got, want)
+	}
+	if got := sess.Accountant().Partitions(); got != ds.Partitions() {
+		t.Fatalf("books cover %d partitions, dataset holds %d", got, ds.Partitions())
+	}
+	if got, want := ds.NRowsAll(), rows+2*big; got != want {
+		t.Fatalf("dataset holds %d rows, want %d", got, want)
+	}
+	if st := ing.Stats(); st.Batches != 2 || st.Partitions != int64(len(indices)) {
+		t.Fatalf("stats %+v, want 2 batches of %d partitions", st, len(indices))
+	}
+}
+
+// settledGoroutines reads runtime.NumGoroutine once it holds still, so
+// the goroutines earlier tests left exiting do not count.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for range 100 {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// TestSubmitStartsNoGoroutine: an ingestor runs nothing in the background;
+// every batch is applied by the goroutine that submits it.
+func TestSubmitStartsNoGoroutine(t *testing.T) {
+	ds := testDS(t, 1)
+	sess := streamingSession(t, ds, core.Streaming, false)
+	before := settledGoroutines()
+	ing, err := NewIngestor(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := ing.Submit(arrival(ds.Domain(), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := settledGoroutines(); after > before {
+		t.Fatalf("%d goroutines after NewIngestor and 100 Submits, %d before", after, before)
+	}
+	if ds.Partitions() != 101 {
+		t.Fatalf("partitions = %d, want 101", ds.Partitions())
 	}
 }
