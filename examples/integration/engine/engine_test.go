@@ -14,6 +14,14 @@ import (
 	"repro/internal/query"
 )
 
+// addCount loads count rows of the encoded value bin into partition p of
+// ds: a one-hot BulkLoad.
+func addCount(ds *dataset.Dataset, p, bin, count int) error {
+	counts := make([]int, ds.Domain().Size())
+	counts[bin] = count
+	return ds.BulkLoad(p, counts)
+}
+
 func build(t *testing.T) (*domain.Domain, *dataset.Dataset) {
 	t.Helper()
 	dom := domain.MustNew(
@@ -23,8 +31,8 @@ func build(t *testing.T) (*domain.Domain, *dataset.Dataset) {
 	ds := dataset.New(dom, 2)
 	for w := 0; w < 2; w++ {
 		for a := 0; a < 4; a++ {
-			_ = ds.AddCount(w, dom.Encode([]int{1, a}), 1000+100*a)
-			_ = ds.AddCount(w, dom.Encode([]int{0, a}), 4000-150*a)
+			_ = addCount(ds, w, dom.Encode([]int{1, a}), 1000+100*a)
+			_ = addCount(ds, w, dom.Encode([]int{0, a}), 4000-150*a)
 		}
 	}
 	return dom, ds

@@ -11,6 +11,7 @@
 // The documented order (outermost first):
 //
 //	core.Session.persistMu < core.Session.appendMu
+//	  < dataset.Dataset.writeMu
 //	  < { core.Session.singleMu , tree.Tree.mu }
 //	  < accountant.Block.mu
 //	  < store.Mem.mu
@@ -23,6 +24,11 @@
 // above it). store.Mem.mu is the store's one lock: a store serves
 // one cache and holds one arena. Nothing above it is taken under it; the
 // page set's lock is, when the arena maps or unmaps a chunk.
+//
+// dataset.Dataset.writeMu serializes the dataset's writers; no reader
+// takes it. An arrival's grow-and-warm step (core.Session.grow) runs
+// under it, just before the arrival is published, and takes the tree and
+// accountant locks.
 //
 // tree.Tree.mu is acquired twice per query under the split-phase Run
 // discipline (a locked claim, an unlocked execute, a locked commit); the
@@ -60,13 +66,14 @@ var Analyzer = &analysis.Analyzer{
 // documented partial order (lower = acquired first / outermost). Tests
 // substitute a fixture table.
 var Ranks = map[string]int{
-	"core.Session.persistMu": 10,
-	"core.Session.appendMu":  20,
-	"core.Session.singleMu":  30,
-	"tree.Tree.mu":           30,
-	"accountant.Block.mu":    55,
-	"store.Mem.mu":           60,
-	"store.pageSet.mu":       62,
+	"core.Session.persistMu":  10,
+	"core.Session.appendMu":   20,
+	"dataset.Dataset.writeMu": 25,
+	"core.Session.singleMu":   30,
+	"tree.Tree.mu":            30,
+	"accountant.Block.mu":     55,
+	"store.Mem.mu":            60,
+	"store.pageSet.mu":        62,
 }
 
 // lockKey resolves recv.field (the X of X.Lock()) to its table key, or "".

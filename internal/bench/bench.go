@@ -323,19 +323,20 @@ func (e *Env) windowed(n int, k float64) ([]*query.Query, error) {
 }
 
 // streaming turns an env built with every week present into one whose
-// live dataset holds only week 0, keeping the rest to replay through feed.
+// live dataset holds only week 0, keeping the rest to replay as arrivals.
 func (e *Env) streaming() *Env {
 	e.full = e.DS
 	e.DS = dataset.New(e.full.Domain(), 1)
-	e.feed(0)
+	_ = e.DS.BulkLoad(0, e.week(0))
 	return e
 }
 
 // week returns the per-bin counts of week w of a streaming env's full data.
 func (e *Env) week(w int) []int { return e.full.PartitionCounts(w) }
 
-// feed copies week w of the full data into partition w of the live one.
-func (e *Env) feed(w int) { _ = e.DS.BulkLoad(w, e.week(w)) }
+// next returns the per-bin counts of the full data's week that arrives
+// next: the one after the live dataset's last.
+func (e *Env) next() []int { return e.week(e.DS.Partitions()) }
 
 // session builds a Turbo session over the env with its §6.1 settings; the
 // partitioned modes use the §6.3 heuristic (Covid (50,1), CitiBike (1,1)).

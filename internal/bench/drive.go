@@ -153,6 +153,6 @@ func (e *Env) baselineArm(kind string, seed uint64) arm {
 		name:   kind,
 		answer: func(q *query.Query) error { _, err := sys.Run(q); return err },
 		y:      block.AverageSpent,
-		grow:   func() { block.AddPartition(); e.feed(e.DS.AppendPartition()) },
+		grow:   func() { block.AddPartition(); _, _ = e.DS.Append(nil, e.next()) },
 	}
 }

@@ -123,16 +123,14 @@ type missPathEnv struct {
 // newMissPathEnv loads every partition of a synthetic dataset with random
 // counts.
 func newMissPathEnv(dom *domain.Domain, parts int, rng *noise.Rng) (*missPathEnv, error) {
-	ds := dataset.New(dom, parts)
-	counts := make([]int, dom.Size())
-	for p := 0; p < parts; p++ {
+	ds, err := dataset.Build(dom, parts, func(_ int, counts []int) {
 		for b := range counts {
 			counts[b] = rng.IntN(10)
 		}
 		counts[rng.IntN(len(counts))]++ // never an empty partition
-		if err := ds.BulkLoad(p, counts); err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &missPathEnv{ds: ds, pool: synthPool(dom, 64, rng)}, nil
 }

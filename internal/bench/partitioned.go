@@ -103,11 +103,9 @@ func fig11(mk envFn, name string, zipf float64) func(Scale) (Result, error) {
 			}
 			a := sessionArm([]string{"turbo-cold", "turbo-warm"}[i], sess)
 			a.grow = func() {
-				w, err := sess.AppendPartition()
-				if err != nil {
+				if _, err := sess.AppendPartitions(core.Arrival{Counts: env.next()}); err != nil {
 					panic(fmt.Sprintf("bench: stream append: %v", err))
 				}
-				env.feed(w)
 			}
 			arms = append(arms, a)
 		}

@@ -85,8 +85,8 @@ func TestAdaptiveStreamFollowsData(t *testing.T) {
 		}
 		for a := 0; a < 4; a++ {
 			// Positivity rises over time.
-			_ = ds.AddCount(idx, dom.Encode([]int{1, a}), 1000+100*a+300*week)
-			_ = ds.AddCount(idx, dom.Encode([]int{0, a}), 4000-150*a)
+			_ = addCount(ds, idx, dom.Encode([]int{1, a}), 1000+100*a+300*week)
+			_ = addCount(ds, idx, dom.Encode([]int{0, a}), 4000-150*a)
 		}
 		latest, err := s.Answer(posQ.WithWindow(idx, idx))
 		if err != nil {

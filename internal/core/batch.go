@@ -94,9 +94,8 @@ func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 		return out
 	}
 
-	// Plan every member once and group in first-appearance order, under
-	// a single dataset metadata snapshot (one lock acquisition for the
-	// whole batch). The memo is keyed by query pointer — batch producers
+	// Plan every member once and group in first-appearance order. The
+	// memo is keyed by query pointer — batch producers
 	// (the SQL frontend, the bench harness) naturally resubmit the same
 	// *query.Query for repeats, and a pointer hit skips replanning
 	// entirely. Equal queries behind distinct pointers still merge, but
@@ -105,14 +104,13 @@ func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 	// count is bounded by len(qs), so appends never reallocate and group
 	// pointers stay stable); members hold only a pointer to their group,
 	// and the final pass below fans each group's outcome back out.
-	snap := s.ds.MetaSnapshot()
 	byPtr := make(map[*query.Query]*batchGroup, len(qs))
 	arena := make([]batchGroup, 0, len(qs))
 	assign := make([]*batchGroup, len(qs))
 	for i, q := range qs {
 		g := byPtr[q]
 		if g == nil {
-			pl, err := s.planner.PlanWith(&snap, q)
+			pl, err := s.planner.Plan(q)
 			if err != nil {
 				out[i].Err = err
 				continue

@@ -17,8 +17,8 @@ func benchSession(b *testing.B, mode Mode, partitions int) (*Session, *domain.Do
 	ds := dataset.New(dom, partitions)
 	for w := 0; w < partitions; w++ {
 		for a := 0; a < 4; a++ {
-			_ = ds.AddCount(w, dom.Encode([]int{1, a}), 1000+100*a)
-			_ = ds.AddCount(w, dom.Encode([]int{0, a}), 4000-150*a)
+			_ = addCount(ds, w, dom.Encode([]int{1, a}), 1000+100*a)
+			_ = addCount(ds, w, dom.Encode([]int{0, a}), 4000-150*a)
 		}
 	}
 	cfg := defaultCfg(mode)

@@ -40,7 +40,7 @@ func booksFixture(t *testing.T, mode Mode, gaussian bool) (Config, *dataset.Data
 	ds := dataset.New(dom, parts)
 	for p := 0; p < parts; p++ {
 		for bin := 0; bin < dom.Size(); bin++ {
-			if err := ds.AddCount(p, bin, 8+(bin+p)%5); err != nil {
+			if err := addCount(ds, p, bin, 8+(bin+p)%5); err != nil {
 				t.Fatal(err)
 			}
 		}

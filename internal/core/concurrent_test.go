@@ -24,7 +24,7 @@ func concurrentDS(t *testing.T, parts int) *dataset.Dataset {
 	rng := noise.NewRng(11)
 	for p := 0; p < parts; p++ {
 		for bin := 0; bin < dom.Size(); bin++ {
-			if err := ds.AddCount(p, bin, 30+rng.IntN(50)); err != nil {
+			if err := addCount(ds, p, bin, 30+rng.IntN(50)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -245,7 +245,7 @@ func TestConcurrentAppendAndAnswer(t *testing.T) {
 						return
 					}
 					for bin := 0; bin < ds.Domain().Size(); bin++ {
-						if err := ds.AddCount(w, bin, 40); err != nil {
+						if err := addCount(ds, w, bin, 40); err != nil {
 							t.Errorf("AddCount: %v", err)
 							return
 						}

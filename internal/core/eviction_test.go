@@ -174,7 +174,7 @@ func TestEvictionUnderFire(t *testing.T) {
 				return
 			}
 			for a := 0; a < 4; a++ {
-				_ = s.Dataset().AddCount(idx, ds.Domain().Encode([]int{1, a}), 500+50*a)
+				_ = addCount(s.Dataset(), idx, ds.Domain().Encode([]int{1, a}), 500+50*a)
 			}
 		}
 	}()
@@ -247,7 +247,7 @@ func TestEvictionUnderFire(t *testing.T) {
 	if _, err := s.Answer(probe); err != nil { // warm the entry
 		t.Fatal(err)
 	}
-	if err := s.Dataset().AddCount(0, 0, 25); err != nil {
+	if err := addCount(s.Dataset(), 0, 0, 25); err != nil {
 		t.Fatal(err)
 	}
 	after, err := s.Answer(probe)

@@ -137,8 +137,8 @@ func TestGaussianStreamingAppend(t *testing.T) {
 		t.Fatalf("AppendPartition = %d", w)
 	}
 	for a := 0; a < 4; a++ {
-		_ = ds.AddCount(w, dom.Encode([]int{1, a}), 900)
-		_ = ds.AddCount(w, dom.Encode([]int{0, a}), 2100)
+		_ = addCount(ds, w, dom.Encode([]int{1, a}), 900)
+		_ = addCount(ds, w, dom.Encode([]int{0, a}), 2100)
 	}
 	if got := s.Accountant().Partitions(); got != 2 {
 		t.Fatalf("block has %d partitions, want 2", got)

@@ -134,7 +134,7 @@ func TestLoadStateValidation(t *testing.T) {
 		t.Fatal("mode mismatch accepted")
 	}
 	// Dataset mutated since snapshot: stale caches must be refused.
-	_ = ds.AddCount(0, 0, 1)
+	_ = addCount(ds, 0, 0, 1)
 	s3, _ := NewSession(cfg, ds)
 	if err := s3.LoadState(bytes.NewReader(raw)); err == nil ||
 		!strings.Contains(err.Error(), "stale") {
@@ -202,8 +202,8 @@ func TestSaveLoadPersistDataset(t *testing.T) {
 			ds2.Partitions(), ds2.Version(), ds1.Version())
 	}
 	for p := 0; p < 4; p++ {
-		if ds2.PartitionN(p) != ds1.PartitionN(p) {
-			t.Fatalf("partition %d has %d rows, want %d", p, ds2.PartitionN(p), ds1.PartitionN(p))
+		if partitionRows(ds2, p) != partitionRows(ds1, p) {
+			t.Fatalf("partition %d has %d rows, want %d", p, partitionRows(ds2, p), partitionRows(ds1, p))
 		}
 		if got, want := s2.Accountant().SpentAt(p), s1.Accountant().SpentAt(p); got != want {
 			t.Fatalf("partition %d spend %g, want %g", p, got, want)
@@ -565,8 +565,8 @@ func TestSaveLoadGaussianNonPartitioned(t *testing.T) {
 // loadWeek fills a streamed partition with buildDS-shaped data.
 func loadWeek(ds *dataset.Dataset, dom *domain.Domain, w int) {
 	for a := 0; a < 4; a++ {
-		_ = ds.AddCount(w, dom.Encode([]int{1, a}), 1000+100*a+20*w)
-		_ = ds.AddCount(w, dom.Encode([]int{0, a}), 4000-150*a)
+		_ = addCount(ds, w, dom.Encode([]int{1, a}), 1000+100*a+20*w)
+		_ = addCount(ds, w, dom.Encode([]int{0, a}), 4000-150*a)
 	}
 }
 

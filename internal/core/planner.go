@@ -14,9 +14,11 @@ import (
 )
 
 // Planner resolves queries to execution plans. It holds no mutable state
-// and performs only read operations on the dataset (which serializes its
-// own metadata access), so any number of request goroutines may plan
-// concurrently.
+// and only reads the dataset's published views, which no writer changes,
+// so any number of request goroutines may plan concurrently without a
+// lock. PlanWindow reads the partition count and the window's metadata
+// from two views; an append between them only adds partitions, so the
+// two agree.
 type Planner struct {
 	ds *dataset.Dataset
 }
@@ -52,20 +54,16 @@ func (p *Planner) Plan(q *query.Query) (Plan, error) {
 // windowed is false — to its plan, with no query: a statement is planned,
 // and probed by its key, before its query is built.
 func (p *Planner) PlanWindow(start, end int, windowed bool) (Plan, error) {
-	return planWindow(p.ds.Partitions(), p.ds.WindowMeta, start, end, windowed)
-}
-
-// PlanWith resolves q like Plan, but against a metadata snapshot the
-// caller captured with Dataset.MetaSnapshot — the batch plane plans any
-// number of queries under one dataset lock acquisition this way.
-func (p *Planner) PlanWith(m *dataset.MetaSnapshot, q *query.Query) (Plan, error) {
-	if err := p.check(q); err != nil {
+	if parts := p.ds.Partitions(); !windowed {
+		start, end = 0, parts-1
+	} else if start < 0 || end >= parts {
+		return Plan{}, fmt.Errorf("core: window [%d,%d] out of range", start, end)
+	}
+	version, rows, err := p.ds.WindowMeta(start, end)
+	if err != nil {
 		return Plan{}, err
 	}
-	start, end, windowed := q.Window()
-	pl, err := planWindow(m.Partitions(), m.WindowMeta, start, end, windowed)
-	pl.Query = q
-	return pl, err
+	return Plan{Start: start, End: end, Version: version, Rows: rows}, nil
 }
 
 // check refuses a query the planner cannot plan: nil, or over another
@@ -78,19 +76,4 @@ func (p *Planner) check(q *query.Query) error {
 		return errors.New("core: query domain does not match session dataset")
 	}
 	return nil
-}
-
-// planWindow resolves a window over parts partitions through meta, the
-// dataset's or a snapshot's WindowMeta.
-func planWindow(parts int, meta func(start, end int) (int, int, error), start, end int, windowed bool) (Plan, error) {
-	if !windowed {
-		start, end = 0, parts-1
-	} else if start < 0 || end >= parts {
-		return Plan{}, fmt.Errorf("core: window [%d,%d] out of range", start, end)
-	}
-	version, rows, err := meta(start, end)
-	if err != nil {
-		return Plan{}, err
-	}
-	return Plan{Start: start, End: end, Version: version, Rows: rows}, nil
 }

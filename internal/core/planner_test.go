@@ -17,7 +17,7 @@ func plannerDS(t *testing.T, parts int) *dataset.Dataset {
 	ds := dataset.New(dom, parts)
 	for p := 0; p < parts; p++ {
 		for bin := 0; bin < dom.Size(); bin++ {
-			if err := ds.AddCount(p, bin, 10+bin); err != nil {
+			if err := addCount(ds, p, bin, 10+bin); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -70,7 +70,7 @@ func TestPlanVersionTracksData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.AddCount(0, 0, 5); err != nil {
+	if err := addCount(ds, 0, 0, 5); err != nil {
 		t.Fatal(err)
 	}
 	after, err := p.Plan(q)

@@ -228,8 +228,10 @@ type Session struct {
 	persistData bool
 	// appendMu serializes batches of arrivals (AppendPartitions) so each
 	// batch's accountant growth and dataset growth assign corresponding
-	// indices; warmed counts the leaves their warm-start pass created.
+	// indices; loads holds a batch's counts for the dataset, reused under
+	// it. warmed counts the leaves arrivals warm-started.
 	appendMu sync.Mutex
+	loads    [][]int
 	warmed   atomic.Int64
 
 	queries atomic.Int64
@@ -366,24 +368,21 @@ type Arrival struct {
 }
 
 // AppendPartitions applies one batch of len(arrivals) newly-arrived stream
-// partitions and returns the index of the first. Under appendMu, which SaveState
-// holds for its whole capture, it
+// partitions and returns the index of the first. Under appendMu, which
+// SaveState holds for its whole capture, the dataset (Dataset.Append)
 //
 //  1. checks the arrivals against the domain and their rows against the
-//     room the dataset has left below dataset.MaxRows;
-//  2. grows the accountants, then the dataset, so by the time a query can
-//     name a new partition (the dataset's count is the validation bound)
-//     its budget already exists;
-//  3. bulk-loads the counts;
-//  4. in Streaming mode, warm-starts the new tree leaves left to right,
-//     each copying its predecessor's trained histogram and heuristic
-//     state (§4.5) at ingestion time rather than on the first query.
+//     room it has left below dataset.MaxRows;
+//  2. has the session grow the accountants and, in Streaming mode,
+//     warm-start the new tree leaves left to right, each copying its
+//     predecessor's trained histogram and heuristic state (§4.5) at
+//     ingestion time rather than on the first query;
+//  3. only then publishes the loaded partitions.
 //
-// A refused arrival consumes no partition index, and a snapshot never
-// captures a partition that was grown but not loaded. The room check
-// covers rows that arrive through this path; rows loaded into the
-// dataset directly, beside it, can still fill the room between the check
-// and the load, which the dataset then refuses.
+// A query therefore names a new partition only once its budget exists,
+// its rows are loaded and its leaf is warm. A refused arrival changes
+// neither the books, the tree nor the dataset, and consumes no partition
+// index.
 //
 // Non-partitioned sessions refuse the append: their single PMW-Bypass and
 // its payer's window are fixed over the initial partition range, so a
@@ -400,59 +399,32 @@ func (s *Session) AppendPartitions(arrivals ...Arrival) (int, error) {
 	}
 	s.appendMu.Lock()
 	defer s.appendMu.Unlock()
-	if err := s.checkArrivals(arrivals); err != nil {
-		return 0, err
+	for _, a := range arrivals {
+		s.loads = append(s.loads, a.Counts)
 	}
+	first, err := s.ds.Append(s.grow, s.loads...)
+	clear(s.loads) // keep no caller's counts alive
+	s.loads = s.loads[:0]
+	return first, err
+}
+
+// grow readies k checked arrivals from partition first for publication:
+// the books grow to cover them and, in Streaming mode, their leaves are
+// warm-started. The caller holds appendMu.
+func (s *Session) grow(first, k int) {
 	s.block.AddPartitions(k)
-	first := s.ds.AppendPartitions(k)
-	for i, a := range arrivals {
-		if a.Counts == nil {
-			continue
-		}
-		if err := s.ds.BulkLoad(first+i, a.Counts); err != nil {
-			return 0, err
-		}
+	if s.cfg.Mode != Streaming {
+		return
 	}
-	if s.cfg.Mode == Streaming {
-		for p := first; p < first+k; p++ {
-			if s.tree.EagerWarmStart(p) {
-				s.warmed.Add(1)
-			}
-		}
+	for p := first; p < first+k; p++ {
+		s.tree.EagerWarmStart(p)
 	}
-	return first, nil
+	s.warmed.Add(int64(k))
 }
 
-// checkArrivals refuses an arrival whose counts do not fit the domain, are
-// negative, or would take the dataset past dataset.MaxRows. The caller
-// holds appendMu, so no other arrival can take the room it measured.
-func (s *Session) checkArrivals(arrivals []Arrival) error {
-	domSize := s.ds.Domain().Size()
-	room := dataset.MaxRows - s.ds.NRowsAll()
-	for i, a := range arrivals {
-		if a.Counts == nil {
-			continue
-		}
-		if len(a.Counts) != domSize {
-			return fmt.Errorf("core: arrival %d has %d bins, domain has %d", i, len(a.Counts), domSize)
-		}
-		for bin, c := range a.Counts {
-			if c < 0 {
-				return fmt.Errorf("core: arrival %d has negative count %d at bin %d", i, c, bin)
-			}
-			if c > room {
-				return fmt.Errorf("core: arrival %d would take the dataset past %d rows", i, dataset.MaxRows)
-			}
-			room -= c
-		}
-	}
-	return nil
-}
-
-// WarmStarted returns the number of tree leaves AppendPartitions' eager
-// pass created. A query that names a just-appended partition before the
-// pass reaches it creates that leaf first, warm-started all the same by
-// the same tree code; the pass then finds it and does not count it.
+// WarmStarted returns the number of tree leaves arrivals warm-started: in
+// Streaming mode, every partition AppendPartitions appended (no query can
+// reach a partition's leaf first), and otherwise 0.
 func (s *Session) WarmStarted() int { return int(s.warmed.Load()) }
 
 // Answer runs one linear query through the Turbo pipeline of Fig. 1:

@@ -14,6 +14,20 @@ import (
 	"repro/internal/tree"
 )
 
+// partitionRows returns partition p's public row count.
+func partitionRows(ds *dataset.Dataset, p int) int {
+	n, _ := ds.NRows(p, p)
+	return n
+}
+
+// addCount loads count rows of the encoded value bin into partition p of
+// ds: a one-hot BulkLoad.
+func addCount(ds *dataset.Dataset, p, bin, count int) error {
+	counts := make([]int, ds.Domain().Size())
+	counts[bin] = count
+	return ds.BulkLoad(p, counts)
+}
+
 func buildDS(t testing.TB, partitions int) (*domain.Domain, *dataset.Dataset) {
 	t.Helper()
 	dom := domain.MustNew(
@@ -23,8 +37,8 @@ func buildDS(t testing.TB, partitions int) (*domain.Domain, *dataset.Dataset) {
 	ds := dataset.New(dom, partitions)
 	for w := 0; w < partitions; w++ {
 		for a := 0; a < 4; a++ {
-			_ = ds.AddCount(w, dom.Encode([]int{1, a}), 1000+100*a+20*w)
-			_ = ds.AddCount(w, dom.Encode([]int{0, a}), 4000-150*a)
+			_ = addCount(ds, w, dom.Encode([]int{1, a}), 1000+100*a+20*w)
+			_ = addCount(ds, w, dom.Encode([]int{0, a}), 4000-150*a)
 		}
 	}
 	return dom, ds
@@ -239,8 +253,8 @@ func TestStreamingAppendAndWarmStart(t *testing.T) {
 		t.Fatalf("append: idx=%d parts=%d acct=%d", idx, s.Dataset().Partitions(), s.Accountant().Partitions())
 	}
 	for a := 0; a < 4; a++ {
-		_ = ds.AddCount(2, dom.Encode([]int{1, a}), 1000+100*a)
-		_ = ds.AddCount(2, dom.Encode([]int{0, a}), 4000-150*a)
+		_ = addCount(ds, 2, dom.Encode([]int{1, a}), 1000+100*a)
+		_ = addCount(ds, 2, dom.Encode([]int{0, a}), 4000-150*a)
 	}
 	q2 := query.MustNew(dom, map[int][]int{0: {1}}).WithWindow(2, 2)
 	truth, _ := ds.TrueFraction(q2, 2, 2)

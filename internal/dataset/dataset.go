@@ -11,62 +11,77 @@
 // as a row store, since every linear counting query is a function of
 // those counts alone.
 //
-// Rows can be ingested individually (AddRow) or in bulk via per-bin counts
-// (AddCount), which is how the synthetic workload generators materialize
-// paper-scale datasets (tens of millions of rows) without storing rows.
+// Partitions are loaded as per-bin counts (BulkLoad, Append), which is how
+// the synthetic workload generators materialize paper-scale datasets (tens
+// of millions of rows) without storing rows.
 package dataset
 
 import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/domain"
 	"repro/internal/query"
 )
 
-// partMeta is one partition's public metadata: its row count and the
-// mutation stamp exact caches key on.
+// partMeta is the public metadata of a prefix of partitions: their row
+// count and the sum of their mutation stamps, which exact caches key on.
 type partMeta struct {
 	n       int
 	version int
 }
 
+// view is one immutable state of a dataset. sums[i] and cum[i] sum
+// partitions [0, i) — the metadata and the per-bin counts (vector.go) —
+// so there are parts+1 of each and any window's metadata is two
+// subtractions. A published view is never written: a writer builds the
+// next one, sharing the rows and the backing arrays it does not change
+// (an append writes only past the old view's lengths), and publishes it.
+type view struct {
+	version int // the dataset's mutation count, carried by snapshots
+	sums    []partMeta
+	cum     [][]float64
+}
+
+// window returns the metadata of partitions [start, end], refusing a
+// window the view does not hold.
+func (v *view) window(start, end int) (partMeta, error) {
+	if start < 0 || end+1 >= len(v.sums) || start > end {
+		return partMeta{}, fmt.Errorf("dataset: bad range [%d,%d] of %d partitions", start, end, len(v.sums)-1)
+	}
+	lo, hi := v.sums[start], v.sums[end+1]
+	return partMeta{n: hi.n - lo.n, version: hi.version - lo.version}, nil
+}
+
 // Dataset is a partitioned timeseries store. For the non-partitioned use
-// case it simply holds one partition. Safe for concurrent reads with
-// serialized writes.
-//
-// Counts live as prefix rows (vector.go): cum[i] is the per-bin count
-// summed over partitions [0, i), so there are len(parts)+1 rows. Rows
-// 0..summed are true prefix sums; a row past the watermark still holds
-// only its own partition's counts, and the first read that needs it sums
-// every such row under the write lock. In-order loads therefore cost
-// O(bins) each, and a load into a partition at or below the watermark
-// adds to rows p+1..summed.
+// case it simply holds one partition. A read loads the current view once
+// and never locks; writers serialize on writeMu, which no reader takes,
+// and publish a new view when they are done, so a reader sees a load
+// whole or not at all, and a partition only once it is loaded.
 //
 // The rows are exact only while every sum is an integer below 2^53, so
 // the dataset never holds more than MaxRows rows: a load that would pass
 // it is refused whole, and so is a restored state that does.
 type Dataset struct {
-	mu      sync.RWMutex
-	dom     *domain.Domain
-	parts   []partMeta
-	cum     [][]float64
-	summed  int
-	total   int
-	version int
+	dom *domain.Domain
+	cur atomic.Pointer[view]
+	// writeMu serializes writers; spare, which only writers touch, is
+	// the unused tail of the chunk appended partitions' rows come from.
+	writeMu sync.Mutex
+	spare   []float64
 }
+
+// rowChunk is the size, in counts, of the chunks appended rows are cut
+// from: a narrow domain's arrival allocates a fraction of an object, and
+// a chunk leaves at most 16 KiB unused.
+const rowChunk = 2048
 
 // MaxRows is the most rows a dataset holds: below 2^53 every count,
 // prefix sum and difference of prefix sums is an exactly-represented
 // integer.
 const MaxRows = 1<<53 - 1
-
-// tooManyRows is the refusal of a load that would take a dataset past
-// MaxRows.
-func tooManyRows(p int) error {
-	return fmt.Errorf("dataset: load into partition %d would take the dataset past %d rows", p, MaxRows)
-}
 
 // New creates an empty dataset over dom with the given number of (empty)
 // partitions.
@@ -74,40 +89,155 @@ func New(dom *domain.Domain, partitions int) *Dataset {
 	if partitions < 0 {
 		panic(fmt.Sprintf("dataset: bad partition count %d", partitions))
 	}
-	ds := &Dataset{dom: dom, cum: [][]float64{make([]float64, dom.Size())}}
-	for i := 0; i < partitions; i++ {
-		ds.appendPartitionLocked()
+	zero := make([]float64, dom.Size())
+	v := &view{sums: make([]partMeta, partitions+1), cum: make([][]float64, partitions+1)}
+	for i := range v.cum {
+		v.cum[i] = zero
 	}
+	ds := &Dataset{dom: dom}
+	ds.cur.Store(v)
 	return ds
 }
 
-func (ds *Dataset) appendPartitionLocked() int {
-	ds.parts = append(ds.parts, partMeta{})
-	ds.cum = append(ds.cum, make([]float64, ds.dom.Size()))
-	return len(ds.parts) - 1
+// Build returns the dataset New(dom, parts) holds once BulkLoad has
+// loaded each partition p in order with the counts fill(p, counts) writes
+// into a zeroed buffer, appending each partition as it is filled instead
+// of copying the dataset's rows per load. Unlike Append it counts a
+// partition once in the dataset's version, as that load did, so a boot
+// reaches the version the snapshots of an earlier boot recorded.
+func Build(dom *domain.Domain, parts int, fill func(p int, counts []int)) (*Dataset, error) {
+	ds := New(dom, 0)
+	counts := make([]int, dom.Size())
+	for p := 0; p < parts; p++ {
+		clear(counts)
+		fill(p, counts)
+		if _, err := ds.append(nil, 0, [][]int{counts}); err != nil {
+			return nil, err
+		}
+	}
+	return ds, nil
 }
 
-// AppendPartition registers a new, empty time partition (streaming arrival)
-// and returns its index.
+// AppendPartition registers a new, empty time partition and returns its
+// index.
 func (ds *Dataset) AppendPartition() int {
-	return ds.AppendPartitions(1)
+	first, _ := ds.Append(nil, nil) // one nil load: an empty partition
+	return first
 }
 
-// AppendPartitions registers k new, empty time partitions in one atomic
-// epoch (batched streaming ingestion) and returns the index of the first.
-// A concurrent reader observes either none or all of the batch.
-func (ds *Dataset) AppendPartitions(k int) int {
-	if k <= 0 {
-		panic(fmt.Sprintf("dataset: bad partition batch %d", k))
+// Append adds len(counts) partitions, partition first+i holding the
+// per-bin row counts counts[i] (a nil entry an empty partition), and
+// returns first. It refuses the whole batch, changing nothing, when a
+// load does not fit the domain, holds a negative count or would take the
+// dataset past MaxRows. ready, when not nil, runs with first and the
+// batch's size once the batch has passed those checks and before any
+// reader can see it, so what a caller keeps per partition exists by the
+// time a query can name one; it runs under the writer lock, so it must
+// not write to the dataset. As with AppendPartition followed by
+// BulkLoad, each new partition and each non-nil load counts once in the
+// dataset's version.
+func (ds *Dataset) Append(ready func(first, k int), counts ...[]int) (int, error) {
+	return ds.append(ready, 1, counts)
+}
+
+// append is Append, with grown the version step of each new partition.
+func (ds *Dataset) append(ready func(first, k int), grown int, counts [][]int) (int, error) {
+	ds.writeMu.Lock()
+	defer ds.writeMu.Unlock()
+	v := ds.cur.Load()
+	first, total, loaded := len(v.sums)-1, v.sums[len(v.sums)-1].n, 0
+	for i, c := range counts {
+		if c == nil {
+			continue
+		}
+		n, err := ds.check(first+i, c, total)
+		if err != nil {
+			return 0, err
+		}
+		total += n
+		loaded++
 	}
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	first := len(ds.parts)
-	for i := 0; i < k; i++ {
-		ds.version++
-		ds.appendPartitionLocked()
+	next := &view{version: v.version + grown*len(counts) + loaded, sums: v.sums, cum: v.cum}
+	for _, c := range counts {
+		last, prev := next.sums[len(next.sums)-1], next.cum[len(next.cum)-1]
+		row := prev
+		if c != nil {
+			row = ds.row()
+			for b, x := range c {
+				row[b] = prev[b] + float64(x)
+				last.n += x
+			}
+			last.version++
+		}
+		next.sums = append(next.sums, last)
+		next.cum = append(next.cum, row)
 	}
-	return first
+	if ready != nil {
+		ready(first, len(counts))
+	}
+	ds.cur.Store(next)
+	return first, nil
+}
+
+// row cuts an appended partition's row from the spare chunk, starting a
+// new chunk when the spare is too short. The caller holds writeMu.
+func (ds *Dataset) row() []float64 {
+	bins := ds.dom.Size()
+	if len(ds.spare) < bins {
+		ds.spare = make([]float64, max(bins, rowChunk/bins*bins))
+	}
+	row := ds.spare[:bins:bins]
+	ds.spare = ds.spare[bins:]
+	return row
+}
+
+// check validates counts as a load into partition p of a dataset holding
+// total rows, and returns the load's row count.
+func (ds *Dataset) check(p int, counts []int, total int) (int, error) {
+	if len(counts) != ds.dom.Size() {
+		return 0, fmt.Errorf("dataset: load into partition %d has %d bins, domain has %d", p, len(counts), ds.dom.Size())
+	}
+	n := 0
+	for bin, c := range counts {
+		if c < 0 {
+			return 0, fmt.Errorf("dataset: load into partition %d has negative count %d at bin %d", p, c, bin)
+		}
+		if c > MaxRows-total-n {
+			return 0, fmt.Errorf("dataset: load into partition %d would take the dataset past %d rows", p, MaxRows)
+		}
+		n += c
+	}
+	return n, nil
+}
+
+// BulkLoad adds per-bin row counts to partition p, which may already be
+// visible to readers: it builds the prefix rows past p afresh and
+// publishes them, so a load costs O((parts−p)·bins). A refused load
+// changes nothing.
+func (ds *Dataset) BulkLoad(p int, counts []int) error {
+	ds.writeMu.Lock()
+	defer ds.writeMu.Unlock()
+	v := ds.cur.Load()
+	if p < 0 || p+1 >= len(v.sums) {
+		return fmt.Errorf("dataset: partition %d out of range [0,%d)", p, len(v.sums)-1)
+	}
+	n, err := ds.check(p, counts, v.sums[len(v.sums)-1].n)
+	if err != nil {
+		return err
+	}
+	next := &view{version: v.version + 1, sums: make([]partMeta, len(v.sums)), cum: make([][]float64, len(v.cum))}
+	copy(next.sums, v.sums[:p+1])
+	copy(next.cum, v.cum[:p+1])
+	for r := p + 1; r < len(v.cum); r++ {
+		next.sums[r] = partMeta{n: v.sums[r].n + n, version: v.sums[r].version + 1}
+		row := make([]float64, len(counts))
+		for b, c := range counts {
+			row[b] = v.cum[r][b] + float64(c)
+		}
+		next.cum[r] = row
+	}
+	ds.cur.Store(next)
+	return nil
 }
 
 // Domain returns the dataset's domain.
@@ -115,140 +245,48 @@ func (ds *Dataset) Domain() *domain.Domain { return ds.dom }
 
 // PartitionCounts returns a copy of partition p's per-bin row counts.
 func (ds *Dataset) PartitionCounts(p int) []int {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	out := make([]int, ds.dom.Size())
-	for bin, c := range ds.countsLocked(p) {
-		out[bin] = int(c)
-	}
-	return out
-}
-
-// countsLocked returns a copy of partition p's own counts: its raw row
-// past the watermark, or its prefix row less the one before it.
-func (ds *Dataset) countsLocked(p int) []float64 {
-	out := append([]float64(nil), ds.cum[p+1]...)
-	if p+1 <= ds.summed {
-		for b, c := range ds.cum[p] {
-			out[b] -= c
-		}
+	v := ds.cur.Load()
+	lo, hi := v.cum[p], v.cum[p+1]
+	out := make([]int, len(hi))
+	for b := range out {
+		out[b] = int(hi[b] - lo[b])
 	}
 	return out
 }
 
 // Partitions returns the current number of partitions.
-func (ds *Dataset) Partitions() int {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	return len(ds.parts)
-}
+func (ds *Dataset) Partitions() int { return len(ds.cur.Load().sums) - 1 }
 
-// Version increases whenever data changes; exact caches key on it so stale
-// results are never served after ingestion.
-func (ds *Dataset) Version() int {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	return ds.version
-}
-
-// AddRow ingests one row with the given attribute values into partition p.
-func (ds *Dataset) AddRow(p int, tuple []int) error {
-	bin := ds.dom.Encode(tuple)
-	return ds.AddCount(p, bin, 1)
-}
-
-// AddCount ingests count identical rows whose encoded value is bin into
-// partition p. Used by bulk loaders. A refused load changes nothing.
-func (ds *Dataset) AddCount(p, bin int, count int) error {
-	if count < 0 {
-		return fmt.Errorf("dataset: negative count %d", count)
-	}
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if p < 0 || p >= len(ds.parts) {
-		return fmt.Errorf("dataset: partition %d out of range [0,%d)", p, len(ds.parts))
-	}
-	if bin < 0 || bin >= ds.dom.Size() {
-		return fmt.Errorf("dataset: bin %d out of range [0,%d)", bin, ds.dom.Size())
-	}
-	if count > MaxRows-ds.total {
-		return tooManyRows(p)
-	}
-	for r := p + 1; r <= max(p+1, ds.summed); r++ {
-		ds.cum[r][bin] += float64(count)
-	}
-	ds.parts[p].n += count
-	ds.total += count
-	ds.parts[p].version++
-	ds.version++
-	return nil
-}
+// Version increases whenever data changes. A snapshot records it, and a
+// restore refuses to land on a dataset at another version.
+func (ds *Dataset) Version() int { return ds.cur.Load().version }
 
 // RangeVersion summarizes the mutation state of partitions [start, end];
 // exact caches record it so a cached result is served only while the data
 // it was computed on is unchanged. Appending new partitions does not
 // invalidate results on old ranges.
 func (ds *Dataset) RangeVersion(start, end int) (int, error) {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	if start < 0 || end >= len(ds.parts) || start > end {
-		return 0, fmt.Errorf("dataset: bad range [%d,%d] of %d partitions", start, end, len(ds.parts))
-	}
-	v := 0
-	for i := start; i <= end; i++ {
-		v += ds.parts[i].version
-	}
-	return v, nil
+	m, err := ds.cur.Load().window(start, end)
+	return m.version, err
 }
 
 // WindowMeta returns the data version and public row count of partitions
-// [start, end] in one read-locked pass — the planner's hot-path accessor.
+// [start, end] — the planner's hot-path accessor.
 func (ds *Dataset) WindowMeta(start, end int) (version, rows int, err error) {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	if start < 0 || end >= len(ds.parts) || start > end {
-		return 0, 0, fmt.Errorf("dataset: bad range [%d,%d] of %d partitions", start, end, len(ds.parts))
-	}
-	for i := start; i <= end; i++ {
-		version += ds.parts[i].version
-		rows += ds.parts[i].n
-	}
-	return version, rows, nil
+	m, err := ds.cur.Load().window(start, end)
+	return m.version, m.n, err
 }
 
-// BulkLoad adds per-bin row counts to partition p in one call. Workload
-// generators use it to materialize paper-scale datasets (tens of millions
-// of rows) without per-row ingestion. A refused load changes nothing.
-func (ds *Dataset) BulkLoad(p int, counts []int) error {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if p < 0 || p >= len(ds.parts) {
-		return fmt.Errorf("dataset: partition %d out of range [0,%d)", p, len(ds.parts))
-	}
-	if len(counts) != ds.dom.Size() {
-		return fmt.Errorf("dataset: BulkLoad got %d bins for domain size %d", len(counts), ds.dom.Size())
-	}
-	n := 0
-	for bin, c := range counts {
-		if c < 0 {
-			return fmt.Errorf("dataset: negative count %d at bin %d", c, bin)
-		}
-		if c > MaxRows-ds.total-n {
-			return tooManyRows(p)
-		}
-		n += c
-	}
-	for r := p + 1; r <= max(p+1, ds.summed); r++ {
-		row := ds.cum[r]
-		for bin, c := range counts {
-			row[bin] += float64(c)
-		}
-	}
-	ds.parts[p].n += n
-	ds.total += n
-	ds.parts[p].version++
-	ds.version++
-	return nil
+// NRows returns the public total row count of partitions [start, end].
+func (ds *Dataset) NRows(start, end int) (int, error) {
+	m, err := ds.cur.Load().window(start, end)
+	return m.n, err
+}
+
+// NRowsAll returns the public total row count.
+func (ds *Dataset) NRowsAll() int {
+	v := ds.cur.Load()
+	return v.sums[len(v.sums)-1].n
 }
 
 // PartitionState is the serializable content of one partition.
@@ -271,11 +309,16 @@ type State struct {
 // ExportState copies the dataset's full content, one count vector per
 // partition (prefix rows differenced back).
 func (ds *Dataset) ExportState() State {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	st := State{Version: ds.version, Parts: make([]PartitionState, len(ds.parts))}
-	for i, p := range ds.parts {
-		st.Parts[i] = PartitionState{Counts: ds.countsLocked(i), N: p.n, Version: p.version}
+	v := ds.cur.Load()
+	st := State{Version: v.version, Parts: make([]PartitionState, len(v.sums)-1)}
+	for i := range st.Parts {
+		lo, hi := v.cum[i], v.cum[i+1]
+		counts := make([]float64, len(hi))
+		for b := range counts {
+			counts[b] = hi[b] - lo[b]
+		}
+		st.Parts[i] = PartitionState{Counts: counts, N: v.sums[i+1].n - v.sums[i].n,
+			Version: v.sums[i+1].version - v.sums[i].version}
 	}
 	return st
 }
@@ -318,52 +361,20 @@ func (ds *Dataset) RestoreState(st State) error {
 	if err := ds.CheckState(st); err != nil {
 		return err
 	}
-	parts := make([]partMeta, len(st.Parts))
-	cum := make([][]float64, len(st.Parts)+1)
-	cum[0] = make([]float64, ds.dom.Size())
-	total := 0
+	next := &view{version: st.Version, sums: make([]partMeta, len(st.Parts)+1), cum: make([][]float64, len(st.Parts)+1)}
+	next.cum[0] = make([]float64, ds.dom.Size())
 	for i, p := range st.Parts {
-		parts[i] = partMeta{n: p.N, version: p.Version}
-		total += p.N
+		next.sums[i+1] = partMeta{n: next.sums[i].n + p.N, version: next.sums[i].version + p.Version}
 		row := make([]float64, len(p.Counts))
 		for b, c := range p.Counts {
-			row[b] = cum[i][b] + c
+			row[b] = next.cum[i][b] + c
 		}
-		cum[i+1] = row
+		next.cum[i+1] = row
 	}
-	ds.mu.Lock()
-	ds.parts, ds.cum, ds.summed, ds.total = parts, cum, len(parts), total
-	ds.version = st.Version
-	ds.mu.Unlock()
+	ds.writeMu.Lock()
+	ds.cur.Store(next)
+	ds.writeMu.Unlock()
 	return nil
-}
-
-// NRows returns the public total row count of partitions [start, end].
-func (ds *Dataset) NRows(start, end int) (int, error) {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	if start < 0 || end >= len(ds.parts) || start > end {
-		return 0, fmt.Errorf("dataset: bad range [%d,%d] of %d partitions", start, end, len(ds.parts))
-	}
-	n := 0
-	for i := start; i <= end; i++ {
-		n += ds.parts[i].n
-	}
-	return n, nil
-}
-
-// NRowsAll returns the public total row count.
-func (ds *Dataset) NRowsAll() int {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	return ds.total
-}
-
-// PartitionN returns the public row count of partition i.
-func (ds *Dataset) PartitionN(i int) int {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	return ds.parts[i].n
 }
 
 // TrueFraction executes q without DP over partitions [start, end],
@@ -376,31 +387,25 @@ func (ds *Dataset) TrueFraction(q *query.Query, start, end int) (float64, error)
 }
 
 // TrueFractionN is TrueFraction that also returns the window's public row
-// count, so the DP executor scales its noise without a second locked
-// metadata pass. Evaluation is a gather-sum over q's resolved support on
-// the window's bounding prefix rows, the lower one skipped for windows
-// that start at partition 0 (vector.go).
+// count, so the DP executor scales its noise without a second metadata
+// read. Evaluation is a gather-sum over q's resolved support on the
+// window's bounding prefix rows, the lower one skipped for windows that
+// start at partition 0 (vector.go).
 func (ds *Dataset) TrueFractionN(q *query.Query, start, end int) (float64, int, error) {
-	if err := ds.rlockWindow(start, end); err != nil {
+	v := ds.cur.Load()
+	m, err := v.window(start, end)
+	if err != nil || m.n == 0 {
 		return 0, 0, err
 	}
-	n := 0
-	for i := start; i <= end; i++ {
-		n += ds.parts[i].n
-	}
-	matched := float64(n)
-	if n > 0 && q.SupportSize() < ds.dom.Size() {
+	matched := float64(m.n)
+	if q.SupportSize() < ds.dom.Size() {
 		bins := q.ResolvedSupport().Bins()
-		matched = supportSum(bins, ds.cum[end+1])
+		matched = supportSum(bins, v.cum[end+1])
 		if start > 0 {
-			matched -= supportSum(bins, ds.cum[start])
+			matched -= supportSum(bins, v.cum[start])
 		}
 	}
-	ds.mu.RUnlock()
-	if n == 0 {
-		return 0, 0, nil
-	}
-	return matched / float64(n), n, nil
+	return matched / float64(m.n), m.n, nil
 }
 
 // TrueDistribution returns the normalized distribution over bins of
@@ -408,22 +413,19 @@ func (ds *Dataset) TrueFractionN(q *query.Query, start, end int) (float64, int, 
 // metrics compare histograms against. The returned slice is freshly
 // allocated.
 func (ds *Dataset) TrueDistribution(start, end int) ([]float64, error) {
-	if err := ds.rlockWindow(start, end); err != nil {
+	v := ds.cur.Load()
+	m, err := v.window(start, end)
+	if err != nil {
 		return nil, err
 	}
-	defer ds.mu.RUnlock()
-	n := 0
-	for i := start; i <= end; i++ {
-		n += ds.parts[i].n
-	}
-	lo, hi := ds.cum[start], ds.cum[end+1]
+	lo, hi := v.cum[start], v.cum[end+1]
 	out := make([]float64, len(hi))
 	for b := range out {
 		out[b] = hi[b] - lo[b]
 	}
-	if n > 0 {
+	if m.n > 0 {
 		for b := range out {
-			out[b] /= float64(n)
+			out[b] /= float64(m.n)
 		}
 	}
 	return out, nil

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/domain"
@@ -16,20 +17,33 @@ func dom() *domain.Domain {
 	)
 }
 
+// addCount loads count rows of the encoded value bin into partition p: a
+// one-hot BulkLoad.
+func addCount(ds *Dataset, p, bin, count int) error {
+	counts := make([]int, ds.Domain().Size())
+	counts[bin] = count
+	return ds.BulkLoad(p, counts)
+}
+
+// addRow loads one row with the given attribute values into partition p.
+func addRow(ds *Dataset, p int, tuple []int) error {
+	return addCount(ds, p, ds.Domain().Encode(tuple), 1)
+}
+
 func TestIngestionAndTrueFraction(t *testing.T) {
 	d := dom()
 	ds := New(d, 2)
 	// Partition 0: 3 positive rows with a=0, 1 negative with a=1.
 	for i := 0; i < 3; i++ {
-		if err := ds.AddRow(0, []int{1, 0}); err != nil {
+		if err := addRow(ds, 0, []int{1, 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := ds.AddRow(0, []int{0, 1}); err != nil {
+	if err := addRow(ds, 0, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Partition 1: 4 negative rows with a=2.
-	if err := ds.AddCount(1, d.Encode([]int{0, 2}), 4); err != nil {
+	if err := addCount(ds, 1, d.Encode([]int{0, 2}), 4); err != nil {
 		t.Fatal(err)
 	}
 
@@ -51,8 +65,8 @@ func TestIngestionAndTrueFraction(t *testing.T) {
 	if n, _ := ds.NRows(0, 1); n != 8 {
 		t.Fatalf("NRows = %d", n)
 	}
-	if ds.PartitionN(1) != 4 {
-		t.Fatalf("PartitionN(1) = %d", ds.PartitionN(1))
+	if n, _ := ds.NRows(1, 1); n != 4 {
+		t.Fatalf("NRows(1, 1) = %d", n)
 	}
 	if ds.NRowsAll() != 8 {
 		t.Fatalf("NRowsAll = %d", ds.NRowsAll())
@@ -88,18 +102,6 @@ func TestRangeValidation(t *testing.T) {
 
 func TestIngestValidation(t *testing.T) {
 	ds := New(dom(), 1)
-	if err := ds.AddCount(0, -1, 1); err == nil {
-		t.Error("negative bin accepted")
-	}
-	if err := ds.AddCount(0, 99, 1); err == nil {
-		t.Error("out-of-range bin accepted")
-	}
-	if err := ds.AddCount(5, 0, 1); err == nil {
-		t.Error("bad partition accepted")
-	}
-	if err := ds.AddCount(0, 0, -2); err == nil {
-		t.Error("negative count accepted")
-	}
 	if err := ds.BulkLoad(0, []int{1, 2}); err == nil {
 		t.Error("short bulk load accepted")
 	}
@@ -108,6 +110,21 @@ func TestIngestValidation(t *testing.T) {
 	}
 	if err := ds.BulkLoad(9, make([]int, 8)); err == nil {
 		t.Error("bad bulk partition accepted")
+	}
+	if err := ds.BulkLoad(-1, make([]int, 8)); err == nil {
+		t.Error("negative bulk partition accepted")
+	}
+	// A refused append is refused whole: no partition of its batch is
+	// published, the valid ones before the bad one included.
+	before := ds.ExportState()
+	if _, err := ds.Append(nil, make([]int, 8), []int{1, 2}); err == nil {
+		t.Error("short append accepted")
+	}
+	if _, err := ds.Append(nil, nil, append(make([]int, 7), -1)); err == nil {
+		t.Error("negative append count accepted")
+	}
+	if ds.Partitions() != 1 || !reflect.DeepEqual(ds.ExportState(), before) {
+		t.Errorf("refused appends changed the dataset: %d partitions", ds.Partitions())
 	}
 }
 
@@ -127,9 +144,9 @@ func TestLoadsRefusedPastMaxRows(t *testing.T) {
 	if err := ds.BulkLoad(0, []int{MaxRows - 10, 0, 0, 0, 0, 0, 0, 4}); err != nil {
 		t.Fatal(err)
 	}
-	before, version := ds.ExportState(), ds.Version()
+	before := ds.ExportState()
 	bin := ds.Domain().Encode([]int{0, 2})
-	if err := ds.AddCount(1, bin, 7); err == nil {
+	if err := addCount(ds, 1, bin, 7); err == nil {
 		t.Fatal("count passing MaxRows accepted")
 	}
 	wide := make([]int, 8)
@@ -137,8 +154,12 @@ func TestLoadsRefusedPastMaxRows(t *testing.T) {
 	if err := ds.BulkLoad(1, wide); err == nil {
 		t.Fatal("bulk load passing MaxRows accepted")
 	}
-	if ds.NRowsAll() != MaxRows-6 || ds.Version() != version {
-		t.Fatalf("refused loads changed the dataset: %d rows, version %d", ds.NRowsAll(), ds.Version())
+	if _, err := ds.Append(nil, wide); err == nil {
+		t.Fatal("append passing MaxRows accepted")
+	}
+	if ds.NRowsAll() != MaxRows-6 || ds.Version() != before.Version || ds.Partitions() != 2 {
+		t.Fatalf("refused loads changed the dataset: %d rows in %d partitions, version %d",
+			ds.NRowsAll(), ds.Partitions(), ds.Version())
 	}
 	for i, p := range ds.ExportState().Parts {
 		for bin, c := range p.Counts {
@@ -148,10 +169,10 @@ func TestLoadsRefusedPastMaxRows(t *testing.T) {
 		}
 	}
 	// Filling to exactly MaxRows is allowed, and the result restores.
-	if err := ds.AddCount(1, bin, 6); err != nil {
+	if err := addCount(ds, 1, bin, 6); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.AddCount(1, bin, 1); err == nil {
+	if err := addCount(ds, 1, bin, 1); err == nil {
 		t.Fatal("count past a full dataset accepted")
 	}
 	// The window's prefix rows are near 2^53; their difference is exact.
@@ -171,7 +192,7 @@ func TestLoadsRefusedPastMaxRows(t *testing.T) {
 func TestVersioning(t *testing.T) {
 	ds := New(dom(), 2)
 	v0, _ := ds.RangeVersion(0, 0)
-	if err := ds.AddRow(0, []int{0, 0}); err != nil {
+	if err := addRow(ds, 0, []int{0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	v1, _ := ds.RangeVersion(0, 0)
@@ -179,7 +200,7 @@ func TestVersioning(t *testing.T) {
 		t.Fatal("mutation did not change range version")
 	}
 	// Mutating partition 1 leaves partition 0's range version alone.
-	if err := ds.AddRow(1, []int{0, 0}); err != nil {
+	if err := addRow(ds, 1, []int{0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	v2, _ := ds.RangeVersion(0, 0)
@@ -187,7 +208,7 @@ func TestVersioning(t *testing.T) {
 		t.Fatal("unrelated mutation changed range version")
 	}
 	full0, _ := ds.RangeVersion(0, 1)
-	if err := ds.AddRow(1, []int{1, 1}); err != nil {
+	if err := addRow(ds, 1, []int{1, 1}); err != nil {
 		t.Fatal(err)
 	}
 	full1, _ := ds.RangeVersion(0, 1)
@@ -205,7 +226,7 @@ func TestStreamingAppend(t *testing.T) {
 	if idx != 1 || ds.Partitions() != 2 {
 		t.Fatalf("AppendPartition = %d, Partitions = %d", idx, ds.Partitions())
 	}
-	if err := ds.AddRow(1, []int{1, 3}); err != nil {
+	if err := addRow(ds, 1, []int{1, 3}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -220,10 +241,10 @@ func TestBulkLoadMatchesAddRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		_ = b.AddRow(0, []int{1, 2})
+		_ = addRow(b, 0, []int{1, 2})
 	}
 	for i := 0; i < 3; i++ {
-		_ = b.AddRow(0, []int{0, 0})
+		_ = addRow(b, 0, []int{0, 0})
 	}
 	q := query.MustNew(d, map[int][]int{0: {1}})
 	fa, _ := a.TrueFraction(q, 0, 0)
@@ -236,8 +257,8 @@ func TestBulkLoadMatchesAddRow(t *testing.T) {
 func TestTrueDistribution(t *testing.T) {
 	d := dom()
 	ds := New(d, 2)
-	_ = ds.AddCount(0, 0, 3)
-	_ = ds.AddCount(1, 1, 1)
+	_ = addCount(ds, 0, 0, 3)
+	_ = addCount(ds, 1, 1, 1)
 	dist, err := ds.TrueDistribution(0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +278,7 @@ func TestTrueDistribution(t *testing.T) {
 func TestExecutorLaplaceNoiseScale(t *testing.T) {
 	d := dom()
 	ds := New(d, 1)
-	_ = ds.AddCount(0, 0, 1000)
+	_ = addCount(ds, 0, 0, 1000)
 	exec := NewExecutor(ds, noise.NewRng(9))
 	q := query.MustNew(d, map[int][]int{0: {0}})
 	trueVal, _ := ds.TrueFraction(q, 0, 0)
@@ -291,7 +312,7 @@ func TestExecutorLaplaceNoiseScale(t *testing.T) {
 func TestExecutorReusesTrueResult(t *testing.T) {
 	d := dom()
 	ds := New(d, 1)
-	_ = ds.AddCount(0, 0, 100)
+	_ = addCount(ds, 0, 0, 100)
 	exec := NewExecutor(ds, noise.NewRng(3))
 	q := query.MustNew(d, nil)
 	if _, err := exec.ExecuteDP(q, 0, 0, 1.0, 0.42); err != nil {
@@ -324,7 +345,7 @@ func TestExecutorErrors(t *testing.T) {
 func TestExecutorGaussian(t *testing.T) {
 	d := dom()
 	ds := New(d, 1)
-	_ = ds.AddCount(0, 0, 1000)
+	_ = addCount(ds, 0, 0, 1000)
 	exec := NewExecutor(ds, noise.NewRng(4)).WithGaussian(0.01)
 	if exec.Mechanism() != Gaussian {
 		t.Fatal("mechanism not switched")

@@ -10,14 +10,15 @@ import (
 	"repro/internal/domain"
 )
 
-// TestSummingReadsRaceLoads races readers over random windows — each the
-// read that may sum pending prefix rows — against a writer that appends a
-// partition, bulk-loads it and adds rows to partition 0, round after
-// round. The writer's history is fixed up front, so the model after every
-// step is known: a read must equal the walk over one of the models its
-// call could have observed, between the steps done before it began and
-// the steps begun once it returned.
-func TestSummingReadsRaceLoads(t *testing.T) {
+// TestReadsRaceCopyOnWriteLoads races readers over random windows against
+// a writer that appends a loaded partition, bulk-loads more into it and
+// adds rows to partition 0, round after round: the appends write past the
+// old view's lengths into backing arrays readers share, and the loads
+// rebuild rows readers may hold. The writer's history is fixed up front,
+// so the model after every step is known: a read must equal the walk over
+// one of the models its call could have observed, between the steps done
+// before it began and the steps begun once it returned.
+func TestReadsRaceCopyOnWriteLoads(t *testing.T) {
 	dom := domain.MustNew(
 		domain.Attribute{Name: "a", Card: 4},
 		domain.Attribute{Name: "b", Card: 8},
@@ -42,23 +43,25 @@ func TestSummingReadsRaceLoads(t *testing.T) {
 		steps = append(steps, s)
 		models = append(models, edit(next))
 	}
+	load := func(m []PartitionState, p int, counts []int) []PartitionState {
+		for b, v := range counts {
+			m[p].Counts[b] += float64(v)
+			m[p].N += v
+		}
+		return m
+	}
 	for r := 0; r < rounds; r++ {
 		p := r + 1
-		counts := randomCounts(dom.Size(), rng)
+		arrival, more := randomCounts(dom.Size(), rng), randomCounts(dom.Size(), rng)
 		bin, c := rng.IntN(dom.Size()), 1+rng.IntN(4)
-		advance(func() error { ds.AppendPartitions(1); return nil },
+		advance(func() error { _, err := ds.Append(nil, arrival); return err },
 			func(m []PartitionState) []PartitionState {
-				return append(m, PartitionState{Counts: make([]float64, dom.Size())})
+				m = append(m, PartitionState{Counts: make([]float64, dom.Size())})
+				return load(m, p, arrival)
 			})
-		advance(func() error { return ds.BulkLoad(p, counts) },
-			func(m []PartitionState) []PartitionState {
-				for b, v := range counts {
-					m[p].Counts[b] += float64(v)
-					m[p].N += v
-				}
-				return m
-			})
-		advance(func() error { return ds.AddCount(0, bin, c) },
+		advance(func() error { return ds.BulkLoad(p, more) },
+			func(m []PartitionState) []PartitionState { return load(m, p, more) })
+		advance(func() error { return addCount(ds, 0, bin, c) },
 			func(m []PartitionState) []PartitionState {
 				m[0].Counts[bin] += float64(c)
 				m[0].N += c

@@ -20,7 +20,9 @@
 //     (Ho et al., "Range Queries in OLAP Data Cubes", SIGMOD '97). The
 //     dataset keeps exactly those parts+1 rows and nothing per window, so
 //     every window costs two gathers — one when s = 0 — whatever its
-//     length, and ingestion has no window state to invalidate.
+//     length, and ingestion has no window state to invalidate. A
+//     published row is never written again (a load publishes fresh
+//     rows), so the gathers read it without a lock.
 //
 // Exactness: counts are integer-valued float64s and the dataset's total
 // stays below 2^53 (MaxRows: loads and restores that would pass it are
@@ -32,8 +34,6 @@
 // the engine against that walk.
 
 package dataset
-
-import "fmt"
 
 // supportSum computes Σ vec[bin] over a gather list: four independent
 // accumulator chains, so wide supports are not serialized on
@@ -54,34 +54,4 @@ func supportSum(bins []int32, vec []float64) float64 {
 		s0 += vec[bins[i]]
 	}
 	return (s0 + s1) + (s2 + s3)
-}
-
-// rlockWindow read-locks the dataset with [start, end] a valid window
-// whose bounding prefix rows are summed; on error it returns unlocked. A
-// window reaching past the watermark first sums every pending row under
-// the write lock, then retries: a concurrent load keeps summed rows
-// summed and an append only adds rows past them, so the retry normally
-// succeeds at once.
-func (ds *Dataset) rlockWindow(start, end int) error {
-	ds.mu.RLock()
-	for {
-		if start < 0 || end >= len(ds.parts) || start > end {
-			n := len(ds.parts)
-			ds.mu.RUnlock()
-			return fmt.Errorf("dataset: bad range [%d,%d] of %d partitions", start, end, n)
-		}
-		if end+1 <= ds.summed {
-			return nil
-		}
-		ds.mu.RUnlock()
-		ds.mu.Lock()
-		for ; ds.summed+1 < len(ds.cum); ds.summed++ {
-			prev, row := ds.cum[ds.summed], ds.cum[ds.summed+1]
-			for b, c := range prev {
-				row[b] += c
-			}
-		}
-		ds.mu.Unlock()
-		ds.mu.RLock()
-	}
 }

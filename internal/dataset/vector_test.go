@@ -111,14 +111,27 @@ func (m *mirror) grow(k int) {
 	}
 }
 
-func (m *mirror) appendParts(k int) int {
-	m.grow(k)
-	return m.ds.AppendPartitions(k)
+// appendParts appends one partition per entry of counts, loaded with it
+// (nil: empty).
+func (m *mirror) appendParts(counts ...[]int) int {
+	m.t.Helper()
+	first, err := m.ds.Append(nil, counts...)
+	if err != nil {
+		m.t.Fatal(err)
+	}
+	m.grow(len(counts))
+	for i, c := range counts {
+		for bin, v := range c {
+			m.parts[first+i].Counts[bin] += float64(v)
+			m.parts[first+i].N += v
+		}
+	}
+	return first
 }
 
 func (m *mirror) addCount(p, bin, c int) {
 	m.t.Helper()
-	if err := m.ds.AddCount(p, bin, c); err != nil {
+	if err := addCount(m.ds, p, bin, c); err != nil {
 		m.t.Fatal(err)
 	}
 	m.parts[p].Counts[bin] += float64(c)
@@ -206,11 +219,12 @@ func TestVectorizedMatchesWalkRandomized(t *testing.T) {
 			}
 		}
 		check("initial", m.ds)
-		// Streaming append: new partitions with fresh data, read, then a
-		// load into an older partition below them (its prefix rows are
-		// summed now, so the load must reach every later row).
-		first := m.appendParts(1 + rng.IntN(2))
+		// Streaming appends: empty partitions then loaded, and loaded
+		// ones, read, then a load into an older partition below them (it
+		// must reach every later prefix row).
+		first := m.appendParts(make([][]int, 1+rng.IntN(2))...)
 		m.loadRandom(first, rng)
+		m.appendParts(randomCounts(dom.Size(), rng), nil)
 		check("post-append", m.ds)
 		m.bulkLoad(rng.IntN(m.ds.Partitions()), randomCounts(dom.Size(), rng))
 		check("post-reload", m.ds)
@@ -259,10 +273,10 @@ func TestPrefixRowsHoldNoWindowState(t *testing.T) {
 			windows++
 		}
 	}
-	if windows != 1275 || len(m.ds.cum) != 51 {
-		t.Fatalf("%d windows left %d rows, want 1275 and 51", windows, len(m.ds.cum))
+	if windows != 1275 || len(m.ds.cur.Load().cum) != 51 {
+		t.Fatalf("%d windows left %d rows, want 1275 and 51", windows, len(m.ds.cur.Load().cum))
 	}
-	for i, row := range m.ds.cum {
+	for i, row := range m.ds.cur.Load().cum {
 		if len(row) != 1200 {
 			t.Fatalf("row %d holds %d floats, want 1200", i, len(row))
 		}

@@ -255,24 +255,17 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]Snapshotter)}
 }
 
-// Register adds a layer at the end of the restore order. Registering a
-// section tag again replaces the previous owner in place (keeping its
-// position): the newest layer owns the section.
+// Register adds a layer at the end of the restore order. Each section has
+// one owner: registering a tag twice panics.
 func (r *Registry) Register(s Snapshotter) {
 	name := s.SnapshotSection()
 	if name == "" {
 		panic("persist: Snapshotter with empty section name")
 	}
 	if _, ok := r.byName[name]; ok {
-		for i, old := range r.order {
-			if old.SnapshotSection() == name {
-				r.order[i] = s
-				break
-			}
-		}
-	} else {
-		r.order = append(r.order, s)
+		panic("persist: section " + name + " registered twice")
 	}
+	r.order = append(r.order, s)
 	r.byName[name] = s
 }
 

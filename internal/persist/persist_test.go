@@ -280,27 +280,18 @@ func TestStagerRefusesBeforeAnyRestore(t *testing.T) {
 	}
 }
 
-func TestRegisterReplacesSameSection(t *testing.T) {
-	old := &fakeLayer{name: "s", state: []byte("old")}
-	neu := &fakeLayer{name: "s", state: []byte("new")}
+func TestRegisterTwicePanics(t *testing.T) {
 	reg := NewRegistry()
-	reg.Register(&fakeLayer{name: "first", state: []byte("1")})
-	reg.Register(old)
-	reg.Register(neu)
-	if got := reg.Sections(); len(got) != 2 || got[1] != "s" {
-		t.Fatalf("sections = %v", got)
-	}
-	var buf bytes.Buffer
-	if err := reg.Capture(&buf); err != nil {
-		t.Fatal(err)
-	}
-	payloads, _, err := ReadSections(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(payloads["s"]) != "new" {
-		t.Fatalf("section s = %q, want the replacement's payload", payloads["s"])
-	}
+	reg.Register(&fakeLayer{name: "s", state: []byte("old")})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second owner of section s was registered")
+		}
+		if got := reg.Sections(); len(got) != 1 || got[0] != "s" {
+			t.Fatalf("sections = %v", got)
+		}
+	}()
+	reg.Register(&fakeLayer{name: "s", state: []byte("new")})
 }
 
 func TestWriteFileAtomic(t *testing.T) {

@@ -41,7 +41,7 @@ func newFaultyFixture(t *testing.T) (*PMW, *faultyExecutor, accountant.Window, *
 	dom := domain.MustNew(domain.Attribute{Name: "x", Card: 8})
 	ds := dataset.New(dom, 1)
 	for b := 0; b < 8; b++ {
-		_ = ds.AddCount(0, b, 1000+b*300)
+		_ = addCount(ds, 0, b, 1000+b*300)
 	}
 	rng := noise.NewRng(55)
 	inner := RangeExecutor{Exec: dataset.NewExecutor(ds, rng.Fork()), Start: 0, End: 0}

@@ -24,7 +24,7 @@ func newGaussianFixture(t *testing.T, epsG, deltaG float64) (*PMW, accountant.Wi
 	ds := dataset.New(dom, 1)
 	counts := []int{100, 200, 300, 400, 4000, 600, 700, 1700}
 	for bin, c := range counts {
-		_ = ds.AddCount(0, bin, c)
+		_ = addCount(ds, 0, bin, c)
 	}
 	rng := noise.NewRng(31)
 	n := ds.NRowsAll()
@@ -143,7 +143,7 @@ func TestCutoffBoundsBypassDrain(t *testing.T) {
 	dom := domain.MustNew(domain.Attribute{Name: "x", Card: 8})
 	ds := dataset.New(dom, 1)
 	for b := 0; b < 8; b++ {
-		_ = ds.AddCount(0, b, 1000+b*500)
+		_ = addCount(ds, 0, b, 1000+b*500)
 	}
 	rng := noise.NewRng(77)
 	exec := dataset.NewExecutor(ds, rng.Fork())

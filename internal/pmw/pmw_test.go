@@ -14,6 +14,14 @@ import (
 	"repro/internal/query"
 )
 
+// addCount loads count rows of the encoded value bin into partition p of
+// ds: a one-hot BulkLoad.
+func addCount(ds *dataset.Dataset, p, bin, count int) error {
+	counts := make([]int, ds.Domain().Size())
+	counts[bin] = count
+	return ds.BulkLoad(p, counts)
+}
+
 // fixture builds a single-partition dataset with a skewed distribution and
 // a PMW over it.
 type fixture struct {
@@ -36,7 +44,7 @@ func newFixture(t *testing.T, cfgMut func(*Config), global float64) *fixture {
 	// Skewed ground truth: bin (1,0) heavy.
 	counts := []int{100, 200, 300, 400, 4000, 600, 700, 1700}
 	for bin, c := range counts {
-		if err := ds.AddCount(0, bin, c); err != nil {
+		if err := addCount(ds, 0, bin, c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,7 +88,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	dom := domain.MustNew(domain.Attribute{Name: "x", Card: 8})
 	ds := dataset.New(dom, 1)
-	_ = ds.AddCount(0, 0, 100)
+	_ = addCount(ds, 0, 0, 100)
 	exec := dataset.NewExecutor(ds, noise.NewRng(1))
 	payer := LaplacePayer(accountant.Window{Block: accountant.NewBlock(1, 1)}, 0.1)
 	for i, mut := range bads {

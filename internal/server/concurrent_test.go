@@ -30,8 +30,8 @@ func newConcurrentServer(t *testing.T, epsG float64) *testServer {
 	ds := dataset.New(dom, 8)
 	for w := 0; w < 8; w++ {
 		for a := 0; a < 4; a++ {
-			_ = ds.AddCount(w, dom.Encode([]int{1, a}), 1000+100*a+10*w)
-			_ = ds.AddCount(w, dom.Encode([]int{0, a}), 4000-150*a+20*w)
+			_ = addCount(ds, w, dom.Encode([]int{1, a}), 1000+100*a+10*w)
+			_ = addCount(ds, w, dom.Encode([]int{0, a}), 4000-150*a+20*w)
 		}
 	}
 	sess, err := core.NewSession(core.Config{

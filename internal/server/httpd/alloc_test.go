@@ -265,9 +265,10 @@ func TestHandleGroupByZeroAllocs(t *testing.T) {
 // TestHandleAppendAllocs: a steady-state /append of one partition, its
 // batch decoded into the connection's scratch and applied on the
 // handler's goroutine, allocates what the partition keeps — its dataset
-// row, its accountant and dataset slots (amortized), its warm-started
-// tree leaf (node, learning rate, histogram, heuristic) — and nothing for
-// the body, the ticket or the response. Through encoding/json, with a
+// row and the view that publishes it, its accountant and dataset slots
+// (amortized), its warm-started tree leaf (node, learning rate,
+// histogram, heuristic) — and nothing for the body, the ticket or the
+// response. Through encoding/json, with a
 // per-request arrival slice and pending queue, and with the leaf built
 // uniform before the warm start replaced it, this read 36 objects; with
 // an ingestion ticket and its channel per batch, 8.
@@ -287,9 +288,10 @@ func TestHandleAppendAllocs(t *testing.T) {
 		}
 		i++
 	})
-	// Kept: the row (1), the node (1), its schedule (1), its histogram
-	// (2), its heuristic (1). The slots' and the node map's growth
-	// amortize to under one.
+	// Kept: the dataset view (1), the node (1), its schedule (1), its
+	// histogram (2), its heuristic (1). The row is cut from a 16 KiB
+	// chunk, and it, the slots' and the node map's growth amortize to
+	// under one.
 	if allocs > 6 {
 		t.Errorf("a steady-state /append allocates %v objects, want at most 6", allocs)
 	}

@@ -22,6 +22,14 @@ import (
 	"repro/internal/domain"
 )
 
+// addCount loads count rows of the encoded value bin into partition p of
+// ds: a one-hot BulkLoad.
+func addCount(ds *dataset.Dataset, p, bin, count int) error {
+	counts := make([]int, ds.Domain().Size())
+	counts[bin] = count
+	return ds.BulkLoad(p, counts)
+}
+
 // newTestServer builds a server over a 4-partition covid-like session.
 func newTestServer(t *testing.T, epsG float64) *Server {
 	t.Helper()
@@ -32,8 +40,8 @@ func newTestServer(t *testing.T, epsG float64) *Server {
 	ds := dataset.New(dom, 4)
 	for w := 0; w < 4; w++ {
 		for a := 0; a < 4; a++ {
-			_ = ds.AddCount(w, dom.Encode([]int{1, a}), 1000+100*a)
-			_ = ds.AddCount(w, dom.Encode([]int{0, a}), 4000-150*a)
+			_ = addCount(ds, w, dom.Encode([]int{1, a}), 1000+100*a)
+			_ = addCount(ds, w, dom.Encode([]int{0, a}), 4000-150*a)
 		}
 	}
 	sess, err := core.NewSession(core.Config{

@@ -191,7 +191,7 @@ func TestSnapshotRacesAppendStorm(t *testing.T) {
 				i, rr.Partitions, ds2.Partitions(), srv2.sess.Accountant().Partitions())
 		}
 		for p := 2; p < rr.Partitions; p++ {
-			if got, want := ds2.PartitionN(p), 5*domSize; got != want {
+			if got, want := partitionRows(ds2, p), 5*domSize; got != want {
 				t.Fatalf("snapshot %d: partition %d holds %d rows, want %d", i, p, got, want)
 			}
 			if srv2.sess.Tree().NodeHistogram(interval.Node{Start: p, End: p}) == nil {

@@ -18,6 +18,20 @@ import (
 	"repro/internal/store"
 )
 
+// partitionRows returns partition p's public row count.
+func partitionRows(ds *dataset.Dataset, p int) int {
+	n, _ := ds.NRows(p, p)
+	return n
+}
+
+// addCount loads count rows of the encoded value bin into partition p of
+// ds: a one-hot BulkLoad.
+func addCount(ds *dataset.Dataset, p, bin, count int) error {
+	counts := make([]int, ds.Domain().Size())
+	counts[bin] = count
+	return ds.BulkLoad(p, counts)
+}
+
 // testServer is a Server with the session it serves.
 type testServer struct {
 	*Server
@@ -87,8 +101,8 @@ func newTestServerWith(t *testing.T, epsG float64, mut func(*core.Config)) (*tes
 	ds := dataset.New(dom, 4)
 	for w := 0; w < 4; w++ {
 		for a := 0; a < 4; a++ {
-			_ = ds.AddCount(w, dom.Encode([]int{1, a}), 1000+100*a)
-			_ = ds.AddCount(w, dom.Encode([]int{0, a}), 4000-150*a)
+			_ = addCount(ds, w, dom.Encode([]int{1, a}), 1000+100*a)
+			_ = addCount(ds, w, dom.Encode([]int{0, a}), 4000-150*a)
 		}
 	}
 	cfg := core.Config{

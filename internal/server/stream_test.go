@@ -31,8 +31,8 @@ func newStreamingServer(t *testing.T, gaussian bool) (*testServer, *dataset.Data
 	ds := dataset.New(dom, 2)
 	for w := 0; w < 2; w++ {
 		for a := 0; a < 4; a++ {
-			_ = ds.AddCount(w, dom.Encode([]int{1, a}), 1000+100*a+10*w)
-			_ = ds.AddCount(w, dom.Encode([]int{0, a}), 4000-150*a+20*w)
+			_ = addCount(ds, w, dom.Encode([]int{1, a}), 1000+100*a+10*w)
+			_ = addCount(ds, w, dom.Encode([]int{0, a}), 4000-150*a+20*w)
 		}
 	}
 	cfg := core.Config{
@@ -229,8 +229,8 @@ func TestAppendStormAgainstQueries(t *testing.T) {
 func TestAppendRefusedNonPartitioned(t *testing.T) {
 	dom := domain.MustNew(domain.Attribute{Name: "positive", Card: 2})
 	ds := dataset.New(dom, 1)
-	_ = ds.AddCount(0, 0, 500)
-	_ = ds.AddCount(0, 1, 500)
+	_ = addCount(ds, 0, 0, 500)
+	_ = addCount(ds, 0, 1, 500)
 	sess, err := core.NewSession(core.Config{
 		Mode: core.NonPartitioned, Alpha: 0.05, Beta: 0.001, EpsilonGlobal: 10, Seed: 2,
 	}, ds)

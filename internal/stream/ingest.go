@@ -4,15 +4,16 @@
 // submits it, through core.Session.AppendPartitions, in the order that
 // keeps every concurrent query accountable:
 //
-//  1. accountants — the scalar block (and, in Gaussian mode, the Rényi
-//     block) grow first, so a query can never name a partition whose
-//     budget does not exist.
-//  2. dataset — the new partitions appear, initially empty.
-//  3. data — each arrival's per-bin counts are bulk-loaded.
+//  1. check — the arrivals fit the domain and the dataset's room below
+//     dataset.MaxRows, or the batch is refused whole.
+//  2. data — each arrival's prefix row is built, unpublished.
+//  3. accountants — the block grows, so a query can never name a
+//     partition whose budget does not exist.
 //  4. warm-start — under Mode Streaming, the new tree leaves are
 //     materialized eagerly, copying the previous leaf's trained histogram
 //     and heuristic state (§4.5) at ingestion time instead of on the first
 //     query, which keeps first-query latency flat under load.
+//  5. publish — the dataset shows the new partitions, all at once.
 //
 // Any number of producers may Submit concurrently; the session serializes
 // their batches, each applied whole before its Submit returns, so there is
@@ -59,8 +60,9 @@ type Stats struct {
 	Batches, Epochs int64
 	// Partitions and Rows count ingested partitions and rows.
 	Partitions, Rows int64
-	// WarmStarted counts the tree leaves the session's arrival pass itself
-	// created (core.Session.WarmStarted), which is at most Partitions.
+	// WarmStarted counts the tree leaves arrivals warm-started
+	// (core.Session.WarmStarted): Partitions in streaming mode, 0
+	// otherwise.
 	WarmStarted int64
 	// Shed is always 0: no Submit is refused for load.
 	Shed int64

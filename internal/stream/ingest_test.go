@@ -14,6 +14,20 @@ import (
 	"repro/internal/query"
 )
 
+// partitionRows returns partition p's public row count.
+func partitionRows(ds *dataset.Dataset, p int) int {
+	n, _ := ds.NRows(p, p)
+	return n
+}
+
+// addCount loads count rows of the encoded value bin into partition p of
+// ds: a one-hot BulkLoad.
+func addCount(ds *dataset.Dataset, p, bin, count int) error {
+	counts := make([]int, ds.Domain().Size())
+	counts[bin] = count
+	return ds.BulkLoad(p, counts)
+}
+
 // testDomain is the shared small domain of the package's tests.
 func testDomain() *domain.Domain {
 	return domain.MustNew(
@@ -30,7 +44,7 @@ func testDS(t *testing.T, parts int) *dataset.Dataset {
 	rng := noise.NewRng(3)
 	for p := 0; p < parts; p++ {
 		for bin := 0; bin < dom.Size(); bin++ {
-			if err := ds.AddCount(p, bin, 30+rng.IntN(40)); err != nil {
+			if err := addCount(ds, p, bin, 30+rng.IntN(40)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -116,7 +130,7 @@ func TestIngestorAssignsDenseIndices(t *testing.T) {
 					return
 				}
 				for i := first; i <= last; i++ {
-					if ds.PartitionN(i) != 10*ds.Domain().Size() {
+					if partitionRows(ds, i) != 10*ds.Domain().Size() {
 						t.Errorf("partition %d rows not loaded at ticket resolution", i)
 						return
 					}
@@ -216,63 +230,62 @@ func TestIngestorEagerWarmStart(t *testing.T) {
 	}
 }
 
-// TestEagerPassLosesRaceToQuery scripts the interleaving that made the
-// server's append storm read "warm-started 21 leaves, want 22" one run in
-// twenty: a query names a just-appended partition after the dataset grew
-// and before the eager pass reaches it. The query's own tree walk creates
-// the leaf, warm-started; the pass finds it and reports no creation, which
-// is why Stats.WarmStarted counts leaves the pass created, not leaves that
-// are warm.
-func TestEagerPassLosesRaceToQuery(t *testing.T) {
+// TestNewestPartitionIsLoadedAndWarm storms a streaming session with
+// appends of loaded arrivals against queries aimed at the newest partition
+// the dataset shows. An arrival is published only once its rows are
+// loaded and its leaf is warm, so every answer counts the partition's
+// rows, and the eager pass makes every leaf itself: WarmStarted equals the
+// partitions appended. While the dataset grew a partition before loading
+// it, a query there planned 0 rows, and one query in twenty storms made
+// the leaf before the eager pass.
+func TestNewestPartitionIsLoadedAndWarm(t *testing.T) {
 	ds := testDS(t, 1)
 	sess := streamingSession(t, ds, core.Streaming, false)
+	const appends, perBin = 200, 5
+	want := perBin * ds.Domain().Size()
 	q := query.MustNew(ds.Domain(), map[int][]int{0: {1}})
-	for i := 0; i < 10; i++ { // train leaf 0 away from uniform
-		if _, err := sess.Answer(q.WithWindow(0, 0)); err != nil {
-			t.Fatal(err)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < appends; i++ {
+			if _, err := sess.AppendPartitions(arrival(ds.Domain(), perBin)); err != nil {
+				t.Error(err)
+				return
+			}
 		}
+	}()
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				p := ds.Partitions() - 1
+				if p == 0 {
+					continue
+				}
+				ans, err := sess.Answer(q.WithWindow(p, p))
+				if err != nil {
+					t.Errorf("partition %d: %v", p, err)
+					return
+				}
+				if ans.Rows != want {
+					t.Errorf("partition %d answered over %d rows, want %d", p, ans.Rows, want)
+					return
+				}
+			}
+		}()
 	}
-	// What AppendPartitions does before its eager pass.
-	sess.Accountant().AddPartitions(2)
-	first := ds.AppendPartitions(2)
-	for p := first; p < first+2; p++ {
-		if err := ds.BulkLoad(p, arrival(ds.Domain(), 25).Counts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	leaf := func(p int) interval.Node { return interval.Node{Start: p, End: p} }
-	tr := sess.Tree()
-	if tr.NodeHistogram(leaf(first)) != nil {
-		t.Fatal("leaf exists before anything touched it")
-	}
-
-	// The racing query wins partition first; nobody races for first+1.
-	if _, err := sess.Answer(q.WithWindow(first, first)); err != nil {
-		t.Fatal(err)
-	}
-	if tr.NodeHistogram(leaf(first)) == nil {
-		t.Fatal("the query did not create the leaf it ran over")
-	}
-	if tr.EagerWarmStart(first) {
-		t.Fatal("the eager pass claims a leaf the query created")
-	}
-	if !tr.EagerWarmStart(first + 1) {
-		t.Fatal("the eager pass did not create the leaf nobody raced for")
-	}
-	// The leaf the pass did not count is as warm as the one it did: the
-	// second copied its histogram, and that is leaf 0's training, not the
-	// uniform prior.
-	won, made := tr.NodeHistogram(leaf(first)), tr.NodeHistogram(leaf(first+1))
-	uniform := 1 / float64(made.Size())
-	trained := false
-	for bin := 0; bin < made.Size(); bin++ {
-		if math.Abs(won.Weight(bin)-made.Weight(bin)) > 1e-12 {
-			t.Fatalf("leaf %d not copied from the leaf the query created at bin %d", first+1, bin)
-		}
-		trained = trained || math.Abs(made.Weight(bin)-uniform) > 1e-9
-	}
-	if !trained {
-		t.Fatal("the raced leaf carries the uniform prior: it was not warm-started")
+	wg.Wait()
+	if got := sess.WarmStarted(); got != appends {
+		t.Fatalf("WarmStarted = %d, want the %d partitions appended", got, appends)
 	}
 }
 
@@ -318,8 +331,8 @@ func TestIngestorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first != 1 || last != 1 || ds.PartitionN(1) != 0 {
-		t.Fatalf("nil-counts arrival: [%d,%d], n=%d", first, last, ds.PartitionN(1))
+	if first != 1 || last != 1 || partitionRows(ds, 1) != 0 {
+		t.Fatalf("nil-counts arrival: [%d,%d], n=%d", first, last, partitionRows(ds, 1))
 	}
 
 	// Non-partitioned sessions cannot ingest.

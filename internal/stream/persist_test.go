@@ -96,7 +96,7 @@ func TestSaveStateRacesAppendStorm(t *testing.T) {
 					t.Fatalf("snapshot %d: books cover %d partitions, dataset holds %d", i, got, parts)
 				}
 				for p := initial; p < parts; p++ {
-					if got, want := ds2.PartitionN(p), perBin[p]*dom.Size(); got != want {
+					if got, want := partitionRows(ds2, p), perBin[p]*dom.Size(); got != want {
 						t.Fatalf("snapshot %d: partition %d holds %d rows, want %d", i, p, got, want)
 					}
 					h := s2.Tree().NodeHistogram(leaf(p))

@@ -116,7 +116,7 @@ func TestIngestionStorm(t *testing.T) {
 				t.Fatalf("dataset has %d partitions, want %d", ds.Partitions(), initial+len(indices))
 			}
 			for _, idx := range indices {
-				if n := ds.PartitionN(idx); n != rowsPerBin*ds.Domain().Size() {
+				if n := partitionRows(ds, idx); n != rowsPerBin*ds.Domain().Size() {
 					t.Fatalf("partition %d holds %d rows", idx, n)
 				}
 			}

@@ -2,7 +2,11 @@
 
 package tree
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/interval"
+)
 
 // TestEagerWarmStartAllocs: warm-starting an arriving partition's leaf
 // allocates the leaf it keeps — the node, its histogram (the struct and
@@ -13,15 +17,15 @@ import "testing"
 // histogram held two arrays, it read 9 objects.
 func TestEagerWarmStartAllocs(t *testing.T) {
 	f := newFix(t, func(c *Config) { c.WarmStart = true }, 1000, 1)
-	const runs = 300
-	f.ds.AppendPartitions(runs + 1)
 	f.tree.EagerWarmStart(0)
 	p := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		if p++; !f.tree.EagerWarmStart(p) {
-			t.Fatalf("no leaf made for partition %d", p)
-		}
+	allocs := testing.AllocsPerRun(300, func() {
+		p++
+		f.tree.EagerWarmStart(p)
 	})
+	if f.tree.NodeHistogram(interval.Node{Start: p, End: p}) == nil {
+		t.Fatalf("no leaf made for partition %d", p)
+	}
 	if allocs > 4 {
 		t.Errorf("an eager warm start allocates %v objects, want at most 4", allocs)
 	}

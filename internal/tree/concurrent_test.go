@@ -25,7 +25,7 @@ func buildConcurrentTree(t *testing.T) (*Tree, *dataset.Dataset) {
 	rng := noise.NewRng(7)
 	for p := 0; p < parts; p++ {
 		for bin := 0; bin < dom.Size(); bin++ {
-			if err := ds.AddCount(p, bin, 50+rng.IntN(100)); err != nil {
+			if err := addCount(ds, p, bin, 50+rng.IntN(100)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -295,21 +295,16 @@ func (t *Tree) warmStart(n *node) {
 // EagerWarmStart materializes partition p's leaf state ahead of its first
 // query, applying the §4.5 warm-start (copy the previous leaf's histogram
 // and heuristic state) at ingestion time instead of on the first query
-// that touches the partition. It reports whether a new leaf was created;
-// it is a no-op when warm-starting is disabled, the partition is out of
-// range, or the leaf already exists. Safe for concurrent use.
-func (t *Tree) EagerWarmStart(p int) bool {
-	if !t.cfg.WarmStart || p < 0 || p >= t.exec.Dataset().Partitions() {
-		return false
+// that touches the partition. Arrivals call it before they publish
+// partition p, so no query can have made the leaf first. It is a no-op
+// when warm-starting is disabled. Safe for concurrent use.
+func (t *Tree) EagerWarmStart(p int) {
+	if !t.cfg.WarmStart || p < 0 {
+		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	iv := interval.Node{Start: p, End: p}
-	if _, ok := t.lookupNode(iv); ok {
-		return false
-	}
-	t.getNode(iv)
-	return true
+	t.getNode(interval.Node{Start: p, End: p})
 }
 
 // LiveSVs returns the number of live shared sparse vectors — the

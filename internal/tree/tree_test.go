@@ -18,6 +18,14 @@ import (
 	"repro/internal/sparse"
 )
 
+// addCount loads count rows of the encoded value bin into partition p of
+// ds: a one-hot BulkLoad.
+func addCount(ds *dataset.Dataset, p, bin, count int) error {
+	counts := make([]int, ds.Domain().Size())
+	counts[bin] = count
+	return ds.BulkLoad(p, counts)
+}
+
 // fix builds an 8-partition dataset with drifting positivity and a tree.
 type fix struct {
 	dom   *domain.Domain
@@ -38,8 +46,8 @@ func newFix(t *testing.T, mut func(*Config), global float64, partitions int) *fi
 		for a := 0; a < 4; a++ {
 			pos := 1000 + 300*w + 100*a
 			neg := 5000 - 200*a
-			_ = ds.AddCount(w, dom.Encode([]int{1, a}), pos)
-			_ = ds.AddCount(w, dom.Encode([]int{0, a}), neg)
+			_ = addCount(ds, w, dom.Encode([]int{1, a}), pos)
+			_ = addCount(ds, w, dom.Encode([]int{0, a}), neg)
 		}
 	}
 	rng := noise.NewRng(23)
@@ -308,8 +316,8 @@ func TestMemoryBytesScalesWithNodes(t *testing.T) {
 func TestEmptyPartitionsSkipped(t *testing.T) {
 	dom := domain.MustNew(domain.Attribute{Name: "x", Card: 2})
 	ds := dataset.New(dom, 4)
-	_ = ds.AddCount(0, 1, 100)
-	_ = ds.AddCount(1, 1, 100) // partitions 2,3 empty
+	_ = addCount(ds, 0, 1, 100)
+	_ = addCount(ds, 1, 1, 100) // partitions 2,3 empty
 	rng := noise.NewRng(5)
 	exec := dataset.NewExecutor(ds, rng.Fork())
 	block := accountant.NewBlock(100, 4)

@@ -100,7 +100,7 @@ func TestWarmStartMatchesOracle(t *testing.T) {
 				p := f.ds.AppendPartition()
 				f.block.AddPartitions(1)
 				for bin := range f.dom.Size() {
-					_ = f.ds.AddCount(p, bin, 500+100*bin+37*step)
+					_ = addCount(f.ds, p, bin, 500+100*bin+37*step)
 				}
 			}
 			p := got.ds.Partitions() - 1

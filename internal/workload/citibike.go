@@ -72,7 +72,6 @@ func BuildCitiBike(cfg CitiBikeConfig) (*dataset.Dataset, error) {
 	if cfg.Small {
 		dom = CitiBikeSmallDomain()
 	}
-	ds := dataset.New(dom, cfg.Weeks)
 	rng := noise.NewRng(cfg.Seed)
 
 	// Marginals per attribute; trailing attributes exist only in the full
@@ -103,8 +102,7 @@ func BuildCitiBike(cfg CitiBikeConfig) (*dataset.Dataset, error) {
 	}
 
 	perWeek := splitEvenly(cfg.Rows, cfg.Weeks, rng)
-	counts := make([]int, dom.Size())
-	for w := 0; w < cfg.Weeks; w++ {
+	return dataset.Build(dom, cfg.Weeks, func(w int, counts []int) {
 		// Seasonal cycle: ridership peaks mid-span (summer).
 		season := 0.7 + 0.6*wave(float64(w)/float64(cfg.Weeks))
 		nW := int(float64(perWeek[w]) * season)
@@ -128,11 +126,7 @@ func BuildCitiBike(cfg CitiBikeConfig) (*dataset.Dataset, error) {
 			}
 			counts[best] += nW - assigned
 		}
-		if err := ds.BulkLoad(w, counts); err != nil {
-			return nil, err
-		}
-	}
-	return ds, nil
+	})
 }
 
 // Analysis is one analyst dashboard: a filter plus GROUP BY attributes.

@@ -49,7 +49,6 @@ func BuildCovid(cfg CovidConfig) (*dataset.Dataset, error) {
 		return nil, fmt.Errorf("workload: bad covid config %+v", cfg)
 	}
 	dom := CovidDomain()
-	ds := dataset.New(dom, cfg.Weeks)
 	rng := noise.NewRng(cfg.Seed)
 
 	// Fixed demographic marginals (age, gender, ethnicity) with mild
@@ -60,16 +59,12 @@ func BuildCovid(cfg CovidConfig) (*dataset.Dataset, error) {
 
 	perWeek := splitEvenly(cfg.Rows, cfg.Weeks, rng)
 	tuple := make([]int, 4)
-	counts := make([]int, dom.Size())
-	for w := 0; w < cfg.Weeks; w++ {
+	return dataset.Build(dom, cfg.Weeks, func(w int, counts []int) {
 		// Positivity wave: two bumps across the year plus noise.
 		phase := float64(w) / float64(cfg.Weeks)
 		pos := 0.06 + 0.18*wave(phase) + 0.02*rng.Float64()
 		// Older brackets test positive slightly more often, giving the
 		// attribute correlation PMW exploits.
-		for i := range counts {
-			counts[i] = 0
-		}
 		for a := 0; a < 4; a++ {
 			posA := pos * (0.8 + 0.15*float64(a))
 			if posA > 0.95 {
@@ -92,11 +87,7 @@ func BuildCovid(cfg CovidConfig) (*dataset.Dataset, error) {
 				}
 			}
 		}
-		if err := ds.BulkLoad(w, counts); err != nil {
-			return nil, err
-		}
-	}
-	return ds, nil
+	})
 }
 
 // CovidPool enumerates the full Covid query pool: every combination of a

@@ -257,6 +257,32 @@ func TestBuildCitiBikeMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestBuildersMatchInOrderBulkLoad: each boot builder, appending week by
+// week, leaves what New(dom, weeks) and an in-order BulkLoad of the same
+// weeks leave — counts, row counts, per-partition versions (cache keys)
+// and the dataset version a snapshot records and a restore checks.
+func TestBuildersMatchInOrderBulkLoad(t *testing.T) {
+	covid, err := BuildCovid(CovidConfig{Rows: 200_000, Weeks: 12, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	citi, err := BuildCitiBike(CitiBikeConfig{Rows: 200_000, Weeks: 8, Small: true, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]*dataset.Dataset{"covid": covid, "citibike": citi} {
+		want := dataset.New(got.Domain(), got.Partitions())
+		for w := range got.Partitions() {
+			if err := want.BulkLoad(w, got.PartitionCounts(w)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(got.ExportState(), want.ExportState()) {
+			t.Fatalf("%s: the built dataset's state differs from the in-order BulkLoad build's", name)
+		}
+	}
+}
+
 func TestZipfUniform(t *testing.T) {
 	d := CovidDomain()
 	pool := CovidPool(d)[:100]
