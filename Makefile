@@ -28,7 +28,9 @@ fmt:
 # lists; //turbo:allow escapes in that same set of files (the analyzers'
 # own sources only document the directive); and the bytes of the
 # turbo-server binary, built with -trimpath so the checkout's path does
-# not count.
+# not count and with -ldflags=-w so only linked code and data do: the
+# DWARF sections -w drops are zlib-compressed, and moved the count by
+# hundreds of bytes when unrelated lines changed.
 SCORED = find . -name '*.go' ! -name '*_test.go' ! -path './vendor/*' \
 	! -path './benchmark/*' ! -path '*/testdata/*'
 
@@ -36,7 +38,7 @@ scorecard:
 	@printf 'non-test go lines    %s\n' "$$($(SCORED) -print0 | xargs -0 cat | wc -l)"
 	@printf 'turbo-server flags   %s\n' "$$($(GO) run ./cmd/turbo-server -h 2>&1 | grep -c '^  -')"
 	@printf '//turbo:allow sites  %s\n' "$$($(SCORED) ! -path './internal/analysis/*' -print0 | xargs -0 cat | grep -c '//turbo:allow(')"
-	@$(GO) build -trimpath -o bin/turbo-server ./cmd/turbo-server
+	@$(GO) build -trimpath -ldflags=-w -o bin/turbo-server ./cmd/turbo-server
 	@printf 'turbo-server bytes   %s\n' "$$(wc -c < bin/turbo-server)"
 
 # scorecard-check turns the four numbers into a ratchet: it fails when
@@ -53,7 +55,7 @@ scorecard:
 # and serves no TLS), and net and runtime/cgo: the binary is static, its
 # sockets are syscall on the runtime poller (httpd/sock.go), and no
 # package may link libc back in.
-CEILINGS = 17476 14 1 4082496
+CEILINGS = 17203 14 1 2894063
 BANNED_DEPS = encoding/gob encoding/json encoding/base64 unicode/utf16 net/http/pprof net/http crypto/tls net runtime/cgo
 
 scorecard-check:

@@ -66,7 +66,7 @@ type Block struct {
 	cost   []float64
 	priced Cost
 	// locks counts admission-relevant mutex acquisitions (payments and
-	// budget checks, not metric reads); see batch.go.
+	// budget checks, not metric reads); see LockAcquisitions.
 	locks atomic.Uint64
 }
 
@@ -204,9 +204,9 @@ func (b *Block) PayRange(start, end int, c Cost) error {
 	return nil
 }
 
-// openLocked is the one advisory predicate behind HasBudgetRange and
-// AdmitBatch: partition p retains headroom at some order, so a
-// sufficiently small payment would still be accepted.
+// openLocked is HasBudgetRange's advisory predicate: partition p retains
+// headroom at some order, so a sufficiently small payment would still be
+// accepted.
 func (b *Block) openLocked(p int) bool {
 	k := len(b.budget)
 	for j, g := range b.budget {
@@ -233,6 +233,12 @@ func (b *Block) HasBudgetRange(start, end int) bool {
 	}
 	return true
 }
+
+// LockAcquisitions returns the cumulative number of admission-relevant
+// lock acquisitions (PayRange, HasBudgetRange) on the block. Pure metric
+// reads (SpentVector, AverageSpent, ...) are observers, not admission
+// traffic, and are not counted.
+func (b *Block) LockAcquisitions() uint64 { return b.locks.Load() }
 
 // convertedLocked returns partition p's spend as an ε.
 func (b *Block) convertedLocked(p int) float64 {
@@ -277,14 +283,6 @@ func (b *Block) spentLocked() []float64 {
 	return out
 }
 
-// SpentAt returns the budget consumed on partition i, as an ε (see
-// SpentVector).
-func (b *Block) SpentAt(i int) float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.convertedLocked(i)
-}
-
 // SpentVector returns the per-partition consumption under one lock
 // acquisition — the only consistent way to read several partitions. On a
 // Rényi grid each entry is the partition's curve converted to
@@ -293,15 +291,6 @@ func (b *Block) SpentVector() []float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return append([]float64(nil), b.spentLocked()...)
-}
-
-// CurveAt returns a copy of partition p's per-order spend, aligned with
-// Orders() (one entry, the ε spend, on the pure grid).
-func (b *Block) CurveAt(p int) []float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	k := len(b.budget)
-	return append([]float64(nil), b.spent[p*k:(p+1)*k]...)
 }
 
 // AverageSpent returns the average consumed budget across all partitions —

@@ -231,3 +231,25 @@ func TestBlockNeverExceedsPerPartitionQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBlockLockAcquisitions: every payment and every budget check takes
+// the block's lock once, and counts one acquisition.
+func TestBlockLockAcquisitions(t *testing.T) {
+	b := NewBlock(1.0, 8)
+	before := b.LockAcquisitions()
+	for p := range 64 {
+		b.HasBudgetRange(p%8, p%8)
+	}
+	if got := b.LockAcquisitions() - before; got != 64 {
+		t.Fatalf("64 singleton HasBudgetRange cost %d acquisitions, want 64", got)
+	}
+	before = b.LockAcquisitions()
+	for p := range 64 {
+		if err := b.PayRange(p%8, p%8, Laplace(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := b.LockAcquisitions() - before; got != 64 {
+		t.Fatalf("64 singleton PayRanges cost %d acquisitions, want 64", got)
+	}
+}

@@ -38,22 +38,3 @@ func TestPayRangeAllocs(t *testing.T) {
 		t.Errorf("a refused payment allocates %v per op", n)
 	}
 }
-
-// TestAdmitBatchAllocs: an admission round that is handed back its last
-// verdicts writes into their array and allocates nothing. It made one
-// verdict slice per round.
-func TestAdmitBatchAllocs(t *testing.T) {
-	b := NewBlock(1e9, 8)
-	wins := []PartitionRange{{0, 7}, {2, 3}, {5, 5}, {0, 0}}
-	verdicts := b.AdmitBatch(nil, wins)
-	if n := testing.AllocsPerRun(200, func() {
-		verdicts = b.AdmitBatch(verdicts, wins)
-		for _, v := range verdicts {
-			if v != nil {
-				t.Fatal(v)
-			}
-		}
-	}); n != 0 {
-		t.Errorf("an admission round allocates %v per op, want 0", n)
-	}
-}

@@ -485,16 +485,6 @@ func TestModel(t *testing.T) {
 						if err := got.PayRange(start, end, c); !sameVerdict(err, wantErr) {
 							t.Fatalf("seed %d step %d: PayRange(%d,%d,%+v) = %v, reference %v", seed, step, start, end, c, err, wantErr)
 						}
-					case op < 16:
-						wins := make([]PartitionRange, 1+rng.IntN(5))
-						for i := range wins {
-							wins[i].Start, wins[i].End = pick()
-						}
-						for i, err := range got.AdmitBatch(nil, wins) {
-							if want := ref.hasBudget(wins[i].Start, wins[i].End); (err == nil) != want {
-								t.Fatalf("seed %d step %d: AdmitBatch%+v = %v, reference open=%v", seed, step, wins[i], err, want)
-							}
-						}
 					case op < 19:
 						start, end := pick()
 						if has, want := got.HasBudgetRange(start, end), ref.hasBudget(start, end); has != want {

@@ -18,12 +18,11 @@
 //  3. A cache fill ((*cache.Exact).Put, store.Backend.Set) outside the
 //     storage packages must sit in a function from which an admission
 //     result is reachable: the function — or a same-package function it
-//     transitively calls — either invokes an accountant payment/admission
-//     API (Pay, PayRange, or the batch plane's one-round AdmitBatch)
-//     or obtains a result
-//     value carrying a Paid field. This is the PR 5 eviction-safety
-//     property: an entry is only ever written by the flight that paid
-//     for it.
+//     transitively calls — either invokes an accountant payment API
+//     (Pay, PayRange) or obtains a result value carrying a Paid field.
+//     An advisory budget check (HasBudgetRange) is not a payment and
+//     counts for nothing. This is the eviction-safety property: an
+//     entry is only ever written by the flight that paid for it.
 package chargepath
 
 import (
@@ -115,17 +114,14 @@ func hasPaidResult(callee *types.Func) bool {
 }
 
 // admissionEvidence reports whether the call obtains an admission result:
-// an accountant payment/admission API, or any call returning a
-// Paid-carrying result.
+// an accountant payment, or any call returning a Paid-carrying result.
 func admissionEvidence(callee *types.Func) bool {
 	if callee == nil {
 		return false
 	}
 	if accountantFunc(callee) {
 		switch callee.Name() {
-		case "Pay", "PayRange", "AdmitBatch":
-			// The batch plane's one-round admission verdicts (AdmitBatch)
-			// are admission results like their singleton counterparts.
+		case "Pay", "PayRange":
 			return true
 		}
 	}

@@ -13,7 +13,7 @@ type Block struct{ spent float64 }
 func NewBlock(eps float64) *Block { return &Block{} }
 
 func (b *Block) PayRange(lo, hi int, c Cost) error { b.spent += c.eps; return nil }
-func (b *Block) AdmitBatch(wins [][2]int) []error  { return make([]error, len(wins)) }
+func (b *Block) HasBudgetRange(lo, hi int) bool    { return b.spent < 1 }
 func (b *Block) RestoreSpent(v float64)            { b.spent = v }
 func (b *Block) RestorePayload(p []byte) error     { return nil }
 func (b *Block) StagePayload(p []byte) (func() error, error) {

@@ -100,12 +100,10 @@ func fillAllowed(c *cache.Exact) {
 	c.Put("k", 1)
 }
 
-// Batch-plane rule: a one-round AdmitBatch verdict is admission
-// evidence for a cache fill.
+// An advisory budget check pays nothing, so it is no admission result.
 
-func fillBatchAdmitted(b *accountant.Block, c *cache.Exact) {
-	verdicts := b.AdmitBatch([][2]int{{0, 3}})
-	if verdicts[0] == nil {
-		c.Put("k", 1)
+func fillAfterBudgetCheck(b *accountant.Block, c *cache.Exact) {
+	if b.HasBudgetRange(0, 3) {
+		c.Put("k", 1) // want `cache fill \(Put\) with no admission result`
 	}
 }

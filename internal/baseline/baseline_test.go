@@ -76,10 +76,10 @@ func TestDirectLaplaceWindowCharges(t *testing.T) {
 	if _, err := lap.Run(q); err != nil {
 		t.Fatal(err)
 	}
-	if block.SpentAt(0) != 0 || block.SpentAt(3) != 0 {
+	if block.SpentVector()[0] != 0 || block.SpentVector()[3] != 0 {
 		t.Fatal("partitions outside window charged")
 	}
-	if block.SpentAt(1) == 0 || block.SpentAt(2) == 0 {
+	if block.SpentVector()[1] == 0 || block.SpentVector()[2] == 0 {
 		t.Fatal("window partitions not charged")
 	}
 }
@@ -152,19 +152,19 @@ func TestTreeExactCacheSharesSubresults(t *testing.T) {
 	if _, err := tc.Run(q1); err != nil {
 		t.Fatal(err)
 	}
-	spent45 := block.SpentAt(4)
+	spent45 := block.SpentVector()[4]
 	if spent45 != 0 {
 		t.Fatal("untouched partition charged")
 	}
-	spent0 := block.SpentAt(0)
+	spent0 := block.SpentVector()[0]
 	q2 := query.MustNew(dom, map[int][]int{0: {1}}).WithWindow(0, 5)
 	if _, err := tc.Run(q2); err != nil {
 		t.Fatal(err)
 	}
-	if block.SpentAt(0) != spent0 {
+	if block.SpentVector()[0] != spent0 {
 		t.Fatal("cached node re-paid")
 	}
-	if block.SpentAt(4) == 0 {
+	if block.SpentVector()[4] == 0 {
 		t.Fatal("new node not paid")
 	}
 	hits, _ := tc.Cache().Stats()

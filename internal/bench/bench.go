@@ -160,16 +160,6 @@ func (r Result) Improvement(system string) float64 {
 	return best / mine
 }
 
-// SeriesByName returns the named series, or an empty one.
-func (r Result) SeriesByName(name string) Series {
-	for _, s := range r.Series {
-		if s.Name == name {
-			return s
-		}
-	}
-	return Series{Name: name}
-}
-
 // WriteTable renders the result as aligned columns (x then one column per
 // series), the same rows the paper's plots are drawn from.
 func (r Result) WriteTable(w io.Writer) error {

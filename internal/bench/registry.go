@@ -43,7 +43,7 @@ var Experiments = []Experiment{
 	{"drain", "ablation: adversarial budget drain and §A.5 cutoff", AdversarialDrain},
 	{"evict", "storage: capped (segmented LRU) vs uncapped store, final avg budget and re-executions at caps of 1/4, 1/2 and 1x the working set", Evict},
 	{"misspath", "perf: hit / exact-miss / tree-miss throughput and allocs/op", MissPath},
-	{"batch", "batch plane: AnswerBatch at sizes 1/4/16/64 on a zipf-shared workload — answers/sec, admission lock acquisitions/query, allocs/query", Batch},
+	{"batch", "batch plane: AnswerBatch at sizes 1/4/16/64 on a zipf-shared workload — answers/sec, allocs/query", Batch},
 }
 
 // Lookup finds an experiment by name.

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/accountant"
 	"repro/internal/dataset"
+	"repro/internal/heuristic"
 	"repro/internal/query"
 	"repro/internal/store"
 )
@@ -462,5 +463,73 @@ func TestBatchBuffersStorm(t *testing.T) {
 				t.Fatalf("key %q answered %v, its fill holds %+v (%v)", a.key, a.value, e, ok)
 			}
 		}
+	}
+}
+
+// TestAnswerBatchIsAnswerAlone: a statement is answered the same alone
+// and in a batch. Once a window's sparse vector is live and the rest of
+// each of its partitions is spent, a fresh statement its trained
+// histogram estimates well is still answered for free — through Answer
+// and through AnswerBatch alike, from the same source — because the
+// payments are the one place the budget is enforced.
+func TestAnswerBatchIsAnswerAlone(t *testing.T) {
+	for _, mode := range []Mode{NonPartitioned, Partitioned} {
+		t.Run(mode.String(), func(t *testing.T) {
+			dom, ds := buildDS(t, 4)
+			cfg := defaultCfg(mode)
+			cfg.Heuristic = func() heuristic.Heuristic { return heuristic.AlwaysReady{} }
+			s, err := NewSession(cfg, ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stmt := func(pred map[int][]int) *query.Query {
+				return query.MustNew(dom, pred).WithWindow(0, 3)
+			}
+			// Train the window's histogram on every other predicate over
+			// the domain, each asked once; the last answer leaves the
+			// sparse vector live.
+			subsets := func(card int) (out [][]int) {
+				for bits := 1; bits < 1<<card; bits++ {
+					var vals []int
+					for v := range card {
+						if bits&(1<<v) != 0 {
+							vals = append(vals, v)
+						}
+					}
+					out = append(out, vals)
+				}
+				return out
+			}
+			aloneQ := stmt(map[int][]int{0: {1}, 1: {0, 1}})
+			batchQ := stmt(map[int][]int{0: {1}, 1: {2, 3}})
+			for _, ps := range subsets(2) {
+				for _, as := range subsets(4) {
+					q := stmt(map[int][]int{0: ps, 1: as})
+					if q.Key() == aloneQ.Key() || q.Key() == batchQ.Key() {
+						continue
+					}
+					if _, err := s.Answer(q); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			acct := s.Accountant()
+			for p, e := range acct.SpentVector() {
+				if err := acct.PayRange(p, p, accountant.Laplace(acct.Global()-e)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			alone, err := s.Answer(aloneQ)
+			if err != nil {
+				t.Fatalf("alone: %v", err)
+			}
+			batch := s.AnswerBatch([]*query.Query{batchQ})[0]
+			if batch.Err != nil {
+				t.Fatalf("in a batch: %v (alone: %s, paid %g)", batch.Err, alone.Source, alone.Paid)
+			}
+			if alone.Paid != 0 || batch.Answer.Paid != 0 || alone.Source != batch.Answer.Source {
+				t.Fatalf("alone %s paid %g, in a batch %s paid %g", alone.Source, alone.Paid, batch.Answer.Source, batch.Answer.Paid)
+			}
+		})
 	}
 }

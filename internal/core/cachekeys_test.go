@@ -185,7 +185,7 @@ func TestLoadStateRefusesBadCacheEntry(t *testing.T) {
 			t.Fatalf("garbled %s: %v, want a pure refusal of cache/session-exact quoting %s", garble, err, quoted)
 		}
 		for p := 0; p < dst.Dataset().Partitions(); p++ {
-			if spent := dst.Accountant().SpentAt(p); spent != 0 {
+			if spent := dst.Accountant().SpentVector()[p]; spent != 0 {
 				t.Fatalf("garbled %s: partition %d reads %g spent after the refusal", garble, p, spent)
 			}
 		}

@@ -77,7 +77,7 @@ func TestConcurrentAnswerPartitioned(t *testing.T) {
 
 	acct := sess.Accountant()
 	for i := 0; i < ds.Partitions(); i++ {
-		if s := acct.SpentAt(i); s > acct.Global()+1e-9 {
+		if s := acct.SpentVector()[i]; s > acct.Global()+1e-9 {
 			t.Fatalf("partition %d overspent: %g > %g", i, s, acct.Global())
 		}
 	}
@@ -283,7 +283,7 @@ func TestConcurrentAppendAndAnswer(t *testing.T) {
 				t.Fatalf("block has %d partitions, dataset %d", acct.Partitions(), ds.Partitions())
 			}
 			for i := 0; i < acct.Partitions(); i++ {
-				if s := acct.SpentAt(i); s > acct.Global()+1e-9 {
+				if s := acct.SpentVector()[i]; s > acct.Global()+1e-9 {
 					t.Fatalf("partition %d overspent: %g", i, s)
 				}
 			}

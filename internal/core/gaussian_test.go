@@ -105,12 +105,12 @@ func TestGaussianPartitionedSession(t *testing.T) {
 		t.Fatalf("answer %g vs truth %g", a.Value, truth)
 	}
 	block := s.Accountant()
-	if block.SpentAt(0) != 0 || block.SpentAt(3) != 0 {
+	if block.SpentVector()[0] != 0 || block.SpentVector()[3] != 0 {
 		t.Fatalf("outside-window partitions charged: %v", block.SpentVector())
 	}
 	for p := 1; p <= 2; p++ {
-		if block.SpentAt(p) <= 0 || block.CurveAt(p)[0] <= 0 {
-			t.Fatalf("window partition %d shows no spend: %g, curve %v", p, block.SpentAt(p), block.CurveAt(p))
+		if block.SpentVector()[p] <= 0 || curveAt(t, block, p)[0] <= 0 {
+			t.Fatalf("window partition %d shows no spend: %g, curve %v", p, block.SpentVector()[p], curveAt(t, block, p))
 		}
 	}
 	if s.Accountant().MaxSpent() <= 0 || s.AverageSpent() <= 0 {
@@ -147,7 +147,7 @@ func TestGaussianStreamingAppend(t *testing.T) {
 	if _, err := s.Answer(q); err != nil {
 		t.Fatal(err)
 	}
-	if s.Accountant().SpentAt(1) <= 0 {
+	if s.Accountant().SpentVector()[1] <= 0 {
 		t.Fatal("appended partition never charged")
 	}
 }

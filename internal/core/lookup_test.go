@@ -78,7 +78,7 @@ func TestAnswerPlanRefusesAnotherQuery(t *testing.T) {
 }
 
 // TestAnswerPlansIsAnswerBatch: the misses of a batch, handed over as
-// Lookup's plans, merge, admit and execute as AnswerBatch would have them:
+// Lookup's plans, merge and execute as AnswerBatch would have them:
 // equal statements pay once and count as deduplicated. GOMAXPROCS 1 runs
 // both batches' executions on the caller, in order, so their noise draws
 // line up.

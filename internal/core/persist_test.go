@@ -205,7 +205,7 @@ func TestSaveLoadPersistDataset(t *testing.T) {
 		if partitionRows(ds2, p) != partitionRows(ds1, p) {
 			t.Fatalf("partition %d has %d rows, want %d", p, partitionRows(ds2, p), partitionRows(ds1, p))
 		}
-		if got, want := s2.Accountant().SpentAt(p), s1.Accountant().SpentAt(p); got != want {
+		if got, want := s2.Accountant().SpentVector()[p], s1.Accountant().SpentVector()[p]; got != want {
 			t.Fatalf("partition %d spend %g, want %g", p, got, want)
 		}
 	}
@@ -490,14 +490,14 @@ func requireEqualRDP(t *testing.T, s1, s2 *Session) {
 		t.Fatalf("books cover %d and %d partitions", b1.Partitions(), b2.Partitions())
 	}
 	for p := 0; p < b1.Partitions(); p++ {
-		c1, c2 := b1.CurveAt(p), b2.CurveAt(p)
+		c1, c2 := curveAt(t, b1, p), curveAt(t, b2, p)
 		for i := range c1 {
 			if c1[i] != c2[i] {
 				t.Fatalf("partition %d order %g: restored curve %g, want %g",
 					p, b1.Orders()[i], c2[i], c1[i])
 			}
 		}
-		if b1.SpentAt(p) != b2.SpentAt(p) {
+		if b1.SpentVector()[p] != b2.SpentVector()[p] {
 			t.Fatalf("partition %d converted spend differs", p)
 		}
 	}
@@ -621,7 +621,7 @@ func TestSaveLoadMidStream(t *testing.T) {
 		t.Fatalf("restored %d nodes, want %d", s2.Tree().Nodes(), s1.Tree().Nodes())
 	}
 	for p := 0; p < ds.Partitions(); p++ {
-		if got, want := s2.Accountant().SpentAt(p), s1.Accountant().SpentAt(p); got != want {
+		if got, want := s2.Accountant().SpentVector()[p], s1.Accountant().SpentVector()[p]; got != want {
 			t.Fatalf("partition %d spend %g, want %g", p, got, want)
 		}
 	}
@@ -652,7 +652,7 @@ func TestSaveLoadMidStream(t *testing.T) {
 	if a.Paid <= 0 {
 		t.Fatal("fresh partition answered for free after restore")
 	}
-	if s := s2.Accountant().SpentAt(w); s <= 0 {
+	if s := s2.Accountant().SpentVector()[w]; s <= 0 {
 		t.Fatal("post-restore epoch never charged")
 	}
 }
@@ -715,7 +715,7 @@ func TestSaveLoadGaussianMidStream(t *testing.T) {
 	if _, err := s2.Answer(q.WithWindow(w2, w2)); err != nil {
 		t.Fatal(err)
 	}
-	if s2.Accountant().SpentAt(w2) <= 0 {
+	if s2.Accountant().SpentVector()[w2] <= 0 {
 		t.Fatal("post-restore epoch never charged the books")
 	}
 

@@ -92,7 +92,7 @@ func TestSessionInvariantsQuick(t *testing.T) {
 			}
 			// (1) guarantee never exceeded.
 			for p := 0; p < partitions; p++ {
-				if s.Accountant().SpentAt(p) > cfg.EpsilonGlobal+1e-9 {
+				if s.Accountant().SpentVector()[p] > cfg.EpsilonGlobal+1e-9 {
 					return false
 				}
 			}

@@ -428,17 +428,20 @@ func (s *Session) grow(first, k int) {
 func (s *Session) WarmStarted() int { return int(s.warmed.Load()) }
 
 // Answer runs one linear query through the Turbo pipeline of Fig. 1:
-// plan, exact cache, then PMW-Bypass (single or tree). It returns
-// accountant.ErrBudgetExhausted (wrapped) once the global guarantee binds.
+// plan, exact cache, then PMW-Bypass (single or tree). It is Lookup by
+// the query's key and, on a miss, AnswerPlan: the stages turbo-server
+// runs for a statement. It returns accountant.ErrBudgetExhausted
+// (wrapped) once the global guarantee binds.
 func (s *Session) Answer(q *query.Query) (Answer, error) {
-	pl, err := s.planner.Plan(q)
-	if err != nil {
+	if err := s.planner.check(q); err != nil {
 		return Answer{}, err
 	}
-	if ans, ok := s.probe(pl, q.KeyWithWindow()); ok {
-		return ans, nil
+	ans, pl, hit, err := s.Lookup(q.KeyWithWindow())
+	if err != nil || hit {
+		return ans, err
 	}
-	return s.execute(pl, flightOf(pl), 1)
+	pl.Query = q
+	return s.AnswerPlan(pl)
 }
 
 // Lookup is Answer's plan and exact-cache stages for a statement whose

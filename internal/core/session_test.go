@@ -219,7 +219,7 @@ func TestPartitionedMode(t *testing.T) {
 		t.Fatalf("answer %g vs truth %g", a.Value, truth)
 	}
 	// Partitions outside the window untouched.
-	if s.Accountant().SpentAt(0) != 0 || s.Accountant().SpentAt(7) != 0 {
+	if s.Accountant().SpentVector()[0] != 0 || s.Accountant().SpentVector()[7] != 0 {
 		t.Fatal("outside-window partitions charged")
 	}
 	// Exact repeat free.

@@ -130,14 +130,6 @@ func (a *AdaptivePerBin) Name() string {
 	return fmt.Sprintf("adaptive-per-bin(C0=%g,S0=%g)", a.c0, a.s0)
 }
 
-// Threshold exposes a bin's current threshold for tests and diagnostics.
-func (a *AdaptivePerBin) Threshold(bin int) float64 {
-	if a.thresholds == nil {
-		return a.c0
-	}
-	return a.thresholds[bin]
-}
-
 // State exports the heuristic's serializable state for persistence.
 func (a *AdaptivePerBin) State() (c0, s0 float64, thresholds []float64) {
 	return a.c0, a.s0, append([]float64(nil), a.thresholds...)
@@ -321,6 +313,3 @@ func (c *Cutoff) Penalize(h *histogram.Histogram, q *query.Query) { c.inner.Pena
 
 // Name implements Heuristic.
 func (c *Cutoff) Name() string { return fmt.Sprintf("cutoff(%s,k=%d)", c.inner.Name(), c.k) }
-
-// Bypassed returns how many queries have taken the bypass branch so far.
-func (c *Cutoff) Bypassed() int { return c.bypassed }

@@ -123,23 +123,6 @@ func FromWeights(w []float64) (*Histogram, error) {
 // Size returns the number of bins.
 func (h *Histogram) Size() int { return len(h.weights) }
 
-// Weight returns h(bin).
-func (h *Histogram) Weight(bin int) float64 { return h.weights[bin] * h.scale }
-
-// Weights returns the weight vector. With no renormalization pending it
-// is the underlying storage (callers must not modify it); otherwise a
-// scaled copy is materialized, so reads never mutate the histogram.
-func (h *Histogram) Weights() []float64 {
-	if h.scale == 1 {
-		return h.weights
-	}
-	out := make([]float64, len(h.weights))
-	for i, w := range h.weights {
-		out[i] = w * h.scale
-	}
-	return out
-}
-
 // Count returns the purposeful-update counter of bin.
 func (h *Histogram) Count(bin int) float64 { return h.counts[bin] }
 

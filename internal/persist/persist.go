@@ -269,15 +269,6 @@ func (r *Registry) Register(s Snapshotter) {
 	r.byName[name] = s
 }
 
-// Sections returns the registered section tags in order.
-func (r *Registry) Sections() []string {
-	out := make([]string, len(r.order))
-	for i, s := range r.order {
-		out[i] = s.SnapshotSection()
-	}
-	return out
-}
-
 // optional reports whether a Snapshotter's section may be absent.
 func optional(s Snapshotter) bool {
 	o, ok := s.(OptionalSection)

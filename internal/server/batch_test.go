@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/accountant"
+	"repro/internal/core"
+	"repro/internal/heuristic"
+	"repro/internal/pmw"
 )
 
 func postBatch(t *testing.T, ts *liveServer, queries []string) (*http.Response, []byte) {
@@ -143,5 +148,74 @@ func TestBatchEndpointMalformed(t *testing.T) {
 	r3.Body.Close()
 	if r3.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET status %d, want 405", r3.StatusCode)
+	}
+}
+
+// TestBatchEndpointIsQueryEndpoint: a statement is answered the same
+// through /query and /query/batch. Once the window's sparse vector is
+// live and the rest of each of its partitions is spent, a fresh statement
+// its trained histogram estimates well is a free 200 on both endpoints,
+// from the same source (core.TestAnswerBatchIsAnswerAlone below the
+// socket).
+func TestBatchEndpointIsQueryEndpoint(t *testing.T) {
+	srv, _ := newTestServerWith(t, 100, func(c *core.Config) {
+		c.Tau = 0.25
+		c.LR = func() pmw.Schedule { return pmw.Constant(0.2) }
+		c.Heuristic = func() heuristic.Heuristic { return heuristic.AlwaysReady{} }
+	})
+	ts := serve(t, srv)
+	defer ts.Close()
+
+	stmt := func(positive, ages string) string {
+		return "SELECT COUNT(*) FROM covid WHERE positive IN (" + positive + ") AND age IN (" + ages + ") AND time BETWEEN 0 AND 3"
+	}
+	alone, inBatch := stmt("1", "0, 1"), stmt("1", "2, 3")
+	// Train the window's histogram on every other predicate, each asked
+	// once; the last answer leaves the sparse vector live.
+	for _, positive := range []string{"0", "1", "0, 1"} {
+		for bits := 1; bits < 16; bits++ {
+			var ages []string
+			for a := range 4 {
+				if bits&(1<<a) != 0 {
+					ages = append(ages, strconv.Itoa(a))
+				}
+			}
+			sql := stmt(positive, strings.Join(ages, ", "))
+			if sql == alone || sql == inBatch {
+				continue
+			}
+			if resp, body := postQuery(t, ts, sql); resp.StatusCode != http.StatusOK {
+				t.Fatalf("training %q: %d %s", sql, resp.StatusCode, body)
+			}
+		}
+	}
+	acct := srv.sess.Accountant()
+	for p, e := range acct.SpentVector() {
+		if err := acct.PayRange(p, p, accountant.Laplace(acct.Global()-e)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	resp, body := postQuery(t, ts, alone)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/query status %d: %s", resp.StatusCode, body)
+	}
+	var one QueryResponse
+	if err := json.Unmarshal(body, &one); err != nil {
+		t.Fatal(err)
+	}
+	resp, body = postBatch(t, ts, []string{inBatch})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/query/batch envelope status %d: %s", resp.StatusCode, body)
+	}
+	var br BatchQueryResponse
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatal(err)
+	}
+	if got := br.Results[0]; got.Status != http.StatusOK {
+		t.Fatalf("/query read 200 (%s, paid %g), /query/batch read %d: %+v", one.Source, one.Paid, got.Status, got.Error)
+	}
+	if got := br.Results[0].Result; one.Paid != 0 || got.Paid != 0 || one.Source != got.Source {
+		t.Fatalf("/query %s paid %g, /query/batch %s paid %g", one.Source, one.Paid, got.Source, got.Paid)
 	}
 }

@@ -209,7 +209,7 @@ func TestConcurrentExhaustion(t *testing.T) {
 
 	acct := srv.sess.Accountant()
 	for i := 0; i < acct.Partitions(); i++ {
-		if s := acct.SpentAt(i); s > acct.Global()+1e-9 {
+		if s := acct.SpentVector()[i]; s > acct.Global()+1e-9 {
 			t.Fatalf("partition %d overspent after exhaustion race: %g > %g", i, s, acct.Global())
 		}
 	}

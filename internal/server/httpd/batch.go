@@ -3,8 +3,8 @@
 // Analysts submit an ordered array of SQL statements and get back one
 // ordered result per statement, each with its own status — a dashboard
 // refresh or a decomposed workload ships one round-trip instead of N,
-// and the session amortizes planning, cache probes, admission locking,
-// and shared evaluation state across the batch (core.AnswerBatch).
+// each statement answered as /query would answer it, and equal
+// statements executed once (core.Session.AnswerPlans).
 // Statuses are per element: one over-budget query 429s in its slot
 // without dooming its batchmates, exactly like the singleton endpoint's
 // status mapping. The envelope itself is 200 whenever the batch was
@@ -49,7 +49,7 @@ type BatchQueryResponse struct {
 // handleQueryBatch answers every statement key first, as handleQuery
 // does: a hit resolves in its slot, and the statements that miss go to the
 // session's batch plane in one call (AnswerPlans), which merges equal
-// ones, admits them in one round and executes each once. Each miss keeps
+// ones and executes each once. Each miss keeps
 // its builder and its key, in a key arena, until the walk is done, and is
 // then built into a query of the connection's scratch; the batch plane
 // answers in the scratch too, where the ordered per-element status array

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/interval"
 )
 
 // gaussianCfg switches a test session to Rényi accounting.
@@ -194,7 +193,7 @@ func TestSnapshotRacesAppendStorm(t *testing.T) {
 			if got, want := partitionRows(ds2, p), 5*domSize; got != want {
 				t.Fatalf("snapshot %d: partition %d holds %d rows, want %d", i, p, got, want)
 			}
-			if srv2.sess.Tree().NodeHistogram(interval.Node{Start: p, End: p}) == nil {
+			if !hasLeaf(srv2.sess.Tree(), p) {
 				t.Fatalf("snapshot %d: partition %d restored without its warm-started leaf", i, p)
 			}
 		}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/domain"
 	"repro/internal/interval"
+	"repro/internal/tree"
 )
 
 // newStreamingServer builds a streaming session over a small live store.
@@ -178,7 +179,7 @@ func TestAppendStormAgainstQueries(t *testing.T) {
 				t.Fatalf("block has %d partitions, want %d", acct.Partitions(), wantParts)
 			}
 			for i := 0; i < wantParts; i++ {
-				if s := acct.SpentAt(i); s > acct.Global()+1e-9 {
+				if s := acct.SpentVector()[i]; s > acct.Global()+1e-9 {
 					t.Fatalf("partition %d overspent: %g", i, s)
 				}
 			}
@@ -209,6 +210,10 @@ func TestAppendStormAgainstQueries(t *testing.T) {
 			if ing.Partitions != int64(wantParts-2) {
 				t.Fatalf("ingestion counters %+v, want %d partitions ingested", ing, wantParts-2)
 			}
+			// Every appended partition holds 500 rows in each bin.
+			if want := int64((wantParts - 2) * 500 * ds.Domain().Size()); ing.Rows != want {
+				t.Fatalf("rows_ingested = %d, want %d", ing.Rows, want)
+			}
 			// Every appended partition's leaf exists once its append
 			// returned. The counter is the leaves the eager pass created,
 			// and a racing query may have created some first.
@@ -216,7 +221,7 @@ func TestAppendStormAgainstQueries(t *testing.T) {
 				t.Fatalf("warm-started %d leaves for %d appended partitions", ing.WarmStarted, wantParts-2)
 			}
 			for p := 2; p < wantParts; p++ {
-				if srv.sess.Tree().NodeHistogram(interval.Node{Start: p, End: p}) == nil {
+				if !hasLeaf(srv.sess.Tree(), p) {
 					t.Fatalf("partition %d has no leaf after its append returned (streaming mode is eager)", p)
 				}
 			}
@@ -397,4 +402,14 @@ func TestAppendPastMaxRowsRefused(t *testing.T) {
 	if twinDS.NRowsAll() != dataset.MaxRows || twinDS.Partitions() != 3 {
 		t.Fatalf("restored %d rows in %d partitions", twinDS.NRowsAll(), twinDS.Partitions())
 	}
+}
+
+// hasLeaf reports whether partition p's tree leaf is materialized.
+func hasLeaf(tr *tree.Tree, p int) bool {
+	for _, n := range tr.ExportNodes() {
+		if n.IV == (interval.Node{Start: p, End: p}) {
+			return true
+		}
+	}
+	return false
 }

@@ -21,7 +21,8 @@ import (
 )
 
 // SV is one sparse-vector run. The zero value is unusable; construct with
-// New and call Reset (after paying InitCost) before the first Test.
+// New and call Reset (after paying its price, accountant.SVInit) before
+// the first Test.
 type SV struct {
 	eps   float64 // per-query Laplace budget ε the SV is calibrated against
 	alpha float64 // accuracy target α; threshold centre is α/2
@@ -54,12 +55,9 @@ func (s *SV) Recalibrate(eps, alpha float64, n int, rng *noise.Rng) {
 	*s = SV{eps: eps, alpha: alpha, n: float64(n), rng: rng}
 }
 
-// InitCost returns the pure-DP price of one Reset: 3ε (ε1 = ε for the
-// threshold, ε2 = 2ε for the error comparisons).
-func (s *SV) InitCost() float64 { return 3 * s.eps }
-
 // Reset re-initializes the SV with a fresh noisy threshold. The caller must
-// have paid InitCost.
+// have paid its price, 3ε (ε1 = ε for the threshold, ε2 = 2ε for the
+// error comparisons).
 func (s *SV) Reset() {
 	s.threshold = s.alpha/2 + s.rng.Laplace(1/(s.eps*s.n))
 	s.live = true

@@ -12,6 +12,7 @@ import (
 	"repro/internal/interval"
 	"repro/internal/noise"
 	"repro/internal/query"
+	"repro/internal/tree"
 )
 
 // partitionRows returns partition p's public row count.
@@ -188,7 +189,7 @@ func TestIngestorEagerWarmStart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	prev := sess.Tree().NodeHistogram(interval.Node{Start: 0, End: 0})
+	prev := leafWeights(sess.Tree(), 0)
 	if prev == nil {
 		t.Fatal("leaf 0 never materialized")
 	}
@@ -197,14 +198,14 @@ func TestIngestorEagerWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := sess.Tree().NodeHistogram(interval.Node{Start: first, End: first})
+	got := leafWeights(sess.Tree(), first)
 	if got == nil {
 		t.Fatal("streaming ingest did not materialize the new leaf eagerly")
 	}
-	for bin := 0; bin < prev.Size(); bin++ {
-		if math.Abs(got.Weight(bin)-prev.Weight(bin)) > 1e-12 {
+	for bin := range prev {
+		if math.Abs(got[bin]-prev[bin]) > 1e-12 {
 			t.Fatalf("leaf %d not warm-started from leaf 0 at bin %d: %g vs %g",
-				first, bin, got.Weight(bin), prev.Weight(bin))
+				first, bin, got[bin], prev[bin])
 		}
 	}
 	if ing.Stats().WarmStarted != 1 {
@@ -222,7 +223,7 @@ func TestIngestorEagerWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := sess2.Tree().NodeHistogram(interval.Node{Start: first2, End: first2}); h != nil {
+	if leafWeights(sess2.Tree(), first2) != nil {
 		t.Fatal("partitioned ingest materialized a leaf it should leave lazy")
 	}
 	if ing2.Stats().WarmStarted != 0 {
@@ -345,4 +346,15 @@ func TestIngestorValidation(t *testing.T) {
 	if _, err := NewIngestor(np); err == nil {
 		t.Fatal("ingestor over a non-partitioned session accepted")
 	}
+}
+
+// leafWeights returns the weights of partition p's tree leaf, read off
+// the tree's node export, or nil when the leaf was never materialized.
+func leafWeights(tr *tree.Tree, p int) []float64 {
+	for _, n := range tr.ExportNodes() {
+		if n.IV == (interval.Node{Start: p, End: p}) {
+			return n.Hist.Weights
+		}
+	}
+	return nil
 }

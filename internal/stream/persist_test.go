@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/interval"
 	"repro/internal/persist"
 	"repro/internal/query"
 )
@@ -30,14 +29,13 @@ func TestSaveStateRacesAppendStorm(t *testing.T) {
 			dom := ds.Domain()
 			sess := streamingSession(t, ds, core.Streaming, gaussian)
 			sess.PersistDataset()
-			leaf := func(p int) interval.Node { return interval.Node{Start: p, End: p} }
 			q := query.MustNew(dom, map[int][]int{0: {1}})
 			for i := 0; i < 10; i++ { // train the last leaf away from uniform
 				if _, err := sess.Answer(q.WithWindow(initial-1, initial-1)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			trained := sess.Tree().NodeHistogram(leaf(initial - 1))
+			trained := leafWeights(sess.Tree(), initial-1)
 			ing, err := NewIngestor(sess)
 			if err != nil {
 				t.Fatal(err)
@@ -99,12 +97,12 @@ func TestSaveStateRacesAppendStorm(t *testing.T) {
 					if got, want := partitionRows(ds2, p), perBin[p]*dom.Size(); got != want {
 						t.Fatalf("snapshot %d: partition %d holds %d rows, want %d", i, p, got, want)
 					}
-					h := s2.Tree().NodeHistogram(leaf(p))
+					h := leafWeights(s2.Tree(), p)
 					if h == nil {
 						t.Fatalf("snapshot %d: partition %d restored without its leaf", i, p)
 					}
-					for bin := 0; bin < h.Size(); bin++ {
-						if math.Abs(h.Weight(bin)-trained.Weight(bin)) > 1e-12 {
+					for bin := range h {
+						if math.Abs(h[bin]-trained[bin]) > 1e-12 {
 							t.Fatalf("snapshot %d: leaf %d not warm-started at bin %d", i, p, bin)
 						}
 					}

@@ -127,7 +127,7 @@ func TestIngestionStorm(t *testing.T) {
 				t.Fatalf("block has %d partitions, dataset %d", acct.Partitions(), ds.Partitions())
 			}
 			for i := 0; i < acct.Partitions(); i++ {
-				if s := acct.SpentAt(i); s > acct.Global()+1e-9 {
+				if s := acct.SpentVector()[i]; s > acct.Global()+1e-9 {
 					t.Fatalf("partition %d overspent: %g", i, s)
 				}
 			}
@@ -185,7 +185,7 @@ func TestStormWithDedup(t *testing.T) {
 
 	acct := sess.Accountant()
 	for i := 0; i < acct.Partitions(); i++ {
-		if s := acct.SpentAt(i); s > acct.Global()+1e-9 {
+		if s := acct.SpentVector()[i]; s > acct.Global()+1e-9 {
 			t.Fatalf("partition %d overspent: %g", i, s)
 		}
 	}

@@ -71,7 +71,7 @@ func TestConcurrentDisjointWindows(t *testing.T) {
 
 	block := tr.block
 	for i := 0; i < ds.Partitions(); i++ {
-		if s := block.SpentAt(i); s > block.Global()+1e-9 {
+		if s := block.SpentVector()[i]; s > block.Global()+1e-9 {
 			t.Fatalf("partition %d overspent: %g > %g", i, s, block.Global())
 		}
 	}

@@ -93,7 +93,7 @@ func TestNoDoubleSpendUnderStorm(t *testing.T) {
 	}
 	spent := 0.0
 	for i := 0; i < ds.Partitions(); i++ {
-		spent += tr.block.SpentAt(i)
+		spent += tr.block.SpentVector()[i]
 	}
 	if diff := math.Abs(spent - paidSum); diff > 1e-6*math.Max(1, spent) {
 		t.Fatalf("block spend %g != reported payments %g (diff %g)", spent, paidSum, diff)

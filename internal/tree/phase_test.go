@@ -170,7 +170,7 @@ func TestVectorizedMatchesDenseOracle(t *testing.T) {
 		put(uint64(iv.Start))
 		put(uint64(iv.End))
 		put(uint64(nh.Updates()))
-		for bin, w := range nh.Weights() {
+		for bin, w := range nh.State().Weights {
 			put(math.Float64bits(w))
 			put(math.Float64bits(nh.Count(bin)))
 		}

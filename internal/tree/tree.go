@@ -697,14 +697,3 @@ func (t *Tree) MemoryBytes() int {
 	}
 	return total
 }
-
-// NodeHistogram exposes a node's histogram for convergence metrics and
-// warm-start tests; it returns nil when the node was never materialized.
-func (t *Tree) NodeHistogram(iv interval.Node) *histogram.Histogram {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n, ok := t.nodes[iv]; ok {
-		return n.hist
-	}
-	return nil
-}

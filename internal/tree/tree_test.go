@@ -124,7 +124,7 @@ func TestParallelCompositionChargesOnlyWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		spent := f.block.SpentAt(i)
+		spent := f.block.SpentVector()[i]
 		if i >= 2 && i <= 3 {
 			if spent == 0 {
 				t.Fatalf("window partition %d not charged", i)
@@ -335,7 +335,7 @@ func TestEmptyPartitionsSkipped(t *testing.T) {
 	if res.Value != 0 || res.Paid != 0 {
 		t.Fatalf("empty window answered %+v, want free zero", res)
 	}
-	if block.SpentAt(2) != 0 || block.SpentAt(3) != 0 {
+	if block.SpentVector()[2] != 0 || block.SpentVector()[3] != 0 {
 		t.Fatal("empty node charged")
 	}
 	// Window [0,3] is one dyadic node whose range includes the empty
@@ -348,7 +348,7 @@ func TestEmptyPartitionsSkipped(t *testing.T) {
 	if math.Abs(res.Value-1.0) > 0.15 {
 		t.Fatalf("answer = %g, want ≈1 (all rows match)", res.Value)
 	}
-	if block.SpentAt(3) == 0 {
+	if block.SpentVector()[3] == 0 {
 		t.Fatal("node-range partition not charged under block composition")
 	}
 }

@@ -60,9 +60,6 @@ func (z *Zipf) SampleN(n int) []*query.Query {
 	return out
 }
 
-// PoolSize returns the number of distinct queries.
-func (z *Zipf) PoolSize() int { return len(z.pool) }
-
 // Shuffle returns a permuted copy of a pool so that Zipf rank is decoupled
 // from generation order.
 func Shuffle(pool []*query.Query, rng *noise.Rng) []*query.Query {
