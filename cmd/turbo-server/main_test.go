@@ -55,18 +55,21 @@ func runMain(t *testing.T, args ...string) (string, error) {
 
 // TestStateFromOlderBuildRefused: a -state file an older build wrote stops
 // the boot with a non-zero exit naming what this build cannot read, before
-// the server listens, and the file is left byte for byte as it was. Two
+// the server listens, and the file is left byte for byte as it was. Three
 // such files: one in the v2 snapshot format (the magic, version 2, gzip
-// bytes), and a v3 one from a build that kept a tree node cache, whose
-// "cache/tree-node" section no layer of this build owns. A v3 file whose
-// dataset section carries a NaN count is refused the same way.
+// bytes), one in v3 (this build's sections under the version before the
+// cache entry lost its data version), and one carrying the
+// "cache/tree-node" section a build with a tree node cache wrote, which no
+// layer of this build owns. A file whose dataset section carries a NaN
+// count is refused the same way.
 func TestStateFromOlderBuildRefused(t *testing.T) {
 	args := []string{"-addr", "127.0.0.1:0", "-rows", "2000", "-weeks", "4"}
 	for _, tc := range []struct {
 		name, want string
 		file       func(t *testing.T) []byte
 	}{
-		{"v2", "snapshot is v2, this build reads v3", v2Snapshot},
+		{"v2", "snapshot is v2, this build reads v4", v2Snapshot},
+		{"v3", "snapshot is v3, this build reads v4", v3Snapshot},
 		{"tree-node", `unknown snapshot section: "cache/tree-node"`, treeNodeSnapshot},
 		{"nan-count", "has count NaN at bin", nanCountSnapshot},
 	} {
@@ -142,7 +145,15 @@ func v2Snapshot(t *testing.T) []byte {
 	return append([]byte("TURBOSNP\x00\x00\x00\x02"), gz.Bytes()...)
 }
 
-// bootSnapshot is the v3 snapshot this build writes at boot with
+// v3Snapshot is the boot snapshot with its header's format version set to
+// 3: the envelope of the build before v4, whose sections differ.
+func v3Snapshot(t *testing.T) []byte {
+	snap := bootSnapshot(t, func(_ string, p []byte) []byte { return p })
+	snap[len("TURBOSNP")+3] = 3
+	return snap
+}
+
+// bootSnapshot is the v4 snapshot this build writes at boot with
 // TestStateFromOlderBuildRefused's flags, each section's payload passed
 // through edit, then the extra sections (name, payload pairs).
 func bootSnapshot(t *testing.T, edit func(name string, p []byte) []byte, extra ...string) []byte {
@@ -187,10 +198,10 @@ func bootSnapshot(t *testing.T, edit func(name string, p []byte) []byte, extra .
 	return out.Bytes()
 }
 
-// treeNodeSnapshot is the v3 snapshot an older build wrote at boot with
-// TestStateFromOlderBuildRefused's flags: this build's sections plus the
-// empty "cache/tree-node" section (one stripe, no entries) its tree's
-// node cache registered.
+// treeNodeSnapshot is the snapshot a build with a tree node cache wrote
+// at boot with TestStateFromOlderBuildRefused's flags: this build's
+// sections plus the empty "cache/tree-node" section (one stripe, no
+// entries) its tree's node cache registered.
 func treeNodeSnapshot(t *testing.T) []byte {
 	var stripes persist.Encoder
 	stripes.PutUvarint(1) // one stripe
@@ -209,8 +220,7 @@ func nanCountSnapshot(t *testing.T) []byte {
 		}
 		dec := persist.NewDecoder(p)
 		var e persist.Encoder
-		e.PutInt(dec.Int())
-		parts := dec.Count(3)
+		parts := dec.Count(2)
 		e.PutUvarint(uint64(parts))
 		for i := 0; i < parts; i++ {
 			counts := dec.Floats()
@@ -218,7 +228,6 @@ func nanCountSnapshot(t *testing.T) []byte {
 				counts[len(counts)-1] = math.NaN()
 			}
 			e.PutFloats(counts)
-			e.PutInt(dec.Int())
 			e.PutInt(dec.Int())
 		}
 		if err := dec.Finish(); err != nil {
@@ -230,17 +239,17 @@ func nanCountSnapshot(t *testing.T) []byte {
 
 // TestStoreConfig pins the flag → store.MemConfig mapping: no cap is the
 // zero config (the uncapped store), a cap is carried through in the unit
-// the store counts, and a negative one, or one above the 2,329 MiB one
+// the store counts, and a negative one, or one above the 1,961 MiB one
 // arena always honours, is refused naming its flag instead of reaching a
-// store that would read it as unbounded or refuse fills. 2,329 MiB is
+// store that would read it as unbounded or refuse fills. 1,961 MiB is
 // the record layout's figure: a capped record of the smallest entry (a
-// 1-byte key, a 25-byte value) is 10 + 9 + 26 = 45 bytes, a 64 KiB chunk
-// filled to within one 1 KiB record holds (65,536 − 1,023) × 26 / 45 =
-// 37,274 bytes of payload, and 65,528 of the 65,536 chunk slots hold
-// 2,442,490,672 bytes.
+// 1-byte key, a 17-byte value) is 10 + 9 + 18 = 37 bytes, a 64 KiB chunk
+// filled to within one 1 KiB record holds (65,536 − 1,023) × 18 / 37 =
+// 31,384 bytes of payload, and 65,528 of the 65,536 chunk slots hold
+// 2,056,530,752 bytes.
 func TestStoreConfig(t *testing.T) {
-	if maxStoreMB != 2329 || cache.MaxStoreBytes != 2_442_490_672 {
-		t.Fatalf("largest cap %d MiB (%d bytes), want 2329 MiB (2442490672 bytes)", maxStoreMB, cache.MaxStoreBytes)
+	if maxStoreMB != 1961 || cache.MaxStoreBytes != 2_056_530_752 {
+		t.Fatalf("largest cap %d MiB (%d bytes), want 1961 MiB (2056530752 bytes)", maxStoreMB, cache.MaxStoreBytes)
 	}
 	for _, tc := range []struct {
 		maxMB int
@@ -249,9 +258,9 @@ func TestStoreConfig(t *testing.T) {
 	}{
 		{0, store.MemConfig{}, false},
 		{1, store.MemConfig{MaxBytes: 1 << 20}, false},
-		{2329, store.MemConfig{MaxBytes: 2329 << 20}, false},
+		{1961, store.MemConfig{MaxBytes: 1961 << 20}, false},
 		{-5, store.MemConfig{}, true},
-		{2330, store.MemConfig{}, true},
+		{1962, store.MemConfig{}, true},
 		{1 << 43, store.MemConfig{}, true}, // shifts to -2^63
 		{1 << 44, store.MemConfig{}, true}, // shifts to 0
 	} {

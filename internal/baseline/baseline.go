@@ -19,13 +19,15 @@ import (
 	"repro/internal/store"
 )
 
-// newPrivateCache is a baseline's exact cache, over an unbounded store of
-// its own: baselines never share caching state across systems.
-func newPrivateCache() *cache.Exact {
+// newPrivateCache is a baseline's exact cache over ds, with an unbounded
+// store of its own: baselines never share caching state across systems.
+// It marks ds served, so an entry is never stale.
+func newPrivateCache(ds *dataset.Dataset) *cache.Exact {
 	c, err := cache.NewExact(store.NewMem(store.MemConfig{}))
 	if err != nil {
 		panic(err) // unreachable: the backend is never nil
 	}
+	ds.Serve()
 	return c
 }
 
@@ -79,8 +81,9 @@ func (d *DirectLaplace) Run(q *query.Query) (float64, error) {
 func (d *DirectLaplace) Name() string { return "laplace" }
 
 // ExactCache answers repeats for free from an exact-match cache and falls
-// back to Direct Laplace on misses. On partitioned stores the cache key
-// includes the window, and budget is paid against the touched partitions.
+// back to Direct Laplace on misses. The cache key includes the window a
+// query ran on — a windowless one's is the whole store as it was then —
+// and budget is paid against the touched partitions.
 type ExactCache struct {
 	Alpha, Beta float64
 	Exec        *dataset.Executor
@@ -92,23 +95,22 @@ type ExactCache struct {
 func NewExactCache(alpha, beta float64, exec *dataset.Executor, block *accountant.Block) *ExactCache {
 	return &ExactCache{
 		Alpha: alpha, Beta: beta, Exec: exec, Block: block,
-		cache: newPrivateCache(),
+		cache: newPrivateCache(exec.Dataset()),
 	}
 }
 
 // Run implements System.
 func (c *ExactCache) Run(q *query.Query) (float64, error) {
 	start, end := window(q, c.Exec.Dataset())
-	version, err := c.Exec.Dataset().RangeVersion(start, end)
-	if err != nil {
-		return 0, err
-	}
-	if e, ok := c.cache.Get(q, version); ok {
-		return e.Value, nil
-	}
 	n, err := c.Exec.Dataset().NRows(start, end)
 	if err != nil {
 		return 0, err
+	}
+	if _, _, ok := q.Window(); !ok {
+		q = q.WithWindow(start, end)
+	}
+	if e, ok := c.cache.Lookup(q.KeyWithWindow()); ok {
+		return e.Value, nil
 	}
 	eps := noise.EpsilonForAccuracy(c.Alpha, c.Beta, n)
 	if err := c.Block.PayRange(start, end, accountant.Laplace(eps)); err != nil {
@@ -118,7 +120,7 @@ func (c *ExactCache) Run(q *query.Query) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := c.cache.Put(q, version, r, eps); err != nil {
+	if err := c.cache.Put(q, r, eps); err != nil {
 		return 0, err
 	}
 	return r, nil
@@ -148,7 +150,7 @@ type TreeExactCache struct {
 func NewTreeExactCache(alpha, beta float64, exec *dataset.Executor, block *accountant.Block) *TreeExactCache {
 	return &TreeExactCache{
 		Alpha: alpha, Beta: beta, Exec: exec, Block: block,
-		cache: newPrivateCache(),
+		cache: newPrivateCache(exec.Dataset()),
 	}
 }
 
@@ -181,12 +183,8 @@ func (c *TreeExactCache) Run(q *query.Query) (float64, error) {
 		if ni == 0 {
 			continue
 		}
-		version, err := ds.RangeVersion(node.Start, node.End)
-		if err != nil {
-			return 0, err
-		}
 		var value float64
-		if e, ok := c.cache.Get(nq, version); ok {
+		if e, ok := c.cache.Lookup(nq.KeyWithWindow()); ok {
 			value = e.Value
 		} else {
 			eps := noise.EpsilonForAccuracy(c.Alpha, betaNode, ni)
@@ -197,7 +195,7 @@ func (c *TreeExactCache) Run(q *query.Query) (float64, error) {
 			if err != nil {
 				return 0, err
 			}
-			if err := c.cache.Put(nq, version, value, eps); err != nil {
+			if err := c.cache.Put(nq, value, eps); err != nil {
 				return 0, err
 			}
 		}

@@ -121,6 +121,12 @@ func TestExactCacheRepeatsAreFree(t *testing.T) {
 	}
 }
 
+// TestExactCacheInvalidatedByDataChange: the one change a served dataset
+// takes is an arrival, and it changes a windowless query's window, the
+// whole store, so the release cached before it is not served after it:
+// the query re-executes over the grown store and pays for the new
+// partition, then repeats free. A load into a served partition is
+// refused, and the release keeps serving.
 func TestExactCacheInvalidatedByDataChange(t *testing.T) {
 	dom, ds := build(t, 1)
 	exec, block := sys(ds, 1000, 8)
@@ -129,13 +135,45 @@ func TestExactCacheInvalidatedByDataChange(t *testing.T) {
 	if _, err := ec.Run(q); err != nil {
 		t.Fatal(err)
 	}
+	if err := addCount(ds, 0, 0, 5); err == nil {
+		t.Fatal("load into a partition the cache serves accepted")
+	}
 	spent := block.AverageSpent()
-	_ = addCount(ds, 0, 0, 5)
+	if _, err := ec.Run(q); err != nil || block.AverageSpent() != spent {
+		t.Fatalf("repeat after the refused load: %v, spent %g, want a free hit", err, block.AverageSpent()-spent)
+	}
+	block.AddPartition()
+	if _, err := ds.Append(nil, ds.PartitionCounts(0)); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := ec.Run(q); err != nil {
 		t.Fatal(err)
 	}
-	if block.AverageSpent() <= spent {
-		t.Fatal("stale cache served after mutation")
+	grown := block.SpentVector()[1]
+	if grown <= 0 {
+		t.Fatal("release of the store before the arrival served after it")
+	}
+	if _, err := ec.Run(q); err != nil || block.SpentVector()[1] != grown {
+		t.Fatalf("repeat over the grown store: %v, want a free hit", err)
+	}
+}
+
+// TestCachingBaselinesServeTheirDataset: both caching baselines mark their
+// dataset served, so a load into it is refused; Direct Laplace caches
+// nothing and leaves it open.
+func TestCachingBaselinesServeTheirDataset(t *testing.T) {
+	for name, build1 := range map[string]func(*dataset.Executor, *accountant.Block) System{
+		"exact-cache":      func(e *dataset.Executor, b *accountant.Block) System { return NewExactCache(0.05, 0.001, e, b) },
+		"tree-exact-cache": func(e *dataset.Executor, b *accountant.Block) System { return NewTreeExactCache(0.05, 0.001, e, b) },
+		"laplace":          func(e *dataset.Executor, b *accountant.Block) System { return NewDirectLaplace(0.05, 0.001, e, b) },
+	} {
+		_, ds := build(t, 2)
+		exec, block := sys(ds, 1000, 3)
+		build1(exec, block)
+		err := addCount(ds, 1, 0, 5)
+		if caching := name != "laplace"; caching != (err != nil) {
+			t.Fatalf("%s: load into its dataset: %v", name, err)
+		}
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 func TestEntryCodecRoundTrip(t *testing.T) {
 	cases := []Entry{
 		{},
-		{Value: 0.25, Eps: 0.05, Version: 7},
-		{Value: -1.5e-300, Eps: 1e300, Version: 1<<31 - 1},
-		{Value: math.Inf(1), Eps: math.SmallestNonzeroFloat64, Version: -3},
+		{Value: 0.25, Eps: 0.05},
+		{Value: -1.5e-300, Eps: 1e300},
+		{Value: math.Inf(1), Eps: math.SmallestNonzeroFloat64},
 	}
 	for _, want := range cases {
 		raw := want.AppendFast(nil)
@@ -34,11 +34,11 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEntryCodecDeterministic pins byte-for-byte determinism: CompareDelete
-// guards stale-entry invalidation by comparing stored bytes against a
-// re-encoding, so two encodings of one entry must be identical.
+// TestEntryCodecDeterministic pins byte-for-byte determinism: a snapshot
+// of equal cache contents must be equal bytes, so two encodings of one
+// entry must be identical.
 func TestEntryCodecDeterministic(t *testing.T) {
-	e := Entry{Value: 0.125, Eps: 0.01, Version: 42}
+	e := Entry{Value: 0.125, Eps: 0.01}
 	a := e.AppendFast(nil)
 	b := e.AppendFast(make([]byte, 0, 64))
 	if string(a) != string(b) {
@@ -46,15 +46,16 @@ func TestEntryCodecDeterministic(t *testing.T) {
 	}
 }
 
-// gobEntry is Entry{Value: 0.375, Eps: 0.04, Version: 1} as encoding/gob
-// wrote it: the value bytes of cache sections from before the codec.
+// gobEntry is Entry{Value: 0.375, Eps: 0.04, Version: 1}, as the entry
+// then was, as encoding/gob wrote it: the value bytes of cache sections
+// from before the codec.
 const gobEntry = "0\x7f\x03\x01\x01\x05Entry\x01\xff\x80\x00\x01\x03\x01\x05Value\x01\b\x00\x01\x03Eps\x01\b\x00\x01\aVersion\x01\x04\x00\x00\x00\x13\xff\x80\x01\xfe\xd8?\x01\xf8{\x14\xaeG\xe1z\xa4?\x01\x02\x00"
 
 // TestEntryCodecRefusesGob checks DecodeFast declines gob bytes, the
 // pre-codec snapshot wire format, and bytes that are one short of or one
 // past the codec's, without touching the entry.
 func TestEntryCodecRefusesGob(t *testing.T) {
-	good := Entry{Value: 0.75, Eps: 0.2, Version: 9}.AppendFast(nil)
+	good := Entry{Value: 0.75, Eps: 0.2}.AppendFast(nil)
 	for _, raw := range [][]byte{[]byte(gobEntry), good[:entryWireLen-1], append(good, 0)} {
 		var e Entry
 		if e.DecodeFast(raw) {
@@ -67,15 +68,14 @@ func TestEntryCodecRefusesGob(t *testing.T) {
 }
 
 // TestBackendEntryCodecPath checks entries round-trip through both
-// backends via the codec — including the CompareDelete guard, which
-// depends on re-encoded bytes matching stored ones.
+// backends via the codec, stored as the codec's bytes.
 func TestBackendEntryCodecPath(t *testing.T) {
 	backends := map[string]store.Backend{
 		"arena":        store.NewMem(store.MemConfig{}),
 		"bounded-slru": store.NewMem(store.MemConfig{MaxBytes: 64 * (1 + entryWireLen)}),
 	}
 	for name, b := range backends {
-		e := Entry{Value: 0.5, Eps: 0.1, Version: 3}
+		e := Entry{Value: 0.5, Eps: 0.1}
 		if err := b.Set("k", e); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -90,12 +90,6 @@ func TestBackendEntryCodecPath(t *testing.T) {
 		if got != e {
 			t.Fatalf("%s: got %+v want %+v", name, got, e)
 		}
-		if b.CompareDelete("k", Entry{Value: 0.5, Eps: 0.1, Version: 4}) {
-			t.Fatalf("%s: CompareDelete erased a mismatched entry", name)
-		}
-		if !b.CompareDelete("k", e) {
-			t.Fatalf("%s: CompareDelete refused the matching entry", name)
-		}
 	}
 }
 
@@ -108,14 +102,14 @@ func TestRestorePayloadGobFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(q, 1, 0.5, 0.1); err != nil {
+	if err := c.Put(q, 0.5, 0.1); err != nil {
 		t.Fatal(err)
 	}
-	payload := encodeBlocks([]exactBlock{{Keys: []string{q.KeyWithWindow()}, Vals: [][]byte{[]byte(gobEntry)}}})
+	payload := section([]string{q.KeyWithWindow()}, [][]byte{[]byte(gobEntry)})
 	if err := c.RestorePayload(payload); err == nil || !strings.Contains(err.Error(), strconv.Quote(q.KeyWithWindow())) {
 		t.Fatalf("gob value restored: err = %v", err)
 	}
-	if got, ok := c.Get(q, 1); !ok || got.Value != 0.5 {
+	if got, ok := c.get(q); !ok || got.Value != 0.5 {
 		t.Fatalf("the refused restore lost the held entry: %+v %v", got, ok)
 	}
 }

@@ -4,15 +4,16 @@
 // to the CacheDP-style design the paper compares against.
 //
 // An exact cache stores previous DP results keyed by the query's canonical
-// predicate, its partition window, and the data version of that window:
-// re-serving a stored DP result is free (post-processing) as long as the
-// underlying data is unchanged.
+// predicate and its partition window: re-serving a stored DP result is
+// free (post-processing) as long as the underlying data is unchanged, and
+// a served dataset never changes a partition a query can name
+// (dataset.Dataset.Serve), so an entry never goes stale.
 //
 // An exact cache owns the store it is built over, and programs against
 // the pluggable store.Backend interface rather than a concrete store, so
 // the same cache runs over the in-memory store capped or not. The store
 // is the cache's one tier: every hit is a store read, decoded through the
-// fixed 25-byte codec (codec.go). A backend eviction is indistinguishable
+// fixed 17-byte codec (codec.go). A backend eviction is indistinguishable
 // from a miss here — the query re-executes, and re-pays, through the
 // session's single-flight path, so eviction can never corrupt the
 // accountant.
@@ -32,9 +33,8 @@ import (
 
 // Entry is one cached DP result.
 type Entry struct {
-	Value   float64 // the released DP result (a row fraction)
-	Eps     float64 // budget that was paid to produce it
-	Version int     // data version of the window at creation time
+	Value float64 // the released DP result (a row fraction)
+	Eps   float64 // budget that was paid to produce it
 }
 
 // ErrNilBackend reports an exact cache constructed without a backing
@@ -44,7 +44,7 @@ var ErrNilBackend = errors.New("cache: nil store backend")
 
 // MaxStoreBytes is the largest store cap (store.MemConfig.MaxBytes) under
 // which one arena holds every live entry: a cache entry is at least a
-// one-byte key (the window header) and a 25-byte value.
+// one-byte key (the window header) and a 17-byte value.
 var MaxStoreBytes = store.MaxCapBytes(1 + entryWireLen)
 
 // sectionName is the snapshot section of the cache. It names the
@@ -54,10 +54,10 @@ const sectionName = "cache/session-exact"
 
 // Exact is an exact-match cache backed by a store.Backend (the
 // prototype's Redis role): the store holds every release once, as the
-// entry codec's 25 bytes, and Exact adds the version rule, the codec and
-// the hit and miss counters. Exact is safe for concurrent use and holds no
-// lock of its own: the backend serializes its own access, so the
-// pipeline probes the cache without holding any execution lock.
+// entry codec's 17 bytes, and Exact adds the codec and the hit and miss
+// counters. Exact is safe for concurrent use and holds no lock of its
+// own: the backend serializes its own access, so the pipeline probes the
+// cache without holding any execution lock.
 type Exact struct {
 	store store.Backend
 
@@ -80,10 +80,11 @@ func NewExact(b store.Backend) (*Exact, error) {
 	return &Exact{store: b}, nil
 }
 
-// Get returns the cached result for q at the given data version: Lookup
-// by q's KeyWithWindow.
-func (c *Exact) Get(q *query.Query, version int) (Entry, bool) {
-	return c.Lookup(q.KeyWithWindow(), version)
+// Get returns the cached result for q: Lookup by q's KeyWithWindow. The
+// version is ignored: it is a compile shim for benchmark/trace.go, which
+// passes core.Plan.Version, until ROADMAP item 21 deletes the twin.
+func (c *Exact) Get(q *query.Query, _ int) (Entry, bool) {
+	return c.Lookup(q.KeyWithWindow())
 }
 
 // entries recycles the entries a store probe decodes into and a fill
@@ -91,21 +92,14 @@ func (c *Exact) Get(q *query.Query, version int) (Entry, bool) {
 // escape, one allocation per probe or fill.
 var entries = sync.Pool{New: func() any { return new(Entry) }}
 
-// Lookup returns the result cached under key, a KeyWithWindow key, at the
-// given data version: one store Get, decoded into a pooled entry, so no
-// lookup allocates. An entry whose version no longer matches is stale
-// forever (window versions are monotone), so it is deleted on the way
-// out, guarded by its bytes: a concurrent Put of a fresh entry changes
-// them, so a freshly-paid result is never erased. key is only read during
-// the call, so a caller may pass a view of a buffer it reuses.
-func (c *Exact) Lookup(key string, version int) (Entry, bool) {
+// Lookup returns the result cached under key, a KeyWithWindow key: one
+// store Get, decoded into a pooled entry, so no lookup allocates. key is
+// only read during the call, so a caller may pass a view of a buffer it
+// reuses.
+func (c *Exact) Lookup(key string) (Entry, bool) {
 	out := entries.Get().(*Entry)
 	found, err := c.store.Get(key, out)
 	e := *out
-	if found && e.Version != version {
-		c.store.CompareDelete(key, out)
-		found = false
-	}
 	entries.Put(out)
 	if err != nil || !found {
 		c.misses.Add(1)
@@ -117,9 +111,9 @@ func (c *Exact) Lookup(key string, version int) (Entry, bool) {
 
 // Put stores a freshly-computed DP result and eps, the budget paid to
 // produce it, under q's key, replacing whatever the key held.
-func (c *Exact) Put(q *query.Query, version int, value, eps float64) error {
+func (c *Exact) Put(q *query.Query, value, eps float64) error {
 	e := entries.Get().(*Entry)
-	*e = Entry{Value: value, Eps: eps, Version: version}
+	*e = Entry{Value: value, Eps: eps}
 	err := c.store.Set(q.KeyWithWindow(), e)
 	entries.Put(e)
 	return err
@@ -129,49 +123,25 @@ func (c *Exact) Put(q *query.Query, version int, value, eps float64) error {
 // store it owns.
 func (c *Exact) SnapshotSection() string { return sectionName }
 
-// exactBlock is one block of a cache section: keys sorted, so the payload
-// encodes byte-identically for identical contents (store exports are
-// maps; TestSnapshotBytesDeterministic pins the whole envelope). A cache
-// writes one block; a section may carry several (an older build striped
-// its namespace and wrote one block per stripe), and all of them restore
-// into the one store.
-type exactBlock struct {
-	Index int
-	Keys  []string
-	Vals  [][]byte
-}
-
-// encodeBlocks lays out a cache section: the block count, then per block
-// its index, its entry count and each entry's packed key and 25-byte
-// value, as byte strings.
-func encodeBlocks(blocks []exactBlock) []byte {
-	var e persist.Encoder
-	e.PutUvarint(uint64(len(blocks)))
-	for _, b := range blocks {
-		e.PutInt(b.Index)
-		e.PutUvarint(uint64(len(b.Keys)))
-		for j, k := range b.Keys {
-			e.PutString(k)
-			e.PutBytes(b.Vals[j])
-		}
-	}
-	return e.Payload()
-}
-
-// SnapshotPayload exports the cache's stored entries as one block of raw
-// KV bytes.
+// SnapshotPayload exports the cache's stored entries as raw KV bytes: the
+// entry count, then each entry's packed key and 17-byte value, as byte
+// strings, keys sorted so the payload encodes byte-identically for
+// identical contents (store exports are maps;
+// TestSnapshotBytesDeterministic pins the whole envelope).
 func (c *Exact) SnapshotPayload() ([]byte, error) {
 	data := c.store.Export()
-	b := exactBlock{Keys: make([]string, 0, len(data))}
+	keys := make([]string, 0, len(data))
 	for k := range data {
-		b.Keys = append(b.Keys, k)
+		keys = append(keys, k)
 	}
-	sort.Strings(b.Keys)
-	b.Vals = make([][]byte, len(b.Keys))
-	for j, k := range b.Keys {
-		b.Vals[j] = data[k]
+	sort.Strings(keys)
+	var e persist.Encoder
+	e.PutUvarint(uint64(len(keys)))
+	for _, k := range keys {
+		e.PutString(k)
+		e.PutBytes(data[k])
 	}
-	return encodeBlocks([]exactBlock{b}), nil
+	return e.Payload(), nil
 }
 
 // restoredEntry is one entry of a decoded snapshot section.
@@ -188,22 +158,19 @@ func decodeSection(payload []byte) ([]restoredEntry, error) {
 	d := persist.NewDecoder(payload)
 	var out []restoredEntry
 	for range d.Count(2) {
-		d.Int() // the block index: every block restores into the one store
-		for range d.Count(2) {
-			key, val := string(d.Bytes()), d.Bytes()
-			if d.Err() != nil {
-				break
-			}
-			r := restoredEntry{key: key}
-			_, _, _, err := query.KeyWindow(key)
-			if err == nil && !r.e.DecodeFast(val) {
-				err = fmt.Errorf("%d value bytes are not a cache entry", len(val))
-			}
-			if err != nil {
-				return nil, fmt.Errorf("cache: key %q: %w", key, err)
-			}
-			out = append(out, r)
+		key, val := string(d.Bytes()), d.Bytes()
+		if d.Err() != nil {
+			break
 		}
+		r := restoredEntry{key: key}
+		_, _, _, err := query.KeyWindow(key)
+		if err == nil && !r.e.DecodeFast(val) {
+			err = fmt.Errorf("%d value bytes are not a cache entry", len(val))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("cache: key %q: %w", key, err)
+		}
+		out = append(out, r)
 	}
 	return out, d.Finish()
 }

@@ -79,15 +79,13 @@ func TestAdaptiveStreamFollowsData(t *testing.T) {
 
 	prev := -1.0
 	for week := 2; week < 6; week++ {
-		idx, err := s.AppendPartition()
-		if err != nil {
-			t.Fatal(err)
-		}
+		counts := make([]int, dom.Size())
 		for a := 0; a < 4; a++ {
 			// Positivity rises over time.
-			_ = addCount(ds, idx, dom.Encode([]int{1, a}), 1000+100*a+300*week)
-			_ = addCount(ds, idx, dom.Encode([]int{0, a}), 4000-150*a)
+			counts[dom.Encode([]int{1, a})] = 1000 + 100*a + 300*week
+			counts[dom.Encode([]int{0, a})] = 4000 - 150*a
 		}
+		idx := arrive(t, s, counts)
 		latest, err := s.Answer(posQ.WithWindow(idx, idx))
 		if err != nil {
 			t.Fatal(err)

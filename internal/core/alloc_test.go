@@ -53,9 +53,9 @@ func TestAnswerExactHitZeroAllocs(t *testing.T) {
 }
 
 // TestFlightZeroAllocs pins a flight at zero allocations once its group
-// has a record to recycle: the identity is the query's own key beside the
-// version, not a "key@vN" string (which cost one allocation per miss),
-// and the record with its latch goes back to the group, not to the GC.
+// has a record to recycle: the identity is the query's own key, not a
+// "key@vN" string (which cost one allocation per miss), and the record
+// with its latch goes back to the group, not to the GC.
 func TestFlightZeroAllocs(t *testing.T) {
 	dom, ds := buildDS(t, 4)
 	s, err := NewSession(defaultCfg(Partitioned), ds)

@@ -4,13 +4,13 @@
 // same answer, at the same price, whichever entry point carries it.
 //
 // What a batch shares is the work its equal statements would repeat:
-// the misses are grouped by flight identity (predicate + window + data
-// version), so identical queries execute and pay once and the answer
-// fans out to every member. Each group goes through the same
-// single-flight group as the singleton path, so batch executions still
-// dedup against concurrent singleton traffic and fill the exact cache
-// before their flight key is released; the groups run one after another
-// on the caller, whose connection is the server's unit of parallelism.
+// the misses are grouped by flight identity (predicate + window), so
+// identical queries execute and pay once and the answer fans out to every
+// member. Each group goes through the same single-flight group as the
+// singleton path, so batch executions still dedup against concurrent
+// singleton traffic and fill the exact cache before their flight key is
+// released; the groups run one after another on the caller, whose
+// connection is the server's unit of parallelism.
 // The payments inside each execution are the one point where the budget
 // is enforced: a group whose window is spent is refused there, in its own
 // slot, without dooming its batchmates.
@@ -55,9 +55,9 @@ type BatchBuffers struct {
 // AnswerBatch answers a batch of linear queries, returning one ordered
 // result per query. Each query is looked up by its key as Answer does,
 // and the misses are answered in one AnswerPlans call, so identical
-// queries (same predicate, window, and data version) execute and pay at
-// most once. Per-query failures (planning errors, ErrBudgetExhausted)
-// land in that query's slot.
+// queries (same predicate and window) execute and pay at most once.
+// Per-query failures (planning errors, ErrBudgetExhausted) land in that
+// query's slot.
 func (s *Session) AnswerBatch(qs []*query.Query) []BatchResult {
 	out := make([]BatchResult, len(qs))
 	var (
@@ -103,7 +103,8 @@ func (s *Session) AnswerPlans(pls []Plan, buf *BatchBuffers) []BatchResult {
 		buf.byID = make(map[flightID]*batchGroup, n)
 	}
 	for i, pl := range pls {
-		if err := s.planned(pl); err != nil {
+		pl, err := s.planned(pl)
+		if err != nil {
 			buf.out[i].Err = err
 			continue
 		}

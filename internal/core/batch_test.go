@@ -84,9 +84,10 @@ func TestAnswerBatchBasics(t *testing.T) {
 	}
 }
 
-// TestAnswerBatchPartialRefusal exercises partial admission: one
-// exhausted window 429s its members while batchmates on healthy windows
-// execute normally — within one AnswerBatch call.
+// TestAnswerBatchPartialRefusal: a refusal stays in its slot. The members
+// on an exhausted window are refused by the tree's payment for them
+// (ErrBudgetExhausted, a 429 at the socket) while batchmates on healthy
+// windows execute normally — within one AnswerBatch call.
 func TestAnswerBatchPartialRefusal(t *testing.T) {
 	dom, ds := buildDS(t, 4)
 	s, err := NewSession(defaultCfg(Partitioned), ds)
@@ -108,8 +109,10 @@ func TestAnswerBatchPartialRefusal(t *testing.T) {
 	}
 }
 
-// TestAnswerBatchNonPartitioned covers the concurrent-filter admission
-// leg: a non-partitioned session batch-answers through the single PMW.
+// TestAnswerBatchNonPartitioned covers the single PMW's batch path: a
+// non-partitioned session batch-answers through the single PMW, whose
+// payments are the budget check there as the tree's are in the other
+// modes, and its execution fills the exact cache.
 func TestAnswerBatchNonPartitioned(t *testing.T) {
 	dom, ds := buildDS(t, 1)
 	s, err := NewSession(defaultCfg(NonPartitioned), ds)
@@ -203,7 +206,7 @@ func TestAnswerBatchNoDoubleSpendRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 6; i++ {
-			if _, err := s.AppendPartition(); err != nil {
+			if _, err := s.AppendPartitions(Arrival{}); err != nil {
 				panic(err)
 			}
 		}
@@ -360,10 +363,9 @@ func (b *setCounter) Set(k string, value store.FastEncoder) error {
 // round. Every round asks 8 statements no earlier round asked; each of 4
 // goroutines asks all 8, four of them twice, in its own order, and
 // probes them by key first, so a statement another goroutine has filled
-// is a hit and one it is executing is a flight to join. Each (key,
-// version) must be executed, paid and filled exactly once, and every
-// answer, hit or joined or executed, must be the value its one execution
-// filled. The data never changes, so each key has one version. CI runs it
+// is a hit and one it is executing is a flight to join. Each key must be
+// executed, paid and filled exactly once, and every answer, hit or joined
+// or executed, must be the value its one execution filled. CI runs it
 // under -race at GOMAXPROCS 1, 2 and 4.
 func TestBatchBuffersStorm(t *testing.T) {
 	const rounds, perRound, workers = 200, 8, 4
@@ -397,9 +399,8 @@ func TestBatchBuffersStorm(t *testing.T) {
 	}
 
 	type answer struct {
-		key     string
-		version int
-		value   float64
+		key   string
+		value float64
 	}
 	answers := make([][]answer, workers)
 	bufs := make([]BatchBuffers, workers)
@@ -422,7 +423,7 @@ func TestBatchBuffersStorm(t *testing.T) {
 						return
 					}
 					if hit {
-						answers[g] = append(answers[g], answer{q.KeyWithWindow(), pl.Version, ans.Value})
+						answers[g] = append(answers[g], answer{q.KeyWithWindow(), ans.Value})
 						continue
 					}
 					pl.Query = q
@@ -434,7 +435,7 @@ func TestBatchBuffersStorm(t *testing.T) {
 						t.Error(res.Err)
 						return
 					}
-					answers[g] = append(answers[g], answer{qs[k].KeyWithWindow(), pls[k].Version, res.Answer.Value})
+					answers[g] = append(answers[g], answer{qs[k].KeyWithWindow(), res.Answer.Value})
 				}
 			}()
 		}
@@ -458,7 +459,7 @@ func TestBatchBuffersStorm(t *testing.T) {
 	}
 	for _, as := range answers {
 		for _, a := range as {
-			e, ok := s.ExactCache().Lookup(a.key, a.version)
+			e, ok := s.ExactCache().Lookup(a.key)
 			if !ok || e.Value != a.value {
 				t.Fatalf("key %q answered %v, its fill holds %+v (%v)", a.key, a.value, e, ok)
 			}

@@ -13,7 +13,7 @@ import (
 
 // TestColdReleasePayloadBytes pins what one cached covid release costs the
 // store in payload — what MemoryBytes counts and -store-max-mb bounds: a
-// 7-byte packed key and the 25-byte entry, 32 in all.
+// 7-byte packed key and the 17-byte entry, 24 in all.
 func TestColdReleasePayloadBytes(t *testing.T) {
 	ds, batches := coldBatches(t)
 	s := coldSession(t, ds)
@@ -22,51 +22,41 @@ func TestColdReleasePayloadBytes(t *testing.T) {
 	if st.Entries != stmts {
 		t.Fatalf("the store holds %d entries for %d cold statements", st.Entries, stmts)
 	}
-	if per := float64(st.Bytes) / float64(st.Entries); per > 32 {
-		t.Fatalf("%.1f payload bytes per cached release, want <= 32", per)
+	if per := float64(st.Bytes) / float64(st.Entries); per > 24 {
+		t.Fatalf("%.1f payload bytes per cached release, want <= 24", per)
 	}
 }
 
-// cacheStripe mirrors one block of cache.Exact's snapshot payload, so a
-// test can rewrite what a damaged file, or an older build's, would hold.
-type cacheStripe struct {
-	Index int
-	Keys  []string
-	Vals  [][]byte
+// cacheSection mirrors cache.Exact's snapshot payload, so a test can
+// rewrite what a damaged file would hold.
+type cacheSection struct {
+	Keys []string
+	Vals [][]byte
 }
 
 // decodeCacheSection and encodeCacheSection mirror cache.Exact's section
-// layout: the block count, then per block its index, entry count and
-// each entry's key and value as byte strings. This build writes one
-// block; a build that striped the namespace by shard wrote one per
-// stripe.
-func decodeCacheSection(t *testing.T, p []byte) []cacheStripe {
+// layout: the entry count, then each entry's key and value as byte
+// strings.
+func decodeCacheSection(t *testing.T, p []byte) cacheSection {
 	t.Helper()
 	d := persist.NewDecoder(p)
-	stripes := make([]cacheStripe, d.Count(2))
-	for i := range stripes {
-		stripes[i].Index = d.Int()
-		for range d.Count(2) {
-			stripes[i].Keys = append(stripes[i].Keys, string(d.Bytes()))
-			stripes[i].Vals = append(stripes[i].Vals, d.Bytes())
-		}
+	var sec cacheSection
+	for range d.Count(2) {
+		sec.Keys = append(sec.Keys, string(d.Bytes()))
+		sec.Vals = append(sec.Vals, d.Bytes())
 	}
 	if err := d.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	return stripes
+	return sec
 }
 
-func encodeCacheSection(stripes []cacheStripe) []byte {
+func encodeCacheSection(sec cacheSection) []byte {
 	var e persist.Encoder
-	e.PutUvarint(uint64(len(stripes)))
-	for _, st := range stripes {
-		e.PutInt(st.Index)
-		e.PutUvarint(uint64(len(st.Keys)))
-		for j, k := range st.Keys {
-			e.PutString(k)
-			e.PutBytes(st.Vals[j])
-		}
+	e.PutUvarint(uint64(len(sec.Keys)))
+	for j, k := range sec.Keys {
+		e.PutString(k)
+		e.PutBytes(sec.Vals[j])
 	}
 	return e.Payload()
 }
@@ -99,30 +89,6 @@ func rewriteSections(t *testing.T, raw []byte, edit func(name string, p []byte) 
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// stripeExactSection re-lays the snapshot raw's cache/session-exact
-// section as n blocks, dealing its entries round robin, the shape of a
-// section an n-shard build wrote.
-func stripeExactSection(t *testing.T, raw []byte, n int) []byte {
-	t.Helper()
-	return rewriteSections(t, raw, func(name string, p []byte) []byte {
-		if name != "cache/session-exact" {
-			return p
-		}
-		blocks := make([]cacheStripe, n)
-		for i := range blocks {
-			blocks[i].Index = i
-		}
-		for _, b := range decodeCacheSection(t, p) {
-			for j, k := range b.Keys {
-				st := &blocks[j%n]
-				st.Keys = append(st.Keys, k)
-				st.Vals = append(st.Vals, b.Vals[j])
-			}
-		}
-		return encodeCacheSection(blocks)
-	})
 }
 
 // keyedSession answers 16 distinct windowed statements on a partitioned
@@ -164,15 +130,14 @@ func TestLoadStateRefusesBadCacheEntry(t *testing.T) {
 			if name != "cache/session-exact" {
 				return p
 			}
-			stripes := decodeCacheSection(t, p)
-			st := stripes[len(stripes)-1]
+			sec := decodeCacheSection(t, p)
 			if garble == "key" {
-				st.Keys[0] = "\x07junk"
+				sec.Keys[0] = "\x07junk"
 			} else {
-				st.Vals[0] = []byte{1, 2, 3}
+				sec.Vals[0] = []byte{1, 2, 3}
 			}
-			quoted = fmt.Sprintf("%q", st.Keys[0])
-			return encodeCacheSection(stripes)
+			quoted = fmt.Sprintf("%q", sec.Keys[0])
+			return encodeCacheSection(sec)
 		})
 
 		dst, err := NewSession(cfg, src.Dataset())
@@ -207,9 +172,16 @@ func TestLoadStateRefusesBadCacheEntry(t *testing.T) {
 // session keeps serving.
 func TestLoadStateRefusesTreeNodeSection(t *testing.T) {
 	cfg, stmts, raw, src := keyedSession(t)
-	entry := cacheStripe{Keys: []string{stmts[0].KeyWithWindow()}, Vals: [][]byte{make([]byte, 25)}}
+	// The section as those builds wrote it: one stripe block (its index,
+	// then its entries) holding one 25-byte entry.
+	var node persist.Encoder
+	node.PutUvarint(1)
+	node.PutInt(0)
+	node.PutUvarint(1)
+	node.PutString(stmts[0].KeyWithWindow())
+	node.PutBytes(make([]byte, 25))
 	old := rewriteSections(t, raw, func(_ string, p []byte) []byte { return p },
-		"cache/tree-node", string(encodeCacheSection([]cacheStripe{entry})))
+		"cache/tree-node", string(node.Payload()))
 	dst, err := NewSession(cfg, src.Dataset())
 	if err != nil {
 		t.Fatal(err)

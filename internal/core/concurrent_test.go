@@ -239,16 +239,13 @@ func TestConcurrentAppendAndAnswer(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for a := 0; a < 12; a++ {
-					w, err := sess.AppendPartition()
-					if err != nil {
-						t.Errorf("AppendPartition: %v", err)
-						return
+					counts := make([]int, ds.Domain().Size())
+					for bin := range counts {
+						counts[bin] = 40
 					}
-					for bin := 0; bin < ds.Domain().Size(); bin++ {
-						if err := addCount(ds, w, bin, 40); err != nil {
-							t.Errorf("AddCount: %v", err)
-							return
-						}
+					if _, err := sess.AppendPartitions(Arrival{Counts: counts}); err != nil {
+						t.Errorf("AppendPartitions: %v", err)
+						return
 					}
 					// The accountant must never lag the dataset. Dataset
 					// first: read the other way round, a whole append can

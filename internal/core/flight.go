@@ -1,19 +1,20 @@
 // The single-flight stage of the query pipeline: deduplication of
 // concurrent identical cache misses.
 //
-// Two analysts issuing the same query over the same window and data
-// version race each other between the exact-cache probe and execution;
-// without coordination both would run the PMW machinery and both would pay
-// budget, even though the exact cache makes the second execution free a
-// moment later. A double-check under an executor lock cannot close that
-// window for the tree: it releases its lock while it executes (claim →
-// execute → commit), so two misses pay before either commits. The flight
-// group closes it in front of both modes: every cache-missed plan is keyed by its resolved window and
-// data version, the first goroutine in becomes the leader and executes,
-// and concurrent duplicates wait and observe the leader's released answer
-// — one execution, one budget payment, identical noisy values (exactly
-// what the exact cache would have served them a moment later, so sharing
-// is post-processing and privacy-free).
+// Two analysts issuing the same query over the same window race each
+// other between the exact-cache probe and execution; without coordination
+// both would run the PMW machinery and both would pay budget, even though
+// the exact cache makes the second execution free a moment later. A
+// double-check under an executor lock cannot close that window for the
+// tree: it releases its lock while it executes (claim → execute →
+// commit), so two misses pay before either commits. The flight group
+// closes it in front of both modes: every cache-missed plan is keyed by
+// its exact-cache key, predicate and resolved window, the first goroutine
+// in becomes the leader and executes, and concurrent duplicates wait and
+// observe the leader's released answer — one execution, one budget
+// payment, identical noisy values (exactly what the exact cache would
+// have served them a moment later, so sharing is post-processing and
+// privacy-free).
 //
 // The group holds only in-flight calls: the leader removes its key only
 // after its fn completes — which, in the session, includes caching the
@@ -30,17 +31,14 @@ import (
 	"sync"
 )
 
-// flightID is a flight's identity: the exact-cache key (KeyWithWindow) and
-// the data version, so a query planned against newer data never shares a
-// stale in-flight execution.
-type flightID struct {
-	key     string
-	version int
-}
+// flightID is a flight's identity: the exact-cache key (KeyWithWindow).
+// A served window's rows never change, so two plans of one key always
+// ask the same question of the same data.
+type flightID string
 
 // flightOf returns the flight identity of a plan.
 func flightOf(pl Plan) flightID {
-	return flightID{pl.Query.KeyWithWindow(), pl.Version}
+	return flightID(pl.Query.KeyWithWindow())
 }
 
 // flightCall is one in-flight execution: a latch the duplicates wait on

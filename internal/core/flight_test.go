@@ -30,7 +30,7 @@ func TestFlightGroupExecutesOnce(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ans, shared, err := g.do(flightID{key: "k"}, func() (Answer, error) {
+		ans, shared, err := g.do(flightID("k"), func() (Answer, error) {
 			runs++
 			close(entered)
 			<-release
@@ -46,7 +46,7 @@ func TestFlightGroupExecutesOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ans, shared, err := g.do(flightID{key: "k"}, func() (Answer, error) {
+			ans, shared, err := g.do(flightID("k"), func() (Answer, error) {
 				runs++ // would be a data race AND a logic bug
 				return Answer{Value: -1}, nil
 			})
@@ -68,7 +68,7 @@ func TestFlightGroupExecutesOnce(t *testing.T) {
 	if n := g.inFlight(); n != 1 {
 		t.Fatalf("inFlight = %d, want 1", n)
 	}
-	if _, shared, _ := g.do(flightID{key: "other"}, func() (Answer, error) { return Answer{Value: 9}, nil }); shared {
+	if _, shared, _ := g.do(flightID("other"), func() (Answer, error) { return Answer{Value: 9}, nil }); shared {
 		t.Fatal("unrelated key shared a flight")
 	}
 	close(release)
@@ -106,7 +106,7 @@ func TestFlightGroupLeaderPanic(t *testing.T) {
 				t.Error("leader panic did not propagate")
 			}
 		}()
-		_, _, _ = g.do(flightID{key: "k"}, func() (Answer, error) {
+		_, _, _ = g.do(flightID("k"), func() (Answer, error) {
 			close(entered)
 			<-release
 			panic("executor invariant")
@@ -117,7 +117,7 @@ func TestFlightGroupLeaderPanic(t *testing.T) {
 	var joinErr error
 	go func() {
 		defer wg.Done()
-		_, _, joinErr = g.do(flightID{key: "k"}, func() (Answer, error) { return Answer{Value: -1}, nil })
+		_, _, joinErr = g.do(flightID("k"), func() (Answer, error) { return Answer{Value: -1}, nil })
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for g.joinCount() < 1 {
@@ -135,7 +135,7 @@ func TestFlightGroupLeaderPanic(t *testing.T) {
 		t.Fatalf("panicked flight wedged the key: %d in flight", g.inFlight())
 	}
 	// The key works again.
-	ans, shared, err := g.do(flightID{key: "k"}, func() (Answer, error) { return Answer{Value: 2}, nil })
+	ans, shared, err := g.do(flightID("k"), func() (Answer, error) { return Answer{Value: 2}, nil })
 	if err != nil || shared || ans.Value != 2 {
 		t.Fatalf("post-panic flight broken: %+v shared=%v err=%v", ans, shared, err)
 	}
@@ -253,7 +253,7 @@ func TestAppendOrderingRegression(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sess.AppendPartition(); err == nil {
+		if _, err := sess.AppendPartitions(Arrival{}); err == nil {
 			t.Fatalf("gaussian=%v: non-partitioned append accepted", gaussian)
 		}
 		if sess.Dataset().Partitions() != 1 || sess.Accountant().Partitions() != 1 {

@@ -29,13 +29,7 @@ func fuzzSession(t *testing.T, shape byte, ops []byte) (Config, *Session) {
 	}
 	s.PersistDataset()
 	if shape&8 != 0 && cfg.Mode != NonPartitioned {
-		p, err := s.AppendPartition()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ds.BulkLoad(p, []int{5, 0, 7, 1, 9, 2, 4, 8}); err != nil {
-			t.Fatal(err)
-		}
+		arrive(t, s, []int{5, 0, 7, 1, 9, 2, 4, 8})
 	}
 	for _, op := range ops[:min(len(ops), 48)] {
 		allowed := map[int][]int{}
@@ -98,7 +92,7 @@ func allocatedDuring(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// FuzzSnapshot checks the v3 snapshot both ways over sessions driven by
+// FuzzSnapshot checks the v4 snapshot both ways over sessions driven by
 // the input. Random state encodes and decodes to equal state: the
 // snapshot restores into a fresh session whose own snapshot is the same
 // bytes. Damage refuses, never panics: any section payload cut short is a

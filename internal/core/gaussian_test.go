@@ -129,16 +129,13 @@ func TestGaussianStreamingAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := s.AppendPartition()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w != 1 {
-		t.Fatalf("AppendPartition = %d", w)
-	}
+	counts := make([]int, dom.Size())
 	for a := 0; a < 4; a++ {
-		_ = addCount(ds, w, dom.Encode([]int{1, a}), 900)
-		_ = addCount(ds, w, dom.Encode([]int{0, a}), 2100)
+		counts[dom.Encode([]int{1, a})] = 900
+		counts[dom.Encode([]int{0, a})] = 2100
+	}
+	if w := arrive(t, s, counts); w != 1 {
+		t.Fatalf("AppendPartitions = %d", w)
 	}
 	if got := s.Accountant().Partitions(); got != 2 {
 		t.Fatalf("block has %d partitions, want 2", got)

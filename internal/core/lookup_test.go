@@ -53,7 +53,7 @@ func TestLookupThenAnswerPlanIsAnswer(t *testing.T) {
 }
 
 // TestAnswerPlanRefusesAnotherQuery: a plan answers only the query it was
-// planned for, so a fill never lands under another window's version.
+// planned for, so a fill never lands under another window's key.
 func TestAnswerPlanRefusesAnotherQuery(t *testing.T) {
 	dom, ds := buildDS(t, 4)
 	s, err := NewSession(defaultCfg(Partitioned), ds)

@@ -67,8 +67,8 @@ func (s *Session) SaveState(w io.Writer) error {
 
 // LoadState restores previously saved state into a freshly-created
 // session with the same configuration over the same dataset (same
-// partition count and version). It must run before the session serves
-// anything: no Answer, AnswerBatch or AppendPartitions may run
+// partition count and rows per partition). It must run before the session
+// serves anything: no Answer, AnswerBatch or AppendPartitions may run
 // concurrently with it, and a session that already answered refuses with
 // ErrAlreadyServing. Envelope and section failures surface as typed
 // errors (persist.ErrBadMagic, persist.ErrTruncated, *persist.SectionError
@@ -104,7 +104,7 @@ func (s *Session) LoadState(r io.Reader) error {
 // has grown the dataset beyond what a fresh boot rebuilds. The section
 // restores between identity and meta: after the config validation (a
 // foreign snapshot must not replace the dataset), before the meta
-// section's partition/version check (which then runs against the
+// section's partition and row check (which then runs against the
 // restored data); the session's accountants grow to match before their
 // own sections restore. Restoring such snapshots needs no opt-in: the
 // section's owner is always registered. Call before serving traffic.
@@ -126,20 +126,18 @@ func (d datasetSection) SnapshotOptional() bool { return true }
 // SnapshotPayload exports the full dataset content, or omits the
 // section entirely unless the session opted in (PersistDataset).
 //
-// The section's layout: the dataset version, the partition count, then per
-// partition its per-bin counts (a float slice), row count and version.
+// The section's layout: the partition count, then per partition its
+// per-bin counts (a float slice) and row count.
 func (d datasetSection) SnapshotPayload() ([]byte, error) {
 	if !d.s.persistData {
 		return nil, nil
 	}
 	st := d.s.ds.ExportState()
 	var e persist.Encoder
-	e.PutInt(st.Version)
 	e.PutUvarint(uint64(len(st.Parts)))
 	for _, p := range st.Parts {
 		e.PutFloats(p.Counts)
 		e.PutInt(p.N)
-		e.PutInt(p.Version)
 	}
 	return e.Payload(), nil
 }
@@ -155,10 +153,9 @@ func (d datasetSection) SnapshotPayload() ([]byte, error) {
 // so the books always cover every queryable partition.
 func (d datasetSection) StagePayload(payload []byte) (func() error, error) {
 	dec := persist.NewDecoder(payload)
-	st := dataset.State{Version: dec.Int()}
-	st.Parts = make([]dataset.PartitionState, dec.Count(3))
+	st := dataset.State{Parts: make([]dataset.PartitionState, dec.Count(2))}
 	for i := range st.Parts {
-		st.Parts[i] = dataset.PartitionState{Counts: dec.Floats(), N: dec.Int(), Version: dec.Int()}
+		st.Parts[i] = dataset.PartitionState{Counts: dec.Floats(), N: dec.Int()}
 	}
 	if err := dec.Finish(); err != nil {
 		return nil, err
@@ -316,10 +313,11 @@ func (m identitySection) RestorePayload(payload []byte) error {
 
 // metaSection adapts the session's dataset-shape validation and
 // counters into a persist.Snapshotter. Its "core/meta" payload: the
-// dataset version and partition count the snapshot was taken at, the
-// query and dedup counters, then the count of per-source counters and
-// each one's source name and count, in Sources order so the payload
-// encodes deterministically (snapshotdet; TestSnapshotBytesDeterministic).
+// partition count the snapshot was taken at and each partition's row
+// count, the query and dedup counters, then the count of per-source
+// counters and each one's source name and count, in Sources order so the
+// payload encodes deterministically (snapshotdet;
+// TestSnapshotBytesDeterministic).
 type metaSection struct{ s *Session }
 
 // SnapshotSection implements persist.Snapshotter.
@@ -329,9 +327,12 @@ func (m metaSection) SnapshotSection() string { return "core/meta" }
 func (m metaSection) SnapshotPayload() ([]byte, error) {
 	s := m.s
 	counts := s.SourceCounts()
+	rows := rowsPerPartition(s.ds)
 	var e persist.Encoder
-	e.PutInt(s.ds.Version())
-	e.PutInt(s.ds.Partitions())
+	e.PutUvarint(uint64(len(rows)))
+	for _, n := range rows {
+		e.PutInt(n)
+	}
 	e.PutInt(s.Queries())
 	e.PutInt(s.Deduped())
 	e.PutUvarint(uint64(len(counts)))
@@ -346,12 +347,18 @@ func (m metaSection) SnapshotPayload() ([]byte, error) {
 }
 
 // RestorePayload validates that the snapshot matches the session's
-// dataset (as possibly just restored by the dataset section), then
-// restores the counters.
+// dataset (as possibly just restored by the dataset section) partition
+// by partition, then restores the counters. A served partition's rows
+// never change, so a dataset whose partition holds another row count is
+// not the one the snapshot's cached results were released on.
 func (m metaSection) RestorePayload(payload []byte) error {
 	s := m.s
 	d := persist.NewDecoder(payload)
-	version, partitions, queries, deduped := d.Int(), d.Int(), d.Int(), d.Int()
+	rows := make([]int, d.Count(1))
+	for p := range rows {
+		rows[p] = d.Int()
+	}
+	queries, deduped := d.Int(), d.Int()
 	n := d.Count(2)
 	bySource := make(map[Source]int, n)
 	for range n {
@@ -361,12 +368,15 @@ func (m metaSection) RestorePayload(payload []byte) error {
 	if err := d.Finish(); err != nil {
 		return err
 	}
-	if partitions != s.ds.Partitions() {
-		return fmt.Errorf("core: snapshot has %d partitions, dataset has %d", partitions, s.ds.Partitions())
+	have := rowsPerPartition(s.ds)
+	if len(rows) != len(have) {
+		return fmt.Errorf("core: snapshot has %d partitions, dataset has %d", len(rows), len(have))
 	}
-	if version != s.ds.Version() {
-		return fmt.Errorf("core: snapshot taken at dataset version %d, have %d — cached results would be stale",
-			version, s.ds.Version())
+	for p, n := range rows {
+		if n != have[p] {
+			return fmt.Errorf("core: snapshot's partition %d has %d rows, dataset's has %d — cached results would be stale",
+				p, n, have[p])
+		}
 	}
 	// Every validation passed: counters move here, and every machinery
 	// section runs after this one.
@@ -379,6 +389,15 @@ func (m metaSection) RestorePayload(payload []byte) error {
 		}
 	}
 	return nil
+}
+
+// rowsPerPartition returns the row count of each of ds's partitions.
+func rowsPerPartition(ds *dataset.Dataset) []int {
+	rows := make([]int, ds.Partitions())
+	for p := range rows {
+		rows[p], _ = ds.NRows(p, p)
+	}
+	return rows
 }
 
 // singleSection adapts the single PMW-Bypass into a persist.Snapshotter.

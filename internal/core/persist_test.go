@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -13,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/domain"
 	"repro/internal/persist"
 	"repro/internal/query"
 	"repro/internal/store"
@@ -133,9 +133,13 @@ func TestLoadStateValidation(t *testing.T) {
 	if err := wrongMode.LoadState(bytes.NewReader(raw)); err == nil {
 		t.Fatal("mode mismatch accepted")
 	}
-	// Dataset mutated since snapshot: stale caches must be refused.
-	_ = addCount(ds, 0, 0, 1)
-	s3, _ := NewSession(cfg, ds)
+	// Another dataset, one row more in a partition: its caches would be
+	// stale, so the snapshot is refused.
+	_, dsMore := buildDS(t, 2)
+	if err := addCount(dsMore, 0, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	s3, _ := NewSession(cfg, dsMore)
 	if err := s3.LoadState(bytes.NewReader(raw)); err == nil ||
 		!strings.Contains(err.Error(), "stale") {
 		t.Fatalf("stale snapshot accepted: %v", err)
@@ -160,8 +164,8 @@ func TestLoadStateValidation(t *testing.T) {
 // TestSaveLoadPersistDataset covers the in-memory-store deployment
 // (turbo-server -state): with PersistDataset the snapshot carries the
 // dataset itself, so a checkpoint taken after mid-stream growth
-// restores onto a fresh initial build — partitions, data, versions, and
-// accountant coverage all re-grown from the section.
+// restores onto a fresh initial build — partitions, data and accountant
+// coverage all re-grown from the section.
 func TestSaveLoadPersistDataset(t *testing.T) {
 	dom, ds1 := buildDS(t, 2)
 	cfg := defaultCfg(Streaming)
@@ -172,11 +176,7 @@ func TestSaveLoadPersistDataset(t *testing.T) {
 	s1.PersistDataset()
 	q := query.MustNew(dom, map[int][]int{0: {1}})
 	for e := 0; e < 2; e++ {
-		w, err := s1.AppendPartition()
-		if err != nil {
-			t.Fatal(err)
-		}
-		loadWeek(ds1, dom, w)
+		w := appendWeek(t, s1)
 		if _, err := s1.Answer(q.WithWindow(0, w)); err != nil {
 			t.Fatal(err)
 		}
@@ -197,9 +197,8 @@ func TestSaveLoadPersistDataset(t *testing.T) {
 	if err := s2.LoadState(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if ds2.Partitions() != 4 || ds2.Version() != ds1.Version() {
-		t.Fatalf("restored dataset %d partitions v%d, want 4 v%d",
-			ds2.Partitions(), ds2.Version(), ds1.Version())
+	if ds2.Partitions() != 4 {
+		t.Fatalf("restored dataset has %d partitions, want 4", ds2.Partitions())
 	}
 	for p := 0; p < 4; p++ {
 		if partitionRows(ds2, p) != partitionRows(ds1, p) {
@@ -218,11 +217,7 @@ func TestSaveLoadPersistDataset(t *testing.T) {
 	if a.Source != SourceExactHit {
 		t.Fatalf("repeat after restore = %s, want exact-hit", a.Source)
 	}
-	w, err := s2.AppendPartition()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadWeek(ds2, dom, w)
+	w := appendWeek(t, s2)
 	if _, err := s2.Answer(q.WithWindow(w, w)); err != nil {
 		t.Fatal(err)
 	}
@@ -277,10 +272,9 @@ func TestSaveLoadPersistDataset(t *testing.T) {
 func datasetSectionState(t *testing.T, p []byte) dataset.State {
 	t.Helper()
 	dec := persist.NewDecoder(p)
-	st := dataset.State{Version: dec.Int()}
-	st.Parts = make([]dataset.PartitionState, dec.Count(3))
+	st := dataset.State{Parts: make([]dataset.PartitionState, dec.Count(2))}
 	for i := range st.Parts {
-		st.Parts[i] = dataset.PartitionState{Counts: dec.Floats(), N: dec.Int(), Version: dec.Int()}
+		st.Parts[i] = dataset.PartitionState{Counts: dec.Floats(), N: dec.Int()}
 	}
 	if err := dec.Finish(); err != nil {
 		t.Fatal(err)
@@ -290,12 +284,10 @@ func datasetSectionState(t *testing.T, p []byte) dataset.State {
 
 func encodeDatasetSection(st dataset.State) []byte {
 	var e persist.Encoder
-	e.PutInt(st.Version)
 	e.PutUvarint(uint64(len(st.Parts)))
 	for _, p := range st.Parts {
 		e.PutFloats(p.Counts)
 		e.PutInt(p.N)
-		e.PutInt(p.Version)
 	}
 	return e.Payload()
 }
@@ -317,11 +309,7 @@ func TestLoadStateRefusesPoisonedDataset(t *testing.T) {
 	src.PersistDataset()
 	q := query.MustNew(dom, map[int][]int{0: {1}})
 	for e := 0; e < 2; e++ {
-		w, err := src.AppendPartition()
-		if err != nil {
-			t.Fatal(err)
-		}
-		loadWeek(ds, dom, w)
+		w := appendWeek(t, src)
 		if _, err := src.Answer(q.WithWindow(0, w)); err != nil {
 			t.Fatal(err)
 		}
@@ -562,17 +550,22 @@ func TestSaveLoadGaussianNonPartitioned(t *testing.T) {
 	}
 }
 
-// loadWeek fills a streamed partition with buildDS-shaped data.
-func loadWeek(ds *dataset.Dataset, dom *domain.Domain, w int) {
+// appendWeek appends the next week of a buildDS-shaped stream to s's
+// dataset through the session, and returns its index.
+func appendWeek(t testing.TB, s *Session) int {
+	t.Helper()
+	dom, w := s.Dataset().Domain(), s.Dataset().Partitions()
+	counts := make([]int, dom.Size())
 	for a := 0; a < 4; a++ {
-		_ = addCount(ds, w, dom.Encode([]int{1, a}), 1000+100*a+20*w)
-		_ = addCount(ds, w, dom.Encode([]int{0, a}), 4000-150*a)
+		counts[dom.Encode([]int{1, a})] = 1000 + 100*a + 20*w
+		counts[dom.Encode([]int{0, a})] = 4000 - 150*a
 	}
+	return arrive(t, s, counts)
 }
 
 // TestSaveLoadMidStream is the streaming persistence round-trip: a session
 // saves mid-stream (after several AppendPartitions epochs), a fresh session
-// restores it, and the stream continues — tree state, exact-cache versions,
+// restores it, and the stream continues — tree state, exact-cache entries,
 // and scalar budgets all survive, and post-restore appends keep working.
 func TestSaveLoadMidStream(t *testing.T) {
 	dom, ds := buildDS(t, 2)
@@ -593,11 +586,7 @@ func TestSaveLoadMidStream(t *testing.T) {
 	answerAll(s1, 1)
 	// Two mid-stream epochs before the snapshot.
 	for e := 0; e < 2; e++ {
-		w, err := s1.AppendPartition()
-		if err != nil {
-			t.Fatal(err)
-		}
-		loadWeek(ds, dom, w)
+		w := appendWeek(t, s1)
 		answerAll(s1, w)
 	}
 	if ds.Partitions() != 4 {
@@ -625,7 +614,7 @@ func TestSaveLoadMidStream(t *testing.T) {
 			t.Fatalf("partition %d spend %g, want %g", p, got, want)
 		}
 	}
-	// Exact-cache versions survive: a pre-snapshot window repeats free.
+	// Exact-cache entries survive: a pre-snapshot window repeats free.
 	spent := s2.AverageSpent()
 	a, err := s2.Answer(q.WithWindow(0, 3))
 	if err != nil {
@@ -636,11 +625,7 @@ func TestSaveLoadMidStream(t *testing.T) {
 	}
 
 	// The stream continues on the restored session: append, load, query.
-	w, err := s2.AppendPartition()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadWeek(ds, dom, w)
+	w := appendWeek(t, s2)
 	if s2.Accountant().Partitions() != ds.Partitions() {
 		t.Fatalf("post-restore append: accountant %d vs dataset %d",
 			s2.Accountant().Partitions(), ds.Partitions())
@@ -671,11 +656,7 @@ func TestSaveLoadGaussianMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := s1.AppendPartition()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadWeek(ds, dom, w)
+	w := appendWeek(t, s1)
 	q := query.MustNew(dom, map[int][]int{0: {1}})
 	for hi := 0; hi <= w; hi++ {
 		if _, err := s1.Answer(q.WithWindow(0, hi)); err != nil {
@@ -707,11 +688,7 @@ func TestSaveLoadGaussianMidStream(t *testing.T) {
 	if a.Source != SourceExactHit || s2.AverageSpent() != spent {
 		t.Fatalf("pre-snapshot window after restore: %+v", a)
 	}
-	w2, err := s2.AppendPartition()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadWeek(ds, dom, w2)
+	w2 := appendWeek(t, s2)
 	if _, err := s2.Answer(q.WithWindow(w2, w2)); err != nil {
 		t.Fatal(err)
 	}
@@ -752,15 +729,14 @@ func TestSaveLoadGaussianMidStream(t *testing.T) {
 // counters, warm node state — are identical before SaveState and after
 // LoadState, and both sessions answer the full asked-so-far workload
 // identically (free exact hits) afterwards. It runs under both accounting
-// modes, on the one-block exact-cache section this build writes and on
-// the same entries laid out in four blocks, as a four-shard build wrote
-// them, and once through a snapshot file.
+// modes, with Config.Shards at 1 and at 4 (a field the session ignores;
+// benchmark/ sets it to the CPU count), and once through a snapshot file.
 func TestSaveLoadTreeProperty(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		mode     Mode
 		gaussian bool
-		blocks   int // exact-cache blocks in the snapshot s2 loads
+		shards   int
 		file     bool
 	}{
 		{"pure-partitioned-shards1", Partitioned, false, 1, false},
@@ -773,6 +749,7 @@ func TestSaveLoadTreeProperty(t *testing.T) {
 			dom, ds := buildDS(t, 4)
 			cfg := defaultCfg(tc.mode)
 			cfg.Gaussian = tc.gaussian
+			cfg.Shards = tc.shards
 			if tc.gaussian {
 				cfg.DeltaGlobal = 1e-6
 			}
@@ -788,11 +765,7 @@ func TestSaveLoadTreeProperty(t *testing.T) {
 			var asked []*query.Query
 			for i := 0; i < 60; i++ {
 				if i == 30 {
-					w, err := s1.AppendPartition()
-					if err != nil {
-						t.Fatal(err)
-					}
-					loadWeek(ds, dom, w)
+					appendWeek(t, s1)
 				}
 				var q *query.Query
 				if len(asked) > 0 && rng.Intn(3) == 0 {
@@ -818,9 +791,6 @@ func TestSaveLoadTreeProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			snap := buf.Bytes()
-			if tc.blocks > 1 {
-				snap = stripeExactSection(t, snap, tc.blocks)
-			}
 			if tc.file {
 				path := filepath.Join(t.TempDir(), "state.snap")
 				if err := persist.WriteFileAtomic(path, func(w io.Writer) error {
@@ -899,7 +869,8 @@ func TestSaveLoadTreeProperty(t *testing.T) {
 // TestSnapshotBytesDeterministic pins the property the snapshotdet
 // analyzer guards line by line: a quiesced session captures to the same
 // bytes every time, with the tree and the exact cache both populated
-// (each is a Go map somewhere underneath).
+// (each is a Go map somewhere underneath). The capture is a v4 envelope
+// whose cache section holds one 17-byte entry per cached release.
 func TestSnapshotBytesDeterministic(t *testing.T) {
 	dom, ds := buildDS(t, 8)
 	cfg := defaultCfg(Partitioned)
@@ -924,6 +895,22 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 	var first bytes.Buffer
 	if err := s.SaveState(&first); err != nil {
 		t.Fatal(err)
+	}
+	if v := binary.BigEndian.Uint32(first.Bytes()[8:12]); v != 4 {
+		t.Fatalf("captured a v%d envelope, want v4", v)
+	}
+	payloads, _, err := persist.ReadSections(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec := decodeCacheSection(t, payloads["cache/session-exact"])
+	if len(sec.Keys) != s.StoreStats().Entries {
+		t.Fatalf("cache section holds %d entries, the store %d", len(sec.Keys), s.StoreStats().Entries)
+	}
+	for i, v := range sec.Vals {
+		if len(v) != 17 {
+			t.Fatalf("entry %q is %d bytes, want 17", sec.Keys[i], len(v))
+		}
 	}
 	// Map iteration order is drawn per range statement, so a few more
 	// captures make an unsorted walk over a small map all but sure to differ.

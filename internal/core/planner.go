@@ -1,7 +1,6 @@
 // The planner stage of the query pipeline: resolving an incoming
-// linear query against the public dataset metadata — partition window,
-// data version, view size — before any lock is taken or any budget is
-// touched.
+// linear query against the public dataset metadata — partition window
+// and view size — before any lock is taken or any budget is touched.
 
 package core
 
@@ -16,7 +15,7 @@ import (
 // Planner resolves queries to execution plans. It holds no mutable state
 // and only reads the dataset's published views, which no writer changes,
 // so any number of request goroutines may plan concurrently without a
-// lock. PlanWindow reads the partition count and the window's metadata
+// lock. PlanWindow reads the partition count and the window's row count
 // from two views; an append between them only adds partitions, so the
 // two agree.
 type Planner struct {
@@ -26,21 +25,23 @@ type Planner struct {
 // NewPlanner creates a planner over ds.
 func NewPlanner(ds *dataset.Dataset) *Planner { return &Planner{ds: ds} }
 
-// Plan is a resolved query: the window it runs on, the public size of that
-// view, and the data version that exact-cache entries must match.
+// Plan is a resolved query: the window it runs on and the public size of
+// that view. A served window's rows never change, so the window alone
+// names the data a cached release of it was computed on.
 type Plan struct {
 	Query *query.Query
 	// Start, End are the resolved partition window (a query without an
 	// explicit window spans the whole store).
 	Start, End int
-	// Version is the window's data version at planning time.
+	// Version is always 0: a compile shim for benchmark/trace.go, which
+	// passes it to Exact.Get, until ROADMAP item 21 deletes the twin.
 	Version int
 	// Rows is the public row count of the window.
 	Rows int
 }
 
-// Plan validates q against the dataset and resolves its window, version,
-// and view size.
+// Plan validates q against the dataset and resolves its window and view
+// size.
 func (p *Planner) Plan(q *query.Query) (Plan, error) {
 	if err := p.check(q); err != nil {
 		return Plan{}, err
@@ -59,11 +60,11 @@ func (p *Planner) PlanWindow(start, end int, windowed bool) (Plan, error) {
 	} else if start < 0 || end >= parts {
 		return Plan{}, fmt.Errorf("core: window [%d,%d] out of range", start, end)
 	}
-	version, rows, err := p.ds.WindowMeta(start, end)
+	rows, err := p.ds.NRows(start, end)
 	if err != nil {
 		return Plan{}, err
 	}
-	return Plan{Start: start, End: end, Version: version, Rows: rows}, nil
+	return Plan{Start: start, End: end, Rows: rows}, nil
 }
 
 // check refuses a query the planner cannot plan: nil, or over another

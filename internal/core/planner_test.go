@@ -61,23 +61,3 @@ func TestPlanResolvesWindowAndVersion(t *testing.T) {
 		t.Fatal("foreign-domain query accepted")
 	}
 }
-
-func TestPlanVersionTracksData(t *testing.T) {
-	ds := plannerDS(t, 2)
-	p := NewPlanner(ds)
-	q := query.MustNew(ds.Domain(), nil)
-	before, err := p.Plan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := addCount(ds, 0, 0, 5); err != nil {
-		t.Fatal(err)
-	}
-	after, err := p.Plan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Version == before.Version {
-		t.Fatal("version unchanged after data mutation")
-	}
-}

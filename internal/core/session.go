@@ -9,8 +9,8 @@
 //
 // Answer is organized as a layered pipeline rather than one lock scope:
 //
-//  1. plan — the Planner resolves the query to a partition window, data
-//     version, and view size. Lock-free.
+//  1. plan — the Planner resolves the query to a partition window and
+//     view size. Lock-free.
 //  2. cache — the window-level exact cache is probed. The cache is
 //     concurrency-safe, so exact hits (the cheapest and, under skewed
 //     workloads, most common path, Fig. 11d) never serialize. Lookup and
@@ -18,9 +18,9 @@
 //     cache key before its query: the HTTP handlers build a query only
 //     on a miss.
 //  3. dedup — cache misses enter the single-flight group keyed by the
-//     resolved window and data version (flight.go): concurrent identical
-//     first-timers execute and pay once, with duplicates observing the
-//     leader's released answer.
+//     exact-cache key, predicate and window (flight.go): concurrent
+//     identical first-timers execute and pay once, with duplicates
+//     observing the leader's released answer.
 //  4. execute — the flight leader runs the PMW machinery: the single
 //     PMW-Bypass behind the session's one executor lock (non-partitioned),
 //     or the tree (partitioned), which holds its one lock only to claim
@@ -36,7 +36,9 @@
 // one batch at a time on its caller's goroutine: the accountant grows
 // strictly before the dataset, the counts load, and in streaming mode the
 // new tree leaves are warm-started, all before the call returns. The
-// internal/stream Ingestor is its front for POST /append.
+// internal/stream Ingestor is its front for POST /append. A session marks
+// its dataset served (dataset.Dataset.Serve): the rows of a partition a
+// query can name never change, so an exact-cache entry never goes stale.
 //
 // Sessions are safe for concurrent use by many request goroutines.
 package core
@@ -214,7 +216,7 @@ type Session struct {
 	tree *tree.Tree
 
 	// flights deduplicates concurrent identical cache misses so N
-	// first-timers on the same window/version execute and pay once.
+	// first-timers on the same key execute and pay once.
 	flights flightGroup
 	// registry holds the session's durable-state sections (persist.go),
 	// every one registered at construction. persistMu serializes
@@ -256,7 +258,7 @@ var sourceIndex = func() map[Source]int {
 	return m
 }()
 
-// NewSession creates a Turbo session over ds.
+// NewSession creates a Turbo session over ds and marks ds served.
 func NewSession(cfg Config, ds *dataset.Dataset) (*Session, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -346,6 +348,7 @@ func NewSession(cfg Config, ds *dataset.Dataset) (*Session, error) {
 		return nil, fmt.Errorf("core: unknown mode %v", cfg.Mode)
 	}
 	s.buildRegistry()
+	ds.Serve()
 	return s, nil
 }
 
@@ -354,12 +357,6 @@ func (s *Session) Dataset() *dataset.Dataset { return s.ds }
 
 // Planner returns the session's planning stage.
 func (s *Session) Planner() *Planner { return s.planner }
-
-// AppendPartition registers one newly-arrived, empty stream partition,
-// returning its index. See AppendPartitions for the ordering guarantees.
-func (s *Session) AppendPartition() (int, error) {
-	return s.AppendPartitions(Arrival{})
-}
 
 // Arrival is one newly-arrived stream partition: dense per-bin row counts
 // over the session's domain. A nil Counts registers an empty partition.
@@ -449,7 +446,9 @@ func (s *Session) Answer(q *query.Query) (Answer, error) {
 // (query.Builder.AppendKey), and its window header is what is planned.
 // key is only read during the call, so it may view a buffer the caller
 // reuses. A hit is the whole answer; on a miss, the plan, given the
-// built query, goes to AnswerPlan. An exact hit allocates nothing.
+// built query, goes to AnswerPlan. A tree session probes a windowless
+// statement under the key of its planned window (planned), which costs
+// one allocation; every other exact hit allocates nothing.
 func (s *Session) Lookup(key string) (ans Answer, pl Plan, hit bool, err error) {
 	start, end, windowed, err := query.KeyWindow(key)
 	if err == nil {
@@ -457,6 +456,9 @@ func (s *Session) Lookup(key string) (ans Answer, pl Plan, hit bool, err error) 
 	}
 	if err != nil {
 		return Answer{}, Plan{}, false, err
+	}
+	if !windowed && s.tree != nil {
+		key = query.WindowedKey(key, pl.Start, pl.End)
 	}
 	ans, hit = s.probe(pl, key)
 	return ans, pl, hit, nil
@@ -469,29 +471,39 @@ func (s *Session) Lookup(key string) (ans Answer, pl Plan, hit bool, err error) 
 // the query or its key past the call, so it may be one the caller
 // rebuilds for its next statement (query.Builder.BuildInto).
 func (s *Session) AnswerPlan(pl Plan) (Answer, error) {
-	if err := s.planned(pl); err != nil {
+	pl, err := s.planned(pl)
+	if err != nil {
 		return Answer{}, err
 	}
 	return s.execute(pl, flightOf(pl), 1)
 }
 
 // planned refuses a plan whose query is not the one it was planned for:
-// none, one over another domain, or one of another window.
-func (s *Session) planned(pl Plan) error {
+// none, one over another domain, or one of another window. It returns the
+// plan to run: in a tree session, a windowless query is given its plan's
+// window, the [0, P−1] of the P partitions planned. The whole store gains
+// a partition with every arrival while a window's rows never change, so
+// the release is cached, and its flight shared, under the key of the
+// window it was answered on (Lookup probes that key).
+func (s *Session) planned(pl Plan) (Plan, error) {
 	q := pl.Query
 	if err := s.planner.check(q); err != nil {
-		return err
+		return pl, err
 	}
-	if start, end, ok := q.Window(); ok && (start != pl.Start || end != pl.End) {
-		return fmt.Errorf("core: query window [%d,%d] is not its plan's [%d,%d]", start, end, pl.Start, pl.End)
+	start, end, ok := q.Window()
+	switch {
+	case ok && (start != pl.Start || end != pl.End):
+		return pl, fmt.Errorf("core: query window [%d,%d] is not its plan's [%d,%d]", start, end, pl.Start, pl.End)
+	case !ok && s.tree != nil:
+		pl.Query = q.WithWindow(pl.Start, pl.End)
 	}
-	return nil
+	return pl, nil
 }
 
 // probe is the exact-cache stage of Answer and Lookup: the entry under
-// key at the plan's data version, if there is one.
+// key, if there is one.
 func (s *Session) probe(pl Plan, key string) (Answer, bool) {
-	e, ok := s.exact.Lookup(key, pl.Version)
+	e, ok := s.exact.Lookup(key)
 	if !ok {
 		return Answer{}, false
 	}
@@ -513,7 +525,7 @@ func (s *Session) execute(pl Plan, id flightID, n int) (Answer, error) {
 		// may have completed (and cached) between this goroutine's cache
 		// probe and its flight. Concurrent duplicates are handled by the
 		// flight group itself.
-		if e, ok := s.exact.Get(pl.Query, pl.Version); ok {
+		if e, ok := s.exact.Lookup(pl.Query.KeyWithWindow()); ok {
 			return Answer{Value: e.Value, Source: SourceExactHit}, nil
 		}
 		ans, err := s.executePlan(pl)
@@ -526,7 +538,7 @@ func (s *Session) execute(pl Plan, id flightID, n int) (Answer, error) {
 		// the store refuses (counted in its SetErrors) is an eviction of
 		// the new entry: the books are charged, so the answer goes out to
 		// the leader and every joiner, and a later ask re-executes.
-		_ = s.exact.Put(pl.Query, pl.Version, ans.Value, ans.Paid)
+		_ = s.exact.Put(pl.Query, ans.Value, ans.Paid)
 		return ans, nil
 	})
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/accountant"
@@ -21,11 +22,22 @@ func partitionRows(ds *dataset.Dataset, p int) int {
 }
 
 // addCount loads count rows of the encoded value bin into partition p of
-// ds: a one-hot BulkLoad.
+// ds: a one-hot BulkLoad, refused once a session serves ds.
 func addCount(ds *dataset.Dataset, p, bin, count int) error {
 	counts := make([]int, ds.Domain().Size())
 	counts[bin] = count
 	return ds.BulkLoad(p, counts)
+}
+
+// arrive appends one partition holding counts to s's dataset through the
+// session, failing the test on a refusal, and returns its index.
+func arrive(t testing.TB, s *Session, counts []int) int {
+	t.Helper()
+	p, err := s.AppendPartitions(Arrival{Counts: counts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func buildDS(t testing.TB, partitions int) (*domain.Domain, *dataset.Dataset) {
@@ -245,16 +257,14 @@ func TestStreamingAppendAndWarmStart(t *testing.T) {
 		}
 	}
 	// New partition arrives with similar data.
-	idx, err := s.AppendPartition()
-	if err != nil {
-		t.Fatal(err)
+	counts := make([]int, dom.Size())
+	for a := 0; a < 4; a++ {
+		counts[dom.Encode([]int{1, a})] = 1000 + 100*a
+		counts[dom.Encode([]int{0, a})] = 4000 - 150*a
 	}
+	idx := arrive(t, s, counts)
 	if idx != 2 || s.Dataset().Partitions() != 3 || s.Accountant().Partitions() != 3 {
 		t.Fatalf("append: idx=%d parts=%d acct=%d", idx, s.Dataset().Partitions(), s.Accountant().Partitions())
-	}
-	for a := 0; a < 4; a++ {
-		_ = addCount(ds, 2, dom.Encode([]int{1, a}), 1000+100*a)
-		_ = addCount(ds, 2, dom.Encode([]int{0, a}), 4000-150*a)
 	}
 	q2 := query.MustNew(dom, map[int][]int{0: {1}}).WithWindow(2, 2)
 	truth, _ := ds.TrueFraction(q2, 2, 2)
@@ -376,5 +386,105 @@ func TestDefaultSeedAndTau(t *testing.T) {
 	}
 	if s == nil {
 		t.Fatal("nil session")
+	}
+}
+
+// TestServedDatasetRefusesLoads: once a session is built over a dataset,
+// a load into any of its partitions is refused; every window keeps its
+// row count, and a cached statement still answers exact-hit at no
+// charge. The same load into a dataset no session serves is accepted.
+func TestServedDatasetRefusesLoads(t *testing.T) {
+	const parts = 4
+	dom, ds := buildDS(t, parts)
+	load := make([]int, dom.Size())
+	load[dom.Encode([]int{1, 2})] = 50
+	_, open := buildDS(t, parts)
+	if err := open.BulkLoad(2, load); err != nil {
+		t.Fatalf("load into a dataset no session serves: %v", err)
+	}
+	s, err := NewSession(defaultCfg(Partitioned), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := query.MustNew(dom, map[int][]int{0: {1}}).WithWindow(1, 3)
+	first, err := s.Answer(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := func() []int {
+		var rows []int
+		for a := 0; a < parts; a++ {
+			for b := a; b < parts; b++ {
+				n, _ := ds.NRows(a, b)
+				rows = append(rows, n)
+			}
+		}
+		return rows
+	}
+	before := windows()
+	for p := 0; p < parts; p++ {
+		if err := ds.BulkLoad(p, load); err == nil {
+			t.Fatalf("load into served partition %d accepted", p)
+		}
+	}
+	if got := windows(); !slices.Equal(got, before) {
+		t.Fatalf("window rows %v after the refused loads, want %v", got, before)
+	}
+	spent := s.AverageSpent()
+	again, err := s.Answer(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Source != SourceExactHit || again.Paid != 0 || again.Value != first.Value || s.AverageSpent() != spent {
+		t.Fatalf("repeat after the refused loads = %+v, want the exact hit of %g at no charge", again, first.Value)
+	}
+}
+
+// TestWindowlessStatementFollowsArrivals: a windowless statement is the
+// whole store, which an arrival grows, so in a tree session its release
+// is cached under the window it was answered on. After an arrival the
+// statement runs again over the grown store — through Answer and through
+// Lookup by its windowless key alike — and pays for the new partition;
+// then it repeats free, and so does the release of the old store when
+// that window is named.
+func TestWindowlessStatementFollowsArrivals(t *testing.T) {
+	for _, mode := range []Mode{Partitioned, Streaming} {
+		t.Run(mode.String(), func(t *testing.T) {
+			dom, ds := buildDS(t, 2)
+			s, err := NewSession(defaultCfg(mode), ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := query.MustNew(dom, map[int][]int{0: {1}})
+			old, err := s.Answer(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendWeek(t, s)
+			ans, pl, hit, err := s.Lookup(q.KeyWithWindow())
+			if err != nil || hit || pl.End != 2 {
+				t.Fatalf("Lookup after the arrival = %+v, plan [%d,%d], hit %v, %v; want a miss over [0,2]", ans, pl.Start, pl.End, hit, err)
+			}
+			pl.Query = q
+			grown, err := s.AnswerPlan(pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if grown.Source == SourceExactHit || grown.End != 2 || s.Accountant().SpentVector()[2] <= 0 {
+				t.Fatalf("after the arrival = %+v, want an answer over [0,2] paid on partition 2", grown)
+			}
+			spent := s.AverageSpent()
+			for _, tc := range []struct {
+				q    *query.Query
+				want float64
+			}{{q, grown.Value}, {q.WithWindow(0, 1), old.Value}} {
+				if a, err := s.Answer(tc.q); err != nil || a.Source != SourceExactHit || a.Value != tc.want {
+					t.Fatalf("repeat of %v = %+v, %v; want the exact hit of %g", tc.q, a, err, tc.want)
+				}
+			}
+			if s.AverageSpent() != spent {
+				t.Fatal("the repeats paid")
+			}
+		})
 	}
 }

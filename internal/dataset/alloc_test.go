@@ -67,26 +67,27 @@ func TestTrueFractionWarmZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestWindowMetaZeroAllocs: planning a window reads the published view
-// and allocates nothing, over one partition and over all of them.
+// TestWindowMetaZeroAllocs: planning a window reads its metadata, the
+// row count (NRows), from the published view and allocates nothing, over
+// one partition and over all of them.
 func TestWindowMetaZeroAllocs(t *testing.T) {
 	ds := scaled(t, 16)
 	for _, w := range [][2]int{{0, 15}, {15, 15}, {3, 9}} {
 		if allocs := testing.AllocsPerRun(200, func() {
-			if _, _, err := ds.WindowMeta(w[0], w[1]); err != nil {
+			if _, err := ds.NRows(w[0], w[1]); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
-			t.Fatalf("WindowMeta(%d, %d) allocates %.1f/op, want 0", w[0], w[1], allocs)
+			t.Fatalf("NRows(%d, %d) allocates %.1f/op, want 0", w[0], w[1], allocs)
 		}
 	}
 }
 
-// TestWindowMetaScales: a window's metadata is two subtractions however
-// many partitions the dataset holds, so WindowMeta over the whole of
-// 8,000 partitions costs within 2x of the whole of 16 (best of five
-// timed runs each). While it summed the window under a read lock, 8,000
-// partitions read about 300x of 16.
+// TestWindowMetaScales: a window's metadata, its row count, is one
+// subtraction however many partitions the dataset holds, so NRows over
+// the whole of 8,000 partitions costs within 2x of the whole of 16 (best
+// of five timed runs each). While it summed the window under a read lock,
+// 8,000 partitions read about 300x of 16.
 func TestWindowMetaScales(t *testing.T) {
 	best := func(parts int) time.Duration {
 		ds := scaled(t, parts)
@@ -96,8 +97,8 @@ func TestWindowMetaScales(t *testing.T) {
 		for run := 0; run < 5; run++ {
 			start := time.Now()
 			for i := 0; i < calls; i++ {
-				v, n, _ := ds.WindowMeta(0, parts-1)
-				sink += v + n
+				n, _ := ds.NRows(0, parts-1)
+				sink += n
 			}
 			fastest = min(fastest, time.Since(start))
 		}
@@ -108,7 +109,7 @@ func TestWindowMetaScales(t *testing.T) {
 	}
 	small, large := best(16), best(8000)
 	if large > 2*small {
-		t.Fatalf("WindowMeta over 8,000 partitions takes %v, over 16 %v: want within 2x", large, small)
+		t.Fatalf("NRows over 8,000 partitions takes %v, over 16 %v: want within 2x", large, small)
 	}
 }
 

@@ -11,9 +11,12 @@
 // as a row store, since every linear counting query is a function of
 // those counts alone.
 //
-// Partitions are loaded as per-bin counts (BulkLoad, Append), which is how
-// the synthetic workload generators materialize paper-scale datasets (tens
-// of millions of rows) without storing rows.
+// Partitions are loaded as per-bin counts (Append), which is how the
+// synthetic workload generators materialize paper-scale datasets (tens of
+// millions of rows) without storing rows. A served dataset only grows:
+// once a cache is built over it (Serve), a partition's rows never change,
+// so a window's data is a function of its bounds and a cached release of
+// it never goes stale.
 package dataset
 
 import (
@@ -26,33 +29,24 @@ import (
 	"repro/internal/query"
 )
 
-// partMeta is the public metadata of a prefix of partitions: their row
-// count and the sum of their mutation stamps, which exact caches key on.
-type partMeta struct {
-	n       int
-	version int
-}
-
 // view is one immutable state of a dataset. sums[i] and cum[i] sum
-// partitions [0, i) — the metadata and the per-bin counts (vector.go) —
-// so there are parts+1 of each and any window's metadata is two
-// subtractions. A published view is never written: a writer builds the
+// partitions [0, i) — the row count and the per-bin counts (vector.go) —
+// so there are parts+1 of each and any window's row count is one
+// subtraction. A published view is never written: a writer builds the
 // next one, sharing the rows and the backing arrays it does not change
 // (an append writes only past the old view's lengths), and publishes it.
 type view struct {
-	version int // the dataset's mutation count, carried by snapshots
-	sums    []partMeta
-	cum     [][]float64
+	sums []int
+	cum  [][]float64
 }
 
-// window returns the metadata of partitions [start, end], refusing a
+// window returns the row count of partitions [start, end], refusing a
 // window the view does not hold.
-func (v *view) window(start, end int) (partMeta, error) {
+func (v *view) window(start, end int) (int, error) {
 	if start < 0 || end+1 >= len(v.sums) || start > end {
-		return partMeta{}, fmt.Errorf("dataset: bad range [%d,%d] of %d partitions", start, end, len(v.sums)-1)
+		return 0, fmt.Errorf("dataset: bad range [%d,%d] of %d partitions", start, end, len(v.sums)-1)
 	}
-	lo, hi := v.sums[start], v.sums[end+1]
-	return partMeta{n: hi.n - lo.n, version: hi.version - lo.version}, nil
+	return v.sums[end+1] - v.sums[start], nil
 }
 
 // Dataset is a partitioned timeseries store. For the non-partitioned use
@@ -68,9 +62,12 @@ type Dataset struct {
 	dom *domain.Domain
 	cur atomic.Pointer[view]
 	// writeMu serializes writers; spare, which only writers touch, is
-	// the unused tail of the chunk appended partitions' rows come from.
+	// the unused tail of the chunk appended partitions' rows come from,
+	// and served, set under it, refuses BulkLoad once a cache reads the
+	// dataset.
 	writeMu sync.Mutex
 	spare   []float64
+	served  bool
 }
 
 // rowChunk is the size, in counts, of the chunks appended rows are cut
@@ -90,7 +87,7 @@ func New(dom *domain.Domain, partitions int) *Dataset {
 		panic(fmt.Sprintf("dataset: bad partition count %d", partitions))
 	}
 	zero := make([]float64, dom.Size())
-	v := &view{sums: make([]partMeta, partitions+1), cum: make([][]float64, partitions+1)}
+	v := &view{sums: make([]int, partitions+1), cum: make([][]float64, partitions+1)}
 	for i := range v.cum {
 		v.cum[i] = zero
 	}
@@ -99,27 +96,33 @@ func New(dom *domain.Domain, partitions int) *Dataset {
 	return ds
 }
 
-// Build returns the dataset New(dom, parts) holds once BulkLoad has
-// loaded each partition p in order with the counts fill(p, counts) writes
-// into a zeroed buffer, appending each partition as it is filled instead
-// of copying the dataset's rows per load. Unlike Append it counts a
-// partition once in the dataset's version, as that load did, so a boot
-// reaches the version the snapshots of an earlier boot recorded.
+// Build returns a dataset of parts partitions, partition p appended with
+// the counts fill(p, counts) writes into a zeroed buffer.
 func Build(dom *domain.Domain, parts int, fill func(p int, counts []int)) (*Dataset, error) {
 	ds := New(dom, 0)
 	counts := make([]int, dom.Size())
 	for p := 0; p < parts; p++ {
 		clear(counts)
 		fill(p, counts)
-		if _, err := ds.append(nil, 0, [][]int{counts}); err != nil {
+		if _, err := ds.Append(nil, counts); err != nil {
 			return nil, err
 		}
 	}
 	return ds, nil
 }
 
+// Serve marks the dataset served: a cache now keeps releases of its
+// windows, so from here on it only grows (Append), and BulkLoad is
+// refused. Every cache built over a dataset calls it.
+func (ds *Dataset) Serve() {
+	ds.writeMu.Lock()
+	ds.served = true
+	ds.writeMu.Unlock()
+}
+
 // AppendPartition registers a new, empty time partition and returns its
-// index.
+// index. It is Append of one empty partition, kept with BulkLoad for the
+// benchmark's truth twin (ROADMAP item 21 deletes both).
 func (ds *Dataset) AppendPartition() int {
 	first, _ := ds.Append(nil, nil) // one nil load: an empty partition
 	return first
@@ -133,19 +136,12 @@ func (ds *Dataset) AppendPartition() int {
 // batch's size once the batch has passed those checks and before any
 // reader can see it, so what a caller keeps per partition exists by the
 // time a query can name one; it runs under the writer lock, so it must
-// not write to the dataset. As with AppendPartition followed by
-// BulkLoad, each new partition and each non-nil load counts once in the
-// dataset's version.
+// not write to the dataset.
 func (ds *Dataset) Append(ready func(first, k int), counts ...[]int) (int, error) {
-	return ds.append(ready, 1, counts)
-}
-
-// append is Append, with grown the version step of each new partition.
-func (ds *Dataset) append(ready func(first, k int), grown int, counts [][]int) (int, error) {
 	ds.writeMu.Lock()
 	defer ds.writeMu.Unlock()
 	v := ds.cur.Load()
-	first, total, loaded := len(v.sums)-1, v.sums[len(v.sums)-1].n, 0
+	first, total := len(v.sums)-1, v.sums[len(v.sums)-1]
 	for i, c := range counts {
 		if c == nil {
 			continue
@@ -155,9 +151,8 @@ func (ds *Dataset) append(ready func(first, k int), grown int, counts [][]int) (
 			return 0, err
 		}
 		total += n
-		loaded++
 	}
-	next := &view{version: v.version + grown*len(counts) + loaded, sums: v.sums, cum: v.cum}
+	next := &view{sums: v.sums, cum: v.cum}
 	for _, c := range counts {
 		last, prev := next.sums[len(next.sums)-1], next.cum[len(next.cum)-1]
 		row := prev
@@ -165,9 +160,8 @@ func (ds *Dataset) append(ready func(first, k int), grown int, counts [][]int) (
 			row = ds.row()
 			for b, x := range c {
 				row[b] = prev[b] + float64(x)
-				last.n += x
+				last += x
 			}
-			last.version++
 		}
 		next.sums = append(next.sums, last)
 		next.cum = append(next.cum, row)
@@ -210,9 +204,10 @@ func (ds *Dataset) check(p int, counts []int, total int) (int, error) {
 	return n, nil
 }
 
-// BulkLoad adds per-bin row counts to partition p, which may already be
-// visible to readers: it builds the prefix rows past p afresh and
-// publishes them, so a load costs O((parts−p)·bins). A refused load
+// BulkLoad adds per-bin row counts to partition p of a dataset no cache
+// reads yet: it builds the prefix rows past p afresh and publishes them,
+// so a load costs O((parts−p)·bins). A served dataset (Serve) refuses it,
+// as it refuses any load that fails Append's checks; a refused load
 // changes nothing.
 func (ds *Dataset) BulkLoad(p int, counts []int) error {
 	ds.writeMu.Lock()
@@ -221,15 +216,18 @@ func (ds *Dataset) BulkLoad(p int, counts []int) error {
 	if p < 0 || p+1 >= len(v.sums) {
 		return fmt.Errorf("dataset: partition %d out of range [0,%d)", p, len(v.sums)-1)
 	}
-	n, err := ds.check(p, counts, v.sums[len(v.sums)-1].n)
+	if ds.served {
+		return fmt.Errorf("dataset: partition %d is served: a served dataset only grows by Append", p)
+	}
+	n, err := ds.check(p, counts, v.sums[len(v.sums)-1])
 	if err != nil {
 		return err
 	}
-	next := &view{version: v.version + 1, sums: make([]partMeta, len(v.sums)), cum: make([][]float64, len(v.cum))}
+	next := &view{sums: make([]int, len(v.sums)), cum: make([][]float64, len(v.cum))}
 	copy(next.sums, v.sums[:p+1])
 	copy(next.cum, v.cum[:p+1])
 	for r := p + 1; r < len(v.cum); r++ {
-		next.sums[r] = partMeta{n: v.sums[r].n + n, version: v.sums[r].version + 1}
+		next.sums[r] = v.sums[r] + n
 		row := make([]float64, len(counts))
 		for b, c := range counts {
 			row[b] = v.cum[r][b] + float64(c)
@@ -257,43 +255,22 @@ func (ds *Dataset) PartitionCounts(p int) []int {
 // Partitions returns the current number of partitions.
 func (ds *Dataset) Partitions() int { return len(ds.cur.Load().sums) - 1 }
 
-// Version increases whenever data changes. A snapshot records it, and a
-// restore refuses to land on a dataset at another version.
-func (ds *Dataset) Version() int { return ds.cur.Load().version }
-
-// RangeVersion summarizes the mutation state of partitions [start, end];
-// exact caches record it so a cached result is served only while the data
-// it was computed on is unchanged. Appending new partitions does not
-// invalidate results on old ranges.
-func (ds *Dataset) RangeVersion(start, end int) (int, error) {
-	m, err := ds.cur.Load().window(start, end)
-	return m.version, err
-}
-
-// WindowMeta returns the data version and public row count of partitions
-// [start, end] — the planner's hot-path accessor.
-func (ds *Dataset) WindowMeta(start, end int) (version, rows int, err error) {
-	m, err := ds.cur.Load().window(start, end)
-	return m.version, m.n, err
-}
-
-// NRows returns the public total row count of partitions [start, end].
+// NRows returns the public total row count of partitions [start, end] —
+// the planner's hot-path accessor, one view load and one subtraction.
 func (ds *Dataset) NRows(start, end int) (int, error) {
-	m, err := ds.cur.Load().window(start, end)
-	return m.n, err
+	return ds.cur.Load().window(start, end)
 }
 
 // NRowsAll returns the public total row count.
 func (ds *Dataset) NRowsAll() int {
 	v := ds.cur.Load()
-	return v.sums[len(v.sums)-1].n
+	return v.sums[len(v.sums)-1]
 }
 
 // PartitionState is the serializable content of one partition.
 type PartitionState struct {
-	Counts  []float64
-	N       int
-	Version int
+	Counts []float64
+	N      int
 }
 
 // State is the full serializable content of a dataset, for deployments
@@ -302,23 +279,21 @@ type PartitionState struct {
 // section (core.Session.PersistDataset) so applied streaming arrivals
 // survive a restart.
 type State struct {
-	Version int
-	Parts   []PartitionState
+	Parts []PartitionState
 }
 
 // ExportState copies the dataset's full content, one count vector per
 // partition (prefix rows differenced back).
 func (ds *Dataset) ExportState() State {
 	v := ds.cur.Load()
-	st := State{Version: v.version, Parts: make([]PartitionState, len(v.sums)-1)}
+	st := State{Parts: make([]PartitionState, len(v.sums)-1)}
 	for i := range st.Parts {
 		lo, hi := v.cum[i], v.cum[i+1]
 		counts := make([]float64, len(hi))
 		for b := range counts {
 			counts[b] = hi[b] - lo[b]
 		}
-		st.Parts[i] = PartitionState{Counts: counts, N: v.sums[i+1].n - v.sums[i].n,
-			Version: v.sums[i+1].version - v.sums[i].version}
+		st.Parts[i] = PartitionState{Counts: counts, N: v.sums[i+1] - v.sums[i]}
 	}
 	return st
 }
@@ -354,17 +329,19 @@ func (ds *Dataset) CheckState(st State) error {
 	return nil
 }
 
-// RestoreState replaces the dataset's content (partitions and version
-// counter) with a previously-exported state over the same domain,
-// refusing one CheckState refuses before anything changes.
+// RestoreState replaces the dataset's partitions with a previously
+// exported state over the same domain, refusing one CheckState refuses
+// before anything changes. A served dataset restores too: a restore runs
+// before its session answers anything, and brings back the cache that
+// was kept over the same state.
 func (ds *Dataset) RestoreState(st State) error {
 	if err := ds.CheckState(st); err != nil {
 		return err
 	}
-	next := &view{version: st.Version, sums: make([]partMeta, len(st.Parts)+1), cum: make([][]float64, len(st.Parts)+1)}
+	next := &view{sums: make([]int, len(st.Parts)+1), cum: make([][]float64, len(st.Parts)+1)}
 	next.cum[0] = make([]float64, ds.dom.Size())
 	for i, p := range st.Parts {
-		next.sums[i+1] = partMeta{n: next.sums[i].n + p.N, version: next.sums[i].version + p.Version}
+		next.sums[i+1] = next.sums[i] + p.N
 		row := make([]float64, len(p.Counts))
 		for b, c := range p.Counts {
 			row[b] = next.cum[i][b] + c
@@ -393,11 +370,11 @@ func (ds *Dataset) TrueFraction(q *query.Query, start, end int) (float64, error)
 // start at partition 0 (vector.go).
 func (ds *Dataset) TrueFractionN(q *query.Query, start, end int) (float64, int, error) {
 	v := ds.cur.Load()
-	m, err := v.window(start, end)
-	if err != nil || m.n == 0 {
+	n, err := v.window(start, end)
+	if err != nil || n == 0 {
 		return 0, 0, err
 	}
-	matched := float64(m.n)
+	matched := float64(n)
 	if q.SupportSize() < ds.dom.Size() {
 		bins := q.ResolvedSupport().Bins()
 		matched = supportSum(bins, v.cum[end+1])
@@ -405,7 +382,7 @@ func (ds *Dataset) TrueFractionN(q *query.Query, start, end int) (float64, int, 
 			matched -= supportSum(bins, v.cum[start])
 		}
 	}
-	return matched / float64(m.n), m.n, nil
+	return matched / float64(n), n, nil
 }
 
 // TrueDistribution returns the normalized distribution over bins of
@@ -414,7 +391,7 @@ func (ds *Dataset) TrueFractionN(q *query.Query, start, end int) (float64, int, 
 // allocated.
 func (ds *Dataset) TrueDistribution(start, end int) ([]float64, error) {
 	v := ds.cur.Load()
-	m, err := v.window(start, end)
+	n, err := v.window(start, end)
 	if err != nil {
 		return nil, err
 	}
@@ -423,9 +400,9 @@ func (ds *Dataset) TrueDistribution(start, end int) ([]float64, error) {
 	for b := range out {
 		out[b] = hi[b] - lo[b]
 	}
-	if m.n > 0 {
+	if n > 0 {
 		for b := range out {
-			out[b] /= float64(m.n)
+			out[b] /= float64(n)
 		}
 	}
 	return out, nil

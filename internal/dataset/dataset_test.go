@@ -3,6 +3,7 @@ package dataset
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/domain"
@@ -91,9 +92,6 @@ func TestRangeValidation(t *testing.T) {
 		if _, err := ds.NRows(r[0], r[1]); err == nil {
 			t.Errorf("NRows(%v) accepted", r)
 		}
-		if _, err := ds.RangeVersion(r[0], r[1]); err == nil {
-			t.Errorf("RangeVersion(%v) accepted", r)
-		}
 		if _, err := ds.TrueDistribution(r[0], r[1]); err == nil {
 			t.Errorf("TrueDistribution(%v) accepted", r)
 		}
@@ -157,9 +155,8 @@ func TestLoadsRefusedPastMaxRows(t *testing.T) {
 	if _, err := ds.Append(nil, wide); err == nil {
 		t.Fatal("append passing MaxRows accepted")
 	}
-	if ds.NRowsAll() != MaxRows-6 || ds.Version() != before.Version || ds.Partitions() != 2 {
-		t.Fatalf("refused loads changed the dataset: %d rows in %d partitions, version %d",
-			ds.NRowsAll(), ds.Partitions(), ds.Version())
+	if ds.NRowsAll() != MaxRows-6 || ds.Partitions() != 2 {
+		t.Fatalf("refused loads changed the dataset: %d rows in %d partitions", ds.NRowsAll(), ds.Partitions())
 	}
 	for i, p := range ds.ExportState().Parts {
 		for bin, c := range p.Counts {
@@ -189,34 +186,36 @@ func TestLoadsRefusedPastMaxRows(t *testing.T) {
 	}
 }
 
-func TestVersioning(t *testing.T) {
+// TestServedDatasetOnlyGrows: once a cache serves the dataset, BulkLoad
+// into any of its partitions is refused and changes nothing, while
+// Append still grows it and RestoreState still replaces it. The same
+// load into a dataset no cache serves is accepted.
+func TestServedDatasetOnlyGrows(t *testing.T) {
+	load := make([]int, dom().Size())
+	load[3] = 5
+	open := New(dom(), 2)
+	if err := open.BulkLoad(1, load); err != nil {
+		t.Fatalf("load into an unserved dataset: %v", err)
+	}
 	ds := New(dom(), 2)
-	v0, _ := ds.RangeVersion(0, 0)
-	if err := addRow(ds, 0, []int{0, 0}); err != nil {
+	if err := ds.BulkLoad(0, load); err != nil {
 		t.Fatal(err)
 	}
-	v1, _ := ds.RangeVersion(0, 0)
-	if v1 == v0 {
-		t.Fatal("mutation did not change range version")
+	ds.Serve()
+	before := ds.ExportState()
+	for p := range 2 {
+		if err := ds.BulkLoad(p, load); err == nil || !strings.Contains(err.Error(), "served") {
+			t.Fatalf("load into served partition %d: %v, want a refusal", p, err)
+		}
 	}
-	// Mutating partition 1 leaves partition 0's range version alone.
-	if err := addRow(ds, 1, []int{0, 0}); err != nil {
-		t.Fatal(err)
+	if got := ds.ExportState(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("refused loads changed the dataset: %+v, want %+v", got, before)
 	}
-	v2, _ := ds.RangeVersion(0, 0)
-	if v2 != v1 {
-		t.Fatal("unrelated mutation changed range version")
+	if p, err := ds.Append(nil, load); err != nil || p != 2 || ds.NRowsAll() != 10 {
+		t.Fatalf("append to a served dataset: partition %d, %v, %d rows", p, err, ds.NRowsAll())
 	}
-	full0, _ := ds.RangeVersion(0, 1)
-	if err := addRow(ds, 1, []int{1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	full1, _ := ds.RangeVersion(0, 1)
-	if full1 == full0 {
-		t.Fatal("range version insensitive to member partition")
-	}
-	if ds.Version() == 0 {
-		t.Fatal("global version not bumped")
+	if err := ds.RestoreState(before); err != nil || ds.Partitions() != 2 || ds.NRowsAll() != 5 {
+		t.Fatalf("restore into a served dataset: %v, %d partitions, %d rows", err, ds.Partitions(), ds.NRowsAll())
 	}
 }
 

@@ -107,6 +107,26 @@ func TestSplitProperties(t *testing.T) {
 	}
 }
 
+// TestSplitRunIsSplitOfSpan: every consecutive run of a window's split is
+// the split of the run's own span, for every window in [0, 129] — so a
+// run is named by its span alone, which is how the tree keys its shared
+// sparse vectors (a ready set is such a run).
+func TestSplitRunIsSplitOfSpan(t *testing.T) {
+	for start := 0; start <= 129; start++ {
+		for end := start; end <= 129; end++ {
+			split := Split(start, end)
+			for i := range split {
+				for j := i; j < len(split); j++ {
+					run := split[i : j+1]
+					if got := Split(run[0].Start, run[j-i].End); !slices.Equal(got, run) {
+						t.Fatalf("window [%d,%d]: run %v splits as %v", start, end, run, got)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSplitMinimality(t *testing.T) {
 	// The greedy split must be minimal: no two adjacent result nodes can
 	// merge into a single valid dyadic node covering both.

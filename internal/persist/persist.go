@@ -11,7 +11,7 @@
 // section; the envelope carries them behind a magic header and a format
 // version.
 //
-// # Envelope format (v3)
+// # Envelope format (v4)
 //
 //	offset 0: magic "TURBOSNP" (8 bytes, raw)
 //	offset 8: format version (uint32, big-endian)
@@ -26,10 +26,11 @@
 // with the codec in codec.go, so a payload failure is attributed to the
 // offending section by name (SectionError).
 //
-// One version is read: the one written. v1 (a raw gob stream) and v2
-// (gob, gzip-compressed) are refused with ErrBadVersion naming both
-// versions, so a file from an older build is refused whole rather than
-// half-restored.
+// One version is read: the one written. v1 (a raw gob stream), v2 (gob,
+// gzip-compressed) and v3 (this envelope, whose sections still carried
+// data versions and the cache's stripe blocks) are refused with
+// ErrBadVersion naming both versions, so a file from an older build is
+// refused whole rather than half-restored.
 package persist
 
 import (
@@ -50,7 +51,7 @@ const magic = "TURBOSNP"
 // FormatVersion is the envelope format this build writes and the only one
 // it reads. Sections carry no version of their own, so a change to any
 // section's layout bumps it.
-const FormatVersion uint32 = 3
+const FormatVersion uint32 = 4
 
 // Typed envelope errors: LoadState callers (and the HTTP /restore
 // endpoint) branch on these instead of string-matching decode failures.

@@ -81,16 +81,18 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
-// TestBatchEndpointMixedAdmission is the mixed admit/429 smoke CI runs:
+// TestBatchEndpointMixedAdmission is the mixed 200/429 smoke CI runs:
 // one batch containing queries on an exhausted window and on healthy
-// windows gets per-element 429s and 200s in order.
+// windows gets per-element 429s and 200s in order. Each refusal is the
+// tree's payment for its own statement failing, in that statement's
+// slot; the batch has no admission step of its own.
 func TestBatchEndpointMixedAdmission(t *testing.T) {
 	srv, _ := newTestServer(t, 100)
 	ts := serve(t, srv)
 	defer ts.Close()
 
-	// Exhaust partition 0's budget directly; windows touching it are
-	// refused at batch admission while [1,3] stays healthy.
+	// Exhaust partition 0's budget directly; the tree's payments for
+	// windows touching it are refused while [1,3] stays healthy.
 	acct := srv.sess.Accountant()
 	if err := acct.PayRange(0, 0, accountant.Laplace(acct.Global())); err != nil {
 		t.Fatal(err)

@@ -587,8 +587,8 @@ type CacheStats struct {
 	DecodeErrors int64 `json:"decode_errors"`
 	SetErrors    int64 `json:"set_errors"`
 	// ExactHits/ExactMisses/ExactHitRate are the session's window-level
-	// exact cache counters: every hit is a store hit, but a store hit
-	// at a stale version is an exact miss.
+	// exact cache counters: every exact hit is a store hit, and every
+	// store miss an exact miss.
 	ExactHits    int     `json:"exact_hits"`
 	ExactMisses  int     `json:"exact_misses"`
 	ExactHitRate float64 `json:"exact_hit_rate"`
@@ -712,8 +712,8 @@ type RestoreResponse struct {
 // both answers from the head, before the body is read, and they are
 // checked again here under the latch. Envelope failures map
 // to typed statuses: input that is not a snapshot or from another format
-// version is 400; a section-level mismatch (wrong mode, stale dataset,
-// foreign accounting) is 422 and leaves the server usable. After a 200
+// version is 400; a section-level mismatch (wrong mode, another
+// dataset, foreign accounting) is 422 and leaves the server usable. After a 200
 // every restored section is applied and queryable. A failure after the restore began mutating
 // (core.ErrStateCorrupt) is 500 "corrupt", and the server then refuses
 // every analyst request and snapshot until it is restarted. The front end

@@ -71,18 +71,15 @@ func TestBackendContract(t *testing.T) {
 			if n := b.Stats().Entries; n != 1 {
 				t.Fatalf("after set: %d entries", n)
 			}
-			if !b.CompareDelete("k", num(1)) {
-				t.Fatal("CompareDelete of the stored value returned false")
-			}
-			if b.CompareDelete("k", num(1)) {
-				t.Fatal("CompareDelete of a missing key returned true")
-			}
+			// The store has no delete: a clearing Import is how a key
+			// leaves it, other than by eviction.
+			b.Import(nil)
 			if n := b.Stats().Entries; n != 0 || b.MemoryBytes() != 0 {
-				t.Fatalf("after delete: %d entries, %d bytes", n, b.MemoryBytes())
+				t.Fatalf("after clearing: %d entries, %d bytes", n, b.MemoryBytes())
 			}
 			var v num
 			if ok, _ := b.Get("k", &v); ok {
-				t.Fatal("deleted key still present")
+				t.Fatal("cleared key still present")
 			}
 		})
 
@@ -106,12 +103,11 @@ func TestBackendContract(t *testing.T) {
 			var out num
 			_, _ = b.Get("k", &out)      // hit
 			_, _ = b.Get("absent", &out) // miss
-			b.CompareDelete("k", num(1))
 			st := b.Stats()
 			if st.Backend != bc.stats {
 				t.Fatalf("backend name %q, want %q", st.Backend, bc.stats)
 			}
-			if st.Hits != 1 || st.Misses != 1 || st.Sets != 1 || st.SetErrors != 1 || st.Deletes != 1 || st.Evictions != 0 {
+			if st.Hits != 1 || st.Misses != 1 || st.Sets != 1 || st.SetErrors != 1 || st.Evictions != 0 {
 				t.Fatalf("stats = %+v", st)
 			}
 			if capped := bc.name == "mem-capped"; (st.CapBytes != 0) != capped {
@@ -128,28 +124,6 @@ func TestBackendContract(t *testing.T) {
 			}
 			if n := b.Stats().Entries; n != 1000 {
 				t.Fatalf("%d entries", n)
-			}
-		})
-
-		sub("compare-delete", func(t *testing.T, b Backend) {
-			if err := b.Set("k", num(42)); err != nil {
-				t.Fatal(err)
-			}
-			if b.CompareDelete("k", num(41)) {
-				t.Fatal("deleted on mismatched value")
-			}
-			var got num
-			if ok, _ := b.Get("k", &got); !ok || got != 42 {
-				t.Fatalf("entry lost after mismatched CompareDelete: %v %d", ok, got)
-			}
-			if !b.CompareDelete("k", num(42)) {
-				t.Fatal("matched CompareDelete refused")
-			}
-			if ok, _ := b.Get("k", &got); ok {
-				t.Fatal("entry survived matched CompareDelete")
-			}
-			if b.CompareDelete("missing", num(1)) {
-				t.Fatal("deleted a missing key")
 			}
 		})
 

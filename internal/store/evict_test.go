@@ -103,7 +103,7 @@ func TestBoundedConcurrent(t *testing.T) {
 				case 1:
 					_, _ = b.Get(k, &out)
 				default:
-					b.CompareDelete(k, num(i-rng.Intn(4)))
+					b.drop(k)
 				}
 			}
 		}(w)

@@ -26,8 +26,8 @@
 //
 // # Layout
 //
-// A cached release is ~32 bytes of key and value (a packed query key of
-// 7–9 bytes and a 25-byte entry), so the store spends no heap object on it.
+// A cached release is ~24 bytes of key and value (a packed query key of
+// 7–9 bytes and a 17-byte entry), so the store spends no heap object on it.
 // The index is a []uint32 — the low bits of the key's hash to a chain of
 // arena offsets — over an append-only byte arena of chunks (64 KiB; a
 // record larger than that gets a chunk of its own). One entry is one
@@ -173,8 +173,8 @@ type Mem struct {
 	// the spill has grown to the values' size. Guarded by mu.
 	spill []byte
 
-	hits, misses, sets, setErrors, deletes, evictions atomic.Int64
-	decodeErrors                                      atomic.Int64
+	hits, misses, sets, setErrors, evictions atomic.Int64
+	decodeErrors                             atomic.Int64
 }
 
 // compile-time check: Mem is a Backend.
@@ -397,19 +397,6 @@ func (s *Mem) Get(k string, out FastDecoder) (bool, error) {
 	return false, fmt.Errorf("store: decode %q: %d bytes are not this value's codec", k, len(raw))
 }
 
-// CompareDelete removes k only if its stored bytes equal the encoding of
-// expect, reporting whether a delete happened. It is the guarded
-// invalidation primitive: a concurrent Set of a fresh value changes the
-// bytes, so a stale-entry eviction can never erase it.
-func (s *Mem) CompareDelete(k string, expect FastEncoder) bool {
-	want := expect.AppendFast(nil)
-	ok := s.removeIf(s.hash(k), k, func(r rec) bool { return bytes.Equal(r.val(), want) })
-	if ok {
-		s.deletes.Add(1)
-	}
-	return ok
-}
-
 // removeIf removes the record of k, whose hash is h, if there is one and
 // it satisfies cond.
 func (s *Mem) removeIf(h uint64, k string, cond func(rec) bool) bool {
@@ -485,7 +472,6 @@ func (s *Mem) Stats() Stats {
 		Misses:        s.misses.Load(),
 		Sets:          s.sets.Load(),
 		SetErrors:     s.setErrors.Load(),
-		Deletes:       s.deletes.Load(),
 		Evictions:     s.evictions.Load(),
 		DecodeErrors:  s.decodeErrors.Load(),
 		Entries:       entries,

@@ -9,15 +9,16 @@
 //
 // Semantics every Backend must provide (the Redis subset Turbo relies
 // on): binary string keys with values in their own fixed-layout codec
-// (FastEncoder / FastDecoder — every cache entry), guarded delete
-// (CompareDelete — the stale-entry invalidation primitive), and a whole-
-// store export/import for the cache's snapshot section. Backends are free
-// to evict under memory pressure, and to refuse a write: the caching layer
-// treats every entry as a re-derivable DP release, so a missing key is a
-// cache miss that re-executes — and re-pays — through the session's
-// single-flight path. Eviction may cost budget on recompute; it can never
-// corrupt the accountant, which is charged at execution time and never
-// lives in a Backend entry.
+// (FastEncoder / FastDecoder — every cache entry), and a whole-store
+// export/import for the cache's snapshot section. There is no delete: a
+// cache entry never goes stale (the datasets it is kept over only grow),
+// and an entry leaves the store only by eviction or a clearing Import.
+// Backends are free to evict under memory pressure, and to refuse a
+// write: the caching layer treats every entry as a re-derivable DP
+// release, so a missing key is a cache miss that re-executes — and
+// re-pays — through the session's single-flight path. Eviction may cost
+// budget on recompute; it can never corrupt the accountant, which is
+// charged at execution time and never lives in a Backend entry.
 package store
 
 // FastEncoder is the encode side of a stored value's codec: every value a
@@ -26,10 +27,10 @@ package store
 // per miss fill and decoded on every exact-cache hit (the store is the
 // cache's only tier), so the codec is straight-line code with no
 // reflection.
-// Implementations must be deterministic (CompareDelete's guarded
-// invalidation compares stored bytes against a re-encoding) and
-// self-identifying (a tag/length FastDecoder can recognize), so bytes of
-// another type are refused rather than misread.
+// Implementations must be deterministic (equal values, equal bytes, so a
+// snapshot of equal contents is equal) and self-identifying (a tag/length
+// FastDecoder can recognize), so bytes of another type are refused rather
+// than misread.
 //
 // A backend may call either method while holding one of its locks, on
 // bytes inside its own storage (Mem encodes into and decodes out of its
@@ -57,15 +58,13 @@ type Stats struct {
 	Backend string
 	// Hits and Misses count Get outcomes (key present / absent).
 	Hits, Misses int64
-	// Sets and Deletes count successful mutations (a CompareDelete that
-	// mismatched does not count).
-	Sets, Deletes int64
+	// Sets counts successful writes.
+	Sets int64
 	// SetErrors counts Sets the store refused (a key, value or arena
 	// limit). To the session a refused fill is an eviction of the new
 	// entry: the paid answer is served, and the next ask re-executes.
 	SetErrors int64
-	// Evictions counts entries removed by memory pressure (never by
-	// CompareDelete).
+	// Evictions counts entries removed by memory pressure.
 	Evictions int64
 	// DecodeErrors counts Get calls that found the key but could not
 	// decode its bytes. The backend deletes the poisoned entry and
@@ -99,11 +98,6 @@ type Backend interface {
 	Get(k string, out FastDecoder) (bool, error)
 	// Set stores value under k.
 	Set(k string, value FastEncoder) error
-	// CompareDelete removes k only if its stored bytes equal the encoding
-	// of expect, reporting whether a delete happened — the guarded
-	// invalidation primitive: a concurrent Set of a fresh value changes
-	// the bytes, so a stale-entry eviction can never erase it.
-	CompareDelete(k string, expect FastEncoder) bool
 	// MemoryBytes returns the resident size of stored keys plus values —
 	// the §6.5 memory metric.
 	MemoryBytes() int

@@ -111,10 +111,9 @@ func (in *Ingestor) apply(t *Ticket, arrivals []Arrival) error {
 	}
 	t.first, t.count = first, len(arrivals)
 	// The dataset summed the batch's rows when it checked them, and its
-	// prefix sums hold them: the new window's row count is two
-	// subtractions, and the window exists, so NRows cannot refuse it. Only
-	// a BulkLoad into these partitions, which no arrival makes, could have
-	// moved it since.
+	// prefix sums hold them: the new window's row count is one
+	// subtraction, and the window exists, so NRows cannot refuse it. A
+	// served dataset refuses BulkLoad, so nothing moves it since.
 	rows, _ := in.sess.Dataset().NRows(first, first+len(arrivals)-1)
 	in.batches.Add(1)
 	in.parts.Add(int64(len(arrivals)))

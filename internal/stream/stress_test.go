@@ -145,8 +145,7 @@ func TestIngestionStorm(t *testing.T) {
 
 // TestStormWithDedup layers identical concurrent queries on top of an
 // ingestion storm: the single-flight group must keep the pipeline safe
-// when many goroutines race the same window/version while partitions
-// arrive.
+// when many goroutines race the same window while partitions arrive.
 func TestStormWithDedup(t *testing.T) {
 	ds := testDS(t, 4)
 	sess := streamingSession(t, ds, core.Streaming, false)
@@ -173,7 +172,7 @@ func TestStormWithDedup(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				// Everyone chases the same fixed window so duplicates pile
-				// onto the same flight key per data version.
+				// onto the same flight key.
 				if _, err := sess.Answer(q.WithWindow(0, 3)); err != nil && !errors.Is(err, accountant.ErrBudgetExhausted) {
 					t.Errorf("answer: %v", err)
 					return

@@ -1,5 +1,5 @@
-// Tests for the three-phase Run: the recorded closure-walk oracle pin,
-// SV-key builder bytes, and claim-plan bookkeeping.
+// Tests for the three-phase Run: the recorded closure-walk oracle pin
+// and claim-plan bookkeeping.
 
 package tree
 
@@ -11,32 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/heuristic"
-	"repro/internal/interval"
 	"repro/internal/query"
 )
-
-// TestSVKeyBytes: the append builder produces exactly the concatenation of
-// the nodes' [a,b] renderings — the registry key format live SV snapshots
-// were written under.
-func TestSVKeyBytes(t *testing.T) {
-	sets := [][]interval.Node{
-		{{Start: 0, End: 0}},
-		{{Start: 0, End: 3}, {Start: 4, End: 5}, {Start: 6, End: 6}},
-		{{Start: 128, End: 255}, {Start: 256, End: 511}},
-	}
-	for _, nodes := range sets {
-		want := ""
-		for _, n := range nodes {
-			want += n.String()
-		}
-		if got := svKey(nodes); got != want {
-			t.Fatalf("svKey = %q, want %q", got, want)
-		}
-		if got := string(appendSVKey(make([]byte, 0, 64), nodes)); got != want {
-			t.Fatalf("appendSVKey = %q, want %q", got, want)
-		}
-	}
-}
 
 // denseOracleRuns is the per-run record of TestVectorizedMatchesDenseOracle's
 // workload (round-major, 4 queries × 15 rounds) captured from the

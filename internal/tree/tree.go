@@ -56,7 +56,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -162,9 +161,11 @@ type Tree struct {
 	// phases, never across execute.
 	mu    sync.Mutex
 	nodes map[interval.Node]*node
-	// svs maps the canonical key of a ready node set to its live shared
-	// SV (the set S of Alg. 2).
-	svs map[string]*sparse.SV
+	// svs maps the span of a ready node set to its live shared SV (the
+	// set S of Alg. 2). A ready set is a consecutive run of its window's
+	// split (appendSplit), and such a run is the split of its own span
+	// (interval.TestSplitRunIsSplitOfSpan), so the span names the set.
+	svs map[interval.Node]*sparse.SV
 	// spareSV is the shared SV a failing test last consumed, which the
 	// next initialization recalibrates instead of making one.
 	spareSV *sparse.SV
@@ -192,7 +193,7 @@ func New(cfg Config, exec *dataset.Executor, block *accountant.Block, rng *noise
 		block: block,
 		rng:   rng,
 		nodes: make(map[interval.Node]*node),
-		svs:   make(map[string]*sparse.SV),
+		svs:   make(map[interval.Node]*sparse.SV),
 	}
 	t.calib = noise.NewLaplaceCalibrator()
 	t.scratch.New = func() any { return new(runScratch) }
@@ -315,25 +316,6 @@ func (t *Tree) LiveSVs() int {
 	return len(t.svs)
 }
 
-// appendSVKey appends the canonical SV-registry key of a node set — the
-// concatenation of the nodes' [a,b] renderings — into a reused scratch
-// buffer. Byte-identical to the string svKey builds.
-func appendSVKey(dst []byte, nodes []interval.Node) []byte {
-	for _, n := range nodes {
-		dst = append(dst, '[')
-		dst = strconv.AppendInt(dst, int64(n.Start), 10)
-		dst = append(dst, ',')
-		dst = strconv.AppendInt(dst, int64(n.End), 10)
-		dst = append(dst, ']')
-	}
-	return dst
-}
-
-// svKey canonicalizes a node set for the shared-SV registry.
-func svKey(nodes []interval.Node) string {
-	return string(appendSVKey(nil, nodes))
-}
-
 // Result reports one answered range query.
 type Result struct {
 	Value float64
@@ -382,13 +364,11 @@ type runScratch struct {
 	lapNodes []nodeClaim
 	comps    []component
 
-	svKeyBuf []byte
-
-	// Shared-SV claim state.
-	spanStart, spanEnd int
-	nSV                int
-	epsSV              float64
-	rH, rTrue          float64
+	// Shared-SV claim state: span is the SV set's, its registry key.
+	span      interval.Node
+	nSV       int
+	epsSV     float64
+	rH, rTrue float64
 
 	// Laplace claim state.
 	nLap   int
@@ -465,7 +445,7 @@ func (t *Tree) claim(q *query.Query, start, end int, sc *runScratch) error {
 	// 1. Partition the nodes that hold rows into the shared-SV set (ready,
 	// contiguous) and the Laplace set.
 	for _, iv := range sc.split {
-		_, ni, err := ds.WindowMeta(iv.Start, iv.End)
+		ni, err := ds.NRows(iv.Start, iv.End)
 		if err != nil {
 			return err
 		}
@@ -484,16 +464,16 @@ func (t *Tree) claim(q *query.Query, start, end int, sc *runScratch) error {
 		return nil
 	}
 	svSet, _ := interval.LargestContiguousSubset(sc.ready)
-	spanStart, spanEnd := 0, -1
+	span := interval.Node{Start: 0, End: -1}
 	if len(svSet) > 0 {
-		spanStart, spanEnd = svSet[0].Start, svSet[len(svSet)-1].End
+		span = interval.Node{Start: svSet[0].Start, End: svSet[len(svSet)-1].End}
 	}
 	// The SV span is tiled entirely by ready nodes, so span containment
 	// is exact membership in svSet.
 	for i, iv := range sc.nonEmpty {
 		c := nodeClaim{iv: iv, nd: sc.nds[i], ni: sc.nis[i]}
 		c.epoch = c.nd.hist.Updates()
-		if iv.Start >= spanStart && iv.End <= spanEnd {
+		if iv.Start >= span.Start && iv.End <= span.End {
 			sc.svNodes = append(sc.svNodes, c)
 			sc.nSV += c.ni
 		} else {
@@ -509,10 +489,9 @@ func (t *Tree) claim(q *query.Query, start, end int, sc *runScratch) error {
 	// set, and compute the combined histogram estimate r_H from the
 	// claim-time snapshots.
 	if len(sc.svNodes) > 0 {
-		sc.spanStart, sc.spanEnd = spanStart, spanEnd
+		sc.span = span
 		sc.epsSV = noise.SVEpsilonForAggregate(t.cfg.Alpha, t.cfg.Beta, sc.nSV)
-		sc.svKeyBuf = appendSVKey(sc.svKeyBuf[:0], svSet)
-		sv, ok := t.svs[string(sc.svKeyBuf)]
+		sv, ok := t.svs[sc.span]
 		if !ok || !sv.Live() {
 			if err := t.svInitLocked(sc); err != nil {
 				return err
@@ -535,8 +514,8 @@ func (t *Tree) claim(q *query.Query, start, end int, sc *runScratch) error {
 // svInitLocked pays for and creates a fresh shared SV for the claim's
 // node set. The caller holds t.mu.
 func (t *Tree) svInitLocked(sc *runScratch) error {
-	epsSV, spanStart, spanEnd := sc.epsSV, sc.spanStart, sc.spanEnd
-	if err := t.block.PayRange(spanStart, spanEnd, accountant.SVInit(epsSV)); err != nil {
+	epsSV, span := sc.epsSV, sc.span
+	if err := t.block.PayRange(span.Start, span.End, accountant.SVInit(epsSV)); err != nil {
 		return err
 	}
 	sv := t.spareSV
@@ -546,8 +525,8 @@ func (t *Tree) svInitLocked(sc *runScratch) error {
 	t.spareSV = nil
 	sv.Recalibrate(epsSV, t.cfg.Alpha, sc.nSV, t.rng)
 	sv.Reset()
-	t.svs[string(sc.svKeyBuf)] = sv
-	sc.res.Paid += 3 * epsSV * float64(spanEnd-spanStart+1)
+	t.svs[span] = sv
+	sc.res.Paid += 3 * epsSV * float64(span.Len())
 	return nil
 }
 
@@ -604,7 +583,7 @@ func (t *Tree) commit(q *query.Query, sc *runScratch) error {
 
 	// Shared-SV consume (Alg. 2 ll.18-26).
 	if len(sc.svNodes) > 0 {
-		sv, ok := t.svs[string(sc.svKeyBuf)]
+		sv, ok := t.svs[sc.span]
 		if !ok || !sv.Live() {
 			// A concurrent query consumed the SV between our phases: pay a
 			// fresh initialization so the test below is backed by live
@@ -613,7 +592,7 @@ func (t *Tree) commit(q *query.Query, sc *runScratch) error {
 			if err := t.svInitLocked(sc); err != nil {
 				return err
 			}
-			sv = t.svs[string(sc.svKeyBuf)]
+			sv = t.svs[sc.span]
 		}
 		if sv.Test(sc.rH, sc.rTrue) {
 			t.stats.svPasses.Add(1)
@@ -624,12 +603,12 @@ func (t *Tree) commit(q *query.Query, sc *runScratch) error {
 			// update all non-advanced member histograms in the shared
 			// direction, and penalize their heuristics.
 			t.stats.svFailures.Add(1)
-			delete(t.svs, string(sc.svKeyBuf))
+			delete(t.svs, sc.span)
 			t.spareSV = sv
-			if err := t.block.PayRange(sc.spanStart, sc.spanEnd, accountant.Laplace(sc.epsSV)); err != nil {
+			if err := t.block.PayRange(sc.span.Start, sc.span.End, accountant.Laplace(sc.epsSV)); err != nil {
 				return err
 			}
-			sc.res.Paid += sc.epsSV * float64(sc.spanEnd-sc.spanStart+1)
+			sc.res.Paid += sc.epsSV * float64(sc.span.Len())
 			rSV := sc.rTrue + t.rng.Laplace(1/(sc.epsSV*float64(sc.nSV)))
 			positive := rSV > sc.rH
 			for i := range sc.svNodes {

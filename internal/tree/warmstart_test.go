@@ -74,7 +74,7 @@ func oracleNode(t *Tree, iv interval.Node) *node {
 func oracleCreate(t *testing.T, tr *Tree, start, end int) {
 	t.Helper()
 	for _, iv := range tr.appendSplit(nil, start, end) {
-		_, ni, err := tr.exec.Dataset().WindowMeta(iv.Start, iv.End)
+		ni, err := tr.exec.Dataset().NRows(iv.Start, iv.End)
 		if err != nil {
 			t.Fatal(err)
 		}

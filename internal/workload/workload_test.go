@@ -259,8 +259,8 @@ func TestBuildCitiBikeMatchesOracle(t *testing.T) {
 
 // TestBuildersMatchInOrderBulkLoad: each boot builder, appending week by
 // week, leaves what New(dom, weeks) and an in-order BulkLoad of the same
-// weeks leave — counts, row counts, per-partition versions (cache keys)
-// and the dataset version a snapshot records and a restore checks.
+// weeks leave — counts and row counts, what a snapshot records and a
+// restore checks.
 func TestBuildersMatchInOrderBulkLoad(t *testing.T) {
 	covid, err := BuildCovid(CovidConfig{Rows: 200_000, Weeks: 12, Seed: 4})
 	if err != nil {
