@@ -1,10 +1,9 @@
 // The batch-plane microbenchmark (-exp=batch): cost of answering the
 // same zipf-shared workload through core.AnswerBatch at batch sizes
-// 1/4/16/64. AnswerBatch runs each query through the stages Answer runs
-// (Lookup, then AnswerPlan's on a miss), so a batch shares only what its
-// members would repeat: its result slice, and one execution per group of
-// equal misses. Two metrics per batch size, over the steady-state
-// (warmed) workload:
+// 1/4/16/64. AnswerBatch is Answer per member, in order (Lookup, then
+// AnswerPlan on a miss), so a batch shares only its result slice: a
+// repeated member is an exact hit of its first occurrence's fill. Two
+// metrics per batch size, over the steady-state (warmed) workload:
 //
 //   - answers/sec;
 //   - allocs per query.

@@ -20,8 +20,9 @@ import (
 )
 
 // TestAnswerBatchBasics pins the batch plane's per-slot contract on a
-// partitioned session: ordered results, intra-batch dedup of identical
-// queries, exact-hit fan-out, and per-slot planning errors that leave
+// partitioned session: ordered results, each member answered as Answer
+// answers it in order, so a repeat is an exact hit of the release its
+// first occurrence filled, and per-slot planning errors that leave
 // batchmates unharmed.
 func TestAnswerBatchBasics(t *testing.T) {
 	dom, ds := buildDS(t, 4)
@@ -45,24 +46,32 @@ func TestAnswerBatchBasics(t *testing.T) {
 	if res[1].Err == nil || res[4].Err == nil {
 		t.Fatalf("malformed slots answered: %v, %v", res[1].Err, res[4].Err)
 	}
-	// Intra-batch dedup: the three qa members carry one execution's
-	// answer and count two deduplications.
-	if res[0].Answer != res[3].Answer || res[0].Answer != res[5].Answer {
-		t.Fatalf("duplicate members disagree: %+v / %+v / %+v",
-			res[0].Answer, res[3].Answer, res[5].Answer)
+	// The first qa executes and pays; its repeats read its fill for free.
+	if first := res[0].Answer; first.Source != SourceTree || first.Paid <= 0 {
+		t.Fatalf("first qa = %+v, want a paid tree answer", first)
 	}
-	if got := s.Deduped(); got != 2 {
-		t.Fatalf("deduped = %d, want 2", got)
+	for _, i := range []int{3, 5} {
+		if r := res[i].Answer; r.Source != SourceExactHit || r.Paid != 0 || r.Value != res[0].Answer.Value {
+			t.Fatalf("repeat in slot %d = %+v, want the exact hit of %g at no charge", i, r, res[0].Answer.Value)
+		}
+	}
+	if spent, paid := sumSpent(s), res[0].Answer.Paid+res[2].Answer.Paid; math.Abs(spent-paid) > 1e-9 {
+		t.Fatalf("the books hold %g for two executions that paid %g", spent, paid)
+	}
+	if got := s.Deduped(); got != 0 {
+		t.Fatalf("deduped = %d with no concurrent caller, want 0", got)
 	}
 	if got := s.Queries(); got != 4 {
 		t.Fatalf("queries = %d, want 4 answered members", got)
 	}
-	if res[0].Answer.Start != 0 || res[0].Answer.End != 1 || res[0].Answer.Rows == 0 {
-		t.Fatalf("window metadata missing: %+v", res[0].Answer)
+	for _, i := range []int{0, 3} {
+		if a := res[i].Answer; a.Start != 0 || a.End != 1 || a.Rows == 0 {
+			t.Fatalf("slot %d window metadata missing: %+v", i, a)
+		}
 	}
 
-	// A second batch over the same queries is pure exact-hit fan-out:
-	// no executions, no dedup, no budget.
+	// A second batch over the same queries is all exact hits: no
+	// executions, no dedup, no budget.
 	spent := s.AverageSpent()
 	res2 := s.AnswerBatch([]*query.Query{qa, qb, qa})
 	for i, r := range res2 {
@@ -79,7 +88,7 @@ func TestAnswerBatchBasics(t *testing.T) {
 	if s.AverageSpent() != spent {
 		t.Fatal("exact-hit replay consumed budget")
 	}
-	if got := s.Deduped(); got != 2 {
+	if got := s.Deduped(); got != 0 {
 		t.Fatalf("exact hits counted as dedup: %d", got)
 	}
 }
@@ -138,10 +147,11 @@ func TestAnswerBatchNonPartitioned(t *testing.T) {
 
 // TestAnswerBatchNoDoubleSpendRace is the batch plane's no-double-spend
 // property test, run under -race by CI: a batch of N identical queries
-// moves the accountant by exactly one execution's Paid and counts N−1
-// deduplications; batches then race streaming appends and snapshots;
-// and a snapshot restored into a twin session matches the original's
-// spend vector charge for charge.
+// executes once, moves the accountant by exactly that execution's Paid,
+// and serves the N−1 repeats as free exact hits of its fill; batches then
+// race streaming appends and snapshots, with only flight joins counted as
+// deduplications; and a snapshot restored into a twin session matches the
+// original's spend vector charge for charge.
 func TestAnswerBatchNoDoubleSpendRace(t *testing.T) {
 	dom, ds := buildDS(t, 6)
 	cfg := defaultCfg(Streaming)
@@ -159,17 +169,17 @@ func TestAnswerBatchNoDoubleSpendRace(t *testing.T) {
 		batch[i] = q
 	}
 	res := s.AnswerBatch(batch)
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("slot %d failed: %v", i, r.Err)
-		}
-		if r.Answer != res[0].Answer {
-			t.Fatalf("slot %d diverged: %+v vs %+v", i, r.Answer, res[0].Answer)
-		}
-	}
 	paid := res[0].Answer.Paid
-	if paid <= 0 {
-		t.Fatalf("first execution on a fresh session paid %g, want > 0", paid)
+	if res[0].Err != nil || res[0].Answer.Source != SourceTree || paid <= 0 {
+		t.Fatalf("first slot on a fresh session = %+v, %v, want a paid tree answer", res[0].Answer, res[0].Err)
+	}
+	for i, r := range res[1:] {
+		if r.Err != nil {
+			t.Fatalf("slot %d failed: %v", i+1, r.Err)
+		}
+		if a := r.Answer; a.Source != SourceExactHit || a.Paid != 0 || a.Value != res[0].Answer.Value {
+			t.Fatalf("slot %d = %+v, want the exact hit of %g at no charge", i+1, a, res[0].Answer.Value)
+		}
 	}
 	after := s.Accountant().SpentVector()
 	delta := 0.0
@@ -180,13 +190,16 @@ func TestAnswerBatchNoDoubleSpendRace(t *testing.T) {
 		t.Fatalf("accountant moved %g for a batch of %d duplicates, want exactly one Paid = %g",
 			delta, n, paid)
 	}
-	if got := s.Deduped(); got != n-1 {
-		t.Fatalf("deduped = %d, want %d", got, n-1)
+	if got := s.Deduped(); got != 0 {
+		t.Fatalf("deduped = %d with no concurrent caller, want 0", got)
 	}
 
 	// Race phase: concurrent batches of duplicates interleaved with
 	// streaming append epochs and snapshot writers.
-	var wg sync.WaitGroup
+	var (
+		wg      sync.WaitGroup
+		refused atomic.Bool
+	)
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -197,6 +210,9 @@ func TestAnswerBatchNoDoubleSpendRace(t *testing.T) {
 				for _, r := range s.AnswerBatch(b) {
 					if r.Err != nil && !errors.Is(r.Err, accountant.ErrBudgetExhausted) {
 						panic(fmt.Sprintf("batch worker %d: %v", w, r.Err))
+					}
+					if r.Err != nil {
+						refused.Store(true)
 					}
 				}
 			}
@@ -221,6 +237,10 @@ func TestAnswerBatchNoDoubleSpendRace(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+	// A joiner of a refused flight is refused too, and not counted.
+	if got, joins := s.Deduped(), s.flights.joinCount(); int64(got) != joins && !refused.Load() {
+		t.Fatalf("deduped = %d, but %d callers joined a flight", got, joins)
+	}
 
 	// Snapshot-equality phase: a quiesced snapshot restored into a twin
 	// reproduces the spend vector charge for charge.
@@ -358,16 +378,15 @@ func (b *setCounter) Set(k string, value store.FastEncoder) error {
 	return b.Backend.Set(k, value)
 }
 
-// TestBatchBuffersStorm races cold, overlapping batches through
-// AnswerPlans, each goroutine on its own BatchBuffers, reused round after
-// round. Every round asks 8 statements no earlier round asked; each of 4
-// goroutines asks all 8, four of them twice, in its own order, and
-// probes them by key first, so a statement another goroutine has filled
-// is a hit and one it is executing is a flight to join. Each key must be
-// executed, paid and filled exactly once, and every answer, hit or joined
-// or executed, must be the value its one execution filled. CI runs it
-// under -race at GOMAXPROCS 1, 2 and 4.
-func TestBatchBuffersStorm(t *testing.T) {
+// TestBatchStorm races cold, overlapping batches through AnswerBatch.
+// Every round asks 8 statements no earlier round asked; each of 4
+// goroutines asks all 8, four of them twice, in its own order, so a
+// statement another goroutine has filled is a hit and one it is
+// executing is a flight to join. Each key must be executed, paid and
+// filled exactly once, and every answer, hit or joined or executed, must
+// be the value its one execution filled. CI runs it under -race at
+// GOMAXPROCS 1, 2 and 4.
+func TestBatchStorm(t *testing.T) {
 	const rounds, perRound, workers = 200, 8, 4
 	counter := &setCounter{Backend: store.NewMem(store.MemConfig{}), sets: map[string]int{}}
 	ds := concurrentDS(t, 8)
@@ -403,7 +422,6 @@ func TestBatchBuffersStorm(t *testing.T) {
 		value float64
 	}
 	answers := make([][]answer, workers)
-	bufs := make([]BatchBuffers, workers)
 	for r := range rounds {
 		var wg sync.WaitGroup
 		start := make(chan struct{})
@@ -411,26 +429,12 @@ func TestBatchBuffersStorm(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var (
-					pls []Plan
-					qs  []*query.Query
-				)
+				var qs []*query.Query
 				for i := range perRound + 4 {
-					q := statement(r*perRound + (g+3*i)%perRound) // four of them twice, in a worker's order
-					ans, pl, hit, err := s.Lookup(q.KeyWithWindow())
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if hit {
-						answers[g] = append(answers[g], answer{q.KeyWithWindow(), ans.Value})
-						continue
-					}
-					pl.Query = q
-					pls, qs = append(pls, pl), append(qs, q)
+					qs = append(qs, statement(r*perRound+(g+3*i)%perRound)) // four of them twice, in a worker's order
 				}
 				<-start
-				for k, res := range s.AnswerPlans(pls, &bufs[g]) {
+				for k, res := range s.AnswerBatch(qs) {
 					if res.Err != nil {
 						t.Error(res.Err)
 						return

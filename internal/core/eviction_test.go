@@ -265,8 +265,30 @@ func (refusingStore) Set(string, store.FastEncoder) error { return store.ErrAren
 // TestRefusedFillServesPaidAnswer: a fill the store refuses is an
 // eviction of the new entry, through Answer and AnswerBatch alike. The
 // books are charged once and the paid answer goes out; the release is
-// not cached, so a repeat re-executes and pays again.
+// not cached, so a repeat re-executes and pays again — asked again, or
+// repeated within one batch, as two Answer calls do.
 func TestRefusedFillServesPaidAnswer(t *testing.T) {
+	t.Run("repeat-in-batch", func(t *testing.T) {
+		_, ds := buildDS(t, 8)
+		cfg := defaultCfg(Partitioned)
+		cfg.Backend = refusingStore{store.NewMem(store.MemConfig{})}
+		s, err := NewSession(cfg, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := query.MustNew(ds.Domain(), map[int][]int{0: {1}}).WithWindow(0, 3)
+		res := s.AnswerBatch([]*query.Query{q, q})
+		paid := 0.0
+		for i, r := range res {
+			if r.Err != nil || r.Answer.Source == SourceExactHit || r.Answer.Paid <= 0 {
+				t.Fatalf("slot %d = %+v, %v, want a paid execution", i, r.Answer, r.Err)
+			}
+			paid += r.Answer.Paid
+		}
+		if spent := sumSpent(s); math.Abs(spent-paid) > 1e-9 {
+			t.Fatalf("the books hold %g for two answers that paid %g", spent, paid)
+		}
+	})
 	for _, path := range []string{"Answer", "AnswerBatch"} {
 		t.Run(path, func(t *testing.T) {
 			_, ds := buildDS(t, 8)

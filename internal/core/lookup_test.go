@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -69,21 +68,20 @@ func TestAnswerPlanRefusesAnotherQuery(t *testing.T) {
 	if _, err := s.AnswerPlan(pl); err == nil || !strings.Contains(err.Error(), "is not its plan's") {
 		t.Fatalf("AnswerPlan of another window: %v", err)
 	}
-	if res := s.AnswerPlans([]Plan{{Start: 0, End: 1}}, new(BatchBuffers)); res[0].Err == nil {
-		t.Fatal("AnswerPlans of a plan with no query answered")
+	if _, err := s.AnswerPlan(Plan{Start: 0, End: 1}); err == nil {
+		t.Fatal("AnswerPlan of a plan with no query answered")
 	}
 	if s.AverageSpent() != 0 {
 		t.Fatalf("refusals spent %v", s.AverageSpent())
 	}
 }
 
-// TestAnswerPlansIsAnswerBatch: the misses of a batch, handed over as
-// Lookup's plans, merge and execute as AnswerBatch would have them:
-// equal statements pay once and count as deduplicated. GOMAXPROCS 1 runs
-// both batches' executions on the caller, in order, so their noise draws
-// line up.
-func TestAnswerPlansIsAnswerBatch(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+// TestAnswerPlanIsAnswerBatch: the statements of a batch, all looked up
+// before any is answered and then handed to AnswerPlan in order, read as
+// AnswerBatch has them: an equal statement that Lookup found cold is the
+// flight leader's re-check of the fill its first occurrence made, an
+// exact hit at no charge, and no deduplication.
+func TestAnswerPlanIsAnswerBatch(t *testing.T) {
 	dom, ds := buildDS(t, 4)
 	_, twinDS := buildDS(t, 4)
 	batch, err := NewSession(defaultCfg(Partitioned), ds)
@@ -109,13 +107,16 @@ func TestAnswerPlansIsAnswerBatch(t *testing.T) {
 		pl.Query = q
 		pls = append(pls, pl)
 	}
-	got := plans.AnswerPlans(pls, new(BatchBuffers))
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("statement %d: %+v, AnswerBatch %+v", i, got[i], want[i])
+	for i, pl := range pls {
+		ans, err := plans.AnswerPlan(pl)
+		if got := (BatchResult{ans, err}); got != want[i] {
+			t.Fatalf("statement %d: %+v, AnswerBatch %+v", i, got, want[i])
 		}
 	}
-	if batch.Deduped() != 1 || plans.Deduped() != 1 || batch.AverageSpent() != plans.AverageSpent() {
+	if last := want[len(want)-1].Answer; last.Source != SourceExactHit || last.Paid != 0 {
+		t.Fatalf("the repeat read %s paid %g, want a free exact hit", last.Source, last.Paid)
+	}
+	if batch.Deduped() != 0 || plans.Deduped() != 0 || batch.AverageSpent() != plans.AverageSpent() {
 		t.Fatalf("deduped %d vs %d, spent %v vs %v", batch.Deduped(), plans.Deduped(), batch.AverageSpent(), plans.AverageSpent())
 	}
 }

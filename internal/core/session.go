@@ -48,6 +48,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/accountant"
 	"repro/internal/cache"
@@ -447,8 +448,8 @@ func (s *Session) Answer(q *query.Query) (Answer, error) {
 // key is only read during the call, so it may view a buffer the caller
 // reuses. A hit is the whole answer; on a miss, the plan, given the
 // built query, goes to AnswerPlan. A tree session probes a windowless
-// statement under the key of its planned window (planned), which costs
-// one allocation; every other exact hit allocates nothing.
+// statement under the key of its planned window (planned), rendered
+// into a recycled buffer, so no exact hit allocates.
 func (s *Session) Lookup(key string) (ans Answer, pl Plan, hit bool, err error) {
 	start, end, windowed, err := query.KeyWindow(key)
 	if err == nil {
@@ -457,12 +458,21 @@ func (s *Session) Lookup(key string) (ans Answer, pl Plan, hit bool, err error) 
 	if err != nil {
 		return Answer{}, Plan{}, false, err
 	}
-	if !windowed && s.tree != nil {
-		key = query.WindowedKey(key, pl.Start, pl.End)
+	if windowed || s.tree == nil {
+		ans, hit = s.probe(pl, key)
+		return ans, pl, hit, nil
 	}
-	ans, hit = s.probe(pl, key)
+	buf := windowKeys.Get().(*[]byte)
+	*buf = query.AppendWindowedKey((*buf)[:0], key, pl.Start, pl.End)
+	ans, hit = s.probe(pl, unsafe.String(unsafe.SliceData(*buf), len(*buf)))
+	windowKeys.Put(buf)
 	return ans, pl, hit, nil
 }
+
+// windowKeys recycles the buffers Lookup renders a windowless statement's
+// windowed key into. A key handed to the store's interface escapes, so a
+// buffer on Lookup's frame would be one allocation per probe.
+var windowKeys = sync.Pool{New: func() any { return new([]byte) }}
 
 // AnswerPlan answers a statement whose key Lookup missed: pl is Lookup's
 // plan, with the statement's built query in Query. It runs Answer's
@@ -475,7 +485,7 @@ func (s *Session) AnswerPlan(pl Plan) (Answer, error) {
 	if err != nil {
 		return Answer{}, err
 	}
-	return s.execute(pl, flightOf(pl), 1)
+	return s.execute(pl)
 }
 
 // planned refuses a plan whose query is not the one it was planned for:
@@ -507,20 +517,18 @@ func (s *Session) probe(pl Plan, key string) (Answer, bool) {
 	if !ok {
 		return Answer{}, false
 	}
-	s.record(SourceExactHit, 1)
+	s.record(SourceExactHit)
 	return Answer{Value: e.Value, Source: SourceExactHit,
 		Start: pl.Start, End: pl.End, Rows: pl.Rows}, true
 }
 
 // execute runs a plan the exact cache missed through the single-flight
-// group under id (flightOf(pl)) and, as the flight leader, through
-// executePlan and the fill, then counts its answer for n askers: the
-// singleton path's one, or a batch group's members. The first asker
-// carries the execution itself, deduplicated only if the flight was
-// shared with a concurrent caller (no execution, no payment); every
-// further one is a deduplication within the batch.
-func (s *Session) execute(pl Plan, id flightID, n int) (Answer, error) {
-	ans, shared, err := s.flights.do(id, func() (Answer, error) {
+// group under its identity and, as the flight leader, through
+// executePlan and the fill, then counts its answer: a deduplication when
+// the flight was shared with a concurrent caller (no execution, no
+// payment).
+func (s *Session) execute(pl Plan) (Answer, error) {
+	ans, shared, err := s.flights.do(flightOf(pl), func() (Answer, error) {
 		// Double-check the exact cache as the leader: an identical query
 		// may have completed (and cached) between this goroutine's cache
 		// probe and its flight. Concurrent duplicates are handled by the
@@ -545,14 +553,10 @@ func (s *Session) execute(pl Plan, id flightID, n int) (Answer, error) {
 		return Answer{}, err
 	}
 	ans.Start, ans.End, ans.Rows = pl.Start, pl.End, pl.Rows
-	dedup := n - 1
 	if shared {
-		dedup++
+		s.deduped.Add(1)
 	}
-	if dedup > 0 {
-		s.deduped.Add(int64(dedup))
-	}
-	s.record(ans.Source, n)
+	s.record(ans.Source)
 	return ans, nil
 }
 
@@ -593,11 +597,10 @@ func (s *Session) Run(q *query.Query) (float64, error) {
 // Name identifies the system in experiment output.
 func (s *Session) Name() string { return "turbo(" + s.cfg.Mode.String() + ")" }
 
-// record counts n answers from one source in two atomic adds: a batch
-// group's members are counted at once.
-func (s *Session) record(src Source, n int) {
-	s.queries.Add(int64(n))
-	s.bySrc[sourceIndex[src]].Add(int64(n))
+// record counts one answer from src.
+func (s *Session) record(src Source) {
+	s.queries.Add(1)
+	s.bySrc[sourceIndex[src]].Add(1)
 }
 
 // Queries returns the number of answered queries.

@@ -125,12 +125,12 @@ func KeyWindow(key string) (start, end int, windowed bool, err error) {
 	return 0, 0, false, fmt.Errorf("query: key %q has no window header and predicate", key)
 }
 
-// WindowedKey returns the KeyWithWindow key a windowless statement's key
-// names once the statement is given the window [start, end] (WithWindow):
-// the window's header in place of the windowless one. key must be
-// windowless (KeyWindow).
-func WindowedKey(key string, start, end int) string {
-	return string(append(appendWindow(make([]byte, 0, 64), start, end, true), key[1:]...))
+// AppendWindowedKey appends to dst the KeyWithWindow key a windowless
+// statement's key names once the statement is given the window
+// [start, end] (WithWindow): the window's header in place of the
+// windowless one. key must be windowless (KeyWindow).
+func AppendWindowedKey(dst []byte, key string, start, end int) []byte {
+	return append(appendWindow(dst, start, end, true), key[1:]...)
 }
 
 // WithWindow returns a copy of q requesting partitions [start, end]

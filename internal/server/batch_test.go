@@ -28,8 +28,8 @@ func postBatch(t *testing.T, ts *liveServer, queries []string) (*http.Response, 
 }
 
 // TestBatchEndpoint pins the ordered per-element contract: answered
-// slots, duplicate slots sharing one execution's answer, a parse error
-// in its own slot, and counters advancing per element.
+// slots, a duplicate slot reading the value its first occurrence filled,
+// a parse error in its own slot, and counters advancing per element.
 func TestBatchEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t, 100)
 	ts := serve(t, srv)
@@ -78,6 +78,53 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 	if br.Results[0].Result.Source != "exact-hit" {
 		t.Fatalf("replay source = %s, want exact-hit", br.Results[0].Result.Source)
+	}
+}
+
+// TestBatchRepeatIsQueryRepeat: a /query/batch of [q, q] answers each
+// element exactly as /query answers q asked twice on a twin server: the
+// first pays on the tree, and the second is a free exact hit of its fill
+// (it read the first's tree source and payment while the batch plane
+// merged equal statements).
+func TestBatchRepeatIsQueryRepeat(t *testing.T) {
+	const q = "SELECT COUNT(*) FROM covid WHERE age IN (1, 2) AND time BETWEEN 1 AND 3"
+	alone, _ := newTestServer(t, 100)
+	ts := serve(t, alone)
+	defer ts.Close()
+	var want [2]QueryResponse
+	for i := range want {
+		resp, body := postQuery(t, ts, q)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/query %d: %d %s", i, resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, &want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want[0].Source != "tree" || want[0].Paid <= 0 || want[1].Source != "exact-hit" || want[1].Paid != 0 {
+		t.Fatalf("/query twice read %+v", want)
+	}
+
+	batched, _ := newTestServer(t, 100)
+	tb := serve(t, batched)
+	defer tb.Close()
+	resp, body := postBatch(t, tb, []string{q, q})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("envelope status %d: %s", resp.StatusCode, body)
+	}
+	var br BatchQueryResponse
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatal(err)
+	}
+	for i, item := range br.Results {
+		if item.Status != http.StatusOK || item.Result == nil {
+			t.Fatalf("element %d = %+v, want 200", i, item)
+		}
+		// Remaining is read once per batch, after both elements; the
+		// repeat's being free makes it /query's after either.
+		if *item.Result != want[i] {
+			t.Fatalf("element %d = %+v, /query read %+v", i, *item.Result, want[i])
+		}
 	}
 }
 

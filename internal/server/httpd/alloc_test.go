@@ -35,21 +35,23 @@ func TestEncodeAllocBudget(t *testing.T) {
 }
 
 // TestHandleExactHitZeroAllocs: from the body read to the response body,
-// an exact hit allocates nothing — a repeat on /query, the first read of
-// a fill, each statement of an all-hit /query/batch of 16. Before
-// statements were probed by key, these read 11, 12 and 141; the first
-// read of a fill read 1 while it promoted the fill's key into a decoded
-// map in front of the store.
+// an exact hit allocates nothing — a repeat on /query, windowed or not,
+// the first read of a fill, each statement of an all-hit /query/batch of
+// 16. Before statements were probed by key, these read 11, 12 and 141;
+// the first read of a fill read 1 while it promoted the fill's key into a
+// decoded map in front of the store, and a windowless repeat 1 while its
+// planned window's key was rendered into a fresh string.
 func TestHandleExactHitZeroAllocs(t *testing.T) {
 	h := &handler{srv: newTestServer(t, 1e6)}
-	hit := hitStatement(7, 3)
-	h.do(t, "/query", hit) // the fill
-	if allocs := testing.AllocsPerRun(200, func() {
-		if resp := h.do(t, "/query", hit); !bytes.Contains(resp.Body, []byte(`"source":"exact-hit"`)) {
-			t.Fatalf("not a hit: %s", resp.Body)
+	for _, hit := range [][]byte{hitStatement(7, 3), []byte(`{"sql":"SELECT COUNT(*) FROM covid WHERE positive = 1"}`)} {
+		h.do(t, "/query", hit) // the fill
+		if allocs := testing.AllocsPerRun(200, func() {
+			if resp := h.do(t, "/query", hit); !bytes.Contains(resp.Body, []byte(`"source":"exact-hit"`)) {
+				t.Fatalf("not a hit: %s", resp.Body)
+			}
+		}); allocs != 0 {
+			t.Errorf("a /query repeat hit of %s allocates %v objects, want 0", hit, allocs)
 		}
-	}); allocs != 0 {
-		t.Errorf("a /query repeat hit allocates %v objects, want 0", allocs)
 	}
 
 	const touches = 100
@@ -135,11 +137,11 @@ func TestParseHeadZeroAllocs(t *testing.T) {
 
 // TestHandleColdBatchAllocs: once the tree nodes its statements touch
 // exist, a cold 16-statement /query/batch allocates nothing from the body
-// read to the response body: its misses are built into the connection's
-// scratch over a key arena, and the batch plane answers in buffers the
-// scratch keeps, executing every miss on the handler's goroutine. Before,
-// this read 118 objects: a built query per miss, and the batch plane's
-// own slices, maps and closures per call.
+// read to the response body: each element takes /query's step, its miss
+// built into the connection's scratch and executed on the handler's
+// goroutine, and the outcomes are kept in the scratch. Before, this read
+// 118 objects: a built query per miss, and the batch plane's own slices,
+// maps and closures per call.
 func TestHandleColdBatchAllocs(t *testing.T) {
 	h, batches := coldBatchHandler(t)
 	i := 0

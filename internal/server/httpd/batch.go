@@ -2,9 +2,10 @@
 //
 // Analysts submit an ordered array of SQL statements and get back one
 // ordered result per statement, each with its own status — a dashboard
-// refresh or a decomposed workload ships one round-trip instead of N,
-// each statement answered as /query would answer it, and equal
-// statements executed once (core.Session.AnswerPlans).
+// refresh or a decomposed workload ships one round-trip instead of N.
+// Each element takes /query's step, in order, so it is answered exactly
+// as /query would answer it at that point: a repeated element is an
+// exact hit of the release its first occurrence filled.
 // Statuses are per element: one over-budget query 429s in its slot
 // without dooming its batchmates, exactly like the singleton endpoint's
 // status mapping. The envelope itself is 200 whenever the batch was
@@ -20,7 +21,6 @@ import (
 	"strings"
 
 	"repro/internal/accountant"
-	"repro/internal/core"
 	"repro/internal/query"
 )
 
@@ -46,16 +46,11 @@ type BatchQueryResponse struct {
 	Results []BatchItem `json:"results"`
 }
 
-// handleQueryBatch answers every statement key first, as handleQuery
-// does: a hit resolves in its slot, and the statements that miss go to the
-// session's batch plane in one call (AnswerPlans), which merges equal
-// ones and executes each once. Each miss keeps
-// its builder and its key, in a key arena, until the walk is done, and is
-// then built into a query of the connection's scratch; the batch plane
-// answers in the scratch too, where the ordered per-element status array
-// is assembled. Counters advance exactly as if the elements had been
-// served individually: one served request and one answer per 200
-// element, one refusal per 429 element.
+// handleQueryBatch answers every element through the answer step, in
+// order, keeping each outcome in the connection's scratch, where the
+// ordered per-element status array is then assembled. Counters advance
+// exactly as if the elements had been served individually: one served
+// request and one answer per 200 element, one refusal per 429 element.
 func (s *Server) handleQueryBatch(w *Response, r *Request) {
 	sc := r.scratchFor()
 	sqls, ok := decodeQueries(w, r, sc.sqls)
@@ -76,57 +71,23 @@ func (s *Server) handleQueryBatch(w *Response, r *Request) {
 
 	sc.items, sc.res = reuse(sc.items, len(sqls)), reuse(sc.res, len(sqls))
 	items, res := sc.items, sc.res
-	keys, builds, misses, slots := sc.keys[:0], sc.builds[:0], sc.misses[:0], sc.slots[:0]
-	var b query.Builder
 	for i, sql := range sqls {
-		lo := len(keys)
+		var b query.Builder
 		table, err := s.parser.ParseInto(sql, &b)
-		if err == nil {
-			keys, err = b.AppendKey(keys)
+		if err == nil && !strings.EqualFold(table, s.table) {
+			err = errors.New("unknown table " + strconv.Quote(table))
 		}
-		if err != nil {
+		keyed := false
+		if err == nil {
+			res[i].Answer, keyed, err = s.answer(sc, &b)
+		}
+		if !keyed {
 			items[i] = BatchItem{Status: StatusUnprocessableEntity,
 				Error: &ErrorResponse{"parse", err.Error()}}
 			continue
 		}
-		if !strings.EqualFold(table, s.table) {
-			keys = keys[:lo]
-			items[i] = BatchItem{Status: StatusUnprocessableEntity,
-				Error: &ErrorResponse{"parse", "unknown table " + strconv.Quote(table)}}
-			continue
-		}
-		ans, pl, hit, err := s.sess.Lookup(view(keys[lo:]))
-		if err == nil && !hit {
-			builds = append(builds, missBuild{b: b, lo: lo, hi: len(keys)})
-			misses = append(misses, pl)
-			slots = append(slots, i)
-			continue
-		}
-		keys = keys[:lo]
-		res[i] = core.BatchResult{Answer: ans, Err: err}
+		res[i].Err = err
 	}
-	// The key arena has stopped growing, so the misses' keys may be
-	// viewed now: each miss is built over its key into a scratch query.
-	// Their arrays are what a rebuild reuses, so they are not cleared.
-	sc.qs = slices.Grow(sc.qs[:0], len(misses))[:len(misses)]
-	n := 0
-	for k := range builds {
-		mb := &builds[k]
-		if err := mb.b.BuildInto(&sc.qs[n], view(keys[mb.lo:mb.hi])); err != nil {
-			res[slots[k]].Err = err
-			continue
-		}
-		misses[n], slots[n] = misses[k], slots[k]
-		misses[n].Query = &sc.qs[n]
-		n++
-	}
-	if n > 0 {
-		for k, r := range s.sess.AnswerPlans(misses[:n], &sc.batch) {
-			res[slots[k]] = r
-		}
-	}
-	clear(builds) // a builder may hold lists
-	sc.keys, sc.builds, sc.misses, sc.slots = keys, builds, misses, slots
 
 	// One budget read serves every 200 element of the response:
 	// AverageSpent takes the accountant's lock and sums its partitions,
@@ -167,14 +128,6 @@ func (s *Server) handleQueryBatch(w *Response, r *Request) {
 	}
 	s.queries.Add(int64(served))
 	writeBody(w, StatusOK, body)
-}
-
-// missBuild is what a /query/batch statement the cache missed keeps
-// until its query is built: its builder, and its key's bounds in the
-// batch's key arena.
-type missBuild struct {
-	b      query.Builder
-	lo, hi int
 }
 
 // reuse returns buf's array holding n zero elements, grown if it must.

@@ -116,11 +116,11 @@ func (r *Request) next(method, path string, length int64) {
 
 // scratch is what the handlers reuse from one request to the next on a
 // connection, so an exact hit allocates nothing and a miss or an /append
-// nothing it keeps: the cache key of the statement being probed, the
-// query a /query or /groupby miss builds over it, a batch's statements,
-// key arena, misses, queries, items and responses and the batch plane's
-// buffers, a /groupby's attributes and cells, and an /append's batch.
-// Nothing outside the handler keeps any of it past the request.
+// nothing it keeps: the cache key of the statement being answered and the
+// query a miss builds over it (the answer step), a batch's statements,
+// outcomes, items and responses, a /groupby's attributes and cells, and
+// an /append's batch. Nothing outside the handler keeps any of it past
+// the request.
 type scratch struct {
 	key   []byte
 	q     query.Query
@@ -128,15 +128,6 @@ type scratch struct {
 	res   []core.BatchResult
 	items []BatchItem
 	resps []QueryResponse
-	// keys holds the keys of a batch's misses, builds their builders,
-	// misses their plans and slots their places in the batch, until qs
-	// holds their queries.
-	keys   []byte
-	builds []missBuild
-	misses []core.Plan
-	slots  []int
-	qs     []query.Query
-	batch  core.BatchBuffers
 	// groupBy holds a /groupby's grouped attributes, cells its answered
 	// cells and vals their values.
 	groupBy []int

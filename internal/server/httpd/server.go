@@ -233,24 +233,39 @@ func (s *Server) serving(w *Response) bool {
 	return !dead
 }
 
-// handleQuery answers one statement key first: the statement is walked
-// into a Builder on this frame and its cache key rendered into the
-// connection's scratch, and the session plans and probes by that key.
-// Only a miss builds the query, into the scratch over that key, and it
-// then pays, executes and fills. From the body read to the response
-// written, an exact hit allocates nothing and a miss whose tree nodes
-// exist allocates nothing it does not keep.
+// answer is the one step a statement takes, whichever route carries it:
+// a /query, each /groupby cell and each /query/batch element. The
+// builder's cache key is rendered into the connection's scratch, and the
+// session plans and probes by that key (Lookup); only a miss builds the
+// query, into the scratch over that key, and it then pays, executes and
+// fills (AnswerPlan). keyed is false when the builder holds no query: err
+// is then its refusal, before the session saw the statement. From the
+// body read to the response written, an exact hit allocates nothing and a
+// miss whose tree nodes exist allocates nothing it does not keep.
+func (s *Server) answer(sc *scratch, b *query.Builder) (ans core.Answer, keyed bool, err error) {
+	if sc.key, err = b.AppendKey(sc.key[:0]); err != nil {
+		return core.Answer{}, false, err
+	}
+	key := view(sc.key)
+	ans, pl, hit, err := s.sess.Lookup(key)
+	if err == nil && !hit {
+		if err = b.BuildInto(&sc.q, key); err == nil {
+			pl.Query = &sc.q
+			ans, err = s.sess.AnswerPlan(pl)
+		}
+	}
+	return ans, true, err
+}
+
+// handleQuery answers one statement: it is walked into a Builder on this
+// frame and takes the answer step.
 func (s *Server) handleQuery(w *Response, r *Request) {
 	sql, ok := decodeSQL(w, r)
 	if !ok || !s.serving(w) {
 		return
 	}
-	sc := r.scratchFor()
 	var b query.Builder
 	table, err := s.parser.ParseInto(sql, &b)
-	if err == nil {
-		sc.key, err = b.AppendKey(sc.key[:0])
-	}
 	if err != nil {
 		writeError(w, StatusBadRequest, "parse", err.Error())
 		return
@@ -261,15 +276,11 @@ func (s *Server) handleQuery(w *Response, r *Request) {
 		return
 	}
 
-	key := view(sc.key)
-	ans, pl, hit, err := s.sess.Lookup(key)
-	if err == nil && !hit {
-		if err = b.BuildInto(&sc.q, key); err == nil {
-			pl.Query = &sc.q
-			ans, err = s.sess.AnswerPlan(pl)
-		}
-	}
+	ans, keyed, err := s.answer(r.scratchFor(), &b)
 	switch {
+	case !keyed:
+		writeError(w, StatusBadRequest, "parse", err.Error())
+		return
 	case errors.Is(err, accountant.ErrBudgetExhausted):
 		s.refusals.Add(1)
 		// 429 communicates "resource exhausted" without leaking anything
@@ -319,10 +330,10 @@ type GroupByResponse struct {
 // handleGroupBy decomposes a GROUP BY statement into primitive queries
 // (§6.1's methodology) and answers each through the session, as /query
 // answers a statement: the statement is walked once into a base builder,
-// and each cell, a copy of it restricted to the cell, is probed by its key
-// and built into the connection's scratch only on a miss. Each primitive
-// query is individually atomic against the accountant, and a group
-// interrupted by budget exhaustion withholds its partial results.
+// and each cell, a copy of it restricted to the cell, takes the answer
+// step. Each primitive query is individually atomic against the
+// accountant, and a group interrupted by budget exhaustion withholds its
+// partial results.
 // Counters: each group's answer is counted at the answer level
 // (answers/by_source) as it is released, but the request counts as
 // served only when the 200 is written — a mid-group refusal is a refusal,
@@ -351,20 +362,7 @@ func (s *Server) handleGroupBy(w *Response, r *Request) {
 	for c := range s.parser.Cells(groupBy) {
 		var cell query.Builder
 		cell, sc.vals = s.parser.Cell(&base, groupBy, c, sc.vals)
-		sc.key, err = cell.AppendKey(sc.key[:0])
-		var ans core.Answer
-		if err == nil {
-			key := view(sc.key)
-			var pl core.Plan
-			var hit bool
-			ans, pl, hit, err = s.sess.Lookup(key)
-			if err == nil && !hit {
-				if err = cell.BuildInto(&sc.q, key); err == nil {
-					pl.Query = &sc.q
-					ans, err = s.sess.AnswerPlan(pl)
-				}
-			}
-		}
+		ans, _, err := s.answer(sc, &cell)
 		if errors.Is(err, accountant.ErrBudgetExhausted) {
 			s.refusals.Add(1)
 			writeError(w, StatusTooManyRequests, "exhausted",
