@@ -13,8 +13,7 @@
 // exit and is left as it was. GET /snapshot exposes the same envelope over HTTP,
 // and POST /restore loads one into a server that has not yet served:
 // the first analyst request closes that window (a later restore is 409),
-// and a restore that fails midway leaves the server answering 503 until
-// it is restarted.
+// and a refused restore leaves the server as it was.
 //
 // -addr is HOST:PORT, HOST an IP address, localhost or empty: the binary
 // is static and resolves no names, so another one stops the boot.
@@ -151,8 +150,8 @@ func main() {
 	// retried next tick — SaveState never mutates, so a failure cannot
 	// poison the session, and the atomic write discipline means a crash
 	// mid-checkpoint never tears the previous good snapshot. Both
-	// checkpoint paths go through the server, which refuses to write the
-	// state a failed POST /restore left behind.
+	// checkpoint paths go through the server, whose latch keeps a capture
+	// from interleaving with a POST /restore.
 	ckptStop := make(chan struct{})
 	ckptDone := make(chan struct{})
 	if *ckptEvery > 0 {

@@ -68,6 +68,9 @@ type Block struct {
 	// locks counts admission-relevant mutex acquisitions (payments and
 	// budget checks, not metric reads); see LockAcquisitions.
 	locks atomic.Uint64
+	// expect is the partition count a staged ledger must cover when a
+	// restore grows the session (ExpectPartitions).
+	expect int
 }
 
 // NewBlock creates a pure-ε block accountant with the given number of

@@ -113,13 +113,10 @@ func TestRDPBlockGridValueValidation(t *testing.T) {
 	// A snapshot over a grid of the same length but different values is
 	// refused (payments cannot disagree with the grid: the block prices).
 	src := NewBlockForDP(DefaultOrders, 1.0, 1e-6, 1)
-	payload, err := src.SnapshotPayload()
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := src.SnapshotPayload()
 	other := append([]float64(nil), DefaultOrders...)
 	other[3] += 0.5
-	if err := NewBlockForDP(other, 1.0, 1e-6, 1).RestorePayload(payload); err == nil {
+	if _, err := NewBlockForDP(other, 1.0, 1e-6, 1).StagePayload(payload); err == nil {
 		t.Fatal("mismatched order values accepted")
 	}
 }

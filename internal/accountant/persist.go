@@ -57,42 +57,47 @@ func decodeBlockState(payload []byte) (blockState, error) {
 func (b *Block) SnapshotSection() string { return SectionBlock }
 
 // SnapshotPayload exports the ledger.
-func (b *Block) SnapshotPayload() ([]byte, error) {
+func (b *Block) SnapshotPayload() []byte {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return blockState{Global: b.epsG, Spent: b.spent, Orders: b.orders, Delta: b.deltaG}.encode(), nil
+	return blockState{Global: b.epsG, Spent: b.spent, Orders: b.orders, Delta: b.deltaG}.encode()
 }
 
-// StagePayload implements persist.Stager: it decodes the section and
-// validates it against the block (checkState, plus a partition count no
-// smaller than the block's — a restore only ever grows a session), so a
+// ExpectPartitions sets the partition count the ledger StagePayload
+// stages next must cover, for a restore whose dataset grows the session
+// past the block's own count. A count below the block's own expects the
+// block's own. It changes no spend and no partition count.
+func (b *Block) ExpectPartitions(n int) {
+	b.mu.Lock()
+	b.expect = n
+	b.mu.Unlock()
+}
+
+// StagePayload implements persist.Snapshotter: it decodes the section and
+// validates it against the block (checkState), and the ledger must cover
+// exactly the partitions the restore leaves (ExpectPartitions), so a
 // snapshot this block can never accept is refused while the session is
-// still untouched. The returned apply replaces the ledger, in the block's
-// turn: after the dataset section has grown the block to the snapshot's
-// partition count.
-func (b *Block) StagePayload(payload []byte) (func() error, error) {
+// still untouched. The apply replaces the ledger, growing the block to
+// the snapshot's partitions.
+func (b *Block) StagePayload(payload []byte) (func(), error) {
 	st, err := decodeBlockState(payload)
 	if err == nil {
 		err = b.checkState(st)
 	}
-	if have, got := b.Partitions(), len(st.Spent)/len(b.budget); err == nil && got < have {
-		err = fmt.Errorf("accountant: snapshot covers %d partitions, session already has %d", got, have)
-	}
 	if err != nil {
 		return nil, err
 	}
-	return func() error { return b.RestoreSpent(st.Spent) }, nil
-}
-
-// RestorePayload replaces the ledger with a snapshot's. The snapshot
-// must target the same ε_G (and δ_G) over the same order grid and
-// partition count; every check runs before anything is replaced.
-func (b *Block) RestorePayload(payload []byte) error {
-	apply, err := b.StagePayload(payload)
-	if err != nil {
-		return err
+	b.mu.Lock()
+	want := max(b.partitionsLocked(), b.expect)
+	b.mu.Unlock()
+	if got := len(st.Spent) / len(b.budget); got != want {
+		return nil, fmt.Errorf("accountant: snapshot covers %d partitions, the restore leaves %d", got, want)
 	}
-	return apply()
+	return func() {
+		b.mu.Lock()
+		b.spent = append(b.spent[:0], st.Spent...)
+		b.mu.Unlock()
+	}, nil
 }
 
 // checkState validates everything about a snapshot that does not depend
@@ -124,18 +129,5 @@ func (b *Block) checkState(st blockState) error {
 			return fmt.Errorf("accountant: bad restored spend %g at partition %d", s, i/k)
 		}
 	}
-	return nil
-}
-
-// RestoreSpent replaces the flat ledger with a previously exported one
-// covering exactly the current partitions.
-func (b *Block) RestoreSpent(v []float64) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(v) != len(b.spent) {
-		k := len(b.budget)
-		return fmt.Errorf("accountant: restore ledger has %d partitions, want %d", len(v)/k, len(b.spent)/k)
-	}
-	copy(b.spent, v)
 	return nil
 }

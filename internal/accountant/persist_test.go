@@ -13,13 +13,10 @@ func TestBlockSnapshotRoundTrip(t *testing.T) {
 	if err := b1.PayRange(3, 3, Laplace(4)); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := b1.SnapshotPayload()
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := b1.SnapshotPayload()
 
 	b2 := NewBlock(5, 4)
-	if err := b2.RestorePayload(payload); err != nil {
+	if err := restore(b2, payload); err != nil {
 		t.Fatal(err)
 	}
 	for p := 0; p < 4; p++ {
@@ -37,23 +34,23 @@ func TestBlockSnapshotRoundTrip(t *testing.T) {
 
 	// Mismatched ε_G, accounting and partition count are refused, and
 	// refused whole.
-	if err := NewBlock(7, 4).RestorePayload(payload); err == nil ||
+	if _, err := NewBlock(7, 4).StagePayload(payload); err == nil ||
 		!strings.Contains(err.Error(), "ε_G") {
 		t.Fatalf("ε_G mismatch accepted: %v", err)
 	}
-	if err := NewBlockForDP(DefaultOrders, 5, 1e-6, 4).RestorePayload(payload); err == nil {
+	if _, err := NewBlockForDP(DefaultOrders, 5, 1e-6, 4).StagePayload(payload); err == nil {
 		t.Fatal("pure-ε snapshot accepted by a Rényi block")
 	}
 	short := NewBlock(5, 3)
-	if err := short.RestorePayload(payload); err == nil || short.MaxSpent() != 0 {
+	if _, err := short.StagePayload(payload); err == nil || short.MaxSpent() != 0 {
 		t.Fatalf("partition mismatch: err %v, spent %v", err, short.SpentVector())
 	}
-	if err := NewBlock(5, 4).RestorePayload([]byte("junk")); err == nil {
+	if _, err := NewBlock(5, 4).StagePayload([]byte("junk")); err == nil {
 		t.Fatal("garbage payload accepted")
 	}
 	// A pure ledger claiming more than ε_G is refused.
 	over := blockState{Global: 5, Spent: []float64{0, 0, 0, 5.5}}.encode()
-	if err := NewBlock(5, 4).RestorePayload(over); err == nil {
+	if _, err := NewBlock(5, 4).StagePayload(over); err == nil {
 		t.Fatal("over-budget ledger accepted")
 	}
 }
@@ -67,12 +64,9 @@ func TestRDPBlockSnapshotRoundTrip(t *testing.T) {
 	if err := b1.PayRange(1, 2, Laplace(0.7)); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := b1.SnapshotPayload()
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := b1.SnapshotPayload()
 	b2 := NewBlockForDP(DefaultOrders, epsG, deltaG, 3)
-	if err := b2.RestorePayload(payload); err != nil {
+	if err := restore(b2, payload); err != nil {
 		t.Fatal(err)
 	}
 	same := func(when string) {
@@ -106,10 +100,7 @@ func TestRDPBlockRestoreValidation(t *testing.T) {
 	if err := src.PayRange(0, 1, Laplace(0.5)); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := src.SnapshotPayload()
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := src.SnapshotPayload()
 	for name, dst := range map[string]*Block{
 		"δ_G":             NewBlockForDP(DefaultOrders, epsG, 1e-7, 2),
 		"ε_G":             NewBlockForDP(DefaultOrders, 4, deltaG, 2),
@@ -117,7 +108,7 @@ func TestRDPBlockRestoreValidation(t *testing.T) {
 		"order grid":      NewBlockForDP([]float64{2, 4, 8}, epsG, deltaG, 2),
 		"accounting":      NewBlock(epsG, 2),
 	} {
-		if err := dst.RestorePayload(payload); err == nil {
+		if _, err := dst.StagePayload(payload); err == nil {
 			t.Fatalf("%s mismatch accepted", name)
 		}
 		if dst.MaxSpent() != 0 {
@@ -130,7 +121,7 @@ func TestRDPBlockRestoreValidation(t *testing.T) {
 		"negative": append(make([]float64, 2*len(DefaultOrders)-1), -1),
 	} {
 		bad := blockState{Global: epsG, Delta: deltaG, Orders: DefaultOrders, Spent: spent}.encode()
-		if err := NewBlockForDP(DefaultOrders, epsG, deltaG, 2).RestorePayload(bad); err == nil {
+		if _, err := NewBlockForDP(DefaultOrders, epsG, deltaG, 2).StagePayload(bad); err == nil {
 			t.Fatalf("%s ledger accepted", name)
 		}
 	}
@@ -138,40 +129,51 @@ func TestRDPBlockRestoreValidation(t *testing.T) {
 
 // TestBlockStagePayload: staging vets the section without touching the
 // ledger — refusing a snapshot that covers fewer partitions than the
-// block, accepting one that covers more (the dataset section grows the
-// session before the block's turn) — and the apply restores only onto
-// exactly the snapshot's partition count.
+// block, and one that covers more unless the restore expects them (a
+// dataset section grows the session) — and the apply grows the block to
+// exactly the snapshot's partitions.
 func TestBlockStagePayload(t *testing.T) {
 	const epsG, deltaG = 2.0, 1e-6
 	src := NewBlockForDP(DefaultOrders, epsG, deltaG, 3)
 	if err := src.PayRange(0, 2, Laplace(0.1)); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := src.SnapshotPayload()
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := src.SnapshotPayload()
 	if _, err := NewBlockForDP(DefaultOrders, epsG, deltaG, 4).StagePayload(payload); err == nil {
 		t.Fatal("a snapshot of fewer partitions than the block was staged")
 	}
 	dst := NewBlockForDP(DefaultOrders, epsG, deltaG, 2)
+	if _, err := dst.StagePayload(payload); err == nil {
+		t.Fatal("a snapshot of more partitions than the restore leaves was staged")
+	}
+	dst.ExpectPartitions(4)
+	if _, err := dst.StagePayload(payload); err == nil {
+		t.Fatal("a snapshot of 3 partitions was staged for a restore that leaves 4")
+	}
+	dst.ExpectPartitions(3)
 	apply, err := dst.StagePayload(payload)
 	if err != nil {
-		t.Fatalf("a snapshot of more partitions than the block: %v", err)
+		t.Fatalf("a snapshot of the 3 partitions the restore leaves: %v", err)
 	}
-	if dst.MaxSpent() != 0 {
+	if dst.MaxSpent() != 0 || dst.Partitions() != 2 {
 		t.Fatal("staging moved the ledger")
 	}
-	if err := apply(); err == nil {
-		t.Fatal("the apply restored 3 partitions onto 2")
-	}
-	dst.AddPartitions(1)
-	if err := apply(); err != nil {
-		t.Fatal(err)
+	apply()
+	if dst.Partitions() != 3 {
+		t.Fatalf("the apply left %d partitions, want 3", dst.Partitions())
 	}
 	for p := 0; p < 3; p++ {
 		if dst.SpentAt(p) != src.SpentAt(p) {
 			t.Fatalf("partition %d: restored %g, saved %g", p, dst.SpentAt(p), src.SpentAt(p))
 		}
 	}
+}
+
+// restore stages payload into b and applies it.
+func restore(b *Block, payload []byte) error {
+	apply, err := b.StagePayload(payload)
+	if err == nil {
+		apply()
+	}
+	return err
 }

@@ -217,11 +217,8 @@ func TestRDPFilterGridMismatch(t *testing.T) {
 	// Payers no longer hand over curves, so a payment cannot disagree with
 	// the block's grid; what can is a snapshot.
 	src := NewBlockForDP(DefaultOrders, 1, 1e-6, 1)
-	payload, err := src.SnapshotPayload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := NewBlockForDP([]float64{2}, 1, 1e-6, 1).RestorePayload(payload); err == nil {
+	payload := src.SnapshotPayload()
+	if _, err := NewBlockForDP([]float64{2}, 1, 1e-6, 1).StagePayload(payload); err == nil {
 		t.Fatal("grid mismatch accepted")
 	}
 }

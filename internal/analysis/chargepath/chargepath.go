@@ -4,9 +4,9 @@
 //
 // Three rules, all outside _test.go files:
 //
-//  1. Spend-state restores ((*accountant.Block).RestoreSpent, direct
-//     RestorePayload or StagePayload calls on the accountant block) are
-//     internal to internal/accountant — anywhere else, a restore could overwrite
+//  1. Spend-state restores (direct StagePayload calls on the accountant
+//     block, whose apply replaces the ledger) are internal to
+//     internal/accountant — anywhere else, a restore could overwrite
 //     composed history without the snapshot registry's validation.
 //
 //  2. Payment calls (Window.Pay, Block.PayRange — whatever
@@ -151,13 +151,7 @@ func spendMutator(callee *types.Func) bool {
 	if !accountantFunc(callee) {
 		return false
 	}
-	switch callee.Name() {
-	case "RestoreSpent":
-		return true
-	case "RestorePayload", "StagePayload":
-		return recvNamed(callee) == "Block"
-	}
-	return false
+	return callee.Name() == "StagePayload" && recvNamed(callee) == "Block"
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {

@@ -14,10 +14,9 @@ func NewBlock(eps float64) *Block { return &Block{} }
 
 func (b *Block) PayRange(lo, hi int, c Cost) error { b.spent += c.eps; return nil }
 func (b *Block) HasBudgetRange(lo, hi int) bool    { return b.spent < 1 }
-func (b *Block) RestoreSpent(v float64)            { b.spent = v }
-func (b *Block) RestorePayload(p []byte) error     { return nil }
-func (b *Block) StagePayload(p []byte) (func() error, error) {
-	return func() error { return nil }, nil
+func (b *Block) ExpectPartitions(n int)            {}
+func (b *Block) StagePayload(p []byte) (func(), error) {
+	return func() {}, nil
 }
 
 // Window is a partition range of a block.

@@ -10,17 +10,14 @@ import (
 
 // Rule 1: spend-state mutation outside internal/accountant.
 
-func restoreSpent(b *accountant.Block) {
-	b.RestoreSpent(0) // want `accountant spend state mutates outside internal/accountant`
-}
-
-func restorePayload(b *accountant.Block) {
-	_ = b.RestorePayload(nil) // want `accountant spend state mutates outside internal/accountant`
-}
-
 // Staging returns the restore that replaces the ledger: a restore too.
 func stagePayload(b *accountant.Block) {
 	_, _ = b.StagePayload(nil) // want `accountant spend state mutates outside internal/accountant`
+}
+
+// Telling the block what a restore leaves moves no spend.
+func expectPartitions(b *accountant.Block) {
+	b.ExpectPartitions(4)
 }
 
 // Rule 2: payment outside a designated payer package.

@@ -77,7 +77,7 @@ func calleeOf(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 }
 
 // sentinelName extracts the error-sentinel identifier from the second
-// argument of errors.Is (core.ErrStateCorrupt -> "ErrStateCorrupt").
+// argument of errors.Is (accountant.ErrBudgetExhausted -> "ErrBudgetExhausted").
 func sentinelName(e ast.Expr) string {
 	switch v := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:

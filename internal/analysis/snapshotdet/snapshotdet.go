@@ -10,7 +10,7 @@
 //
 // Scope: the SnapshotPayload methods of every type in the package whose
 // method set carries the Snapshotter shape (SnapshotSection /
-// SnapshotPayload / RestorePayload), plus every same-package function
+// SnapshotPayload / StagePayload), plus every same-package function
 // transitively reachable from them. Within that scope, a `range` over a
 // map whose body appends to a slice or calls an encoder must be followed
 // — in the same top-level function — by a sort (package sort or slices).
@@ -42,7 +42,7 @@ var Analyzer = &analysis.Analyzer{
 // snapshotterMethods is the structural shape of persist.Snapshotter; the
 // analyzer matches it by name so fixture packages need not import the
 // real interface.
-var snapshotterMethods = []string{"SnapshotSection", "SnapshotPayload", "RestorePayload"}
+var snapshotterMethods = []string{"SnapshotSection", "SnapshotPayload", "StagePayload"}
 
 // snapshotPayloadRoots finds the SnapshotPayload declarations of every
 // Snapshotter-shaped type in the package.

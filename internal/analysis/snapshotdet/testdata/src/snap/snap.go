@@ -20,7 +20,7 @@ func (r *raw) SnapshotPayload() []byte {
 	return out
 }
 
-func (r *raw) RestorePayload(b []byte) error { return nil }
+func (r *raw) StagePayload(b []byte) (func(), error) { return func() {}, nil }
 
 // ordered collects keys, sorts, then encodes: silent.
 type ordered struct{ m map[string]int }
@@ -40,7 +40,7 @@ func (o *ordered) SnapshotPayload() []byte {
 	return out
 }
 
-func (o *ordered) RestorePayload(b []byte) error { return nil }
+func (o *ordered) StagePayload(b []byte) (func(), error) { return func() {}, nil }
 
 // codecRaw feeds the section codec in map-iteration order: flagged.
 type codecRaw struct{ m map[string]int }
@@ -57,7 +57,7 @@ func (c *codecRaw) SnapshotPayload() []byte {
 	return e.Payload()
 }
 
-func (c *codecRaw) RestorePayload(b []byte) error { return nil }
+func (c *codecRaw) StagePayload(b []byte) (func(), error) { return func() {}, nil }
 
 // codecSorted feeds the codec over sorted keys: silent.
 type codecSorted struct{ m map[string]int }
@@ -79,7 +79,7 @@ func (c *codecSorted) SnapshotPayload() []byte {
 	return e.Payload()
 }
 
-func (c *codecSorted) RestorePayload(b []byte) error { return nil }
+func (c *codecSorted) StagePayload(b []byte) (func(), error) { return func() {}, nil }
 
 // nested reaches the unsorted range through a plain helper function:
 // still in scope, still flagged.
@@ -89,7 +89,7 @@ func (n *nested) SnapshotSection() string { return "nested" }
 
 func (n *nested) SnapshotPayload() []byte { return dumpRaw(n.m) }
 
-func (n *nested) RestorePayload(b []byte) error { return nil }
+func (n *nested) StagePayload(b []byte) (func(), error) { return func() {}, nil }
 
 func dumpRaw(m map[string]int) []byte {
 	var out []byte
@@ -113,7 +113,7 @@ func (c *copier) SnapshotPayload() []byte {
 	return encodeSorted(tmp)
 }
 
-func (c *copier) RestorePayload(b []byte) error { return nil }
+func (c *copier) StagePayload(b []byte) (func(), error) { return func() {}, nil }
 
 func encodeSorted(m map[string]int) []byte {
 	var keys []string
@@ -142,7 +142,7 @@ func (a *annotated) SnapshotPayload() []byte {
 	return out
 }
 
-func (a *annotated) RestorePayload(b []byte) error { return nil }
+func (a *annotated) StagePayload(b []byte) (func(), error) { return func() {}, nil }
 
 // plain is not Snapshotter-shaped: out of scope, silent even though it
 // encodes in map order.

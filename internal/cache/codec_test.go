@@ -93,10 +93,10 @@ func TestBackendEntryCodecPath(t *testing.T) {
 	}
 }
 
-// TestRestorePayloadGobFallback checks there is no gob fallback: a
+// TestStagePayloadGobFallback checks there is no gob fallback: a
 // section whose value is a raw gob stream, as pre-codec snapshots held, is
 // refused naming its key, and the cache keeps what it held.
-func TestRestorePayloadGobFallback(t *testing.T) {
+func TestStagePayloadGobFallback(t *testing.T) {
 	q := query.MustNew(dom(), map[int][]int{0: {1}}).WithWindow(0, 2)
 	c, err := NewExact(store.NewMem(store.MemConfig{}))
 	if err != nil {
@@ -106,7 +106,7 @@ func TestRestorePayloadGobFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := section([]string{q.KeyWithWindow()}, [][]byte{[]byte(gobEntry)})
-	if err := c.RestorePayload(payload); err == nil || !strings.Contains(err.Error(), strconv.Quote(q.KeyWithWindow())) {
+	if _, err := c.StagePayload(payload); err == nil || !strings.Contains(err.Error(), strconv.Quote(q.KeyWithWindow())) {
 		t.Fatalf("gob value restored: err = %v", err)
 	}
 	if got, ok := c.get(q); !ok || got.Value != 0.5 {

@@ -70,7 +70,7 @@ type Exact struct {
 // A new cache starts empty: whatever b already holds (a backend an earlier
 // session used) is releases charged to books this cache's owner does not
 // have, so the store is cleared here. Entries that do come with their
-// books return through RestorePayload, from the snapshot that carries the
+// books return through StagePayload, from the snapshot that carries the
 // accountant too.
 func NewExact(b store.Backend) (*Exact, error) {
 	if b == nil {
@@ -128,7 +128,7 @@ func (c *Exact) SnapshotSection() string { return sectionName }
 // strings, keys sorted so the payload encodes byte-identically for
 // identical contents (store exports are maps;
 // TestSnapshotBytesDeterministic pins the whole envelope).
-func (c *Exact) SnapshotPayload() ([]byte, error) {
+func (c *Exact) SnapshotPayload() []byte {
 	data := c.store.Export()
 	keys := make([]string, 0, len(data))
 	for k := range data {
@@ -141,7 +141,7 @@ func (c *Exact) SnapshotPayload() ([]byte, error) {
 		e.PutString(k)
 		e.PutBytes(data[k])
 	}
-	return e.Payload(), nil
+	return e.Payload()
 }
 
 // restoredEntry is one entry of a decoded snapshot section.
@@ -175,35 +175,25 @@ func decodeSection(payload []byte) ([]restoredEntry, error) {
 	return out, d.Finish()
 }
 
-// StagePayload implements persist.Stager: it decodes the whole payload,
-// changing nothing, and returns the restore of what it decoded. A session
-// stages every cache section before any section restores, so a bad key or
+// StagePayload implements persist.Snapshotter: it decodes the whole
+// payload, changing nothing, and returns the restore of what it decoded.
+// A session stages every section before any applies, so a bad key or
 // value is a refusal — naming the key — that leaves its books untouched.
-func (c *Exact) StagePayload(payload []byte) (func() error, error) {
+// The apply replaces the cache's contents; an entry the store refuses
+// (counted in its SetErrors) is evicted on arrival, as a refused fill on
+// the serving path is: its charge is in the books, and a later ask
+// re-executes.
+func (c *Exact) StagePayload(payload []byte) (func(), error) {
 	entries, err := decodeSection(payload)
 	if err != nil {
 		return nil, err
 	}
-	return func() error {
+	return func() {
 		c.store.Import(nil)
 		for _, r := range entries {
-			if err := c.store.Set(r.key, r.e); err != nil {
-				return err
-			}
+			_ = c.store.Set(r.key, r.e)
 		}
-		return nil
 	}, nil
-}
-
-// RestorePayload replaces the cache's contents with a snapshot's. The
-// whole payload is decoded before the store clears (StagePayload), so a
-// bad key or value is a refusal that leaves the cache as it was.
-func (c *Exact) RestorePayload(payload []byte) error {
-	apply, err := c.StagePayload(payload)
-	if err != nil {
-		return err
-	}
-	return apply()
 }
 
 // Stats returns hit and miss counts.

@@ -40,6 +40,15 @@ func (c *Exact) entries() int { return c.store.Stats().Entries }
 // get is Lookup by q's key.
 func (c *Exact) get(q *query.Query) (Entry, bool) { return c.Lookup(q.KeyWithWindow()) }
 
+// restore stages payload into c and applies it.
+func (c *Exact) restore(payload []byte) error {
+	apply, err := c.StagePayload(payload)
+	if err == nil {
+		apply()
+	}
+	return err
+}
+
 // section encodes a cache/session-exact payload by hand: the entry count,
 // then each key and its value bytes, in the order given.
 func section(keys []string, vals [][]byte) []byte {
@@ -257,18 +266,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	payload := section(keys, vals)
 	c := newCache(t)
-	if err := c.RestorePayload(payload); err != nil {
+	if err := c.restore(payload); err != nil {
 		t.Fatal(err)
 	}
-	again, err := c.SnapshotPayload()
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := c.SnapshotPayload()
 	if string(again) != string(payload) {
 		t.Fatalf("re-capture differs from the restored section:\n%x\n%x", again, payload)
 	}
 	c2 := newCache(t)
-	if err := c2.RestorePayload(again); err != nil {
+	if err := c2.restore(again); err != nil {
 		t.Fatal(err)
 	}
 	for _, cc := range []*Exact{c, c2} {
@@ -280,6 +286,41 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if !ok || e.Value != 0.25 || e.Eps != 0.5 {
 				t.Fatalf("restored window %d: %+v %v, want an exact hit", w, e, ok)
 			}
+		}
+	}
+}
+
+// refusingBackend is a store that refuses every Set of one key.
+type refusingBackend struct {
+	store.Backend
+	refuse string
+}
+
+func (b refusingBackend) Set(k string, value store.FastEncoder) error {
+	if k == b.refuse {
+		return errors.New("refused")
+	}
+	return b.Backend.Set(k, value)
+}
+
+// TestRestoreRefusedSetIsEviction: an entry the store refuses while a
+// staged section applies is evicted on arrival, as a refused fill on the
+// serving path is — a miss — and the apply goes on with the rest.
+func TestRestoreRefusedSetIsEviction(t *testing.T) {
+	base := query.MustNew(dom(), map[int][]int{0: {1}})
+	keys := []string{base.WithWindow(0, 0).KeyWithWindow(), base.WithWindow(1, 1).KeyWithWindow(), base.WithWindow(2, 2).KeyWithWindow()}
+	sort.Strings(keys)
+	val := Entry{Value: 0.25, Eps: 0.5}.AppendFast(nil)
+	c, err := NewExact(refusingBackend{Backend: store.NewMem(store.MemConfig{}), refuse: keys[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.restore(section(keys, [][]byte{val, val, val})); err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		if _, ok := c.Lookup(k); ok != (i != 1) {
+			t.Fatalf("entry %d after the restore: hit %v, want a miss only for the refused one", i, ok)
 		}
 	}
 }
@@ -326,8 +367,7 @@ func TestBoundedBackendEviction(t *testing.T) {
 // TestRestoreRefusesBadSection: a key whose window header does not decode
 // — which no probe would ever build — and a value that does not decode are
 // each refused before the store clears, by an error quoting the key,
-// also behind an intact entry. StagePayload refuses the same way, and the
-// cache keeps serving what it held.
+// also behind an intact entry, and the cache keeps serving what it held.
 func TestRestoreRefusesBadSection(t *testing.T) {
 	c := newCache(t)
 	base := query.MustNew(dom(), map[int][]int{0: {1}})
@@ -348,11 +388,8 @@ func TestRestoreRefusesBadSection(t *testing.T) {
 	} {
 		payload := section(bad.keys, bad.vals)
 		key := bad.keys[len(bad.keys)-1]
-		_, staged := c.StagePayload(payload)
-		for how, err := range map[string]error{"StagePayload": staged, "RestorePayload": c.RestorePayload(payload)} {
-			if err == nil || !strings.Contains(err.Error(), strconv.Quote(key)) {
-				t.Fatalf("%s: %s = %v, want a refusal quoting %q", name, how, err, key)
-			}
+		if _, err := c.StagePayload(payload); err == nil || !strings.Contains(err.Error(), strconv.Quote(key)) {
+			t.Fatalf("%s: StagePayload = %v, want a refusal quoting %q", name, err, key)
 		}
 		if c.entries() != 4 {
 			t.Fatalf("%s: the refused restore left %d entries, want the 4 held", name, c.entries())

@@ -237,9 +237,13 @@ func TestAnswerBatchNoDoubleSpendRace(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	// A joiner of a refused flight is refused too, and not counted.
-	if got, joins := s.Deduped(), s.flights.joinCount(); int64(got) != joins && !refused.Load() {
-		t.Fatalf("deduped = %d, but %d callers joined a flight", got, joins)
+	// Every answer is an exact hit (of a statement's probe or of a
+	// leader's recheck), an execution, or a join of a concurrent
+	// execution; a joiner of a refused flight is refused too, and not
+	// counted.
+	hits, _ := s.exact.Stats()
+	if joins := s.Queries() - hits - s.Tree().Stats().Queries; s.Deduped() != joins && !refused.Load() {
+		t.Fatalf("deduped = %d, but %d answers were neither a hit nor an execution", s.Deduped(), joins)
 	}
 
 	// Snapshot-equality phase: a quiesced snapshot restored into a twin

@@ -17,10 +17,7 @@ func (s *Session) PMW() *pmw.PMW { return s.single }
 // snapshot payload: ε_G, δ_G, the order grid, then the flat ledger.
 func curveAt(t testing.TB, b *accountant.Block, p int) []float64 {
 	t.Helper()
-	payload, err := b.SnapshotPayload()
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := b.SnapshotPayload()
 	d := persist.NewDecoder(payload)
 	d.Float()
 	d.Float()

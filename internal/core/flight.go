@@ -58,9 +58,6 @@ type flightGroup struct {
 	calls map[flightID]*flightCall
 	// free holds call records no one reads any more, for the next leader.
 	free []*flightCall
-	// joins counts callers that attached to an already-in-flight call,
-	// cumulatively — the group-level view of the session's Deduped.
-	joins int64
 }
 
 // do executes fn once per identity among concurrent callers: the first
@@ -73,7 +70,6 @@ func (g *flightGroup) do(id flightID, fn func() (Answer, error)) (ans Answer, sh
 		g.calls = make(map[flightID]*flightCall)
 	}
 	if c, ok := g.calls[id]; ok {
-		g.joins++
 		c.refs++
 		g.mu.Unlock()
 		c.done.Wait()
@@ -121,20 +117,4 @@ func (g *flightGroup) release(c *flightCall) {
 		g.free = append(g.free, c)
 	}
 	g.mu.Unlock()
-}
-
-// inFlight returns the number of identities currently executing, for
-// tests and diagnostics.
-func (g *flightGroup) inFlight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.calls)
-}
-
-// joinCount returns the cumulative number of callers that shared an
-// in-flight call.
-func (g *flightGroup) joinCount() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.joins
 }

@@ -14,6 +14,24 @@ import (
 	"repro/internal/query"
 )
 
+// inFlight returns the number of identities currently executing.
+func (g *flightGroup) inFlight() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.calls)
+}
+
+// joiners returns how many callers wait on id's in-flight call: its
+// readers less the leader, 0 when nothing flies under id.
+func (g *flightGroup) joiners(id flightID) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.calls[id]; ok {
+		return c.refs - 1
+	}
+	return 0
+}
+
 // TestFlightGroupExecutesOnce pins the flight-group semantics down
 // deterministically: with a leader parked inside fn, every concurrent
 // duplicate waits and shares the single result, and the key is released
@@ -59,9 +77,9 @@ func TestFlightGroupExecutesOnce(t *testing.T) {
 	// Wait until every follower has attached to the in-flight call — only
 	// then is releasing the leader a real dedup scenario.
 	deadline := time.Now().Add(5 * time.Second)
-	for g.joinCount() < 8 {
+	for g.joiners(flightID("k")) < 8 {
 		if time.Now().After(deadline) {
-			t.Fatalf("followers never attached: %d joins", g.joinCount())
+			t.Fatalf("followers never attached: %d joined", g.joiners(flightID("k")))
 		}
 		runtime.Gosched()
 	}
@@ -120,7 +138,7 @@ func TestFlightGroupLeaderPanic(t *testing.T) {
 		_, _, joinErr = g.do(flightID("k"), func() (Answer, error) { return Answer{Value: -1}, nil })
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for g.joinCount() < 1 {
+	for g.joiners(flightID("k")) < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("joiner never attached")
 		}
@@ -448,5 +466,5 @@ func TestFlightRecordsRecycleSafely(t *testing.T) {
 			t.Fatalf("round %d: %d flights survive the round", r, n)
 		}
 	}
-	t.Logf("%d of %d callers joined a flight", sess.flights.joinCount(), rounds*(callers-1))
+	t.Logf("%d of %d callers joined a flight", sess.Deduped(), rounds*(callers-1))
 }

@@ -52,7 +52,8 @@ func fuzzSession(t *testing.T, shape byte, ops []byte) (Config, *Session) {
 }
 
 // restoreInto loads snap into a fresh session of cfg over a fresh copy of
-// the dataset, persisting it as fuzzSession's does.
+// the dataset, persisting it as fuzzSession's does; a refused load must
+// leave the session as it was (loadAllOrNothing).
 func restoreInto(t *testing.T, cfg Config, snap []byte) (*Session, error) {
 	_, ds := buildDS(t, 4)
 	s, err := NewSession(cfg, ds)
@@ -60,7 +61,7 @@ func restoreInto(t *testing.T, cfg Config, snap []byte) (*Session, error) {
 		t.Fatal(err)
 	}
 	s.PersistDataset()
-	return s, s.LoadState(bytes.NewReader(snap))
+	return s, loadAllOrNothing(t, s, snap)
 }
 
 // replaceSection is snap with the named section's payload replaced by p.
@@ -99,7 +100,8 @@ func allocatedDuring(fn func()) uint64 {
 // SectionError naming it, one with a byte flipped restores or is refused
 // by a SectionError (the flip may surface in a later section's check), the
 // envelope cut anywhere past its header is ErrTruncated, and a frame or
-// payload claiming 2^40 is refused allocating a fraction of that.
+// payload claiming 2^40 is refused allocating a fraction of that. Every
+// refusal leaves the target as it was: its snapshot is a fresh session's.
 func FuzzSnapshot(f *testing.F) {
 	for shape := byte(0); shape < 32; shape += 3 {
 		f.Add(shape, []byte{0x05, 0x46, 0x8b, 0xcd, 0x13, 0xfe, 0x05, 0x46}, uint32(shape)*977, byte(1<<(shape%8)))

@@ -17,7 +17,7 @@
 // always safe. Restoring runs before the new session serves anything:
 // that is LoadState's precondition, not a protocol it enforces against
 // concurrent traffic, and an HTTP server keeps it with its own boot
-// latch (internal/server).
+// latch (internal/server/httpd).
 
 package core
 
@@ -36,12 +36,6 @@ import (
 // ErrAlreadyServing reports a LoadState attempted after the session
 // answered queries; restore only targets fresh sessions.
 var ErrAlreadyServing = errors.New("core: LoadState after queries were served")
-
-// ErrStateCorrupt marks a LoadState that failed after it began mutating:
-// the session is partially restored. The partial state is always
-// privacy-conservative (charges restore before the results they paid
-// for), but it is undefined — the session must be discarded.
-var ErrStateCorrupt = errors.New("core: session state corrupted by a failed restore; discard the session")
 
 // SaveState serializes the session's caching and accounting state as a
 // persist envelope: one section per registered layer, with no arrival
@@ -72,24 +66,17 @@ func (s *Session) SaveState(w io.Writer) error {
 // concurrently with it, and a session that already answered refuses with
 // ErrAlreadyServing. Envelope and section failures surface as typed
 // errors (persist.ErrBadMagic, persist.ErrTruncated, *persist.SectionError
-// naming the offending section, ...). Those that leave the session
-// untouched — envelope failures and validation mismatches — let it serve
-// as if no restore had been tried; a failure after the restore began
-// mutating also wraps ErrStateCorrupt, and the session must be discarded.
+// naming the offending section, ...). Every section stages before any
+// applies, so a refused load leaves the session as it was: it serves as
+// if no restore had been tried.
 func (s *Session) LoadState(r io.Reader) error {
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
 	if s.Queries() > 0 {
 		return ErrAlreadyServing
 	}
-	s.restoreMutated = false
+	s.restoreRows = nil
 	if err := s.registry.Load(r); err != nil {
-		// The core-owned sections flip restoreMutated only once their
-		// validations pass, and every other section runs after core/meta
-		// has already flipped it.
-		if s.restoreMutated {
-			return fmt.Errorf("core: load state: %w: %w", ErrStateCorrupt, err)
-		}
 		return fmt.Errorf("core: load state: %w", err)
 	}
 	return nil
@@ -102,18 +89,16 @@ func (s *Session) LoadState(r io.Reader) error {
 // under streaming ingestion, turbo-server's synthetic builds) would
 // otherwise produce checkpoints that can never be restored once /append
 // has grown the dataset beyond what a fresh boot rebuilds. The section
-// restores between identity and meta: after the config validation (a
-// foreign snapshot must not replace the dataset), before the meta
-// section's partition and row check (which then runs against the
-// restored data); the session's accountants grow to match before their
-// own sections restore. Restoring such snapshots needs no opt-in: the
+// stages between identity and meta: after the config validation, before
+// the meta section's partition and row check and the block's ledger
+// check, which then run against the staged data; the block's own apply
+// grows the books to match. Restoring such snapshots needs no opt-in: the
 // section's owner is always registered. Call before serving traffic.
 func (s *Session) PersistDataset() {
 	s.persistData = true
 }
 
-// datasetSection adapts the dataset (plus the accountant growth a
-// restored stream implies) into a persist.Snapshotter.
+// datasetSection adapts the dataset into a persist.Snapshotter.
 type datasetSection struct{ s *Session }
 
 // SnapshotSection implements persist.Snapshotter.
@@ -128,9 +113,9 @@ func (d datasetSection) SnapshotOptional() bool { return true }
 //
 // The section's layout: the partition count, then per partition its
 // per-bin counts (a float slice) and row count.
-func (d datasetSection) SnapshotPayload() ([]byte, error) {
+func (d datasetSection) SnapshotPayload() []byte {
 	if !d.s.persistData {
-		return nil, nil
+		return nil
 	}
 	st := d.s.ds.ExportState()
 	var e persist.Encoder
@@ -139,19 +124,17 @@ func (d datasetSection) SnapshotPayload() ([]byte, error) {
 		e.PutFloats(p.Counts)
 		e.PutInt(p.N)
 	}
-	return e.Payload(), nil
+	return e.Payload()
 }
 
-// StagePayload implements persist.Stager: it decodes the section and
+// StagePayload implements persist.Snapshotter: it decodes the section and
 // checks it against the domain (dataset.CheckState) and the session's
-// shape before any section restores, so a poisoned dataset — a NaN, an
-// infinite, negative or fractional count, a row count that is not the sum
-// of its counts — is refused with the books and caches untouched. The
-// apply grows the session's accountants over any partitions the
-// snapshot's stream had appended beyond the fresh build, then replaces
-// the dataset content — accountants first, the AppendPartitions ordering,
-// so the books always cover every queryable partition.
-func (d datasetSection) StagePayload(payload []byte) (func() error, error) {
+// shape, so a poisoned dataset — a NaN, an infinite, negative or
+// fractional count, a row count that is not the sum of its counts — is
+// refused with the books and caches untouched. It records the staged
+// rows for the meta section's check (restoreRows); the apply replaces
+// the dataset content.
+func (d datasetSection) StagePayload(payload []byte) (func(), error) {
 	dec := persist.NewDecoder(payload)
 	st := dataset.State{Parts: make([]dataset.PartitionState, dec.Count(2))}
 	for i := range st.Parts {
@@ -172,38 +155,25 @@ func (d datasetSection) StagePayload(payload []byte) (func() error, error) {
 	if delta > 0 && s.tree == nil {
 		return nil, errors.New("core: snapshot dataset grew beyond the non-partitioned session's fixed range")
 	}
-	return func() error {
-		s.restoreMutated = true
-		if delta > 0 {
-			s.block.AddPartitions(delta)
-		}
-		return s.ds.RestoreState(st)
+	s.restoreRows = make([]int, len(st.Parts))
+	for p, part := range st.Parts {
+		s.restoreRows[p] = part.N
+	}
+	return func() {
+		_ = s.ds.RestoreState(st) // its only refusal is CheckState's, passed above
 	}, nil
 }
 
-// RestorePayload stages the section and applies it.
-func (d datasetSection) RestorePayload(payload []byte) error {
-	apply, err := d.StagePayload(payload)
-	if err != nil {
-		return err
-	}
-	return apply()
-}
-
-// buildRegistry assembles the session's snapshot sections in restore
-// order: identity first (validation-only, so a foreign-config snapshot
-// is refused before anything — the optional dataset section included —
-// mutates), then meta (dataset shape and counters), then the accountant,
-// then caches and histogram machinery.
+// buildRegistry assembles the session's snapshot sections in stage and
+// apply order: identity first (validation-only, so its refusal names the
+// configuration field that differs), then the dataset, meta (dataset
+// shape and counters) and the accountant, each checked against the
+// dataset the restore leaves, then caches and histogram machinery. Every
+// section stages before any applies, so a snapshot whose configuration,
+// data, accounting, caches or histograms this session can never accept
+// is a refusal that leaves the session as it was.
 func (s *Session) buildRegistry() {
 	s.registry = persist.NewRegistry()
-	// Identity, the dataset, the block and the caches are persist.Stagers:
-	// each vets its section before any section restores, so a snapshot
-	// whose configuration, data, accounting or cache entries this session
-	// can never accept is a recoverable refusal rather than a half-restored
-	// session.
-	// Identity stages first: its refusal names the configuration field that
-	// differs.
 	s.registry.Register(identitySection{s})
 	// The dataset section's owner is always registered — every session
 	// can RESTORE a dataset-carrying snapshot — but the section is only
@@ -223,9 +193,8 @@ func (s *Session) buildRegistry() {
 
 // sessionIdentity is the "core/identity" section payload: the
 // configuration a snapshot was taken under, laid out field by field in
-// declaration order. Its restore is pure validation — it never mutates,
-// so a foreign-config snapshot is always a recoverable refusal, even when
-// a dataset section follows.
+// declaration order. Its stage is pure validation, and its apply does
+// nothing.
 type sessionIdentity struct {
 	Mode          Mode
 	Gaussian      bool
@@ -249,7 +218,7 @@ type identitySection struct{ s *Session }
 func (m identitySection) SnapshotSection() string { return "core/identity" }
 
 // SnapshotPayload captures the configuration identity.
-func (m identitySection) SnapshotPayload() ([]byte, error) {
+func (m identitySection) SnapshotPayload() []byte {
 	cfg := m.s.cfg
 	var e persist.Encoder
 	e.PutInt(int(cfg.Mode))
@@ -260,20 +229,20 @@ func (m identitySection) SnapshotPayload() ([]byte, error) {
 	e.PutFloat(cfg.Beta)
 	e.PutFloat(cfg.Tau)
 	e.PutInt(int(cfg.Structure))
-	return e.Payload(), nil
+	return e.Payload()
 }
 
-// StagePayload implements persist.Stager: the whole restore is the
-// validation, so it runs before any section restores and applies nothing.
-func (m identitySection) StagePayload(payload []byte) (func() error, error) {
-	if err := m.RestorePayload(payload); err != nil {
+// StagePayload implements persist.Snapshotter: it validates — and only
+// validates — the configuration.
+func (m identitySection) StagePayload(payload []byte) (func(), error) {
+	if err := m.check(payload); err != nil {
 		return nil, err
 	}
-	return func() error { return nil }, nil
+	return func() {}, nil
 }
 
-// RestorePayload validates — and only validates — the configuration.
-func (m identitySection) RestorePayload(payload []byte) error {
+// check compares the snapshot's configuration with the session's.
+func (m identitySection) check(payload []byte) error {
 	s := m.s
 	d := persist.NewDecoder(payload)
 	st := sessionIdentity{
@@ -324,7 +293,7 @@ type metaSection struct{ s *Session }
 func (m metaSection) SnapshotSection() string { return "core/meta" }
 
 // SnapshotPayload captures the dataset shape and counters.
-func (m metaSection) SnapshotPayload() ([]byte, error) {
+func (m metaSection) SnapshotPayload() []byte {
 	s := m.s
 	counts := s.SourceCounts()
 	rows := rowsPerPartition(s.ds)
@@ -343,15 +312,17 @@ func (m metaSection) SnapshotPayload() ([]byte, error) {
 			e.PutInt(v)
 		}
 	}
-	return e.Payload(), nil
+	return e.Payload()
 }
 
-// RestorePayload validates that the snapshot matches the session's
-// dataset (as possibly just restored by the dataset section) partition
-// by partition, then restores the counters. A served partition's rows
-// never change, so a dataset whose partition holds another row count is
-// not the one the snapshot's cached results were released on.
-func (m metaSection) RestorePayload(payload []byte) error {
+// StagePayload implements persist.Snapshotter: it checks the snapshot
+// against the dataset the restore leaves (the staged dataset section's,
+// or the session's own) partition by partition, and its counters are
+// counts; the apply restores the counters. A served partition's rows never change, so a dataset
+// whose partition holds another row count is not the one the snapshot's
+// cached results were released on. The block stages next, and its ledger
+// must cover the same partitions (ExpectPartitions).
+func (m metaSection) StagePayload(payload []byte) (func(), error) {
 	s := m.s
 	d := persist.NewDecoder(payload)
 	rows := make([]int, d.Count(1))
@@ -359,36 +330,45 @@ func (m metaSection) RestorePayload(payload []byte) error {
 		rows[p] = d.Int()
 	}
 	queries, deduped := d.Int(), d.Int()
+	least := min(queries, deduped)
 	n := d.Count(2)
 	bySource := make(map[Source]int, n)
 	for range n {
 		src := Source(d.Bytes())
 		bySource[src] = d.Int()
+		least = min(least, bySource[src])
 	}
 	if err := d.Finish(); err != nil {
-		return err
+		return nil, err
 	}
-	have := rowsPerPartition(s.ds)
+	if least < 0 {
+		// A negative query count would let a later LoadState pass the
+		// ErrAlreadyServing check on a session that has answered.
+		return nil, fmt.Errorf("core: snapshot counter %d is negative", least)
+	}
+	have := s.restoreRows
+	if have == nil {
+		have = rowsPerPartition(s.ds)
+	}
 	if len(rows) != len(have) {
-		return fmt.Errorf("core: snapshot has %d partitions, dataset has %d", len(rows), len(have))
+		return nil, fmt.Errorf("core: snapshot has %d partitions, dataset has %d", len(rows), len(have))
 	}
 	for p, n := range rows {
 		if n != have[p] {
-			return fmt.Errorf("core: snapshot's partition %d has %d rows, dataset's has %d — cached results would be stale",
+			return nil, fmt.Errorf("core: snapshot's partition %d has %d rows, dataset's has %d — cached results would be stale",
 				p, n, have[p])
 		}
 	}
-	// Every validation passed: counters move here, and every machinery
-	// section runs after this one.
-	s.restoreMutated = true
-	s.queries.Store(int64(queries))
-	s.deduped.Store(int64(deduped))
-	for src, count := range bySource {
-		if i, ok := sourceIndex[src]; ok {
-			s.bySrc[i].Store(int64(count))
+	s.block.ExpectPartitions(len(rows))
+	return func() {
+		s.queries.Store(int64(queries))
+		s.deduped.Store(int64(deduped))
+		for src, count := range bySource {
+			if i, ok := sourceIndex[src]; ok {
+				s.bySrc[i].Store(int64(count))
+			}
 		}
-	}
-	return nil
+	}, nil
 }
 
 // rowsPerPartition returns the row count of each of ds's partitions.
@@ -409,7 +389,7 @@ func (p singleSection) SnapshotSection() string { return "pmw/single" }
 // SnapshotPayload exports the non-partitioned PMW-Bypass's trained
 // histogram — weights and counts (float slices) and update count — and
 // its adaptive thresholds (a float slice, empty if untouched).
-func (p singleSection) SnapshotPayload() ([]byte, error) {
+func (p singleSection) SnapshotPayload() []byte {
 	s := p.s
 	s.singleMu.Lock()
 	defer s.singleMu.Unlock()
@@ -423,29 +403,45 @@ func (p singleSection) SnapshotPayload() ([]byte, error) {
 		_, _, thresholds = ap.State()
 	}
 	e.PutFloats(thresholds)
-	return e.Payload(), nil
+	return e.Payload()
 }
 
-// RestorePayload warm-starts the fresh PMW from the snapshot.
-func (p singleSection) RestorePayload(payload []byte) error {
+// StagePayload implements persist.Snapshotter: it checks everything the
+// warm start needs — a fresh PMW, a normalized histogram over the domain
+// and, for an adaptive heuristic, one threshold per bin — and the apply
+// warm-starts the PMW from the snapshot.
+func (p singleSection) StagePayload(payload []byte) (func(), error) {
 	s := p.s
 	d := persist.NewDecoder(payload)
 	st := histogram.State{Weights: d.Floats(), Counts: d.Floats(), Updates: d.Int()}
 	thresholds := d.Floats()
 	if err := d.Finish(); err != nil {
-		return err
+		return nil, err
 	}
 	h, err := histogram.FromState(st)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	size := s.ds.Domain().Size()
+	if h.Size() != size {
+		return nil, fmt.Errorf("core: snapshot histogram size %d != domain %d", h.Size(), size)
 	}
 	s.singleMu.Lock()
-	defer s.singleMu.Unlock()
-	if err := s.single.WarmStart(h, nil); err != nil {
-		return err
+	served := s.single.Stats().Queries
+	ap, adaptive := s.single.Heuristic().(*heuristic.AdaptivePerBin)
+	s.singleMu.Unlock()
+	if served > 0 {
+		return nil, errors.New("core: pmw restore after queries were served")
 	}
-	if ap, ok := s.single.Heuristic().(*heuristic.AdaptivePerBin); ok && thresholds != nil {
-		ap.SetThresholds(thresholds)
+	if adaptive && thresholds != nil && len(thresholds) != size {
+		return nil, fmt.Errorf("core: snapshot threshold length %d != domain %d", len(thresholds), size)
 	}
-	return nil
+	return func() {
+		s.singleMu.Lock()
+		defer s.singleMu.Unlock()
+		_ = s.single.WarmStart(h, nil) // its refusals are the checks above
+		if adaptive && thresholds != nil {
+			ap.SetThresholds(thresholds)
+		}
+	}, nil
 }

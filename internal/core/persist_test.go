@@ -296,9 +296,9 @@ func encodeDatasetSection(st dataset.State) []byte {
 // count, or a partition whose row count is one off the sum of its counts,
 // is refused while the section stages — before the books grow over the
 // snapshot's appended partitions and before any section restores. The
-// refusal is a SectionError naming the section, not ErrStateCorrupt: the
-// books, the partition count and the exact cache are as they were, and
-// the intact snapshot then restores into the same session.
+// refusal is a SectionError naming the section: the books, the partition
+// count and the exact cache are as they were, and the intact snapshot
+// then restores into the same session.
 func TestLoadStateRefusesPoisonedDataset(t *testing.T) {
 	dom, ds := buildDS(t, 2)
 	cfg := defaultCfg(Streaming)
@@ -344,7 +344,7 @@ func TestLoadStateRefusesPoisonedDataset(t *testing.T) {
 		spent := dst.Accountant().SpentVector()
 		err = dst.LoadState(bytes.NewReader(bad))
 		var se *persist.SectionError
-		if !errors.As(err, &se) || se.Section != "dataset/partitions" || errors.Is(err, ErrStateCorrupt) {
+		if !errors.As(err, &se) || se.Section != "dataset/partitions" {
 			t.Fatalf("%s: LoadState = %v, want a pure refusal of dataset/partitions", tc.name, err)
 		}
 		if got := dst.Accountant().SpentVector(); !slices.Equal(got, spent) {
@@ -409,23 +409,22 @@ func TestLoadStateErrorTaxonomy(t *testing.T) {
 		t.Fatalf("err = %v, want ErrAlreadyServing", err)
 	}
 	// A corrupted section payload names the offending section, and —
-	// because restore had begun mutating by the time it failed — the
-	// error also marks the session as one to discard. Refusing traffic
-	// from it is the server's job (TestPoisonedServerRefuses).
+	// staged before any section applies — leaves the session as it was,
+	// serving.
 	var se *persist.SectionError
-	err := corruptSection(t, raw, fresh(), "tree/nodes")
+	corrupt := fresh()
+	err := loadAllOrNothing(t, corrupt, replaceSection(t, raw, "tree/nodes", []byte("corrupted payload bytes")))
 	if !errors.As(err, &se) {
 		t.Fatalf("corrupt section: err = %v, want a SectionError", err)
 	} else if se.Section != "tree/nodes" {
 		t.Fatalf("SectionError names %q, want tree/nodes", se.Section)
 	}
-	if !errors.Is(err, ErrStateCorrupt) {
-		t.Fatalf("failure after the restore began mutating: %v, want ErrStateCorrupt", err)
+	if _, err := corrupt.Answer(q); err != nil {
+		t.Fatalf("query after a refused section: %v", err)
 	}
-	// Envelope-level failures and pure validation mismatches never
-	// mutate, so the session stays usable.
+	// Envelope-level failures never mutate either.
 	clean := fresh()
-	if err := clean.LoadState(bytes.NewReader(raw[:len(raw)/2])); !errors.Is(err, persist.ErrTruncated) || errors.Is(err, ErrStateCorrupt) {
+	if err := loadAllOrNothing(t, clean, raw[:len(raw)/2]); !errors.Is(err, persist.ErrTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated alone", err)
 	}
 	if _, err := clean.Answer(q); err != nil {
@@ -433,37 +432,30 @@ func TestLoadStateErrorTaxonomy(t *testing.T) {
 	}
 }
 
-// corruptSection rewrites the snapshot with the named section's payload
-// replaced by garbage and returns the LoadState error.
-func corruptSection(t *testing.T, raw []byte, s *Session, section string) error {
+// loadAllOrNothing loads snap into s, a session that has answered
+// nothing, and fails the test unless a refused load leaves s as it was:
+// the same snapshot bytes, no spend and no answers.
+func loadAllOrNothing(t *testing.T, s *Session, snap []byte) error {
 	t.Helper()
-	payloads, order, err := persist.ReadSections(bytes.NewReader(raw))
-	if err != nil {
+	var before, after bytes.Buffer
+	if err := s.SaveState(&before); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	w, err := persist.NewWriter(&buf)
-	if err != nil {
+	err := s.LoadState(bytes.NewReader(snap))
+	if err == nil {
+		return nil
+	}
+	if err := s.SaveState(&after); err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, name := range order {
-		p := payloads[name]
-		if name == section {
-			p = []byte("corrupted payload bytes")
-			found = true
-		}
-		if err := w.WriteSection(name, p); err != nil {
-			t.Fatal(err)
-		}
+	if !bytes.Equal(after.Bytes(), before.Bytes()) {
+		t.Fatalf("the refused load (%v) changed the session's snapshot", err)
 	}
-	if !found {
-		t.Fatalf("snapshot has no section %q (have %v)", section, order)
+	if s.Accountant().MaxSpent() != 0 || s.Queries() != 0 {
+		t.Fatalf("the refused load (%v) moved the books (max spent %g) or the counters (%d queries)",
+			err, s.Accountant().MaxSpent(), s.Queries())
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return s.LoadState(&buf)
+	return err
 }
 
 // requireEqualRDP asserts two sessions' Rényi books agree exactly:
@@ -713,7 +705,7 @@ func TestSaveLoadGaussianMidStream(t *testing.T) {
 	// refused up front, before anything mutates.
 	err = g2.LoadState(&snap)
 	var se *persist.SectionError
-	if !errors.As(err, &se) || se.Section != "core/identity" || errors.Is(err, ErrStateCorrupt) {
+	if !errors.As(err, &se) || se.Section != "core/identity" {
 		t.Fatalf("scalar snapshot into Gaussian session: %v, want a recoverable core/identity refusal", err)
 	}
 	// A pure validation mismatch mutates nothing: the refused session
@@ -968,5 +960,165 @@ func TestFreshBooksStartWithEmptyCaches(t *testing.T) {
 					ans, b.AverageSpent())
 			}
 		})
+	}
+}
+
+// poisonLast rewrites a section's payload with its last element broken:
+// the last configuration field, partition, row count, ledger value, cache
+// entry, PMW threshold list or tree node. With alt, the block's ledger
+// instead covers one partition more than the snapshot's dataset, and the
+// meta section's query count is negative.
+func poisonLast(t *testing.T, section string, p []byte, alt bool) []byte {
+	t.Helper()
+	d := persist.NewDecoder(p)
+	var e persist.Encoder
+	switch section {
+	case "core/identity":
+		e.PutInt(d.Int())
+		e.PutBool(d.Bool())
+		for range 5 {
+			e.PutFloat(d.Float())
+		}
+		e.PutInt(d.Int() + 1) // another tree structure
+	case "dataset/partitions":
+		n := d.Count(2)
+		e.PutUvarint(uint64(n))
+		for i := range n {
+			e.PutFloats(d.Floats())
+			rows := d.Int()
+			if i == n-1 {
+				rows++ // one off its counts' sum
+			}
+			e.PutInt(rows)
+		}
+	case "core/meta":
+		n := d.Count(1)
+		e.PutUvarint(uint64(n))
+		for i := range n {
+			rows := d.Int()
+			if i == n-1 && !alt {
+				rows++ // not the dataset's row count
+			}
+			e.PutInt(rows)
+		}
+		queries := d.Int()
+		if alt {
+			queries = -100
+		}
+		e.PutInt(queries)
+		e.PutInt(d.Int())
+		m := d.Count(2)
+		e.PutUvarint(uint64(m))
+		for range m {
+			e.PutBytes(d.Bytes())
+			e.PutInt(d.Int())
+		}
+	case "accountant/block":
+		e.PutFloat(d.Float())
+		e.PutFloat(d.Float())
+		orders := d.Floats()
+		e.PutFloats(orders)
+		spent := d.Floats()
+		if alt {
+			spent = append(spent, make([]float64, max(1, len(orders)))...)
+		} else {
+			spent[len(spent)-1] = -1
+		}
+		e.PutFloats(spent)
+	case "cache/session-exact":
+		n := d.Count(2)
+		e.PutUvarint(uint64(n))
+		for i := range n {
+			e.PutBytes(d.Bytes())
+			v := d.Bytes()
+			if i == n-1 {
+				v = []byte{1, 2, 3} // not an entry
+			}
+			e.PutBytes(v)
+		}
+	case "pmw/single":
+		e.PutFloats(d.Floats())
+		e.PutFloats(d.Floats())
+		e.PutInt(d.Int())
+		d.Floats()
+		e.PutFloats([]float64{1, 1, 1}) // 3 thresholds over 8 bins
+	case "tree/nodes":
+		n := d.Count(6)
+		e.PutUvarint(uint64(n))
+		for i := range n {
+			e.PutInt(d.Int())
+			e.PutInt(d.Int())
+			e.PutFloats(d.Floats())
+			e.PutFloats(d.Floats())
+			e.PutInt(d.Int())
+			th := d.Floats()
+			if i == n-1 {
+				th = []float64{0.5} // one threshold over 8 bins
+			}
+			e.PutFloats(th)
+		}
+	default:
+		t.Fatalf("no poison for section %q", section)
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatalf("%s: %v", section, err)
+	}
+	return e.Payload()
+}
+
+// TestRefusedSectionChangesNothing: every section, poisoned in its last
+// element, is refused by a SectionError naming it, and the target is left
+// as it was (loadAllOrNothing) and answers a miss. Sections that once
+// checked only as they restored are among them: a tree/nodes section
+// whose last node has one threshold was refused after the books had
+// moved, and a pmw/single section with 3 thresholds over 8 bins was
+// accepted, its next miss a panic. The streaming source has appended a
+// partition, so its dataset section grows the target and the block's
+// ledger must cover exactly the grown count. A negative query count
+// would let a later LoadState pass ErrAlreadyServing on a session that
+// has answered.
+func TestRefusedSectionChangesNothing(t *testing.T) {
+	ops := []byte{0x05, 0x46, 0x8b, 0xcd, 0x13, 0xfe, 0x05, 0x46, 0x21, 0x9c}
+	const nonPartitioned, streamingGrown = 0, 11
+	for _, tc := range []struct {
+		section string
+		shape   byte
+		alt     bool
+	}{
+		{"core/identity", streamingGrown, false},
+		{"dataset/partitions", streamingGrown, false},
+		{"core/meta", streamingGrown, false},
+		{"core/meta", streamingGrown, true},
+		{"accountant/block", streamingGrown, false},
+		{"accountant/block", streamingGrown, true},
+		{"cache/session-exact", streamingGrown, false},
+		{"pmw/single", nonPartitioned, false},
+		{"tree/nodes", streamingGrown, false},
+	} {
+		cfg, src := fuzzSession(t, tc.shape, ops)
+		var snap bytes.Buffer
+		if err := src.SaveState(&snap); err != nil {
+			t.Fatal(err)
+		}
+		bad := rewriteSections(t, snap.Bytes(), func(name string, p []byte) []byte {
+			if name == tc.section {
+				return poisonLast(t, name, p, tc.alt)
+			}
+			return p
+		})
+		dst, err := restoreInto(t, cfg, bad)
+		if refusingSection(err) != tc.section {
+			t.Fatalf("%s (alt %t) poisoned: err = %v, want its SectionError", tc.section, tc.alt, err)
+		}
+		q := query.MustNew(dst.Dataset().Domain(), map[int][]int{0: {1}, 1: {2}})
+		if cfg.Mode != NonPartitioned {
+			q = q.WithWindow(0, 1)
+		}
+		if _, err := dst.Answer(q); err != nil {
+			t.Fatalf("%s: a miss after the refusal: %v", tc.section, err)
+		}
+		if _, err := restoreInto(t, cfg, snap.Bytes()); err != nil {
+			t.Fatalf("%s: the intact snapshot: %v", tc.section, err)
+		}
 	}
 }

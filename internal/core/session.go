@@ -221,11 +221,12 @@ type Session struct {
 	flights flightGroup
 	// registry holds the session's durable-state sections (persist.go),
 	// every one registered at construction. persistMu serializes
-	// SaveState/LoadState against each other; restoreMutated records,
-	// under persistMu, whether the in-flight restore started mutating.
-	registry       *persist.Registry
-	persistMu      sync.Mutex
-	restoreMutated bool
+	// SaveState/LoadState against each other; restoreRows, under it, is
+	// each partition's row count in the dataset section a LoadState
+	// staged (nil when the snapshot carries none).
+	registry    *persist.Registry
+	persistMu   sync.Mutex
+	restoreRows []int
 	// persistData opts snapshots into carrying the dataset itself
 	// (PersistDataset); set before serving traffic.
 	persistData bool

@@ -6,10 +6,10 @@
 // entries, PMW/tree histograms, and spent privacy budget — so a restart
 // must not forfeit it (§5 notes Redis "can be replaced with a persistent,
 // consistent and durable storage service"; this package is that seam).
-// Each stateful layer (accountant blocks, exact caches, the tree, the
-// streaming ingestor) implements Snapshotter and contributes one named
-// section; the envelope carries them behind a magic header and a format
-// version.
+// Each stateful layer (the session's identity, dataset and counters, the
+// accountant block, the exact cache, the PMW and the tree) implements
+// Snapshotter and contributes one named section; the envelope carries
+// them behind a magic header and a format version.
 //
 // # Envelope format (v4)
 //
@@ -70,8 +70,8 @@ var (
 	ErrDuplicateSection = errors.New("persist: duplicate snapshot section")
 )
 
-// SectionError attributes a payload encode/decode/restore failure to the
-// offending section by name.
+// SectionError attributes a section's write or stage failure to the
+// section by name.
 type SectionError struct {
 	Section string
 	Err     error
@@ -87,19 +87,20 @@ func (e *SectionError) Unwrap() error { return e.Err }
 
 // Snapshotter is one stateful layer's contribution to a snapshot: a
 // uniquely-tagged section whose payload the layer encodes and decodes
-// itself. Restore runs on a freshly-constructed layer, before it serves
-// any traffic; on error the layer's state is undefined and the owning
-// session must be discarded.
+// itself.
 type Snapshotter interface {
 	// SnapshotSection returns the layer's unique section tag
 	// (conventionally "layer/detail", e.g. "accountant/block").
 	SnapshotSection() string
 	// SnapshotPayload encodes the layer's current state. An optional
-	// section (see OptionalSection) may return (nil, nil) to omit itself
-	// from the snapshot entirely.
-	SnapshotPayload() ([]byte, error)
-	// RestorePayload decodes a previously-encoded payload into the layer.
-	RestorePayload(payload []byte) error
+	// section (see OptionalSection) may return nil to omit itself from
+	// the snapshot entirely.
+	SnapshotPayload() []byte
+	// StagePayload decodes a previously-encoded payload and checks
+	// everything about it, changing nothing, and returns the apply that
+	// puts it in place. The apply cannot fail: Load runs it only once
+	// every section has staged.
+	StagePayload(payload []byte) (apply func(), err error)
 }
 
 // OptionalSection marks a Snapshotter whose section may legitimately be
@@ -108,17 +109,6 @@ type Snapshotter interface {
 // anywhere).
 type OptionalSection interface {
 	SnapshotOptional() bool
-}
-
-// Stager is optionally implemented by a Snapshotter that can decode and
-// check its payload without mutating anything. Load stages every such
-// section, in registration order, before the first section restores, so a
-// payload one refuses leaves every layer untouched, and then calls the
-// returned apply in the section's turn in place of RestorePayload. It is
-// the registry's one pre-restore hook: a session's identity, dataset,
-// books and caches all vet themselves through it.
-type Stager interface {
-	StagePayload(payload []byte) (apply func() error, err error)
 }
 
 // Writer writes a snapshot envelope section by section.
@@ -243,9 +233,8 @@ func readChunk(br *bufio.Reader) ([]byte, error) {
 }
 
 // Registry holds the Snapshotters of one session in registration order,
-// which is restore order (validation sections first, so a mismatched
-// snapshot fails before any machinery state moves); Capture writes in the
-// reverse order (see Capture for why).
+// which is the order Load stages and applies them in; Capture writes in
+// the reverse order (see Capture for why).
 type Registry struct {
 	order  []Snapshotter
 	byName map[string]Snapshotter
@@ -256,8 +245,8 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]Snapshotter)}
 }
 
-// Register adds a layer at the end of the restore order. Each section has
-// one owner: registering a tag twice panics.
+// Register adds a layer at the end of the stage and apply order. Each
+// section has one owner: registering a tag twice panics.
 func (r *Registry) Register(s Snapshotter) {
 	name := s.SnapshotSection()
 	if name == "" {
@@ -277,11 +266,12 @@ func optional(s Snapshotter) bool {
 }
 
 // Capture writes one section per registered layer. An optional layer
-// returning a nil payload is omitted.
+// returning a nil payload is omitted. Encoding a payload cannot fail, so
+// Capture fails only on w's errors.
 //
 // Sections are CAPTURED in reverse registration order — machinery state
 // (caches, histograms: the released results) before the accountants —
-// while Load restores in registration order regardless of on-stream
+// while Load applies in registration order regardless of on-stream
 // order. The reversal is what makes a payment racing the snapshot skew
 // conservative only: every mechanism pays before it caches its result,
 // so a release captured in an earlier-read cache section already has
@@ -298,10 +288,7 @@ func (r *Registry) Capture(w io.Writer) error {
 	for i := len(r.order) - 1; i >= 0; i-- {
 		s := r.order[i]
 		name := s.SnapshotSection()
-		payload, err := s.SnapshotPayload()
-		if err != nil {
-			return &SectionError{Section: name, Err: err}
-		}
+		payload := s.SnapshotPayload()
 		if payload == nil && optional(s) {
 			continue
 		}
@@ -313,68 +300,42 @@ func (r *Registry) Capture(w io.Writer) error {
 }
 
 // Load reads a snapshot and restores every registered layer from its
-// section, in registration order regardless of on-stream order. A
-// section with no registered owner is ErrUnknownSection; a registered
-// non-optional layer with no section is ErrMissingSection; a payload
-// failure is a SectionError naming the layer. Only those failures, and a
-// Stager's refusal, come before the first layer mutates: past that point
-// restore is not transactional, and on error the layers' state is
-// undefined and the owning session must be discarded.
+// section, all or nothing: it stages every section, in registration order
+// regardless of on-stream order, before it applies any. A section with no
+// registered owner is ErrUnknownSection; a registered non-optional layer
+// with no section is ErrMissingSection; a section its layer refuses to
+// stage is a SectionError naming it. Each of those leaves every layer as
+// it was.
 func (r *Registry) Load(rd io.Reader) error {
 	payloads, _, err := ReadSections(rd)
 	if err != nil {
 		return err
 	}
-	// Refuse unknown and missing sections BEFORE any layer restores: a
-	// recognizably-foreign snapshot must be a pure validation failure,
-	// not a fully-mutated session followed by an error.
 	for name := range payloads {
 		if _, ok := r.byName[name]; !ok {
 			return fmt.Errorf("%w: %q", ErrUnknownSection, name)
 		}
 	}
-	for _, s := range r.order {
-		if _, ok := payloads[s.SnapshotSection()]; !ok && !optional(s) {
-			return fmt.Errorf("%w: %q", ErrMissingSection, s.SnapshotSection())
-		}
-	}
-	staged := make(map[string]func() error)
-	for _, s := range r.order {
-		name := s.SnapshotSection()
-		payload, present := payloads[name]
-		if st, ok := s.(Stager); ok && present {
-			apply, err := st.StagePayload(payload)
-			if err != nil {
-				return sectionError(name, err)
-			}
-			staged[name] = apply
-		}
-	}
+	applies := make([]func(), 0, len(r.order))
 	for _, s := range r.order {
 		name := s.SnapshotSection()
 		payload, ok := payloads[name]
 		if !ok {
-			continue // optional, absent
+			if !optional(s) {
+				return fmt.Errorf("%w: %q", ErrMissingSection, name)
+			}
+			continue
 		}
-		restore := staged[name]
-		if restore == nil {
-			restore = func() error { return s.RestorePayload(payload) }
+		apply, err := s.StagePayload(payload)
+		if err != nil {
+			return &SectionError{Section: name, Err: err}
 		}
-		if err := restore(); err != nil {
-			return sectionError(name, err)
-		}
+		applies = append(applies, apply)
+	}
+	for _, apply := range applies {
+		apply()
 	}
 	return nil
-}
-
-// sectionError attributes err to the named section, unless it already
-// names one.
-func sectionError(name string, err error) error {
-	var se *SectionError
-	if errors.As(err, &se) {
-		return err
-	}
-	return &SectionError{Section: name, Err: err}
 }
 
 // WriteFileAtomic writes a snapshot (or any stream) to path via a

@@ -19,23 +19,16 @@ type fakeLayer struct {
 	name    string
 	state   []byte
 	opt     bool
-	saveErr error
 	loadErr error
 }
 
 func (f *fakeLayer) SnapshotSection() string { return f.name }
-func (f *fakeLayer) SnapshotPayload() ([]byte, error) {
-	if f.saveErr != nil {
-		return nil, f.saveErr
-	}
-	return f.state, nil
-}
-func (f *fakeLayer) RestorePayload(p []byte) error {
+func (f *fakeLayer) SnapshotPayload() []byte { return f.state }
+func (f *fakeLayer) StagePayload(p []byte) (func(), error) {
 	if f.loadErr != nil {
-		return f.loadErr
+		return nil, f.loadErr
 	}
-	f.state = append([]byte(nil), p...)
-	return nil
+	return func() { f.state = append([]byte(nil), p...) }, nil
 }
 func (f *fakeLayer) SnapshotOptional() bool { return f.opt }
 
@@ -218,39 +211,15 @@ func TestSectionErrorNamesOffender(t *testing.T) {
 	if !errors.As(err, &se) || se.Section != "bad" || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want SectionError naming \"bad\" wrapping boom", err)
 	}
-
-	// Capture-side failures are attributed the same way.
-	regSave := NewRegistry()
-	regSave.Register(&fakeLayer{name: "bad", saveErr: boom})
-	err = regSave.Capture(&bytes.Buffer{})
-	se = nil
-	if !errors.As(err, &se) || se.Section != "bad" {
-		t.Fatalf("save err = %v, want SectionError naming \"bad\"", err)
-	}
 }
 
-// stagingLayer is a fakeLayer that stages: StagePayload refuses with
-// stageErr, or returns an apply that counts itself.
-type stagingLayer struct {
-	fakeLayer
-	stageErr error
-	applied  int
-}
-
-func (s *stagingLayer) StagePayload(p []byte) (func() error, error) {
-	if s.stageErr != nil {
-		return nil, s.stageErr
-	}
-	return func() error { s.applied++; return s.fakeLayer.RestorePayload(p) }, nil
-}
-
-// TestStagerRefusesBeforeAnyRestore: a Stager registered after a plain
-// layer refuses before that layer restores, named by a SectionError; one
-// that accepts is restored through its apply.
-func TestStagerRefusesBeforeAnyRestore(t *testing.T) {
+// TestLoadStagesEverySectionBeforeAnyApplies: a section that refuses to
+// stage, named by a SectionError, leaves the sections registered before
+// it unapplied; when every section stages, each apply runs once.
+func TestLoadStagesEverySectionBeforeAnyApplies(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register(&fakeLayer{name: "first", state: []byte("x")})
-	reg.Register(&fakeLayer{name: "staged", state: []byte("y")})
+	reg.Register(&fakeLayer{name: "last", state: []byte("y")})
 	var buf bytes.Buffer
 	if err := reg.Capture(&buf); err != nil {
 		t.Fatal(err)
@@ -258,25 +227,24 @@ func TestStagerRefusesBeforeAnyRestore(t *testing.T) {
 
 	boom := errors.New("boom")
 	first := &fakeLayer{name: "first", state: []byte("before")}
-	refusing := &stagingLayer{fakeLayer: fakeLayer{name: "staged"}, stageErr: boom}
 	reg2 := NewRegistry()
 	reg2.Register(first)
-	reg2.Register(refusing)
+	reg2.Register(&fakeLayer{name: "last", loadErr: boom})
 	err := reg2.Load(bytes.NewReader(buf.Bytes()))
 	var se *SectionError
-	if !errors.As(err, &se) || se.Section != "staged" || !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want SectionError naming \"staged\" wrapping boom", err)
+	if !errors.As(err, &se) || se.Section != "last" || !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want SectionError naming \"last\" wrapping boom", err)
 	}
 	if string(first.state) != "before" {
-		t.Fatalf("the earlier section restored %q before the stager refused", first.state)
+		t.Fatalf("the earlier section applied %q before the last refused", first.state)
 	}
 
-	accepting := &stagingLayer{fakeLayer: fakeLayer{name: "staged"}}
+	first, last := &fakeLayer{name: "first"}, &fakeLayer{name: "last"}
 	reg3 := NewRegistry()
-	reg3.Register(&fakeLayer{name: "first"})
-	reg3.Register(accepting)
-	if err := reg3.Load(bytes.NewReader(buf.Bytes())); err != nil || accepting.applied != 1 || string(accepting.state) != "y" {
-		t.Fatalf("err = %v, applied %d, state %q: want the staged apply run once", err, accepting.applied, accepting.state)
+	reg3.Register(first)
+	reg3.Register(last)
+	if err := reg3.Load(bytes.NewReader(buf.Bytes())); err != nil || string(first.state) != "x" || string(last.state) != "y" {
+		t.Fatalf("err = %v, state %q/%q: want both sections applied", err, first.state, last.state)
 	}
 }
 

@@ -9,8 +9,7 @@
 // Statuses are per element: one over-budget query 429s in its slot
 // without dooming its batchmates, exactly like the singleton endpoint's
 // status mapping. The envelope itself is 200 whenever the batch was
-// processed; only malformed requests (400) and the boot latch (503 after
-// a restore failed midway) fail the whole call.
+// processed; only a malformed request (400) fails the whole call.
 
 package httpd
 
@@ -65,9 +64,7 @@ func (s *Server) handleQueryBatch(w *Response, r *Request) {
 		writeError(w, StatusBadRequest, "bad-request", "empty batch")
 		return
 	}
-	if !s.serving(w) {
-		return
-	}
+	s.closeRestore()
 
 	sc.items, sc.res = reuse(sc.items, len(sqls)), reuse(sc.res, len(sqls))
 	items, res := sc.items, sc.res

@@ -15,9 +15,7 @@ import (
 // key: ParseGrouped builds every cell's query, each goes through
 // Session.Answer, and encoding/json writes the body.
 func (s *Server) oracleGroupBy(w *Response, sql string) {
-	if !s.serving(w) {
-		return
-	}
+	s.closeRestore()
 	gs, err := s.parser.ParseGrouped(sql)
 	if err != nil {
 		writeJSON(w, StatusBadRequest, ErrorResponse{"parse", err.Error()})

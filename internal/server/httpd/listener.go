@@ -40,7 +40,6 @@ const (
 	StatusTooManyRequests             = 429
 	StatusRequestHeaderFieldsTooLarge = 431
 	StatusInternalServerError         = 500
-	StatusServiceUnavailable          = 503
 )
 
 var statusText = map[int]string{
@@ -55,7 +54,6 @@ var statusText = map[int]string{
 	StatusTooManyRequests:             "Too Many Requests",
 	StatusRequestHeaderFieldsTooLarge: "Request Header Fields Too Large",
 	StatusInternalServerError:         "Internal Server Error",
-	StatusServiceUnavailable:          "Service Unavailable",
 }
 
 // The methods the routes tell apart.

@@ -34,9 +34,8 @@
 // when it may: the first /query, /query/batch, /groupby or /append closes
 // the restore window for good (a later /restore is 409, answered from its
 // head before any of its body is read), a request that arrives while a
-// restore runs waits for it, and a restore that failed after it began
-// mutating leaves the server refusing every analyst request and every
-// snapshot with 503 "corrupt" until it is restarted.
+// restore runs waits for it, and a refused restore leaves the server as it
+// was: every section stages before any applies.
 // Once the window is closed the latch is one atomic load. Otherwise the
 // server holds no lock of its own: the session's query pipeline is
 // concurrency-safe (lock-free planning and exact-cache probes, execution
@@ -80,11 +79,9 @@ type Server struct {
 	// live is the boot latch: set by the first analyst request or a
 	// successful restore, after which /restore is 409. bootMu serializes
 	// a restore against the requests and snapshots that arrive before
-	// live; dead, under it, records a restore that failed after it began
-	// mutating. live and dead are never both set.
+	// live.
 	live   atomic.Bool
 	bootMu sync.Mutex
-	dead   bool
 
 	// queries counts served requests: exactly one per 200 response, so
 	// client-observed successes always equal this counter — including
@@ -195,10 +192,8 @@ type QueryResponse struct {
 
 // ErrorResponse carries a machine-readable error kind plus a message.
 type ErrorResponse struct {
-	// Kind is one of "parse", "exhausted", "internal", "bad-request",
-	// "conflict" (restore into a server that already began serving), or
-	// "corrupt" (a failed restore left the session undefined; restart
-	// required).
+	// Kind is one of "parse", "exhausted", "internal", "bad-request", or
+	// "conflict" (restore into a server that already began serving).
 	Kind    string `json:"kind"`
 	Message string `json:"message"`
 }
@@ -214,23 +209,16 @@ func writeResult[T any](w *Response, enc func([]byte, *T) ([]byte, error), v *T)
 	writeBody(w, StatusOK, body)
 }
 
-// serving passes one analyst request through the boot latch, before its
-// first session call: it closes the restore window, waiting out a restore
-// in progress, or answers 503 "corrupt" after a restore failed midway.
-func (s *Server) serving(w *Response) bool {
+// closeRestore passes one analyst request through the boot latch, before
+// its first session call: it closes the restore window, waiting out a
+// restore in progress.
+func (s *Server) closeRestore() {
 	if s.live.Load() {
-		return true
+		return
 	}
 	s.bootMu.Lock()
-	dead := s.dead
-	if !dead {
-		s.live.Store(true)
-	}
+	s.live.Store(true)
 	s.bootMu.Unlock()
-	if dead {
-		writeError(w, StatusServiceUnavailable, "corrupt", core.ErrStateCorrupt.Error())
-	}
-	return !dead
 }
 
 // answer is the one step a statement takes, whichever route carries it:
@@ -261,9 +249,10 @@ func (s *Server) answer(sc *scratch, b *query.Builder) (ans core.Answer, keyed b
 // frame and takes the answer step.
 func (s *Server) handleQuery(w *Response, r *Request) {
 	sql, ok := decodeSQL(w, r)
-	if !ok || !s.serving(w) {
+	if !ok {
 		return
 	}
+	s.closeRestore()
 	var b query.Builder
 	table, err := s.parser.ParseInto(sql, &b)
 	if err != nil {
@@ -340,9 +329,10 @@ type GroupByResponse struct {
 // never a served request.
 func (s *Server) handleGroupBy(w *Response, r *Request) {
 	sql, ok := decodeSQL(w, r)
-	if !ok || !s.serving(w) {
+	if !ok {
 		return
 	}
+	s.closeRestore()
 	sc := r.scratchFor()
 	var base query.Builder
 	table, groupBy, err := s.parser.ParseGroupedInto(sql, &base, sc.groupBy)
@@ -443,9 +433,7 @@ func (s *Server) handleAppend(w *Response, r *Request) {
 			"batch of more than 64 partitions")
 		return
 	}
-	if !s.serving(w) {
-		return
-	}
+	s.closeRestore()
 	sc.arrivals = sc.arrivals[:0]
 	for _, p := range req.Partitions {
 		sc.arrivals = append(sc.arrivals, stream.Arrival{Counts: p.Counts})
@@ -659,41 +647,26 @@ func (s *Server) handleSchema(w *Response, r *Request) {
 // SaveState writes the session's snapshot; GET /snapshot and
 // turbo-server's checkpoints all take this path. Before the restore
 // window closes it holds the latch for the whole capture, so a snapshot
-// never interleaves with a restore, and after a restore failed midway it
-// refuses with core.ErrStateCorrupt: undefined state must never
-// overwrite a good checkpoint.
+// never interleaves with a restore.
 func (s *Server) SaveState(w io.Writer) error {
 	if !s.live.Load() {
 		s.bootMu.Lock()
 		defer s.bootMu.Unlock()
-		if s.dead {
-			return core.ErrStateCorrupt
-		}
 	}
 	return s.sess.SaveState(w)
 }
 
-// handleSnapshot streams the session's durable state as a persist
+// handleSnapshot answers the session's durable state as a persist
 // envelope: the block accountant (RDP curves included), the exact cache,
 // tree node state and the dataset its appends grew, captured with no
-// append mid-application. The snapshot is buffered before the first
-// byte is written so an encoding failure surfaces as a clean 500 rather
-// than a torn 200 body.
+// append mid-application.
 func (s *Server) handleSnapshot(w *Response, r *Request) {
 	if r.Method != MethodGet {
 		writeError(w, StatusMethodNotAllowed, "bad-request", "GET only")
 		return
 	}
 	buf := bytes.NewBuffer(w.Body[:0])
-	err := s.SaveState(buf)
-	if errors.Is(err, core.ErrStateCorrupt) {
-		writeError(w, StatusServiceUnavailable, "corrupt", err.Error())
-		return
-	}
-	if err != nil {
-		writeError(w, StatusInternalServerError, "internal", err.Error())
-		return
-	}
+	_ = s.SaveState(buf) // a capture fails only on its writer, and a bytes.Buffer never does
 	w.Status, w.ContentType, w.Body = StatusOK, "application/octet-stream", buf.Bytes()
 }
 
@@ -705,18 +678,17 @@ type RestoreResponse struct {
 }
 
 // handleRestore loads a snapshot (the POST body) into the session,
-// through the boot latch: a server that has begun serving answers 409,
-// and one whose earlier restore failed midway 503 — refuseRestore gives
-// both answers from the head, before the body is read, and they are
-// checked again here under the latch. Envelope failures map
-// to typed statuses: input that is not a snapshot or from another format
-// version is 400; a section-level mismatch (wrong mode, another
-// dataset, foreign accounting) is 422 and leaves the server usable. After a 200
-// every restored section is applied and queryable. A failure after the restore began mutating
-// (core.ErrStateCorrupt) is 500 "corrupt", and the server then refuses
-// every analyst request and snapshot until it is restarted. The front end
-// has read the whole body before the handler runs, so a slow upload never
-// holds the latch that requests arriving meanwhile wait on.
+// through the boot latch: a server that has begun serving answers 409 —
+// refuseRestore gives that answer from the head, before the body is read,
+// and it is checked again here under the latch. Envelope failures map to
+// typed statuses: input that is not a snapshot or from another format
+// version is 400; a section the session refuses (wrong mode, another
+// dataset, foreign accounting, a malformed payload) is 422. Every section
+// stages before any applies, so a refused restore leaves the server as it
+// was, and after a 200 every restored section is applied and queryable.
+// The front end has read the whole body before the handler runs, so a
+// slow upload never holds the latch that requests arriving meanwhile wait
+// on.
 func (s *Server) handleRestore(w *Response, r *Request) {
 	if !posted(w, r) {
 		return
@@ -730,10 +702,6 @@ func (s *Server) handleRestore(w *Response, r *Request) {
 	switch {
 	case err == nil:
 		s.live.Store(true)
-	case errors.Is(err, core.ErrStateCorrupt):
-		s.dead = true
-		writeError(w, StatusInternalServerError, "corrupt", err.Error())
-		return
 	case errors.Is(err, core.ErrAlreadyServing):
 		writeError(w, StatusConflict, "conflict", err.Error())
 		return
@@ -767,17 +735,13 @@ func (s *Server) refuseRestore(w *Response, r *Request) bool {
 	return s.restoreClosed(w)
 }
 
-// restoreClosed answers 503 after a restore failed midway and 409 once
-// the server serves; the caller holds bootMu.
+// restoreClosed answers 409 once the server serves; the caller holds
+// bootMu.
 func (s *Server) restoreClosed(w *Response) bool {
-	switch {
-	case s.dead:
-		writeError(w, StatusServiceUnavailable, "corrupt", core.ErrStateCorrupt.Error())
-		return true
-	case s.live.Load():
-		writeError(w, StatusConflict, "conflict",
-			"server already serving: restore runs before the first request")
-		return true
+	if !s.live.Load() {
+		return false
 	}
-	return false
+	writeError(w, StatusConflict, "conflict",
+		"server already serving: restore runs before the first request")
+	return true
 }

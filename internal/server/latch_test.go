@@ -1,12 +1,11 @@
 // Tests of the boot latch: POST /restore racing the first analyst
-// traffic of a fresh server, and a server whose restore failed midway.
+// traffic of a fresh server, and a server whose restore was refused.
 
 package server
 
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -219,9 +218,11 @@ func corruptSnapshot(t *testing.T, raw []byte, section string) []byte {
 }
 
 // TestPoisonedServerRefuses restores a snapshot whose tree/nodes section
-// is garbage: the failure comes after the restore began mutating, so it
-// is 500 "corrupt", and from then on every analyst endpoint, every
-// snapshot and every further restore refuses with 503 "corrupt".
+// is garbage: it is refused with 422 before any section applies, so the
+// server is as it was — its snapshot is the bytes it was, /budget reads
+// zero, and a good snapshot then restores. A server refused so serves
+// every analyst endpoint, and its first request closes the restore window
+// as on any server.
 func TestPoisonedServerRefuses(t *testing.T) {
 	src, ds := newStreamingServer(t, false)
 	tsSrc := serve(t, src)
@@ -231,32 +232,53 @@ func TestPoisonedServerRefuses(t *testing.T) {
 	if resp, body := postQuery(t, tsSrc, sql); resp.StatusCode != http.StatusOK {
 		t.Fatalf("source query: %d %s", resp.StatusCode, body)
 	}
-	bad := corruptSnapshot(t, getSnapshot(t, tsSrc), "tree/nodes")
+	good := getSnapshot(t, tsSrc)
+	bad := corruptSnapshot(t, good, "tree/nodes")
 
 	srv, _ := newStreamingServer(t, false)
 	ts := serve(t, srv)
 	defer ts.Close()
 	defer srv.Close()
-	status, body := postRestore(t, ts, bad)
-	if status != http.StatusInternalServerError || !strings.Contains(string(body), `"corrupt"`) {
-		t.Fatalf("corrupt restore = %d %s, want 500 corrupt", status, body)
+	before := getSnapshot(t, ts)
+	if status, body := postRestore(t, ts, bad); status != http.StatusUnprocessableEntity || !strings.Contains(string(body), "tree/nodes") {
+		t.Fatalf("garbage tree/nodes restore = %d %s, want 422 naming the section", status, body)
+	}
+	if after := getSnapshot(t, ts); !bytes.Equal(after, before) {
+		t.Fatal("the refused restore changed the server's snapshot")
+	}
+	if b := getBudget(t, ts); b.MaxSpent != 0 || b.AverageSpent != 0 || b.Queries != 0 {
+		t.Fatalf("/budget after the refused restore: %+v, want zero", b)
+	}
+	if status, body := postRestore(t, ts, good); status != http.StatusOK {
+		t.Fatalf("good restore after the refused one = %d %s", status, body)
+	}
+	if resp, body := postQuery(t, ts, sql); resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"exact-hit"`) {
+		t.Fatalf("the snapshot's statement after the good restore = %d %s, want an exact hit", resp.StatusCode, body)
 	}
 
+	refused, _ := newStreamingServer(t, false)
+	tsRefused := serve(t, refused)
+	defer tsRefused.Close()
+	defer refused.Close()
+	if status, body := postRestore(t, tsRefused, bad); status != http.StatusUnprocessableEntity {
+		t.Fatalf("garbage tree/nodes restore = %d %s, want 422", status, body)
+	}
 	q, _ := json.Marshal(QueryRequest{SQL: sql})
 	batch, _ := json.Marshal(BatchQueryRequest{Queries: []string{sql}})
 	group, _ := json.Marshal(QueryRequest{SQL: "SELECT COUNT(*) FROM covid GROUP BY age"})
 	for _, c := range []struct {
 		method, path string
 		body         []byte
+		want         int
 	}{
-		{"POST", "/query", q},
-		{"POST", "/query/batch", batch},
-		{"POST", "/groupby", group},
-		{"POST", "/append", appendBody(t, ds.Domain().Size(), 1, 2)},
-		{"GET", "/snapshot", nil},
-		{"POST", "/restore", bad},
+		{"POST", "/query", q, http.StatusOK},
+		{"POST", "/query/batch", batch, http.StatusOK},
+		{"POST", "/groupby", group, http.StatusOK},
+		{"POST", "/append", appendBody(t, ds.Domain().Size(), 1, 2), http.StatusOK},
+		{"GET", "/snapshot", nil, http.StatusOK},
+		{"POST", "/restore", good, http.StatusConflict},
 	} {
-		req, err := http.NewRequest(c.method, ts.URL+c.path, bytes.NewReader(c.body))
+		req, err := http.NewRequest(c.method, tsRefused.URL+c.path, bytes.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,11 +288,11 @@ func TestPoisonedServerRefuses(t *testing.T) {
 		}
 		out, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(out), `"corrupt"`) {
-			t.Errorf("%s %s on a poisoned server = %d %.100q, want 503 corrupt", c.method, c.path, resp.StatusCode, out)
+		if resp.StatusCode != c.want {
+			t.Errorf("%s %s after a refused restore = %d %.100q, want %d", c.method, c.path, resp.StatusCode, out, c.want)
 		}
 	}
-	if err := srv.SaveState(io.Discard); !errors.Is(err, core.ErrStateCorrupt) {
-		t.Fatalf("SaveState on a poisoned server: %v, want ErrStateCorrupt (must not overwrite a good checkpoint)", err)
+	if err := refused.SaveState(io.Discard); err != nil {
+		t.Fatalf("SaveState after a refused restore: %v", err)
 	}
 }

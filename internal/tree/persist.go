@@ -29,7 +29,7 @@ func (t *Tree) SnapshotSection() string { return SectionNodes }
 // SnapshotPayload exports every materialized node (histograms, heuristic
 // thresholds); sparse vectors are dropped by design (see the file
 // comment).
-func (t *Tree) SnapshotPayload() ([]byte, error) {
+func (t *Tree) SnapshotPayload() []byte {
 	nodes := t.ExportNodes()
 	var e persist.Encoder
 	e.PutUvarint(uint64(len(nodes)))
@@ -41,11 +41,12 @@ func (t *Tree) SnapshotPayload() ([]byte, error) {
 		e.PutInt(n.Hist.Updates)
 		e.PutFloats(n.Thresholds)
 	}
-	return e.Payload(), nil
+	return e.Payload()
 }
 
-// RestorePayload rebuilds node state from a snapshot into a fresh tree.
-func (t *Tree) RestorePayload(payload []byte) error {
+// StagePayload implements persist.Snapshotter: it decodes the section and
+// builds every node it restores (stageNodes), changing nothing.
+func (t *Tree) StagePayload(payload []byte) (func(), error) {
 	d := persist.NewDecoder(payload)
 	nodes := make([]NodeState, d.Count(6))
 	for i := range nodes {
@@ -56,9 +57,9 @@ func (t *Tree) RestorePayload(payload []byte) error {
 		}
 	}
 	if err := d.Finish(); err != nil {
-		return err
+		return nil, err
 	}
-	return t.RestoreNodes(nodes)
+	return t.stageNodes(nodes)
 }
 
 // NodeState is the serializable state of one tree node.
@@ -100,23 +101,27 @@ func (s byInterval) Less(i, j int) bool {
 	return s[i].IV.End < s[j].IV.End
 }
 
-// RestoreNodes rebuilds node state from a snapshot. It must be called on a
-// fresh tree (no queries served).
-func (t *Tree) RestoreNodes(states []NodeState) error {
+// stageNodes builds the node map a snapshot's node states restore,
+// refusing an invalid interval, a histogram that is not the domain's and
+// thresholds that are not one per bin, and returns the apply that swaps
+// the map in. It must be called on a fresh tree (no queries
+// served).
+func (t *Tree) stageNodes(states []NodeState) (func(), error) {
 	if t.Stats().Queries > 0 {
-		return fmt.Errorf("tree: RestoreNodes after queries were served")
+		return nil, fmt.Errorf("tree: restore after queries were served")
 	}
+	size := t.exec.Dataset().Domain().Size()
+	nodes := make(map[interval.Node]*node, len(states))
 	for _, st := range states {
 		if !st.IV.Valid() {
-			return fmt.Errorf("tree: invalid node %v in snapshot", st.IV)
+			return nil, fmt.Errorf("tree: invalid node %v in snapshot", st.IV)
 		}
 		h, err := histogram.FromState(st.Hist)
 		if err != nil {
-			return fmt.Errorf("tree: node %v: %w", st.IV, err)
+			return nil, fmt.Errorf("tree: node %v: %w", st.IV, err)
 		}
-		if h.Size() != t.exec.Dataset().Domain().Size() {
-			return fmt.Errorf("tree: node %v histogram size %d != domain %d",
-				st.IV, h.Size(), t.exec.Dataset().Domain().Size())
+		if h.Size() != size {
+			return nil, fmt.Errorf("tree: node %v histogram size %d != domain %d", st.IV, h.Size(), size)
 		}
 		n := &node{
 			iv:    st.IV,
@@ -127,15 +132,17 @@ func (t *Tree) RestoreNodes(states []NodeState) error {
 			alpha: t.cfg.Alpha,
 		}
 		if ap, ok := n.heur.(*heuristic.AdaptivePerBin); ok && st.Thresholds != nil {
-			if len(st.Thresholds) != h.Size() {
-				return fmt.Errorf("tree: node %v threshold length %d != domain %d",
-					st.IV, len(st.Thresholds), h.Size())
+			if len(st.Thresholds) != size {
+				return nil, fmt.Errorf("tree: node %v threshold length %d != domain %d",
+					st.IV, len(st.Thresholds), size)
 			}
 			ap.SetThresholds(st.Thresholds)
 		}
-		t.mu.Lock()
-		t.nodes[st.IV] = n
-		t.mu.Unlock()
+		nodes[st.IV] = n
 	}
-	return nil
+	return func() {
+		t.mu.Lock()
+		t.nodes = nodes
+		t.mu.Unlock()
+	}, nil
 }

@@ -394,7 +394,7 @@ func TestPersistRestoreErrors(t *testing.T) {
 	if _, err := f.tree.Run(q); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.tree.RestoreNodes(nil); err == nil {
+	if _, err := f.tree.stageNodes(nil); err == nil {
 		t.Fatal("restore after queries accepted")
 	}
 	states := f.tree.ExportNodes()
@@ -406,27 +406,32 @@ func TestPersistRestoreErrors(t *testing.T) {
 	// Invalid node interval.
 	bad := append([]NodeState(nil), states...)
 	bad[0].IV = interval.Node{Start: 1, End: 2}
-	if err := fresh.tree.RestoreNodes(bad); err == nil {
+	if _, err := fresh.tree.stageNodes(bad); err == nil {
 		t.Fatal("invalid interval accepted")
 	}
 	// Histogram size mismatch.
 	bad2 := append([]NodeState(nil), states...)
 	bad2[0].Hist.Weights = []float64{1}
 	bad2[0].Hist.Counts = []float64{0}
-	if err := fresh.tree.RestoreNodes(bad2); err == nil {
+	if _, err := fresh.tree.stageNodes(bad2); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
 	// Threshold length mismatch.
 	bad3 := append([]NodeState(nil), states...)
 	bad3[0].Thresholds = []float64{1, 2}
-	if err := fresh.tree.RestoreNodes(bad3); err == nil {
+	if _, err := fresh.tree.stageNodes(bad3); err == nil {
 		t.Fatal("threshold mismatch accepted")
+	}
+	if fresh.tree.Nodes() != 0 {
+		t.Fatalf("refused stages left %d nodes", fresh.tree.Nodes())
 	}
 	// Clean restore works and answers match structure.
 	fresh2 := newFix(t, nil, 1000, 8)
-	if err := fresh2.tree.RestoreNodes(states); err != nil {
+	apply, err := fresh2.tree.stageNodes(states)
+	if err != nil {
 		t.Fatal(err)
 	}
+	apply()
 	if fresh2.tree.Nodes() != len(states) {
 		t.Fatalf("restored %d nodes, want %d", fresh2.tree.Nodes(), len(states))
 	}
