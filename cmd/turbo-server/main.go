@@ -59,7 +59,7 @@ func main() {
 		deltaG      = flag.Float64("delta", 1e-6, "δ_G for -gaussian")
 		seed        = flag.Uint64("seed", 42, "deterministic seed")
 		statePath   = flag.String("state", "", "snapshot file: restored at boot if present, written atomically on SIGINT/SIGTERM")
-		storeMaxMB  = flag.Int("store-max-mb", 0, fmt.Sprintf("cache-store bound in MiB of payload (key + value bytes, what /schema reports), at most %d: the most one 4 GiB arena always holds; resident memory, /schema's resident_bytes, is about 1.75x that. 0 leaves the store unbounded; > 0 makes it a segmented LRU", maxStoreMB))
+		storeMaxMB  = flag.Int("store-max-mb", 0, fmt.Sprintf("cache-store bound in MiB of payload (key + value bytes, what /schema reports), at most %d: the most one 4 GiB arena always holds; resident memory, /schema's resident_bytes, is about 2.4x that. 0 leaves the store unbounded; > 0 makes it a segmented LRU", maxStoreMB))
 		ckptEvery   = flag.Duration("checkpoint-interval", 0, "background checkpoint period for -state (0 disables; failures log and retry next tick)")
 	)
 	flag.Parse()

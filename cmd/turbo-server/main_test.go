@@ -55,10 +55,11 @@ func runMain(t *testing.T, args ...string) (string, error) {
 
 // TestStateFromOlderBuildRefused: a -state file an older build wrote stops
 // the boot with a non-zero exit naming what this build cannot read, before
-// the server listens, and the file is left byte for byte as it was. Three
+// the server listens, and the file is left byte for byte as it was. Four
 // such files: one in the v2 snapshot format (the magic, version 2, gzip
 // bytes), one in v3 (this build's sections under the version before the
-// cache entry lost its data version), and one carrying the
+// cache entry lost its data version), one in v4 (the same, under the
+// version before the cache entry lost its ε), and one carrying the
 // "cache/tree-node" section a build with a tree node cache wrote, which no
 // layer of this build owns. A file whose dataset section carries a NaN
 // count is refused the same way.
@@ -68,8 +69,9 @@ func TestStateFromOlderBuildRefused(t *testing.T) {
 		name, want string
 		file       func(t *testing.T) []byte
 	}{
-		{"v2", "snapshot is v2, this build reads v4", v2Snapshot},
-		{"v3", "snapshot is v3, this build reads v4", v3Snapshot},
+		{"v2", "snapshot is v2, this build reads v5", v2Snapshot},
+		{"v3", "snapshot is v3, this build reads v5", olderSnapshot(3)},
+		{"v4", "snapshot is v4, this build reads v5", olderSnapshot(4)},
 		{"tree-node", `unknown snapshot section: "cache/tree-node"`, treeNodeSnapshot},
 		{"nan-count", "has count NaN at bin", nanCountSnapshot},
 	} {
@@ -145,15 +147,17 @@ func v2Snapshot(t *testing.T) []byte {
 	return append([]byte("TURBOSNP\x00\x00\x00\x02"), gz.Bytes()...)
 }
 
-// v3Snapshot is the boot snapshot with its header's format version set to
-// 3: the envelope of the build before v4, whose sections differ.
-func v3Snapshot(t *testing.T) []byte {
-	snap := bootSnapshot(t, func(_ string, p []byte) []byte { return p })
-	snap[len("TURBOSNP")+3] = 3
-	return snap
+// olderSnapshot is the boot snapshot with its header's format version set
+// to version: the envelope of an older build, whose sections differ.
+func olderSnapshot(version byte) func(t *testing.T) []byte {
+	return func(t *testing.T) []byte {
+		snap := bootSnapshot(t, func(_ string, p []byte) []byte { return p })
+		snap[len("TURBOSNP")+3] = version
+		return snap
+	}
 }
 
-// bootSnapshot is the v4 snapshot this build writes at boot with
+// bootSnapshot is the v5 snapshot this build writes at boot with
 // TestStateFromOlderBuildRefused's flags, each section's payload passed
 // through edit, then the extra sections (name, payload pairs).
 func bootSnapshot(t *testing.T, edit func(name string, p []byte) []byte, extra ...string) []byte {
@@ -239,17 +243,19 @@ func nanCountSnapshot(t *testing.T) []byte {
 
 // TestStoreConfig pins the flag → store.MemConfig mapping: no cap is the
 // zero config (the uncapped store), a cap is carried through in the unit
-// the store counts, and a negative one, or one above the 1,961 MiB one
+// the store counts, and a negative one, or one above the largest cap one
 // arena always honours, is refused naming its flag instead of reaching a
-// store that would read it as unbounded or refuse fills. 1,961 MiB is
-// the record layout's figure: a capped record of the smallest entry (a
-// 1-byte key, a 17-byte value) is 10 + 9 + 18 = 37 bytes, a 64 KiB chunk
-// filled to within one 1 KiB record holds (65,536 − 1,023) × 18 / 37 =
-// 31,384 bytes of payload, and 65,528 of the 65,536 chunk slots hold
-// 2,056,530,752 bytes.
+// store that would read it as unbounded or refuse fills. That largest cap
+// is the record layout's figure, derived from the width of a cache entry:
+// a capped record of the smallest entry (a 1-byte key and the entry) is
+// its payload plus 19 bytes of header and LRU links, a 64 KiB chunk
+// filled to within one 1 KiB record holds (65,536 − 1,023) × payload /
+// record bytes of payload, and 65,528 of the 65,536 chunk slots are
+// filled (1,390 MiB with a 9-byte entry).
 func TestStoreConfig(t *testing.T) {
-	if maxStoreMB != 1961 || cache.MaxStoreBytes != 2_056_530_752 {
-		t.Fatalf("largest cap %d MiB (%d bytes), want 1961 MiB (2056530752 bytes)", maxStoreMB, cache.MaxStoreBytes)
+	payload := 1 + len(cache.Entry{}.AppendFast(nil))
+	if want := (65_536 - 8) * ((65_536 - 1_023) * payload / (19 + payload)); cache.MaxStoreBytes != want || maxStoreMB != want>>20 {
+		t.Fatalf("largest cap %d MiB (%d bytes), want %d MiB (%d bytes)", maxStoreMB, cache.MaxStoreBytes, want>>20, want)
 	}
 	for _, tc := range []struct {
 		maxMB int
@@ -258,9 +264,9 @@ func TestStoreConfig(t *testing.T) {
 	}{
 		{0, store.MemConfig{}, false},
 		{1, store.MemConfig{MaxBytes: 1 << 20}, false},
-		{1961, store.MemConfig{MaxBytes: 1961 << 20}, false},
+		{maxStoreMB, store.MemConfig{MaxBytes: maxStoreMB << 20}, false},
 		{-5, store.MemConfig{}, true},
-		{1962, store.MemConfig{}, true},
+		{maxStoreMB + 1, store.MemConfig{}, true},
 		{1 << 43, store.MemConfig{}, true}, // shifts to -2^63
 		{1 << 44, store.MemConfig{}, true}, // shifts to 0
 	} {

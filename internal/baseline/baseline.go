@@ -120,7 +120,7 @@ func (c *ExactCache) Run(q *query.Query) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := c.cache.Put(q, r, eps); err != nil {
+	if err := c.cache.Put(q, r); err != nil {
 		return 0, err
 	}
 	return r, nil
@@ -195,7 +195,7 @@ func (c *TreeExactCache) Run(q *query.Query) (float64, error) {
 			if err != nil {
 				return 0, err
 			}
-			if err := c.cache.Put(nq, value, eps); err != nil {
+			if err := c.cache.Put(nq, value); err != nil {
 				return 0, err
 			}
 		}

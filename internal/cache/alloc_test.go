@@ -15,17 +15,17 @@ import (
 func TestPutZeroAllocs(t *testing.T) {
 	c := newCache(t)
 	q := query.MustNew(dom(), map[int][]int{1: {0, 2}}).WithWindow(1, 3)
-	if err := c.Put(q, 0.25, 0.1); err != nil {
+	if err := c.Put(q, 0.25); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
-		if err := c.Put(q, 0.5, 0.2); err != nil {
+		if err := c.Put(q, 0.5); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
 		t.Fatalf("a fill allocates %v objects, want 0", allocs)
 	}
-	if e, ok := c.get(q); !ok || e.Value != 0.5 || e.Eps != 0.2 {
+	if e, ok := c.get(q); !ok || e.Value != 0.5 {
 		t.Fatalf("Get after the fills = %+v, %v", e, ok)
 	}
 }

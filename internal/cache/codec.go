@@ -4,11 +4,10 @@
 // into a caller-provided slice and a straight-line load out of one — zero
 // allocations either way.
 //
-// Wire format (17 bytes, little-endian):
+// Wire format (9 bytes, little-endian):
 //
-//	[0]    entryTag (0xE7) — self-identification byte
-//	[1:9]  Value float64 bits
-//	[9:17] Eps   float64 bits
+//	[0]   entryTag (0xE7) — self-identification byte
+//	[1:9] Value float64 bits
 //
 // The format is deterministic (a snapshot of equal contents is equal
 // bytes) and recognizable by tag+length, so DecodeFast refuses bytes it
@@ -26,8 +25,8 @@ import (
 // entryTag is the first byte of every codec-encoded Entry.
 const entryTag = 0xE7
 
-// entryWireLen is the exact encoded length: tag + 2×8 bytes.
-const entryWireLen = 17
+// entryWireLen is the exact encoded length: tag + 8 bytes.
+const entryWireLen = 9
 
 // AppendFast implements store.FastEncoder: it appends the entry's
 // fixed-layout encoding to dst and returns the extended slice.
@@ -35,7 +34,6 @@ func (e Entry) AppendFast(dst []byte) []byte {
 	var buf [entryWireLen]byte
 	buf[0] = entryTag
 	binary.LittleEndian.PutUint64(buf[1:9], math.Float64bits(e.Value))
-	binary.LittleEndian.PutUint64(buf[9:17], math.Float64bits(e.Eps))
 	return append(dst, buf[:]...)
 }
 
@@ -47,7 +45,6 @@ func (e *Entry) DecodeFast(data []byte) bool {
 		return false
 	}
 	e.Value = math.Float64frombits(binary.LittleEndian.Uint64(data[1:9]))
-	e.Eps = math.Float64frombits(binary.LittleEndian.Uint64(data[9:17]))
 	return true
 }
 

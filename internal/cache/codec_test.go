@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"math"
 	"strconv"
 	"strings"
@@ -15,9 +16,10 @@ import (
 func TestEntryCodecRoundTrip(t *testing.T) {
 	cases := []Entry{
 		{},
-		{Value: 0.25, Eps: 0.05},
-		{Value: -1.5e-300, Eps: 1e300},
-		{Value: math.Inf(1), Eps: math.SmallestNonzeroFloat64},
+		{Value: 0.25},
+		{Value: -1.5e-300},
+		{Value: math.SmallestNonzeroFloat64},
+		{Value: math.Inf(1)},
 	}
 	for _, want := range cases {
 		raw := want.AppendFast(nil)
@@ -38,7 +40,7 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 // of equal cache contents must be equal bytes, so two encodings of one
 // entry must be identical.
 func TestEntryCodecDeterministic(t *testing.T) {
-	e := Entry{Value: 0.125, Eps: 0.01}
+	e := Entry{Value: 0.125}
 	a := e.AppendFast(nil)
 	b := e.AppendFast(make([]byte, 0, 64))
 	if string(a) != string(b) {
@@ -52,11 +54,13 @@ func TestEntryCodecDeterministic(t *testing.T) {
 const gobEntry = "0\x7f\x03\x01\x01\x05Entry\x01\xff\x80\x00\x01\x03\x01\x05Value\x01\b\x00\x01\x03Eps\x01\b\x00\x01\aVersion\x01\x04\x00\x00\x00\x13\xff\x80\x01\xfe\xd8?\x01\xf8{\x14\xaeG\xe1z\xa4?\x01\x02\x00"
 
 // TestEntryCodecRefusesGob checks DecodeFast declines gob bytes, the
-// pre-codec snapshot wire format, and bytes that are one short of or one
+// pre-codec snapshot wire format; the 17 bytes of an entry that still
+// carried its ε after the value; and bytes that are one short of or one
 // past the codec's, without touching the entry.
 func TestEntryCodecRefusesGob(t *testing.T) {
-	good := Entry{Value: 0.75, Eps: 0.2}.AppendFast(nil)
-	for _, raw := range [][]byte{[]byte(gobEntry), good[:entryWireLen-1], append(good, 0)} {
+	good := Entry{Value: 0.75}.AppendFast(nil)
+	withEps := binary.LittleEndian.AppendUint64(append([]byte(nil), good...), math.Float64bits(0.2))
+	for _, raw := range [][]byte{[]byte(gobEntry), withEps, good[:entryWireLen-1], append(good, 0)} {
 		var e Entry
 		if e.DecodeFast(raw) {
 			t.Fatalf("DecodeFast accepted %x", raw)
@@ -75,7 +79,7 @@ func TestBackendEntryCodecPath(t *testing.T) {
 		"bounded-slru": store.NewMem(store.MemConfig{MaxBytes: 64 * (1 + entryWireLen)}),
 	}
 	for name, b := range backends {
-		e := Entry{Value: 0.5, Eps: 0.1}
+		e := Entry{Value: 0.5}
 		if err := b.Set("k", e); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -102,7 +106,7 @@ func TestStagePayloadGobFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(q, 0.5, 0.1); err != nil {
+	if err := c.Put(q, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	payload := section([]string{q.KeyWithWindow()}, [][]byte{[]byte(gobEntry)})

@@ -13,7 +13,7 @@
 // the pluggable store.Backend interface rather than a concrete store, so
 // the same cache runs over the in-memory store capped or not. The store
 // is the cache's one tier: every hit is a store read, decoded through the
-// fixed 17-byte codec (codec.go). A backend eviction is indistinguishable
+// fixed 9-byte codec (codec.go). A backend eviction is indistinguishable
 // from a miss here — the query re-executes, and re-pays, through the
 // session's single-flight path, so eviction can never corrupt the
 // accountant.
@@ -31,10 +31,9 @@ import (
 	"repro/internal/store"
 )
 
-// Entry is one cached DP result.
+// Entry is one cached DP result; what it cost is in the accountant's books.
 type Entry struct {
 	Value float64 // the released DP result (a row fraction)
-	Eps   float64 // budget that was paid to produce it
 }
 
 // ErrNilBackend reports an exact cache constructed without a backing
@@ -44,7 +43,7 @@ var ErrNilBackend = errors.New("cache: nil store backend")
 
 // MaxStoreBytes is the largest store cap (store.MemConfig.MaxBytes) under
 // which one arena holds every live entry: a cache entry is at least a
-// one-byte key (the window header) and a 17-byte value.
+// one-byte key (the window header) and a 9-byte value.
 var MaxStoreBytes = store.MaxCapBytes(1 + entryWireLen)
 
 // sectionName is the snapshot section of the cache. It names the
@@ -54,7 +53,7 @@ const sectionName = "cache/session-exact"
 
 // Exact is an exact-match cache backed by a store.Backend (the
 // prototype's Redis role): the store holds every release once, as the
-// entry codec's 17 bytes, and Exact adds the codec and the hit and miss
+// entry codec's 9 bytes, and Exact adds the codec and the hit and miss
 // counters. Exact is safe for concurrent use and holds no lock of its
 // own: the backend serializes its own access, so the pipeline probes the
 // cache without holding any execution lock.
@@ -109,11 +108,11 @@ func (c *Exact) Lookup(key string) (Entry, bool) {
 	return e, true
 }
 
-// Put stores a freshly-computed DP result and eps, the budget paid to
-// produce it, under q's key, replacing whatever the key held.
-func (c *Exact) Put(q *query.Query, value, eps float64) error {
+// Put stores a freshly-computed DP result under q's key, replacing
+// whatever the key held.
+func (c *Exact) Put(q *query.Query, value float64) error {
 	e := entries.Get().(*Entry)
-	*e = Entry{Value: value, Eps: eps}
+	*e = Entry{Value: value}
 	err := c.store.Set(q.KeyWithWindow(), e)
 	entries.Put(e)
 	return err
@@ -124,7 +123,7 @@ func (c *Exact) Put(q *query.Query, value, eps float64) error {
 func (c *Exact) SnapshotSection() string { return sectionName }
 
 // SnapshotPayload exports the cache's stored entries as raw KV bytes: the
-// entry count, then each entry's packed key and 17-byte value, as byte
+// entry count, then each entry's packed key and 9-byte value, as byte
 // strings, keys sorted so the payload encodes byte-identically for
 // identical contents (store exports are maps;
 // TestSnapshotBytesDeterministic pins the whole envelope).

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"sort"
 	"strconv"
@@ -73,11 +74,11 @@ func TestPutGet(t *testing.T) {
 	if _, ok := c.get(q); ok {
 		t.Fatal("hit on empty cache")
 	}
-	if err := c.Put(q, 0.42, 0.01); err != nil {
+	if err := c.Put(q, 0.42); err != nil {
 		t.Fatal(err)
 	}
 	e, ok := c.get(q)
-	if !ok || e.Value != 0.42 || e.Eps != 0.01 {
+	if !ok || e.Value != 0.42 {
 		t.Fatalf("Get = %+v, %v", e, ok)
 	}
 	hits, misses := c.Stats()
@@ -93,19 +94,19 @@ func TestPutGet(t *testing.T) {
 }
 
 // TestStoredPayloadBytes: an entry's stored payload is its key plus the
-// codec's 17 bytes, a Value and an Eps behind a tag, and nothing else.
+// codec's 9 bytes, a Value behind a tag, and nothing else.
 func TestStoredPayloadBytes(t *testing.T) {
 	c := newCache(t)
 	q := query.MustNew(dom(), map[int][]int{0: {1}}).WithWindow(3, 9)
-	if err := c.Put(q, 0.5, 0.25); err != nil {
+	if err := c.Put(q, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	key := q.KeyWithWindow()
-	if st := c.store.Stats(); st.Entries != 1 || st.Bytes != len(key)+17 {
-		t.Fatalf("store holds %d entries, %d payload bytes; want 1 entry of %d+17", st.Entries, st.Bytes, len(key))
+	if st := c.store.Stats(); st.Entries != 1 || st.Bytes != len(key)+9 {
+		t.Fatalf("store holds %d entries, %d payload bytes; want 1 entry of %d+9", st.Entries, st.Bytes, len(key))
 	}
-	if raw := c.store.Export()[key]; len(raw) != 17 || raw[0] != entryTag {
-		t.Fatalf("stored value %x, want the 17-byte entry", raw)
+	if raw := c.store.Export()[key]; len(raw) != 9 || raw[0] != entryTag {
+		t.Fatalf("stored value %x, want the 9-byte entry", raw)
 	}
 }
 
@@ -114,7 +115,7 @@ func TestWindowDistinguishesEntries(t *testing.T) {
 	q := query.MustNew(dom(), map[int][]int{0: {1}})
 	w1 := q.WithWindow(0, 1)
 	w2 := q.WithWindow(0, 2)
-	_ = c.Put(w1, 0.1, 0.01)
+	_ = c.Put(w1, 0.1)
 	if _, ok := c.get(w2); ok {
 		t.Fatal("different window hit the same entry")
 	}
@@ -124,7 +125,7 @@ func TestWindowDistinguishesEntries(t *testing.T) {
 	// Every one of 32 fills is served: the store is the cache, with no
 	// smaller tier in front of it to evict from.
 	for i := 0; i < 32; i++ {
-		_ = c.Put(q.WithWindow(i, i), float64(i), 0.01)
+		_ = c.Put(q.WithWindow(i, i), float64(i))
 	}
 	for i := 0; i < 32; i++ {
 		if e, ok := c.get(q.WithWindow(i, i)); !ok || e.Value != float64(i) {
@@ -138,14 +139,14 @@ func TestWindowDistinguishesEntries(t *testing.T) {
 func TestOverwrite(t *testing.T) {
 	c := newCache(t)
 	q := query.MustNew(dom(), nil)
-	_ = c.Put(q, 0.1, 0.01)
-	_ = c.Put(q, 0.2, 0.02)
+	_ = c.Put(q, 0.1)
+	_ = c.Put(q, 0.2)
 	e, ok := c.get(q)
 	if !ok || e.Value != 0.2 {
 		t.Fatalf("overwrite failed: %+v %v", e, ok)
 	}
-	_ = c.Put(q, 0.75, 0.03)
-	if e, ok := c.get(q); !ok || e.Value != 0.75 || e.Eps != 0.03 {
+	_ = c.Put(q, 0.75)
+	if e, ok := c.get(q); !ok || e.Value != 0.75 {
 		t.Fatalf("Get after a re-Put = %+v, %v, want the new bytes", e, ok)
 	}
 	if c.entries() != 1 {
@@ -153,9 +154,13 @@ func TestOverwrite(t *testing.T) {
 	}
 }
 
+// release is version v of TestVersionStorm's release: v in both halves of
+// the value's bits, so a torn or mixed entry shows. Its float order is v's.
+func release(v int) float64 { return math.Float64frombits(uint64(v)<<32 | uint64(v)) }
+
 // TestVersionStorm races one writer's Puts against readers' Lookups over
 // a single key. The writer Puts strictly increasing versions of the
-// key's release (Value v, Eps v/1000, so a torn or mixed entry shows); a
+// key's release (release(v)); a
 // reader never reads a version older than one it read before, nor one
 // newer than the writer had begun to Put. The last word goes to a Put
 // made once the storm is over: nothing the race left behind may shadow
@@ -171,7 +176,7 @@ func TestVersionStorm(t *testing.T) {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			last := 0.0
+			last := int64(0)
 			for {
 				select {
 				case <-stop:
@@ -179,14 +184,16 @@ func TestVersionStorm(t *testing.T) {
 				default:
 				}
 				e, ok := c.get(q)
-				newest := float64(begun.Load())
+				newest := begun.Load()
 				gets.Add(1)
-				if ok && (e.Eps != e.Value/1000 || e.Value < last || e.Value > newest) {
-					t.Errorf("read %+v after version %g, with version %g the newest begun", e, last, newest)
+				bits := math.Float64bits(e.Value)
+				v := int64(bits >> 32)
+				if ok && (bits&(1<<32-1) != uint64(v) || v < last || v > newest) {
+					t.Errorf("read %#x after version %d, with version %d the newest begun", bits, last, newest)
 					return
 				}
 				if ok {
-					last = e.Value
+					last = v
 				}
 				runtime.Gosched() // hand the writer its turn on a small box
 			}
@@ -195,7 +202,7 @@ func TestVersionStorm(t *testing.T) {
 	for v := 1; v <= versions; v++ {
 		seen := gets.Load()
 		begun.Store(int64(v))
-		if err := c.Put(q, float64(v), float64(v)/1000); err != nil {
+		if err := c.Put(q, release(v)); err != nil {
 			t.Fatal(err)
 		}
 		// Pace the writer by the readers, or on a small box it finishes
@@ -208,11 +215,11 @@ func TestVersionStorm(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	if err := c.Put(q, -1, 0.02); err != nil {
+	if err := c.Put(q, -1); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ { // a first read and a repeat, both from the store
-		if e, ok := c.get(q); !ok || e.Value != -1 || e.Eps != 0.02 {
+		if e, ok := c.get(q); !ok || e.Value != -1 {
 			t.Fatalf("read %d after quiescence = %+v, %v, want the last Put", i, e, ok)
 		}
 	}
@@ -228,7 +235,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				q := base.WithWindow(i%16, i%16)
-				if err := c.Put(q, float64(i%16), 0.01); err != nil {
+				if err := c.Put(q, float64(i%16)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -259,7 +266,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		keys = append(keys, base.WithWindow(w, w).KeyWithWindow())
 	}
 	sort.Strings(keys)
-	val := Entry{Value: 0.25, Eps: 0.5}.AppendFast(nil)
+	val := Entry{Value: 0.25}.AppendFast(nil)
 	vals := make([][]byte, len(keys))
 	for i := range vals {
 		vals[i] = val
@@ -283,7 +290,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 		for w := 0; w < 8; w++ {
 			e, ok := cc.get(base.WithWindow(w, w))
-			if !ok || e.Value != 0.25 || e.Eps != 0.5 {
+			if !ok || e.Value != 0.25 {
 				t.Fatalf("restored window %d: %+v %v, want an exact hit", w, e, ok)
 			}
 		}
@@ -310,7 +317,7 @@ func TestRestoreRefusedSetIsEviction(t *testing.T) {
 	base := query.MustNew(dom(), map[int][]int{0: {1}})
 	keys := []string{base.WithWindow(0, 0).KeyWithWindow(), base.WithWindow(1, 1).KeyWithWindow(), base.WithWindow(2, 2).KeyWithWindow()}
 	sort.Strings(keys)
-	val := Entry{Value: 0.25, Eps: 0.5}.AppendFast(nil)
+	val := Entry{Value: 0.25}.AppendFast(nil)
 	c, err := NewExact(refusingBackend{Backend: store.NewMem(store.MemConfig{}), refuse: keys[1]})
 	if err != nil {
 		t.Fatal(err)
@@ -338,9 +345,9 @@ func TestBoundedBackendEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The first fill is read after every later one; nobody reads the rest.
-	_ = c.Put(base.WithWindow(0, 0), 0.9, 0.5)
+	_ = c.Put(base.WithWindow(0, 0), 0.9)
 	for w := 1; w < 32; w++ {
-		_ = c.Put(base.WithWindow(w, w), float64(w), 0.5)
+		_ = c.Put(base.WithWindow(w, w), float64(w))
 		if e, ok := c.get(base.WithWindow(0, 0)); !ok || e.Value != 0.9 {
 			t.Fatalf("fill %d evicted the entry in use: %+v %v", w, e, ok)
 		}
@@ -372,12 +379,12 @@ func TestRestoreRefusesBadSection(t *testing.T) {
 	c := newCache(t)
 	base := query.MustNew(dom(), map[int][]int{0: {1}})
 	for w := 0; w < 4; w++ {
-		if err := c.Put(base.WithWindow(w, w), float64(w), 0.5); err != nil {
+		if err := c.Put(base.WithWindow(w, w), float64(w)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	good := base.WithWindow(5, 6).KeyWithWindow()
-	value := Entry{Value: 1, Eps: 0.5}.AppendFast(nil)
+	value := Entry{Value: 1}.AppendFast(nil)
 	for name, bad := range map[string]struct {
 		keys []string
 		vals [][]byte

@@ -188,7 +188,7 @@ func legacyEnvelope(t *testing.T, s *Session, version uint32) []byte {
 }
 
 // TestLegacySnapshotsLoad loads the v2 snapshots older builds wrote into
-// today's sessions: each is refused with ErrBadVersion naming v2 and v4,
+// today's sessions: each is refused with ErrBadVersion naming v2 and v5,
 // before any section restores — the books, counters and caches stay those
 // of a fresh session, which then makes and refuses exactly the payments of
 // one that never saw the file.
@@ -211,8 +211,8 @@ func TestLegacySnapshotsLoad(t *testing.T) {
 		}
 		err = restored.LoadState(bytes.NewReader(legacyEnvelope(t, src, 2)))
 		if !errors.Is(err, persist.ErrBadVersion) ||
-			!strings.Contains(err.Error(), "snapshot is v2, this build reads v4") {
-			t.Fatalf("err = %v, want an ErrBadVersion refusal naming v2 and v4", err)
+			!strings.Contains(err.Error(), "snapshot is v2, this build reads v5") {
+			t.Fatalf("err = %v, want an ErrBadVersion refusal naming v2 and v5", err)
 		}
 		if restored.Accountant().MaxSpent() != 0 || restored.Queries() != 0 || restored.StoreStats().Entries != 0 {
 			t.Fatalf("the refusal moved state: spent %v, %d queries, %d cached",
@@ -258,7 +258,7 @@ func blockEdit(t *testing.T, s *Session, edit func(epsG, deltaG *float64, orders
 
 // TestLegacyGaussianSnapshotRefusedUntouched: a Gaussian snapshot the
 // session's books can never accept is refused before any section restores
-// — a v2 file at its header; a v4 one whose block section carries one of
+// — a v2 file at its header; a v5 one whose block section carries one of
 // the defects the two-book era's cross-check caught, by the block's
 // stage — and the session keeps serving.
 func TestLegacyGaussianSnapshotRefusedUntouched(t *testing.T) {
@@ -293,7 +293,7 @@ func TestLegacyGaussianSnapshotRefusedUntouched(t *testing.T) {
 		"negative curve value": func(_, _ *float64, _, spent *[]float64) { (*spent)[2] = -1 },
 	} {
 		t.Run(name, func(t *testing.T) {
-			for version, snap := range map[string][]byte{"v2": legacyEnvelope(t, src, 2), "v4": blockEdit(t, src, edit)} {
+			for version, snap := range map[string][]byte{"v2": legacyEnvelope(t, src, 2), "v5": blockEdit(t, src, edit)} {
 				dst, err := NewSession(cfg, ds)
 				if err != nil {
 					t.Fatal(err)
@@ -301,7 +301,7 @@ func TestLegacyGaussianSnapshotRefusedUntouched(t *testing.T) {
 				err = dst.LoadState(bytes.NewReader(snap))
 				var se *persist.SectionError
 				if version == "v2" && !errors.Is(err, persist.ErrBadVersion) ||
-					version == "v4" && (!errors.As(err, &se) || se.Section != accountant.SectionBlock) {
+					version == "v5" && (!errors.As(err, &se) || se.Section != accountant.SectionBlock) {
 					t.Fatalf("%s: err = %v, want the refusal of a %s snapshot", version, err, version)
 				}
 				if dst.Accountant().MaxSpent() != 0 || dst.Queries() != 0 {

@@ -318,7 +318,8 @@ func (m metaSection) SnapshotPayload() []byte {
 // StagePayload implements persist.Snapshotter: it checks the snapshot
 // against the dataset the restore leaves (the staged dataset section's,
 // or the session's own) partition by partition, and its counters are
-// counts; the apply restores the counters. A served partition's rows never change, so a dataset
+// counts, at most one for each Source this build answers from; the
+// apply restores the counters. A served partition's rows never change, so a dataset
 // whose partition holds another row count is not the one the snapshot's
 // cached results were released on. The block stages next, and its ledger
 // must cover the same partitions (ExpectPartitions).
@@ -334,9 +335,18 @@ func (m metaSection) StagePayload(payload []byte) (func(), error) {
 	n := d.Count(2)
 	bySource := make(map[Source]int, n)
 	for range n {
-		src := Source(d.Bytes())
-		bySource[src] = d.Int()
-		least = min(least, bySource[src])
+		src, count := Source(d.Bytes()), d.Int()
+		if d.Err() != nil {
+			break
+		}
+		if _, ok := sourceIndex[src]; !ok {
+			return nil, fmt.Errorf("core: snapshot counts answers from unknown source %q", src)
+		}
+		if _, dup := bySource[src]; dup {
+			return nil, fmt.Errorf("core: snapshot counts source %q twice", src)
+		}
+		bySource[src] = count
+		least = min(least, count)
 	}
 	if err := d.Finish(); err != nil {
 		return nil, err
@@ -364,9 +374,7 @@ func (m metaSection) StagePayload(payload []byte) (func(), error) {
 		s.queries.Store(int64(queries))
 		s.deduped.Store(int64(deduped))
 		for src, count := range bySource {
-			if i, ok := sourceIndex[src]; ok {
-				s.bySrc[i].Store(int64(count))
-			}
+			s.bySrc[sourceIndex[src]].Store(int64(count))
 		}
 	}, nil
 }

@@ -10,9 +10,11 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/dataset"
 	"repro/internal/persist"
 	"repro/internal/query"
@@ -861,8 +863,8 @@ func TestSaveLoadTreeProperty(t *testing.T) {
 // TestSnapshotBytesDeterministic pins the property the snapshotdet
 // analyzer guards line by line: a quiesced session captures to the same
 // bytes every time, with the tree and the exact cache both populated
-// (each is a Go map somewhere underneath). The capture is a v4 envelope
-// whose cache section holds one 17-byte entry per cached release.
+// (each is a Go map somewhere underneath). The capture is a v5 envelope
+// whose cache section holds one cache.Entry encoding per cached release.
 func TestSnapshotBytesDeterministic(t *testing.T) {
 	dom, ds := buildDS(t, 8)
 	cfg := defaultCfg(Partitioned)
@@ -888,8 +890,8 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 	if err := s.SaveState(&first); err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.BigEndian.Uint32(first.Bytes()[8:12]); v != 4 {
-		t.Fatalf("captured a v%d envelope, want v4", v)
+	if v := binary.BigEndian.Uint32(first.Bytes()[8:12]); v != 5 {
+		t.Fatalf("captured a v%d envelope, want v5", v)
 	}
 	payloads, _, err := persist.ReadSections(bytes.NewReader(first.Bytes()))
 	if err != nil {
@@ -899,9 +901,10 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 	if len(sec.Keys) != s.StoreStats().Entries {
 		t.Fatalf("cache section holds %d entries, the store %d", len(sec.Keys), s.StoreStats().Entries)
 	}
+	width := len(cache.Entry{}.AppendFast(nil))
 	for i, v := range sec.Vals {
-		if len(v) != 17 {
-			t.Fatalf("entry %q is %d bytes, want 17", sec.Keys[i], len(v))
+		if len(v) != width {
+			t.Fatalf("entry %q is %d bytes, want %d", sec.Keys[i], len(v), width)
 		}
 	}
 	// Map iteration order is drawn per range statement, so a few more
@@ -1120,5 +1123,81 @@ func TestRefusedSectionChangesNothing(t *testing.T) {
 		if _, err := restoreInto(t, cfg, snap.Bytes()); err != nil {
 			t.Fatalf("%s: the intact snapshot: %v", tc.section, err)
 		}
+	}
+}
+
+// TestMetaRefusesUnknownSource: a core/meta section whose one source
+// counter is renamed to a source this build does not answer from, or
+// which counts that source twice, is refused naming the source, and the
+// target's Queries and SourceCounts keep their values. An unknown name
+// was stored and then skipped by the apply, so the restored
+// queries_answered exceeded the sum of by_source.
+func TestMetaRefusesUnknownSource(t *testing.T) {
+	dom, ds := buildDS(t, 4)
+	cfg := defaultCfg(Partitioned)
+	src, err := NewSession(cfg, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.PersistDataset()
+	for a := 0; a < 4; a++ {
+		if _, err := src.Answer(query.MustNew(dom, map[int][]int{1: {a}}).WithWindow(0, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if counts := src.SourceCounts(); len(counts) != 1 || counts[SourceTree] != 4 {
+		t.Fatalf("source counts %v, want one source", counts)
+	}
+	var snap bytes.Buffer
+	if err := src.SaveState(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		names []string
+		quote string
+	}{
+		"renamed": {[]string{"bogus"}, `"bogus"`},
+		"twice":   {[]string{string(SourceTree), string(SourceTree)}, strconv.Quote(string(SourceTree))},
+	} {
+		bad := rewriteSections(t, snap.Bytes(), func(section string, p []byte) []byte {
+			if section != "core/meta" {
+				return p
+			}
+			d := persist.NewDecoder(p)
+			var e persist.Encoder
+			n := d.Count(1)
+			e.PutUvarint(uint64(n))
+			for range n {
+				e.PutInt(d.Int())
+			}
+			e.PutInt(d.Int())
+			e.PutInt(d.Int())
+			d.Count(2)
+			d.Bytes()
+			count := d.Int()
+			if err := d.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			e.PutUvarint(uint64(len(tc.names)))
+			for _, src := range tc.names {
+				e.PutString(src)
+				e.PutInt(count)
+			}
+			return e.Payload()
+		})
+		dst, err := restoreInto(t, cfg, bad)
+		if refusingSection(err) != "core/meta" || !strings.Contains(err.Error(), tc.quote) {
+			t.Fatalf("%s: err = %v, want a core/meta refusal naming %s", name, err, tc.quote)
+		}
+		if dst.Queries() != 0 || len(dst.SourceCounts()) != 0 {
+			t.Fatalf("%s: the refusal moved the counters: %d queries, %v", name, dst.Queries(), dst.SourceCounts())
+		}
+	}
+	dst, err := restoreInto(t, cfg, snap.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dst.Queries() != 4 || dst.SourceCounts()[SourceTree] != 4 {
+		t.Fatalf("intact snapshot restored %d queries, %v", dst.Queries(), dst.SourceCounts())
 	}
 }

@@ -547,7 +547,7 @@ func (s *Session) execute(pl Plan) (Answer, error) {
 		// the store refuses (counted in its SetErrors) is an eviction of
 		// the new entry: the books are charged, so the answer goes out to
 		// the leader and every joiner, and a later ask re-executes.
-		_ = s.exact.Put(pl.Query, ans.Value, ans.Paid)
+		_ = s.exact.Put(pl.Query, ans.Value)
 		return ans, nil
 	})
 	if err != nil {

@@ -299,7 +299,7 @@ func TestMemoryBytes(t *testing.T) {
 	dom, ds := buildDS(t, 1)
 	s, _ := NewSession(defaultCfg(NonPartitioned), ds)
 	base := s.MemoryBytes()
-	if base < 16*dom.Size() {
+	if base < 12*dom.Size() {
 		t.Fatalf("memory %d below histogram size", base)
 	}
 	_, _ = s.Answer(query.MustNew(dom, map[int][]int{0: {1}}))

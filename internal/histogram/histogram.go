@@ -14,14 +14,22 @@
 // single PMW-Bypass and every tree node run the same kernels.
 //
 // The histogram also tracks per-bin purposeful-update counters c (Fig. 2 and
-// Fig. 5 in the paper), which Turbo's readiness heuristic consumes. Counters
-// are float64 because warm-starting internal tree nodes averages children,
-// yielding fractional counts (Fig. 5 shows e.g. c=0.5).
+// Fig. 5 in the paper), which Turbo's readiness heuristic consumes. They are
+// fractional, as warm-starting internal tree nodes averages children (Fig. 5
+// shows e.g. c=0.5), and float32: 4 bytes a bin beside 8 of weight. That is
+// exact: an update adds 1, and the tree's warm start (tree.Tree.warmStart)
+// averages at most two children, one fractional bit a level, so a counter
+// equals its float64 computation while its integer bits plus the tree's
+// height fit in float32's 24-bit significand. Past that a counter rounds,
+// which can change only a readiness decision: whether a query takes the SV
+// or the Laplace route. That choice is post-processing of DP releases, and
+// both routes are (α, β)-accurate, so neither ε nor accuracy moves.
 package histogram
 
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/query"
 )
@@ -42,7 +50,7 @@ import (
 // non-mutating.
 type Histogram struct {
 	weights []float64
-	counts  []float64
+	counts  []float32
 	scale   float64
 	updates int // total number of purposeful updates applied
 }
@@ -82,10 +90,12 @@ func NewUniform(size int) *Histogram {
 }
 
 // alloc returns a histogram of size zero weights and counters, scale 1,
-// its two vectors one array.
+// its two vectors one array: size float64 weights, then ⌈size/2⌉ float64
+// slots whose bytes are viewed as the size float32 counters.
 func alloc(size int) *Histogram {
-	buf := make([]float64, 2*size)
-	return &Histogram{weights: buf[:size:size], counts: buf[size:], scale: 1}
+	buf := make([]float64, size+(size+1)/2)
+	counts := unsafe.Slice((*float32)(unsafe.Pointer(&buf[size])), size)
+	return &Histogram{weights: buf[:size:size], counts: counts, scale: 1}
 }
 
 // fillFloat64 sets every element of s to v by doubling copies, so large
@@ -123,8 +133,8 @@ func FromWeights(w []float64) (*Histogram, error) {
 // Size returns the number of bins.
 func (h *Histogram) Size() int { return len(h.weights) }
 
-// Count returns the purposeful-update counter of bin.
-func (h *Histogram) Count(bin int) float64 { return h.counts[bin] }
+// Count returns the purposeful-update counter of bin, widened exactly.
+func (h *Histogram) Count(bin int) float64 { return float64(h.counts[bin]) }
 
 // Updates returns the total number of purposeful updates applied to h,
 // including those inherited through warm-start.
@@ -297,13 +307,13 @@ func scaleAll(w []float64, inv float64) {
 // MinSupportCount returns the smallest per-bin counter among the bins in
 // q's support — the quantity Turbo's per-bin readiness heuristic thresholds.
 func (h *Histogram) MinSupportCount(q *query.Query) float64 {
-	min := math.Inf(1)
+	min := float32(math.Inf(1))
 	for _, bin := range h.supportBins(q) {
 		if h.counts[bin] < min {
 			min = h.counts[bin]
 		}
 	}
-	return min
+	return float64(min)
 }
 
 // Clone returns a deep copy of h, counters included. Used by the warm-start
@@ -318,7 +328,8 @@ func (h *Histogram) Clone() *Histogram {
 
 // Average returns the bin-wise average of the given histograms, used by the
 // warm-start procedure for non-leaf tree nodes (§4.5). Counters and the
-// update total are averaged too. All inputs must share a size.
+// update total are averaged too (a counter in float64, rounded once: exact
+// for the tree's one or two children). All inputs must share a size.
 func Average(hs ...*Histogram) (*Histogram, error) {
 	if len(hs) == 0 {
 		return nil, fmt.Errorf("histogram: Average of nothing")
@@ -334,14 +345,17 @@ func Average(hs ...*Histogram) (*Histogram, error) {
 	for _, h := range hs {
 		for i := range out.weights {
 			out.weights[i] += h.weights[i] * h.scale
-			out.counts[i] += h.counts[i]
 		}
 		totalUpdates += h.updates
 	}
 	inv := 1 / float64(len(hs))
 	for i := range out.weights {
 		out.weights[i] *= inv
-		out.counts[i] *= inv
+		sum := 0.0
+		for _, h := range hs {
+			sum += float64(h.counts[i])
+		}
+		out.counts[i] = float32(sum * inv)
 	}
 	out.updates = totalUpdates / len(hs)
 	return out, nil
@@ -385,14 +399,15 @@ func (h *Histogram) Normalized(tol float64) bool {
 	return math.Abs(sum*h.scale-1) <= tol
 }
 
-// MemoryBytes estimates the resident size of the histogram state: two
-// float64 vectors over the domain. Used by the §6.5 memory evaluation.
+// MemoryBytes estimates the resident size of the histogram state, a float64
+// weight and a float32 counter per bin, for the §6.5 memory evaluation.
 func (h *Histogram) MemoryBytes() int {
-	return 16 * len(h.weights)
+	return 12 * len(h.weights)
 }
 
 // State is the serializable form of a histogram, for persisting caching
-// state the way the prototype keeps it in Redis (§5).
+// state the way the prototype keeps it in Redis (§5). Counts are float64
+// on the wire, each the exact widening of a float32 counter.
 type State struct {
 	Weights []float64
 	Counts  []float64
@@ -407,21 +422,27 @@ func (h *Histogram) State() State {
 	for i, x := range h.weights {
 		w[i] = x * h.scale
 	}
-	return State{
-		Weights: w,
-		Counts:  append([]float64(nil), h.counts...),
-		Updates: h.updates,
+	c := make([]float64, len(h.counts))
+	for i, x := range h.counts {
+		c[i] = float64(x)
 	}
+	return State{Weights: w, Counts: c, Updates: h.updates}
 }
 
-// FromState reconstructs a histogram, validating normalization.
+// FromState reconstructs a histogram, validating normalization and that
+// every count is a float32 counter's value (State writes no other).
 func FromState(s State) (*Histogram, error) {
 	if len(s.Weights) == 0 || len(s.Weights) != len(s.Counts) {
 		return nil, fmt.Errorf("histogram: bad state (%d weights, %d counts)", len(s.Weights), len(s.Counts))
 	}
 	h := alloc(len(s.Weights))
 	copy(h.weights, s.Weights)
-	copy(h.counts, s.Counts)
+	for i, x := range s.Counts {
+		if float64(float32(x)) != x {
+			return nil, fmt.Errorf("histogram: count %g at bin %d is not a float32 counter", x, i)
+		}
+		h.counts[i] = float32(x)
+	}
 	h.updates = s.Updates
 	if !h.Normalized(1e-6) {
 		return nil, fmt.Errorf("histogram: state not normalized")

@@ -343,10 +343,14 @@ func TestRelativeEntropyDecreasesUnderGoodUpdates(t *testing.T) {
 	}
 }
 
+// TestMemoryBytes: a histogram over n bins reports 12n bytes, a float64
+// weight and a float32 counter a bin, at the covid (128) and citibike
+// (1,200) domain sizes among others.
 func TestMemoryBytes(t *testing.T) {
-	h := NewUniform(100)
-	if h.MemoryBytes() != 1600 {
-		t.Fatalf("MemoryBytes = %d, want 1600", h.MemoryBytes())
+	for _, n := range []int{100, 128, 1200} {
+		if got := NewUniform(n).MemoryBytes(); got != 12*n {
+			t.Fatalf("n=%d: MemoryBytes = %d, want %d", n, got, 12*n)
+		}
 	}
 }
 

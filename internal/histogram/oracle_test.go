@@ -94,8 +94,8 @@ func updateWalk(h *Histogram, q *query.Query, step float64) {
 func minSupportCountWalk(h *Histogram, q *query.Query) float64 {
 	min := math.Inf(1)
 	q.ForEachBin(func(bin int) {
-		if h.counts[bin] < min {
-			min = h.counts[bin]
+		if c := float64(h.counts[bin]); c < min {
+			min = c
 		}
 	})
 	return min

@@ -70,13 +70,13 @@ func TestBadMagic(t *testing.T) {
 // TestBadVersion: every version but the one written is refused before
 // anything past the header is read, by an error naming both versions — the
 // v1 and v2 envelopes of older builds (raw and gzip-compressed gob) and
-// the v3 one of the build before included.
+// the v3 and v4 ones of the builds before included.
 func TestBadVersion(t *testing.T) {
-	for _, version := range []uint32{1, 2, 3, 5, 99} {
+	for _, version := range []uint32{1, 2, 3, 4, 6, 99} {
 		input := binary.BigEndian.AppendUint32([]byte(magic), version)
 		input = append(input, gzipped(t, []byte("a gob stream"))...)
 		_, _, err := ReadSections(bytes.NewReader(input))
-		want := fmt.Sprintf("snapshot is v%d, this build reads v4", version)
+		want := fmt.Sprintf("snapshot is v%d, this build reads v5", version)
 		if !errors.Is(err, ErrBadVersion) || !strings.Contains(err.Error(), want) {
 			t.Fatalf("v%d: err = %v, want ErrBadVersion saying %q", version, err, want)
 		}

@@ -318,8 +318,9 @@ func (v foreignValue) AppendFast(dst []byte) []byte { return append(dst, v...) }
 // bounded backend: backend name, cap, and live hit/miss/eviction/bytes
 // and error counters thread up from the store through the session.
 func TestSchemaCacheSectionBounded(t *testing.T) {
-	// Room for four releases: a covid key here is 7 bytes, an entry 17.
-	const capBytes = 4 * (7 + 17)
+	// Room for four releases: a covid key here is 7 bytes, beside an
+	// entry's encoding.
+	capBytes := 4 * (7 + len(cache.Entry{}.AppendFast(nil)))
 	be := store.NewMem(store.MemConfig{MaxBytes: capBytes})
 	srv, _ := newTestServerWith(t, 100, func(c *core.Config) { c.Backend = be })
 	ts := serve(t, srv)

@@ -18,18 +18,20 @@ var bothModes = []struct {
 	cfg      MemConfig
 	resident float64 // gate on resident bytes per entry
 }{
-	{"uncapped", MemConfig{}, 56},
-	{"capped", MemConfig{MaxBytes: 1 << 30}, 66},
+	{"uncapped", MemConfig{}, 40.3},
+	{"capped", MemConfig{MaxBytes: 1 << 30}, 49.6},
 }
 
 // TestResidentBytesPerEntry is the deterministic form of the layout's
-// claim: cached releases under packed windowed keys cost at most 56
+// claim: cached releases under packed windowed keys cost at most 40.3
 // resident bytes each — records, bucket table and chunk slack together —
-// and at most 66 with the LRU extension of a capped store, at the worst of
-// four entry counts (49.8 and 59.0 measured, at 50,000). One count alone
-// can flatter the layout: a table is between half and exactly full, and
-// the tail chunk is anywhere from empty to full. An uncapped record is a
-// 10-byte header, a 7- to 9-byte key and a 25-byte value; the index adds
+// and at most 49.6 with the LRU extension of a capped store, at the worst
+// of four entry counts (34.1 measured at 50,000 and 42.6 at 100,000; each
+// ceiling is that plus the 6.2 and 7.0 bytes of margin the ceilings kept
+// over the 25-byte value the cache once stored). One count alone can
+// flatter the layout: a table is between half and exactly full, and the
+// tail chunk is anywhere from empty to full. An uncapped record is a
+// 10-byte header, a 7- to 9-byte key and the cache's 9-byte value; the index adds
 // one 4-byte bucket per record at most, where the Go map it replaced cost
 // 19 to 34. Stats().ResidentBytes must be within 5% of what the store has
 // mapped, and the Go heap must grow by at most 2 bytes an entry: the arena
@@ -82,7 +84,7 @@ func TestSetGetAllocBudget(t *testing.T) {
 	for _, mode := range bothModes {
 		t.Run(mode.name, func(t *testing.T) {
 			s := NewMem(mode.cfg)
-			var v FastEncoder = fastEntry{Value: 1, Eps: 0.1, Version: 1} // boxed once, as cache.Exact's caller pays for it
+			var v FastEncoder = fastEntry{Value: 1} // boxed once, as cache.Exact's caller pays for it
 			i := 0
 			if allocs := testing.AllocsPerRun(len(keys)-1, func() {
 				if err := s.Set(keys[i], v); err != nil {
@@ -114,15 +116,20 @@ func TestSetGetAllocBudget(t *testing.T) {
 // TestSetOpeningChunkAllocs: a fill whose record does not fit the tail
 // chunk encodes its value into the store's spill, not into a throw-away
 // slice, and opens a new chunk allocating nothing but its share of the
-// page set's and the chunk list's growth. Chunks of 64 bytes hold one
-// record each, so every Set below opens one. Encoding into a new slice
-// read 1 object a Set.
+// page set's and the chunk list's growth. Chunks of 32 bytes hold one
+// uncapped record each, and chunks of 64 one capped record, whose LRU
+// links make it longer than 32, so every Set below opens one. Encoding
+// into a new slice read 1 object a Set.
 func TestSetOpeningChunkAllocs(t *testing.T) {
 	keys := windowedKeys(1000)
 	for _, mode := range bothModes {
 		t.Run(mode.name, func(t *testing.T) {
-			s := newMem(mode.cfg, 6, 1<<20)
-			var v FastEncoder = fastEntry{Value: 1, Eps: 0.1, Version: 1}
+			shift := uint(5)
+			if mode.cfg.capped() {
+				shift = 6
+			}
+			s := newMem(mode.cfg, shift, 1<<20)
+			var v FastEncoder = fastEntry{Value: 1}
 			i := 0
 			if allocs := testing.AllocsPerRun(len(keys)-1, func() {
 				chunks := len(s.chunks)

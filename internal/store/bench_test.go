@@ -31,7 +31,7 @@ func windowedKeys(n int) []string {
 // longest single Set.
 func fillWindowed(tb testing.TB, s *Mem, keys []string) time.Duration {
 	var longest time.Duration
-	var v FastEncoder = fastEntry{Value: 1, Eps: 0.1, Version: 1} // boxed once: the fill's allocations are the store's
+	var v FastEncoder = fastEntry{Value: 1} // boxed once: the fill's allocations are the store's
 	for _, k := range keys {
 		start := time.Now()
 		if err := s.Set(k, v); err != nil {

@@ -31,7 +31,7 @@ func TestBackendContract(t *testing.T) {
 		}
 
 		sub("round-trip", func(t *testing.T, b Backend) {
-			in := fastEntry{Value: 7, Eps: 2.5, Version: 3}
+			in := fastEntry{Value: 7}
 			if err := b.Set("k", in); err != nil {
 				t.Fatal(err)
 			}

@@ -17,28 +17,27 @@ import (
 )
 
 // fastEntry stands in for cache.Entry (which this package cannot import):
-// a fixed 25-byte FastEncoder value, so re-Puts overwrite in place.
+// the entry the cache stores, a tag byte and a float64 value, fixed at
+// fastEntryLen bytes, so re-Puts overwrite in place.
 type fastEntry struct {
-	Value, Eps float64
-	Version    int
+	Value float64
 }
 
+// fastEntryLen is a fastEntry's encoded length.
+const fastEntryLen = 9
+
 func (e fastEntry) AppendFast(dst []byte) []byte {
-	var buf [25]byte
+	var buf [fastEntryLen]byte
 	buf[0] = 0xE7
 	binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(e.Value))
-	binary.LittleEndian.PutUint64(buf[9:], math.Float64bits(e.Eps))
-	binary.LittleEndian.PutUint64(buf[17:], uint64(int64(e.Version)))
 	return append(dst, buf[:]...)
 }
 
 func (e *fastEntry) DecodeFast(data []byte) bool {
-	if len(data) != 25 || data[0] != 0xE7 {
+	if len(data) != fastEntryLen || data[0] != 0xE7 {
 		return false
 	}
 	e.Value = math.Float64frombits(binary.LittleEndian.Uint64(data[1:]))
-	e.Eps = math.Float64frombits(binary.LittleEndian.Uint64(data[9:]))
-	e.Version = int(int64(binary.LittleEndian.Uint64(data[17:])))
 	return true
 }
 
@@ -320,8 +319,8 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 	s.hashMask = mask
 	o := newOracle(cfg)
 
-	// value draws a fastEntry (fixed 25 bytes, overwritten in place) or a
-	// text, short or longer than a chunk.
+	// value draws a fastEntry (fixed fastEntryLen bytes, overwritten in
+	// place) or a text, short or longer than a chunk.
 	value := func() FastEncoder {
 		switch rng.Intn(4) {
 		case 0:
@@ -329,7 +328,7 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 		case 1:
 			return text(fmt.Sprintf("s%d", rng.Intn(5)))
 		default:
-			return fastEntry{Value: float64(rng.Intn(3)), Eps: 0.5, Version: rng.Intn(2)}
+			return fastEntry{Value: float64(2*rng.Intn(3) + rng.Intn(2))}
 		}
 	}
 	steps := 4000
@@ -489,7 +488,7 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 func TestStorm(t *testing.T) {
 	t.Run("uncapped", func(t *testing.T) { storm(t, MemConfig{}) })
 	// Room for fewer entries than keys written: eviction runs under fire.
-	t.Run("capped", func(t *testing.T) { storm(t, MemConfig{MaxBytes: 12 * (2 + 25)}) })
+	t.Run("capped", func(t *testing.T) { storm(t, MemConfig{MaxBytes: 12 * (2 + fastEntryLen)}) })
 }
 
 func storm(t *testing.T, cfg MemConfig) {
@@ -500,8 +499,14 @@ func storm(t *testing.T, cfg MemConfig) {
 	if testing.Short() {
 		rounds = 500
 	}
+	// Write i of key k carries k in the value's top bits and i twice
+	// below them, so a torn or foreign entry shows.
 	entryFor := func(k, i int) fastEntry {
-		return fastEntry{Value: float64(k), Eps: float64(i), Version: k*1_000_000 + i}
+		return fastEntry{Value: math.Float64frombits(uint64(k)<<48 | uint64(i)<<24 | uint64(i))}
+	}
+	keyOf := func(e fastEntry) (k int, whole bool) {
+		bits := math.Float64bits(e.Value)
+		return int(bits >> 48), bits>>24&(1<<24-1) == bits&(1<<24-1)
 	}
 	var stop atomic.Bool
 	var writers, others sync.WaitGroup
@@ -546,7 +551,7 @@ func storm(t *testing.T, cfg MemConfig) {
 				if err != nil {
 					continue // the text variant read as an Entry: poisoned, deleted
 				}
-				if ok && (e.Value != float64(k) || e.Version != k*1_000_000+int(e.Eps)) {
+				if got, whole := keyOf(e); ok && (got != k || !whole) {
 					t.Errorf("key %d read a torn or foreign entry %+v", k, e)
 					return
 				}
@@ -568,7 +573,10 @@ func storm(t *testing.T, cfg MemConfig) {
 		for !stop.Load() {
 			for k, v := range s.Export() {
 				var e fastEntry
-				if e.DecodeFast(v) && fmt.Sprint(int(e.Value)) != k {
+				if !e.DecodeFast(v) {
+					continue
+				}
+				if got, _ := keyOf(e); fmt.Sprint(got) != k {
 					t.Errorf("export of key %s carries entry %+v", k, e)
 					return
 				}

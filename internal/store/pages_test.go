@@ -215,10 +215,10 @@ func TestPageScratchNeverCompactedAway(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		s.drop(fmt.Sprint("k", i)) // dead bytes for compaction to drop
 	}
-	// Pad the tail to leave exactly a header, "new" and a 25-byte value: a
+	// Pad the tail to leave exactly a header, "new" and a fastEntry: a
 	// record of the right length, after opening a chunk if the tail is
 	// already too short.
-	want := hdrLen + len("new") + 25
+	want := hdrLen + len("new") + fastEntryLen
 	for i := 0; ; i++ {
 		c := s.chunks[s.tail]
 		free := cap(c) - len(c)

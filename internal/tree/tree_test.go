@@ -307,7 +307,7 @@ func TestMemoryBytesScalesWithNodes(t *testing.T) {
 	if _, err := f.tree.Run(q); err != nil {
 		t.Fatal(err)
 	}
-	want := f.tree.Nodes() * 16 * f.dom.Size()
+	want := f.tree.Nodes() * 12 * f.dom.Size()
 	if f.tree.MemoryBytes() != want {
 		t.Fatalf("MemoryBytes = %d, want %d", f.tree.MemoryBytes(), want)
 	}
