@@ -55,25 +55,30 @@ func runMain(t *testing.T, args ...string) (string, error) {
 
 // TestStateFromOlderBuildRefused: a -state file an older build wrote stops
 // the boot with a non-zero exit naming what this build cannot read, before
-// the server listens, and the file is left byte for byte as it was. Four
+// the server listens, and the file is left byte for byte as it was. Five
 // such files: one in the v2 snapshot format (the magic, version 2, gzip
 // bytes), one in v3 (this build's sections under the version before the
 // cache entry lost its data version), one in v4 (the same, under the
-// version before the cache entry lost its ε), and one carrying the
+// version before the cache entry lost its ε), one in v5 (the same, under
+// the version whose cache values were tagged byte strings), and one
+// carrying the
 // "cache/tree-node" section a build with a tree node cache wrote, which no
 // layer of this build owns. A file whose dataset section carries a NaN
-// count is refused the same way.
+// count, or whose cache section holds a NaN release, is refused the same
+// way.
 func TestStateFromOlderBuildRefused(t *testing.T) {
 	args := []string{"-addr", "127.0.0.1:0", "-rows", "2000", "-weeks", "4"}
 	for _, tc := range []struct {
 		name, want string
 		file       func(t *testing.T) []byte
 	}{
-		{"v2", "snapshot is v2, this build reads v5", v2Snapshot},
-		{"v3", "snapshot is v3, this build reads v5", olderSnapshot(3)},
-		{"v4", "snapshot is v4, this build reads v5", olderSnapshot(4)},
+		{"v2", "snapshot is v2, this build reads v6", v2Snapshot},
+		{"v3", "snapshot is v3, this build reads v6", olderSnapshot(3)},
+		{"v4", "snapshot is v4, this build reads v6", olderSnapshot(4)},
+		{"v5", "snapshot is v5, this build reads v6", olderSnapshot(5)},
 		{"tree-node", `unknown snapshot section: "cache/tree-node"`, treeNodeSnapshot},
 		{"nan-count", "has count NaN at bin", nanCountSnapshot},
+		{"nan-value", "value NaN is not a release", nanValueSnapshot},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			old := tc.file(t)
@@ -157,7 +162,7 @@ func olderSnapshot(version byte) func(t *testing.T) []byte {
 	}
 }
 
-// bootSnapshot is the v5 snapshot this build writes at boot with
+// bootSnapshot is the v6 snapshot this build writes at boot with
 // TestStateFromOlderBuildRefused's flags, each section's payload passed
 // through edit, then the extra sections (name, payload pairs).
 func bootSnapshot(t *testing.T, edit func(name string, p []byte) []byte, extra ...string) []byte {
@@ -241,20 +246,35 @@ func nanCountSnapshot(t *testing.T) []byte {
 	})
 }
 
+// nanValueSnapshot is the boot snapshot whose cache section holds one
+// release, under a key of partition 0's window, whose value is NaN.
+func nanValueSnapshot(t *testing.T) []byte {
+	return bootSnapshot(t, func(name string, p []byte) []byte {
+		if name != "cache/session-exact" {
+			return p
+		}
+		var e persist.Encoder
+		e.PutUvarint(1)
+		e.PutString("\x01\x00\x00\x01\x01\x01\xff")
+		e.PutFloat(math.NaN())
+		return e.Payload()
+	})
+}
+
 // TestStoreConfig pins the flag → store.MemConfig mapping: no cap is the
 // zero config (the uncapped store), a cap is carried through in the unit
 // the store counts, and a negative one, or one above the largest cap one
 // arena always honours, is refused naming its flag instead of reaching a
 // store that would read it as unbounded or refuse fills. That largest cap
 // is the record layout's figure, derived from the width of a cache entry:
-// a capped record of the smallest entry (a 1-byte key and the entry) is
-// its payload plus 19 bytes of header and LRU links, a 64 KiB chunk
-// filled to within one 1 KiB record holds (65,536 − 1,023) × payload /
-// record bytes of payload, and 65,528 of the 65,536 chunk slots are
-// filled (1,390 MiB with a 9-byte entry).
+// a capped record of the smallest entry (a 1-byte key and the 8-byte
+// value) is its payload plus 16 bytes of header and LRU links, a 64 KiB
+// chunk filled to within one 1 KiB record holds (65,536 − 1,023) ×
+// payload / record bytes of payload, and 65,528 of the 65,536 chunk slots
+// are filled (1,451 MiB).
 func TestStoreConfig(t *testing.T) {
-	payload := 1 + len(cache.Entry{}.AppendFast(nil))
-	if want := (65_536 - 8) * ((65_536 - 1_023) * payload / (19 + payload)); cache.MaxStoreBytes != want || maxStoreMB != want>>20 {
+	payload := 1 + 8
+	if want := (65_536 - 8) * ((65_536 - 1_023) * payload / (16 + payload)); cache.MaxStoreBytes != want || maxStoreMB != want>>20 {
 		t.Fatalf("largest cap %d MiB (%d bytes), want %d MiB (%d bytes)", maxStoreMB, cache.MaxStoreBytes, want>>20, want)
 	}
 	for _, tc := range []struct {

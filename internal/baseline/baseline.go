@@ -109,8 +109,8 @@ func (c *ExactCache) Run(q *query.Query) (float64, error) {
 	if _, _, ok := q.Window(); !ok {
 		q = q.WithWindow(start, end)
 	}
-	if e, ok := c.cache.Lookup(q.KeyWithWindow()); ok {
-		return e.Value, nil
+	if v, ok := c.cache.Lookup(q.KeyWithWindow()); ok {
+		return v, nil
 	}
 	eps := noise.EpsilonForAccuracy(c.Alpha, c.Beta, n)
 	if err := c.Block.PayRange(start, end, accountant.Laplace(eps)); err != nil {
@@ -183,10 +183,8 @@ func (c *TreeExactCache) Run(q *query.Query) (float64, error) {
 		if ni == 0 {
 			continue
 		}
-		var value float64
-		if e, ok := c.cache.Lookup(nq.KeyWithWindow()); ok {
-			value = e.Value
-		} else {
+		value, ok := c.cache.Lookup(nq.KeyWithWindow())
+		if !ok {
 			eps := noise.EpsilonForAccuracy(c.Alpha, betaNode, ni)
 			if err := c.Block.PayRange(node.Start, node.End, accountant.Laplace(eps)); err != nil {
 				return 0, err

@@ -8,10 +8,9 @@ import (
 	"repro/internal/query"
 )
 
-// TestPutZeroAllocs: a fill hands the store a pooled entry, so it boxes
-// nothing into the store's FastEncoder; with the key's record already in
-// the store (the same-length bytes are overwritten in place), it
-// allocates nothing at all. It boxed one Entry per fill.
+// TestPutZeroAllocs: a fill hands the store its float64; with the key's
+// record already in the store (the value is overwritten in place), it
+// allocates nothing at all.
 func TestPutZeroAllocs(t *testing.T) {
 	c := newCache(t)
 	q := query.MustNew(dom(), map[int][]int{1: {0, 2}}).WithWindow(1, 3)
@@ -25,7 +24,7 @@ func TestPutZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("a fill allocates %v objects, want 0", allocs)
 	}
-	if e, ok := c.get(q); !ok || e.Value != 0.5 {
-		t.Fatalf("Get after the fills = %+v, %v", e, ok)
+	if v, ok := c.get(q); !ok || v != 0.5 {
+		t.Fatalf("Get after the fills = %v, %v", v, ok)
 	}
 }

@@ -12,8 +12,8 @@
 // An exact cache owns the store it is built over, and programs against
 // the pluggable store.Backend interface rather than a concrete store, so
 // the same cache runs over the in-memory store capped or not. The store
-// is the cache's one tier: every hit is a store read, decoded through the
-// fixed 9-byte codec (codec.go). A backend eviction is indistinguishable
+// is the cache's one tier: every hit is a store read of the released
+// float64, and nothing else is kept. A backend eviction is indistinguishable
 // from a miss here — the query re-executes, and re-pays, through the
 // session's single-flight path, so eviction can never corrupt the
 // accountant.
@@ -22,19 +22,14 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/persist"
 	"repro/internal/query"
 	"repro/internal/store"
 )
-
-// Entry is one cached DP result; what it cost is in the accountant's books.
-type Entry struct {
-	Value float64 // the released DP result (a row fraction)
-}
 
 // ErrNilBackend reports an exact cache constructed without a backing
 // store. Callers pass the store explicitly, so that a capped store the
@@ -43,8 +38,8 @@ var ErrNilBackend = errors.New("cache: nil store backend")
 
 // MaxStoreBytes is the largest store cap (store.MemConfig.MaxBytes) under
 // which one arena holds every live entry: a cache entry is at least a
-// one-byte key (the window header) and a 9-byte value.
-var MaxStoreBytes = store.MaxCapBytes(1 + entryWireLen)
+// one-byte key (the window header) and an 8-byte value.
+var MaxStoreBytes = store.MaxCapBytes(1 + 8)
 
 // sectionName is the snapshot section of the cache. It names the
 // namespace the session's cache once had in a shared store, so that every
@@ -52,11 +47,11 @@ var MaxStoreBytes = store.MaxCapBytes(1 + entryWireLen)
 const sectionName = "cache/session-exact"
 
 // Exact is an exact-match cache backed by a store.Backend (the
-// prototype's Redis role): the store holds every release once, as the
-// entry codec's 9 bytes, and Exact adds the codec and the hit and miss
-// counters. Exact is safe for concurrent use and holds no lock of its
-// own: the backend serializes its own access, so the pipeline probes the
-// cache without holding any execution lock.
+// prototype's Redis role): the store holds every release once, a float64
+// under its key (its cost is in the accountant's books), and Exact adds
+// the hit and miss counters. It is safe for concurrent use and holds no
+// lock of its own: the backend serializes its own access, so the pipeline
+// probes the cache without holding any execution lock.
 type Exact struct {
 	store store.Backend
 
@@ -82,49 +77,36 @@ func NewExact(b store.Backend) (*Exact, error) {
 // Get returns the cached result for q: Lookup by q's KeyWithWindow. The
 // version is ignored: it is a compile shim for benchmark/trace.go, which
 // passes core.Plan.Version, until ROADMAP item 21 deletes the twin.
-func (c *Exact) Get(q *query.Query, _ int) (Entry, bool) {
+func (c *Exact) Get(q *query.Query, _ int) (float64, bool) {
 	return c.Lookup(q.KeyWithWindow())
 }
 
-// entries recycles the entries a store probe decodes into and a fill
-// encodes from: an Entry passed to the store.Backend interface would
-// escape, one allocation per probe or fill.
-var entries = sync.Pool{New: func() any { return new(Entry) }}
-
 // Lookup returns the result cached under key, a KeyWithWindow key: one
-// store Get, decoded into a pooled entry, so no lookup allocates. key is
-// only read during the call, so a caller may pass a view of a buffer it
-// reuses.
-func (c *Exact) Lookup(key string) (Entry, bool) {
-	out := entries.Get().(*Entry)
-	found, err := c.store.Get(key, out)
-	e := *out
-	entries.Put(out)
-	if err != nil || !found {
+// store Get, which allocates nothing. key is only read during the call,
+// so a caller may pass a view of a buffer it reuses.
+func (c *Exact) Lookup(key string) (float64, bool) {
+	v, ok := c.store.Get(key)
+	if !ok {
 		c.misses.Add(1)
-		return Entry{}, false
+		return 0, false
 	}
 	c.hits.Add(1)
-	return e, true
+	return v, true
 }
 
 // Put stores a freshly-computed DP result under q's key, replacing
 // whatever the key held.
 func (c *Exact) Put(q *query.Query, value float64) error {
-	e := entries.Get().(*Entry)
-	*e = Entry{Value: value}
-	err := c.store.Set(q.KeyWithWindow(), e)
-	entries.Put(e)
-	return err
+	return c.store.Set(q.KeyWithWindow(), value)
 }
 
 // SnapshotSection implements persist.Snapshotter: the cache persists the
 // store it owns.
 func (c *Exact) SnapshotSection() string { return sectionName }
 
-// SnapshotPayload exports the cache's stored entries as raw KV bytes: the
-// entry count, then each entry's packed key and 9-byte value, as byte
-// strings, keys sorted so the payload encodes byte-identically for
+// SnapshotPayload exports the cache's stored entries: the entry count,
+// then each entry's packed key as a byte string and its value as a
+// float64, keys sorted so the payload encodes byte-identically for
 // identical contents (store exports are maps;
 // TestSnapshotBytesDeterministic pins the whole envelope).
 func (c *Exact) SnapshotPayload() []byte {
@@ -138,36 +120,35 @@ func (c *Exact) SnapshotPayload() []byte {
 	e.PutUvarint(uint64(len(keys)))
 	for _, k := range keys {
 		e.PutString(k)
-		e.PutBytes(data[k])
+		e.PutFloat(data[k])
 	}
 	return e.Payload()
 }
 
 // restoredEntry is one entry of a decoded snapshot section.
 type restoredEntry struct {
-	key string
-	e   Entry
+	key   string
+	value float64
 }
 
 // decodeSection turns a snapshot payload into the entries it restores,
-// touching nothing. Every key's window header and every value is decoded:
-// a key no probe could build, or a value that is not an entry, is an
-// error naming the key.
+// touching nothing. A key no probe could build (its window header does
+// not decode), or a value that is not finite, which no release is and no
+// response could carry, is an error naming the key.
 func decodeSection(payload []byte) ([]restoredEntry, error) {
 	d := persist.NewDecoder(payload)
 	var out []restoredEntry
-	for range d.Count(2) {
-		key, val := string(d.Bytes()), d.Bytes()
+	for range d.Count(9) {
+		r := restoredEntry{key: string(d.Bytes()), value: d.Float()}
 		if d.Err() != nil {
 			break
 		}
-		r := restoredEntry{key: key}
-		_, _, _, err := query.KeyWindow(key)
-		if err == nil && !r.e.DecodeFast(val) {
-			err = fmt.Errorf("%d value bytes are not a cache entry", len(val))
+		_, _, _, err := query.KeyWindow(r.key)
+		if err == nil && (math.IsNaN(r.value) || math.IsInf(r.value, 0)) {
+			err = fmt.Errorf("value %g is not a release", r.value)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("cache: key %q: %w", key, err)
+			return nil, fmt.Errorf("cache: key %q: %w", r.key, err)
 		}
 		out = append(out, r)
 	}
@@ -190,7 +171,7 @@ func (c *Exact) StagePayload(payload []byte) (func(), error) {
 	return func() {
 		c.store.Import(nil)
 		for _, r := range entries {
-			_ = c.store.Set(r.key, r.e)
+			_ = c.store.Set(r.key, r.value)
 		}
 	}, nil
 }

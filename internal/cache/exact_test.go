@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"runtime"
@@ -39,7 +40,7 @@ func newCache(t *testing.T) *Exact {
 func (c *Exact) entries() int { return c.store.Stats().Entries }
 
 // get is Lookup by q's key.
-func (c *Exact) get(q *query.Query) (Entry, bool) { return c.Lookup(q.KeyWithWindow()) }
+func (c *Exact) get(q *query.Query) (float64, bool) { return c.Lookup(q.KeyWithWindow()) }
 
 // restore stages payload into c and applies it.
 func (c *Exact) restore(payload []byte) error {
@@ -51,13 +52,13 @@ func (c *Exact) restore(payload []byte) error {
 }
 
 // section encodes a cache/session-exact payload by hand: the entry count,
-// then each key and its value bytes, in the order given.
-func section(keys []string, vals [][]byte) []byte {
+// then each key and its value, in the order given.
+func section(keys []string, vals []float64) []byte {
 	var e persist.Encoder
 	e.PutUvarint(uint64(len(keys)))
 	for i, k := range keys {
 		e.PutString(k)
-		e.PutBytes(vals[i])
+		e.PutFloat(vals[i])
 	}
 	return e.Payload()
 }
@@ -77,9 +78,9 @@ func TestPutGet(t *testing.T) {
 	if err := c.Put(q, 0.42); err != nil {
 		t.Fatal(err)
 	}
-	e, ok := c.get(q)
-	if !ok || e.Value != 0.42 {
-		t.Fatalf("Get = %+v, %v", e, ok)
+	v, ok := c.get(q)
+	if !ok || v != 0.42 {
+		t.Fatalf("Get = %v, %v", v, ok)
 	}
 	hits, misses := c.Stats()
 	if hits != 1 || misses != 1 {
@@ -94,7 +95,7 @@ func TestPutGet(t *testing.T) {
 }
 
 // TestStoredPayloadBytes: an entry's stored payload is its key plus the
-// codec's 9 bytes, a Value behind a tag, and nothing else.
+// released value's 8 bytes, and nothing else.
 func TestStoredPayloadBytes(t *testing.T) {
 	c := newCache(t)
 	q := query.MustNew(dom(), map[int][]int{0: {1}}).WithWindow(3, 9)
@@ -102,11 +103,11 @@ func TestStoredPayloadBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := q.KeyWithWindow()
-	if st := c.store.Stats(); st.Entries != 1 || st.Bytes != len(key)+9 {
-		t.Fatalf("store holds %d entries, %d payload bytes; want 1 entry of %d+9", st.Entries, st.Bytes, len(key))
+	if st := c.store.Stats(); st.Entries != 1 || st.Bytes != len(key)+8 {
+		t.Fatalf("store holds %d entries, %d payload bytes; want 1 entry of %d+8", st.Entries, st.Bytes, len(key))
 	}
-	if raw := c.store.Export()[key]; len(raw) != 9 || raw[0] != entryTag {
-		t.Fatalf("stored value %x, want the 9-byte entry", raw)
+	if v := c.store.Export()[key]; v != 0.5 {
+		t.Fatalf("stored value %v, want 0.5", v)
 	}
 }
 
@@ -128,8 +129,8 @@ func TestWindowDistinguishesEntries(t *testing.T) {
 		_ = c.Put(q.WithWindow(i, i), float64(i))
 	}
 	for i := 0; i < 32; i++ {
-		if e, ok := c.get(q.WithWindow(i, i)); !ok || e.Value != float64(i) {
-			t.Fatalf("window %d after 32 fills: %+v %v", i, e, ok)
+		if v, ok := c.get(q.WithWindow(i, i)); !ok || v != float64(i) {
+			t.Fatalf("window %d after 32 fills: %v %v", i, v, ok)
 		}
 	}
 }
@@ -141,13 +142,13 @@ func TestOverwrite(t *testing.T) {
 	q := query.MustNew(dom(), nil)
 	_ = c.Put(q, 0.1)
 	_ = c.Put(q, 0.2)
-	e, ok := c.get(q)
-	if !ok || e.Value != 0.2 {
-		t.Fatalf("overwrite failed: %+v %v", e, ok)
+	v, ok := c.get(q)
+	if !ok || v != 0.2 {
+		t.Fatalf("overwrite failed: %v %v", v, ok)
 	}
 	_ = c.Put(q, 0.75)
-	if e, ok := c.get(q); !ok || e.Value != 0.75 {
-		t.Fatalf("Get after a re-Put = %+v, %v, want the new bytes", e, ok)
+	if v, ok := c.get(q); !ok || v != 0.75 {
+		t.Fatalf("Get after a re-Put = %v, %v, want the new value", v, ok)
 	}
 	if c.entries() != 1 {
 		t.Fatalf("Len after overwrite = %d", c.entries())
@@ -183,10 +184,10 @@ func TestVersionStorm(t *testing.T) {
 					return
 				default:
 				}
-				e, ok := c.get(q)
+				got, ok := c.get(q)
 				newest := begun.Load()
 				gets.Add(1)
-				bits := math.Float64bits(e.Value)
+				bits := math.Float64bits(got)
 				v := int64(bits >> 32)
 				if ok && (bits&(1<<32-1) != uint64(v) || v < last || v > newest) {
 					t.Errorf("read %#x after version %d, with version %d the newest begun", bits, last, newest)
@@ -219,8 +220,8 @@ func TestVersionStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ { // a first read and a repeat, both from the store
-		if e, ok := c.get(q); !ok || e.Value != -1 {
-			t.Fatalf("read %d after quiescence = %+v, %v, want the last Put", i, e, ok)
+		if v, ok := c.get(q); !ok || v != -1 {
+			t.Fatalf("read %d after quiescence = %v, %v, want the last Put", i, v, ok)
 		}
 	}
 }
@@ -239,8 +240,8 @@ func TestConcurrentAccess(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if e, ok := c.get(q); ok && e.Value != float64(i%16) {
-					t.Errorf("got %g for window %d", e.Value, i%16)
+				if v, ok := c.get(q); ok && v != float64(i%16) {
+					t.Errorf("got %g for window %d", v, i%16)
 					return
 				}
 			}
@@ -266,10 +267,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		keys = append(keys, base.WithWindow(w, w).KeyWithWindow())
 	}
 	sort.Strings(keys)
-	val := Entry{Value: 0.25}.AppendFast(nil)
-	vals := make([][]byte, len(keys))
+	vals := make([]float64, len(keys))
 	for i := range vals {
-		vals[i] = val
+		vals[i] = 0.25
 	}
 	payload := section(keys, vals)
 	c := newCache(t)
@@ -289,9 +289,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("restored %d entries, want 8", cc.entries())
 		}
 		for w := 0; w < 8; w++ {
-			e, ok := cc.get(base.WithWindow(w, w))
-			if !ok || e.Value != 0.25 {
-				t.Fatalf("restored window %d: %+v %v, want an exact hit", w, e, ok)
+			v, ok := cc.get(base.WithWindow(w, w))
+			if !ok || v != 0.25 {
+				t.Fatalf("restored window %d: %v %v, want an exact hit", w, v, ok)
 			}
 		}
 	}
@@ -303,11 +303,11 @@ type refusingBackend struct {
 	refuse string
 }
 
-func (b refusingBackend) Set(k string, value store.FastEncoder) error {
+func (b refusingBackend) Set(k string, v float64) error {
 	if k == b.refuse {
 		return errors.New("refused")
 	}
-	return b.Backend.Set(k, value)
+	return b.Backend.Set(k, v)
 }
 
 // TestRestoreRefusedSetIsEviction: an entry the store refuses while a
@@ -317,12 +317,11 @@ func TestRestoreRefusedSetIsEviction(t *testing.T) {
 	base := query.MustNew(dom(), map[int][]int{0: {1}})
 	keys := []string{base.WithWindow(0, 0).KeyWithWindow(), base.WithWindow(1, 1).KeyWithWindow(), base.WithWindow(2, 2).KeyWithWindow()}
 	sort.Strings(keys)
-	val := Entry{Value: 0.25}.AppendFast(nil)
 	c, err := NewExact(refusingBackend{Backend: store.NewMem(store.MemConfig{}), refuse: keys[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.restore(section(keys, [][]byte{val, val, val})); err != nil {
+	if err := c.restore(section(keys, []float64{0.25, 0.25, 0.25})); err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range keys {
@@ -339,7 +338,7 @@ func TestRestoreRefusedSetIsEviction(t *testing.T) {
 func TestBoundedBackendEviction(t *testing.T) {
 	base := query.MustNew(dom(), map[int][]int{0: {1}})
 	// Room for 8 entries: every key here is the same length.
-	be := store.NewMem(store.MemConfig{MaxBytes: 8 * (len(base.WithWindow(0, 0).KeyWithWindow()) + entryWireLen)})
+	be := store.NewMem(store.MemConfig{MaxBytes: 8 * (len(base.WithWindow(0, 0).KeyWithWindow()) + 8)})
 	c, err := NewExact(be)
 	if err != nil {
 		t.Fatal(err)
@@ -348,8 +347,8 @@ func TestBoundedBackendEviction(t *testing.T) {
 	_ = c.Put(base.WithWindow(0, 0), 0.9)
 	for w := 1; w < 32; w++ {
 		_ = c.Put(base.WithWindow(w, w), float64(w))
-		if e, ok := c.get(base.WithWindow(0, 0)); !ok || e.Value != 0.9 {
-			t.Fatalf("fill %d evicted the entry in use: %+v %v", w, e, ok)
+		if v, ok := c.get(base.WithWindow(0, 0)); !ok || v != 0.9 {
+			t.Fatalf("fill %d evicted the entry in use: %v %v", w, v, ok)
 		}
 	}
 	if got := be.Stats().Entries; got != 8 {
@@ -372,9 +371,10 @@ func TestBoundedBackendEviction(t *testing.T) {
 }
 
 // TestRestoreRefusesBadSection: a key whose window header does not decode
-// — which no probe would ever build — and a value that does not decode are
-// each refused before the store clears, by an error quoting the key,
-// also behind an intact entry, and the cache keeps serving what it held.
+// — which no probe would ever build — and a value that is NaN or infinite,
+// which no release is, are each refused before the store clears, by an
+// error quoting the key, also behind an intact entry, and the cache keeps
+// serving what it held.
 func TestRestoreRefusesBadSection(t *testing.T) {
 	c := newCache(t)
 	base := query.MustNew(dom(), map[int][]int{0: {1}})
@@ -384,14 +384,16 @@ func TestRestoreRefusesBadSection(t *testing.T) {
 		}
 	}
 	good := base.WithWindow(5, 6).KeyWithWindow()
-	value := Entry{Value: 1}.AppendFast(nil)
+	six := base.WithWindow(6, 6).KeyWithWindow()
 	for name, bad := range map[string]struct {
 		keys []string
-		vals [][]byte
+		vals []float64
 	}{
-		"garbled key":                 {[]string{"\x07junk"}, [][]byte{value}},
-		"garbled value":               {[]string{base.WithWindow(6, 6).KeyWithWindow()}, [][]byte{{0xE7, 1, 2}}},
-		"garbled key, after an entry": {[]string{good, "\x01\x09"}, [][]byte{value, value}},
+		"garbled key":                 {[]string{"\x07junk"}, []float64{1}},
+		"garbled key, after an entry": {[]string{good, "\x01\x09"}, []float64{1, 1}},
+		"NaN value":                   {[]string{six}, []float64{math.NaN()}},
+		"+Inf value, after an entry":  {[]string{good, six}, []float64{1, math.Inf(1)}},
+		"-Inf value":                  {[]string{six}, []float64{math.Inf(-1)}},
 	} {
 		payload := section(bad.keys, bad.vals)
 		key := bad.keys[len(bad.keys)-1]
@@ -402,9 +404,132 @@ func TestRestoreRefusesBadSection(t *testing.T) {
 			t.Fatalf("%s: the refused restore left %d entries, want the 4 held", name, c.entries())
 		}
 		for w := 0; w < 4; w++ {
-			if e, ok := c.get(base.WithWindow(w, w)); !ok || e.Value != float64(w) {
-				t.Fatalf("%s: window %d after the refusal: %+v %v", name, w, e, ok)
+			if v, ok := c.get(base.WithWindow(w, w)); !ok || v != float64(w) {
+				t.Fatalf("%s: window %d after the refusal: %v %v", name, w, v, ok)
 			}
 		}
+	}
+}
+
+// edgeValues are releases whose bits a careless encoding would lose: the
+// zero's sign, a subnormal, the extremes.
+var edgeValues = []float64{0, math.Copysign(0, -1), 0.25, -1.5e-300, math.SmallestNonzeroFloat64, math.MaxFloat64}
+
+// TestEntryCodecRoundTrip: an entry's section encoding — the key's bytes,
+// then the release's 8 float bytes, behind the entry count — inverts
+// itself bit for bit on the float edge cases, and is exactly that long.
+func TestEntryCodecRoundTrip(t *testing.T) {
+	q := query.MustNew(dom(), map[int][]int{0: {1}})
+	c := newCache(t)
+	wire := 1 // the count's varint
+	for w, v := range edgeValues {
+		if err := c.Put(q.WithWindow(w, w), v); err != nil {
+			t.Fatal(err)
+		}
+		key := q.WithWindow(w, w).KeyWithWindow()
+		wire += len(binary.AppendUvarint(nil, uint64(len(key)))) + len(key) + 8
+	}
+	payload := c.SnapshotPayload()
+	if len(payload) != wire {
+		t.Fatalf("section is %d bytes, want %d: count, then key and 8 value bytes per entry", len(payload), wire)
+	}
+	restored := newCache(t)
+	if err := restored.restore(payload); err != nil {
+		t.Fatal(err)
+	}
+	for w, want := range edgeValues {
+		if got, ok := restored.get(q.WithWindow(w, w)); !ok || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("window %d: %v, %v; want %v", w, got, ok, want)
+		}
+	}
+}
+
+// TestBackendEntryCodecPath: a release goes through both backends, uncapped
+// and capped, bit for bit, and the store holds it as the bare float.
+func TestBackendEntryCodecPath(t *testing.T) {
+	q := query.MustNew(dom(), map[int][]int{0: {1}})
+	for _, cfg := range []store.MemConfig{{}, {MaxBytes: 64 * (1 + 8)}} {
+		b := store.NewMem(cfg)
+		c, err := NewExact(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w, want := range edgeValues {
+			if err := c.Put(q.WithWindow(w, w), want); err != nil {
+				t.Fatal(err)
+			}
+		}
+		held := b.Export()
+		for w, want := range edgeValues {
+			key := q.WithWindow(w, w).KeyWithWindow()
+			if got, ok := held[key]; !ok || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("cap %d, window %d: the store holds %v, %v; want %v", cfg.MaxBytes, w, got, ok, want)
+			}
+			if got, ok := c.get(q.WithWindow(w, w)); !ok || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("cap %d, window %d: %v, %v; want %v", cfg.MaxBytes, w, got, ok, want)
+			}
+		}
+	}
+}
+
+// gobEntry is Entry{Value: 0.375, Eps: 0.04, Version: 1}, as the entry
+// then was, as encoding/gob wrote it: the value bytes of cache sections
+// from before the 9-byte codec.
+const gobEntry = "0\x7f\x03\x01\x01\x05Entry\x01\xff\x80\x00\x01\x03\x01\x05Value\x01\b\x00\x01\x03Eps\x01\b\x00\x01\aVersion\x01\x04\x00\x00\x00\x13\xff\x80\x01\xfe\xd8?\x01\xf8{\x14\xaeG\xe1z\xa4?\x01\x02\x00"
+
+// TestEntryCodecRefusesGob: a section whose value is a byte string of an
+// older layout — a raw gob stream, as pre-codec snapshots held, the 17
+// bytes of an entry that still carried its ε, the 0xE7-tagged 9 bytes of
+// the v5 codec — or a value one byte short of or one past the float's 8,
+// is refused, and the cache keeps what it held.
+func TestEntryCodecRefusesGob(t *testing.T) {
+	q := query.MustNew(dom(), map[int][]int{0: {1}}).WithWindow(0, 2)
+	c := newCache(t)
+	if err := c.Put(q, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	bits := binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.75))
+	tagged := append([]byte{0xE7}, bits...)
+	withEps := binary.LittleEndian.AppendUint64(append([]byte(nil), tagged...), math.Float64bits(0.2))
+	for _, raw := range [][]byte{[]byte(gobEntry), withEps, tagged} {
+		var e persist.Encoder
+		e.PutUvarint(1)
+		e.PutString(q.KeyWithWindow())
+		e.PutBytes(raw)
+		if _, err := c.StagePayload(e.Payload()); err == nil {
+			t.Fatalf("a %d-byte value of an older layout restored", len(raw))
+		}
+	}
+	for _, raw := range [][]byte{bits[:7], append(bits, 0)} {
+		var e persist.Encoder
+		e.PutUvarint(1)
+		e.PutString(q.KeyWithWindow())
+		if _, err := c.StagePayload(append(e.Payload(), raw...)); err == nil {
+			t.Fatalf("a %d-byte value restored", len(raw))
+		}
+	}
+	if v, ok := c.get(q); !ok || v != 0.5 {
+		t.Fatalf("the refused restores lost the held entry: %v %v", v, ok)
+	}
+}
+
+// TestStagePayloadGobFallback checks there is no gob fallback: a section
+// whose value is a raw gob stream, as pre-codec snapshots held, is
+// refused, and the cache keeps what it held.
+func TestStagePayloadGobFallback(t *testing.T) {
+	q := query.MustNew(dom(), map[int][]int{0: {1}}).WithWindow(0, 2)
+	c := newCache(t)
+	if err := c.Put(q, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	var e persist.Encoder
+	e.PutUvarint(1)
+	e.PutString(q.KeyWithWindow())
+	e.PutBytes([]byte(gobEntry))
+	if _, err := c.StagePayload(e.Payload()); err == nil {
+		t.Fatal("a gob value restored")
+	}
+	if v, ok := c.get(q); !ok || v != 0.5 {
+		t.Fatalf("the refused restore lost the held entry: %v %v", v, ok)
 	}
 }

@@ -281,12 +281,12 @@ type offCaller struct {
 	fills  atomic.Int64
 }
 
-func (b *offCaller) Set(k string, value store.FastEncoder) error {
+func (b *offCaller) Set(k string, v float64) error {
 	if goid() != b.caller {
 		b.fills.Add(1)
 	}
 	time.Sleep(200 * time.Microsecond)
-	return b.Backend.Set(k, value)
+	return b.Backend.Set(k, v)
 }
 
 // goid is the calling goroutine's id, read off its stack trace's header
@@ -375,11 +375,11 @@ type setCounter struct {
 	sets map[string]int
 }
 
-func (b *setCounter) Set(k string, value store.FastEncoder) error {
+func (b *setCounter) Set(k string, v float64) error {
 	b.mu.Lock()
 	b.sets[k]++
 	b.mu.Unlock()
-	return b.Backend.Set(k, value)
+	return b.Backend.Set(k, v)
 }
 
 // TestBatchStorm races cold, overlapping batches through AnswerBatch.
@@ -467,9 +467,9 @@ func TestBatchStorm(t *testing.T) {
 	}
 	for _, as := range answers {
 		for _, a := range as {
-			e, ok := s.ExactCache().Lookup(a.key)
-			if !ok || e.Value != a.value {
-				t.Fatalf("key %q answered %v, its fill holds %+v (%v)", a.key, a.value, e, ok)
+			v, ok := s.ExactCache().Lookup(a.key)
+			if !ok || v != a.value {
+				t.Fatalf("key %q answered %v, its fill holds %v (%v)", a.key, a.value, v, ok)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 
 // TestColdReleasePayloadBytes pins what one cached covid release costs the
 // store in payload — what MemoryBytes counts and -store-max-mb bounds: a
-// 7-byte packed key and the 17-byte entry, 24 in all.
+// 7-byte packed key and the 8-byte value, 15 in all.
 func TestColdReleasePayloadBytes(t *testing.T) {
 	ds, batches := coldBatches(t)
 	s := coldSession(t, ds)
@@ -22,8 +23,8 @@ func TestColdReleasePayloadBytes(t *testing.T) {
 	if st.Entries != stmts {
 		t.Fatalf("the store holds %d entries for %d cold statements", st.Entries, stmts)
 	}
-	if per := float64(st.Bytes) / float64(st.Entries); per > 24 {
-		t.Fatalf("%.1f payload bytes per cached release, want <= 24", per)
+	if per := float64(st.Bytes) / float64(st.Entries); per > 15 {
+		t.Fatalf("%.1f payload bytes per cached release, want <= 15", per)
 	}
 }
 
@@ -31,19 +32,19 @@ func TestColdReleasePayloadBytes(t *testing.T) {
 // rewrite what a damaged file would hold.
 type cacheSection struct {
 	Keys []string
-	Vals [][]byte
+	Vals []float64
 }
 
 // decodeCacheSection and encodeCacheSection mirror cache.Exact's section
-// layout: the entry count, then each entry's key and value as byte
-// strings.
+// layout: the entry count, then each entry's key as a byte string and its
+// value as a float64.
 func decodeCacheSection(t *testing.T, p []byte) cacheSection {
 	t.Helper()
 	d := persist.NewDecoder(p)
 	var sec cacheSection
-	for range d.Count(2) {
+	for range d.Count(9) {
 		sec.Keys = append(sec.Keys, string(d.Bytes()))
-		sec.Vals = append(sec.Vals, d.Bytes())
+		sec.Vals = append(sec.Vals, d.Float())
 	}
 	if err := d.Finish(); err != nil {
 		t.Fatal(err)
@@ -56,7 +57,7 @@ func encodeCacheSection(sec cacheSection) []byte {
 	e.PutUvarint(uint64(len(sec.Keys)))
 	for j, k := range sec.Keys {
 		e.PutString(k)
-		e.PutBytes(sec.Vals[j])
+		e.PutFloat(sec.Vals[j])
 	}
 	return e.Payload()
 }
@@ -118,25 +119,28 @@ func keyedSession(t *testing.T) (Config, []*query.Query, []byte, *Session) {
 }
 
 // TestLoadStateRefusesBadCacheEntry: a session-exact key whose window does
-// not decode, and a value that does not decode, are each refused before
-// any section restores — a SectionError quoting the key. The books stay
-// empty, and the session keeps serving:
-// the intact snapshot then restores into it and its statements hit.
+// not decode, and a value that is NaN or infinite — no release is, and no
+// response can carry one — are each refused before any section restores:
+// a SectionError quoting the key. The books and the cache stay empty, and
+// the session keeps serving: the intact snapshot then restores into it
+// and its statements hit. A non-finite value was restored, and every
+// later hit on its key answered 500.
 func TestLoadStateRefusesBadCacheEntry(t *testing.T) {
 	cfg, stmts, raw, src := keyedSession(t)
-	for _, garble := range []string{"key", "value"} {
+	for garble, value := range map[string]float64{"key": 0, "NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)} {
 		var quoted string
 		bad := rewriteSections(t, raw, func(name string, p []byte) []byte {
 			if name != "cache/session-exact" {
 				return p
 			}
 			sec := decodeCacheSection(t, p)
+			last := len(sec.Keys) - 1
 			if garble == "key" {
-				sec.Keys[0] = "\x07junk"
+				sec.Keys[last] = "\x07junk"
 			} else {
-				sec.Vals[0] = []byte{1, 2, 3}
+				sec.Vals[last] = value
 			}
-			quoted = fmt.Sprintf("%q", sec.Keys[0])
+			quoted = fmt.Sprintf("%q", sec.Keys[last])
 			return encodeCacheSection(sec)
 		})
 
@@ -153,6 +157,9 @@ func TestLoadStateRefusesBadCacheEntry(t *testing.T) {
 			if spent := dst.Accountant().SpentVector()[p]; spent != 0 {
 				t.Fatalf("garbled %s: partition %d reads %g spent after the refusal", garble, p, spent)
 			}
+		}
+		if n := dst.StoreStats().Entries; n != 0 {
+			t.Fatalf("garbled %s: the refusal left %d cached releases", garble, n)
 		}
 		if err := dst.LoadState(bytes.NewReader(raw)); err != nil {
 			t.Fatalf("garbled %s: the intact snapshot after the refusal: %v", garble, err)

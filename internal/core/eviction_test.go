@@ -15,15 +15,14 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/query"
 	"repro/internal/store"
 )
 
 // payloadOf is the store payload of q's cached release: its key and the
-// encoded entry.
+// 8-byte value.
 func payloadOf(q *query.Query) int {
-	return len(q.KeyWithWindow()) + len(cache.Entry{}.AppendFast(nil))
+	return len(q.KeyWithWindow()) + 8
 }
 
 // sumSpent totals the scalar block's per-partition spend.
@@ -70,8 +69,7 @@ func TestEvictedWindowRepaysOnceThroughSingleFlight(t *testing.T) {
 			}
 		}
 	}
-	var gone cache.Entry
-	if found, _ := be.Get(target.KeyWithWindow(), &gone); found {
+	if _, found := be.Get(target.KeyWithWindow()); found {
 		t.Fatal("target entry survived churn; eviction never happened")
 	}
 
@@ -195,7 +193,7 @@ func TestEvictionUnderFire(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 400; i++ {
-			_ = be.Set(filler.WithWindow(i%26, i%26+i%10).KeyWithWindow(), cache.Entry{Value: float64(i)})
+			_ = be.Set(filler.WithWindow(i%26, i%26+i%10).KeyWithWindow(), float64(i))
 		}
 	}()
 	wg.Wait()
@@ -260,7 +258,7 @@ func TestEvictionUnderFire(t *testing.T) {
 // refusingStore refuses every fill, as a store out of arena slots does.
 type refusingStore struct{ store.Backend }
 
-func (refusingStore) Set(string, store.FastEncoder) error { return store.ErrArenaFull }
+func (refusingStore) Set(string, float64) error { return store.ErrArenaFull }
 
 // TestRefusedFillServesPaidAnswer: a fill the store refuses is an
 // eviction of the new entry, through Answer and AnswerBatch alike. The

@@ -14,7 +14,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/dataset"
 	"repro/internal/persist"
 	"repro/internal/query"
@@ -863,8 +862,8 @@ func TestSaveLoadTreeProperty(t *testing.T) {
 // TestSnapshotBytesDeterministic pins the property the snapshotdet
 // analyzer guards line by line: a quiesced session captures to the same
 // bytes every time, with the tree and the exact cache both populated
-// (each is a Go map somewhere underneath). The capture is a v5 envelope
-// whose cache section holds one cache.Entry encoding per cached release.
+// (each is a Go map somewhere underneath). The capture is a v6 envelope
+// whose cache section holds one key and float64 per cached release.
 func TestSnapshotBytesDeterministic(t *testing.T) {
 	dom, ds := buildDS(t, 8)
 	cfg := defaultCfg(Partitioned)
@@ -890,8 +889,8 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 	if err := s.SaveState(&first); err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.BigEndian.Uint32(first.Bytes()[8:12]); v != 5 {
-		t.Fatalf("captured a v%d envelope, want v5", v)
+	if v := binary.BigEndian.Uint32(first.Bytes()[8:12]); v != 6 {
+		t.Fatalf("captured a v%d envelope, want v6", v)
 	}
 	payloads, _, err := persist.ReadSections(bytes.NewReader(first.Bytes()))
 	if err != nil {
@@ -901,10 +900,9 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 	if len(sec.Keys) != s.StoreStats().Entries {
 		t.Fatalf("cache section holds %d entries, the store %d", len(sec.Keys), s.StoreStats().Entries)
 	}
-	width := len(cache.Entry{}.AppendFast(nil))
 	for i, v := range sec.Vals {
-		if len(v) != width {
-			t.Fatalf("entry %q is %d bytes, want %d", sec.Keys[i], len(v), width)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("entry %q holds %v, not a release", sec.Keys[i], v)
 		}
 	}
 	// Map iteration order is drawn per range statement, so a few more
@@ -1029,22 +1027,29 @@ func poisonLast(t *testing.T, section string, p []byte, alt bool) []byte {
 		}
 		e.PutFloats(spent)
 	case "cache/session-exact":
-		n := d.Count(2)
+		n := d.Count(9)
 		e.PutUvarint(uint64(n))
 		for i := range n {
 			e.PutBytes(d.Bytes())
-			v := d.Bytes()
+			v := d.Float()
 			if i == n-1 {
-				v = []byte{1, 2, 3} // not an entry
+				v = math.Inf(1) // not a release
 			}
-			e.PutBytes(v)
+			e.PutFloat(v)
 		}
 	case "pmw/single":
 		e.PutFloats(d.Floats())
 		e.PutFloats(d.Floats())
-		e.PutInt(d.Int())
-		d.Floats()
-		e.PutFloats([]float64{1, 1, 1}) // 3 thresholds over 8 bins
+		updates := d.Int()
+		if alt {
+			updates = -1
+		}
+		e.PutInt(updates)
+		th := d.Floats()
+		if !alt {
+			th = []float64{1, 1, 1} // 3 thresholds over 8 bins
+		}
+		e.PutFloats(th)
 	case "tree/nodes":
 		n := d.Count(6)
 		e.PutUvarint(uint64(n))
@@ -1052,10 +1057,14 @@ func poisonLast(t *testing.T, section string, p []byte, alt bool) []byte {
 			e.PutInt(d.Int())
 			e.PutInt(d.Int())
 			e.PutFloats(d.Floats())
-			e.PutFloats(d.Floats())
+			counts := d.Floats()
+			if i == n-1 && alt {
+				counts[len(counts)-1] = -1 // a counter below zero
+			}
+			e.PutFloats(counts)
 			e.PutInt(d.Int())
 			th := d.Floats()
-			if i == n-1 {
+			if i == n-1 && !alt {
 				th = []float64{0.5} // one threshold over 8 bins
 			}
 			e.PutFloats(th)
@@ -1075,7 +1084,9 @@ func poisonLast(t *testing.T, section string, p []byte, alt bool) []byte {
 // checked only as they restored are among them: a tree/nodes section
 // whose last node has one threshold was refused after the books had
 // moved, and a pmw/single section with 3 thresholds over 8 bins was
-// accepted, its next miss a panic. The streaming source has appended a
+// accepted, its next miss a panic. So were a tree/nodes section whose last
+// node holds a negative update counter and a pmw/single section with a
+// negative update count. The streaming source has appended a
 // partition, so its dataset section grows the target and the block's
 // ledger must cover exactly the grown count. A negative query count
 // would let a later LoadState pass ErrAlreadyServing on a session that
@@ -1096,7 +1107,9 @@ func TestRefusedSectionChangesNothing(t *testing.T) {
 		{"accountant/block", streamingGrown, true},
 		{"cache/session-exact", streamingGrown, false},
 		{"pmw/single", nonPartitioned, false},
+		{"pmw/single", nonPartitioned, true},
 		{"tree/nodes", streamingGrown, false},
+		{"tree/nodes", streamingGrown, true},
 	} {
 		cfg, src := fuzzSession(t, tc.shape, ops)
 		var snap bytes.Buffer

@@ -514,12 +514,12 @@ func (s *Session) planned(pl Plan) (Plan, error) {
 // probe is the exact-cache stage of Answer and Lookup: the entry under
 // key, if there is one.
 func (s *Session) probe(pl Plan, key string) (Answer, bool) {
-	e, ok := s.exact.Lookup(key)
+	v, ok := s.exact.Lookup(key)
 	if !ok {
 		return Answer{}, false
 	}
 	s.record(SourceExactHit)
-	return Answer{Value: e.Value, Source: SourceExactHit,
+	return Answer{Value: v, Source: SourceExactHit,
 		Start: pl.Start, End: pl.End, Rows: pl.Rows}, true
 }
 
@@ -534,8 +534,8 @@ func (s *Session) execute(pl Plan) (Answer, error) {
 		// may have completed (and cached) between this goroutine's cache
 		// probe and its flight. Concurrent duplicates are handled by the
 		// flight group itself.
-		if e, ok := s.exact.Lookup(pl.Query.KeyWithWindow()); ok {
-			return Answer{Value: e.Value, Source: SourceExactHit}, nil
+		if v, ok := s.exact.Lookup(pl.Query.KeyWithWindow()); ok {
+			return Answer{Value: v, Source: SourceExactHit}, nil
 		}
 		ans, err := s.executePlan(pl)
 		if err != nil {

@@ -63,8 +63,9 @@ func TestCountersMatchFloat64Oracle(t *testing.T) {
 }
 
 // TestFromStateRefusesNonFloat32Count: a state count that is not a
-// float32 counter's value, such as 0.1, is refused naming its bin, and
-// every count State writes, a warm start's 0.5 among them, restores.
+// float32 counter's value, such as 0.1, or is negative or infinite, is
+// refused naming its bin, as is a negative update count, and every count
+// State writes, a warm start's 0.5 among them, restores.
 func TestFromStateRefusesNonFloat32Count(t *testing.T) {
 	d := dom()
 	q := query.MustNew(d, map[int][]int{0: {2}, 1: {5}})
@@ -80,11 +81,16 @@ func TestFromStateRefusesNonFloat32Count(t *testing.T) {
 	if _, err := FromState(st); err != nil || st.Counts[bin] != 0.5 {
 		t.Fatalf("State's own counts (bin %d: %v): %v", bin, st.Counts[bin], err)
 	}
-	for _, bad := range []float64{0.1, math.NaN(), 1 + 1.0/(1<<30)} {
+	for _, bad := range []float64{0.1, math.NaN(), 1 + 1.0/(1<<30), -1, math.Inf(1), math.Inf(-1)} {
 		st.Counts = append([]float64(nil), st.Counts...)
 		st.Counts[bin] = bad
 		if _, err := FromState(st); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("bin %d", bin)) {
 			t.Fatalf("count %v: FromState = %v, want a refusal naming bin %d", bad, err, bin)
 		}
+	}
+	st = h.State()
+	st.Updates = -1
+	if _, err := FromState(st); err == nil || !strings.Contains(err.Error(), "-1 updates") {
+		t.Fatalf("negative Updates: FromState = %v, want a refusal", err)
 	}
 }

@@ -429,16 +429,20 @@ func (h *Histogram) State() State {
 	return State{Weights: w, Counts: c, Updates: h.updates}
 }
 
-// FromState reconstructs a histogram, validating normalization and that
-// every count is a float32 counter's value (State writes no other).
+// FromState reconstructs a histogram, validating normalization, that
+// every count is a finite, non-negative float32 counter's value and that
+// the update count is non-negative (State writes no other).
 func FromState(s State) (*Histogram, error) {
 	if len(s.Weights) == 0 || len(s.Weights) != len(s.Counts) {
 		return nil, fmt.Errorf("histogram: bad state (%d weights, %d counts)", len(s.Weights), len(s.Counts))
 	}
+	if s.Updates < 0 {
+		return nil, fmt.Errorf("histogram: %d updates", s.Updates)
+	}
 	h := alloc(len(s.Weights))
 	copy(h.weights, s.Weights)
 	for i, x := range s.Counts {
-		if float64(float32(x)) != x {
+		if float64(float32(x)) != x || x < 0 || math.IsInf(x, 0) {
 			return nil, fmt.Errorf("histogram: count %g at bin %d is not a float32 counter", x, i)
 		}
 		h.counts[i] = float32(x)

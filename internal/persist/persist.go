@@ -11,7 +11,7 @@
 // Snapshotter and contributes one named section; the envelope carries
 // them behind a magic header and a format version.
 //
-// # Envelope format (v5)
+// # Envelope format (v6)
 //
 //	offset 0: magic "TURBOSNP" (8 bytes, raw)
 //	offset 8: format version (uint32, big-endian)
@@ -28,10 +28,11 @@
 //
 // One version is read: the one written. v1 (a raw gob stream), v2 (gob,
 // gzip-compressed), v3 (this envelope, whose sections still carried
-// data versions and the cache's stripe blocks) and v4 (whose cache
-// entries still carried the ε each release was paid at) are refused with
-// ErrBadVersion naming both versions, so a file from an older build is
-// refused whole rather than half-restored.
+// data versions and the cache's stripe blocks), v4 (whose cache entries
+// still carried the ε each release was paid at) and v5 (whose cache values
+// were byte strings in a tagged 9-byte codec, where v6 writes the float64)
+// are refused with ErrBadVersion naming both versions, so a file from an
+// older build is refused whole rather than half-restored.
 package persist
 
 import (
@@ -52,7 +53,7 @@ const magic = "TURBOSNP"
 // FormatVersion is the envelope format this build writes and the only one
 // it reads. Sections carry no version of their own, so a change to any
 // section's layout bumps it.
-const FormatVersion uint32 = 5
+const FormatVersion uint32 = 6
 
 // Typed envelope errors: LoadState callers (and the HTTP /restore
 // endpoint) branch on these instead of string-matching decode failures.

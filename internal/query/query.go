@@ -499,7 +499,7 @@ func (b *Builder) appendKey(dst []byte) ([]byte, int) {
 // Build finalizes the query. The query owns everything it holds, so the
 // builder can be restricted further and built again.
 func (b *Builder) Build() (*Query, error) {
-	key, err := b.AppendKey(make([]byte, 0, 64)) // on the stack; longer keys spill
+	key, err := b.AppendKey(make([]byte, 0, 64)) // on the stack; a longer key moves to the heap
 	if err != nil {
 		return nil, err
 	}

@@ -478,7 +478,6 @@ func appendSchemaResponse(dst []byte, r *SchemaResponse) ([]byte, error) {
 		dst = appendInt(dst, `,"hits":`, c.Hits)
 		dst = appendInt(dst, `,"misses":`, c.Misses)
 		dst = appendInt(dst, `,"evictions":`, c.Evictions)
-		dst = appendInt(dst, `,"decode_errors":`, c.DecodeErrors)
 		dst = appendInt(dst, `,"set_errors":`, c.SetErrors)
 		dst = appendInt(dst, `,"exact_hits":`, int64(c.ExactHits))
 		dst = appendInt(dst, `,"exact_misses":`, int64(c.ExactMisses))

@@ -195,7 +195,7 @@ func TestEncodersMatchEncodingJSON(t *testing.T) {
 		{Attributes: []string{}, Cache: &CacheStats{}},
 		{Table: "covid", Domain: texts[2], Attributes: texts, Rows: 199992, Partitions: 50,
 			Cache: &CacheStats{Backend: "bounded-slru", Entries: 3, Bytes: 4, ResidentBytes: 5, CapBytes: 6, Hits: 7,
-				Misses: 8, Evictions: 9, DecodeErrors: 10, SetErrors: 11, ExactHits: 12, ExactMisses: 13, ExactHitRate: 12.0 / 25},
+				Misses: 8, Evictions: 9, SetErrors: 11, ExactHits: 12, ExactMisses: 13, ExactHitRate: 12.0 / 25},
 			Ingestion: &IngestionStats{1, 2, 3, 4, 5, 6}},
 	}
 	for _, r := range schemas {

@@ -554,8 +554,8 @@ type IngestionStats struct {
 type CacheStats struct {
 	// Backend names the storage backend ("arena", "bounded-slru").
 	Backend string `json:"backend"`
-	// Entries/Bytes are resident backend state (Bytes counts payload: keys
-	// and encoded values); ResidentBytes is the memory the in-memory
+	// Entries/Bytes are resident backend state (Bytes counts payload: key
+	// bytes plus 8 a value); ResidentBytes is the memory the in-memory
 	// backend holds for them, 0 from one that does not count it;
 	// CapBytes the configured bound on Bytes (0 = unbounded).
 	Entries       int `json:"entries"`
@@ -566,12 +566,9 @@ type CacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
-	// DecodeErrors counts poisoned entries the backend found undecodable
-	// (deleted and re-executed, never served): a data-integrity signal.
 	// SetErrors counts fills the backend refused (the paid answer was
 	// served; a repeat re-executes).
-	DecodeErrors int64 `json:"decode_errors"`
-	SetErrors    int64 `json:"set_errors"`
+	SetErrors int64 `json:"set_errors"`
 	// ExactHits/ExactMisses/ExactHitRate are the session's window-level
 	// exact cache counters: every exact hit is a store hit, and every
 	// store miss an exact miss.
@@ -623,7 +620,6 @@ func (s *Server) handleSchema(w *Response, r *Request) {
 			Hits:          st.Hits,
 			Misses:        st.Misses,
 			Evictions:     st.Evictions,
-			DecodeErrors:  st.DecodeErrors,
 			SetErrors:     st.SetErrors,
 			ExactHits:     exactHits,
 			ExactMisses:   exactMisses,

@@ -59,7 +59,7 @@ func (p *Parser) Parse(src string) (*Statement, error) {
 // accepts and Parse does not.
 func (p *Parser) ParseInto(src string, b *query.Builder) (table string, err error) {
 	// A usual statement's tokens fit buf, on this frame; a longer one
-	// spills to the heap through lex's append.
+	// moves to the heap through lex's append.
 	b.Reset(p.dom)
 	var buf [64]token
 	tokens, err := lex(src, buf[:0])

@@ -18,20 +18,20 @@ var bothModes = []struct {
 	cfg      MemConfig
 	resident float64 // gate on resident bytes per entry
 }{
-	{"uncapped", MemConfig{}, 40.3},
-	{"capped", MemConfig{MaxBytes: 1 << 30}, 49.6},
+	{"uncapped", MemConfig{}, 36.3},
+	{"capped", MemConfig{MaxBytes: 1 << 30}, 45.7},
 }
 
 // TestResidentBytesPerEntry is the deterministic form of the layout's
-// claim: cached releases under packed windowed keys cost at most 40.3
+// claim: cached releases under packed windowed keys cost at most 36.3
 // resident bytes each — records, bucket table and chunk slack together —
-// and at most 49.6 with the LRU extension of a capped store, at the worst
-// of four entry counts (34.1 measured at 50,000 and 42.6 at 100,000; each
+// and at most 45.7 with the LRU extension of a capped store, at the worst
+// of four entry counts (30.1 measured at 50,000 and 38.7 at 100,000; each
 // ceiling is that plus the 6.2 and 7.0 bytes of margin the ceilings kept
 // over the 25-byte value the cache once stored). One count alone can
 // flatter the layout: a table is between half and exactly full, and the
 // tail chunk is anywhere from empty to full. An uncapped record is a
-// 10-byte header, a 7- to 9-byte key and the cache's 9-byte value; the index adds
+// 7-byte header, a 7- to 9-byte key and the 8-byte value; the index adds
 // one 4-byte bucket per record at most, where the Go map it replaced cost
 // 19 to 34. Stats().ResidentBytes must be within 5% of what the store has
 // mapped, and the Go heap must grow by at most 2 bytes an entry: the arena
@@ -75,19 +75,18 @@ func TestResidentBytesPerEntry(t *testing.T) {
 	runtime.KeepAlive(keys)
 }
 
-// TestSetGetAllocBudget pins the hot pair: a fill of a FastEncoder value
-// allocates nothing per call but the page set's record of a new chunk or
-// table (the bytes themselves are mapped, not allocated), a re-fill of the
-// same key (in place) and a FastDecoder hit allocate nothing at all.
+// TestSetGetAllocBudget pins the hot pair: a fill allocates nothing per
+// call but the page set's record of a new chunk or table (the bytes
+// themselves are mapped, not allocated), a re-fill of the same key (in
+// place) and a hit allocate nothing at all.
 func TestSetGetAllocBudget(t *testing.T) {
 	keys := windowedKeys(20_000)
 	for _, mode := range bothModes {
 		t.Run(mode.name, func(t *testing.T) {
 			s := NewMem(mode.cfg)
-			var v FastEncoder = fastEntry{Value: 1} // boxed once, as cache.Exact's caller pays for it
 			i := 0
 			if allocs := testing.AllocsPerRun(len(keys)-1, func() {
-				if err := s.Set(keys[i], v); err != nil {
+				if err := s.Set(keys[i], 1); err != nil {
 					t.Fatal(err)
 				}
 				i++
@@ -95,45 +94,37 @@ func TestSetGetAllocBudget(t *testing.T) {
 				t.Fatalf("Set of a new key allocates %.2f/op, want <= 1 amortised", allocs)
 			}
 			if allocs := testing.AllocsPerRun(200, func() {
-				if err := s.Set(keys[7], v); err != nil {
+				if err := s.Set(keys[7], 2); err != nil {
 					t.Fatal(err)
 				}
 			}); allocs != 0 {
 				t.Fatalf("in-place Set allocates %.1f/op, want 0", allocs)
 			}
-			var out fastEntry
 			if allocs := testing.AllocsPerRun(200, func() {
-				if ok, err := s.Get(keys[7], &out); !ok || err != nil {
-					t.Fatalf("Get = %v, %v", ok, err)
+				if v, ok := s.Get(keys[7]); !ok || v != 2 {
+					t.Fatalf("Get = %v, %v", v, ok)
 				}
 			}); allocs != 0 {
-				t.Fatalf("Get of a FastDecoder value allocates %.1f/op, want 0", allocs)
+				t.Fatalf("Get allocates %.1f/op, want 0", allocs)
 			}
 		})
 	}
 }
 
 // TestSetOpeningChunkAllocs: a fill whose record does not fit the tail
-// chunk encodes its value into the store's spill, not into a throw-away
-// slice, and opens a new chunk allocating nothing but its share of the
-// page set's and the chunk list's growth. Chunks of 32 bytes hold one
-// uncapped record each, and chunks of 64 one capped record, whose LRU
-// links make it longer than 32, so every Set below opens one. Encoding
-// into a new slice read 1 object a Set.
+// chunk opens a new chunk allocating nothing but its share of the page
+// set's and the chunk list's growth. A record under these 7- and 8-byte
+// keys is 22 or 23 bytes, 31 or 32 with a capped store's LRU links, so a
+// 32-byte chunk holds one and every Set below opens one.
 func TestSetOpeningChunkAllocs(t *testing.T) {
 	keys := windowedKeys(1000)
 	for _, mode := range bothModes {
 		t.Run(mode.name, func(t *testing.T) {
-			shift := uint(5)
-			if mode.cfg.capped() {
-				shift = 6
-			}
-			s := newMem(mode.cfg, shift, 1<<20)
-			var v FastEncoder = fastEntry{Value: 1}
+			s := newMem(mode.cfg, 5, 1<<20)
 			i := 0
 			if allocs := testing.AllocsPerRun(len(keys)-1, func() {
 				chunks := len(s.chunks)
-				if err := s.Set(keys[i], v); err != nil {
+				if err := s.Set(keys[i], 1); err != nil {
 					t.Fatal(err)
 				}
 				if len(s.chunks) != chunks+1 {

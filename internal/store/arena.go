@@ -6,20 +6,19 @@ import (
 	"math/bits"
 )
 
-// Record layout, little-endian. The header is 10 bytes:
+// Record layout, little-endian. The header is 7 bytes:
 //
 //	[0:4]   next    arena offset of the next record in the same bucket
 //	[4:6]   keyLen
-//	[6:10]  valLen in the low 29 bits, dead in the top one; the two between
-//	        are unused
-//	key bytes, value bytes
+//	[6]     flags   dead in the top bit
+//	key bytes, value   the value is a float64's 8 bytes
 //	newer u32 | older u32 | hot u8   present only in a capped store
 const (
-	hdrLen = 10
+	hdrLen = 7
+	valLen = 8
 	lruLen = 9
 
-	flagDead  = 1 << 31
-	maxValLen = 1<<29 - 1
+	flagDead = 1 << 7
 
 	// noOff is an empty bucket and the end of a bucket's chain or an LRU
 	// list. No record starts there: it is the last byte of the last chunk,
@@ -36,32 +35,29 @@ type rec []byte
 func (r rec) next() uint32     { return le.Uint32(r[0:]) }
 func (r rec) setNext(o uint32) { le.PutUint32(r[0:], o) }
 func (r rec) keyLen() int      { return int(le.Uint16(r[4:])) }
-func (r rec) word() uint32     { return le.Uint32(r[6:]) }
-func (r rec) valLen() int      { return int(r.word() & maxValLen) }
-func (r rec) dead() bool       { return r.word()&flagDead != 0 }
+func (r rec) dead() bool       { return r[6]&flagDead != 0 }
 
 // size is the record's length without the LRU links (arena.span adds them).
-func (r rec) size() int { return hdrLen + r.keyLen() + r.valLen() }
+func (r rec) size() int { return hdrLen + r.keyLen() + valLen }
 
 // payload is what r adds to MemoryBytes and weighs against MaxBytes.
-func (r rec) payload() int { return r.keyLen() + r.valLen() }
+func (r rec) payload() int { return r.keyLen() + valLen }
 
 func (r rec) key() []byte { return r[hdrLen : hdrLen+r.keyLen()] }
 
-// val is the value bytes, valid only while the store's lock is held.
-func (r rec) val() []byte {
-	lo := hdrLen + r.keyLen()
-	hi := lo + r.valLen()
-	return r[lo:hi:hi]
-}
+// val and setVal read and write the value, only while the store's lock is
+// held: an overwrite rewrites it in place.
+func (r rec) val() float64 { return math.Float64frombits(le.Uint64(r[hdrLen+r.keyLen():])) }
 
-// init writes a fresh record's header and key; the value bytes are the
-// caller's to fill. put checked len(k) and valLen against the field
-// widths.
-func (r rec) init(k string, valLen int) {
+func (r rec) setVal(v float64) { le.PutUint64(r[hdrLen+r.keyLen():], math.Float64bits(v)) }
+
+// init writes a fresh record's header, key and value. put checked len(k)
+// against the field's width.
+func (r rec) init(k string, v float64) {
 	le.PutUint16(r[4:], uint16(len(k)))
-	le.PutUint32(r[6:], uint32(valLen))
+	r[6] = 0
 	copy(r[hdrLen:], k)
+	r.setVal(v)
 }
 
 // lru is the extension a capped store's record carries after its value:
@@ -225,23 +221,6 @@ func (a *arena) alloc(n int) (uint32, rec, bool) {
 	return uint32(ci) << a.shift, rec(c), true
 }
 
-// scratch is the zero-length slice where the value of a record appended
-// next, with skip bytes of header and key, would start — nil when the tail
-// has no room past them. Bytes written there are uncommitted until alloc.
-// It stops short of the LRU links, so a value that fits makes a record
-// that fits the tail, and alloc never compacts away the chunk it is in.
-func (a *arena) scratch(skip int) []byte {
-	if a.tail < 0 {
-		return nil
-	}
-	c := a.chunks[a.tail]
-	lo, hi := len(c)+skip, cap(c)-a.ext
-	if lo >= hi {
-		return nil
-	}
-	return c[lo:lo:hi]
-}
-
 // find walks h's bucket for the record of k, returning its offset and its
 // chain predecessor's (noOff for none). Key bytes are compared on every
 // record visited: sharing a bucket only lengthens the walk.
@@ -298,7 +277,7 @@ func (a *arena) kill(h uint64, off, prev uint32) {
 		a.released++
 		return
 	}
-	le.PutUint32(r[6:], r.word()|flagDead)
+	r[6] |= flagDead
 	a.dead += n
 }
 

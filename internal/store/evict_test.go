@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -10,10 +11,10 @@ import (
 // TestBoundedEntryCapHolds: a byte cap over entries of one size bounds
 // their count exactly, and every write past it evicts one.
 func TestBoundedEntryCapHolds(t *testing.T) {
-	per := len("k000") + len(num(0).AppendFast(nil))
+	per := len("k000") + 8
 	b := NewMem(MemConfig{MaxBytes: 16 * per})
 	for i := 0; i < 500; i++ {
-		_ = b.Set(fmt.Sprintf("k%03d", i%100), num(i%10))
+		_ = b.Set(fmt.Sprintf("k%03d", i%100), float64(i%10))
 	}
 	st := b.Stats()
 	if st.Entries != 16 || st.Bytes != 16*per {
@@ -29,9 +30,9 @@ func TestBoundedEntryCapHolds(t *testing.T) {
 
 func TestBoundedByteCapHolds(t *testing.T) {
 	b := NewMem(MemConfig{MaxBytes: 4096})
-	payload := text(make([]byte, 100))
+	pad := strings.Repeat("p", 96) // a 108-byte payload
 	for i := 0; i < 400; i++ {
-		_ = b.Set(fmt.Sprintf("k%03d", i), payload)
+		_ = b.Set(fmt.Sprintf("k%03d", i)+pad, float64(i))
 	}
 	if got := b.MemoryBytes(); got > 4096 {
 		t.Fatalf("MemoryBytes = %d exceeds cap 4096", got)
@@ -45,24 +46,23 @@ func TestBoundedByteCapHolds(t *testing.T) {
 // working set survives a one-touch scan.
 func TestBoundedProtectedSegment(t *testing.T) {
 	b := NewMem(MemConfig{MaxBytes: 8192})
-	payload := text(make([]byte, 64))
-	var out text
+	pad := strings.Repeat("p", 60) // a payload of about 72 bytes
 	// Build and repeatedly touch a small hot set → promoted to protected.
 	for i := 0; i < 10; i++ {
-		_ = b.Set(fmt.Sprintf("hot%d", i), payload)
+		_ = b.Set(fmt.Sprintf("hot%d", i)+pad, 1)
 	}
 	for touch := 0; touch < 3; touch++ {
 		for i := 0; i < 10; i++ {
-			_, _ = b.Get(fmt.Sprintf("hot%d", i), &out)
+			_, _ = b.Get(fmt.Sprintf("hot%d", i) + pad)
 		}
 	}
 	// One-touch scan pressure.
 	for i := 0; i < 500; i++ {
-		_ = b.Set(fmt.Sprintf("scan%d", i), payload)
+		_ = b.Set(fmt.Sprintf("scan%d", i)+pad, 1)
 	}
 	survived := 0
 	for i := 0; i < 10; i++ {
-		if ok, _ := b.Get(fmt.Sprintf("hot%d", i), &out); ok {
+		if _, ok := b.Get(fmt.Sprintf("hot%d", i) + pad); ok {
 			survived++
 		}
 	}
@@ -75,13 +75,12 @@ func TestBoundedOversizeEntry(t *testing.T) {
 	b := NewMem(MemConfig{MaxBytes: 128})
 	// An entry bigger than the whole cap cannot wedge the store: it is
 	// admitted then immediately evicted, leaving the store consistent.
-	_ = b.Set("huge", text(make([]byte, 4096)))
+	_ = b.Set(strings.Repeat("h", 4096), 1)
 	if got := b.MemoryBytes(); got > 128 {
 		t.Fatalf("MemoryBytes = %d after oversize insert", got)
 	}
-	_ = b.Set("small", num(1))
-	var out num
-	if ok, _ := b.Get("small", &out); !ok {
+	_ = b.Set("small", 1)
+	if _, ok := b.Get("small"); !ok {
 		t.Fatal("store wedged after oversize insert")
 	}
 }
@@ -94,14 +93,13 @@ func TestBoundedConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			var out num
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("k%d", rng.Intn(200))
 				switch rng.Intn(3) {
 				case 0:
-					_ = b.Set(k, num(i))
+					_ = b.Set(k, float64(i))
 				case 1:
-					_, _ = b.Get(k, &out)
+					_, _ = b.Get(k)
 				default:
 					b.drop(k)
 				}
@@ -125,9 +123,9 @@ func TestBoundedConcurrent(t *testing.T) {
 func TestBoundedGlobalCapExact(t *testing.T) {
 	for _, cap := range []int{1000, 1001, 1003, 1013} {
 		b := NewMem(MemConfig{MaxBytes: cap})
-		payload := text(make([]byte, 40))
+		pad := strings.Repeat("p", 33) // a 45-byte payload
 		for i := 0; i < 300; i++ {
-			_ = b.Set(fmt.Sprintf("k%03d", i), payload)
+			_ = b.Set(fmt.Sprintf("k%03d", i)+pad, float64(i))
 		}
 		if got := b.MemoryBytes(); got > cap {
 			t.Fatalf("byte cap %d: %d resident bytes", cap, got)

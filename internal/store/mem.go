@@ -26,18 +26,18 @@
 //
 // # Layout
 //
-// A cached release is ~24 bytes of key and value (a packed query key of
-// 7–9 bytes and a 17-byte entry), so the store spends no heap object on it.
-// The index is a []uint32 — the low bits of the key's hash to a chain of
-// arena offsets — over an append-only byte arena of chunks (64 KiB; a
-// record larger than that gets a chunk of its own). One entry is one
-// self-delimiting record (arena.go):
+// A cached release is ~16 bytes of key and value (a packed query key of
+// 7–9 bytes and the released float64), so the store spends no heap object
+// on it. The index is a []uint32 — the low bits of the key's hash to a
+// chain of arena offsets — over an append-only byte arena of chunks (64
+// KiB; a record larger than that, which only a key that long makes, gets a
+// chunk of its own). One entry is one self-delimiting record (arena.go):
 //
-//	next u32 | keyLen u16 | valLen+flags u32
-//	key bytes | value bytes
+//	next u32 | keyLen u16 | flags u8
+//	key bytes | value float64
 //	[newer u32 | older u32 | hot u8]   only in a capped store
 //
-// An uncapped record is 10 bytes of header beside its key and value; a
+// An uncapped record is 7 bytes of header beside its key and value; a
 // capped one adds 9 bytes of LRU links and segment.
 //
 // Neither the index nor the chunks hold pointers, and outside race builds
@@ -54,36 +54,28 @@
 // collision costs one more comparison and can never serve another
 // statement's release.
 //
-// Overwrites and compaction: a value of the same length (every re-Put of a
-// cache.Entry) is overwritten in place; any other overwrite, and every
-// delete, unlinks the record and flags it dead. The arena is rewritten
-// into fresh chunks and a right-sized table once its dead bytes exceed
-// both its live bytes and one chunk, or when it runs out of chunk slots; a
-// capped arena is rewritten coldest first, which rebuilds its LRU segments
-// in order.
+// Overwrites and compaction: every value is 8 bytes, so an existing key's
+// value is overwritten in place; an eviction unlinks the record and flags
+// it dead. The arena is rewritten into fresh chunks and a right-sized
+// table once its dead bytes exceed both its live bytes and one chunk, or
+// when it runs out of chunk slots; a capped arena is rewritten coldest
+// first, which rebuilds its LRU segments in order.
 //
-// Decode under lock: because records are overwritten in place, a value's
-// bytes may only be read while the lock is held. Get runs the value's
-// FastDecoder under the lock (no copy, no allocation), and copies out only
-// bytes it refuses, for the guarded delete of a poisoned entry. An
-// uncapped Get holds the read lock; a capped one re-orders the LRU, so it
-// holds the write lock.
+// Read under lock: because records are overwritten in place, a value may
+// only be read while the lock is held. Get loads the float64 under the
+// lock and allocates nothing. An uncapped Get holds the read lock; a
+// capped one re-orders the LRU, so it holds the write lock.
 //
 // No chunk slice outlives the lock: the next writer may unmap the chunk,
-// and a stale slice faults. Get decodes under the lock or copies, Export
-// copies, and the scratch a FastEncoder fills is consumed under the same
-// write lock without compacting (arena.scratch). A value the tail has no
-// room for is encoded into the store's spill buffer, on the heap, under
-// that lock too.
+// and a stale slice faults. Get and Export copy the values out, and Set
+// writes a new record's value only once alloc has placed it.
 //
-// Limits fail closed: a key over 65,535 bytes, a value of 512 MiB or more,
-// or a record past the arena's 65,536 chunk slots is an error that stores
-// nothing.
+// Limits fail closed: a key over 65,535 bytes, or a record past the
+// arena's 65,536 chunk slots, is an error that stores nothing.
 
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"hash/maphash"
@@ -99,8 +91,6 @@ const (
 	chunkShift = 16
 	// maxKeyLen is what the record header's u16 key length can express.
 	maxKeyLen = 1<<16 - 1
-	// maxSpill is the largest spill buffer a store keeps between Sets.
-	maxSpill = 1 << 12
 	// capSlack is the chunk slots MaxCapBytes leaves unfilled: the small
 	// chunks an arena opens first (4, 4, 8, 16 and 32 KiB), the tail
 	// chunk, and the record a store at its cap writes before it evicts.
@@ -115,16 +105,15 @@ const (
 // are binary) by the write that would have crossed it, and that write
 // stores nothing; a key too long to print is given by its length.
 var (
-	ErrKeyTooLong    = errors.New("store: key longer than 65535 bytes")
-	ErrValueTooLarge = errors.New("store: value of 512 MiB or more")
-	ErrArenaFull     = errors.New("store: arena out of chunk slots")
+	ErrKeyTooLong = errors.New("store: key longer than 65535 bytes")
+	ErrArenaFull  = errors.New("store: arena out of chunk slots")
 )
 
 // MemConfig parameterizes the in-memory backend. The zero value is the
 // unbounded store.
 type MemConfig struct {
-	// MaxBytes caps resident payload (key + value bytes, what MemoryBytes
-	// reports); 0 leaves the store unbounded.
+	// MaxBytes caps resident payload (key bytes plus 8 a value, what
+	// MemoryBytes reports); 0 leaves the store unbounded.
 	MaxBytes int
 }
 
@@ -134,8 +123,8 @@ func (c MemConfig) capped() bool { return c.MaxBytes > 0 }
 // MaxCapBytes is the largest MaxBytes one arena always honours when every
 // entry carries at least minPayload bytes of key and value and no record
 // is longer than capRecordMax (1 KiB). A capped record is its payload
-// plus 19 bytes of header and LRU links, so its payload is at least
-// minPayload/(minPayload+19) of it; a chunk is filled to within one record
+// plus 16 bytes of header and LRU links, so its payload is at least
+// minPayload/(minPayload+16) of it; a chunk is filled to within one record
 // of its end; and all but capSlack of the 65,536 chunk slots are filled.
 // Under a larger cap a store of the smallest records can run out of slots
 // before it evicts, and a Set is ErrArenaFull.
@@ -168,13 +157,7 @@ type Mem struct {
 	// into few buckets.
 	hashMask uint64
 
-	// spill is where Set encodes a value too long for the arena tail's
-	// scratch, so a fill that opens a new chunk allocates nothing once
-	// the spill has grown to the values' size. Guarded by mu.
-	spill []byte
-
 	hits, misses, sets, setErrors, evictions atomic.Int64
-	decodeErrors                             atomic.Int64
 }
 
 // compile-time check: Mem is a Backend.
@@ -224,60 +207,37 @@ func (s *Mem) remove(h uint64, off, prev uint32) {
 	s.kill(h, off, prev)
 }
 
-// put stores raw under k, whose hash is h, and restores the cap. A record
-// of the same value length is overwritten in place; otherwise the old one
-// dies and a new one is appended. Overwriting counts as a use. raw may be
-// the arena's own scratch (Set). On error nothing changed. Caller holds
-// mu.
-func (s *Mem) put(k string, h uint64, raw []byte) error {
-	switch {
-	case len(k) > maxKeyLen:
+// put stores v under k, whose hash is h, and restores the cap. An
+// existing key's value is overwritten in place, which counts as a use; a
+// new key is appended. On error nothing changed. Caller holds mu.
+func (s *Mem) put(k string, h uint64, v float64) error {
+	if len(k) > maxKeyLen {
 		return fmt.Errorf("%w (%d bytes)", ErrKeyTooLong, len(k))
-	case len(raw) > maxValLen:
-		return fmt.Errorf("%w (%q, %d bytes)", ErrValueTooLarge, k, len(raw))
 	}
-	old, prev := s.find(h, k)
-	if old != noOff {
-		if r := s.at(old); r.valLen() == len(raw) {
-			copy(r.val(), raw)
-			s.touch(old)
-			s.evict()
-			return nil
-		}
+	if off, _ := s.find(h, k); off != noOff {
+		s.at(off).setVal(v)
+		s.touch(off)
+		return nil
 	}
-	n := hdrLen + len(k) + len(raw) + s.ext
+	n := hdrLen + len(k) + valLen + s.ext
 	off, r, ok := s.alloc(n)
 	if !ok {
 		// Out of slots: dead records and released oversize chunks may be
-		// holding some. Compaction moves every record, so look again.
+		// holding some.
 		if !s.compact() {
 			return fmt.Errorf("%w (%q)", ErrArenaFull, k)
 		}
-		old, prev = s.find(h, k)
 		if off, r, ok = s.alloc(n); !ok {
 			return fmt.Errorf("%w (%q)", ErrArenaFull, k)
 		}
 	}
-	// The new record starts in the segment the old one was in, probation
-	// for a new key, and an overwrite then touches it.
-	hot := false
-	if old != noOff {
-		hot = s.capped() && s.at(old).lru().hot()
-		s.remove(h, old, prev)
-	}
-	r.init(k, len(raw))
-	copy(r.val(), raw)
+	r.init(k, v)
 	s.link(h, off, n)
 	s.bytes += r.payload()
 	if s.capped() {
-		r.lru().setHot(hot)
-		if hot {
-			s.hotBytes += r.payload()
-		}
+		// A new key starts in probation.
+		r.lru().setHot(false)
 		s.pushFront(off)
-		if old != noOff {
-			s.touch(off)
-		}
 		s.evict()
 	}
 	s.settle()
@@ -332,26 +292,11 @@ func (s *Mem) compact() bool {
 	return fits
 }
 
-// Set stores value under k, encoded by its own codec straight into the
-// arena tail, under the lock: no intermediate slice. A refused Set counts
-// in SetErrors.
-func (s *Mem) Set(k string, value FastEncoder) error {
+// Set stores v under k. A refused Set counts in SetErrors.
+func (s *Mem) Set(k string, v float64) error {
 	h := s.hash(k)
 	s.mu.Lock()
-	// Where a new record's value would start. If the key turns out to
-	// have a same-length record already, put overwrites that instead and
-	// the tail stays uncommitted. A tail shorter than the spill encodes
-	// into the spill, and put copies it into a new chunk; a value longer
-	// than both is appended into a new slice, kept as the next spill.
-	dst := s.scratch(hdrLen + len(k))
-	if cap(dst) < cap(s.spill) {
-		dst = s.spill[:0]
-	}
-	raw := value.AppendFast(dst)
-	if len(raw) > cap(dst) && cap(raw) <= maxSpill {
-		s.spill = raw[:0]
-	}
-	err := s.put(k, h, raw)
+	err := s.put(k, h, v)
 	s.mu.Unlock()
 	if err != nil {
 		s.setErrors.Add(1)
@@ -361,54 +306,24 @@ func (s *Mem) Set(k string, value FastEncoder) error {
 	return nil
 }
 
-// Get loads k into out, reporting whether the key existed; in a capped
-// store a hit is a use. It decodes from the arena under the lock and
-// allocates nothing. Bytes out refuses are a poisoned entry, not a hit:
-// the entry is deleted (byte-guarded against a concurrent fresh Set), the
-// decode-error counter bumps, and the caller sees a miss plus the error —
-// one corrupt byte costs a re-execution instead of wedging the key.
-func (s *Mem) Get(k string, out FastDecoder) (bool, error) {
+// Get returns the value stored under k, reporting whether the key
+// existed; in a capped store a hit is a use. It allocates nothing.
+func (s *Mem) Get(k string) (float64, bool) {
 	h := s.hash(k)
-	found, decoded := false, false
-	var raw []byte
+	var v float64
 	s.reader.Lock()
-	if off, _ := s.find(h, k); off != noOff {
-		r := s.at(off)
+	off, _ := s.find(h, k)
+	if off != noOff {
+		v = s.at(off).val()
 		s.touch(off)
-		found = true
-		if decoded = out.DecodeFast(r.val()); !decoded {
-			// Copied out for the guarded delete: an in-place overwrite may
-			// rewrite the record the moment the lock drops.
-			raw = append([]byte(nil), r.val()...)
-		}
 	}
 	s.reader.Unlock()
-	switch {
-	case !found:
+	if off == noOff {
 		s.misses.Add(1)
-		return false, nil
-	case decoded:
-		s.hits.Add(1)
-		return true, nil
+		return 0, false
 	}
-	s.removeIf(h, k, func(r rec) bool { return bytes.Equal(r.val(), raw) })
-	s.decodeErrors.Add(1)
-	s.misses.Add(1)
-	return false, fmt.Errorf("store: decode %q: %d bytes are not this value's codec", k, len(raw))
-}
-
-// removeIf removes the record of k, whose hash is h, if there is one and
-// it satisfies cond.
-func (s *Mem) removeIf(h uint64, k string, cond func(rec) bool) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	off, prev := s.find(h, k)
-	if off == noOff || !cond(s.at(off)) {
-		return false
-	}
-	s.remove(h, off, prev)
-	s.settle()
-	return true
+	s.hits.Add(1)
+	return v, true
 }
 
 // MemoryBytes returns the total size of stored keys plus values — the
@@ -421,13 +336,13 @@ func (s *Mem) MemoryBytes() int {
 	return s.bytes
 }
 
-// Export returns the stored bytes of every key, for the owning cache's
-// snapshot section.
-func (s *Mem) Export() map[string][]byte {
+// Export returns the value of every key, for the owning cache's snapshot
+// section.
+func (s *Mem) Export() map[string]float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make(map[string][]byte, s.nrec)
-	s.each(func(_ uint32, r rec) { out[string(r.key())] = append([]byte(nil), r.val()...) })
+	out := make(map[string]float64, s.nrec)
+	s.each(func(_ uint32, r rec) { out[string(r.key())] = r.val() })
 	return out
 }
 
@@ -437,7 +352,7 @@ func (s *Mem) Export() map[string][]byte {
 // capped store keeps of an import over its cap does not depend on map
 // iteration. An entry that breaches one of the store's limits is left
 // out — to the caching layers, a miss.
-func (s *Mem) Import(data map[string][]byte) {
+func (s *Mem) Import(data map[string]float64) {
 	keys := make([]string, 0, len(data))
 	for k := range data {
 		keys = append(keys, k)
@@ -473,7 +388,6 @@ func (s *Mem) Stats() Stats {
 		Sets:          s.sets.Load(),
 		SetErrors:     s.setErrors.Load(),
 		Evictions:     s.evictions.Load(),
-		DecodeErrors:  s.decodeErrors.Load(),
 		Entries:       entries,
 		Bytes:         payload,
 		ResidentBytes: resident,

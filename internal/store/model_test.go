@@ -1,9 +1,7 @@
 package store
 
 import (
-	"bytes"
 	"container/list"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -16,72 +14,12 @@ import (
 	"testing"
 )
 
-// fastEntry stands in for cache.Entry (which this package cannot import):
-// the entry the cache stores, a tag byte and a float64 value, fixed at
-// fastEntryLen bytes, so re-Puts overwrite in place.
-type fastEntry struct {
-	Value float64
-}
-
-// fastEntryLen is a fastEntry's encoded length.
-const fastEntryLen = 9
-
-func (e fastEntry) AppendFast(dst []byte) []byte {
-	var buf [fastEntryLen]byte
-	buf[0] = 0xE7
-	binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(e.Value))
-	return append(dst, buf[:]...)
-}
-
-func (e *fastEntry) DecodeFast(data []byte) bool {
-	if len(data) != fastEntryLen || data[0] != 0xE7 {
-		return false
-	}
-	e.Value = math.Float64frombits(binary.LittleEndian.Uint64(data[1:]))
-	return true
-}
-
-// num and text stand in for values other than an entry: each encodes
-// behind its own tag byte and refuses any other bytes, so reading one type
-// as another is the poisoned-entry path.
-type (
-	num  int
-	text string
-)
-
-func (n num) AppendFast(dst []byte) []byte {
-	return binary.AppendVarint(append(dst, 'n'), int64(n))
-}
-
-func (n *num) DecodeFast(data []byte) bool {
-	if len(data) < 2 || data[0] != 'n' {
-		return false
-	}
-	v, k := binary.Varint(data[1:])
-	if k != len(data)-1 {
-		return false
-	}
-	*n = num(v)
-	return true
-}
-
-func (s text) AppendFast(dst []byte) []byte { return append(append(dst, 't'), s...) }
-
-func (s *text) DecodeFast(data []byte) bool {
-	if len(data) == 0 || data[0] != 't' {
-		return false
-	}
-	*s = text(data[1:])
-	return true
-}
-
 // oracle is the two stores Mem used to be, kept as the reference the arena
 // is checked against: one map entry per key, and — what store.Bounded added
 // — a probation and a protected container/list, evicting coldest first.
 // Imports go in in key order, as Mem's.
 type oracle struct {
-	data     map[string]*oracleEntry
-	poisoned int64
+	data map[string]*oracleEntry
 
 	// The cap (0 = none) and the policy's state; front = most recent.
 	maxBytes        int
@@ -90,7 +28,7 @@ type oracle struct {
 	evictions       int64
 
 	// What the run exercised, so a test can tell it was not vacuous.
-	hotResized, demotions int
+	demotions int
 	// And of the index: table doublings, compactions that shrank a table,
 	// and eviction or import deletes of a record behind another in its chain.
 	doublings, shrinks, chained int
@@ -98,7 +36,7 @@ type oracle struct {
 
 type oracleEntry struct {
 	key  string
-	val  []byte
+	val  float64
 	elem *list.Element
 	hot  bool
 }
@@ -111,17 +49,12 @@ func newOracle(cfg MemConfig) *oracle {
 	}
 }
 
-func (e *oracleEntry) size() int { return len(e.key) + len(e.val) }
-
-func enc(v FastEncoder) []byte { return v.AppendFast(nil) }
+func (e *oracleEntry) size() int { return len(e.key) + 8 }
 
 // insert places or replaces an entry and restores the caps.
-func (o *oracle) insert(k string, val []byte) {
+func (o *oracle) insert(k string, val float64) {
 	if e, ok := o.data[k]; ok {
-		if e.hot && len(val) != len(e.val) {
-			o.hotResized++
-		}
-		o.setVal(e, val)
+		e.val = val
 		o.touch(e)
 	} else {
 		e := &oracleEntry{key: k, val: val}
@@ -130,14 +63,6 @@ func (o *oracle) insert(k string, val []byte) {
 		o.bytes += e.size()
 	}
 	o.evict()
-}
-
-func (o *oracle) setVal(e *oracleEntry, val []byte) {
-	o.bytes += len(val) - len(e.val)
-	if e.hot {
-		o.hotBytes += len(val) - len(e.val)
-	}
-	e.val = val
 }
 
 // touch records a use: probation promotes to protected, protected
@@ -189,24 +114,18 @@ func (o *oracle) evict() {
 	}
 }
 
-// get mirrors Get's touch; the caller reports a value that would not
-// decode through poison.
-func (o *oracle) get(k string) ([]byte, bool) {
+// get mirrors Get, touch included.
+func (o *oracle) get(k string) (float64, bool) {
 	e, ok := o.data[k]
 	if !ok {
-		return nil, false
+		return 0, false
 	}
 	o.touch(e)
 	return e.val, true
 }
 
-func (o *oracle) poison(k string) {
-	o.remove(o.data[k])
-	o.poisoned++
-}
-
-func (o *oracle) export() map[string][]byte {
-	out := make(map[string][]byte)
+func (o *oracle) export() map[string]float64 {
+	out := make(map[string]float64)
 	for k, e := range o.data {
 		out[k] = e.val
 	}
@@ -214,7 +133,7 @@ func (o *oracle) export() map[string][]byte {
 }
 
 // imp is Import: the store emptied, then data inserted in key order.
-func (o *oracle) imp(data map[string][]byte) {
+func (o *oracle) imp(data map[string]float64) {
 	for _, e := range o.data {
 		o.remove(e)
 	}
@@ -261,8 +180,8 @@ func (s *Mem) order(t *testing.T, seg lruList, hot bool) []string {
 // the oracle and demands identical answers from every call — and, from a
 // capped store, the identical victim at every eviction: after each step
 // both LRU segments must list the same keys in the same order. The chunks
-// are 128 bytes, so most strings are oversize, records hop chunks
-// constantly and compaction runs every few dozen operations; the
+// are 128 bytes, so the long keys make oversize records, records open
+// chunks constantly and compaction runs every few dozen operations; the
 // one-chain runs also force every key into one bucket, and the three-bits
 // run leaves eight hashes, which share buckets while a table is small and
 // part ways as it doubles.
@@ -283,7 +202,6 @@ func TestModel(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
 				o := runModel(t, seed, tc.mask, tc.cfg)
 				seen.evictions += o.evictions
-				seen.hotResized += o.hotResized
 				seen.demotions += o.demotions
 				seen.doublings += o.doublings
 				seen.shrinks += o.shrinks
@@ -298,19 +216,40 @@ func TestModel(t *testing.T) {
 			if !tc.cfg.capped() {
 				return
 			}
-			t.Logf("%d evictions, %d resized hot entries, %d demotions", seen.evictions, seen.hotResized, seen.demotions)
-			if seen.evictions == 0 || seen.hotResized == 0 || seen.demotions == 0 {
-				t.Fatalf("the runs never exercised part of the policy: %d evictions, %d resized hot entries, %d demotions",
-					seen.evictions, seen.hotResized, seen.demotions)
+			t.Logf("%d evictions, %d demotions", seen.evictions, seen.demotions)
+			if seen.evictions == 0 || seen.demotions == 0 {
+				t.Fatalf("the runs never exercised part of the policy: %d evictions, %d demotions",
+					seen.evictions, seen.demotions)
 			}
 		})
 	}
 }
 
-// drop removes k whatever it holds: the unguarded delete the caching layer
-// never needs, for tests that churn records.
+// drop removes k as an eviction would: the delete the caching layer never
+// makes, for tests that churn records.
 func (s *Mem) drop(k string) bool {
-	return s.removeIf(s.hash(k), k, func(rec) bool { return true })
+	h := s.hash(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	off, prev := s.find(h, k)
+	if off == noOff {
+		return false
+	}
+	s.remove(h, off, prev)
+	s.settle()
+	return true
+}
+
+// modelKey is key n of a model run: every fifth is longer than a 128-byte
+// chunk, so its record takes a chunk of its own. Two or three of those in
+// the protected segment outgrow its share of a capped run's cap, and the
+// longest outgrow the whole cap, evicted as they arrive.
+func modelKey(n int) string {
+	k := fmt.Sprintf("key-%d", n)
+	if n%5 == 0 {
+		k += strings.Repeat("x", 120+8*n)
+	}
+	return k
 }
 
 func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
@@ -319,18 +258,6 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 	s.hashMask = mask
 	o := newOracle(cfg)
 
-	// value draws a fastEntry (fixed fastEntryLen bytes, overwritten in
-	// place) or a text, short or longer than a chunk.
-	value := func() FastEncoder {
-		switch rng.Intn(4) {
-		case 0:
-			return text(strings.Repeat("x", rng.Intn(400)))
-		case 1:
-			return text(fmt.Sprintf("s%d", rng.Intn(5)))
-		default:
-			return fastEntry{Value: float64(2*rng.Intn(3) + rng.Intn(2))}
-		}
-	}
 	steps := 4000
 	if testing.Short() {
 		steps = 1000
@@ -343,8 +270,8 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 		if rng.Intn(2) == 0 {
 			keys = 18
 		}
-		k := fmt.Sprintf("key-%d", rng.Intn(keys))
-		at := fmt.Sprintf("seed %d step %d %s", seed, step, k)
+		k := modelKey(rng.Intn(keys))
+		at := fmt.Sprintf("seed %d step %d %.12s", seed, step, k)
 		before := s.chunks
 		tables := len(s.buckets)
 		op := rng.Intn(24)
@@ -353,14 +280,14 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 		}
 		switch op % 8 {
 		case 0, 1, 3:
-			v := value()
+			v := float64(rng.Intn(6))
 			if err := s.Set(k, v); err != nil {
 				t.Fatalf("%s: Set: %v", at, err)
 			}
-			o.insert(k, enc(v))
+			o.insert(k, v)
 		case 2:
 			// A plain delete: the caches never delete, but a record's
-			// removal is what eviction and the poisoned-entry path run.
+			// removal is what eviction runs.
 			e, ok := o.data[k]
 			if s.drop(k) != ok {
 				t.Fatalf("%s: drop = %v, oracle holds the key: %v", at, !ok, ok)
@@ -369,40 +296,9 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 				o.remove(e)
 			}
 		case 4, 5:
-			// Decode as an entry or as a text; the wrong guess is the
-			// poisoned-entry path, which deletes.
-			raw, want := o.get(k)
-			var e fastEntry
-			var str text
-			var out FastDecoder = &e
-			asEntry := rng.Intn(2) == 0
-			if !asEntry {
-				out = &str
-			}
-			got, err := s.Get(k, out)
-			var probe fastEntry
-			isEntry := want && probe.DecodeFast(raw)
-			switch {
-			case !want:
-				if got || err != nil {
-					t.Fatalf("%s: Get = %v, %v; oracle absent", at, got, err)
-				}
-			case asEntry != isEntry:
-				if got || err == nil {
-					t.Fatalf("%s: Get of mistyped value = %v, %v; want a decode error", at, got, err)
-				}
-				o.poison(k)
-			default:
-				if !got || err != nil {
-					t.Fatalf("%s: Get = %v, %v; oracle present", at, got, err)
-				}
-				reenc := enc(e)
-				if !asEntry {
-					reenc = enc(str)
-				}
-				if !bytes.Equal(reenc, raw) {
-					t.Fatalf("%s: Get decoded %x, oracle holds %x", at, reenc, raw)
-				}
+			want, wantOK := o.get(k)
+			if got, ok := s.Get(k); ok != wantOK || got != want {
+				t.Fatalf("%s: Get = %v, %v; oracle %v, %v", at, got, ok, want, wantOK)
 			}
 		case 6:
 			// Round-trip the store through export and import, keeping a
@@ -446,9 +342,6 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 			}
 		}
 	}
-	if got := s.Stats().DecodeErrors; got != o.poisoned {
-		t.Fatalf("seed %d: DecodeErrors = %d; oracle %d", seed, got, o.poisoned)
-	}
 	if (mask == 0 || cfg.capped()) && compactions == 0 {
 		t.Fatalf("seed %d: the arena never compacted; the test is not exercising it", seed)
 	}
@@ -488,7 +381,7 @@ func runModel(t *testing.T, seed int64, mask uint64, cfg MemConfig) *oracle {
 func TestStorm(t *testing.T) {
 	t.Run("uncapped", func(t *testing.T) { storm(t, MemConfig{}) })
 	// Room for fewer entries than keys written: eviction runs under fire.
-	t.Run("capped", func(t *testing.T) { storm(t, MemConfig{MaxBytes: 12 * (2 + fastEntryLen)}) })
+	t.Run("capped", func(t *testing.T) { storm(t, MemConfig{MaxBytes: 12 * (2 + 8)}) })
 }
 
 func storm(t *testing.T, cfg MemConfig) {
@@ -501,11 +394,11 @@ func storm(t *testing.T, cfg MemConfig) {
 	}
 	// Write i of key k carries k in the value's top bits and i twice
 	// below them, so a torn or foreign entry shows.
-	entryFor := func(k, i int) fastEntry {
-		return fastEntry{Value: math.Float64frombits(uint64(k)<<48 | uint64(i)<<24 | uint64(i))}
+	valueFor := func(k, i int) float64 {
+		return math.Float64frombits(uint64(k)<<48 | uint64(i)<<24 | uint64(i))
 	}
-	keyOf := func(e fastEntry) (k int, whole bool) {
-		bits := math.Float64bits(e.Value)
+	keyOf := func(v float64) (k int, whole bool) {
+		bits := math.Float64bits(v)
 		return int(bits >> 48), bits>>24&(1<<24-1) == bits&(1<<24-1)
 	}
 	var stop atomic.Bool
@@ -516,19 +409,13 @@ func storm(t *testing.T, cfg MemConfig) {
 			defer writers.Done()
 			for i := 0; i < rounds; i++ {
 				k := (i + w) % keys
-				if err := s.Set(fmt.Sprint(k), entryFor(k, i)); err != nil {
+				if err := s.Set(fmt.Sprint(k), valueFor(k, i)); err != nil {
 					t.Error(err)
 					return
 				}
-				if i%7 == 0 { // a value of another length: dies and re-appends
-					if err := s.Set(fmt.Sprint(k), text(strings.Repeat("y", i%300))); err != nil {
-						t.Error(err)
-						return
-					}
-				}
 				if w == 0 && i%50 == 0 { // more records than buckets: the table doubles under the readers
 					for j := 0; j < 2*keys; j++ {
-						if err := s.Set(fmt.Sprint("burst", j), num(j)); err != nil {
+						if err := s.Set(fmt.Sprint("burst", j), float64(j)); err != nil {
 							t.Error(err)
 							return
 						}
@@ -546,13 +433,9 @@ func storm(t *testing.T, cfg MemConfig) {
 			defer others.Done()
 			for i := 0; !stop.Load(); i++ {
 				k := i % keys
-				var e fastEntry
-				ok, err := s.Get(fmt.Sprint(k), &e)
-				if err != nil {
-					continue // the text variant read as an Entry: poisoned, deleted
-				}
-				if got, whole := keyOf(e); ok && (got != k || !whole) {
-					t.Errorf("key %d read a torn or foreign entry %+v", k, e)
+				v, ok := s.Get(fmt.Sprint(k))
+				if got, whole := keyOf(v); ok && (got != k || !whole) {
+					t.Errorf("key %d read a torn or foreign value %#x", k, math.Float64bits(v))
 					return
 				}
 			}
@@ -572,12 +455,11 @@ func storm(t *testing.T, cfg MemConfig) {
 		defer others.Done()
 		for !stop.Load() {
 			for k, v := range s.Export() {
-				var e fastEntry
-				if !e.DecodeFast(v) {
+				if strings.HasPrefix(k, "burst") {
 					continue
 				}
-				if got, _ := keyOf(e); fmt.Sprint(got) != k {
-					t.Errorf("export of key %s carries entry %+v", k, e)
+				if got, whole := keyOf(v); fmt.Sprint(got) != k || !whole {
+					t.Errorf("export of key %s carries value %#x", k, math.Float64bits(v))
 					return
 				}
 			}
@@ -598,9 +480,9 @@ func storm(t *testing.T, cfg MemConfig) {
 // TestImportReservesOnce pins that an import sizes the table up front
 // instead of doubling its way there.
 func TestImportReservesOnce(t *testing.T) {
-	data := make(map[string][]byte, 50_000)
+	data := make(map[string]float64, 50_000)
 	for i := 0; i < 50_000; i++ {
-		data[windowedKey(i)] = []byte{byte(i)}
+		data[windowedKey(i)] = float64(i)
 	}
 	s := NewMem(MemConfig{})
 	s.Import(data)
@@ -618,18 +500,17 @@ func TestLimitsFailClosed(t *testing.T) {
 	t.Run("key", func(t *testing.T) {
 		s := NewMem(MemConfig{})
 		long := strings.Repeat("k", maxKeyLen+1)
-		if err := s.Set(long, num(1)); !errors.Is(err, ErrKeyTooLong) {
+		if err := s.Set(long, 1); !errors.Is(err, ErrKeyTooLong) {
 			t.Fatalf("Set = %v, want ErrKeyTooLong", err)
 		}
-		s.Import(map[string][]byte{long: {1}, "ok": {2}})
-		var v num
-		if ok, _ := s.Get(long, &v); ok || s.drop(long) || s.Stats().Entries != 1 {
+		s.Import(map[string]float64{long: 1, "ok": 2})
+		if _, ok := s.Get(long); ok || s.drop(long) || s.Stats().Entries != 1 {
 			t.Fatalf("over-long key left something behind: %d entries", s.Stats().Entries)
 		}
-		if err := s.Set(long[1:], num(1)); err != nil {
+		if err := s.Set(long[1:], 1); err != nil {
 			t.Fatalf("a %d-byte key must fit: %v", maxKeyLen, err)
 		}
-		if ok, _ := s.Get(long[1:], &v); !ok || v != 1 {
+		if v, ok := s.Get(long[1:]); !ok || v != 1 {
 			t.Fatal("longest legal key did not round-trip")
 		}
 		if st := s.Stats(); st.Sets != 1 || st.SetErrors != 1 {
@@ -643,7 +524,7 @@ func TestLimitsFailClosed(t *testing.T) {
 		stored := 0
 		var err error
 		for ; err == nil && stored < 1000; stored++ {
-			err = s.Set(fmt.Sprint("k", stored), text(strings.Repeat("v", 40)))
+			err = s.Set(fmt.Sprint("k", stored), float64(stored))
 		}
 		stored--
 		if !errors.Is(err, ErrArenaFull) {
@@ -652,27 +533,28 @@ func TestLimitsFailClosed(t *testing.T) {
 		if n := s.Stats().Entries; n != stored {
 			t.Fatalf("%d entries after %d successful sets", n, stored)
 		}
-		if err := s.Set("oversize", text(strings.Repeat("v", 1000))); !errors.Is(err, ErrArenaFull) {
+		if err := s.Set(strings.Repeat("o", 1000), 1); !errors.Is(err, ErrArenaFull) {
 			t.Fatalf("oversize Set into a full arena = %v", err)
 		}
-		// A refused overwrite leaves the old value standing.
-		if err := s.Set("k0", text(strings.Repeat("w", 41))); !errors.Is(err, ErrArenaFull) {
-			t.Fatalf("overwrite = %v, want ErrArenaFull", err)
-		}
-		var got text
-		if ok, _ := s.Get("k0", &got); !ok || string(got) != strings.Repeat("v", 40) {
-			t.Fatalf("refused overwrite damaged the entry: %v %q", ok, got)
+		// An overwrite needs no room: it is in place, and changes only
+		// its own value.
+		if err := s.Set("k0", -1); err != nil {
+			t.Fatalf("overwrite in a full arena = %v", err)
 		}
 		for i := 0; i < stored; i++ {
-			if ok, _ := s.Get(fmt.Sprint("k", i), &got); !ok || string(got) != strings.Repeat("v", 40) {
-				t.Fatalf("entry %d lost or changed: %v %q", i, ok, got)
+			want := float64(i)
+			if i == 0 {
+				want = -1
+			}
+			if v, ok := s.Get(fmt.Sprint("k", i)); !ok || v != want {
+				t.Fatalf("entry %d lost or changed: %v %v", i, ok, v)
 			}
 		}
 		// Deleting makes room again: the full arena compacts on demand.
 		for i := 0; i < stored/2; i++ {
 			s.drop(fmt.Sprint("k", i))
 		}
-		if err := s.Set("again", text(strings.Repeat("v", 40))); err != nil {
+		if err := s.Set("again", 1); err != nil {
 			t.Fatalf("set after deletes: %v", err)
 		}
 	})
@@ -689,9 +571,10 @@ func TestMaxCapHonoured(t *testing.T) {
 		s := newMem(MemConfig{MaxBytes: capBytes}, shift, slots)
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < 20_000; i++ {
-			// A 2-byte key and a value of 25 to 41 bytes.
-			k := string([]byte{byte(rng.Intn(40)), byte(rng.Intn(50))})
-			if err := s.Set(k, text(strings.Repeat("v", 24+rng.Intn(17)))); err != nil {
+			// A key of 19 to 35 bytes beside the 8-byte value: a payload
+			// of 27 to 43.
+			k := string([]byte{byte(rng.Intn(40)), byte(rng.Intn(50))}) + strings.Repeat("k", 17+rng.Intn(17))
+			if err := s.Set(k, float64(i)); err != nil {
 				return fmt.Errorf("set %d: %w", i, err)
 			}
 		}
@@ -706,25 +589,29 @@ func TestMaxCapHonoured(t *testing.T) {
 	}
 }
 
-// TestOversizeValueReleased pins that a value larger than a chunk gives
-// its memory back when it is replaced, without waiting for compaction.
+// TestOversizeValueReleased pins that a record larger than a chunk (only
+// a key that long makes one) gives its memory back when it dies, without
+// waiting for compaction: eight of them stored one after another, each
+// deleted as the next arrives, never hold more than two.
 func TestOversizeValueReleased(t *testing.T) {
 	s := NewMem(MemConfig{})
-	big := make([]byte, 1<<20)
+	big := strings.Repeat("v", maxKeyLen)
 	for i := 0; i < 8; i++ {
-		if err := s.Set("section", text(big[:len(big)-i])); err != nil {
+		if err := s.Set(big[i:], float64(i)); err != nil {
 			t.Fatal(err)
+		}
+		if i > 0 && !s.drop(big[i-1:]) {
+			t.Fatalf("record %d was not there to delete", i-1)
 		}
 	}
 	held := 0
 	for _, c := range s.chunks {
 		held += cap(c)
 	}
-	if held > 2<<20 {
-		t.Fatalf("store holds %d bytes of chunks for one 1 MiB value", held)
+	if held > 2<<16+1<<12 {
+		t.Fatalf("store holds %d bytes of chunks for one %d-byte key", held, len(big)-7)
 	}
-	var got text
-	if ok, err := s.Get("section", &got); !ok || err != nil || len(got) != len(big)-7 {
-		t.Fatalf("Get = %v, %v, %d bytes", ok, err, len(got))
+	if v, ok := s.Get(big[7:]); !ok || v != 7 {
+		t.Fatalf("Get = %v, %v", v, ok)
 	}
 }

@@ -73,7 +73,7 @@ func TestPageCompactionUnmapsOldArena(t *testing.T) {
 	base := settleMapped(t)
 	s := NewMem(MemConfig{})
 	for i := 0; i < 20_000; i++ {
-		if err := s.Set(windowedKey(i), num(i)); err != nil {
+		if err := s.Set(windowedKey(i), float64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,27 +106,29 @@ func TestPageCompactionUnmapsOldArena(t *testing.T) {
 }
 
 // TestPageOversizeUnmapsAtDeath pins that a record larger than a chunk
-// gives its pages back the moment it dies, overwritten or deleted.
+// (only a key that long makes one) keeps its pages while it is
+// overwritten, in place, and gives them back the moment it dies, deleted
+// or evicted.
 func TestPageOversizeUnmapsAtDeath(t *testing.T) {
-	base := settleMapped(t)
-	s := NewMem(MemConfig{})
-	small := checkHeld(t, s)
-	big := strings.Repeat("v", 1<<20)
-	for i := 0; i < 4; i++ {
-		if err := s.Set("section", text(big[i:])); err != nil {
-			t.Fatal(err)
+	big := strings.Repeat("v", maxKeyLen)
+	for _, cfg := range []MemConfig{{}, {MaxBytes: 1 << 10}} {
+		base := settleMapped(t)
+		s := NewMem(cfg)
+		small := checkHeld(t, s)
+		for i := 0; i < 4; i++ {
+			_ = s.Set(big, float64(i))
+			if got := mappedBytes.Load() - base; got != checkHeld(t, s) || got > small+(1<<17) {
+				t.Fatalf("cap %d, write %d: %d bytes mapped for one %d-byte key", cfg.MaxBytes, i, got, len(big))
+			}
 		}
-		if got := mappedBytes.Load() - base; got != checkHeld(t, s) || got > small+(1<<20)+int64(pageSize) {
-			t.Fatalf("overwrite %d: %d bytes mapped for one 1 MiB value", i, got)
+		if !cfg.capped() && !s.drop(big) {
+			t.Fatal("the delete found nothing")
 		}
+		if got := mappedBytes.Load() - base; got != checkHeld(t, s) || got != small {
+			t.Fatalf("cap %d: after its death %d bytes mapped, %d for the empty store", cfg.MaxBytes, got, small)
+		}
+		runtime.KeepAlive(s)
 	}
-	if !s.drop("section") {
-		t.Fatal("the delete found nothing")
-	}
-	if got := mappedBytes.Load() - base; got != checkHeld(t, s) || got != small {
-		t.Fatalf("after Delete %d bytes mapped, %d for the empty store", got, small)
-	}
-	runtime.KeepAlive(s)
 }
 
 // TestPageFirstChunkIsAPage pins the starter-chunk floor: where a chunk
@@ -134,7 +136,7 @@ func TestPageOversizeUnmapsAtDeath(t *testing.T) {
 // would leave mapped bytes ResidentBytes does not count.
 func TestPageFirstChunkIsAPage(t *testing.T) {
 	s := NewMem(MemConfig{})
-	if err := s.Set("k", num(1)); err != nil {
+	if err := s.Set("k", 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := cap(s.chunks[0]); got != pageSize {
@@ -153,7 +155,7 @@ func TestPageResizeUnmapsOldTable(t *testing.T) {
 		if i == 1_024 && s.grows != 0 {
 			t.Fatalf("the table doubled %d times for %d records", s.grows, s.nrec)
 		}
-		if err := s.Set(windowedKey(i), num(i)); err != nil {
+		if err := s.Set(windowedKey(i), float64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -180,7 +182,7 @@ func TestPageDroppedStoresUnmap(t *testing.T) {
 		}
 		s := NewMem(cfg)
 		for j := 0; j < 500; j++ {
-			if err := s.Set(windowedKey(j), num(j)); err != nil {
+			if err := s.Set(windowedKey(j), float64(j)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -199,26 +201,26 @@ func TestPageDroppedStoresUnmap(t *testing.T) {
 	}
 }
 
-// TestPageScratchNeverCompactedAway pins the one chunk slice consumed after
-// a compaction could run: a FastEncoder value encoded into the tail of a
-// capped arena out of chunk slots, where the record's header, key and
-// value fit but its LRU links do not. Were scratch to reach into the
-// links' bytes, the record would need a new chunk, the arena would
-// compact instead, and the value would be copied out of an unmapped chunk.
+// TestPageScratchNeverCompactedAway pins a write that must compact before
+// it can place its record: a capped arena out of chunk slots, whose tail
+// has room for the record's header, key and value but not its LRU links.
+// The record goes into the compacted arena, and the value is written only
+// once it is placed, so nothing of the write lands in a chunk the
+// compaction unmapped.
 func TestPageScratchNeverCompactedAway(t *testing.T) {
 	s := newMem(MemConfig{MaxBytes: 1 << 20}, 8, 1<<20)
 	for i := 0; i < 8; i++ {
-		if err := s.Set(fmt.Sprint("k", i), fastEntry{Value: float64(i)}); err != nil {
+		if err := s.Set(fmt.Sprint("k", i), float64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 7; i++ {
 		s.drop(fmt.Sprint("k", i)) // dead bytes for compaction to drop
 	}
-	// Pad the tail to leave exactly a header, "new" and a fastEntry: a
-	// record of the right length, after opening a chunk if the tail is
-	// already too short.
-	want := hdrLen + len("new") + fastEntryLen
+	// Pad the tail to leave exactly a header, "new" and a value: a record
+	// of the right length, after opening a chunk if the tail is already
+	// too short.
+	want := hdrLen + len("new") + valLen
 	for i := 0; ; i++ {
 		c := s.chunks[s.tail]
 		free := cap(c) - len(c)
@@ -228,27 +230,24 @@ func TestPageScratchNeverCompactedAway(t *testing.T) {
 		if i == 4 {
 			t.Fatalf("could not pad the tail: %d bytes free", free)
 		}
-		val := free - want - (hdrLen + 2 + lruLen)
-		if val < 0 {
-			val = 1 << 7 // does not fit: opens the next chunk
-		}
 		key := fmt.Sprint("p", i)
-		s.mu.Lock()
-		err := s.put(key, s.hash(key), make([]byte, val))
-		s.mu.Unlock()
-		if err != nil {
+		if n := free - want - (hdrLen + valLen + lruLen); n >= len(key) {
+			key += strings.Repeat("x", n-len(key))
+		} else {
+			key += strings.Repeat("x", 1<<7) // does not fit: opens the next chunk
+		}
+		if err := s.Set(key, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s.maxChunks = len(s.chunks)
-	if err := s.Set("new", fastEntry{Value: 42}); err != nil {
+	if err := s.Set("new", 42); err != nil {
 		t.Fatal(err)
 	}
 	if s.dead != 0 {
 		t.Fatal("the write did not compact: the test no longer reaches the case")
 	}
-	var got fastEntry
-	if ok, err := s.Get("new", &got); !ok || err != nil || got.Value != 42 {
-		t.Fatalf("Get = %v, %v, %+v", ok, err, got)
+	if v, ok := s.Get("new"); !ok || v != 42 {
+		t.Fatalf("Get = %v, %v", v, ok)
 	}
 }
