@@ -8,9 +8,12 @@
 // Durable state: -state loads a snapshot at boot (when the file exists),
 // before the listener opens, and writes one atomically (temp file +
 // rename) on SIGINT/SIGTERM, so a restart forfeits neither spent budget
-// nor cache warmth. A file this build cannot restore — one written by an
-// older build's snapshot format included — stops the boot with a non-zero
-// exit and is left as it was. GET /snapshot exposes the same envelope over HTTP,
+// nor cache warmth. A snapshot must come from a server with the same
+// flags: it carries the dataset, and a restore only grows the boot's own
+// (its /appends are appended again), so a snapshot whose first partitions
+// differ from the boot's by one count is refused. A file this build
+// cannot restore — a foreign dataset, or an older build's snapshot format —
+// stops the boot with a non-zero exit and is left as it was. GET /snapshot exposes the same envelope over HTTP,
 // and POST /restore loads one into a server that has not yet served:
 // the first analyst request closes that window (a later restore is 409),
 // and a refused restore leaves the server as it was.
@@ -59,7 +62,7 @@ func main() {
 		deltaG      = flag.Float64("delta", 1e-6, "δ_G for -gaussian")
 		seed        = flag.Uint64("seed", 42, "deterministic seed")
 		statePath   = flag.String("state", "", "snapshot file: restored at boot if present, written atomically on SIGINT/SIGTERM")
-		storeMaxMB  = flag.Int("store-max-mb", 0, fmt.Sprintf("cache-store bound in MiB of payload (key + value bytes, what /schema reports), at most %d: the most one 4 GiB arena always holds; resident memory, /schema's resident_bytes, is about 2.3x that. 0 leaves the store unbounded; > 0 makes it a segmented LRU", maxStoreMB))
+		storeMaxMB  = flag.Int("store-max-mb", 0, fmt.Sprintf("cache-store bound in MiB of payload (key + value bytes, what /schema reports), at most %d: the most one 4 GiB arena always holds; resident memory, /schema's resident_bytes, is about 2.3x that in a store of tens of thousands of entries, and more in a small one (4.5x at a thousand). 0 leaves the store unbounded; > 0 makes it a segmented LRU", maxStoreMB))
 		ckptEvery   = flag.Duration("checkpoint-interval", 0, "background checkpoint period for -state (0 disables; failures log and retry next tick)")
 	)
 	flag.Parse()
@@ -124,13 +127,11 @@ func main() {
 	}
 
 	// Durable state: restore before serving, checkpoint on shutdown. The
-	// snapshot must have been taken by a server with the same flags (the
-	// session identity — dataset build, mode, budgets — must match).
-	// The dataset rides inside the snapshot (PersistDataset): the
-	// synthetic store is in-memory, so without it a checkpoint taken
-	// after any /append could never match a freshly-rebuilt dataset.
+	// snapshot must have been taken by a server with the same flags: the
+	// session identity (mode, budgets) must match, and the boot's
+	// dataset must be the snapshot's first partitions, whose /appends the
+	// restore appends again.
 	if *statePath != "" {
-		sess.PersistDataset()
 		if f, err := os.Open(*statePath); err == nil {
 			loadErr := sess.LoadState(f)
 			f.Close()

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -55,29 +57,31 @@ func runMain(t *testing.T, args ...string) (string, error) {
 
 // TestStateFromOlderBuildRefused: a -state file an older build wrote stops
 // the boot with a non-zero exit naming what this build cannot read, before
-// the server listens, and the file is left byte for byte as it was. Five
+// the server listens, and the file is left byte for byte as it was. Six
 // such files: one in the v2 snapshot format (the magic, version 2, gzip
 // bytes), one in v3 (this build's sections under the version before the
 // cache entry lost its data version), one in v4 (the same, under the
 // version before the cache entry lost its ε), one in v5 (the same, under
-// the version whose cache values were tagged byte strings), and one
-// carrying the
-// "cache/tree-node" section a build with a tree node cache wrote, which no
-// layer of this build owns. A file whose dataset section carries a NaN
-// count, or whose cache section holds a NaN release, is refused the same
-// way.
+// the version whose cache values were tagged byte strings), one in v6
+// (the same, under the version whose dataset section was optional and
+// held float counts), and one carrying the "cache/tree-node" section a
+// build with a tree node cache wrote, which no layer of this build owns.
+// A file whose dataset is not the boot's — one count of partition 0
+// differs — or whose cache section holds a NaN release, is refused the
+// same way.
 func TestStateFromOlderBuildRefused(t *testing.T) {
 	args := []string{"-addr", "127.0.0.1:0", "-rows", "2000", "-weeks", "4"}
 	for _, tc := range []struct {
 		name, want string
 		file       func(t *testing.T) []byte
 	}{
-		{"v2", "snapshot is v2, this build reads v6", v2Snapshot},
-		{"v3", "snapshot is v3, this build reads v6", olderSnapshot(3)},
-		{"v4", "snapshot is v4, this build reads v6", olderSnapshot(4)},
-		{"v5", "snapshot is v5, this build reads v6", olderSnapshot(5)},
+		{"v2", "snapshot is v2, this build reads v7", v2Snapshot},
+		{"v3", "snapshot is v3, this build reads v7", olderSnapshot(3)},
+		{"v4", "snapshot is v4, this build reads v7", olderSnapshot(4)},
+		{"v5", "snapshot is v5, this build reads v7", olderSnapshot(5)},
+		{"v6", "snapshot is v6, this build reads v7", olderSnapshot(6)},
 		{"tree-node", `unknown snapshot section: "cache/tree-node"`, treeNodeSnapshot},
-		{"nan-count", "has count NaN at bin", nanCountSnapshot},
+		{"foreign-count", "snapshot's partition 0 holds", foreignCountSnapshot},
 		{"nan-value", "value NaN is not a release", nanValueSnapshot},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -162,7 +166,7 @@ func olderSnapshot(version byte) func(t *testing.T) []byte {
 	}
 }
 
-// bootSnapshot is the v6 snapshot this build writes at boot with
+// bootSnapshot is the v7 snapshot this build writes at boot with
 // TestStateFromOlderBuildRefused's flags, each section's payload passed
 // through edit, then the extra sections (name, payload pairs).
 func bootSnapshot(t *testing.T, edit func(name string, p []byte) []byte, extra ...string) []byte {
@@ -177,15 +181,15 @@ func bootSnapshot(t *testing.T, edit func(name string, p []byte) []byte, extra .
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.PersistDataset()
 	var snap bytes.Buffer
 	if err := sess.SaveState(&snap); err != nil {
 		t.Fatal(err)
 	}
-	payloads, order, err := persist.ReadSections(&snap)
+	payloads, err := persist.ReadSections(&snap)
 	if err != nil {
 		t.Fatal(err)
 	}
+	order := slices.Sorted(maps.Keys(payloads))
 	var out bytes.Buffer
 	w, err := persist.NewWriter(&out)
 	if err != nil {
@@ -220,24 +224,25 @@ func treeNodeSnapshot(t *testing.T) []byte {
 	return bootSnapshot(t, keep, "cache/tree-node", string(stripes.Payload()))
 }
 
-// nanCountSnapshot is the boot snapshot with one count of its dataset
-// section's first partition replaced by NaN.
-func nanCountSnapshot(t *testing.T) []byte {
+// foreignCountSnapshot is the boot snapshot with the last count of its
+// dataset section's first partition one higher: a snapshot of another
+// dataset.
+func foreignCountSnapshot(t *testing.T) []byte {
 	return bootSnapshot(t, func(name string, p []byte) []byte {
 		if name != "dataset/partitions" {
 			return p
 		}
+		bins := workload.CovidDomain().Size()
 		dec := persist.NewDecoder(p)
 		var e persist.Encoder
-		parts := dec.Count(2)
+		parts := dec.Count(bins)
 		e.PutUvarint(uint64(parts))
-		for i := 0; i < parts; i++ {
-			counts := dec.Floats()
-			if i == 0 {
-				counts[len(counts)-1] = math.NaN()
+		for i := range parts * bins {
+			c := dec.Uvarint()
+			if i == bins-1 {
+				c++ // partition 0's last bin
 			}
-			e.PutFloats(counts)
-			e.PutInt(dec.Int())
+			e.PutUvarint(c)
 		}
 		if err := dec.Finish(); err != nil {
 			t.Fatal(err)

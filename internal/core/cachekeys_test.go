@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -64,13 +66,16 @@ func encodeCacheSection(sec cacheSection) []byte {
 
 // rewriteSections re-writes the snapshot raw with every section's payload
 // passed through edit, which returns the payload to write, then appends
-// the extra sections, in order, as name and payload pairs.
+// the extra sections, in order, as name and payload pairs. The sections
+// are written in name order: Load stages in registration order whatever
+// the stream's.
 func rewriteSections(t *testing.T, raw []byte, edit func(name string, p []byte) []byte, extra ...string) []byte {
 	t.Helper()
-	payloads, order, err := persist.ReadSections(bytes.NewReader(raw))
+	payloads, err := persist.ReadSections(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
+	order := slices.Sorted(maps.Keys(payloads))
 	var buf bytes.Buffer
 	w, err := persist.NewWriter(&buf)
 	if err != nil {

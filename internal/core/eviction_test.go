@@ -133,7 +133,6 @@ func TestEvictionUnderFire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.PersistDataset() // the appender grows the in-memory store mid-run
 
 	preds := []*query.Query{
 		query.MustNew(ds.Domain(), map[int][]int{0: {1}}),

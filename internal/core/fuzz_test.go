@@ -5,7 +5,9 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
+	"maps"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/persist"
@@ -27,7 +29,6 @@ func fuzzSession(t *testing.T, shape byte, ops []byte) (Config, *Session) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.PersistDataset()
 	if shape&8 != 0 && cfg.Mode != NonPartitioned {
 		arrive(t, s, []int{5, 0, 7, 1, 9, 2, 4, 8})
 	}
@@ -52,15 +53,14 @@ func fuzzSession(t *testing.T, shape byte, ops []byte) (Config, *Session) {
 }
 
 // restoreInto loads snap into a fresh session of cfg over a fresh copy of
-// the dataset, persisting it as fuzzSession's does; a refused load must
-// leave the session as it was (loadAllOrNothing).
+// fuzzSession's initial dataset; a refused load must leave the session as
+// it was (loadAllOrNothing).
 func restoreInto(t *testing.T, cfg Config, snap []byte) (*Session, error) {
 	_, ds := buildDS(t, 4)
 	s, err := NewSession(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.PersistDataset()
 	return s, loadAllOrNothing(t, s, snap)
 }
 
@@ -93,7 +93,7 @@ func allocatedDuring(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// FuzzSnapshot checks the v6 snapshot both ways over sessions driven by
+// FuzzSnapshot checks the v7 snapshot both ways over sessions driven by
 // the input. Random state encodes and decodes to equal state: the
 // snapshot restores into a fresh session whose own snapshot is the same
 // bytes. Damage refuses, never panics: any section payload cut short is a
@@ -124,10 +124,11 @@ func FuzzSnapshot(f *testing.F) {
 			t.Fatal("the restored session's snapshot differs from the one it restored")
 		}
 
-		payloads, order, err := persist.ReadSections(bytes.NewReader(snap.Bytes()))
+		payloads, err := persist.ReadSections(bytes.NewReader(snap.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
+		order := slices.Sorted(maps.Keys(payloads))
 		i := int(at) % len(order)
 		name, p := order[i], payloads[order[i]]
 		pos := int(at>>8) % len(p)

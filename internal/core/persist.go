@@ -1,11 +1,11 @@
 // Session persistence: the prototype keeps all caching state in Redis
 // (§5); here a session serializes that state — exact caches, PMW/tree
 // histograms, heuristic thresholds, and the accountant — through the
-// internal/persist envelope (versioned, section-tagged), and a fresh
-// session over the same dataset restores it. SaveState/LoadState are
-// thin orchestrators: every stateful layer registers itself as a
-// persist.Snapshotter section (see buildRegistry), and the registry does
-// the rest.
+// internal/persist envelope (versioned, section-tagged), with the dataset
+// itself, and a fresh session over a prefix of that dataset restores it.
+// SaveState/LoadState are thin orchestrators: every stateful layer
+// registers itself as a persist.Snapshotter section (see buildRegistry),
+// and the registry does the rest.
 //
 // Gaussian/Rényi sessions round-trip like pure-ε ones: the accountant
 // section carries the whole per-partition, per-order ledger, so a
@@ -60,10 +60,11 @@ func (s *Session) SaveState(w io.Writer) error {
 }
 
 // LoadState restores previously saved state into a freshly-created
-// session with the same configuration over the same dataset (same
-// partition count and rows per partition). It must run before the session
-// serves anything: no Answer, AnswerBatch or AppendPartitions may run
-// concurrently with it, and a session that already answered refuses with
+// session with the same configuration over a prefix of the snapshot's
+// dataset: the snapshot's first partitions must be the session's, bin for
+// bin, and the rest are appended (datasetSection). It must run before the
+// session serves anything: no Answer, AnswerBatch or AppendPartitions may
+// run concurrently with it, and a session that already answered refuses with
 // ErrAlreadyServing. Envelope and section failures surface as typed
 // errors (persist.ErrBadMagic, persist.ErrTruncated, *persist.SectionError
 // naming the offending section, ...). Every section stages before any
@@ -75,110 +76,98 @@ func (s *Session) LoadState(r io.Reader) error {
 	if s.Queries() > 0 {
 		return ErrAlreadyServing
 	}
-	s.restoreRows = nil
 	if err := s.registry.Load(r); err != nil {
 		return fmt.Errorf("core: load state: %w", err)
 	}
 	return nil
 }
 
-// PersistDataset opts the session into writing the dataset itself as a
-// snapshot section ("dataset/partitions"). Sessions over an
-// externally-durable DBMS never need it — the restore contract is "same
-// dataset" — but deployments whose store is in-memory (the HTTP server
-// under streaming ingestion, turbo-server's synthetic builds) would
-// otherwise produce checkpoints that can never be restored once /append
-// has grown the dataset beyond what a fresh boot rebuilds. The section
-// stages between identity and meta: after the config validation, before
-// the meta section's partition and row check and the block's ledger
-// check, which then run against the staged data; the block's own apply
-// grows the books to match. Restoring such snapshots needs no opt-in: the
-// section's owner is always registered. Call before serving traffic.
-func (s *Session) PersistDataset() {
-	s.persistData = true
-}
-
-// datasetSection adapts the dataset into a persist.Snapshotter.
+// datasetSection adapts the dataset into a persist.Snapshotter. Its
+// "dataset/partitions" payload is the partition count, then each
+// partition's per-bin counts as uvarints, dom.Size() of them. The rows
+// are the counts' sums, so the section carries nothing else.
 type datasetSection struct{ s *Session }
 
 // SnapshotSection implements persist.Snapshotter.
 func (d datasetSection) SnapshotSection() string { return "dataset/partitions" }
 
-// SnapshotOptional lets snapshots without the section (sessions that
-// never opted in) restore anywhere.
-func (d datasetSection) SnapshotOptional() bool { return true }
-
-// SnapshotPayload exports the full dataset content, or omits the
-// section entirely unless the session opted in (PersistDataset).
-//
-// The section's layout: the partition count, then per partition its
-// per-bin counts (a float slice) and row count.
+// SnapshotPayload writes every partition's counts.
 func (d datasetSection) SnapshotPayload() []byte {
-	if !d.s.persistData {
-		return nil
-	}
-	st := d.s.ds.ExportState()
+	ds := d.s.ds
 	var e persist.Encoder
-	e.PutUvarint(uint64(len(st.Parts)))
-	for _, p := range st.Parts {
-		e.PutFloats(p.Counts)
-		e.PutInt(p.N)
+	e.PutUvarint(uint64(ds.Partitions()))
+	for p := range ds.Partitions() {
+		for _, c := range ds.PartitionCounts(p) {
+			e.PutUvarint(uint64(c))
+		}
 	}
 	return e.Payload()
 }
 
-// StagePayload implements persist.Snapshotter: it decodes the section and
-// checks it against the domain (dataset.CheckState) and the session's
-// shape, so a poisoned dataset — a NaN, an infinite, negative or
-// fractional count, a row count that is not the sum of its counts — is
-// refused with the books and caches untouched. It records the staged
-// rows for the meta section's check (restoreRows); the apply replaces
-// the dataset content.
+// StagePayload implements persist.Snapshotter: a restore only grows the
+// dataset. The snapshot's first partitions must be the session's own, bin
+// for bin — a served partition never changes, so another count is
+// another dataset, on which the snapshot's releases would be stale — and
+// the rest are checked as the Append the apply makes (CheckAppend), which
+// no writer can race: a restore runs before the session serves. The block
+// stages next, and its ledger must cover every partition the restore
+// leaves (ExpectPartitions).
 func (d datasetSection) StagePayload(payload []byte) (func(), error) {
+	s := d.s
+	bins := s.ds.Domain().Size()
 	dec := persist.NewDecoder(payload)
-	st := dataset.State{Parts: make([]dataset.PartitionState, dec.Count(2))}
-	for i := range st.Parts {
-		st.Parts[i] = dataset.PartitionState{Counts: dec.Floats(), N: dec.Int()}
+	parts := make([][]int, dec.Count(bins))
+	for p := range parts {
+		parts[p] = make([]int, bins)
+		for b := range parts[p] {
+			c := dec.Uvarint()
+			if c > dataset.MaxRows {
+				return nil, fmt.Errorf("core: snapshot's partition %d has count %d at bin %d, past %d rows",
+					p, c, b, dataset.MaxRows)
+			}
+			parts[p][b] = int(c)
+		}
 	}
 	if err := dec.Finish(); err != nil {
 		return nil, err
 	}
-	s := d.s
-	if err := s.ds.CheckState(st); err != nil {
-		return nil, err
+	have := s.ds.Partitions()
+	if len(parts) < have {
+		return nil, fmt.Errorf("core: snapshot dataset has %d partitions, session already has %d", len(parts), have)
 	}
-	delta := len(st.Parts) - s.ds.Partitions()
-	if delta < 0 {
-		return nil, fmt.Errorf("core: snapshot dataset has %d partitions, session already has %d",
-			len(st.Parts), s.ds.Partitions())
+	for p := range have {
+		own := s.ds.PartitionCounts(p)
+		for b, c := range parts[p] {
+			if c != own[b] {
+				return nil, fmt.Errorf("core: snapshot's partition %d holds %d rows at bin %d, the session's %d — cached results would be stale",
+					p, c, b, own[b])
+			}
+		}
 	}
-	if delta > 0 && s.tree == nil {
+	suffix := parts[have:]
+	if len(suffix) > 0 && s.tree == nil {
 		return nil, errors.New("core: snapshot dataset grew beyond the non-partitioned session's fixed range")
 	}
-	s.restoreRows = make([]int, len(st.Parts))
-	for p, part := range st.Parts {
-		s.restoreRows[p] = part.N
+	if err := s.ds.CheckAppend(suffix...); err != nil {
+		return nil, err
 	}
+	s.block.ExpectPartitions(len(parts))
 	return func() {
-		_ = s.ds.RestoreState(st) // its only refusal is CheckState's, passed above
+		_, _ = s.ds.Append(nil, suffix...) // its refusals are CheckAppend's, passed above
 	}, nil
 }
 
 // buildRegistry assembles the session's snapshot sections in stage and
 // apply order: identity first (validation-only, so its refusal names the
-// configuration field that differs), then the dataset, meta (dataset
-// shape and counters) and the accountant, each checked against the
-// dataset the restore leaves, then caches and histogram machinery. Every
+// configuration field that differs), then the dataset, the counters
+// (meta) and the accountant, whose ledger must cover the partitions the
+// dataset's stage leaves, then caches and histogram machinery. Every
 // section stages before any applies, so a snapshot whose configuration,
 // data, accounting, caches or histograms this session can never accept
 // is a refusal that leaves the session as it was.
 func (s *Session) buildRegistry() {
 	s.registry = persist.NewRegistry()
 	s.registry.Register(identitySection{s})
-	// The dataset section's owner is always registered — every session
-	// can RESTORE a dataset-carrying snapshot — but the section is only
-	// WRITTEN after PersistDataset() opts in, so snapshots stay lean for
-	// sessions whose store is externally durable.
 	s.registry.Register(datasetSection{s})
 	s.registry.Register(metaSection{s})
 	s.registry.Register(s.block)
@@ -280,28 +269,21 @@ func (m identitySection) check(payload []byte) error {
 	return nil
 }
 
-// metaSection adapts the session's dataset-shape validation and
-// counters into a persist.Snapshotter. Its "core/meta" payload: the
-// partition count the snapshot was taken at and each partition's row
-// count, the query and dedup counters, then the count of per-source
-// counters and each one's source name and count, in Sources order so the
-// payload encodes deterministically (snapshotdet;
+// metaSection adapts the session's counters into a persist.Snapshotter.
+// Its "core/meta" payload: the query and dedup counters, then the count
+// of per-source counters and each one's source name and count, in Sources
+// order so the payload encodes deterministically (snapshotdet;
 // TestSnapshotBytesDeterministic).
 type metaSection struct{ s *Session }
 
 // SnapshotSection implements persist.Snapshotter.
 func (m metaSection) SnapshotSection() string { return "core/meta" }
 
-// SnapshotPayload captures the dataset shape and counters.
+// SnapshotPayload captures the counters.
 func (m metaSection) SnapshotPayload() []byte {
 	s := m.s
 	counts := s.SourceCounts()
-	rows := rowsPerPartition(s.ds)
 	var e persist.Encoder
-	e.PutUvarint(uint64(len(rows)))
-	for _, n := range rows {
-		e.PutInt(n)
-	}
 	e.PutInt(s.Queries())
 	e.PutInt(s.Deduped())
 	e.PutUvarint(uint64(len(counts)))
@@ -315,21 +297,12 @@ func (m metaSection) SnapshotPayload() []byte {
 	return e.Payload()
 }
 
-// StagePayload implements persist.Snapshotter: it checks the snapshot
-// against the dataset the restore leaves (the staged dataset section's,
-// or the session's own) partition by partition, and its counters are
-// counts, at most one for each Source this build answers from; the
-// apply restores the counters. A served partition's rows never change, so a dataset
-// whose partition holds another row count is not the one the snapshot's
-// cached results were released on. The block stages next, and its ledger
-// must cover the same partitions (ExpectPartitions).
+// StagePayload implements persist.Snapshotter: the counters must be
+// counts, at most one for each Source this build answers from; the apply
+// restores them.
 func (m metaSection) StagePayload(payload []byte) (func(), error) {
 	s := m.s
 	d := persist.NewDecoder(payload)
-	rows := make([]int, d.Count(1))
-	for p := range rows {
-		rows[p] = d.Int()
-	}
 	queries, deduped := d.Int(), d.Int()
 	least := min(queries, deduped)
 	n := d.Count(2)
@@ -356,20 +329,6 @@ func (m metaSection) StagePayload(payload []byte) (func(), error) {
 		// ErrAlreadyServing check on a session that has answered.
 		return nil, fmt.Errorf("core: snapshot counter %d is negative", least)
 	}
-	have := s.restoreRows
-	if have == nil {
-		have = rowsPerPartition(s.ds)
-	}
-	if len(rows) != len(have) {
-		return nil, fmt.Errorf("core: snapshot has %d partitions, dataset has %d", len(rows), len(have))
-	}
-	for p, n := range rows {
-		if n != have[p] {
-			return nil, fmt.Errorf("core: snapshot's partition %d has %d rows, dataset's has %d — cached results would be stale",
-				p, n, have[p])
-		}
-	}
-	s.block.ExpectPartitions(len(rows))
 	return func() {
 		s.queries.Store(int64(queries))
 		s.deduped.Store(int64(deduped))
@@ -377,15 +336,6 @@ func (m metaSection) StagePayload(payload []byte) (func(), error) {
 			s.bySrc[sourceIndex[src]].Store(int64(count))
 		}
 	}, nil
-}
-
-// rowsPerPartition returns the row count of each of ds's partitions.
-func rowsPerPartition(ds *dataset.Dataset) []int {
-	rows := make([]int, ds.Partitions())
-	for p := range rows {
-		rows[p], _ = ds.NRows(p, p)
-	}
-	return rows
 }
 
 // singleSection adapts the single PMW-Bypass into a persist.Snapshotter.

@@ -163,10 +163,10 @@ func TestLoadStateValidation(t *testing.T) {
 }
 
 // TestSaveLoadPersistDataset covers the in-memory-store deployment
-// (turbo-server -state): with PersistDataset the snapshot carries the
-// dataset itself, so a checkpoint taken after mid-stream growth
-// restores onto a fresh initial build — partitions, data and accountant
-// coverage all re-grown from the section.
+// (turbo-server -state): every snapshot carries the dataset itself, so a
+// checkpoint taken after mid-stream growth restores onto a fresh initial
+// build — the snapshot's first partitions are the build's, and the rest,
+// with the books' coverage of them, are appended from the section.
 func TestSaveLoadPersistDataset(t *testing.T) {
 	dom, ds1 := buildDS(t, 2)
 	cfg := defaultCfg(Streaming)
@@ -174,7 +174,6 @@ func TestSaveLoadPersistDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1.PersistDataset()
 	q := query.MustNew(dom, map[int][]int{0: {1}})
 	for e := 0; e < 2; e++ {
 		w := appendWeek(t, s1)
@@ -194,7 +193,6 @@ func TestSaveLoadPersistDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2.PersistDataset()
 	if err := s2.LoadState(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +200,7 @@ func TestSaveLoadPersistDataset(t *testing.T) {
 		t.Fatalf("restored dataset has %d partitions, want 4", ds2.Partitions())
 	}
 	for p := 0; p < 4; p++ {
-		if partitionRows(ds2, p) != partitionRows(ds1, p) {
+		if !slices.Equal(ds2.PartitionCounts(p), ds1.PartitionCounts(p)) || partitionRows(ds2, p) != partitionRows(ds1, p) {
 			t.Fatalf("partition %d has %d rows, want %d", p, partitionRows(ds2, p), partitionRows(ds1, p))
 		}
 		if got, want := s2.Accountant().SpentVector()[p], s1.Accountant().SpentVector()[p]; got != want {
@@ -223,9 +221,9 @@ func TestSaveLoadPersistDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A dataset-carrying snapshot under a foreign config is refused by
-	// the identity section BEFORE the dataset section can mutate: the
-	// target stays fully usable (not poisoned, data untouched).
+	// A snapshot under a foreign config is refused by the identity
+	// section BEFORE the dataset section can append: the target stays
+	// fully usable (not poisoned, data untouched).
 	_, dsF := buildDS(t, 2)
 	foreignCfg := defaultCfg(Streaming)
 	foreignCfg.EpsilonGlobal = cfg.EpsilonGlobal / 2
@@ -233,7 +231,6 @@ func TestSaveLoadPersistDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	foreign.PersistDataset()
 	err = foreign.LoadState(bytes.NewReader(snap.Bytes()))
 	var se *persist.SectionError
 	if err == nil || !errors.As(err, &se) || se.Section != "core/identity" {
@@ -245,61 +242,45 @@ func TestSaveLoadPersistDataset(t *testing.T) {
 	if _, err := foreign.Answer(q.WithWindow(0, 1)); err != nil {
 		t.Fatalf("query after identity refusal refused: %v (session must stay usable)", err)
 	}
-
-	// A plain snapshot (no dataset section) still restores into a
-	// PersistDataset session: the section is optional.
-	_, ds3 := buildDS(t, 2)
-	plain, err := NewSession(cfg, ds3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var plainSnap bytes.Buffer
-	if err := plain.SaveState(&plainSnap); err != nil {
-		t.Fatal(err)
-	}
-	_, ds4 := buildDS(t, 2)
-	s4, err := NewSession(cfg, ds4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s4.PersistDataset()
-	if err := s4.LoadState(&plainSnap); err != nil {
-		t.Fatal(err)
-	}
 }
 
-// datasetSectionState decodes a "dataset/partitions" payload, and
-// encodeDatasetSection writes one back, in datasetSection's layout.
-func datasetSectionState(t *testing.T, p []byte) dataset.State {
+// datasetSectionCounts decodes a "dataset/partitions" payload over the
+// domain's bins, and encodeDatasetSection writes one back, in
+// datasetSection's layout (a partition may be given more or fewer bins).
+func datasetSectionCounts(t *testing.T, p []byte, bins int) [][]uint64 {
 	t.Helper()
 	dec := persist.NewDecoder(p)
-	st := dataset.State{Parts: make([]dataset.PartitionState, dec.Count(2))}
-	for i := range st.Parts {
-		st.Parts[i] = dataset.PartitionState{Counts: dec.Floats(), N: dec.Int()}
+	parts := make([][]uint64, dec.Count(bins))
+	for i := range parts {
+		parts[i] = make([]uint64, bins)
+		for b := range parts[i] {
+			parts[i][b] = dec.Uvarint()
+		}
 	}
 	if err := dec.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	return st
+	return parts
 }
 
-func encodeDatasetSection(st dataset.State) []byte {
+func encodeDatasetSection(parts [][]uint64) []byte {
 	var e persist.Encoder
-	e.PutUvarint(uint64(len(st.Parts)))
-	for _, p := range st.Parts {
-		e.PutFloats(p.Counts)
-		e.PutInt(p.N)
+	e.PutUvarint(uint64(len(parts)))
+	for _, counts := range parts {
+		for _, c := range counts {
+			e.PutUvarint(c)
+		}
 	}
 	return e.Payload()
 }
 
-// TestLoadStateRefusesPoisonedDataset: a dataset section holding a NaN
-// count, or a partition whose row count is one off the sum of its counts,
-// is refused while the section stages — before the books grow over the
-// snapshot's appended partitions and before any section restores. The
-// refusal is a SectionError naming the section: the books, the partition
-// count and the exact cache are as they were, and the intact snapshot
-// then restores into the same session.
+// TestLoadStateRefusesPoisonedDataset: a dataset section holding a count
+// past dataset.MaxRows, appended partitions whose rows take the dataset
+// past it, or a partition one bin short is refused while the section
+// stages — before the books grow over the snapshot's appended partitions
+// and before any section restores. The refusal is a SectionError naming
+// the section: the books, the partition count and the exact cache are as
+// they were, and the intact snapshot then restores into the same session.
 func TestLoadStateRefusesPoisonedDataset(t *testing.T) {
 	dom, ds := buildDS(t, 2)
 	cfg := defaultCfg(Streaming)
@@ -307,7 +288,6 @@ func TestLoadStateRefusesPoisonedDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.PersistDataset()
 	q := query.MustNew(dom, map[int][]int{0: {1}})
 	for e := 0; e < 2; e++ {
 		w := appendWeek(t, src)
@@ -322,31 +302,34 @@ func TestLoadStateRefusesPoisonedDataset(t *testing.T) {
 	raw := snap.Bytes()
 
 	for _, tc := range []struct {
-		name   string
-		poison func(*dataset.State)
+		name, want string
+		poison     func([][]uint64)
 	}{
-		{"nan", func(st *dataset.State) { st.Parts[3].Counts[1] = math.NaN() }},
-		{"n-off-by-one", func(st *dataset.State) { st.Parts[1].N++ }},
+		{"count-past-max-rows", "has count 9007199254740992 at bin 1",
+			func(parts [][]uint64) { parts[3][1] = dataset.MaxRows + 1 }},
+		{"suffix-past-max-rows", "would take the dataset past",
+			func(parts [][]uint64) { parts[2][0], parts[3][0] = dataset.MaxRows/2, dataset.MaxRows/2 }},
+		{"short-partition", "payload ends inside a value",
+			func(parts [][]uint64) { parts[3] = parts[3][:len(parts[3])-1] }},
 	} {
 		bad := rewriteSections(t, raw, func(name string, p []byte) []byte {
 			if name != "dataset/partitions" {
 				return p
 			}
-			st := datasetSectionState(t, p)
-			tc.poison(&st)
-			return encodeDatasetSection(st)
+			parts := datasetSectionCounts(t, p, dom.Size())
+			tc.poison(parts)
+			return encodeDatasetSection(parts)
 		})
 		_, fresh := buildDS(t, 2)
 		dst, err := NewSession(cfg, fresh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst.PersistDataset()
 		spent := dst.Accountant().SpentVector()
 		err = dst.LoadState(bytes.NewReader(bad))
 		var se *persist.SectionError
-		if !errors.As(err, &se) || se.Section != "dataset/partitions" {
-			t.Fatalf("%s: LoadState = %v, want a pure refusal of dataset/partitions", tc.name, err)
+		if !errors.As(err, &se) || se.Section != "dataset/partitions" || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: LoadState = %v, want a pure refusal of dataset/partitions saying %q", tc.name, err, tc.want)
 		}
 		if got := dst.Accountant().SpentVector(); !slices.Equal(got, spent) {
 			t.Fatalf("%s: the refusal moved the books %v to %v", tc.name, spent, got)
@@ -364,6 +347,68 @@ func TestLoadStateRefusesPoisonedDataset(t *testing.T) {
 		if fresh.Partitions() != 4 {
 			t.Fatalf("%s: the intact restore left %d partitions, want 4", tc.name, fresh.Partitions())
 		}
+	}
+}
+
+// TestRestoreRefusesForeignPrefix: a restore only grows the dataset, so a
+// snapshot whose first partitions are not the session's own — here one
+// bin of partition 0 holds one row more — is refused by a SectionError
+// naming dataset/partitions, in non-partitioned mode (whose one PMW was
+// calibrated at NewSession for the session's rows) and in streaming mode
+// (whose snapshot also carries an appended partition). The session keeps
+// its partitions, rows and books, and still answers.
+func TestRestoreRefusesForeignPrefix(t *testing.T) {
+	for _, mode := range []Mode{NonPartitioned, Streaming} {
+		t.Run(mode.String(), func(t *testing.T) {
+			parts := 1
+			if mode == Streaming {
+				parts = 2
+			}
+			dom, ds := buildDS(t, parts)
+			cfg := defaultCfg(mode)
+			src, err := NewSession(cfg, ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := query.MustNew(dom, map[int][]int{0: {1}})
+			if mode == Streaming {
+				appendWeek(t, src)
+				q = q.WithWindow(0, parts)
+			}
+			if _, err := src.Answer(q); err != nil {
+				t.Fatal(err)
+			}
+			var snap bytes.Buffer
+			if err := src.SaveState(&snap); err != nil {
+				t.Fatal(err)
+			}
+
+			_, other := buildDS(t, parts)
+			if err := addCount(other, 0, dom.Encode([]int{1, 2}), 1); err != nil {
+				t.Fatal(err)
+			}
+			dst, err := NewSession(cfg, other)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := other.NRowsAll()
+			err = loadAllOrNothing(t, dst, snap.Bytes())
+			if refusingSection(err) != "dataset/partitions" || !strings.Contains(err.Error(), "partition 0") {
+				t.Fatalf("snapshot of another dataset: err = %v, want a dataset/partitions refusal naming partition 0", err)
+			}
+			if other.Partitions() != parts || other.NRowsAll() != rows || dst.Accountant().Partitions() != parts {
+				t.Fatalf("the refusal left %d partitions of %d rows and books over %d, want %d, %d and %d",
+					other.Partitions(), other.NRowsAll(), dst.Accountant().Partitions(), parts, rows, parts)
+			}
+			q = query.MustNew(dom, map[int][]int{0: {1}})
+			if mode == Streaming {
+				q = q.WithWindow(0, parts-1)
+			}
+			ans, err := dst.Answer(q)
+			if err != nil || ans.Source == SourceExactHit {
+				t.Fatalf("answer after the refusal: %+v, %v; want a fresh paid answer", ans, err)
+			}
+		})
 	}
 }
 
@@ -862,7 +907,7 @@ func TestSaveLoadTreeProperty(t *testing.T) {
 // TestSnapshotBytesDeterministic pins the property the snapshotdet
 // analyzer guards line by line: a quiesced session captures to the same
 // bytes every time, with the tree and the exact cache both populated
-// (each is a Go map somewhere underneath). The capture is a v6 envelope
+// (each is a Go map somewhere underneath). The capture is a v7 envelope
 // whose cache section holds one key and float64 per cached release.
 func TestSnapshotBytesDeterministic(t *testing.T) {
 	dom, ds := buildDS(t, 8)
@@ -889,12 +934,15 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 	if err := s.SaveState(&first); err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.BigEndian.Uint32(first.Bytes()[8:12]); v != 6 {
-		t.Fatalf("captured a v%d envelope, want v6", v)
+	if v := binary.BigEndian.Uint32(first.Bytes()[8:12]); v != 7 {
+		t.Fatalf("captured a v%d envelope, want v7", v)
 	}
-	payloads, _, err := persist.ReadSections(bytes.NewReader(first.Bytes()))
+	payloads, err := persist.ReadSections(bytes.NewReader(first.Bytes()))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if parts := datasetSectionCounts(t, payloads["dataset/partitions"], dom.Size()); len(parts) != ds.Partitions() {
+		t.Fatalf("dataset section holds %d partitions, the dataset %d", len(parts), ds.Partitions())
 	}
 	sec := decodeCacheSection(t, payloads["cache/session-exact"])
 	if len(sec.Keys) != s.StoreStats().Entries {
@@ -965,10 +1013,10 @@ func TestFreshBooksStartWithEmptyCaches(t *testing.T) {
 }
 
 // poisonLast rewrites a section's payload with its last element broken:
-// the last configuration field, partition, row count, ledger value, cache
-// entry, PMW threshold list or tree node. With alt, the block's ledger
-// instead covers one partition more than the snapshot's dataset, and the
-// meta section's query count is negative.
+// the last configuration field, partition count, source counter, ledger
+// value, cache entry, PMW threshold list or tree node. With alt, the
+// block's ledger instead covers one partition more than the snapshot's
+// dataset, and the meta section's query count is negative.
 func poisonLast(t *testing.T, section string, p []byte, alt bool) []byte {
 	t.Helper()
 	d := persist.NewDecoder(p)
@@ -982,26 +1030,16 @@ func poisonLast(t *testing.T, section string, p []byte, alt bool) []byte {
 		}
 		e.PutInt(d.Int() + 1) // another tree structure
 	case "dataset/partitions":
-		n := d.Count(2)
-		e.PutUvarint(uint64(n))
-		for i := range n {
-			e.PutFloats(d.Floats())
-			rows := d.Int()
-			if i == n-1 {
-				rows++ // one off its counts' sum
-			}
-			e.PutInt(rows)
-		}
-	case "core/meta":
 		n := d.Count(1)
 		e.PutUvarint(uint64(n))
-		for i := range n {
-			rows := d.Int()
-			if i == n-1 && !alt {
-				rows++ // not the dataset's row count
+		for i := range n * 8 { // buildDS's 8 bins per partition
+			c := d.Uvarint()
+			if i == n*8-1 {
+				c = dataset.MaxRows + 1 // past what a dataset holds
 			}
-			e.PutInt(rows)
+			e.PutUvarint(c)
 		}
+	case "core/meta":
 		queries := d.Int()
 		if alt {
 			queries = -100
@@ -1010,9 +1048,13 @@ func poisonLast(t *testing.T, section string, p []byte, alt bool) []byte {
 		e.PutInt(d.Int())
 		m := d.Count(2)
 		e.PutUvarint(uint64(m))
-		for range m {
+		for i := range m {
 			e.PutBytes(d.Bytes())
-			e.PutInt(d.Int())
+			count := d.Int()
+			if i == m-1 && !alt {
+				count = -1 // a counter below zero
+			}
+			e.PutInt(count)
 		}
 	case "accountant/block":
 		e.PutFloat(d.Float())
@@ -1152,7 +1194,6 @@ func TestMetaRefusesUnknownSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.PersistDataset()
 	for a := 0; a < 4; a++ {
 		if _, err := src.Answer(query.MustNew(dom, map[int][]int{1: {a}}).WithWindow(0, 1)); err != nil {
 			t.Fatal(err)
@@ -1178,11 +1219,6 @@ func TestMetaRefusesUnknownSource(t *testing.T) {
 			}
 			d := persist.NewDecoder(p)
 			var e persist.Encoder
-			n := d.Count(1)
-			e.PutUvarint(uint64(n))
-			for range n {
-				e.PutInt(d.Int())
-			}
 			e.PutInt(d.Int())
 			e.PutInt(d.Int())
 			d.Count(2)

@@ -221,15 +221,9 @@ type Session struct {
 	flights flightGroup
 	// registry holds the session's durable-state sections (persist.go),
 	// every one registered at construction. persistMu serializes
-	// SaveState/LoadState against each other; restoreRows, under it, is
-	// each partition's row count in the dataset section a LoadState
-	// staged (nil when the snapshot carries none).
-	registry    *persist.Registry
-	persistMu   sync.Mutex
-	restoreRows []int
-	// persistData opts snapshots into carrying the dataset itself
-	// (PersistDataset); set before serving traffic.
-	persistData bool
+	// SaveState/LoadState against each other.
+	registry  *persist.Registry
+	persistMu sync.Mutex
 	// appendMu serializes batches of arrivals (AppendPartitions) so each
 	// batch's accountant growth and dataset growth assign corresponding
 	// indices; loads holds a batch's counts for the dataset, reused under

@@ -16,12 +16,13 @@
 // millions of rows) without storing rows. A served dataset only grows:
 // once a cache is built over it (Serve), a partition's rows never change,
 // so a window's data is a function of its bounds and a cached release of
-// it never goes stale.
+// it never goes stale. Append is the one way data enters a served
+// dataset, and its checks (CheckAppend) the one validator: a restored
+// snapshot's partitions past the dataset's are appended through it.
 package dataset
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -57,7 +58,7 @@ func (v *view) window(start, end int) (int, error) {
 //
 // The rows are exact only while every sum is an integer below 2^53, so
 // the dataset never holds more than MaxRows rows: a load that would pass
-// it is refused whole, and so is a restored state that does.
+// it is refused whole.
 type Dataset struct {
 	dom *domain.Domain
 	cur atomic.Pointer[view]
@@ -141,17 +142,10 @@ func (ds *Dataset) Append(ready func(first, k int), counts ...[]int) (int, error
 	ds.writeMu.Lock()
 	defer ds.writeMu.Unlock()
 	v := ds.cur.Load()
-	first, total := len(v.sums)-1, v.sums[len(v.sums)-1]
-	for i, c := range counts {
-		if c == nil {
-			continue
-		}
-		n, err := ds.check(first+i, c, total)
-		if err != nil {
-			return 0, err
-		}
-		total += n
+	if err := ds.checkBatch(v, counts); err != nil {
+		return 0, err
 	}
+	first := len(v.sums) - 1
 	next := &view{sums: v.sums, cum: v.cum}
 	for _, c := range counts {
 		last, prev := next.sums[len(next.sums)-1], next.cum[len(next.cum)-1]
@@ -183,6 +177,32 @@ func (ds *Dataset) row() []float64 {
 	row := ds.spare[:bins:bins]
 	ds.spare = ds.spare[bins:]
 	return row
+}
+
+// CheckAppend runs Append's checks on counts without appending anything:
+// it returns the error Append(nil, counts...) would return on the
+// dataset as it is now. A restore stages with it and applies with
+// Append, which nothing can refuse in between while no writer runs.
+func (ds *Dataset) CheckAppend(counts ...[]int) error {
+	return ds.checkBatch(ds.cur.Load(), counts)
+}
+
+// checkBatch validates counts as a batch appended to v: every load fits
+// the domain, holds no negative count, and the batch keeps the dataset
+// within MaxRows.
+func (ds *Dataset) checkBatch(v *view, counts [][]int) error {
+	first, total := len(v.sums)-1, v.sums[len(v.sums)-1]
+	for i, c := range counts {
+		if c == nil {
+			continue
+		}
+		n, err := ds.check(first+i, c, total)
+		if err != nil {
+			return err
+		}
+		total += n
+	}
+	return nil
 }
 
 // check validates counts as a load into partition p of a dataset holding
@@ -265,93 +285,6 @@ func (ds *Dataset) NRows(start, end int) (int, error) {
 func (ds *Dataset) NRowsAll() int {
 	v := ds.cur.Load()
 	return v.sums[len(v.sums)-1]
-}
-
-// PartitionState is the serializable content of one partition.
-type PartitionState struct {
-	Counts []float64
-	N      int
-}
-
-// State is the full serializable content of a dataset, for deployments
-// whose store is in-memory (turbo-server's synthetic builds) rather than
-// an external durable DBMS: the session can carry it as a snapshot
-// section (core.Session.PersistDataset) so applied streaming arrivals
-// survive a restart.
-type State struct {
-	Parts []PartitionState
-}
-
-// ExportState copies the dataset's full content, one count vector per
-// partition (prefix rows differenced back).
-func (ds *Dataset) ExportState() State {
-	v := ds.cur.Load()
-	st := State{Parts: make([]PartitionState, len(v.sums)-1)}
-	for i := range st.Parts {
-		lo, hi := v.cum[i], v.cum[i+1]
-		counts := make([]float64, len(hi))
-		for b := range counts {
-			counts[b] = hi[b] - lo[b]
-		}
-		st.Parts[i] = PartitionState{Counts: counts, N: v.sums[i+1] - v.sums[i]}
-	}
-	return st
-}
-
-// CheckState validates a state against the dataset's domain without
-// mutating anything: every partition has one count per bin, every count
-// is a non-negative integer, each N is the sum of its partition's counts,
-// and the grand total stays within MaxRows — the prefix rows' exactness
-// precondition.
-func (ds *Dataset) CheckState(st State) error {
-	total := 0.0
-	for i, p := range st.Parts {
-		if len(p.Counts) != ds.dom.Size() {
-			return fmt.Errorf("dataset: restored partition %d has %d bins, domain has %d",
-				i, len(p.Counts), ds.dom.Size())
-		}
-		sum := 0.0
-		for bin, c := range p.Counts {
-			if !(c >= 0) || c != math.Trunc(c) {
-				return fmt.Errorf("dataset: restored partition %d has count %g at bin %d, want a non-negative integer", i, c, bin)
-			}
-			sum += c
-		}
-		// An infinite count leaves an infinite sum, which no row count
-		// equals; a sum past MaxRows, rounded or not, fails the total.
-		if float64(p.N) != sum {
-			return fmt.Errorf("dataset: restored partition %d has row count %d, its counts sum to %g", i, p.N, sum)
-		}
-		if total += sum; total > MaxRows {
-			return fmt.Errorf("dataset: restored partitions pass %d rows by partition %d", MaxRows, i)
-		}
-	}
-	return nil
-}
-
-// RestoreState replaces the dataset's partitions with a previously
-// exported state over the same domain, refusing one CheckState refuses
-// before anything changes. A served dataset restores too: a restore runs
-// before its session answers anything, and brings back the cache that
-// was kept over the same state.
-func (ds *Dataset) RestoreState(st State) error {
-	if err := ds.CheckState(st); err != nil {
-		return err
-	}
-	next := &view{sums: make([]int, len(st.Parts)+1), cum: make([][]float64, len(st.Parts)+1)}
-	next.cum[0] = make([]float64, ds.dom.Size())
-	for i, p := range st.Parts {
-		next.sums[i+1] = next.sums[i] + p.N
-		row := make([]float64, len(p.Counts))
-		for b, c := range p.Counts {
-			row[b] = next.cum[i][b] + c
-		}
-		next.cum[i+1] = row
-	}
-	ds.writeMu.Lock()
-	ds.cur.Store(next)
-	ds.writeMu.Unlock()
-	return nil
 }
 
 // TrueFraction executes q without DP over partitions [start, end],

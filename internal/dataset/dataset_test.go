@@ -114,21 +114,31 @@ func TestIngestValidation(t *testing.T) {
 	}
 	// A refused append is refused whole: no partition of its batch is
 	// published, the valid ones before the bad one included.
-	before := ds.ExportState()
+	before := countsOf(ds)
 	if _, err := ds.Append(nil, make([]int, 8), []int{1, 2}); err == nil {
 		t.Error("short append accepted")
 	}
 	if _, err := ds.Append(nil, nil, append(make([]int, 7), -1)); err == nil {
 		t.Error("negative append count accepted")
 	}
-	if ds.Partitions() != 1 || !reflect.DeepEqual(ds.ExportState(), before) {
+	if err := ds.CheckAppend(make([]int, 8), []int{1, 2}); err == nil {
+		t.Error("CheckAppend passed a short load")
+	}
+	if err := ds.CheckAppend(nil, append(make([]int, 7), -1)); err == nil {
+		t.Error("CheckAppend passed a negative count")
+	}
+	if err := ds.CheckAppend(nil, make([]int, 8)); err != nil {
+		t.Errorf("CheckAppend refused a valid batch: %v", err)
+	}
+	if ds.Partitions() != 1 || !reflect.DeepEqual(countsOf(ds), before) {
 		t.Errorf("refused appends changed the dataset: %d partitions", ds.Partitions())
 	}
 }
 
 // TestLoadsRefusedPastMaxRows: a load that would take the dataset past
 // MaxRows — one count, or counts that pass it together — is refused whole,
-// so the prefix rows stay exact and an exported state still restores.
+// by Append and CheckAppend alike, so the prefix rows stay exact and a
+// full dataset's counts still append into an empty one.
 func TestLoadsRefusedPastMaxRows(t *testing.T) {
 	ds := New(dom(), 2)
 	over := make([]int, 8)
@@ -142,7 +152,7 @@ func TestLoadsRefusedPastMaxRows(t *testing.T) {
 	if err := ds.BulkLoad(0, []int{MaxRows - 10, 0, 0, 0, 0, 0, 0, 4}); err != nil {
 		t.Fatal(err)
 	}
-	before := ds.ExportState()
+	before := partsOf(ds)
 	bin := ds.Domain().Encode([]int{0, 2})
 	if err := addCount(ds, 1, bin, 7); err == nil {
 		t.Fatal("count passing MaxRows accepted")
@@ -155,17 +165,20 @@ func TestLoadsRefusedPastMaxRows(t *testing.T) {
 	if _, err := ds.Append(nil, wide); err == nil {
 		t.Fatal("append passing MaxRows accepted")
 	}
+	if err := ds.CheckAppend(nil, wide); err == nil {
+		t.Fatal("CheckAppend passed a batch passing MaxRows")
+	}
 	if ds.NRowsAll() != MaxRows-6 || ds.Partitions() != 2 {
 		t.Fatalf("refused loads changed the dataset: %d rows in %d partitions", ds.NRowsAll(), ds.Partitions())
 	}
-	for i, p := range ds.ExportState().Parts {
+	for i, p := range partsOf(ds) {
 		for bin, c := range p.Counts {
-			if c != before.Parts[i].Counts[bin] || p.N != before.Parts[i].N {
+			if c != before[i].Counts[bin] || p.N != before[i].N {
 				t.Fatalf("refused loads changed partition %d", i)
 			}
 		}
 	}
-	// Filling to exactly MaxRows is allowed, and the result restores.
+	// Filling to exactly MaxRows is allowed, and the result rebuilds.
 	if err := addCount(ds, 1, bin, 6); err != nil {
 		t.Fatal(err)
 	}
@@ -178,18 +191,18 @@ func TestLoadsRefusedPastMaxRows(t *testing.T) {
 		t.Fatalf("window over the last partition: %g, %v", got, err)
 	}
 	twin := New(dom(), 0)
-	if err := twin.RestoreState(ds.ExportState()); err != nil {
-		t.Fatalf("a full dataset's state does not restore: %v", err)
+	if _, err := twin.Append(nil, countsOf(ds)...); err != nil {
+		t.Fatalf("a full dataset's counts do not append: %v", err)
 	}
 	if twin.NRowsAll() != MaxRows {
-		t.Fatalf("restored %d rows, want %d", twin.NRowsAll(), MaxRows)
+		t.Fatalf("rebuilt %d rows, want %d", twin.NRowsAll(), MaxRows)
 	}
 }
 
 // TestServedDatasetOnlyGrows: once a cache serves the dataset, BulkLoad
 // into any of its partitions is refused and changes nothing, while
-// Append still grows it and RestoreState still replaces it. The same
-// load into a dataset no cache serves is accepted.
+// Append still grows it. The same load into a dataset no cache serves is
+// accepted.
 func TestServedDatasetOnlyGrows(t *testing.T) {
 	load := make([]int, dom().Size())
 	load[3] = 5
@@ -202,20 +215,17 @@ func TestServedDatasetOnlyGrows(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds.Serve()
-	before := ds.ExportState()
+	before := countsOf(ds)
 	for p := range 2 {
 		if err := ds.BulkLoad(p, load); err == nil || !strings.Contains(err.Error(), "served") {
 			t.Fatalf("load into served partition %d: %v, want a refusal", p, err)
 		}
 	}
-	if got := ds.ExportState(); !reflect.DeepEqual(got, before) {
+	if got := countsOf(ds); !reflect.DeepEqual(got, before) {
 		t.Fatalf("refused loads changed the dataset: %+v, want %+v", got, before)
 	}
 	if p, err := ds.Append(nil, load); err != nil || p != 2 || ds.NRowsAll() != 10 {
 		t.Fatalf("append to a served dataset: partition %d, %v, %d rows", p, err, ds.NRowsAll())
-	}
-	if err := ds.RestoreState(before); err != nil || ds.Partitions() != 2 || ds.NRowsAll() != 5 {
-		t.Fatalf("restore into a served dataset: %v, %d partitions, %d rows", err, ds.Partitions(), ds.NRowsAll())
 	}
 }
 

@@ -33,7 +33,7 @@ func TestReadsRaceCopyOnWriteLoads(t *testing.T) {
 	// steps[k] mutates ds; models[k] is the content after the first k.
 	type step func() error
 	var steps []step
-	models := [][]PartitionState{ds.ExportState().Parts}
+	models := [][]PartitionState{partsOf(ds)}
 	advance := func(s step, edit func([]PartitionState) []PartitionState) {
 		prev := models[len(models)-1]
 		next := make([]PartitionState, len(prev))

@@ -11,7 +11,7 @@
 // Snapshotter and contributes one named section; the envelope carries
 // them behind a magic header and a format version.
 //
-// # Envelope format (v6)
+// # Envelope format (v7)
 //
 //	offset 0: magic "TURBOSNP" (8 bytes, raw)
 //	offset 8: format version (uint32, big-endian)
@@ -29,10 +29,14 @@
 // One version is read: the one written. v1 (a raw gob stream), v2 (gob,
 // gzip-compressed), v3 (this envelope, whose sections still carried
 // data versions and the cache's stripe blocks), v4 (whose cache entries
-// still carried the ε each release was paid at) and v5 (whose cache values
+// still carried the ε each release was paid at), v5 (whose cache values
 // were byte strings in a tagged 9-byte codec, where v6 writes the float64)
-// are refused with ErrBadVersion naming both versions, so a file from an
-// older build is refused whole rather than half-restored.
+// and v6 (whose dataset section was optional, its counts floats beside a
+// row count, and whose meta section listed every partition's rows, where
+// v7 always writes the dataset as uvarint counts) are refused with
+// ErrBadVersion naming both versions, so a file from an older build is
+// refused whole rather than half-restored. Every registered section is
+// required: a snapshot lacking one is ErrMissingSection.
 package persist
 
 import (
@@ -53,7 +57,7 @@ const magic = "TURBOSNP"
 // FormatVersion is the envelope format this build writes and the only one
 // it reads. Sections carry no version of their own, so a change to any
 // section's layout bumps it.
-const FormatVersion uint32 = 6
+const FormatVersion uint32 = 7
 
 // Typed envelope errors: LoadState callers (and the HTTP /restore
 // endpoint) branch on these instead of string-matching decode failures.
@@ -94,23 +98,13 @@ type Snapshotter interface {
 	// SnapshotSection returns the layer's unique section tag
 	// (conventionally "layer/detail", e.g. "accountant/block").
 	SnapshotSection() string
-	// SnapshotPayload encodes the layer's current state. An optional
-	// section (see OptionalSection) may return nil to omit itself from
-	// the snapshot entirely.
+	// SnapshotPayload encodes the layer's current state.
 	SnapshotPayload() []byte
 	// StagePayload decodes a previously-encoded payload and checks
 	// everything about it, changing nothing, and returns the apply that
 	// puts it in place. The apply cannot fail: Load runs it only once
 	// every section has staged.
 	StagePayload(payload []byte) (apply func(), err error)
-}
-
-// OptionalSection marks a Snapshotter whose section may legitimately be
-// absent from a snapshot (e.g. a session's dataset, written only by
-// sessions that opted into carrying it, so snapshots without it restore
-// anywhere).
-type OptionalSection interface {
-	SnapshotOptional() bool
 }
 
 // Writer writes a snapshot envelope section by section.
@@ -159,34 +153,33 @@ func (w *Writer) Close() error {
 }
 
 // ReadSections validates the envelope header and reads every section,
-// returning payloads by name plus the on-stream order. It fails with
-// ErrBadMagic, ErrBadVersion, ErrTruncated, or ErrDuplicateSection.
-func ReadSections(r io.Reader) (map[string][]byte, []string, error) {
+// returning payloads by name. It fails with ErrBadMagic, ErrBadVersion,
+// ErrTruncated, or ErrDuplicateSection.
+func ReadSections(r io.Reader) (map[string][]byte, error) {
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(r, head); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			// Too short to even carry the magic: not a snapshot.
-			return nil, nil, ErrBadMagic
+			return nil, ErrBadMagic
 		}
 		// A genuine read failure is not a verdict about the content.
-		return nil, nil, fmt.Errorf("persist: read snapshot header: %w", err)
+		return nil, fmt.Errorf("persist: read snapshot header: %w", err)
 	}
 	if string(head) != magic {
-		return nil, nil, ErrBadMagic
+		return nil, ErrBadMagic
 	}
 	if _, err := io.ReadFull(r, head[:4]); err != nil {
-		return nil, nil, fmt.Errorf("%w: header ends before format version", ErrTruncated)
+		return nil, fmt.Errorf("%w: header ends before format version", ErrTruncated)
 	}
 	if version := binary.BigEndian.Uint32(head); version != FormatVersion {
-		return nil, nil, fmt.Errorf("%w: snapshot is v%d, this build reads v%d", ErrBadVersion, version, FormatVersion)
+		return nil, fmt.Errorf("%w: snapshot is v%d, this build reads v%d", ErrBadVersion, version, FormatVersion)
 	}
 	gz, err := gzip.NewReader(r)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: compressed stream ends before its header (%v)", ErrTruncated, err)
+		return nil, fmt.Errorf("%w: compressed stream ends before its header (%v)", ErrTruncated, err)
 	}
 	br := bufio.NewReader(gz)
 	payloads := make(map[string][]byte)
-	var order []string
 	for {
 		name, err := readChunk(br)
 		var payload []byte
@@ -196,22 +189,21 @@ func ReadSections(r io.Reader) (map[string][]byte, []string, error) {
 		if err != nil {
 			// Any failure before the end marker — io.EOF included — means
 			// the stream stopped mid-snapshot.
-			return nil, nil, fmt.Errorf("%w: stream ends before the end marker (%v)", ErrTruncated, err)
+			return nil, fmt.Errorf("%w: stream ends before the end marker (%v)", ErrTruncated, err)
 		}
 		if len(name) == 0 {
 			// Drain the compression layer: the end marker can arrive from a
 			// stream cut before the gzip trailer, and only the trailer's
 			// checksum proves the snapshot arrived whole.
 			if _, err := br.ReadByte(); !errors.Is(err, io.EOF) {
-				return nil, nil, fmt.Errorf("%w: compressed stream ends before its trailer (%v)", ErrTruncated, err)
+				return nil, fmt.Errorf("%w: compressed stream ends before its trailer (%v)", ErrTruncated, err)
 			}
-			return payloads, order, nil
+			return payloads, nil
 		}
 		if _, dup := payloads[string(name)]; dup {
-			return nil, nil, fmt.Errorf("%w: %q", ErrDuplicateSection, name)
+			return nil, fmt.Errorf("%w: %q", ErrDuplicateSection, name)
 		}
 		payloads[string(name)] = payload
-		order = append(order, string(name))
 	}
 }
 
@@ -261,15 +253,8 @@ func (r *Registry) Register(s Snapshotter) {
 	r.byName[name] = s
 }
 
-// optional reports whether a Snapshotter's section may be absent.
-func optional(s Snapshotter) bool {
-	o, ok := s.(OptionalSection)
-	return ok && o.SnapshotOptional()
-}
-
-// Capture writes one section per registered layer. An optional layer
-// returning a nil payload is omitted. Encoding a payload cannot fail, so
-// Capture fails only on w's errors.
+// Capture writes one section per registered layer. Encoding a payload
+// cannot fail, so Capture fails only on w's errors.
 //
 // Sections are CAPTURED in reverse registration order — machinery state
 // (caches, histograms: the released results) before the accountants —
@@ -289,12 +274,7 @@ func (r *Registry) Capture(w io.Writer) error {
 	}
 	for i := len(r.order) - 1; i >= 0; i-- {
 		s := r.order[i]
-		name := s.SnapshotSection()
-		payload := s.SnapshotPayload()
-		if payload == nil && optional(s) {
-			continue
-		}
-		if err := sw.WriteSection(name, payload); err != nil {
+		if err := sw.WriteSection(s.SnapshotSection(), s.SnapshotPayload()); err != nil {
 			return err
 		}
 	}
@@ -304,12 +284,12 @@ func (r *Registry) Capture(w io.Writer) error {
 // Load reads a snapshot and restores every registered layer from its
 // section, all or nothing: it stages every section, in registration order
 // regardless of on-stream order, before it applies any. A section with no
-// registered owner is ErrUnknownSection; a registered non-optional layer
-// with no section is ErrMissingSection; a section its layer refuses to
+// registered owner is ErrUnknownSection; a registered layer with no
+// section is ErrMissingSection; a section its layer refuses to
 // stage is a SectionError naming it. Each of those leaves every layer as
 // it was.
 func (r *Registry) Load(rd io.Reader) error {
-	payloads, _, err := ReadSections(rd)
+	payloads, err := ReadSections(rd)
 	if err != nil {
 		return err
 	}
@@ -323,10 +303,7 @@ func (r *Registry) Load(rd io.Reader) error {
 		name := s.SnapshotSection()
 		payload, ok := payloads[name]
 		if !ok {
-			if !optional(s) {
-				return fmt.Errorf("%w: %q", ErrMissingSection, name)
-			}
-			continue
+			return fmt.Errorf("%w: %q", ErrMissingSection, name)
 		}
 		apply, err := s.StagePayload(payload)
 		if err != nil {

@@ -18,7 +18,6 @@ import (
 type fakeLayer struct {
 	name    string
 	state   []byte
-	opt     bool
 	loadErr error
 }
 
@@ -30,7 +29,6 @@ func (f *fakeLayer) StagePayload(p []byte) (func(), error) {
 	}
 	return func() { f.state = append([]byte(nil), p...) }, nil
 }
-func (f *fakeLayer) SnapshotOptional() bool { return f.opt }
 
 func TestRoundTrip(t *testing.T) {
 	a := &fakeLayer{name: "a", state: []byte("alpha")}
@@ -70,13 +68,13 @@ func TestBadMagic(t *testing.T) {
 // TestBadVersion: every version but the one written is refused before
 // anything past the header is read, by an error naming both versions — the
 // v1 and v2 envelopes of older builds (raw and gzip-compressed gob) and
-// the v3, v4 and v5 ones of the builds before included.
+// the v3, v4, v5 and v6 ones of the builds before included.
 func TestBadVersion(t *testing.T) {
-	for _, version := range []uint32{1, 2, 3, 4, 5, 7, 99} {
+	for _, version := range []uint32{1, 2, 3, 4, 5, 6, 8, 99} {
 		input := binary.BigEndian.AppendUint32([]byte(magic), version)
 		input = append(input, gzipped(t, []byte("a gob stream"))...)
-		_, _, err := ReadSections(bytes.NewReader(input))
-		want := fmt.Sprintf("snapshot is v%d, this build reads v6", version)
+		_, err := ReadSections(bytes.NewReader(input))
+		want := fmt.Sprintf("snapshot is v%d, this build reads v7", version)
 		if !errors.Is(err, ErrBadVersion) || !strings.Contains(err.Error(), want) {
 			t.Fatalf("v%d: err = %v, want ErrBadVersion saying %q", version, err, want)
 		}
@@ -110,7 +108,7 @@ func TestHugeLengthRefusedWithoutAllocating(t *testing.T) {
 		input = append(input, gzipped(t, frames)...)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, err := ReadSections(bytes.NewReader(input))
+		_, err := ReadSections(bytes.NewReader(input))
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, ErrTruncated) {
 			t.Fatalf("%s: err = %v, want ErrTruncated", name, err)
@@ -164,32 +162,6 @@ func TestUnknownAndMissingSections(t *testing.T) {
 	withC.Register(&fakeLayer{name: "c"})
 	if err := withC.Load(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrMissingSection) {
 		t.Fatalf("err = %v, want ErrMissingSection", err)
-	}
-
-	// Unless "c" is optional, in which case it is skipped.
-	withOptC := NewRegistry()
-	withOptC.Register(&fakeLayer{name: "a"})
-	withOptC.Register(&fakeLayer{name: "b"})
-	withOptC.Register(&fakeLayer{name: "c", opt: true})
-	if err := withOptC.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOptionalNilPayloadOmitted(t *testing.T) {
-	reg := NewRegistry()
-	reg.Register(&fakeLayer{name: "a", state: []byte("alpha")})
-	reg.Register(&fakeLayer{name: "idle", opt: true}) // nil payload
-	var buf bytes.Buffer
-	if err := reg.Capture(&buf); err != nil {
-		t.Fatal(err)
-	}
-	_, order, err := ReadSections(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 1 || order[0] != "a" {
-		t.Fatalf("sections = %v, want [a]", order)
 	}
 }
 

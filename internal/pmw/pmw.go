@@ -128,9 +128,6 @@ type Config struct {
 	// Heuristic routes queries; nil defaults to Turbo's adaptive per-bin
 	// heuristic with (C0=100, S0=5), the paper's Covid configuration.
 	Heuristic heuristic.Heuristic
-	// Epsilon overrides the calibrated per-query budget when positive;
-	// otherwise ε = 4ln(1/β)/(nα).
-	Epsilon float64
 }
 
 func (c *Config) validate() error {
@@ -198,10 +195,7 @@ func New(cfg Config, exec Executor, payer Payer, rng *noise.Rng) (*PMW, error) {
 	if exec == nil || payer == nil || rng == nil {
 		return nil, errors.New("pmw: nil executor, payer, or rng")
 	}
-	eps := cfg.Epsilon
-	if eps <= 0 {
-		eps = noise.EpsilonForAccuracy(cfg.Alpha, cfg.Beta, cfg.N)
-	}
+	eps := noise.EpsilonForAccuracy(cfg.Alpha, cfg.Beta, cfg.N)
 	if cfg.LR == nil {
 		cfg.LR = Constant(TheoreticalLR(cfg.Alpha))
 	}

@@ -60,10 +60,7 @@ func newFixture(t *testing.T, cfgMut func(*Config), global float64) *fixture {
 	if cfgMut != nil {
 		cfgMut(&cfg)
 	}
-	eps := cfg.Epsilon
-	if eps <= 0 {
-		eps = noise.EpsilonForAccuracy(cfg.Alpha, cfg.Beta, cfg.N)
-	}
+	eps := noise.EpsilonForAccuracy(cfg.Alpha, cfg.Beta, cfg.N)
 	p, err := New(cfg,
 		RangeExecutor{Exec: exec, Start: 0, End: 0},
 		LaplacePayer(filt, eps),
@@ -107,7 +104,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	f := newFixture(t, func(c *Config) { c.LR = nil; c.Heuristic = nil; c.Epsilon = 0 }, 1000)
+	f := newFixture(t, func(c *Config) { c.LR = nil; c.Heuristic = nil }, 1000)
 	if f.pmw.Epsilon() != noise.EpsilonForAccuracy(0.05, 0.001, f.ds.NRowsAll()) {
 		t.Fatal("default epsilon not calibrated")
 	}

@@ -142,11 +142,6 @@ func New(sess *core.Session, table string) (*Server, error) {
 			return nil, err
 		}
 		srv.ing = ing
-		// The server's store is in-memory and /append grows it, so
-		// snapshots must carry the dataset itself: without it, a
-		// /snapshot taken after any append could never restore into a
-		// freshly-booted twin (its rebuilt dataset would be smaller).
-		sess.PersistDataset()
 	}
 	return srv, nil
 }

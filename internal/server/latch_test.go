@@ -8,8 +8,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -189,10 +191,11 @@ func TestRestoreRacesTraffic(t *testing.T) {
 // replaced by garbage.
 func corruptSnapshot(t *testing.T, raw []byte, section string) []byte {
 	t.Helper()
-	payloads, order, err := persist.ReadSections(bytes.NewReader(raw))
+	payloads, err := persist.ReadSections(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
+	order := slices.Sorted(maps.Keys(payloads))
 	var buf bytes.Buffer
 	w, err := persist.NewWriter(&buf)
 	if err != nil {
