@@ -13,10 +13,12 @@
 // (its /appends are appended again), so a snapshot whose first partitions
 // differ from the boot's by one count is refused. A file this build
 // cannot restore — a foreign dataset, or an older build's snapshot format —
-// stops the boot with a non-zero exit and is left as it was. GET /snapshot exposes the same envelope over HTTP,
-// and POST /restore loads one into a server that has not yet served:
-// the first analyst request closes that window (a later restore is 409),
-// and a refused restore leaves the server as it was.
+// stops the boot with a non-zero exit and is left as it was. GET /snapshot
+// exposes the same envelope over HTTP, and POST /restore loads one into a
+// server whose session has not yet served: a session restores once, so the
+// first statement or /append, or a restore that succeeded — the boot's
+// -state one included — closes that window (a later restore is 409), and
+// a refused restore leaves the server as it was.
 //
 // -addr is HOST:PORT, HOST an IP address, localhost or empty: the binary
 // is static and resolves no names, so another one stops the boot.
@@ -138,8 +140,7 @@ func main() {
 			if loadErr != nil {
 				log.Fatalf("turbo-server: restore %s: %v", *statePath, loadErr)
 			}
-			fmt.Printf("restored state from %s (%d queries served, avg spent %.4g)\n",
-				*statePath, sess.Queries(), sess.AverageSpent())
+			fmt.Printf("restored state from %s (avg spent %.4g)\n", *statePath, sess.AverageSpent())
 		} else if !os.IsNotExist(err) {
 			log.Fatal(err)
 		}
@@ -150,9 +151,9 @@ func main() {
 	// shutdown checkpoint). A failed periodic checkpoint is logged and
 	// retried next tick — SaveState never mutates, so a failure cannot
 	// poison the session, and the atomic write discipline means a crash
-	// mid-checkpoint never tears the previous good snapshot. Both
-	// checkpoint paths go through the server, whose latch keeps a capture
-	// from interleaving with a POST /restore.
+	// mid-checkpoint never tears the previous good snapshot. A capture
+	// holds the session's state lock, so it never interleaves with a POST
+	// /restore or an /append.
 	ckptStop := make(chan struct{})
 	ckptDone := make(chan struct{})
 	if *ckptEvery > 0 {
@@ -164,7 +165,7 @@ func main() {
 				select {
 				case <-ticker.C:
 					if err := persist.WriteFileAtomic(*statePath, func(w io.Writer) error {
-						return srv.SaveState(w)
+						return sess.SaveState(w)
 					}); err != nil {
 						log.Printf("turbo-server: periodic checkpoint: %v (will retry)", err)
 						continue
@@ -222,7 +223,7 @@ func main() {
 	<-ckptDone
 	if *statePath != "" {
 		if err := persist.WriteFileAtomic(*statePath, func(w io.Writer) error {
-			return srv.SaveState(w)
+			return sess.SaveState(w)
 		}); err != nil {
 			log.Fatalf("turbo-server: checkpoint: %v", err)
 		}

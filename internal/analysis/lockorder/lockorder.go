@@ -10,12 +10,16 @@
 //
 // The documented order (outermost first):
 //
-//	core.Session.persistMu < core.Session.appendMu
+//	core.Session.appendMu
 //	  < dataset.Dataset.writeMu
 //	  < { core.Session.singleMu , tree.Tree.mu }
 //	  < accountant.Block.mu
 //	  < store.Mem.mu
 //	  < store.pageSet.mu
+//
+// core.Session.appendMu is the session's one state lock: appends,
+// snapshot captures, restores and the closing of the restore window take
+// it, and nothing else is held when they do.
 //
 // accountant.Block.mu is the accountant package's only mutex: one set of
 // books, one lock, nothing to nest inside the package. It is a leaf —
@@ -66,7 +70,6 @@ var Analyzer = &analysis.Analyzer{
 // documented partial order (lower = acquired first / outermost). Tests
 // substitute a fixture table.
 var Ranks = map[string]int{
-	"core.Session.persistMu":  10,
 	"core.Session.appendMu":   20,
 	"dataset.Dataset.writeMu": 25,
 	"core.Session.singleMu":   30,

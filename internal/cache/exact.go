@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/persist"
 	"repro/internal/query"
@@ -48,14 +47,13 @@ const sectionName = "cache/session-exact"
 
 // Exact is an exact-match cache backed by a store.Backend (the
 // prototype's Redis role): the store holds every release once, a float64
-// under its key (its cost is in the accountant's books), and Exact adds
-// the hit and miss counters. It is safe for concurrent use and holds no
-// lock of its own: the backend serializes its own access, so the pipeline
-// probes the cache without holding any execution lock.
+// under its key (its cost is in the accountant's books). Each Lookup is
+// one store Get and nothing else reads the store, so the store's hit and
+// miss counters are the cache's. It is safe for concurrent use and holds
+// no lock of its own: the backend serializes its own access, so the
+// pipeline probes the cache without holding any execution lock.
 type Exact struct {
 	store store.Backend
-
-	hits, misses atomic.Int64
 }
 
 // NewExact creates an exact cache that owns backend b. A nil backend is
@@ -85,13 +83,7 @@ func (c *Exact) Get(q *query.Query, _ int) (float64, bool) {
 // store Get, which allocates nothing. key is only read during the call,
 // so a caller may pass a view of a buffer it reuses.
 func (c *Exact) Lookup(key string) (float64, bool) {
-	v, ok := c.store.Get(key)
-	if !ok {
-		c.misses.Add(1)
-		return 0, false
-	}
-	c.hits.Add(1)
-	return v, true
+	return c.store.Get(key)
 }
 
 // Put stores a freshly-computed DP result under q's key, replacing
@@ -176,9 +168,10 @@ func (c *Exact) StagePayload(payload []byte) (func(), error) {
 	}, nil
 }
 
-// Stats returns hit and miss counts.
+// Stats returns hit and miss counts: the store's Get outcomes.
 func (c *Exact) Stats() (hits, misses int) {
-	return int(c.hits.Load()), int(c.misses.Load())
+	st := c.store.Stats()
+	return int(st.Hits), int(st.Misses)
 }
 
 // HitRate returns hits/(hits+misses), or 0 before any lookup.

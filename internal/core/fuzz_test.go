@@ -93,7 +93,7 @@ func allocatedDuring(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// FuzzSnapshot checks the v7 snapshot both ways over sessions driven by
+// FuzzSnapshot checks the v8 snapshot both ways over sessions driven by
 // the input. Random state encodes and decodes to equal state: the
 // snapshot restores into a fresh session whose own snapshot is the same
 // bytes. Damage refuses, never panics: any section payload cut short is a

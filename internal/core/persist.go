@@ -14,10 +14,10 @@
 //
 // Sparse-vector state is intentionally not persisted: a restored session
 // re-initializes SVs on first use (one init payment per SV), which is
-// always safe. Restoring runs before the new session serves anything:
-// that is LoadState's precondition, not a protocol it enforces against
-// concurrent traffic, and an HTTP server keeps it with its own boot
-// latch (internal/server/httpd).
+// always safe. A restore runs once, before the session serves: the
+// session's restore window closes at its first Lookup, AnswerPlan or
+// AppendPartitions and at a successful LoadState, and LoadState refuses
+// once it has closed (ErrAlreadyServing).
 
 package core
 
@@ -33,19 +33,18 @@ import (
 	"repro/internal/tree"
 )
 
-// ErrAlreadyServing reports a LoadState attempted after the session
-// answered queries; restore only targets fresh sessions.
-var ErrAlreadyServing = errors.New("core: LoadState after queries were served")
+// ErrAlreadyServing reports a LoadState after the session's restore
+// window closed: it began serving, or an earlier restore succeeded.
+var ErrAlreadyServing = errors.New("core: restore after the session began serving")
 
 // SaveState serializes the session's caching and accounting state as a
-// persist envelope: one section per registered layer, with no arrival
-// mid-application for the duration. The image is fully
-// consistent when no queries are in flight; concurrent answers at worst
-// skew late sections the way any external observer could (and only in
-// the conservative direction — see persist.Registry.Capture).
+// persist envelope: one section per registered layer, under appendMu, so
+// no arrival or restore is mid-application for the duration. The image is
+// fully consistent when no queries are in flight; concurrent answers at
+// worst skew late sections the way any external observer could (and only
+// in the conservative direction — see persist.Registry.Capture). A
+// capture does not close the restore window.
 func (s *Session) SaveState(w io.Writer) error {
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
 	// Hold the arrival mutex for the whole capture: an AppendPartitions
 	// racing it would otherwise leave the snapshot's accountant and
 	// dataset sections disagreeing on the partition count — a checkpoint
@@ -62,23 +61,24 @@ func (s *Session) SaveState(w io.Writer) error {
 // LoadState restores previously saved state into a freshly-created
 // session with the same configuration over a prefix of the snapshot's
 // dataset: the snapshot's first partitions must be the session's, bin for
-// bin, and the rest are appended (datasetSection). It must run before the
-// session serves anything: no Answer, AnswerBatch or AppendPartitions may
-// run concurrently with it, and a session that already answered refuses with
-// ErrAlreadyServing. Envelope and section failures surface as typed
-// errors (persist.ErrBadMagic, persist.ErrTruncated, *persist.SectionError
+// bin, and the rest are appended (datasetSection). It runs once, before
+// the session serves: once the restore window has closed it refuses with
+// ErrAlreadyServing, and a request that arrives while it runs waits for
+// it (appendMu). Envelope and section failures surface as typed errors
+// (persist.ErrBadMagic, persist.ErrTruncated, *persist.SectionError
 // naming the offending section, ...). Every section stages before any
-// applies, so a refused load leaves the session as it was: it serves as
-// if no restore had been tried.
+// applies, so a refused load leaves the session as it was, its window
+// open; a successful one closes it.
 func (s *Session) LoadState(r io.Reader) error {
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	if s.Queries() > 0 {
+	s.appendMu.Lock()
+	defer s.appendMu.Unlock()
+	if s.serving.Load() {
 		return ErrAlreadyServing
 	}
 	if err := s.registry.Load(r); err != nil {
 		return fmt.Errorf("core: load state: %w", err)
 	}
+	s.serving.Store(true)
 	return nil
 }
 
@@ -109,7 +109,7 @@ func (d datasetSection) SnapshotPayload() []byte {
 // for bin — a served partition never changes, so another count is
 // another dataset, on which the snapshot's releases would be stale — and
 // the rest are checked as the Append the apply makes (CheckAppend), which
-// no writer can race: a restore runs before the session serves. The block
+// no writer can race: LoadState holds appendMu. The block
 // stages next, and its ledger must cover every partition the restore
 // leaves (ExpectPartitions).
 func (d datasetSection) StagePayload(payload []byte) (func(), error) {
@@ -159,9 +159,9 @@ func (d datasetSection) StagePayload(payload []byte) (func(), error) {
 
 // buildRegistry assembles the session's snapshot sections in stage and
 // apply order: identity first (validation-only, so its refusal names the
-// configuration field that differs), then the dataset, the counters
-// (meta) and the accountant, whose ledger must cover the partitions the
-// dataset's stage leaves, then caches and histogram machinery. Every
+// configuration field that differs), then the dataset and the
+// accountant, whose ledger must cover the partitions the dataset's stage
+// leaves, then caches and histogram machinery. Every
 // section stages before any applies, so a snapshot whose configuration,
 // data, accounting, caches or histograms this session can never accept
 // is a refusal that leaves the session as it was.
@@ -169,7 +169,6 @@ func (s *Session) buildRegistry() {
 	s.registry = persist.NewRegistry()
 	s.registry.Register(identitySection{s})
 	s.registry.Register(datasetSection{s})
-	s.registry.Register(metaSection{s})
 	s.registry.Register(s.block)
 	s.registry.Register(s.exact)
 	if s.single != nil {
@@ -269,75 +268,6 @@ func (m identitySection) check(payload []byte) error {
 	return nil
 }
 
-// metaSection adapts the session's counters into a persist.Snapshotter.
-// Its "core/meta" payload: the query and dedup counters, then the count
-// of per-source counters and each one's source name and count, in Sources
-// order so the payload encodes deterministically (snapshotdet;
-// TestSnapshotBytesDeterministic).
-type metaSection struct{ s *Session }
-
-// SnapshotSection implements persist.Snapshotter.
-func (m metaSection) SnapshotSection() string { return "core/meta" }
-
-// SnapshotPayload captures the counters.
-func (m metaSection) SnapshotPayload() []byte {
-	s := m.s
-	counts := s.SourceCounts()
-	var e persist.Encoder
-	e.PutInt(s.Queries())
-	e.PutInt(s.Deduped())
-	e.PutUvarint(uint64(len(counts)))
-	// Sources is in fixed order, so the payload is byte-stable.
-	for _, src := range Sources {
-		if v, ok := counts[src]; ok {
-			e.PutString(string(src))
-			e.PutInt(v)
-		}
-	}
-	return e.Payload()
-}
-
-// StagePayload implements persist.Snapshotter: the counters must be
-// counts, at most one for each Source this build answers from; the apply
-// restores them.
-func (m metaSection) StagePayload(payload []byte) (func(), error) {
-	s := m.s
-	d := persist.NewDecoder(payload)
-	queries, deduped := d.Int(), d.Int()
-	least := min(queries, deduped)
-	n := d.Count(2)
-	bySource := make(map[Source]int, n)
-	for range n {
-		src, count := Source(d.Bytes()), d.Int()
-		if d.Err() != nil {
-			break
-		}
-		if _, ok := sourceIndex[src]; !ok {
-			return nil, fmt.Errorf("core: snapshot counts answers from unknown source %q", src)
-		}
-		if _, dup := bySource[src]; dup {
-			return nil, fmt.Errorf("core: snapshot counts source %q twice", src)
-		}
-		bySource[src] = count
-		least = min(least, count)
-	}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	if least < 0 {
-		// A negative query count would let a later LoadState pass the
-		// ErrAlreadyServing check on a session that has answered.
-		return nil, fmt.Errorf("core: snapshot counter %d is negative", least)
-	}
-	return func() {
-		s.queries.Store(int64(queries))
-		s.deduped.Store(int64(deduped))
-		for src, count := range bySource {
-			s.bySrc[sourceIndex[src]].Store(int64(count))
-		}
-	}, nil
-}
-
 // singleSection adapts the single PMW-Bypass into a persist.Snapshotter.
 type singleSection struct{ s *Session }
 
@@ -365,9 +295,9 @@ func (p singleSection) SnapshotPayload() []byte {
 }
 
 // StagePayload implements persist.Snapshotter: it checks everything the
-// warm start needs — a fresh PMW, a normalized histogram over the domain
-// and, for an adaptive heuristic, one threshold per bin — and the apply
-// warm-starts the PMW from the snapshot.
+// warm start needs — a normalized histogram over the domain and, for an
+// adaptive heuristic, one threshold per bin — and the apply warm-starts
+// the PMW from the snapshot.
 func (p singleSection) StagePayload(payload []byte) (func(), error) {
 	s := p.s
 	d := persist.NewDecoder(payload)
@@ -385,19 +315,15 @@ func (p singleSection) StagePayload(payload []byte) (func(), error) {
 		return nil, fmt.Errorf("core: snapshot histogram size %d != domain %d", h.Size(), size)
 	}
 	s.singleMu.Lock()
-	served := s.single.Stats().Queries
 	ap, adaptive := s.single.Heuristic().(*heuristic.AdaptivePerBin)
 	s.singleMu.Unlock()
-	if served > 0 {
-		return nil, errors.New("core: pmw restore after queries were served")
-	}
 	if adaptive && thresholds != nil && len(thresholds) != size {
 		return nil, fmt.Errorf("core: snapshot threshold length %d != domain %d", len(thresholds), size)
 	}
 	return func() {
 		s.singleMu.Lock()
 		defer s.singleMu.Unlock()
-		_ = s.single.WarmStart(h, nil) // its refusals are the checks above
+		_ = s.single.WarmStart(h, nil) // its refusals are the checks above, and the restore window's for a PMW that answered
 		if adaptive && thresholds != nil {
 			ap.SetThresholds(thresholds)
 		}

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -55,8 +54,8 @@ func TestSaveLoadNonPartitioned(t *testing.T) {
 	if s2.AverageSpent() != s1.AverageSpent() {
 		t.Fatalf("restored spend %g != original %g", s2.AverageSpent(), s1.AverageSpent())
 	}
-	if s2.Queries() != s1.Queries() {
-		t.Fatalf("restored queries %d != %d", s2.Queries(), s1.Queries())
+	if s2.Queries() != 0 {
+		t.Fatalf("restored session counts %d answers, want 0: counters are not restored", s2.Queries())
 	}
 	spent := s2.AverageSpent()
 	a, err := s2.Answer(qs[0])
@@ -478,6 +477,64 @@ func TestLoadStateErrorTaxonomy(t *testing.T) {
 	}
 }
 
+// TestSecondLoadStateRefused: a session restores once. A LoadState after
+// one that succeeded is ErrAlreadyServing and changes nothing, whatever
+// the snapshot's counters read: here a snapshot of a session that only
+// appended (no answer counted) and one of a session that answered. A
+// refused LoadState leaves the restore window open for the next.
+func TestSecondLoadStateRefused(t *testing.T) {
+	dom, _ := buildDS(t, 2)
+	cfg := defaultCfg(Streaming)
+	q := query.MustNew(dom, map[int][]int{0: {1}}).WithWindow(0, 1)
+	for name, drive := range map[string]func(*Session) error{
+		"appended": func(s *Session) error {
+			_, err := s.AppendPartitions(Arrival{Counts: []int{5, 6, 7, 8, 1, 2, 3, 4}})
+			return err
+		},
+		"answered": func(s *Session) error {
+			_, err := s.Answer(q)
+			return err
+		},
+	} {
+		_, ds := buildDS(t, 2)
+		src, err := NewSession(cfg, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := drive(src); err != nil {
+			t.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if err := src.SaveState(&snap); err != nil {
+			t.Fatal(err)
+		}
+		_, ds = buildDS(t, 2)
+		dst, err := NewSession(cfg, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.LoadState(strings.NewReader("not a snapshot")); !errors.Is(err, persist.ErrBadMagic) {
+			t.Fatalf("%s: junk: err = %v, want ErrBadMagic", name, err)
+		}
+		if err := dst.LoadState(bytes.NewReader(snap.Bytes())); err != nil {
+			t.Fatalf("%s: the restore after a refused one: %v", name, err)
+		}
+		var before, after bytes.Buffer
+		if err := dst.SaveState(&before); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.LoadState(bytes.NewReader(snap.Bytes())); !errors.Is(err, ErrAlreadyServing) {
+			t.Fatalf("%s: second restore: err = %v, want ErrAlreadyServing", name, err)
+		}
+		if err := dst.SaveState(&after); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before.Bytes(), after.Bytes()) {
+			t.Fatalf("%s: the refused second restore changed the session", name)
+		}
+	}
+}
+
 // loadAllOrNothing loads snap into s, a session that has answered
 // nothing, and fails the test unless a refused load leaves s as it was:
 // the same snapshot bytes, no spend and no answers.
@@ -568,9 +625,9 @@ func TestSaveLoadGaussianNonPartitioned(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireEqualRDP(t, s1, s2)
-	if s2.AverageSpent() != s1.AverageSpent() || s2.Queries() != s1.Queries() {
-		t.Fatalf("restored spend/queries %g/%d, want %g/%d",
-			s2.AverageSpent(), s2.Queries(), s1.AverageSpent(), s1.Queries())
+	if s2.AverageSpent() != s1.AverageSpent() || s2.Queries() != 0 {
+		t.Fatalf("restored spend/queries %g/%d, want %g/0",
+			s2.AverageSpent(), s2.Queries(), s1.AverageSpent())
 	}
 	// Repeats after restore are free exact hits with the same values.
 	spent := s2.AverageSpent()
@@ -763,9 +820,9 @@ func TestSaveLoadGaussianMidStream(t *testing.T) {
 
 // TestSaveLoadTreeProperty is the snapshot-equivalence property test: a
 // tree-mode session's noise-free internals — budget books (scalar and,
-// under Gaussian accounting, curve), cache contents, dedup and per-source
-// counters, warm node state — are identical before SaveState and after
-// LoadState, and both sessions answer the full asked-so-far workload
+// under Gaussian accounting, curve), cache contents, warm node state — are
+// identical before SaveState and after LoadState, the restored session's
+// answer counters start at 0, and both sessions answer the full asked-so-far workload
 // identically (free exact hits) afterwards. It runs under both accounting
 // modes, with Config.Shards at 1 and at 4 (a field the session ignores;
 // benchmark/ sets it to the CPU count), and once through a snapshot file.
@@ -862,14 +919,9 @@ func TestSaveLoadTreeProperty(t *testing.T) {
 					t.Fatalf("partition %d scalar spend %g != %g", p, v2[p], v1[p])
 				}
 			}
-			if s2.Queries() != s1.Queries() || s2.Deduped() != s1.Deduped() {
-				t.Fatalf("counters %d/%d, want %d/%d", s2.Queries(), s2.Deduped(), s1.Queries(), s1.Deduped())
-			}
-			c1, c2 := s1.SourceCounts(), s2.SourceCounts()
-			for src, n := range c1 {
-				if c2[src] != n {
-					t.Fatalf("source %s count %d, want %d", src, c2[src], n)
-				}
+			// Counters are not restored: each process counts its own.
+			if s2.Queries() != 0 || s2.Deduped() != 0 || len(s2.SourceCounts()) != 0 {
+				t.Fatalf("restored counters %d/%d %v, want none", s2.Queries(), s2.Deduped(), s2.SourceCounts())
 			}
 			if s2.Tree().Nodes() != s1.Tree().Nodes() {
 				t.Fatalf("restored %d nodes, want %d", s2.Tree().Nodes(), s1.Tree().Nodes())
@@ -907,7 +959,7 @@ func TestSaveLoadTreeProperty(t *testing.T) {
 // TestSnapshotBytesDeterministic pins the property the snapshotdet
 // analyzer guards line by line: a quiesced session captures to the same
 // bytes every time, with the tree and the exact cache both populated
-// (each is a Go map somewhere underneath). The capture is a v7 envelope
+// (each is a Go map somewhere underneath). The capture is a v8 envelope
 // whose cache section holds one key and float64 per cached release.
 func TestSnapshotBytesDeterministic(t *testing.T) {
 	dom, ds := buildDS(t, 8)
@@ -934,8 +986,8 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 	if err := s.SaveState(&first); err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.BigEndian.Uint32(first.Bytes()[8:12]); v != 7 {
-		t.Fatalf("captured a v%d envelope, want v7", v)
+	if v := binary.BigEndian.Uint32(first.Bytes()[8:12]); v != 8 {
+		t.Fatalf("captured a v%d envelope, want v8", v)
 	}
 	payloads, err := persist.ReadSections(bytes.NewReader(first.Bytes()))
 	if err != nil {
@@ -1039,23 +1091,6 @@ func poisonLast(t *testing.T, section string, p []byte, alt bool) []byte {
 			}
 			e.PutUvarint(c)
 		}
-	case "core/meta":
-		queries := d.Int()
-		if alt {
-			queries = -100
-		}
-		e.PutInt(queries)
-		e.PutInt(d.Int())
-		m := d.Count(2)
-		e.PutUvarint(uint64(m))
-		for i := range m {
-			e.PutBytes(d.Bytes())
-			count := d.Int()
-			if i == m-1 && !alt {
-				count = -1 // a counter below zero
-			}
-			e.PutInt(count)
-		}
 	case "accountant/block":
 		e.PutFloat(d.Float())
 		e.PutFloat(d.Float())
@@ -1130,9 +1165,7 @@ func poisonLast(t *testing.T, section string, p []byte, alt bool) []byte {
 // node holds a negative update counter and a pmw/single section with a
 // negative update count. The streaming source has appended a
 // partition, so its dataset section grows the target and the block's
-// ledger must cover exactly the grown count. A negative query count
-// would let a later LoadState pass ErrAlreadyServing on a session that
-// has answered.
+// ledger must cover exactly the grown count.
 func TestRefusedSectionChangesNothing(t *testing.T) {
 	ops := []byte{0x05, 0x46, 0x8b, 0xcd, 0x13, 0xfe, 0x05, 0x46, 0x21, 0x9c}
 	const nonPartitioned, streamingGrown = 0, 11
@@ -1143,8 +1176,6 @@ func TestRefusedSectionChangesNothing(t *testing.T) {
 	}{
 		{"core/identity", streamingGrown, false},
 		{"dataset/partitions", streamingGrown, false},
-		{"core/meta", streamingGrown, false},
-		{"core/meta", streamingGrown, true},
 		{"accountant/block", streamingGrown, false},
 		{"accountant/block", streamingGrown, true},
 		{"cache/session-exact", streamingGrown, false},
@@ -1178,75 +1209,5 @@ func TestRefusedSectionChangesNothing(t *testing.T) {
 		if _, err := restoreInto(t, cfg, snap.Bytes()); err != nil {
 			t.Fatalf("%s: the intact snapshot: %v", tc.section, err)
 		}
-	}
-}
-
-// TestMetaRefusesUnknownSource: a core/meta section whose one source
-// counter is renamed to a source this build does not answer from, or
-// which counts that source twice, is refused naming the source, and the
-// target's Queries and SourceCounts keep their values. An unknown name
-// was stored and then skipped by the apply, so the restored
-// queries_answered exceeded the sum of by_source.
-func TestMetaRefusesUnknownSource(t *testing.T) {
-	dom, ds := buildDS(t, 4)
-	cfg := defaultCfg(Partitioned)
-	src, err := NewSession(cfg, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for a := 0; a < 4; a++ {
-		if _, err := src.Answer(query.MustNew(dom, map[int][]int{1: {a}}).WithWindow(0, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if counts := src.SourceCounts(); len(counts) != 1 || counts[SourceTree] != 4 {
-		t.Fatalf("source counts %v, want one source", counts)
-	}
-	var snap bytes.Buffer
-	if err := src.SaveState(&snap); err != nil {
-		t.Fatal(err)
-	}
-	for name, tc := range map[string]struct {
-		names []string
-		quote string
-	}{
-		"renamed": {[]string{"bogus"}, `"bogus"`},
-		"twice":   {[]string{string(SourceTree), string(SourceTree)}, strconv.Quote(string(SourceTree))},
-	} {
-		bad := rewriteSections(t, snap.Bytes(), func(section string, p []byte) []byte {
-			if section != "core/meta" {
-				return p
-			}
-			d := persist.NewDecoder(p)
-			var e persist.Encoder
-			e.PutInt(d.Int())
-			e.PutInt(d.Int())
-			d.Count(2)
-			d.Bytes()
-			count := d.Int()
-			if err := d.Finish(); err != nil {
-				t.Fatal(err)
-			}
-			e.PutUvarint(uint64(len(tc.names)))
-			for _, src := range tc.names {
-				e.PutString(src)
-				e.PutInt(count)
-			}
-			return e.Payload()
-		})
-		dst, err := restoreInto(t, cfg, bad)
-		if refusingSection(err) != "core/meta" || !strings.Contains(err.Error(), tc.quote) {
-			t.Fatalf("%s: err = %v, want a core/meta refusal naming %s", name, err, tc.quote)
-		}
-		if dst.Queries() != 0 || len(dst.SourceCounts()) != 0 {
-			t.Fatalf("%s: the refusal moved the counters: %d queries, %v", name, dst.Queries(), dst.SourceCounts())
-		}
-	}
-	dst, err := restoreInto(t, cfg, snap.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dst.Queries() != 4 || dst.SourceCounts()[SourceTree] != 4 {
-		t.Fatalf("intact snapshot restored %d queries, %v", dst.Queries(), dst.SourceCounts())
 	}
 }

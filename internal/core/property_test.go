@@ -133,7 +133,7 @@ func TestPersistenceRoundTripQuick(t *testing.T) {
 		if err := s2.LoadState(&buf); err != nil {
 			return false
 		}
-		if s2.AverageSpent() != s1.AverageSpent() || s2.Queries() != s1.Queries() {
+		if s2.AverageSpent() != s1.AverageSpent() || s2.Queries() != 0 {
 			return false
 		}
 		// A fresh random query answered by both sessions (identical

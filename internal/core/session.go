@@ -220,17 +220,21 @@ type Session struct {
 	// first-timers on the same key execute and pay once.
 	flights flightGroup
 	// registry holds the session's durable-state sections (persist.go),
-	// every one registered at construction. persistMu serializes
-	// SaveState/LoadState against each other.
-	registry  *persist.Registry
-	persistMu sync.Mutex
-	// appendMu serializes batches of arrivals (AppendPartitions) so each
-	// batch's accountant growth and dataset growth assign corresponding
-	// indices; loads holds a batch's counts for the dataset, reused under
+	// every one registered at construction.
+	registry *persist.Registry
+	// appendMu is the session's one state lock. It serializes batches of
+	// arrivals (AppendPartitions), so each batch's accountant growth and
+	// dataset growth assign corresponding indices, snapshot captures
+	// (SaveState), restores (LoadState) and the closing of the restore
+	// window. loads holds a batch's counts for the dataset, reused under
 	// it. warmed counts the leaves arrivals warm-started.
 	appendMu sync.Mutex
 	loads    [][]int
 	warmed   atomic.Int64
+	// serving is the restore window's latch: set, under appendMu, by the
+	// first Lookup, AnswerPlan or AppendPartitions and by a successful
+	// LoadState, after which LoadState refuses (ErrAlreadyServing).
+	serving atomic.Bool
 
 	queries atomic.Int64
 	deduped atomic.Int64
@@ -361,8 +365,9 @@ type Arrival struct {
 }
 
 // AppendPartitions applies one batch of len(arrivals) newly-arrived stream
-// partitions and returns the index of the first. Under appendMu, which
-// SaveState holds for its whole capture, the dataset (Dataset.Append)
+// partitions and returns the index of the first. It closes the restore
+// window. Under appendMu, which SaveState holds for its whole capture, the
+// dataset (Dataset.Append)
 //
 //  1. checks the arrivals against the domain and their rows against the
 //     room it has left below dataset.MaxRows;
@@ -392,6 +397,7 @@ func (s *Session) AppendPartitions(arrivals ...Arrival) (int, error) {
 	}
 	s.appendMu.Lock()
 	defer s.appendMu.Unlock()
+	s.serving.Store(true)
 	for _, a := range arrivals {
 		s.loads = append(s.loads, a.Counts)
 	}
@@ -444,8 +450,10 @@ func (s *Session) Answer(q *query.Query) (Answer, error) {
 // reuses. A hit is the whole answer; on a miss, the plan, given the
 // built query, goes to AnswerPlan. A tree session probes a windowless
 // statement under the key of its planned window (planned), rendered
-// into a recycled buffer, so no exact hit allocates.
+// into a recycled buffer, so no exact hit allocates. It closes the
+// restore window.
 func (s *Session) Lookup(key string) (ans Answer, pl Plan, hit bool, err error) {
+	s.serve()
 	start, end, windowed, err := query.KeyWindow(key)
 	if err == nil {
 		pl, err = s.planner.PlanWindow(start, end, windowed)
@@ -464,6 +472,23 @@ func (s *Session) Lookup(key string) (ans Answer, pl Plan, hit bool, err error) 
 	return ans, pl, hit, nil
 }
 
+// serve closes the restore window before a request's first session
+// call. While the window is open it takes appendMu, so a request that
+// arrives during a restore waits for it; once closed, it is one atomic
+// load.
+func (s *Session) serve() {
+	if s.serving.Load() {
+		return
+	}
+	s.appendMu.Lock()
+	s.serving.Store(true)
+	s.appendMu.Unlock()
+}
+
+// Serving reports whether the restore window has closed: the session has
+// begun serving, or a restore succeeded, so LoadState refuses.
+func (s *Session) Serving() bool { return s.serving.Load() }
+
 // windowKeys recycles the buffers Lookup renders a windowless statement's
 // windowed key into. A key handed to the store's interface escapes, so a
 // buffer on Lookup's frame would be one allocation per probe.
@@ -474,8 +499,10 @@ var windowKeys = sync.Pool{New: func() any { return new([]byte) }}
 // flight, execution and fill stages, with no second probe in front of the
 // flight (its leader re-checks the cache, as Answer's does). Nothing keeps
 // the query or its key past the call, so it may be one the caller
-// rebuilds for its next statement (query.Builder.BuildInto).
+// rebuilds for its next statement (query.Builder.BuildInto). It closes
+// the restore window.
 func (s *Session) AnswerPlan(pl Plan) (Answer, error) {
+	s.serve()
 	pl, err := s.planned(pl)
 	if err != nil {
 		return Answer{}, err
@@ -598,7 +625,10 @@ func (s *Session) record(src Source) {
 	s.bySrc[sourceIndex[src]].Add(1)
 }
 
-// Queries returns the number of answered queries.
+// Queries returns the number of answers this session released: one per
+// exact hit and one per executed or shared flight. Like every counter of
+// the session, it starts at 0 in each process; a restore brings back the
+// books and caches, not the counts.
 func (s *Session) Queries() int { return int(s.queries.Load()) }
 
 // Deduped returns the number of answers served by sharing a concurrent

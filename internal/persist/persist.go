@@ -11,7 +11,7 @@
 // Snapshotter and contributes one named section; the envelope carries
 // them behind a magic header and a format version.
 //
-// # Envelope format (v7)
+// # Envelope format (v8)
 //
 //	offset 0: magic "TURBOSNP" (8 bytes, raw)
 //	offset 8: format version (uint32, big-endian)
@@ -30,12 +30,14 @@
 // gzip-compressed), v3 (this envelope, whose sections still carried
 // data versions and the cache's stripe blocks), v4 (whose cache entries
 // still carried the ε each release was paid at), v5 (whose cache values
-// were byte strings in a tagged 9-byte codec, where v6 writes the float64)
-// and v6 (whose dataset section was optional, its counts floats beside a
-// row count, and whose meta section listed every partition's rows, where
-// v7 always writes the dataset as uvarint counts) are refused with
-// ErrBadVersion naming both versions, so a file from an older build is
-// refused whole rather than half-restored. Every registered section is
+// were byte strings in a tagged 9-byte codec, where v6 writes the
+// float64), v6 (whose dataset section was optional, its counts floats
+// beside a row count, and whose meta section listed every partition's
+// rows, where v7 always writes the dataset as uvarint counts) and v7
+// (which carried the session's answer counters in its meta section,
+// where v8 keeps none) are refused with ErrBadVersion naming both
+// versions, so a file from an older build is refused whole rather than
+// half-restored. Every registered section is
 // required: a snapshot lacking one is ErrMissingSection.
 package persist
 
@@ -57,7 +59,7 @@ const magic = "TURBOSNP"
 // FormatVersion is the envelope format this build writes and the only one
 // it reads. Sections carry no version of their own, so a change to any
 // section's layout bumps it.
-const FormatVersion uint32 = 7
+const FormatVersion uint32 = 8
 
 // Typed envelope errors: LoadState callers (and the HTTP /restore
 // endpoint) branch on these instead of string-matching decode failures.

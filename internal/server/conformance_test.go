@@ -126,7 +126,7 @@ func TestListenerMatchesHandler(t *testing.T) {
 	tw.do("POST", "/restore", []byte("not a snapshot"), 400)
 	var foreign bytes.Buffer
 	other, _ := newTestServerWith(t, 100, func(c *core.Config) { c.Mode = core.NonPartitioned })
-	if err := other.SaveState(&foreign); err != nil {
+	if err := other.sess.SaveState(&foreign); err != nil {
 		t.Fatal(err)
 	}
 	tw.do("POST", "/restore", foreign.Bytes(), 422)

@@ -64,7 +64,6 @@ func (s *Server) handleQueryBatch(w *Response, r *Request) {
 		writeError(w, StatusBadRequest, "bad-request", "empty batch")
 		return
 	}
-	s.closeRestore()
 
 	sc.items, sc.res = reuse(sc.items, len(sqls)), reuse(sc.res, len(sqls))
 	items, res := sc.items, sc.res
@@ -106,7 +105,6 @@ func (s *Server) handleQueryBatch(w *Response, r *Request) {
 				Error: &ErrorResponse{"bad-request", err.Error()}}
 		default:
 			ans := res[i].Answer
-			s.countAnswer(ans.Source)
 			served++
 			sc.resps[i] = QueryResponse{
 				Fraction:  ans.Value,

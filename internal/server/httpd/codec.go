@@ -384,7 +384,6 @@ func appendRestoreResponse(dst []byte, r *RestoreResponse) ([]byte, error) {
 		return dst, err
 	}
 	dst = appendInt(dst, `{"partitions":`, int64(r.Partitions))
-	dst = appendInt(dst, `,"queries_answered":`, r.Queries)
 	dst = appendFloat(append(dst, `,"average_spent":`...), r.AverageSpent)
 	return append(dst, '}'), nil
 }

@@ -78,7 +78,7 @@ type counts struct {
 func (s *Server) counts() counts {
 	st := s.sess.StoreStats()
 	c := counts{storeHits: st.Hits, storeMisses: st.Misses, storeSets: st.Sets,
-		exactAnswers: s.bySource[core.SourceExactHit].Load(), spent: s.sess.AverageSpent()}
+		exactAnswers: int64(s.sess.SourceCounts()[core.SourceExactHit]), spent: s.sess.AverageSpent()}
 	c.exactHits, c.exactMisses = s.sess.ExactCache().Stats()
 	return c
 }
@@ -175,7 +175,7 @@ func TestGroupByRepeatedColumn(t *testing.T) {
 		e.Kind != "parse" || !strings.Contains(e.Message, `"age"`) {
 		t.Fatalf("repeated GROUP BY column: %d %s", resp.Status, resp.Body)
 	}
-	if answers := h.srv.answers.Load(); answers != 0 || h.srv.sess.AverageSpent() != 0 {
+	if answers := h.srv.sess.Queries(); answers != 0 || h.srv.sess.AverageSpent() != 0 {
 		t.Fatalf("the refusal answered %d cells and spent %v", answers, h.srv.sess.AverageSpent())
 	}
 	h.do(t, "/groupby", []byte(`{"sql":"SELECT COUNT(*) FROM covid GROUP BY age"}`))

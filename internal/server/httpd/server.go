@@ -30,16 +30,16 @@
 // (status, Content-Type and body); the front end reads the one and writes
 // the other.
 //
-// Restore runs before serving, and the server's boot latch alone decides
-// when it may: the first /query, /query/batch, /groupby or /append closes
-// the restore window for good (a later /restore is 409, answered from its
-// head before any of its body is read), a request that arrives while a
-// restore runs waits for it, and a refused restore leaves the server as it
-// was: every section stages before any applies.
-// Once the window is closed the latch is one atomic load. Otherwise the
-// server holds no lock of its own: the session's query pipeline is
-// concurrency-safe (lock-free planning and exact-cache probes, execution
-// that locks only around state updates, thread-safe accounting), so request goroutines flow straight
+// Restore runs before serving, and the session's restore window decides
+// when it may (core.Session.Serving): the first statement a /query,
+// /query/batch or /groupby hands the session, or the first /append,
+// closes it for good (a later /restore is 409, answered from its head
+// before any of its body is read), a request that arrives while a restore
+// runs waits for it, and a refused restore leaves the server as it was:
+// every section stages before any applies. The server holds no lock of
+// its own: the session's query pipeline is concurrency-safe (lock-free
+// planning and exact-cache probes, execution that locks only around state
+// updates, thread-safe accounting), so request goroutines flow straight
 // through; /append applies its arrivals on its own connection through the
 // streaming ingestor, in the order that keeps racing queries accountable,
 // so the appends in flight are bounded by the connections. GET /budget and GET
@@ -51,7 +51,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -76,24 +75,12 @@ type Server struct {
 	// for non-partitioned sessions, which cannot grow.
 	ing *stream.Ingestor
 
-	// live is the boot latch: set by the first analyst request or a
-	// successful restore, after which /restore is 409. bootMu serializes
-	// a restore against the requests and snapshots that arrive before
-	// live.
-	live   atomic.Bool
-	bootMu sync.Mutex
-
 	// queries counts served requests: exactly one per 200 response, so
 	// client-observed successes always equal this counter — including
-	// for /groupby, whose many primitive answers serve one request.
+	// for /groupby, whose many primitive answers serve one request. The
+	// answer-level counts are the session's (Queries, SourceCounts).
 	queries  atomic.Int64
 	refusals atomic.Int64
-	// answers counts primitive answers released through the session (a
-	// /groupby request contributes one per group); bySource splits it
-	// per execution path (exact-hit, pmw-r1, ..., tree). Both are
-	// answer-level and maintained with atomics on the hot path.
-	answers  atomic.Int64
-	bySource map[core.Source]*atomic.Int64
 	appends  atomic.Int64
 
 	// routes is the endpoint table (listener.go), and headTimeout bounds
@@ -122,16 +109,11 @@ func New(sess *core.Session, table string) (*Server, error) {
 	if table == "" {
 		return nil, errors.New("httpd: empty table name")
 	}
-	bySource := make(map[core.Source]*atomic.Int64, len(core.Sources))
-	for _, src := range core.Sources {
-		bySource[src] = new(atomic.Int64)
-	}
 	srv := &Server{
 		sess:        sess,
 		parser:      sqlparser.New(sess.Dataset().Domain()),
 		names:       quoteNames(sess.Dataset().Domain()),
 		table:       table,
-		bySource:    bySource,
 		routes:      routes,
 		headTimeout: 10 * time.Second,
 		conns:       make(map[*conn]struct{}),
@@ -154,18 +136,9 @@ func (s *Server) Ingestor() *stream.Ingestor { return s.ing }
 // release. It is kept for callers that pair it with New.
 func (s *Server) Close() {}
 
-// countAnswer updates the answer-level counters for one released answer.
-// It deliberately does not touch the served-request counter: a request is
-// counted by countServed exactly once, when its 200 is written, so a
-// mid-group refusal never leaves phantom served requests behind.
-func (s *Server) countAnswer(src core.Source) {
-	s.answers.Add(1)
-	if c, ok := s.bySource[src]; ok {
-		c.Add(1)
-	}
-}
-
-// countServed records one successfully served request (one 200 response).
+// countServed records one successfully served request (one 200 response):
+// exactly once, when its 200 is written, so a mid-group refusal never
+// leaves phantom served requests behind.
 func (s *Server) countServed() {
 	s.queries.Add(1)
 }
@@ -204,18 +177,6 @@ func writeResult[T any](w *Response, enc func([]byte, *T) ([]byte, error), v *T)
 	writeBody(w, StatusOK, body)
 }
 
-// closeRestore passes one analyst request through the boot latch, before
-// its first session call: it closes the restore window, waiting out a
-// restore in progress.
-func (s *Server) closeRestore() {
-	if s.live.Load() {
-		return
-	}
-	s.bootMu.Lock()
-	s.live.Store(true)
-	s.bootMu.Unlock()
-}
-
 // answer is the one step a statement takes, whichever route carries it:
 // a /query, each /groupby cell and each /query/batch element. The
 // builder's cache key is rendered into the connection's scratch, and the
@@ -247,7 +208,6 @@ func (s *Server) handleQuery(w *Response, r *Request) {
 	if !ok {
 		return
 	}
-	s.closeRestore()
 	var b query.Builder
 	table, err := s.parser.ParseInto(sql, &b)
 	if err != nil {
@@ -280,7 +240,6 @@ func (s *Server) handleQuery(w *Response, r *Request) {
 	// here would race streaming arrivals, inflating the count with rows
 	// the released fraction never saw — and its error used to be
 	// discarded, silently reporting a count computed from n=0.
-	s.countAnswer(ans.Source)
 	body, err := appendQueryResponse(w.Body[:0], &QueryResponse{
 		Fraction:  ans.Value,
 		Count:     ans.Value * float64(ans.Rows),
@@ -318,16 +277,14 @@ type GroupByResponse struct {
 // step. Each primitive query is individually atomic against the
 // accountant, and a group interrupted by budget exhaustion withholds its
 // partial results.
-// Counters: each group's answer is counted at the answer level
-// (answers/by_source) as it is released, but the request counts as
-// served only when the 200 is written — a mid-group refusal is a refusal,
-// never a served request.
+// Counters: the session counts each group's answer (answers/by_source) as
+// it is released, but the request counts as served only when the 200 is
+// written — a mid-group refusal is a refusal, never a served request.
 func (s *Server) handleGroupBy(w *Response, r *Request) {
 	sql, ok := decodeSQL(w, r)
 	if !ok {
 		return
 	}
-	s.closeRestore()
 	sc := r.scratchFor()
 	var base query.Builder
 	table, groupBy, err := s.parser.ParseGroupedInto(sql, &base, sc.groupBy)
@@ -358,7 +315,6 @@ func (s *Server) handleGroupBy(w *Response, r *Request) {
 			writeError(w, StatusUnprocessableEntity, "bad-request", err.Error())
 			return
 		}
-		s.countAnswer(ans.Source)
 		sc.cells = append(sc.cells, groupCell{
 			fraction: ans.Value,
 			count:    ans.Value * float64(ans.Rows),
@@ -428,7 +384,6 @@ func (s *Server) handleAppend(w *Response, r *Request) {
 			"batch of more than 64 partitions")
 		return
 	}
-	s.closeRestore()
 	sc.arrivals = sc.arrivals[:0]
 	for _, p := range req.Partitions {
 		sc.arrivals = append(sc.arrivals, stream.Arrival{Counts: p.Counts})
@@ -460,9 +415,10 @@ type RDPBudget struct {
 }
 
 // BudgetResponse is the /budget result. Queries counts served requests
-// (200 responses); Answers and BySource count primitive answers — a
-// /groupby request contributes one served request and one answer per
-// group, so BySource sums to Answers, not Queries.
+// (200 responses); Answers and BySource count primitive answers, the
+// session's Queries and SourceCounts — a /groupby request contributes one
+// served request and one answer per group, so BySource sums to Answers,
+// not Queries.
 type BudgetResponse struct {
 	Global       float64          `json:"global"`
 	AverageSpent float64          `json:"average_spent"`
@@ -499,11 +455,10 @@ func (s *Server) handleBudget(w *Response, r *Request) {
 	if len(per) > 0 {
 		avg = sum / float64(len(per))
 	}
-	bySource := make(map[string]int64, len(s.bySource))
-	for src, c := range s.bySource {
-		if v := c.Load(); v > 0 {
-			bySource[string(src)] = v
-		}
+	counts := s.sess.SourceCounts()
+	bySource := make(map[string]int64, len(counts))
+	for src, v := range counts {
+		bySource[string(src)] = int64(v)
 	}
 	resp := BudgetResponse{
 		Global:       acct.Global(),
@@ -511,7 +466,7 @@ func (s *Server) handleBudget(w *Response, r *Request) {
 		MaxSpent:     max,
 		PerPartition: per,
 		Queries:      s.queries.Load(),
-		Answers:      s.answers.Load(),
+		Answers:      int64(s.sess.Queries()),
 		Refusals:     s.refusals.Load(),
 		BySource:     bySource,
 	}
@@ -635,18 +590,6 @@ func (s *Server) handleSchema(w *Response, r *Request) {
 	writeResult(w, appendSchemaResponse, &resp)
 }
 
-// SaveState writes the session's snapshot; GET /snapshot and
-// turbo-server's checkpoints all take this path. Before the restore
-// window closes it holds the latch for the whole capture, so a snapshot
-// never interleaves with a restore.
-func (s *Server) SaveState(w io.Writer) error {
-	if !s.live.Load() {
-		s.bootMu.Lock()
-		defer s.bootMu.Unlock()
-	}
-	return s.sess.SaveState(w)
-}
-
 // handleSnapshot answers the session's durable state as a persist
 // envelope: the block accountant (RDP curves included), the exact cache,
 // tree node state and the dataset its appends grew, captured with no
@@ -657,42 +600,35 @@ func (s *Server) handleSnapshot(w *Response, r *Request) {
 		return
 	}
 	buf := bytes.NewBuffer(w.Body[:0])
-	_ = s.SaveState(buf) // a capture fails only on its writer, and a bytes.Buffer never does
+	_ = s.sess.SaveState(buf) // a capture fails only on its writer, and a bytes.Buffer never does
 	w.Status, w.ContentType, w.Body = StatusOK, "application/octet-stream", buf.Bytes()
 }
 
 // RestoreResponse summarizes a successful POST /restore.
 type RestoreResponse struct {
 	Partitions   int     `json:"partitions"`
-	Queries      int64   `json:"queries_answered"`
 	AverageSpent float64 `json:"average_spent"`
 }
 
-// handleRestore loads a snapshot (the POST body) into the session,
-// through the boot latch: a server that has begun serving answers 409 —
-// refuseRestore gives that answer from the head, before the body is read,
-// and it is checked again here under the latch. Envelope failures map to
-// typed statuses: input that is not a snapshot or from another format
-// version is 400; a section the session refuses (wrong mode, another
-// dataset, foreign accounting, a malformed payload) is 422. Every section
-// stages before any applies, so a refused restore leaves the server as it
-// was, and after a 200 every restored section is applied and queryable.
-// The front end has read the whole body before the handler runs, so a
-// slow upload never holds the latch that requests arriving meanwhile wait
-// on.
+// handleRestore loads a snapshot (the POST body) into the session, whose
+// restore window decides whether it may: a server that has begun serving
+// answers 409 (core.ErrAlreadyServing) — refuseRestore gives that answer
+// from the head, before the body is read. Envelope failures map to typed
+// statuses: input that is not a snapshot or from another format version
+// is 400; a section the session refuses (wrong mode, another dataset,
+// foreign accounting, a malformed payload) is 422. Every section stages
+// before any applies, so a refused restore leaves the server as it was,
+// and after a 200 every restored section is applied and queryable. The
+// front end has read the whole body before the handler runs, so a slow
+// upload never holds the session lock that requests arriving meanwhile
+// wait on.
 func (s *Server) handleRestore(w *Response, r *Request) {
 	if !posted(w, r) {
-		return
-	}
-	s.bootMu.Lock()
-	defer s.bootMu.Unlock()
-	if s.restoreClosed(w) {
 		return
 	}
 	err := s.sess.LoadState(bytes.NewReader(r.Body))
 	switch {
 	case err == nil:
-		s.live.Store(true)
 	case errors.Is(err, core.ErrAlreadyServing):
 		writeError(w, StatusConflict, "conflict", err.Error())
 		return
@@ -708,7 +644,6 @@ func (s *Server) handleRestore(w *Response, r *Request) {
 	// is queryable.
 	writeResult(w, appendRestoreResponse, &RestoreResponse{
 		Partitions:   s.sess.Dataset().Partitions(),
-		Queries:      int64(s.sess.Queries()),
 		AverageSpent: s.sess.AverageSpent(),
 	})
 }
@@ -718,21 +653,9 @@ func (s *Server) handleRestore(w *Response, r *Request) {
 // never reads one: a client cannot make a live server buffer an
 // arbitrarily large body just to refuse it.
 func (s *Server) refuseRestore(w *Response, r *Request) bool {
-	if r.Method != MethodPost {
+	if r.Method != MethodPost || !s.sess.Serving() {
 		return false
 	}
-	s.bootMu.Lock()
-	defer s.bootMu.Unlock()
-	return s.restoreClosed(w)
-}
-
-// restoreClosed answers 409 once the server serves; the caller holds
-// bootMu.
-func (s *Server) restoreClosed(w *Response) bool {
-	if !s.live.Load() {
-		return false
-	}
-	writeError(w, StatusConflict, "conflict",
-		"server already serving: restore runs before the first request")
+	writeError(w, StatusConflict, "conflict", core.ErrAlreadyServing.Error())
 	return true
 }

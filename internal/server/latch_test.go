@@ -1,10 +1,12 @@
-// Tests of the boot latch: POST /restore racing the first analyst
-// traffic of a fresh server, and a server whose restore was refused.
+// Tests of the session's restore window: POST /restore racing the first
+// analyst traffic of a fresh server, and a server whose restore was
+// refused.
 
 package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -62,13 +64,15 @@ func post(t *testing.T, ts *liveServer, path string, body []byte) (int, []byte) 
 }
 
 // TestRestoreRacesTraffic restores a snapshot into fresh servers while
-// /query and /append traffic arrives at the same moment. The latch
-// allows exactly two outcomes. Either the restore ran first: it is 200,
+// /query and /append traffic arrives at the same moment. The session's
+// restore window allows exactly two outcomes. Either the restore ran first: it is 200,
 // every answer was served on the restored books (the snapshot's cached
 // statements come back as free exact hits), and each partition's spend
 // is the snapshot's plus the answers' charges. Or traffic closed the
 // window first: the restore is 409, and the books hold the answers'
 // charges alone. Either way no released answer is missing its charge.
+// The snapshot's cache carries padCache's entries besides the source's,
+// so the restore runs long enough for traffic to land inside it.
 func TestRestoreRacesTraffic(t *testing.T) {
 	sqls, parts := latchSQL()
 	cached := len(sqls) / 3 // the source answers every third statement
@@ -85,7 +89,7 @@ func TestRestoreRacesTraffic(t *testing.T) {
 		inSnap[sqls[i]] = true
 	}
 	snapSpend := getBudget(t, tsSrc).PerPartition
-	snap := getSnapshot(t, tsSrc)
+	snap := padCache(t, getSnapshot(t, tsSrc), 20000)
 	appendReq := appendBody(t, ds.Domain().Size(), 1, 2)
 
 	const rounds, workers = 8, 4
@@ -187,9 +191,9 @@ func TestRestoreRacesTraffic(t *testing.T) {
 	t.Logf("restore outcomes over %d rounds: %v", rounds, outcomes)
 }
 
-// corruptSnapshot rewrites a snapshot with the named section's payload
-// replaced by garbage.
-func corruptSnapshot(t *testing.T, raw []byte, section string) []byte {
+// rewriteSection rewrites a snapshot with the named section's payload
+// passed through edit.
+func rewriteSection(t *testing.T, raw []byte, section string, edit func([]byte) []byte) []byte {
 	t.Helper()
 	payloads, err := persist.ReadSections(bytes.NewReader(raw))
 	if err != nil {
@@ -205,7 +209,7 @@ func corruptSnapshot(t *testing.T, raw []byte, section string) []byte {
 	for _, name := range order {
 		p := payloads[name]
 		if name == section {
-			p, found = []byte("corrupted payload bytes"), true
+			p, found = edit(p), true
 		}
 		if err := w.WriteSection(name, p); err != nil {
 			t.Fatal(err)
@@ -218,6 +222,38 @@ func corruptSnapshot(t *testing.T, raw []byte, section string) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// corruptSnapshot rewrites a snapshot with the named section's payload
+// replaced by garbage.
+func corruptSnapshot(t *testing.T, raw []byte, section string) []byte {
+	return rewriteSection(t, raw, section, func([]byte) []byte { return []byte("corrupted payload bytes") })
+}
+
+// padCache rewrites a snapshot's cache section with n more entries, under
+// keys whose windows start at partition 1000, which no statement of the
+// test names.
+func padCache(t *testing.T, raw []byte, n int) []byte {
+	return rewriteSection(t, raw, "cache/session-exact", func(p []byte) []byte {
+		d := persist.NewDecoder(p)
+		var e persist.Encoder
+		have := d.Count(9)
+		e.PutUvarint(uint64(have + n))
+		for range have {
+			e.PutBytes(d.Bytes())
+			e.PutFloat(d.Float())
+		}
+		if err := d.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		for i := range n {
+			key := binary.AppendUvarint([]byte{1}, 1000) // the window header's mark, then its start
+			key = binary.AppendUvarint(key, uint64(1000+i))
+			e.PutBytes(append(key, 'x'))
+			e.PutFloat(0.5)
+		}
+		return e.Payload()
+	})
 }
 
 // TestPoisonedServerRefuses restores a snapshot whose tree/nodes section
@@ -295,7 +331,7 @@ func TestPoisonedServerRefuses(t *testing.T) {
 			t.Errorf("%s %s after a refused restore = %d %.100q, want %d", c.method, c.path, resp.StatusCode, out, c.want)
 		}
 	}
-	if err := refused.SaveState(io.Discard); err != nil {
+	if err := refused.sess.SaveState(io.Discard); err != nil {
 		t.Fatalf("SaveState after a refused restore: %v", err)
 	}
 }

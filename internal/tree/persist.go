@@ -104,12 +104,9 @@ func (s byInterval) Less(i, j int) bool {
 // stageNodes builds the node map a snapshot's node states restore,
 // refusing an invalid interval, a histogram that is not the domain's and
 // thresholds that are not one per bin, and returns the apply that swaps
-// the map in. It must be called on a fresh tree (no queries
-// served).
+// the map in. A session restores before its tree answers anything (its
+// restore window).
 func (t *Tree) stageNodes(states []NodeState) (func(), error) {
-	if t.Stats().Queries > 0 {
-		return nil, fmt.Errorf("tree: restore after queries were served")
-	}
 	size := t.exec.Dataset().Domain().Size()
 	nodes := make(map[interval.Node]*node, len(states))
 	for _, st := range states {

@@ -389,13 +389,9 @@ func TestEmpiricalTreeUpdatesWithinBound(t *testing.T) {
 
 func TestPersistRestoreErrors(t *testing.T) {
 	f := newFix(t, nil, 1000, 8)
-	// Restore after queries is refused.
 	q := query.MustNew(f.dom, map[int][]int{0: {1}}).WithWindow(0, 1)
 	if _, err := f.tree.Run(q); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := f.tree.stageNodes(nil); err == nil {
-		t.Fatal("restore after queries accepted")
 	}
 	states := f.tree.ExportNodes()
 	if len(states) == 0 {
