@@ -55,7 +55,7 @@ scorecard:
 # and serves no TLS), and net and runtime/cgo: the binary is static, its
 # sockets are syscall on the runtime poller (httpd/sock.go), and no
 # package may link libc back in.
-CEILINGS = 16375 14 1 2809895
+CEILINGS = 16108 14 1 2801156
 BANNED_DEPS = encoding/gob encoding/json encoding/base64 unicode/utf16 net/http/pprof net/http crypto/tls net runtime/cgo
 
 scorecard-check:

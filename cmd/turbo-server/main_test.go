@@ -144,6 +144,33 @@ func TestNegativeBoundRefused(t *testing.T) {
 	}
 }
 
+// TestNonFiniteConfigRefused: a NaN or infinite accuracy target, budget
+// or δ_G stops the boot with exit 1, naming the value, before the server
+// listens. A NaN once passed every "x <= 0" check, so -epsg NaN and
+// -delta NaN panicked in the accountant (exit 2), and -alpha NaN and
+// -beta NaN booted a server that answered every /query 422; -epsg Inf
+// booted one that paid releases against an infinite budget.
+func TestNonFiniteConfigRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-epsg", "NaN"},
+		{"-epsg", "Inf"},
+		{"-alpha", "NaN"},
+		{"-beta", "NaN"},
+		{"-gaussian", "-delta", "NaN"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			out, err := runMain(t, append([]string{"-addr", "127.0.0.1:0", "-rows", "2000", "-weeks", "4"}, args...)...)
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Fatalf("turbo-server %v: %v, want exit 1\n%s", args, err, out)
+			}
+			if !strings.Contains(out, args[len(args)-1]) || strings.Contains(out, "listening") {
+				t.Fatalf("output does not refuse %v before listening:\n%s", args, out)
+			}
+		})
+	}
+}
+
 // TestStateBootClosesRestore: a server booted with -state has restored
 // once, so a POST /restore is 409 conflict and leaves it serving, even
 // when the snapshot came from a server that had only appended and so

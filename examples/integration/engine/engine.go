@@ -66,9 +66,6 @@ func (c *Core) Evaluate(m Measurement) (float64, error) {
 // Spent returns the consumed global budget.
 func (c *Core) Spent() float64 { return c.acct.Spent() }
 
-// Remaining returns the unconsumed global budget.
-func (c *Core) Remaining() float64 { return c.acct.Block.Global() - c.acct.Spent() }
-
 // Dataset exposes the underlying store (the engine owns it; Turbo only
 // reaches it through measurements).
 func (c *Core) Dataset() *dataset.Dataset { return c.ds }

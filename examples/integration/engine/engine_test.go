@@ -179,7 +179,7 @@ func TestTurboSessionSavesBudget(t *testing.T) {
 	if turboN == 0 || failed != 0 {
 		t.Fatalf("stats = %d, %d", turboN, failed)
 	}
-	if ts.PMW().Stats().R1 == 0 {
+	if r1, _, _ := ts.Paths(); r1 == 0 {
 		t.Fatal("turbo session never hit the free path")
 	}
 }

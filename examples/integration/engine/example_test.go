@@ -63,13 +63,13 @@ func ExampleNewTurboSession() {
 	}
 
 	turboN, failed := turbo.Stats()
-	st := turbo.PMW().Stats()
+	r1, r2, r3 := turbo.Paths()
 	fmt.Printf("workload: %d evaluations of %d distinct correlated queries\n", 20*len(qs), len(qs))
 	fmt.Printf("plain engine consumed:        ε = %.4f\n", plainCore.Spent())
 	fmt.Printf("turbo-wrapped engine consumed: ε = %.4f  (%.1fx less)\n",
 		turboCore.Spent(), plainCore.Spent()/turboCore.Spent())
 	fmt.Printf("turbo paths: free-histogram=%d  pmw-miss=%d  bypass=%d  (answered=%d, failed-over=%d)\n",
-		st.R1, st.R2, st.R3, turboN, failed)
+		r1, r2, r3, turboN, failed)
 
 	// Output:
 	// workload: 320 evaluations of 16 distinct correlated queries

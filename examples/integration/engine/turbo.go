@@ -29,8 +29,9 @@ type TurboSession struct {
 	// linear query (the non-partitioned turbo-lib scope of §5).
 	Supported func(q *query.Query) bool
 
-	turboAnswered int
-	failedOver    int
+	// byPath counts Turbo's answers by the Alg. 1 branch that gave them.
+	byPath     [3]int
+	failedOver int
 }
 
 // enginePayer implements pmw.Payer by submitting consume-only
@@ -50,8 +51,6 @@ func (p enginePayer) PaySVInit() error {
 	_, err := p.core.Evaluate(consumeOnly{eps: 3 * p.eps})
 	return err
 }
-
-func (p enginePayer) HasBudget() bool { return p.core.Remaining() > 0 }
 
 // engineExecutor implements pmw.Executor over the engine's measurements:
 // True runs the zero-cost non-private measurement; DP runs noise-only
@@ -120,12 +119,17 @@ func (t *TurboSession) Evaluate(q *query.Query) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	t.turboAnswered++
+	t.byPath[res.Path]++
 	return res.Value, nil
 }
 
 // Stats reports how many queries took each route.
-func (t *TurboSession) Stats() (turbo, failedOver int) { return t.turboAnswered, t.failedOver }
+func (t *TurboSession) Stats() (turbo, failedOver int) {
+	return t.byPath[pmw.PathR1] + t.byPath[pmw.PathR2] + t.byPath[pmw.PathR3], t.failedOver
+}
 
-// PMW exposes the underlying cache for inspection.
-func (t *TurboSession) PMW() *pmw.PMW { return t.cache }
+// Paths reports how many of Turbo's answers each branch of Alg. 1 gave:
+// free histogram answers (R1), PMW misses (R2) and bypasses (R3).
+func (t *TurboSession) Paths() (r1, r2, r3 int) {
+	return t.byPath[pmw.PathR1], t.byPath[pmw.PathR2], t.byPath[pmw.PathR3]
+}

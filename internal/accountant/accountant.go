@@ -29,8 +29,7 @@ import (
 var ErrBudgetExhausted = errors.New("accountant: privacy budget exhausted")
 
 // tol is the one floating-point tolerance of every budget comparison: a
-// payment is accepted at an order iff spent + cost ≤ budget + tol, and a
-// partition is reported open at an order iff spent < budget − tol.
+// payment is accepted at an order iff spent + cost ≤ budget + tol.
 const tol = 1e-12
 
 // Block tracks per-partition budgets and realizes parallel composition
@@ -65,8 +64,8 @@ type Block struct {
 	// allocates nothing and a run of identical charges prices once.
 	cost   []float64
 	priced Cost
-	// locks counts admission-relevant mutex acquisitions (payments and
-	// budget checks, not metric reads); see LockAcquisitions.
+	// locks counts admission-relevant mutex acquisitions (payments, not
+	// metric reads); see LockAcquisitions.
 	locks atomic.Uint64
 	// expect is the partition count a staged ledger must cover when a
 	// restore grows the session (ExpectPartitions).
@@ -152,13 +151,6 @@ func (b *Block) AddPartitions(k int) int {
 	return first
 }
 
-// Partitions returns the number of registered partitions.
-func (b *Block) Partitions() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.partitionsLocked()
-}
-
 func (b *Block) partitionsLocked() int { return len(b.spent) / len(b.budget) }
 
 // checkRangeLocked validates an inclusive partition range.
@@ -207,38 +199,8 @@ func (b *Block) PayRange(start, end int, c Cost) error {
 	return nil
 }
 
-// openLocked is HasBudgetRange's advisory predicate: partition p retains
-// headroom at some order, so a sufficiently small payment would still be
-// accepted.
-func (b *Block) openLocked(p int) bool {
-	k := len(b.budget)
-	for j, g := range b.budget {
-		if b.spent[p*k+j] < g-tol {
-			return true
-		}
-	}
-	return false
-}
-
-// HasBudgetRange reports whether all partitions of [start, end] retain some
-// budget.
-func (b *Block) HasBudgetRange(start, end int) bool {
-	b.locks.Add(1)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.checkRangeLocked(start, end) != nil {
-		return false
-	}
-	for p := start; p <= end; p++ {
-		if !b.openLocked(p) {
-			return false
-		}
-	}
-	return true
-}
-
 // LockAcquisitions returns the cumulative number of admission-relevant
-// lock acquisitions (PayRange, HasBudgetRange) on the block. Pure metric
+// lock acquisitions (PayRange) on the block. Pure metric
 // reads (SpentVector, AverageSpent, ...) are observers, not admission
 // traffic, and are not counted.
 func (b *Block) LockAcquisitions() uint64 { return b.locks.Load() }
@@ -312,20 +274,6 @@ func (b *Block) AverageSpent() float64 {
 	return sum / float64(len(spent))
 }
 
-// MaxSpent returns the highest per-partition consumption: the binding
-// constraint on the global guarantee under parallel composition.
-func (b *Block) MaxSpent() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	max := 0.0
-	for _, s := range b.spentLocked() {
-		if s > max {
-			max = s
-		}
-	}
-	return max
-}
-
 // Window is a partition range of a Block: the budget view of one
 // PMW-Bypass instance, which pays against "its" partitions without
 // knowing about the tree.
@@ -336,9 +284,6 @@ type Window struct {
 
 // Pay charges c to every partition of the window.
 func (w Window) Pay(c Cost) error { return w.Block.PayRange(w.Start, w.End, c) }
-
-// HasBudget reports whether every partition of the window has budget left.
-func (w Window) HasBudget() bool { return w.Block.HasBudgetRange(w.Start, w.End) }
 
 // Spent returns the maximum spend across the window's partitions.
 func (w Window) Spent() float64 {

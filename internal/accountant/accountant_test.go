@@ -15,9 +15,6 @@ func scalar(global float64) Window { return Window{Block: NewBlock(global, 1)} }
 
 func TestFilterStoppingRule(t *testing.T) {
 	f := scalar(1.0)
-	if !f.HasBudget() {
-		t.Fatal("fresh filter has no budget")
-	}
 	if err := f.Pay(Laplace(0.6)); err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +28,8 @@ func TestFilterStoppingRule(t *testing.T) {
 	if err := f.Pay(Laplace(0.4)); err != nil {
 		t.Fatalf("exact fill rejected: %v", err)
 	}
-	if f.HasBudget() {
-		t.Fatal("exhausted filter reports budget")
+	if err := f.Pay(Laplace(0.01)); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("exhausted filter accepted a payment: %v", err)
 	}
 	if rem := f.Block.Global() - f.Spent(); rem > 1e-9 {
 		t.Fatalf("remaining = %g", rem)
@@ -130,8 +127,8 @@ func TestBlockParallelComposition(t *testing.T) {
 	if got := b.AverageSpent(); math.Abs(got-0.85) > 1e-12 {
 		t.Fatalf("AverageSpent = %g, want 0.85", got)
 	}
-	if got := b.MaxSpent(); got != 0.9 {
-		t.Fatalf("MaxSpent = %g", got)
+	if got := maxSpent(b); got != 0.9 {
+		t.Fatalf("max spent = %g", got)
 	}
 }
 
@@ -159,16 +156,13 @@ func TestBlockRangeValidation(t *testing.T) {
 	if err := b.PayRange(0, 0, Laplace(math.NaN())); err == nil {
 		t.Error("NaN payment accepted")
 	}
-	if b.HasBudgetRange(0, 3) {
-		t.Error("out-of-range HasBudgetRange true")
-	}
 }
 
 func TestBlockStreamingGrowth(t *testing.T) {
 	b := NewBlock(1.0, 1)
 	idx := b.AddPartition()
-	if idx != 1 || b.Partitions() != 2 {
-		t.Fatalf("AddPartition = %d, Partitions = %d", idx, b.Partitions())
+	if idx != 1 || len(b.SpentVector()) != 2 {
+		t.Fatalf("AddPartition = %d, partitions = %d", idx, len(b.SpentVector()))
 	}
 	if err := b.PayRange(1, 1, Laplace(0.5)); err != nil {
 		t.Fatal(err)
@@ -180,7 +174,7 @@ func TestBlockStreamingGrowth(t *testing.T) {
 
 func TestBlockMaxAndAverageEmpty(t *testing.T) {
 	b := NewBlock(1.0, 0)
-	if b.AverageSpent() != 0 || b.MaxSpent() != 0 {
+	if b.AverageSpent() != 0 || maxSpent(b) != 0 {
 		t.Fatal("empty block has nonzero metrics")
 	}
 }
@@ -197,9 +191,6 @@ func TestWindowAdapter(t *testing.T) {
 	if w.Spent() != 0.3 {
 		t.Fatalf("window Spent = %g", w.Spent())
 	}
-	if !w.HasBudget() {
-		t.Fatal("window should have budget")
-	}
 	if err := w.Pay(Laplace(0.8)); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("err = %v", err)
 	}
@@ -207,8 +198,8 @@ func TestWindowAdapter(t *testing.T) {
 	if err := w.Pay(Laplace(0.7)); err != nil {
 		t.Fatal(err)
 	}
-	if w.HasBudget() {
-		t.Fatal("exhausted window reports budget")
+	if err := w.Pay(Laplace(0.01)); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("exhausted window accepted a payment: %v", err)
 	}
 }
 
@@ -232,18 +223,17 @@ func TestBlockNeverExceedsPerPartitionQuick(t *testing.T) {
 	}
 }
 
-// TestBlockLockAcquisitions: every payment and every budget check takes
-// the block's lock once, and counts one acquisition.
+// TestBlockLockAcquisitions: every payment takes the block's lock once,
+// and counts one acquisition; a metric read counts none.
 func TestBlockLockAcquisitions(t *testing.T) {
 	b := NewBlock(1.0, 8)
 	before := b.LockAcquisitions()
-	for p := range 64 {
-		b.HasBudgetRange(p%8, p%8)
+	for range 64 {
+		b.SpentVector()
 	}
-	if got := b.LockAcquisitions() - before; got != 64 {
-		t.Fatalf("64 singleton HasBudgetRange cost %d acquisitions, want 64", got)
+	if got := b.LockAcquisitions() - before; got != 0 {
+		t.Fatalf("64 metric reads counted %d acquisitions, want 0", got)
 	}
-	before = b.LockAcquisitions()
 	for p := range 64 {
 		if err := b.PayRange(p%8, p%8, Laplace(0)); err != nil {
 			t.Fatal(err)

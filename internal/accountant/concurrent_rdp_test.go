@@ -15,8 +15,8 @@ func TestRDPBlockPayRangeAtomic(t *testing.T) {
 	if err := b.PayRange(1, 1, cost); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("exhausted partition accepted another payment: %v", err)
 	}
-	if !b.HasBudgetRange(2, 3) {
-		t.Fatal("untouched partitions report no budget")
+	if err := b.PayRange(2, 3, cost); err != nil {
+		t.Fatalf("untouched partitions refused a payment: %v", err)
 	}
 	// A range overlapping the exhausted partition must deduct nothing.
 	before := b.SpentVector()
@@ -56,8 +56,8 @@ func TestRDPBlockZeroHistoryConvertsToZero(t *testing.T) {
 	if b.SpentAt(1) != 0 {
 		t.Fatal("untouched partition shows spend")
 	}
-	if b.MaxSpent() != b.SpentAt(0) || b.AverageSpent() != b.SpentAt(0)/2 {
-		t.Fatal("MaxSpent/AverageSpent disagree with SpentAt")
+	if maxSpent(b) != b.SpentAt(0) || b.AverageSpent() != b.SpentAt(0)/2 {
+		t.Fatal("max/average spent disagree with SpentAt")
 	}
 }
 
@@ -98,8 +98,8 @@ func TestRDPBlockAddPartition(t *testing.T) {
 	if got := b.AddPartition(); got != 1 {
 		t.Fatalf("AddPartition = %d", got)
 	}
-	if got := b.AddPartitions(2); got != 2 || b.Partitions() != 4 {
-		t.Fatalf("AddPartitions(2) = %d, partitions = %d", got, b.Partitions())
+	if got := b.AddPartitions(2); got != 2 || len(b.SpentVector()) != 4 {
+		t.Fatalf("AddPartitions(2) = %d, partitions = %d", got, len(b.SpentVector()))
 	}
 	if err := b.PayRange(0, 3, Laplace(0.01)); err != nil {
 		t.Fatal(err)

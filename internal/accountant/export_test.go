@@ -11,6 +11,16 @@ func (b *Block) SpentAt(i int) float64 {
 	return b.convertedLocked(i)
 }
 
+// maxSpent is the highest per-partition consumption, read as /budget
+// reads max_spent: the max over SpentVector, 0 with no partitions.
+func maxSpent(b *Block) float64 {
+	m := 0.0
+	for _, s := range b.SpentVector() {
+		m = max(m, s)
+	}
+	return m
+}
+
 // CurveAt returns a copy of partition p's per-order spend, aligned with
 // Orders() (one entry, the ε spend, on the pure grid).
 func (b *Block) CurveAt(p int) []float64 {

@@ -50,18 +50,6 @@ func (b *modelBlock) payRange(start, end int, eps float64) error {
 	return nil
 }
 
-func (b *modelBlock) hasBudgetRange(start, end int) bool {
-	if start < 0 || end >= len(b.spent) || start > end {
-		return false
-	}
-	for i := start; i <= end; i++ {
-		if b.spent[i] >= b.global-1e-12 {
-			return false
-		}
-	}
-	return true
-}
-
 func (b *modelBlock) averageSpent() float64 {
 	if len(b.spent) == 0 {
 		return 0
@@ -128,10 +116,7 @@ func modelSVInitCurve(orders []float64, eps float64) modelCurve {
 	return c
 }
 
-// modelRDPBlock is the old RDPBlock, mirror included. Its advisory
-// predicate carries the one deliberate change of the unification: the
-// old code read "spent < budget", today's single predicate is the scalar
-// block's "spent < budget − 1e-12".
+// modelRDPBlock is the old RDPBlock, mirror included.
 type modelRDPBlock struct {
 	orders   []float64
 	global   modelCurve
@@ -245,31 +230,11 @@ func (b *modelRDPBlock) convert(p int) float64 {
 	return best
 }
 
-func (b *modelRDPBlock) hasBudgetRange(start, end int) bool {
-	if start < 0 || end >= len(b.spent) || start > end {
-		return false
-	}
-	for p := start; p <= end; p++ {
-		ok := false
-		for i := range b.orders {
-			if b.global.Eps[i] > 0 && b.spent[p].Eps[i] < b.global.Eps[i]-1e-12 {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // books is what TestModel needs from a reference: the old pure block or
 // the old Rényi block behind one face, so one driver exercises both
 // grids.
 type books interface {
 	pay(start, end int, c Cost) error
-	hasBudget(start, end int) bool
 	grow(k int)
 	partitions() int
 	// fits reports whether partition p alone would accept c, and near
@@ -303,9 +268,8 @@ func (r pureBooks) pay(start, end int, c Cost) error {
 	}
 	return r.m.payRange(start, end, eps)
 }
-func (r pureBooks) hasBudget(start, end int) bool { return r.m.hasBudgetRange(start, end) }
-func (r pureBooks) grow(k int)                    { r.m.addPartitions(k) }
-func (r pureBooks) partitions() int               { return len(r.m.spent) }
+func (r pureBooks) grow(k int)      { r.m.addPartitions(k) }
+func (r pureBooks) partitions() int { return len(r.m.spent) }
 func (r pureBooks) fits(p int, c Cost) (fits, near bool) {
 	eps, ok := pureEps(c)
 	if !ok {
@@ -324,9 +288,9 @@ func (r pureBooks) compare(t *testing.T, step int, got *Block) {
 			t.Fatalf("step %d: partition %d spent %v, reference %v (must be bit-identical)", step, p, vec[p], want)
 		}
 	}
-	if got.AverageSpent() != r.m.averageSpent() || got.MaxSpent() != r.m.maxSpent() {
+	if got.AverageSpent() != r.m.averageSpent() || maxSpent(got) != r.m.maxSpent() {
 		t.Fatalf("step %d: average/max %v/%v, reference %v/%v", step,
-			got.AverageSpent(), got.MaxSpent(), r.m.averageSpent(), r.m.maxSpent())
+			got.AverageSpent(), maxSpent(got), r.m.averageSpent(), r.m.maxSpent())
 	}
 }
 
@@ -352,9 +316,8 @@ func (r renyiBooks) pay(start, end int, c Cost) error {
 	}
 	return r.m.payRange(start, end, r.curve(c))
 }
-func (r renyiBooks) hasBudget(start, end int) bool { return r.m.hasBudgetRange(start, end) }
-func (r renyiBooks) grow(k int)                    { r.m.mirror.addPartitions(k); r.m.addPartitions(k) }
-func (r renyiBooks) partitions() int               { return len(r.m.spent) }
+func (r renyiBooks) grow(k int)      { r.m.mirror.addPartitions(k); r.m.addPartitions(k) }
+func (r renyiBooks) partitions() int { return len(r.m.spent) }
 func (r renyiBooks) fits(p int, c Cost) (fits, near bool) {
 	cost := r.curve(c)
 	for i, g := range r.m.global.Eps {
@@ -369,8 +332,8 @@ func (r renyiBooks) fits(p int, c Cost) (fits, near bool) {
 }
 func (r renyiBooks) compare(t *testing.T, step int, got *Block) {
 	t.Helper()
-	if got.Partitions() != len(r.m.spent) {
-		t.Fatalf("step %d: %d partitions, reference has %d", step, got.Partitions(), len(r.m.spent))
+	if n := len(got.SpentVector()); n != len(r.m.spent) {
+		t.Fatalf("step %d: %d partitions, reference has %d", step, n, len(r.m.spent))
 	}
 	vec := got.SpentVector()
 	for p := range r.m.spent {
@@ -478,17 +441,12 @@ func TestModel(t *testing.T) {
 				}
 				for step := 0; step < 1500; step++ {
 					switch op := rng.IntN(20); {
-					case op < 14:
+					case op < 19:
 						start, end := pick()
 						c := charge(start)
 						wantErr := pay(start, end, c)
 						if err := got.PayRange(start, end, c); !sameVerdict(err, wantErr) {
 							t.Fatalf("seed %d step %d: PayRange(%d,%d,%+v) = %v, reference %v", seed, step, start, end, c, err, wantErr)
-						}
-					case op < 19:
-						start, end := pick()
-						if has, want := got.HasBudgetRange(start, end), ref.hasBudget(start, end); has != want {
-							t.Fatalf("seed %d step %d: HasBudgetRange(%d,%d) = %v, reference %v", seed, step, start, end, has, want)
 						}
 					default:
 						if ref.partitions() < 14 {

@@ -42,7 +42,7 @@ func TestBlockSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("pure-ε snapshot accepted by a Rényi block")
 	}
 	short := NewBlock(5, 3)
-	if _, err := short.StagePayload(payload); err == nil || short.MaxSpent() != 0 {
+	if _, err := short.StagePayload(payload); err == nil || maxSpent(short) != 0 {
 		t.Fatalf("partition mismatch: err %v, spent %v", err, short.SpentVector())
 	}
 	if _, err := NewBlock(5, 4).StagePayload([]byte("junk")); err == nil {
@@ -111,7 +111,7 @@ func TestRDPBlockRestoreValidation(t *testing.T) {
 		if _, err := dst.StagePayload(payload); err == nil {
 			t.Fatalf("%s mismatch accepted", name)
 		}
-		if dst.MaxSpent() != 0 {
+		if maxSpent(dst) != 0 {
 			t.Fatalf("%s mismatch refused after mutating: %v", name, dst.SpentVector())
 		}
 	}
@@ -155,12 +155,12 @@ func TestBlockStagePayload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a snapshot of the 3 partitions the restore leaves: %v", err)
 	}
-	if dst.MaxSpent() != 0 || dst.Partitions() != 2 {
+	if maxSpent(dst) != 0 || len(dst.SpentVector()) != 2 {
 		t.Fatal("staging moved the ledger")
 	}
 	apply()
-	if dst.Partitions() != 3 {
-		t.Fatalf("the apply left %d partitions, want 3", dst.Partitions())
+	if len(dst.SpentVector()) != 3 {
+		t.Fatalf("the apply left %d partitions, want 3", len(dst.SpentVector()))
 	}
 	for p := 0; p < 3; p++ {
 		if dst.SpentAt(p) != src.SpentAt(p) {

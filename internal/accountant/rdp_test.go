@@ -88,8 +88,8 @@ func TestGaussianCurve(t *testing.T) {
 	if err := pure.PayRange(0, 1, Gaussian(2, 1)); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("pure grid took a Gaussian release: %v", err)
 	}
-	if pure.MaxSpent() != 0 {
-		t.Fatalf("refused Gaussian release deducted %g", pure.MaxSpent())
+	if maxSpent(pure) != 0 {
+		t.Fatalf("refused Gaussian release deducted %g", maxSpent(pure))
 	}
 }
 

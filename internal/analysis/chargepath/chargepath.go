@@ -20,7 +20,7 @@
 //     result is reachable: the function — or a same-package function it
 //     transitively calls — either invokes an accountant payment API
 //     (Pay, PayRange) or obtains a result value carrying a Paid field.
-//     An advisory budget check (HasBudgetRange) is not a payment and
+//     Any other accountant call (a budget read) is not a payment and
 //     counts for nothing. This is the eviction-safety property: an
 //     entry is only ever written by the flight that paid for it.
 package chargepath

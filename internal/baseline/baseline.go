@@ -1,9 +1,9 @@
 // Package baseline implements the comparison systems of the Turbo
 // evaluation: Direct Laplace (no cache), the Exact-Cache, the
 // Tree Exact-Cache (the CacheDP-equivalent design of §6.3), and the
-// Laplace Histogram of Appendix C. Vanilla PMW is provided by
-// pmw.NewVanilla and Turbo itself by the core package; all satisfy System
-// so the experiment harness treats them uniformly.
+// Laplace Histogram of Appendix C, each a System the experiment harness
+// drives uniformly. Vanilla PMW is provided by pmw.NewVanilla and Turbo
+// itself by the core package.
 package baseline
 
 import (
@@ -36,8 +36,6 @@ type System interface {
 	// Run answers q (α, β)-accurately or returns
 	// accountant.ErrBudgetExhausted (wrapped) once the guarantee binds.
 	Run(q *query.Query) (float64, error)
-	// Name identifies the system in experiment output.
-	Name() string
 }
 
 // window resolves a query's partition range, defaulting to the whole store.
@@ -76,9 +74,6 @@ func (d *DirectLaplace) Run(q *query.Query) (float64, error) {
 	}
 	return d.Exec.ExecuteDP(q, start, end, eps, math.NaN())
 }
-
-// Name implements System.
-func (d *DirectLaplace) Name() string { return "laplace" }
 
 // ExactCache answers repeats for free from an exact-match cache and falls
 // back to Direct Laplace on misses. The cache key includes the window a
@@ -125,12 +120,6 @@ func (c *ExactCache) Run(q *query.Query) (float64, error) {
 	}
 	return r, nil
 }
-
-// Name implements System.
-func (c *ExactCache) Name() string { return "exact-cache" }
-
-// Cache exposes hit statistics.
-func (c *ExactCache) Cache() *cache.Exact { return c.cache }
 
 // TreeExactCache splits each query along the dyadic tree and keeps one
 // exact cache per node, so sub-results are shared across overlapping
@@ -206,12 +195,6 @@ func (c *TreeExactCache) Run(q *query.Query) (float64, error) {
 	return weighted / float64(total), nil
 }
 
-// Name implements System.
-func (c *TreeExactCache) Name() string { return "tree-exact-cache" }
-
-// Cache exposes hit statistics.
-func (c *TreeExactCache) Cache() *cache.Exact { return c.cache }
-
 // LaplaceHistogram is the Appendix C baseline: pay once for a noisy count
 // of every domain bin (L1 sensitivity 2), then answer arbitrarily many
 // linear queries by post-processing. Its one-shot cost grows with
@@ -224,7 +207,6 @@ type LaplaceHistogram struct {
 	rng         *noise.Rng
 
 	noisy []float64 // noisy per-bin fractions, nil until first query
-	paid  float64
 }
 
 // NewLaplaceHistogram builds the one-shot noisy histogram baseline.
@@ -246,7 +228,6 @@ func (l *LaplaceHistogram) Run(q *query.Query) (float64, error) {
 		if err := l.Block.PayRange(0, ds.Partitions()-1, accountant.Laplace(eps)); err != nil {
 			return 0, err
 		}
-		l.paid = eps
 		dist, err := ds.TrueDistribution(0, ds.Partitions()-1)
 		if err != nil {
 			return 0, err
@@ -258,9 +239,3 @@ func (l *LaplaceHistogram) Run(q *query.Query) (float64, error) {
 	}
 	return q.Eval(l.noisy), nil
 }
-
-// Name implements System.
-func (l *LaplaceHistogram) Name() string { return "laplace-histogram" }
-
-// Paid returns the one-shot budget spent, or 0 before the first query.
-func (l *LaplaceHistogram) Paid() float64 { return l.paid }

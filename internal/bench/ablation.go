@@ -42,7 +42,7 @@ func TauSweep(sc Scale) (Result, error) {
 			return Result{}, err
 		}
 		budget.Points = append(budget.Points, Point{X: tau, Y: spent})
-		updates.Points = append(updates.Points, Point{X: tau, Y: float64(p.Stats().Updates)})
+		updates.Points = append(updates.Points, Point{X: tau, Y: float64(p.Histogram().Updates())})
 	}
 	return Result{
 		Name:   "ablation-tau",

@@ -173,13 +173,3 @@ func (c *Exact) Stats() (hits, misses int) {
 	st := c.store.Stats()
 	return int(st.Hits), int(st.Misses)
 }
-
-// HitRate returns hits/(hits+misses), or 0 before any lookup.
-func (c *Exact) HitRate() float64 {
-	hits, misses := c.Stats()
-	total := hits + misses
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
-}

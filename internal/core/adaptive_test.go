@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/query"
@@ -113,7 +114,7 @@ func TestAdaptiveStreamFollowsData(t *testing.T) {
 		}
 		prev = latest.Value
 	}
-	if s.Accountant().MaxSpent() > cfg.EpsilonGlobal {
+	if slices.Max(s.Accountant().SpentVector()) > cfg.EpsilonGlobal {
 		t.Fatal("guarantee exceeded")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -168,7 +169,7 @@ func TestRefusalLeavesBooksAndRestoreNeedsNoReadmission(t *testing.T) {
 		if accepted == 0 || refused == 0 {
 			t.Fatalf("after the restore %d accepted, %d refused: the stream must cross exhaustion", accepted, refused)
 		}
-		if max := restored.Accountant().MaxSpent(); max > cfg.EpsilonGlobal+1e-9 || max < cfg.EpsilonGlobal/2 {
+		if max := slices.Max(restored.Accountant().SpentVector()); max > cfg.EpsilonGlobal+1e-9 || max < cfg.EpsilonGlobal/2 {
 			t.Fatalf("exhausted at a max spend of %g under ε_G = %g", max, cfg.EpsilonGlobal)
 		}
 	})
@@ -214,9 +215,9 @@ func TestLegacySnapshotsLoad(t *testing.T) {
 			!strings.Contains(err.Error(), "snapshot is v2, this build reads v8") {
 			t.Fatalf("err = %v, want an ErrBadVersion refusal naming v2 and v8", err)
 		}
-		if restored.Accountant().MaxSpent() != 0 || restored.Queries() != 0 || restored.StoreStats().Entries != 0 {
+		if slices.Max(restored.Accountant().SpentVector()) != 0 || restored.Queries() != 0 || restored.StoreStats().Entries != 0 {
 			t.Fatalf("the refusal moved state: spent %v, %d queries, %d cached",
-				restored.Accountant().MaxSpent(), restored.Queries(), restored.StoreStats().Entries)
+				slices.Max(restored.Accountant().SpentVector()), restored.Queries(), restored.StoreStats().Entries)
 		}
 		fresh, err := NewSession(cfg, ds)
 		if err != nil {
@@ -304,8 +305,8 @@ func TestLegacyGaussianSnapshotRefusedUntouched(t *testing.T) {
 					version == "v8" && (!errors.As(err, &se) || se.Section != accountant.SectionBlock) {
 					t.Fatalf("%s: err = %v, want the refusal of a %s snapshot", version, err, version)
 				}
-				if dst.Accountant().MaxSpent() != 0 || dst.Queries() != 0 {
-					t.Fatalf("%s: refusal mutated the session: err=%v spent=%v queries=%d", version, err, dst.Accountant().MaxSpent(), dst.Queries())
+				if slices.Max(dst.Accountant().SpentVector()) != 0 || dst.Queries() != 0 {
+					t.Fatalf("%s: refusal mutated the session: err=%v spent=%v queries=%d", version, err, slices.Max(dst.Accountant().SpentVector()), dst.Queries())
 				}
 				if _, err := dst.Answer(mkQuery(0)); err != nil {
 					t.Fatalf("%s: session unusable after the refusal: %v", version, err)

@@ -191,7 +191,7 @@ func TestLoadStateRefusesTreeNodeSection(t *testing.T) {
 	node.PutInt(0)
 	node.PutUvarint(1)
 	node.PutString(stmts[0].KeyWithWindow())
-	node.PutBytes(make([]byte, 25))
+	node.PutString(string(make([]byte, 25)))
 	old := rewriteSections(t, raw, func(_ string, p []byte) []byte { return p },
 		"cache/tree-node", string(node.Payload()))
 	dst, err := NewSession(cfg, src.Dataset())

@@ -201,7 +201,7 @@ func TestEvictionUnderFire(t *testing.T) {
 	}
 
 	// Books hold under any interleaving.
-	for i := 0; i < s.block.Partitions(); i++ {
+	for i := 0; i < len(s.block.SpentVector()); i++ {
 		if spent := s.block.SpentVector()[i]; spent > cfg.EpsilonGlobal+1e-9 {
 			t.Fatalf("partition %d spent %g > ε_G %g", i, spent, cfg.EpsilonGlobal)
 		}

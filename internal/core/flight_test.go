@@ -274,7 +274,7 @@ func TestAppendOrderingRegression(t *testing.T) {
 		if _, err := sess.AppendPartitions(Arrival{}); err == nil {
 			t.Fatalf("gaussian=%v: non-partitioned append accepted", gaussian)
 		}
-		if sess.Dataset().Partitions() != 1 || sess.Accountant().Partitions() != 1 {
+		if sess.Dataset().Partitions() != 1 || len(sess.Accountant().SpentVector()) != 1 {
 			t.Fatalf("gaussian=%v: refused append still grew state", gaussian)
 		}
 	}
@@ -308,7 +308,7 @@ func TestAppendOrderingRegression(t *testing.T) {
 			}
 			// Dataset first: read the other way round, a whole append can
 			// land between the two reads and look like a lag.
-			if parts := sess.Dataset().Partitions(); sess.Accountant().Partitions() < parts {
+			if parts := sess.Dataset().Partitions(); len(sess.Accountant().SpentVector()) < parts {
 				t.Error("scalar accountant lags the dataset mid-epoch")
 				return
 			}
@@ -359,8 +359,8 @@ func TestAppendOrderingRegression(t *testing.T) {
 			t.Fatalf("epoch indices not dense at %d: got %d", i, idx)
 		}
 	}
-	if sess.Accountant().Partitions() != sess.Dataset().Partitions() {
-		t.Fatalf("books end unequal: %d vs %d", sess.Accountant().Partitions(), sess.Dataset().Partitions())
+	if len(sess.Accountant().SpentVector()) != sess.Dataset().Partitions() {
+		t.Fatalf("books end unequal: %d vs %d", len(sess.Accountant().SpentVector()), sess.Dataset().Partitions())
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/accountant"
@@ -41,7 +42,7 @@ func TestGaussianSessionAccuracyAndAccounting(t *testing.T) {
 	if s.Accountant().AverageSpent() != s.AverageSpent() {
 		t.Fatalf("session reports %g, its block %g", s.AverageSpent(), s.Accountant().AverageSpent())
 	}
-	if s.Accountant().MaxSpent() <= 0 {
+	if slices.Max(s.Accountant().SpentVector()) <= 0 {
 		t.Fatal("per-partition block never charged in Gaussian mode")
 	}
 }
@@ -113,7 +114,7 @@ func TestGaussianPartitionedSession(t *testing.T) {
 			t.Fatalf("window partition %d shows no spend: %g, curve %v", p, block.SpentVector()[p], curveAt(t, block, p))
 		}
 	}
-	if s.Accountant().MaxSpent() <= 0 || s.AverageSpent() <= 0 {
+	if slices.Max(s.Accountant().SpentVector()) <= 0 || s.AverageSpent() <= 0 {
 		t.Fatal("session-level Gaussian metrics zero")
 	}
 }
@@ -137,7 +138,7 @@ func TestGaussianStreamingAppend(t *testing.T) {
 	if w := arrive(t, s, counts); w != 1 {
 		t.Fatalf("AppendPartitions = %d", w)
 	}
-	if got := s.Accountant().Partitions(); got != 2 {
+	if got := len(s.Accountant().SpentVector()); got != 2 {
 		t.Fatalf("block has %d partitions, want 2", got)
 	}
 	q := query.MustNew(dom, map[int][]int{0: {1}}).WithWindow(1, 1)

@@ -323,7 +323,7 @@ func (p singleSection) StagePayload(payload []byte) (func(), error) {
 	return func() {
 		s.singleMu.Lock()
 		defer s.singleMu.Unlock()
-		_ = s.single.WarmStart(h, nil) // its refusals are the checks above, and the restore window's for a PMW that answered
+		_ = s.single.WarmStart(h, nil) // its refusals are the checks above
 		if adaptive && thresholds != nil {
 			ap.SetThresholds(thresholds)
 		}

@@ -333,7 +333,7 @@ func TestLoadStateRefusesPoisonedDataset(t *testing.T) {
 		if got := dst.Accountant().SpentVector(); !slices.Equal(got, spent) {
 			t.Fatalf("%s: the refusal moved the books %v to %v", tc.name, spent, got)
 		}
-		if n, parts := dst.Accountant().Partitions(), fresh.Partitions(); n != 2 || parts != 2 {
+		if n, parts := len(dst.Accountant().SpentVector()), fresh.Partitions(); n != 2 || parts != 2 {
 			t.Fatalf("%s: the refusal left the books over %d partitions and the dataset with %d, want 2 and 2",
 				tc.name, n, parts)
 		}
@@ -395,9 +395,9 @@ func TestRestoreRefusesForeignPrefix(t *testing.T) {
 			if refusingSection(err) != "dataset/partitions" || !strings.Contains(err.Error(), "partition 0") {
 				t.Fatalf("snapshot of another dataset: err = %v, want a dataset/partitions refusal naming partition 0", err)
 			}
-			if other.Partitions() != parts || other.NRowsAll() != rows || dst.Accountant().Partitions() != parts {
+			if other.Partitions() != parts || other.NRowsAll() != rows || len(dst.Accountant().SpentVector()) != parts {
 				t.Fatalf("the refusal left %d partitions of %d rows and books over %d, want %d, %d and %d",
-					other.Partitions(), other.NRowsAll(), dst.Accountant().Partitions(), parts, rows, parts)
+					other.Partitions(), other.NRowsAll(), len(dst.Accountant().SpentVector()), parts, rows, parts)
 			}
 			q = query.MustNew(dom, map[int][]int{0: {1}})
 			if mode == Streaming {
@@ -554,9 +554,9 @@ func loadAllOrNothing(t *testing.T, s *Session, snap []byte) error {
 	if !bytes.Equal(after.Bytes(), before.Bytes()) {
 		t.Fatalf("the refused load (%v) changed the session's snapshot", err)
 	}
-	if s.Accountant().MaxSpent() != 0 || s.Queries() != 0 {
+	if slices.Max(s.Accountant().SpentVector()) != 0 || s.Queries() != 0 {
 		t.Fatalf("the refused load (%v) moved the books (max spent %g) or the counters (%d queries)",
-			err, s.Accountant().MaxSpent(), s.Queries())
+			err, slices.Max(s.Accountant().SpentVector()), s.Queries())
 	}
 	return err
 }
@@ -569,10 +569,10 @@ func requireEqualRDP(t *testing.T, s1, s2 *Session) {
 	if b1.Orders() == nil || b2.Orders() == nil {
 		t.Fatal("expected Gaussian sessions")
 	}
-	if b1.Partitions() != b2.Partitions() {
-		t.Fatalf("books cover %d and %d partitions", b1.Partitions(), b2.Partitions())
+	if len(b1.SpentVector()) != len(b2.SpentVector()) {
+		t.Fatalf("books cover %d and %d partitions", len(b1.SpentVector()), len(b2.SpentVector()))
 	}
-	for p := 0; p < b1.Partitions(); p++ {
+	for p := 0; p < len(b1.SpentVector()); p++ {
 		c1, c2 := curveAt(t, b1, p), curveAt(t, b2, p)
 		for i := range c1 {
 			if c1[i] != c2[i] {
@@ -721,9 +721,9 @@ func TestSaveLoadMidStream(t *testing.T) {
 
 	// The stream continues on the restored session: append, load, query.
 	w := appendWeek(t, s2)
-	if s2.Accountant().Partitions() != ds.Partitions() {
+	if len(s2.Accountant().SpentVector()) != ds.Partitions() {
 		t.Fatalf("post-restore append: accountant %d vs dataset %d",
-			s2.Accountant().Partitions(), ds.Partitions())
+			len(s2.Accountant().SpentVector()), ds.Partitions())
 	}
 	a, err = s2.Answer(q.WithWindow(w, w))
 	if err != nil {
@@ -1107,7 +1107,7 @@ func poisonLast(t *testing.T, section string, p []byte, alt bool) []byte {
 		n := d.Count(9)
 		e.PutUvarint(uint64(n))
 		for i := range n {
-			e.PutBytes(d.Bytes())
+			e.PutString(string(d.Bytes()))
 			v := d.Float()
 			if i == n-1 {
 				v = math.Inf(1) // not a release

@@ -46,6 +46,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -162,16 +163,18 @@ type Config struct {
 }
 
 func (c *Config) fill() error {
-	if c.Alpha <= 0 || c.Alpha >= 1 || c.Beta <= 0 || c.Beta >= 1 {
+	// Each check is written so that NaN fails it: every comparison with
+	// NaN is false.
+	if !(c.Alpha > 0 && c.Alpha < 1) || !(c.Beta > 0 && c.Beta < 1) {
 		return fmt.Errorf("core: bad accuracy target (%g,%g)", c.Alpha, c.Beta)
 	}
-	if c.EpsilonGlobal <= 0 {
-		return fmt.Errorf("core: bad global budget %g", c.EpsilonGlobal)
+	if !(c.EpsilonGlobal > 0 && c.EpsilonGlobal < math.Inf(1)) {
+		return fmt.Errorf("core: bad global budget %g: want a finite ε_G > 0", c.EpsilonGlobal)
 	}
 	if c.Tau == 0 {
 		c.Tau = 0.05
 	}
-	if c.Tau < 0 || c.Tau > 0.5 {
+	if !(c.Tau > 0 && c.Tau <= 0.5) {
 		return fmt.Errorf("core: tau %g out of (0,1/2]", c.Tau)
 	}
 	if c.Seed == 0 {
@@ -281,7 +284,7 @@ func NewSession(cfg Config, ds *dataset.Dataset) (*Session, error) {
 	// it, and every budget report reads it.
 	var block *accountant.Block
 	if cfg.Gaussian {
-		if cfg.DeltaGlobal <= 0 || cfg.DeltaGlobal >= 1 {
+		if !(cfg.DeltaGlobal > 0 && cfg.DeltaGlobal < 1) {
 			return nil, fmt.Errorf("core: Gaussian mode needs δ_G in (0,1), got %g", cfg.DeltaGlobal)
 		}
 		block = accountant.NewBlockForDP(accountant.DefaultOrders, cfg.EpsilonGlobal, cfg.DeltaGlobal, ds.Partitions())
@@ -610,15 +613,6 @@ func (s *Session) executePlan(pl Plan) (Answer, error) {
 	return Answer{Value: res.Value, Source: SourceTree, Paid: res.Paid}, nil
 }
 
-// Run satisfies the experiment harness's System interface.
-func (s *Session) Run(q *query.Query) (float64, error) {
-	a, err := s.Answer(q)
-	return a.Value, err
-}
-
-// Name identifies the system in experiment output.
-func (s *Session) Name() string { return "turbo(" + s.cfg.Mode.String() + ")" }
-
 // record counts one answer from src.
 func (s *Session) record(src Source) {
 	s.queries.Add(1)
@@ -634,9 +628,6 @@ func (s *Session) Queries() int { return int(s.queries.Load()) }
 // Deduped returns the number of answers served by sharing a concurrent
 // identical flight (single-flight deduplication) rather than executing.
 func (s *Session) Deduped() int { return int(s.deduped.Load()) }
-
-// Mode returns the session's use case.
-func (s *Session) Mode() Mode { return s.cfg.Mode }
 
 // SourceCounts returns a copy of the per-source answer counts.
 func (s *Session) SourceCounts() map[Source]int {

@@ -139,9 +139,6 @@ func TestNonPartitionedPipeline(t *testing.T) {
 	if s.Queries() != 2 {
 		t.Fatalf("Queries = %d", s.Queries())
 	}
-	if s.Name() == "" {
-		t.Fatal("empty name")
-	}
 }
 
 func TestFreePathAfterTraining(t *testing.T) {
@@ -263,8 +260,8 @@ func TestStreamingAppendAndWarmStart(t *testing.T) {
 		counts[dom.Encode([]int{0, a})] = 4000 - 150*a
 	}
 	idx := arrive(t, s, counts)
-	if idx != 2 || s.Dataset().Partitions() != 3 || s.Accountant().Partitions() != 3 {
-		t.Fatalf("append: idx=%d parts=%d acct=%d", idx, s.Dataset().Partitions(), s.Accountant().Partitions())
+	if idx != 2 || s.Dataset().Partitions() != 3 || len(s.Accountant().SpentVector()) != 3 {
+		t.Fatalf("append: idx=%d parts=%d acct=%d", idx, s.Dataset().Partitions(), len(s.Accountant().SpentVector()))
 	}
 	q2 := query.MustNew(dom, map[int][]int{0: {1}}).WithWindow(2, 2)
 	truth, _ := ds.TrueFraction(q2, 2, 2)
@@ -362,18 +359,6 @@ func TestFlatStructureMode(t *testing.T) {
 	}
 	if math.Abs(a.Value-truth) > 0.05 {
 		t.Fatalf("flat answer %g vs truth %g", a.Value, truth)
-	}
-}
-
-func TestRunInterface(t *testing.T) {
-	dom, ds := buildDS(t, 1)
-	s, _ := NewSession(defaultCfg(NonPartitioned), ds)
-	v, err := s.Run(query.MustNew(dom, map[int][]int{0: {1}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v == 0 {
-		t.Fatal("Run returned zero for a nonzero fraction")
 	}
 }
 

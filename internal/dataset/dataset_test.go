@@ -356,7 +356,7 @@ func TestExecutorGaussian(t *testing.T) {
 	ds := New(d, 1)
 	_ = addCount(ds, 0, 0, 1000)
 	exec := NewExecutor(ds, noise.NewRng(4)).WithGaussian(0.01)
-	if exec.Mechanism() != Gaussian {
+	if exec.mech != Gaussian {
 		t.Fatal("mechanism not switched")
 	}
 	if Gaussian.String() != "gaussian" || Laplace.String() != "laplace" {

@@ -78,9 +78,6 @@ func (e *Executor) WithGaussian(sigma float64) *Executor {
 // Dataset returns the underlying store.
 func (e *Executor) Dataset() *Dataset { return e.ds }
 
-// Mechanism returns the active mechanism.
-func (e *Executor) Mechanism() Mechanism { return e.mech }
-
 // ExecuteNP runs q over partitions [start, end] without privacy — the true
 // fraction. Only SV checks and ExecuteDP may consume this value.
 func (e *Executor) ExecuteNP(q *query.Query, start, end int) (float64, error) {

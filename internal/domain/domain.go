@@ -133,23 +133,6 @@ func (d *Domain) Encode(tuple []int) int {
 	return idx
 }
 
-// Decode writes the attribute-value tuple of bin index idx into dst and
-// returns it. If dst is nil or too short a new slice is allocated.
-func (d *Domain) Decode(idx int, dst []int) []int {
-	if idx < 0 || idx >= d.size {
-		panic(fmt.Sprintf("domain: bin index %d out of range [0,%d)", idx, d.size))
-	}
-	if cap(dst) < len(d.attrs) {
-		dst = make([]int, len(d.attrs))
-	}
-	dst = dst[:len(d.attrs)]
-	for i := range d.attrs {
-		dst[i] = idx / d.strides[i]
-		idx %= d.strides[i]
-	}
-	return dst
-}
-
 // Value returns the value of attribute attr at bin index idx without
 // materializing the full tuple.
 func (d *Domain) Value(idx, attr int) int {

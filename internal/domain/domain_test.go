@@ -78,11 +78,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 						t.Fatalf("Encode collision at %d", idx)
 					}
 					seen[idx] = true
-					got := d.Decode(idx, nil)
-					want := []int{p, a, g, e}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("Decode(%d) = %v, want %v", idx, got, want)
+					for i, want := range []int{p, a, g, e} {
+						if got := d.Value(idx, i); got != want {
+							t.Fatalf("Value(%d, %d) = %d, want %d", idx, i, got, want)
 						}
 					}
 				}
@@ -104,13 +102,6 @@ func TestEncodeDecodeQuick(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		tuple := []int{r.Intn(5), r.Intn(7), r.Intn(3)}
 		idx := d.Encode(tuple)
-		back := d.Decode(idx, nil)
-		for i := range tuple {
-			if back[i] != tuple[i] {
-				return false
-			}
-		}
-		// Value must agree with Decode without materializing the tuple.
 		for i := range tuple {
 			if d.Value(idx, i) != tuple[i] {
 				return false
@@ -120,15 +111,6 @@ func TestEncodeDecodeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDecodeReusesDst(t *testing.T) {
-	d := covid()
-	dst := make([]int, 4)
-	got := d.Decode(5, dst)
-	if &got[0] != &dst[0] {
-		t.Error("Decode allocated despite sufficient dst")
 	}
 }
 
@@ -148,20 +130,6 @@ func TestEncodePanics(t *testing.T) {
 				}
 			}()
 			d.Encode(tuple)
-		}()
-	}
-}
-
-func TestDecodePanicsOutOfRange(t *testing.T) {
-	d := covid()
-	for _, idx := range []int{-1, 128, 1000} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Decode(%d) did not panic", idx)
-				}
-			}()
-			d.Decode(idx, nil)
 		}()
 	}
 }

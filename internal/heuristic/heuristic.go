@@ -268,19 +268,6 @@ func (AlwaysReady) Penalize(*histogram.Histogram, *query.Query) {}
 // Name implements Heuristic.
 func (AlwaysReady) Name() string { return "always-ready(vanilla-pmw)" }
 
-// NeverReady sends every query through the bypass branch: direct Laplace
-// with external updates only. Useful as a degenerate baseline in tests.
-type NeverReady struct{}
-
-// IsReady always reports false.
-func (NeverReady) IsReady(*histogram.Histogram, *query.Query) bool { return false }
-
-// Penalize is a no-op.
-func (NeverReady) Penalize(*histogram.Histogram, *query.Query) {}
-
-// Name implements Heuristic.
-func (NeverReady) Name() string { return "never-ready(direct-laplace)" }
-
 // Cutoff wraps another heuristic and forces readiness after the wrapped
 // design has sent k queries through the bypass branch, implementing the
 // §A.5 bound on adversarial budget drain: after the cutoff, every

@@ -1,6 +1,7 @@
 package heuristic
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -218,18 +219,14 @@ func TestTrivialDesigns(t *testing.T) {
 	if !(AlwaysReady{}).IsReady(h, q) {
 		t.Fatal("AlwaysReady not ready")
 	}
-	if (NeverReady{}).IsReady(h, q) {
-		t.Fatal("NeverReady ready")
-	}
 	AlwaysReady{}.Penalize(h, q)
-	NeverReady{}.Penalize(h, q)
 }
 
 func TestCutoff(t *testing.T) {
 	d := dom()
 	h := histogram.NewUniform(d.Size())
 	q := query.MustNew(d, map[int][]int{0: {0}})
-	c := NewCutoff(NeverReady{}, 3)
+	c := NewCutoff(NewStaticGlobal(math.Inf(1)), 3)
 	for i := 0; i < 3; i++ {
 		if c.IsReady(h, q) {
 			t.Fatalf("cutoff fired early at %d", i)
@@ -242,7 +239,7 @@ func TestCutoff(t *testing.T) {
 		t.Fatalf("Bypassed = %d", c.Bypassed())
 	}
 	// k ≤ 0 disables the cutoff.
-	c2 := NewCutoff(NeverReady{}, 0)
+	c2 := NewCutoff(NewStaticGlobal(math.Inf(1)), 0)
 	for i := 0; i < 10; i++ {
 		if c2.IsReady(h, q) {
 			t.Fatal("disabled cutoff forced readiness")
@@ -264,7 +261,6 @@ func TestNames(t *testing.T) {
 		NewAdaptiveGlobal(1, 2).Name(),
 		NewStaticGlobal(4).Name(),
 		AlwaysReady{}.Name(),
-		NeverReady{}.Name(),
 		NewCutoff(AlwaysReady{}, 7).Name(),
 	}
 	seen := map[string]bool{}
@@ -274,7 +270,7 @@ func TestNames(t *testing.T) {
 		}
 		seen[n] = true
 	}
-	if !strings.Contains(names[6], "k=7") {
-		t.Fatalf("cutoff name %q missing parameter", names[6])
+	if !strings.Contains(names[5], "k=7") {
+		t.Fatalf("cutoff name %q missing parameter", names[5])
 	}
 }

@@ -74,10 +74,3 @@ func (c *LaplaceCalibrator) Stats() CalibratorStats {
 	defer c.mu.Unlock()
 	return c.stats
 }
-
-// Len returns the number of memoized quantiles resident.
-func (c *LaplaceCalibrator) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.memo)
-}

@@ -22,8 +22,8 @@ func TestCalibratorEpsilonTimesRows(t *testing.T) {
 			}
 		}
 	}
-	if c.Len() != len(ms) {
-		t.Fatalf("memo holds %d entries for %d distinct m", c.Len(), len(ms))
+	if len(c.memo) != len(ms) {
+		t.Fatalf("memo holds %d entries for %d distinct m", len(c.memo), len(ms))
 	}
 	if st := c.Stats(); st.Misses != int64(len(ms)) || st.Hits != int64(3*len(ms)) {
 		t.Fatalf("stats %+v, want %d misses and %d hits", st, len(ms), 3*len(ms))
@@ -32,8 +32,8 @@ func TestCalibratorEpsilonTimesRows(t *testing.T) {
 	if got, want := c.Epsilon(0.1, beta, 5, 1000), c.Epsilon(alpha, beta, 5, 1000)/2; got != want {
 		t.Errorf("α=0.1: ε=%v, want half of α=0.05's %v", got, want)
 	}
-	if c.Len() != len(ms) {
-		t.Fatalf("a second α added memo entries: %d", c.Len())
+	if len(c.memo) != len(ms) {
+		t.Fatalf("a second α added memo entries: %d", len(c.memo))
 	}
 }
 
@@ -44,8 +44,8 @@ func TestCalibratorSingleQueryClosedForm(t *testing.T) {
 	if got, want := c.Epsilon(0.05, 0.001, 1, 5000), math.Log(1/0.001)/(5000*0.05); got != want {
 		t.Fatalf("m=1: %v != closed form %v", got, want)
 	}
-	if c.Len() != 0 || c.Stats() != (CalibratorStats{}) {
-		t.Fatalf("m=1 touched the memo: %d entries, %+v", c.Len(), c.Stats())
+	if len(c.memo) != 0 || c.Stats() != (CalibratorStats{}) {
+		t.Fatalf("m=1 touched the memo: %d entries, %+v", len(c.memo), c.Stats())
 	}
 }
 

@@ -49,12 +49,6 @@ func (e *Encoder) PutFloats(vs []float64) {
 	}
 }
 
-// PutBytes appends a byte string behind its length.
-func (e *Encoder) PutBytes(b []byte) {
-	e.PutUvarint(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
 // PutString appends a string behind its length; it decodes with Bytes.
 func (e *Encoder) PutString(s string) {
 	e.PutUvarint(uint64(len(s)))

@@ -17,7 +17,7 @@ func putAll(e *Encoder) {
 	e.PutFloat(math.Copysign(0, -1))
 	e.PutFloats([]float64{1.5, math.Inf(-1), math.SmallestNonzeroFloat64})
 	e.PutFloats(nil)
-	e.PutBytes([]byte{0, 0xE7})
+	e.PutString("\x00\xe7")
 	e.PutString("tree/nodes")
 }
 

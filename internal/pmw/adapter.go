@@ -4,8 +4,6 @@
 package pmw
 
 import (
-	"math"
-
 	"repro/internal/dataset"
 	"repro/internal/query"
 )
@@ -26,6 +24,3 @@ func (r RangeExecutor) True(q *query.Query) (float64, error) {
 func (r RangeExecutor) DP(q *query.Query, eps float64, trueResult float64) (float64, error) {
 	return r.Exec.ExecuteDP(q, r.Start, r.End, eps, trueResult)
 }
-
-// NaN is a convenience for callers passing "no precomputed true result".
-func NaN() float64 { return math.NaN() }

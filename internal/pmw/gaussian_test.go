@@ -76,15 +76,20 @@ func TestGaussianPMWBypassTrainsAndGoesFree(t *testing.T) {
 			qs = append(qs, query.MustNew(dom, map[int][]int{0: {pv}, 1: {a}}))
 		}
 	}
+	r1 := 0
 	for round := 0; round < 6; round++ {
 		for _, q := range qs {
-			if _, err := p.Run(q); err != nil {
+			res, err := p.Run(q)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if res.Path == PathR1 {
+				r1++
 			}
 		}
 	}
-	if p.Stats().R1 == 0 {
-		t.Fatalf("Gaussian PMW-Bypass never reached the free path: %+v", p.Stats())
+	if r1 == 0 {
+		t.Fatal("Gaussian PMW-Bypass never reached the free path")
 	}
 	// Accepted history must convert to at most the configured ε_G.
 	if got := filter.Spent(); got > 50+1e-6 {
@@ -149,7 +154,7 @@ func TestCutoffBoundsBypassDrain(t *testing.T) {
 	exec := dataset.NewExecutor(ds, rng.Fork())
 	filt := accountant.Window{Block: accountant.NewBlock(1000, 1)}
 	n := ds.NRowsAll()
-	cut := heuristic.NewCutoff(heuristic.NeverReady{}, 5)
+	cut := heuristic.NewCutoff(heuristic.NewStaticGlobal(math.Inf(1)), 5)
 	p, err := New(Config{
 		Alpha: 0.05, Beta: 0.001, N: n, DomainSize: 8,
 		Tau: 0.25, LR: Constant(0.1), Heuristic: cut,
@@ -172,8 +177,5 @@ func TestCutoffBoundsBypassDrain(t *testing.T) {
 	}
 	if r3s > 5 {
 		t.Fatalf("cutoff allowed %d bypass queries, want ≤ 5", r3s)
-	}
-	if p.Stats().R1+p.Stats().R2 == 0 {
-		t.Fatal("cutoff never forced the PMW branch")
 	}
 }

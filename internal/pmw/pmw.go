@@ -78,8 +78,6 @@ type Payer interface {
 	// PaySVInit pays for one sparse-vector (re)initialization (3ε under
 	// pure DP).
 	PaySVInit() error
-	// HasBudget reports whether further queries may proceed.
-	HasBudget() bool
 }
 
 // WindowPayer implements Payer over a partition window of the block
@@ -107,9 +105,6 @@ func (p WindowPayer) PayLaplace() error { return p.Window.Pay(p.Release) }
 
 // PaySVInit pays for one SV initialization.
 func (p WindowPayer) PaySVInit() error { return p.Window.Pay(p.SVInit) }
-
-// HasBudget defers to the window.
-func (p WindowPayer) HasBudget() bool { return p.Window.HasBudget() }
 
 // Config carries the Alg. 1 parameters.
 type Config struct {
@@ -149,15 +144,6 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// Stats aggregates a PMW-Bypass's activity for the evaluation harness.
-type Stats struct {
-	Queries  int
-	R1, R2   int
-	R3       int
-	Updates  int // purposeful histogram updates (R2 + confident R3)
-	SVResets int
-}
-
 // PMW is one PMW-Bypass instance. Not safe for concurrent use; the session
 // layer serializes access.
 type PMW struct {
@@ -169,7 +155,6 @@ type PMW struct {
 	heur  heuristic.Heuristic
 	exec  Executor
 	payer Payer
-	stats Stats
 }
 
 // Result reports one answered query.
@@ -181,10 +166,6 @@ type Result struct {
 	// Updated reports whether the histogram received a purposeful update.
 	Updated bool
 }
-
-// ErrNoBudget wraps accountant.ErrBudgetExhausted for callers that want a
-// stable sentinel at this layer.
-var ErrNoBudget = accountant.ErrBudgetExhausted
 
 // New creates a PMW-Bypass over the given executor, paying through payer
 // and drawing SV noise from rng.
@@ -221,26 +202,18 @@ func NewVanilla(cfg Config, exec Executor, payer Payer, rng *noise.Rng) (*PMW, e
 	return New(cfg, exec, payer, rng)
 }
 
-// Epsilon returns the calibrated per-query budget ε.
-func (p *PMW) Epsilon() float64 { return p.eps }
-
 // Histogram exposes the internal histogram (read-only use: warm-start and
-// convergence metrics).
+// convergence metrics; its Updates count the PMW's purposeful updates,
+// R2 and confident R3, on top of any warm start's).
 func (p *PMW) Histogram() *histogram.Histogram { return p.hist }
 
 // Heuristic returns the routing heuristic.
 func (p *PMW) Heuristic() heuristic.Heuristic { return p.heur }
 
-// Stats returns activity counters.
-func (p *PMW) Stats() Stats { return p.stats }
-
 // WarmStart replaces the histogram (and, when both heuristics support it,
 // the heuristic state) with warm copies, implementing §4.5. It must be
 // called before the first query.
 func (p *PMW) WarmStart(h *histogram.Histogram, heur heuristic.Heuristic) error {
-	if p.stats.Queries > 0 {
-		return errors.New("pmw: WarmStart after queries were served")
-	}
 	if h.Size() != p.cfg.DomainSize {
 		return fmt.Errorf("pmw: warm-start histogram size %d != domain %d", h.Size(), p.cfg.DomainSize)
 	}
@@ -270,12 +243,11 @@ func (p *PMW) ensureSV() error {
 	}
 	p.sv.Reset()
 	p.svUp = true
-	p.stats.SVResets++
 	return nil
 }
 
 // Run answers one query through Alg. 1. On budget exhaustion it returns
-// ErrNoBudget (wrapped) and releases nothing.
+// accountant.ErrBudgetExhausted (wrapped) and releases nothing.
 func (p *PMW) Run(q *query.Query) (Result, error) {
 	if p.heur.IsReady(p.hist, q) {
 		return p.runPMWBranch(q)
@@ -295,8 +267,6 @@ func (p *PMW) runPMWBranch(q *query.Query) (Result, error) {
 		return Result{}, err
 	}
 	if p.sv.Test(r1, trueRes) {
-		p.stats.Queries++
-		p.stats.R1++
 		return Result{Value: r1, Path: PathR1}, nil
 	}
 	// SV failed and is consumed: pay for the Laplace release and the SV
@@ -319,10 +289,6 @@ func (p *PMW) runPMWBranch(q *query.Query) (Result, error) {
 	p.hist.Update(q, step)
 	p.heur.Penalize(p.hist, q)
 	p.sv.Reset() // already paid above
-	p.stats.SVResets++
-	p.stats.Queries++
-	p.stats.R2++
-	p.stats.Updates++
 	return Result{Value: r2, Path: PathR2, Paid: 4 * p.eps, Updated: true}, nil
 }
 
@@ -348,10 +314,5 @@ func (p *PMW) runBypassBranch(q *query.Query) (Result, error) {
 		p.hist.Update(q, -lr)
 		res.Updated = true
 	}
-	if res.Updated {
-		p.stats.Updates++
-	}
-	p.stats.Queries++
-	p.stats.R3++
 	return res, nil
 }

@@ -51,32 +51,6 @@ func (e ExpDecay) String() string {
 	return fmt.Sprintf("expdecay(%g->%g,hl=%g)", e.Start, e.End, e.HalfLife)
 }
 
-// StepDecay multiplies the rate by Factor every Every updates, clamped at
-// Min.
-type StepDecay struct {
-	Start  float64
-	Factor float64
-	Every  int
-	Min    float64
-}
-
-// LR implements Schedule.
-func (s StepDecay) LR(updates int) float64 {
-	if s.Every <= 0 {
-		return s.Start
-	}
-	lr := s.Start * math.Pow(s.Factor, float64(updates/s.Every))
-	if lr < s.Min {
-		return s.Min
-	}
-	return lr
-}
-
-// String implements Schedule.
-func (s StepDecay) String() string {
-	return fmt.Sprintf("stepdecay(%g x%g/%d,min=%g)", s.Start, s.Factor, s.Every, s.Min)
-}
-
 // TheoreticalLR returns α/8, the learning rate PMW theory fixes for
 // worst-case convergence [58]; Fig. 8(d) shows empirical convergence is
 // much faster at larger rates.

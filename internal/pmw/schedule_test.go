@@ -46,26 +46,6 @@ func TestExpDecay(t *testing.T) {
 	}
 }
 
-func TestStepDecay(t *testing.T) {
-	s := StepDecay{Start: 0.4, Factor: 0.5, Every: 10, Min: 0.05}
-	if s.LR(0) != 0.4 || s.LR(9) != 0.4 {
-		t.Fatal("first step wrong")
-	}
-	if s.LR(10) != 0.2 {
-		t.Fatalf("LR(10) = %g", s.LR(10))
-	}
-	if s.LR(20) != 0.1 {
-		t.Fatalf("LR(20) = %g", s.LR(20))
-	}
-	if s.LR(1000) != 0.05 {
-		t.Fatalf("LR floor = %g", s.LR(1000))
-	}
-	// Every ≤ 0 never decays.
-	if (StepDecay{Start: 0.4, Factor: 0.5}).LR(100) != 0.4 {
-		t.Fatal("Every=0 decayed")
-	}
-}
-
 func TestTheoreticalLR(t *testing.T) {
 	if TheoreticalLR(0.05) != 0.05/8 {
 		t.Fatal("theoretical lr is α/8")
@@ -76,7 +56,6 @@ func TestScheduleStrings(t *testing.T) {
 	for _, s := range []Schedule{
 		Constant(0.1),
 		ExpDecay{Start: 0.25, End: 0.025, HalfLife: 50},
-		StepDecay{Start: 0.4, Factor: 0.5, Every: 10, Min: 0.01},
 	} {
 		if s.String() == "" {
 			t.Fatalf("%T has empty String()", s)

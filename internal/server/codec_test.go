@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"net/http"
 	"reflect"
 	"strings"
@@ -13,11 +12,11 @@ import (
 )
 
 // TestNonFiniteResponseIs500: a response holding NaN or ±Inf is a 500
-// "internal" with a body. A session with ε_G = +Inf reports +Inf remaining
-// budget; writeJSON, encoding after the header was out, answered it 200
-// with an empty body.
+// "internal" with a body. A store that returns +Inf makes every answer
+// +Inf; writeJSON, encoding after the header was out, once answered such
+// a response 200 with an empty body.
 func TestNonFiniteResponseIs500(t *testing.T) {
-	srv, _ := newTestServer(t, math.Inf(1))
+	srv := newInfiniteServer(t)
 	ts := serve(t, srv)
 	defer ts.Close()
 	const sql = "SELECT COUNT(*) FROM covid WHERE positive = 1"

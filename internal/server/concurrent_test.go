@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/domain"
+	"repro/internal/server/httpd"
 )
 
 // newConcurrentServer builds a partitioned session large enough for
@@ -118,7 +119,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					var sr SchemaResponse
+					var sr httpd.SchemaResponse
 					err = json.NewDecoder(resp.Body).Decode(&sr)
 					resp.Body.Close()
 					if err != nil {
@@ -208,7 +209,7 @@ func TestConcurrentExhaustion(t *testing.T) {
 	wg.Wait()
 
 	acct := srv.sess.Accountant()
-	for i := 0; i < acct.Partitions(); i++ {
+	for i := 0; i < len(acct.SpentVector()); i++ {
 		if s := acct.SpentVector()[i]; s > acct.Global()+1e-9 {
 			t.Fatalf("partition %d overspent after exhaustion race: %g > %g", i, s, acct.Global())
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -188,7 +187,7 @@ func TestListenerMatchesHandler(t *testing.T) {
 	refused.do("POST", "/restore", bad, 409)
 
 	// An answer with no JSON form.
-	inf := newTwins(t, seen, func() *testServer { s, _ := newTestServer(t, math.Inf(1)); return s })
+	inf := newTwins(t, seen, func() *testServer { return newInfiniteServer(t) })
 	inf.do("POST", "/query", query(sql), 500)
 	inf.do("POST", "/query/batch", batch(sql), 500)
 

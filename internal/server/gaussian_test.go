@@ -91,9 +91,6 @@ func TestGaussianBudgetBooksAgree(t *testing.T) {
 			if br.RDP.Delta != 1e-6 {
 				t.Fatalf("rdp delta = %g", br.RDP.Delta)
 			}
-			if br.RDP.ConvertedSpent != br.AverageSpent || br.RDP.MaxConverted != br.MaxSpent {
-				t.Fatalf("rdp section %+v disagrees with average_spent %g / max_spent %g", *br.RDP, br.AverageSpent, br.MaxSpent)
-			}
 			// Live sparse vectors: none can exist before a histogram bin
 			// is ready, and never more than the node sets queried.
 			if br.RDP.LiveMechanisms < 0 || br.RDP.LiveMechanisms > len(sqls) {
@@ -165,9 +162,6 @@ func TestBudgetIsOneSnapshot(t *testing.T) {
 				if br.MaxSpent != max || br.AverageSpent != sum/float64(len(br.PerPartition)) {
 					t.Fatalf("response %d: max_spent %v average_spent %v, per_partition %v (max %v mean %v)",
 						i, br.MaxSpent, br.AverageSpent, br.PerPartition, max, sum/float64(len(br.PerPartition)))
-				}
-				if br.RDP != nil && (br.RDP.MaxConverted != max || br.RDP.ConvertedSpent != br.AverageSpent) {
-					t.Fatalf("response %d: rdp section %+v off the vector", i, *br.RDP)
 				}
 				if br.AverageSpent > last {
 					grew++

@@ -430,12 +430,10 @@ func appendBudgetResponse(dst []byte, r *BudgetResponse) ([]byte, error) {
 		dst = append(dst, '}')
 	}
 	if rdp := r.RDP; rdp != nil {
-		if err := finite(rdp.Delta, rdp.ConvertedSpent, rdp.MaxConverted); err != nil {
+		if err := finite(rdp.Delta); err != nil {
 			return dst, err
 		}
 		dst = appendFloat(append(dst, `,"rdp":{"delta":`...), rdp.Delta)
-		dst = appendFloat(append(dst, `,"converted_spent":`...), rdp.ConvertedSpent)
-		dst = appendFloat(append(dst, `,"max_converted":`...), rdp.MaxConverted)
 		dst = append(appendInt(dst, `,"live_mechanisms":`, int64(rdp.LiveMechanisms)), '}')
 	}
 	return append(dst, '}'), nil
@@ -464,9 +462,6 @@ func appendSchemaResponse(dst []byte, r *SchemaResponse) ([]byte, error) {
 	if c := r.Cache; c == nil {
 		dst = append(dst, "null"...)
 	} else {
-		if err := finite(c.ExactHitRate); err != nil {
-			return dst, err
-		}
 		dst = appendString(append(dst, `{"backend":`...), c.Backend)
 		dst = appendInt(dst, `,"entries":`, int64(c.Entries))
 		dst = appendInt(dst, `,"bytes":`, int64(c.Bytes))
@@ -477,14 +472,10 @@ func appendSchemaResponse(dst []byte, r *SchemaResponse) ([]byte, error) {
 		dst = appendInt(dst, `,"hits":`, c.Hits)
 		dst = appendInt(dst, `,"misses":`, c.Misses)
 		dst = appendInt(dst, `,"evictions":`, c.Evictions)
-		dst = appendInt(dst, `,"set_errors":`, c.SetErrors)
-		dst = appendInt(dst, `,"exact_hits":`, int64(c.ExactHits))
-		dst = appendInt(dst, `,"exact_misses":`, int64(c.ExactMisses))
-		dst = append(appendFloat(append(dst, `,"exact_hit_rate":`...), c.ExactHitRate), '}')
+		dst = append(appendInt(dst, `,"set_errors":`, c.SetErrors), '}')
 	}
 	if in := r.Ingestion; in != nil {
-		dst = appendInt(dst, `,"ingestion":{"appends":`, in.Appends)
-		dst = appendInt(dst, `,"batches":`, in.Batches)
+		dst = appendInt(dst, `,"ingestion":{"batches":`, in.Batches)
 		dst = appendInt(dst, `,"partitions_ingested":`, in.Partitions)
 		dst = appendInt(dst, `,"rows_ingested":`, in.Rows)
 		dst = appendInt(dst, `,"warm_started_leaves":`, in.WarmStarted)

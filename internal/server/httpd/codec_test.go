@@ -184,7 +184,7 @@ func TestEncodersMatchEncodingJSON(t *testing.T) {
 		{PerPartition: []float64{}, BySource: map[string]int64{}},
 		{Global: 10, AverageSpent: 0.1 + 0.2, MaxSpent: 1e-7, PerPartition: []float64{0, 1e21, 0.5},
 			Queries: 7, Answers: 9, Refusals: 2, BySource: map[string]int64{"tree": 3, "exact-hit": 5, "pmw-r1": 1, "<q>": -1},
-			RDP: &RDPBudget{Delta: 1e-6, ConvertedSpent: 0.3, MaxConverted: 2, LiveMechanisms: 4}},
+			RDP: &RDPBudget{Delta: 1e-6, LiveMechanisms: 4}},
 	}
 	for _, r := range budgets {
 		got, err := appendBudgetResponse(nil, &r)
@@ -195,8 +195,8 @@ func TestEncodersMatchEncodingJSON(t *testing.T) {
 		{Attributes: []string{}, Cache: &CacheStats{}},
 		{Table: "covid", Domain: texts[2], Attributes: texts, Rows: 199992, Partitions: 50,
 			Cache: &CacheStats{Backend: "bounded-slru", Entries: 3, Bytes: 4, ResidentBytes: 5, CapBytes: 6, Hits: 7,
-				Misses: 8, Evictions: 9, SetErrors: 11, ExactHits: 12, ExactMisses: 13, ExactHitRate: 12.0 / 25},
-			Ingestion: &IngestionStats{1, 2, 3, 4, 5, 6}},
+				Misses: 8, Evictions: 9, SetErrors: 11},
+			Ingestion: &IngestionStats{1, 2, 3, 4, 5}},
 	}
 	for _, r := range schemas {
 		got, err := appendSchemaResponse(nil, &r)
@@ -223,9 +223,6 @@ func TestEncodersRefuseNonFinite(t *testing.T) {
 		}
 		if _, err := appendBudgetResponse(nil, &BudgetResponse{PerPartition: []float64{0, f}}); err == nil {
 			t.Errorf("appendBudgetResponse encoded %v", f)
-		}
-		if _, err := appendSchemaResponse(nil, &SchemaResponse{Cache: &CacheStats{ExactHitRate: f}}); err == nil {
-			t.Errorf("appendSchemaResponse encoded %v", f)
 		}
 		if _, err := appendRestoreResponse(nil, &RestoreResponse{AverageSpent: f}); err == nil {
 			t.Errorf("appendRestoreResponse encoded %v", f)

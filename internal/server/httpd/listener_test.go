@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/domain"
+	"repro/internal/store"
 )
 
 // addCount loads count rows of the encoded value bin into partition p of
@@ -32,6 +33,12 @@ func addCount(ds *dataset.Dataset, p, bin, count int) error {
 
 // newTestServer builds a server over a 4-partition covid-like session.
 func newTestServer(t *testing.T, epsG float64) *Server {
+	return newTestServerOver(t, epsG, nil)
+}
+
+// newTestServerOver is newTestServer over backend, or the default store
+// when backend is nil.
+func newTestServerOver(t *testing.T, epsG float64, backend store.Backend) *Server {
 	t.Helper()
 	dom := domain.MustNew(
 		domain.Attribute{Name: "positive", Card: 2, Levels: []string{"negative", "positive"}},
@@ -46,6 +53,7 @@ func newTestServer(t *testing.T, epsG float64) *Server {
 	}
 	sess, err := core.NewSession(core.Config{
 		Mode: core.Partitioned, Alpha: 0.05, Beta: 0.001, EpsilonGlobal: epsG, Seed: 13,
+		Backend: backend,
 	}, ds)
 	if err != nil {
 		t.Fatal(err)
@@ -425,11 +433,18 @@ func TestShutdownWaitsForHandlersNotClients(t *testing.T) {
 	}
 }
 
+// infiniteStore answers every probe with +Inf, a release no encoder can
+// write. The session refuses a non-finite configuration, so a store
+// gone wrong is what is left to put a non-finite value in a response.
+type infiniteStore struct{ store.Backend }
+
+func (infiniteStore) Get(string) (float64, bool) { return math.Inf(1), true }
+
 // TestNonFiniteResponseNotServed: a /query or /query/batch whose answer
-// cannot be encoded (ε_G = +Inf leaves +Inf remaining budget) is a 500,
-// and no request is counted as served.
+// cannot be encoded (an exact hit on +Inf) is a 500, and no request is
+// counted as served.
 func TestNonFiniteResponseNotServed(t *testing.T) {
-	srv := newTestServer(t, math.Inf(1))
+	srv := newTestServerOver(t, 100, infiniteStore{store.NewMem(store.MemConfig{})})
 	var resp Response
 	for path, body := range map[string]string{"/query": querySQL, "/query/batch": `{"queries":["SELECT COUNT(*) FROM covid"]}`} {
 		req := Request{Method: MethodPost, Path: path, Length: int64(len(body))}

@@ -81,7 +81,6 @@ type Server struct {
 	// answer-level counts are the session's (Queries, SourceCounts).
 	queries  atomic.Int64
 	refusals atomic.Int64
-	appends  atomic.Int64
 
 	// routes is the endpoint table (listener.go), and headTimeout bounds
 	// the wait for a request head once it has begun.
@@ -394,7 +393,6 @@ func (s *Server) handleAppend(w *Response, r *Request) {
 		return
 	}
 	first, last, _ := tk.Wait()
-	s.appends.Add(1)
 	writeBody(w, StatusOK, appendAppendResponse(w.Body[:0], &AppendResponse{
 		Start:      first,
 		End:        last,
@@ -403,14 +401,11 @@ func (s *Server) handleAppend(w *Response, r *Request) {
 }
 
 // RDPBudget is the /budget rdp section, present for Gaussian/Rényi
-// sessions: the δ_G target, the δ_G-converted consumption (the same
-// figures as average_spent and max_spent — there is one set of books),
-// and the number of live sparse vectors, the interactive mechanisms
-// being composed concurrently.
+// sessions: the δ_G target, and the number of live sparse vectors, the
+// interactive mechanisms being composed concurrently. The δ_G-converted
+// consumption is average_spent and max_spent: there is one set of books.
 type RDPBudget struct {
 	Delta          float64 `json:"delta"`
-	ConvertedSpent float64 `json:"converted_spent"`
-	MaxConverted   float64 `json:"max_converted"`
 	LiveMechanisms int     `json:"live_mechanisms"`
 }
 
@@ -473,8 +468,6 @@ func (s *Server) handleBudget(w *Response, r *Request) {
 	if acct.Orders() != nil {
 		resp.RDP = &RDPBudget{
 			Delta:          acct.Delta(),
-			ConvertedSpent: avg,
-			MaxConverted:   max,
 			LiveMechanisms: s.sess.LiveSparseVectors(),
 		}
 	}
@@ -485,9 +478,8 @@ func (s *Server) handleBudget(w *Response, r *Request) {
 // streaming pipeline: the ingestor's counters plus the query pipeline's
 // single-flight deduplication count.
 type IngestionStats struct {
-	// Appends counts served /append requests (200 responses).
-	Appends int64 `json:"appends"`
-	// Batches/Partitions/Rows/WarmStarted are the ingestor's counters.
+	// Batches/Partitions/Rows/WarmStarted are the ingestor's counters;
+	// Batches counts the /append requests served (200 responses).
 	Batches     int64 `json:"batches"`
 	Partitions  int64 `json:"partitions_ingested"`
 	Rows        int64 `json:"rows_ingested"`
@@ -499,8 +491,8 @@ type IngestionStats struct {
 
 // CacheStats is the /schema cache section: the storage backend's
 // operation counters and memory accounting (hit/miss/eviction/bytes,
-// the cap of a bounded backend) plus the exact cache's hit rate. All
-// data-independent operational state.
+// the cap of a bounded backend). All data-independent operational
+// state.
 type CacheStats struct {
 	// Backend names the storage backend ("arena", "bounded-slru").
 	Backend string `json:"backend"`
@@ -512,19 +504,15 @@ type CacheStats struct {
 	Bytes         int `json:"bytes"`
 	ResidentBytes int `json:"resident_bytes"`
 	CapBytes      int `json:"cap_bytes,omitempty"`
-	// Hits/Misses/Evictions are backend-level Get/eviction counters.
+	// Hits/Misses/Evictions are backend-level Get/eviction counters;
+	// every exact hit is a store hit, and every store miss an exact miss,
+	// so Hits/Misses are the session's exact cache counters too.
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
 	// SetErrors counts fills the backend refused (the paid answer was
 	// served; a repeat re-executes).
 	SetErrors int64 `json:"set_errors"`
-	// ExactHits/ExactMisses/ExactHitRate are the session's window-level
-	// exact cache counters: every exact hit is a store hit, and every
-	// store miss an exact miss.
-	ExactHits    int     `json:"exact_hits"`
-	ExactMisses  int     `json:"exact_misses"`
-	ExactHitRate float64 `json:"exact_hit_rate"`
 }
 
 // SchemaResponse is the /schema result: only public metadata (ingestion
@@ -553,8 +541,6 @@ func (s *Server) handleSchema(w *Response, r *Request) {
 		attrs[i] = fmt.Sprintf("%s(%d)", a.Name, a.Card)
 	}
 	st := s.sess.StoreStats()
-	exact := s.sess.ExactCache()
-	exactHits, exactMisses := exact.Stats()
 	resp := SchemaResponse{
 		Table:      s.table,
 		Domain:     dom.String(),
@@ -571,15 +557,11 @@ func (s *Server) handleSchema(w *Response, r *Request) {
 			Misses:        st.Misses,
 			Evictions:     st.Evictions,
 			SetErrors:     st.SetErrors,
-			ExactHits:     exactHits,
-			ExactMisses:   exactMisses,
-			ExactHitRate:  exact.HitRate(),
 		},
 	}
 	if s.ing != nil {
 		st := s.ing.Stats()
 		resp.Ingestion = &IngestionStats{
-			Appends:       s.appends.Load(),
 			Batches:       st.Batches,
 			Partitions:    st.Partitions,
 			Rows:          st.Rows,

@@ -240,7 +240,7 @@ func padCache(t *testing.T, raw []byte, n int) []byte {
 		have := d.Count(9)
 		e.PutUvarint(uint64(have + n))
 		for range have {
-			e.PutBytes(d.Bytes())
+			e.PutString(string(d.Bytes()))
 			e.PutFloat(d.Float())
 		}
 		if err := d.Finish(); err != nil {
@@ -249,7 +249,7 @@ func padCache(t *testing.T, raw []byte, n int) []byte {
 		for i := range n {
 			key := binary.AppendUvarint([]byte{1}, 1000) // the window header's mark, then its start
 			key = binary.AppendUvarint(key, uint64(1000+i))
-			e.PutBytes(append(key, 'x'))
+			e.PutString(string(append(key, 'x')))
 			e.PutFloat(0.5)
 		}
 		return e.Payload()

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/server/httpd"
 )
 
 // gaussianCfg switches a test session to Rényi accounting.
@@ -82,7 +83,7 @@ func TestSnapshotRestoreEndpoints(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("POST /restore = %d %s", status, rbody)
 	}
-	var rr RestoreResponse
+	var rr httpd.RestoreResponse
 	if err := json.Unmarshal(rbody, &rr); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestSnapshotRestoreEndpoints(t *testing.T) {
 		t.Fatalf("restored books %g/%g, want %g/%g",
 			after.AverageSpent, after.MaxSpent, before.AverageSpent, before.MaxSpent)
 	}
-	if after.RDP == nil || before.RDP == nil || after.RDP.ConvertedSpent != before.RDP.ConvertedSpent {
+	if after.RDP == nil || before.RDP == nil || after.RDP.Delta != before.RDP.Delta {
 		t.Fatalf("rdp section after restore: %+v, want %+v", after.RDP, before.RDP)
 	}
 
@@ -181,13 +182,13 @@ func TestSnapshotRacesAppendStorm(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("snapshot %d: POST /restore = %d %s", i, status, rbody)
 		}
-		var rr RestoreResponse
+		var rr httpd.RestoreResponse
 		if err := json.Unmarshal(rbody, &rr); err != nil {
 			t.Fatal(err)
 		}
-		if rr.Partitions != ds2.Partitions() || srv2.sess.Accountant().Partitions() != rr.Partitions {
+		if rr.Partitions != ds2.Partitions() || len(srv2.sess.Accountant().SpentVector()) != rr.Partitions {
 			t.Fatalf("snapshot %d: restored %d partitions, dataset %d, books %d",
-				i, rr.Partitions, ds2.Partitions(), srv2.sess.Accountant().Partitions())
+				i, rr.Partitions, ds2.Partitions(), len(srv2.sess.Accountant().SpentVector()))
 		}
 		for p := 2; p < rr.Partitions; p++ {
 			if got, want := partitionRows(ds2, p), 5*domSize; got != want {

@@ -58,10 +58,5 @@ type (
 	AppendRequest      = httpd.AppendRequest
 	AppendResponse     = httpd.AppendResponse
 	BudgetResponse     = httpd.BudgetResponse
-	RDPBudget          = httpd.RDPBudget
-	SchemaResponse     = httpd.SchemaResponse
-	CacheStats         = httpd.CacheStats
-	IngestionStats     = httpd.IngestionStats
-	RestoreResponse    = httpd.RestoreResponse
 	ErrorResponse      = httpd.ErrorResponse
 )

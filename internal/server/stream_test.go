@@ -19,6 +19,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/domain"
 	"repro/internal/interval"
+	"repro/internal/server/httpd"
 	"repro/internal/tree"
 )
 
@@ -148,7 +149,7 @@ func TestAppendStormAgainstQueries(t *testing.T) {
 								t.Error(err)
 								return
 							}
-							var sr SchemaResponse
+							var sr httpd.SchemaResponse
 							if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 								t.Error(err)
 							}
@@ -175,8 +176,8 @@ func TestAppendStormAgainstQueries(t *testing.T) {
 				t.Fatalf("dataset has %d partitions, want %d", ds.Partitions(), wantParts)
 			}
 			acct := srv.sess.Accountant()
-			if acct.Partitions() != wantParts {
-				t.Fatalf("block has %d partitions, want %d", acct.Partitions(), wantParts)
+			if len(acct.SpentVector()) != wantParts {
+				t.Fatalf("block has %d partitions, want %d", len(acct.SpentVector()), wantParts)
 			}
 			for i := 0; i < wantParts; i++ {
 				if s := acct.SpentVector()[i]; s > acct.Global()+1e-9 {
@@ -192,7 +193,7 @@ func TestAppendStormAgainstQueries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var sr SchemaResponse
+			var sr httpd.SchemaResponse
 			if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 				t.Fatal(err)
 			}
@@ -204,8 +205,8 @@ func TestAppendStormAgainstQueries(t *testing.T) {
 			if ing == nil {
 				t.Fatal("no ingestion section")
 			}
-			if ing.Appends != appenders*appendsEach || ing.Batches != appenders*appendsEach {
-				t.Fatalf("ingestion counters %+v, want %d appends", ing, appenders*appendsEach)
+			if ing.Batches != appenders*appendsEach {
+				t.Fatalf("ingestion counters %+v, want %d batches", ing, appenders*appendsEach)
 			}
 			if ing.Partitions != int64(wantParts-2) {
 				t.Fatalf("ingestion counters %+v, want %d partitions ingested", ing, wantParts-2)
@@ -273,14 +274,14 @@ func TestAppendBodyCapped(t *testing.T) {
 	defer srv.Close()
 	ts := serve(t, srv)
 	defer ts.Close()
-	schema := func() SchemaResponse {
+	schema := func() httpd.SchemaResponse {
 		t.Helper()
 		resp, err := ts.Client().Get(ts.URL + "/schema")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var sr SchemaResponse
+		var sr httpd.SchemaResponse
 		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 			t.Fatal(err)
 		}

@@ -31,11 +31,6 @@ type SV struct {
 
 	threshold float64
 	live      bool
-
-	// statistics for the runtime/budget evaluation (§6.5)
-	resets int
-	tests  int
-	passes int
 }
 
 // New creates an SV calibrated for budget eps, accuracy alpha, and database
@@ -46,8 +41,7 @@ func New(eps, alpha float64, n int, rng *noise.Rng) *SV {
 	return s
 }
 
-// Recalibrate makes s the SV New(eps, alpha, n, rng) makes, counters
-// zeroed and not live, so a consumed SV's memory can serve the next one.
+// Recalibrate makes s the SV New(eps, alpha, n, rng) makes, not live, so a consumed SV's memory can serve the next one.
 func (s *SV) Recalibrate(eps, alpha float64, n int, rng *noise.Rng) {
 	if eps <= 0 || alpha <= 0 || n <= 0 || rng == nil {
 		panic(fmt.Sprintf("sparse: bad parameters eps=%g alpha=%g n=%d", eps, alpha, n))
@@ -61,7 +55,6 @@ func (s *SV) Recalibrate(eps, alpha float64, n int, rng *noise.Rng) {
 func (s *SV) Reset() {
 	s.threshold = s.alpha/2 + s.rng.Laplace(1/(s.eps*s.n))
 	s.live = true
-	s.resets++
 }
 
 // Live reports whether the SV can accept tests (initialized and not yet
@@ -78,22 +71,13 @@ func (s *SV) Test(estimate, trueResult float64) bool {
 	if !s.live {
 		panic("sparse: Test on a consumed or uninitialized SV")
 	}
-	s.tests++
 	err := trueResult - estimate
 	if err < 0 {
 		err = -err
 	}
 	if err+s.rng.Laplace(1/(s.eps*s.n)) < s.threshold {
-		s.passes++
 		return true
 	}
 	s.live = false
 	return false
 }
-
-// Epsilon returns the per-query budget the SV was calibrated with.
-func (s *SV) Epsilon() float64 { return s.eps }
-
-// Stats returns cumulative counters: resets performed, tests run, and tests
-// passed.
-func (s *SV) Stats() (resets, tests, passes int) { return s.resets, s.tests, s.passes }

@@ -22,10 +22,6 @@ func TestLifecycle(t *testing.T) {
 	if !sv.Live() {
 		t.Fatal("SV not live after Reset")
 	}
-	resets, tests, passes := sv.Stats()
-	if resets != 1 || tests != 0 || passes != 0 {
-		t.Fatalf("stats = %d,%d,%d", resets, tests, passes)
-	}
 }
 
 func TestAccurateEstimatesPass(t *testing.T) {
@@ -104,10 +100,6 @@ func TestFailureConsumesSV(t *testing.T) {
 	if !sv.Live() {
 		t.Fatal("Reset did not revive SV")
 	}
-	resets, tests, passes := sv.Stats()
-	if resets != 2 || tests != 1 || passes != 0 {
-		t.Fatalf("stats = %d,%d,%d", resets, tests, passes)
-	}
 }
 
 func TestTestBeforeResetPanics(t *testing.T) {
@@ -137,12 +129,6 @@ func TestNewValidations(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestEpsilonAccessor(t *testing.T) {
-	if got := newSV(1).Epsilon(); got != 0.5 {
-		t.Fatalf("Epsilon = %g", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 
 	"repro/internal/accountant"
 	"repro/internal/core"
@@ -83,7 +84,7 @@ func ExampleIngestor() {
 			answered++
 		}
 		fmt.Printf("week %2d: partitions=%2d  avg-budget=%.4f  max-budget=%.4f  tree-nodes=%d\n",
-			w, sess.Dataset().Partitions(), sess.AverageSpent(), sess.Accountant().MaxSpent(), sess.Tree().Nodes())
+			w, sess.Dataset().Partitions(), sess.AverageSpent(), slices.Max(sess.Accountant().SpentVector()), sess.Tree().Nodes())
 	}
 
 	st := sess.Tree().Stats()

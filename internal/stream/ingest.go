@@ -30,8 +30,9 @@ import (
 )
 
 // Arrival is one new partition's payload: dense per-bin row counts over
-// the session's domain. A nil Counts registers an empty partition (rows
-// can be loaded later through the dataset, e.g. row-by-row ingestion).
+// the session's domain. A nil Counts registers an empty partition, which
+// stays empty: a served dataset refuses BulkLoad, so its rows never
+// change after the arrival.
 type Arrival = core.Arrival
 
 // Ticket reports the partition index range one applied batch was

@@ -126,7 +126,7 @@ func TestIngestorAssignsDenseIndices(t *testing.T) {
 				}
 				// The arrival guarantees: accountants cover the new
 				// partitions and the data is loaded when Submit returns.
-				if sess.Accountant().Partitions() < last+1 {
+				if len(sess.Accountant().SpentVector()) < last+1 {
 					t.Error("accountant lags a resolved ticket")
 					return
 				}

@@ -95,7 +95,7 @@ func TestIngestionStorm(t *testing.T) {
 						}
 						// Dataset first: read the other way round, a whole
 						// append can land between the two reads.
-						if now := ds.Partitions(); sess.Accountant().Partitions() < now {
+						if now := ds.Partitions(); len(sess.Accountant().SpentVector()) < now {
 							t.Error("scalar block lags the dataset")
 							return
 						}
@@ -123,10 +123,10 @@ func TestIngestionStorm(t *testing.T) {
 
 			// Budget books: consistent across every arrival the storm drove.
 			acct := sess.Accountant()
-			if acct.Partitions() != ds.Partitions() {
-				t.Fatalf("block has %d partitions, dataset %d", acct.Partitions(), ds.Partitions())
+			if len(acct.SpentVector()) != ds.Partitions() {
+				t.Fatalf("block has %d partitions, dataset %d", len(acct.SpentVector()), ds.Partitions())
 			}
-			for i := 0; i < acct.Partitions(); i++ {
+			for i := 0; i < len(acct.SpentVector()); i++ {
 				if s := acct.SpentVector()[i]; s > acct.Global()+1e-9 {
 					t.Fatalf("partition %d overspent: %g", i, s)
 				}
@@ -183,7 +183,7 @@ func TestStormWithDedup(t *testing.T) {
 	wg.Wait()
 
 	acct := sess.Accountant()
-	for i := 0; i < acct.Partitions(); i++ {
+	for i := 0; i < len(acct.SpentVector()); i++ {
 		if s := acct.SpentVector()[i]; s > acct.Global()+1e-9 {
 			t.Fatalf("partition %d overspent: %g", i, s)
 		}
@@ -259,7 +259,7 @@ func TestOverflowStormConsumesNoIndex(t *testing.T) {
 	if got, want := ds.Partitions(), initial+len(indices); got != want {
 		t.Fatalf("dataset has %d partitions, the accepted batches hold %d", got, want)
 	}
-	if got := sess.Accountant().Partitions(); got != ds.Partitions() {
+	if got := len(sess.Accountant().SpentVector()); got != ds.Partitions() {
 		t.Fatalf("books cover %d partitions, dataset holds %d", got, ds.Partitions())
 	}
 	if got, want := ds.NRowsAll(), rows+2*big; got != want {

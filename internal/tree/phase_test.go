@@ -122,10 +122,9 @@ func TestVectorizedMatchesDenseOracle(t *testing.T) {
 		}
 	}
 
-	wantStats := Stats{Queries: 60, SVPasses: 49, SVFailures: 2, LaplaceSubs: 31,
-		NodeUpdates: 18, NodesCreated: 6}
-	if got := f.tree.Stats(); got != wantStats {
-		t.Fatalf("stats %+v, recorded %+v", got, wantStats)
+	wantStats := Stats{Queries: 60, SVPasses: 49, SVFailures: 2, LaplaceSubs: 31, NodeUpdates: 18}
+	if got := f.tree.Stats(); got != wantStats || f.tree.Nodes() != 6 {
+		t.Fatalf("stats %+v over %d nodes, recorded %+v over 6", got, f.tree.Nodes(), wantStats)
 	}
 
 	// FNV-1a over every materialized node's interval, update count, and
@@ -182,8 +181,9 @@ func TestSerialRunsNeverSkipStale(t *testing.T) {
 // hit the memo instead of re-simulating.
 func TestCalibratorWiredIntoTree(t *testing.T) {
 	f := newFix(t, func(c *Config) {
-		// NeverReady forces every node through the Laplace branch.
-		c.Heuristic = func() heuristic.Heuristic { return heuristic.NeverReady{} }
+		// A static design that is never ready forces every node through
+		// the Laplace branch.
+		c.Heuristic = func() heuristic.Heuristic { return heuristic.NewStaticGlobal(math.Inf(1)) }
 	}, 1e6, 8)
 	q := query.MustNew(f.dom, map[int][]int{0: {1}}).WithWindow(0, 5)
 	for i := 0; i < 4; i++ {

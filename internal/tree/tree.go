@@ -134,16 +134,15 @@ type Stats struct {
 	// CacheHits is always 0: the tree keeps no node cache. It is a compile
 	// shim for benchmark/, which reads it; a benchmark/-only change
 	// removes it.
-	CacheHits    int
-	NodeUpdates  int // purposeful histogram updates across all nodes
-	NodesCreated int
-	StaleSkips   int // commit-phase MW updates skipped: node advanced mid-flight
+	CacheHits   int
+	NodeUpdates int // purposeful histogram updates across all nodes
+	StaleSkips  int // commit-phase MW updates skipped: node advanced mid-flight
 }
 
 // counters is Stats as lock-free atomics, bumped from the hot path.
 type counters struct {
 	queries, svPasses, svFailures, laplaceSubs atomic.Int64
-	nodeUpdates, nodesCreated, staleSkips      atomic.Int64
+	nodeUpdates, staleSkips                    atomic.Int64
 }
 
 // Tree is a tree-structured PMW-Bypass over a partitioned dataset. Safe
@@ -239,7 +238,6 @@ func (t *Tree) getNode(iv interval.Node) *node {
 		n.heur = t.cfg.Heuristic()
 	}
 	t.nodes[iv] = n
-	t.stats.nodesCreated.Add(1)
 	return n
 }
 
@@ -648,13 +646,12 @@ func (t *Tree) commit(q *query.Query, sc *runScratch) error {
 // Stats returns cumulative counters.
 func (t *Tree) Stats() Stats {
 	return Stats{
-		Queries:      int(t.stats.queries.Load()),
-		SVPasses:     int(t.stats.svPasses.Load()),
-		SVFailures:   int(t.stats.svFailures.Load()),
-		LaplaceSubs:  int(t.stats.laplaceSubs.Load()),
-		NodeUpdates:  int(t.stats.nodeUpdates.Load()),
-		NodesCreated: int(t.stats.nodesCreated.Load()),
-		StaleSkips:   int(t.stats.staleSkips.Load()),
+		Queries:     int(t.stats.queries.Load()),
+		SVPasses:    int(t.stats.svPasses.Load()),
+		SVFailures:  int(t.stats.svFailures.Load()),
+		LaplaceSubs: int(t.stats.laplaceSubs.Load()),
+		NodeUpdates: int(t.stats.nodeUpdates.Load()),
+		StaleSkips:  int(t.stats.staleSkips.Load()),
 	}
 }
 

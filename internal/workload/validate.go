@@ -65,6 +65,3 @@ func (v *Validator) Accuracy(h *histogram.Histogram) float64 {
 func (v *Validator) Converged(h *histogram.Histogram) bool {
 	return v.Accuracy(h) >= 0.9
 }
-
-// Size returns the validation set size.
-func (v *Validator) Size() int { return len(v.queries) }

@@ -443,8 +443,8 @@ func TestValidator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Size() != 200 {
-		t.Fatal("Size")
+	if len(v.queries) != 200 {
+		t.Fatal("validation set size")
 	}
 	// The exact true distribution answers everything perfectly.
 	truth, _ := ds.TrueDistribution(0, 1)
