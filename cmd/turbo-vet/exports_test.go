@@ -24,9 +24,7 @@ import (
 // String, Error and Unwrap methods are allowed by name: fmt and errors
 // call them through interfaces this scan does not see.
 var exportAllowlist = map[string]string{
-	"dataset.Executor.Stats": "the scan-once oracle: the dataset tests count through it that an execution given its true result scans nothing",
-	"domain.Domain.Value":    "the per-attribute decoding query's tests check packed keys and masks against",
-	"server/httpd.Decode":    "the scanners' one entry for FuzzDecodeAnalyst, which checks them against encoding/json from internal/server",
+	"domain.Domain.Value": "the per-attribute decoding query's tests check packed keys and masks against",
 }
 
 // TestNoTestOnlyExports is a ratchet on the module's API: every exported

@@ -294,13 +294,14 @@ func TestExecutorLaplaceNoiseScale(t *testing.T) {
 
 	eps := 0.5
 	const trials = 20000
-	sumSq := 0.0
+	sum, sumSq := 0.0, 0.0
 	for i := 0; i < trials; i++ {
 		r, err := exec.ExecuteDP(q, 0, 0, eps, math.NaN())
 		if err != nil {
 			t.Fatal(err)
 		}
 		e := r - trueVal
+		sum += e
 		sumSq += e * e
 	}
 	// Var[Lap(1/εn)] = 2/(εn)².
@@ -309,27 +310,31 @@ func TestExecutorLaplaceNoiseScale(t *testing.T) {
 	if math.Abs(got-want)/want > 0.1 {
 		t.Fatalf("noise variance = %g, want %g", got, want)
 	}
-	np, dp := exec.Stats()
-	if dp != trials {
-		t.Fatalf("dp executions = %d", dp)
-	}
-	if np != trials {
-		t.Fatalf("np executions = %d (ExecuteDP computes truth when NaN)", np)
+	// Centred on the true fraction: given NaN, ExecuteDP scanned for it.
+	if mean := sum / trials; math.Abs(mean) > 5*math.Sqrt(want/trials) {
+		t.Fatalf("mean error %g: releases are not centred on the true fraction %g", mean, trueVal)
 	}
 }
 
+// TestExecutorReusesTrueResult: an execution given its true result
+// perturbs that result and does not scan for its own. Two executors on
+// one seed draw the same noise, so the one given 0.42 releases 0.42 plus
+// exactly the noise its twin adds to the fraction it scans, 1.
 func TestExecutorReusesTrueResult(t *testing.T) {
 	d := dom()
 	ds := New(d, 1)
 	_ = addCount(ds, 0, 0, 100)
-	exec := NewExecutor(ds, noise.NewRng(3))
 	q := query.MustNew(d, nil)
-	if _, err := exec.ExecuteDP(q, 0, 0, 1.0, 0.42); err != nil {
+	given, err := NewExecutor(ds, noise.NewRng(3)).ExecuteDP(q, 0, 0, 1.0, 0.42)
+	if err != nil {
 		t.Fatal(err)
 	}
-	np, _ := exec.Stats()
-	if np != 0 {
-		t.Fatal("ExecuteDP with precomputed truth still scanned data")
+	scanned, err := NewExecutor(ds, noise.NewRng(3)).ExecuteDP(q, 0, 0, 1.0, math.NaN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs((given-0.42)-(scanned-1)) > 1e-12 {
+		t.Fatalf("given truth 0.42 released %v, scanned truth 1 released %v: not the same noise on the given truth", given, scanned)
 	}
 }
 

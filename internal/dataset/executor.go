@@ -9,7 +9,6 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/noise"
 	"repro/internal/query"
@@ -54,9 +53,6 @@ type Executor struct {
 	// fraction result).
 	GaussianSigma float64
 	mech          Mechanism
-
-	npQueries atomic.Int64
-	dpQueries atomic.Int64
 }
 
 // NewExecutor creates a Laplace executor over ds drawing noise from rng.
@@ -81,7 +77,6 @@ func (e *Executor) Dataset() *Dataset { return e.ds }
 // ExecuteNP runs q over partitions [start, end] without privacy — the true
 // fraction. Only SV checks and ExecuteDP may consume this value.
 func (e *Executor) ExecuteNP(q *query.Query, start, end int) (float64, error) {
-	e.npQueries.Add(1)
 	return e.ds.TrueFraction(q, start, end)
 }
 
@@ -98,7 +93,6 @@ func (e *Executor) ExecuteDP(q *query.Query, start, end int, eps float64, trueRe
 		// One pass resolves the true result and the window size together
 		// (TrueFractionN), instead of a second locked metadata scan.
 		var err error
-		e.npQueries.Add(1)
 		trueResult, n, err = e.ds.TrueFractionN(q, start, end)
 		if err != nil {
 			return 0, err
@@ -113,7 +107,6 @@ func (e *Executor) ExecuteDP(q *query.Query, start, end int, eps float64, trueRe
 	if n == 0 {
 		return 0, fmt.Errorf("dataset: DP execution over empty range [%d,%d]", start, end)
 	}
-	e.dpQueries.Add(1)
 	switch e.mech {
 	case Laplace:
 		return trueResult + e.rng.Laplace(1/(eps*float64(n))), nil
@@ -123,6 +116,3 @@ func (e *Executor) ExecuteDP(q *query.Query, start, end int, eps float64, trueRe
 		return 0, fmt.Errorf("dataset: unknown mechanism %v", e.mech)
 	}
 }
-
-// Stats returns the number of non-private and DP executions performed.
-func (e *Executor) Stats() (np, dp int) { return int(e.npQueries.Load()), int(e.dpQueries.Load()) }

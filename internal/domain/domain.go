@@ -34,7 +34,6 @@ type Domain struct {
 	attrs   []Attribute
 	strides []int // strides[i] = product of Card of attrs[i+1:]
 	size    int   // N = |X|
-	index   map[string]int
 }
 
 // ErrBadAttribute reports an invalid attribute specification.
@@ -51,7 +50,6 @@ func New(attrs ...Attribute) (*Domain, error) {
 		attrs:   make([]Attribute, len(attrs)),
 		strides: make([]int, len(attrs)),
 		size:    1,
-		index:   make(map[string]int, len(attrs)),
 	}
 	copy(d.attrs, attrs)
 	for i, a := range attrs {
@@ -65,10 +63,9 @@ func New(attrs ...Attribute) (*Domain, error) {
 			return nil, fmt.Errorf("%w: attribute %q has %d levels for cardinality %d",
 				ErrBadAttribute, a.Name, len(a.Levels), a.Card)
 		}
-		if _, dup := d.index[a.Name]; dup {
+		if d.AttrIndex(a.Name) < i {
 			return nil, fmt.Errorf("%w: duplicate attribute %q", ErrBadAttribute, a.Name)
 		}
-		d.index[a.Name] = i
 		if d.size > (1<<62)/a.Card {
 			return nil, fmt.Errorf("%w: domain size overflow", ErrBadAttribute)
 		}
@@ -100,10 +97,13 @@ func (d *Domain) NumAttrs() int { return len(d.attrs) }
 // Attr returns the i-th attribute.
 func (d *Domain) Attr(i int) Attribute { return d.attrs[i] }
 
-// AttrIndex returns the position of the named attribute, or -1.
+// AttrIndex returns the position of the named attribute, or -1, for the
+// handful of attributes a domain has by comparing their names in turn.
 func (d *Domain) AttrIndex(name string) int {
-	if i, ok := d.index[name]; ok {
-		return i
+	for i := range d.attrs {
+		if d.attrs[i].Name == name {
+			return i
+		}
 	}
 	return -1
 }

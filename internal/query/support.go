@@ -28,63 +28,50 @@ type Support struct {
 
 // Resolve fills s with q's support, reusing s's buffer. The previous
 // contents are discarded.
+//
+// The support grows from the last attribute's values to the first
+// attribute: with m bins resolved over the attributes after a, a's c-th
+// value v makes block c of the next m·k, those m bins plus v·Stride(a),
+// written last to first so block 0 changes in place after the others
+// read it. Strides are row-major and value sets ascending, so each block
+// lies above the one before and the order is ForEachBin's.
 func (q *Query) Resolve(s *Support) {
-	if cap(s.bins) < q.support {
-		s.bins = make([]int32, 0, q.support)
+	bins := s.bins[:0]
+	if cap(bins) < q.support {
+		bins = make([]int32, 0, q.support)
 	}
-	s.bins = s.bins[:0]
-
 	d := q.dom
-	n := d.NumAttrs()
-	// Iterative odometer over the attributes' allowed-value lists, in the
-	// same lexicographic order as ForEachBin's recursion. pos[i] is the
-	// index into attribute i's choice list; base is the current bin.
-	var posBuf [maxResolveAttrs]int
-	if n > maxResolveAttrs {
-		// Domains beyond the odometer's depth fall back to the recursive
-		// walk; order is identical either way.
-		q.ForEachBin(func(bin int) { s.bins = append(s.bins, int32(bin)) })
-		return
-	}
-	pos := posBuf[:n]
-	valueAt := func(attr, j int) int {
-		if vals := q.allowed[attr]; vals != nil {
-			return vals[j]
+	last := d.NumAttrs() - 1
+	if vals := q.allowed[last]; vals != nil {
+		for _, v := range vals {
+			bins = append(bins, int32(v*d.Stride(last)))
 		}
-		return j
-	}
-	choices := func(attr int) int {
-		if vals := q.allowed[attr]; vals != nil {
-			return len(vals)
+	} else {
+		for v := range d.Card(last) {
+			bins = append(bins, int32(v*d.Stride(last)))
 		}
-		return d.Card(attr)
 	}
-	base := 0
-	for i := 0; i < n; i++ {
-		base += valueAt(i, 0) * d.Stride(i)
-	}
-	for {
-		s.bins = append(s.bins, int32(base))
-		i := n - 1
-		for i >= 0 {
-			pos[i]++
-			if pos[i] < choices(i) {
-				base += (valueAt(i, pos[i]) - valueAt(i, pos[i]-1)) * d.Stride(i)
-				break
+	for a := last - 1; a >= 0; a-- {
+		vals, k := q.allowed[a], d.Card(a)
+		if vals != nil {
+			k = len(vals)
+		}
+		m := len(bins)
+		bins = bins[:m*k]
+		for c := k - 1; c >= 0; c-- {
+			v := c
+			if vals != nil {
+				v = vals[c]
 			}
-			base -= (valueAt(i, pos[i]-1) - valueAt(i, 0)) * d.Stride(i)
-			pos[i] = 0
-			i--
-		}
-		if i < 0 {
-			return
+			off := int32(v * d.Stride(a))
+			block := bins[c*m : (c+1)*m]
+			for j, bin := range bins[:m] {
+				block[j] = bin + off
+			}
 		}
 	}
+	s.bins = bins
 }
-
-// maxResolveAttrs bounds the iterative odometer's depth; wider domains
-// (none exist in the repo's workloads) resolve through ForEachBin.
-const maxResolveAttrs = 24
 
 // supportMemo is the once-per-predicate cache behind ResolvedSupport and
 // the Support it resolves into. Every WithWindow clone shares it, so a

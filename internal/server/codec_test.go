@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"reflect"
+	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/server/httpd"
 )
 
 // TestNonFiniteResponseIs500: a response holding NaN or ±Inf is a 500
@@ -86,29 +84,36 @@ var decodeSeeds = []string{
 	`{}`,
 	``,
 	`[]`,
-	`{"sql":"` + strings.Repeat("a", 1<<20+1) + `"}`,
+	`{"sql":"` + strings.Repeat("a", maxAnalystBody+1) + `"}`,
 }
 
-// FuzzDecodeAnalyst: httpd.Decode yields, for every body, what
-// encoding/json's Decoder yields — the same struct, or an error where it
-// errs — so whether the scanner or encoding/json decoded a body cannot be
-// told from outside.
+// FuzzDecodeAnalyst: the adapter hands every /query and /query/batch body
+// to the scanner whole. It answers a 400 "bad-request" decode error
+// exactly where encoding/json's Decoder refuses the body, and a 413 to a
+// body past the cap, unread. httpd's FuzzDecodeAnalyst holds the decoded
+// value itself to encoding/json.
 func FuzzDecodeAnalyst(f *testing.F) {
 	for _, s := range decodeSeeds {
 		f.Add([]byte(s))
 	}
+	srv, _ := newTestServer(f, 100)
+	h := srv.Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var gotQ, wantQ QueryRequest
-		gotErr := httpd.Decode(body, &gotQ)
-		wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&wantQ)
-		if (gotErr == nil) != (wantErr == nil) || (gotErr == nil && gotQ != wantQ) {
-			t.Fatalf("body %q: Decode %+v (%v), encoding/json %+v (%v)", body, gotQ, gotErr, wantQ, wantErr)
-		}
-		var gotB, wantB BatchQueryRequest
-		gotErr = httpd.Decode(body, &gotB)
-		wantErr = json.NewDecoder(bytes.NewReader(body)).Decode(&wantB)
-		if (gotErr == nil) != (wantErr == nil) || (gotErr == nil && !reflect.DeepEqual(gotB, wantB)) {
-			t.Fatalf("body %q: Decode %#v (%v), encoding/json %#v (%v)", body, gotB, gotErr, wantB, wantErr)
+		for path, into := range map[string]any{"/query": new(QueryRequest), "/query/batch": new(BatchQueryRequest)} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			var er ErrorResponse
+			_ = json.Unmarshal(rec.Body.Bytes(), &er)
+			refused := rec.Code == http.StatusBadRequest && er.Kind == "bad-request" && er.Message != "empty batch"
+			wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(into)
+			switch {
+			case len(body) > maxAnalystBody:
+				if rec.Code != http.StatusRequestEntityTooLarge {
+					t.Fatalf("%s: a %d-byte body answered %d, want 413", path, len(body), rec.Code)
+				}
+			case refused != (wantErr != nil):
+				t.Fatalf("%s body %q: answered %d %+v, encoding/json %v", path, body, rec.Code, er, wantErr)
+			}
 		}
 	})
 }

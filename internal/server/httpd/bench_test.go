@@ -14,7 +14,9 @@ import (
 	"repro/internal/workload"
 )
 
-// coldStatement renders q as the statement text analysts send.
+// coldStatement renders q as the benchmark's workloads send it
+// (benchmark/workloads.go, sqlFor): one value as "= v", more as an IN
+// list.
 func coldStatement(q *query.Query) string {
 	var b strings.Builder
 	b.WriteString("SELECT COUNT(*) FROM covid")
@@ -24,8 +26,13 @@ func coldStatement(q *query.Query) string {
 		if vals == nil {
 			continue
 		}
-		b.WriteString(sep + q.Domain().Attr(a).Name + " IN (")
+		b.WriteString(sep + q.Domain().Attr(a).Name)
 		sep = " AND "
+		if len(vals) == 1 {
+			b.WriteString(" = " + strconv.Itoa(vals[0]))
+			continue
+		}
+		b.WriteString(" IN (")
 		for j, v := range vals {
 			if j > 0 {
 				b.WriteString(", ")

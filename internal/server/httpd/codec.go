@@ -91,25 +91,6 @@ func decoded(w *Response, err error) bool {
 // must not outlive the request.
 func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
-// Decode decodes a request body into req, a *QueryRequest,
-// *BatchQueryRequest or *AppendRequest, as encoding/json's Decoder
-// decodes it into req: the same value where it succeeds, an error where
-// it errs (scan.go). req's strings do not view body.
-func Decode(body []byte, req any) error {
-	s := string(body)
-	switch req := req.(type) {
-	case *QueryRequest:
-		return scanQuery(s, &req.SQL)
-	case *BatchQueryRequest:
-		var err error
-		req.Queries, err = scanQueries(s, req.Queries)
-		return err
-	case *AppendRequest:
-		return scanAppend(s, req, nil)
-	}
-	return fmt.Errorf("httpd: cannot decode into %T", req)
-}
-
 // writeBody answers status with a body appended into w.Body and the
 // newline encoding/json's Encoder ends a value with. The handler has
 // already turned an encoding error into a 500.

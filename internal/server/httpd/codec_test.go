@@ -230,6 +230,31 @@ func TestEncodersRefuseNonFinite(t *testing.T) {
 	}
 }
 
+// TestPrintable: printable's eight-byte steps answer as a byte-by-byte
+// test would for every byte value at every offset of a 17-byte span (two
+// steps and a tail), beside a '\', a control and a high byte below it,
+// whose borrows must not hide or invent a failure above.
+func TestPrintable(t *testing.T) {
+	for _, below := range []byte{'a', '\\', 0x01, 0x1f, 0x7f, 0x80, 0xff} {
+		for at := 0; at < 17; at++ {
+			for c := 0; c < 256; c++ {
+				span := []byte(strings.Repeat("x", 17))
+				span[at] = byte(c)
+				if at > 0 {
+					span[at-1] = below
+				}
+				want := true
+				for _, b := range span {
+					want = want && b >= ' ' && b < 0x80 && b != '\\'
+				}
+				if got := printable(string(span)); got != want {
+					t.Fatalf("printable(%q) = %v, want %v", span, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestDecodeBody: the scanner decodes what encoding/json's Decoder
 // decodes — keys it folds, unknown and repeated members, data after the
 // value, escapes — and refuses what it refuses, with its errors for a
@@ -321,19 +346,19 @@ var appendSeeds = []string{
 
 // FuzzDecodeAppend: the scanner decodes every /append body as
 // encoding/json's Decoder decodes it into a fresh AppendRequest — the
-// same request, or an error where it errs — both through Decode and as
-// handleAppend decodes, into a connection's scratch that an earlier body
-// has left holding partitions and counts.
+// same request, or an error where it errs — both into that fresh request
+// and as handleAppend decodes, into a connection's scratch that an
+// earlier body has left holding partitions and counts.
 func FuzzDecodeAppend(f *testing.F) {
 	for _, s := range appendSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var got, want AppendRequest
-		gotErr := Decode(body, &got)
+		gotErr := scanAppend(string(body), &got, nil)
 		wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
 		if (gotErr == nil) != (wantErr == nil) || gotErr == nil && !reflect.DeepEqual(got, want) {
-			t.Fatalf("body %q: Decode %#v (%v), encoding/json %#v (%v)", body, got, gotErr, want, wantErr)
+			t.Fatalf("body %q: scanAppend %#v (%v), encoding/json %#v (%v)", body, got, gotErr, want, wantErr)
 		}
 		var sc scratch
 		for _, b := range []string{`{"partitions":[{"counts":[7,7,7,7]},{"counts":[7,7]},{"counts":[7]},{}]}`, string(body)} {
@@ -344,6 +369,63 @@ func FuzzDecodeAppend(f *testing.F) {
 		empty := len(sc.append.Partitions) == 0 && len(want.Partitions) == 0
 		if (gotErr == nil) != (wantErr == nil) || gotErr == nil && !empty && !reflect.DeepEqual(sc.append, want) {
 			t.Fatalf("body %q: into a scratch %#v (%v), encoding/json %#v (%v)", body, sc.append, gotErr, want, wantErr)
+		}
+	})
+}
+
+// decodeSeeds are request bodies on both sides of what the scanner
+// accepts; each decodes, or fails, as encoding/json alone decides.
+var decodeSeeds = []string{
+	`{"sql":"SELECT COUNT(*) FROM covid WHERE positive = 1"}`,
+	`{"queries":["SELECT COUNT(*) FROM covid","SELECT COUNT(*) FROM covid WHERE age IN (1, 2)"]}`,
+	" {\t\"sql\" :\r\n\"x\" } \n",
+	`{"queries":[]}`,
+	`{"queries" : [ "a" , "b" ] }`,
+	`{"SQL":"x"}`,
+	`{"sql":"aA"}`,
+	`{"sql":"x"} trailing`,
+	`{"sql":"x","extra":1}`,
+	`{"sql":"x","sql":"y"}`,
+	`{"sql":"tab\there"}`,
+	`{"sql":"caf` + "é" + `"}`,
+	`{"sql":"bad ` + "\xff" + ` utf8"}`,
+	`{"sql":"raw` + "\n" + `newline"}`,
+	`{"sql":null}`,
+	`{"sql":7}`,
+	`{"queries":["a",]}`,
+	`{"queries":["a" "b"]}`,
+	`{"queries":"a"}`,
+	`{"queries":null}`,
+	`{"sql":"unterminated`,
+	`{"sql":"x"`,
+	`{}`,
+	``,
+	`[]`,
+	`{"sql":"` + strings.Repeat("a", 1<<20+1) + `"}`,
+	`{"sql":"esc\"aped \u00e9"}`, // the next quote is escaped: the per-byte walk
+	`{"queries":["a\\","b` + "\x7f\x80" + `"]}`,
+}
+
+// FuzzDecodeAnalyst: the scanner decodes every /query and /query/batch
+// body as encoding/json's Decoder decodes it — the same struct, or an
+// error where it errs — so whether the scanner or encoding/json decoded
+// a body cannot be told from outside.
+func FuzzDecodeAnalyst(f *testing.F) {
+	for _, s := range decodeSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var gotQ, wantQ QueryRequest
+		gotErr := scanQuery(string(body), &gotQ.SQL)
+		wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&wantQ)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr == nil && gotQ != wantQ) {
+			t.Fatalf("body %q: scanQuery %+v (%v), encoding/json %+v (%v)", body, gotQ, gotErr, wantQ, wantErr)
+		}
+		var gotB, wantB BatchQueryRequest
+		gotB.Queries, gotErr = scanQueries(string(body), gotB.Queries)
+		wantErr = json.NewDecoder(bytes.NewReader(body)).Decode(&wantB)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr == nil && !reflect.DeepEqual(gotB, wantB)) {
+			t.Fatalf("body %q: scanQueries %#v (%v), encoding/json %#v (%v)", body, gotB, gotErr, wantB, wantErr)
 		}
 	})
 }

@@ -29,6 +29,7 @@ import (
 	"io"
 	"slices"
 	"strconv"
+	"strings"
 	"unicode"
 	"unicode/utf8"
 )
@@ -329,10 +330,15 @@ func (d *decoder) skip() error {
 }
 
 // str reads a string, its opening quote peeked: a view of s when it
-// holds no escape and is valid UTF-8, else its unescaped text.
+// holds no escape and is valid UTF-8, else its unescaped text. A
+// printable span up to the next quote skips the per-byte walk.
 func (d *decoder) str() (string, error) {
 	d.i++
 	start, plain := d.i, true
+	if n := strings.IndexByte(d.s[start:], '"'); n >= 0 && printable(d.s[start:start+n]) {
+		d.i = start + n + 1
+		return d.s[start : d.i-1], nil
+	}
 	for d.i < len(d.s) {
 		switch c := d.s[d.i]; {
 		case c == '"':
@@ -357,6 +363,29 @@ func (d *decoder) str() (string, error) {
 		}
 	}
 	return "", io.ErrUnexpectedEOF
+}
+
+// printable reports whether s, a JSON string's body, holds no '\',
+// control byte or byte past ASCII, eight bytes a step: a byte past ASCII
+// has its high bit set, one below ' ' sets it once ' ' is taken from
+// each, and a '\' XORed away is a zero byte, which sets it once 1 is
+// taken; the lowest failing byte borrows from none below, so it shows.
+func printable(s string) bool {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	for ; len(s) >= 8; s = s[8:] {
+		w := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+		bs := w ^ '\\'*ones
+		if (w|(w-' '*ones)|(bs-ones)&^bs)&highs != 0 {
+			return false
+		}
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c-' ' >= utf8.RuneSelf-' ' || c == '\\' {
+			return false
+		}
+	}
+	return true
 }
 
 // escape reads one escape sequence, at its '\'.

@@ -38,7 +38,7 @@ type testServer struct {
 }
 
 // newServer builds the server of sess, for table covid.
-func newServer(t *testing.T, sess *core.Session) *testServer {
+func newServer(t testing.TB, sess *core.Session) *testServer {
 	t.Helper()
 	srv, err := New(sess, "covid")
 	if err != nil {
@@ -85,7 +85,7 @@ func (ls *liveServer) Close() {
 	})
 }
 
-func newTestServer(t *testing.T, epsG float64) (*testServer, *dataset.Dataset) {
+func newTestServer(t testing.TB, epsG float64) (*testServer, *dataset.Dataset) {
 	return newTestServerWith(t, epsG, nil)
 }
 
@@ -107,7 +107,7 @@ func newInfiniteServer(t *testing.T) *testServer {
 
 // newTestServerWith builds the standard 4-partition covid test server,
 // letting mut adjust the session config (mode, Gaussian accounting, ...).
-func newTestServerWith(t *testing.T, epsG float64, mut func(*core.Config)) (*testServer, *dataset.Dataset) {
+func newTestServerWith(t testing.TB, epsG float64, mut func(*core.Config)) (*testServer, *dataset.Dataset) {
 	t.Helper()
 	dom := domain.MustNew(
 		domain.Attribute{Name: "positive", Card: 2, Levels: []string{"negative", "positive"}},

@@ -1,6 +1,6 @@
-// Differential tests: the table-driven lexer and stack-held parse state
-// against the parser they replaced (oracle_test.go), and the builder's
-// packed keys against a rendering written from the format's definition.
+// Differential tests: the one-pass parser against the first parser
+// (oracle_test.go), and the builder's packed keys against a rendering
+// written from the format's definition.
 //
 // What each input family is there to catch:
 //

@@ -20,6 +20,9 @@ var parseSeeds = []string{
 	"SELECT COUNT(*) FROM covid WHERE caf\xe9 = 1 @",   // Latin-1 letter, then a lex error past a parse error
 	"SELECT COUNT(*) FROM covid WHERE age IN (3, 1, 1)",
 	"SELECT COUNT(*) FROM covid WHERE age IN (0,1,2,3) AND time BETWEEN 1.5 AND 2",
+	"\u017fELECT COUNT(*) FROM covid",                             // ſ folds to S, and is no identifier byte
+	"SELECT COUNT(*) FROM covid WHERE age = 99999999999999999999", // past any int
+	"SELECT COUNT(*) FROM covid WHERE age IN (1, -0, 2.) AND time BETWEEN -1 AND 3",
 }
 
 // groupedSeeds is FuzzParseGrouped's seed corpus.

@@ -1,8 +1,9 @@
-// The lexer and recursive-descent parser Parser.Parse ran before the
-// table-driven lexer replaced them, kept verbatim (identifiers prefixed
-// "oracle") as the reference the production parser is checked against in
-// differential_test.go and the fuzz targets: per-byte unicode.Is* calls, a
-// fresh []token per statement, punctuation as string(c).
+// The lexer and recursive-descent parser Parser.Parse first ran, kept
+// verbatim (identifiers prefixed "oracle", with their own token kinds) as
+// the reference the one-pass parser is checked against in
+// differential_test.go, the fuzz targets and TestParseIntoOutpacesOracle:
+// per-byte unicode.Is* calls, a fresh []token per statement, punctuation
+// as string(c).
 
 package sqlparser
 
@@ -14,6 +15,17 @@ import (
 
 	"repro/internal/domain"
 	"repro/internal/query"
+)
+
+// tokenKind classifies the oracle lexer's output.
+type tokenKind uint8
+
+const (
+	oracleEOF tokenKind = iota
+	oracleIdent
+	oracleNumber
+	oracleString
+	oraclePunct // ( ) , = * ;
 )
 
 type oracleToken struct {
@@ -39,7 +51,7 @@ func oracleLex(src string) ([]oracleToken, error) {
 		case unicode.IsSpace(c):
 			l.pos++
 		case c == '(' || c == ')' || c == ',' || c == '=' || c == '*' || c == ';':
-			l.tokens = append(l.tokens, oracleToken{tokPunct, string(c), l.pos})
+			l.tokens = append(l.tokens, oracleToken{oraclePunct, string(c), l.pos})
 			l.pos++
 		case c == '\'' || c == '"':
 			if err := l.lexString(byte(c)); err != nil {
@@ -53,7 +65,7 @@ func oracleLex(src string) ([]oracleToken, error) {
 			return nil, fmt.Errorf("sqlparser: unexpected character %q at %d", c, l.pos)
 		}
 	}
-	l.tokens = append(l.tokens, oracleToken{tokEOF, "", l.pos})
+	l.tokens = append(l.tokens, oracleToken{oracleEOF, "", l.pos})
 	return l.tokens, nil
 }
 
@@ -66,7 +78,7 @@ func (l *oracleLexer) lexString(quote byte) error {
 	if l.pos >= len(l.src) {
 		return fmt.Errorf("sqlparser: unterminated string starting at %d", start)
 	}
-	l.tokens = append(l.tokens, oracleToken{tokString, l.src[start+1 : l.pos], start})
+	l.tokens = append(l.tokens, oracleToken{oracleString, l.src[start+1 : l.pos], start})
 	l.pos++ // closing quote
 	return nil
 }
@@ -79,7 +91,7 @@ func (l *oracleLexer) lexNumber() {
 	for l.pos < len(l.src) && (unicode.IsDigit(rune(l.src[l.pos])) || l.src[l.pos] == '.') {
 		l.pos++
 	}
-	l.tokens = append(l.tokens, oracleToken{tokNumber, l.src[start:l.pos], start})
+	l.tokens = append(l.tokens, oracleToken{oracleNumber, l.src[start:l.pos], start})
 }
 
 func (l *oracleLexer) lexIdent() {
@@ -91,12 +103,12 @@ func (l *oracleLexer) lexIdent() {
 		}
 		l.pos++
 	}
-	l.tokens = append(l.tokens, oracleToken{tokIdent, l.src[start:l.pos], start})
+	l.tokens = append(l.tokens, oracleToken{oracleIdent, l.src[start:l.pos], start})
 }
 
 // isKeyword matches an identifier token case-insensitively.
 func (t oracleToken) isKeyword(kw string) bool {
-	return t.kind == tokIdent && strings.EqualFold(t.text, kw)
+	return t.kind == oracleIdent && strings.EqualFold(t.text, kw)
 }
 
 // oracleParse is the former Parser.Parse.
@@ -120,7 +132,7 @@ func (s *oracleState) peek() oracleToken { return s.tokens[s.i] }
 
 func (s *oracleState) next() oracleToken {
 	t := s.tokens[s.i]
-	if t.kind != tokEOF {
+	if t.kind != oracleEOF {
 		s.i++
 	}
 	return t
@@ -136,7 +148,7 @@ func (s *oracleState) expectKeyword(kw string) error {
 
 func (s *oracleState) expectPunct(p string) error {
 	t := s.next()
-	if t.kind != tokPunct || t.text != p {
+	if t.kind != oraclePunct || t.text != p {
 		return fmt.Errorf("sqlparser: expected %q at %d, got %q", p, t.pos, t.text)
 	}
 	return nil
@@ -162,7 +174,7 @@ func (s *oracleState) parseQuery() (*Statement, error) {
 		return nil, err
 	}
 	tbl := s.next()
-	if tbl.kind != tokIdent {
+	if tbl.kind != oracleIdent {
 		return nil, fmt.Errorf("sqlparser: expected table name at %d, got %q", tbl.pos, tbl.text)
 	}
 
@@ -173,10 +185,10 @@ func (s *oracleState) parseQuery() (*Statement, error) {
 			return nil, err
 		}
 	}
-	if s.peek().kind == tokPunct && s.peek().text == ";" {
+	if s.peek().kind == oraclePunct && s.peek().text == ";" {
 		s.next()
 	}
-	if t := s.peek(); t.kind != tokEOF {
+	if t := s.peek(); t.kind != oracleEOF {
 		if t.isKeyword("OR") {
 			return nil, fmt.Errorf("sqlparser: OR at %d: turbo-sql supports conjunctive predicates only", t.pos)
 		}
@@ -206,7 +218,7 @@ func (s *oracleState) parseConjunction(b *query.Builder) error {
 
 func (s *oracleState) parsePredicate(b *query.Builder) error {
 	col := s.next()
-	if col.kind != tokIdent {
+	if col.kind != oracleIdent {
 		return fmt.Errorf("sqlparser: expected column at %d, got %q", col.pos, col.text)
 	}
 	if strings.EqualFold(col.text, s.timeAttr) {
@@ -218,7 +230,7 @@ func (s *oracleState) parsePredicate(b *query.Builder) error {
 	}
 	t := s.next()
 	switch {
-	case t.kind == tokPunct && t.text == "=":
+	case t.kind == oraclePunct && t.text == "=":
 		v, err := s.parseValue(attr)
 		if err != nil {
 			return err
@@ -237,10 +249,10 @@ func (s *oracleState) parsePredicate(b *query.Builder) error {
 			}
 			vals = append(vals, v)
 			n := s.next()
-			if n.kind == tokPunct && n.text == "," {
+			if n.kind == oraclePunct && n.text == "," {
 				continue
 			}
-			if n.kind == tokPunct && n.text == ")" {
+			if n.kind == oraclePunct && n.text == ")" {
 				break
 			}
 			return fmt.Errorf("sqlparser: expected , or ) at %d, got %q", n.pos, n.text)
@@ -273,7 +285,7 @@ func (s *oracleState) parseTimeWindow(b *query.Builder) error {
 
 func (s *oracleState) parseInt() (int, error) {
 	t := s.next()
-	if t.kind != tokNumber {
+	if t.kind != oracleNumber {
 		return 0, fmt.Errorf("sqlparser: expected number at %d, got %q", t.pos, t.text)
 	}
 	v, err := strconv.Atoi(t.text)
@@ -288,7 +300,7 @@ func (s *oracleState) parseInt() (int, error) {
 func (s *oracleState) parseValue(attr int) (int, error) {
 	t := s.next()
 	switch t.kind {
-	case tokNumber:
+	case oracleNumber:
 		v, err := strconv.Atoi(t.text)
 		if err != nil {
 			return 0, fmt.Errorf("sqlparser: bad value %q at %d", t.text, t.pos)
@@ -298,7 +310,7 @@ func (s *oracleState) parseValue(attr int) (int, error) {
 				v, s.dom.Attr(attr).Name, s.dom.Card(attr))
 		}
 		return v, nil
-	case tokString, tokIdent:
+	case oracleString, oracleIdent:
 		v := s.dom.LevelValue(attr, t.text)
 		if v < 0 {
 			return 0, fmt.Errorf("sqlparser: unknown level %q for column %q at %d",

@@ -1,8 +1,11 @@
 package sqlparser
 
 import (
+	"slices"
 	"strings"
 	"testing"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/domain"
 )
@@ -160,6 +163,43 @@ func TestCustomTimeAttr(t *testing.T) {
 	if _, _, ok := st.Query.Window(); !ok {
 		t.Fatal("custom time attribute not honored")
 	}
+	// The window column matches under Unicode case folding: a Kelvin
+	// sign's k is a k.
+	p.TimeAttr = "wee\u212a"
+	const src = "SELECT COUNT(*) FROM covid WHERE WEEK BETWEEN 1 AND 3"
+	st, err = p.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracleParse(p, src)
+	if s, e, ok := st.Query.Window(); err != nil || !ok || s != 1 || e != 3 || st.Query.KeyWithWindow() != want.Query.KeyWithWindow() {
+		t.Fatalf("Parse(%q) with TimeAttr %q: window [%d,%d] %v, oracle %v", src, p.TimeAttr, s, e, ok, err)
+	}
+}
+
+// TestNoIdentifierFoldsToASCII: keywords are matched with an ASCII fold
+// alone (word), which answers as strings.EqualFold does only because no
+// identifier with a byte past ASCII folds to one without: every rune past
+// ASCII whose fold orbit holds an ASCII letter has a byte in its UTF-8
+// form that no identifier continues with.
+func TestNoIdentifierFoldsToASCII(t *testing.T) {
+	var folding []rune
+	for r := rune(utf8.RuneSelf); r <= unicode.MaxRune; r++ {
+		for f := unicode.SimpleFold(r); f != r; f = unicode.SimpleFold(f) {
+			if f >= utf8.RuneSelf {
+				continue
+			}
+			folding = append(folding, r)
+			if !slices.ContainsFunc([]byte(string(r)), func(b byte) bool { return classes[b]&clsIdent == 0 }) {
+				t.Errorf("%q (%U) folds to %q and lexes inside an identifier", r, r, f)
+			}
+			break
+		}
+	}
+	if len(folding) == 0 {
+		t.Fatal("no rune past ASCII folds to an ASCII letter: the check checks nothing")
+	}
+	t.Logf("runes past ASCII that fold to ASCII: %q", folding)
 }
 
 func TestDoubleQuotedStrings(t *testing.T) {
